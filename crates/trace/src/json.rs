@@ -1,11 +1,126 @@
-//! A minimal recursive-descent JSON parser.
+//! The workspace's one JSON module: a minimal recursive-descent parser, the
+//! string escaper, and a small streaming object/array [`Writer`].
 //!
 //! The workspace builds with no registry access (no serde), yet the golden
 //! tests must *structurally* validate `--time-trace` output rather than
-//! substring-match it. This parser covers exactly the JSON this repo emits:
-//! objects, arrays, strings with the standard escapes, numbers, booleans and
-//! null. It is a test/tooling aid, not a general-purpose parser — errors are
-//! strings with a byte offset.
+//! substring-match it, and every document the tools emit (traces, counters,
+//! diagnostics, daemon frames, tuner reports) must be byte-deterministic.
+//! The parser covers exactly the JSON this repo emits: objects, arrays,
+//! strings with the standard escapes, numbers, booleans and null; errors are
+//! strings with a byte offset. The writer emits no whitespace and keeps keys
+//! in call order, so a document's bytes are a function of the calls alone.
+
+use std::fmt::{Display, Write as _};
+
+/// Escapes `s` for embedding in a JSON string literal (quotes, backslashes,
+/// control characters).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
+    out
+}
+
+fn push_escaped(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// A streaming JSON writer. Call [`Writer::open`]/[`Writer::close`] for
+/// `{}`/`[]`, [`Writer::key`] before each object member, and one of the
+/// value methods per value; commas are inserted automatically.
+#[derive(Default)]
+pub struct Writer {
+    out: String,
+    /// Whether the next key or value must be preceded by a comma.
+    comma: bool,
+}
+
+impl Writer {
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Starts an object (`'{'`) or array (`'['`) value.
+    pub fn open(&mut self, bracket: char) -> &mut Self {
+        self.sep();
+        self.out.push(bracket);
+        self.comma = false;
+        self
+    }
+
+    /// Ends the innermost object (`'}'`) or array (`']'`).
+    pub fn close(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    /// Writes an object member's key; its value must follow.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.sep();
+        self.out.push('"');
+        push_escaped(&mut self.out, key);
+        self.out.push_str("\":");
+        self.comma = false;
+        self
+    }
+
+    /// Writes a value verbatim: a number, `true`/`false`, or `null`.
+    pub fn raw(&mut self, value: impl Display) -> &mut Self {
+        self.sep();
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Writes a string value.
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        self.sep();
+        self.out.push('"');
+        push_escaped(&mut self.out, value);
+        self.out.push('"');
+        self
+    }
+
+    /// Writes a string value, or `null` for `None`.
+    pub fn opt_str(&mut self, value: Option<&str>) -> &mut Self {
+        match value {
+            Some(s) => self.str(s),
+            None => self.raw("null"),
+        }
+    }
+
+    /// The finished document.
+    pub fn finish(&mut self) -> String {
+        std::mem::take(&mut self.out)
+    }
+}
+
+/// Renders `{"counters":{...}}` plus a newline, members in iteration order —
+/// the one counters-document shape (`--counters-json`, the daemon's `stats`
+/// reply, the drift guard's pins).
+pub fn counters_doc<K: AsRef<str>>(counters: impl IntoIterator<Item = (K, u64)>) -> String {
+    let mut w = Writer::default();
+    w.open('{').key("counters").open('{');
+    for (k, v) in counters {
+        w.key(k.as_ref()).raw(v);
+    }
+    w.close('}').close('}');
+    w.finish() + "\n"
+}
 
 /// A parsed JSON value. Object keys keep their source order.
 #[derive(Clone, Debug, PartialEq)]
@@ -304,6 +419,31 @@ mod tests {
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn writer_output_parses_back_and_pins_its_bytes() {
+        let mut w = Writer::default();
+        w.open('{').key("a\"b").str("x\n\u{1}").key("n").raw(3);
+        w.key("list")
+            .open('[')
+            .raw(true)
+            .opt_str(None)
+            .open('{')
+            .close('}');
+        w.close(']').close('}');
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\"a\\\"b\":\"x\\n\\u0001\",\"n\":3,\"list\":[true,null,{}]}"
+        );
+        let v = parse(&text).unwrap();
+        assert_eq!(v.get("a\"b").unwrap().as_str(), Some("x\n\u{1}"));
+        assert_eq!(v.get("list").unwrap().as_array().unwrap().len(), 3);
+        assert_eq!(
+            counters_doc([("k", 2u64), ("z", 0)]),
+            "{\"counters\":{\"k\":2,\"z\":0}}\n"
+        );
     }
 
     #[test]

@@ -271,52 +271,37 @@ impl TraceData {
                 &b.name,
             ))
         });
-        let mut out = String::from("{\"traceEvents\":[");
-        out.push_str(
+        let mut w = json::Writer::default();
+        w.open('{').key("traceEvents").open('[');
+        w.raw(
             "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
              \"args\":{\"name\":\"ompltc\"}}",
         );
         for e in &events {
-            let _ = write!(
-                out,
-                ",{{\"ph\":\"X\",\"cat\":\"omplt\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\"",
-                e.tid,
-                e.start_us,
-                e.dur_us,
-                escape(&e.name)
-            );
+            w.open('{').key("ph").str("X").key("cat").str("omplt");
+            w.key("pid").raw(1).key("tid").raw(e.tid);
+            w.key("ts").raw(e.start_us).key("dur").raw(e.dur_us);
+            w.key("name").str(&e.name);
             if let Some(d) = &e.detail {
-                let _ = write!(out, ",\"args\":{{\"detail\":\"{}\"}}", escape(d));
+                w.key("args").open('{').key("detail").str(d).close('}');
             }
-            out.push('}');
+            w.close('}');
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"wallTimeUs\":");
-        let _ = write!(out, "{}", self.wall_us);
-        out.push_str(",\"counters\":");
-        self.write_counters_obj(&mut out);
-        out.push_str("}}\n");
-        out
+        w.close(']').key("displayTimeUnit").str("ms");
+        w.key("otherData").open('{');
+        w.key("wallTimeUs").raw(self.wall_us);
+        w.key("counters").open('{');
+        for (k, v) in &self.counters {
+            w.key(k).raw(v);
+        }
+        w.close('}').close('}').close('}').finish() + "\n"
     }
 
     /// Renders the counters alone as `{"counters":{...}}`. Iteration order is
     /// the counter name order (BTreeMap), so two runs of a deterministic
     /// pipeline produce byte-identical documents.
     pub fn to_counters_json(&self) -> String {
-        let mut out = String::from("{\"counters\":");
-        self.write_counters_obj(&mut out);
-        out.push_str("}\n");
-        out
-    }
-
-    fn write_counters_obj(&self, out: &mut String) {
-        out.push('{');
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", escape(k), v);
-        }
-        out.push('}');
+        json::counters_doc(self.counters.iter().map(|(k, v)| (k, *v)))
     }
 
     /// Renders a human-readable per-stage table in the spirit of Clang's
@@ -352,25 +337,6 @@ impl TraceData {
         }
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

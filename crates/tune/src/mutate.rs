@@ -82,6 +82,15 @@ impl AxisValue {
             vector_width: None,
         }
     }
+
+    /// A value realized by one source mutation (no global-axis override).
+    fn mutating(label: String, mutation: Mutation) -> AxisValue {
+        AxisValue {
+            label,
+            mutations: vec![mutation],
+            ..AxisValue::identity()
+        }
+    }
 }
 
 /// One tunable degree of freedom. `values[0]` is always the identity.
@@ -190,6 +199,24 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
     let mut axes = Vec::new();
     for (si, site) in model.sites.iter().enumerate() {
         for (pi, p) in site.pragmas.iter().enumerate() {
+            let (site, pragma) = (si, pi);
+            let set_clause = |name: &str, args: String| {
+                let (name, args) = (name.into(), Some(args));
+                Mutation::SetClause {
+                    site,
+                    pragma,
+                    name,
+                    args,
+                }
+            };
+            let remove_clause = |name: &str| {
+                let name = name.into();
+                Mutation::RemoveClause { site, pragma, name }
+            };
+            let off = |what: &str| {
+                let label = format!("s{si}.{what}=off");
+                AxisValue::mutating(label, Mutation::RemovePragma { site, pragma })
+            };
             match p.directive.as_str() {
                 "for" | "parallel for" => {
                     let mut values = vec![AxisValue::identity()];
@@ -198,29 +225,16 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
                         if p.clause("schedule").and_then(|c| c.args.as_deref()) == Some(*s) {
                             continue;
                         }
-                        values.push(AxisValue {
-                            label: format!("s{si}.sched={}", s.replace(", ", ",")),
-                            mutations: vec![Mutation::SetClause {
-                                site: si,
-                                pragma: pi,
-                                name: "schedule".into(),
-                                args: Some((*s).to_string()),
-                            }],
-                            backend: None,
-                            vector_width: None,
-                        });
+                        values.push(AxisValue::mutating(
+                            format!("s{si}.sched={}", s.replace(", ", ",")),
+                            set_clause("schedule", s.to_string()),
+                        ));
                     }
                     if p.clause("schedule").is_some() {
-                        values.push(AxisValue {
-                            label: format!("s{si}.sched=none"),
-                            mutations: vec![Mutation::RemoveClause {
-                                site: si,
-                                pragma: pi,
-                                name: "schedule".into(),
-                            }],
-                            backend: None,
-                            vector_width: None,
-                        });
+                        values.push(AxisValue::mutating(
+                            format!("s{si}.sched=none"),
+                            remove_clause("schedule"),
+                        ));
                     }
                     axes.push(Axis {
                         name: format!("s{si}.schedule"),
@@ -242,17 +256,10 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
                             .collect();
                         let args = sizes.join(", ");
                         if p.clause("sizes").and_then(|c| c.args.as_deref()) != Some(&args[..]) {
-                            values.push(AxisValue {
-                                label: format!("s{si}.tile={}", sizes.join("x")),
-                                mutations: vec![Mutation::SetClause {
-                                    site: si,
-                                    pragma: pi,
-                                    name: "sizes".into(),
-                                    args: Some(args),
-                                }],
-                                backend: None,
-                                vector_width: None,
-                            });
+                            values.push(AxisValue::mutating(
+                                format!("s{si}.tile={}", sizes.join("x")),
+                                set_clause("sizes", args),
+                            ));
                         }
                         // Odometer over tile_sizes^dims.
                         let mut d = 0;
@@ -271,15 +278,7 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
                             break;
                         }
                     }
-                    values.push(AxisValue {
-                        label: format!("s{si}.tile=off"),
-                        mutations: vec![Mutation::RemovePragma {
-                            site: si,
-                            pragma: pi,
-                        }],
-                        backend: None,
-                        vector_width: None,
-                    });
+                    values.push(off("tile"));
                     axes.push(Axis {
                         name: format!("s{si}.tile"),
                         kind: AxisKind::OrderPreserving,
@@ -294,27 +293,12 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
                         {
                             continue;
                         }
-                        values.push(AxisValue {
-                            label: format!("s{si}.unroll={f}"),
-                            mutations: vec![Mutation::SetClause {
-                                site: si,
-                                pragma: pi,
-                                name: "partial".into(),
-                                args: Some(f.to_string()),
-                            }],
-                            backend: None,
-                            vector_width: None,
-                        });
+                        values.push(AxisValue::mutating(
+                            format!("s{si}.unroll={f}"),
+                            set_clause("partial", f.to_string()),
+                        ));
                     }
-                    values.push(AxisValue {
-                        label: format!("s{si}.unroll=off"),
-                        mutations: vec![Mutation::RemovePragma {
-                            site: si,
-                            pragma: pi,
-                        }],
-                        backend: None,
-                        vector_width: None,
-                    });
+                    values.push(off("unroll"));
                     axes.push(Axis {
                         name: format!("s{si}.unroll"),
                         kind: AxisKind::OrderPreserving,
@@ -338,33 +322,18 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
                         {
                             continue;
                         }
-                        values.push(AxisValue {
-                            label: format!(
+                        values.push(AxisValue::mutating(
+                            format!(
                                 "s{si}.perm={}",
                                 perm.iter()
                                     .map(|v| v.to_string())
                                     .collect::<Vec<_>>()
                                     .join("")
                             ),
-                            mutations: vec![Mutation::SetClause {
-                                site: si,
-                                pragma: pi,
-                                name: "permutation".into(),
-                                args: Some(args),
-                            }],
-                            backend: None,
-                            vector_width: None,
-                        });
+                            set_clause("permutation", args),
+                        ));
                     }
-                    values.push(AxisValue {
-                        label: format!("s{si}.interchange=off"),
-                        mutations: vec![Mutation::RemovePragma {
-                            site: si,
-                            pragma: pi,
-                        }],
-                        backend: None,
-                        vector_width: None,
-                    });
+                    values.push(off("interchange"));
                     axes.push(Axis {
                         name: format!("s{si}.interchange"),
                         kind: AxisKind::OrderChanging,
@@ -384,29 +353,16 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
                         {
                             continue;
                         }
-                        values.push(AxisValue {
-                            label: format!("s{si}.simdlen={w}"),
-                            mutations: vec![Mutation::SetClause {
-                                site: si,
-                                pragma: pi,
-                                name: "simdlen".into(),
-                                args: Some(w.to_string()),
-                            }],
-                            backend: None,
-                            vector_width: None,
-                        });
+                        values.push(AxisValue::mutating(
+                            format!("s{si}.simdlen={w}"),
+                            set_clause("simdlen", w.to_string()),
+                        ));
                     }
                     if p.clause("simdlen").is_some() {
-                        values.push(AxisValue {
-                            label: format!("s{si}.simdlen=none"),
-                            mutations: vec![Mutation::RemoveClause {
-                                site: si,
-                                pragma: pi,
-                                name: "simdlen".into(),
-                            }],
-                            backend: None,
-                            vector_width: None,
-                        });
+                        values.push(AxisValue::mutating(
+                            format!("s{si}.simdlen=none"),
+                            remove_clause("simdlen"),
+                        ));
                     }
                     if values.len() > 1 {
                         axes.push(Axis {
@@ -420,18 +376,7 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
                     axes.push(Axis {
                         name: format!("s{si}.{}", p.directive),
                         kind: AxisKind::OrderChanging,
-                        values: vec![
-                            AxisValue::identity(),
-                            AxisValue {
-                                label: format!("s{si}.{}=off", p.directive),
-                                mutations: vec![Mutation::RemovePragma {
-                                    site: si,
-                                    pragma: pi,
-                                }],
-                                backend: None,
-                                vector_width: None,
-                            },
-                        ],
+                        values: vec![AxisValue::identity(), off(&p.directive)],
                     });
                 }
                 _ => {}
@@ -446,29 +391,25 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
             let has = |d: &str| site.pragmas.iter().any(|p| p.directive == d);
             let mut values = vec![AxisValue::identity()];
             if !has("reverse") {
-                values.push(AxisValue {
-                    label: format!("s{si}.+reverse"),
-                    mutations: vec![Mutation::InsertPragma {
+                values.push(AxisValue::mutating(
+                    format!("s{si}.+reverse"),
+                    Mutation::InsertPragma {
                         site: si,
                         at,
                         pragma: Pragma::new("reverse"),
-                    }],
-                    backend: None,
-                    vector_width: None,
-                });
+                    },
+                ));
             }
             if !has("interchange") {
-                values.push(AxisValue {
-                    label: format!("s{si}.+interchange21"),
-                    mutations: vec![Mutation::InsertPragma {
+                values.push(AxisValue::mutating(
+                    format!("s{si}.+interchange21"),
+                    Mutation::InsertPragma {
                         site: si,
                         at,
                         pragma: Pragma::new("interchange")
                             .with(Clause::with_args("permutation", "2, 1")),
-                    }],
-                    backend: None,
-                    vector_width: None,
-                });
+                    },
+                ));
             }
             if values.len() > 1 {
                 axes.push(Axis {
@@ -490,9 +431,8 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
                 AxisValue::identity(),
                 AxisValue {
                     label: "backend=vm".into(),
-                    mutations: Vec::new(),
                     backend: Some(BackendChoice::Vm),
-                    vector_width: None,
+                    ..AxisValue::identity()
                 },
             ],
         });

@@ -9,6 +9,7 @@
 
 use crate::cost::{CostModel, Measurement};
 use crate::mutate::BackendChoice;
+use omplt_trace::json::Writer;
 use std::fmt::Write as _;
 
 /// Terminal state of one enumerated candidate.
@@ -179,117 +180,70 @@ impl TuneReport {
     /// Machine-readable rendering (stable key order, candidates in
     /// enumeration order plus a ranked index).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"input\":\"{}\"", esc(&self.input));
-        let _ = write!(out, ",\"cost_model\":\"{}\"", self.cost_model.name());
-        let _ = write!(out, ",\"budget\":{}", self.budget);
+        let mut w = Writer::default();
+        w.open('{').key("input").str(&self.input);
+        w.key("cost_model").str(self.cost_model.name());
+        w.key("budget").raw(self.budget);
         match self.seed {
-            Some(s) => {
-                let _ = write!(out, ",\"seed\":{s}");
-            }
-            None => out.push_str(",\"seed\":null"),
-        }
-        let _ = write!(
-            out,
-            ",\"baseline\":{{\"score\":{},\"exit_code\":{}}}",
-            self.baseline.score(self.cost_model),
-            self.baseline.exit_code
-        );
+            Some(s) => w.key("seed").raw(s),
+            None => w.key("seed").raw("null"),
+        };
+        w.key("baseline").open('{');
+        w.key("score").raw(self.baseline.score(self.cost_model));
+        w.key("exit_code").raw(self.baseline.exit_code).close('}');
         let (ev, pr, dv, fl, du) = self.tally();
-        let _ = write!(
-            out,
-            ",\"tally\":{{\"evaluated\":{ev},\"pruned\":{pr},\"diverged\":{dv},\"failed\":{fl},\"duplicate\":{du}}}"
-        );
-        out.push_str(",\"candidates\":[");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"label\":\"{}\",\"backend\":\"{}\"",
-                o.id,
-                esc(&o.label),
-                o.backend.name()
-            );
+        w.key("tally").open('{');
+        w.key("evaluated").raw(ev).key("pruned").raw(pr);
+        w.key("diverged").raw(dv).key("failed").raw(fl);
+        w.key("duplicate").raw(du).close('}');
+        w.key("candidates").open('[');
+        for o in &self.outcomes {
+            w.open('{').key("id").raw(o.id).key("label").str(&o.label);
+            w.key("backend").str(o.backend.name());
             match &o.status {
                 Status::Evaluated(m) => {
-                    let _ = write!(
-                        out,
-                        ",\"status\":\"evaluated\",\"score\":{},\"ops\":{},\"exit_code\":{}",
-                        m.score(self.cost_model),
-                        m.ops_retired,
-                        m.exit_code
-                    );
+                    w.key("status").str("evaluated");
+                    w.key("score").raw(m.score(self.cost_model));
+                    w.key("ops").raw(m.ops_retired);
+                    w.key("exit_code").raw(m.exit_code);
                     if self.cost_model == CostModel::Time {
-                        let _ = write!(out, ",\"wall_us\":{}", m.wall_us);
+                        w.key("wall_us").raw(m.wall_us);
                     }
                 }
                 Status::Pruned(diags) => {
-                    out.push_str(",\"status\":\"pruned\",\"diagnostics\":[");
-                    for (j, d) in diags.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "\"{}\"", esc(d));
+                    w.key("status").str("pruned").key("diagnostics").open('[');
+                    for d in diags {
+                        w.str(d);
                     }
-                    out.push(']');
+                    w.close(']');
                 }
                 Status::Diverged(why) => {
-                    let _ = write!(out, ",\"status\":\"diverged\",\"reason\":\"{}\"", esc(why));
+                    w.key("status").str("diverged").key("reason").str(why);
                 }
                 Status::Failed(why) => {
-                    let _ = write!(out, ",\"status\":\"failed\",\"reason\":\"{}\"", esc(why));
+                    w.key("status").str("failed").key("reason").str(why);
                 }
                 Status::Duplicate(of) => {
-                    let _ = write!(out, ",\"status\":\"duplicate\",\"of\":{of}");
+                    w.key("status").str("duplicate").key("of").raw(of);
                 }
             }
-            out.push('}');
+            w.close('}');
         }
-        out.push(']');
-        out.push_str(",\"ranking\":[");
-        for (i, (o, _)) in self.ranked().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}", o.id);
+        w.close(']').key("ranking").open('[');
+        for (o, _) in self.ranked() {
+            w.raw(o.id);
         }
-        out.push(']');
+        w.close(']').key("winner");
         match self.winner() {
-            Some(w) => {
-                let _ = write!(
-                    out,
-                    ",\"winner\":{{\"id\":{},\"label\":\"{}\",\"backend\":\"{}\"}}",
-                    w.id,
-                    esc(&w.label),
-                    w.backend.name()
-                );
+            Some(win) => {
+                w.open('{').key("id").raw(win.id);
+                w.key("label").str(&win.label);
+                w.key("backend").str(win.backend.name()).close('}')
             }
-            None => out.push_str(",\"winner\":null"),
-        }
-        out.push_str("}\n");
-        out
+            None => w.raw("null"),
+        };
+        w.close('}').finish() + "\n"
     }
-}
-
-/// Minimal JSON string escaping (same subset the driver uses).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

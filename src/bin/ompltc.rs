@@ -2,78 +2,23 @@
 //!
 //! ```text
 //! ompltc [OPTIONS] <file.c>
-//!   --analyze                run the static-analysis suite (legality + -Wrace)
-//!                            and exit; non-zero exit on any finding
-//!   --ast-dump               print the syntactic AST (clang -ast-dump style)
-//!   --ast-dump-transformed   additionally show shadow (transformed) subtrees
-//!   --autotune[=N]           autotune the file's OpenMP directives: enumerate
-//!                            mutated directive configurations, prune illegal
-//!                            ones through the analysis suite, execute up to N
-//!                            legal survivors (default 32), and print a ranked
-//!                            report; exit 1 if no candidate survives
-//!   --tune-best=FILE         write the winning annotated source to FILE
-//!   --tune-cost=M            candidate cost model: ops (default; retired-op
-//!                            count, deterministic) | time (wall micros)
-//!   --tune-json[=FILE]       emit the ranked report as JSON (replaces the
-//!                            text report when writing to stdout)
-//!   --tune-seed=N            sample seeded-random mutants instead of walking
-//!                            the deterministic grid (stress-test mode)
-//!   --backend=B              execution engine for --run: interp (default,
-//!                            tree-walking oracle) | vm (bytecode VM; falls
-//!                            back to the interpreter with a warning if
-//!                            bytecode compile/verify fails) | vm:strict
-//!                            (VM with the fallback disabled)
-//!   --counters-json[=FILE]   dump the pipeline's named counters as JSON
-//!                            (stdout unless FILE is given)
-//!   --crash-report=DIR       on an internal compiler error, write a crash
-//!                            bundle (input source, pipeline stage, panic
-//!                            backtrace, counters snapshot) into DIR
-//!   --diag-format=FMT        diagnostics output format: text (default) | json
-//!   --emit-bytecode          print the VM bytecode disassembly
-//!   --emit-bytecode-bin=FILE serialize the compiled VM bytecode module to
-//!                            FILE in the OMPLTBC container format
-//!   --check-bytecode         treat <file> as an OMPLTBC container: decode it
-//!                            and run the bytecode verifier; exit 0 if clean,
-//!                            1 with diagnostics on any decode/verify finding
-//!   --emit-ir                print generated IR
-//!   --enable-irbuilder       use the OpenMPIRBuilder / OMPCanonicalLoop path
-//!   --exec-timeout=MS        hard wall-clock deadline for the whole
-//!                            invocation; on expiry the process exits 1 with
-//!                            a diagnostic instead of hanging
-//!   --fuel=N                 cooperative op budget shared by the interpreter
-//!                            and the VM (exhaustion is a runtime error, not
-//!                            a hang)
-//!   --inject-fault=SITE[:N]  deterministic fault injection: force a failure
-//!                            at a registered pipeline site on its N-th hit
-//!                            (default 1); see `omplt-fault` for the catalog
-//!   --no-openmp              parse pragmas but ignore them
-//!   --run [args...]          interpret the module (calls `main`)
-//!   --serial                 run `parallel` regions on the calling thread
-//!                            (deterministic; equivalent to a team of one
-//!                            executing every chunk in order)
-//!   --opt                    run the mid-end pipeline (incl. LoopUnroll) first
-//!   --syntax-only            stop after semantic analysis
-//!   --threads N              thread-team size for `parallel` regions (default 4)
-//!   --time-report            print a per-stage wall-time table to stderr,
-//!                            like clang's `-ftime-report`
-//!   --time-trace[=FILE]      emit a Chrome trace-event JSON profile of the
-//!                            whole pipeline, like clang's `-ftime-trace`
-//!                            (stdout unless FILE is given)
-//!   --vector-width=N         widen `simd`-annotated loops to N lanes (2-8)
-//!                            in the VM backend; 0 (default) stays scalar.
-//!                            Illegal widenings are refused per loop, never
-//!                            miscompiled
-//!   --verify-each            re-verify IR (incl. canonical-loop skeletons)
-//!                            after every transformation and mid-end pass
 //! ```
+//!
+//! Run `ompltc` with no arguments for the option listing. It is generated
+//! from the two tables that also drive the argument parser: the job options
+//! (`omplt::options::JOB_OPTIONS` — what a compile/run job carries, locally
+//! and over `--remote` alike) and the driver-only modes and outputs
+//! ([`DRIVER_FLAGS`] below).
 //!
 //! Exit codes: 0 success, 1 findings/compile errors/runtime failures,
 //! 2 usage errors, 3 internal compiler error (ICE).
 //!
-//! The driver is a fault boundary: any internal panic is caught by a
-//! `catch_unwind` wall around the pipeline and converted into a structured
-//! "internal compiler error" diagnostic (honoring `--diag-format=json`) plus
-//! an optional `--crash-report` bundle — a compile request can fail, but it
+//! A local compile and a `--remote` one are the same two steps: run the job
+//! (`omplt::service::execute_job` in-process, or the same function inside
+//! `ompltd`), then [`replay`] the reply. The ICE boundary lives in that
+//! function: any internal panic comes back as a structured "internal
+//! compiler error" (rendered here, honoring `--diag-format=json`, plus an
+//! optional `--crash-report` bundle) — a compile request can fail, but it
 //! cannot take the process down with a raw panic or hang it (barrier
 //! deadlocks are caught by the runtime watchdog, runaway loops by `--fuel`,
 //! and everything else by `--exec-timeout`).
@@ -85,603 +30,329 @@
 //! thread, barrier waits, ...). Output is written after the pipeline exits,
 //! even when it exits early on an error or an ICE.
 
-use omplt::{CompilerInstance, OpenMpCodegenMode, Options};
-use std::panic::AssertUnwindSafe;
+use omplt::options::{self, parse_value, Arg, Flag, OptionRow};
+use omplt::protocol::{driver_diag, CacheOutcome, IceInfo, JobRequest, JobResponse};
+use omplt::service::{self, LocalViews};
+use omplt::trace::TraceData;
 use std::process::ExitCode;
 
-fn emit_diags(ci: &CompilerInstance, json: bool) {
-    if ci.diags.is_empty() {
-        return;
-    }
-    if json {
-        eprint!("{}", ci.render_diags_json());
-    } else {
-        eprint!("{}", ci.render_diags());
-    }
-}
+/// `Some(None)` = stdout, `Some(Some(f))` = file `f`.
+type Dest = Option<Option<String>>;
 
-/// Everything the pipeline needs, parsed out of `argv`.
+/// Everything parsed out of `argv`: the job, plus the driver-only state.
+#[derive(Default)]
 struct Cli {
-    opts: Options,
-    file: String,
-    analyze: bool,
-    ast_dump: bool,
-    ast_dump_transformed: bool,
-    emit_ir: bool,
-    emit_bytecode: bool,
-    /// `--emit-bytecode-bin=FILE` — serialized OMPLTBC container destination.
-    emit_bytecode_bin: Option<String>,
-    /// `--check-bytecode` — decode + verify `file` as an OMPLTBC container.
+    /// The job. `name` is the input path; `source` is filled in once read.
+    job: JobRequest,
+    /// Local-only parameters of the pipeline walk.
+    views: LocalViews,
     check_bytecode: bool,
-    run: bool,
-    optimize: bool,
-    syntax_only: bool,
-    json: bool,
-    /// `--time-trace` destination: `Some(None)` = stdout, `Some(Some(f))` = file.
-    time_trace: Option<Option<String>>,
+    time_trace: Dest,
     time_report: bool,
-    /// `--counters-json` destination, same encoding as `time_trace`.
-    counters_json: Option<Option<String>>,
-    /// `--exec-timeout` wall-clock deadline in milliseconds.
-    exec_timeout_ms: Option<u64>,
-    /// `--crash-report` bundle directory.
+    /// Where `--counters-json` goes (the job's `want_counters` asks for it).
+    counters_json: Dest,
     crash_report: Option<String>,
-    /// `--remote=PATH` — ship the job to an `ompltd` socket instead of
-    /// compiling in-process.
     remote: Option<String>,
-    /// `--remote-retries=N` — transient daemon failures (connect refusal,
-    /// mid-stream EOF, `Overloaded`) are retried up to N times.
-    remote_retries: u32,
-    /// `--remote-backoff-ms=MS` — base delay of the exponential backoff
-    /// between retries.
-    remote_backoff_ms: u64,
-    /// `--inject-fault` spec, kept verbatim so `--remote` can forward it
-    /// (it is also armed locally at parse time for the in-process path).
-    inject_fault: Option<String>,
+    remote_retries: Option<u32>,
+    remote_backoff_ms: Option<u64>,
     /// `--autotune` evaluation budget (`None` = not tuning).
     autotune: Option<usize>,
-    /// `--tune-json` destination, same encoding as `time_trace`.
-    tune_json: Option<Option<String>>,
-    /// `--tune-best` destination for the winning annotated source.
+    tune_json: Dest,
     tune_best: Option<String>,
-    /// `--tune-seed` for random-sampling mode.
     tune_seed: Option<u64>,
-    /// `--tune-cost` model.
-    tune_cost: omplt::tune::CostModel,
+    tune_cost: Option<omplt::tune::CostModel>,
 }
 
+/// A flag that is not a job option: spelling and help, plus how it applies
+/// its scanned value (`Err` is a usage-error message).
+struct DriverFlag {
+    flag: Flag,
+    apply: fn(&mut Cli, Option<&str>) -> Result<(), String>,
+}
+
+const fn driver_flag(
+    name: &'static str,
+    arg: Arg,
+    help: &'static str,
+    apply: fn(&mut Cli, Option<&str>) -> Result<(), String>,
+) -> DriverFlag {
+    let flag = Flag { name, arg, help };
+    DriverFlag { flag, apply }
+}
+
+/// Stores `value` in `slot`: the body of most `apply` closures.
+fn store<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// The driver-only flags — local-only views, driver modes, and where outputs
+/// go — one row each.
+static DRIVER_FLAGS: [DriverFlag; 17] = [
+    driver_flag(
+        "--analyze",
+        Arg::Switch,
+        "run the static-analysis suite (legality + -Wrace) and exit;\n\
+         non-zero exit on any finding",
+        |c, _| store(&mut c.views.analyze, true),
+    ),
+    driver_flag(
+        "--ast-dump",
+        Arg::Switch,
+        "print the syntactic AST (clang -ast-dump style)",
+        |c, _| store(&mut c.views.ast_dump, true),
+    ),
+    driver_flag(
+        "--ast-dump-transformed",
+        Arg::Switch,
+        "additionally show shadow (transformed) subtrees",
+        |c, _| store(&mut c.views.ast_dump_transformed, true),
+    ),
+    driver_flag(
+        "--autotune",
+        Arg::Optional("N"),
+        "autotune the file's OpenMP directives: enumerate mutated\n\
+         directive configurations, prune illegal ones through the\n\
+         analysis suite, execute up to N legal survivors (default 32),\n\
+         and print a ranked report; exit 1 if no candidate survives",
+        |c, v| {
+            let budget = match v {
+                None => omplt::tuner::DEFAULT_BUDGET,
+                Some(_) => parse_value("--autotune", v, "a positive candidate budget", |&n| n > 0)?,
+            };
+            store(&mut c.autotune, Some(budget))
+        },
+    ),
+    driver_flag(
+        "--check-bytecode",
+        Arg::Switch,
+        "treat <file> as an OMPLTBC container: decode it and run the\n\
+         bytecode verifier; exit 0 if clean, 1 with diagnostics on any\n\
+         decode/verify finding",
+        |c, _| store(&mut c.check_bytecode, true),
+    ),
+    driver_flag(
+        "--crash-report",
+        Arg::Value("DIR"),
+        "on an internal compiler error, write a crash bundle (input\n\
+         source, pipeline stage, panic backtrace, counters snapshot)\n\
+         into DIR",
+        |c, v| store(&mut c.crash_report, v.map(String::from)),
+    ),
+    driver_flag(
+        "--emit-bytecode",
+        Arg::Switch,
+        "print the VM bytecode disassembly",
+        |c, _| store(&mut c.views.emit_bytecode, true),
+    ),
+    driver_flag(
+        "--emit-bytecode-bin",
+        Arg::Value("FILE"),
+        "serialize the compiled VM bytecode module to FILE in the\n\
+         OMPLTBC container format",
+        |c, v| store(&mut c.views.emit_bytecode_bin, v.map(String::from)),
+    ),
+    driver_flag(
+        "--remote",
+        Arg::Value("SOCKET"),
+        "ship the job to the `ompltd` listening on SOCKET instead of\n\
+         compiling in-process; output is byte-identical to a local run",
+        |c, v| store(&mut c.remote, v.map(String::from)),
+    ),
+    driver_flag(
+        "--remote-backoff-ms",
+        Arg::Value("MS"),
+        "base delay of the exponential backoff between --remote\n\
+         retries (default 50)",
+        |c, v| {
+            let expected = "a positive number of milliseconds";
+            let ms = parse_value("--remote-backoff-ms", v, expected, |&n| n > 0)?;
+            store(&mut c.remote_backoff_ms, Some(ms))
+        },
+    ),
+    driver_flag(
+        "--remote-retries",
+        Arg::Value("N"),
+        "retry transient daemon failures (connect refusal, mid-stream\n\
+         EOF, `Overloaded`) up to N times (default 3)",
+        |c, v| {
+            let n = parse_value("--remote-retries", v, "a non-negative retry count", |_| {
+                true
+            })?;
+            store(&mut c.remote_retries, Some(n))
+        },
+    ),
+    driver_flag(
+        "--time-report",
+        Arg::Switch,
+        "print a per-stage wall-time table to stderr, like clang's\n\
+         `-ftime-report`",
+        |c, _| store(&mut c.time_report, true),
+    ),
+    driver_flag(
+        "--time-trace",
+        Arg::Optional("FILE"),
+        "emit a Chrome trace-event JSON profile of the whole pipeline,\n\
+         like clang's `-ftime-trace` (stdout unless FILE is given)",
+        |c, v| store(&mut c.time_trace, Some(v.map(String::from))),
+    ),
+    driver_flag(
+        "--tune-best",
+        Arg::Value("FILE"),
+        "write the winning annotated source to FILE",
+        |c, v| store(&mut c.tune_best, v.map(String::from)),
+    ),
+    driver_flag(
+        "--tune-cost",
+        Arg::Value("M"),
+        "candidate cost model: ops (default; retired-op count,\n\
+         deterministic) | time (wall micros)",
+        |c, v| {
+            let v = v.unwrap_or_default();
+            let model = omplt::tune::CostModel::parse(v)
+                .ok_or_else(|| format!("unknown cost model '{v}' for '--tune-cost': ops|time"))?;
+            store(&mut c.tune_cost, Some(model))
+        },
+    ),
+    driver_flag(
+        "--tune-json",
+        Arg::Optional("FILE"),
+        "emit the ranked report as JSON (replaces the text report when\n\
+         writing to stdout)",
+        |c, v| store(&mut c.tune_json, Some(v.map(String::from))),
+    ),
+    driver_flag(
+        "--tune-seed",
+        Arg::Value("N"),
+        "sample seeded-random mutants instead of walking the\n\
+         deterministic grid (stress-test mode)",
+        |c, v| {
+            let seed = parse_value("--tune-seed", v, "a 64-bit unsigned integer", |_| true)?;
+            store(&mut c.tune_seed, Some(seed))
+        },
+    ),
+];
+
 fn usage() -> u8 {
-    eprintln!(
-        "usage: ompltc [--analyze] [--ast-dump] [--ast-dump-transformed] \
-         [--autotune[=N]] [--backend=interp|vm|vm:strict] \
-         [--counters-json[=FILE]] [--crash-report=DIR] \
-         [--check-bytecode] \
-         [--diag-format=text|json] [--emit-bytecode] [--emit-bytecode-bin=FILE] [--emit-ir] \
-         [--enable-irbuilder] [--exec-timeout=MS] [--fuel=N] \
-         [--inject-fault=SITE[:COUNT]] [--opt] [--remote=SOCKET] \
-         [--remote-retries=N] [--remote-backoff-ms=MS] [--run] \
-         [--serial] [--syntax-only] [--threads N] [--time-report] \
-         [--time-trace[=FILE]] \
-         [--tune-best=FILE] [--tune-cost=ops|time] [--tune-json[=FILE]] \
-         [--tune-seed=N] [--vector-width=N] [--verify-each] <file.c>"
+    let job_flags = options::JOB_OPTIONS.iter().filter_map(OptionRow::flag);
+    let flags = job_flags.chain(DRIVER_FLAGS.iter().map(|s| &s.flag));
+    eprint!(
+        "usage: ompltc [OPTIONS] <file.c>\n{}",
+        options::help_text(flags)
     );
     2
 }
 
-// Driver errors happen before/around a `CompilerInstance`, so their JSON
-// rendering lives in `omplt::protocol` (shared with the daemon, which must
-// produce byte-identical driver diagnostics) and is re-used here.
-use omplt::protocol::json_diag_object;
-
 /// Diagnoses a driver-level error on stderr — as a JSON diagnostic array
 /// when `--diag-format=json` is in effect — and returns exit code 2.
 fn driver_error(msg: &str, json: bool) -> u8 {
-    if json {
-        eprintln!("[{}]", json_diag_object("error", msg, &[]));
-    } else {
-        eprintln!("ompltc: {msg}");
-    }
+    eprint!("{}", driver_diag(msg, &[], json));
     2
+}
+
+/// Reports why a driver mode failed: `ompltc: error: …`, or the JSON
+/// diagnostic.
+fn report_failure(msg: &str, json: bool) {
+    if json {
+        eprint!("{}", driver_diag(msg, &[], true));
+    } else {
+        eprintln!("ompltc: error: {msg}");
+    }
+}
+
+/// A flag [`options::scan`] recognized: a job option or a driver flag.
+enum Known {
+    Job(&'static OptionRow),
+    Driver(&'static DriverFlag),
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, u8> {
     // Driver errors must honor `--diag-format=json` wherever it appears on
     // the command line, so resolve the format before the main scan.
-    let json_diags = args
-        .iter()
-        .filter_map(|a| a.strip_prefix("--diag-format="))
-        .next_back()
-        == Some("json");
-    let mut opts = Options::default();
-    let mut file = None;
-    let mut analyze = false;
-    let mut ast_dump = false;
-    let mut ast_dump_transformed = false;
-    let mut emit_ir = false;
-    let mut emit_bytecode = false;
-    let mut emit_bytecode_bin = None;
-    let mut check_bytecode = false;
-    let mut run = false;
-    let mut optimize = false;
-    let mut syntax_only = false;
-    let mut json = false;
-    let mut time_trace = None;
-    let mut time_report = false;
-    let mut counters_json = None;
-    let mut exec_timeout_ms = None;
-    let mut crash_report = None;
-    let mut remote = None;
-    let mut remote_retries: Option<u32> = None;
-    let mut remote_backoff_ms: Option<u64> = None;
-    let mut inject_fault: Option<String> = None;
-    let mut autotune = None;
-    let mut tune_json = None;
-    let mut tune_best = None;
-    let mut tune_seed = None;
-    let mut tune_cost = None;
-
-    let bad_backend = |v: &str| {
-        driver_error(
-            &format!(
-                "unknown backend '{v}' for '--backend': expected 'interp', 'vm', or 'vm:strict'"
-            ),
-            json_diags,
-        )
+    let json = (args.iter().rev()).find_map(|a| a.strip_prefix("--diag-format=")) == Some("json");
+    let usage_error = |msg: String| driver_error(&msg, json);
+    let find = |name: &str| {
+        let driver = || DRIVER_FLAGS.iter().find(|s| s.flag.name == name);
+        let job = options::job_flag(name).map(|(row, arg)| (Known::Job(row), arg));
+        job.or_else(|| driver().map(|s| (Known::Driver(s), s.flag.arg)))
     };
-    let set_fuel = |opts: &mut Options, v: &str| -> Result<(), u8> {
-        match v.parse::<u64>() {
-            Ok(n) => {
-                opts.max_steps = n;
-                Ok(())
+    let mut cli = Cli::default();
+    cli.job.id = 1;
+    let (flags, files) = options::scan(args, find).map_err(usage_error)?;
+    for (flag, v) in flags {
+        let row = match flag {
+            Known::Driver(d) => {
+                (d.apply)(&mut cli, v).map_err(usage_error)?;
+                continue;
             }
-            Err(_) => Err(driver_error(
-                &format!("invalid value '{v}' for '--fuel': expected a non-negative integer"),
-                json_diags,
-            )),
+            Known::Job(row) => row,
+        };
+        if row.key == "inject_fault" {
+            // Armed here for the in-process path and the client-side
+            // `daemon.*` sites; `arm` is also what validates the spec.
+            omplt::fault::arm(v.unwrap_or_default()).map_err(usage_error)?;
         }
-    };
-    let set_vector_width = |opts: &mut Options, v: &str| -> Result<(), u8> {
-        match v.parse::<u8>() {
-            Ok(n) if n == 0 || (2..=8).contains(&n) => {
-                opts.vector_width = n;
-                Ok(())
-            }
-            _ => Err(driver_error(
-                &format!(
-                    "invalid value '{v}' for '--vector-width': expected 0 (scalar) or a \
-                     lane count between 2 and 8"
-                ),
-                json_diags,
-            )),
-        }
-    };
-    let set_timeout = |slot: &mut Option<u64>, v: &str| -> Result<(), u8> {
-        match v.parse::<u64>() {
-            Ok(n) if n > 0 => {
-                *slot = Some(n);
-                Ok(())
-            }
-            _ => Err(driver_error(
-                &format!(
-                    "invalid value '{v}' for '--exec-timeout': expected a positive number of \
-                     milliseconds"
-                ),
-                json_diags,
-            )),
-        }
-    };
-    let arm_fault = |spec: &str| -> Result<(), u8> {
-        omplt::fault::arm(spec).map_err(|msg| driver_error(&msg, json_diags))
-    };
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--analyze" => analyze = true,
-            "--ast-dump" => ast_dump = true,
-            "--autotune" => autotune = Some(omplt::tuner::DEFAULT_BUDGET),
-            "--tune-json" => tune_json = Some(None),
-            "--ast-dump-transformed" => ast_dump_transformed = true,
-            "--counters-json" => counters_json = Some(None),
-            "--emit-bytecode" => emit_bytecode = true,
-            "--check-bytecode" => check_bytecode = true,
-            "--emit-ir" => emit_ir = true,
-            "--enable-irbuilder" => opts.codegen_mode = OpenMpCodegenMode::IrBuilder,
-            "--no-openmp" => opts.openmp = false,
-            "--run" => run = true,
-            "--serial" => opts.serial = true,
-            "--opt" => optimize = true,
-            "--syntax-only" => syntax_only = true,
-            "--time-report" => time_report = true,
-            "--time-trace" => time_trace = Some(None),
-            "--verify-each" => opts.verify_each = true,
-            "--backend" => {
-                let Some(v) = it.next() else {
-                    eprintln!("ompltc: '--backend' requires a value");
-                    return Err(2);
-                };
-                match omplt::Backend::parse(v) {
-                    Some(b) => opts.backend = b,
-                    None => return Err(bad_backend(v)),
-                }
-            }
-            "--vector-width" => {
-                let Some(v) = it.next() else {
-                    eprintln!("ompltc: '--vector-width' requires a value");
-                    return Err(2);
-                };
-                set_vector_width(&mut opts, v)?;
-            }
-            "--threads" => {
-                let Some(n) = it.next() else {
-                    eprintln!("ompltc: '--threads' requires a value");
-                    return Err(2);
-                };
-                match n.parse::<u32>() {
-                    Ok(v) if v > 0 => opts.num_threads = v,
-                    _ => {
-                        eprintln!(
-                            "ompltc: invalid value '{n}' for '--threads': \
-                             expected a positive integer"
-                        );
-                        return Err(2);
-                    }
-                }
-            }
-            "--fuel" => {
-                let Some(v) = it.next() else {
-                    eprintln!("ompltc: '--fuel' requires a value");
-                    return Err(2);
-                };
-                set_fuel(&mut opts, v)?;
-            }
-            "--exec-timeout" => {
-                let Some(v) = it.next() else {
-                    eprintln!("ompltc: '--exec-timeout' requires a value");
-                    return Err(2);
-                };
-                set_timeout(&mut exec_timeout_ms, v)?;
-            }
-            "--inject-fault" => {
-                let Some(v) = it.next() else {
-                    eprintln!("ompltc: '--inject-fault' requires a value");
-                    return Err(2);
-                };
-                arm_fault(v)?;
-                inject_fault = Some(v.to_string());
-            }
-            "--crash-report" => {
-                let Some(v) = it.next() else {
-                    eprintln!("ompltc: '--crash-report' requires a value");
-                    return Err(2);
-                };
-                crash_report = Some(v.to_string());
-            }
-            other if other.starts_with("--backend=") => {
-                let v = &other["--backend=".len()..];
-                match omplt::Backend::parse(v) {
-                    Some(b) => opts.backend = b,
-                    None => return Err(bad_backend(v)),
-                }
-            }
-            other if other.starts_with("--fuel=") => {
-                set_fuel(&mut opts, &other["--fuel=".len()..])?;
-            }
-            other if other.starts_with("--vector-width=") => {
-                set_vector_width(&mut opts, &other["--vector-width=".len()..])?;
-            }
-            other if other.starts_with("--exec-timeout=") => {
-                set_timeout(&mut exec_timeout_ms, &other["--exec-timeout=".len()..])?;
-            }
-            other if other.starts_with("--inject-fault=") => {
-                let v = &other["--inject-fault=".len()..];
-                arm_fault(v)?;
-                inject_fault = Some(v.to_string());
-            }
-            other if other.starts_with("--crash-report=") => {
-                crash_report = Some(other["--crash-report=".len()..].to_string());
-            }
-            other if other.starts_with("--remote=") => {
-                remote = Some(other["--remote=".len()..].to_string());
-            }
-            other if other.starts_with("--remote-retries=") => {
-                let v = &other["--remote-retries=".len()..];
-                match v.parse::<u32>() {
-                    Ok(n) => remote_retries = Some(n),
-                    Err(_) => {
-                        return Err(driver_error(
-                            &format!(
-                                "invalid value '{v}' for '--remote-retries': expected a \
-                                 non-negative retry count"
-                            ),
-                            json_diags,
-                        ))
-                    }
-                }
-            }
-            other if other.starts_with("--remote-backoff-ms=") => {
-                let v = &other["--remote-backoff-ms=".len()..];
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => remote_backoff_ms = Some(n),
-                    _ => {
-                        return Err(driver_error(
-                            &format!(
-                                "invalid value '{v}' for '--remote-backoff-ms': expected a \
-                                 positive number of milliseconds"
-                            ),
-                            json_diags,
-                        ))
-                    }
-                }
-            }
-            other if other.starts_with("--autotune=") => {
-                let v = &other["--autotune=".len()..];
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => autotune = Some(n),
-                    _ => {
-                        return Err(driver_error(
-                            &format!(
-                                "invalid value '{v}' for '--autotune': expected a positive \
-                                 candidate budget"
-                            ),
-                            json_diags,
-                        ))
-                    }
-                }
-            }
-            other if other.starts_with("--tune-json=") => {
-                tune_json = Some(Some(other["--tune-json=".len()..].to_string()));
-            }
-            other if other.starts_with("--tune-best=") => {
-                tune_best = Some(other["--tune-best=".len()..].to_string());
-            }
-            other if other.starts_with("--tune-seed=") => {
-                let v = &other["--tune-seed=".len()..];
-                match v.parse::<u64>() {
-                    Ok(n) => tune_seed = Some(n),
-                    Err(_) => {
-                        return Err(driver_error(
-                            &format!(
-                                "invalid value '{v}' for '--tune-seed': expected a 64-bit \
-                                 unsigned integer"
-                            ),
-                            json_diags,
-                        ))
-                    }
-                }
-            }
-            other if other.starts_with("--tune-cost=") => {
-                let v = &other["--tune-cost=".len()..];
-                match omplt::tune::CostModel::parse(v) {
-                    Some(m) => tune_cost = Some(m),
-                    None => {
-                        return Err(driver_error(
-                            &format!("unknown cost model '{v}' for '--tune-cost': ops|time"),
-                            json_diags,
-                        ))
-                    }
-                }
-            }
-            other if other.starts_with("--emit-bytecode-bin=") => {
-                emit_bytecode_bin = Some(other["--emit-bytecode-bin=".len()..].to_string());
-            }
-            other if other.starts_with("--counters-json=") => {
-                counters_json = Some(Some(other["--counters-json=".len()..].to_string()));
-            }
-            other if other.starts_with("--time-trace=") => {
-                time_trace = Some(Some(other["--time-trace=".len()..].to_string()));
-            }
-            other if other.starts_with("--diag-format=") => {
-                match &other["--diag-format=".len()..] {
-                    "json" => json = true,
-                    "text" => json = false,
-                    fmt => {
-                        eprintln!("ompltc: unknown diagnostics format '{fmt}' (text|json)");
-                        return Err(2);
-                    }
-                }
-            }
-            other if !other.starts_with('-') => file = Some(other.to_string()),
-            other => {
-                eprintln!("ompltc: unknown option '{other}'");
-                return Err(2);
-            }
+        row.apply_flag(&mut cli.job, v).map_err(usage_error)?;
+        if row.key == "want_counters" {
+            cli.counters_json = Some(v.map(String::from));
         }
     }
-    let Some(file) = file else {
+    let Some(file) = files.last() else {
         return Err(usage());
     };
-    if remote.is_none() && (remote_retries.is_some() || remote_backoff_ms.is_some()) {
+    cli.job.name = file.to_string();
+    if cli.remote.is_none() && (cli.remote_retries.is_some() || cli.remote_backoff_ms.is_some()) {
         return Err(driver_error(
             "'--remote-retries' and '--remote-backoff-ms' require '--remote'",
-            json_diags,
+            json,
         ));
     }
-    if autotune.is_none()
-        && (tune_json.is_some()
-            || tune_best.is_some()
-            || tune_seed.is_some()
-            || tune_cost.is_some())
-    {
+    let tune_flags = cli.tune_json.is_some()
+        || cli.tune_best.is_some()
+        || cli.tune_seed.is_some()
+        || cli.tune_cost.is_some();
+    if cli.autotune.is_none() && tune_flags {
         return Err(driver_error(
             "'--tune-json', '--tune-best', '--tune-seed', and '--tune-cost' require '--autotune'",
-            json_diags,
+            json,
         ));
     }
-    if autotune.is_some()
-        && (analyze
-            || ast_dump
-            || ast_dump_transformed
-            || emit_ir
-            || emit_bytecode
-            || run
-            || syntax_only)
-    {
+    let (views, job) = (&cli.views, &cli.job);
+    let other_mode = views.analyze
+        || views.ast_dump
+        || views.ast_dump_transformed
+        || views.emit_bytecode
+        || job.emit_ir
+        || job.run
+        || job.syntax_only;
+    if cli.autotune.is_some() && other_mode {
         return Err(driver_error(
             "'--autotune' is a driver mode of its own and cannot be combined with '--analyze', \
              '--ast-dump[-transformed]', '--emit-ir', '--emit-bytecode', '--run', or \
              '--syntax-only'",
-            json_diags,
+            json,
         ));
     }
-    Ok(Cli {
-        opts,
-        file,
-        analyze,
-        ast_dump,
-        ast_dump_transformed,
-        emit_ir,
-        emit_bytecode,
-        emit_bytecode_bin,
-        check_bytecode,
-        run,
-        optimize,
-        syntax_only,
-        json,
-        time_trace,
-        time_report,
-        counters_json,
-        exec_timeout_ms,
-        crash_report,
-        remote,
-        remote_retries: remote_retries.unwrap_or(3),
-        remote_backoff_ms: remote_backoff_ms.unwrap_or(50),
-        inject_fault,
-        autotune,
-        tune_json,
-        tune_best,
-        tune_seed,
-        tune_cost: tune_cost.unwrap_or_default(),
-    })
+    Ok(cli)
 }
 
-/// The pipeline proper. Factored out of `main` so every early `return` still
-/// lands back in `main`, where the trace session is finished and flushed —
-/// and so `main`'s `catch_unwind` wall encloses the whole pipeline.
-fn drive(cli: &Cli) -> u8 {
-    let json = cli.json;
-    if cli.check_bytecode {
-        return drive_check_bytecode(cli);
-    }
-    let mut ci = CompilerInstance::new(cli.opts);
-    let source = match std::fs::read_to_string(&cli.file) {
-        Ok(s) => s,
-        Err(e) => {
-            return driver_error(&format!("cannot read '{}': {e}", cli.file), json);
-        }
-    };
-    if cli.autotune.is_some() {
-        return drive_autotune(cli, &source);
-    }
-    let tu = match ci.parse_source(&cli.file, &source) {
-        Ok(tu) => tu,
-        Err(_) => {
-            emit_diags(&ci, json);
-            return 1;
-        }
-    };
-
-    if cli.analyze {
-        let report = ci.analyze(&tu);
-        emit_diags(&ci, json);
-        return u8::from(report.has_findings());
-    }
-
-    if cli.ast_dump || cli.ast_dump_transformed {
-        print!(
-            "{}",
-            if cli.ast_dump_transformed {
-                ci.ast_dump_transformed(&tu)
-            } else {
-                ci.ast_dump(&tu)
-            }
-        );
-    }
-    if cli.syntax_only {
-        emit_diags(&ci, json);
-        return 0;
-    }
-
-    let mut module = match ci.codegen(&tu) {
-        Ok(m) => m,
-        Err(rendered) => {
-            if ci.diags.is_empty() {
-                // Internal verifier failures are not diagnostics.
-                eprint!("{rendered}");
-            } else {
-                emit_diags(&ci, json);
-            }
-            return 1;
-        }
-    };
-    if cli.optimize {
-        ci.optimize(&mut module);
-        if ci.diags.has_errors() {
-            emit_diags(&ci, json);
-            return 1;
-        }
-    }
-    if cli.emit_ir {
-        print!("{}", omplt::ir::print_module(&module));
-    }
-    if cli.emit_bytecode || cli.emit_bytecode_bin.is_some() {
-        match ci.compile_bytecode(&module) {
-            Ok(code) => {
-                if cli.emit_bytecode {
-                    for f in &code.funcs {
-                        print!("{}", omplt::vm::disasm(f));
-                    }
-                }
-                if let Some(path) = &cli.emit_bytecode_bin {
-                    if let Err(e) = std::fs::write(path, omplt::vm::encode(&code)) {
-                        return driver_error(&format!("cannot write '{path}': {e}"), json);
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("ompltc: {e}");
-                return 1;
-            }
-        }
-    }
-    if cli.run && ci.opts.runtime_schedule.is_none() {
-        // Resolve OMP_SCHEDULE up front so a malformed value is diagnosed
-        // where the user can see it, instead of being silently swallowed at
-        // dispatch time.
+/// Reads the input into the job and resolves the client-side environment.
+fn load_job(cli: &mut Cli) -> Result<(), u8> {
+    let job = &mut cli.job;
+    job.source = std::fs::read_to_string(&job.name)
+        .map_err(|e| driver_error(&format!("cannot read '{}': {e}", job.name), job.json_diags))?;
+    if job.run {
+        // `OMP_SCHEDULE` is resolved exactly once, here, in the client's
+        // environment, so a malformed value is diagnosed where the user can
+        // see it. The pipeline — in-process or inside the daemon, whose
+        // tenants must not see each other's (or the daemon's) env — never
+        // reads environment variables.
         let env = std::env::var("OMP_SCHEDULE").ok();
         let (sched, warning) = omplt::interp::RuntimeSchedule::resolve(env.as_deref());
-        if let Some(msg) = warning {
-            ci.diags
-                .warning(omplt::source::SourceLocation::INVALID, msg);
-        }
-        ci.opts.runtime_schedule = Some(sched);
+        job.opts.runtime_schedule = Some(sched);
+        job.schedule_warning = warning;
     }
-    if cli.run {
-        // Diagnostics are emitted after the run so warnings produced during
-        // it (e.g. the vm→interp fallback notice) are included; stdout is
-        // buffered in the result, so the user still sees them first.
-        let outcome = ci.run(&module);
-        emit_diags(&ci, json);
-        return match outcome {
-            Ok(result) => {
-                print!("{}", result.stdout);
-                result.exit_code as u8
-            }
-            Err(e) => {
-                if json {
-                    eprintln!(
-                        "[{}]",
-                        json_diag_object("error", &format!("runtime error: {e}"), &[])
-                    );
-                } else {
-                    eprintln!("ompltc: runtime error: {e}");
-                }
-                1
-            }
-        };
-    }
-    emit_diags(&ci, json);
-    0
+    Ok(())
 }
 
 /// The `--autotune` driver mode: search the directive-configuration space
@@ -690,23 +361,19 @@ fn drive(cli: &Cli) -> u8 {
 /// 2 usage (handled in `parse_cli`). Per-candidate ICEs are contained by
 /// the tuner itself; only a panic outside candidate evaluation reaches the
 /// driver's ICE boundary.
-fn drive_autotune(cli: &Cli, source: &str) -> u8 {
-    let json = cli.json;
+fn drive_autotune(cli: &Cli) -> u8 {
+    let json = cli.job.json_diags;
     let cfg = omplt::tuner::TuneConfig {
         budget: cli.autotune.expect("drive_autotune called with --autotune"),
         seed: cli.tune_seed,
-        cost: cli.tune_cost,
-        opts: cli.opts,
+        cost: cli.tune_cost.unwrap_or_default(),
+        opts: cli.job.opts,
         enum_config: omplt::tune::EnumConfig::default(),
     };
-    let outcome = match omplt::tuner::autotune(&cli.file, source, &cfg) {
+    let outcome = match omplt::tuner::autotune(&cli.job.name, &cli.job.source, &cfg) {
         Ok(o) => o,
         Err(e) => {
-            if json {
-                eprintln!("[{}]", json_diag_object("error", &e.to_string(), &[]));
-            } else {
-                eprintln!("ompltc: error: {e}");
-            }
+            report_failure(&e.to_string(), json);
             return 1;
         }
     };
@@ -715,12 +382,8 @@ fn drive_autotune(cli: &Cli, source: &str) -> u8 {
         // Bare `--tune-json` claims stdout: machine output replaces the
         // human-readable table entirely.
         Some(None) => print!("{}", outcome.report.to_json()),
-        Some(Some(path)) => {
-            if !write_output(
-                &Some(path.clone()),
-                &outcome.report.to_json(),
-                "tune report",
-            ) {
+        Some(dest) => {
+            if !write_output(dest, &outcome.report.to_json(), "tune report") {
                 code = 1;
             }
             print!("{}", outcome.report.render_text());
@@ -740,36 +403,27 @@ fn drive_autotune(cli: &Cli, source: &str) -> u8 {
         }
     }
     if outcome.report.winner().is_none() {
-        let msg = "autotune found no surviving candidate (all pruned, failed, or diverged)";
-        if json {
-            eprintln!("[{}]", json_diag_object("error", msg, &[]));
-        } else {
-            eprintln!("ompltc: error: {msg}");
-        }
+        report_failure(
+            "autotune found no surviving candidate (all pruned, failed, or diverged)",
+            json,
+        );
         code = 1;
     }
     code
 }
-
-// Panic capture lives in `omplt::fault` now: the hook records (message,
-// backtrace) keyed by the panicking *thread*, so a daemon running jobs on a
-// worker pool reports each job's own panic instead of whichever panicked
-// last. This driver consumes the same per-thread API.
 
 /// Writes the `--crash-report` bundle: the input source, a report naming the
 /// pipeline stage and panic with its backtrace, and a counters snapshot.
 fn write_crash_report(
     dir: &str,
     cli: &Cli,
-    stage: &str,
-    msg: &str,
-    backtrace: &str,
-    data: Option<&omplt::trace::TraceData>,
+    ice: &IceInfo,
+    data: Option<&TraceData>,
 ) -> std::io::Result<()> {
     let dir = std::path::Path::new(dir);
     std::fs::create_dir_all(dir)?;
-    if let Ok(src) = std::fs::read_to_string(&cli.file) {
-        std::fs::write(dir.join("input.c"), src)?;
+    if !cli.job.source.is_empty() {
+        std::fs::write(dir.join("input.c"), &cli.job.source)?;
     }
     let argv: Vec<String> = std::env::args().collect();
     std::fs::write(
@@ -779,11 +433,11 @@ fn write_crash_report(
              ===================\n\
              argv: {argv:?}\n\
              input: {}\n\
-             stage: {stage}\n\
-             panic: {msg}\n\
+             stage: {}\n\
+             panic: {}\n\
              \n\
-             backtrace:\n{backtrace}\n",
-            cli.file
+             backtrace:\n{}\n",
+            cli.job.name, ice.stage, ice.message, ice.backtrace
         ),
     )?;
     if let Some(data) = data {
@@ -792,46 +446,24 @@ fn write_crash_report(
     Ok(())
 }
 
-/// The ICE boundary's reporter for in-process panics: fetches this thread's
-/// captured panic and delegates to [`report_ice_as`].
-fn report_ice(cli: &Cli, data: Option<&omplt::trace::TraceData>) -> u8 {
-    let stage = omplt::fault::current_stage();
-    let (msg, backtrace) = omplt::fault::take_panic()
-        .unwrap_or_else(|| ("<panic details unavailable>".to_string(), String::new()));
-    report_ice_as(cli, data, stage, &msg, &backtrace)
-}
-
 /// Renders the structured "internal compiler error" diagnostic (text or
-/// JSON), writes the optional crash bundle, and returns exit code 3. Also
-/// the rendering path for ICEs a daemon contained on our behalf — the
-/// stage/message/backtrace then arrive in the job reply, and the output
-/// bytes match an in-process ICE exactly.
-fn report_ice_as(
-    cli: &Cli,
-    data: Option<&omplt::trace::TraceData>,
-    stage: &str,
-    msg: &str,
-    backtrace: &str,
-) -> u8 {
+/// JSON), writes the optional crash bundle, and returns exit code 3. The
+/// stage/message/backtrace arrive in the job reply, so an ICE the daemon
+/// contained on our behalf renders with exactly the bytes of a local one.
+fn report_ice(cli: &Cli, ice: &IceInfo, data: Option<&TraceData>) -> u8 {
+    let (stage, msg) = (&ice.stage, &ice.message);
     let headline = format!("internal compiler error in stage '{stage}': {msg}");
     let mut notes = vec![
         "this is a bug in ompltc, not in your source file".to_string(),
         "the request was contained: the process is exiting cleanly with code 3".to_string(),
     ];
     if let Some(dir) = &cli.crash_report {
-        match write_crash_report(dir, cli, stage, msg, backtrace, data) {
+        match write_crash_report(dir, cli, ice, data) {
             Ok(()) => notes.push(format!("crash report written to '{dir}'")),
             Err(e) => notes.push(format!("failed to write crash report to '{dir}': {e}")),
         }
     }
-    if cli.json {
-        eprintln!("[{}]", json_diag_object("error", &headline, &notes));
-    } else {
-        eprintln!("ompltc: {headline}");
-        for n in &notes {
-            eprintln!("ompltc: note: {n}");
-        }
-    }
+    eprint!("{}", driver_diag(&headline, &notes, cli.job.json_diags));
     3
 }
 
@@ -852,6 +484,38 @@ fn write_output(dest: &Option<String>, content: &str, what: &str) -> bool {
     }
 }
 
+/// Replays a job reply — from the in-process pipeline or from the daemon —
+/// onto this process's stdout, stderr and exit code, then writes the
+/// observability outputs. `data` is the local trace session, if one ran.
+fn replay(cli: &Cli, resp: &JobResponse, data: Option<&TraceData>) -> u8 {
+    print!("{}", resp.stdout);
+    eprint!("{}", resp.stderr);
+    let mut code = resp.exit_code;
+    if let Some(ice) = &resp.ice {
+        code = report_ice(cli, ice, data);
+    }
+    let chrome = data.filter(|_| cli.time_trace.is_some());
+    let chrome = chrome.map(TraceData::to_chrome_json);
+    for (dest, doc, what) in [
+        (&cli.time_trace, chrome.as_deref(), "time trace"),
+        (
+            &cli.counters_json,
+            resp.counters_json.as_deref(),
+            "counters",
+        ),
+    ] {
+        if let (Some(dest), Some(doc)) = (dest, doc) {
+            if !write_output(dest, doc, what) && code == 0 {
+                code = 1;
+            }
+        }
+    }
+    if let (true, Some(data)) = (cli.time_report, data) {
+        eprint!("{}", data.time_report());
+    }
+    code
+}
+
 /// The `--check-bytecode` mode: the positional file is an OMPLTBC container
 /// (as written by `--emit-bytecode-bin`), not C source. Decode it and run
 /// the bytecode verifier over every function. Exit 0 when the container is
@@ -860,23 +524,23 @@ fn write_output(dest: &Option<String>, content: &str, what: &str) -> bool {
 /// *finding*, never a panic — which is what the serde leg of the smoke fuzz
 /// leans on.
 fn drive_check_bytecode(cli: &Cli) -> u8 {
-    let json = cli.json;
-    let bytes = match std::fs::read(&cli.file) {
+    let file = &cli.job.name;
+    let bytes = match std::fs::read(file) {
         Ok(b) => b,
         Err(e) => {
-            return driver_error(&format!("cannot read '{}': {e}", cli.file), json);
+            return driver_error(&format!("cannot read '{file}': {e}"), cli.job.json_diags);
         }
     };
     let module = match omplt::vm::decode(&bytes) {
         Ok(m) => m,
         Err(e) => {
-            eprintln!("ompltc: {}: bytecode decode error: {e}", cli.file);
+            eprintln!("ompltc: {file}: bytecode decode error: {e}");
             return 1;
         }
     };
     let errors = omplt::vm::verify_module(&module);
     for e in &errors {
-        eprintln!("ompltc: {}: bytecode verify error: {e}", cli.file);
+        eprintln!("ompltc: {file}: bytecode verify error: {e}");
     }
     u8::from(!errors.is_empty())
 }
@@ -900,7 +564,6 @@ const FRAME_STALL_MS: u64 = 750;
 /// a healthy exchange, which retrying would not fix) is `Done`.
 fn remote_attempt(cli: &Cli, path: &str, payload: &str) -> Attempt {
     use omplt::protocol::{read_frame, write_frame, Reply};
-    let json = cli.json;
     let retry = |err: String| Attempt::Retry { err, wait_ms: None };
     let mut stream = match std::os::unix::net::UnixStream::connect(path) {
         Ok(s) => s,
@@ -934,42 +597,28 @@ fn remote_attempt(cli: &Cli, path: &str, payload: &str) -> Attempt {
         Err(e) => return retry(format!("cannot read ompltd reply: {e}")),
     };
     let text = String::from_utf8_lossy(&body);
-    let resp = match Reply::parse(&text) {
-        Ok(Reply::Job(r)) => r,
-        Ok(Reply::Overloaded(o)) => {
-            return Attempt::Retry {
-                err: format!(
-                    "ompltd is overloaded (queue depth {}, retry after {} ms)",
-                    o.queue_depth, o.retry_after_ms
-                ),
-                wait_ms: Some(o.retry_after_ms),
-            }
-        }
-        Err(e) if stalled => {
-            // The daemon's "frame read timed out" error reply — earned by
-            // the injected stall above, so try again without it.
-            return retry(format!("invalid ompltd reply: {e}"));
-        }
-        Err(e) => return Attempt::Done(driver_error(&format!("invalid ompltd reply: {e}"), json)),
-    };
-    print!("{}", resp.stdout);
-    eprint!("{}", resp.stderr);
-    let mut code = resp.exit_code;
-    if let Some(ice) = &resp.ice {
-        code = report_ice_as(cli, None, &ice.stage, &ice.message, &ice.backtrace);
+    match Reply::parse(&text) {
+        Ok(Reply::Job(resp)) => Attempt::Done(replay(cli, &resp, None)),
+        Ok(Reply::Overloaded(o)) => Attempt::Retry {
+            err: format!(
+                "ompltd is overloaded (queue depth {}, retry after {} ms)",
+                o.queue_depth, o.retry_after_ms
+            ),
+            wait_ms: Some(o.retry_after_ms),
+        },
+        // The daemon's "frame read timed out" error reply — earned by the
+        // injected stall above, so try again without it.
+        Err(e) if stalled => retry(format!("invalid ompltd reply: {e}")),
+        Err(e) => Attempt::Done(driver_error(
+            &format!("invalid ompltd reply: {e}"),
+            cli.job.json_diags,
+        )),
     }
-    if let Some(dest) = &cli.counters_json {
-        let doc = resp.counters_json.clone().unwrap_or_default();
-        if !write_output(dest, &doc, "counters") && code == 0 {
-            code = 1;
-        }
-    }
-    Attempt::Done(code)
 }
 
-/// The `--remote` client: ship the job to an `ompltd` socket and replay the
-/// reply so the invocation is byte-identical to an in-process run — same
-/// stdout, same stderr (diagnostics pre-rendered by the server in the
+/// The `--remote` client: ship the job to an `ompltd` socket and [`replay`]
+/// the reply, so the invocation is byte-identical to an in-process run —
+/// same stdout, same stderr (diagnostics pre-rendered by the server in the
 /// requested format), same exit code, and the same locally rendered ICE
 /// report (with `--crash-report` bundle) if the daemon contained a panic.
 ///
@@ -980,61 +629,17 @@ fn remote_attempt(cli: &Cli, path: &str, payload: &str) -> Attempt {
 /// to a first-try success. The original error wording surfaces unchanged
 /// once retries are exhausted.
 fn drive_remote(cli: &Cli, path: &str) -> u8 {
-    use omplt::protocol::JobRequest;
-    let json = cli.json;
-    if cli.analyze
-        || cli.ast_dump
-        || cli.ast_dump_transformed
-        || cli.emit_bytecode
-        || cli.autotune.is_some()
-        || cli.time_trace.is_some()
-        || cli.time_report
-    {
-        return driver_error(
-            "'--remote' ships compile/run jobs only and cannot be combined with '--analyze', \
-             '--ast-dump[-transformed]', '--emit-bytecode', '--autotune', '--time-trace', or \
-             '--time-report'",
-            json,
-        );
-    }
-    let source = match std::fs::read_to_string(&cli.file) {
-        Ok(s) => s,
-        Err(e) => {
-            return driver_error(&format!("cannot read '{}': {e}", cli.file), json);
-        }
-    };
-    let mut job = JobRequest::new(1, &cli.file, &source);
-    job.opts = cli.opts;
-    job.optimize = cli.optimize;
-    job.run = cli.run;
-    job.syntax_only = cli.syntax_only;
-    job.emit_ir = cli.emit_ir;
-    job.json_diags = json;
-    job.want_counters = cli.counters_json.is_some();
-    job.inject_fault = cli.inject_fault.clone();
-    // The CLI watchdog cannot kill a job inside the daemon, so the deadline
-    // travels with the job and is enforced at the engines' fuel-refill
-    // points instead.
-    job.opts.deadline_ms = cli.exec_timeout_ms;
-    if cli.run && job.opts.runtime_schedule.is_none() {
-        // `OMP_SCHEDULE` is resolved exactly once, here, in the client's
-        // environment. The daemon never reads environment variables — its
-        // tenants would otherwise see each other's (or the daemon's) env.
-        let env = std::env::var("OMP_SCHEDULE").ok();
-        let (sched, warning) = omplt::interp::RuntimeSchedule::resolve(env.as_deref());
-        job.opts.runtime_schedule = Some(sched);
-        job.schedule_warning = warning;
-    }
-    let payload = job.render();
+    let payload = cli.job.render();
+    let base = cli.remote_backoff_ms.unwrap_or(50);
     let mut last_err = String::new();
     // A server-suggested wait (from an `Overloaded` shed) replaces the next
     // exponential step when present.
     let mut wait_hint: Option<u64> = None;
-    for attempt in 0..=cli.remote_retries {
+    for attempt in 0..=cli.remote_retries.unwrap_or(3) {
         if attempt > 0 {
             let wait = match wait_hint.take() {
                 Some(ms) => ms.min(2000),
-                None => backoff_ms(cli.remote_backoff_ms, attempt, &cli.file),
+                None => backoff_ms(base, attempt, &cli.job.name),
             };
             std::thread::sleep(std::time::Duration::from_millis(wait));
         }
@@ -1046,7 +651,7 @@ fn drive_remote(cli: &Cli, path: &str) -> u8 {
             }
         }
     }
-    driver_error(&last_err, json)
+    driver_error(&last_err, cli.job.json_diags)
 }
 
 /// Delay before retry `attempt` (1-based): exponential in the base, plus a
@@ -1063,75 +668,70 @@ fn backoff_ms(base: u64, attempt: u32, seed: &str) -> u64 {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_cli(&args) {
+    let mut cli = match parse_cli(&args) {
         Ok(cli) => cli,
         Err(code) => return ExitCode::from(code),
     };
     omplt::fault::install_panic_capture();
+    let json = cli.job.json_diags;
 
-    if let Some(ms) = cli.exec_timeout_ms {
+    if let Some(ms) = cli.job.opts.deadline_ms {
         // Detached wall-clock watchdog: if the pipeline (or the program it
-        // runs) outlives the deadline, terminate with a diagnostic instead
-        // of hanging whatever invoked us. Normal completion simply exits
-        // first and takes this thread with it.
-        let json = cli.json;
+        // runs, or a hung daemon) outlives the deadline, terminate with a
+        // diagnostic instead of hanging whatever invoked us. Normal
+        // completion simply exits first and takes this thread with it.
         std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(ms));
             let msg = format!("wall-clock deadline of {ms} ms exceeded ('--exec-timeout')");
-            if json {
-                eprintln!("[{}]", json_diag_object("error", &msg, &[]));
-            } else {
-                eprintln!("ompltc: error: {msg}");
-            }
+            report_failure(&msg, json);
             std::process::exit(1);
         });
     }
 
-    if let Some(path) = &cli.remote {
+    if let Some(path) = cli.remote.clone() {
+        let v = &cli.views;
+        let local_only = v.analyze || v.ast_dump || v.ast_dump_transformed || v.emit_bytecode;
+        if local_only || cli.autotune.is_some() || cli.time_trace.is_some() || cli.time_report {
+            return ExitCode::from(driver_error(
+                "'--remote' ships compile/run jobs only and cannot be combined with \
+                 '--analyze', '--ast-dump[-transformed]', '--emit-bytecode', '--autotune', \
+                 '--time-trace', or '--time-report'",
+                json,
+            ));
+        }
         // Remote jobs run (and are traced, contained, and cached) inside the
-        // daemon; the client just replays the reply. The watchdog above
-        // still guards against a hung daemon.
-        return ExitCode::from(drive_remote(&cli, path));
+        // daemon. The watchdog above cannot kill a job in there, so the
+        // deadline also travels with the job, enforced at the engines'
+        // fuel-refill points.
+        return ExitCode::from(match load_job(&mut cli) {
+            Ok(()) => drive_remote(&cli, &path),
+            Err(code) => code,
+        });
     }
 
+    // In-process, the watchdog is the whole deadline: the cooperative one
+    // is for jobs the daemon must abort without dying itself.
+    cli.job.opts.deadline_ms = None;
     // `--crash-report` forces a trace session so the bundle always carries a
     // counters snapshot of how far the pipeline got.
-    let tracing = cli.time_trace.is_some()
+    cli.views.trace = cli.time_trace.is_some()
         || cli.time_report
         || cli.counters_json.is_some()
         || cli.crash_report.is_some();
-    let session = tracing.then(omplt::trace::Session::begin);
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        // Suppress default panic spew inside the ICE boundary; the captured
-        // panic is rendered as a structured diagnostic instead.
-        let _contain = omplt::fault::contain_panics();
-        // The root span; everything the pipeline does nests under it. Scoped
-        // so it is closed before the session is finished below.
-        let _root = omplt::trace::span("ompltc");
-        drive(&cli)
-    }));
-    if outcome.is_err() {
-        omplt::trace::count("ice", 1);
-    }
-    let data = session.map(omplt::trace::Session::finish);
-    let mut code = match outcome {
-        Ok(code) => code,
-        Err(_) => report_ice(&cli, data.as_ref()),
+    // The two modes of their own run under the same fault scope, trace
+    // session and ICE boundary as a job, and print for themselves.
+    let mode = |cli: &Cli, drive: fn(&Cli) -> u8| {
+        let work = |_: &service::JobBuf| (drive(cli), CacheOutcome::Bypass, None);
+        service::contained_reply(&cli.job, cli.views.trace, work)
     };
-    if let Some(data) = &data {
-        if let Some(dest) = &cli.time_trace {
-            if !write_output(dest, &data.to_chrome_json(), "time trace") && code == 0 {
-                code = 1;
-            }
-        }
-        if let Some(dest) = &cli.counters_json {
-            if !write_output(dest, &data.to_counters_json(), "counters") && code == 0 {
-                code = 1;
-            }
-        }
-        if cli.time_report {
-            eprint!("{}", data.time_report());
-        }
-    }
-    ExitCode::from(code)
+    let (resp, data) = if cli.check_bytecode {
+        mode(&cli, drive_check_bytecode)
+    } else if let Err(code) = load_job(&mut cli) {
+        return ExitCode::from(code);
+    } else if cli.autotune.is_some() {
+        mode(&cli, drive_autotune)
+    } else {
+        service::execute_job(&cli.job, None, &cli.views)
+    };
+    ExitCode::from(replay(&cli, &resp, data.as_ref()))
 }

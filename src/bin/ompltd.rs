@@ -43,8 +43,9 @@
 //!   kill/requeue/abandon/corrupt sequence in-process and prints the
 //!   `daemon.cache.*` + `daemon.supervisor.*` counters (also pinned).
 //! * `--bench` runs the throughput benchmark (cold pass, then warm passes at
-//!   each `--bench-workers` count) and emits a JSON artifact.
+//!   1, 4 and 8 workers) and emits a JSON artifact.
 
+use omplt::options::{self, parse_value, Arg};
 use omplt::protocol::{
     error_reply, error_reply_for, overloaded_reply, read_frame, write_frame, FrameError,
     HealthReport, JobRequest, Overloaded, Reply, Request,
@@ -58,6 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+#[derive(Default)]
 struct Config {
     listen: Option<String>,
     stdio: bool,
@@ -87,104 +89,83 @@ fn usage() -> u8 {
     2
 }
 
+/// Every flag and its value form, scanned by the rule `ompltc` uses
+/// (`omplt::options::scan`).
+const FLAGS: [(&str, Arg); 14] = [
+    ("--listen", Arg::Value("PATH")),
+    ("--stdio", Arg::Switch),
+    ("--workers", Arg::Value("N")),
+    ("--cache-bytes", Arg::Value("N")),
+    ("--queue-depth", Arg::Value("N")),
+    ("--job-deadline-ms", Arg::Value("N")),
+    ("--frame-timeout-ms", Arg::Value("N")),
+    ("--drain-ms", Arg::Value("N")),
+    ("--inject-fault", Arg::Value("SITE[:N]")),
+    ("--warmup", Arg::Switch),
+    ("--selftest", Arg::Switch),
+    ("--bench", Arg::Switch),
+    ("--bench-jobs", Arg::Value("N")),
+    ("--bench-out", Arg::Value("FILE")),
+];
+
+/// Applies one scanned flag. `Err` is a usage-error message.
+fn apply_flag(cfg: &mut Config, flag: &str, v: Option<&str>) -> Result<(), String> {
+    let at_least = |min: usize| {
+        parse_value(flag, v, &format!("an integer >= {min}"), |&n: &usize| {
+            n >= min
+        })
+    };
+    match flag {
+        "--listen" => cfg.listen = v.map(String::from),
+        "--stdio" => cfg.stdio = true,
+        "--workers" => cfg.workers = at_least(1)?,
+        "--cache-bytes" => cfg.cache_bytes = parse_value(flag, v, "a byte count", |_| true)?,
+        "--queue-depth" => cfg.queue_depth = at_least(1)?,
+        "--job-deadline-ms" => cfg.job_deadline_ms = Some(at_least(1)? as u64),
+        // 0 disables the frame timeout.
+        "--frame-timeout-ms" => cfg.frame_timeout_ms = at_least(0)? as u64,
+        "--drain-ms" => cfg.drain_ms = at_least(1)? as u64,
+        "--inject-fault" => {
+            let spec = v.unwrap_or_default();
+            omplt::fault::parse_spec(spec)?;
+            if !spec.starts_with("daemon.") {
+                return Err(format!(
+                    "--inject-fault only accepts daemon.* sites; \
+                     '{spec}' is a per-job pipeline site (pass it via ompltc)"
+                ));
+            }
+            cfg.inject_faults.push(spec.to_string());
+        }
+        "--warmup" => cfg.warmup = true,
+        "--selftest" => cfg.selftest = true,
+        "--bench" => cfg.bench = true,
+        "--bench-jobs" => cfg.bench_jobs = at_least(1)?,
+        "--bench-out" => cfg.bench_out = v.map(String::from),
+        _ => unreachable!("'{flag}' is not in FLAGS"),
+    }
+    Ok(())
+}
+
 fn parse_args(args: &[String]) -> Result<Config, u8> {
     let mut cfg = Config {
-        listen: None,
-        stdio: false,
         workers: 4,
         cache_bytes: omplt::cache::DEFAULT_CACHE_BYTES,
         queue_depth: 64,
-        job_deadline_ms: None,
         frame_timeout_ms: 10_000,
         drain_ms: 5_000,
-        inject_faults: Vec::new(),
-        warmup: false,
-        selftest: false,
-        bench: false,
-        bench_out: None,
         bench_jobs: 32,
+        ..Config::default()
     };
-    let parse_num = |flag: &str, v: &str, min: usize| -> Result<usize, u8> {
-        match v.parse::<usize>() {
-            Ok(n) if n >= min => Ok(n),
-            _ => {
-                eprintln!("ompltd: invalid value '{v}' for '{flag}': expected an integer >= {min}");
-                Err(2)
-            }
+    let find = |name: &str| FLAGS.into_iter().find(|(flag, _)| *flag == name);
+    let applied = options::scan(args, find).and_then(|(flags, stray)| {
+        if let Some(arg) = stray.first() {
+            return Err(format!("unknown option '{arg}'"));
         }
-    };
-    for a in args {
-        match a.as_str() {
-            "--stdio" => cfg.stdio = true,
-            "--warmup" => cfg.warmup = true,
-            "--selftest" => cfg.selftest = true,
-            "--bench" => cfg.bench = true,
-            other if other.starts_with("--listen=") => {
-                cfg.listen = Some(other["--listen=".len()..].to_string());
-            }
-            other if other.starts_with("--workers=") => {
-                cfg.workers = parse_num("--workers", &other["--workers=".len()..], 1)?;
-            }
-            other if other.starts_with("--cache-bytes=") => {
-                let v = &other["--cache-bytes=".len()..];
-                match v.parse::<usize>() {
-                    Ok(n) => cfg.cache_bytes = n,
-                    Err(_) => {
-                        eprintln!(
-                            "ompltd: invalid value '{v}' for '--cache-bytes': expected a \
-                             byte count"
-                        );
-                        return Err(2);
-                    }
-                }
-            }
-            other if other.starts_with("--queue-depth=") => {
-                cfg.queue_depth = parse_num("--queue-depth", &other["--queue-depth=".len()..], 1)?;
-            }
-            other if other.starts_with("--job-deadline-ms=") => {
-                cfg.job_deadline_ms = Some(parse_num(
-                    "--job-deadline-ms",
-                    &other["--job-deadline-ms=".len()..],
-                    1,
-                )? as u64);
-            }
-            other if other.starts_with("--frame-timeout-ms=") => {
-                // 0 disables the frame timeout.
-                cfg.frame_timeout_ms = parse_num(
-                    "--frame-timeout-ms",
-                    &other["--frame-timeout-ms=".len()..],
-                    0,
-                )? as u64;
-            }
-            other if other.starts_with("--drain-ms=") => {
-                cfg.drain_ms = parse_num("--drain-ms", &other["--drain-ms=".len()..], 1)? as u64;
-            }
-            other if other.starts_with("--inject-fault=") => {
-                let spec = other["--inject-fault=".len()..].to_string();
-                if let Err(e) = omplt::fault::parse_spec(&spec) {
-                    eprintln!("ompltd: {e}");
-                    return Err(2);
-                }
-                if !spec.starts_with("daemon.") {
-                    eprintln!(
-                        "ompltd: --inject-fault only accepts daemon.* sites; \
-                         '{spec}' is a per-job pipeline site (pass it via ompltc)"
-                    );
-                    return Err(2);
-                }
-                cfg.inject_faults.push(spec);
-            }
-            other if other.starts_with("--bench-jobs=") => {
-                cfg.bench_jobs = parse_num("--bench-jobs", &other["--bench-jobs=".len()..], 1)?;
-            }
-            other if other.starts_with("--bench-out=") => {
-                cfg.bench_out = Some(other["--bench-out=".len()..].to_string());
-            }
-            other => {
-                eprintln!("ompltd: unknown option '{other}'");
-                return Err(usage());
-            }
-        }
+        (flags.into_iter()).try_for_each(|(flag, v)| apply_flag(&mut cfg, flag, v))
+    });
+    if let Err(msg) = applied {
+        eprintln!("ompltd: {msg}");
+        return Err(2);
     }
     let modes = usize::from(cfg.stdio)
         + usize::from(cfg.listen.is_some())
@@ -834,12 +815,7 @@ fn selftest(cfg: &Config) -> ExitCode {
     counters.push(("daemon.supervisor.requeued".to_string(), report.requeued));
     counters.push(("daemon.supervisor.respawns".to_string(), report.respawns));
     counters.sort();
-    let body = counters
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect::<Vec<_>>()
-        .join(",");
-    println!("{{\"counters\":{{{body}}}}}");
+    print!("{}", omplt::trace::json::counters_doc(counters));
     if failed {
         return ExitCode::from(1);
     }

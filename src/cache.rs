@@ -6,8 +6,9 @@
 //! options. Runtime-only options — thread count, serial mode, fuel, the
 //! resolved `schedule(runtime)`, chunk logging — deliberately stay out of
 //! the key: two jobs that run the same compiled code under different runtime
-//! configurations share one artifact. Flag order never matters because the
-//! fingerprint is derived from the parsed [`Options`] struct, not from argv.
+//! configurations share one artifact. Which options are compile-relevant is
+//! a column of the option table (`crate::options`); flag order never matters
+//! because the fingerprint is derived from the parsed options, not from argv.
 //!
 //! Only *clean* compiles are cached (no diagnostics at all), which keeps
 //! replay trivially byte-exact: a warm hit has no compile diagnostics to
@@ -18,7 +19,9 @@
 //! bounds actual memory, not entry counts. All traffic is recorded in
 //! `daemon.cache.{hits,misses,evictions}` counters.
 
-use crate::compiler::{Backend, Options};
+use crate::compiler::Options;
+use crate::options::{OptionRow, JOB_OPTIONS};
+use crate::protocol::JobRequest;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,19 +40,18 @@ pub fn hash128(bytes: &[u8]) -> u128 {
     h
 }
 
-/// The canonical compile-options fingerprint. Every field that changes the
-/// compiled artifact appears exactly once, in a fixed order; everything else
-/// is excluded so equivalent requests converge on one cache line.
+/// The canonical compile-options fingerprint: one `key=token;` per
+/// artifact-affecting row of the option table, in table order. Runtime-only
+/// rows are excluded so equivalent requests converge on one cache line.
 pub fn options_fingerprint(opts: &Options, optimize: bool) -> String {
-    format!(
-        "openmp={};mode={:?};opt={};verify={};bc={};vw={}",
-        opts.openmp,
-        opts.codegen_mode,
-        optimize,
-        opts.verify_each,
-        opts.backend != Backend::Interp,
-        opts.vector_width,
-    )
+    let mut job = JobRequest::new(0, "", "");
+    job.opts = *opts;
+    job.optimize = optimize;
+    let token = |row: &OptionRow| {
+        let token = row.artifact?(&(row.get)(&job).unwrap_or_default());
+        Some(format!("{}={token};", row.key))
+    };
+    JOB_OPTIONS.iter().filter_map(token).collect()
 }
 
 /// A cache key: source content hash × options fingerprint.
@@ -257,19 +259,14 @@ impl ArtifactCache {
     /// Renders [`ArtifactCache::counters`] in the same deterministic
     /// document shape as `TraceData::to_counters_json`.
     pub fn counters_json(&self) -> String {
-        let body = self
-            .counters()
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{\"counters\":{{{body}}}}}\n")
+        omplt_trace::json::counters_doc(self.counters())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::Backend;
 
     fn artifact(size: usize) -> Artifact {
         Artifact {

@@ -240,8 +240,7 @@ impl CompilerInstance {
     }
 
     /// The engine configuration derived from [`Options`], with any armed
-    /// `runtime.fuel` fault applied. Shared by [`CompilerInstance::run`] and
-    /// the daemon's warm-cache path so both execute under identical rules.
+    /// `runtime.fuel` fault applied.
     pub fn runtime_config(&self) -> RuntimeConfig {
         let mut cfg = RuntimeConfig {
             num_threads: self.opts.num_threads,
@@ -259,47 +258,55 @@ impl CompilerInstance {
         cfg
     }
 
-    /// Executes `main` on the selected backend (`--backend=interp|vm|vm:strict`).
+    /// Executes `main` on the selected backend (`--backend=interp|vm|vm:strict`),
+    /// compiling bytecode first if the backend needs it.
     pub fn run(&self, module: &Module) -> Result<RunResult, omplt_interp::ExecError> {
-        omplt_fault::set_stage("runtime");
-        let cfg = self.runtime_config();
-        match self.opts.backend {
-            Backend::Interp => Interpreter::new(module, cfg).run_main(),
-            Backend::Vm => match self.compile_bytecode(module) {
-                Ok(code) => match omplt_vm::VmEngine::new(module, &code, cfg) {
-                    Ok(engine) => engine.run_main(),
-                    Err(e) => self.run_interp_fallback(module, cfg, &e),
-                },
-                Err(e) => self.run_interp_fallback(module, cfg, &e),
-            },
-            Backend::VmStrict => {
-                let code = self.compile_bytecode(module)?;
-                omplt_vm::VmEngine::new(module, &code, cfg)?.run_main()
-            }
-        }
+        self.run_compiled(module, None)
     }
 
     /// Executes `main` from already-compiled bytecode — the daemon's
     /// warm-cache path, where the front end, mid end, and VM compiler have
-    /// all been skipped. Behaviour matches [`CompilerInstance::run`] for the
-    /// VM backends: `--backend=vm` degrades to the interpreter oracle if the
-    /// engine rejects the module, `vm:strict` keeps that fatal. With
-    /// `Backend::Interp` the bytecode is ignored and the interpreter runs
-    /// `module` directly.
+    /// all been skipped. With `Backend::Interp` the bytecode is ignored and
+    /// the interpreter runs `module` directly.
     pub fn run_precompiled(
         &self,
         module: &Module,
         code: &omplt_vm::VmModule,
     ) -> Result<RunResult, omplt_interp::ExecError> {
+        self.run_compiled(module, Some(Ok(code)))
+    }
+
+    /// Executes `main`. `code` is what [`CompilerInstance::compile_bytecode`]
+    /// made of this module, if the caller already asked; otherwise the VM
+    /// backends compile it here, so bytecode is compiled once per run either
+    /// way. If compilation failed or the engine rejects the module,
+    /// `--backend=vm` degrades to the interpreter oracle with a warning and
+    /// `vm:strict` keeps the error fatal.
+    pub fn run_compiled(
+        &self,
+        module: &Module,
+        code: Option<Result<&omplt_vm::VmModule, &omplt_interp::ExecError>>,
+    ) -> Result<RunResult, omplt_interp::ExecError> {
+        let fresh;
+        let code = match (self.opts.backend, code) {
+            (Backend::Interp, _) => None,
+            (_, Some(code)) => Some(code),
+            (_, None) => {
+                fresh = self.compile_bytecode(module);
+                Some(fresh.as_ref())
+            }
+        };
         omplt_fault::set_stage("runtime");
         let cfg = self.runtime_config();
-        match self.opts.backend {
-            Backend::Interp => Interpreter::new(module, cfg).run_main(),
-            Backend::Vm => match omplt_vm::VmEngine::new(module, code, cfg) {
-                Ok(engine) => engine.run_main(),
-                Err(e) => self.run_interp_fallback(module, cfg, &e),
-            },
-            Backend::VmStrict => omplt_vm::VmEngine::new(module, code, cfg)?.run_main(),
+        let Some(code) = code else {
+            return Interpreter::new(module, cfg).run_main();
+        };
+        let engine = (code.map_err(Clone::clone))
+            .and_then(|code| omplt_vm::VmEngine::new(module, code, cfg));
+        match engine {
+            Ok(engine) => engine.run_main(),
+            Err(e) if self.opts.backend == Backend::Vm => self.run_interp_fallback(module, cfg, &e),
+            Err(e) => Err(e),
         }
     }
 

@@ -27,6 +27,7 @@
 
 pub mod cache;
 pub mod compiler;
+pub mod options;
 pub mod pipeline;
 pub mod protocol;
 pub mod service;

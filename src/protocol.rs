@@ -5,19 +5,21 @@
 //! UTF-8 JSON. Frames larger than [`MAX_FRAME`] are rejected before any
 //! allocation, so a hostile or corrupt prefix cannot balloon memory; a
 //! truncated frame is an explicit [`FrameError::Truncated`], never a hang on
-//! garbage. The JSON layer reuses `omplt_trace::json` (the workspace builds
-//! without registry access, so there is no serde) and renders documents by
-//! hand in a fixed field order, making replies byte-deterministic.
+//! garbage. The JSON layer is `omplt_trace::json` (the workspace builds
+//! without registry access, so there is no serde): documents are written
+//! through its `Writer` in a fixed field order, making replies
+//! byte-deterministic. The job document's option members are not named here:
+//! they are the rows of the option table (`crate::options`).
 //!
 //! Exit-code contract (mirrors `ompltc` exactly): `0` success, `1` compile
 //! or runtime failure, `2` driver/usage error, `3` contained internal
 //! compiler error. A malformed *frame* never takes the server down — the
 //! reply is `{"id":null,"error":...}` and the connection is closed.
 
-use crate::compiler::{Backend, Options};
+use crate::compiler::Options;
 use omplt_interp::{ChunkRecord, DispatchKind, RuntimeSchedule};
-use omplt_sema::OpenMpCodegenMode;
-use omplt_trace::json::{self, Value};
+pub use omplt_trace::json::escape as json_escape;
+use omplt_trace::json::{self, Value, Writer};
 use std::io::{Read, Write};
 
 /// Upper bound on a frame body. Large enough for any real translation unit
@@ -109,43 +111,27 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     Ok(Some(body))
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A driver-level diagnostic exactly as `ompltc` prints it, wherever it is
+/// produced (the CLI, or the daemon on a client's behalf): `ompltc: {msg}`
+/// plus one `ompltc: note:` line per note, or under `--diag-format=json` a
+/// one-element array in `DiagnosticsEngine::render_json`'s shape.
+pub fn driver_diag(msg: &str, notes: &[String], json: bool) -> String {
+    if !json {
+        let notes = notes.iter().map(|n| format!("ompltc: note: {n}\n"));
+        return format!("ompltc: {msg}\n{}", notes.collect::<String>());
+    }
+    fn object(w: &mut Writer, level: &str, msg: &str, notes: &[String]) {
+        w.open('{').key("level").str(level).key("message").str(msg);
+        w.key("file").raw("null").key("notes").open('[');
+        for n in notes {
+            object(w, "note", n, &[]);
         }
+        w.close(']').close('}');
     }
-    out
-}
-
-/// One file-less diagnostic object in `DiagnosticsEngine::render_json`'s
-/// shape — shared by the CLI driver and the daemon so driver-level errors
-/// are byte-identical wherever they are produced.
-pub fn json_diag_object(level: &str, msg: &str, notes: &[String]) -> String {
-    let notes = notes
-        .iter()
-        .map(|n| json_diag_object("note", n, &[]))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"level\":\"{level}\",\"message\":\"{}\",\"file\":null,\"notes\":[{notes}]}}",
-        json_escape(msg)
-    )
-}
-
-fn opt_str(v: &Option<String>) -> String {
-    match v {
-        Some(s) => format!("\"{}\"", json_escape(s)),
-        None => "null".to_string(),
-    }
+    let mut w = Writer::default();
+    w.open('[');
+    object(&mut w, "error", msg, notes);
+    w.close(']').finish() + "\n"
 }
 
 /// Renders a [`RuntimeSchedule`] in `OMP_SCHEDULE` syntax (`kind[,chunk]`),
@@ -178,7 +164,7 @@ pub fn render_chunk_log(log: &[ChunkRecord]) -> String {
 /// touches the client's filesystem — plus the compile- and runtime-relevant
 /// options. Environment is deliberately absent: `OMP_SCHEDULE` and friends
 /// are resolved once at the *client*, then travel as `schedule`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobRequest {
     /// Client-chosen correlation id, echoed in the reply.
     pub id: u64,
@@ -218,64 +204,13 @@ impl JobRequest {
             id,
             name: name.to_string(),
             source: source.to_string(),
-            opts: Options::default(),
-            optimize: false,
-            run: false,
-            syntax_only: false,
-            emit_ir: false,
-            json_diags: false,
-            want_counters: false,
-            inject_fault: None,
-            schedule_warning: None,
+            ..JobRequest::default()
         }
     }
 
     /// Renders the job as a request document (`"op":"job"`).
     pub fn render(&self) -> String {
-        let o = &self.opts;
-        let mode = match o.codegen_mode {
-            OpenMpCodegenMode::Classic => "classic",
-            OpenMpCodegenMode::IrBuilder => "irbuilder",
-        };
-        let schedule = o.runtime_schedule.as_ref().map(schedule_to_string);
-        let deadline = match o.deadline_ms {
-            Some(ms) => ms.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"op\":\"job\",\"id\":{},\"name\":\"{}\",\"source\":\"{}\",",
-                "\"openmp\":{},\"mode\":\"{}\",\"threads\":{},\"serial\":{},",
-                "\"max_steps\":\"{}\",\"verify_each\":{},\"schedule\":{},",
-                "\"backend\":\"{}\",\"vector_width\":{},\"log_chunks\":{},",
-                "\"deadline_ms\":{},",
-                "\"optimize\":{},\"run\":{},\"syntax_only\":{},\"emit_ir\":{},",
-                "\"json_diags\":{},\"want_counters\":{},\"inject_fault\":{},",
-                "\"schedule_warning\":{}}}"
-            ),
-            self.id,
-            json_escape(&self.name),
-            json_escape(&self.source),
-            o.openmp,
-            mode,
-            o.num_threads,
-            o.serial,
-            o.max_steps,
-            o.verify_each,
-            opt_str(&schedule),
-            o.backend.name(),
-            o.vector_width,
-            o.log_chunks,
-            deadline,
-            self.optimize,
-            self.run,
-            self.syntax_only,
-            self.emit_ir,
-            self.json_diags,
-            self.want_counters,
-            opt_str(&self.inject_fault),
-            opt_str(&self.schedule_warning),
-        )
+        crate::options::render_job(self)
     }
 }
 
@@ -315,18 +250,15 @@ impl Request {
             "stats" => Ok(Request::Stats),
             "health" => Ok(Request::Health),
             "shutdown" => Ok(Request::Shutdown),
-            "job" => Ok(Request::Job(Box::new(parse_job(&v)?))),
+            "job" => Ok(Request::Job(Box::new(crate::options::parse_job(&v)?))),
             other => Err(format!("unknown op '{other}'")),
         }
     }
 }
 
-fn need_bool(v: &Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("'{key}' must be a boolean")),
-        None => Err(format!("missing '{key}'")),
-    }
+fn need_u64(v: &Value, key: &str) -> Result<u64, String> {
+    let n = v.get(key).and_then(Value::as_u64);
+    n.ok_or_else(|| format!("missing or non-integer '{key}'"))
 }
 
 fn need_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
@@ -343,68 +275,6 @@ fn opt_string(v: &Value, key: &str) -> Result<Option<String>, String> {
     }
 }
 
-fn parse_job(v: &Value) -> Result<JobRequest, String> {
-    let id = v
-        .get("id")
-        .and_then(Value::as_u64)
-        .ok_or("missing or non-integer 'id'")?;
-    let mut opts = Options {
-        openmp: need_bool(v, "openmp")?,
-        serial: need_bool(v, "serial")?,
-        verify_each: need_bool(v, "verify_each")?,
-        log_chunks: need_bool(v, "log_chunks")?,
-        ..Options::default()
-    };
-    opts.codegen_mode = match need_str(v, "mode")? {
-        "classic" => OpenMpCodegenMode::Classic,
-        "irbuilder" => OpenMpCodegenMode::IrBuilder,
-        other => return Err(format!("unknown codegen mode '{other}'")),
-    };
-    opts.num_threads = v
-        .get("threads")
-        .and_then(Value::as_u64)
-        .ok_or("missing or non-integer 'threads'")? as u32;
-    // u64 fuel travels as a string: the JSON number lane is f64 and would
-    // silently round the default budget.
-    opts.max_steps = need_str(v, "max_steps")?
-        .parse::<u64>()
-        .map_err(|_| "invalid 'max_steps'".to_string())?;
-    opts.runtime_schedule = match opt_string(v, "schedule")? {
-        Some(s) => Some(RuntimeSchedule::parse(&s).map_err(|e| format!("bad 'schedule': {e}"))?),
-        None => None,
-    };
-    opts.backend =
-        Backend::parse(need_str(v, "backend")?).ok_or_else(|| "unknown 'backend'".to_string())?;
-    // Absent in frames from older clients: the scalar default is exactly
-    // what those clients meant.
-    opts.vector_width = match v.get("vector_width") {
-        None | Some(Value::Null) => 0,
-        Some(n) => u8::try_from(n.as_u64().ok_or("'vector_width' must be an integer")?)
-            .map_err(|_| "'vector_width' out of range".to_string())?,
-    };
-    opts.deadline_ms = match v.get("deadline_ms") {
-        None | Some(Value::Null) => None,
-        Some(n) => Some(
-            n.as_u64()
-                .ok_or("'deadline_ms' must be a non-negative integer or null")?,
-        ),
-    };
-    Ok(JobRequest {
-        id,
-        name: need_str(v, "name")?.to_string(),
-        source: need_str(v, "source")?.to_string(),
-        opts,
-        optimize: need_bool(v, "optimize")?,
-        run: need_bool(v, "run")?,
-        syntax_only: need_bool(v, "syntax_only")?,
-        emit_ir: need_bool(v, "emit_ir")?,
-        json_diags: need_bool(v, "json_diags")?,
-        want_counters: need_bool(v, "want_counters")?,
-        inject_fault: opt_string(v, "inject_fault")?,
-        schedule_warning: opt_string(v, "schedule_warning")?,
-    })
-}
-
 /// A contained internal compiler error, reported structurally so the
 /// *client* can render the ICE diagnostic (and write its `--crash-report`
 /// bundle) with exactly the bytes an in-process run would have produced.
@@ -419,13 +289,14 @@ pub struct IceInfo {
 }
 
 /// How a job interacted with the artifact cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Front end + mid end + VM compile all skipped.
     Hit,
     /// Full compile; the artifact was stored (if clean).
     Miss,
     /// The job was ineligible (fault injection, syntax-only, …).
+    #[default]
     Bypass,
 }
 
@@ -442,7 +313,7 @@ impl CacheOutcome {
 /// The reply to a [`JobRequest`]. `stdout`/`stderr` hold the exact bytes an
 /// in-process `ompltc` invocation would have written (diagnostics already
 /// rendered in the requested format); the client replays them verbatim.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobResponse {
     /// Echo of the request id.
     pub id: u64,
@@ -465,38 +336,32 @@ pub struct JobResponse {
 impl JobResponse {
     /// Renders the reply document.
     pub fn render(&self) -> String {
-        let ice = match &self.ice {
-            None => "null".to_string(),
-            Some(i) => format!(
-                "{{\"stage\":\"{}\",\"message\":\"{}\",\"backtrace\":\"{}\"}}",
-                json_escape(&i.stage),
-                json_escape(&i.message),
-                json_escape(&i.backtrace)
-            ),
+        let mut w = Writer::default();
+        w.open('{').key("id").raw(self.id);
+        w.key("exit_code").raw(self.exit_code);
+        w.key("stdout").str(&self.stdout);
+        w.key("stderr").str(&self.stderr);
+        w.key("cache").str(self.cache.name());
+        w.key("counters_json")
+            .opt_str(self.counters_json.as_deref());
+        w.key("chunk_log").opt_str(self.chunk_log.as_deref());
+        match &self.ice {
+            None => w.key("ice").raw("null"),
+            Some(i) => {
+                w.key("ice").open('{').key("stage").str(&i.stage);
+                w.key("message").str(&i.message);
+                w.key("backtrace").str(&i.backtrace).close('}')
+            }
         };
-        format!(
-            concat!(
-                "{{\"id\":{},\"exit_code\":{},\"stdout\":\"{}\",\"stderr\":\"{}\",",
-                "\"cache\":\"{}\",\"counters_json\":{},\"chunk_log\":{},\"ice\":{}}}"
-            ),
-            self.id,
-            self.exit_code,
-            json_escape(&self.stdout),
-            json_escape(&self.stderr),
-            self.cache.name(),
-            opt_str(&self.counters_json),
-            opt_str(&self.chunk_log),
-            ice,
-        )
+        w.close('}').finish()
     }
 
     /// Parses a reply document (the client side).
     pub fn parse(body: &str) -> Result<JobResponse, String> {
-        let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-        if let Some(err) = v.get("error").and_then(Value::as_str) {
-            return Err(format!("server error: {err}"));
+        match Reply::parse(body)? {
+            Reply::Job(resp) => Ok(*resp),
+            Reply::Overloaded(_) => Err("server error: overloaded".to_string()),
         }
-        JobResponse::from_value(&v)
     }
 
     fn from_value(v: &Value) -> Result<JobResponse, String> {
@@ -515,14 +380,8 @@ impl JobResponse {
             }),
         };
         Ok(JobResponse {
-            id: v
-                .get("id")
-                .and_then(Value::as_u64)
-                .ok_or("missing or non-integer 'id'")?,
-            exit_code: v
-                .get("exit_code")
-                .and_then(Value::as_u64)
-                .ok_or("missing or non-integer 'exit_code'")? as u8,
+            id: need_u64(v, "id")?,
+            exit_code: need_u64(v, "exit_code")? as u8,
             stdout: need_str(v, "stdout")?.to_string(),
             stderr: need_str(v, "stderr")?.to_string(),
             cache,
@@ -547,15 +406,42 @@ pub struct Overloaded {
 /// Renders the load-shedding reply for a job that was refused admission.
 /// `id` is `None` for connections refused wholesale during drain.
 pub fn overloaded_reply(id: Option<u64>, o: &Overloaded) -> String {
-    let id = id.map_or_else(|| "null".to_string(), |i| i.to_string());
-    format!(
-        "{{\"id\":{id},\"overloaded\":{{\"retry_after_ms\":{},\"queue_depth\":{}}}}}",
-        o.retry_after_ms, o.queue_depth
-    )
+    let mut w = reply_head(id);
+    w.key("overloaded")
+        .open('{')
+        .key("retry_after_ms")
+        .raw(o.retry_after_ms);
+    w.key("queue_depth")
+        .raw(o.queue_depth)
+        .close('}')
+        .close('}')
+        .finish()
+}
+
+/// Parses a reply frame body; the server's error reply
+/// (`{"id":…,"error":…}`) surfaces as `Err`.
+fn reply_doc(body: &str) -> Result<Value, String> {
+    let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
+    match v.get("error").and_then(Value::as_str) {
+        Some(err) => Err(format!("server error: {err}")),
+        None => Ok(v),
+    }
+}
+
+/// Opens a non-job reply document: `{"id":ID` (`null` when the reply answers
+/// no particular job).
+fn reply_head(id: Option<u64>) -> Writer {
+    let mut w = Writer::default();
+    w.open('{').key("id");
+    match id {
+        Some(id) => w.raw(id),
+        None => w.raw("null"),
+    };
+    w
 }
 
 /// The daemon's survivability snapshot, served for `{"op":"health"}`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HealthReport {
     /// Milliseconds since the daemon started serving.
     pub uptime_ms: u64,
@@ -584,46 +470,30 @@ pub struct HealthReport {
 impl HealthReport {
     /// Renders the health reply document.
     pub fn render(&self) -> String {
-        let cache = self
-            .cache
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            concat!(
-                "{{\"health\":{{\"uptime_ms\":{},\"queue_depth\":{},",
-                "\"queue_capacity\":{},\"running\":{},\"workers_alive\":{},",
-                "\"workers_configured\":{},\"draining\":{},",
-                "\"supervisor\":{{\"respawns\":{},\"requeued\":{},\"abandoned\":{}}},",
-                "\"counters\":{{{}}}}}}}"
-            ),
-            self.uptime_ms,
-            self.queue_depth,
-            self.queue_capacity,
-            self.running,
-            self.workers_alive,
-            self.workers_configured,
-            self.draining,
-            self.respawns,
-            self.requeued,
-            self.abandoned,
-            cache,
-        )
+        let mut w = Writer::default();
+        w.open('{').key("health").open('{');
+        w.key("uptime_ms").raw(self.uptime_ms);
+        w.key("queue_depth").raw(self.queue_depth);
+        w.key("queue_capacity").raw(self.queue_capacity);
+        w.key("running").raw(self.running);
+        w.key("workers_alive").raw(self.workers_alive);
+        w.key("workers_configured").raw(self.workers_configured);
+        w.key("draining").raw(self.draining);
+        w.key("supervisor").open('{');
+        w.key("respawns").raw(self.respawns);
+        w.key("requeued").raw(self.requeued);
+        w.key("abandoned").raw(self.abandoned).close('}');
+        w.key("counters").open('{');
+        for (k, v) in &self.cache {
+            w.key(k).raw(v);
+        }
+        w.close('}').close('}').close('}').finish()
     }
 
     /// Parses a health reply document (the client side).
     pub fn parse(body: &str) -> Result<HealthReport, String> {
-        let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-        if let Some(err) = v.get("error").and_then(Value::as_str) {
-            return Err(format!("server error: {err}"));
-        }
+        let v = reply_doc(body)?;
         let h = v.get("health").ok_or("missing 'health'")?;
-        let field = |obj: &Value, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing or non-integer '{key}'"))
-        };
         let sup = h.get("supervisor").ok_or("missing 'supervisor'")?;
         let cache = h
             .get("counters")
@@ -637,19 +507,19 @@ impl HealthReport {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(HealthReport {
-            uptime_ms: field(h, "uptime_ms")?,
-            queue_depth: field(h, "queue_depth")?,
-            queue_capacity: field(h, "queue_capacity")?,
-            running: field(h, "running")?,
-            workers_alive: field(h, "workers_alive")?,
-            workers_configured: field(h, "workers_configured")?,
+            uptime_ms: need_u64(h, "uptime_ms")?,
+            queue_depth: need_u64(h, "queue_depth")?,
+            queue_capacity: need_u64(h, "queue_capacity")?,
+            running: need_u64(h, "running")?,
+            workers_alive: need_u64(h, "workers_alive")?,
+            workers_configured: need_u64(h, "workers_configured")?,
             draining: match h.get("draining") {
                 Some(Value::Bool(b)) => *b,
                 _ => return Err("missing or non-boolean 'draining'".to_string()),
             },
-            respawns: field(sup, "respawns")?,
-            requeued: field(sup, "requeued")?,
-            abandoned: field(sup, "abandoned")?,
+            respawns: need_u64(sup, "respawns")?,
+            requeued: need_u64(sup, "requeued")?,
+            abandoned: need_u64(sup, "abandoned")?,
             cache,
         })
     }
@@ -671,19 +541,11 @@ impl Reply {
     /// Parses a reply frame body. Server error replies (`{"id":null,
     /// "error":...}`) surface as `Err`, like [`JobResponse::parse`].
     pub fn parse(body: &str) -> Result<Reply, String> {
-        let v = json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-        if let Some(err) = v.get("error").and_then(Value::as_str) {
-            return Err(format!("server error: {err}"));
-        }
+        let v = reply_doc(body)?;
         if let Some(o) = v.get("overloaded") {
-            let field = |key: &str| -> Result<u64, String> {
-                o.get(key)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("missing or non-integer '{key}'"))
-            };
             return Ok(Reply::Overloaded(Overloaded {
-                retry_after_ms: field("retry_after_ms")?,
-                queue_depth: field("queue_depth")?,
+                retry_after_ms: need_u64(o, "retry_after_ms")?,
+                queue_depth: need_u64(o, "queue_depth")?,
             }));
         }
         Ok(Reply::Job(Box::new(JobResponse::from_value(&v)?)))
@@ -692,14 +554,20 @@ impl Reply {
 
 /// Renders the error reply for an unparseable or oversized frame.
 pub fn error_reply(message: &str) -> String {
-    format!("{{\"id\":null,\"error\":\"{}\"}}", json_escape(message))
+    reply_head(None)
+        .key("error")
+        .str(message)
+        .close('}')
+        .finish()
 }
 
 /// Renders an error reply correlated to a specific job id — used when an
 /// *accepted* job cannot produce a normal reply (e.g. its worker died twice
 /// and the job was abandoned), so the client still gets exactly one answer.
 pub fn error_reply_for(id: u64, message: &str) -> String {
-    format!("{{\"id\":{id},\"error\":\"{}\"}}", json_escape(message))
+    (reply_head(Some(id)).key("error").str(message))
+        .close('}')
+        .finish()
 }
 
 #[cfg(test)]
@@ -730,7 +598,7 @@ mod tests {
     #[test]
     fn job_request_roundtrips() {
         let mut job = JobRequest::new(7, "t.c", "int main(void){return 0;}\n\"quoted\"");
-        job.opts.backend = Backend::Vm;
+        job.opts.backend = crate::Backend::Vm;
         job.opts.num_threads = 3;
         job.opts.max_steps = u64::MAX;
         job.opts.runtime_schedule = Some(RuntimeSchedule::parse("dynamic,4").unwrap());

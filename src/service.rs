@@ -11,11 +11,14 @@
 //!
 //! ## Output parity
 //!
-//! [`Service::execute`] reproduces the `ompltc` driver's observable bytes
-//! exactly — same stdout, same rendered diagnostics, same exit codes — by
-//! walking the same pipeline in the same order. A remote run must be
-//! indistinguishable from a local one; the differential suite in
-//! `tests/daemon.rs` enforces that over every example program.
+//! A remote run must be indistinguishable from a local one — same stdout,
+//! same rendered diagnostics, same exit codes — and it is by construction:
+//! the daemon and the `ompltc` driver call the same function. [`execute_job`]
+//! is the one pipeline walk and the one ICE boundary; [`Service::execute`]
+//! calls it with the artifact cache and no local-only views, `ompltc` calls
+//! it with no cache and replays the [`JobResponse`] through the code that
+//! replays a remote reply. The differential suite in `tests/daemon.rs`
+//! checks the transport around it over every example program.
 //!
 //! ## The artifact cache
 //!
@@ -32,9 +35,11 @@
 use crate::cache::{Artifact, ArtifactCache, CacheKey};
 use crate::compiler::{Backend, CompilerInstance};
 use crate::protocol::{
-    error_reply, json_diag_object, render_chunk_log, CacheOutcome, HealthReport, IceInfo,
-    JobRequest, JobResponse, Request,
+    driver_diag, error_reply, render_chunk_log, CacheOutcome, HealthReport, IceInfo, JobRequest,
+    JobResponse, Request,
 };
+use omplt_trace::json::Writer;
+use omplt_trace::TraceData;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,7 +50,7 @@ use std::time::Instant;
 /// runtime stage still delivers the IR, exactly like a local process whose
 /// stdout was already written.
 #[derive(Default)]
-struct JobBuf {
+pub struct JobBuf {
     stdout: Mutex<String>,
     stderr: Mutex<String>,
 }
@@ -58,15 +63,8 @@ impl JobBuf {
         self.stderr.lock().unwrap().push_str(s);
     }
     fn take(self) -> (String, String) {
-        let stdout = self
-            .stdout
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stderr = self
-            .stderr
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (stdout, stderr)
+        let text = |m: Mutex<String>| m.into_inner().unwrap_or_else(|p| p.into_inner());
+        (text(self.stdout), text(self.stderr))
     }
 }
 
@@ -108,23 +106,11 @@ impl Service {
     /// supervisor) zeroed. `ompltd`'s transport loop overlays its pool
     /// state before rendering; a bare [`Service`] answers with this as-is.
     pub fn base_health(&self) -> HealthReport {
+        let counters = self.cache.counters().into_iter();
         HealthReport {
             uptime_ms: self.started.elapsed().as_millis() as u64,
-            queue_depth: 0,
-            queue_capacity: 0,
-            running: 0,
-            workers_alive: 0,
-            workers_configured: 0,
-            draining: false,
-            respawns: 0,
-            requeued: 0,
-            abandoned: 0,
-            cache: self
-                .cache
-                .counters()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            cache: counters.map(|(k, v)| (k.to_string(), v)).collect(),
+            ..HealthReport::default()
         }
     }
 
@@ -151,229 +137,290 @@ impl Service {
         }
     }
 
-    /// Executes one job with full isolation: a fresh fault scope (armed
-    /// from the job's own `inject_fault`, reset afterwards), an optional
-    /// per-job trace session, and a `catch_unwind` ICE boundary that turns
-    /// a panic anywhere in the pipeline into a structured reply while the
-    /// worker thread lives on.
+    /// Executes one job against this service's cache: [`execute_job`] with
+    /// no local-only views.
     pub fn execute(&self, job: &JobRequest) -> JobResponse {
-        omplt_fault::reset();
-        if let Some(spec) = &job.inject_fault {
-            if let Err(msg) = omplt_fault::arm(spec) {
-                // Same bytes as the CLI's `driver_error`.
-                let stderr = if job.json_diags {
-                    format!("[{}]\n", json_diag_object("error", &msg, &[]))
-                } else {
-                    format!("ompltc: {msg}\n")
-                };
-                return JobResponse {
-                    id: job.id,
-                    exit_code: 2,
-                    stdout: String::new(),
-                    stderr,
-                    cache: CacheOutcome::Bypass,
-                    counters_json: None,
-                    chunk_log: None,
-                    ice: None,
-                };
-            }
-        }
-        let session = job.want_counters.then(omplt_trace::Session::begin);
-        let buf = JobBuf::default();
-        let contain = omplt_fault::contain_panics();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| self.run_job(job, &buf)));
-        drop(contain);
-        if outcome.is_err() {
+        execute_job(job, Some(&self.cache), &LocalViews::default()).0
+    }
+}
+
+/// The parameters of the pipeline walk that only the in-process `ompltc`
+/// driver sets. They do not travel the wire; the daemon runs every job with
+/// `LocalViews::default()`.
+#[derive(Default)]
+pub struct LocalViews {
+    /// `--analyze`: run the static-analysis suite after parsing and stop.
+    pub analyze: bool,
+    /// `--ast-dump`: print the syntactic AST.
+    pub ast_dump: bool,
+    /// `--ast-dump-transformed`: print the AST including shadow subtrees.
+    pub ast_dump_transformed: bool,
+    /// `--emit-bytecode`: print the VM bytecode disassembly.
+    pub emit_bytecode: bool,
+    /// `--emit-bytecode-bin=FILE`: write the OMPLTBC container to FILE.
+    pub emit_bytecode_bin: Option<String>,
+    /// Record a trace session rooted at an `ompltc` span and hand its data
+    /// back (`--time-trace`, `--time-report`, `--crash-report`, and the
+    /// local `--counters-json`).
+    pub trace: bool,
+}
+
+/// What a piece of contained work reports: exit code, cache outcome,
+/// rendered chunk log.
+pub type Walked = (u8, CacheOutcome, Option<String>);
+
+/// Executes one job: the pipeline walk (`run_job`) inside
+/// [`contained_reply`]. `cache` is the daemon's artifact cache (`None`
+/// in-process); `views` are the local driver's extra outputs.
+pub fn execute_job(
+    job: &JobRequest,
+    cache: Option<&ArtifactCache>,
+    views: &LocalViews,
+) -> (JobResponse, Option<TraceData>) {
+    contained_reply(job, views.trace, |buf| run_job(job, cache, views, buf))
+}
+
+/// Runs `work` for `job` with full isolation and folds the result into a
+/// reply: a fresh fault scope (armed from the job's own `inject_fault`,
+/// reset afterwards), a trace session when the job wants counters or the
+/// caller a `trace` (then rooted at an `ompltc` span, and handed back), and
+/// the ICE boundary — a panic anywhere in `work` becomes the structured
+/// [`IceInfo`] (stage, message, backtrace) that `ompltc` renders, while the
+/// calling thread lives on. `ompltc`'s other entry points (`--autotune`,
+/// `--check-bytecode`) run under the same boundary through this function.
+pub fn contained_reply(
+    job: &JobRequest,
+    trace: bool,
+    work: impl FnOnce(&JobBuf) -> Walked,
+) -> (JobResponse, Option<TraceData>) {
+    let mut resp = JobResponse {
+        id: job.id,
+        exit_code: 2,
+        ..JobResponse::default()
+    };
+    omplt_fault::reset();
+    if let Some(Err(msg)) = job.inject_fault.as_deref().map(omplt_fault::arm) {
+        resp.stderr = driver_diag(&msg, &[], job.json_diags);
+        return (resp, None);
+    }
+    let session = (job.want_counters || trace).then(omplt_trace::Session::begin);
+    let buf = JobBuf::default();
+    let contain = omplt_fault::contain_panics();
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let _root = trace.then(|| omplt_trace::span("ompltc"));
+        work(&buf)
+    }));
+    drop(contain);
+    match outcome {
+        Ok(walked) => (resp.exit_code, resp.cache, resp.chunk_log) = walked,
+        Err(_) => {
             omplt_trace::count("ice", 1);
+            let stage = omplt_fault::current_stage().to_string();
+            let (message, backtrace) = omplt_fault::take_panic()
+                .unwrap_or_else(|| ("<panic details unavailable>".to_string(), String::new()));
+            resp.exit_code = 3;
+            resp.ice = Some(IceInfo {
+                stage,
+                message,
+                backtrace,
+            });
         }
-        let data = session.map(omplt_trace::Session::finish);
-        let counters_json = data.as_ref().map(omplt_trace::TraceData::to_counters_json);
-        let (exit_code, cache, chunk_log, ice) = match outcome {
-            Ok((exit, cache, chunk)) => (exit, cache, chunk, None),
-            Err(_) => {
-                let stage = omplt_fault::current_stage().to_string();
-                let (message, backtrace) = omplt_fault::take_panic()
-                    .unwrap_or_else(|| ("<panic details unavailable>".to_string(), String::new()));
-                (
-                    3,
-                    CacheOutcome::Bypass,
-                    None,
-                    Some(IceInfo {
-                        stage,
-                        message,
-                        backtrace,
-                    }),
-                )
-            }
+    }
+    omplt_fault::reset();
+    (resp.stdout, resp.stderr) = buf.take();
+    let data = session.map(omplt_trace::Session::finish);
+    if job.want_counters {
+        resp.counters_json = data.as_ref().map(TraceData::to_counters_json);
+    }
+    (resp, data)
+}
+
+/// The pipeline proper — the only walk from source text to a run, for the
+/// daemon and the CLI alike: parse → [analyze] → [ast-dump] → codegen →
+/// optimize → [emit-ir] → compile bytecode (once) → [emit-bytecode] → run.
+fn run_job(
+    job: &JobRequest,
+    cache: Option<&ArtifactCache>,
+    views: &LocalViews,
+    buf: &JobBuf,
+) -> Walked {
+    let json = job.json_diags;
+    let mut ci = CompilerInstance::new(job.opts);
+    let emit_diags = |ci: &CompilerInstance| {
+        if ci.diags.is_empty() {
+            return;
+        }
+        if json {
+            buf.err(&ci.render_diags_json());
+        } else {
+            buf.err(&ci.render_diags());
+        }
+    };
+
+    // Pipeline fault-injection jobs bypass the cache entirely: an armed
+    // site can fire anywhere in the pipeline, so neither serving a hit
+    // (which would skip the site) nor storing the result is sound.
+    // `daemon.*` sites target the service layer itself and keep the
+    // cache live — `daemon.cache-corrupt` needs an entry to corrupt,
+    // and a job requeued after `daemon.worker-kill` must still warm-hit.
+    let daemon_fault = (job.inject_fault.as_deref()).is_some_and(|s| s.starts_with("daemon."));
+    let key = cache
+        .filter(|_| (job.inject_fault.is_none() || daemon_fault) && !job.syntax_only)
+        .map(|cache| (cache, CacheKey::new(&job.source, &job.opts, job.optimize)));
+    let mut cache_outcome = CacheOutcome::Bypass;
+    let mut cached = None;
+    if let Some((cache, k)) = &key {
+        // Injected corruption lands immediately before the lookup that
+        // would have served the entry, exercising the verify path.
+        if omplt_fault::fire("daemon.cache-corrupt")
+            || omplt_fault::fire_global("daemon.cache-corrupt")
+        {
+            cache.corrupt(k);
+        }
+        cached = cache.lookup(k);
+        cache_outcome = if cached.is_some() {
+            CacheOutcome::Hit
+        } else {
+            CacheOutcome::Miss
         };
-        omplt_fault::reset();
-        let (stdout, stderr) = buf.take();
-        JobResponse {
-            id: job.id,
-            exit_code,
-            stdout,
-            stderr,
-            cache,
-            counters_json,
-            chunk_log,
-            ice,
+    }
+
+    let (module, cached_code) = match cached {
+        // Warm path: the whole front end, mid end, and VM compiler are
+        // skipped. Cached compiles are diagnostic-free by construction,
+        // so there is nothing to replay.
+        Some(art) => {
+            let image = art.bytecode.as_deref();
+            (art.module, image.and_then(|b| omplt_vm::decode(b).ok()))
+        }
+        None => {
+            let tu = match ci.parse_source(&job.name, &job.source) {
+                Ok(tu) => tu,
+                Err(_) => {
+                    emit_diags(&ci);
+                    return (1, cache_outcome, None);
+                }
+            };
+            if views.analyze {
+                let report = ci.analyze(&tu);
+                emit_diags(&ci);
+                return (u8::from(report.has_findings()), cache_outcome, None);
+            }
+            if views.ast_dump_transformed {
+                buf.out(&ci.ast_dump_transformed(&tu));
+            } else if views.ast_dump {
+                buf.out(&ci.ast_dump(&tu));
+            }
+            if job.syntax_only {
+                emit_diags(&ci);
+                return (0, cache_outcome, None);
+            }
+            let mut module = match ci.codegen(&tu) {
+                Ok(m) => m,
+                Err(rendered) => {
+                    if ci.diags.is_empty() {
+                        // Internal verifier failures are not diagnostics.
+                        buf.err(&rendered);
+                    } else {
+                        emit_diags(&ci);
+                    }
+                    return (1, cache_outcome, None);
+                }
+            };
+            if job.optimize {
+                ci.optimize(&mut module);
+                if ci.diags.has_errors() {
+                    emit_diags(&ci);
+                    return (1, cache_outcome, None);
+                }
+            }
+            (Arc::new(module), None)
+        }
+    };
+
+    if job.emit_ir {
+        buf.out(&omplt_ir::print_module(&module));
+    }
+
+    // Bytecode is compiled exactly once per job, here: the bytecode views
+    // and the run below both consume this one outcome. A failure is kept,
+    // not dropped — the run degrades on it (vm falls back with a warning,
+    // vm:strict is fatal), so an armed one-shot fault cannot be spent on a
+    // compile whose error nobody reads.
+    let emit_bytecode = views.emit_bytecode || views.emit_bytecode_bin.is_some();
+    let code = match cached_code {
+        Some(code) => Some(Ok(code)),
+        None if ci.opts.backend != Backend::Interp || emit_bytecode => {
+            Some(ci.compile_bytecode(&module))
+        }
+        None => None,
+    };
+    if let (Some((cache, k)), CacheOutcome::Miss) = (key, cache_outcome) {
+        if ci.diags.is_empty() && !matches!(code, Some(Err(_))) {
+            let bytecode = match &code {
+                Some(Ok(c)) => Some(Arc::new(omplt_vm::encode(c))),
+                _ => None,
+            };
+            let size = job.source.len()
+                + omplt_ir::print_module(&module).len()
+                + bytecode.as_deref().map_or(0, |b| b.len());
+            let module = module.clone();
+            let artifact = Artifact {
+                module,
+                bytecode,
+                size,
+            };
+            cache.insert(k, artifact);
         }
     }
 
-    /// The pipeline proper, mirroring the `ompltc` driver's `drive()` byte
-    /// for byte. Returns (exit code, cache outcome, rendered chunk log).
-    fn run_job(&self, job: &JobRequest, buf: &JobBuf) -> (u8, CacheOutcome, Option<String>) {
-        let json = job.json_diags;
-        let mut ci = CompilerInstance::new(job.opts);
-        let emit_diags = |ci: &CompilerInstance| {
-            if ci.diags.is_empty() {
-                return;
-            }
-            if json {
-                buf.err(&ci.render_diags_json());
-            } else {
-                buf.err(&ci.render_diags());
-            }
-        };
-
-        // Pipeline fault-injection jobs bypass the cache entirely: an armed
-        // site can fire anywhere in the pipeline, so neither serving a hit
-        // (which would skip the site) nor storing the result is sound.
-        // `daemon.*` sites target the service layer itself and keep the
-        // cache live — `daemon.cache-corrupt` needs an entry to corrupt,
-        // and a job requeued after `daemon.worker-kill` must still warm-hit.
-        let daemon_fault = job
-            .inject_fault
-            .as_deref()
-            .is_some_and(|s| s.starts_with("daemon."));
-        let key = ((job.inject_fault.is_none() || daemon_fault) && !job.syntax_only)
-            .then(|| CacheKey::new(&job.source, &job.opts, job.optimize));
-        let mut cache_outcome = CacheOutcome::Bypass;
-        let mut cached = None;
-        if let Some(k) = &key {
-            // Injected corruption lands immediately before the lookup that
-            // would have served the entry, exercising the verify path.
-            if omplt_fault::fire("daemon.cache-corrupt")
-                || omplt_fault::fire_global("daemon.cache-corrupt")
-            {
-                self.cache.corrupt(k);
-            }
-            cached = self.cache.lookup(k);
-            cache_outcome = if cached.is_some() {
-                CacheOutcome::Hit
-            } else {
-                CacheOutcome::Miss
-            };
-        }
-
-        let (module, code) = match cached {
-            // Warm path: the whole front end, mid end, and VM compiler are
-            // skipped. Cached compiles are diagnostic-free by construction,
-            // so there is nothing to replay.
-            Some(art) => {
-                let code = art
-                    .bytecode
-                    .as_deref()
-                    .and_then(|b| omplt_vm::decode(b).ok());
-                (art.module, code)
-            }
-            None => {
-                let tu = match ci.parse_source(&job.name, &job.source) {
-                    Ok(tu) => tu,
-                    Err(_) => {
-                        emit_diags(&ci);
-                        return (1, cache_outcome, None);
-                    }
-                };
-                if job.syntax_only {
-                    emit_diags(&ci);
-                    return (0, cache_outcome, None);
+    match &code {
+        Some(Ok(code)) if emit_bytecode => {
+            if views.emit_bytecode {
+                for f in &code.funcs {
+                    buf.out(&omplt_vm::disasm(f));
                 }
-                let mut module = match ci.codegen(&tu) {
-                    Ok(m) => m,
-                    Err(rendered) => {
-                        if ci.diags.is_empty() {
-                            // Internal verifier failures are not diagnostics.
-                            buf.err(&rendered);
-                        } else {
-                            emit_diags(&ci);
-                        }
-                        return (1, cache_outcome, None);
-                    }
-                };
-                if job.optimize {
-                    ci.optimize(&mut module);
-                    if ci.diags.has_errors() {
-                        emit_diags(&ci);
-                        return (1, cache_outcome, None);
-                    }
-                }
-                // The VM backends pre-compile bytecode exactly once here;
-                // the run below reuses it instead of recompiling. A compile
-                // failure leaves `code` empty and the run path degrades the
-                // same way `ompltc` does (vm falls back, vm:strict is fatal).
-                let mut code = None;
-                if ci.opts.backend != Backend::Interp {
-                    code = ci.compile_bytecode(&module).ok();
-                }
-                let module = Arc::new(module);
-                if let Some(k) = key {
-                    let vm_ready = ci.opts.backend == Backend::Interp || code.is_some();
-                    if ci.diags.is_empty() && vm_ready {
-                        let bytecode = code.as_ref().map(|c| Arc::new(omplt_vm::encode(c)));
-                        let size = job.source.len()
-                            + omplt_ir::print_module(&module).len()
-                            + bytecode.as_deref().map_or(0, |b| b.len());
-                        self.cache.insert(
-                            k,
-                            Artifact {
-                                module: module.clone(),
-                                bytecode,
-                                size,
-                            },
-                        );
-                    }
-                }
-                (module, code)
             }
-        };
-
-        if job.emit_ir {
-            buf.out(&omplt_ir::print_module(&module));
-        }
-        if !job.run {
-            emit_diags(&ci);
-            return (0, cache_outcome, None);
-        }
-        // The client resolved `OMP_SCHEDULE` at its own entry point; if that
-        // produced a warning it is recorded here, pre-run, in the exact slot
-        // the in-process driver uses.
-        if let Some(w) = &job.schedule_warning {
-            ci.diags
-                .warning(omplt_source::SourceLocation::INVALID, w.clone());
-        }
-        let result = match &code {
-            Some(c) => ci.run_precompiled(&module, c),
-            None => ci.run(&module),
-        };
-        emit_diags(&ci);
-        match result {
-            Ok(r) => {
-                buf.out(&r.stdout);
-                let chunk = job.opts.log_chunks.then(|| render_chunk_log(&r.chunk_log));
-                (r.exit_code as u8, cache_outcome, chunk)
-            }
-            Err(e) => {
-                if json {
-                    buf.err(&format!(
-                        "[{}]\n",
-                        json_diag_object("error", &format!("runtime error: {e}"), &[])
+            if let Some(path) = &views.emit_bytecode_bin {
+                if let Err(e) = std::fs::write(path, omplt_vm::encode(code)) {
+                    buf.err(&driver_diag(
+                        &format!("cannot write '{path}': {e}"),
+                        &[],
+                        json,
                     ));
-                } else {
-                    buf.err(&format!("ompltc: runtime error: {e}\n"));
+                    return (2, cache_outcome, None);
                 }
-                (1, cache_outcome, None)
             }
+        }
+        Some(Err(e)) if emit_bytecode => {
+            buf.err(&format!("ompltc: {e}\n"));
+            return (1, cache_outcome, None);
+        }
+        _ => {}
+    }
+    if !job.run {
+        emit_diags(&ci);
+        return (0, cache_outcome, None);
+    }
+    // `OMP_SCHEDULE` was resolved once, at the client's entry point; a
+    // warning from that lands here, right before the run.
+    if let Some(w) = &job.schedule_warning {
+        ci.diags
+            .warning(omplt_source::SourceLocation::INVALID, w.clone());
+    }
+    // Diagnostics are emitted after the run so warnings produced during it
+    // (e.g. the vm→interp fallback notice) are included.
+    let result = ci.run_compiled(&module, code.as_ref().map(Result::as_ref));
+    emit_diags(&ci);
+    match result {
+        Ok(r) => {
+            buf.out(&r.stdout);
+            let chunk = job.opts.log_chunks.then(|| render_chunk_log(&r.chunk_log));
+            (r.exit_code as u8, cache_outcome, chunk)
+        }
+        Err(e) => {
+            buf.err(&driver_diag(&format!("runtime error: {e}"), &[], json));
+            (1, cache_outcome, None)
         }
     }
 }
@@ -386,16 +433,6 @@ pub struct BenchConfig {
     pub worker_counts: Vec<usize>,
     /// Artifact cache budget.
     pub cache_bytes: usize,
-}
-
-impl Default for BenchConfig {
-    fn default() -> BenchConfig {
-        BenchConfig {
-            jobs: 32,
-            worker_counts: vec![1, 4, 8],
-            cache_bytes: crate::cache::DEFAULT_CACHE_BYTES,
-        }
-    }
 }
 
 /// One generated bench job: a parallel-for workload with per-variant
@@ -449,25 +486,26 @@ pub fn throughput_bench(cfg: &BenchConfig) -> String {
     let service = Service::new(cfg.cache_bytes);
     let jobs: Vec<JobRequest> = (0..cfg.jobs as u64).map(bench_job).collect();
     let cold = bench_pass(&service, &jobs, 1);
-    let warm: Vec<String> = cfg
-        .worker_counts
-        .iter()
-        .map(|&w| {
-            let jps = bench_pass(&service, &jobs, w);
-            format!("{{\"workers\":{w},\"jobs_per_sec\":{jps:.2}}}")
-        })
-        .collect();
+    let mut w = Writer::default();
+    w.open('{').key("bench").str("ompltd.throughput");
+    w.key("jobs").raw(cfg.jobs);
+    w.key("cache_bytes").raw(cfg.cache_bytes);
+    let pass = |w: &mut Writer, workers: usize, jps: f64| {
+        w.open('{').key("workers").raw(workers);
+        w.key("jobs_per_sec").raw(format_args!("{jps:.2}"));
+        w.close('}');
+    };
+    w.key("cold");
+    pass(&mut w, 1, cold);
+    w.key("warm").open('[');
+    for &workers in &cfg.worker_counts {
+        pass(&mut w, workers, bench_pass(&service, &jobs, workers));
+    }
     let counters: std::collections::HashMap<_, _> = service.cache.counters().into_iter().collect();
-    format!(
-        "{{\"bench\":\"ompltd.throughput\",\"jobs\":{},\"cache_bytes\":{},\
-         \"cold\":{{\"workers\":1,\"jobs_per_sec\":{cold:.2}}},\"warm\":[{}],\
-         \"cache\":{{\"hits\":{},\"misses\":{}}}}}\n",
-        cfg.jobs,
-        cfg.cache_bytes,
-        warm.join(","),
-        counters["daemon.cache.hits"],
-        counters["daemon.cache.misses"],
-    )
+    w.close(']').key("cache").open('{');
+    w.key("hits").raw(counters["daemon.cache.hits"]);
+    w.key("misses").raw(counters["daemon.cache.misses"]);
+    w.close('}').close('}').finish() + "\n"
 }
 
 #[cfg(test)]

@@ -490,6 +490,43 @@ fn fuel_exhaustion_is_a_structured_reply_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn verifier_rejection_degrades_the_same_way_local_and_remote() {
+    // Bytecode is compiled exactly once per job, so the one-shot
+    // `vm.verify.reject` fault lands on the compile whose outcome the run
+    // consumes: `vm` falls back to the interpreter with a warning,
+    // `vm:strict` fails — in the daemon exactly as in-process.
+    let daemon = Daemon::start("verifyreject");
+    let src = write_temp("verifyreject.c", DEMO);
+    let fallback = assert_remote_matches_local(
+        &daemon,
+        &[],
+        &["--run", "--backend=vm", "--inject-fault=vm.verify.reject"],
+        &src,
+        "verify-reject/vm",
+    );
+    assert_eq!(fallback.code, 0);
+    assert_eq!(String::from_utf8_lossy(&fallback.stdout), "6048\n");
+    assert!(
+        String::from_utf8_lossy(&fallback.stderr).contains("falling back to the interpreter"),
+        "{}",
+        String::from_utf8_lossy(&fallback.stderr)
+    );
+    let strict = assert_remote_matches_local(
+        &daemon,
+        &[],
+        &[
+            "--run",
+            "--backend=vm:strict",
+            "--inject-fault=vm.verify.reject",
+        ],
+        &src,
+        "verify-reject/vm:strict",
+    );
+    assert_eq!(strict.code, 1);
+    assert!(strict.stdout.is_empty(), "program must not run");
+}
+
+#[test]
 fn remote_rejects_local_only_modes() {
     let daemon = Daemon::start("reject");
     let src = write_temp("reject.c", DEMO);

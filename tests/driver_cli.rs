@@ -171,6 +171,20 @@ fn no_openmp_ignores_pragmas() {
 fn unknown_option_is_rejected() {
     let out = ompltc().arg("--frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "ompltc: unknown option '--frobnicate'\n"
+    );
+    let out = ompltc()
+        .args(["--frobnicate", "--diag-format=json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "[{\"level\":\"error\",\"message\":\"unknown option '--frobnicate'\",\
+         \"file\":null,\"notes\":[]}]\n"
+    );
 }
 
 const RACY: &str = "int main(void) {\n  int sum = 0;\n  int a[8];\n  #pragma omp parallel for\n  for (int i = 0; i < 8; i += 1)\n    sum += a[i];\n  return sum;\n}\n";
@@ -246,6 +260,33 @@ fn bad_threads_value_is_a_usage_error() {
     // Missing value is also a usage error, not a panic.
     let out = ompltc().arg(&p).arg("--threads").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "ompltc: '--threads' requires a value\n"
+    );
+    // Both honor `--diag-format=json`, like every other usage error.
+    for (args, message) in [
+        (
+            &["--threads", "bogus"][..],
+            "invalid value 'bogus' for '--threads': expected a positive integer",
+        ),
+        (&["--threads"][..], "'--threads' requires a value"),
+    ] {
+        let out = ompltc()
+            .arg("--diag-format=json")
+            .arg(&p)
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "[{{\"level\":\"error\",\"message\":\"{message}\",\"file\":null,\"notes\":[]}}]\n"
+            ),
+            "{args:?}"
+        );
+    }
 }
 
 const TRIANGULAR: &str = "void print_i64(long v);\nint main(void) {\n  #pragma omp parallel num_threads(4)\n  {\n    #pragma omp for schedule(dynamic, 2)\n    for (int i = 0; i < 24; i += 1)\n      for (int j = 0; j <= i; j += 1)\n        print_i64(i * 100 + j);\n  }\n  return 0;\n}\n";
