@@ -30,7 +30,7 @@
 //! with a `-Wanalysis-limit` note instead of guessing: **errors are reported
 //! only for proven violations**.
 
-use crate::nest::{resolve_literal_nest, NestLevel};
+use crate::nest::{extend_while_perfect, resolve_literal_nest, NestLevel};
 use omplt_ast::{
     walk_expr, walk_stmt, BinOp, Decl, DeclId, Expr, ExprKind, OMPClauseKind, OMPDirective,
     OMPDirectiveKind, Stmt, StmtKind, StmtVisitor, TranslationUnit, Type, TypeKind, UnOp, P,
@@ -559,6 +559,7 @@ pub(crate) fn gcd(a: i128, b: i128) -> i128 {
 }
 
 /// Caps that keep the MIV enumeration trivially cheap.
+const MAX_DEPTH: usize = 4;
 const MAX_CANDIDATES_PER_LEVEL: i128 = 16;
 const MAX_SOLUTIONS: usize = 8;
 
@@ -932,23 +933,6 @@ impl StmtVisitor for DependVisitor<'_> {
     }
 }
 
-/// Extends a nest resolution below the directive's own depth while the nest
-/// stays literal and perfect — deeper levels sharpen the direction vectors
-/// (they turn `a[i*M + j]` from "not affine" into an exact MIV solve).
-fn resolve_deep(stmt: &P<Stmt>, min_depth: usize) -> Option<Vec<NestLevel>> {
-    const MAX_DEPTH: usize = 4;
-    let mut best = resolve_literal_nest(stmt, min_depth)?;
-    for depth in min_depth + 1..=MAX_DEPTH {
-        match resolve_literal_nest(stmt, depth) {
-            Some(levels) if levels[min_depth..].iter().all(|l| l.intervening.is_empty()) => {
-                best = levels;
-            }
-            _ => break,
-        }
-    }
-    Some(best)
-}
-
 impl DependVisitor<'_> {
     fn analysis_limit(&self, loc: SourceLocation, pragma: &str, why: &str, notes: Vec<Diagnostic>) {
         omplt_trace::count("analysis.depend.limit", 1);
@@ -1012,10 +996,14 @@ impl DependVisitor<'_> {
         depth: usize,
     ) -> Option<DependenceGraph> {
         let assoc = d.associated.as_ref()?;
-        let Some(levels) = resolve_deep(assoc, depth) else {
+        let Some(mut levels) = resolve_literal_nest(assoc, depth) else {
             self.analysis_limit(d.loc, pragma, "the loop nest is not analyzable", Vec::new());
             return None;
         };
+        // Levels below the directive's own depth sharpen the direction
+        // vectors while the nest stays perfect (they turn `a[i*M + j]` from
+        // "not affine" into an exact MIV solve).
+        extend_while_perfect(&mut levels, MAX_DEPTH);
         if levels[..depth].iter().any(|l| !l.intervening.is_empty()) {
             self.analysis_limit(
                 d.loc,
@@ -1039,20 +1027,8 @@ impl DependVisitor<'_> {
 
     fn check_interchange(&mut self, d: &P<OMPDirective>) {
         let pragma = d.pragma_text();
-        let perm: Vec<usize> = match d.permutation_clause() {
-            Some(es) => {
-                let vals: Option<Vec<usize>> = es
-                    .iter()
-                    .map(|e| e.eval_const_int().and_then(|v| usize::try_from(v).ok()))
-                    .collect();
-                match vals {
-                    // 1-based in source; Sema has already validated it.
-                    Some(v) if is_permutation(&v) => v.iter().map(|p| p - 1).collect(),
-                    _ => return,
-                }
-            }
-            None => vec![1, 0],
-        };
+        // Sema has already diagnosed a list that is not a permutation.
+        let Ok(perm) = d.permutation() else { return };
         let Some(graph) = self.graph_for(d, &pragma, perm.len()) else {
             return;
         };
@@ -1083,19 +1059,18 @@ impl DependVisitor<'_> {
         let Some(graph) = self.graph_for(d, &pragma, 1) else {
             return;
         };
-        let safelen = d.safelen_value();
+        let safelen = d.clause_value(OMPClauseKind::Safelen);
         // Variables the directive privatizes per lane carry no cross-lane
         // dependence: each lane gets its own copy (reductions combine after
         // the loop).
         let privatized: std::collections::HashSet<String> = d
             .clauses
             .iter()
-            .flat_map(|c| match &c.kind {
-                OMPClauseKind::Reduction { vars, .. }
-                | OMPClauseKind::Private(vars)
-                | OMPClauseKind::FirstPrivate(vars) => vars.as_slice(),
-                _ => &[],
+            .filter(|c| {
+                use OMPClauseKind::{FirstPrivate, Private, Reduction};
+                matches!(c.kind, Reduction | Private | FirstPrivate)
             })
+            .flat_map(|c| &c.args)
             .filter_map(|e| e.as_decl_ref().map(|v| v.name.clone()))
             .collect();
         for dep in graph.deps.iter().filter(|p| p.carried_level() == Some(0)) {
@@ -1345,11 +1320,4 @@ impl DependVisitor<'_> {
         }
         None
     }
-}
-
-fn is_permutation(v: &[usize]) -> bool {
-    let n = v.len();
-    let mut seen = vec![false; n];
-    v.iter()
-        .all(|&p| (1..=n).contains(&p) && !std::mem::replace(&mut seen[p - 1], true))
 }

@@ -13,10 +13,7 @@
 //!   only at its end; Sema rejects `break` but not `return`.
 
 use crate::nest::resolve_literal_nest;
-use omplt_ast::{
-    walk_stmt, Decl, OMPDirective, OMPDirectiveKind, Stmt, StmtKind, StmtVisitor, TranslationUnit,
-    P,
-};
+use omplt_ast::{walk_stmt, Decl, OMPDirective, Stmt, StmtKind, StmtVisitor, TranslationUnit, P};
 use omplt_source::{Diagnostic, DiagnosticsEngine, Level, SourceLocation};
 
 /// Checks every OpenMP directive in `tu`, reporting violations to `diags`.
@@ -46,13 +43,7 @@ impl StmtVisitor for LegalityVisitor<'_> {
 
 impl LegalityVisitor<'_> {
     fn check_directive(&mut self, d: &P<OMPDirective>) {
-        let depth = match d.kind {
-            OMPDirectiveKind::Tile => d.sizes_clause().map_or(0, <[_]>::len),
-            OMPDirectiveKind::Unroll | OMPDirectiveKind::Reverse | OMPDirectiveKind::Fuse => 1,
-            OMPDirectiveKind::Interchange => d.permutation_clause().map_or(2, <[_]>::len).max(2),
-            k if k.is_loop_directive() => d.collapse_depth(),
-            _ => 0,
-        };
+        let depth = d.associated_loops();
         if depth == 0 {
             return;
         }

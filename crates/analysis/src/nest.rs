@@ -1,74 +1,57 @@
-//! Literal-loop-nest resolution shared by the analysis passes.
+//! Loop-nest resolution for the analysis passes: the shared walker of
+//! `omplt-ast` (the same one Sema and both codegens use, so a nest Sema
+//! accepted resolves identically here) plus a quiet canonical-loop analysis
+//! of every level.
 //!
-//! The passes run *after* Sema, so every canonical-loop analysis here is
-//! quiet: a loop Sema already rejected is simply skipped (returning `None`)
-//! instead of being diagnosed a second time.
+//! The passes run *after* Sema, so a loop Sema already rejected is simply
+//! skipped (returning `None`) instead of being diagnosed a second time.
 
-use omplt_ast::{ASTContext, Stmt, StmtKind, P};
+use omplt_ast::{loop_level, loop_nest, ASTContext, Stmt, P};
 use omplt_sema::{analyze_canonical_loop, CanonicalLoopAnalysis};
 use omplt_source::DiagnosticsEngine;
 
-/// One level of a resolved literal loop nest.
+/// One level of a resolved loop nest.
 pub struct NestLevel {
     /// Canonical-loop analysis of this level's loop.
     pub analysis: CanonicalLoopAnalysis,
-    /// Statements sharing this level's enclosing block with the loop.
-    /// Non-empty only when the nest is imperfect at this level (level 0 is
-    /// the directive's associated statement itself and has no siblings).
+    /// Statements sharing this level's enclosing *literal* block with the
+    /// loop: non-empty only when the nest is imperfect at this level. The
+    /// declarations a consumed transformation puts in front of its
+    /// generated loop are not intervening code.
     pub intervening: Vec<P<Stmt>>,
 }
 
-/// Strips the wrappers Sema may have placed between a directive and its
-/// loops: attributes, `OMPCanonicalLoop` meta nodes, `CapturedStmt`
-/// outlining, singleton compounds, and nested transformation directives
-/// (followed through `get_transformed_stmt()`, exactly as a consuming
-/// directive would).
-fn peel(stmt: &P<Stmt>) -> Option<P<Stmt>> {
-    match &stmt.kind {
-        StmtKind::Attributed { sub, .. } => peel(sub),
-        StmtKind::OMPCanonicalLoop(cl) => peel(&cl.loop_stmt),
-        StmtKind::Captured(c) => peel(&c.decl.body),
-        StmtKind::Compound(ss) if ss.len() == 1 => peel(&ss[0]),
-        StmtKind::OMP(d) => d.get_transformed_stmt().and_then(peel),
-        _ => Some(P::clone(stmt)),
-    }
-}
-
-/// Whether `stmt` stands for a loop once wrappers are peeled.
-fn is_loop_like(stmt: &P<Stmt>) -> bool {
-    peel(stmt).is_some_and(|s| s.is_loop())
-}
-
-/// Resolves `depth` nested literal loops under `stmt`, analyzing each level
-/// quietly. Returns `None` when the nest cannot be resolved (malformed loop,
-/// missing level, or an unexpanded nested directive) — Sema has already
-/// reported those cases.
-pub fn resolve_literal_nest(stmt: &P<Stmt>, depth: usize) -> Option<Vec<NestLevel>> {
+/// Analyzes one walker level quietly.
+fn analyzed(level: omplt_ast::NestLevel) -> Option<NestLevel> {
     let ctx = ASTContext::new();
     let quiet = DiagnosticsEngine::new();
-    let mut levels = Vec::with_capacity(depth);
-    let mut cur = P::clone(stmt);
-    for _ in 0..depth {
-        let peeled = peel(&cur)?;
-        let (intervening, loop_stmt) = match &peeled.kind {
-            StmtKind::Compound(ss) => {
-                let pos = ss.iter().position(is_loop_like)?;
-                let siblings = ss
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != pos)
-                    .map(|(_, s)| P::clone(s))
-                    .collect();
-                (siblings, peel(&ss[pos])?)
-            }
-            _ => (Vec::new(), peeled),
+    let analysis = analyze_canonical_loop(&ctx, &quiet, &level.loop_stmt, "loop analysis")?;
+    Some(NestLevel {
+        analysis,
+        intervening: level.intervening,
+    })
+}
+
+/// Resolves `depth` nested loops under `stmt`, analyzing each level
+/// quietly. Returns `None` when the nest cannot be resolved (malformed loop,
+/// missing level, or a nested directive that generates no loop) — Sema has
+/// already reported those cases.
+pub fn resolve_literal_nest(stmt: &P<Stmt>, depth: usize) -> Option<Vec<NestLevel>> {
+    let levels = loop_nest(stmt, depth).ok()?;
+    levels.into_iter().map(analyzed).collect()
+}
+
+/// Extends a resolved nest downwards, up to `max_depth` levels, while the
+/// next level is a loop with nothing beside it.
+pub fn extend_while_perfect(levels: &mut Vec<NestLevel>, max_depth: usize) {
+    while levels.len() < max_depth {
+        let Some(innermost) = levels.last() else {
+            return;
         };
-        let analysis = analyze_canonical_loop(&ctx, &quiet, &loop_stmt, "loop analysis")?;
-        cur = P::clone(&analysis.body);
-        levels.push(NestLevel {
-            analysis,
-            intervening,
-        });
+        let next = loop_level(&innermost.analysis.body).ok();
+        match next.filter(|l| l.intervening.is_empty()).and_then(analyzed) {
+            Some(level) => levels.push(level),
+            None => return,
+        }
     }
-    Some(levels)
 }

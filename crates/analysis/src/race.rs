@@ -257,7 +257,7 @@ impl StmtVisitor for Collector {
 impl RaceVisitor<'_> {
     fn check_parallel_for(&mut self, d: &P<OMPDirective>) {
         let Some(assoc) = &d.associated else { return };
-        let Some(levels) = resolve_literal_nest(assoc, d.collapse_depth()) else {
+        let Some(levels) = resolve_literal_nest(assoc, d.associated_loops()) else {
             return;
         };
         let pragma = d.pragma_text();
@@ -270,23 +270,13 @@ impl RaceVisitor<'_> {
         }
         let mut reductions: BTreeSet<DeclId> = BTreeSet::new();
         for c in &d.clauses {
-            match &c.kind {
-                OMPClauseKind::Private(vs) | OMPClauseKind::FirstPrivate(vs) => {
-                    for v in vs {
-                        if let Some(vd) = v.as_decl_ref() {
-                            privates.insert(vd.id);
-                        }
-                    }
-                }
-                OMPClauseKind::Reduction { vars, .. } => {
-                    for v in vars {
-                        if let Some(vd) = v.as_decl_ref() {
-                            reductions.insert(vd.id);
-                        }
-                    }
-                }
-                _ => {}
-            }
+            let set = match c.kind {
+                OMPClauseKind::Private | OMPClauseKind::FirstPrivate => &mut privates,
+                OMPClauseKind::Reduction => &mut reductions,
+                _ => continue,
+            };
+            let vars = c.args.iter().filter_map(|v| v.as_decl_ref());
+            set.extend(vars.map(|vd| vd.id));
         }
 
         let mut col = Collector {

@@ -11,7 +11,7 @@
 
 use crate::decl::{Decl, FunctionDecl, TranslationUnit, VarDecl, VarKind};
 use crate::expr::{Expr, ExprKind, UnOp};
-use crate::omp::{OMPClause, OMPClauseKind, OMPDirective};
+use crate::omp::{ClauseModifier, OMPClause, OMPDirective};
 use crate::stmt::{Attr, CapturedStmt, Stmt, StmtKind};
 use crate::P;
 
@@ -307,46 +307,13 @@ fn omp_directive_node(d: &P<OMPDirective>, opts: DumpOptions) -> DumpNode {
 }
 
 fn clause_node(c: &P<OMPClause>, opts: DumpOptions) -> DumpNode {
-    let mut ch = Vec::new();
-    match &c.kind {
-        OMPClauseKind::Schedule { kind, chunk } => {
-            let label = format!("OMPScheduleClause {}", kind.name());
-            if let Some(e) = chunk {
-                ch.push(expr_node(e, opts));
-            }
-            return DumpNode::new(label, ch);
-        }
-        OMPClauseKind::Collapse(e)
-        | OMPClauseKind::NumThreads(e)
-        | OMPClauseKind::Grainsize(e)
-        | OMPClauseKind::Safelen(e)
-        | OMPClauseKind::Simdlen(e) => {
-            ch.push(expr_node(e, opts));
-        }
-        OMPClauseKind::Partial(f) => {
-            if let Some(e) = f {
-                ch.push(expr_node(e, opts));
-            }
-        }
-        OMPClauseKind::Sizes(es)
-        | OMPClauseKind::Permutation(es)
-        | OMPClauseKind::Private(es)
-        | OMPClauseKind::FirstPrivate(es)
-        | OMPClauseKind::Shared(es) => {
-            for e in es {
-                ch.push(expr_node(e, opts));
-            }
-        }
-        OMPClauseKind::Reduction { op, vars } => {
-            let mut ch = Vec::new();
-            for e in vars {
-                ch.push(expr_node(e, opts));
-            }
-            return DumpNode::new(format!("OMPReductionClause '{}'", op.name()), ch);
-        }
-        OMPClauseKind::Full | OMPClauseKind::Nowait => {}
-    }
-    DumpNode::new(c.kind.class_name(), ch)
+    let class = c.kind.class_name();
+    let label = match c.modifier {
+        ClauseModifier::None => class.to_string(),
+        ClauseModifier::Schedule(kind) => format!("{class} {}", kind.name()),
+        ClauseModifier::Reduction(op) => format!("{class} '{}'", op.name()),
+    };
+    DumpNode::new(label, c.args.iter().map(|e| expr_node(e, opts)).collect())
 }
 
 #[allow(clippy::only_used_in_recursion)] // `opts` mirrors stmt_node's signature
@@ -504,7 +471,8 @@ mod tests {
         let mut dir = OMPDirective::new(
             OMPDirectiveKind::Unroll,
             vec![OMPClause::new(
-                OMPClauseKind::Partial(None),
+                OMPClauseKind::Partial,
+                vec![],
                 SourceLocation::INVALID,
             )],
             Some(assoc),

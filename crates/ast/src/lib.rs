@@ -24,6 +24,7 @@ pub mod context;
 pub mod decl;
 pub mod dump;
 pub mod expr;
+pub mod nest;
 pub mod omp;
 pub mod printer;
 pub mod stats;
@@ -37,9 +38,11 @@ pub use decl::{
 };
 pub use dump::{dump_stmt, dump_transformed_only, dump_translation_unit, DumpOptions};
 pub use expr::{BinOp, CastKind, Expr, ExprKind, UnOp, ValueCategory};
+pub use nest::{loop_level, loop_nest, NestLevel, NestRefusal};
 pub use omp::{
-    LoopDirectiveHelpers, OMPCanonicalLoop, OMPClause, OMPClauseKind, OMPDirective,
-    OMPDirectiveKind, PerLoopHelpers, ReductionOp, ScheduleKind,
+    ArgShape, BadPermutation, ClauseModifier, LoopAssociation, LoopDirectiveHelpers,
+    OMPCanonicalLoop, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind, PerLoopHelpers,
+    ReductionOp, ScheduleKind,
 };
 pub use printer::{print_expr, print_stmt, print_translation_unit};
 pub use stats::{stmt_stats, NodeStats};

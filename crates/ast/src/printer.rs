@@ -438,7 +438,8 @@ mod tests {
         let d = OMPDirective::new(
             OMPDirectiveKind::Unroll,
             vec![OMPClause::new(
-                OMPClauseKind::Partial(Some(ctx.int_lit(4, ctx.int(), loc))),
+                OMPClauseKind::Partial,
+                vec![ctx.int_lit(4, ctx.int(), loc)],
                 loc,
             )],
             Some(lp),

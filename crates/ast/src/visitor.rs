@@ -14,7 +14,7 @@
 
 use crate::decl::Decl;
 use crate::expr::{Expr, ExprKind};
-use crate::omp::{OMPClause, OMPClauseKind, OMPDirective};
+use crate::omp::{OMPClause, OMPDirective};
 use crate::stmt::{CapturedStmt, Stmt, StmtKind};
 use crate::P;
 
@@ -176,32 +176,15 @@ pub fn walk_clauses<V: OMPClauseVisitor + ?Sized>(v: &mut V, d: &OMPDirective) {
 }
 
 /// The argument expressions of a clause (for expression-level analyses).
-pub fn clause_exprs(c: &OMPClause) -> Vec<&P<Expr>> {
-    match &c.kind {
-        OMPClauseKind::Schedule { chunk, .. } => chunk.iter().collect(),
-        OMPClauseKind::Collapse(e)
-        | OMPClauseKind::NumThreads(e)
-        | OMPClauseKind::Grainsize(e)
-        | OMPClauseKind::Safelen(e)
-        | OMPClauseKind::Simdlen(e) => {
-            vec![e]
-        }
-        OMPClauseKind::Partial(f) => f.iter().collect(),
-        OMPClauseKind::Sizes(es)
-        | OMPClauseKind::Permutation(es)
-        | OMPClauseKind::Private(es)
-        | OMPClauseKind::FirstPrivate(es)
-        | OMPClauseKind::Shared(es) => es.iter().collect(),
-        OMPClauseKind::Reduction { vars, .. } => vars.iter().collect(),
-        OMPClauseKind::Full | OMPClauseKind::Nowait => Vec::new(),
-    }
+pub fn clause_exprs(c: &OMPClause) -> &[P<Expr>] {
+    &c.args
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::ASTContext;
-    use crate::omp::OMPDirectiveKind;
+    use crate::omp::{OMPClauseKind, OMPDirectiveKind};
     use omplt_source::SourceLocation;
 
     /// Counts statements and expressions seen.
@@ -296,14 +279,15 @@ mod tests {
         let ctx = ASTContext::new();
         let loc = SourceLocation::INVALID;
         let c = OMPClause::new(
-            OMPClauseKind::Sizes(vec![
+            OMPClauseKind::Sizes,
+            vec![
                 ctx.int_lit(4, ctx.int(), loc),
                 ctx.int_lit(8, ctx.int(), loc),
-            ]),
+            ],
             loc,
         );
         assert_eq!(clause_exprs(&c).len(), 2);
-        let full = OMPClause::new(OMPClauseKind::Full, loc);
+        let full = OMPClause::new(OMPClauseKind::Full, vec![], loc);
         assert!(clause_exprs(&full).is_empty());
     }
 }

@@ -7,8 +7,8 @@
 
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{
-    DeclId, OMPClauseKind, OMPDirective, OMPDirectiveKind, ReductionOp, ScheduleKind, Stmt,
-    StmtKind, P,
+    loop_level, loop_nest, ClauseModifier, DeclId, NestLevel, OMPClauseKind, OMPDirective,
+    OMPDirectiveKind, ReductionOp, ScheduleKind, Stmt, StmtKind, P,
 };
 use omplt_ir::{Function, IrType, LoopMetadata, UnrollHint, Value};
 
@@ -35,28 +35,23 @@ impl FnCodegen<'_, '_> {
             OMPDirectiveKind::Simd => self.emit_logical_loop(d, LoopFlavor::Simd),
             OMPDirectiveKind::Taskloop => self.emit_logical_loop(d, LoopFlavor::Taskloop),
             OMPDirectiveKind::Unroll => self.emit_unroll_classic(d),
+            // "If encountering a non-associated tile construct, CodeGen
+            // will simply emit the transformed AST in its place" (§2.2).
+            // Interchange/reverse/fuse follow the same rule; an illegal
+            // use is rejected by the dependence analysis, never lowered
+            // differently here.
             OMPDirectiveKind::Tile
             | OMPDirectiveKind::Interchange
             | OMPDirectiveKind::Reverse
-            | OMPDirectiveKind::Fuse => {
-                // "If encountering a non-associated tile construct, CodeGen
-                // will simply emit the transformed AST in its place" (§2.2).
-                // Interchange/reverse/fuse follow the same rule; an illegal
-                // use is rejected by the dependence analysis, never lowered
-                // differently here.
-                match d.get_transformed_stmt() {
-                    Some(t) => {
-                        let t = P::clone(t);
-                        self.emit_stmt(&t);
-                    }
-                    None => {
-                        if let Some(a) = &d.associated {
-                            let a = P::clone(a);
-                            self.emit_stmt(&a);
-                        }
-                    }
-                }
-            }
+            | OMPDirectiveKind::Fuse => self.emit_transformed_or_associated(d),
+        }
+    }
+
+    /// Emits the directive's shadow AST in its place — or, when Sema built
+    /// none (the nest was already diagnosed), the associated statement.
+    pub(crate) fn emit_transformed_or_associated(&mut self, d: &P<OMPDirective>) {
+        if let Some(s) = d.get_transformed_stmt().or(d.associated.as_ref()) {
+            self.emit_stmt(&P::clone(s));
         }
     }
 
@@ -65,29 +60,28 @@ impl FnCodegen<'_, '_> {
     /// `llvm.loop.unroll.*` metadata to the loop without even tiling the
     /// loop beforehand" (§2.2).
     fn emit_unroll_classic(&mut self, d: &P<OMPDirective>) {
-        let md = if d.has_full_clause() {
-            LoopMetadata::unroll(UnrollHint::Full)
-        } else if let Some(f) = d.partial_clause() {
-            let factor = f
-                .and_then(|e| e.eval_const_int())
-                .map_or(2, |v| v.max(1) as u64);
-            LoopMetadata::unroll(UnrollHint::Count(factor))
+        let md = LoopMetadata::unroll(if d.clause(OMPClauseKind::Full).is_some() {
+            UnrollHint::Full
+        } else if let Some(factor) = d.partial_factor() {
+            UnrollHint::Count(factor)
         } else {
             // Heuristic mode: the pass chooses.
-            LoopMetadata::unroll(UnrollHint::Enable)
-        };
+            UnrollHint::Enable
+        });
         // Resolve the associated loop, looking through wrappers and inner
         // transformation directives.
         let Some(assoc) = d.associated.clone() else {
             return;
         };
-        let (prologue, lp) = resolve_loop(&assoc);
-        for p in &prologue {
+        let Ok(level) = loop_level(&assoc) else {
+            return self.emit_stmt(&assoc);
+        };
+        for p in level.hoisted() {
             self.emit_stmt(p);
         }
-        match &lp.kind {
-            StmtKind::For { .. } => self.emit_for(&lp, Some(md)),
-            _ => self.emit_stmt(&lp),
+        match &level.loop_stmt.kind {
+            StmtKind::For { .. } => self.emit_for(&level.loop_stmt, Some(md)),
+            _ => self.emit_stmt(&level.loop_stmt),
         }
     }
 
@@ -111,14 +105,9 @@ impl FnCodegen<'_, '_> {
 
         // num_threads clause is evaluated in the caller, before the fork.
         let num_threads = d
-            .find_clause(|k| matches!(k, OMPClauseKind::NumThreads(_)))
-            .map(|c| match &c.kind {
-                OMPClauseKind::NumThreads(e) => {
-                    let e = P::clone(e);
-                    self.emit_rvalue(&e)
-                }
-                _ => unreachable!(),
-            });
+            .clause(OMPClauseKind::NumThreads)
+            .and_then(|c| c.args.first().cloned())
+            .map(|e| self.emit_rvalue(&e));
 
         // Build the outlined function:
         // void name(i32 gtid, i32 btid, ptr cap0, …)
@@ -221,10 +210,10 @@ impl FnCodegen<'_, '_> {
             // No helpers (e.g. malformed loop already diagnosed).
             return;
         };
-        let Some((prologues, body)) = self.collect_nest_for_codegen(d) else {
+        let Some((prologues, body)) = associated_nest(d) else {
             return;
         };
-        let (sched, chunk) = schedule_of(d);
+        let (sched, chunk) = d.schedule();
         // `auto` is implementation-defined; we pick static. Everything else
         // non-static is served by the dispatch runtime.
         let dispatch = matches!(
@@ -286,10 +275,9 @@ impl FnCodegen<'_, '_> {
         let plb = self.bindings[&h.lower_bound.id].addr;
         let pub_ = self.bindings[&h.upper_bound.id].addr;
         let pstride = self.bindings[&h.stride.id].addr;
-        let chunk_v = match &chunk {
+        let chunk_v = match chunk {
             Some(e) => {
-                let e = P::clone(e);
-                let v = self.emit_rvalue(&e);
+                let v = self.emit_rvalue(&P::clone(e));
                 self.with_builder(|b| b.int_resize(v, IrType::I64, true))
             }
             // Dispatch defaults: chunk 1 for dynamic/guided; runtime gets
@@ -301,7 +289,10 @@ impl FnCodegen<'_, '_> {
         // Composite `for simd` / `parallel for simd`: mark the inner chunk
         // loop vectorizable — chunks distribute across the team, lanes run
         // within each thread's chunk.
-        let simd_md = simd_metadata(d);
+        let simd_md = d
+            .kind
+            .has_simd()
+            .then(|| simd_metadata(d, LoopMetadata::default()));
         if dispatch {
             self.emit_dispatch_workshare(
                 &h, &body, gtid, last, chunk_v, sched, plast, plb, pub_, pstride, simd_md,
@@ -327,10 +318,7 @@ impl FnCodegen<'_, '_> {
 
         // Implicit end-of-construct barrier (outside the precondition guard
         // so every team member reaches it), elided by `nowait`.
-        let nowait = d
-            .find_clause(|k| matches!(k, OMPClauseKind::Nowait))
-            .is_some();
-        if !nowait {
+        if d.clause(OMPClauseKind::Nowait).is_none() {
             let barrier_fn =
                 self.module
                     .declare_extern("__kmpc_barrier", vec![IrType::I32], IrType::Void);
@@ -589,7 +577,7 @@ impl FnCodegen<'_, '_> {
         let Some(h) = d.loop_helpers.clone() else {
             return;
         };
-        let Some((prologues, body)) = self.collect_nest_for_codegen(d) else {
+        let Some((prologues, body)) = associated_nest(d) else {
             return;
         };
         let saved = self.apply_data_sharing(d);
@@ -641,46 +629,13 @@ impl FnCodegen<'_, '_> {
         self.branch_if_open(inc_bb);
         self.cur = inc_bb;
         self.emit_rvalue(&h.inc);
-        let md = if flavor == LoopFlavor::Simd {
-            simd_metadata(d).unwrap_or_default()
-        } else {
-            LoopMetadata::default()
+        let md = match flavor {
+            LoopFlavor::Simd => simd_metadata(d, LoopMetadata::default()),
+            LoopFlavor::Taskloop => LoopMetadata::default(),
         };
         self.with_builder(|b| b.br_with_md(cond_bb, md));
         self.cur = end;
         self.restore_data_sharing(d, saved);
-    }
-
-    /// Re-resolves the associated loop nest for codegen: returns the
-    /// prologue statements of consumed transformed ASTs plus the innermost
-    /// body. The helper bundle's expressions refer to the same loops, so
-    /// only structure is needed here, not re-analysis.
-    pub(crate) fn collect_nest_for_codegen(
-        &mut self,
-        d: &P<OMPDirective>,
-    ) -> Option<(Vec<P<Stmt>>, P<Stmt>)> {
-        let assoc = d.associated.as_ref()?;
-        let start = match &assoc.kind {
-            StmtKind::Captured(cs) => P::clone(&cs.decl.body),
-            _ => P::clone(assoc),
-        };
-        let depth = d.collapse_depth();
-        let mut prologues = Vec::new();
-        let mut cur = start;
-        for _ in 0..depth {
-            let (pro, lp) = resolve_loop(&cur);
-            prologues.extend(pro);
-            match &lp.kind {
-                StmtKind::For { body, .. } => {
-                    cur = P::clone(body);
-                }
-                StmtKind::CxxForRange(dd) => {
-                    cur = P::clone(&dd.body);
-                }
-                _ => return Some((prologues, lp)),
-            }
-        }
-        Some((prologues, cur))
     }
 
     // ---------------- data-sharing clauses ----------------
@@ -694,10 +649,10 @@ impl FnCodegen<'_, '_> {
         let mut saved = Vec::new();
         let clauses = d.clauses.clone();
         for c in &clauses {
-            match &c.kind {
-                OMPClauseKind::Private(vars) | OMPClauseKind::FirstPrivate(vars) => {
-                    let first = matches!(c.kind, OMPClauseKind::FirstPrivate(_));
-                    for ve in vars {
+            match (c.kind, c.modifier) {
+                (OMPClauseKind::Private | OMPClauseKind::FirstPrivate, _) => {
+                    let first = c.kind == OMPClauseKind::FirstPrivate;
+                    for ve in &c.args {
                         let Some(v) = ve.as_decl_ref() else { continue };
                         let v = P::clone(v);
                         let old = self.bindings.get(&v.id).copied();
@@ -718,8 +673,8 @@ impl FnCodegen<'_, '_> {
                         saved.push((v.id, old, None));
                     }
                 }
-                OMPClauseKind::Reduction { op, vars } => {
-                    for ve in vars {
+                (OMPClauseKind::Reduction, ClauseModifier::Reduction(op)) => {
+                    for ve in &c.args {
                         let Some(v) = ve.as_decl_ref() else { continue };
                         let v = P::clone(v);
                         let old = self.bindings.get(&v.id).copied();
@@ -771,10 +726,10 @@ impl FnCodegen<'_, '_> {
         // Find the reduction ops again (for the combine).
         let mut red_op = std::collections::HashMap::new();
         for c in &d.clauses {
-            if let OMPClauseKind::Reduction { op, vars } = &c.kind {
-                for ve in vars {
+            if let ClauseModifier::Reduction(op) = c.modifier {
+                for ve in &c.args {
                     if let Some(v) = ve.as_decl_ref() {
-                        red_op.insert(v.id, (*op, P::clone(&v.ty)));
+                        red_op.insert(v.id, (op, P::clone(&v.ty)));
                     }
                 }
             }
@@ -834,57 +789,29 @@ enum LoopFlavor {
     Taskloop,
 }
 
-/// Resolves wrappers down to the loop statement, collecting transformed-AST
-/// prologues — the codegen-side mirror of Sema's `resolve_level`.
-pub(crate) fn resolve_loop(stmt: &P<Stmt>) -> (Vec<P<Stmt>>, P<Stmt>) {
-    let mut prologue = Vec::new();
-    let mut cur = P::clone(stmt);
-    loop {
-        let next = match &cur.kind {
-            StmtKind::OMP(d) if d.kind.is_loop_transformation() => match d.get_transformed_stmt() {
-                Some(t) => P::clone(t),
-                None => return (prologue, cur),
-            },
-            StmtKind::OMPCanonicalLoop(cl) => P::clone(&cl.loop_stmt),
-            // Delegate to Sema's splitter so the two sides can never
-            // disagree about which `{ decls…; loop }` shapes (including
-            // nested blocks spliced from stacked transformations) count
-            // as a prologue.
-            StmtKind::Compound(_) => match omplt_sema::transform::split_prologue(&cur) {
-                Some((pro, lp)) => {
-                    prologue.extend(pro);
-                    lp
-                }
-                None => return (prologue, cur),
-            },
-            _ => return (prologue, cur),
-        };
-        cur = next;
-    }
+/// The associated nest as codegen needs it: everything to run before the
+/// loops (prologues of consumed transformed ASTs, hoisted declarations) and
+/// the innermost body. The helper bundle's expressions refer to the same
+/// loops, so only structure is needed here, not re-analysis.
+fn associated_nest(d: &OMPDirective) -> Option<(Vec<P<Stmt>>, P<Stmt>)> {
+    let levels = loop_nest(d.associated.as_ref()?, d.associated_loops()).ok()?;
+    let body = P::clone(levels.last()?.body());
+    let hoisted = levels.iter().flat_map(NestLevel::hoisted).cloned();
+    Some((hoisted.collect(), body))
 }
 
 /// The loop metadata a `simd`-bearing directive hangs on its (innermost)
-/// latch: `vectorize.enable` plus the clause-supplied `safelen`/`simdlen`
-/// caps the widening pass must honor. `None` for non-simd directives.
-fn simd_metadata(d: &P<OMPDirective>) -> Option<LoopMetadata> {
-    if !d.kind.has_simd() {
-        return None;
-    }
-    let clamp = |v: u64| u8::try_from(v).unwrap_or(u8::MAX);
-    Some(LoopMetadata {
+/// latch: `base` plus `vectorize.enable` and the clause-supplied
+/// `safelen`/`simdlen` caps the widening pass must honor.
+pub(crate) fn simd_metadata(d: &OMPDirective, base: LoopMetadata) -> LoopMetadata {
+    let cap = |kind| {
+        d.clause_value(kind)
+            .map_or(0, |v| u8::try_from(v).unwrap_or(u8::MAX))
+    };
+    LoopMetadata {
         vectorize_enable: true,
-        safelen: d.safelen_value().map_or(0, clamp),
-        simdlen: d.simdlen_value().map_or(0, clamp),
-        ..Default::default()
-    })
-}
-
-/// Extracts the schedule clause (kind + chunk).
-fn schedule_of(d: &P<OMPDirective>) -> (ScheduleKind, Option<P<omplt_ast::Expr>>) {
-    for c in &d.clauses {
-        if let OMPClauseKind::Schedule { kind, chunk } = &c.kind {
-            return (*kind, chunk.clone());
-        }
+        safelen: cap(OMPClauseKind::Safelen),
+        simdlen: cap(OMPClauseKind::Simdlen),
+        ..base
     }
-    (ScheduleKind::Static, None)
 }

@@ -9,6 +9,7 @@
 //! than one loop"): multi-loop `tile`/`collapse` fall back to the classic
 //! shadow-AST emission, which Sema still provides.
 
+use crate::cg_omp_classic::simd_metadata;
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{
     CaptureKind, OMPCanonicalLoop, OMPClauseKind, OMPDirective, OMPDirectiveKind, ScheduleKind,
@@ -47,54 +48,33 @@ impl FnCodegen<'_, '_> {
 
     /// IrBuilder-mode directive dispatch.
     pub(crate) fn emit_omp_irbuilder(&mut self, d: &P<OMPDirective>) {
+        let Some(assoc) = d.associated.clone() else {
+            return;
+        };
         match d.kind {
             // `parallel` outlining is shared with the classic path — the
             // paper notes IR-level outlining "may also become unnecessary
             // with further adaption of OpenMPIRBuilder"; like Clang today,
-            // the front-end still outlines.
+            // the front-end still outlines (the worksharing *content*
+            // inside still uses the IrBuilder path, selected by `opts.mode`).
             OMPDirectiveKind::Parallel
             | OMPDirectiveKind::ParallelFor
-            | OMPDirectiveKind::ParallelForSimd => self.emit_omp_classic_parallel_shim(d),
+            | OMPDirectiveKind::ParallelForSimd => self.emit_omp_classic_parallel(d),
             OMPDirectiveKind::For | OMPDirectiveKind::ForSimd => {
-                let Some(assoc) = d.associated.clone() else {
-                    return;
-                };
-                let body = match &assoc.kind {
-                    StmtKind::Captured(cs) => P::clone(&cs.decl.body),
-                    _ => assoc,
-                };
-                self.emit_workshare_irbuilder(d, &body);
+                self.emit_workshare_irbuilder(d, &assoc)
             }
             OMPDirectiveKind::Simd => {
-                let Some(assoc) = d.associated.clone() else {
-                    return;
-                };
-                let assoc = match &assoc.kind {
-                    StmtKind::Captured(cs) => P::clone(&cs.decl.body),
-                    _ => assoc,
-                };
                 if let Some(cli) = self.emit_loop_construct(&assoc) {
-                    let mut md = cli.metadata(&self.func).unwrap_or_default();
-                    md.vectorize_enable = true;
-                    let clamp = |v: u64| u8::try_from(v).unwrap_or(u8::MAX);
-                    md.safelen = d.safelen_value().map_or(0, clamp);
-                    md.simdlen = d.simdlen_value().map_or(0, clamp);
+                    let md = simd_metadata(d, cli.metadata(&self.func).unwrap_or_default());
                     cli.set_metadata(&mut self.func, md);
                     self.cur = cli.after;
                 }
             }
             OMPDirectiveKind::Taskloop => {
-                let Some(assoc) = d.associated.clone() else {
-                    return;
-                };
-                let body = match &assoc.kind {
-                    StmtKind::Captured(cs) => P::clone(&cs.decl.body),
-                    _ => assoc,
-                };
                 let task_fn =
                     self.module
                         .declare_extern("__omplt_task_created", vec![], IrType::Void);
-                if let Some(cli) = self.emit_loop_construct(&body) {
+                if let Some(cli) = self.emit_loop_construct(&assoc) {
                     // Account one task per logical iteration: the unroll
                     // factor is observable through this count (paper §2.2).
                     self.func.prepend_inst(
@@ -109,21 +89,15 @@ impl FnCodegen<'_, '_> {
                 }
             }
             OMPDirectiveKind::Unroll => {
-                let Some(assoc) = d.associated.clone() else {
-                    return;
-                };
                 let Some(cli) = self.emit_loop_construct(&assoc) else {
                     return;
                 };
                 self.cur = cli.after;
                 let mut b = omplt_ir::IrBuilder::new(&mut self.func);
                 b.set_insert_point(cli.after);
-                if d.has_full_clause() {
+                if d.clause(OMPClauseKind::Full).is_some() {
                     unroll_loop_full(&mut b, &cli);
-                } else if let Some(f) = d.partial_clause() {
-                    let factor = f
-                        .and_then(|e| e.eval_const_int())
-                        .map_or(2, |v| v.max(1) as u64);
+                } else if let Some(factor) = d.partial_factor() {
                     // Not consumed here → defer entirely to the mid-end.
                     unroll_loop_partial(&mut b, &cli, factor, false);
                 } else {
@@ -131,89 +105,35 @@ impl FnCodegen<'_, '_> {
                 }
                 self.verify_transformed("omp unroll", d.loc, &[cli]);
             }
-            OMPDirectiveKind::Tile => {
-                let sizes: Vec<u64> = d
-                    .sizes_clause()
-                    .map(|es| {
-                        es.iter()
-                            .filter_map(|e| e.eval_const_int())
-                            .map(|v| v.max(1) as u64)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let Some(assoc) = d.associated.clone() else {
-                    return;
-                };
-                if sizes.len() == 1 {
-                    if let Some(cli) = self.emit_loop_construct(&assoc) {
-                        self.cur = cli.after;
-                        let mut b = omplt_ir::IrBuilder::new(&mut self.func);
-                        b.set_insert_point(cli.after);
-                        let tiled =
-                            tile_loops(&mut b, &[cli], &[Value::int(cli.ty, sizes[0] as i64)]);
-                        self.verify_transformed("omp tile", d.loc, &tiled);
-                    }
-                } else {
-                    // Multi-loop nests: fall back to the shadow AST (the
-                    // paper's reported status for the IrBuilder path).
-                    match d.get_transformed_stmt() {
-                        Some(t) => {
-                            let t = P::clone(t);
-                            self.emit_stmt(&t);
-                        }
-                        None => self.emit_stmt(&assoc),
-                    }
+            // A one-loop tile is the same CanonicalLoopInfo operation
+            // whether or not another directive consumes the floor loop.
+            OMPDirectiveKind::Tile if d.associated_loops() == 1 => {
+                if let Some(floor) = self.emit_consumed_tile(d) {
+                    self.cur = floor.after;
                 }
             }
-            OMPDirectiveKind::Reverse => {
-                let Some(assoc) = d.associated.clone() else {
-                    return;
-                };
-                match self.emit_loop_construct(&assoc) {
-                    Some(cli) => {
-                        self.cur = cli.after;
-                        let mut b = omplt_ir::IrBuilder::new(&mut self.func);
-                        b.set_insert_point(cli.after);
-                        let rev = reverse_loop(&mut b, &cli);
-                        self.verify_transformed("omp reverse", d.loc, &[rev]);
-                    }
-                    // The associated statement was not a wrapped literal
-                    // loop (e.g. a nested transformation): emit the shadow
-                    // AST, which Sema always builds for reverse.
-                    None => match d.get_transformed_stmt() {
-                        Some(t) => {
-                            let t = P::clone(t);
-                            self.emit_stmt(&t);
-                        }
-                        None => self.emit_stmt(&assoc),
-                    },
+            OMPDirectiveKind::Reverse => match self.emit_loop_construct(&assoc) {
+                Some(cli) => {
+                    self.cur = cli.after;
+                    let mut b = omplt_ir::IrBuilder::new(&mut self.func);
+                    b.set_insert_point(cli.after);
+                    let rev = reverse_loop(&mut b, &cli);
+                    self.verify_transformed("omp reverse", d.loc, &[rev]);
                 }
-            }
-            OMPDirectiveKind::Interchange | OMPDirectiveKind::Fuse => {
-                // Multi-loop constructs: like multi-size tile, the directive
-                // falls back to the shadow AST (the paper reports "missing
-                // implementations for … loop nests with more than one loop"
-                // on the IrBuilder path). The CanonicalLoopInfo operations
-                // themselves live in omplt-ompirb for nests built directly.
-                let Some(assoc) = d.associated.clone() else {
-                    return;
-                };
-                match d.get_transformed_stmt() {
-                    Some(t) => {
-                        let t = P::clone(t);
-                        self.emit_stmt(&t);
-                    }
-                    None => self.emit_stmt(&assoc),
-                }
+                // The associated statement was not a wrapped literal
+                // loop (e.g. a nested transformation): emit the shadow
+                // AST, which Sema always builds for reverse.
+                None => self.emit_transformed_or_associated(d),
+            },
+            // Multi-loop constructs fall back to the shadow AST (the paper
+            // reports "missing implementations for … loop nests with more
+            // than one loop" on the IrBuilder path). The CanonicalLoopInfo
+            // operations themselves live in omplt-ompirb for nests built
+            // directly.
+            OMPDirectiveKind::Tile | OMPDirectiveKind::Interchange | OMPDirectiveKind::Fuse => {
+                self.emit_transformed_or_associated(d)
             }
         }
-    }
-
-    /// `parallel`/`parallel for` reuse the classic outlining machinery (the
-    /// worksharing *content* inside still uses the IrBuilder path, selected
-    /// by `opts.mode` inside `emit_parallel`).
-    fn emit_omp_classic_parallel_shim(&mut self, d: &P<OMPDirective>) {
-        self.emit_omp_classic_parallel(d);
     }
 
     /// `--verify-each` hook for dispatch worksharing loops, mirroring
@@ -241,18 +161,11 @@ impl FnCodegen<'_, '_> {
     /// `CanonicalLoopInfo`, composing after tile/unroll (paper §3.2).
     pub(crate) fn emit_workshare_irbuilder(&mut self, d: &P<OMPDirective>, body: &P<Stmt>) {
         let saved = self.apply_data_sharing(d);
-        let (sched, chunk_expr) = d
-            .clauses
-            .iter()
-            .find_map(|c| match &c.kind {
-                OMPClauseKind::Schedule { kind, chunk } => Some((*kind, chunk.clone())),
-                _ => None,
-            })
-            .unwrap_or((ScheduleKind::Static, None));
+        let (sched, chunk_expr) = d.schedule();
         // Chunk values must dominate the whole construct — including the
         // dispatch/chunked setup block, which takes over the loop's incoming
         // edges — so evaluate them before emitting the loop.
-        let chunk_v = chunk_expr.map(|e| {
+        let chunk_v = chunk_expr.cloned().map(|e| {
             let v = self.emit_rvalue(&e);
             self.with_builder(|b| b.int_resize(v, IrType::I64, true))
         });
@@ -294,11 +207,7 @@ impl FnCodegen<'_, '_> {
         // transform, `cli` is the per-thread chunk loop — lanes run within
         // each thread's chunk, so the vectorize hint lands there.
         if d.kind.has_simd() {
-            let mut md = cli.metadata(&self.func).unwrap_or_default();
-            md.vectorize_enable = true;
-            let clamp = |v: u64| u8::try_from(v).unwrap_or(u8::MAX);
-            md.safelen = d.safelen_value().map_or(0, clamp);
-            md.simdlen = d.simdlen_value().map_or(0, clamp);
+            let md = simd_metadata(d, cli.metadata(&self.func).unwrap_or_default());
             cli.set_metadata(&mut self.func, md);
         }
         self.verify_transformed("omp for", d.loc, &[cli]);
@@ -307,10 +216,7 @@ impl FnCodegen<'_, '_> {
         }
 
         // Implicit end-of-construct barrier, elided by `nowait`.
-        let nowait = d
-            .find_clause(|k| matches!(k, OMPClauseKind::Nowait))
-            .is_some();
-        if !nowait {
+        if d.clause(OMPClauseKind::Nowait).is_none() {
             let gtid_fn =
                 self.module
                     .declare_extern("__kmpc_global_thread_num", vec![], IrType::I32);
@@ -341,11 +247,15 @@ impl FnCodegen<'_, '_> {
                 let sub = P::clone(sub);
                 self.emit_loop_construct(&sub)
             }
+            StmtKind::Captured(c) => {
+                let body = P::clone(&c.decl.body);
+                self.emit_loop_construct(&body)
+            }
             StmtKind::OMP(d) if d.kind == OMPDirectiveKind::Unroll => {
                 let d = P::clone(d);
                 let assoc = d.associated.clone()?;
                 let inner = self.emit_loop_construct(&assoc)?;
-                if d.has_full_clause() {
+                if d.clause(OMPClauseKind::Full).is_some() {
                     // Sema rejects consumption of full unrolls; degrade by
                     // returning the loop unrolled via metadata.
                     let mut b = omplt_ir::IrBuilder::new(&mut self.func);
@@ -353,10 +263,7 @@ impl FnCodegen<'_, '_> {
                     self.verify_transformed("omp unroll full", d.loc, &[inner]);
                     return Some(inner);
                 }
-                let factor = d
-                    .partial_clause()
-                    .and_then(|f| f.and_then(|e| e.eval_const_int()))
-                    .map_or(2, |v| v.max(1) as u64);
+                let factor = d.partial_factor().unwrap_or(2);
                 let mut b = omplt_ir::IrBuilder::new(&mut self.func);
                 b.set_insert_point(inner.after);
                 // Consumed: a generated loop is required (paper §2.2/§3.2).
@@ -368,44 +275,21 @@ impl FnCodegen<'_, '_> {
             }
             StmtKind::OMP(d) if d.kind == OMPDirectiveKind::Tile => {
                 let d = P::clone(d);
-                let assoc = d.associated.clone()?;
-                let sizes: Vec<u64> = d
-                    .sizes_clause()
-                    .map(|es| {
-                        es.iter()
-                            .filter_map(|e| e.eval_const_int())
-                            .map(|v| v.max(1) as u64)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if sizes.len() != 1 {
+                if d.associated_loops() != 1 {
                     self.diags.warning(
                         d.loc,
                         "consumed multi-loop tile is not supported by the IrBuilder path; using the outer floor loop of a 1-D tiling",
                     );
                 }
-                let inner = self.emit_loop_construct(&assoc)?;
-                let size = *sizes.first().unwrap_or(&4);
-                let mut b = omplt_ir::IrBuilder::new(&mut self.func);
-                b.set_insert_point(inner.after);
-                let tiled = tile_loops(&mut b, &[inner], &[Value::int(inner.ty, size as i64)]);
-                self.verify_transformed("omp tile", d.loc, &tiled);
-                tiled.first().copied()
+                self.emit_consumed_tile(&d)
             }
+            // Interchange / reverse / fuse consumed by an outer directive:
+            // Sema wrapped the trailing loop of the shadow AST in
+            // `OMPCanonicalLoop`, so the generated loop is reached by
+            // emitting the compound's prologue and recursing into its tail.
             StmtKind::OMP(d) if d.kind.is_loop_transformation() => {
-                // Interchange / reverse / fuse consumed by an outer
-                // directive: Sema wrapped the trailing loop of the shadow
-                // AST in `OMPCanonicalLoop`, so the generated loop is
-                // reached by emitting the compound's prologue and recursing
-                // into its tail.
-                let d = P::clone(d);
-                match d.get_transformed_stmt() {
-                    Some(t) => {
-                        let t = P::clone(t);
-                        self.emit_loop_construct(&t)
-                    }
-                    None => None,
-                }
+                let t = d.get_transformed_stmt().cloned()?;
+                self.emit_loop_construct(&t)
             }
             StmtKind::Compound(stmts) if !stmts.is_empty() => {
                 // A transformed shadow compound (or a `{ decls…; loop }`
@@ -422,6 +306,19 @@ impl FnCodegen<'_, '_> {
             // directive stack was malformed): nothing to hand back.
             _ => None,
         }
+    }
+
+    /// Tiles the loop under `tile` by its first size and returns the floor
+    /// loop's handle.
+    fn emit_consumed_tile(&mut self, d: &P<OMPDirective>) -> Option<CanonicalLoopInfo> {
+        let assoc = d.associated.clone()?;
+        let inner = self.emit_loop_construct(&assoc)?;
+        let size = d.sizes().and_then(|s| s.first().copied()).unwrap_or(4);
+        let mut b = omplt_ir::IrBuilder::new(&mut self.func);
+        b.set_insert_point(inner.after);
+        let tiled = tile_loops(&mut b, &[inner], &[Value::int(inner.ty, size as i64)]);
+        self.verify_transformed("omp tile", d.loc, &tiled);
+        tiled.first().copied()
     }
 
     /// Emits one `OMPCanonicalLoop`: the paper's §3.2 CodeGen sequence.

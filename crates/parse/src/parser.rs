@@ -36,11 +36,16 @@ impl<'s, 'a> Parser<'s, 'a> {
     // ---------------- token plumbing ----------------
 
     pub(crate) fn peek(&self) -> &Token {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
+        self.peek_nth(0)
     }
 
     fn peek2(&self) -> &Token {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)]
+        self.peek_nth(1)
+    }
+
+    /// The token `n` positions ahead (the trailing `Eof` repeats).
+    pub(crate) fn peek_nth(&self, n: usize) -> &Token {
+        &self.toks[(self.pos + n).min(self.toks.len() - 1)]
     }
 
     pub(crate) fn next(&mut self) -> Token {

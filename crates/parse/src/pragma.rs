@@ -1,11 +1,15 @@
 //! Parsing of `#pragma omp` directives, arriving between the
 //! `PragmaOmpStart`/`PragmaOmpEnd` annotation tokens. Directive and clause
 //! names are *contextual* keywords (plain identifiers — except `for`, which
-//! is the base-language keyword).
+//! is the base-language keyword); both are looked up in `omplt-ast`'s
+//! catalog, and a clause's arguments are parsed by its row's shape.
 
 use crate::parser::Parser;
-use omplt_ast::{OMPClause, OMPClauseKind, OMPDirectiveKind, ReductionOp, ScheduleKind, Stmt, P};
-use omplt_lex::{Keyword, Punct, TokenKind};
+use omplt_ast::{
+    ArgShape, ClauseModifier, Expr, OMPClause, OMPClauseKind, OMPDirectiveKind, ReductionOp,
+    ScheduleKind, Stmt, P,
+};
+use omplt_lex::{Punct, TokenKind};
 
 /// Parses one OpenMP directive (pragma line + associated statement).
 pub fn parse_omp_directive(p: &mut Parser<'_, '_>) -> P<Stmt> {
@@ -50,74 +54,24 @@ pub fn parse_omp_directive(p: &mut Parser<'_, '_>) -> P<Stmt> {
         .act_on_omp_directive(kind, clauses, Some(associated), loc)
 }
 
-fn parse_directive_name(p: &mut Parser<'_, '_>) -> Option<OMPDirectiveKind> {
-    // `parallel [for]`, `for`, `simd`, `taskloop`, `unroll`, `tile`,
-    // `interchange`, `reverse`, `fuse`
-    match &p.peek().kind {
-        TokenKind::Kw(Keyword::For) => {
-            p.next();
-            if eat_simd(p) {
-                Some(OMPDirectiveKind::ForSimd)
-            } else {
-                Some(OMPDirectiveKind::For)
-            }
-        }
-        TokenKind::Ident(name) => match name.as_str() {
-            "parallel" => {
-                p.next();
-                if p.peek().kind.is_kw(Keyword::For) {
-                    p.next();
-                    if eat_simd(p) {
-                        Some(OMPDirectiveKind::ParallelForSimd)
-                    } else {
-                        Some(OMPDirectiveKind::ParallelFor)
-                    }
-                } else {
-                    Some(OMPDirectiveKind::Parallel)
-                }
-            }
-            "simd" => {
-                p.next();
-                Some(OMPDirectiveKind::Simd)
-            }
-            "taskloop" => {
-                p.next();
-                Some(OMPDirectiveKind::Taskloop)
-            }
-            "unroll" => {
-                p.next();
-                Some(OMPDirectiveKind::Unroll)
-            }
-            "tile" => {
-                p.next();
-                Some(OMPDirectiveKind::Tile)
-            }
-            "interchange" => {
-                p.next();
-                Some(OMPDirectiveKind::Interchange)
-            }
-            "reverse" => {
-                p.next();
-                Some(OMPDirectiveKind::Reverse)
-            }
-            "fuse" => {
-                p.next();
-                Some(OMPDirectiveKind::Fuse)
-            }
-            _ => None,
-        },
+/// The spelling of a token that can be part of a directive or clause
+/// argument name: an identifier or a base-language keyword.
+fn word(kind: &TokenKind) -> Option<&str> {
+    match kind {
+        TokenKind::Ident(name) => Some(name),
+        TokenKind::Kw(k) => Some(k.as_str()),
         _ => None,
     }
 }
 
-/// Consumes a trailing `simd` composite-construct token if present.
-fn eat_simd(p: &mut Parser<'_, '_>) -> bool {
-    if matches!(&p.peek().kind, TokenKind::Ident(n) if n == "simd") {
+/// Longest match of the upcoming words against the directive catalog.
+fn parse_directive_name(p: &mut Parser<'_, '_>) -> Option<OMPDirectiveKind> {
+    let words: Vec<&str> = (0..).map_while(|i| word(&p.peek_nth(i).kind)).collect();
+    let (kind, n) = OMPDirectiveKind::match_words(&words)?;
+    for _ in 0..n {
         p.next();
-        true
-    } else {
-        false
     }
+    Some(kind)
 }
 
 fn parse_clause(p: &mut Parser<'_, '_>) -> Option<P<OMPClause>> {
@@ -133,206 +87,130 @@ fn parse_clause(p: &mut Parser<'_, '_>) -> Option<P<OMPClause>> {
         }
     };
     p.next();
-    let kind = match name.as_str() {
-        "full" => OMPClauseKind::Full,
-        "nowait" => OMPClauseKind::Nowait,
-        "partial" => {
-            if p.at_punct(Punct::LParen) {
-                p.next();
-                let e = p.parse_assignment_expr();
-                p.expect_punct(Punct::RParen);
-                OMPClauseKind::Partial(Some(wrap_constant(p, e)))
-            } else {
-                OMPClauseKind::Partial(None)
-            }
-        }
-        "sizes" => {
-            p.expect_punct(Punct::LParen);
-            let mut sizes = Vec::new();
-            loop {
-                let e = p.parse_assignment_expr();
-                sizes.push(wrap_constant(p, e));
-                if !p.eat_punct(Punct::Comma) {
-                    break;
-                }
-            }
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::Sizes(sizes)
-        }
-        "permutation" => {
-            p.expect_punct(Punct::LParen);
-            let mut perm = Vec::new();
-            loop {
-                let e = p.parse_assignment_expr();
-                perm.push(wrap_constant(p, e));
-                if !p.eat_punct(Punct::Comma) {
-                    break;
-                }
-            }
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::Permutation(perm)
-        }
-        "collapse" => {
-            p.expect_punct(Punct::LParen);
-            let e = p.parse_assignment_expr();
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::Collapse(wrap_constant(p, e))
-        }
-        "safelen" => {
-            p.expect_punct(Punct::LParen);
-            let e = p.parse_assignment_expr();
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::Safelen(wrap_constant(p, e))
-        }
-        "simdlen" => {
-            p.expect_punct(Punct::LParen);
-            let e = p.parse_assignment_expr();
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::Simdlen(wrap_constant(p, e))
-        }
-        "num_threads" => {
-            p.expect_punct(Punct::LParen);
-            let e = p.parse_assignment_expr();
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::NumThreads(e)
-        }
-        "grainsize" => {
-            p.expect_punct(Punct::LParen);
-            let e = p.parse_assignment_expr();
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::Grainsize(wrap_constant(p, e))
-        }
-        "schedule" => {
-            p.expect_punct(Punct::LParen);
-            let kloc = p.loc();
-            let sk = match &p.next().kind {
-                TokenKind::Ident(s) => match s.as_str() {
-                    "static" => ScheduleKind::Static,
-                    "dynamic" => ScheduleKind::Dynamic,
-                    "guided" => ScheduleKind::Guided,
-                    "auto" => ScheduleKind::Auto,
-                    "runtime" => ScheduleKind::Runtime,
-                    other => {
-                        p.sema
-                            .diags
-                            .error(kloc, format!("unknown schedule kind '{other}'"));
-                        ScheduleKind::Static
-                    }
-                },
-                TokenKind::Kw(Keyword::Auto) => ScheduleKind::Auto,
-                TokenKind::Kw(Keyword::Static) => ScheduleKind::Static,
-                other => {
-                    p.sema
-                        .diags
-                        .error(kloc, format!("expected schedule kind, found {other:?}"));
-                    ScheduleKind::Static
-                }
-            };
-            let chunk = if p.eat_punct(Punct::Comma) {
-                Some(p.parse_assignment_expr())
-            } else {
-                None
-            };
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::Schedule { kind: sk, chunk }
-        }
-        "private" | "firstprivate" | "shared" => {
-            p.expect_punct(Punct::LParen);
-            let mut vars = Vec::new();
-            loop {
-                let vloc = p.loc();
-                match &p.next().kind {
-                    TokenKind::Ident(vn) => vars.push(p.sema.act_on_decl_ref(vn, vloc)),
-                    other => {
-                        p.sema
-                            .diags
-                            .error(vloc, format!("expected variable name, found {other:?}"));
-                    }
-                }
-                if !p.eat_punct(Punct::Comma) {
-                    break;
-                }
-            }
-            p.expect_punct(Punct::RParen);
-            match name.as_str() {
-                "private" => OMPClauseKind::Private(vars),
-                "firstprivate" => OMPClauseKind::FirstPrivate(vars),
-                _ => OMPClauseKind::Shared(vars),
-            }
-        }
-        "reduction" => {
-            p.expect_punct(Punct::LParen);
-            let oloc = p.loc();
-            let op = match &p.next().kind {
-                TokenKind::Punct(Punct::Plus) => ReductionOp::Add,
-                TokenKind::Punct(Punct::Star) => ReductionOp::Mul,
-                TokenKind::Ident(s) if s == "min" => ReductionOp::Min,
-                TokenKind::Ident(s) if s == "max" => ReductionOp::Max,
-                other => {
-                    p.sema
-                        .diags
-                        .error(oloc, format!("unsupported reduction operator {other:?}"));
-                    ReductionOp::Add
-                }
-            };
-            p.expect_punct(Punct::Colon);
-            let mut vars = Vec::new();
-            loop {
-                let vloc = p.loc();
-                match &p.next().kind {
-                    TokenKind::Ident(vn) => vars.push(p.sema.act_on_decl_ref(vn, vloc)),
-                    other => {
-                        p.sema
-                            .diags
-                            .error(vloc, format!("expected variable name, found {other:?}"));
-                    }
-                }
-                if !p.eat_punct(Punct::Comma) {
-                    break;
-                }
-            }
-            p.expect_punct(Punct::RParen);
-            OMPClauseKind::Reduction { op, vars }
-        }
-        other => {
-            p.sema
-                .diags
-                .error(loc, format!("unknown OpenMP clause '{other}'"));
-            // Skip a parenthesized argument if present.
-            if p.eat_punct(Punct::LParen) {
-                let mut depth = 1;
-                while depth > 0
-                    && !matches!(p.peek().kind, TokenKind::Eof | TokenKind::PragmaOmpEnd)
-                {
-                    match &p.next().kind {
-                        TokenKind::Punct(Punct::LParen) => depth += 1,
-                        TokenKind::Punct(Punct::RParen) => depth -= 1,
-                        _ => {}
-                    }
-                }
-            }
-            return None;
-        }
+    let Some(kind) = OMPClauseKind::from_name(&name) else {
+        p.sema
+            .diags
+            .error(loc, format!("unknown OpenMP clause '{name}'"));
+        skip_paren_group(p);
+        return None;
     };
-    Some(OMPClause::new(kind, loc))
+    let mut modifier = ClauseModifier::None;
+    let mut args = Vec::new();
+    match kind.shape() {
+        ArgShape::None => {}
+        ArgShape::OptExpr if !p.at_punct(Punct::LParen) => {}
+        shape @ (ArgShape::OptExpr | ArgShape::Expr | ArgShape::ExprList) => {
+            p.expect_punct(Punct::LParen);
+            loop {
+                args.push(parse_clause_expr(p, kind));
+                if shape != ArgShape::ExprList || !p.eat_punct(Punct::Comma) {
+                    break;
+                }
+            }
+            p.expect_punct(Punct::RParen);
+        }
+        ArgShape::Schedule => {
+            p.expect_punct(Punct::LParen);
+            modifier = ClauseModifier::Schedule(parse_schedule_kind(p));
+            if p.eat_punct(Punct::Comma) {
+                args.push(parse_clause_expr(p, kind));
+            }
+            p.expect_punct(Punct::RParen);
+        }
+        shape @ (ArgShape::VarList | ArgShape::Reduction) => {
+            p.expect_punct(Punct::LParen);
+            if shape == ArgShape::Reduction {
+                modifier = ClauseModifier::Reduction(parse_reduction_op(p));
+                p.expect_punct(Punct::Colon);
+            }
+            loop {
+                let vloc = p.loc();
+                match &p.next().kind {
+                    TokenKind::Ident(vn) => args.push(p.sema.act_on_decl_ref(vn, vloc)),
+                    other => {
+                        p.sema
+                            .diags
+                            .error(vloc, format!("expected variable name, found {other:?}"));
+                    }
+                }
+                if !p.eat_punct(Punct::Comma) {
+                    break;
+                }
+            }
+            p.expect_punct(Punct::RParen);
+        }
+    }
+    Some(P::new(OMPClause {
+        kind,
+        modifier,
+        args,
+        loc,
+    }))
 }
 
-/// Wraps a clause argument in a Sema-evaluated `ConstantExpr` node (Clang
-/// dumps these with a `value: Int n` child — paper Fig.
-/// lst:astdump_shadowast).
-fn wrap_constant(_p: &mut Parser<'_, '_>, e: P<omplt_ast::Expr>) -> P<omplt_ast::Expr> {
+/// One expression argument; clauses whose row says so get it wrapped in a
+/// Sema-evaluated `ConstantExpr` node (Clang dumps these with a
+/// `value: Int n` child — paper Fig. lst:astdump_shadowast).
+fn parse_clause_expr(p: &mut Parser<'_, '_>, kind: OMPClauseKind) -> P<Expr> {
+    let e = p.parse_assignment_expr();
     match e.eval_const_int() {
-        Some(v) => {
-            let ty = P::clone(&e.ty);
-            let loc = e.loc;
-            P::new(omplt_ast::Expr {
-                kind: omplt_ast::ExprKind::ConstantExpr { value: v, sub: e },
+        Some(value) if kind.is_constant() => {
+            let (ty, loc) = (P::clone(&e.ty), e.loc);
+            P::new(Expr {
+                kind: omplt_ast::ExprKind::ConstantExpr { value, sub: e },
                 ty,
                 category: omplt_ast::ValueCategory::RValue,
                 loc,
             })
         }
-        None => e, // non-constant: Sema diagnoses at the use site
+        _ => e, // non-constant: Sema diagnoses at the use site
+    }
+}
+
+fn parse_schedule_kind(p: &mut Parser<'_, '_>) -> ScheduleKind {
+    let loc = p.loc();
+    let tok = p.next().kind;
+    let Some(name) = word(&tok) else {
+        p.sema
+            .diags
+            .error(loc, format!("expected schedule kind, found {tok:?}"));
+        return ScheduleKind::Static;
+    };
+    ScheduleKind::from_name(name).unwrap_or_else(|| {
+        p.sema
+            .diags
+            .error(loc, format!("unknown schedule kind '{name}'"));
+        ScheduleKind::Static
+    })
+}
+
+fn parse_reduction_op(p: &mut Parser<'_, '_>) -> ReductionOp {
+    let loc = p.loc();
+    let tok = p.next().kind;
+    let name = match &tok {
+        TokenKind::Punct(punct) => Some(punct.as_str()),
+        other => word(other),
+    };
+    name.and_then(ReductionOp::from_name).unwrap_or_else(|| {
+        p.sema
+            .diags
+            .error(loc, format!("unsupported reduction operator {tok:?}"));
+        ReductionOp::Add
+    })
+}
+
+/// Skips the parenthesized argument of an unknown clause, if present.
+fn skip_paren_group(p: &mut Parser<'_, '_>) {
+    if !p.eat_punct(Punct::LParen) {
+        return;
+    }
+    let mut depth = 1;
+    while depth > 0 && !matches!(p.peek().kind, TokenKind::Eof | TokenKind::PragmaOmpEnd) {
+        match &p.next().kind {
+            TokenKind::Punct(Punct::LParen) => depth += 1,
+            TokenKind::Punct(Punct::RParen) => depth -= 1,
+            _ => {}
+        }
     }
 }
 

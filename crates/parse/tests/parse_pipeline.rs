@@ -201,8 +201,11 @@ fn preprocessor_macro_feeds_pragma() {
     let StmtKind::OMP(d) = &stmts[0].kind else {
         panic!()
     };
-    match d.partial_clause() {
-        Some(Some(e)) => assert_eq!(e.eval_const_int(), Some(4)),
+    match d
+        .clause(omplt_ast::OMPClauseKind::Partial)
+        .map(|c| &c.args[..])
+    {
+        Some([e]) => assert_eq!(e.eval_const_int(), Some(4)),
         other => panic!("expected partial(4), got {other:?}"),
     }
 }

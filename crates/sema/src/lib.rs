@@ -33,5 +33,5 @@ pub use loop_analysis::{
     analyze_canonical_loop, find_nonrectangular_ref, CanonicalLoopAnalysis, LoopDirection,
 };
 pub use sema::{OpenMpCodegenMode, Sema};
-pub use transform::{count_generated_loops, split_prologue, LoopNestLevel};
+pub use transform::{count_generated_loops, LoopNestLevel};
 pub use tree_transform::TreeTransform;

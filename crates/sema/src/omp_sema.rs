@@ -1,5 +1,6 @@
-//! Sema for OpenMP executable directives: clause validation, loop-nest
-//! collection (looking *through* transformation directives via
+//! Sema for OpenMP executable directives: clause validation against the
+//! catalog rows in `omplt-ast`, loop-nest collection through the shared
+//! walker (which looks *through* transformation directives via
 //! `get_transformed_stmt()` — the shadow-AST composition mechanism),
 //! shadow-AST construction, the classic `OMPLoopDirective` helper bundle,
 //! and `OMPCanonicalLoop` wrapping for the IrBuilder mode.
@@ -9,12 +10,13 @@ use crate::capture::build_omp_captured_stmt;
 use crate::loop_analysis::{analyze_canonical_loop, find_nonrectangular_ref};
 use crate::sema::{OpenMpCodegenMode, Sema};
 use crate::transform::{
-    split_prologue, transform_fuse, transform_interchange, transform_reverse, transform_tile,
+    transform_fuse, transform_interchange, transform_reverse, transform_tile,
     transform_unroll_partial, LoopNestLevel,
 };
 use omplt_ast::{
-    BinOp, Expr, LoopDirectiveHelpers, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind,
-    PerLoopHelpers, ScheduleKind, Stmt, StmtKind, P,
+    loop_level, BadPermutation, BinOp, ClauseModifier, Expr, LoopAssociation, LoopDirectiveHelpers,
+    NestRefusal, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind, PerLoopHelpers,
+    ScheduleKind, Stmt, StmtKind, P,
 };
 use omplt_source::SourceLocation;
 
@@ -37,89 +39,79 @@ impl Sema<'_> {
         let _span = omplt_trace::span_detail("sema.directive", kind.name());
         // Fault site: COUNT selects which directive's analysis panics.
         omplt_fault::panic_if_armed("sema.panic");
-        self.check_clauses(kind, &clauses, loc);
+        let consumer = format!("#pragma omp {}", kind.name());
+        let mut d = OMPDirective::new(kind, clauses, None, loc);
+        self.check_clauses(&d, &consumer);
 
-        let Some(associated) = associated else {
+        let Some(mut associated) = associated else {
             self.diags.error(
                 loc,
-                format!(
-                    "'#pragma omp {}' requires an associated statement",
-                    kind.name()
-                ),
+                format!("'{consumer}' requires an associated statement"),
             );
             return Stmt::new(StmtKind::Null, loc);
         };
 
-        match kind {
-            OMPDirectiveKind::Parallel => {
-                let captured = Stmt::new(
-                    StmtKind::Captured(build_omp_captured_stmt(&self.ctx, associated)),
-                    loc,
-                );
-                let d = OMPDirective::new(kind, clauses, Some(captured), loc);
-                Stmt::new(StmtKind::OMP(P::new(d)), loc)
-            }
-            OMPDirectiveKind::Unroll => self.act_on_unroll(clauses, associated, loc),
-            OMPDirectiveKind::Tile => self.act_on_tile(clauses, associated, loc),
-            OMPDirectiveKind::Interchange => self.act_on_interchange(clauses, associated, loc),
-            OMPDirectiveKind::Reverse => self.act_on_reverse(clauses, associated, loc),
-            OMPDirectiveKind::Fuse => self.act_on_fuse(clauses, associated, loc),
-            OMPDirectiveKind::For
-            | OMPDirectiveKind::ParallelFor
-            | OMPDirectiveKind::Simd
-            | OMPDirectiveKind::ForSimd
-            | OMPDirectiveKind::ParallelForSimd
-            | OMPDirectiveKind::Taskloop => {
-                self.act_on_loop_directive(kind, clauses, associated, loc)
+        if kind.is_loop_transformation() {
+            d.transformed = self.build_transformed(&d, &associated, &consumer);
+        } else if kind.is_loop_directive() {
+            let levels = self.collect_loop_nest(&associated, d.associated_loops(), &consumer);
+            if let (Some(levels), OpenMpCodegenMode::Classic) = (&levels, self.mode) {
+                let helpers = self.build_loop_helpers(levels, loc);
+                omplt_trace::count("sema.shadow.helper_nodes", helpers.node_count() as u64);
+                d.loop_helpers = Some(helpers);
             }
         }
+        // IrBuilder mode additionally wraps the associated literal loop in
+        // the OMPCanonicalLoop meta node (paper §3.1). A loop *sequence* is
+        // not a single canonical loop; the IrBuilder path consumes its
+        // shadow AST (whose tail IS wrapped).
+        if kind.is_loop_based() && kind.loop_association() != LoopAssociation::Sequence {
+            associated = self.maybe_wrap_canonical(associated, &consumer);
+        }
+        // Parallel, worksharing and taskloop regions are outlined →
+        // CapturedStmt (loop transformations must NOT capture; paper §2.1).
+        if kind.captures_associated() {
+            let captured = build_omp_captured_stmt(&self.ctx, associated);
+            associated = Stmt::new(StmtKind::Captured(captured), loc);
+        }
+        d.associated = Some(associated);
+        Stmt::new(StmtKind::OMP(P::new(d)), loc)
     }
 
     // ---------------- clause validation ----------------
 
-    fn check_clauses(
-        &self,
-        kind: OMPDirectiveKind,
-        clauses: &[P<OMPClause>],
-        _loc: SourceLocation,
-    ) {
-        for c in clauses {
-            let ok = match &c.kind {
-                OMPClauseKind::Full | OMPClauseKind::Partial(_) => kind == OMPDirectiveKind::Unroll,
-                OMPClauseKind::Sizes(_) => kind == OMPDirectiveKind::Tile,
-                OMPClauseKind::Permutation(_) => kind == OMPDirectiveKind::Interchange,
-                OMPClauseKind::Schedule { .. } | OMPClauseKind::Nowait => kind.is_worksharing(),
-                OMPClauseKind::NumThreads(_) => kind.is_parallel(),
-                OMPClauseKind::Collapse(_) => kind.is_loop_directive(),
-                OMPClauseKind::Grainsize(_) => kind == OMPDirectiveKind::Taskloop,
-                OMPClauseKind::Safelen(_) | OMPClauseKind::Simdlen(_) => kind.has_simd(),
-                OMPClauseKind::Private(_)
-                | OMPClauseKind::FirstPrivate(_)
-                | OMPClauseKind::Shared(_)
-                | OMPClauseKind::Reduction { .. } => !kind.is_loop_transformation(),
-            };
-            if !ok {
+    /// Checks every clause against its catalog row (accepted on this
+    /// directive, at most once, positive constant arguments) plus the two
+    /// cross-argument rules of `schedule` and `simdlen`/`safelen`.
+    fn check_clauses(&self, d: &OMPDirective, consumer: &str) {
+        for (i, c) in d.clauses.iter().enumerate() {
+            let name = c.kind.name();
+            if !d.kind.accepts(c.kind) {
                 self.diags.error(
                     c.loc,
-                    format!(
-                        "clause '{}' is not valid on '#pragma omp {}'",
-                        c.kind.name(),
-                        kind.name()
-                    ),
+                    format!("clause '{name}' is not valid on '{consumer}'"),
                 );
             }
-            if let OMPClauseKind::Schedule { kind: sk, chunk } = &c.kind {
+            if c.kind.at_most_once() && d.clauses[..i].iter().any(|p| p.kind == c.kind) {
+                self.diags.error(
+                    c.loc,
+                    format!("directive '{consumer}' cannot contain more than one '{name}' clause"),
+                );
+            }
+            if c.kind.must_be_positive() {
+                for e in &c.args {
+                    self.check_positive_const(e, name);
+                }
+            }
+            if let ClauseModifier::Schedule(sk) = c.modifier {
                 // A chunk expression must be a positive integer (OpenMP 5.1
                 // §11.5.3); a compile-time-known violation is an error.
-                if let Some(chunk) = chunk {
-                    if let Some(v) = chunk.eval_const_int() {
-                        if v <= 0 {
-                            self.diags.error(
-                                chunk.loc,
-                                "chunk size of 'schedule' clause must be positive",
-                            );
-                        }
-                    }
+                let chunk = c.args.first();
+                if let Some(chunk) = chunk.filter(|e| e.eval_const_int().is_some_and(|v| v <= 0)) {
+                    self.diags.error(
+                        chunk.loc,
+                        "chunk size of 'schedule' clause must be positive",
+                    );
                 }
                 if matches!(sk, ScheduleKind::Runtime | ScheduleKind::Auto) && chunk.is_some() {
                     self.diags.error(
@@ -128,29 +120,16 @@ impl Sema<'_> {
                     );
                 }
             }
-            if let OMPClauseKind::Safelen(e) | OMPClauseKind::Simdlen(e) = &c.kind {
-                self.positive_const(e, c.kind.name());
-            }
         }
         // OpenMP 5.1 §10.4: `simdlen` must not exceed `safelen` when both
         // are present (a preferred width above the legal distance bound
         // would be unsatisfiable).
-        let const_of = |want: fn(&OMPClauseKind) -> bool| {
-            clauses
-                .iter()
-                .find(|c| want(&c.kind))
-                .and_then(|c| match &c.kind {
-                    OMPClauseKind::Safelen(e) | OMPClauseKind::Simdlen(e) => {
-                        e.eval_const_int().map(|v| (v, c.loc))
-                    }
-                    _ => None,
-                })
-        };
-        if let (Some((safelen, _)), Some((simdlen, loc))) = (
-            const_of(|k| matches!(k, OMPClauseKind::Safelen(_))),
-            const_of(|k| matches!(k, OMPClauseKind::Simdlen(_))),
+        if let (Some(safelen), Some(simdlen)) = (
+            d.clause_value(OMPClauseKind::Safelen),
+            d.clause_value(OMPClauseKind::Simdlen),
         ) {
             if simdlen > safelen {
+                let loc = d.clause(OMPClauseKind::Simdlen).map_or(d.loc, |c| c.loc);
                 self.diags.error(
                     loc,
                     format!("'simdlen({simdlen})' must not be greater than 'safelen({safelen})'"),
@@ -159,103 +138,71 @@ impl Sema<'_> {
         }
     }
 
-    /// Evaluates a clause argument as a positive integer constant.
-    fn positive_const(&self, e: &P<Expr>, what: &str) -> Option<u64> {
-        match e.eval_const_int() {
-            Some(v) if v > 0 => Some(v as u64),
-            Some(_) => {
-                self.diags
-                    .error(e.loc, format!("argument to '{what}' must be positive"));
-                None
-            }
-            None => {
-                self.diags.error(
-                    e.loc,
-                    format!("argument to '{what}' must be a constant expression"),
-                );
-                None
-            }
-        }
+    /// Diagnoses a clause argument that is not a positive integer constant.
+    fn check_positive_const(&self, e: &P<Expr>, what: &str) {
+        let problem = match e.eval_const_int() {
+            Some(v) if v > 0 => return,
+            Some(_) => "positive",
+            None => "a constant expression",
+        };
+        self.diags
+            .error(e.loc, format!("argument to '{what}' must be {problem}"));
     }
 
     // ---------------- loop-nest collection ----------------
 
-    /// Resolves one nest level to `(prologue, loop)`, looking through
-    /// attributes, `OMPCanonicalLoop` wrappers, transformed-AST compounds,
-    /// and — crucially — transformation directives standing in for their
-    /// generated loop (paper §2: `getTransformedStmt()`).
-    fn resolve_level(&self, stmt: &P<Stmt>, consumer: &str) -> Option<(Vec<P<Stmt>>, P<Stmt>)> {
-        let mut prologue = Vec::new();
-        let mut cur = P::clone(stmt);
-        loop {
-            match &cur.kind {
-                StmtKind::OMP(d) if d.kind.is_loop_transformation() => {
-                    match d.get_transformed_stmt() {
-                        Some(t) => {
-                            cur = P::clone(t);
-                        }
-                        None => {
-                            // `unroll full` / heuristic unroll leave no
-                            // generated loop to associate (paper §1.1).
-                            self.diags.error(
-                                d.loc,
-                                format!(
-                                    "'#pragma omp {}' here does not generate a loop that can be associated with '{consumer}'",
-                                    d.kind.name()
-                                ),
-                            );
-                            return None;
-                        }
-                    }
-                }
-                StmtKind::Attributed { sub, .. } => cur = P::clone(sub),
-                StmtKind::OMPCanonicalLoop(cl) => cur = P::clone(&cl.loop_stmt),
-                StmtKind::Compound(_) => match split_prologue(&cur) {
-                    Some((pro, lp)) => {
-                        prologue.extend(pro);
-                        cur = lp;
-                    }
-                    None => {
-                        self.diags.error(
-                            cur.loc,
-                            format!("statement after '{consumer}' must be a for loop"),
-                        );
-                        return None;
-                    }
-                },
-                StmtKind::For { .. } | StmtKind::CxxForRange(_) => {
-                    return Some((prologue, cur));
-                }
-                _ => {
-                    self.diags.error(
-                        cur.loc,
-                        format!("statement after '{consumer}' must be a for loop"),
-                    );
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Collects `depth` perfectly nested canonical loops.
+    /// Collects `depth` nested canonical loops, resolving each level with
+    /// the shared walker and turning its refusals into diagnostics.
+    /// Declarations in front of an inner loop are hoisted with the
+    /// generated prologues (`--analyze` reports the imperfect nest).
     pub fn collect_loop_nest(
         &mut self,
         stmt: &P<Stmt>,
         depth: usize,
         consumer: &str,
     ) -> Option<Vec<LoopNestLevel>> {
-        let mut levels = Vec::with_capacity(depth);
+        let mut levels: Vec<LoopNestLevel> = Vec::with_capacity(depth);
         let mut cur = P::clone(stmt);
         for lvl in 0..depth {
-            let (prologue, lp) = self.resolve_level(&cur, consumer)?;
-            let analysis = analyze_canonical_loop(&self.ctx, self.diags, &lp, consumer)?;
+            let not_a_loop = |at: &P<Stmt>| {
+                self.diags.error(
+                    at.loc,
+                    format!("statement after '{consumer}' must be a for loop"),
+                );
+            };
+            let level = match loop_level(&cur) {
+                Ok(l) => l,
+                Err(NestRefusal::NotALoop(s)) => {
+                    not_a_loop(&s);
+                    return None;
+                }
+                // `unroll full` / heuristic unroll leave no generated loop
+                // to associate (paper §1.1).
+                Err(NestRefusal::NoGeneratedLoop(d)) => {
+                    self.diags.error(
+                        d.loc,
+                        format!(
+                            "'#pragma omp {}' here does not generate a loop that can be associated with '{consumer}'",
+                            d.kind.name()
+                        ),
+                    );
+                    return None;
+                }
+            };
+            let only_decls = |s: &P<Stmt>| matches!(s.kind, StmtKind::Decl(_));
+            if !level.intervening.iter().all(only_decls) {
+                not_a_loop(&cur);
+                return None;
+            }
+            let analysis =
+                analyze_canonical_loop(&self.ctx, self.diags, &level.loop_stmt, consumer)?;
             // Rectangularity (OpenMP 5.1 §4.4.2): bounds of inner loops must
             // be invariant in outer iteration variables — the nest's trip
             // counts are all evaluated before the nest runs, so a dependent
             // bound would read the outer variable out of scope.
             let outer: Vec<_> = levels
                 .iter()
-                .map(|l: &LoopNestLevel| P::clone(&l.analysis.iter_var))
+                .map(|l| P::clone(&l.analysis.iter_var))
                 .collect();
             if let Some((var, ref_loc)) = find_nonrectangular_ref(&analysis, &outer) {
                 self.diags.report_with_notes(
@@ -274,262 +221,138 @@ impl Sema<'_> {
                 );
                 return None;
             }
-            let next = P::clone(&analysis.body);
+            // The next level must be the sole loop of the body.
+            cur = P::clone(&analysis.body);
+            let prologue = level.hoisted().cloned().collect();
             levels.push(LoopNestLevel { prologue, analysis });
-            if lvl + 1 < depth {
-                // The next level must be the sole statement of the body.
-                cur = peel_singleton_compound(&next);
-            }
         }
         Some(levels)
     }
 
+    /// Collects a *loop sequence*: the statements of a block, each
+    /// resolving to one canonical loop (possibly through a nested
+    /// transformation directive standing in for its result).
+    fn collect_loop_sequence(
+        &mut self,
+        d: &OMPDirective,
+        stmt: &P<Stmt>,
+        consumer: &str,
+    ) -> Option<Vec<LoopNestLevel>> {
+        let stmts = match &stmt.kind {
+            StmtKind::Compound(ss) => ss.as_slice(),
+            _ => std::slice::from_ref(stmt),
+        };
+        let mut loops = Vec::with_capacity(stmts.len());
+        for s in stmts {
+            loops.extend(self.collect_loop_nest(s, 1, consumer)?);
+        }
+        if loops.len() < 2 {
+            self.diags.error(
+                d.loc,
+                format!("'{consumer}' requires a sequence of at least two loops"),
+            );
+            return None;
+        }
+        Some(loops)
+    }
+
     // ---------------- transformation directives ----------------
 
-    fn act_on_unroll(
+    /// Builds the shadow AST of a loop transformation — the driver all
+    /// five share: validate the directive's own clauses, collect the nest
+    /// its catalog row associates it with, run its `transform_*`, then
+    /// make the result consumable (IrBuilder tail wrap, prologue re-wrap)
+    /// and count it. `None` means no generated loop stands in for the
+    /// directive: `unroll` without `partial` (paper §2.2 — the shadow AST
+    /// exists exactly when the directive is potentially consumable; it is
+    /// kept in IrBuilder mode too for the consumer-side diagnostics, "for
+    /// the moment we rely on the existing diagnostic", §3.1), or an error
+    /// already reported. Legality against the dependence graph is
+    /// `omplt-analysis`'s job (`--analyze`), not Sema's.
+    fn build_transformed(
         &mut self,
-        clauses: Vec<P<OMPClause>>,
-        associated: P<Stmt>,
-        loc: SourceLocation,
-    ) -> P<Stmt> {
-        let pragma =
-            OMPDirective::new(OMPDirectiveKind::Unroll, clauses.clone(), None, loc).pragma_text();
-        let mut d = OMPDirective::new(OMPDirectiveKind::Unroll, clauses, None, loc);
-
-        let has_full = d.has_full_clause();
-        let partial = d.partial_clause().map(|f| f.cloned());
-        if has_full && partial.is_some() {
+        d: &OMPDirective,
+        associated: &P<Stmt>,
+        consumer: &str,
+    ) -> Option<P<Stmt>> {
+        use OMPDirectiveKind::{Fuse, Interchange, Reverse, Tile, Unroll};
+        let (kind, loc) = (d.kind, d.loc);
+        let full = d.clause(OMPClauseKind::Full).is_some();
+        if full && d.clause(OMPClauseKind::Partial).is_some() {
             self.diags
                 .error(loc, "'full' and 'partial' clauses are mutually exclusive");
         }
-
-        let levels = self.collect_loop_nest(&associated, 1, "#pragma omp unroll");
-        if let Some(levels) = levels {
-            let analysis = &levels[0].analysis;
-            if has_full && analysis.const_trip_count().is_none() {
-                self.diags.error(
-                    loc,
-                    "loop to be fully unrolled must have a constant trip count (is the bound a constant?)",
-                );
-            }
-            // The shadow AST exists exactly when a `partial` clause makes
-            // the directive potentially consumable (paper §2.2); it is kept
-            // in IrBuilder mode too for the consumer-side diagnostics
-            // ("for the moment we rely on the existing diagnostic", §3.1).
-            if let Some(factor_expr) = &partial {
-                let factor = factor_expr
-                    .as_ref()
-                    .and_then(|e| self.positive_const(e, "partial"))
-                    // bare `partial`: "the current implementation uses the
-                    // unroll factor of two" (paper §2.2)
-                    .unwrap_or(2);
-                let transformed = {
-                    let mut sm = self.sm.borrow_mut();
-                    transform_unroll_partial(&self.ctx, &mut sm, analysis, factor, &pragma)
-                };
-                // Prologue of an inner transformed loop must stay in front.
-                let transformed = wrap_with_prologue(&levels[0].prologue, transformed, loc);
-                count_transformed_nodes(&transformed);
-                d.transformed = Some(transformed);
-            }
-        }
-
-        // IrBuilder mode additionally wraps the literal loop (paper §3.1).
-        let associated = self.maybe_wrap_canonical(associated, "#pragma omp unroll");
-        d.associated = Some(associated);
-        Stmt::new(StmtKind::OMP(P::new(d)), loc)
-    }
-
-    fn act_on_tile(
-        &mut self,
-        clauses: Vec<P<OMPClause>>,
-        associated: P<Stmt>,
-        loc: SourceLocation,
-    ) -> P<Stmt> {
-        let pragma =
-            OMPDirective::new(OMPDirectiveKind::Tile, clauses.clone(), None, loc).pragma_text();
-        let mut d = OMPDirective::new(OMPDirectiveKind::Tile, clauses, None, loc);
-        let Some(size_exprs) = d.sizes_clause().map(<[_]>::to_vec) else {
+        if kind == Tile && d.clause(OMPClauseKind::Sizes).is_none() {
             self.diags
-                .error(loc, "'#pragma omp tile' requires a 'sizes' clause");
-            d.associated = Some(associated);
-            return Stmt::new(StmtKind::OMP(P::new(d)), loc);
-        };
-        let sizes: Vec<u64> = size_exprs
-            .iter()
-            .filter_map(|e| self.positive_const(e, "sizes"))
-            .collect();
-        if sizes.len() == size_exprs.len() {
-            if let Some(levels) =
-                self.collect_loop_nest(&associated, sizes.len(), "#pragma omp tile")
-            {
-                let transformed = {
-                    let mut sm = self.sm.borrow_mut();
-                    transform_tile(&self.ctx, &mut sm, &levels, &sizes, &pragma)
-                };
-                // Tile always stands in for its generated nest (it may
-                // always be consumed).
-                count_transformed_nodes(&transformed);
-                d.transformed = Some(transformed);
-            }
+                .error(loc, format!("'{consumer}' requires a 'sizes' clause"));
         }
-        let associated = self.maybe_wrap_canonical(associated, "#pragma omp tile");
-        d.associated = Some(associated);
-        Stmt::new(StmtKind::OMP(P::new(d)), loc)
-    }
-
-    /// `#pragma omp interchange [permutation(σ)]` — swaps (or arbitrarily
-    /// permutes) a perfect loop nest. Like tile, interchange always stands
-    /// in for its generated nest via the shadow AST; legality against the
-    /// dependence graph is checked by `omplt-analysis` (`--analyze`), not
-    /// here — Sema only validates the permutation itself.
-    fn act_on_interchange(
-        &mut self,
-        clauses: Vec<P<OMPClause>>,
-        associated: P<Stmt>,
-        loc: SourceLocation,
-    ) -> P<Stmt> {
-        let pragma = OMPDirective::new(OMPDirectiveKind::Interchange, clauses.clone(), None, loc)
-            .pragma_text();
-        let mut d = OMPDirective::new(OMPDirectiveKind::Interchange, clauses, None, loc);
-
-        // permutation(σ): 1-based loop positions; without the clause the
-        // directive swaps the two outermost loops (OpenMP 6.0 §7.6).
-        let perm: Option<Vec<usize>> = match d.permutation_clause().map(<[_]>::to_vec) {
-            None => Some(vec![1, 0]),
-            Some(es) => {
-                let vals: Vec<u64> = es
-                    .iter()
-                    .filter_map(|e| self.positive_const(e, "permutation"))
-                    .collect();
-                if vals.len() != es.len() {
-                    None
-                } else if vals.len() < 2 {
-                    self.diags
-                        .error(loc, "'permutation' clause must name at least two loops");
-                    None
-                } else {
-                    let n = vals.len();
-                    let mut seen = vec![false; n];
-                    let mut ok = true;
-                    for (e, &v) in es.iter().zip(&vals) {
-                        if v as usize > n || seen[v as usize - 1] {
-                            self.diags.error(
-                                e.loc,
-                                format!("'permutation' arguments must be a permutation of 1..{n}"),
-                            );
-                            ok = false;
-                            break;
-                        }
-                        seen[v as usize - 1] = true;
-                    }
-                    ok.then(|| vals.iter().map(|&v| v as usize - 1).collect())
-                }
-            }
+        // An undecodable list was diagnosed argument by argument.
+        let sizes = if kind == Tile { d.sizes()? } else { Vec::new() };
+        let perm = if kind == Interchange {
+            self.checked_permutation(d)?
+        } else {
+            Vec::new()
         };
 
-        if let Some(perm) = perm {
-            if let Some(levels) =
-                self.collect_loop_nest(&associated, perm.len(), "#pragma omp interchange")
-            {
-                let transformed = {
-                    let mut sm = self.sm.borrow_mut();
-                    transform_interchange(&self.ctx, &mut sm, &levels, &perm, &pragma)
-                };
-                let transformed =
-                    self.wrap_transformed_tail_canonical(transformed, "#pragma omp interchange");
-                count_transformed_nodes(&transformed);
-                omplt_trace::count("sema.transform.interchange", 1);
-                d.transformed = Some(transformed);
-            }
-        }
-        let associated = self.maybe_wrap_canonical(associated, "#pragma omp interchange");
-        d.associated = Some(associated);
-        Stmt::new(StmtKind::OMP(P::new(d)), loc)
-    }
-
-    /// `#pragma omp reverse` — runs the iterations of one canonical loop in
-    /// the opposite order. Legality (the loop must carry no dependence) is
-    /// the dependence engine's job.
-    fn act_on_reverse(
-        &mut self,
-        clauses: Vec<P<OMPClause>>,
-        associated: P<Stmt>,
-        loc: SourceLocation,
-    ) -> P<Stmt> {
-        let pragma =
-            OMPDirective::new(OMPDirectiveKind::Reverse, clauses.clone(), None, loc).pragma_text();
-        let mut d = OMPDirective::new(OMPDirectiveKind::Reverse, clauses, None, loc);
-        if let Some(levels) = self.collect_loop_nest(&associated, 1, "#pragma omp reverse") {
-            let transformed = {
-                let mut sm = self.sm.borrow_mut();
-                transform_reverse(&self.ctx, &mut sm, &levels[0].analysis, &pragma)
-            };
-            let transformed =
-                self.wrap_transformed_tail_canonical(transformed, "#pragma omp reverse");
-            let transformed = wrap_with_prologue(&levels[0].prologue, transformed, loc);
-            count_transformed_nodes(&transformed);
-            omplt_trace::count("sema.transform.reverse", 1);
-            d.transformed = Some(transformed);
-        }
-        let associated = self.maybe_wrap_canonical(associated, "#pragma omp reverse");
-        d.associated = Some(associated);
-        Stmt::new(StmtKind::OMP(P::new(d)), loc)
-    }
-
-    /// `#pragma omp fuse` — fuses a sequence of sibling canonical loops
-    /// into one. Unequal trip counts are handled by guarding each body;
-    /// the dependence engine rejects fusions that would introduce a
-    /// negative-distance dependence.
-    fn act_on_fuse(
-        &mut self,
-        clauses: Vec<P<OMPClause>>,
-        associated: P<Stmt>,
-        loc: SourceLocation,
-    ) -> P<Stmt> {
-        let pragma =
-            OMPDirective::new(OMPDirectiveKind::Fuse, clauses.clone(), None, loc).pragma_text();
-        let mut d = OMPDirective::new(OMPDirectiveKind::Fuse, clauses, None, loc);
-
-        // The associated statement is a *loop sequence*: a compound whose
-        // statements each resolve to a canonical loop (possibly through a
-        // nested transformation directive standing in for its result).
-        let stmts: Vec<P<Stmt>> = match &associated.kind {
-            StmtKind::Compound(ss) => ss.clone(),
-            _ => vec![P::clone(&associated)],
+        let levels = if kind.loop_association() == LoopAssociation::Sequence {
+            self.collect_loop_sequence(d, associated, consumer)?
+        } else {
+            self.collect_loop_nest(associated, d.associated_loops(), consumer)?
         };
-        let mut loops: Vec<LoopNestLevel> = Vec::with_capacity(stmts.len());
-        let mut ok = true;
-        for s in &stmts {
-            match self.collect_loop_nest(s, 1, "#pragma omp fuse") {
-                Some(mut lv) => loops.push(lv.pop().unwrap()),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok && loops.len() < 2 {
+        let first = &levels[0].analysis;
+        if full && first.const_trip_count().is_none() {
             self.diags.error(
                 loc,
-                "'#pragma omp fuse' requires a sequence of at least two loops",
+                "loop to be fully unrolled must have a constant trip count (is the bound a constant?)",
             );
-            ok = false;
         }
-        if ok {
-            let transformed = {
-                let mut sm = self.sm.borrow_mut();
-                transform_fuse(&self.ctx, &mut sm, &loops, &pragma)
-            };
-            let transformed = self.wrap_transformed_tail_canonical(transformed, "#pragma omp fuse");
-            count_transformed_nodes(&transformed);
-            omplt_trace::count("sema.transform.fuse", 1);
-            d.transformed = Some(transformed);
+
+        let pragma = d.pragma_text();
+        let mut t = {
+            let (ctx, sm) = (&self.ctx, &mut *self.sm.borrow_mut());
+            match kind {
+                Unroll => transform_unroll_partial(ctx, sm, first, d.partial_factor()?, &pragma),
+                Tile => transform_tile(ctx, sm, &levels, &sizes, &pragma),
+                Interchange => transform_interchange(ctx, sm, &levels, &perm, &pragma),
+                Reverse => transform_reverse(ctx, sm, first, &pragma),
+                Fuse => transform_fuse(ctx, sm, &levels, &pragma),
+                _ => unreachable!("'{consumer}' is not a loop transformation"),
+            }
+        };
+        // OpenMPIRBuilder has its own unroll and tile; every other
+        // transformation is consumed on that path through its shadow AST.
+        if !matches!(kind, Unroll | Tile) {
+            t = self.wrap_transformed_tail_canonical(t, consumer);
+            omplt_trace::count(&format!("sema.transform.{}", kind.name()), 1);
         }
-        // The associated compound is not a single canonical loop; the
-        // IrBuilder path consumes the shadow AST (whose tail IS wrapped).
-        d.associated = Some(associated);
-        Stmt::new(StmtKind::OMP(P::new(d)), loc)
+        // The single-loop transforms see only the loop's analysis: the
+        // prologue of a consumed inner transformation must stay in front.
+        if kind.loop_association() == LoopAssociation::One {
+            t = wrap_with_prologue(&levels[0].prologue, t, loc);
+        }
+        count_transformed_nodes(&t);
+        Some(t)
+    }
+
+    /// The decoded `permutation` of an `interchange`, diagnosing a list that
+    /// is not a permutation (non-constant arguments were diagnosed one by
+    /// one).
+    fn checked_permutation(&self, d: &OMPDirective) -> Option<Vec<usize>> {
+        match d.permutation() {
+            Ok(perm) => return Some(perm),
+            Err(BadPermutation::NotConstant) => {}
+            Err(BadPermutation::TooShort) => self
+                .diags
+                .error(d.loc, "'permutation' clause must name at least two loops"),
+            Err(BadPermutation::NotAPermutation(e)) => self.diags.error(
+                e.loc,
+                format!(
+                    "'permutation' arguments must be a permutation of 1..{}",
+                    d.associated_loops()
+                ),
+            ),
+        }
+        None
     }
 
     /// In IrBuilder mode, wraps the *trailing loop* of a freshly built
@@ -551,53 +374,6 @@ impl Sema<'_> {
             StmtKind::For { .. } => self.maybe_wrap_canonical(t, consumer),
             _ => t,
         }
-    }
-
-    // ---------------- loop-associated directives ----------------
-
-    fn act_on_loop_directive(
-        &mut self,
-        kind: OMPDirectiveKind,
-        clauses: Vec<P<OMPClause>>,
-        associated: P<Stmt>,
-        loc: SourceLocation,
-    ) -> P<Stmt> {
-        let mut d = OMPDirective::new(kind, clauses, None, loc);
-        let consumer = format!("#pragma omp {}", kind.name());
-        let depth = d.collapse_depth();
-        for c in &d.clauses {
-            for e in omplt_ast::visitor::clause_exprs(c) {
-                if matches!(c.kind, OMPClauseKind::Collapse(_)) {
-                    self.positive_const(e, "collapse");
-                }
-            }
-        }
-
-        let levels = self.collect_loop_nest(&associated, depth, &consumer);
-        if let Some(levels) = &levels {
-            if self.mode == OpenMpCodegenMode::Classic {
-                let helpers = self.build_loop_helpers(levels, loc);
-                omplt_trace::count("sema.shadow.helper_nodes", helpers.node_count() as u64);
-                d.loop_helpers = Some(helpers);
-            }
-        }
-
-        // IrBuilder mode: wrap the associated literal loop in the
-        // OMPCanonicalLoop meta node.
-        let associated = self.maybe_wrap_canonical(associated, &consumer);
-
-        // Worksharing and taskloop regions are outlined → CapturedStmt
-        // (loop transformations must NOT capture; paper §2.1).
-        let associated = if kind.captures_associated() {
-            Stmt::new(
-                StmtKind::Captured(build_omp_captured_stmt(&self.ctx, associated)),
-                loc,
-            )
-        } else {
-            associated
-        };
-        d.associated = Some(associated);
-        Stmt::new(StmtKind::OMP(P::new(d)), loc)
     }
 
     /// In IrBuilder mode, wraps a *literal* loop in `OMPCanonicalLoop`.
@@ -822,14 +598,6 @@ impl Sema<'_> {
     }
 }
 
-/// Unwraps `{ single-stmt }` compounds (perfect-nest navigation).
-fn peel_singleton_compound(s: &P<Stmt>) -> P<Stmt> {
-    match &s.kind {
-        StmtKind::Compound(stmts) if stmts.len() == 1 => peel_singleton_compound(&stmts[0]),
-        _ => P::clone(s),
-    }
-}
-
 /// Re-wraps a transformed statement with a leading prologue.
 /// Records the size of a freshly built transformed (shadow) subtree — the
 /// other half of the paper's §2 representation cost next to the helper
@@ -911,10 +679,8 @@ mod tests {
 
     fn unroll_clause(s: &Sema, partial: Option<i128>) -> P<OMPClause> {
         let loc = SourceLocation::INVALID;
-        OMPClause::new(
-            OMPClauseKind::Partial(partial.map(|v| s.ctx.int_lit(v, s.ctx.int(), loc))),
-            loc,
-        )
+        let args = partial.map(|v| s.ctx.int_lit(v, s.ctx.int(), loc));
+        OMPClause::new(OMPClauseKind::Partial, args.into_iter().collect(), loc)
     }
 
     #[test]
@@ -943,7 +709,7 @@ mod tests {
     fn unroll_full_has_no_shadow_ast() {
         let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
             let lp = mk_loop(s, 0, 10, 1, None);
-            let c = OMPClause::new(OMPClauseKind::Full, SourceLocation::INVALID);
+            let c = OMPClause::new(OMPClauseKind::Full, vec![], SourceLocation::INVALID);
             s.act_on_omp_directive(
                 OMPDirectiveKind::Unroll,
                 vec![c],
@@ -966,7 +732,7 @@ mod tests {
         // #pragma omp for over #pragma omp unroll full → C4.
         let (_, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
             let lp = mk_loop(s, 0, 10, 1, None);
-            let full = OMPClause::new(OMPClauseKind::Full, SourceLocation::INVALID);
+            let full = OMPClause::new(OMPClauseKind::Full, vec![], SourceLocation::INVALID);
             let inner = s.act_on_omp_directive(
                 OMPDirectiveKind::Unroll,
                 vec![full],
@@ -1042,10 +808,11 @@ mod tests {
             let outer = mk_loop(s, 0, 16, 1, Some(inner));
             let loc = SourceLocation::INVALID;
             let sizes = OMPClause::new(
-                OMPClauseKind::Sizes(vec![
+                OMPClauseKind::Sizes,
+                vec![
                     s.ctx.int_lit(4, s.ctx.int(), loc),
                     s.ctx.int_lit(2, s.ctx.int(), loc),
-                ]),
+                ],
                 loc,
             );
             s.act_on_omp_directive(OMPDirectiveKind::Tile, vec![sizes], Some(outer), loc)
@@ -1064,10 +831,11 @@ mod tests {
             let lp = mk_loop(s, 0, 8, 1, None); // body is NullStmt, not a loop
             let loc = SourceLocation::INVALID;
             let sizes = OMPClause::new(
-                OMPClauseKind::Sizes(vec![
+                OMPClauseKind::Sizes,
+                vec![
                     s.ctx.int_lit(4, s.ctx.int(), loc),
                     s.ctx.int_lit(2, s.ctx.int(), loc),
-                ]),
+                ],
                 loc,
             );
             s.act_on_omp_directive(OMPDirectiveKind::Tile, vec![sizes], Some(lp), loc)
@@ -1129,7 +897,8 @@ mod tests {
             let lp = mk_loop(s, 0, 10, 1, None);
             let loc = SourceLocation::INVALID;
             let sizes = OMPClause::new(
-                OMPClauseKind::Sizes(vec![s.ctx.int_lit(4, s.ctx.int(), loc)]),
+                OMPClauseKind::Sizes,
+                vec![s.ctx.int_lit(4, s.ctx.int(), loc)],
                 loc,
             );
             s.act_on_omp_directive(OMPDirectiveKind::For, vec![sizes], Some(lp), loc)
@@ -1166,10 +935,11 @@ mod tests {
             let outer = mk_loop(s, 0, 16, 1, Some(inner));
             let loc = SourceLocation::INVALID;
             let perm = OMPClause::new(
-                OMPClauseKind::Permutation(vec![
+                OMPClauseKind::Permutation,
+                vec![
                     s.ctx.int_lit(1, s.ctx.int(), loc),
                     s.ctx.int_lit(3, s.ctx.int(), loc),
-                ]),
+                ],
                 loc,
             );
             s.act_on_omp_directive(OMPDirectiveKind::Interchange, vec![perm], Some(outer), loc)
@@ -1186,10 +956,11 @@ mod tests {
             let lp = mk_loop(s, 0, 10, 1, None);
             let loc = SourceLocation::INVALID;
             let perm = OMPClause::new(
-                OMPClauseKind::Permutation(vec![
+                OMPClauseKind::Permutation,
+                vec![
                     s.ctx.int_lit(2, s.ctx.int(), loc),
                     s.ctx.int_lit(1, s.ctx.int(), loc),
-                ]),
+                ],
                 loc,
             );
             s.act_on_omp_directive(OMPDirectiveKind::Tile, vec![perm], Some(lp), loc)

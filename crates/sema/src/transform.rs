@@ -578,33 +578,6 @@ pub fn transform_fuse(
     Stmt::new(StmtKind::Compound(top), loc)
 }
 
-/// Strips a transformed-AST wrapper into (prologue, loop): a `Compound`
-/// whose trailing statement is the generated loop, or a bare loop.
-pub fn split_prologue(stmt: &P<Stmt>) -> Option<(Vec<P<Stmt>>, P<Stmt>)> {
-    match &stmt.kind {
-        StmtKind::Compound(stmts) => {
-            let (last, rest) = stmts.split_last()?;
-            if !rest.iter().all(|s| matches!(s.kind, StmtKind::Decl(_))) {
-                return None;
-            }
-            if last.strip_to_loop().is_loop() {
-                Some((rest.to_vec(), P::clone(last)))
-            } else {
-                // A transformed AST may carry its own `{ decls; loop }`
-                // block inside an enclosing prologue (e.g. `reverse`
-                // consuming a tiled loop, whose prologue wraps the
-                // reverse-generated compound). Splice the prologues.
-                let (inner, lp) = split_prologue(last)?;
-                let mut pro = rest.to_vec();
-                pro.extend(inner);
-                Some((pro, lp))
-            }
-        }
-        _ if stmt.strip_to_loop().is_loop() => Some((Vec::new(), P::clone(stmt))),
-        _ => None,
-    }
-}
-
 /// Counts the generated `for` loops of a transformed AST (test/statistics
 /// helper for the paper's "twice as many loops" claim).
 pub fn count_generated_loops(stmt: &P<Stmt>) -> usize {
@@ -693,10 +666,10 @@ mod tests {
         let mut sm = fresh_sm();
         let a = analysis_for(&ctx, 0, 10, 1);
         let t = transform_unroll_partial(&ctx, &mut sm, &a, 4, "#pragma omp unroll partial(4)");
-        let (prologue, lp) = split_prologue(&t).expect("compound with trailing loop");
-        assert_eq!(prologue.len(), 1);
+        let level = omplt_ast::loop_level(&t).expect("compound with trailing loop");
+        assert_eq!(level.intervening.len(), 1, "a bare compound is literal");
         let diags = DiagnosticsEngine::new();
-        let re = analyze_canonical_loop(&ctx, &diags, &lp, "#pragma omp for").unwrap();
+        let re = analyze_canonical_loop(&ctx, &diags, &level.loop_stmt, "#pragma omp for").unwrap();
         assert!(!diags.has_errors());
         // 10 iterations unrolled by 4 → ⌈10/4⌉ = 3 outer iterations; the
         // trip count is not constant (it reads .capture_expr.) but the
@@ -765,56 +738,5 @@ mod tests {
         let (rep, origin) = sm.map_transformed(t.loc).unwrap();
         assert_eq!(rep, a.loc);
         assert_eq!(origin, "#pragma omp unroll partial(2)");
-    }
-
-    #[test]
-    fn split_prologue_accepts_bare_loops() {
-        let ctx = ASTContext::new();
-        let _ = &ctx;
-        let loc = SourceLocation::INVALID;
-        let lp = Stmt::new(
-            StmtKind::For {
-                init: None,
-                cond: None,
-                inc: None,
-                body: Stmt::new(StmtKind::Null, loc),
-            },
-            loc,
-        );
-        let (pro, l) = split_prologue(&lp).unwrap();
-        assert!(pro.is_empty());
-        assert!(l.is_loop());
-    }
-
-    #[test]
-    fn split_prologue_splices_nested_transformed_blocks() {
-        // `reverse` consuming a tiled loop yields
-        // `{ <tile decls>; { <reverse decls>; for } }`; a consumer must see
-        // one flat prologue ending in the loop.
-        let ctx = ASTContext::new();
-        let loc = SourceLocation::INVALID;
-        let decl = |name: &str| {
-            let v = ctx.make_implicit_var(
-                name.to_string(),
-                ctx.int_ty(omplt_ast::IntWidth::W32, true),
-                None,
-                loc,
-            );
-            Stmt::new(StmtKind::Decl(vec![omplt_ast::Decl::Var(v)]), loc)
-        };
-        let lp = Stmt::new(
-            StmtKind::For {
-                init: None,
-                cond: None,
-                inc: None,
-                body: Stmt::new(StmtKind::Null, loc),
-            },
-            loc,
-        );
-        let inner = Stmt::new(StmtKind::Compound(vec![decl(".inner."), lp]), loc);
-        let outer = Stmt::new(StmtKind::Compound(vec![decl(".outer."), inner]), loc);
-        let (pro, l) = split_prologue(&outer).unwrap();
-        assert_eq!(pro.len(), 2);
-        assert!(l.is_loop());
     }
 }

@@ -9,7 +9,9 @@
 //! (arXiv:1811.00632) puts above a legality-gated transformation engine.
 //!
 //! This crate owns the representation-level pieces, all deterministic and
-//! dependency-free so the test suites can drive them directly:
+//! free of the compiler pipeline (directive and clause spellings come from
+//! `omplt-ast`'s catalog, nothing else) so the test suites can drive them
+//! directly:
 //!
 //! * [`model`] — source-level directive extraction and re-synthesis
 //!   ([`SourceModel`], [`Pragma`], [`Mutation`]);

@@ -9,6 +9,7 @@
 //! finds the directive stacks, [`SourceModel::apply`] re-synthesizes the
 //! program with a set of [`Mutation`]s applied.
 
+use omplt_ast::OMPDirectiveKind;
 use std::fmt::Write as _;
 
 /// One clause on a pragma line, kept textually (`schedule(static, 4)` →
@@ -43,7 +44,7 @@ impl Clause {
 }
 
 /// One `#pragma omp …` line, structurally: directive name (possibly
-/// multi-word, e.g. `parallel for`) plus clauses in source order.
+/// multi-word, e.g. `parallel for simd`) plus clauses in source order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pragma {
     /// Directive name as written (`for`, `parallel for`, `tile`, …).
@@ -78,16 +79,19 @@ impl Pragma {
             return None;
         }
         let mut toks = Tokenizer { rest: rest.trim() };
-        let first = toks.ident()?;
-        // The only multi-word directive name in the subset.
-        let directive = if first == "parallel" && toks.peek_ident() == Some("for") {
+        // The directive name is the longest match of the leading words
+        // against the catalog the compiler parses with; a name it does not
+        // list stays a one-word directive the tuner leaves alone.
+        let mut ahead = Tokenizer { rest: toks.rest };
+        let words: Vec<&str> = std::iter::from_fn(|| ahead.ident()).collect();
+        let n = OMPDirectiveKind::match_words(&words).map_or(1, |(_, n)| n);
+        let directive = words.get(..n)?.join(" ");
+        for _ in 0..n {
             toks.ident();
-            "parallel for".to_string()
-        } else {
-            first
-        };
+        }
         let mut clauses = Vec::new();
         while let Some(name) = toks.ident() {
+            let name = name.to_string();
             let args = toks.paren_group()?;
             clauses.push(Clause { name, args });
         }
@@ -95,6 +99,11 @@ impl Pragma {
             return None; // trailing tokens we cannot model
         }
         Some(Pragma { directive, clauses })
+    }
+
+    /// The catalog directive this line names, if any.
+    pub fn kind(&self) -> Option<OMPDirectiveKind> {
+        OMPDirectiveKind::from_name(&self.directive)
     }
 
     /// Renders the pragma back to a source line (without trailing newline).
@@ -143,19 +152,15 @@ impl<'a> Tokenizer<'a> {
         self.rest = self.rest.trim_start();
     }
 
-    fn peek_ident(&mut self) -> Option<&'a str> {
+    fn ident(&mut self) -> Option<&'a str> {
         self.skip_ws();
         let end = self
             .rest
             .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
             .unwrap_or(self.rest.len());
-        (end > 0).then(|| &self.rest[..end])
-    }
-
-    fn ident(&mut self) -> Option<String> {
-        let id = self.peek_ident()?.to_string();
-        self.rest = &self.rest[id.len()..];
-        Some(id)
+        let (id, rest) = self.rest.split_at(end);
+        self.rest = rest;
+        (end > 0).then_some(id)
     }
 
     /// Consumes an optional `( … )` group (one level of nesting allowed),
@@ -404,6 +409,19 @@ mod tests {
             p.render("  "),
             "  #pragma omp parallel for reduction(+: sum) schedule(static, 4)"
         );
+    }
+
+    #[test]
+    fn composite_directive_names_round_trip() {
+        for name in ["for simd", "parallel for simd"] {
+            let line = format!("  #pragma omp {name} simdlen(4) nowait");
+            let p = Pragma::parse(&line).unwrap();
+            assert_eq!(p.directive, name);
+            assert_eq!(p.clauses.len(), 2, "{:?}", p.clauses);
+            assert_eq!(p.render("  "), line);
+            let src = format!("void f(void) {{\n{line}\n  for (;;) ;\n}}\n");
+            assert_eq!(SourceModel::parse(&src).apply(&[]).unwrap(), src);
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! stress corpus.
 
 use crate::model::{Clause, Mutation, Pragma, SourceModel};
+use omplt_ast::{OMPClauseKind, OMPDirectiveKind};
 
 /// Which execution engine evaluates a candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,11 +171,11 @@ pub struct Candidate {
 
 /// Cartesian-product size guard: `k`-ary permutations enumerated for
 /// `interchange` (depth ≤ 3 keeps this tiny).
-fn permutations(n: usize) -> Vec<Vec<usize>> {
+fn permutations(n: usize) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
-    let mut idx: Vec<usize> = (1..=n).collect();
+    let mut idx: Vec<u32> = (1..=n as u32).collect();
     // Heap's algorithm, iterative; n ≤ 3 in practice.
-    fn heap(k: usize, a: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    fn heap(k: usize, a: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
         if k <= 1 {
             out.push(a.clone());
             return;
@@ -194,190 +195,119 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 }
 
 /// Builds the axes for `model` under `cfg`. Deterministic: axes appear in
-/// (site, pragma) order, with the backend and vector-width axes last.
+/// (site, pragma) order, with the backend and vector-width axes last. Which
+/// axes a pragma gets is read off its catalog row in `omplt-ast`: the
+/// worksharing flag brings the schedule axis, the simd flag the `simdlen`
+/// axis, and each transformation its own.
 pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
+    use OMPClauseKind as C;
+    use OMPDirectiveKind as D;
+    let joined = |vals: &[u32], sep: &str| -> String {
+        let vals: Vec<String> = vals.iter().map(u32::to_string).collect();
+        vals.join(sep)
+    };
     let mut axes = Vec::new();
-    for (si, site) in model.sites.iter().enumerate() {
-        for (pi, p) in site.pragmas.iter().enumerate() {
-            let (site, pragma) = (si, pi);
-            let set_clause = |name: &str, args: String| {
-                let (name, args) = (name.into(), Some(args));
-                Mutation::SetClause {
-                    site,
-                    pragma,
-                    name,
-                    args,
+    for (site, stack) in model.sites.iter().enumerate() {
+        for (pragma, p) in stack.pragmas.iter().enumerate() {
+            let Some(kind) = p.kind() else { continue };
+            let current = |c: C| p.clause(c.name());
+            // Identity, then one value per candidate `(label, args)` of
+            // clause `c` — skipping the candidate that restates the original.
+            let clause_values = |c: C, candidates: Vec<(String, String)>| {
+                let mut values = vec![AxisValue::identity()];
+                for (label, args) in candidates {
+                    if current(c).and_then(|c| c.args.as_deref()) == Some(&args[..]) {
+                        continue;
+                    }
+                    let (name, args) = (c.name().into(), Some(args));
+                    let set = Mutation::SetClause {
+                        site,
+                        pragma,
+                        name,
+                        args,
+                    };
+                    values.push(AxisValue::mutating(format!("s{site}.{label}"), set));
                 }
+                values
             };
-            let remove_clause = |name: &str| {
-                let name = name.into();
-                Mutation::RemoveClause { site, pragma, name }
+            let without = |c: C, label: &str| {
+                let name = c.name().into();
+                let remove = Mutation::RemoveClause { site, pragma, name };
+                AxisValue::mutating(format!("s{site}.{label}=none"), remove)
             };
-            let off = |what: &str| {
-                let label = format!("s{si}.{what}=off");
+            let off = || {
+                let label = format!("s{site}.{}=off", kind.name());
                 AxisValue::mutating(label, Mutation::RemovePragma { site, pragma })
             };
-            match p.directive.as_str() {
-                "for" | "parallel for" => {
-                    let mut values = vec![AxisValue::identity()];
-                    for s in &cfg.schedules {
-                        // Skip the variant that restates the original.
-                        if p.clause("schedule").and_then(|c| c.args.as_deref()) == Some(*s) {
-                            continue;
-                        }
-                        values.push(AxisValue::mutating(
-                            format!("s{si}.sched={}", s.replace(", ", ",")),
-                            set_clause("schedule", s.to_string()),
-                        ));
-                    }
-                    if p.clause("schedule").is_some() {
-                        values.push(AxisValue::mutating(
-                            format!("s{si}.sched=none"),
-                            remove_clause("schedule"),
-                        ));
-                    }
-                    axes.push(Axis {
-                        name: format!("s{si}.schedule"),
-                        kind: AxisKind::OrderPreserving,
-                        values,
-                    });
+            let mut push = |name: &str, kind: AxisKind, values: Vec<AxisValue>| {
+                let name = format!("s{site}.{name}");
+                axes.push(Axis { name, kind, values });
+            };
+            if kind.is_worksharing() {
+                let label = |s: &&str| format!("sched={}", s.replace(", ", ","));
+                let schedules = cfg.schedules.iter().map(|s| (label(s), s.to_string()));
+                let mut values = clause_values(C::Schedule, schedules.collect());
+                if current(C::Schedule).is_some() {
+                    values.push(without(C::Schedule, "sched"));
                 }
-                "tile" => {
-                    let dims = p
-                        .clause("sizes")
-                        .and_then(|c| c.args.as_ref())
-                        .map_or(1, |a| a.split(',').count());
-                    let mut values = vec![AxisValue::identity()];
-                    let mut combo = vec![0usize; dims];
-                    loop {
-                        let sizes: Vec<String> = combo
-                            .iter()
-                            .map(|&i| cfg.tile_sizes[i].to_string())
-                            .collect();
-                        let args = sizes.join(", ");
-                        if p.clause("sizes").and_then(|c| c.args.as_deref()) != Some(&args[..]) {
-                            values.push(AxisValue::mutating(
-                                format!("s{si}.tile={}", sizes.join("x")),
-                                set_clause("sizes", args),
-                            ));
-                        }
-                        // Odometer over tile_sizes^dims.
-                        let mut d = 0;
-                        loop {
-                            if d == dims {
-                                break;
-                            }
-                            combo[d] += 1;
-                            if combo[d] < cfg.tile_sizes.len() {
-                                break;
-                            }
-                            combo[d] = 0;
-                            d += 1;
-                        }
-                        if d == dims {
-                            break;
-                        }
-                    }
-                    values.push(off("tile"));
-                    axes.push(Axis {
-                        name: format!("s{si}.tile"),
-                        kind: AxisKind::OrderPreserving,
-                        values,
-                    });
+                push(C::Schedule.name(), AxisKind::OrderPreserving, values);
+            }
+            if kind.has_simd() {
+                // `simdlen` is a preferred-width hint the widening pass
+                // clamps to, so it is order-preserving by construction.
+                // Values that sema rejects (simdlen > safelen) are
+                // enumerated anyway — classifying them is the legality
+                // machinery's job, same as every other axis.
+                let widths = cfg.vector_widths.iter();
+                let widths = widths.map(|w| (format!("simdlen={w}"), w.to_string()));
+                let mut values = clause_values(C::Simdlen, widths.collect());
+                if current(C::Simdlen).is_some() {
+                    values.push(without(C::Simdlen, C::Simdlen.name()));
                 }
-                "unroll" => {
-                    let mut values = vec![AxisValue::identity()];
-                    for f in &cfg.unroll_factors {
-                        if p.clause("partial").and_then(|c| c.args.as_deref())
-                            == Some(&f.to_string()[..])
-                        {
-                            continue;
-                        }
-                        values.push(AxisValue::mutating(
-                            format!("s{si}.unroll={f}"),
-                            set_clause("partial", f.to_string()),
-                        ));
-                    }
-                    values.push(off("unroll"));
-                    axes.push(Axis {
-                        name: format!("s{si}.unroll"),
-                        kind: AxisKind::OrderPreserving,
-                        values,
-                    });
+                if values.len() > 1 {
+                    push(C::Simdlen.name(), AxisKind::OrderPreserving, values);
                 }
-                "interchange" => {
-                    let dims = p
-                        .clause("permutation")
-                        .and_then(|c| c.args.as_ref())
-                        .map_or(2, |a| a.split(',').count());
-                    let mut values = vec![AxisValue::identity()];
-                    for perm in permutations(dims.min(3)) {
-                        let args = perm
-                            .iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        if p.clause("permutation").and_then(|c| c.args.as_deref())
-                            == Some(&args[..])
-                        {
-                            continue;
+            }
+            // How many loops the clause's argument list names today.
+            let dims = |c: C, default: usize| {
+                let args = current(c).and_then(|c| c.args.as_ref());
+                args.map_or(default, |a| a.split(',').count())
+            };
+            match kind {
+                D::Tile => {
+                    // tile_sizes^dims, the first dimension varying fastest.
+                    let mut combos: Vec<Vec<u32>> = vec![Vec::new()];
+                    for _ in 0..dims(C::Sizes, 1) {
+                        let mut grown = Vec::new();
+                        for &s in &cfg.tile_sizes {
+                            grown.extend(combos.iter().map(|c| [&c[..], &[s]].concat()));
                         }
-                        values.push(AxisValue::mutating(
-                            format!(
-                                "s{si}.perm={}",
-                                perm.iter()
-                                    .map(|v| v.to_string())
-                                    .collect::<Vec<_>>()
-                                    .join("")
-                            ),
-                            set_clause("permutation", args),
-                        ));
+                        combos = grown;
                     }
-                    values.push(off("interchange"));
-                    axes.push(Axis {
-                        name: format!("s{si}.interchange"),
-                        kind: AxisKind::OrderChanging,
-                        values,
-                    });
+                    let label = |c: &Vec<u32>| format!("tile={}", joined(c, "x"));
+                    let sizes = combos.iter().map(|c| (label(c), joined(c, ", ")));
+                    let mut values = clause_values(C::Sizes, sizes.collect());
+                    values.push(off());
+                    push(kind.name(), AxisKind::OrderPreserving, values);
                 }
-                "simd" | "for simd" | "parallel for simd" => {
-                    // `simdlen` is a preferred-width hint the widening pass
-                    // clamps to, so it is order-preserving by construction.
-                    // Values that sema rejects (simdlen > safelen) are
-                    // enumerated anyway — classifying them is the legality
-                    // machinery's job, same as every other axis.
-                    let mut values = vec![AxisValue::identity()];
-                    for &w in &cfg.vector_widths {
-                        if p.clause("simdlen").and_then(|c| c.args.as_deref())
-                            == Some(&w.to_string()[..])
-                        {
-                            continue;
-                        }
-                        values.push(AxisValue::mutating(
-                            format!("s{si}.simdlen={w}"),
-                            set_clause("simdlen", w.to_string()),
-                        ));
-                    }
-                    if p.clause("simdlen").is_some() {
-                        values.push(AxisValue::mutating(
-                            format!("s{si}.simdlen=none"),
-                            remove_clause("simdlen"),
-                        ));
-                    }
-                    if values.len() > 1 {
-                        axes.push(Axis {
-                            name: format!("s{si}.simdlen"),
-                            kind: AxisKind::OrderPreserving,
-                            values,
-                        });
-                    }
+                D::Unroll => {
+                    let factors = cfg.unroll_factors.iter();
+                    let factors = factors.map(|f| (format!("unroll={f}"), f.to_string()));
+                    let mut values = clause_values(C::Partial, factors.collect());
+                    values.push(off());
+                    push(kind.name(), AxisKind::OrderPreserving, values);
                 }
-                "reverse" | "fuse" => {
-                    axes.push(Axis {
-                        name: format!("s{si}.{}", p.directive),
-                        kind: AxisKind::OrderChanging,
-                        values: vec![AxisValue::identity(), off(&p.directive)],
-                    });
+                D::Interchange => {
+                    let perms = permutations(dims(C::Permutation, 2).min(3));
+                    let label = |p: &Vec<u32>| format!("perm={}", joined(p, ""));
+                    let perms = perms.iter().map(|p| (label(p), joined(p, ", ")));
+                    let mut values = clause_values(C::Permutation, perms.collect());
+                    values.push(off());
+                    push(kind.name(), AxisKind::OrderChanging, values);
+                }
+                D::Reverse | D::Fuse => {
+                    let values = vec![AxisValue::identity(), off()];
+                    push(kind.name(), AxisKind::OrderChanging, values);
                 }
                 _ => {}
             }
@@ -386,34 +316,25 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
         // the innermost position of the stack. Illegal insertions (wrong
         // nest depth, carried dependences) are the legality analyses' to
         // prune — generating them is the point.
-        if cfg.insertions && !site.pragmas.is_empty() {
-            let at = site.pragmas.len();
-            let has = |d: &str| site.pragmas.iter().any(|p| p.directive == d);
+        if cfg.insertions && !stack.pragmas.is_empty() {
+            let at = stack.pragmas.len();
             let mut values = vec![AxisValue::identity()];
-            if !has("reverse") {
-                values.push(AxisValue::mutating(
-                    format!("s{si}.+reverse"),
-                    Mutation::InsertPragma {
-                        site: si,
-                        at,
-                        pragma: Pragma::new("reverse"),
-                    },
-                ));
-            }
-            if !has("interchange") {
-                values.push(AxisValue::mutating(
-                    format!("s{si}.+interchange21"),
-                    Mutation::InsertPragma {
-                        site: si,
-                        at,
-                        pragma: Pragma::new("interchange")
-                            .with(Clause::with_args("permutation", "2, 1")),
-                    },
-                ));
+            let swap = Clause::with_args(C::Permutation.name(), "2, 1");
+            for (kind, suffix, clauses) in
+                [(D::Reverse, "", vec![]), (D::Interchange, "21", vec![swap])]
+            {
+                if stack.pragmas.iter().any(|p| p.kind() == Some(kind)) {
+                    continue;
+                }
+                let mut pragma = Pragma::new(kind.name());
+                pragma.clauses = clauses;
+                let insert = Mutation::InsertPragma { site, at, pragma };
+                let label = format!("s{site}.+{}{suffix}", kind.name());
+                values.push(AxisValue::mutating(label, insert));
             }
             if values.len() > 1 {
                 axes.push(Axis {
-                    name: format!("s{si}.insert"),
+                    name: format!("s{site}.insert"),
                     kind: AxisKind::OrderChanging,
                     values,
                 });
@@ -443,14 +364,11 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
     // would only inflate the grid with duplicates. Each value implies the
     // (strict) VM backend: the interpreter is the scalar oracle and has no
     // lanes to widen into.
-    let has_simd = model.sites.iter().any(|site| {
-        site.pragmas.iter().any(|p| {
-            matches!(
-                p.directive.as_str(),
-                "simd" | "for simd" | "parallel for simd"
-            )
-        })
-    });
+    let has_simd = model
+        .sites
+        .iter()
+        .flat_map(|site| &site.pragmas)
+        .any(|p| p.kind().is_some_and(OMPDirectiveKind::has_simd));
     if has_simd && !cfg.vector_widths.is_empty() {
         let mut values = vec![AxisValue::identity()];
         for &w in &cfg.vector_widths {
@@ -734,5 +652,22 @@ mod tests {
         for axis in axes_for(&m, &cfg) {
             assert_eq!(axis.kind, AxisKind::OrderPreserving, "{}", axis.name);
         }
+    }
+
+    #[test]
+    fn composite_simd_directives_get_both_their_rows_axes() {
+        // `for simd` is one directive, not `for` plus a bare `simd` clause:
+        // its row carries the worksharing and the simd flag, so it gets the
+        // schedule axis, the simdlen axis and the global vector-width axis.
+        let src = "long a[64];\nint main(void) {\n  #pragma omp for simd simdlen(4)\n  for (int i = 0; i < 64; i += 1)\n    a[i] = i;\n  return 0;\n}\n";
+        let m = SourceModel::parse(src);
+        assert_eq!(m.sites[0].pragmas[0].directive, "for simd");
+        let cfg = EnumConfig {
+            insertions: false,
+            explore_backends: false,
+            ..EnumConfig::default()
+        };
+        let names: Vec<String> = axes_for(&m, &cfg).into_iter().map(|a| a.name).collect();
+        assert_eq!(names, ["s0.schedule", "s0.simdlen", "vector-width"]);
     }
 }

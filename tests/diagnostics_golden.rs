@@ -406,3 +406,96 @@ int main(void) {
         "unexpected rendering:\n{rendered}"
     );
 }
+
+/// The clause catalog's "at most once" column: a repeated clause is an
+/// error at its second occurrence (it used to compile silently, the first
+/// clause winning). Data-sharing clauses may repeat.
+#[test]
+fn repeated_clause_renders_exactly() {
+    let src = "\
+void body(int i);
+void f(void) {
+  int s = 0;
+  int t = 0;
+  #pragma omp tile sizes(4) sizes(8)
+  for (int i = 0; i < 8; i += 1)
+    body(i);
+  #pragma omp for schedule(static) schedule(dynamic)
+  for (int i = 0; i < 8; i += 1)
+    body(i);
+  #pragma omp unroll partial(2) partial(4)
+  for (int i = 0; i < 8; i += 1)
+    body(i);
+  #pragma omp interchange permutation(2, 1) permutation(1, 2)
+  for (int i = 0; i < 8; i += 1)
+    for (int j = 0; j < 8; j += 1)
+      body(i + j);
+  #pragma omp parallel for private(s) private(t) nowait nowait
+  for (int i = 0; i < 8; i += 1)
+    body(i);
+}
+";
+    let expected = "\
+dup.c:5:29: error: directive '#pragma omp tile' cannot contain more than one 'sizes' clause
+  #pragma omp tile sizes(4) sizes(8)
+                            ^
+dup.c:8:36: error: directive '#pragma omp for' cannot contain more than one 'schedule' clause
+  #pragma omp for schedule(static) schedule(dynamic)
+                                   ^
+dup.c:11:33: error: directive '#pragma omp unroll' cannot contain more than one 'partial' clause
+  #pragma omp unroll partial(2) partial(4)
+                                ^
+dup.c:14:45: error: directive '#pragma omp interchange' cannot contain more than one 'permutation' clause
+  #pragma omp interchange permutation(2, 1) permutation(1, 2)
+                                            ^
+dup.c:18:57: error: directive '#pragma omp parallel for' cannot contain more than one 'nowait' clause
+  #pragma omp parallel for private(s) private(t) nowait nowait
+                                                        ^
+";
+    let mut ci = CompilerInstance::new(Options::default());
+    let err = ci
+        .parse_source("dup.c", src)
+        .expect_err("repeated clauses must be rejected");
+    assert_eq!(err, expected);
+}
+
+#[test]
+fn repeated_clause_json_golden() {
+    let src = "\
+void f(void) {
+  #pragma omp simd safelen(8) simdlen(4) safelen(8) collapse(1) collapse(1)
+  for (int i = 0; i < 8; i += 1)
+    ;
+}
+";
+    let mut ci = CompilerInstance::new(Options::default());
+    ci.parse_source("dj.c", src)
+        .expect_err("repeated clauses must be rejected");
+    assert_eq!(
+        ci.render_diags_json(),
+        "[{\"level\":\"error\",\"message\":\"directive '#pragma omp simd' cannot contain more than one 'safelen' clause\",\"file\":\"dj.c\",\"line\":2,\"column\":42,\"notes\":[]},\
+         {\"level\":\"error\",\"message\":\"directive '#pragma omp simd' cannot contain more than one 'collapse' clause\",\"file\":\"dj.c\",\"line\":2,\"column\":65,\"notes\":[]}]\n"
+    );
+}
+
+/// The pragma breadcrumb spells a `schedule` clause with its chunk, so two
+/// tuner candidates that differ only in the chunk print different text.
+#[test]
+fn chunked_schedule_breadcrumb_renders_exactly() {
+    let src = "\
+int main(void) {
+  int sum = 0;
+  #pragma omp parallel for schedule(dynamic, 4)
+  for (int i = 0; i < 8; i += 1)
+    sum += i;
+  return sum;
+}
+";
+    let rendered = analyze_and_render("crumb.c", src);
+    let first = rendered.lines().next().unwrap_or_default();
+    assert_eq!(
+        first,
+        "crumb.c:5:5: warning: writing to shared variable 'sum' inside \
+         '#pragma omp parallel for schedule(dynamic, 4)' is a data race [-Wrace]"
+    );
+}
