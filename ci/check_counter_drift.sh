@@ -15,6 +15,21 @@ if [ ! -x "$ompltc" ]; then
 fi
 
 status=0
+
+# pin <expected-file> <what> <got>: compares what the tool printed with the
+# committed expectation; a missing file or a difference fails the script.
+pin() {
+  local expected=$1 what=$2 got=$3
+  if [ ! -f "$expected" ]; then
+    echo "missing $expected; expected contents:" >&2
+    printf '%s\n' "$got" >&2
+    status=1
+  elif ! diff -u "$expected" <(printf '%s\n' "$got"); then
+    echo "$what: update $expected if intentional" >&2
+    status=1
+  fi
+}
+
 for src in examples/c/*.c; do
   base=$(basename "$src" .c)
   for mode in classic irbuilder; do
@@ -25,14 +40,7 @@ for src in examples/c/*.c; do
     expected="ci/expected-counters/$base.$mode.txt"
     got=$("$ompltc" "${flags[@]}" "$src" 2>/dev/null \
       | grep -o '"sema\.[^"]*":[0-9]*' | sort)
-    if [ ! -f "$expected" ]; then
-      echo "missing $expected; expected contents:" >&2
-      printf '%s\n' "$got" >&2
-      status=1
-    elif ! diff -u "$expected" <(printf '%s\n' "$got"); then
-      echo "counter drift in $src ($mode): update $expected if intentional" >&2
-      status=1
-    fi
+    pin "$expected" "counter drift in $src ($mode)" "$got"
   done
 done
 
@@ -47,14 +55,7 @@ for src in examples/c/*.c; do
   # that (an empty file) is itself the guarded expectation.
   got=$("$ompltc" --counters-json --analyze "$src" 2>/dev/null \
     | { grep -o '"analysis\.[^"]*":[0-9]*' || true; } | sort)
-  if [ ! -f "$expected" ]; then
-    echo "missing $expected; expected contents:" >&2
-    printf '%s\n' "$got" >&2
-    status=1
-  elif ! diff -u "$expected" <(printf '%s\n' "$got"); then
-    echo "analysis counter drift in $src: update $expected if intentional" >&2
-    status=1
-  fi
+  pin "$expected" "analysis counter drift in $src" "$got"
 done
 
 # Execution-backend drift guard: the number of ops each backend retires
@@ -72,14 +73,7 @@ for src in examples/c/*.c; do
     expected="ci/expected-counters/$base.$backend.ops.txt"
     got=$("$ompltc" "${flags[@]}" "$src" 2>/dev/null | tail -1 \
       | grep -o "\"$backend\.ops\.retired\":[0-9]*")
-    if [ ! -f "$expected" ]; then
-      echo "missing $expected; expected contents:" >&2
-      printf '%s\n' "$got" >&2
-      status=1
-    elif ! diff -u "$expected" <(printf '%s\n' "$got"); then
-      echo "retired-op drift in $src ($backend): update $expected if intentional" >&2
-      status=1
-    fi
+    pin "$expected" "retired-op drift in $src ($backend)" "$got"
   done
 done
 
@@ -95,14 +89,23 @@ for src in examples/c/*.c; do
   expected="ci/expected-counters/$base.vm.simd.txt"
   got=$("$ompltc" --counters-json --run --backend=vm --vector-width=4 "$src" 2>/dev/null | tail -1 \
     | grep -o '"vm\.\(simd\.[^"]*\|ops\.retired\)":[0-9]*' | sort)
-  if [ ! -f "$expected" ]; then
-    echo "missing $expected; expected contents:" >&2
-    printf '%s\n' "$got" >&2
-    status=1
-  elif ! diff -u "$expected" <(printf '%s\n' "$got"); then
-    echo "simd counter drift in $src: update $expected if intentional" >&2
-    status=1
-  fi
+  pin "$expected" "simd counter drift in $src" "$got"
+done
+
+# Bytecode-image drift guard: the size and checksum of the OMPLTBC container
+# `--emit-bytecode-bin` writes, scalar (`--vector-width=0`) and widened (`4`).
+# The size is the benchmark's `bytecode_bytes`; the checksum moves with any
+# change to the wire format (a new version byte, a reordered row in the op
+# table) or to what the compiler emits.
+img=$(mktemp)
+trap 'rm -f "$img"' EXIT
+for src in examples/c/*.c; do
+  base=$(basename "$src" .c)
+  got=$(for vw in 0 4; do
+    "$ompltc" --backend=vm --vector-width="$vw" --emit-bytecode-bin="$img" "$src" >/dev/null 2>&1
+    echo "vw=$vw bytes=$(wc -c < "$img") cksum=$(cksum < "$img" | cut -d' ' -f1)"
+  done)
+  pin "ci/expected-counters/$base.vm.image.txt" "bytecode image drift in $src" "$got"
 done
 
 # Daemon artifact-cache drift guard: `ompltd --warmup` replays a fixed job
@@ -119,14 +122,7 @@ else
   expected="ci/expected-counters/daemon.warmup.txt"
   got=$("$ompltd" --warmup 2>/dev/null \
     | grep -o '"daemon\.cache\.\(hits\|misses\|integrity_failures\)":[0-9]*' | sort)
-  if [ ! -f "$expected" ]; then
-    echo "missing $expected; expected contents:" >&2
-    printf '%s\n' "$got" >&2
-    status=1
-  elif ! diff -u "$expected" <(printf '%s\n' "$got"); then
-    echo "daemon cache hit/miss drift: update $expected if intentional" >&2
-    status=1
-  fi
+  pin "$expected" "daemon cache hit/miss drift" "$got"
 
   # Survivability drift guard: `ompltd --selftest` drives the in-process
   # pool through a fixed kill/corrupt/recover script (miss, hit, one kill
@@ -137,14 +133,7 @@ else
   expected="ci/expected-counters/daemon.selftest.txt"
   got=$("$ompltd" --selftest 2>/dev/null \
     | grep -o '"daemon\.\(cache\.\(hits\|misses\|integrity_failures\)\|supervisor\.[a-z]*\)":[0-9]*' | sort)
-  if [ ! -f "$expected" ]; then
-    echo "missing $expected; expected contents:" >&2
-    printf '%s\n' "$got" >&2
-    status=1
-  elif ! diff -u "$expected" <(printf '%s\n' "$got"); then
-    echo "daemon survivability drift: update $expected if intentional" >&2
-    status=1
-  fi
+  pin "$expected" "daemon survivability drift" "$got"
 fi
 
 if [ "$status" = 0 ]; then

@@ -6,8 +6,14 @@
 //!
 //! Implementation status intentionally mirrors the paper's report for the
 //! then-current Clang ("missing implementations for … loop nests with more
-//! than one loop"): multi-loop `tile`/`collapse` fall back to the classic
-//! shadow-AST emission, which Sema still provides.
+//! than one loop"). What `emit_omp_irbuilder` falls back to the classic
+//! shadow-AST emission for (Sema still builds the shadow AST in this mode):
+//! `tile` over more than one loop, `interchange`, `fuse`, and `reverse`
+//! whose associated statement is not a literal loop (a nested
+//! transformation). One-loop `tile`, `unroll`, `reverse` over a literal
+//! loop, `simd`, `taskloop` and the worksharing directives use the
+//! `CanonicalLoopInfo` operations. `collapse` never reaches that dispatch:
+//! it is a clause on `for`, which `emit_workshare_irbuilder` handles.
 
 use crate::cg_omp_classic::simd_metadata;
 use crate::codegen::{ir_type, Binding, FnCodegen};

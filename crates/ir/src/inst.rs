@@ -2,58 +2,35 @@
 
 use crate::function::BlockId;
 use crate::metadata::LoopMetadata;
-use crate::types::IrType;
+use crate::types::{mnemonic_enum, IrType};
 use crate::value::{SymbolId, Value};
 
-/// Integer/float binary operation kinds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[allow(missing_docs)]
-pub enum BinOpKind {
-    Add,
-    Sub,
-    Mul,
-    SDiv,
-    UDiv,
-    SRem,
-    URem,
-    Shl,
-    AShr,
-    LShr,
-    And,
-    Or,
-    Xor,
-    FAdd,
-    FSub,
-    FMul,
-    FDiv,
-    FRem,
+mnemonic_enum! {
+    /// Integer/float binary operation kinds, with their LLVM mnemonics.
+    #[allow(missing_docs)]
+    BinOpKind {
+        Add => "add",
+        Sub => "sub",
+        Mul => "mul",
+        SDiv => "sdiv",
+        UDiv => "udiv",
+        SRem => "srem",
+        URem => "urem",
+        Shl => "shl",
+        AShr => "ashr",
+        LShr => "lshr",
+        And => "and",
+        Or => "or",
+        Xor => "xor",
+        FAdd => "fadd",
+        FSub => "fsub",
+        FMul => "fmul",
+        FDiv => "fdiv",
+        FRem => "frem",
+    }
 }
 
 impl BinOpKind {
-    /// LLVM mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinOpKind::Add => "add",
-            BinOpKind::Sub => "sub",
-            BinOpKind::Mul => "mul",
-            BinOpKind::SDiv => "sdiv",
-            BinOpKind::UDiv => "udiv",
-            BinOpKind::SRem => "srem",
-            BinOpKind::URem => "urem",
-            BinOpKind::Shl => "shl",
-            BinOpKind::AShr => "ashr",
-            BinOpKind::LShr => "lshr",
-            BinOpKind::And => "and",
-            BinOpKind::Or => "or",
-            BinOpKind::Xor => "xor",
-            BinOpKind::FAdd => "fadd",
-            BinOpKind::FSub => "fsub",
-            BinOpKind::FMul => "fmul",
-            BinOpKind::FDiv => "fdiv",
-            BinOpKind::FRem => "frem",
-        }
-    }
-
     /// True for the floating-point ops.
     pub fn is_float(self) -> bool {
         matches!(
@@ -63,51 +40,31 @@ impl BinOpKind {
     }
 }
 
-/// Comparison predicates (`icmp`/`fcmp`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[allow(missing_docs)]
-pub enum CmpPred {
-    Eq,
-    Ne,
-    Slt,
-    Sle,
-    Sgt,
-    Sge,
-    Ult,
-    Ule,
-    Ugt,
-    Uge,
-    FEq,
-    FNe,
-    FLt,
-    FLe,
-    FGt,
-    FGe,
+mnemonic_enum! {
+    /// Comparison predicates (`icmp`/`fcmp`), with their LLVM mnemonics
+    /// (without the `icmp`/`fcmp` prefix).
+    #[allow(missing_docs)]
+    CmpPred {
+        Eq => "eq",
+        Ne => "ne",
+        Slt => "slt",
+        Sle => "sle",
+        Sgt => "sgt",
+        Sge => "sge",
+        Ult => "ult",
+        Ule => "ule",
+        Ugt => "ugt",
+        Uge => "uge",
+        FEq => "oeq",
+        FNe => "one",
+        FLt => "olt",
+        FLe => "ole",
+        FGt => "ogt",
+        FGe => "oge",
+    }
 }
 
 impl CmpPred {
-    /// LLVM mnemonic (without the `icmp`/`fcmp` prefix).
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            CmpPred::Eq => "eq",
-            CmpPred::Ne => "ne",
-            CmpPred::Slt => "slt",
-            CmpPred::Sle => "sle",
-            CmpPred::Sgt => "sgt",
-            CmpPred::Sge => "sge",
-            CmpPred::Ult => "ult",
-            CmpPred::Ule => "ule",
-            CmpPred::Ugt => "ugt",
-            CmpPred::Uge => "uge",
-            CmpPred::FEq => "oeq",
-            CmpPred::FNe => "one",
-            CmpPred::FLt => "olt",
-            CmpPred::FLe => "ole",
-            CmpPred::FGt => "ogt",
-            CmpPred::FGe => "oge",
-        }
-    }
-
     /// True for the floating-point predicates.
     pub fn is_float(self) -> bool {
         matches!(
@@ -117,39 +74,21 @@ impl CmpPred {
     }
 }
 
-/// Cast operation kinds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[allow(missing_docs)]
-pub enum CastOp {
-    Trunc,
-    ZExt,
-    SExt,
-    SiToFp,
-    UiToFp,
-    FpToSi,
-    FpToUi,
-    FpTrunc,
-    FpExt,
-    PtrToInt,
-    IntToPtr,
-}
-
-impl CastOp {
-    /// LLVM mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            CastOp::Trunc => "trunc",
-            CastOp::ZExt => "zext",
-            CastOp::SExt => "sext",
-            CastOp::SiToFp => "sitofp",
-            CastOp::UiToFp => "uitofp",
-            CastOp::FpToSi => "fptosi",
-            CastOp::FpToUi => "fptoui",
-            CastOp::FpTrunc => "fptrunc",
-            CastOp::FpExt => "fpext",
-            CastOp::PtrToInt => "ptrtoint",
-            CastOp::IntToPtr => "inttoptr",
-        }
+mnemonic_enum! {
+    /// Cast operation kinds, with their LLVM mnemonics.
+    #[allow(missing_docs)]
+    CastOp {
+        Trunc => "trunc",
+        ZExt => "zext",
+        SExt => "sext",
+        SiToFp => "sitofp",
+        UiToFp => "uitofp",
+        FpToSi => "fptosi",
+        FpToUi => "fptoui",
+        FpTrunc => "fptrunc",
+        FpExt => "fpext",
+        PtrToInt => "ptrtoint",
+        IntToPtr => "inttoptr",
     }
 }
 
@@ -398,6 +337,37 @@ impl Terminator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytecode codec's contract with a `mnemonic_enum!`: the tag of a
+    /// variant is its index in `ALL`, and no two variants print alike.
+    #[test]
+    fn enum_tables_are_dense_and_unambiguous() {
+        fn check<T: Copy + std::fmt::Debug>(
+            all: &[T],
+            tag: fn(T) -> u8,
+            text: fn(T) -> &'static str,
+        ) {
+            for (i, &v) in all.iter().enumerate() {
+                assert_eq!(tag(v) as usize, i, "{v:?} is not at its own tag in ALL");
+                let twin = all[..i].iter().find(|&&w| text(w) == text(v));
+                assert!(twin.is_none(), "{v:?} and {twin:?} share a mnemonic");
+            }
+        }
+        check(IrType::ALL, |v| v as u8, IrType::mnemonic);
+        check(BinOpKind::ALL, |v| v as u8, BinOpKind::mnemonic);
+        check(CmpPred::ALL, |v| v as u8, CmpPred::mnemonic);
+        check(CastOp::ALL, |v| v as u8, CastOp::mnemonic);
+        assert_eq!(
+            [
+                IrType::ALL.len(),
+                BinOpKind::ALL.len(),
+                CmpPred::ALL.len(),
+                CastOp::ALL.len()
+            ],
+            [9, 18, 16, 11],
+            "a variant was added or dropped: the OMPLTBC version byte must move with it"
+        );
+    }
 
     #[test]
     fn successors() {

@@ -2,27 +2,55 @@
 
 use std::fmt;
 
-/// A first-class IR type.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum IrType {
-    /// No value (function returns only).
-    Void,
-    /// 1-bit boolean (comparison results).
-    I1,
-    /// 8-bit integer.
-    I8,
-    /// 16-bit integer.
-    I16,
-    /// 32-bit integer.
-    I32,
-    /// 64-bit integer.
-    I64,
-    /// 32-bit float.
-    F32,
-    /// 64-bit float.
-    F64,
-    /// Untyped pointer (opaque, as in modern LLVM).
-    Ptr,
+/// Declares a fieldless enum from rows of `Variant => "mnemonic"`: the enum,
+/// its `mnemonic()`, and `ALL` in declaration order. The bytecode codec
+/// writes `x as u8` and reads `ALL.get(tag)`, so a variant added as a row
+/// cannot be forgotten anywhere else.
+macro_rules! mnemonic_enum {
+    ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident => $text:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// Every variant in declaration order: `ALL[i] as u8 == i`.
+            pub const ALL: &'static [$name] = &[$($name::$variant),*];
+
+            /// The spelling the IR printer and the disassembler use.
+            pub fn mnemonic(self) -> &'static str {
+                match self {
+                    $($name::$variant => $text,)*
+                }
+            }
+        }
+    };
+}
+pub(crate) use mnemonic_enum;
+
+mnemonic_enum! {
+    /// A first-class IR type.
+    IrType {
+        /// No value (function returns only).
+        Void => "void",
+        /// 1-bit boolean (comparison results).
+        I1 => "i1",
+        /// 8-bit integer.
+        I8 => "i8",
+        /// 16-bit integer.
+        I16 => "i16",
+        /// 32-bit integer.
+        I32 => "i32",
+        /// 64-bit integer.
+        I64 => "i64",
+        /// 32-bit float.
+        F32 => "float",
+        /// 64-bit float.
+        F64 => "double",
+        /// Untyped pointer (opaque, as in modern LLVM).
+        Ptr => "ptr",
+    }
 }
 
 impl IrType {
@@ -97,18 +125,7 @@ impl IrType {
 
 impl fmt::Display for IrType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            IrType::Void => "void",
-            IrType::I1 => "i1",
-            IrType::I8 => "i8",
-            IrType::I16 => "i16",
-            IrType::I32 => "i32",
-            IrType::I64 => "i64",
-            IrType::F32 => "float",
-            IrType::F64 => "double",
-            IrType::Ptr => "ptr",
-        };
-        f.write_str(s)
+        f.write_str(self.mnemonic())
     }
 }
 

@@ -14,9 +14,9 @@ use crate::transform::{
     transform_unroll_partial, LoopNestLevel,
 };
 use omplt_ast::{
-    loop_level, BadPermutation, BinOp, ClauseModifier, Expr, LoopAssociation, LoopDirectiveHelpers,
-    NestRefusal, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind, PerLoopHelpers,
-    ScheduleKind, Stmt, StmtKind, P,
+    loop_level, ArgShape, BadPermutation, BinOp, ClauseModifier, Expr, LoopAssociation,
+    LoopDirectiveHelpers, NestRefusal, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind,
+    PerLoopHelpers, ScheduleKind, Stmt, StmtKind, VarDecl, P,
 };
 use omplt_source::SourceLocation;
 
@@ -121,6 +121,7 @@ impl Sema<'_> {
                 }
             }
         }
+        self.check_data_sharing(d, consumer);
         // OpenMP 5.1 §10.4: `simdlen` must not exceed `safelen` when both
         // are present (a preferred width above the legal distance bound
         // would be unsatisfiable).
@@ -133,6 +134,41 @@ impl Sema<'_> {
                 self.diags.error(
                     loc,
                     format!("'simdlen({simdlen})' must not be greater than 'safelen({safelen})'"),
+                );
+            }
+        }
+    }
+
+    /// OpenMP 5.1 §5.4: a variable may be named in at most one data-sharing
+    /// clause of a directive. Codegen rebinds in clause order, so a second
+    /// mention would silently pick whichever clause comes last.
+    fn check_data_sharing(&self, d: &OMPDirective, consumer: &str) {
+        let mut named: Vec<(&VarDecl, &OMPClause, SourceLocation)> = Vec::new();
+        for c in &d.clauses {
+            if !matches!(c.kind.shape(), ArgShape::VarList | ArgShape::Reduction) {
+                continue;
+            }
+            for e in &c.args {
+                let Some(var) = e.as_decl_ref() else { continue };
+                let Some((_, first, first_loc)) = named.iter().find(|(v, ..)| v.id == var.id)
+                else {
+                    named.push((var, c, e.loc));
+                    continue;
+                };
+                self.diags.report_with_notes(
+                    omplt_source::Level::Error,
+                    e.loc,
+                    format!(
+                        "variable '{}' is named in more than one data-sharing clause of \
+                         '{consumer}' ('{}' and '{}')",
+                        var.name,
+                        first.kind.name(),
+                        c.kind.name()
+                    ),
+                    vec![omplt_source::Diagnostic::note(
+                        *first_loc,
+                        format!("first named in this '{}' clause", first.kind.name()),
+                    )],
                 );
             }
         }

@@ -4,7 +4,10 @@
 //! `ompltc --backend=vm` (the tree-walking interpreter in `omplt-interp`
 //! stays the default and serves as the semantic oracle).
 //!
-//! Three layers:
+//! Three layers over one instruction table ([`ops`]: each op is declared
+//! once, as a row giving its tag, fields and field roles; the `Op` enum, its
+//! def/use/jump-target accessors and its [`serde`] codec are generated from
+//! the rows):
 //!
 //! * [`compile`] — lowers a verified IR [`omplt_ir::Module`] to flat
 //!   bytecode: blocks are linearized in reverse-postorder, SSA values get

@@ -9,7 +9,16 @@
 //! typed by coarse [`RegClass`]; constants live in a per-function pool
 //! (globals and function references are pool entries resolved once per run,
 //! not per use).
+//!
+//! The instruction set is declared once, as the rows of the `ops!` table
+//! below: each row gives an op's tag, name and fields, and each field's
+//! *role* (register def/use, vector def/use, jump label, or an immediate's
+//! type). The enum, the def/use/jump-target accessors, `is_terminator` and
+//! the OMPLTBC codec of an op are all derived from its row; what an op
+//! *does* (the dispatch arm in `vm.rs`), its type rule (`verify.rs`) and its
+//! [`disasm`] line are the three things written by hand per op.
 
+use crate::serde::{Dec, DecodeError, Enc, Wire};
 use omplt_interp::RtVal;
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
@@ -55,6 +64,9 @@ pub enum RegClass {
 }
 
 impl RegClass {
+    /// Every class in declaration order: `ALL[i] as u8 == i`, the codec's tag.
+    pub const ALL: &'static [RegClass] = &[RegClass::Int, RegClass::Float, RegClass::Ptr];
+
     /// The class a value of IR type `ty` lives in.
     pub fn of(ty: IrType) -> RegClass {
         if ty.is_float() {
@@ -112,7 +124,7 @@ impl PoolConst {
     }
 }
 
-/// Who a `Call` op targets: another bytecode function, or a name served by
+/// Who a call op targets: another bytecode function, or a name served by
 /// the shared OpenMP/IO runtime (resolution happens at compile time — the
 /// module-functions-first precedence is baked into the bytecode).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -123,91 +135,230 @@ pub enum CallTarget {
     Runtime(SymbolId),
 }
 
-/// One bytecode instruction.
-///
-/// `#[repr(u8)]` keeps the discriminant a single dense byte, so the
-/// dispatch `match` compiles to a jump table.
-#[repr(u8)]
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum Op {
+/// One register or jump-label operand of an op, as [`Op::slots`] hands it
+/// out: the role a row gives a field, minus the immediates (which have none).
+enum Slot<'a> {
+    /// Scalar register the op writes (`rdef`, or an `opt_rdef` that is `Some`).
+    RDef(&'a mut Reg),
+    /// Scalar register the op reads (`ruse`, or an `opt_ruse` that is `Some`).
+    RUse(&'a mut Reg),
+    /// Vector register the op writes.
+    VDef(&'a mut VReg),
+    /// Vector register the op reads.
+    VUse(&'a mut VReg),
+    /// Instruction offset the op may jump to.
+    Label(&'a mut u32),
+}
+
+/// The Rust type of a field, given its role. Anything that is not one of the
+/// seven register/label roles is an immediate and names its own type.
+macro_rules! field_ty {
+    (rdef) => { Reg };
+    (ruse) => { Reg };
+    (opt_rdef) => { Option<Reg> };
+    (opt_ruse) => { Option<Reg> };
+    (vdef) => { VReg };
+    (vuse) => { VReg };
+    (label) => { u32 };
+    ($imm:ident) => { $imm };
+}
+
+/// Hands the field `$x` (a `&mut`) to the slot visitor `$visit`, given its role.
+macro_rules! field_slot {
+    ($visit:ident, rdef, $x:ident) => {
+        $visit(Slot::RDef($x))
+    };
+    ($visit:ident, ruse, $x:ident) => {
+        $visit(Slot::RUse($x))
+    };
+    ($visit:ident, opt_rdef, $x:ident) => {
+        if let Some(r) = $x {
+            $visit(Slot::RDef(r))
+        }
+    };
+    ($visit:ident, opt_ruse, $x:ident) => {
+        if let Some(r) = $x {
+            $visit(Slot::RUse(r))
+        }
+    };
+    ($visit:ident, vdef, $x:ident) => {
+        $visit(Slot::VDef($x))
+    };
+    ($visit:ident, vuse, $x:ident) => {
+        $visit(Slot::VUse($x))
+    };
+    ($visit:ident, label, $x:ident) => {
+        $visit(Slot::Label($x))
+    };
+    ($visit:ident, $imm:ident, $x:ident) => {
+        let _ = $x;
+    };
+}
+
+/// The only word allowed between a row's name and its fields.
+macro_rules! row_mark {
+    (terminator) => {
+        true
+    };
+}
+
+/// Turns the instruction table below into everything that depends only on
+/// what a row says: the `Op` enum (variant = row, discriminant = tag, fields
+/// in row order), the slot walker behind the def/use/jump-target accessors,
+/// `is_terminator`, and the OMPLTBC codec (tag byte, then every field in row
+/// order through its type's [`Wire`] impl).
+macro_rules! ops {
+    ($(
+        $(#[$meta:meta])*
+        $tag:literal => $name:ident $($mark:ident)? $({
+            $($(#[$fmeta:meta])* $field:ident: $role:ident,)*
+        })?,
+    )*) => {
+        /// One bytecode instruction.
+        ///
+        /// `#[repr(u8)]` keeps the discriminant a single dense byte, so the
+        /// dispatch `match` compiles to a jump table.
+        #[repr(u8)]
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        pub enum Op {
+            $(
+                $(#[$meta])*
+                $name $({
+                    $($(#[$fmeta])* $field: field_ty!($role),)*
+                })? = $tag,
+            )*
+        }
+
+        impl Op {
+            /// The tag of every row, in table order.
+            #[cfg(test)]
+            pub(crate) const TAGS: &'static [u8] = &[$($tag),*];
+
+            /// Visits every register and jump-label field in row order.
+            #[inline(always)]
+            fn slots(&mut self, mut visit: impl FnMut(Slot<'_>)) {
+                match self {
+                    $(Op::$name { $($($field),*)? } => {
+                        $($(field_slot!(visit, $role, $field);)*)?
+                    })*
+                }
+            }
+
+            /// True for ops that end a basic block.
+            pub fn is_terminator(self) -> bool {
+                match self {
+                    $($(Op::$name { .. } => row_mark!($mark),)?)*
+                    _ => false,
+                }
+            }
+        }
+
+        impl Wire for Op {
+            fn put(self, enc: &mut Enc) {
+                match self {
+                    $(Op::$name { $($($field),*)? } => {
+                        enc.put::<u8>($tag);
+                        $($(enc.put($field);)*)?
+                    })*
+                }
+            }
+
+            fn get(dec: &mut Dec) -> Result<Op, DecodeError> {
+                Ok(match dec.get::<u8>()? {
+                    $($tag => Op::$name { $($($field: dec.get()?),*)? },)*
+                    other => return Err(DecodeError(format!("bad Op tag {other}"))),
+                })
+            }
+        }
+    };
+}
+
+// The instruction set. One row per op: `tag => Name [terminator] { fields }`,
+// and per field its name and *role* — `rdef`/`ruse` (scalar register written/
+// read), `opt_rdef`/`opt_ruse` (the same, as `Option<Reg>`), `vdef`/`vuse`
+// (vector register), `label` (jump target) — or, for an immediate, its type
+// (`u8`/`u16`/`u32`, `IrType`, `BinOpKind`, `CmpPred`, `CastOp`). Row order
+// is the in-memory field order *and* the wire order; any change to a row is
+// a layout change and moves the OMPLTBC version byte in `serde.rs`.
+ops! {
     /// `dst = consts[idx]`.
-    Const {
+    0 => Const {
         /// Destination register.
-        dst: Reg,
+        dst: rdef,
         /// Constant-pool index.
         idx: u16,
     },
     /// `dst = src` (phi-edge copies, promoted-slot reads/writes).
-    Mov {
+    1 => Mov {
         /// Destination register.
-        dst: Reg,
+        dst: rdef,
         /// Source register.
-        src: Reg,
+        src: ruse,
     },
     /// `dst = alloc(bytes)` — fresh zeroed guest allocation.
-    Alloca {
+    2 => Alloca {
         /// Destination (pointer) register.
-        dst: Reg,
+        dst: rdef,
         /// Allocation size in bytes (≥ 1).
         bytes: u32,
     },
     /// `dst = *(ty*)addr`.
-    Load {
+    3 => Load {
         /// Destination register.
-        dst: Reg,
+        dst: rdef,
         /// Address register.
-        addr: Reg,
+        addr: ruse,
         /// Loaded type (width + decode).
         ty: IrType,
     },
     /// `*(ty*)addr = src`.
-    Store {
+    4 => Store {
         /// Value register.
-        src: Reg,
+        src: ruse,
         /// Address register.
-        addr: Reg,
+        addr: ruse,
         /// Stored type (width + encode).
         ty: IrType,
     },
     /// `dst = base + index * elem_size` (byte-scaled GEP).
-    Gep {
+    5 => Gep {
         /// Destination (pointer) register.
-        dst: Reg,
+        dst: rdef,
         /// Base pointer register.
-        base: Reg,
+        base: ruse,
         /// Index register (sign-extended).
-        index: Reg,
+        index: ruse,
         /// Element size in bytes.
         elem_size: u32,
     },
     /// `dst = lhs <op> rhs` at width `ty`.
-    Bin {
+    6 => Bin {
         /// Operation.
         op: BinOpKind,
         /// Operand type (wrapping width / pointer flavor).
         ty: IrType,
         /// Destination register.
-        dst: Reg,
+        dst: rdef,
         /// Left operand.
-        lhs: Reg,
+        lhs: ruse,
         /// Right operand.
-        rhs: Reg,
+        rhs: ruse,
     },
     /// `dst = lhs <pred> rhs` (yields 0/1).
-    Cmp {
+    7 => Cmp {
         /// Predicate.
         pred: CmpPred,
         /// Operand type.
         ty: IrType,
         /// Destination register.
-        dst: Reg,
+        dst: rdef,
         /// Left operand.
-        lhs: Reg,
+        lhs: ruse,
         /// Right operand.
-        rhs: Reg,
+        rhs: ruse,
     },
     /// `dst = cast<op>(src)`.
-    Cast {
+    8 => Cast {
         /// Conversion.
         op: CastOp,
         /// Source type.
@@ -215,23 +366,23 @@ pub enum Op {
         /// Destination type.
         to: IrType,
         /// Destination register.
-        dst: Reg,
+        dst: rdef,
         /// Source register.
-        src: Reg,
+        src: ruse,
     },
     /// `dst = cond ? t : f`.
-    Select {
+    9 => Select {
         /// Destination register.
-        dst: Reg,
+        dst: rdef,
         /// Condition register (0 = false).
-        cond: Reg,
+        cond: ruse,
         /// Value if true.
-        t: Reg,
+        t: ruse,
         /// Value if false.
-        f: Reg,
+        f: ruse,
     },
-    /// Call `call_targets[target]` with `call_args[args_at .. args_at+nargs]`.
-    Call {
+    /// Calls `call_targets[target]` with `call_args[args_at .. args_at+nargs]`.
+    10 => Call {
         /// Index into [`VmFunction::call_targets`].
         target: u16,
         /// Start of the argument-register run in [`VmFunction::call_args`].
@@ -241,116 +392,116 @@ pub enum Op {
         /// Callee return type (`Void` ⇒ `dst` is `None`).
         ret: IrType,
         /// Where the return value lands.
-        dst: Option<Reg>,
+        dst: opt_rdef,
     },
     /// Unconditional jump to an instruction offset.
-    Jmp {
+    11 => Jmp terminator {
         /// Target offset (must be a block start).
-        target: u32,
+        target: label,
     },
     /// Conditional jump: `cond != 0` ⇒ `then_t`, else `else_t`.
-    Br {
+    12 => Br terminator {
         /// Condition register.
-        cond: Reg,
+        cond: ruse,
         /// Offset when true.
-        then_t: u32,
+        then_t: label,
         /// Offset when false.
-        else_t: u32,
+        else_t: label,
     },
     /// Fused `dst = lhs <op> rhs; jmp target` — the loop-latch increment
     /// plus backedge, fused by the peephole pass.
-    BinJmp {
+    13 => BinJmp terminator {
         /// Operation.
         op: BinOpKind,
         /// Operand type.
         ty: IrType,
         /// Destination register.
-        dst: Reg,
+        dst: rdef,
         /// Left operand.
-        lhs: Reg,
+        lhs: ruse,
         /// Right operand.
-        rhs: Reg,
+        rhs: ruse,
         /// Jump target (must be a block start).
-        target: u32,
+        target: label,
     },
     /// Fused compare-and-branch: `lhs <pred> rhs` ⇒ `then_t`, else `else_t`.
     /// Produced by the peephole pass from a `Cmp` whose only consumer is the
     /// block-ending `Br` — the hot loop-latch pattern.
-    CmpBr {
+    14 => CmpBr terminator {
         /// Predicate.
         pred: CmpPred,
         /// Operand type.
         ty: IrType,
         /// Left operand.
-        lhs: Reg,
+        lhs: ruse,
         /// Right operand.
-        rhs: Reg,
+        rhs: ruse,
         /// Offset when the comparison holds.
-        then_t: u32,
+        then_t: label,
         /// Offset when it does not.
-        else_t: u32,
+        else_t: label,
     },
     /// Return from the frame.
-    Ret {
+    15 => Ret terminator {
         /// Returned register (`None` for void).
-        src: Option<Reg>,
+        src: opt_ruse,
     },
     /// `unreachable` executed — aborts the run.
-    Unreachable,
+    16 => Unreachable terminator,
     /// `vdst = vsrc` (vector copy; loop-carried accumulator plumbing).
-    VMov {
+    17 => VMov {
         /// Destination vector register.
-        dst: VReg,
+        dst: vdef,
         /// Source vector register.
-        src: VReg,
+        src: vuse,
         /// Lane count.
         w: u8,
     },
     /// `vdst.lane[l] = base + l` for `l < w` — the per-block lane indices of
     /// a widened induction variable.
-    VIota {
+    18 => VIota {
         /// Destination vector register (Int class).
-        dst: VReg,
+        dst: vdef,
         /// Scalar base register.
-        base: Reg,
+        base: ruse,
         /// Lane count.
         w: u8,
     },
     /// `vdst.lane[l] = src` for `l < w`.
-    VBroadcast {
+    19 => VBroadcast {
         /// Destination vector register.
-        dst: VReg,
+        dst: vdef,
         /// Scalar source register.
-        src: Reg,
+        src: ruse,
         /// Lane count.
         w: u8,
     },
     /// `dst = vsrc.lane[lane]`.
-    VExtract {
+    20 => VExtract {
         /// Scalar destination register.
-        dst: Reg,
+        dst: rdef,
         /// Source vector register.
-        src: VReg,
+        src: vuse,
         /// Lane index (must be < the register's width).
         lane: u8,
     },
     /// Unit-stride vector load: `vdst.lane[l] = *(ty*)(addr + l*size(ty))`.
-    VLoad {
+    21 => VLoad {
         /// Destination vector register.
-        dst: VReg,
+        dst: vdef,
         /// Scalar lane-0 address register.
-        addr: Reg,
+        addr: ruse,
         /// Element type (width + decode).
         ty: IrType,
         /// Lane count.
         w: u8,
     },
     /// Unit-stride vector store: `*(ty*)(addr + l*size(ty)) = vsrc.lane[l]`.
-    VStore {
+    22 => VStore {
         /// Source vector register.
-        src: VReg,
+        src: vuse,
         /// Scalar lane-0 address register.
-        addr: Reg,
+        addr: ruse,
         /// Element type (width + encode).
         ty: IrType,
         /// Lane count.
@@ -358,16 +509,16 @@ pub enum Op {
     },
     /// Indexed vector load:
     /// `vdst.lane[l] = *(ty*)(base + vidx.lane[l]*elem_size)`.
-    VGather {
+    23 => VGather {
         /// Index scale in bytes (leads the payload: `#[repr(u8)]` lays
         /// fields out C-style, and a trailing u32 would pad past 16 bytes).
         elem_size: u32,
         /// Destination vector register.
-        dst: VReg,
+        dst: vdef,
         /// Scalar base pointer register.
-        base: Reg,
+        base: ruse,
         /// Per-lane index vector register (Int class).
-        idx: VReg,
+        idx: vuse,
         /// Element type.
         ty: IrType,
         /// Lane count.
@@ -375,38 +526,38 @@ pub enum Op {
     },
     /// Indexed vector store:
     /// `*(ty*)(base + vidx.lane[l]*elem_size) = vsrc.lane[l]`.
-    VScatter {
+    24 => VScatter {
         /// Index scale in bytes (leads the payload: `#[repr(u8)]` lays
         /// fields out C-style, and a trailing u32 would pad past 16 bytes).
         elem_size: u32,
         /// Source vector register.
-        src: VReg,
+        src: vuse,
         /// Scalar base pointer register.
-        base: Reg,
+        base: ruse,
         /// Per-lane index vector register (Int class).
-        idx: VReg,
+        idx: vuse,
         /// Element type.
         ty: IrType,
         /// Lane count.
         w: u8,
     },
     /// Lane-parallel arithmetic: `vdst.lane[l] = vlhs.lane[l] <op> vrhs.lane[l]`.
-    VBin {
+    25 => VBin {
         /// Operation.
         op: BinOpKind,
         /// Operand type (wrapping width).
         ty: IrType,
         /// Destination vector register.
-        dst: VReg,
+        dst: vdef,
         /// Left operand vector register.
-        lhs: VReg,
+        lhs: vuse,
         /// Right operand vector register.
-        rhs: VReg,
+        rhs: vuse,
         /// Lane count.
         w: u8,
     },
     /// Lane-parallel conversion: `vdst.lane[l] = cast<op>(vsrc.lane[l])`.
-    VCast {
+    26 => VCast {
         /// Conversion.
         op: CastOp,
         /// Source type.
@@ -414,308 +565,155 @@ pub enum Op {
         /// Destination type.
         to: IrType,
         /// Destination vector register.
-        dst: VReg,
+        dst: vdef,
         /// Source vector register.
-        src: VReg,
+        src: vuse,
         /// Lane count.
         w: u8,
     },
     /// Horizontal reduction, left fold in lane order:
     /// `dst = (…(lane[0] <op> lane[1]) <op> …) <op> lane[w-1]`.
-    VReduce {
+    27 => VReduce {
         /// Operation (associative integer op for exact results).
         op: BinOpKind,
         /// Operand type.
         ty: IrType,
         /// Scalar destination register.
-        dst: Reg,
+        dst: rdef,
         /// Source vector register.
-        src: VReg,
+        src: vuse,
         /// Lane count.
         w: u8,
     },
     /// Epilogue bookkeeping: tallies `max(src, 0)` scalar remainder
     /// iterations into the `vm.simd.epilogue_iters` counter. No data effect.
-    VEpi {
+    28 => VEpi {
         /// Scalar register holding the remaining-iteration count.
-        src: Reg,
+        src: ruse,
     },
 }
 
 impl Op {
-    /// The register this op defines, if any.
-    pub fn def(self) -> Option<Reg> {
+    /// The run of argument registers a call reads in the function's shared
+    /// `call_args` pool (empty for every other op). The pool is the one
+    /// operand a row cannot describe, so the use accessors add it by hand.
+    fn call_arg_run(self) -> std::ops::Range<usize> {
         match self {
-            Op::Const { dst, .. }
-            | Op::Mov { dst, .. }
-            | Op::Alloca { dst, .. }
-            | Op::Load { dst, .. }
-            | Op::Gep { dst, .. }
-            | Op::Bin { dst, .. }
-            | Op::Cmp { dst, .. }
-            | Op::Cast { dst, .. }
-            | Op::Select { dst, .. }
-            | Op::BinJmp { dst, .. }
-            | Op::VExtract { dst, .. }
-            | Op::VReduce { dst, .. } => Some(dst),
-            Op::Call { dst, .. } => dst,
-            _ => None,
+            Op::Call { args_at, nargs, .. } => args_at as usize..args_at as usize + nargs as usize,
+            _ => 0..0,
         }
+    }
+
+    // The accessors below are `#[inline]` because the passes call them per op:
+    // written as one `match` each they were leaf functions, which rustc
+    // inlines across codegen units and crates unasked; through `slots` they
+    // are not, and without the hint each call costs about three times as much.
+
+    /// The register this op defines, if any.
+    #[inline]
+    pub fn def(mut self) -> Option<Reg> {
+        let mut def = None;
+        self.slots(|s| {
+            if let Slot::RDef(r) = s {
+                def = Some(*r);
+            }
+        });
+        def
     }
 
     /// The vector register this op defines, if any.
-    pub fn vdef(self) -> Option<VReg> {
-        match self {
-            Op::VMov { dst, .. }
-            | Op::VIota { dst, .. }
-            | Op::VBroadcast { dst, .. }
-            | Op::VLoad { dst, .. }
-            | Op::VGather { dst, .. }
-            | Op::VBin { dst, .. }
-            | Op::VCast { dst, .. } => Some(dst),
-            _ => None,
-        }
+    #[inline]
+    pub fn vdef(mut self) -> Option<VReg> {
+        let mut vdef = None;
+        self.slots(|s| {
+            if let Slot::VDef(v) = s {
+                vdef = Some(*v);
+            }
+        });
+        vdef
     }
 
     /// Visits every vector register this op *reads*.
-    pub fn for_each_vuse(self, mut f: impl FnMut(VReg)) {
-        match self {
-            Op::VMov { src, .. }
-            | Op::VExtract { src, .. }
-            | Op::VCast { src, .. }
-            | Op::VReduce { src, .. } => f(src),
-            Op::VStore { src, .. } => f(src),
-            Op::VGather { idx, .. } => f(idx),
-            Op::VScatter { src, idx, .. } => {
-                f(src);
-                f(idx);
+    #[inline]
+    pub fn for_each_vuse(mut self, mut f: impl FnMut(VReg)) {
+        self.slots(|s| {
+            if let Slot::VUse(v) = s {
+                f(*v);
             }
-            Op::VBin { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
-            }
-            _ => {}
-        }
+        });
     }
 
-    /// Visits every register this op *reads*. Call arguments live in the
-    /// shared `call_args` pool, hence the extra parameter.
-    pub fn for_each_use(self, call_args: &[Reg], mut f: impl FnMut(Reg)) {
-        match self {
-            Op::Const { .. } | Op::Alloca { .. } | Op::Jmp { .. } | Op::Unreachable => {}
-            Op::Mov { src, .. } => f(src),
-            Op::Load { addr, .. } => f(addr),
-            Op::Store { src, addr, .. } => {
-                f(src);
-                f(addr);
+    /// Visits every register this op *reads*. A call's arguments live in the
+    /// shared `call_args` pool, hence the extra parameter. Vector ops report
+    /// only their *scalar* operands here (vector registers have their own
+    /// namespace and are never renamed).
+    #[inline]
+    pub fn for_each_use(mut self, call_args: &[Reg], mut f: impl FnMut(Reg)) {
+        call_args[self.call_arg_run()].iter().for_each(|&r| f(r));
+        self.slots(|s| {
+            if let Slot::RUse(r) = s {
+                f(*r);
             }
-            Op::Gep { base, index, .. } => {
-                f(base);
-                f(index);
-            }
-            Op::Bin { lhs, rhs, .. }
-            | Op::Cmp { lhs, rhs, .. }
-            | Op::BinJmp { lhs, rhs, .. }
-            | Op::CmpBr { lhs, rhs, .. } => {
-                f(lhs);
-                f(rhs);
-            }
-            Op::Cast { src, .. } => f(src),
-            Op::Select { cond, t, f: fv, .. } => {
-                f(cond);
-                f(t);
-                f(fv);
-            }
-            Op::Call { args_at, nargs, .. } => {
-                for &r in &call_args[args_at as usize..args_at as usize + nargs as usize] {
-                    f(r);
-                }
-            }
-            Op::Br { cond, .. } => f(cond),
-            Op::Ret { src } => {
-                if let Some(r) = src {
-                    f(r);
-                }
-            }
-            // Vector ops: only their *scalar* operands are uses here (vector
-            // registers have their own namespace and are never renamed).
-            Op::VIota { base, .. }
-            | Op::VBroadcast { src: base, .. }
-            | Op::VLoad { addr: base, .. }
-            | Op::VStore { addr: base, .. }
-            | Op::VGather { base, .. }
-            | Op::VScatter { base, .. }
-            | Op::VEpi { src: base } => f(base),
-            Op::VMov { .. }
-            | Op::VExtract { .. }
-            | Op::VBin { .. }
-            | Op::VCast { .. }
-            | Op::VReduce { .. } => {}
-        }
+        });
     }
 
     /// Rewrites every register through `f` (register-allocation renaming).
-    /// Call-argument registers are renamed separately on the shared pool.
+    /// A call's argument registers are renamed separately on the shared pool.
+    #[inline]
     pub fn map_regs(&mut self, mut f: impl FnMut(Reg) -> Reg) {
-        match self {
-            Op::Const { dst, .. } | Op::Alloca { dst, .. } => *dst = f(*dst),
-            Op::Mov { dst, src } => {
-                *dst = f(*dst);
-                *src = f(*src);
+        self.slots(|s| {
+            if let Slot::RDef(r) | Slot::RUse(r) = s {
+                *r = f(*r);
             }
-            Op::Load { dst, addr, .. } => {
-                *dst = f(*dst);
-                *addr = f(*addr);
-            }
-            Op::Store { src, addr, .. } => {
-                *src = f(*src);
-                *addr = f(*addr);
-            }
-            Op::Gep {
-                dst, base, index, ..
-            } => {
-                *dst = f(*dst);
-                *base = f(*base);
-                *index = f(*index);
-            }
-            Op::Bin { dst, lhs, rhs, .. }
-            | Op::Cmp { dst, lhs, rhs, .. }
-            | Op::BinJmp { dst, lhs, rhs, .. } => {
-                *dst = f(*dst);
-                *lhs = f(*lhs);
-                *rhs = f(*rhs);
-            }
-            Op::CmpBr { lhs, rhs, .. } => {
-                *lhs = f(*lhs);
-                *rhs = f(*rhs);
-            }
-            Op::Cast { dst, src, .. } => {
-                *dst = f(*dst);
-                *src = f(*src);
-            }
-            Op::Select {
-                dst,
-                cond,
-                t,
-                f: fv,
-            } => {
-                *dst = f(*dst);
-                *cond = f(*cond);
-                *t = f(*t);
-                *fv = f(*fv);
-            }
-            Op::Call { dst, .. } => {
-                if let Some(d) = dst {
-                    *d = f(*d);
-                }
-            }
-            Op::Br { cond, .. } => *cond = f(*cond),
-            Op::Ret { src } => {
-                if let Some(r) = src {
-                    *r = f(*r);
-                }
-            }
-            Op::VIota { base, .. }
-            | Op::VBroadcast { src: base, .. }
-            | Op::VLoad { addr: base, .. }
-            | Op::VStore { addr: base, .. }
-            | Op::VGather { base, .. }
-            | Op::VScatter { base, .. }
-            | Op::VEpi { src: base } => *base = f(*base),
-            Op::VExtract { dst, .. } | Op::VReduce { dst, .. } => *dst = f(*dst),
-            Op::VMov { .. } | Op::VBin { .. } | Op::VCast { .. } => {}
-            Op::Jmp { .. } | Op::Unreachable => {}
-        }
+        });
     }
 
     /// Overwrites the destination register (def-coalescing in the peephole
     /// pass). No-op for ops without one.
+    #[inline]
     pub fn set_def(&mut self, r: Reg) {
-        match self {
-            Op::Const { dst, .. }
-            | Op::Mov { dst, .. }
-            | Op::Alloca { dst, .. }
-            | Op::Load { dst, .. }
-            | Op::Gep { dst, .. }
-            | Op::Bin { dst, .. }
-            | Op::Cmp { dst, .. }
-            | Op::Cast { dst, .. }
-            | Op::Select { dst, .. }
-            | Op::BinJmp { dst, .. }
-            | Op::VExtract { dst, .. }
-            | Op::VReduce { dst, .. } => *dst = r,
-            Op::Call { dst: Some(d), .. } => *d = r,
-            _ => {}
-        }
+        self.slots(|s| {
+            if let Slot::RDef(d) = s {
+                *d = r;
+            }
+        });
     }
 
     /// Rewrites only the registers this op *reads* (copy propagation must
     /// not touch defs — a `Mov` destination can be a live copy-map key).
-    /// A `Call` rewrites its own (never shared) slice of `call_args`.
+    /// A call rewrites its own (never shared) slice of `call_args`.
+    #[inline]
     pub fn map_uses(&mut self, call_args: &mut [Reg], mut f: impl FnMut(Reg) -> Reg) {
-        match self {
-            Op::Const { .. } | Op::Alloca { .. } | Op::Jmp { .. } | Op::Unreachable => {}
-            Op::Mov { src, .. } => *src = f(*src),
-            Op::Load { addr, .. } => *addr = f(*addr),
-            Op::Store { src, addr, .. } => {
-                *src = f(*src);
-                *addr = f(*addr);
-            }
-            Op::Gep { base, index, .. } => {
-                *base = f(*base);
-                *index = f(*index);
-            }
-            Op::Bin { lhs, rhs, .. }
-            | Op::Cmp { lhs, rhs, .. }
-            | Op::BinJmp { lhs, rhs, .. }
-            | Op::CmpBr { lhs, rhs, .. } => {
-                *lhs = f(*lhs);
-                *rhs = f(*rhs);
-            }
-            Op::Cast { src, .. } => *src = f(*src),
-            Op::Select { cond, t, f: fv, .. } => {
-                *cond = f(*cond);
-                *t = f(*t);
-                *fv = f(*fv);
-            }
-            Op::Call { args_at, nargs, .. } => {
-                let lo = *args_at as usize;
-                for r in &mut call_args[lo..lo + *nargs as usize] {
-                    *r = f(*r);
-                }
-            }
-            Op::Br { cond, .. } => *cond = f(*cond),
-            Op::Ret { src } => {
-                if let Some(r) = src {
-                    *r = f(*r);
-                }
-            }
-            Op::VIota { base, .. }
-            | Op::VBroadcast { src: base, .. }
-            | Op::VLoad { addr: base, .. }
-            | Op::VStore { addr: base, .. }
-            | Op::VGather { base, .. }
-            | Op::VScatter { base, .. }
-            | Op::VEpi { src: base } => *base = f(*base),
-            Op::VMov { .. }
-            | Op::VExtract { .. }
-            | Op::VBin { .. }
-            | Op::VCast { .. }
-            | Op::VReduce { .. } => {}
+        for r in &mut call_args[self.call_arg_run()] {
+            *r = f(*r);
         }
+        self.slots(|s| {
+            if let Slot::RUse(r) = s {
+                *r = f(*r);
+            }
+        });
     }
 
-    /// True for ops that end a basic block.
-    pub fn is_terminator(self) -> bool {
-        matches!(
-            self,
-            Op::Jmp { .. }
-                | Op::Br { .. }
-                | Op::BinJmp { .. }
-                | Op::CmpBr { .. }
-                | Op::Ret { .. }
-                | Op::Unreachable
-        )
+    /// Visits every instruction offset this op may jump to, in row order
+    /// (`then_t` before `else_t`).
+    #[inline]
+    pub fn for_each_target(mut self, mut f: impl FnMut(u32)) {
+        self.slots(|s| {
+            if let Slot::Label(t) = s {
+                f(*t);
+            }
+        });
+    }
+
+    /// Rewrites every jump target through `f` (offset remapping after ops
+    /// are deleted).
+    #[inline]
+    pub fn map_targets(&mut self, mut f: impl FnMut(u32) -> u32) {
+        self.slots(|s| {
+            if let Slot::Label(t) = s {
+                *t = f(*t);
+            }
+        });
     }
 }
 
@@ -742,9 +740,9 @@ pub struct VmFunction {
     pub ops: Vec<Op>,
     /// Constant pool (deduplicated).
     pub consts: Vec<PoolConst>,
-    /// Flattened call-argument register runs (see [`Op::Call`]).
+    /// Flattened call-argument register runs, one per call op.
     pub call_args: Vec<Reg>,
-    /// Call-target table (deduplicated).
+    /// Table of call targets (deduplicated).
     pub call_targets: Vec<CallTarget>,
     /// Sorted instruction offsets that begin a basic block (branch targets
     /// must land here; also drives liveness and the disassembler).
@@ -967,8 +965,169 @@ pub fn disasm(f: &VmFunction) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One op and what it defines, reads and jumps to.
+    pub(crate) struct Row {
+        pub(crate) op: Op,
+        def: Option<Reg>,
+        uses: &'static [Reg],
+        vdef: Option<VReg>,
+        vuses: &'static [VReg],
+        targets: &'static [u32],
+        terminator: bool,
+    }
+
+    /// The argument pool the `Call` row of [`one_of_each`] indexes.
+    const POOL: [Reg; 4] = [9, 4, 5, 9];
+
+    /// One instance of every row of the table, in tag order, with its
+    /// operands written out by hand — deliberately *not* derived from the
+    /// roles, so a role that changes shows up as a disagreement here. No two
+    /// fields of an op share a value, so a swapped pair shows up too.
+    #[rustfmt::skip]
+    pub(crate) fn one_of_each() -> Vec<Row> {
+        use {BinOpKind as B, CastOp as C, CmpPred as P, IrType as T};
+        let row = |op, def, uses, vdef, vuses, targets, terminator| Row { op, def, uses, vdef, vuses, targets, terminator };
+        vec![
+            row(Op::Const { dst: 1, idx: 2 }, Some(1), &[], None, &[], &[], false),
+            row(Op::Mov { dst: 1, src: 2 }, Some(1), &[2], None, &[], &[], false),
+            row(Op::Alloca { dst: 1, bytes: 24 }, Some(1), &[], None, &[], &[], false),
+            row(Op::Load { dst: 1, addr: 2, ty: T::I32 }, Some(1), &[2], None, &[], &[], false),
+            row(Op::Store { src: 1, addr: 2, ty: T::F64 }, None, &[1, 2], None, &[], &[], false),
+            row(Op::Gep { dst: 1, base: 2, index: 3, elem_size: 8 }, Some(1), &[2, 3], None, &[], &[], false),
+            row(Op::Bin { op: B::Mul, ty: T::I64, dst: 1, lhs: 2, rhs: 3 }, Some(1), &[2, 3], None, &[], &[], false),
+            row(Op::Cmp { pred: P::Sle, ty: T::I16, dst: 1, lhs: 2, rhs: 3 }, Some(1), &[2, 3], None, &[], &[], false),
+            row(Op::Cast { op: C::SExt, from: T::I8, to: T::I64, dst: 1, src: 2 }, Some(1), &[2], None, &[], &[], false),
+            row(Op::Select { dst: 1, cond: 2, t: 3, f: 4 }, Some(1), &[2, 3, 4], None, &[], &[], false),
+            row(Op::Call { target: 6, args_at: 1, nargs: 2, ret: T::I64, dst: Some(7) }, Some(7), &[4, 5], None, &[], &[], false),
+            row(Op::Jmp { target: 40 }, None, &[], None, &[], &[40], true),
+            row(Op::Br { cond: 1, then_t: 40, else_t: 50 }, None, &[1], None, &[], &[40, 50], true),
+            row(Op::BinJmp { op: B::Add, ty: T::I64, dst: 1, lhs: 2, rhs: 3, target: 40 }, Some(1), &[2, 3], None, &[], &[40], true),
+            row(Op::CmpBr { pred: P::Ult, ty: T::I32, lhs: 1, rhs: 2, then_t: 40, else_t: 50 }, None, &[1, 2], None, &[], &[40, 50], true),
+            row(Op::Ret { src: Some(1) }, None, &[1], None, &[], &[], true),
+            row(Op::Unreachable, None, &[], None, &[], &[], true),
+            row(Op::VMov { dst: 11, src: 12, w: 4 }, None, &[], Some(11), &[12], &[], false),
+            row(Op::VIota { dst: 11, base: 1, w: 4 }, None, &[1], Some(11), &[], &[], false),
+            row(Op::VBroadcast { dst: 11, src: 1, w: 4 }, None, &[1], Some(11), &[], &[], false),
+            row(Op::VExtract { dst: 1, src: 11, lane: 3 }, Some(1), &[], None, &[11], &[], false),
+            row(Op::VLoad { dst: 11, addr: 1, ty: T::F32, w: 4 }, None, &[1], Some(11), &[], &[], false),
+            row(Op::VStore { src: 11, addr: 1, ty: T::F32, w: 4 }, None, &[1], None, &[11], &[], false),
+            row(Op::VGather { elem_size: 8, dst: 11, base: 1, idx: 12, ty: T::I64, w: 4 }, None, &[1], Some(11), &[12], &[], false),
+            row(Op::VScatter { elem_size: 8, src: 11, base: 1, idx: 12, ty: T::I64, w: 4 }, None, &[1], None, &[11, 12], &[], false),
+            row(Op::VBin { op: B::FAdd, ty: T::F64, dst: 11, lhs: 12, rhs: 13, w: 4 }, None, &[], Some(11), &[12, 13], &[], false),
+            row(Op::VCast { op: C::SiToFp, from: T::I32, to: T::F64, dst: 11, src: 12, w: 4 }, None, &[], Some(11), &[12], &[], false),
+            row(Op::VReduce { op: B::Add, ty: T::I64, dst: 1, src: 11, w: 4 }, Some(1), &[], None, &[11], &[], false),
+            row(Op::VEpi { src: 1 }, None, &[1], None, &[], &[], false),
+        ]
+    }
+
+    fn uses(op: Op, pool: &[Reg]) -> Vec<Reg> {
+        let mut out = Vec::new();
+        op.for_each_use(pool, |r| out.push(r));
+        out
+    }
+
+    fn vuses(op: Op) -> Vec<VReg> {
+        let mut out = Vec::new();
+        op.for_each_vuse(|v| out.push(v));
+        out
+    }
+
+    fn targets(op: Op) -> Vec<u32> {
+        let mut out = Vec::new();
+        op.for_each_target(|t| out.push(t));
+        out
+    }
+
+    #[test]
+    fn tags_are_dense_and_every_row_is_in_the_matrix() {
+        let dense: Vec<u8> = (0..Op::TAGS.len() as u8).collect();
+        assert_eq!(Op::TAGS, dense, "tags must be 0..N in table order");
+        // That row `i` of the matrix is the op with tag `i` is checked where
+        // the tag is visible: on the wire, in `serde.rs`.
+        assert_eq!(one_of_each().len(), Op::TAGS.len());
+        for (i, &c) in RegClass::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{c} is not at its own tag in ALL");
+        }
+    }
+
+    #[test]
+    fn derived_accessors_match_the_hand_written_matrix() {
+        for row in one_of_each() {
+            let op = row.op;
+            assert_eq!(op.def(), row.def, "def of {op:?}");
+            assert_eq!(uses(op, &POOL), row.uses, "uses of {op:?}");
+            assert_eq!(op.vdef(), row.vdef, "vdef of {op:?}");
+            assert_eq!(vuses(op), row.vuses, "vuses of {op:?}");
+            assert_eq!(targets(op), row.targets, "targets of {op:?}");
+            assert_eq!(
+                op.is_terminator(),
+                row.terminator,
+                "is_terminator of {op:?}"
+            );
+
+            // The rewriting accessors touch exactly what the reading ones
+            // report: scalar registers shift by 100, targets by 1000, and
+            // vector registers and immediates stay put.
+            let is_call = matches!(op, Op::Call { .. });
+            let shifted = |rs: &[Reg]| rs.iter().map(|r| r + 100).collect::<Vec<Reg>>();
+            let mut renamed = op;
+            renamed.map_regs(|r| r + 100);
+            assert_eq!(
+                renamed.def(),
+                row.def.map(|r| r + 100),
+                "map_regs def of {op:?}"
+            );
+            let pool_uses = if is_call {
+                row.uses.to_vec()
+            } else {
+                shifted(row.uses)
+            };
+            assert_eq!(uses(renamed, &POOL), pool_uses, "map_regs uses of {op:?}");
+            assert_eq!(
+                (renamed.vdef(), vuses(renamed)),
+                (row.vdef, row.vuses.to_vec())
+            );
+
+            let (mut propagated, mut pool) = (op, POOL);
+            propagated.map_uses(&mut pool, |r| r + 100);
+            assert_eq!(
+                propagated.def(),
+                row.def,
+                "map_uses must leave the def of {op:?}"
+            );
+            assert_eq!(
+                uses(propagated, &pool),
+                shifted(row.uses),
+                "map_uses of {op:?}"
+            );
+            assert_eq!(
+                pool[0], POOL[0],
+                "map_uses reaches outside the call's own run"
+            );
+
+            let mut coalesced = op;
+            coalesced.set_def(77);
+            assert_eq!(coalesced.def(), row.def.map(|_| 77), "set_def of {op:?}");
+            assert_eq!(
+                uses(coalesced, &POOL),
+                row.uses,
+                "set_def touched a use of {op:?}"
+            );
+
+            let mut moved = op;
+            moved.map_targets(|t| t + 1000);
+            let want: Vec<u32> = row.targets.iter().map(|t| t + 1000).collect();
+            assert_eq!(targets(moved), want, "map_targets of {op:?}");
+            moved.map_targets(|t| t - 1000);
+            assert_eq!(
+                moved, op,
+                "map_targets changed more than the targets of {op:?}"
+            );
+        }
+    }
 
     #[test]
     fn op_stays_small() {

@@ -278,14 +278,7 @@ fn elide_fallthrough_jumps(f: &mut VmFunction, dead: &mut [bool]) {
         if dead[pc] {
             continue;
         }
-        match *op {
-            Op::Jmp { target } | Op::BinJmp { target, .. } => incoming[target as usize] += 1,
-            Op::Br { then_t, else_t, .. } | Op::CmpBr { then_t, else_t, .. } => {
-                incoming[then_t as usize] += 1;
-                incoming[else_t as usize] += 1;
-            }
-            _ => {}
-        }
+        op.for_each_target(|t| incoming[t as usize] += 1);
     }
     let mut merged_starts: Vec<u32> = Vec::new();
     for (pc, (op, d)) in f.ops.iter().zip(dead.iter_mut()).enumerate() {
@@ -323,16 +316,7 @@ fn compact(f: &mut VmFunction, dead: &[bool]) -> usize {
         kept += u32::from(!d);
     }
     for op in &mut f.ops {
-        match op {
-            Op::Jmp { target } | Op::BinJmp { target, .. } => {
-                *target = new_off[*target as usize];
-            }
-            Op::Br { then_t, else_t, .. } | Op::CmpBr { then_t, else_t, .. } => {
-                *then_t = new_off[*then_t as usize];
-                *else_t = new_off[*else_t as usize];
-            }
-            _ => {}
-        }
+        op.map_targets(|t| new_off[t as usize]);
     }
     let mut i = 0;
     f.ops.retain(|_| {

@@ -13,7 +13,7 @@
 //! a loop whose header is the entry block's constant prologue) covers the
 //! whole loop body, so re-executed defs can never clobber it.
 
-use crate::ops::{Op, Reg, RegClass, VmFunction};
+use crate::ops::{Reg, RegClass, VmFunction};
 
 /// A dense bitset over virtual registers (shared with the peephole pass).
 #[derive(Clone, PartialEq)]
@@ -96,14 +96,7 @@ pub(crate) fn successors(f: &VmFunction, ranges: &[(usize, usize)]) -> Vec<Vec<u
     };
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); ranges.len()];
     for (s, &(_, end)) in succs.iter_mut().zip(ranges) {
-        match f.ops[end - 1] {
-            Op::Jmp { target } | Op::BinJmp { target, .. } => s.push(block_of(target)),
-            Op::Br { then_t, else_t, .. } | Op::CmpBr { then_t, else_t, .. } => {
-                s.push(block_of(then_t));
-                s.push(block_of(else_t));
-            }
-            _ => {}
-        }
+        f.ops[end - 1].for_each_target(|t| s.push(block_of(t)));
     }
     succs
 }

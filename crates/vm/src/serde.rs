@@ -6,24 +6,28 @@
 //! The format is a private, versioned, little-endian encoding:
 //!
 //! ```text
-//! "OMPLTBC\x02"  magic + format version (bump on any layout change)
+//! "OMPLTBC\x03"  magic + format version (bump on any layout change)
 //! u32            function count
 //! per function:  name, ret, params, reg classes, vreg classes/widths,
 //!                const pool, call args, call targets, block starts, ops
 //! ```
 //!
-//! Every enum crosses the boundary through an exhaustive `match`, so adding
-//! an IR or bytecode variant without extending the codec is a compile error,
-//! not a silent corruption. [`decode`] validates tags and lengths and fails
-//! with a message — never panics — because cached bytes, like anything a
-//! server reads back, are treated as untrusted input.
+//! Every value crosses the boundary through its type's `Wire` impl. An op
+//! is its tag byte followed by its fields in the order its row in `ops.rs`
+//! declares them — both directions are generated from that row, so they
+//! cannot disagree — and a fieldless enum is its `as u8`, read back through
+//! the enum's `ALL` table. Adding an op or an enum variant therefore needs
+//! no edit here; it does need a new version byte, because images written
+//! before it decode differently. [`decode`] validates tags and lengths and
+//! fails with a message — never panics — because cached bytes, like anything
+//! a server reads back, are treated as untrusted input.
 
-use crate::ops::{CallTarget, Op, PoolConst, Reg, RegClass, VmFunction, VmModule};
+use crate::ops::{CallTarget, PoolConst, Reg, RegClass, VmFunction, VmModule};
 use omplt_interp::RtVal;
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// Magic prefix: 7 identifying bytes plus a 1-byte format version.
-const MAGIC: &[u8; 8] = b"OMPLTBC\x02";
+const MAGIC: &[u8; 8] = b"OMPLTBC\x03";
 
 /// A malformed or version-incompatible bytecode image.
 #[derive(Debug, PartialEq, Eq)]
@@ -39,582 +43,35 @@ fn err<T>(msg: impl Into<String>) -> Result<T, DecodeError> {
     Err(DecodeError(msg.into()))
 }
 
-// ---------------------------------------------------------------- encoding
+/// A value with one wire form: how it is appended to an image and read back.
+pub(crate) trait Wire: Sized {
+    /// Appends `self` to the image.
+    fn put(self, e: &mut Enc);
+    /// Reads one value, or says why the bytes at the cursor are not one.
+    fn get(d: &mut Dec) -> Result<Self, DecodeError>;
+}
 
-struct Enc {
+/// The image being written.
+pub(crate) struct Enc {
     buf: Vec<u8>,
 }
 
 impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    pub(crate) fn put<T: Wire>(&mut self, v: T) {
+        v.put(self);
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn reg(&mut self, r: Reg) {
-        self.u16(r);
-    }
-    fn opt_reg(&mut self, r: Option<Reg>) {
-        match r {
-            None => self.u8(0),
-            Some(r) => {
-                self.u8(1);
-                self.u16(r);
-            }
-        }
-    }
-    fn ty(&mut self, t: IrType) {
-        self.u8(ty_tag(t));
-    }
-}
 
-fn ty_tag(t: IrType) -> u8 {
-    match t {
-        IrType::Void => 0,
-        IrType::I1 => 1,
-        IrType::I8 => 2,
-        IrType::I16 => 3,
-        IrType::I32 => 4,
-        IrType::I64 => 5,
-        IrType::F32 => 6,
-        IrType::F64 => 7,
-        IrType::Ptr => 8,
-    }
-}
-
-fn ty_from(tag: u8) -> Result<IrType, DecodeError> {
-    Ok(match tag {
-        0 => IrType::Void,
-        1 => IrType::I1,
-        2 => IrType::I8,
-        3 => IrType::I16,
-        4 => IrType::I32,
-        5 => IrType::I64,
-        6 => IrType::F32,
-        7 => IrType::F64,
-        8 => IrType::Ptr,
-        other => return err(format!("bad IrType tag {other}")),
-    })
-}
-
-fn bin_tag(op: BinOpKind) -> u8 {
-    match op {
-        BinOpKind::Add => 0,
-        BinOpKind::Sub => 1,
-        BinOpKind::Mul => 2,
-        BinOpKind::SDiv => 3,
-        BinOpKind::UDiv => 4,
-        BinOpKind::SRem => 5,
-        BinOpKind::URem => 6,
-        BinOpKind::Shl => 7,
-        BinOpKind::AShr => 8,
-        BinOpKind::LShr => 9,
-        BinOpKind::And => 10,
-        BinOpKind::Or => 11,
-        BinOpKind::Xor => 12,
-        BinOpKind::FAdd => 13,
-        BinOpKind::FSub => 14,
-        BinOpKind::FMul => 15,
-        BinOpKind::FDiv => 16,
-        BinOpKind::FRem => 17,
-    }
-}
-
-fn bin_from(tag: u8) -> Result<BinOpKind, DecodeError> {
-    Ok(match tag {
-        0 => BinOpKind::Add,
-        1 => BinOpKind::Sub,
-        2 => BinOpKind::Mul,
-        3 => BinOpKind::SDiv,
-        4 => BinOpKind::UDiv,
-        5 => BinOpKind::SRem,
-        6 => BinOpKind::URem,
-        7 => BinOpKind::Shl,
-        8 => BinOpKind::AShr,
-        9 => BinOpKind::LShr,
-        10 => BinOpKind::And,
-        11 => BinOpKind::Or,
-        12 => BinOpKind::Xor,
-        13 => BinOpKind::FAdd,
-        14 => BinOpKind::FSub,
-        15 => BinOpKind::FMul,
-        16 => BinOpKind::FDiv,
-        17 => BinOpKind::FRem,
-        other => return err(format!("bad BinOpKind tag {other}")),
-    })
-}
-
-fn pred_tag(p: CmpPred) -> u8 {
-    match p {
-        CmpPred::Eq => 0,
-        CmpPred::Ne => 1,
-        CmpPred::Slt => 2,
-        CmpPred::Sle => 3,
-        CmpPred::Sgt => 4,
-        CmpPred::Sge => 5,
-        CmpPred::Ult => 6,
-        CmpPred::Ule => 7,
-        CmpPred::Ugt => 8,
-        CmpPred::Uge => 9,
-        CmpPred::FEq => 10,
-        CmpPred::FNe => 11,
-        CmpPred::FLt => 12,
-        CmpPred::FLe => 13,
-        CmpPred::FGt => 14,
-        CmpPred::FGe => 15,
-    }
-}
-
-fn pred_from(tag: u8) -> Result<CmpPred, DecodeError> {
-    Ok(match tag {
-        0 => CmpPred::Eq,
-        1 => CmpPred::Ne,
-        2 => CmpPred::Slt,
-        3 => CmpPred::Sle,
-        4 => CmpPred::Sgt,
-        5 => CmpPred::Sge,
-        6 => CmpPred::Ult,
-        7 => CmpPred::Ule,
-        8 => CmpPred::Ugt,
-        9 => CmpPred::Uge,
-        10 => CmpPred::FEq,
-        11 => CmpPred::FNe,
-        12 => CmpPred::FLt,
-        13 => CmpPred::FLe,
-        14 => CmpPred::FGt,
-        15 => CmpPred::FGe,
-        other => return err(format!("bad CmpPred tag {other}")),
-    })
-}
-
-fn cast_tag(c: CastOp) -> u8 {
-    match c {
-        CastOp::Trunc => 0,
-        CastOp::ZExt => 1,
-        CastOp::SExt => 2,
-        CastOp::SiToFp => 3,
-        CastOp::UiToFp => 4,
-        CastOp::FpToSi => 5,
-        CastOp::FpToUi => 6,
-        CastOp::FpTrunc => 7,
-        CastOp::FpExt => 8,
-        CastOp::PtrToInt => 9,
-        CastOp::IntToPtr => 10,
-    }
-}
-
-fn cast_from(tag: u8) -> Result<CastOp, DecodeError> {
-    Ok(match tag {
-        0 => CastOp::Trunc,
-        1 => CastOp::ZExt,
-        2 => CastOp::SExt,
-        3 => CastOp::SiToFp,
-        4 => CastOp::UiToFp,
-        5 => CastOp::FpToSi,
-        6 => CastOp::FpToUi,
-        7 => CastOp::FpTrunc,
-        8 => CastOp::FpExt,
-        9 => CastOp::PtrToInt,
-        10 => CastOp::IntToPtr,
-        other => return err(format!("bad CastOp tag {other}")),
-    })
-}
-
-fn class_tag(c: RegClass) -> u8 {
-    match c {
-        RegClass::Int => 0,
-        RegClass::Float => 1,
-        RegClass::Ptr => 2,
-    }
-}
-
-fn class_from(tag: u8) -> Result<RegClass, DecodeError> {
-    Ok(match tag {
-        0 => RegClass::Int,
-        1 => RegClass::Float,
-        2 => RegClass::Ptr,
-        other => return err(format!("bad RegClass tag {other}")),
-    })
-}
-
-fn encode_op(e: &mut Enc, op: Op) {
-    match op {
-        Op::Const { dst, idx } => {
-            e.u8(0);
-            e.reg(dst);
-            e.u16(idx);
-        }
-        Op::Mov { dst, src } => {
-            e.u8(1);
-            e.reg(dst);
-            e.reg(src);
-        }
-        Op::Alloca { dst, bytes } => {
-            e.u8(2);
-            e.reg(dst);
-            e.u32(bytes);
-        }
-        Op::Load { dst, addr, ty } => {
-            e.u8(3);
-            e.reg(dst);
-            e.reg(addr);
-            e.ty(ty);
-        }
-        Op::Store { src, addr, ty } => {
-            e.u8(4);
-            e.reg(src);
-            e.reg(addr);
-            e.ty(ty);
-        }
-        Op::Gep {
-            dst,
-            base,
-            index,
-            elem_size,
-        } => {
-            e.u8(5);
-            e.reg(dst);
-            e.reg(base);
-            e.reg(index);
-            e.u32(elem_size);
-        }
-        Op::Bin {
-            op,
-            ty,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            e.u8(6);
-            e.u8(bin_tag(op));
-            e.ty(ty);
-            e.reg(dst);
-            e.reg(lhs);
-            e.reg(rhs);
-        }
-        Op::Cmp {
-            pred,
-            ty,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            e.u8(7);
-            e.u8(pred_tag(pred));
-            e.ty(ty);
-            e.reg(dst);
-            e.reg(lhs);
-            e.reg(rhs);
-        }
-        Op::Cast {
-            op,
-            from,
-            to,
-            dst,
-            src,
-        } => {
-            e.u8(8);
-            e.u8(cast_tag(op));
-            e.ty(from);
-            e.ty(to);
-            e.reg(dst);
-            e.reg(src);
-        }
-        Op::Select { dst, cond, t, f } => {
-            e.u8(9);
-            e.reg(dst);
-            e.reg(cond);
-            e.reg(t);
-            e.reg(f);
-        }
-        Op::Call {
-            target,
-            args_at,
-            nargs,
-            ret,
-            dst,
-        } => {
-            e.u8(10);
-            e.u16(target);
-            e.u32(args_at);
-            e.u16(nargs);
-            e.ty(ret);
-            e.opt_reg(dst);
-        }
-        Op::Jmp { target } => {
-            e.u8(11);
-            e.u32(target);
-        }
-        Op::Br {
-            cond,
-            then_t,
-            else_t,
-        } => {
-            e.u8(12);
-            e.reg(cond);
-            e.u32(then_t);
-            e.u32(else_t);
-        }
-        Op::BinJmp {
-            op,
-            ty,
-            dst,
-            lhs,
-            rhs,
-            target,
-        } => {
-            e.u8(13);
-            e.u8(bin_tag(op));
-            e.ty(ty);
-            e.reg(dst);
-            e.reg(lhs);
-            e.reg(rhs);
-            e.u32(target);
-        }
-        Op::CmpBr {
-            pred,
-            ty,
-            lhs,
-            rhs,
-            then_t,
-            else_t,
-        } => {
-            e.u8(14);
-            e.u8(pred_tag(pred));
-            e.ty(ty);
-            e.reg(lhs);
-            e.reg(rhs);
-            e.u32(then_t);
-            e.u32(else_t);
-        }
-        Op::Ret { src } => {
-            e.u8(15);
-            e.opt_reg(src);
-        }
-        Op::Unreachable => e.u8(16),
-        Op::VMov { dst, src, w } => {
-            e.u8(17);
-            e.reg(dst);
-            e.reg(src);
-            e.u8(w);
-        }
-        Op::VIota { dst, base, w } => {
-            e.u8(18);
-            e.reg(dst);
-            e.reg(base);
-            e.u8(w);
-        }
-        Op::VBroadcast { dst, src, w } => {
-            e.u8(19);
-            e.reg(dst);
-            e.reg(src);
-            e.u8(w);
-        }
-        Op::VExtract { dst, src, lane } => {
-            e.u8(20);
-            e.reg(dst);
-            e.reg(src);
-            e.u8(lane);
-        }
-        Op::VLoad { dst, addr, ty, w } => {
-            e.u8(21);
-            e.reg(dst);
-            e.reg(addr);
-            e.ty(ty);
-            e.u8(w);
-        }
-        Op::VStore { src, addr, ty, w } => {
-            e.u8(22);
-            e.reg(src);
-            e.reg(addr);
-            e.ty(ty);
-            e.u8(w);
-        }
-        Op::VGather {
-            dst,
-            base,
-            idx,
-            ty,
-            elem_size,
-            w,
-        } => {
-            e.u8(23);
-            e.reg(dst);
-            e.reg(base);
-            e.reg(idx);
-            e.ty(ty);
-            e.u32(elem_size);
-            e.u8(w);
-        }
-        Op::VScatter {
-            src,
-            base,
-            idx,
-            ty,
-            elem_size,
-            w,
-        } => {
-            e.u8(24);
-            e.reg(src);
-            e.reg(base);
-            e.reg(idx);
-            e.ty(ty);
-            e.u32(elem_size);
-            e.u8(w);
-        }
-        Op::VBin {
-            op,
-            ty,
-            dst,
-            lhs,
-            rhs,
-            w,
-        } => {
-            e.u8(25);
-            e.u8(bin_tag(op));
-            e.ty(ty);
-            e.reg(dst);
-            e.reg(lhs);
-            e.reg(rhs);
-            e.u8(w);
-        }
-        Op::VCast {
-            op,
-            from,
-            to,
-            dst,
-            src,
-            w,
-        } => {
-            e.u8(26);
-            e.u8(cast_tag(op));
-            e.ty(from);
-            e.ty(to);
-            e.reg(dst);
-            e.reg(src);
-            e.u8(w);
-        }
-        Op::VReduce {
-            op,
-            ty,
-            dst,
-            src,
-            w,
-        } => {
-            e.u8(27);
-            e.u8(bin_tag(op));
-            e.ty(ty);
-            e.reg(dst);
-            e.reg(src);
-            e.u8(w);
-        }
-        Op::VEpi { src } => {
-            e.u8(28);
-            e.reg(src);
+    /// A sequence: `u32` length, then the items.
+    fn seq<T: Wire + Copy>(&mut self, items: &[T]) {
+        self.put(items.len() as u32);
+        for &item in items {
+            self.put(item);
         }
     }
 }
 
-fn encode_const(e: &mut Enc, c: PoolConst) {
-    match c {
-        PoolConst::Val(RtVal::I(v)) => {
-            e.u8(0);
-            e.u64(v as u64);
-        }
-        PoolConst::Val(RtVal::F(v)) => {
-            e.u8(1);
-            e.u64(v.to_bits());
-        }
-        PoolConst::Val(RtVal::P(v)) => {
-            e.u8(2);
-            e.u64(v);
-        }
-        PoolConst::Global(s) => {
-            e.u8(3);
-            e.u32(s.0);
-        }
-        PoolConst::FnPtr(s) => {
-            e.u8(4);
-            e.u32(s.0);
-        }
-    }
-}
-
-/// Serializes a compiled module to its canonical byte image.
-pub fn encode(m: &VmModule) -> Vec<u8> {
-    let mut e = Enc {
-        buf: Vec::with_capacity(64 + m.num_ops() * 12),
-    };
-    e.buf.extend_from_slice(MAGIC);
-    e.u32(m.funcs.len() as u32);
-    for f in &m.funcs {
-        e.str(&f.name);
-        e.ty(f.ret);
-        e.u16(f.num_regs);
-        e.u32(f.params.len() as u32);
-        for &r in &f.params {
-            e.reg(r);
-        }
-        e.u32(f.reg_class.len() as u32);
-        for &c in &f.reg_class {
-            e.u8(class_tag(c));
-        }
-        e.u16(f.num_vregs);
-        e.u32(f.vreg_class.len() as u32);
-        for &c in &f.vreg_class {
-            e.u8(class_tag(c));
-        }
-        e.u32(f.vreg_width.len() as u32);
-        for &w in &f.vreg_width {
-            e.u8(w);
-        }
-        e.u32(f.consts.len() as u32);
-        for &c in &f.consts {
-            encode_const(&mut e, c);
-        }
-        e.u32(f.call_args.len() as u32);
-        for &r in &f.call_args {
-            e.reg(r);
-        }
-        e.u32(f.call_targets.len() as u32);
-        for &t in &f.call_targets {
-            match t {
-                CallTarget::Bytecode(i) => {
-                    e.u8(0);
-                    e.u32(i);
-                }
-                CallTarget::Runtime(s) => {
-                    e.u8(1);
-                    e.u32(s.0);
-                }
-            }
-        }
-        e.u32(f.block_starts.len() as u32);
-        for &b in &f.block_starts {
-            e.u32(b);
-        }
-        e.u32(f.ops.len() as u32);
-        for &op in &f.ops {
-            encode_op(&mut e, op);
-        }
-    }
-    e.buf
-}
-
-// ---------------------------------------------------------------- decoding
-
-struct Dec<'a> {
+/// A read cursor over an untrusted image.
+pub(crate) struct Dec<'a> {
     buf: &'a [u8],
     at: usize,
 }
@@ -628,220 +85,169 @@ impl<'a> Dec<'a> {
         self.at += n;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+
+    pub(crate) fn get<T: Wire>(&mut self) -> Result<T, DecodeError> {
+        T::get(self)
     }
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+
     /// A length prefix used to size a preallocation; bounded so a corrupt
     /// image cannot request an absurd reservation before truncation is hit.
     fn len(&mut self) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
+        let n = self.get::<u32>()? as usize;
         if n > self.buf.len() - self.at {
             return err(format!("length {n} exceeds remaining image"));
         }
         Ok(n)
     }
-    fn str(&mut self) -> Result<String, DecodeError> {
+
+    /// A sequence as [`Enc::seq`] wrote it.
+    fn seq<T: Wire>(&mut self) -> Result<Vec<T>, DecodeError> {
         let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).or_else(|_| err("invalid UTF-8 in name"))
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(self.get()?);
+        }
+        Ok(items)
     }
-    fn reg(&mut self) -> Result<Reg, DecodeError> {
-        self.u16()
+}
+
+/// Little-endian integers.
+macro_rules! wire_int {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            fn put(self, e: &mut Enc) {
+                e.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(d: &mut Dec) -> Result<$t, DecodeError> {
+                let bytes = d.take(std::mem::size_of::<$t>())?;
+                Ok($t::from_le_bytes(bytes.try_into().unwrap()))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u16, u32, u64);
+
+/// Fieldless enums with an `ALL` table in declaration order: the tag is the
+/// variant's `as u8`, which is its index in `ALL`.
+macro_rules! wire_enum {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            fn put(self, e: &mut Enc) {
+                e.put(self as u8);
+            }
+            fn get(d: &mut Dec) -> Result<$t, DecodeError> {
+                let tag = d.get::<u8>()?;
+                match $t::ALL.get(tag as usize) {
+                    Some(&v) => Ok(v),
+                    None => err(format!(concat!("bad ", stringify!($t), " tag {}"), tag)),
+                }
+            }
+        }
+    )*};
+}
+wire_enum!(IrType, BinOpKind, CmpPred, CastOp, RegClass);
+
+impl Wire for Option<Reg> {
+    fn put(self, e: &mut Enc) {
+        match self {
+            None => e.put(0u8),
+            Some(r) => {
+                e.put(1u8);
+                e.put(r);
+            }
+        }
     }
-    fn opt_reg(&mut self) -> Result<Option<Reg>, DecodeError> {
-        match self.u8()? {
+    fn get(d: &mut Dec) -> Result<Option<Reg>, DecodeError> {
+        match d.get::<u8>()? {
             0 => Ok(None),
-            1 => Ok(Some(self.u16()?)),
+            1 => Ok(Some(d.get()?)),
             other => err(format!("bad Option<Reg> tag {other}")),
         }
     }
-    fn ty(&mut self) -> Result<IrType, DecodeError> {
-        ty_from(self.u8()?)
+}
+
+impl Wire for PoolConst {
+    fn put(self, e: &mut Enc) {
+        match self {
+            PoolConst::Val(RtVal::I(v)) => {
+                e.put(0u8);
+                e.put(v as u64);
+            }
+            PoolConst::Val(RtVal::F(v)) => {
+                e.put(1u8);
+                e.put(v.to_bits());
+            }
+            PoolConst::Val(RtVal::P(v)) => {
+                e.put(2u8);
+                e.put(v);
+            }
+            PoolConst::Global(s) => {
+                e.put(3u8);
+                e.put(s.0);
+            }
+            PoolConst::FnPtr(s) => {
+                e.put(4u8);
+                e.put(s.0);
+            }
+        }
+    }
+    fn get(d: &mut Dec) -> Result<PoolConst, DecodeError> {
+        Ok(match d.get::<u8>()? {
+            0 => PoolConst::Val(RtVal::I(d.get::<u64>()? as i64)),
+            1 => PoolConst::Val(RtVal::F(f64::from_bits(d.get()?))),
+            2 => PoolConst::Val(RtVal::P(d.get()?)),
+            3 => PoolConst::Global(SymbolId(d.get()?)),
+            4 => PoolConst::FnPtr(SymbolId(d.get()?)),
+            other => return err(format!("bad PoolConst tag {other}")),
+        })
     }
 }
 
-fn decode_op(d: &mut Dec) -> Result<Op, DecodeError> {
-    Ok(match d.u8()? {
-        0 => Op::Const {
-            dst: d.reg()?,
-            idx: d.u16()?,
-        },
-        1 => Op::Mov {
-            dst: d.reg()?,
-            src: d.reg()?,
-        },
-        2 => Op::Alloca {
-            dst: d.reg()?,
-            bytes: d.u32()?,
-        },
-        3 => Op::Load {
-            dst: d.reg()?,
-            addr: d.reg()?,
-            ty: d.ty()?,
-        },
-        4 => Op::Store {
-            src: d.reg()?,
-            addr: d.reg()?,
-            ty: d.ty()?,
-        },
-        5 => Op::Gep {
-            dst: d.reg()?,
-            base: d.reg()?,
-            index: d.reg()?,
-            elem_size: d.u32()?,
-        },
-        6 => Op::Bin {
-            op: bin_from(d.u8()?)?,
-            ty: d.ty()?,
-            dst: d.reg()?,
-            lhs: d.reg()?,
-            rhs: d.reg()?,
-        },
-        7 => Op::Cmp {
-            pred: pred_from(d.u8()?)?,
-            ty: d.ty()?,
-            dst: d.reg()?,
-            lhs: d.reg()?,
-            rhs: d.reg()?,
-        },
-        8 => Op::Cast {
-            op: cast_from(d.u8()?)?,
-            from: d.ty()?,
-            to: d.ty()?,
-            dst: d.reg()?,
-            src: d.reg()?,
-        },
-        9 => Op::Select {
-            dst: d.reg()?,
-            cond: d.reg()?,
-            t: d.reg()?,
-            f: d.reg()?,
-        },
-        10 => Op::Call {
-            target: d.u16()?,
-            args_at: d.u32()?,
-            nargs: d.u16()?,
-            ret: d.ty()?,
-            dst: d.opt_reg()?,
-        },
-        11 => Op::Jmp { target: d.u32()? },
-        12 => Op::Br {
-            cond: d.reg()?,
-            then_t: d.u32()?,
-            else_t: d.u32()?,
-        },
-        13 => Op::BinJmp {
-            op: bin_from(d.u8()?)?,
-            ty: d.ty()?,
-            dst: d.reg()?,
-            lhs: d.reg()?,
-            rhs: d.reg()?,
-            target: d.u32()?,
-        },
-        14 => Op::CmpBr {
-            pred: pred_from(d.u8()?)?,
-            ty: d.ty()?,
-            lhs: d.reg()?,
-            rhs: d.reg()?,
-            then_t: d.u32()?,
-            else_t: d.u32()?,
-        },
-        15 => Op::Ret { src: d.opt_reg()? },
-        16 => Op::Unreachable,
-        17 => Op::VMov {
-            dst: d.reg()?,
-            src: d.reg()?,
-            w: d.u8()?,
-        },
-        18 => Op::VIota {
-            dst: d.reg()?,
-            base: d.reg()?,
-            w: d.u8()?,
-        },
-        19 => Op::VBroadcast {
-            dst: d.reg()?,
-            src: d.reg()?,
-            w: d.u8()?,
-        },
-        20 => Op::VExtract {
-            dst: d.reg()?,
-            src: d.reg()?,
-            lane: d.u8()?,
-        },
-        21 => Op::VLoad {
-            dst: d.reg()?,
-            addr: d.reg()?,
-            ty: d.ty()?,
-            w: d.u8()?,
-        },
-        22 => Op::VStore {
-            src: d.reg()?,
-            addr: d.reg()?,
-            ty: d.ty()?,
-            w: d.u8()?,
-        },
-        23 => Op::VGather {
-            dst: d.reg()?,
-            base: d.reg()?,
-            idx: d.reg()?,
-            ty: d.ty()?,
-            elem_size: d.u32()?,
-            w: d.u8()?,
-        },
-        24 => Op::VScatter {
-            src: d.reg()?,
-            base: d.reg()?,
-            idx: d.reg()?,
-            ty: d.ty()?,
-            elem_size: d.u32()?,
-            w: d.u8()?,
-        },
-        25 => Op::VBin {
-            op: bin_from(d.u8()?)?,
-            ty: d.ty()?,
-            dst: d.reg()?,
-            lhs: d.reg()?,
-            rhs: d.reg()?,
-            w: d.u8()?,
-        },
-        26 => Op::VCast {
-            op: cast_from(d.u8()?)?,
-            from: d.ty()?,
-            to: d.ty()?,
-            dst: d.reg()?,
-            src: d.reg()?,
-            w: d.u8()?,
-        },
-        27 => Op::VReduce {
-            op: bin_from(d.u8()?)?,
-            ty: d.ty()?,
-            dst: d.reg()?,
-            src: d.reg()?,
-            w: d.u8()?,
-        },
-        28 => Op::VEpi { src: d.reg()? },
-        other => return err(format!("bad Op tag {other}")),
-    })
+impl Wire for CallTarget {
+    fn put(self, e: &mut Enc) {
+        match self {
+            CallTarget::Bytecode(i) => {
+                e.put(0u8);
+                e.put(i);
+            }
+            CallTarget::Runtime(s) => {
+                e.put(1u8);
+                e.put(s.0);
+            }
+        }
+    }
+    fn get(d: &mut Dec) -> Result<CallTarget, DecodeError> {
+        Ok(match d.get::<u8>()? {
+            0 => CallTarget::Bytecode(d.get()?),
+            1 => CallTarget::Runtime(SymbolId(d.get()?)),
+            other => return err(format!("bad CallTarget tag {other}")),
+        })
+    }
 }
 
-fn decode_const(d: &mut Dec) -> Result<PoolConst, DecodeError> {
-    Ok(match d.u8()? {
-        0 => PoolConst::Val(RtVal::I(d.u64()? as i64)),
-        1 => PoolConst::Val(RtVal::F(f64::from_bits(d.u64()?))),
-        2 => PoolConst::Val(RtVal::P(d.u64()?)),
-        3 => PoolConst::Global(SymbolId(d.u32()?)),
-        4 => PoolConst::FnPtr(SymbolId(d.u32()?)),
-        other => return err(format!("bad PoolConst tag {other}")),
-    })
+/// Serializes a compiled module to its canonical byte image.
+pub fn encode(m: &VmModule) -> Vec<u8> {
+    let mut e = Enc {
+        buf: Vec::with_capacity(64 + m.num_ops() * 12),
+    };
+    e.buf.extend_from_slice(MAGIC);
+    e.put(m.funcs.len() as u32);
+    for f in &m.funcs {
+        e.seq(f.name.as_bytes());
+        e.put(f.ret);
+        e.put(f.num_regs);
+        e.seq(&f.params);
+        e.seq(&f.reg_class);
+        e.put(f.num_vregs);
+        e.seq(&f.vreg_class);
+        e.seq(&f.vreg_width);
+        e.seq(&f.consts);
+        e.seq(&f.call_args);
+        e.seq(&f.call_targets);
+        e.seq(&f.block_starts);
+        e.seq(&f.ops);
+    }
+    e.buf
 }
 
 /// Reconstructs a module from a byte image produced by [`encode`].
@@ -854,76 +260,24 @@ pub fn decode(bytes: &[u8]) -> Result<VmModule, DecodeError> {
     if d.take(MAGIC.len())? != MAGIC {
         return err("bad magic or unsupported version");
     }
-    let nfuncs = d.u32()?;
+    let nfuncs = d.get::<u32>()?;
     let mut funcs = Vec::new();
     for _ in 0..nfuncs {
-        let name = d.str()?;
-        let ret = d.ty()?;
-        let num_regs = d.u16()?;
-        let nparams = d.len()?;
-        let mut params = Vec::with_capacity(nparams);
-        for _ in 0..nparams {
-            params.push(d.reg()?);
-        }
-        let nclasses = d.len()?;
-        let mut reg_class = Vec::with_capacity(nclasses);
-        for _ in 0..nclasses {
-            reg_class.push(class_from(d.u8()?)?);
-        }
-        let num_vregs = d.u16()?;
-        let nvclasses = d.len()?;
-        let mut vreg_class = Vec::with_capacity(nvclasses);
-        for _ in 0..nvclasses {
-            vreg_class.push(class_from(d.u8()?)?);
-        }
-        let nvwidths = d.len()?;
-        let mut vreg_width = Vec::with_capacity(nvwidths);
-        for _ in 0..nvwidths {
-            vreg_width.push(d.u8()?);
-        }
-        let nconsts = d.len()?;
-        let mut consts = Vec::with_capacity(nconsts);
-        for _ in 0..nconsts {
-            consts.push(decode_const(&mut d)?);
-        }
-        let nargs = d.len()?;
-        let mut call_args = Vec::with_capacity(nargs);
-        for _ in 0..nargs {
-            call_args.push(d.reg()?);
-        }
-        let ntargets = d.len()?;
-        let mut call_targets = Vec::with_capacity(ntargets);
-        for _ in 0..ntargets {
-            call_targets.push(match d.u8()? {
-                0 => CallTarget::Bytecode(d.u32()?),
-                1 => CallTarget::Runtime(SymbolId(d.u32()?)),
-                other => return err(format!("bad CallTarget tag {other}")),
-            });
-        }
-        let nblocks = d.len()?;
-        let mut block_starts = Vec::with_capacity(nblocks);
-        for _ in 0..nblocks {
-            block_starts.push(d.u32()?);
-        }
-        let nops = d.len()?;
-        let mut ops = Vec::with_capacity(nops);
-        for _ in 0..nops {
-            ops.push(decode_op(&mut d)?);
-        }
+        // Field initializers run in the order written: the wire order.
         funcs.push(VmFunction {
-            name,
-            params,
-            num_regs,
-            reg_class,
-            num_vregs,
-            vreg_class,
-            vreg_width,
-            ops,
-            consts,
-            call_args,
-            call_targets,
-            block_starts,
-            ret,
+            name: String::from_utf8(d.seq()?).or_else(|_| err("invalid UTF-8 in name"))?,
+            ret: d.get()?,
+            num_regs: d.get()?,
+            params: d.seq()?,
+            reg_class: d.seq()?,
+            num_vregs: d.get()?,
+            vreg_class: d.seq()?,
+            vreg_width: d.seq()?,
+            consts: d.seq()?,
+            call_args: d.seq()?,
+            call_targets: d.seq()?,
+            block_starts: d.seq()?,
+            ops: d.seq()?,
         });
     }
     if d.at != bytes.len() {
@@ -938,9 +292,13 @@ pub fn decode(bytes: &[u8]) -> Result<VmModule, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::tests::one_of_each;
+    use crate::ops::Op;
 
+    /// A module that holds every op of the table at least once: the ops
+    /// below (real-looking code) followed by `one_of_each()`.
     fn sample() -> VmModule {
-        let f = VmFunction {
+        let mut f = VmFunction {
             name: "main".to_string(),
             params: vec![0, 1],
             num_regs: 6,
@@ -1082,6 +440,7 @@ mod tests {
             block_starts: vec![0, 1, 7],
             ret: IrType::I32,
         };
+        f.ops.extend(one_of_each().iter().map(|row| row.op));
         VmModule { funcs: vec![f] }
     }
 
@@ -1110,6 +469,18 @@ mod tests {
     }
 
     #[test]
+    fn every_row_of_the_op_table_round_trips_in_table_order() {
+        for (tag, row) in one_of_each().iter().enumerate() {
+            let mut e = Enc { buf: Vec::new() };
+            e.put(row.op);
+            assert_eq!(e.buf[0] as usize, tag, "{:?} is out of tag order", row.op);
+            let mut d = Dec { buf: &e.buf, at: 0 };
+            assert_eq!(d.get::<Op>(), Ok(row.op));
+            assert_eq!(d.at, e.buf.len(), "{:?} left bytes unread", row.op);
+        }
+    }
+
+    #[test]
     fn rejects_corruption_without_panicking() {
         let bytes = encode(&sample());
         // Truncation at every prefix length must error, never panic.
@@ -1120,10 +491,12 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_err());
-        // Future format version.
-        let mut vers = bytes.clone();
-        vers[7] = 3;
-        assert!(decode(&vers).is_err());
+        // The previous format version and a future one.
+        for version in [2, 4] {
+            let mut vers = bytes.clone();
+            vers[7] = version;
+            assert!(decode(&vers).is_err(), "version {version} accepted");
+        }
         // Trailing garbage.
         let mut long = bytes.clone();
         long.push(0);

@@ -190,13 +190,9 @@ fn structural(f: &VmFunction, num_funcs: usize, errs: &mut Vec<VerifyError>) {
                     }
                 }
             }
-            Op::Jmp { target } | Op::BinJmp { target, .. } => check_jump(f, pc, target, errs),
-            Op::Br { then_t, else_t, .. } | Op::CmpBr { then_t, else_t, .. } => {
-                check_jump(f, pc, then_t, errs);
-                check_jump(f, pc, else_t, errs);
-            }
             _ => {}
         }
+        op.for_each_target(|t| check_jump(f, pc, t, errs));
         match *op {
             Op::Call { .. } => {} // argument registers checked above
             other => other.for_each_use(&[], |r| {
@@ -877,14 +873,7 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
     for (b, &s) in f.block_starts.iter().enumerate() {
         let range = f.block_range(s);
-        match f.ops[range.end - 1] {
-            Op::Jmp { target } | Op::BinJmp { target, .. } => preds[block_of(target)].push(b),
-            Op::Br { then_t, else_t, .. } | Op::CmpBr { then_t, else_t, .. } => {
-                preds[block_of(then_t)].push(b);
-                preds[block_of(else_t)].push(b);
-            }
-            _ => {}
-        }
+        f.ops[range.end - 1].for_each_target(|t| preds[block_of(t)].push(b));
     }
 
     let top = vec![u64::MAX; words];

@@ -478,6 +478,83 @@ void f(void) {
     );
 }
 
+/// A variable named twice across (or within) the data-sharing clauses of one
+/// directive used to compile silently, the last clause winning — so
+/// `private(s) reduction(+: s)` printed 0 and `reduction(+: s) private(s)`
+/// printed 28. Every second mention is an error with a note at the first.
+#[test]
+fn repeated_data_sharing_variable_renders_exactly() {
+    let src = "\
+void f(void) {
+  long s = 0;
+  long x = 3;
+  #pragma omp parallel for private(s) reduction(+: s)
+  for (long i = 0; i < 8; i += 1)
+    s += i;
+  #pragma omp parallel for reduction(+: s) private(s)
+  for (long i = 0; i < 8; i += 1)
+    s += i;
+  #pragma omp parallel for private(x, s, x)
+  for (long i = 0; i < 8; i += 1)
+    s += i;
+  #pragma omp parallel for firstprivate(s) shared(x) reduction(+: s)
+  for (long i = 0; i < 8; i += 1)
+    s += x;
+}
+";
+    let expected = "\
+share.c:4:52: error: variable 's' is named in more than one data-sharing clause of '#pragma omp parallel for' ('private' and 'reduction')
+  #pragma omp parallel for private(s) reduction(+: s)
+                                                   ^
+share.c:4:36: note: first named in this 'private' clause
+  #pragma omp parallel for private(s) reduction(+: s)
+                                   ^
+share.c:7:52: error: variable 's' is named in more than one data-sharing clause of '#pragma omp parallel for' ('reduction' and 'private')
+  #pragma omp parallel for reduction(+: s) private(s)
+                                                   ^
+share.c:7:41: note: first named in this 'reduction' clause
+  #pragma omp parallel for reduction(+: s) private(s)
+                                        ^
+share.c:10:42: error: variable 'x' is named in more than one data-sharing clause of '#pragma omp parallel for' ('private' and 'private')
+  #pragma omp parallel for private(x, s, x)
+                                         ^
+share.c:10:36: note: first named in this 'private' clause
+  #pragma omp parallel for private(x, s, x)
+                                   ^
+share.c:13:67: error: variable 's' is named in more than one data-sharing clause of '#pragma omp parallel for' ('firstprivate' and 'reduction')
+  #pragma omp parallel for firstprivate(s) shared(x) reduction(+: s)
+                                                                  ^
+share.c:13:41: note: first named in this 'firstprivate' clause
+  #pragma omp parallel for firstprivate(s) shared(x) reduction(+: s)
+                                        ^
+";
+    let mut ci = CompilerInstance::new(Options::default());
+    let err = ci
+        .parse_source("share.c", src)
+        .expect_err("a variable in two data-sharing clauses must be rejected");
+    assert_eq!(err, expected);
+}
+
+#[test]
+fn repeated_data_sharing_variable_json_golden() {
+    let src = "\
+void f(void) {
+  long x = 3;
+  #pragma omp parallel for shared(x) firstprivate(x)
+  for (long i = 0; i < 8; i += 1)
+    ;
+}
+";
+    let mut ci = CompilerInstance::new(Options::default());
+    ci.parse_source("sj.c", src)
+        .expect_err("shared plus a privatising clause must be rejected");
+    assert_eq!(
+        ci.render_diags_json(),
+        "[{\"level\":\"error\",\"message\":\"variable 'x' is named in more than one data-sharing clause of '#pragma omp parallel for' ('shared' and 'firstprivate')\",\"file\":\"sj.c\",\"line\":3,\"column\":51,\
+         \"notes\":[{\"level\":\"note\",\"message\":\"first named in this 'shared' clause\",\"file\":\"sj.c\",\"line\":3,\"column\":35,\"notes\":[]}]}]\n"
+    );
+}
+
 /// The pragma breadcrumb spells a `schedule` clause with its chunk, so two
 /// tuner candidates that differ only in the chunk print different text.
 #[test]
