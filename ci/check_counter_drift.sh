@@ -99,13 +99,40 @@ done
 # table) or to what the compiler emits.
 img=$(mktemp)
 trap 'rm -f "$img"' EXIT
+# Both lowering paths are pinned, the OMPCanonicalLoop/OpenMPIRBuilder one in
+# a file of its own: the bytecode compiler must be byte-stable for either
+# representation's IR.
+for src in examples/c/*.c; do
+  base=$(basename "$src" .c)
+  for mode in classic irbuilder; do
+    flags=(--backend=vm)
+    expected="ci/expected-counters/$base.vm.image.txt"
+    if [ "$mode" = irbuilder ]; then
+      flags+=(--enable-irbuilder)
+      expected="ci/expected-counters/$base.vm.image.irbuilder.txt"
+    fi
+    got=$(for vw in 0 4; do
+      "$ompltc" "${flags[@]}" --vector-width="$vw" --emit-bytecode-bin="$img" "$src" >/dev/null 2>&1
+      echo "vw=$vw bytes=$(wc -c < "$img") cksum=$(cksum < "$img" | cut -d' ' -f1)"
+    done)
+    pin "$expected" "bytecode image drift in $src ($mode)" "$got"
+  done
+done
+
+# Bytecode-compiler drift guard: what `vm.compile` produced (ops emitted,
+# `alloca` slots promoted, ops the peephole pipeline removed) and what it cost
+# in analysis (liveness solves: one per dead-op sweep, none for the stages
+# and the allocator that reuse the last one), scalar and widened. The first
+# three move with the emitted code; the last moves when a stage stops
+# sharing the solve.
 for src in examples/c/*.c; do
   base=$(basename "$src" .c)
   got=$(for vw in 0 4; do
-    "$ompltc" --backend=vm --vector-width="$vw" --emit-bytecode-bin="$img" "$src" >/dev/null 2>&1
-    echo "vw=$vw bytes=$(wc -c < "$img") cksum=$(cksum < "$img" | cut -d' ' -f1)"
+    "$ompltc" --counters-json --backend=vm --vector-width="$vw" --emit-bytecode-bin="$img" "$src" 2>/dev/null \
+      | grep -o '"vm\.compile\.\(ops\|promoted\|peephole\.removed\|liveness\.solves\)":[0-9]*' | sort \
+      | sed "s/^/vw=$vw /"
   done)
-  pin "ci/expected-counters/$base.vm.image.txt" "bytecode image drift in $src" "$got"
+  pin "ci/expected-counters/$base.vm.compile.txt" "bytecode compiler drift in $src" "$got"
 done
 
 # Daemon artifact-cache drift guard: `ompltd --warmup` replays a fixed job

@@ -217,6 +217,25 @@ impl Inst {
         }
     }
 
+    /// Visits every value operand in [`Inst::operands`] order, without the
+    /// `Vec` (the bytecode lowerer walks every instruction's operands
+    /// twice).
+    pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
+        match self {
+            Inst::Alloca { .. } => {}
+            Inst::Load { ptr, .. } => f(*ptr),
+            Inst::Store { val, ptr } => [*val, *ptr].into_iter().for_each(f),
+            Inst::Gep { ptr, index, .. } => [*ptr, *index].into_iter().for_each(f),
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                [*lhs, *rhs].into_iter().for_each(f)
+            }
+            Inst::Cast { val, .. } => f(*val),
+            Inst::Select { cond, t, f: fv } => [*cond, *t, *fv].into_iter().for_each(f),
+            Inst::Phi { incoming, .. } => incoming.iter().for_each(|(_, v)| f(*v)),
+            Inst::Call { args, .. } => args.iter().copied().for_each(f),
+        }
+    }
+
     /// Rewrites every operand through `f` (used by block cloning in the
     /// unroll pass).
     pub fn map_operands(&mut self, mut f: impl FnMut(Value) -> Value) {

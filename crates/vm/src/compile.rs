@@ -15,15 +15,28 @@
 //! * Distinct constants are loaded once in an entry prologue, not per use.
 //! * A peephole pass ([`crate::peephole`]) then propagates copies, deletes
 //!   dead ops, and fuses compare/branch pairs, and a linear-scan pass
-//!   ([`crate::regalloc`]) compacts the register file.
+//!   ([`crate::regalloc`]) compacts the register file. Both work on one
+//!   [`Analysis`] (CFG + liveness) that `compile_module_with` owns for the
+//!   whole module.
+//!
+//! Everything the lowerer looks up per instruction is a dense table indexed
+//! by `InstId` — result type, register, promoted slot — filled in one walk
+//! each; the two tables keyed by something sparse (constants, callees) are
+//! sorted vectors. No table is a `HashMap`, so nothing the emitted bytes
+//! depend on has a per-process order.
+//!
+//! Under a trace session each function records three child spans of
+//! `vm.compile` — `vm.compile.lower`, `vm.compile.peephole`,
+//! `vm.compile.regalloc` — and the module reports
+//! `vm.compile.liveness.solves` next to its op counts.
 
 use crate::ops::{CallTarget, Op, PoolConst, Reg, RegClass, VmFunction, VmModule};
 use crate::peephole;
-use crate::regalloc;
+use crate::regalloc::{self, Analysis};
 use crate::vectorize;
 use omplt_interp::RtVal;
-use omplt_ir::{BlockId, Function, Inst, InstId, IrType, Module, Terminator, Value};
-use std::collections::{HashMap, HashSet};
+use omplt_ir::{BlockId, Function, Inst, InstId, IrType, Module, SymbolId, Terminator, Value};
+use std::collections::HashMap;
 
 /// Why a function could not be lowered.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,8 +104,11 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
     let mut promoted_total = 0u64;
     let mut removed_total = 0u64;
     let mut stats = vectorize::PlanStats::default();
+    // One CFG + liveness workspace for the whole module.
+    let mut analysis = Analysis::default();
     for f in &m.functions {
-        let (vf, promoted, removed) = compile_function(m, f, &fn_index, vector_width, &mut stats)?;
+        let (vf, promoted, removed) =
+            compile_function(m, f, &fn_index, vector_width, &mut stats, &mut analysis)?;
         promoted_total += promoted as u64;
         removed_total += removed as u64;
         funcs.push(vf);
@@ -101,6 +117,7 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
     if omplt_trace::active() {
         omplt_trace::count("vm.compile.functions", vm.funcs.len() as u64);
         omplt_trace::count("vm.compile.ops", vm.num_ops() as u64);
+        omplt_trace::count("vm.compile.liveness.solves", analysis.live.solves);
         omplt_trace::count("vm.compile.promoted", promoted_total);
         omplt_trace::count("vm.compile.peephole.removed", removed_total);
         // Emitted only when the pass ran, so width-0 counter documents stay
@@ -115,7 +132,7 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
 
 /// Dedup key for constant-pool entries (`RtVal` holds an `f64`, so the pool
 /// itself cannot be a hash key; floats key by bit pattern).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum ConstKey {
     Int(i64),
     Float(u64),
@@ -150,66 +167,132 @@ pub(crate) fn const_of(v: Value) -> Option<(ConstKey, PoolConst)> {
     }
 }
 
+/// A map over the handful of keys one function has (distinct constants,
+/// distinct callees): a vector sorted by key. Lookups are a binary search,
+/// and — unlike a `HashMap` — iteration order is a function of the contents
+/// alone, which compile determinism needs of anything that is iterated.
+struct SortedMap<K, V>(Vec<(K, V)>);
+
+impl<K: Ord + Copy, V: Copy> SortedMap<K, V> {
+    fn get(&self, key: K) -> Option<V> {
+        let i = self.0.binary_search_by_key(&key, |e| e.0).ok()?;
+        Some(self.0[i].1)
+    }
+
+    /// Adds `key`, which must not be present.
+    fn insert(&mut self, key: K, val: V) {
+        let i = self.0.partition_point(|e| e.0 < key);
+        self.0.insert(i, (key, val));
+    }
+}
+
+/// Result type of every instruction in a reachable block, by `InstId` —
+/// computed once, in RPO, so an operand's type is a table read instead of
+/// [`Function::value_type`]'s walk down the operand chain at every use.
+fn inst_types(f: &Function, rpo: &[BlockId]) -> Vec<Option<IrType>> {
+    let mut types = vec![None; f.insts.len()];
+    for &bb in rpo {
+        for &iid in &f.block(bb).insts {
+            let ty = f.inst(iid).result_type(|v| value_type(&types, f, v));
+            types[iid.0 as usize] = Some(ty);
+        }
+    }
+    types
+}
+
+/// [`Function::value_type`] through the [`inst_types`] table (an operand not
+/// in it — defined in no reachable block — takes the slow path; lowering
+/// then rejects the use).
+fn value_type(types: &[Option<IrType>], f: &Function, v: Value) -> IrType {
+    match v {
+        Value::Inst(id) => types[id.0 as usize].unwrap_or_else(|| f.value_type(v)),
+        _ => f.value_type(v),
+    }
+}
+
+/// The promoted `alloca`s of one function, dense by `InstId`.
+pub(crate) struct Promoted {
+    /// Slot type of each promoted alloca; `None` for every other
+    /// instruction.
+    slot_ty: Vec<Option<IrType>>,
+    /// Slot register of each promoted alloca, once `lower_function` has
+    /// numbered the registers.
+    slot_reg: Vec<Reg>,
+}
+
+impl Promoted {
+    fn new(slot_ty: Vec<Option<IrType>>) -> Promoted {
+        Promoted {
+            slot_reg: vec![0; slot_ty.len()],
+            slot_ty,
+        }
+    }
+
+    pub(crate) fn contains(&self, id: &InstId) -> bool {
+        self.slot_ty[id.0 as usize].is_some()
+    }
+
+    /// The register standing in for the promoted slot `id`.
+    pub(crate) fn reg(&self, id: InstId) -> Option<Reg> {
+        self.contains(&id).then(|| self.slot_reg[id.0 as usize])
+    }
+}
+
 /// Finds the scalar `alloca`s that can live in a register: one element, word
 /// or smaller, and used *only* as the direct address of same-typed loads and
 /// stores (never as a stored value, call argument, GEP base, or any other
 /// operand — those escape the slot and force it to stay in guest memory).
-fn promotable_allocas(f: &Function, rpo: &[BlockId]) -> HashSet<InstId> {
-    let mut candidates: HashMap<InstId, IrType> = HashMap::new();
+fn promotable_allocas(f: &Function, rpo: &[BlockId], types: &[Option<IrType>]) -> Promoted {
+    let mut slot_ty: Vec<Option<IrType>> = vec![None; f.insts.len()];
     for &bb in rpo {
         for &iid in &f.block(bb).insts {
             if let Inst::Alloca { ty, count: 1, .. } = f.inst(iid) {
                 if *ty != IrType::Void && (1..=8).contains(&ty.size()) {
-                    candidates.insert(iid, *ty);
+                    slot_ty[iid.0 as usize] = Some(*ty);
                 }
             }
         }
     }
-    if candidates.is_empty() {
-        return HashSet::new();
-    }
-    let disqualify = |candidates: &mut HashMap<InstId, IrType>, v: Value| {
+    let disqualify = |slot_ty: &mut [Option<IrType>], v: Value| {
         if let Value::Inst(id) = v {
-            candidates.remove(&id);
+            slot_ty[id.0 as usize] = None;
         }
     };
+    if slot_ty.iter().all(Option::is_none) {
+        return Promoted::new(slot_ty);
+    }
     for &bb in rpo {
         for &iid in &f.block(bb).insts {
             match f.inst(iid) {
                 Inst::Load { ty, ptr } => {
                     if let Value::Inst(a) = ptr {
-                        if candidates.get(a).is_some_and(|aty| aty != ty) {
-                            candidates.remove(a);
+                        if slot_ty[a.0 as usize].is_some_and(|aty| aty != *ty) {
+                            slot_ty[a.0 as usize] = None;
                         }
                     }
                 }
                 Inst::Store { val, ptr } => {
-                    disqualify(&mut candidates, *val);
+                    disqualify(&mut slot_ty, *val);
                     if let Value::Inst(a) = ptr {
-                        if candidates
-                            .get(a)
-                            .is_some_and(|aty| *aty != f.value_type(*val))
+                        if slot_ty[a.0 as usize]
+                            .is_some_and(|aty| aty != value_type(types, f, *val))
                         {
-                            candidates.remove(a);
+                            slot_ty[a.0 as usize] = None;
                         }
                     }
                 }
-                other => {
-                    for v in other.operands() {
-                        disqualify(&mut candidates, v);
-                    }
-                }
+                other => other.for_each_operand(|v| disqualify(&mut slot_ty, v)),
             }
         }
         if let Some(t) = &f.block(bb).term {
             match t {
-                Terminator::CondBr { cond, .. } => disqualify(&mut candidates, *cond),
-                Terminator::Ret(Some(v)) => disqualify(&mut candidates, *v),
+                Terminator::CondBr { cond, .. } => disqualify(&mut slot_ty, *cond),
+                Terminator::Ret(Some(v)) => disqualify(&mut slot_ty, *v),
                 _ => {}
             }
         }
     }
-    candidates.into_keys().collect()
+    Promoted::new(slot_ty)
 }
 
 /// Jump-target placeholder, patched once every block offset is known.
@@ -225,16 +308,21 @@ pub(crate) struct FuncCompiler<'a> {
     m: &'a Module,
     pub(crate) f: &'a Function,
     fn_index: &'a HashMap<&'a str, u32>,
-    pub(crate) promoted: HashMap<InstId, Reg>,
+    /// [`inst_types`] of `f`.
+    inst_ty: Vec<Option<IrType>>,
+    pub(crate) promoted: Promoted,
     pub(crate) vreg_class: Vec<RegClass>,
-    pub(crate) inst_reg: HashMap<InstId, Reg>,
-    pub(crate) const_reg: HashMap<ConstKey, Reg>,
+    /// Register of every non-void, non-promoted instruction, by `InstId`.
+    inst_reg: Vec<Option<Reg>>,
+    /// Pool index and prologue-loaded register of every interned constant.
+    consts: SortedMap<ConstKey, (u16, Reg)>,
     pub(crate) pool: Vec<PoolConst>,
-    pool_idx: HashMap<ConstKey, u16>,
     pub(crate) ops: Vec<Op>,
     call_args: Vec<Reg>,
     call_targets: Vec<CallTarget>,
-    target_idx: HashMap<CallTarget, u16>,
+    /// Index into `call_targets` by callee symbol (symbols are interned, so
+    /// one symbol is one target).
+    target_idx: SortedMap<u32, u16>,
     block_starts: Vec<u32>,
     block_off: Vec<Option<u32>>,
     fixups: Vec<Fixup>,
@@ -269,7 +357,7 @@ impl<'a> FuncCompiler<'a> {
 
     /// Interns a constant: pool entry plus the prologue-loaded register.
     fn const_vreg(&mut self, key: ConstKey, entry: PoolConst) -> Result<Reg, CompileError> {
-        if let Some(&r) = self.const_reg.get(&key) {
+        if let Some((_, r)) = self.consts.get(key) {
             return Ok(r);
         }
         if self.pool.len() >= u16::MAX as usize {
@@ -277,9 +365,8 @@ impl<'a> FuncCompiler<'a> {
         }
         let idx = self.pool.len() as u16;
         self.pool.push(entry);
-        self.pool_idx.insert(key, idx);
         let r = self.new_vreg(entry.class())?;
-        self.const_reg.insert(key, r);
+        self.consts.insert(key, (idx, r));
         Ok(r)
     }
 
@@ -307,7 +394,7 @@ impl<'a> FuncCompiler<'a> {
         key: ConstKey,
         entry: PoolConst,
     ) -> Result<Reg, CompileError> {
-        if let Some(&r) = self.const_reg.get(&key) {
+        if let Some((_, r)) = self.consts.get(key) {
             return Ok(r);
         }
         if self.pool.len() >= u16::MAX as usize {
@@ -325,13 +412,10 @@ impl<'a> FuncCompiler<'a> {
     pub(crate) fn reg_of(&mut self, v: Value) -> Result<Reg, CompileError> {
         match v {
             Value::Inst(id) => {
-                self.inst_reg
-                    .get(&id)
-                    .copied()
-                    .ok_or_else(|| CompileError::Malformed {
-                        func: self.f.name.clone(),
-                        what: format!("use of void or promoted value %{}", id.0),
-                    })
+                self.inst_reg[id.0 as usize].ok_or_else(|| CompileError::Malformed {
+                    func: self.f.name.clone(),
+                    what: format!("use of void or promoted value %{}", id.0),
+                })
             }
             Value::Arg(i) => {
                 if (i as usize) < self.f.params.len() {
@@ -348,6 +432,17 @@ impl<'a> FuncCompiler<'a> {
                 self.const_vreg(key, entry)
             }
         }
+    }
+
+    /// The register `lower_function` numbered the non-void instruction
+    /// `iid` with.
+    fn dst_of(&self, iid: InstId) -> Reg {
+        self.inst_reg[iid.0 as usize].expect("non-void instruction has a register")
+    }
+
+    /// [`Function::value_type`], read from the per-instruction type table.
+    fn type_of(&self, v: Value) -> IrType {
+        value_type(&self.inst_ty, self.f, v)
     }
 
     pub(crate) fn mark_block_start(&mut self) {
@@ -373,7 +468,7 @@ impl<'a> FuncCompiler<'a> {
                 });
             };
             let val = *val;
-            let dst = self.inst_reg[&iid];
+            let dst = self.dst_of(iid);
             let src = self.reg_of(val)?;
             pairs.push((dst, src));
         }
@@ -410,7 +505,7 @@ impl<'a> FuncCompiler<'a> {
         match inst {
             Inst::Phi { .. } => {} // eliminated into edge copies
             Inst::Alloca { ty, count, .. } => {
-                if let Some(&slot) = self.promoted.get(&iid) {
+                if let Some(slot) = self.promoted.reg(iid) {
                     // A fresh alloca is zero-initialized; re-executing the
                     // op (alloca inside a loop) must reset the slot too.
                     let (key, entry) = const_of(Value::Undef(*ty)).expect("undef is a constant");
@@ -419,14 +514,14 @@ impl<'a> FuncCompiler<'a> {
                 } else {
                     let bytes = ty.size().max(1) * (*count).max(1);
                     let bytes = u32::try_from(bytes).map_err(|_| self.err_large("alloca size"))?;
-                    let dst = self.inst_reg[&iid];
+                    let dst = self.dst_of(iid);
                     self.ops.push(Op::Alloca { dst, bytes });
                 }
             }
             Inst::Load { ty, ptr } => {
-                let dst = self.inst_reg[&iid];
+                let dst = self.dst_of(iid);
                 if let Value::Inst(a) = ptr {
-                    if let Some(&slot) = self.promoted.get(a) {
+                    if let Some(slot) = self.promoted.reg(*a) {
                         self.ops.push(Op::Mov { dst, src: slot });
                         return Ok(());
                     }
@@ -437,12 +532,12 @@ impl<'a> FuncCompiler<'a> {
             Inst::Store { val, ptr } => {
                 let src = self.reg_of(*val)?;
                 if let Value::Inst(a) = ptr {
-                    if let Some(&slot) = self.promoted.get(a) {
+                    if let Some(slot) = self.promoted.reg(*a) {
                         self.ops.push(Op::Mov { dst: slot, src });
                         return Ok(());
                     }
                 }
-                let ty = self.f.value_type(*val);
+                let ty = self.type_of(*val);
                 let addr = self.reg_of(*ptr)?;
                 self.ops.push(Op::Store { src, addr, ty });
             }
@@ -453,7 +548,7 @@ impl<'a> FuncCompiler<'a> {
             } => {
                 let elem_size =
                     u32::try_from(*elem_size).map_err(|_| self.err_large("gep element size"))?;
-                let dst = self.inst_reg[&iid];
+                let dst = self.dst_of(iid);
                 let base = self.reg_of(*ptr)?;
                 let index = self.reg_of(*index)?;
                 self.ops.push(Op::Gep {
@@ -464,8 +559,8 @@ impl<'a> FuncCompiler<'a> {
                 });
             }
             Inst::Bin { op, lhs, rhs } => {
-                let ty = self.f.value_type(*lhs);
-                let dst = self.inst_reg[&iid];
+                let ty = self.type_of(*lhs);
+                let dst = self.dst_of(iid);
                 let lhs = self.reg_of(*lhs)?;
                 let rhs = self.reg_of(*rhs)?;
                 self.ops.push(Op::Bin {
@@ -477,8 +572,8 @@ impl<'a> FuncCompiler<'a> {
                 });
             }
             Inst::Cmp { pred, lhs, rhs } => {
-                let ty = self.f.value_type(*lhs);
-                let dst = self.inst_reg[&iid];
+                let ty = self.type_of(*lhs);
+                let dst = self.dst_of(iid);
                 let lhs = self.reg_of(*lhs)?;
                 let rhs = self.reg_of(*rhs)?;
                 self.ops.push(Op::Cmp {
@@ -490,8 +585,8 @@ impl<'a> FuncCompiler<'a> {
                 });
             }
             Inst::Cast { op, val, to } => {
-                let from = self.f.value_type(*val);
-                let dst = self.inst_reg[&iid];
+                let from = self.type_of(*val);
+                let dst = self.dst_of(iid);
                 let src = self.reg_of(*val)?;
                 self.ops.push(Op::Cast {
                     op: *op,
@@ -502,7 +597,7 @@ impl<'a> FuncCompiler<'a> {
                 });
             }
             Inst::Select { cond, t, f: fv } => {
-                let dst = self.inst_reg[&iid];
+                let dst = self.dst_of(iid);
                 let cond = self.reg_of(*cond)?;
                 let t = self.reg_of(*t)?;
                 let fv = self.reg_of(*fv)?;
@@ -516,20 +611,20 @@ impl<'a> FuncCompiler<'a> {
             Inst::Call { callee, args, ty } => {
                 // Same precedence as the interpreter: module functions
                 // shadow runtime shims, resolved once here.
-                let name = self.m.symbol_name(callee.0);
-                let target = match self.fn_index.get(name) {
-                    Some(&i) => CallTarget::Bytecode(i),
-                    None => CallTarget::Runtime(callee.0),
-                };
-                let target = match self.target_idx.get(&target) {
-                    Some(&i) => i,
+                let SymbolId(sym) = callee.0;
+                let target = match self.target_idx.get(sym) {
+                    Some(i) => i,
                     None => {
                         if self.call_targets.len() >= u16::MAX as usize {
                             return Err(self.err_large("call-target table"));
                         }
+                        let name = self.m.symbol_name(callee.0);
                         let i = self.call_targets.len() as u16;
-                        self.call_targets.push(target);
-                        self.target_idx.insert(target, i);
+                        self.call_targets.push(match self.fn_index.get(name) {
+                            Some(&i) => CallTarget::Bytecode(i),
+                            None => CallTarget::Runtime(callee.0),
+                        });
+                        self.target_idx.insert(sym, i);
                         i
                     }
                 };
@@ -544,7 +639,7 @@ impl<'a> FuncCompiler<'a> {
                 let dst = if *ty == IrType::Void {
                     None
                 } else {
-                    Some(self.inst_reg[&iid])
+                    Some(self.dst_of(iid))
                 };
                 self.ops.push(Op::Call {
                     target,
@@ -653,11 +748,40 @@ fn compile_function(
     fn_index: &HashMap<&str, u32>,
     vector_width: u8,
     stats: &mut vectorize::PlanStats,
+    analysis: &mut Analysis,
 ) -> Result<(VmFunction, usize, usize), CompileError> {
+    // The three stages as child spans of `vm.compile`; without a session
+    // this is the one thread-local check the function pays for tracing.
+    let traced = omplt_trace::active();
+    let stage = |name| traced.then(|| omplt_trace::span(name));
+
+    let lower = stage("vm.compile.lower");
+    let (mut vf, promoted) = lower_function(m, f, fn_index, vector_width, stats)?;
+    drop(lower);
+
+    let peephole = stage("vm.compile.peephole");
+    let removed = peephole::optimize_in(&mut vf, analysis);
+    drop(peephole);
+
+    let _regalloc = stage("vm.compile.regalloc");
+    regalloc::allocate_in(&mut vf, analysis);
+    Ok((vf, promoted, removed))
+}
+
+/// IR → naive bytecode over virtual registers; also returns the number of
+/// promoted `alloca` slots.
+fn lower_function(
+    m: &Module,
+    f: &Function,
+    fn_index: &HashMap<&str, u32>,
+    vector_width: u8,
+    stats: &mut vectorize::PlanStats,
+) -> Result<(VmFunction, usize), CompileError> {
     let rpo = f.reverse_postorder();
-    let promoted_set = promotable_allocas(f, &rpo);
+    let inst_ty = inst_types(f, &rpo);
+    let promoted = promotable_allocas(f, &rpo, &inst_ty);
     let plans = if vector_width >= 2 {
-        vectorize::plan_loops(f, &promoted_set, vector_width, stats)
+        vectorize::plan_loops(f, &promoted, vector_width, stats)
     } else {
         HashMap::new()
     };
@@ -665,16 +789,16 @@ fn compile_function(
         m,
         f,
         fn_index,
-        promoted: HashMap::new(),
-        vreg_class: Vec::new(),
-        inst_reg: HashMap::new(),
-        const_reg: HashMap::new(),
+        inst_ty,
+        promoted,
+        vreg_class: Vec::with_capacity(f.insts.len()),
+        inst_reg: vec![None; f.insts.len()],
+        consts: SortedMap(Vec::new()),
         pool: Vec::new(),
-        pool_idx: HashMap::new(),
-        ops: Vec::new(),
+        ops: Vec::with_capacity(f.insts.len() + 2 * f.blocks.len()),
         call_args: Vec::new(),
         call_targets: Vec::new(),
-        target_idx: HashMap::new(),
+        target_idx: SortedMap(Vec::new()),
         block_starts: Vec::new(),
         block_off: vec![None; f.blocks.len()],
         fixups: Vec::new(),
@@ -693,18 +817,13 @@ fn compile_function(
     // pointer they used to produce never materializes).
     for &bb in &rpo {
         for &iid in &f.block(bb).insts {
-            let inst = f.inst(iid);
-            if let Inst::Alloca { ty, .. } = inst {
-                if promoted_set.contains(&iid) {
-                    let slot = c.new_vreg(RegClass::of(*ty))?;
-                    c.promoted.insert(iid, slot);
-                    continue;
-                }
+            if let Some(ty) = c.promoted.slot_ty[iid.0 as usize] {
+                c.promoted.slot_reg[iid.0 as usize] = c.new_vreg(RegClass::of(ty))?;
+                continue;
             }
-            let ty = inst.result_type(|v| f.value_type(v));
+            let ty = c.inst_ty[iid.0 as usize].expect("typed above");
             if ty != IrType::Void {
-                let r = c.new_vreg(RegClass::of(ty))?;
-                c.inst_reg.insert(iid, r);
+                c.inst_reg[iid.0 as usize] = Some(c.new_vreg(RegClass::of(ty))?);
             }
         }
     }
@@ -714,18 +833,20 @@ fn compile_function(
     // head of the entry block) and no offsets ever need shifting.
     for &bb in &rpo {
         for &iid in &f.block(bb).insts {
-            if c.promoted.contains_key(&iid) {
+            if let Some(ty) = c.promoted.slot_ty[iid.0 as usize] {
                 // Promoted alloca re-zeroing needs the zero of its class.
-                if let Inst::Alloca { ty, .. } = f.inst(iid) {
-                    let (key, entry) = const_of(Value::Undef(*ty)).expect("undef is a constant");
-                    c.const_vreg(key, entry)?;
-                }
+                let (key, entry) = const_of(Value::Undef(ty)).expect("undef is a constant");
+                c.const_vreg(key, entry)?;
                 continue;
             }
-            for v in f.inst(iid).operands() {
+            let mut failed = None;
+            f.inst(iid).for_each_operand(|v| {
                 if let Some((key, entry)) = const_of(v) {
-                    c.const_vreg(key, entry)?;
+                    failed = failed.take().or(c.const_vreg(key, entry).err());
                 }
+            });
+            if let Some(e) = failed {
+                return Err(e);
             }
         }
         let term_val = match &f.block(bb).term {
@@ -746,11 +867,10 @@ fn compile_function(
         c.block_off[bb.0 as usize] = Some(c.ops.len() as u32);
         c.mark_block_start();
         if i == 0 {
-            let mut loads: Vec<(u16, Reg)> = c
-                .const_reg
-                .iter()
-                .map(|(key, &reg)| (c.pool_idx[key], reg))
-                .collect();
+            // In pool order — the order the constants were first met in —
+            // whatever order the table keeps them in: the emitted bytes must
+            // be a function of the module alone.
+            let mut loads: Vec<(u16, Reg)> = c.consts.0.iter().map(|&(_, load)| load).collect();
             loads.sort_unstable();
             for (idx, dst) in loads {
                 c.ops.push(Op::Const { dst, idx });
@@ -783,7 +903,7 @@ fn compile_function(
         return Err(c.err_large("op stream"));
     }
 
-    let mut vf = VmFunction {
+    let vf = VmFunction {
         name: f.name.clone(),
         params,
         num_regs: c.vreg_class.len() as u16,
@@ -798,7 +918,5 @@ fn compile_function(
         block_starts: c.block_starts,
         ret: f.ret,
     };
-    let removed = peephole::optimize(&mut vf);
-    regalloc::allocate(&mut vf);
-    Ok((vf, c.promoted.len(), removed))
+    Ok((vf, c.promoted.slot_ty.iter().flatten().count()))
 }

@@ -14,8 +14,10 @@
 //!   virtual registers (phis become edge copies, hot scalar `alloca` slots
 //!   are promoted to registers mem2reg-style), a peephole pass
 //!   ([`peephole`]) propagates copies, deletes dead ops, and fuses
-//!   compare/branch pairs, and a linear-scan pass compacts the register
-//!   file.
+//!   compare/branch pairs, and a linear-scan pass ([`regalloc`]) compacts
+//!   the register file. The per-function analysis is done once: one CFG and
+//!   one flat-row liveness workspace serve every peephole stage and the
+//!   allocator, and the lowerer's per-instruction tables are dense vectors.
 //! * [`verify`] — a load-time bytecode verifier (register def-before-use,
 //!   in-bounds jump targets, type-class-consistent operands) that runs on
 //!   every compiled module and again under `--verify-each`.

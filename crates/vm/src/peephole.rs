@@ -4,7 +4,7 @@
 //! every load/store into a `Mov`, phi edges add more copies, and each
 //! loop latch is a `Cmp` feeding a `Br`. In the hot dense-arithmetic loops
 //! the VM exists for, roughly a third of the retired ops were copies —
-//! dispatch overhead with no work attached. Four stages fix that:
+//! dispatch overhead with no work attached. Six stages fix that:
 //!
 //! 1. **Copy propagation** (block-local): uses of a `Mov` destination are
 //!    rewritten to its source until either register is redefined, so the
@@ -14,14 +14,16 @@
 //!    trap on (`sdiv`/`urem`/… by zero, non-additive pointer arithmetic) are
 //!    kept even when dead — deleting them would make the VM succeed where the
 //!    interpreter errors, breaking the differential oracle.
-//! 3. **Compare/branch fusion**: a `Cmp` immediately feeding the block's
+//! 3. **Writeback coalescing**: `d = <op> …; s = mov d` with `d` dead after
+//!    the `Mov` becomes `s = <op> …`.
+//! 4. **Compare/branch fusion**: a `Cmp` immediately feeding the block's
 //!    `Br`, with no other consumer, becomes one [`Op::CmpBr`].
-//! 4. **Fallthrough-jump elision**: a `Jmp` to the op that physically
+//! 5. **Fallthrough-jump elision**: a `Jmp` to the op that physically
 //!    follows it, when that target has no other incoming edge, is deleted
 //!    and the two blocks merge.
-//! 5. **Arithmetic/jump fusion**: a `Bin` immediately preceding its block's
+//! 6. **Arithmetic/jump fusion**: a `Bin` immediately preceding its block's
 //!    surviving `Jmp` becomes one [`Op::BinJmp`] — the canonical loop latch
-//!    (`i = i + step; jmp header`) in one dispatch. This runs *after* stage 4
+//!    (`i = i + step; jmp header`) in one dispatch. This runs *after* stage 5
 //!    so a jump that can be elided outright is, and only real backedges fuse.
 //!
 //! Deletion is mark-then-compact: stages only set a `dead` mask, and a final
@@ -29,22 +31,73 @@
 //! That remap is exact because the lowerer registers *every* branch target
 //! (including phi-copy trampolines) as a block start, terminators are never
 //! deleted, and therefore each block keeps at least one op.
+//!
+//! The stages share one [`Analysis`]: the CFG is read off the terminators
+//! once (no stage before 5 moves an edge, and 5 remaps it), and liveness is
+//! solved once per dead-op sweep and never again — [`optimize_in`] says why
+//! the last sweep's solve still holds for stages 3 and 4 and, remapped, for
+//! the register allocator.
 
 use crate::ops::{Op, Reg, VmFunction};
-use crate::regalloc::{block_ranges, liveness, successors};
+use crate::regalloc::{bit_clear, bit_set, bit_test, block_range, Analysis, Liveness};
 use omplt_ir::{BinOpKind, IrType};
 
 /// Runs the full pipeline in place; returns the number of ops removed.
 pub fn optimize(f: &mut VmFunction) -> usize {
+    optimize_in(f, &mut Analysis::default())
+}
+
+/// [`optimize`] with the caller's workspace; leaves in `a` the CFG and the
+/// block-level liveness of the function as returned, for
+/// [`crate::regalloc::allocate_in`].
+///
+/// Dead-op elimination stays an iterated *plain*-liveness fixpoint: each
+/// sweep solves, deletes what that solution calls dead, and repeats until a
+/// sweep deletes nothing. (Strong/faint liveness would finish in one solve,
+/// but it also deletes dead cyclic chains — `a = b; b = a` around a loop —
+/// that this fixpoint keeps, i.e. it would change the emitted code.) The
+/// last sweep's solve is therefore exact for the op stream it leaves
+/// behind, and no later stage moves a block's live-in or live-out:
+///
+/// * writeback coalescing renames the def of `d = <op>` to `s` and deletes
+///   `s = mov d`. `d` is dead after the `Mov`, so either it is not live-out
+///   of the block or a later op of the block redefines it (it stays in the
+///   block's kill set); the two ops are adjacent and an op reads before it
+///   writes, so the uses exposed at the block's top are the same, and `s`
+///   is still defined at that point of the block;
+/// * compare/branch fusion deletes a `Cmp` whose result the adjacent `Br`
+///   alone read and which is not live-out: the fused op reads the `Cmp`'s
+///   operands where the `Cmp` did, and the one register that leaves the
+///   kill set was not live-out to begin with;
+/// * a merged block is live-in what its first block was and live-out what
+///   its last block was ([`Analysis::merge_blocks`]); arithmetic/jump fusion
+///   keeps def and uses inside one block; compaction moves offsets only.
+///
+/// In each case the old solution still satisfies the new equations and —
+/// the only change being a register that leaves a kill set it was never
+/// live-out of — iterating from empty sets reaches it again, so it is the
+/// least fixpoint a fresh solve would return. Debug builds assert exactly
+/// that at every hand-off ([`Analysis::is_current`]).
+pub(crate) fn optimize_in(f: &mut VmFunction, a: &mut Analysis) -> usize {
     if f.ops.is_empty() {
         return 0;
     }
+    a.cfg.build(f);
     copy_propagate(f);
     let mut dead = vec![false; f.ops.len()];
-    while eliminate_dead(f, &mut dead) {}
-    coalesce_defs(f, &mut dead);
-    fuse_cmp_br(f, &mut dead);
-    elide_fallthrough_jumps(f, &mut dead);
+    // The backward walks' running live set, one buffer for every block.
+    let mut live = Vec::new();
+    loop {
+        a.live.solve(f, &a.cfg, &dead);
+        if !eliminate_dead(f, &a.live, &mut dead, &mut live) {
+            break;
+        }
+    }
+    coalesce_defs(f, &a.live, &mut dead, &mut live);
+    debug_assert!(a.is_current(f, &dead), "@{}: coalesce_defs", f.name);
+    fuse_cmp_br(f, &a.live, &mut dead);
+    debug_assert!(a.is_current(f, &dead), "@{}: fuse_cmp_br", f.name);
+    elide_fallthrough_jumps(f, a, &mut dead);
     fuse_bin_jmp(f, &mut dead);
     compact(f, &dead)
 }
@@ -73,46 +126,68 @@ fn removable(op: Op) -> bool {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Copy-map entries [`copy_propagate`] visited to invalidate them, summed
+    /// over its defs: the work the linearity test bounds.
+    static INVALIDATION_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// What [`copy_propagate`] knows about one register.
+#[derive(Clone, Copy, Default)]
+struct CopyEntry {
+    /// The register this one is a copy of — if `recorded_in` is the current
+    /// block and `src_stamp` is still `copy_of`'s `def_stamp`.
+    copy_of: Reg,
+    /// Block generation in which the copy was recorded (0: none; a def of
+    /// this register resets it), so resetting per block is O(1).
+    recorded_in: u32,
+    /// `copy_of`'s `def_stamp` when the copy was recorded.
+    src_stamp: u32,
+    /// Bumped to a fresh value by every def of this register, which
+    /// invalidates every copy *of* it in O(1).
+    def_stamp: u32,
+}
+
 /// Block-local copy propagation: after `dst = mov src`, later reads of `dst`
 /// become reads of `src` (chased to the root of a copy chain) until either
 /// side is redefined. The `Mov`s themselves are left for DCE to collect.
 fn copy_propagate(f: &mut VmFunction) {
-    let n = f.num_regs as usize;
-    // Generation-stamped map: `copy_of[r]` is meaningful only when
-    // `gen_of[r] == cur_gen`, so resetting per block is O(1).
-    let mut copy_of: Vec<Reg> = vec![0; n];
-    let mut gen_of: Vec<u32> = vec![0; n];
-    let mut cur_gen: u32 = 0;
-    // Keys recorded in the current block, for O(block) invalidation on defs.
-    let mut recorded: Vec<Reg> = Vec::new();
-
-    for (start, end) in block_ranges(f) {
-        cur_gen += 1;
-        recorded.clear();
+    let mut regs = vec![CopyEntry::default(); f.num_regs as usize];
+    let mut cur_block: u32 = 0;
+    let mut clock: u32 = 0;
+    for b in 0..f.block_starts.len() {
+        cur_block += 1;
+        let (start, end) = block_range(f, b);
         for pc in start..end {
             let op = &mut f.ops[pc];
             op.map_uses(&mut f.call_args, |r| {
-                if gen_of[r as usize] == cur_gen {
-                    copy_of[r as usize]
+                let e = regs[r as usize];
+                let valid =
+                    e.recorded_in == cur_block && e.src_stamp == regs[e.copy_of as usize].def_stamp;
+                if valid {
+                    e.copy_of
                 } else {
                     r
                 }
             });
             if let Some(d) = op.def() {
-                // `d` is overwritten: forget copies *of* it and *into* it.
-                gen_of[d as usize] = 0;
-                for &k in &recorded {
-                    if gen_of[k as usize] == cur_gen && copy_of[k as usize] == d {
-                        gen_of[k as usize] = 0;
-                    }
-                }
+                // `d` is overwritten: forget the copy *into* it, and outdate
+                // every copy *of* it.
+                clock += 1;
+                regs[d as usize].recorded_in = 0;
+                regs[d as usize].def_stamp = clock;
+                #[cfg(test)]
+                INVALIDATION_STEPS.with(|s| s.set(s.get() + 1));
             }
             if let Op::Mov { dst, src } = *op {
                 if dst != src {
                     // `src` was already rewritten to its root above.
-                    copy_of[dst as usize] = src;
-                    gen_of[dst as usize] = cur_gen;
-                    recorded.push(dst);
+                    let src_stamp = regs[src as usize].def_stamp;
+                    let e = &mut regs[dst as usize];
+                    e.copy_of = src;
+                    e.recorded_in = cur_block;
+                    e.src_stamp = src_stamp;
                 }
             }
         }
@@ -120,32 +195,35 @@ fn copy_propagate(f: &mut VmFunction) {
 }
 
 /// One backward DCE sweep over live ops; returns true if anything new died.
-fn eliminate_dead(f: &VmFunction, dead: &mut [bool]) -> bool {
-    let n = f.num_regs as usize;
-    let ranges = block_ranges(f);
-    let succs = successors(f, &ranges);
-    let (_, live_out) = liveness(f, n, &ranges, &succs, |pc| dead[pc]);
+fn eliminate_dead(
+    f: &VmFunction,
+    solved: &Liveness,
+    dead: &mut [bool],
+    live: &mut Vec<u64>,
+) -> bool {
     let mut changed = false;
-    for (b, &(start, end)) in ranges.iter().enumerate() {
-        let mut live = live_out[b].clone();
+    for b in 0..f.block_starts.len() {
+        let (start, end) = block_range(f, b);
+        live.clear();
+        live.extend_from_slice(solved.live_out(b));
         for pc in (start..end).rev() {
             if dead[pc] {
                 continue;
             }
             let op = f.ops[pc];
+            let def = op.def();
             // A self-copy is a no-op whether or not its register is live.
             let self_mov = matches!(op, Op::Mov { dst, src } if dst == src);
-            let dead_def =
-                matches!(op.def(), Some(d) if !live.contains(d as usize)) && removable(op);
+            let dead_def = matches!(def, Some(d) if !bit_test(live, d)) && removable(op);
             if self_mov || dead_def {
                 dead[pc] = true;
                 changed = true;
                 continue;
             }
-            if let Some(d) = op.def() {
-                live.remove(d as usize);
+            if let Some(d) = def {
+                bit_clear(live, d);
             }
-            op.for_each_use(&f.call_args, |r| live.insert(r as usize));
+            op.for_each_use(&f.call_args, |r| bit_set(live, r));
         }
     }
     changed
@@ -155,49 +233,51 @@ fn eliminate_dead(f: &VmFunction, dead: &mut [bool]) -> bool {
 /// `Mov` — the "write the result back into the promoted slot" pattern every
 /// loop-carried variable produces. Safe because every op reads its operands
 /// before writing its destination, so `<op>` may freely read `s`'s old value.
-fn coalesce_defs(f: &mut VmFunction, dead: &mut [bool]) {
-    let n = f.num_regs as usize;
-    let ranges = block_ranges(f);
-    let succs = successors(f, &ranges);
-    let (_, live_out) = liveness(f, n, &ranges, &succs, |pc| dead[pc]);
-    for (b, &(start, end)) in ranges.iter().enumerate() {
-        let mut live = live_out[b].clone();
-        let pcs: Vec<usize> = (start..end).rev().filter(|&pc| !dead[pc]).collect();
-        for (i, &pc) in pcs.iter().enumerate() {
+fn coalesce_defs(f: &mut VmFunction, solved: &Liveness, dead: &mut [bool], live: &mut Vec<u64>) {
+    for b in 0..f.block_starts.len() {
+        let (start, end) = block_range(f, b);
+        live.clear();
+        live.extend_from_slice(solved.live_out(b));
+        for pc in (start..end).rev() {
+            if dead[pc] {
+                continue;
+            }
             let op = f.ops[pc];
             if let Op::Mov { dst: s, src: d } = op {
-                let prev = pcs.get(i + 1);
-                let coalescable = s != d
-                    && !live.contains(d as usize)
-                    && f.reg_class[s as usize] == f.reg_class[d as usize]
-                    && prev.is_some_and(|&q| f.ops[q].def() == Some(d));
-                if coalescable {
-                    f.ops[*prev.expect("checked above")].set_def(s);
-                    dead[pc] = true;
-                    // The Mov contributes nothing to liveness now; `q` is
-                    // processed next with its rewritten destination.
-                    continue;
+                let same_class = f.reg_class[s as usize] == f.reg_class[d as usize];
+                if s != d && !bit_test(live, d) && same_class {
+                    // The op before the `Mov` among live ops must be `d`'s def.
+                    let prev = (start..pc).rev().find(|&q| !dead[q]);
+                    if let Some(q) = prev.filter(|&q| f.ops[q].def() == Some(d)) {
+                        f.ops[q].set_def(s);
+                        dead[pc] = true;
+                        // The Mov contributes nothing to liveness now; `q` is
+                        // processed next with its rewritten destination.
+                        continue;
+                    }
                 }
             }
             if let Some(dd) = op.def() {
-                live.remove(dd as usize);
+                bit_clear(live, dd);
             }
-            op.for_each_use(&f.call_args, |r| live.insert(r as usize));
+            op.for_each_use(&f.call_args, |r| bit_set(live, r));
         }
     }
+}
+
+/// The last two live ops of block `b`, terminator first.
+fn last_two_live(f: &VmFunction, b: usize, dead: &[bool]) -> Option<(usize, usize)> {
+    let (start, end) = block_range(f, b);
+    let mut live = (start..end).rev().filter(|&pc| !dead[pc]);
+    Some((live.next()?, live.next()?))
 }
 
 /// Fuses `dst = cmp …; br dst, T, E` into `cmpbr …, T, E` when the `Cmp`
 /// immediately precedes its block's `Br` (among live ops) and `dst` has no
 /// other consumer (`dst` not live out of the block).
-fn fuse_cmp_br(f: &mut VmFunction, dead: &mut [bool]) {
-    let n = f.num_regs as usize;
-    let ranges = block_ranges(f);
-    let succs = successors(f, &ranges);
-    let (_, live_out) = liveness(f, n, &ranges, &succs, |pc| dead[pc]);
-    for (b, &(start, end)) in ranges.iter().enumerate() {
-        let mut live = (start..end).rev().filter(|&pc| !dead[pc]);
-        let (Some(t), Some(p)) = (live.next(), live.next()) else {
+fn fuse_cmp_br(f: &mut VmFunction, solved: &Liveness, dead: &mut [bool]) {
+    for b in 0..f.block_starts.len() {
+        let Some((t, p)) = last_two_live(f, b, dead) else {
             continue;
         };
         let Op::Br {
@@ -218,7 +298,7 @@ fn fuse_cmp_br(f: &mut VmFunction, dead: &mut [bool]) {
         else {
             continue;
         };
-        if dst != cond || live_out[b].contains(dst as usize) {
+        if dst != cond || bit_test(solved.live_out(b), dst) {
             continue;
         }
         f.ops[t] = Op::CmpBr {
@@ -238,9 +318,8 @@ fn fuse_cmp_br(f: &mut VmFunction, dead: &mut [bool]) {
 /// fused op still defines `dst`, and a trapping `Bin` (div/rem) traps
 /// identically before the jump would have been taken.
 fn fuse_bin_jmp(f: &mut VmFunction, dead: &mut [bool]) {
-    for (start, end) in block_ranges(f) {
-        let mut live = (start..end).rev().filter(|&pc| !dead[pc]);
-        let (Some(t), Some(p)) = (live.next(), live.next()) else {
+    for b in 0..f.block_starts.len() {
+        let Some((t, p)) = last_two_live(f, b, dead) else {
             continue;
         };
         let Op::Jmp { target } = f.ops[t] else {
@@ -271,34 +350,27 @@ fn fuse_bin_jmp(f: &mut VmFunction, dead: &mut [bool]) {
 /// Deletes `jmp` ops that target the instruction physically following them
 /// when nothing else jumps there, merging the two blocks. (RPO linearization
 /// makes loop bodies fall through to their latch, so these are common.)
-fn elide_fallthrough_jumps(f: &mut VmFunction, dead: &mut [bool]) {
-    // Incoming-edge counts per target offset, over live ops only.
-    let mut incoming: Vec<u32> = vec![0; f.ops.len()];
-    for (pc, op) in f.ops.iter().enumerate() {
-        if dead[pc] {
-            continue;
-        }
-        op.for_each_target(|t| incoming[t as usize] += 1);
+fn elide_fallthrough_jumps(f: &mut VmFunction, a: &mut Analysis, dead: &mut [bool]) {
+    let nb = a.cfg.num_blocks();
+    // Terminators are never deleted, so every edge of the CFG is live.
+    let mut incoming: Vec<u32> = vec![0; nb];
+    for &head in a.cfg.edge_heads() {
+        incoming[head as usize] += 1;
     }
-    let mut merged_starts: Vec<u32> = Vec::new();
-    for (pc, (op, d)) in f.ops.iter().zip(dead.iter_mut()).enumerate() {
-        if *d {
-            continue;
-        }
-        let Op::Jmp { target } = *op else {
-            continue;
-        };
-        // `Jmp` is a terminator, so `target == pc + 1` means the next block
-        // starts right after it; one incoming edge means this is that edge.
-        if target as usize == pc + 1
-            && incoming[target as usize] == 1
-            && f.block_starts.binary_search(&target).is_ok()
-        {
-            *d = true;
-            merged_starts.push(target);
+    let mut merged = vec![false; nb];
+    for b in 1..nb {
+        // `end` is where block `b` starts; one incoming edge means the
+        // previous block's `Jmp` to it is that edge.
+        let end = f.block_starts[b];
+        let jmp = end as usize - 1;
+        if incoming[b] == 1 && matches!(f.ops[jmp], Op::Jmp { target } if target == end) {
+            dead[jmp] = true;
+            merged[b] = true;
         }
     }
-    f.block_starts.retain(|s| !merged_starts.contains(s));
+    if merged.contains(&true) {
+        a.merge_blocks(f, &merged);
+    }
 }
 
 /// Drops marked ops and remaps every jump target and block start. Targets
@@ -402,6 +474,74 @@ mod tests {
         optimize(&mut f);
         let bin = f.ops.iter().find(|o| matches!(o, Op::Bin { .. })).unwrap();
         assert!(matches!(bin, Op::Bin { lhs: 1, rhs: 1, .. }), "{bin:?}");
+    }
+
+    #[test]
+    fn redefined_source_can_be_copied_again() {
+        // r1 = mov r0; r0 = const; r2 = mov r0; r3 = r1 + r2: r1 holds the
+        // *old* r0 and must stay, r2 is a copy of the new r0.
+        let mut f = func(
+            vec![
+                Op::Const { dst: 0, idx: 0 },
+                Op::Mov { dst: 1, src: 0 },
+                Op::Const { dst: 0, idx: 0 },
+                Op::Mov { dst: 2, src: 0 },
+                Op::Bin {
+                    op: BinOpKind::Add,
+                    ty: IrType::I64,
+                    dst: 3,
+                    lhs: 1,
+                    rhs: 2,
+                },
+                Op::Ret { src: Some(3) },
+            ],
+            vec![RegClass::Int; 4],
+            vec![0],
+        );
+        copy_propagate(&mut f);
+        assert!(
+            matches!(f.ops[4], Op::Bin { lhs: 1, rhs: 0, .. }),
+            "{:?}",
+            f.ops[4]
+        );
+    }
+
+    #[test]
+    fn copy_invalidation_is_constant_per_def() {
+        // One block of 40 000 alternating ops, every `Mov` into a fresh
+        // register so the copy map only grows:
+        //   m_i = mov b_{i-1};  b_i = m_i + m_i
+        // Walking the recorded copies on every def made this quadratic.
+        const PAIRS: u16 = 20_000;
+        let mut ops = vec![Op::Const { dst: 0, idx: 0 }];
+        for i in 0..PAIRS {
+            let (prev, m, b) = (2 * i, 2 * i + 1, 2 * i + 2);
+            ops.push(Op::Mov { dst: m, src: prev });
+            ops.push(Op::Bin {
+                op: BinOpKind::Add,
+                ty: IrType::I64,
+                dst: b,
+                lhs: m,
+                rhs: m,
+            });
+        }
+        ops.push(Op::Ret {
+            src: Some(2 * PAIRS),
+        });
+        let n = ops.len() as u64;
+        let mut f = func(ops, vec![RegClass::Int; 2 * PAIRS as usize + 1], vec![0]);
+        INVALIDATION_STEPS.with(|s| s.set(0));
+        copy_propagate(&mut f);
+        let steps = INVALIDATION_STEPS.with(|s| s.get());
+        assert!(steps <= n, "{steps} invalidation steps for {n} ops");
+        for i in 0..PAIRS as usize {
+            let prev = 2 * i as u16;
+            assert!(
+                matches!(f.ops[2 + 2 * i], Op::Bin { lhs, rhs, .. } if lhs == prev && rhs == prev),
+                "pair {i}: {:?}",
+                f.ops[2 + 2 * i]
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Linear-scan register allocation over the virtual registers the lowerer
+//! The per-function analyses the peephole stages and the allocator share —
+//! one [`Cfg`], one [`Liveness`] workspace, bundled as [`Analysis`] — and
+//! linear-scan register allocation over the virtual registers the lowerer
 //! emits (one per SSA value, argument, constant, and phi-copy temporary).
 //!
 //! There is no spilling — the frame's register file is heap-allocated and
@@ -12,162 +14,279 @@
 //! which is what makes backedges safe: a value live around a loop (including
 //! a loop whose header is the entry block's constant prologue) covers the
 //! whole loop body, so re-executed defs can never clobber it.
+//!
+//! An [`Analysis`] is filled once per function by [`crate::peephole`] and
+//! handed on to [`allocate_in`]: the successor lists are read off the
+//! terminators once, the liveness rows live in four flat `blocks × words`
+//! vectors that every solve reuses, and the allocator takes the rows of the
+//! peephole pipeline's last solve instead of solving again
+//! (`peephole::optimize_in` says why they are still current). One `Analysis`
+//! serves every function of a module, so in the steady state nothing here
+//! reallocates.
 
 use crate::ops::{Reg, RegClass, VmFunction};
 
-/// A dense bitset over virtual registers (shared with the peephole pass).
-#[derive(Clone, PartialEq)]
-pub(crate) struct BitSet {
-    words: Vec<u64>,
+/// `(start, end)` op index range of block `b`.
+pub(crate) fn block_range(f: &VmFunction, b: usize) -> (usize, usize) {
+    let start = f.block_starts[b] as usize;
+    let end = f
+        .block_starts
+        .get(b + 1)
+        .map_or(f.ops.len(), |&s| s as usize);
+    (start, end)
 }
 
-impl BitSet {
-    pub(crate) fn new(n: usize) -> BitSet {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    pub(crate) fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    pub(crate) fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    pub(crate) fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// `self |= (other & !mask)`; returns true if anything changed.
-    fn union_minus(&mut self, other: &BitSet, mask: &BitSet) -> bool {
-        let mut changed = false;
-        for ((w, &o), &m) in self.words.iter_mut().zip(&other.words).zip(&mask.words) {
-            let new = *w | (o & !m);
-            changed |= new != *w;
-            *w = new;
-        }
-        changed
-    }
-
-    fn union(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            let new = *w | o;
-            changed |= new != *w;
-            *w = new;
-        }
-        changed
-    }
-
-    fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1 << b) != 0)
-                .map(move |b| wi * 64 + b)
-        })
-    }
+/// Successor block indices of every block, read off each block's terminator
+/// op, as one flat list. Block *ranges* are not copied here: they are
+/// `f.block_starts`, which deleting ops remaps without moving an edge, so
+/// only a block merge ([`Analysis::merge_blocks`]) has to touch a `Cfg`.
+#[derive(Default, PartialEq, Debug)]
+pub(crate) struct Cfg {
+    /// Block `b`'s successors are `succ[succ_at[b]..succ_at[b + 1]]`.
+    succ_at: Vec<u32>,
+    succ: Vec<u32>,
 }
 
-/// `(start, end)` op index ranges of every block, in block order.
-pub(crate) fn block_ranges(f: &VmFunction) -> Vec<(usize, usize)> {
-    let nb = f.block_starts.len();
-    (0..nb)
-        .map(|b| {
-            let start = f.block_starts[b] as usize;
-            let end = if b + 1 < nb {
-                f.block_starts[b + 1] as usize
-            } else {
-                f.ops.len()
-            };
-            (start, end)
-        })
-        .collect()
-}
-
-/// Successor block indices, read off each block's terminator op.
-pub(crate) fn successors(f: &VmFunction, ranges: &[(usize, usize)]) -> Vec<Vec<usize>> {
-    let block_of = |off: u32| -> usize {
-        match f.block_starts.binary_search(&off) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
-    };
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); ranges.len()];
-    for (s, &(_, end)) in succs.iter_mut().zip(ranges) {
-        f.ops[end - 1].for_each_target(|t| s.push(block_of(t)));
-    }
-    succs
-}
-
-/// Block-level backward liveness to fixpoint over `n` registers; returns
-/// `(live_in, live_out)` per block. Ops for which `skip` returns true are
-/// treated as absent (the peephole pass masks deleted ops this way; register
-/// allocation passes `|_| false`).
-pub(crate) fn liveness(
-    f: &VmFunction,
-    n: usize,
-    ranges: &[(usize, usize)],
-    succs: &[Vec<usize>],
-    skip: impl Fn(usize) -> bool,
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    let nb = ranges.len();
-    // Per-block gen_set (upward-exposed uses) and kill (defs).
-    let mut gen_set: Vec<BitSet> = Vec::with_capacity(nb);
-    let mut kill: Vec<BitSet> = Vec::with_capacity(nb);
-    for &(start, end) in ranges {
-        let mut g = BitSet::new(n);
-        let mut k = BitSet::new(n);
-        for pc in start..end {
-            if skip(pc) {
-                continue;
-            }
-            let op = f.ops[pc];
-            op.for_each_use(&f.call_args, |r| {
-                if !k.contains(r as usize) {
-                    g.insert(r as usize);
-                }
+impl Cfg {
+    /// Reads the block structure of `f` (every block non-empty), reusing
+    /// this value's buffers.
+    pub(crate) fn build(&mut self, f: &VmFunction) {
+        self.succ_at.clear();
+        self.succ.clear();
+        for b in 0..f.block_starts.len() {
+            self.succ_at.push(self.succ.len() as u32);
+            let (_, end) = block_range(f, b);
+            f.ops[end - 1].for_each_target(|t| {
+                let s = match f.block_starts.binary_search(&t) {
+                    Ok(i) => i,
+                    Err(i) => i - 1,
+                };
+                self.succ.push(s as u32);
             });
-            if let Some(d) = op.def() {
-                k.insert(d as usize);
-            }
         }
-        gen_set.push(g);
-        kill.push(k);
+        self.succ_at.push(self.succ.len() as u32);
     }
 
-    // live_in = gen_set ∪ (live_out − kill).
-    let mut live_in: Vec<BitSet> = vec![BitSet::new(n); nb];
-    let mut live_out: Vec<BitSet> = vec![BitSet::new(n); nb];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            for &s in &succs[b] {
-                let inn = live_in[s].clone();
-                changed |= live_out[b].union(&inn);
-            }
-            let out = live_out[b].clone();
-            changed |= live_in[b].union_minus(&out, &kill[b]);
-            changed |= live_in[b].union(&gen_set[b]);
+    pub(crate) fn num_blocks(&self) -> usize {
+        self.succ_at.len().saturating_sub(1)
+    }
+
+    pub(crate) fn succs(&self, b: usize) -> &[u32] {
+        &self.succ[self.succ_at[b] as usize..self.succ_at[b + 1] as usize]
+    }
+
+    /// The head block of every edge, one entry per edge (a `Br` with both
+    /// arms on one block contributes two).
+    pub(crate) fn edge_heads(&self) -> &[u32] {
+        &self.succ
+    }
+}
+
+/// Bit `r` of a register-set row (`words` × `u64`).
+pub(crate) fn bit_test(row: &[u64], r: Reg) -> bool {
+    row[r as usize / 64] & (1 << (r % 64)) != 0
+}
+
+pub(crate) fn bit_set(row: &mut [u64], r: Reg) {
+    row[r as usize / 64] |= 1 << (r % 64);
+}
+
+pub(crate) fn bit_clear(row: &mut [u64], r: Reg) {
+    row[r as usize / 64] &= !(1 << (r % 64));
+}
+
+/// Visits the set bits of `row` in ascending order.
+fn for_each_one(row: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in row.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            f(wi * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
         }
     }
-    (live_in, live_out)
+}
+
+/// Block-level backward liveness over the scalar registers, solved to the
+/// least fixpoint. The four row sets are flat (`row b` =
+/// `[b * words..(b + 1) * words]`) and keep their capacity from solve to
+/// solve and from function to function.
+#[derive(Default)]
+pub(crate) struct Liveness {
+    /// `u64`s per row: `num_regs` rounded up to a multiple of 64 bits.
+    words: usize,
+    /// Upward-exposed uses and defs per block; scratch of [`Liveness::solve`]
+    /// (stale once ops or blocks change, unlike the two result sets).
+    gen_set: Vec<u64>,
+    kill: Vec<u64>,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+    /// Solves run so far (the `vm.compile.liveness.solves` counter).
+    pub(crate) solves: u64,
+}
+
+impl Liveness {
+    /// Solves `live_in = gen ∪ (live_out − kill)`, `live_out = ∪ live_in of
+    /// successors` for `f`. Ops whose `dead` flag is set are treated as
+    /// absent (the peephole pass masks deleted ops this way).
+    pub(crate) fn solve(&mut self, f: &VmFunction, cfg: &Cfg, dead: &[bool]) {
+        self.solves += 1;
+        let nb = cfg.num_blocks();
+        let w = (f.num_regs as usize).div_ceil(64);
+        self.words = w;
+        for rows in [
+            &mut self.gen_set,
+            &mut self.kill,
+            &mut self.live_in,
+            &mut self.live_out,
+        ] {
+            rows.clear();
+            rows.resize(nb * w, 0);
+        }
+        for b in 0..nb {
+            let (start, end) = block_range(f, b);
+            let gen_set = &mut self.gen_set[b * w..(b + 1) * w];
+            let kill = &mut self.kill[b * w..(b + 1) * w];
+            for pc in (start..end).filter(|&pc| !dead[pc]) {
+                let op = f.ops[pc];
+                op.for_each_use(&f.call_args, |r| {
+                    if !bit_test(kill, r) {
+                        bit_set(gen_set, r);
+                    }
+                });
+                if let Some(d) = op.def() {
+                    bit_set(kill, d);
+                }
+            }
+        }
+        // A pass that moves no live-in leaves every live-out (a function of
+        // the successors' live-ins alone) consistent with them: fixpoint.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..nb).rev() {
+                for col in 0..w {
+                    let i = b * w + col;
+                    let out = cfg
+                        .succs(b)
+                        .iter()
+                        .fold(0, |out, &s| out | self.live_in[s as usize * w + col]);
+                    let inn = self.gen_set[i] | (out & !self.kill[i]);
+                    changed |= inn != self.live_in[i];
+                    self.live_out[i] = out;
+                    self.live_in[i] = inn;
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        reference::assert_same(self, f, cfg, dead);
+    }
+
+    pub(crate) fn live_in(&self, b: usize) -> &[u64] {
+        &self.live_in[b * self.words..(b + 1) * self.words]
+    }
+
+    pub(crate) fn live_out(&self, b: usize) -> &[u64] {
+        &self.live_out[b * self.words..(b + 1) * self.words]
+    }
+}
+
+/// What the peephole stages and the allocator know about one function: its
+/// [`Cfg`] and the [`Liveness`] of the last solve, plus index scratch. Filled
+/// by `peephole::optimize_in`, consumed by [`allocate_in`], then reused for
+/// the next function.
+#[derive(Default)]
+pub(crate) struct Analysis {
+    pub(crate) cfg: Cfg,
+    pub(crate) live: Liveness,
+    /// Old block index → new block index during [`Analysis::merge_blocks`].
+    remap: Vec<u32>,
+}
+
+impl Analysis {
+    /// Folds every block `b` with `merged[b]` set into the block before it
+    /// (its only predecessor, whose terminator — a jump to `b` — the caller
+    /// has deleted): `f.block_starts` drops the start, the chain's last
+    /// block donates its successors, and the liveness rows are remapped
+    /// rather than re-solved — a merged block is live-in what its first
+    /// block was and live-out what its last block was, and no other block's
+    /// equations mention the blocks in between.
+    pub(crate) fn merge_blocks(&mut self, f: &mut VmFunction, merged: &[bool]) {
+        let nb = merged.len();
+        let w = self.live.words;
+        let ends_chain = |b: usize| b + 1 == nb || !merged[b + 1];
+        self.remap.clear();
+        let mut kept = 0u32;
+        for &m in merged {
+            kept += u32::from(!m);
+            self.remap.push(kept - 1);
+        }
+        // Everything below compacts in place, front to back: block `b` lands
+        // on `remap[b] <= b`, after that slot's old contents were consumed.
+        let Cfg { succ_at, succ } = &mut self.cfg;
+        let mut edges = 0;
+        for b in 0..nb {
+            let k = self.remap[b] as usize;
+            if !merged[b] {
+                self.live.live_in.copy_within(b * w..(b + 1) * w, k * w);
+                f.block_starts[k] = f.block_starts[b];
+            }
+            let (lo, hi) = (succ_at[b] as usize, succ_at[b + 1] as usize);
+            if ends_chain(b) {
+                self.live.live_out.copy_within(b * w..(b + 1) * w, k * w);
+                succ_at[k] = edges as u32;
+                for e in lo..hi {
+                    succ[edges] = self.remap[succ[e] as usize];
+                    edges += 1;
+                }
+            }
+        }
+        let kept = kept as usize;
+        succ_at[kept] = edges as u32;
+        succ_at.truncate(kept + 1);
+        succ.truncate(edges);
+        f.block_starts.truncate(kept);
+        self.live.live_in.truncate(kept * w);
+        self.live.live_out.truncate(kept * w);
+    }
+
+    /// Whether the CFG and the live-in/live-out rows are what building and
+    /// solving afresh would give for `f` under the `dead` mask — the
+    /// invariant every hand-off of a solve rests on (debug builds assert it
+    /// at each one).
+    pub(crate) fn is_current(&self, f: &VmFunction, dead: &[bool]) -> bool {
+        let mut fresh = Analysis::default();
+        fresh.cfg.build(f);
+        fresh.live.solve(f, &fresh.cfg, dead);
+        fresh.cfg == self.cfg
+            && fresh.live.live_in == self.live.live_in
+            && fresh.live.live_out == self.live.live_out
+    }
 }
 
 /// Rewrites `f` in place so registers are compactly numbered and reused
 /// where live intervals permit; updates `num_regs`, `reg_class`, `params`,
 /// `call_args`, and every op.
 pub fn allocate(f: &mut VmFunction) {
+    if f.num_regs == 0 || f.ops.is_empty() {
+        return;
+    }
+    let mut a = Analysis::default();
+    a.cfg.build(f);
+    a.live.solve(f, &a.cfg, &vec![false; f.ops.len()]);
+    allocate_in(f, &a);
+}
+
+/// [`allocate`] over an [`Analysis`] that is current for `f`.
+pub(crate) fn allocate_in(f: &mut VmFunction, a: &Analysis) {
     let n = f.num_regs as usize;
     if n == 0 || f.ops.is_empty() {
         return;
     }
-    let nb = f.block_starts.len();
-    let ranges = block_ranges(f);
-    let succs = successors(f, &ranges);
-    let (live_in, live_out) = liveness(f, n, &ranges, &succs, |_| false);
+    debug_assert!(
+        a.is_current(f, &vec![false; f.ops.len()]),
+        "@{}: liveness handed to the allocator is stale",
+        f.name
+    );
 
     // Conservative hole-free intervals: cover every def/use position plus
     // every block boundary the value is live across.
@@ -193,14 +312,12 @@ pub fn allocate(f: &mut VmFunction) {
             touch(&mut start, &mut end, r as usize, pc)
         });
     }
-    for b in 0..nb {
-        let (bs, be) = ranges[b];
-        for v in live_in[b].iter_ones() {
-            touch(&mut start, &mut end, v, bs);
-        }
-        for v in live_out[b].iter_ones() {
-            touch(&mut start, &mut end, v, be - 1);
-        }
+    for b in 0..a.cfg.num_blocks() {
+        let (bs, be) = block_range(f, b);
+        for_each_one(a.live.live_in(b), |v| touch(&mut start, &mut end, v, bs));
+        for_each_one(a.live.live_out(b), |v| {
+            touch(&mut start, &mut end, v, be - 1)
+        });
     }
 
     // Linear scan with per-class free pools. Registers never share even when
@@ -250,6 +367,122 @@ pub fn allocate(f: &mut VmFunction) {
     }
     f.num_regs = phys_class.len() as u16;
     f.reg_class = phys_class;
+}
+
+/// The solver this module used before the flat-row workspace: one heap
+/// `BitSet` per block and set, cloned along every edge. Kept as the oracle
+/// the new solver is compared against — by the tests below, and by debug
+/// builds on every solve of every function they compile.
+#[cfg(any(test, debug_assertions))]
+mod reference {
+    use super::{block_range, Cfg, Liveness};
+    use crate::ops::VmFunction;
+
+    #[derive(Clone, PartialEq)]
+    pub(super) struct BitSet {
+        words: Vec<u64>,
+    }
+
+    impl BitSet {
+        fn new(n: usize) -> BitSet {
+            BitSet {
+                words: vec![0; n.div_ceil(64)],
+            }
+        }
+
+        fn insert(&mut self, i: usize) {
+            self.words[i / 64] |= 1 << (i % 64);
+        }
+
+        fn contains(&self, i: usize) -> bool {
+            self.words[i / 64] & (1 << (i % 64)) != 0
+        }
+
+        /// `self |= (other & !mask)`; returns true if anything changed.
+        fn union_minus(&mut self, other: &BitSet, mask: &BitSet) -> bool {
+            let mut changed = false;
+            for ((w, &o), &m) in self.words.iter_mut().zip(&other.words).zip(&mask.words) {
+                let new = *w | (o & !m);
+                changed |= new != *w;
+                *w = new;
+            }
+            changed
+        }
+
+        fn union(&mut self, other: &BitSet) -> bool {
+            let mut changed = false;
+            for (w, &o) in self.words.iter_mut().zip(&other.words) {
+                let new = *w | o;
+                changed |= new != *w;
+                *w = new;
+            }
+            changed
+        }
+    }
+
+    /// Block-level backward liveness to fixpoint over `n` registers; returns
+    /// `(live_in, live_out)` per block.
+    pub(super) fn liveness(
+        f: &VmFunction,
+        n: usize,
+        cfg: &Cfg,
+        dead: &[bool],
+    ) -> (Vec<BitSet>, Vec<BitSet>) {
+        let nb = cfg.num_blocks();
+        // Per-block gen_set (upward-exposed uses) and kill (defs).
+        let mut gen_set: Vec<BitSet> = Vec::with_capacity(nb);
+        let mut kill: Vec<BitSet> = Vec::with_capacity(nb);
+        for b in 0..nb {
+            let (start, end) = block_range(f, b);
+            let mut g = BitSet::new(n);
+            let mut k = BitSet::new(n);
+            for pc in (start..end).filter(|&pc| !dead[pc]) {
+                let op = f.ops[pc];
+                op.for_each_use(&f.call_args, |r| {
+                    if !k.contains(r as usize) {
+                        g.insert(r as usize);
+                    }
+                });
+                if let Some(d) = op.def() {
+                    k.insert(d as usize);
+                }
+            }
+            gen_set.push(g);
+            kill.push(k);
+        }
+
+        // live_in = gen_set ∪ (live_out − kill).
+        let mut live_in: Vec<BitSet> = vec![BitSet::new(n); nb];
+        let mut live_out: Vec<BitSet> = vec![BitSet::new(n); nb];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..nb).rev() {
+                for &s in cfg.succs(b) {
+                    let inn = live_in[s as usize].clone();
+                    changed |= live_out[b].union(&inn);
+                }
+                let out = live_out[b].clone();
+                changed |= live_in[b].union_minus(&out, &kill[b]);
+                changed |= live_in[b].union(&gen_set[b]);
+            }
+        }
+        (live_in, live_out)
+    }
+
+    /// Panics unless `new`'s rows are exactly what [`liveness`] computes.
+    pub(super) fn assert_same(new: &Liveness, f: &VmFunction, cfg: &Cfg, dead: &[bool]) {
+        let (live_in, live_out) = liveness(f, f.num_regs as usize, cfg, dead);
+        for b in 0..cfg.num_blocks() {
+            assert_eq!(new.live_in(b), live_in[b].words, "@{} live-in {b}", f.name);
+            assert_eq!(
+                new.live_out(b),
+                live_out[b].words,
+                "@{} live-out {b}",
+                f.name
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -369,5 +602,193 @@ mod tests {
             _ => unreachable!(),
         };
         assert_ne!(a0, a2, "loop-carried register reused inside the loop");
+    }
+
+    /// xorshift64: the only randomness of the tests below, seeded per case.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// A random function of `nb` blocks over `n` registers in the shape the
+    /// lowerer emits — a constant prologue heading the entry block, every
+    /// block ending in its only terminator, every jump target a block start
+    /// — biased towards what the peephole stages look for (`d = <op>; s =
+    /// mov d`, `cmp` feeding `br`, jumps to the next block) and what stresses
+    /// a liveness solver: self-loops, backedges into the entry block, and a
+    /// last block that spins forever (no path to a `ret`).
+    fn random_fn(rng: &mut Rng, n: u16, nb: usize) -> VmFunction {
+        let bodies: Vec<usize> = (0..nb).map(|_| 1 + rng.below(6)).collect();
+        // Block b starts after the prologue (block 0 only) and the bodies
+        // and terminators before it.
+        let prologue = 3;
+        let mut block_starts = Vec::new();
+        let mut at = 0;
+        for (b, body) in bodies.iter().enumerate() {
+            block_starts.push(at as u32);
+            at += body + 1 + if b == 0 { prologue } else { 0 };
+        }
+        let reg = |rng: &mut Rng| match rng.below(8) {
+            0 => n - 1, // the last bit of the last word
+            _ => rng.below(n as usize) as Reg,
+        };
+        let mut ops = Vec::new();
+        let mut call_args = Vec::new();
+        for (b, &body) in bodies.iter().enumerate() {
+            if b == 0 {
+                for _ in 0..prologue {
+                    ops.push(Op::Const {
+                        dst: reg(rng),
+                        idx: 0,
+                    });
+                }
+            }
+            let mut last_def = reg(rng);
+            for _ in 0..body {
+                let (dst, lhs, rhs) = (reg(rng), reg(rng), reg(rng));
+                let (op, ty) = (BinOpKind::Add, IrType::I64);
+                ops.push(match rng.below(8) {
+                    0 | 1 => Op::Mov { dst, src: last_def },
+                    2 => Op::Mov { dst, src: lhs },
+                    3 => Op::Bin {
+                        op: BinOpKind::SDiv, // never removable
+                        ty,
+                        dst,
+                        lhs,
+                        rhs,
+                    },
+                    4 => Op::Load { dst, addr: lhs, ty },
+                    5 => {
+                        call_args.extend([lhs, rhs]);
+                        Op::Call {
+                            target: 0,
+                            args_at: call_args.len() as u32 - 2,
+                            nargs: 2,
+                            ret: ty,
+                            dst: Some(dst),
+                        }
+                    }
+                    _ => Op::Bin {
+                        op,
+                        ty,
+                        dst,
+                        lhs,
+                        rhs,
+                    },
+                });
+                last_def = dst;
+            }
+            let target = |rng: &mut Rng| block_starts[rng.below(nb)];
+            let next = block_starts.get(b + 1).copied();
+            let term = match (rng.below(8), next) {
+                _ if b + 1 == nb => Op::Jmp {
+                    target: block_starts[b],
+                },
+                (0, _) => Op::Ret {
+                    src: Some(last_def),
+                },
+                (1, _) => Op::Jmp { target: 0 },
+                (2 | 3, Some(next)) => Op::Jmp { target: next },
+                (4, _) => Op::Jmp {
+                    target: block_starts[b],
+                },
+                _ => {
+                    let cond = reg(rng);
+                    let at = ops.len() - 1;
+                    if rng.below(2) == 0 {
+                        ops[at] = Op::Cmp {
+                            pred: omplt_ir::CmpPred::Slt,
+                            ty: IrType::I64,
+                            dst: cond,
+                            lhs: last_def,
+                            rhs: cond,
+                        };
+                    }
+                    Op::Br {
+                        cond,
+                        then_t: target(rng),
+                        else_t: target(rng),
+                    }
+                }
+            };
+            ops.push(term);
+        }
+        let mut f = linear_fn(ops, n, vec![RegClass::Int; n as usize]);
+        for c in f.reg_class.iter_mut().step_by(5) {
+            *c = RegClass::Ptr;
+        }
+        f.call_args = call_args;
+        f.call_targets = vec![crate::ops::CallTarget::Bytecode(0)];
+        f.block_starts = block_starts;
+        f
+    }
+
+    /// Register counts on both sides of the row-width boundaries.
+    const WIDTHS: [u16; 5] = [7, 63, 64, 65, 129];
+
+    #[test]
+    fn flat_row_solver_agrees_with_the_reference() {
+        let mut solved = 0;
+        for seed in 1..=60u64 {
+            for n in WIDTHS {
+                let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) + n as u64);
+                let nb = 2 + rng.below(12);
+                let f = random_fn(&mut rng, n, nb);
+                // Mask a third of the non-terminator ops, as the peephole
+                // stages do between sweeps.
+                let dead: Vec<bool> = f
+                    .ops
+                    .iter()
+                    .map(|op| !op.is_terminator() && rng.below(3) == 0)
+                    .collect();
+                let mut a = Analysis::default();
+                a.cfg.build(&f);
+                for mask in [vec![false; f.ops.len()], dead] {
+                    // One workspace, solved twice: stale rows of the first
+                    // solve must not leak into the second.
+                    a.live.solve(&f, &a.cfg, &mask);
+                    reference::assert_same(&a.live, &f, &a.cfg, &mask);
+                    solved += 1;
+                }
+            }
+        }
+        assert_eq!(solved, 60 * WIDTHS.len() * 2);
+    }
+
+    #[test]
+    fn handed_over_liveness_equals_a_fresh_solve() {
+        for seed in 1..=60u64 {
+            for n in WIDTHS {
+                let mut rng = Rng(seed.wrapping_mul(0xD134_2543_DE82_EF95) + n as u64);
+                let nb = 2 + rng.below(12);
+                let mut f = random_fn(&mut rng, n, nb);
+                let mut fresh = f.clone();
+
+                // The hand-offs inside the pipeline (after writeback
+                // coalescing and compare/branch fusion) are `debug_assert`ed
+                // by `optimize_in` itself; the last one — merged blocks,
+                // compacted ops — is checked here in every build.
+                let mut a = Analysis::default();
+                let removed = crate::peephole::optimize_in(&mut f, &mut a);
+                let disasm = crate::ops::disasm(&f);
+                assert!(
+                    a.is_current(&f, &vec![false; f.ops.len()]),
+                    "seed {seed}, {n} registers:\n{disasm}"
+                );
+                allocate_in(&mut f, &a);
+
+                // And the allocation is the one a solve of its own gives.
+                assert_eq!(crate::peephole::optimize(&mut fresh), removed);
+                allocate(&mut fresh);
+                assert_eq!(f.ops, fresh.ops, "seed {seed}, {n} registers");
+                assert_eq!(f.reg_class, fresh.reg_class);
+            }
+        }
     }
 }

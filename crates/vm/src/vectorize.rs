@@ -25,7 +25,7 @@
 //! scalar interpreter oracle by the backend-differential harness. Integer
 //! (wrapping) add/mul are associative, so those widen.
 
-use crate::compile::{const_of, CompileError, ConstKey, FuncCompiler};
+use crate::compile::{const_of, CompileError, ConstKey, FuncCompiler, Promoted};
 use crate::ops::{Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
 use omplt_interp::RtVal;
 use omplt_ir::{BinOpKind, BlockId, CmpPred, Function, Inst, InstId, IrType, Terminator, Value};
@@ -88,7 +88,7 @@ pub(crate) struct LoopPlan {
 /// dependence distances clamp it per loop.
 pub(crate) fn plan_loops(
     f: &Function,
-    promoted: &HashSet<InstId>,
+    promoted: &Promoted,
     width: u8,
     stats: &mut PlanStats,
 ) -> HashMap<u32, LoopPlan> {
@@ -129,7 +129,7 @@ pub(crate) fn plan_loops(
 }
 
 /// The slot a load/store address resolves to, if it is a promoted alloca.
-fn slot_of(promoted: &HashSet<InstId>, f: &Function, ptr: Value) -> Option<InstId> {
+fn slot_of(promoted: &Promoted, f: &Function, ptr: Value) -> Option<InstId> {
     if let Value::Inst(id) = ptr {
         if promoted.contains(&id) && matches!(f.inst(id), Inst::Alloca { .. }) {
             return Some(id);
@@ -196,7 +196,7 @@ struct Access {
 
 struct Planner<'a> {
     f: &'a Function,
-    promoted: &'a HashSet<InstId>,
+    promoted: &'a Promoted,
     /// All instructions inside the loop (header + chain).
     loop_insts: HashSet<InstId>,
     /// Slots with at least one store inside the loop.
@@ -464,7 +464,7 @@ fn use_counts(f: &Function, blocks: &[BlockId]) -> HashMap<InstId, u32> {
 fn try_plan(
     f: &Function,
     preds: &[Vec<BlockId>],
-    promoted: &HashSet<InstId>,
+    promoted: &Promoted,
     header: BlockId,
     latch: BlockId,
     requested: u8,
@@ -933,7 +933,10 @@ impl<'a, 'b> Widener<'a, 'b> {
     }
 
     fn slot_reg(&self, slot: InstId) -> Reg {
-        self.c.promoted[&slot]
+        self.c
+            .promoted
+            .reg(slot)
+            .expect("planned slots are promoted")
     }
 
     /// Scalar (lane-0 / chunk-base) register for `v`, cloning loop
@@ -1034,8 +1037,7 @@ impl<'a, 'b> Widener<'a, 'b> {
 
     fn lookup_slot(&self, ptr: Value) -> Option<InstId> {
         if let Value::Inst(id) = ptr {
-            if self.c.promoted.contains_key(&id) && matches!(self.c.f.inst(id), Inst::Alloca { .. })
-            {
+            if self.c.promoted.contains(&id) && matches!(self.c.f.inst(id), Inst::Alloca { .. }) {
                 return Some(id);
             }
         }
@@ -1196,10 +1198,9 @@ impl<'a, 'b> Widener<'a, 'b> {
             })
             .map(|(&s, _)| s)
             .collect();
-        let promoted = self.promoted_set();
         let p = Planner {
             f: self.c.f,
-            promoted: &promoted,
+            promoted: &self.c.promoted,
             loop_insts: self.loop_insts.clone(),
             stored_slots: stored,
             iv_slot: self.plan.iv_slot,
@@ -1207,10 +1208,6 @@ impl<'a, 'b> Widener<'a, 'b> {
         };
         matches!(p.lin(*index, 16), Some(l)
             if l.coeff != 0 && l.coeff as i128 * *elem_size as i128 == ty.size() as i128)
-    }
-
-    fn promoted_set(&self) -> HashSet<InstId> {
-        self.c.promoted.keys().copied().collect()
     }
 }
 
@@ -1227,7 +1224,10 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             loop_insts.insert(iid);
         }
     }
-    let iv_reg = c.promoted[&plan.iv_slot];
+    let iv_reg = c
+        .promoted
+        .reg(plan.iv_slot)
+        .expect("planned slots are promoted");
     let riv = c.new_vreg(RegClass::Int)?;
     let ivec = c.new_vvreg(RegClass::Int, w)?;
     let mut wd = Widener {
