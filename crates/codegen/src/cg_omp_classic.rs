@@ -10,7 +10,7 @@ use omplt_ast::{
     loop_level, loop_nest, ClauseModifier, DeclId, NestLevel, OMPClauseKind, OMPDirective,
     OMPDirectiveKind, ReductionOp, ScheduleKind, Stmt, StmtKind, P,
 };
-use omplt_ir::{Function, IrType, LoopMetadata, UnrollHint, Value};
+use omplt_ir::{BlockId, Function, IrType, LoopMetadata, SymbolId, UnrollHint, Value};
 
 /// What an outlined function's body contains.
 enum OutlinedContent<'a> {
@@ -403,37 +403,8 @@ impl FnCodegen<'_, '_> {
         self.emit_rvalue(&h.ensure_upper_bound);
         // Inner worksharing loop from the helper expressions.
         self.emit_rvalue(&h.workshare_init);
-        let (ws_cond, ws_body, ws_inc) = self.with_builder(|b| {
-            (
-                b.create_block("omp.inner.for.cond"),
-                b.create_block("omp.inner.for.body"),
-                b.create_block("omp.inner.for.inc"),
-            )
-        });
-        self.branch_if_open(ws_cond);
-        self.cur = ws_cond;
-        let c = self.emit_rvalue(&h.workshare_cond);
-        self.with_builder(|b| b.cond_br(c, ws_body, chunk_inc));
-        self.cur = ws_body;
-        // Recover the user counters from the logical IV, then run the body.
-        for l in &h.loops {
-            self.emit_rvalue(&l.update);
-        }
-        self.loop_stack.push((chunk_end, ws_inc));
-        self.emit_stmt(body);
-        self.loop_stack.pop();
-        self.branch_if_open(ws_inc);
-        self.cur = ws_inc;
-        self.emit_rvalue(&h.inc);
-        match &simd_md {
-            Some(md) => {
-                let md = *md;
-                self.with_builder(|b| b.br_with_md(ws_cond, md));
-            }
-            None => self.with_builder(|b| b.br(ws_cond)),
-        }
+        self.emit_helper_loop(h, body, Some((chunk_inc, chunk_end)), None, simd_md);
 
-        self.cur = chunk_inc;
         self.emit_rvalue(&h.next_lower_bound);
         self.emit_rvalue(&h.next_upper_bound);
         self.with_builder(|b| b.br(chunk_cond));
@@ -536,34 +507,7 @@ impl FnCodegen<'_, '_> {
         self.cur = disp_body;
         // Inner chunk loop over the claimed [lb, ub] span.
         self.emit_rvalue(&h.workshare_init);
-        let (ws_cond, ws_body, ws_inc) = self.with_builder(|b| {
-            (
-                b.create_block("omp.inner.for.cond"),
-                b.create_block("omp.inner.for.body"),
-                b.create_block("omp.inner.for.inc"),
-            )
-        });
-        self.branch_if_open(ws_cond);
-        self.cur = ws_cond;
-        let c = self.emit_rvalue(&h.workshare_cond);
-        self.with_builder(|b| b.cond_br(c, ws_body, disp_cond));
-        self.cur = ws_body;
-        for l in &h.loops {
-            self.emit_rvalue(&l.update);
-        }
-        self.loop_stack.push((disp_end, ws_inc));
-        self.emit_stmt(body);
-        self.loop_stack.pop();
-        self.branch_if_open(ws_inc);
-        self.cur = ws_inc;
-        self.emit_rvalue(&h.inc);
-        match &simd_md {
-            Some(md) => {
-                let md = *md;
-                self.with_builder(|b| b.br_with_md(ws_cond, md));
-            }
-            None => self.with_builder(|b| b.br(ws_cond)),
-        }
+        self.emit_helper_loop(h, body, Some((disp_cond, disp_end)), None, simd_md);
 
         self.cur = disp_end;
         self.with_builder(|b| {
@@ -602,40 +546,76 @@ impl FnCodegen<'_, '_> {
         };
 
         self.emit_rvalue(&h.init); // iv = 0
-        let (cond_bb, body_bb, inc_bb, end) = self.with_builder(|b| {
-            (
-                b.create_block("omp.simd.cond"),
-                b.create_block("omp.simd.body"),
-                b.create_block("omp.simd.inc"),
-                b.create_block("omp.simd.end"),
-            )
+        let md = match flavor {
+            LoopFlavor::Simd => simd_metadata(d, LoopMetadata::default()),
+            LoopFlavor::Taskloop => LoopMetadata::default(),
+        };
+        self.emit_helper_loop(&h, &body, None, task_fn, Some(md));
+        self.restore_data_sharing(d, saved);
+    }
+
+    /// The inner loop of a classic loop directive, from the helper bundle:
+    ///
+    /// ```text
+    /// cond: if (cond) goto body; else goto exit;
+    /// body: [task_fn();] counters from the logical IV; body
+    /// inc:  ++iv; goto cond;            // the latch, carrying `md`
+    /// ```
+    ///
+    /// With `chunk_of = Some((exit, break_to))` this is one chunk of a
+    /// worksharing loop (`workshare_cond`, bounded by the chunk's `ub`),
+    /// leaving to `exit` and sending `break` to `break_to`. With `None` it
+    /// is the whole logical iteration space (`cond`) and leaves to a fresh
+    /// end block. The insertion point is left at the block the loop exits to.
+    fn emit_helper_loop(
+        &mut self,
+        h: &omplt_ast::LoopDirectiveHelpers,
+        body: &P<Stmt>,
+        chunk_of: Option<(BlockId, BlockId)>,
+        task_fn: Option<SymbolId>,
+        md: Option<LoopMetadata>,
+    ) {
+        let (names, cond) = match chunk_of {
+            Some(_) => (
+                [
+                    "omp.inner.for.cond",
+                    "omp.inner.for.body",
+                    "omp.inner.for.inc",
+                ],
+                &h.workshare_cond,
+            ),
+            None => (["omp.simd.cond", "omp.simd.body", "omp.simd.inc"], &h.cond),
+        };
+        let [cond_bb, body_bb, inc_bb] = self.with_builder(|b| names.map(|n| b.create_block(n)));
+        let (exit, break_to) = chunk_of.unwrap_or_else(|| {
+            let end = self.with_builder(|b| b.create_block("omp.simd.end"));
+            (end, end)
         });
         self.branch_if_open(cond_bb);
         self.cur = cond_bb;
-        let c = self.emit_rvalue(&h.cond);
-        self.with_builder(|b| b.cond_br(c, body_bb, end));
+        let c = self.emit_rvalue(cond);
+        self.with_builder(|b| b.cond_br(c, body_bb, exit));
         self.cur = body_bb;
         if let Some(tf) = task_fn {
             self.with_builder(|b| {
                 b.call(tf, vec![], IrType::Void);
             });
         }
+        // Recover the user counters from the logical IV, then run the body.
         for l in &h.loops {
             self.emit_rvalue(&l.update);
         }
-        self.loop_stack.push((end, inc_bb));
-        self.emit_stmt(&body);
+        self.loop_stack.push((break_to, inc_bb));
+        self.emit_stmt(body);
         self.loop_stack.pop();
         self.branch_if_open(inc_bb);
         self.cur = inc_bb;
         self.emit_rvalue(&h.inc);
-        let md = match flavor {
-            LoopFlavor::Simd => simd_metadata(d, LoopMetadata::default()),
-            LoopFlavor::Taskloop => LoopMetadata::default(),
-        };
-        self.with_builder(|b| b.br_with_md(cond_bb, md));
-        self.cur = end;
-        self.restore_data_sharing(d, saved);
+        self.with_builder(|b| match md {
+            Some(md) => b.br_with_md(cond_bb, md),
+            None => b.br(cond_bb),
+        });
+        self.cur = exit;
     }
 
     // ---------------- data-sharing clauses ----------------

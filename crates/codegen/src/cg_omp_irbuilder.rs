@@ -384,7 +384,9 @@ impl FnCodegen<'_, '_> {
         let tc_ty = ir_type(&dist_result.ty);
         let tc = self.with_builder(|b| b.load(tc_ty, dist_slot));
 
-        // 4. The skeleton.
+        // 4. The skeleton. `create_canonical_loop` counts its own; this is
+        //    the one codegen builds for an `OMPCanonicalLoop` node.
+        omplt_trace::count("ompirb.canonical_loops", 1);
         let cli = {
             let mut b = omplt_ir::IrBuilder::new(&mut self.func);
             b.set_insert_point(self.cur);

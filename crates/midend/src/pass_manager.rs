@@ -110,13 +110,18 @@ impl PassManager {
 /// skeleton (header+cond) that the unroller recognizes structurally.
 /// Constant folding runs first so tile/collapse trip counts become
 /// constants the full-unroll path can see.
-pub fn run_default_pipeline(m: &mut Module) -> UnrollStats {
-    let mut pm = PassManager::new()
+fn default_pipeline() -> PassManager {
+    PassManager::new()
         .add_pass(Pass::ConstFold)
         .add_pass(Pass::LoopUnroll)
         .add_pass(Pass::ConstFold)
         .add_pass(Pass::SimplifyCfg)
-        .add_pass(Pass::ConstFold);
+        .add_pass(Pass::ConstFold)
+}
+
+/// Runs the default `-O` pipeline.
+pub fn run_default_pipeline(m: &mut Module) -> UnrollStats {
+    let mut pm = default_pipeline();
     pm.run(m);
     pm.unroll_stats
 }
@@ -125,13 +130,7 @@ pub fn run_default_pipeline(m: &mut Module) -> UnrollStats {
 /// (structural rules + canonical-skeleton invariants) runs after every
 /// pass, and any findings come back alongside the stats.
 pub fn run_default_pipeline_verified(m: &mut Module) -> (UnrollStats, Vec<VerifyError>) {
-    let mut pm = PassManager::new()
-        .add_pass(Pass::ConstFold)
-        .add_pass(Pass::LoopUnroll)
-        .add_pass(Pass::ConstFold)
-        .add_pass(Pass::SimplifyCfg)
-        .add_pass(Pass::ConstFold)
-        .verify_each(true);
+    let mut pm = default_pipeline().verify_each(true);
     pm.run(m);
     (pm.unroll_stats, pm.verify_errors)
 }

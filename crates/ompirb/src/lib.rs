@@ -3,7 +3,7 @@
 //! The paper's second contribution (§3): a front-end-agnostic builder for
 //! OpenMP constructs on top of the plain [`omplt_ir::IrBuilder`], so that the
 //! heavy lowering can be shared between front-ends (Clang and Flang in the
-//! paper; `omplt-codegen` and the direct-IR tests/benches here).
+//! paper; `omplt-codegen` and the direct-IR tests here).
 //!
 //! * [`CanonicalLoopInfo`] — a handle to a loop emitted as the fixed
 //!   **skeleton** of the paper's Fig. "createCanonicalLoop": explicit

@@ -19,7 +19,7 @@
 //!    error, not a zero.
 
 use crate::ops::{CallTarget, Op, RegClass, VmFunction, VmModule, MAX_LANES};
-use omplt_ir::IrType;
+use omplt_ir::{CmpPred, IrType};
 
 /// One verification failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -244,20 +244,38 @@ fn check_jump(f: &VmFunction, pc: usize, target: u32, errs: &mut Vec<VerifyError
     }
 }
 
-fn class_name(c: RegClass) -> &'static str {
-    match c {
-        RegClass::Int => "int",
-        RegClass::Float => "float",
-        RegClass::Ptr => "ptr",
-    }
-}
-
 fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
     let cls = |r: u16| f.reg_class[r as usize];
     let vcls = |v: u16| f.vreg_class[v as usize];
     let mismatch = |errs: &mut Vec<VerifyError>, pc: usize, what: String| {
         err(errs, f, pc, format!("type mismatch: {what}"));
     };
+    // The operand rule `cmp` and the fused `cmp.br` share.
+    let compare_operands =
+        |errs: &mut Vec<VerifyError>, pc: usize, pred: CmpPred, ty: IrType, lhs: u16, rhs: u16| {
+            let want = if pred.is_float() {
+                if !ty.is_float() {
+                    mismatch(errs, pc, format!("float compare at type {ty}"));
+                }
+                RegClass::Float
+            } else if ty == IrType::Ptr {
+                RegClass::Ptr
+            } else {
+                if ty.is_float() {
+                    mismatch(errs, pc, format!("integer compare at type {ty}"));
+                }
+                RegClass::Int
+            };
+            for (role, r) in [("lhs", lhs), ("rhs", rhs)] {
+                if cls(r) != want {
+                    mismatch(
+                        errs,
+                        pc,
+                        format!("compare {role} r{r} is {} (expected {want})", cls(r)),
+                    );
+                }
+            }
+        };
     // Lane-count discipline: every vector op carries the width it operates
     // at, and that width must match the static width of every vector
     // register it touches — lane counts are part of the type, not a runtime
@@ -293,8 +311,8 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                         pc,
                         format!(
                             "constant is {} but destination r{dst} is {}",
-                            class_name(want),
-                            class_name(cls(dst))
+                            want,
+                            cls(dst)
                         ),
                     );
                 }
@@ -304,11 +322,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!(
-                            "mov from {} r{src} to {} r{dst}",
-                            class_name(cls(src)),
-                            class_name(cls(dst))
-                        ),
+                        format!("mov from {} r{src} to {} r{dst}", cls(src), cls(dst)),
                     );
                 }
             }
@@ -321,11 +335,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                 if ty == IrType::Void {
                     mismatch(errs, pc, "load of void".to_string());
                 } else if cls(dst) != RegClass::of(ty) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("load of {ty} into {} r{dst}", class_name(cls(dst))),
-                    );
+                    mismatch(errs, pc, format!("load of {ty} into {} r{dst}", cls(dst)));
                 }
                 if cls(addr) != RegClass::Ptr {
                     mismatch(errs, pc, format!("load address r{addr} is not ptr"));
@@ -335,11 +345,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                 if ty == IrType::Void {
                     mismatch(errs, pc, "store of void".to_string());
                 } else if cls(src) != RegClass::of(ty) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("store of {ty} from {} r{src}", class_name(cls(src))),
-                    );
+                    mismatch(errs, pc, format!("store of {ty} from {} r{src}", cls(src)));
                 }
                 if cls(addr) != RegClass::Ptr {
                     mismatch(errs, pc, format!("store address r{addr} is not ptr"));
@@ -386,11 +392,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                             mismatch(
                                 errs,
                                 pc,
-                                format!(
-                                    "float op {} with {} {role} r{r}",
-                                    bop.mnemonic(),
-                                    class_name(cls(r))
-                                ),
+                                format!("float op {} with {} {role} r{r}", bop.mnemonic(), cls(r)),
                             );
                         }
                     }
@@ -422,7 +424,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                                 format!(
                                     "integer op {} with {} {role} r{r}",
                                     bop.mnemonic(),
-                                    class_name(cls(r))
+                                    cls(r)
                                 ),
                             );
                         }
@@ -439,32 +441,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                 if cls(dst) != RegClass::Int {
                     mismatch(errs, pc, format!("compare result r{dst} is not int"));
                 }
-                let want = if pred.is_float() {
-                    if !ty.is_float() {
-                        mismatch(errs, pc, format!("float compare at type {ty}"));
-                    }
-                    RegClass::Float
-                } else if ty == IrType::Ptr {
-                    RegClass::Ptr
-                } else {
-                    if ty.is_float() {
-                        mismatch(errs, pc, format!("integer compare at type {ty}"));
-                    }
-                    RegClass::Int
-                };
-                for (role, r) in [("lhs", lhs), ("rhs", rhs)] {
-                    if cls(r) != want {
-                        mismatch(
-                            errs,
-                            pc,
-                            format!(
-                                "compare {role} r{r} is {} (expected {})",
-                                class_name(cls(r)),
-                                class_name(want)
-                            ),
-                        );
-                    }
-                }
+                compare_operands(errs, pc, pred, ty, lhs, rhs);
             }
             Op::Cast {
                 from, to, dst, src, ..
@@ -475,7 +452,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                         pc,
                         format!(
                             "cast source r{src} is {} but operand type is {from}",
-                            class_name(cls(src))
+                            cls(src)
                         ),
                     );
                 }
@@ -485,7 +462,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                         pc,
                         format!(
                             "cast destination r{dst} is {} but result type is {to}",
-                            class_name(cls(dst))
+                            cls(dst)
                         ),
                     );
                 }
@@ -515,7 +492,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!("call returning {ret} into {} r{d}", class_name(cls(d))),
+                        format!("call returning {ret} into {} r{d}", cls(d)),
                     );
                 }
                 _ => {}
@@ -528,32 +505,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
             Op::CmpBr {
                 pred, ty, lhs, rhs, ..
             } => {
-                let want = if pred.is_float() {
-                    if !ty.is_float() {
-                        mismatch(errs, pc, format!("float compare at type {ty}"));
-                    }
-                    RegClass::Float
-                } else if ty == IrType::Ptr {
-                    RegClass::Ptr
-                } else {
-                    if ty.is_float() {
-                        mismatch(errs, pc, format!("integer compare at type {ty}"));
-                    }
-                    RegClass::Int
-                };
-                for (role, r) in [("lhs", lhs), ("rhs", rhs)] {
-                    if cls(r) != want {
-                        mismatch(
-                            errs,
-                            pc,
-                            format!(
-                                "compare {role} r{r} is {} (expected {})",
-                                class_name(cls(r)),
-                                class_name(want)
-                            ),
-                        );
-                    }
-                }
+                compare_operands(errs, pc, pred, ty, lhs, rhs);
             }
             Op::Ret { src: Some(r) } => {
                 if f.ret != IrType::Void && cls(r) != RegClass::of(f.ret) {
@@ -562,7 +514,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                         pc,
                         format!(
                             "return of {} r{r} from function returning {}",
-                            class_name(cls(r)),
+                            cls(r),
                             f.ret
                         ),
                     );
@@ -577,11 +529,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!(
-                            "vmov from {} v{src} to {} v{dst}",
-                            class_name(vcls(src)),
-                            class_name(vcls(dst))
-                        ),
+                        format!("vmov from {} v{src} to {} v{dst}", vcls(src), vcls(dst)),
                     );
                 }
             }
@@ -602,11 +550,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!(
-                            "broadcast of {} r{src} into {} v{dst}",
-                            class_name(cls(src)),
-                            class_name(vcls(dst))
-                        ),
+                        format!("broadcast of {} r{src} into {} v{dst}", cls(src), vcls(dst)),
                     );
                 }
             }
@@ -624,11 +568,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!(
-                            "extract of {} v{src} into {} r{dst}",
-                            class_name(vcls(src)),
-                            class_name(cls(dst))
-                        ),
+                        format!("extract of {} v{src} into {} r{dst}", vcls(src), cls(dst)),
                     );
                 }
             }
@@ -641,7 +581,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!("vector load of {ty} into {} v{dst}", class_name(vcls(dst))),
+                        format!("vector load of {ty} into {} v{dst}", vcls(dst)),
                     );
                 }
                 if cls(addr) != RegClass::Ptr {
@@ -657,7 +597,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!("vector store of {ty} from {} v{src}", class_name(vcls(src))),
+                        format!("vector store of {ty} from {} v{src}", vcls(src)),
                     );
                 }
                 if cls(addr) != RegClass::Ptr {
@@ -681,10 +621,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!(
-                            "vector gather of {ty} into {} v{dst}",
-                            class_name(vcls(dst))
-                        ),
+                        format!("vector gather of {ty} into {} v{dst}", vcls(dst)),
                     );
                 }
                 if cls(base) != RegClass::Ptr {
@@ -711,10 +648,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!(
-                            "vector scatter of {ty} from {} v{src}",
-                            class_name(vcls(src))
-                        ),
+                        format!("vector scatter of {ty} from {} v{src}", vcls(src)),
                     );
                 }
                 if cls(base) != RegClass::Ptr {
@@ -754,7 +688,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                                 format!(
                                     "float vector op {} with {} {role} v{v}",
                                     bop.mnemonic(),
-                                    class_name(vcls(v))
+                                    vcls(v)
                                 ),
                             );
                         }
@@ -775,7 +709,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                                 format!(
                                     "integer vector op {} with {} {role} v{v}",
                                     bop.mnemonic(),
-                                    class_name(vcls(v))
+                                    vcls(v)
                                 ),
                             );
                         }
@@ -799,7 +733,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                         pc,
                         format!(
                             "vector cast source v{src} is {} but operand type is {from}",
-                            class_name(vcls(src))
+                            vcls(src)
                         ),
                     );
                 }
@@ -809,7 +743,7 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                         pc,
                         format!(
                             "vector cast destination v{dst} is {} but result type is {to}",
-                            class_name(vcls(dst))
+                            vcls(dst)
                         ),
                     );
                 }
@@ -836,15 +770,11 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     mismatch(
                         errs,
                         pc,
-                        format!("reduce of {ty} from {} v{src}", class_name(vcls(src))),
+                        format!("reduce of {ty} from {} v{src}", vcls(src)),
                     );
                 }
                 if cls(dst) != RegClass::of(ty) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("reduce of {ty} into {} r{dst}", class_name(cls(dst))),
-                    );
+                    mismatch(errs, pc, format!("reduce of {ty} into {} r{dst}", cls(dst)));
                 }
             }
             Op::VEpi { src } => {

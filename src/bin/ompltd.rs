@@ -34,7 +34,7 @@
 //! * **Cache integrity** — see `src/cache.rs`: artifacts are checksummed at
 //!   insert, verified on hit, and quarantined + recompiled on mismatch.
 //!
-//! Three additional driver modes support CI:
+//! Two additional driver modes support CI:
 //!
 //! * `--warmup` runs a fixed, scripted job sequence against a fresh cache
 //!   and prints the `daemon.cache.*` counters — `ci/check_counter_drift.sh`
@@ -42,15 +42,13 @@
 //! * `--selftest` drives the supervised pool through a scripted
 //!   kill/requeue/abandon/corrupt sequence in-process and prints the
 //!   `daemon.cache.*` + `daemon.supervisor.*` counters (also pinned).
-//! * `--bench` runs the throughput benchmark (cold pass, then warm passes at
-//!   1, 4 and 8 workers) and emits a JSON artifact.
 
 use omplt::options::{self, parse_value, Arg};
 use omplt::protocol::{
     error_reply, error_reply_for, overloaded_reply, read_frame, write_frame, FrameError,
     HealthReport, JobRequest, Overloaded, Reply, Request,
 };
-use omplt::service::{throughput_bench, BenchConfig, Service};
+use omplt::service::Service;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::os::unix::net::UnixListener;
@@ -72,9 +70,6 @@ struct Config {
     inject_faults: Vec<String>,
     warmup: bool,
     selftest: bool,
-    bench: bool,
-    bench_out: Option<String>,
-    bench_jobs: usize,
 }
 
 fn usage() -> u8 {
@@ -83,15 +78,14 @@ fn usage() -> u8 {
          \x20              [--queue-depth=N] [--job-deadline-ms=N] [--frame-timeout-ms=N]\n\
          \x20              [--drain-ms=N] [--inject-fault=daemon.SITE[:N]]...\n\
          \x20      ompltd --warmup [--cache-bytes=N]\n\
-         \x20      ompltd --selftest [--cache-bytes=N]\n\
-         \x20      ompltd --bench [--bench-jobs=N] [--bench-out=FILE] [--cache-bytes=N]"
+         \x20      ompltd --selftest [--cache-bytes=N]"
     );
     2
 }
 
 /// Every flag and its value form, scanned by the rule `ompltc` uses
 /// (`omplt::options::scan`).
-const FLAGS: [(&str, Arg); 14] = [
+const FLAGS: [(&str, Arg); 11] = [
     ("--listen", Arg::Value("PATH")),
     ("--stdio", Arg::Switch),
     ("--workers", Arg::Value("N")),
@@ -103,9 +97,6 @@ const FLAGS: [(&str, Arg); 14] = [
     ("--inject-fault", Arg::Value("SITE[:N]")),
     ("--warmup", Arg::Switch),
     ("--selftest", Arg::Switch),
-    ("--bench", Arg::Switch),
-    ("--bench-jobs", Arg::Value("N")),
-    ("--bench-out", Arg::Value("FILE")),
 ];
 
 /// Applies one scanned flag. `Err` is a usage-error message.
@@ -138,9 +129,6 @@ fn apply_flag(cfg: &mut Config, flag: &str, v: Option<&str>) -> Result<(), Strin
         }
         "--warmup" => cfg.warmup = true,
         "--selftest" => cfg.selftest = true,
-        "--bench" => cfg.bench = true,
-        "--bench-jobs" => cfg.bench_jobs = at_least(1)?,
-        "--bench-out" => cfg.bench_out = v.map(String::from),
         _ => unreachable!("'{flag}' is not in FLAGS"),
     }
     Ok(())
@@ -153,7 +141,6 @@ fn parse_args(args: &[String]) -> Result<Config, u8> {
         queue_depth: 64,
         frame_timeout_ms: 10_000,
         drain_ms: 5_000,
-        bench_jobs: 32,
         ..Config::default()
     };
     let find = |name: &str| FLAGS.into_iter().find(|(flag, _)| *flag == name);
@@ -170,8 +157,7 @@ fn parse_args(args: &[String]) -> Result<Config, u8> {
     let modes = usize::from(cfg.stdio)
         + usize::from(cfg.listen.is_some())
         + usize::from(cfg.warmup)
-        + usize::from(cfg.selftest)
-        + usize::from(cfg.bench);
+        + usize::from(cfg.selftest);
     if modes != 1 {
         return Err(usage());
     }
@@ -822,25 +808,6 @@ fn selftest(cfg: &Config) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn bench(cfg: &Config) -> ExitCode {
-    let artifact = throughput_bench(&BenchConfig {
-        jobs: cfg.bench_jobs,
-        worker_counts: vec![1, 4, 8],
-        cache_bytes: cfg.cache_bytes,
-    });
-    match &cfg.bench_out {
-        None => print!("{artifact}"),
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &artifact) {
-                eprintln!("ompltd: cannot write bench artifact to '{path}': {e}");
-                return ExitCode::from(1);
-            }
-            eprint!("{artifact}");
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = match parse_args(&args) {
@@ -856,9 +823,6 @@ fn main() -> ExitCode {
     }
     if cfg.selftest {
         return selftest(&cfg);
-    }
-    if cfg.bench {
-        return bench(&cfg);
     }
     if cfg.stdio {
         return serve_stdio(&cfg);

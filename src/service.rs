@@ -38,10 +38,8 @@ use crate::protocol::{
     driver_diag, error_reply, render_chunk_log, CacheOutcome, HealthReport, IceInfo, JobRequest,
     JobResponse, Request,
 };
-use omplt_trace::json::Writer;
 use omplt_trace::TraceData;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -423,89 +421,6 @@ fn run_job(
             (1, cache_outcome, None)
         }
     }
-}
-
-/// Throughput bench configuration (`ompltd --bench`).
-pub struct BenchConfig {
-    /// Distinct jobs per pass.
-    pub jobs: usize,
-    /// Worker counts to measure on the warm pass.
-    pub worker_counts: Vec<usize>,
-    /// Artifact cache budget.
-    pub cache_bytes: usize,
-}
-
-/// One generated bench job: a parallel-for workload with per-variant
-/// constants so every job is a distinct cache key.
-fn bench_job(id: u64) -> JobRequest {
-    let k = id + 1;
-    let source = format!(
-        "void print_i64(long v);\n\
-         int a[128];\n\
-         int main(void) {{\n\
-           #pragma omp parallel for schedule(static)\n\
-           for (int i = 0; i < 128; i += 1)\n\
-             a[i] = i * {k};\n\
-           long s = 0;\n\
-           for (int i = 0; i < 128; i += 1)\n\
-             s += a[i];\n\
-           print_i64(s);\n\
-           return 0;\n\
-         }}\n"
-    );
-    let mut job = JobRequest::new(id, &format!("bench_{id}.c"), &source);
-    job.opts.backend = Backend::Vm;
-    // Serial guest execution: the bench measures service/worker throughput,
-    // not guest thread-team scheduling, so each job stays on its worker.
-    job.opts.serial = true;
-    job.optimize = true;
-    job.run = true;
-    job
-}
-
-fn bench_pass(service: &Service, jobs: &[JobRequest], workers: usize) -> f64 {
-    let next = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                let Some(job) = jobs.get(i) else { break };
-                let resp = service.execute(job);
-                assert_eq!(resp.exit_code, 0, "bench job failed: {}", resp.stderr);
-            });
-        }
-    });
-    jobs.len() as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Runs the daemon throughput bench: one cold pass (every job a cache
-/// miss), then a warm pass per requested worker count (every job a hit).
-/// Returns the JSON artifact CI archives.
-pub fn throughput_bench(cfg: &BenchConfig) -> String {
-    let service = Service::new(cfg.cache_bytes);
-    let jobs: Vec<JobRequest> = (0..cfg.jobs as u64).map(bench_job).collect();
-    let cold = bench_pass(&service, &jobs, 1);
-    let mut w = Writer::default();
-    w.open('{').key("bench").str("ompltd.throughput");
-    w.key("jobs").raw(cfg.jobs);
-    w.key("cache_bytes").raw(cfg.cache_bytes);
-    let pass = |w: &mut Writer, workers: usize, jps: f64| {
-        w.open('{').key("workers").raw(workers);
-        w.key("jobs_per_sec").raw(format_args!("{jps:.2}"));
-        w.close('}');
-    };
-    w.key("cold");
-    pass(&mut w, 1, cold);
-    w.key("warm").open('[');
-    for &workers in &cfg.worker_counts {
-        pass(&mut w, workers, bench_pass(&service, &jobs, workers));
-    }
-    let counters: std::collections::HashMap<_, _> = service.cache.counters().into_iter().collect();
-    w.close(']').key("cache").open('{');
-    w.key("hits").raw(counters["daemon.cache.hits"]);
-    w.key("misses").raw(counters["daemon.cache.misses"]);
-    w.close('}').close('}').finish() + "\n"
 }
 
 #[cfg(test)]

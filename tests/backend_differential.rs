@@ -27,8 +27,9 @@ fn run_with(source: &str, opts: Options, optimize: bool, label: &str) -> RunResu
     }
 }
 
-/// Runs `source` on both backends and asserts every observable agrees.
-fn assert_backends_agree(source: &str, base: Options, optimize: bool, label: &str) {
+/// Runs `source` on both backends and asserts every observable agrees;
+/// returns the VM's result.
+fn assert_backends_agree(source: &str, base: Options, optimize: bool, label: &str) -> RunResult {
     let opts = |backend| Options {
         backend,
         log_chunks: true,
@@ -55,6 +56,7 @@ fn assert_backends_agree(source: &str, base: Options, optimize: bool, label: &st
         b.sort_unstable();
         assert_eq!(a, b, "[{label}] stdout line multiset");
     }
+    vm
 }
 
 const MODES: [OpenMpCodegenMode; 2] = [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder];
@@ -524,4 +526,59 @@ fn simd_gather_case_agrees_and_widens() {
         };
         assert_backends_agree(src, base, false, &format!("gather w{width}"));
     }
+}
+
+#[test]
+fn dense_simd_kernels_agree_at_every_width_and_width_four_halves_saxpy_ops() {
+    // Two integer kernels whose `simd` loop dominates the run: a dense
+    // update, and a reduction (lane accumulator + horizontal reduce).
+    const N: u64 = 4096;
+    const REPS: u64 = 24;
+    let saxpy = format!(
+        "void print_i64(long v);\n\
+         long x[{N}];\nlong y[{N}];\n\
+         int main(void) {{\n\
+         \x20 for (int i = 0; i < {N}; i += 1) {{ x[i] = i - 2048; y[i] = 3 * i + 1; }}\n\
+         \x20 for (int r = 0; r < {REPS}; r += 1) {{\n\
+         \x20   #pragma omp simd\n\
+         \x20   for (int i = 0; i < {N}; i += 1)\n\
+         \x20     y[i] = y[i] + 7 * x[i];\n\
+         \x20 }}\n\
+         \x20 long sum = 0;\n\
+         \x20 for (int k = 0; k < {N}; k += 1) sum += y[k];\n\
+         \x20 print_i64(sum);\n\
+         \x20 return 0;\n\
+         }}\n"
+    );
+    let dot = format!(
+        "void print_i64(long v);\n\
+         long x[{N}];\nlong y[{N}];\n\
+         int main(void) {{\n\
+         \x20 for (int i = 0; i < {N}; i += 1) {{ x[i] = i % 17; y[i] = i % 23; }}\n\
+         \x20 long sum = 0;\n\
+         \x20 for (int r = 0; r < {REPS}; r += 1) {{\n\
+         \x20   #pragma omp simd reduction(+: sum)\n\
+         \x20   for (int i = 0; i < {N}; i += 1)\n\
+         \x20     sum += x[i] * y[i];\n\
+         \x20 }}\n\
+         \x20 print_i64(sum);\n\
+         \x20 return 0;\n\
+         }}\n"
+    );
+    let retired = |name: &str, src: &str| {
+        [0u8, 2, 4, 8].map(|width| {
+            let base = Options {
+                num_threads: 1,
+                vector_width: width,
+                ..Options::default()
+            };
+            assert_backends_agree(src, base, false, &format!("{name} w{width}")).ops_retired
+        })
+    };
+    retired("dot", &dot);
+    let [scalar, _, w4, _] = retired("saxpy", &saxpy);
+    assert!(
+        w4 * 2 <= scalar,
+        "saxpy at width 4 retired {w4}, the scalar VM {scalar}"
+    );
 }

@@ -986,6 +986,33 @@ fn retry_flags_require_remote_and_validate_their_values() {
 }
 
 #[test]
+fn daemon_has_no_timing_mode() {
+    // Throughput is `perfbench`'s `daemon_mix`; the daemon itself only has
+    // modes that serve or pin deterministic counters.
+    let ompltd = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_ompltd"))
+            .args(args)
+            .output()
+            .expect("spawn ompltd");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for flag in ["--bench", "--bench-jobs=4", "--bench-out=b.json"] {
+        let (code, stderr) = ompltd(&["--warmup", flag]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert_eq!(stderr, format!("ompltd: unknown option '{flag}'\n"));
+    }
+    let (code, usage) = ompltd(&[]);
+    assert_eq!(code, Some(2));
+    for mode in ["--listen", "--stdio", "--warmup", "--selftest"] {
+        assert!(usage.contains(mode), "usage must name {mode}:\n{usage}");
+    }
+    assert!(!usage.contains("bench"), "{usage}");
+}
+
+#[test]
 fn vector_width_is_one_token_of_the_cache_key() {
     // `--vector-width` changes the *compiled artifact* (the widening pass
     // runs at bytecode-lowering time), so it must be part of the cache

@@ -287,7 +287,7 @@ lim.c:6:10: note: 'a': subscript is not affine in the loop iteration variables
 
 #[test]
 fn illegal_reverse_renders_json_exactly() {
-    // The acceptance criterion: the same dependence violation, as machine-
+    // The acceptance case: the same dependence violation, as machine-
     // readable JSON with nested notes.
     let src = "\
 int main(void) {

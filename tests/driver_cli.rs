@@ -293,7 +293,7 @@ const TRIANGULAR: &str = "void print_i64(long v);\nint main(void) {\n  #pragma o
 
 #[test]
 fn dynamic_schedule_triangular_matches_sequential_multiset() {
-    // The ISSUE's acceptance criterion: `--run --threads 4` on a
+    // The ISSUE's acceptance case: `--run --threads 4` on a
     // `schedule(dynamic, 2)` triangular loop prints exactly the sequential
     // multiset in both representations, with and without `--opt`.
     let p = write_temp("tri_dyn.c", TRIANGULAR);

@@ -299,7 +299,7 @@ fn run_with(source: &str, opts: Options) -> RunResult {
         .expect("run succeeds")
 }
 
-/// The acceptance criterion for graceful degradation, using the comparison
+/// The acceptance bar for graceful degradation, using the comparison
 /// points of `tests/backend_differential.rs`: a `--backend=vm` run whose
 /// verifier was forced to reject is *byte-identical* — exit code, final
 /// global memory, task counts, chunk log, stdout — to a clean interpreter

@@ -130,3 +130,84 @@ fn unroll_pass_skips_already_disabled_loops() {
         "re-running must not re-unroll (unroll.disable)"
     );
 }
+
+#[test]
+fn unroll_factor_is_free_in_sema_and_paid_in_loop_unroll() {
+    // Paper §2.1, "no duplication takes place until that point": the
+    // shadow AST of `unroll partial(f)` is the same size for every f (the
+    // body is never cloned in the front end), while the instruction count
+    // after the mid end grows strictly with f.
+    let mut prev: Option<(u64, usize)> = None;
+    for factor in [2u64, 4, 16, 64] {
+        let src = format!(
+            "void body(int i);\nvoid kernel(int n) {{\n  #pragma omp unroll partial({factor})\n  for (int i = 0; i < n; i += 1)\n    body(i);\n}}\n"
+        );
+        let session = omplt::trace::Session::begin();
+        let (_, module) = compile(&src, true);
+        let shadow = session.finish().counters["sema.shadow.transformed_nodes"];
+        let insts = module.function("kernel").unwrap().num_insts();
+        if let Some((shadow_prev, insts_prev)) = prev {
+            assert_eq!(
+                shadow, shadow_prev,
+                "front-end duplication at factor {factor}"
+            );
+            assert!(
+                insts > insts_prev,
+                "factor {factor}: {insts} insts after LoopUnroll, {insts_prev} at the previous factor"
+            );
+        }
+        prev = Some((shadow, insts));
+    }
+}
+
+#[test]
+fn unroll_styles_print_the_same_sum_and_the_remainder_style_retires_fewer_ops() {
+    // The paper's "Partial unrolling with remainder loop" figure against
+    // the conditional-in-body expansion it shows first: same result, and
+    // the remainder style saves the per-iteration conditional.
+    const N: i64 = 20_000;
+    let head = "void print_i64(long v);\nint main(void) {\n  long acc = 0;\n";
+    let tail = "  print_i64(acc);\n  return 0;\n}\n";
+    let plain = format!("  for (int i = 0; i < {N}; i += 1)\n    acc = acc + i;\n");
+    let styles = [
+        ("baseline_no_unroll", plain.clone()),
+        (
+            "pragma_partial2",
+            format!("  #pragma omp unroll partial(2)\n{plain}"),
+        ),
+        (
+            "pragma_partial4",
+            format!("  #pragma omp unroll partial(4)\n{plain}"),
+        ),
+        (
+            "manual_conditional2",
+            format!(
+                "  for (int i = 0; i < {N}; i += 2) {{\n    acc = acc + i;\n    if (i + 1 < {N}) acc = acc + i + 1;\n  }}\n"
+            ),
+        ),
+        (
+            "manual_remainder4",
+            format!(
+                "  int i = 0;\n  for (; i + 3 < {N}; i += 4) {{\n    acc = acc + i;\n    acc = acc + i + 1;\n    acc = acc + i + 2;\n    acc = acc + i + 3;\n  }}\n  for (; i < {N}; i += 1)\n    acc = acc + i;\n"
+            ),
+        ),
+    ];
+    let expected = format!("{}\n", (0..N).sum::<i64>());
+    for backend in [omplt::Backend::Interp, omplt::Backend::Vm] {
+        let ops = styles.each_ref().map(|(name, loops)| {
+            let opts = Options {
+                backend,
+                ..Options::default()
+            };
+            let r = omplt::run_source_with(&format!("{head}{loops}{tail}"), opts, true);
+            assert_eq!(r.stdout, expected, "{name} on {backend:?}");
+            r.ops_retired
+        });
+        assert!(
+            ops[4] < ops[3],
+            "{backend:?}: manual_remainder4 retired {}, manual_conditional2 {}",
+            ops[4],
+            ops[3]
+        );
+    }
+}

@@ -32,48 +32,67 @@ fn first_directive(
     panic!("no directive in {func}");
 }
 
-const WS_SRC: &str = "void body(int i);\nvoid f(void) {\n  #pragma omp for\n  for (int i = 0; i < 100; i += 1)\n    body(i);\n}\n";
+/// `#pragma omp for collapse(depth)` over a perfect nest of `depth` loops.
+fn ws_src(depth: usize) -> String {
+    let loops: String = (0..depth)
+        .map(|k| format!("  for (int i{k} = 0; i{k} < 32; i{k} += 1)\n"))
+        .collect();
+    format!(
+        "void body(int i);\nvoid f(void) {{\n  #pragma omp for collapse({depth})\n{loops}    body(i0);\n}}\n"
+    )
+}
 
 #[test]
 fn c1_classic_helper_nodes_vs_canonical_meta_items() {
-    // Both node counts are sourced from the observability counters Sema
+    // All counts are sourced from the observability counters the pipeline
     // bumps while building the representation (`--counters-json` exposes
     // the same numbers from the driver) — not from test-side AST walking.
-    let session = omplt::trace::Session::begin();
-    let (_, tu) = parse(WS_SRC, OpenMpCodegenMode::Classic);
-    let d = first_directive(&tu, "f");
-    assert!(d.loop_helpers.is_some(), "classic helpers must exist");
-    let classic = session.finish().counters;
-    let classic_nodes = *classic
-        .get("sema.shadow.helper_nodes")
-        .expect("classic Sema must count its helper bundle") as usize;
-    assert!(!classic.contains_key("sema.canonical.meta_items"));
+    for depth in 1..=3 {
+        let src = ws_src(depth);
+        let session = omplt::trace::Session::begin();
+        let (ci, tu) = parse(&src, OpenMpCodegenMode::Classic);
+        let d = first_directive(&tu, "f");
+        assert!(d.loop_helpers.is_some(), "classic helpers must exist");
+        ci.codegen(&tu).expect("codegen");
+        let classic = session.finish().counters;
+        let classic_nodes = *classic
+            .get("sema.shadow.helper_nodes")
+            .expect("classic Sema must count its helper bundle")
+            as usize;
+        assert!(!classic.contains_key("sema.canonical.meta_items"));
+        assert!(!classic.contains_key("ompirb.canonical_loops"));
 
-    // IrBuilder mode: OMPCanonicalLoop meta items.
-    let session = omplt::trace::Session::begin();
-    let (_, tu2) = parse(WS_SRC, OpenMpCodegenMode::IrBuilder);
-    let d2 = first_directive(&tu2, "f");
-    assert!(
-        d2.loop_helpers.is_none(),
-        "IrBuilder mode must not build the helper bundle"
-    );
-    let irb = session.finish().counters;
-    let canonical_items = *irb
-        .get("sema.canonical.meta_items")
-        .expect("irbuilder Sema must count its meta items") as usize;
-    assert!(!irb.contains_key("sema.shadow.helper_nodes"));
-    assert_eq!(canonical_items, OMPCanonicalLoop::META_NODE_COUNT);
+        // IrBuilder mode: OMPCanonicalLoop meta items.
+        let session = omplt::trace::Session::begin();
+        let (ci, tu2) = parse(&src, OpenMpCodegenMode::IrBuilder);
+        let d2 = first_directive(&tu2, "f");
+        assert!(
+            d2.loop_helpers.is_none(),
+            "IrBuilder mode must not build the helper bundle"
+        );
+        ci.codegen(&tu2).expect("codegen");
+        let irb = session.finish().counters;
+        let canonical_items =
+            *irb.get("sema.canonical.meta_items")
+                .expect("irbuilder Sema must count its meta items") as usize;
+        assert!(!irb.contains_key("sema.shadow.helper_nodes"));
+        assert_eq!(canonical_items, OMPCanonicalLoop::META_NODE_COUNT);
+        // One per skeleton codegen builds for an `OMPCanonicalLoop`.
+        assert!(irb.get("ompirb.canonical_loops").is_some_and(|&n| n >= 1));
 
-    // The paper's headline: "reduced from the 36 shadow AST nodes required
-    // by OMPLoopDirective" to 3 meta-information items. Our bundle models
-    // 17 nest-wide + 6 per-loop = 23 for one loop (the remainder of
-    // Clang's ~36 are distribute/doacross-only helpers; DESIGN.md §7).
-    assert_eq!(classic_nodes, 23);
-    assert_eq!(canonical_items, 3);
-    assert!(
-        classic_nodes >= 7 * canonical_items,
-        "~an order of magnitude more Sema nodes"
-    );
+        // The paper's headline: "reduced from the 36 shadow AST nodes
+        // required by OMPLoopDirective" to 3 meta-information items. Our
+        // bundle models 17 nest-wide + 6 per-loop = 23 for one loop (the
+        // remainder of Clang's ~36 are distribute/doacross-only helpers;
+        // DESIGN.md §7); the meta items stay at 3 per directive whatever
+        // the collapse depth.
+        assert_eq!(classic_nodes, 23 + 6 * (depth - 1), "depth {depth}");
+        assert_eq!(canonical_items, 3, "depth {depth}");
+        assert!(
+            classic_nodes >= 7 * canonical_items,
+            "~an order of magnitude more Sema nodes"
+        );
+    }
 }
 
 #[test]

@@ -116,7 +116,7 @@ fn time_trace_emits_valid_nested_json_covering_every_stage() {
     }
 
     // The root span must account for ≥95% of session wall time (the
-    // acceptance criterion): everything the driver does happens inside it.
+    // acceptance bar): everything the driver does happens inside it.
     let wall = doc
         .get("otherData")
         .and_then(|o| o.get("wallTimeUs"))
