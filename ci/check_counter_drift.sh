@@ -135,35 +135,7 @@ for src in examples/c/*.c; do
   pin "ci/expected-counters/$base.vm.compile.txt" "bytecode compiler drift in $src" "$got"
 done
 
-# Daemon artifact-cache drift guard: `ompltd --warmup` replays a fixed job
-# sequence (A A B A' A A' => 3 hits, 3 misses) against a fresh cache. The
-# hit/miss split is a pure function of the cache key — a silent change
-# means the source hash or the canonical options fingerprint moved (e.g. a
-# runtime-only option leaked into the fingerprint, or a compile-relevant
-# one fell out of it).
-ompltd=${OMPLTD:-target/release/ompltd}
-if [ ! -x "$ompltd" ]; then
-  echo "error: $ompltd not built (run 'cargo build --release' first)" >&2
-  status=1
-else
-  expected="ci/expected-counters/daemon.warmup.txt"
-  got=$("$ompltd" --warmup 2>/dev/null \
-    | grep -o '"daemon\.cache\.\(hits\|misses\|integrity_failures\)":[0-9]*' | sort)
-  pin "$expected" "daemon cache hit/miss drift" "$got"
-
-  # Survivability drift guard: `ompltd --selftest` drives the in-process
-  # pool through a fixed kill/corrupt/recover script (miss, hit, one kill
-  # with requeue, a double kill with abandonment, one cache corruption,
-  # final hit). The supervisor and integrity counters it prints are a pure
-  # function of that script — drift means the requeue-at-most-once policy,
-  # the respawn accounting, or the checksum quarantine moved.
-  expected="ci/expected-counters/daemon.selftest.txt"
-  got=$("$ompltd" --selftest 2>/dev/null \
-    | grep -o '"daemon\.\(cache\.\(hits\|misses\|integrity_failures\)\|supervisor\.[a-z]*\)":[0-9]*' | sort)
-  pin "$expected" "daemon survivability drift" "$got"
-fi
-
 if [ "$status" = 0 ]; then
-  echo "shadow-AST node counters, retired-op, simd widening and daemon cache pins match ci/expected-counters/"
+  echo "shadow-AST node counters, retired-op, simd widening and bytecode image pins match ci/expected-counters/"
 fi
 exit $status

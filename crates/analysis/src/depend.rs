@@ -188,7 +188,7 @@ impl DependenceGraph {
 // ---------------------------------------------------------------------------
 
 /// Per-level parameters of the nest's logical iteration space.
-struct LevelInfo {
+pub(crate) struct LevelInfo {
     iv: DeclId,
     iv_name: String,
     /// Signed constant step (`+step` for `Up` loops, `-step` for `Down`).
@@ -205,11 +205,11 @@ struct LevelInfo {
 /// logical-iteration form `sum_k c_k * K_k + off` with `c_k = a_k * step_k`
 /// and `off = b + sum_k a_k * lb_k` (requires constant bounds to fold).
 #[derive(Clone, Debug)]
-struct LinSubscript {
+pub(crate) struct LinSubscript {
     /// Raw coefficient of each level's iteration variable.
-    raw: Vec<i128>,
+    pub(crate) raw: Vec<i128>,
     /// Raw constant term.
-    raw_off: i128,
+    pub(crate) raw_off: i128,
     /// Logical coefficients (`None` when a used level has a symbolic step).
     coefs: Option<Vec<i128>>,
     /// Folded logical offset (`None` when a used level's `lb` is symbolic).
@@ -266,8 +266,12 @@ fn linearize(
 }
 
 /// Renders the raw affine form back to source-like text for diagnostics.
-fn render_affine(raw: &[i128], off: i128, levels: &[LevelInfo]) -> String {
+fn render_affine(raw: &[i128], mut off: i128, levels: &[LevelInfo]) -> String {
     let mut s = String::new();
+    // `14 - i` reads better than `-i + 14`.
+    if off > 0 && raw.iter().find(|&&a| a != 0).is_some_and(|&a| a < 0) {
+        s = std::mem::take(&mut off).to_string();
+    }
     for (k, &a) in raw.iter().enumerate() {
         if a == 0 {
             continue;
@@ -342,32 +346,34 @@ pub(crate) fn element_strides(ty: &P<Type>, n: usize) -> Option<Vec<i128>> {
 // ---------------------------------------------------------------------------
 
 /// One modeled access: a scalar reference or an array element reference.
-struct DepAccess {
-    loc: SourceLocation,
-    write: bool,
+pub(crate) struct DepAccess {
+    pub(crate) loc: SourceLocation,
+    pub(crate) write: bool,
     /// Whether this is an array-element access (a `None` subscript then
     /// means "unmodeled", not "scalar").
-    array: bool,
+    pub(crate) array: bool,
     /// `None` for scalars and for unmodeled subscripts.
-    sub: Option<LinSubscript>,
+    pub(crate) sub: Option<LinSubscript>,
     /// Source-like rendering of the subscript (empty for scalars).
-    text: String,
+    pub(crate) text: String,
     /// Program-order rank (collection order), used to orient
     /// loop-independent dependences.
     order: usize,
 }
 
-struct DepCollector<'a> {
+/// Collects the per-variable accesses of a loop body. Shared with the race
+/// detector ([`crate::race`]), which reads `locals` and `accesses`.
+pub(crate) struct DepCollector<'a> {
     levels: &'a [LevelInfo],
     ivs: BTreeMap<DeclId, usize>,
-    locals: BTreeSet<DeclId>,
-    accesses: BTreeMap<DeclId, (String, Vec<DepAccess>)>,
+    pub(crate) locals: BTreeSet<DeclId>,
+    pub(crate) accesses: BTreeMap<DeclId, (String, Vec<DepAccess>)>,
     limits: Vec<(String, String, SourceLocation)>,
     next_order: usize,
 }
 
 impl<'a> DepCollector<'a> {
-    fn new(levels: &'a [LevelInfo]) -> Self {
+    pub(crate) fn new(levels: &'a [LevelInfo]) -> Self {
         DepCollector {
             levels,
             ivs: levels.iter().enumerate().map(|(k, l)| (l.iv, k)).collect(),
@@ -751,7 +757,7 @@ fn test_pair(x: &LinSubscript, y: &LinSubscript, levels: &[LevelInfo]) -> Solve 
 // Graph construction
 // ---------------------------------------------------------------------------
 
-fn level_info(levels: &[NestLevel]) -> Vec<LevelInfo> {
+pub(crate) fn level_info(levels: &[NestLevel]) -> Vec<LevelInfo> {
     levels
         .iter()
         .map(|l| {

@@ -232,19 +232,23 @@ fn return_escaping_unroll_is_an_error() {
 fn collapse_nest_accesses_both_ivs() {
     // Writes are indexed by the collapsed i-loop IV; reading a j-shifted
     // element of the same row is loop-carried across the j dimension.
-    let (diags, report) = analyze(
-        "int main() {\n\
+    let src = "int main() {\n\
          \x20 int a[64];\n\
          \x20 #pragma omp parallel for collapse(2)\n\
          \x20 for (int i = 0; i < 8; i += 1)\n\
          \x20   for (int j = 0; j < 7; j += 1)\n\
          \x20     a[j] = a[j + 1];\n\
          \x20 return a[0];\n\
-         }\n",
-    );
+         }\n";
+    let (diags, report) = analyze(src);
     assert_eq!(report.warnings, 1, "{diags:?}");
     let warns = messages(&diags, Level::Warning);
     assert!(warns[0].contains("'a[j]' is written"), "{}", warns[0]);
+
+    // A subscript mixing both IVs is not affine in *one* of them: the
+    // conflict rule leaves it alone rather than reading it as `i`-affine.
+    let (diags, report) = analyze(&src.replace("a[j] = a[j + 1]", "a[i + j] = a[i + j + 1]"));
+    assert_eq!(report.warnings, 0, "{diags:?}");
 }
 
 // ---------------------------------------------------------------------------

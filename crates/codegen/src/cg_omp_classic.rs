@@ -10,7 +10,9 @@ use omplt_ast::{
     loop_level, loop_nest, ClauseModifier, DeclId, NestLevel, OMPClauseKind, OMPDirective,
     OMPDirectiveKind, ReductionOp, ScheduleKind, Stmt, StmtKind, P,
 };
-use omplt_ir::{BlockId, Function, IrType, LoopMetadata, SymbolId, UnrollHint, Value};
+use omplt_ir::{
+    BlockId, Function, IrType, LoopMetadata, RtFn, SchedType, SymbolId, UnrollHint, Value,
+};
 
 /// What an outlined function's body contains.
 enum OutlinedContent<'a> {
@@ -247,9 +249,7 @@ impl FnCodegen<'_, '_> {
         let n = self.emit_rvalue(&h.num_iterations);
         let last = self.emit_rvalue(&h.last_iteration);
 
-        let gtid_fn = self
-            .module
-            .declare_extern("__kmpc_global_thread_num", vec![], IrType::I32);
+        let gtid_fn = self.module.declare_rt(RtFn::GlobalThreadNum);
         // gtid is computed before the precondition guard so the
         // end-of-construct barrier (in the merge block) can use it.
         let gtid = self.with_builder(|b| b.call(gtid_fn, vec![], IrType::I32));
@@ -319,9 +319,7 @@ impl FnCodegen<'_, '_> {
         // Implicit end-of-construct barrier (outside the precondition guard
         // so every team member reaches it), elided by `nowait`.
         if d.clause(OMPClauseKind::Nowait).is_none() {
-            let barrier_fn =
-                self.module
-                    .declare_extern("__kmpc_barrier", vec![IrType::I32], IrType::Void);
+            let barrier_fn = self.module.declare_rt(RtFn::Barrier);
             self.with_builder(|b| {
                 b.call(barrier_fn, vec![gtid], IrType::Void);
             });
@@ -345,25 +343,15 @@ impl FnCodegen<'_, '_> {
         pstride: Value,
         simd_md: Option<LoopMetadata>,
     ) {
-        let init_fn = self.module.declare_extern(
-            "__kmpc_for_static_init",
-            vec![
-                IrType::I32,
-                IrType::I32,
-                IrType::Ptr,
-                IrType::Ptr,
-                IrType::Ptr,
-                IrType::Ptr,
-                IrType::I64,
-                IrType::I64,
-            ],
-            IrType::Void,
-        );
-        let fini_fn =
-            self.module
-                .declare_extern("__kmpc_for_static_fini", vec![IrType::I32], IrType::Void);
+        let init_fn = self.module.declare_rt(RtFn::ForStaticInit);
+        let fini_fn = self.module.declare_rt(RtFn::ForStaticFini);
 
-        let sched_const = Value::i32(if chunked { 33 } else { 34 });
+        let sched_const = if chunked {
+            SchedType::StaticChunked
+        } else {
+            SchedType::Static
+        }
+        .value();
         self.with_builder(|b| {
             b.call(
                 init_fn,
@@ -442,38 +430,16 @@ impl FnCodegen<'_, '_> {
         pstride: Value,
         simd_md: Option<LoopMetadata>,
     ) {
-        let init_fn = self.module.declare_extern(
-            "__kmpc_dispatch_init_8",
-            vec![
-                IrType::I32,
-                IrType::I32,
-                IrType::I64,
-                IrType::I64,
-                IrType::I64,
-                IrType::I64,
-            ],
-            IrType::Void,
-        );
-        let next_fn = self.module.declare_extern(
-            "__kmpc_dispatch_next_8",
-            vec![
-                IrType::I32,
-                IrType::Ptr,
-                IrType::Ptr,
-                IrType::Ptr,
-                IrType::Ptr,
-            ],
-            IrType::I32,
-        );
-        let fini_fn =
-            self.module
-                .declare_extern("__kmpc_dispatch_fini_8", vec![IrType::I32], IrType::Void);
+        let init_fn = self.module.declare_rt(RtFn::DispatchInit8);
+        let next_fn = self.module.declare_rt(RtFn::DispatchNext8);
+        let fini_fn = self.module.declare_rt(RtFn::DispatchFini8);
 
-        let sched_const = Value::i32(match sched {
-            ScheduleKind::Dynamic => 35,
-            ScheduleKind::Guided => 36,
-            _ => 37, // runtime
-        });
+        let sched_const = match sched {
+            ScheduleKind::Dynamic => SchedType::DynamicChunked,
+            ScheduleKind::Guided => SchedType::GuidedChunked,
+            _ => SchedType::Runtime,
+        }
+        .value();
         self.with_builder(|b| {
             b.call(
                 init_fn,
@@ -536,14 +502,8 @@ impl FnCodegen<'_, '_> {
             let slot = self.slot_for(&l.counter);
             self.bindings.insert(l.counter.id, Binding { addr: slot });
         }
-        let task_fn = if flavor == LoopFlavor::Taskloop {
-            Some(
-                self.module
-                    .declare_extern("__omplt_task_created", vec![], IrType::Void),
-            )
-        } else {
-            None
-        };
+        let task_fn =
+            (flavor == LoopFlavor::Taskloop).then(|| self.module.declare_rt(RtFn::TaskCreated));
 
         self.emit_rvalue(&h.init); // iv = 0
         let md = match flavor {
@@ -663,28 +623,12 @@ impl FnCodegen<'_, '_> {
                             .or_else(|| self.globals.get(&v.id).map(|&s| Value::Global(s)));
                         let fresh = self.scratch(ir_type(&v.ty), &format!(".red.{}", v.name));
                         let ty = ir_type(&v.ty);
-                        let identity = match op {
-                            ReductionOp::Add => {
-                                if ty.is_float() {
-                                    Value::float(ty, 0.0)
-                                } else {
-                                    Value::int(ty, 0)
-                                }
-                            }
-                            ReductionOp::Mul => {
-                                if ty.is_float() {
-                                    Value::float(ty, 1.0)
-                                } else {
-                                    Value::int(ty, 1)
-                                }
-                            }
-                            _ => {
-                                self.diags.warning(
-                                    c.loc,
-                                    format!("reduction '{}' is not supported; ignoring", op.name()),
-                                );
-                                continue;
-                            }
+                        // Sema admits `+` and `*` only: the identity is 0 or 1.
+                        let one = i64::from(op == ReductionOp::Mul);
+                        let identity = if ty.is_float() {
+                            Value::float(ty, one as f64)
+                        } else {
+                            Value::int(ty, one)
                         };
                         self.with_builder(|b| b.store(identity, fresh));
                         self.bindings.insert(v.id, Binding { addr: fresh });
@@ -718,25 +662,19 @@ impl FnCodegen<'_, '_> {
             if let (Some(shared_addr), Some((op, ty))) = (shared, red_op.get(&id)) {
                 let ity = ir_type(ty);
                 let local_addr = self.bindings[&id].addr;
-                let fname = match (op, ity.is_float()) {
-                    (ReductionOp::Add, false) => "__omplt_atomic_add_i64",
-                    (ReductionOp::Add, true) => "__omplt_atomic_add_f64",
-                    (ReductionOp::Mul, false) => "__omplt_atomic_mul_i64",
-                    (ReductionOp::Mul, true) => "__omplt_atomic_mul_f64",
-                    _ => "__omplt_atomic_add_i64",
-                };
-                let f = self.module.declare_extern(
-                    fname,
-                    vec![
-                        IrType::Ptr,
-                        if ity.is_float() {
-                            IrType::F64
-                        } else {
-                            IrType::I64
-                        },
-                    ],
-                    IrType::Void,
-                );
+                // The row names the combine *and* the variable's width, so
+                // the runtime's read-modify-write touches exactly its bytes.
+                let f = self.module.declare_rt(match (op, ity) {
+                    (ReductionOp::Add, IrType::I32) => RtFn::AtomicAddI32,
+                    (ReductionOp::Add, IrType::I64) => RtFn::AtomicAddI64,
+                    (ReductionOp::Add, IrType::F32) => RtFn::AtomicAddF32,
+                    (ReductionOp::Add, IrType::F64) => RtFn::AtomicAddF64,
+                    (ReductionOp::Mul, IrType::I32) => RtFn::AtomicMulI32,
+                    (ReductionOp::Mul, IrType::I64) => RtFn::AtomicMulI64,
+                    (ReductionOp::Mul, IrType::F32) => RtFn::AtomicMulF32,
+                    (ReductionOp::Mul, IrType::F64) => RtFn::AtomicMulF64,
+                    _ => unreachable!("Sema rejects '{}' over {ity:?}", op.name()),
+                });
                 self.with_builder(|b| {
                     let v = b.load(ity, local_addr);
                     let v = if ity.is_float() {

@@ -21,7 +21,7 @@ use omplt_ast::{
     CaptureKind, OMPCanonicalLoop, OMPClauseKind, OMPDirective, OMPDirectiveKind, ScheduleKind,
     Stmt, StmtKind, P,
 };
-use omplt_ir::{IrType, Value};
+use omplt_ir::{IrType, RtFn, Value};
 use omplt_ompirb::{
     create_canonical_loop_skeleton, create_dynamic_workshare_loop, create_static_workshare_loop,
     reverse_loop, tile_loops, unroll_loop_full, unroll_loop_heuristic, unroll_loop_partial,
@@ -77,9 +77,7 @@ impl FnCodegen<'_, '_> {
                 }
             }
             OMPDirectiveKind::Taskloop => {
-                let task_fn =
-                    self.module
-                        .declare_extern("__omplt_task_created", vec![], IrType::Void);
+                let task_fn = self.module.declare_rt(RtFn::TaskCreated);
                 if let Some(cli) = self.emit_loop_construct(&assoc) {
                     // Account one task per logical iteration: the unroll
                     // factor is observable through this count (paper §2.2).
@@ -223,12 +221,8 @@ impl FnCodegen<'_, '_> {
 
         // Implicit end-of-construct barrier, elided by `nowait`.
         if d.clause(OMPClauseKind::Nowait).is_none() {
-            let gtid_fn =
-                self.module
-                    .declare_extern("__kmpc_global_thread_num", vec![], IrType::I32);
-            let barrier_fn =
-                self.module
-                    .declare_extern("__kmpc_barrier", vec![IrType::I32], IrType::Void);
+            let gtid_fn = self.module.declare_rt(RtFn::GlobalThreadNum);
+            let barrier_fn = self.module.declare_rt(RtFn::Barrier);
             self.with_builder(|b| {
                 let gtid = b.call(gtid_fn, vec![], IrType::I32);
                 b.call(barrier_fn, vec![gtid], IrType::Void);

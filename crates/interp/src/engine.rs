@@ -1,18 +1,20 @@
-//! The [`Engine`] abstraction: what the OpenMP runtime shim needs from an
-//! execution backend.
+//! The [`Engine`] abstraction and the [`RunState`] under it: what the
+//! OpenMP runtime shim needs from an execution backend.
 //!
 //! [`crate::runtime`] implements the `__kmpc_*` protocol (fork, static init,
 //! dispatch queues, barriers) once, generically over `Engine`, so the tree-
 //! walking interpreter ([`crate::Interpreter`]) and the bytecode VM
 //! (`omplt-vm`) execute *exactly* the same worksharing semantics — chunk
 //! boundaries, barrier placement, `nowait` overlap — and differential tests
-//! can hold the two backends to bit-identical schedule logs.
+//! can hold the two backends to bit-identical schedule logs. Everything a run
+//! owns besides its code — memory, stdout, budgets, logs — is one `RunState`
+//! both engines embed by value; an engine adds only how it executes a frame.
 
-use crate::exec::{ExecError, RtVal};
+use crate::exec::{ExecError, RtVal, RunResult};
 use crate::memory::Memory;
 use crate::runtime::{RuntimeConfig, ThreadCtx};
-use omplt_ir::Module;
-use std::sync::atomic::AtomicU64;
+use omplt_ir::{Module, RtFn, SymbolId};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// An execution backend, as seen by the shared OpenMP runtime.
@@ -20,36 +22,143 @@ use std::sync::Mutex;
 /// `Sync` is part of the contract: `__kmpc_fork_call` shares `&self` across
 /// the scoped threads of a team.
 pub trait Engine: Sync {
-    /// The module being executed (symbol names, globals).
-    fn module(&self) -> &Module;
-
-    /// Guest memory.
-    fn mem(&self) -> &Memory;
-
-    /// Collected stdout (the `print_*` shims append here).
-    fn out(&self) -> &Mutex<String>;
-
-    /// Task counter (`__omplt_task_created`).
-    fn tasks(&self) -> &AtomicU64;
-
-    /// Runtime configuration.
-    fn cfg(&self) -> &RuntimeConfig;
-
-    /// Where schedule chunks are recorded, when chunk logging is enabled.
-    fn chunk_log(&self) -> Option<&ChunkLog>;
-
-    /// Trace-counter prefix for runtime events (`"interp"` / `"vm"`), so a
-    /// trace names which backend claimed chunks and hit barriers.
-    fn trace_prefix(&self) -> &'static str;
+    /// The run's shared state.
+    fn state(&self) -> &RunState<'_>;
 
     /// Calls a function by name: module definitions first, then the runtime
-    /// shims (the outlined bodies of `__kmpc_fork_call` re-enter here).
+    /// shims (`main`, and the outlined bodies of `__kmpc_fork_call`, enter
+    /// here).
     fn call_by_name(
         &self,
         name: &str,
         args: Vec<RtVal>,
         ctx: &ThreadCtx,
     ) -> Result<Option<RtVal>, ExecError>;
+}
+
+/// Ops granted per touch of the shared fuel counter (see
+/// [`RunState::refill`]).
+pub const FUEL_BATCH: u64 = 4096;
+
+/// What a callee symbol resolves to, decided once when an engine is built:
+/// a definition of the engine's own kind `D` (an IR function, a bytecode
+/// frame) first, then the runtime table.
+#[derive(Clone, Copy, Debug)]
+pub enum Callee<D> {
+    /// The module defines it.
+    Defined(D),
+    /// A runtime entry point.
+    Runtime(RtFn),
+    /// Neither: calling it is [`ExecError::UnknownFunction`].
+    Unknown(SymbolId),
+}
+
+/// Everything one run owns besides its code (`Sync`; shared across team
+/// threads).
+pub struct RunState<'m> {
+    /// The module being executed (symbol names, globals).
+    pub module: &'m Module,
+    /// Guest memory.
+    pub mem: Memory,
+    /// Collected stdout (the `print_*` shims append here).
+    pub(crate) out: Mutex<String>,
+    /// Task counter (see [`RunResult::tasks_created`]).
+    pub(crate) tasks: AtomicU64,
+    /// Remaining instruction budget, shared across all threads.
+    fuel: AtomicU64,
+    /// Total ops retired so far, across all threads (see
+    /// [`RunResult::ops_retired`]).
+    pub ops: AtomicU64,
+    /// Runtime configuration.
+    pub(crate) cfg: RuntimeConfig,
+    /// Guest addresses of module globals, by symbol index.
+    global_addrs: Vec<(u32, u64)>,
+    /// Served schedule chunks (recorded when `cfg.log_chunks` is set).
+    chunk_log: ChunkLog,
+    /// Trace-counter prefix for runtime events (`"interp"` / `"vm"`), so a
+    /// trace names which backend claimed chunks and hit barriers.
+    pub(crate) trace_prefix: &'static str,
+}
+
+impl<'m> RunState<'m> {
+    /// Fresh state for one run of `module`; materializes its globals.
+    pub fn new(module: &'m Module, cfg: RuntimeConfig, trace_prefix: &'static str) -> Self {
+        let mem = Memory::new();
+        let global_addrs = materialize_globals(module, &mem);
+        RunState {
+            module,
+            mem,
+            out: Mutex::new(String::new()),
+            tasks: AtomicU64::new(0),
+            fuel: AtomicU64::new(cfg.max_steps),
+            ops: AtomicU64::new(0),
+            cfg,
+            global_addrs,
+            chunk_log: ChunkLog::new(),
+            trace_prefix,
+        }
+    }
+
+    /// Collects the run's observable results; `ret` is the entry function's
+    /// return value.
+    pub fn finish(&self, ret: Option<RtVal>) -> RunResult {
+        RunResult {
+            stdout: std::mem::take(&mut *self.out.lock().expect("out lock")),
+            exit_code: ret.map_or(0, |v| v.as_i()),
+            tasks_created: self.tasks.load(Ordering::Relaxed),
+            chunk_log: self.chunk_log.take_sorted(),
+            final_globals: snapshot_globals(self.module, &self.mem, &self.global_addrs),
+            ops_retired: self.ops.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Grants a frame its next [`FUEL_BATCH`] ops. Fuel is accounted in
+    /// batches so team threads do not serialize on one contended cache line
+    /// (one `fetch_sub` per 4096 ops); the per-job wall-clock deadline
+    /// piggybacks on the refill so the check costs nothing on the per-op path.
+    #[inline]
+    pub fn refill(&self) -> Result<u64, ExecError> {
+        if self.fuel.fetch_sub(FUEL_BATCH, Ordering::Relaxed) < FUEL_BATCH {
+            return Err(ExecError::FuelExhausted);
+        }
+        match self.cfg.deadline {
+            Some(dl) if dl.expired() => Err(ExecError::DeadlineExpired(dl.ms)),
+            _ => Ok(FUEL_BATCH),
+        }
+    }
+
+    /// Where schedule chunks are recorded, when chunk logging is enabled.
+    pub(crate) fn chunk_log(&self) -> Option<&ChunkLog> {
+        self.cfg.log_chunks.then_some(&self.chunk_log)
+    }
+
+    /// Guest address of the global `sym`.
+    pub fn global_addr(&self, sym: SymbolId) -> Result<u64, ExecError> {
+        let found = self.global_addrs.iter().find(|(s, _)| *s == sym.0);
+        found
+            .map(|(_, a)| *a)
+            .ok_or_else(|| ExecError::Malformed(format!("unknown global {}", sym.0)))
+    }
+
+    /// Resolves callee `sym`, which the engine found `defined` or not.
+    /// Engines resolve every callee through this once, at construction; no
+    /// call string-matches a name.
+    pub fn resolve<D>(&self, sym: SymbolId, defined: Option<D>) -> Callee<D> {
+        let name = self.module.symbols().get(sym.0 as usize);
+        match (defined, name.and_then(|n| RtFn::from_name(n))) {
+            (Some(d), _) => Callee::Defined(d),
+            (None, Some(rt)) => Callee::Runtime(rt),
+            (None, None) => Callee::Unknown(sym),
+        }
+    }
+
+    /// The error for a call whose callee is neither defined nor a runtime
+    /// entry.
+    #[cold]
+    pub fn unknown_function(&self, sym: SymbolId) -> ExecError {
+        let name = self.module.symbols().get(sym.0 as usize);
+        ExecError::UnknownFunction(name.map_or_else(|| format!("#{}", sym.0), String::clone))
+    }
 }
 
 /// Which runtime entry point served a chunk.
@@ -114,7 +223,7 @@ impl ChunkLog {
 /// Allocates and initializes every module global in `mem`; returns the guest
 /// address of each, by symbol index. Shared by both backends so global
 /// layout — and therefore every pointer a guest derives from one — matches.
-pub fn materialize_globals(module: &Module, mem: &Memory) -> Vec<(u32, u64)> {
+fn materialize_globals(module: &Module, mem: &Memory) -> Vec<(u32, u64)> {
     let mut global_addrs = Vec::new();
     for g in &module.globals {
         let addr = mem.alloc(g.size.max(1));
@@ -129,7 +238,7 @@ pub fn materialize_globals(module: &Module, mem: &Memory) -> Vec<(u32, u64)> {
 
 /// Snapshots the final byte contents of every module global — the
 /// "observable memory state" differential tests compare across backends.
-pub fn snapshot_globals(
+fn snapshot_globals(
     module: &Module,
     mem: &Memory,
     global_addrs: &[(u32, u64)],

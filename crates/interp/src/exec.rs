@@ -1,14 +1,15 @@
 //! The IR interpreter: executes `omplt-ir` modules, dispatching runtime
 //! calls (OpenMP + I/O shims) to [`crate::runtime`].
 
-use crate::engine::{self, ChunkLog, ChunkRecord, Engine};
+use crate::engine::{Callee, ChunkRecord, Engine, RunState};
 use crate::memory::Memory;
 use crate::runtime::{self, RuntimeConfig, ThreadCtx};
 use omplt_ir::{
-    BinOpKind, BlockId, CastOp, CmpPred, Function, Inst, IrType, Module, Terminator, Value,
+    BinOpKind, BlockId, CastOp, CmpPred, Function, Inst, IrType, Module, SymbolId, Terminator,
+    Value,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 
 /// A runtime value.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -134,90 +135,53 @@ pub struct RunResult {
 /// Shared interpreter state (one per run; `Sync`, shared across team
 /// threads).
 pub struct Interpreter<'m> {
-    /// The module being executed.
-    pub module: &'m Module,
-    /// Guest memory.
-    pub mem: Arc<Memory>,
-    /// Collected stdout.
-    pub out: Mutex<String>,
-    /// Task counter (see [`RunResult::tasks_created`]).
-    pub tasks: AtomicU64,
-    /// Remaining instruction budget, shared across all threads.
-    pub fuel: AtomicU64,
-    /// Total ops retired so far, across all threads (see
-    /// [`RunResult::ops_retired`]).
-    pub ops: AtomicU64,
-    /// Runtime configuration.
-    pub cfg: RuntimeConfig,
-    /// Guest addresses of module globals, by symbol index.
-    pub global_addrs: Vec<(u32, u64)>,
-    /// Served schedule chunks (recorded when `cfg.log_chunks` is set).
-    pub chunk_log: ChunkLog,
+    /// The run state the runtime shares with the VM.
+    pub state: RunState<'m>,
+    /// Every symbol's call target, resolved once here so no call looks a
+    /// name up.
+    targets: Vec<Callee<&'m Function>>,
 }
 
 impl<'m> Interpreter<'m> {
     /// Creates an interpreter and materializes module globals.
     pub fn new(module: &'m Module, cfg: RuntimeConfig) -> Interpreter<'m> {
-        let mem = Arc::new(Memory::new());
-        let global_addrs = engine::materialize_globals(module, &mem);
-        Interpreter {
-            module,
-            mem,
-            out: Mutex::new(String::new()),
-            tasks: AtomicU64::new(0),
-            fuel: AtomicU64::new(cfg.max_steps),
-            ops: AtomicU64::new(0),
-            cfg,
-            global_addrs,
-            chunk_log: ChunkLog::new(),
+        let state = RunState::new(module, cfg, "interp");
+        let mut defined: HashMap<&str, &Function> = HashMap::new();
+        for f in &module.functions {
+            defined.entry(&f.name).or_insert(f);
         }
+        let names = module.symbols().iter().zip(0..);
+        let resolve = |(name, i): (&String, u32)| {
+            state.resolve(SymbolId(i), defined.get(name.as_str()).copied())
+        };
+        let targets = names.map(resolve).collect();
+        Interpreter { state, targets }
     }
 
-    fn finish(&self, ret: Option<RtVal>) -> RunResult {
-        RunResult {
-            stdout: std::mem::take(&mut *self.out.lock().expect("out lock")),
-            exit_code: ret.map_or(0, |v| v.as_i()),
-            tasks_created: self.tasks.load(Ordering::Relaxed),
-            chunk_log: self.chunk_log.take_sorted(),
-            final_globals: engine::snapshot_globals(self.module, &self.mem, &self.global_addrs),
-            ops_retired: self.ops.load(Ordering::Relaxed),
+    /// Calls what `sym` resolved to.
+    fn call(
+        &self,
+        sym: SymbolId,
+        args: Vec<RtVal>,
+        ctx: &ThreadCtx,
+    ) -> Result<Option<RtVal>, ExecError> {
+        match self.targets[sym.0 as usize] {
+            Callee::Defined(f) => self.exec_function(f, args, ctx),
+            Callee::Runtime(rt) => runtime::dispatch(self, rt, args, ctx),
+            Callee::Unknown(sym) => Err(self.state.unknown_function(sym)),
         }
     }
 
     /// Runs `main` and collects results.
     pub fn run_main(&self) -> Result<RunResult, ExecError> {
         let _span = omplt_trace::span("interp.run");
-        let ctx = ThreadCtx::initial();
-        let ret = self.call_by_name("main", vec![], &ctx)?;
-        Ok(self.finish(ret))
+        self.run_function("main", vec![])
     }
 
     /// Runs an arbitrary void/intret function (for kernels without `main`).
     pub fn run_function(&self, name: &str, args: Vec<RtVal>) -> Result<RunResult, ExecError> {
-        let ctx = ThreadCtx::initial();
-        let ret = self.call_by_name(name, args, &ctx)?;
-        Ok(self.finish(ret))
-    }
-
-    /// Calls a function by name: module definitions first, then runtime
-    /// shims.
-    pub fn call_by_name(
-        &self,
-        name: &str,
-        args: Vec<RtVal>,
-        ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError> {
-        if let Some(f) = self.module.function(name) {
-            return self.exec_function(f, args, ctx);
-        }
-        runtime::dispatch(self, name, args, ctx)
-    }
-
-    fn global_addr(&self, sym: u32) -> Option<u64> {
-        self.global_addrs
-            .iter()
-            .find(|(s, _)| *s == sym)
-            .map(|(_, a)| *a)
+        let ret = self.call_by_name(name, args, &ThreadCtx::initial())?;
+        Ok(self.state.finish(ret))
     }
 
     fn eval(&self, frame: &[Option<RtVal>], args: &[RtVal], v: Value) -> Result<RtVal, ExecError> {
@@ -229,10 +193,7 @@ impl<'m> Interpreter<'m> {
                 .ok_or_else(|| ExecError::Malformed(format!("missing argument {i}")))?,
             Value::ConstInt { val, .. } => RtVal::I(val),
             Value::ConstFloat { bits, .. } => RtVal::F(f64::from_bits(bits)),
-            Value::Global(s) => RtVal::P(
-                self.global_addr(s.0)
-                    .ok_or_else(|| ExecError::Malformed(format!("unknown global {}", s.0)))?,
-            ),
+            Value::Global(s) => RtVal::P(self.state.global_addr(s)?),
             Value::FuncRef(s) => RtVal::P(Memory::encode_fn_ptr(s.0)),
             Value::Undef(ty) => {
                 if ty.is_float() {
@@ -253,7 +214,7 @@ impl<'m> Interpreter<'m> {
     ) -> Result<Option<RtVal>, ExecError> {
         let mut retired = 0u64;
         let r = self.exec_function_inner(f, args, ctx, &mut retired);
-        self.ops.fetch_add(retired, Ordering::Relaxed);
+        self.state.ops.fetch_add(retired, Ordering::Relaxed);
         if omplt_trace::active() {
             omplt_trace::count("interp.ops.retired", retired);
         }
@@ -270,10 +231,7 @@ impl<'m> Interpreter<'m> {
         let mut frame: Vec<Option<RtVal>> = vec![None; f.insts.len()];
         let mut cur = f.entry();
         let mut prev: Option<BlockId> = None;
-        // Fuel is accounted in batches: a per-frame local counter refills
-        // from the shared atomic, so team threads do not serialize on one
-        // contended cache line (one fetch_sub per 4096 instructions).
-        const FUEL_BATCH: u64 = 4096;
+        // A per-frame local counter, refilled in batches from the shared one.
         let mut local_fuel: u64 = 0;
 
         loop {
@@ -310,18 +268,7 @@ impl<'m> Interpreter<'m> {
                     continue;
                 }
                 if local_fuel == 0 {
-                    let prev_fuel = self.fuel.fetch_sub(FUEL_BATCH, Ordering::Relaxed);
-                    if prev_fuel < FUEL_BATCH {
-                        return Err(ExecError::FuelExhausted);
-                    }
-                    // Piggyback the per-job wall-clock deadline on the fuel
-                    // refill so the check costs nothing on the per-op path.
-                    if let Some(dl) = self.cfg.deadline {
-                        if dl.expired() {
-                            return Err(ExecError::DeadlineExpired(dl.ms));
-                        }
-                    }
-                    local_fuel = FUEL_BATCH;
+                    local_fuel = self.state.refill()?;
                 }
                 local_fuel -= 1;
                 *retired += 1;
@@ -367,25 +314,22 @@ impl<'m> Interpreter<'m> {
         inst: &Inst,
         ctx: &ThreadCtx,
     ) -> Result<Option<RtVal>, ExecError> {
+        let mem: &Memory = &self.state.mem;
         Ok(match inst {
             Inst::Phi { .. } => unreachable!("phis handled in phase 1"),
             Inst::Alloca { ty, count, .. } => {
-                Some(RtVal::P(self.mem.alloc(ty.size().max(1) * (*count).max(1))))
+                Some(RtVal::P(mem.alloc(ty.size().max(1) * (*count).max(1))))
             }
             Inst::Load { ty, ptr } => {
                 let p = self.eval(frame, args, *ptr)?.as_p();
-                let raw = self
-                    .mem
-                    .load(p, ty.size())
-                    .map_err(|e| ExecError::Mem(e.what))?;
+                let raw = mem.load(p, ty.size()).map_err(|e| ExecError::Mem(e.what))?;
                 Some(decode_scalar(*ty, raw))
             }
             Inst::Store { val, ptr } => {
                 let ty = f.value_type(*val);
                 let v = self.eval(frame, args, *val)?;
                 let p = self.eval(frame, args, *ptr)?.as_p();
-                self.mem
-                    .store(p, ty.size(), encode_scalar(ty, v))
+                mem.store(p, ty.size(), encode_scalar(ty, v))
                     .map_err(|e| ExecError::Mem(e.what))?;
                 None
             }
@@ -426,12 +370,11 @@ impl<'m> Interpreter<'m> {
                 args: call_args,
                 ty,
             } => {
-                let name = self.module.symbol_name(callee.0).to_string();
                 let mut vs = Vec::with_capacity(call_args.len());
                 for a in call_args {
                     vs.push(self.eval(frame, args, *a)?);
                 }
-                let r = self.call_by_name(&name, vs, ctx)?;
+                let r = self.call(callee.0, vs, ctx)?;
                 if *ty == IrType::Void {
                     None
                 } else {
@@ -443,32 +386,8 @@ impl<'m> Interpreter<'m> {
 }
 
 impl Engine for Interpreter<'_> {
-    fn module(&self) -> &Module {
-        self.module
-    }
-
-    fn mem(&self) -> &Memory {
-        &self.mem
-    }
-
-    fn out(&self) -> &Mutex<String> {
-        &self.out
-    }
-
-    fn tasks(&self) -> &AtomicU64 {
-        &self.tasks
-    }
-
-    fn cfg(&self) -> &RuntimeConfig {
-        &self.cfg
-    }
-
-    fn chunk_log(&self) -> Option<&ChunkLog> {
-        self.cfg.log_chunks.then_some(&self.chunk_log)
-    }
-
-    fn trace_prefix(&self) -> &'static str {
-        "interp"
+    fn state(&self) -> &RunState<'_> {
+        &self.state
     }
 
     fn call_by_name(
@@ -477,7 +396,10 @@ impl Engine for Interpreter<'_> {
         args: Vec<RtVal>,
         ctx: &ThreadCtx,
     ) -> Result<Option<RtVal>, ExecError> {
-        Interpreter::call_by_name(self, name, args, ctx)
+        match self.state.module.lookup_symbol(name) {
+            Some(sym) => self.call(sym, args, ctx),
+            None => Err(ExecError::UnknownFunction(name.to_string())),
+        }
     }
 }
 

@@ -25,7 +25,7 @@ pub mod exec;
 pub mod memory;
 pub mod runtime;
 
-pub use engine::{ChunkKind, ChunkLog, ChunkRecord, Engine};
+pub use engine::{ChunkKind, ChunkLog, ChunkRecord, Engine, RunState};
 pub use exec::{ExecError, Interpreter, RtVal, RunResult};
 pub use memory::Memory;
 pub use runtime::{Deadline, DispatchKind, RuntimeConfig, RuntimeSchedule, TeamState, ThreadCtx};

@@ -76,6 +76,27 @@ impl SegmentedArena {
     }
 }
 
+/// Replaces the `len`-byte field `shift` bits into `cell` with the low bytes
+/// of `f(old field)`; returns the old field. A CAS read-modify-write, so
+/// concurrent writers of the word's other bytes stay intact.
+#[inline]
+fn update_field(cell: &AtomicU64, shift: u64, len: u64, mut f: impl FnMut(u64) -> u64) -> u64 {
+    let mask = if len == 8 {
+        u64::MAX
+    } else {
+        ((1u64 << (len * 8)) - 1) << shift
+    };
+    let mut cur = cell.load(Ordering::Relaxed);
+    loop {
+        let old = (cur & mask) >> shift;
+        let next = (cur & !mask) | ((f(old) << shift) & mask);
+        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return old,
+            Err(c) => cur = c,
+        }
+    }
+}
+
 /// The interpreter's address space. Allocation is append-only; everything is
 /// freed when the `Memory` is dropped (per-run arena).
 pub struct Memory {
@@ -194,52 +215,36 @@ impl Memory {
             return Ok(());
         }
         if in_word + len <= 8 {
-            let mask = if len == 8 {
-                u64::MAX
-            } else {
-                ((1u64 << (len * 8)) - 1) << (in_word * 8)
-            };
-            let bits = (val << (in_word * 8)) & mask;
-            let cell = &reg.words[word_idx];
-            // CAS read-modify-write keeps concurrent neighbors intact.
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let next = (cur & !mask) | bits;
-                match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => return Ok(()),
-                    Err(c) => cur = c,
-                }
-            }
+            update_field(&reg.words[word_idx], in_word * 8, len, |_| val);
+            return Ok(());
         }
         // Straddling store: byte-wise CAS.
         for i in 0..len {
             let o = offset + i;
-            let cell = &reg.words[(o / 8) as usize];
-            let shift = (o % 8) * 8;
-            let mask = 0xFFu64 << shift;
-            let bits = ((val >> (i * 8)) & 0xFF) << shift;
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let next = (cur & !mask) | bits;
-                match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(c) => cur = c,
-                }
-            }
+            update_field(&reg.words[(o / 8) as usize], (o % 8) * 8, 1, |_| {
+                val >> (i * 8)
+            });
         }
         Ok(())
     }
 
-    /// Atomic fetch-add on an aligned 8-byte word (used by `reduction`).
-    pub fn fetch_add_i64(&self, ptr: u64, add: i64) -> Result<i64, MemError> {
-        let (reg, offset) = self.check(ptr, 8)?;
-        if offset % 8 != 0 {
+    /// Atomically replaces the naturally aligned `len`-byte (1/2/4/8) value
+    /// at `ptr` with `f` of it and returns the old value (used by
+    /// `reduction`). `f` may run more than once under contention.
+    pub fn fetch_update(
+        &self,
+        ptr: u64,
+        len: u64,
+        f: impl FnMut(u64) -> u64,
+    ) -> Result<u64, MemError> {
+        let (reg, offset) = self.check(ptr, len)?;
+        if offset % len.max(1) != 0 {
             return Err(MemError {
                 what: "unaligned atomic".to_string(),
             });
         }
-        let prev = reg.words[(offset / 8) as usize].fetch_add(add as u64, Ordering::Relaxed);
-        Ok(prev as i64)
+        let cell = &reg.words[(offset / 8) as usize];
+        Ok(update_field(cell, (offset % 8) * 8, len, f))
     }
 
     /// Number of live regions (diagnostic).
@@ -304,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_atomicity_across_threads() {
+    fn fetch_update_atomicity_across_threads() {
         let m = std::sync::Arc::new(Memory::new());
         let p = m.alloc(8);
         std::thread::scope(|s| {
@@ -312,7 +317,7 @@ mod tests {
                 let m = std::sync::Arc::clone(&m);
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        m.fetch_add_i64(p, 1).unwrap();
+                        m.fetch_update(p, 8, |v| v + 1).unwrap();
                     }
                 });
             }
@@ -338,5 +343,45 @@ mod tests {
         });
         assert_eq!(m.load(p, 1).unwrap(), 499 & 0xFF);
         assert_eq!(m.load(p + 1, 1).unwrap(), 499 & 0xFF);
+    }
+
+    #[test]
+    fn fetch_update_subword_counts_exactly_beside_a_hammered_neighbor() {
+        // A 4-byte counter in the lower half of a word, incremented from
+        // four threads while a fifth rewrites the upper half: no increment
+        // is lost, the neighbor keeps its last value, and the counter wraps
+        // at its own width — racing and, checked last on a quiet word,
+        // without carrying into the neighbor.
+        let m = std::sync::Arc::new(Memory::new());
+        let p = m.alloc(8);
+        m.store(p, 4, 0xFFFF_FF00).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let m = std::sync::Arc::clone(&m);
+                s.spawn(move || {
+                    for _ in 0..500 {
+                        m.fetch_update(p, 4, |v| v + 1).unwrap();
+                    }
+                });
+            }
+            let m = std::sync::Arc::clone(&m);
+            s.spawn(move || {
+                for i in 0..=500u64 {
+                    m.store(p + 4, 4, i).unwrap();
+                }
+            });
+        });
+        assert_eq!(m.load(p, 4).unwrap(), 2000 - 0x100, "wrapped at 32 bits");
+        assert_eq!(m.load(p + 4, 4).unwrap(), 500);
+        assert_eq!(m.fetch_update(p, 4, |v| v).unwrap(), 2000 - 0x100);
+        m.store(p, 4, u32::MAX as u64).unwrap();
+        assert_eq!(m.fetch_update(p, 4, |v| v + 1).unwrap(), u32::MAX as u64);
+        assert_eq!(
+            m.load(p, 8).unwrap(),
+            500 << 32,
+            "no carry out of the field"
+        );
+        assert!(m.fetch_update(p + 2, 4, |v| v).is_err(), "unaligned");
+        assert!(m.fetch_update(p + 8, 4, |v| v).is_err(), "out of bounds");
     }
 }

@@ -1,18 +1,22 @@
 //! The OpenMP runtime shim (plus tiny I/O builtins).
 //!
 //! Implements the calls that Clang's "early outlining" lowering targets
-//! (paper §1): `__kmpc_fork_call` spawns a real thread team with
-//! `std::thread::scope`, `__kmpc_for_static_init` computes static-schedule
-//! chunk bounds (types 34 = static, 33 = static-chunked, exactly the libomp
-//! constants), `__kmpc_dispatch_init_8`/`__kmpc_dispatch_next_8`/
-//! `__kmpc_dispatch_fini_8` serve the non-static schedules (35 = dynamic,
-//! 36 = guided, 37 = runtime, resolved through `OMP_SCHEDULE`) from a
-//! per-team shared work queue, `__kmpc_barrier` synchronizes the team, and
+//! (paper §1) — one arm of [`dispatch`] per row of the runtime-function
+//! table ([`omplt_ir::RtFn`]; the table is the boundary's one definition,
+//! this file only the arm bodies): `__kmpc_fork_call` spawns a real thread
+//! team with `std::thread::scope`, `__kmpc_for_static_init` computes
+//! static-schedule chunk bounds, `__kmpc_dispatch_init_8`/
+//! `__kmpc_dispatch_next_8`/`__kmpc_dispatch_fini_8` serve the non-static
+//! schedules from a per-team shared work queue (`schedule(runtime)` resolved
+//! through `OMP_SCHEDULE`; the schedule numbers are libomp's, carried by
+//! [`omplt_ir::SchedType`]), `__kmpc_barrier` synchronizes the team, the
+//! `__omplt_atomic_*` rows combine reductions, and
 //! `omp_get_thread_num`/`omp_get_num_threads` expose the team context.
 
-use crate::engine::{ChunkKind, Engine};
-use crate::exec::{ExecError, RtVal};
-use crate::memory::Memory;
+use crate::engine::{ChunkKind, Engine, RunState};
+use crate::exec::{decode_scalar, encode_scalar, exec_bin, ExecError, RtVal};
+use crate::memory::{MemError, Memory};
+use omplt_ir::{BinOpKind, IrType, RtFn, SchedType};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -124,7 +128,7 @@ pub struct RuntimeConfig {
     /// [`crate::engine::ChunkLog`] (differential-testing aid).
     pub log_chunks: bool,
     /// Cooperative wall-clock deadline, checked at fuel-refill boundaries
-    /// (every [`crate::exec`] FUEL_BATCH retired ops per thread). `None`
+    /// (every [`crate::engine::FUEL_BATCH`] retired ops per thread). `None`
     /// disables the check. The one-shot CLI uses a process-exit watchdog
     /// instead; the daemon sets this so a runaway job kills only itself.
     pub deadline: Option<Deadline>,
@@ -439,45 +443,52 @@ impl ThreadCtx {
     }
 }
 
-/// libomp schedule-type constants (subset).
-const SCHED_STATIC_CHUNKED: i64 = 33;
-const SCHED_STATIC: i64 = 34;
-const SCHED_DYNAMIC_CHUNKED: i64 = 35;
-const SCHED_GUIDED_CHUNKED: i64 = 36;
-const SCHED_RUNTIME: i64 = 37;
-
-/// Dispatches a call to a runtime function. Returns
-/// `Err(UnknownFunction)` for unrecognized names.
+/// Dispatches a call to runtime entry `f`.
 ///
 /// Generic over [`Engine`]: the interpreter and the bytecode VM share this
 /// single implementation of the OpenMP protocol, so schedule semantics
-/// cannot drift between backends.
+/// cannot drift between backends. The `match` is exhaustive over the
+/// [`RtFn`] table, and the one arity rule — a call with fewer arguments than
+/// the row's fixed parameters is malformed — is applied here from the row, so
+/// every arm may index `args` up to its row's parameter count.
 pub fn dispatch<E: Engine>(
     e: &E,
-    name: &str,
+    f: RtFn,
     args: Vec<RtVal>,
     ctx: &ThreadCtx,
 ) -> Result<Option<RtVal>, ExecError> {
-    match name {
-        "__kmpc_global_thread_num" | "omp_get_thread_num" => Ok(Some(RtVal::I(ctx.gtid as i64))),
-        "omp_get_num_threads" => Ok(Some(RtVal::I(ctx.team_size as i64))),
-        "__kmpc_push_num_threads" => {
-            let n = args.first().map_or(0, |v| v.as_i()).max(1) as u32;
-            ctx.pending_num_threads.set(Some(n));
+    let (row, st) = (f.row(), e.state());
+    if args.len() < row.params.len() {
+        return Err(ExecError::Malformed(format!(
+            "call to '{}' needs {} argument{}, got {}",
+            row.name,
+            row.params.len(),
+            if row.params.len() == 1 { "" } else { "s" },
+            args.len()
+        )));
+    }
+    let print = |text: &str| st.out.lock().expect("out lock").push_str(text);
+    match f {
+        RtFn::GlobalThreadNum | RtFn::OmpGetThreadNum => Ok(Some(RtVal::I(ctx.gtid as i64))),
+        RtFn::OmpGetNumThreads => Ok(Some(RtVal::I(ctx.team_size as i64))),
+        RtFn::OmpGetMaxThreads => Ok(Some(RtVal::I(st.cfg.num_threads as i64))),
+        RtFn::PushNumThreads => {
+            ctx.pending_num_threads
+                .set(Some(args[0].as_i().max(1) as u32));
             Ok(None)
         }
-        "__kmpc_fork_call" => fork_call(e, args, ctx),
-        "__kmpc_for_static_init" => for_static_init(e, args, ctx),
-        "__kmpc_for_static_fini" => Ok(None),
-        "__kmpc_dispatch_init_8" => dispatch_init(e, args, ctx),
-        "__kmpc_dispatch_next_8" => dispatch_next(e, args, ctx),
-        "__kmpc_dispatch_fini_8" => {
+        RtFn::ForkCall => fork_call(e, args, ctx),
+        RtFn::ForStaticInit => for_static_init(st, args, ctx),
+        RtFn::ForStaticFini => Ok(None),
+        RtFn::DispatchInit8 => dispatch_init(st, args, ctx),
+        RtFn::DispatchNext8 => dispatch_next(st, args, ctx),
+        RtFn::DispatchFini8 => {
             ctx.cur_dispatch.borrow_mut().take();
             Ok(None)
         }
-        "__kmpc_barrier" => {
+        RtFn::Barrier => {
             if omplt_trace::active() {
-                omplt_trace::count(&format!("{}.barrier.waits", e.trace_prefix()), 1);
+                omplt_trace::count(&format!("{}.barrier.waits", st.trace_prefix), 1);
             }
             if omplt_fault::fire("runtime.lost-thread") {
                 // The injected "lost" member unwinds out of the region
@@ -488,47 +499,61 @@ pub fn dispatch<E: Engine>(
             ctx.team.barrier_wait(ctx.gtid)?;
             Ok(None)
         }
-        "__omplt_task_created" => {
-            e.tasks().fetch_add(1, Ordering::Relaxed);
+        RtFn::TaskCreated => {
+            st.tasks.fetch_add(1, Ordering::Relaxed);
             Ok(None)
         }
-        "__omplt_atomic_add_i64" => {
-            let p = args[0].as_p();
-            let v = args[1].as_i();
-            e.mem()
-                .fetch_add_i64(p, v)
-                .map_err(|err| ExecError::Mem(err.what))?;
+        RtFn::AtomicAddI32 => atomic_rmw(st, &args, BinOpKind::Add, IrType::I32),
+        RtFn::AtomicAddI64 => atomic_rmw(st, &args, BinOpKind::Add, IrType::I64),
+        RtFn::AtomicAddF32 => atomic_rmw(st, &args, BinOpKind::FAdd, IrType::F32),
+        RtFn::AtomicAddF64 => atomic_rmw(st, &args, BinOpKind::FAdd, IrType::F64),
+        RtFn::AtomicMulI32 => atomic_rmw(st, &args, BinOpKind::Mul, IrType::I32),
+        RtFn::AtomicMulI64 => atomic_rmw(st, &args, BinOpKind::Mul, IrType::I64),
+        RtFn::AtomicMulF32 => atomic_rmw(st, &args, BinOpKind::FMul, IrType::F32),
+        RtFn::AtomicMulF64 => atomic_rmw(st, &args, BinOpKind::FMul, IrType::F64),
+        RtFn::PrintI64 => {
+            print(&format!("{}\n", args[0].as_i()));
             Ok(None)
         }
-        "print_i64" => {
-            let v = args.first().map_or(0, |v| v.as_i());
-            e.out()
-                .lock()
-                .expect("out lock")
-                .push_str(&format!("{v}\n"));
-            Ok(None)
-        }
-        "print_f64" => {
-            let v = args.first().map_or(0.0, |v| v.as_f());
-            let s = if v == v.trunc() && v.is_finite() && v.abs() < 1e15 {
-                format!("{v:.6}\n")
+        RtFn::PrintF64 => {
+            let v = args[0].as_f();
+            if v == v.trunc() && v.is_finite() && v.abs() < 1e15 {
+                print(&format!("{v:.6}\n"));
             } else {
-                format!("{v}\n")
-            };
-            e.out().lock().expect("out lock").push_str(&s);
+                print(&format!("{v}\n"));
+            }
             Ok(None)
         }
-        "print_char" => {
-            let v = args.first().map_or(0, |v| v.as_i());
-            e.out()
-                .lock()
-                .expect("out lock")
-                .push(char::from_u32((v as u32) & 0x7F).unwrap_or('?'));
+        RtFn::PrintChar => {
+            let c = char::from_u32((args[0].as_i() as u32) & 0x7F).unwrap_or('?');
+            print(c.encode_utf8(&mut [0; 4]));
             Ok(None)
         }
-        "omp_get_max_threads" => Ok(Some(RtVal::I(e.cfg().num_threads as i64))),
-        other => Err(ExecError::UnknownFunction(other.to_string())),
     }
+}
+
+fn mem_err(err: MemError) -> ExecError {
+    ExecError::Mem(err.what)
+}
+
+/// `__omplt_atomic_<op>_<ty>(ptr, v)`: `*ptr = *ptr <op> v` as one atomic
+/// read-modify-write of the reduced variable's own `ty` — combined through
+/// [`exec_bin`], so a team's result has exactly the serial semantics
+/// (wrapping, `f32` rounding) in whatever order the members arrive.
+fn atomic_rmw(
+    st: &RunState<'_>,
+    args: &[RtVal],
+    op: BinOpKind,
+    ty: IrType,
+) -> Result<Option<RtVal>, ExecError> {
+    let combine = |old| {
+        let new = exec_bin(op, ty, decode_scalar(ty, old), args[1]);
+        encode_scalar(ty, new.expect("add and mul of non-pointers do not fail"))
+    };
+    st.mem
+        .fetch_update(args[0].as_p(), ty.size(), combine)
+        .map_err(mem_err)?;
+    Ok(None)
 }
 
 /// `__kmpc_fork_call(fnptr, nargs, cap0, cap1, …)` — spawns the team.
@@ -537,27 +562,24 @@ fn fork_call<E: Engine>(
     args: Vec<RtVal>,
     ctx: &ThreadCtx,
 ) -> Result<Option<RtVal>, ExecError> {
-    let fnptr = args
-        .first()
-        .ok_or_else(|| ExecError::Malformed("fork_call without function".to_string()))?
-        .as_p();
-    let sym = Memory::decode_fn_ptr(fnptr)
+    let cfg = &e.state().cfg;
+    let name = Memory::decode_fn_ptr(args[0].as_p())
+        .and_then(|sym| e.state().module.symbols().get(sym as usize))
         .ok_or_else(|| ExecError::Malformed("fork_call target is not a function".to_string()))?;
-    let name = e.module().symbol_name(omplt_ir::SymbolId(sym)).to_string();
     let caps: Vec<RtVal> = args[2..].to_vec();
     let team = ctx
         .pending_num_threads
         .take()
-        .unwrap_or(e.cfg().num_threads)
+        .unwrap_or(cfg.num_threads)
         .max(1);
 
-    if team == 1 || e.cfg().serial {
+    if team == 1 || cfg.serial {
         let state = TeamState::new(team, false);
         for tid in 0..team {
             let child = ThreadCtx::team_member(tid, team, Arc::clone(&state));
             let mut a = vec![RtVal::I(tid as i64), RtVal::I(tid as i64)];
             a.extend(caps.iter().copied());
-            match e.call_by_name(&name, a, &child) {
+            match e.call_by_name(name, a, &child) {
                 Ok(_) => {}
                 // Sequential teams have no waiters to free, but the lost
                 // member must still surface as a watchdog diagnostic, not
@@ -585,7 +607,6 @@ fn fork_call<E: Engine>(
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..team)
             .map(|tid| {
-                let name = name.clone();
                 let caps = caps.clone();
                 let state = Arc::clone(&state);
                 let trace = trace.clone();
@@ -602,7 +623,7 @@ fn fork_call<E: Engine>(
                     let child = ThreadCtx::team_member(tid, team, Arc::clone(&state));
                     let mut a = vec![RtVal::I(tid as i64), RtVal::I(tid as i64)];
                     a.extend(caps);
-                    e.call_by_name(&name, a, &child).map(|_| ())
+                    e.call_by_name(name, a, &child).map(|_| ())
                 })
             })
             .collect();
@@ -639,26 +660,20 @@ fn lost_without_waiters(gtid: u32, team: u32) -> ExecError {
 
 /// `__kmpc_for_static_init(gtid, sched, plast, plb, pub, pstride, incr,
 /// chunk)` with i64 bounds — the static worksharing schedule.
-fn for_static_init<E: Engine>(
-    e: &E,
+fn for_static_init(
+    st: &RunState<'_>,
     args: Vec<RtVal>,
     ctx: &ThreadCtx,
 ) -> Result<Option<RtVal>, ExecError> {
-    if args.len() < 8 {
-        return Err(ExecError::Malformed(
-            "for_static_init needs 8 arguments".to_string(),
-        ));
-    }
-    let sched = args[1].as_i();
+    let sched = SchedType::from_raw(args[1].as_i());
     let plast = args[2].as_p();
     let plb = args[3].as_p();
     let pub_ = args[4].as_p();
     let pstride = args[5].as_p();
     let chunk = args[7].as_i().max(1);
 
-    let mem = |err: crate::memory::MemError| ExecError::Mem(err.what);
-    let lb = e.mem().load(plb, 8).map_err(mem)? as i64;
-    let ub = e.mem().load(pub_, 8).map_err(mem)? as i64;
+    let lb = st.mem.load(plb, 8).map_err(mem_err)? as i64;
+    let ub = st.mem.load(pub_, 8).map_err(mem_err)? as i64;
     let tid = ctx.gtid as i128;
     let team = ctx.team_size as i128;
     // All bound arithmetic runs in i128: near `i64::MAX`, `my_lb + chunk - 1`
@@ -685,7 +700,7 @@ fn for_static_init<E: Engine>(
         (l, u, 1, false)
     } else {
         match sched {
-            SCHED_STATIC_CHUNKED => {
+            Some(SchedType::StaticChunked) => {
                 let chunk128 = chunk as i128;
                 let my_lb = lb128 + tid * chunk128;
                 let stride = sat(chunk128 * team);
@@ -704,7 +719,7 @@ fn for_static_init<E: Engine>(
                 }
             }
             _ => {
-                // SCHED_STATIC (34): one contiguous span per thread,
+                // `SchedType::Static`: one contiguous span per thread,
                 // ceil-divided, exactly like libomp's static_balanced-greedy.
                 let per = (trip + team - 1) / team;
                 let my_lb = lb128 + tid * per;
@@ -721,60 +736,53 @@ fn for_static_init<E: Engine>(
 
     if omplt_trace::active() {
         omplt_trace::count(
-            &format!("{}.chunks.static.t{}", e.trace_prefix(), ctx.gtid),
+            &format!("{}.chunks.static.t{}", st.trace_prefix, ctx.gtid),
             1,
         );
     }
-    if let Some(log) = e.chunk_log() {
+    if let Some(log) = st.chunk_log() {
         if my_lb <= my_ub {
             log.record(ChunkKind::StaticInit, my_lb, my_ub);
         }
     }
-    e.mem().store(plb, 8, my_lb as u64).map_err(mem)?;
-    e.mem().store(pub_, 8, my_ub as u64).map_err(mem)?;
-    e.mem().store(pstride, 8, stride as u64).map_err(mem)?;
-    e.mem().store(plast, 4, is_last as u64).map_err(mem)?;
+    st.mem.store(plb, 8, my_lb as u64).map_err(mem_err)?;
+    st.mem.store(pub_, 8, my_ub as u64).map_err(mem_err)?;
+    st.mem.store(pstride, 8, stride as u64).map_err(mem_err)?;
+    st.mem.store(plast, 4, is_last as u64).map_err(mem_err)?;
     Ok(None)
 }
 
 /// `__kmpc_dispatch_init_8(gtid, sched, lb, ub, st, chunk)` — registers a
 /// dispatch (dynamic/guided/runtime) worksharing loop with the team. The
 /// first team member to arrive creates the shared queue; the rest join it.
-fn dispatch_init<E: Engine>(
-    e: &E,
+fn dispatch_init(
+    st: &RunState<'_>,
     args: Vec<RtVal>,
     ctx: &ThreadCtx,
 ) -> Result<Option<RtVal>, ExecError> {
-    if args.len() < 6 {
-        return Err(ExecError::Malformed(
-            "dispatch_init needs 6 arguments".to_string(),
-        ));
-    }
     let sched = args[1].as_i();
     let lb = args[2].as_i();
     let ub = args[3].as_i();
     let chunk = args[5].as_i();
 
-    let (kind, chunk) = match sched {
-        SCHED_STATIC => (DispatchKind::Static, 0),
-        SCHED_STATIC_CHUNKED => (DispatchKind::Static, chunk),
-        SCHED_DYNAMIC_CHUNKED => (DispatchKind::Dynamic, chunk),
-        SCHED_GUIDED_CHUNKED => (DispatchKind::Guided, chunk),
-        SCHED_RUNTIME => {
+    let (kind, chunk) = match SchedType::from_raw(sched) {
+        Some(SchedType::Static) => (DispatchKind::Static, 0),
+        Some(SchedType::StaticChunked) => (DispatchKind::Static, chunk),
+        Some(SchedType::DynamicChunked) => (DispatchKind::Dynamic, chunk),
+        Some(SchedType::GuidedChunked) => (DispatchKind::Guided, chunk),
+        Some(SchedType::Runtime) => {
             // The runtime never consults the process environment: in a
             // multi-tenant daemon every job would otherwise see the server's
             // env. `OMP_SCHEDULE` is resolved exactly once at CLI/client
             // entry and threaded through the config; an unset config means
             // the libomp default.
-            let rs = e
-                .cfg()
-                .runtime_schedule
-                .unwrap_or_else(RuntimeSchedule::default_static);
+            let rs = st.cfg.runtime_schedule;
+            let rs = rs.unwrap_or_else(RuntimeSchedule::default_static);
             (rs.kind, rs.chunk)
         }
-        other => {
+        None => {
             return Err(ExecError::Malformed(format!(
-                "unknown dispatch schedule type {other}"
+                "unknown dispatch schedule type {sched}"
             )))
         }
     };
@@ -799,16 +807,11 @@ fn dispatch_init<E: Engine>(
 /// `__kmpc_dispatch_next_8(gtid, plast, plb, pub, pstride)` — claims the
 /// next chunk from the shared queue. Returns 1 with `[*plb, *pub]` filled
 /// in, or 0 when the iteration space is exhausted.
-fn dispatch_next<E: Engine>(
-    e: &E,
+fn dispatch_next(
+    st: &RunState<'_>,
     args: Vec<RtVal>,
     ctx: &ThreadCtx,
 ) -> Result<Option<RtVal>, ExecError> {
-    if args.len() < 5 {
-        return Err(ExecError::Malformed(
-            "dispatch_next needs 5 arguments".to_string(),
-        ));
-    }
     let plast = args[1].as_p();
     let plb = args[2].as_p();
     let pub_ = args[3].as_p();
@@ -827,11 +830,11 @@ fn dispatch_next<E: Engine>(
                     DispatchKind::Guided => "guided",
                 };
                 omplt_trace::count(
-                    &format!("{}.chunks.{kind}.t{}", e.trace_prefix(), ctx.gtid),
+                    &format!("{}.chunks.{kind}.t{}", st.trace_prefix, ctx.gtid),
                     1,
                 );
             }
-            if let Some(log) = e.chunk_log() {
+            if let Some(log) = st.chunk_log() {
                 let kind = match dl.kind {
                     DispatchKind::Static => ChunkKind::Static,
                     DispatchKind::Dynamic => ChunkKind::Dynamic,
@@ -839,11 +842,10 @@ fn dispatch_next<E: Engine>(
                 };
                 log.record(kind, lo, hi);
             }
-            let mem = |err: crate::memory::MemError| ExecError::Mem(err.what);
-            e.mem().store(plb, 8, lo as u64).map_err(mem)?;
-            e.mem().store(pub_, 8, hi as u64).map_err(mem)?;
-            e.mem().store(pstride, 8, 1).map_err(mem)?;
-            e.mem().store(plast, 4, last as u64).map_err(mem)?;
+            st.mem.store(plb, 8, lo as u64).map_err(mem_err)?;
+            st.mem.store(pub_, 8, hi as u64).map_err(mem_err)?;
+            st.mem.store(pstride, 8, 1).map_err(mem_err)?;
+            st.mem.store(plast, 4, last as u64).map_err(mem_err)?;
             Ok(Some(RtVal::I(1)))
         }
         None => {
@@ -1007,16 +1009,16 @@ mod tests {
         let state = TeamState::new(team, false);
         for tid in 0..team {
             let ctx = ThreadCtx::team_member(tid, team, Arc::clone(&state));
-            let plast = it.mem.alloc(4);
-            let plb = it.mem.alloc(8);
-            let pub_ = it.mem.alloc(8);
-            let pstride = it.mem.alloc(8);
-            it.mem.store(plb, 8, 0).unwrap();
-            it.mem.store(pub_, 8, (trip - 1) as u64).unwrap();
-            it.mem.store(pstride, 8, 1).unwrap();
+            let plast = it.state.mem.alloc(4);
+            let plb = it.state.mem.alloc(8);
+            let pub_ = it.state.mem.alloc(8);
+            let pstride = it.state.mem.alloc(8);
+            it.state.mem.store(plb, 8, 0).unwrap();
+            it.state.mem.store(pub_, 8, (trip - 1) as u64).unwrap();
+            it.state.mem.store(pstride, 8, 1).unwrap();
             dispatch(
                 &it,
-                "__kmpc_for_static_init",
+                RtFn::ForStaticInit,
                 vec![
                     RtVal::I(tid as i64),
                     RtVal::I(sched),
@@ -1030,12 +1032,12 @@ mod tests {
                 &ctx,
             )
             .unwrap();
-            let lb = it.mem.load(plb, 8).unwrap() as i64;
-            let ub = it.mem.load(pub_, 8).unwrap() as i64;
-            let stride = it.mem.load(pstride, 8).unwrap() as i64;
+            let lb = it.state.mem.load(plb, 8).unwrap() as i64;
+            let ub = it.state.mem.load(pub_, 8).unwrap() as i64;
+            let stride = it.state.mem.load(pstride, 8).unwrap() as i64;
             // Expand this thread's iterations (respecting chunking).
             let mut iters = Vec::new();
-            if sched == SCHED_STATIC_CHUNKED {
+            if sched == SchedType::StaticChunked as i64 {
                 let mut start = lb;
                 while start < trip {
                     for i in start..=(start + chunk - 1).min(trip - 1) {
@@ -1068,7 +1070,7 @@ mod tests {
     fn static_partition_is_exhaustive_and_disjoint() {
         for trip in [0i64, 1, 7, 16, 100] {
             for team in [1u32, 2, 3, 4, 7] {
-                let parts = partition(SCHED_STATIC, trip, team, 0);
+                let parts = partition(SchedType::Static as i64, trip, team, 0);
                 assert_partition_laws(&parts, trip);
             }
         }
@@ -1079,7 +1081,7 @@ mod tests {
         for trip in [0i64, 1, 7, 16, 100] {
             for team in [1u32, 2, 3, 4] {
                 for chunk in [1i64, 2, 5] {
-                    let parts = partition(SCHED_STATIC_CHUNKED, trip, team, chunk);
+                    let parts = partition(SchedType::StaticChunked as i64, trip, team, chunk);
                     assert_partition_laws(&parts, trip);
                 }
             }
@@ -1101,16 +1103,16 @@ mod tests {
         let mut out = Vec::new();
         for tid in 0..team {
             let ctx = ThreadCtx::team_member(tid, team, Arc::clone(&state));
-            let plast = it.mem.alloc(4);
-            let plb = it.mem.alloc(8);
-            let pub_ = it.mem.alloc(8);
-            let pstride = it.mem.alloc(8);
-            it.mem.store(plb, 8, lb as u64).unwrap();
-            it.mem.store(pub_, 8, ub as u64).unwrap();
-            it.mem.store(pstride, 8, 1).unwrap();
+            let plast = it.state.mem.alloc(4);
+            let plb = it.state.mem.alloc(8);
+            let pub_ = it.state.mem.alloc(8);
+            let pstride = it.state.mem.alloc(8);
+            it.state.mem.store(plb, 8, lb as u64).unwrap();
+            it.state.mem.store(pub_, 8, ub as u64).unwrap();
+            it.state.mem.store(pstride, 8, 1).unwrap();
             dispatch(
                 &it,
-                "__kmpc_for_static_init",
+                RtFn::ForStaticInit,
                 vec![
                     RtVal::I(tid as i64),
                     RtVal::I(sched),
@@ -1125,9 +1127,9 @@ mod tests {
             )
             .unwrap();
             out.push((
-                it.mem.load(plb, 8).unwrap() as i64,
-                it.mem.load(pub_, 8).unwrap() as i64,
-                it.mem.load(pstride, 8).unwrap() as i64,
+                it.state.mem.load(plb, 8).unwrap() as i64,
+                it.state.mem.load(pub_, 8).unwrap() as i64,
+                it.state.mem.load(pstride, 8).unwrap() as i64,
             ));
         }
         out
@@ -1141,7 +1143,7 @@ mod tests {
     fn static_init_near_i64_max_does_not_wrap() {
         let ub = i64::MAX - 1;
         let lb = ub - 9; // 10 iterations, team of 4 → per = 3
-        let parts = static_init_raw(SCHED_STATIC, lb, ub, 4, 0);
+        let parts = static_init_raw(SchedType::Static as i64, lb, ub, 4, 0);
         let mut spans = Vec::new();
         for (tid, &(my_lb, my_ub, _)) in parts.iter().enumerate() {
             if my_lb <= my_ub {
@@ -1168,7 +1170,7 @@ mod tests {
     fn static_chunked_near_i64_max_clamps_upper_bound() {
         let ub = i64::MAX - 1;
         let lb = ub - 9; // 10 iterations, chunk 3, team 4
-        let parts = static_init_raw(SCHED_STATIC_CHUNKED, lb, ub, 4, 3);
+        let parts = static_init_raw(SchedType::StaticChunked as i64, lb, ub, 4, 3);
         for (tid, &(my_lb, my_ub, stride)) in parts.iter().enumerate() {
             assert!(stride > 0, "thread {tid} stride {stride}");
             if my_lb <= my_ub {
@@ -1190,7 +1192,7 @@ mod tests {
     /// (no wrap to `i64::MAX`).
     #[test]
     fn static_init_empty_trip_is_empty_for_every_thread() {
-        for sched in [SCHED_STATIC, SCHED_STATIC_CHUNKED] {
+        for sched in [SchedType::Static as i64, SchedType::StaticChunked as i64] {
             for (lb, ub) in [(5i64, 4i64), (i64::MAX, i64::MIN), (0, -1)] {
                 for &(my_lb, my_ub, _) in &static_init_raw(sched, lb, ub, 4, 2) {
                     assert!(
@@ -1205,7 +1207,7 @@ mod tests {
     #[test]
     fn chunked_round_robins() {
         // 8 iterations, 2 threads, chunk 2: t0 gets {0,1,4,5}, t1 {2,3,6,7}
-        let parts = partition(SCHED_STATIC_CHUNKED, 8, 2, 2);
+        let parts = partition(SchedType::StaticChunked as i64, 8, 2, 2);
         assert_eq!(parts[0], vec![0, 1, 4, 5]);
         assert_eq!(parts[1], vec![2, 3, 6, 7]);
     }
@@ -1216,9 +1218,9 @@ mod tests {
         let it = Interpreter::new(&m, RuntimeConfig::default());
         let ctx = ThreadCtx::initial();
         for _ in 0..5 {
-            dispatch(&it, "__omplt_task_created", vec![], &ctx).unwrap();
+            dispatch(&it, RtFn::TaskCreated, vec![], &ctx).unwrap();
         }
-        assert_eq!(it.tasks.load(Ordering::Relaxed), 5);
+        assert_eq!(it.state.tasks.load(Ordering::Relaxed), 5);
     }
 
     /// Drives `__kmpc_dispatch_init_8`/`next_8`/`fini_8` from `team` real
@@ -1242,13 +1244,13 @@ mod tests {
                     let state = Arc::clone(&state);
                     s.spawn(move || {
                         let ctx = ThreadCtx::team_member(tid, team, state);
-                        let plast = it.mem.alloc(4);
-                        let plb = it.mem.alloc(8);
-                        let pub_ = it.mem.alloc(8);
-                        let pstride = it.mem.alloc(8);
+                        let plast = it.state.mem.alloc(4);
+                        let plb = it.state.mem.alloc(8);
+                        let pub_ = it.state.mem.alloc(8);
+                        let pstride = it.state.mem.alloc(8);
                         dispatch(
                             it,
-                            "__kmpc_dispatch_init_8",
+                            RtFn::DispatchInit8,
                             vec![
                                 RtVal::I(tid as i64),
                                 RtVal::I(sched),
@@ -1264,7 +1266,7 @@ mod tests {
                         loop {
                             let got = dispatch(
                                 it,
-                                "__kmpc_dispatch_next_8",
+                                RtFn::DispatchNext8,
                                 vec![
                                     RtVal::I(tid as i64),
                                     RtVal::P(plast),
@@ -1280,18 +1282,13 @@ mod tests {
                             if got == 0 {
                                 break;
                             }
-                            let lo = it.mem.load(plb, 8).unwrap() as i64;
-                            let hi = it.mem.load(pub_, 8).unwrap() as i64;
-                            assert_eq!(it.mem.load(pstride, 8).unwrap() as i64, 1);
+                            let lo = it.state.mem.load(plb, 8).unwrap() as i64;
+                            let hi = it.state.mem.load(pub_, 8).unwrap() as i64;
+                            assert_eq!(it.state.mem.load(pstride, 8).unwrap() as i64, 1);
                             chunks.push((lo, hi));
                         }
-                        dispatch(
-                            it,
-                            "__kmpc_dispatch_fini_8",
-                            vec![RtVal::I(tid as i64)],
-                            &ctx,
-                        )
-                        .unwrap();
+                        dispatch(it, RtFn::DispatchFini8, vec![RtVal::I(tid as i64)], &ctx)
+                            .unwrap();
                         chunks
                     })
                 })
@@ -1332,7 +1329,7 @@ mod tests {
                 for team in [1u32, 2, 4, 7] {
                     let parts = dispatch_drive(
                         RuntimeConfig::default(),
-                        SCHED_DYNAMIC_CHUNKED,
+                        SchedType::DynamicChunked as i64,
                         trip,
                         team,
                         chunk,
@@ -1353,7 +1350,7 @@ mod tests {
                 for team in [1u32, 2, 3, 7] {
                     let parts = dispatch_drive(
                         RuntimeConfig::default(),
-                        SCHED_GUIDED_CHUNKED,
+                        SchedType::GuidedChunked as i64,
                         trip,
                         team,
                         chunk,
@@ -1369,7 +1366,13 @@ mod tests {
     fn guided_chunks_shrink_and_respect_floor() {
         // Single thread drains the whole queue, so the chunk sequence is
         // deterministic: ceil(remaining / (2 * team)) floored at `chunk`.
-        let parts = dispatch_drive(RuntimeConfig::default(), SCHED_GUIDED_CHUNKED, 100, 1, 2);
+        let parts = dispatch_drive(
+            RuntimeConfig::default(),
+            SchedType::GuidedChunked as i64,
+            100,
+            1,
+            2,
+        );
         let sizes: Vec<i64> = parts[0].iter().map(|&(lo, hi)| hi - lo + 1).collect();
         assert_eq!(sizes[0], 50, "first guided chunk is ceil(100/2)");
         for w in sizes.windows(2) {
@@ -1390,7 +1393,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let parts = dispatch_drive(cfg, SCHED_RUNTIME, 10, 2, 0);
+        let parts = dispatch_drive(cfg, SchedType::Runtime as i64, 10, 2, 0);
         // The chunk argument (0) is ignored; the resolved schedule wins.
         assert_dispatch_laws(&parts, 10, Some(3));
         let all: Vec<i64> = parts
@@ -1411,7 +1414,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let parts = dispatch_drive(cfg, SCHED_RUNTIME, 16, 4, 0);
+        let parts = dispatch_drive(cfg, SchedType::Runtime as i64, 16, 4, 0);
         assert_dispatch_laws(&parts, 16, Some(4));
         let total_chunks: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(
@@ -1519,18 +1522,18 @@ mod tests {
         let state = TeamState::new(1, false);
         let ctx = ThreadCtx::team_member(0, 1, Arc::clone(&state));
         let bufs = [
-            it.mem.alloc(4),
-            it.mem.alloc(8),
-            it.mem.alloc(8),
-            it.mem.alloc(8),
+            it.state.mem.alloc(4),
+            it.state.mem.alloc(8),
+            it.state.mem.alloc(8),
+            it.state.mem.alloc(8),
         ];
         for round in 0..2 {
             dispatch(
                 &it,
-                "__kmpc_dispatch_init_8",
+                RtFn::DispatchInit8,
                 vec![
                     RtVal::I(0),
-                    RtVal::I(SCHED_DYNAMIC_CHUNKED),
+                    RtVal::I(SchedType::DynamicChunked as i64),
                     RtVal::I(0),
                     RtVal::I(3),
                     RtVal::I(1),
@@ -1543,7 +1546,7 @@ mod tests {
             loop {
                 let got = dispatch(
                     &it,
-                    "__kmpc_dispatch_next_8",
+                    RtFn::DispatchNext8,
                     vec![
                         RtVal::I(0),
                         RtVal::P(bufs[0]),
@@ -1559,11 +1562,11 @@ mod tests {
                 if got == 0 {
                     break;
                 }
-                served += it.mem.load(bufs[2], 8).unwrap() as i64
-                    - it.mem.load(bufs[1], 8).unwrap() as i64
+                served += it.state.mem.load(bufs[2], 8).unwrap() as i64
+                    - it.state.mem.load(bufs[1], 8).unwrap() as i64
                     + 1;
             }
-            dispatch(&it, "__kmpc_dispatch_fini_8", vec![RtVal::I(0)], &ctx).unwrap();
+            dispatch(&it, RtFn::DispatchFini8, vec![RtVal::I(0)], &ctx).unwrap();
             assert_eq!(served, 4, "round {round} served the full span");
             assert!(
                 state.queues.lock().unwrap().is_empty(),
@@ -1580,7 +1583,7 @@ mod tests {
         let team = 8u32;
         let m = Module::new();
         let it = Interpreter::new(&m, RuntimeConfig::default());
-        let flags = it.mem.alloc(8 * team as u64);
+        let flags = it.state.mem.alloc(8 * team as u64);
         let state = TeamState::new(team, true);
         std::thread::scope(|s| {
             for tid in 0..team {
@@ -1588,12 +1591,13 @@ mod tests {
                 let state = Arc::clone(&state);
                 s.spawn(move || {
                     let ctx = ThreadCtx::team_member(tid, team, state);
-                    it.mem
+                    it.state
+                        .mem
                         .store(flags + 8 * tid as u64, 8, (tid + 1) as u64)
                         .unwrap();
-                    dispatch(it, "__kmpc_barrier", vec![RtVal::I(tid as i64)], &ctx).unwrap();
+                    dispatch(it, RtFn::Barrier, vec![RtVal::I(tid as i64)], &ctx).unwrap();
                     for other in 0..team {
-                        let v = it.mem.load(flags + 8 * other as u64, 8).unwrap();
+                        let v = it.state.mem.load(flags + 8 * other as u64, 8).unwrap();
                         assert_eq!(
                             v,
                             (other + 1) as u64,
@@ -1611,13 +1615,13 @@ mod tests {
         let it = Interpreter::new(&m, RuntimeConfig::default());
         // Solo team (initial context): must not block.
         let ctx = ThreadCtx::initial();
-        dispatch(&it, "__kmpc_barrier", vec![RtVal::I(0)], &ctx).unwrap();
+        dispatch(&it, RtFn::Barrier, vec![RtVal::I(0)], &ctx).unwrap();
         // Serial team of 4: each member runs to completion alone, so the
         // barrier must not wait for peers that haven't started yet.
         let state = TeamState::new(4, false);
         for tid in 0..4 {
             let ctx = ThreadCtx::team_member(tid, 4, Arc::clone(&state));
-            dispatch(&it, "__kmpc_barrier", vec![RtVal::I(tid as i64)], &ctx).unwrap();
+            dispatch(&it, RtFn::Barrier, vec![RtVal::I(tid as i64)], &ctx).unwrap();
         }
     }
 }

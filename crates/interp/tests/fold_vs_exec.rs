@@ -6,7 +6,7 @@
 //! Formerly written with `proptest`; rewritten as deterministic fixed-seed
 //! sweeps so the workspace builds without registry access.
 
-use omplt_interp::{Interpreter, RtVal, RuntimeConfig, ThreadCtx};
+use omplt_interp::{Engine, Interpreter, RtVal, RuntimeConfig, ThreadCtx};
 use omplt_ir::{BinOpKind, CmpPred, Function, Inst, IrBuilder, IrType, Module, Value};
 
 /// Minimal deterministic PRNG (xorshift64*).

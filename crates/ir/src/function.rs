@@ -175,6 +175,24 @@ impl Function {
         post
     }
 
+    /// The blocks reachable from `from` without passing through `stop`
+    /// (which is excluded), in DFS discovery order — with a canonical loop's
+    /// `body` and `latch`, its body region.
+    pub fn region_until(&self, from: BlockId, stop: BlockId) -> Vec<BlockId> {
+        let mut seen = vec![false; self.blocks.len()];
+        let mut out = Vec::new();
+        let mut stack = vec![from];
+        while let Some(bb) = stack.pop() {
+            if seen[bb.0 as usize] || bb == stop {
+                continue;
+            }
+            seen[bb.0 as usize] = true;
+            out.push(bb);
+            stack.extend(self.successors(bb));
+        }
+        out
+    }
+
     /// Number of instructions reachable in any block (simple size metric for
     /// heuristics).
     pub fn num_insts(&self) -> usize {

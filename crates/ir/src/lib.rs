@@ -18,6 +18,7 @@ pub mod inst;
 pub mod metadata;
 pub mod module;
 pub mod printer;
+pub mod runtime_abi;
 pub mod types;
 pub mod value;
 pub mod verifier;
@@ -28,6 +29,7 @@ pub use inst::{BinOpKind, Callee, CastOp, CmpPred, Inst, Terminator};
 pub use metadata::{LoopMetadata, UnrollHint};
 pub use module::{ExternFn, GlobalVar, Module};
 pub use printer::{print_function, print_module};
+pub use runtime_abi::{RtFn, RtRow, SchedType};
 pub use types::IrType;
 pub use value::{SymbolId, Value};
 pub use verifier::{assert_verified, verify_function, verify_module, VerifyError};

@@ -64,6 +64,11 @@ impl Module {
         &self.symbols[id.0 as usize]
     }
 
+    /// Every interned name; `symbols()[id.0 as usize]` is `symbol_name(id)`.
+    pub fn symbols(&self) -> &[String] {
+        &self.symbols
+    }
+
     /// Looks up an interned symbol without creating it.
     pub fn lookup_symbol(&self, name: &str) -> Option<SymbolId> {
         self.symbol_index.get(name).copied()
@@ -143,9 +148,14 @@ mod tests {
     #[test]
     fn extern_declaration_is_idempotent() {
         let mut m = Module::new();
-        m.declare_extern("__kmpc_fork_call", vec![IrType::Ptr], IrType::Void);
-        m.declare_extern("__kmpc_fork_call", vec![IrType::Ptr], IrType::Void);
+        m.declare_extern("sink", vec![IrType::Ptr], IrType::Void);
+        m.declare_extern("sink", vec![], IrType::I32);
         assert_eq!(m.externs.len(), 1);
+        assert_eq!(
+            m.externs[0].params,
+            [IrType::Ptr],
+            "the first declaration wins"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod verify;
 
 pub use constfold::constant_fold;
 pub use domtree::DomTree;
-pub use loop_info::{match_skeleton, skeleton_body_region, LoopInfo, NaturalLoop, SkeletonLoop};
+pub use loop_info::{match_skeleton, LoopInfo, NaturalLoop, SkeletonLoop};
 pub use loop_unroll::{loop_unroll, UnrollStats};
 pub use pass_manager::{run_default_pipeline, run_default_pipeline_verified, Pass, PassManager};
 pub use simplify_cfg::simplify_cfg;

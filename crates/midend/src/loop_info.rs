@@ -156,81 +156,18 @@ pub fn match_skeleton(f: &Function, loop_: &NaturalLoop) -> Option<SkeletonLoop>
     })
 }
 
-/// The body region of a recognized skeleton: blocks reachable from `body`
-/// without passing through `latch`.
-pub fn skeleton_body_region(f: &Function, sk: &SkeletonLoop) -> Vec<BlockId> {
-    let mut seen = vec![false; f.blocks.len()];
-    let mut out = Vec::new();
-    let mut stack = vec![sk.body];
-    while let Some(bb) = stack.pop() {
-        if seen[bb.0 as usize] || bb == sk.latch {
-            continue;
-        }
-        seen[bb.0 as usize] = true;
-        out.push(bb);
-        for s in f.successors(bb) {
-            stack.push(s);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use omplt_ir::{IrBuilder, IrType};
 
-    fn canonical(f: &mut Function) -> omplt_ompirb_shim::Cli {
-        omplt_ompirb_shim::build(f)
-    }
-
-    /// Minimal local re-implementation of the canonical skeleton so the
-    /// midend crate does not depend on `omplt-ompirb` (which would be a
-    /// layering inversion); the structure matches `create_canonical_loop`.
-    mod omplt_ompirb_shim {
-        use super::*;
-
-        pub struct Cli {
-            pub header: BlockId,
-            pub latch: BlockId,
-            pub iv: InstId,
-        }
-
-        pub fn build(f: &mut Function) -> Cli {
-            let mut b = IrBuilder::new(f);
-            let preheader = b.create_block("preheader");
-            let header = b.create_block("header");
-            let cond = b.create_block("cond");
-            let body = b.create_block("body");
-            let latch = b.create_block("latch");
-            let exit = b.create_block("exit");
-            let after = b.create_block("after");
-            b.br(preheader);
-            b.set_insert_point(preheader);
-            b.br(header);
-            b.set_insert_point(header);
-            let (iv, phi) = b.phi(IrType::I64);
-            b.add_phi_incoming(phi, preheader, Value::i64(0));
-            b.br(cond);
-            b.set_insert_point(cond);
-            let c = b.cmp(CmpPred::Ult, iv, Value::Arg(0));
-            b.cond_br(c, body, exit);
-            b.set_insert_point(body);
-            b.br(latch);
-            b.set_insert_point(latch);
-            let next = b.add(iv, Value::i64(1));
-            b.add_phi_incoming(phi, latch, next);
-            b.br(header);
-            b.set_insert_point(exit);
-            b.br(after);
-            b.set_insert_point(after);
-            b.ret(None);
-            Cli {
-                header,
-                latch,
-                iv: phi,
-            }
-        }
+    /// `for (i = 0; i < arg0; ++i) {}` followed by `ret`, as the builder
+    /// every lowering uses emits it.
+    fn canonical(f: &mut Function) -> omplt_ompirb::CanonicalLoopInfo {
+        let mut b = IrBuilder::new(f);
+        let cli = omplt_ompirb::create_canonical_loop(&mut b, Value::Arg(0), "i", |_, _| {});
+        b.ret(None);
+        cli
     }
 
     #[test]
@@ -257,10 +194,9 @@ mod tests {
         let dt = DomTree::compute(&f);
         let li = LoopInfo::compute(&f, &dt);
         let sk = match_skeleton(&f, &li.loops[0]).expect("canonical loop must be recognized");
-        assert_eq!(sk.iv_phi, cli.iv);
+        assert_eq!(sk.iv_phi, cli.iv_phi);
         assert_eq!(sk.trip_count, Value::Arg(0));
-        let region = skeleton_body_region(&f, &sk);
-        assert_eq!(region.len(), 1);
+        assert_eq!(f.region_until(sk.body, sk.latch), [cli.body]);
     }
 
     #[test]
@@ -291,15 +227,20 @@ mod tests {
     #[test]
     fn nested_loops_found_separately() {
         let mut f = Function::new("k", vec![IrType::I64], IrType::Void);
-        // outer canonical loop whose body contains another canonical loop —
-        // easier built with the ompirb crate in integration tests; here we
-        // check two sequential loops instead.
-        let _a = canonical(&mut f);
-        // second loop appended after: reuse the shim on a fresh function is
-        // messy, so just assert single-loop behavior here; nesting is
-        // covered by integration tests.
+        let mut b = IrBuilder::new(&mut f);
+        let mut inner = None;
+        let outer = omplt_ompirb::create_canonical_loop(&mut b, Value::Arg(0), "i", |b, _| {
+            let nested = omplt_ompirb::create_canonical_loop(b, Value::Arg(0), "j", |_, _| {});
+            inner = Some(nested);
+        });
+        b.ret(None);
         let dt = DomTree::compute(&f);
         let li = LoopInfo::compute(&f, &dt);
-        assert_eq!(li.loops.len(), 1);
+        let mut headers: Vec<BlockId> = li.loops.iter().map(|l| l.header).collect();
+        headers.sort_by_key(|h| h.0);
+        assert_eq!(headers, [outer.header, inner.unwrap().header]);
+        let of = |h| li.loops.iter().find(|l| l.header == h).unwrap();
+        assert!(of(outer.header).blocks.contains(&inner.unwrap().latch));
+        assert!(!of(inner.unwrap().header).blocks.contains(&outer.latch));
     }
 }

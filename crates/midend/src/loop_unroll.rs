@@ -19,7 +19,7 @@
 //! and a statistic records the skip.
 
 use crate::domtree::DomTree;
-use crate::loop_info::{match_skeleton, skeleton_body_region, LoopInfo, SkeletonLoop};
+use crate::loop_info::{match_skeleton, LoopInfo, SkeletonLoop};
 use omplt_ir::{
     BlockId, CmpPred, Function, Inst, InstId, IrBuilder, LoopMetadata, Terminator, UnrollHint,
     Value,
@@ -72,7 +72,7 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
             stats.skipped += 1;
             continue;
         };
-        let region = skeleton_body_region(f, &sk);
+        let region = f.region_until(sk.body, sk.latch);
         if region_has_phis(f, &region) {
             disable(f, l.latch);
             stats.skipped += 1;
@@ -365,61 +365,29 @@ mod tests {
     use super::*;
     use omplt_ir::{assert_verified, IrType, Module};
 
-    /// Builds `for (iv in 0..tc) sink(iv)` with the given metadata; returns
-    /// the module. The loop is built in the canonical skeleton shape.
+    /// Adds `name(params) { for (iv in 0..tc) print_i64(iv) }` to `m`, the
+    /// loop built by the builder every lowering uses and carrying `hint`.
+    fn add_loop_fn(m: &mut Module, name: &str, params: Vec<IrType>, tc: Value, hint: UnrollHint) {
+        let sink = m.intern("print_i64");
+        let mut f = Function::new(name, params, IrType::I32);
+        let mut b = IrBuilder::new(&mut f);
+        let cli = omplt_ompirb::create_canonical_loop(&mut b, tc, "i", |b, iv| {
+            b.call(sink, vec![iv], IrType::Void);
+        });
+        b.ret(Some(Value::i32(0)));
+        cli.set_metadata(&mut f, LoopMetadata::unroll(hint));
+        m.add_function(f);
+    }
+
     fn loop_module(tc: Value, hint: UnrollHint) -> Module {
         let mut m = Module::new();
-        let sink = m.intern("print_i64");
-        let mut f = Function::new("main", vec![], IrType::I32);
-        {
-            let mut b = IrBuilder::new(&mut f);
-            let preheader = b.create_block("preheader");
-            let header = b.create_block("header");
-            let cond = b.create_block("cond");
-            let body = b.create_block("body");
-            let latch = b.create_block("latch");
-            let exit = b.create_block("exit");
-            let after = b.create_block("after");
-            b.br(preheader);
-            b.set_insert_point(preheader);
-            b.br(header);
-            b.set_insert_point(header);
-            let (iv, phi) = b.phi(IrType::I64);
-            b.add_phi_incoming(phi, preheader, Value::i64(0));
-            b.br(cond);
-            b.set_insert_point(cond);
-            let c = b.cmp(CmpPred::Ult, iv, tc);
-            b.cond_br(c, body, exit);
-            b.set_insert_point(body);
-            b.call(sink, vec![iv], IrType::Void);
-            b.br(latch);
-            b.set_insert_point(latch);
-            let next = b.add(iv, Value::i64(1));
-            b.add_phi_incoming(phi, latch, next);
-            b.br_with_md(header, LoopMetadata::unroll(hint));
-            b.set_insert_point(exit);
-            b.br(after);
-            b.set_insert_point(after);
-            b.ret(Some(Value::i32(0)));
-        }
-        m.add_function(f);
+        add_loop_fn(&mut m, "main", vec![], tc, hint);
         m
     }
 
     fn run_collect(m: &Module) -> String {
-        use omplt_interp_for_tests::*;
-        interp_run(m)
-    }
-
-    /// Thin indirection so the midend unit tests can execute IR without a
-    /// hard dependency in the library (dev-dependency only).
-    mod omplt_interp_for_tests {
-        use omplt_ir::Module;
-
-        pub fn interp_run(m: &Module) -> String {
-            let it = omplt_interp::Interpreter::new(m, omplt_interp::RuntimeConfig::default());
-            it.run_main().expect("execution failed").stdout
-        }
+        let it = omplt_interp::Interpreter::new(m, omplt_interp::RuntimeConfig::default());
+        it.run_main().expect("execution failed").stdout
     }
 
     fn expected(tc: u64) -> String {
@@ -477,47 +445,15 @@ mod tests {
     fn runtime_trip_count_partial_unroll() {
         // trip count is a function argument: still unrollable partially.
         let mut m = Module::new();
-        let sink = m.intern("print_i64");
-        let mut f = Function::new("kernel", vec![IrType::I64], IrType::Void);
-        {
-            let mut b = IrBuilder::new(&mut f);
-            let preheader = b.create_block("preheader");
-            let header = b.create_block("header");
-            let cond = b.create_block("cond");
-            let body = b.create_block("body");
-            let latch = b.create_block("latch");
-            let exit = b.create_block("exit");
-            b.br(preheader);
-            b.set_insert_point(preheader);
-            b.br(header);
-            b.set_insert_point(header);
-            let (iv, phi) = b.phi(IrType::I64);
-            b.add_phi_incoming(phi, preheader, Value::i64(0));
-            b.br(cond);
-            b.set_insert_point(cond);
-            let c = b.cmp(CmpPred::Ult, iv, Value::Arg(0));
-            b.cond_br(c, body, exit);
-            b.set_insert_point(body);
-            b.call(sink, vec![iv], IrType::Void);
-            b.br(latch);
-            b.set_insert_point(latch);
-            let next = b.add(iv, Value::i64(1));
-            b.add_phi_incoming(phi, latch, next);
-            b.br_with_md(header, LoopMetadata::unroll(UnrollHint::Count(3)));
-            b.set_insert_point(exit);
-            b.ret(None);
-        }
-        m.add_function(f);
+        let (params, tc) = (vec![IrType::I64], Value::Arg(0));
+        add_loop_fn(&mut m, "kernel", params, tc, UnrollHint::Count(3));
         let stats = loop_unroll(m.function_mut("kernel").unwrap());
         assert_eq!(stats.partial, 1);
         assert_verified(m.function("kernel").unwrap());
         for n in [0i64, 1, 3, 7, 11] {
             let it = omplt_interp::Interpreter::new(&m, omplt_interp::RuntimeConfig::default());
-            let ctx = omplt_interp::ThreadCtx::initial();
-            it.call_by_name("kernel", vec![omplt_interp::RtVal::I(n)], &ctx)
-                .unwrap();
-            let out = std::mem::take(&mut *it.out.lock().unwrap());
-            assert_eq!(out, expected(n as u64), "n={n}");
+            let run = it.run_function("kernel", vec![omplt_interp::RtVal::I(n)]);
+            assert_eq!(run.unwrap().stdout, expected(n as u64), "n={n}");
         }
     }
 

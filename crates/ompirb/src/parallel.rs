@@ -4,7 +4,7 @@
 //! function (via the `CapturedStmt` machinery) and the directive's code
 //! generation reduces to a `__kmpc_fork_call`.
 
-use omplt_ir::{IrBuilder, IrType, Module, SymbolId, Value};
+use omplt_ir::{IrBuilder, IrType, Module, RtFn, SymbolId, Value};
 
 /// Handle to an outlined parallel-region function.
 ///
@@ -35,15 +35,11 @@ pub fn create_parallel(
         "capture count must match the outlined function's signature"
     );
     if let Some(nt) = num_threads {
-        let push = m.declare_extern("__kmpc_push_num_threads", vec![IrType::I32], IrType::I32);
+        let push = m.declare_rt(RtFn::PushNumThreads);
         let nt32 = b.int_resize(nt, IrType::I32, true);
         b.call(push, vec![nt32], IrType::Void);
     }
-    let fork = m.declare_extern(
-        "__kmpc_fork_call",
-        vec![IrType::Ptr, IrType::I32],
-        IrType::Void,
-    );
+    let fork = m.declare_rt(RtFn::ForkCall);
     let mut args = vec![
         Value::FuncRef(outlined.sym),
         Value::i32(capture_ptrs.len() as i32),
@@ -78,7 +74,7 @@ mod tests {
             b.ret(Some(Value::i32(0)));
         }
         assert_verified(&f);
-        let fork = m.lookup_symbol("__kmpc_fork_call").unwrap();
+        let fork = m.lookup_symbol(RtFn::ForkCall.row().name).unwrap();
         let has_fork = f.insts.iter().any(|i| {
             matches!(i, Inst::Call { callee, args, .. }
                 if callee.0 == fork
@@ -107,8 +103,8 @@ mod tests {
             );
             b.ret(None);
         }
-        let push = m.lookup_symbol("__kmpc_push_num_threads").unwrap();
-        let fork = m.lookup_symbol("__kmpc_fork_call").unwrap();
+        let push = m.lookup_symbol(RtFn::PushNumThreads.row().name).unwrap();
+        let fork = m.lookup_symbol(RtFn::ForkCall.row().name).unwrap();
         let order: Vec<_> = f
             .insts
             .iter()

@@ -10,9 +10,15 @@
 //! (__kmpc_dispatch_next_8(…))` head that re-bounds the canonical loop to
 //! each claimed chunk, and `__kmpc_dispatch_fini_8` on exhaustion. Both
 //! compose after tile/unroll because they only consume the skeleton handle.
+//! Every entry point is declared from its row of the runtime-function table
+//! ([`omplt_ir::RtFn`]) and every schedule number is an
+//! [`omplt_ir::SchedType`], as in the classic lowering — the two paths
+//! cannot disagree about a signature.
 
 use crate::canonical_loop::{create_canonical_loop_skeleton, CanonicalLoopInfo};
-use omplt_ir::{BlockId, CmpPred, Function, Inst, IrBuilder, IrType, Module, Terminator, Value};
+use omplt_ir::{
+    BlockId, CmpPred, Function, Inst, IrBuilder, IrType, Module, RtFn, SchedType, Terminator, Value,
+};
 
 /// Which worksharing scheme to apply.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,13 +35,6 @@ pub enum WorksharingScheme {
     Runtime,
 }
 
-/// kmp schedule-type constants (subset).
-const SCHED_STATIC: i64 = 34;
-const SCHED_STATIC_CHUNKED: i64 = 33;
-const SCHED_DYNAMIC_CHUNKED: i64 = 35;
-const SCHED_GUIDED_CHUNKED: i64 = 36;
-const SCHED_RUNTIME: i64 = 37;
-
 /// Applies static worksharing to `cli`.
 ///
 /// Must be called directly after the loop was created, while `cli.after` is
@@ -49,22 +48,9 @@ pub fn create_static_workshare_loop(
     scheme: WorksharingScheme,
 ) -> BlockId {
     omplt_trace::count("ompirb.workshare.static", 1);
-    let gtid_fn = m.declare_extern("__kmpc_global_thread_num", vec![], IrType::I32);
-    let init_fn = m.declare_extern(
-        "__kmpc_for_static_init",
-        vec![
-            IrType::I32, // gtid
-            IrType::I32, // schedule type
-            IrType::Ptr, // plastiter
-            IrType::Ptr, // plower
-            IrType::Ptr, // pupper
-            IrType::Ptr, // pstride
-            IrType::I64, // incr
-            IrType::I64, // chunk
-        ],
-        IrType::Void,
-    );
-    let fini_fn = m.declare_extern("__kmpc_for_static_fini", vec![IrType::I32], IrType::Void);
+    let gtid_fn = m.declare_rt(RtFn::GlobalThreadNum);
+    let init_fn = m.declare_rt(RtFn::ForStaticInit);
+    let fini_fn = m.declare_rt(RtFn::ForStaticFini);
 
     match scheme {
         WorksharingScheme::StaticUnchunked => apply_unchunked(b, cli, gtid_fn, init_fn, fini_fn),
@@ -84,7 +70,7 @@ pub fn create_static_workshare_loop(
 fn emit_static_init(
     b: &mut IrBuilder<'_>,
     cli: &CanonicalLoopInfo,
-    sched: i64,
+    sched: SchedType,
     chunk: Value,
     gtid_fn: omplt_ir::SymbolId,
     init_fn: omplt_ir::SymbolId,
@@ -105,7 +91,7 @@ fn emit_static_init(
         init_fn,
         vec![
             gtid,
-            Value::i32(sched as i32),
+            sched.value(),
             plast,
             plb,
             pub_,
@@ -165,7 +151,7 @@ fn apply_unchunked(
 
     b.set_insert_point(cli.preheader);
     let (gtid, lb, ub, _stride) =
-        emit_static_init(b, cli, SCHED_STATIC, Value::i64(0), gtid_fn, init_fn);
+        emit_static_init(b, cli, SchedType::Static, Value::i64(0), gtid_fn, init_fn);
     // span = ub + 1 - lb  (0 when the thread got an empty range: ub = lb - 1)
     let ubp1 = b.add(ub, Value::i64(1));
     let span = b.sub(ubp1, lb);
@@ -206,7 +192,7 @@ fn apply_chunked(
 
     b.set_insert_point(setup);
     let (gtid, lb0, _ub0, stride) =
-        emit_static_init(b, cli, SCHED_STATIC_CHUNKED, chunk, gtid_fn, init_fn);
+        emit_static_init(b, cli, SchedType::StaticChunked, chunk, gtid_fn, init_fn);
     let tc64 = b.int_resize(cli.trip_count, IrType::I64, false);
     let chunk64 = b.int_resize(chunk, IrType::I64, false);
     // Number of chunks this thread executes:
@@ -384,39 +370,18 @@ pub fn create_dynamic_workshare_loop(
 ) -> DispatchLoopInfo {
     omplt_trace::count("ompirb.workshare.dynamic", 1);
     let (sched, chunk) = match scheme {
-        WorksharingScheme::DynamicChunked(c) => (SCHED_DYNAMIC_CHUNKED, c),
-        WorksharingScheme::GuidedChunked(c) => (SCHED_GUIDED_CHUNKED, c),
+        WorksharingScheme::DynamicChunked(c) => (SchedType::DynamicChunked, c),
+        WorksharingScheme::GuidedChunked(c) => (SchedType::GuidedChunked, c),
         // The runtime reads OMP_SCHEDULE; the chunk argument is ignored.
-        WorksharingScheme::Runtime => (SCHED_RUNTIME, Value::i64(0)),
+        WorksharingScheme::Runtime => (SchedType::Runtime, Value::i64(0)),
         WorksharingScheme::StaticUnchunked | WorksharingScheme::StaticChunked(_) => {
             panic!("static schedules go through create_static_workshare_loop")
         }
     };
-    let gtid_fn = m.declare_extern("__kmpc_global_thread_num", vec![], IrType::I32);
-    let init_fn = m.declare_extern(
-        "__kmpc_dispatch_init_8",
-        vec![
-            IrType::I32, // gtid
-            IrType::I32, // schedule type
-            IrType::I64, // lower bound
-            IrType::I64, // upper bound (inclusive)
-            IrType::I64, // stride
-            IrType::I64, // chunk
-        ],
-        IrType::Void,
-    );
-    let next_fn = m.declare_extern(
-        "__kmpc_dispatch_next_8",
-        vec![
-            IrType::I32,
-            IrType::Ptr,
-            IrType::Ptr,
-            IrType::Ptr,
-            IrType::Ptr,
-        ],
-        IrType::I32,
-    );
-    let fini_fn = m.declare_extern("__kmpc_dispatch_fini_8", vec![IrType::I32], IrType::Void);
+    let gtid_fn = m.declare_rt(RtFn::GlobalThreadNum);
+    let init_fn = m.declare_rt(RtFn::DispatchInit8);
+    let next_fn = m.declare_rt(RtFn::DispatchNext8);
+    let fini_fn = m.declare_rt(RtFn::DispatchFini8);
 
     // The setup block takes over every edge into the loop's preheader.
     let setup = b.create_block("omp_ws.dispatch.setup");
@@ -449,7 +414,7 @@ pub fn create_dynamic_workshare_loop(
         init_fn,
         vec![
             gtid,
-            Value::i32(sched as i32),
+            sched.value(),
             Value::i64(0),
             last,
             Value::i64(1),
@@ -536,8 +501,8 @@ mod tests {
         assert_eq!(cont, cli.after);
         cli.assert_ok(&f);
         assert_verified(&f);
-        let init = m.lookup_symbol("__kmpc_for_static_init").unwrap();
-        let fini = m.lookup_symbol("__kmpc_for_static_fini").unwrap();
+        let init = m.lookup_symbol(RtFn::ForStaticInit.row().name).unwrap();
+        let fini = m.lookup_symbol(RtFn::ForStaticFini.row().name).unwrap();
         let calls = |bb: BlockId, sym| {
             f.block(bb)
                 .insts

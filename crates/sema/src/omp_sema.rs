@@ -16,7 +16,7 @@ use crate::transform::{
 use omplt_ast::{
     loop_level, ArgShape, BadPermutation, BinOp, ClauseModifier, Expr, LoopAssociation,
     LoopDirectiveHelpers, NestRefusal, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind,
-    PerLoopHelpers, ScheduleKind, Stmt, StmtKind, VarDecl, P,
+    PerLoopHelpers, ReductionOp, ScheduleKind, Stmt, StmtKind, VarDecl, P,
 };
 use omplt_source::SourceLocation;
 
@@ -101,6 +101,31 @@ impl Sema<'_> {
             if c.kind.must_be_positive() {
                 for e in &c.args {
                     self.check_positive_const(e, name);
+                }
+            }
+            if let ClauseModifier::Reduction(op) = c.modifier {
+                // The runtime combines `+` and `*` into 4- and 8-byte
+                // variables; anything else is refused here, not ignored or
+                // miscompiled further down.
+                if !matches!(op, ReductionOp::Add | ReductionOp::Mul) {
+                    self.diags.error(
+                        c.loc,
+                        format!("reduction operator '{}' is not supported", op.name()),
+                    );
+                }
+                for e in &c.args {
+                    let Some(var) = e.as_decl_ref() else { continue };
+                    if !(var.ty.is_arithmetic() && matches!(var.ty.size_of(), 4 | 8)) {
+                        self.diags.error(
+                            e.loc,
+                            format!(
+                                "reduction variable '{}' has type '{}'; only int, long, float \
+                                 and double variables can be reduced",
+                                var.name,
+                                var.ty.spelling()
+                            ),
+                        );
+                    }
                 }
             }
             if let ClauseModifier::Schedule(sk) = c.modifier {

@@ -16,130 +16,78 @@
 //!   dynamic/guided/runtime schedules, barriers, `nowait`) is the generic
 //!   `omplt_interp::runtime::dispatch`, reached through the [`Engine`]
 //!   trait. Team threads run their own VM frames over the same shared
-//!   engine state.
+//!   [`RunState`].
 
 use crate::ops::{CallTarget, Op, PoolConst, VecVal, VmModule};
-use omplt_interp::engine::{self, ChunkLog, Engine};
+use omplt_interp::engine::{Callee, Engine, RunState};
 use omplt_interp::exec::{decode_scalar, encode_scalar, exec_bin, exec_cast, exec_cmp};
 use omplt_interp::runtime::{self, RuntimeConfig, ThreadCtx};
 use omplt_interp::{ExecError, Memory, RtVal, RunResult};
-use omplt_ir::{IrType, Module};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use omplt_ir::{IrType, Module, RtFn};
+use std::sync::atomic::Ordering;
 
 /// Shared VM state for one run (`Sync`; shared across team threads).
 pub struct VmEngine<'m> {
-    /// The IR module (symbol names, globals — the runtime needs both).
-    module: &'m Module,
+    /// The run state the runtime shares with the interpreter (memory, the
+    /// IR module's symbol names and globals, budgets).
+    state: RunState<'m>,
     /// The compiled bytecode.
     code: &'m VmModule,
-    /// Guest memory (same implementation the interpreter uses).
-    mem: Arc<Memory>,
-    /// Collected stdout.
-    out: Mutex<String>,
-    /// Task counter.
-    tasks: AtomicU64,
-    /// Remaining instruction budget, shared across all threads.
-    fuel: AtomicU64,
-    /// Total ops retired so far, across all threads (see
-    /// [`RunResult::ops_retired`]).
-    ops: AtomicU64,
-    /// Runtime configuration.
-    cfg: RuntimeConfig,
-    /// Guest addresses of module globals, by symbol index.
-    global_addrs: Vec<(u32, u64)>,
-    /// Served schedule chunks (recorded when `cfg.log_chunks` is set).
-    chunk_log: ChunkLog,
     /// Per-function constant pools with globals/function pointers resolved
     /// to concrete guest addresses (done once here, not per `Const` op).
     resolved: Vec<Vec<RtVal>>,
+    /// Per function, its `call_targets` resolved against the module once
+    /// here (a frame index, a runtime entry, or an unknown function), so no
+    /// call looks a name up.
+    callees: Vec<Vec<Callee<u32>>>,
 }
 
 impl<'m> VmEngine<'m> {
     /// Creates an engine: materializes module globals (identical layout to
-    /// the interpreter) and resolves every constant pool against them.
+    /// the interpreter) and resolves every constant pool and runtime call
+    /// target against the module.
     pub fn new(
         module: &'m Module,
         code: &'m VmModule,
         cfg: RuntimeConfig,
     ) -> Result<VmEngine<'m>, ExecError> {
-        let mem = Arc::new(Memory::new());
-        let global_addrs = engine::materialize_globals(module, &mem);
+        let state = RunState::new(module, cfg, "vm");
         let mut resolved = Vec::with_capacity(code.funcs.len());
+        let mut callees = Vec::with_capacity(code.funcs.len());
         for f in &code.funcs {
             let mut pool = Vec::with_capacity(f.consts.len());
             for &c in &f.consts {
                 pool.push(match c {
                     PoolConst::Val(v) => v,
-                    PoolConst::Global(s) => RtVal::P(
-                        global_addrs
-                            .iter()
-                            .find(|(sym, _)| *sym == s.0)
-                            .map(|(_, a)| *a)
-                            .ok_or_else(|| {
-                                ExecError::Malformed(format!("unknown global {}", s.0))
-                            })?,
-                    ),
+                    PoolConst::Global(s) => RtVal::P(state.global_addr(s)?),
                     PoolConst::FnPtr(s) => RtVal::P(Memory::encode_fn_ptr(s.0)),
                 });
             }
             resolved.push(pool);
+            let resolve = |t: &CallTarget| match *t {
+                CallTarget::Bytecode(i) => Callee::Defined(i),
+                CallTarget::Runtime(sym) => state.resolve(sym, None),
+            };
+            callees.push(f.call_targets.iter().map(resolve).collect());
         }
         Ok(VmEngine {
-            module,
+            state,
             code,
-            mem,
-            out: Mutex::new(String::new()),
-            tasks: AtomicU64::new(0),
-            fuel: AtomicU64::new(cfg.max_steps),
-            ops: AtomicU64::new(0),
-            cfg,
-            global_addrs,
-            chunk_log: ChunkLog::new(),
             resolved,
+            callees,
         })
-    }
-
-    fn finish(&self, ret: Option<RtVal>) -> RunResult {
-        RunResult {
-            stdout: std::mem::take(&mut *self.out.lock().expect("out lock")),
-            exit_code: ret.map_or(0, |v| v.as_i()),
-            tasks_created: self.tasks.load(Ordering::Relaxed),
-            chunk_log: self.chunk_log.take_sorted(),
-            final_globals: engine::snapshot_globals(self.module, &self.mem, &self.global_addrs),
-            ops_retired: self.ops.load(Ordering::Relaxed),
-        }
     }
 
     /// Runs `main` and collects results.
     pub fn run_main(&self) -> Result<RunResult, ExecError> {
         let _span = omplt_trace::span("vm.run");
-        let ctx = ThreadCtx::initial();
-        let ret = self.call_by_name("main", vec![], &ctx)?;
-        Ok(self.finish(ret))
+        self.run_function("main", vec![])
     }
 
     /// Runs an arbitrary function (for kernels without `main`).
     pub fn run_function(&self, name: &str, args: Vec<RtVal>) -> Result<RunResult, ExecError> {
-        let ctx = ThreadCtx::initial();
-        let ret = self.call_by_name(name, args, &ctx)?;
-        Ok(self.finish(ret))
-    }
-
-    /// Calls a function by name: bytecode functions first, then runtime
-    /// shims — the same precedence the interpreter uses (and that the
-    /// bytecode compiler already baked into direct `Call` ops; this path
-    /// serves `main` and `__kmpc_fork_call`'s outlined bodies).
-    pub fn call_by_name(
-        &self,
-        name: &str,
-        args: Vec<RtVal>,
-        ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError> {
-        if let Some(i) = self.code.function_index(name) {
-            return self.run_frame(i, args, ctx);
-        }
-        runtime::dispatch(self, name, args, ctx)
+        let ret = self.call_by_name(name, args, &ThreadCtx::initial())?;
+        Ok(self.state.finish(ret))
     }
 
     /// Executes one bytecode frame.
@@ -151,7 +99,7 @@ impl<'m> VmEngine<'m> {
     ) -> Result<Option<RtVal>, ExecError> {
         let mut retired = 0u64;
         let r = self.run_frame_inner(fi, args, ctx, &mut retired);
-        self.ops.fetch_add(retired, Ordering::Relaxed);
+        self.state.ops.fetch_add(retired, Ordering::Relaxed);
         if omplt_trace::active() {
             omplt_trace::count("vm.ops.retired", retired);
         }
@@ -167,6 +115,7 @@ impl<'m> VmEngine<'m> {
     ) -> Result<Option<RtVal>, ExecError> {
         let f = &self.code.funcs[fi as usize];
         let consts = &self.resolved[fi as usize];
+        let callees = &self.callees[fi as usize];
         let mut regs: Vec<RtVal> = vec![RtVal::I(0); f.num_regs as usize];
         for (i, &p) in f.params.iter().enumerate() {
             regs[p as usize] = *args
@@ -178,15 +127,15 @@ impl<'m> VmEngine<'m> {
         // scalar code pays nothing for the tier.
         let mut vregs: Vec<VecVal> = vec![VecVal::default(); f.num_vregs as usize];
 
-        // Fuel in batches, like the interpreter: one shared-atomic touch per
-        // 4096 ops so team threads don't serialize on the budget counter.
-        // Retired-op accounting rides on the same counter (granted − unused)
-        // instead of a second per-op increment in the hot loop.
+        // Fuel arrives in batches ([`RunState::refill`]). Retired-op
+        // accounting rides on the same counter (granted − unused) instead of
+        // a second per-op increment in the hot loop.
         let mut granted: u64 = 0;
         let mut local_fuel: u64 = 0;
         let r = self.dispatch(
             f,
             consts,
+            callees,
             &mut regs,
             &mut vregs,
             ctx,
@@ -204,6 +153,7 @@ impl<'m> VmEngine<'m> {
         &self,
         f: &crate::ops::VmFunction,
         consts: &[RtVal],
+        callees: &[Callee<u32>],
         regs: &mut [RtVal],
         vregs: &mut [VecVal],
         ctx: &ThreadCtx,
@@ -214,24 +164,13 @@ impl<'m> VmEngine<'m> {
         // `*local_fuel` only on the explicit exits below. `?`-propagated
         // errors skip the write-back, so failed frames report the
         // batch-granted count — still deterministic, just coarser.
-        const FUEL_BATCH: u64 = 4096;
+        let mem: &Memory = &self.state.mem;
         let mut fuel = *local_fuel;
         let mut pc: usize = 0;
         loop {
             if fuel == 0 {
-                let prev = self.fuel.fetch_sub(FUEL_BATCH, Ordering::Relaxed);
-                if prev < FUEL_BATCH {
-                    return Err(ExecError::FuelExhausted);
-                }
-                // Per-job wall-clock deadline, checked once per batch so the
-                // per-op dispatch loop stays untouched.
-                if let Some(dl) = self.cfg.deadline {
-                    if dl.expired() {
-                        return Err(ExecError::DeadlineExpired(dl.ms));
-                    }
-                }
-                fuel = FUEL_BATCH;
-                *granted += FUEL_BATCH;
+                fuel = self.state.refill()?;
+                *granted += fuel;
             }
             fuel -= 1;
             let op = f.ops[pc];
@@ -240,23 +179,21 @@ impl<'m> VmEngine<'m> {
                 Op::Const { dst, idx } => regs[dst as usize] = consts[idx as usize],
                 Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
                 Op::Alloca { dst, bytes } => {
-                    regs[dst as usize] = RtVal::P(self.mem.alloc(bytes as u64));
+                    regs[dst as usize] = RtVal::P(mem.alloc(bytes as u64));
                 }
                 Op::Load { dst, addr, ty } => {
-                    let raw = self
-                        .mem
+                    let raw = mem
                         .load(regs[addr as usize].as_p(), ty.size())
                         .map_err(|e| ExecError::Mem(e.what))?;
                     regs[dst as usize] = decode_scalar(ty, raw);
                 }
                 Op::Store { src, addr, ty } => {
-                    self.mem
-                        .store(
-                            regs[addr as usize].as_p(),
-                            ty.size(),
-                            encode_scalar(ty, regs[src as usize]),
-                        )
-                        .map_err(|e| ExecError::Mem(e.what))?;
+                    mem.store(
+                        regs[addr as usize].as_p(),
+                        ty.size(),
+                        encode_scalar(ty, regs[src as usize]),
+                    )
+                    .map_err(|e| ExecError::Mem(e.what))?;
                 }
                 Op::Gep {
                     dst,
@@ -318,12 +255,10 @@ impl<'m> VmEngine<'m> {
                     for &r in &f.call_args[lo..lo + nargs as usize] {
                         vs.push(regs[r as usize]);
                     }
-                    let r = match f.call_targets[target as usize] {
-                        CallTarget::Bytecode(i) => self.run_frame(i, vs, ctx)?,
-                        CallTarget::Runtime(sym) => {
-                            let name = self.module.symbol_name(sym);
-                            runtime::dispatch(self, name, vs, ctx)?
-                        }
+                    let r = match callees[target as usize] {
+                        Callee::Defined(i) => self.run_frame(i, vs, ctx)?,
+                        Callee::Runtime(rt) => runtime::dispatch(self, rt, vs, ctx)?,
+                        Callee::Unknown(sym) => return Err(self.state.unknown_function(sym)),
                     };
                     if ret != IrType::Void {
                         if let Some(d) = dst {
@@ -399,8 +334,7 @@ impl<'m> VmEngine<'m> {
                     let size = ty.size();
                     let mut v = VecVal::default();
                     for l in 0..w as usize {
-                        let raw = self
-                            .mem
+                        let raw = mem
                             .load(base.wrapping_add(l as u64 * size), size)
                             .map_err(|e| ExecError::Mem(e.what))?;
                         v.lanes[l] = decode_scalar(ty, raw);
@@ -412,13 +346,12 @@ impl<'m> VmEngine<'m> {
                     let size = ty.size();
                     let v = vregs[src as usize];
                     for l in 0..w as usize {
-                        self.mem
-                            .store(
-                                base.wrapping_add(l as u64 * size),
-                                size,
-                                encode_scalar(ty, v.lanes[l]),
-                            )
-                            .map_err(|e| ExecError::Mem(e.what))?;
+                        mem.store(
+                            base.wrapping_add(l as u64 * size),
+                            size,
+                            encode_scalar(ty, v.lanes[l]),
+                        )
+                        .map_err(|e| ExecError::Mem(e.what))?;
                     }
                 }
                 Op::VGather {
@@ -436,10 +369,7 @@ impl<'m> VmEngine<'m> {
                         let a = p.wrapping_add(
                             (iv.lanes[l].as_i() as u64).wrapping_mul(elem_size as u64),
                         );
-                        let raw = self
-                            .mem
-                            .load(a, ty.size())
-                            .map_err(|e| ExecError::Mem(e.what))?;
+                        let raw = mem.load(a, ty.size()).map_err(|e| ExecError::Mem(e.what))?;
                         v.lanes[l] = decode_scalar(ty, raw);
                     }
                     vregs[dst as usize] = v;
@@ -459,8 +389,7 @@ impl<'m> VmEngine<'m> {
                         let a = p.wrapping_add(
                             (iv.lanes[l].as_i() as u64).wrapping_mul(elem_size as u64),
                         );
-                        self.mem
-                            .store(a, ty.size(), encode_scalar(ty, v.lanes[l]))
+                        mem.store(a, ty.size(), encode_scalar(ty, v.lanes[l]))
                             .map_err(|e| ExecError::Mem(e.what))?;
                     }
                 }
@@ -521,40 +450,26 @@ impl<'m> VmEngine<'m> {
 }
 
 impl Engine for VmEngine<'_> {
-    fn module(&self) -> &Module {
-        self.module
+    fn state(&self) -> &RunState<'_> {
+        &self.state
     }
 
-    fn mem(&self) -> &Memory {
-        &self.mem
-    }
-
-    fn out(&self) -> &Mutex<String> {
-        &self.out
-    }
-
-    fn tasks(&self) -> &AtomicU64 {
-        &self.tasks
-    }
-
-    fn cfg(&self) -> &RuntimeConfig {
-        &self.cfg
-    }
-
-    fn chunk_log(&self) -> Option<&ChunkLog> {
-        self.cfg.log_chunks.then_some(&self.chunk_log)
-    }
-
-    fn trace_prefix(&self) -> &'static str {
-        "vm"
-    }
-
+    /// Bytecode functions first, then runtime shims — the same precedence
+    /// the interpreter uses (and that the bytecode compiler already baked
+    /// into direct `Call` ops; this path serves `main` and
+    /// `__kmpc_fork_call`'s outlined bodies).
     fn call_by_name(
         &self,
         name: &str,
         args: Vec<RtVal>,
         ctx: &ThreadCtx,
     ) -> Result<Option<RtVal>, ExecError> {
-        VmEngine::call_by_name(self, name, args, ctx)
+        if let Some(i) = self.code.function_index(name) {
+            return self.run_frame(i, args, ctx);
+        }
+        match RtFn::from_name(name) {
+            Some(rt) => runtime::dispatch(self, rt, args, ctx),
+            None => Err(ExecError::UnknownFunction(name.to_string())),
+        }
     }
 }

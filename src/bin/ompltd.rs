@@ -34,19 +34,14 @@
 //! * **Cache integrity** — see `src/cache.rs`: artifacts are checksummed at
 //!   insert, verified on hit, and quarantined + recompiled on mismatch.
 //!
-//! Two additional driver modes support CI:
-//!
-//! * `--warmup` runs a fixed, scripted job sequence against a fresh cache
-//!   and prints the `daemon.cache.*` counters — `ci/check_counter_drift.sh`
-//!   pins the exact hit/miss counts.
-//! * `--selftest` drives the supervised pool through a scripted
-//!   kill/requeue/abandon/corrupt sequence in-process and prints the
-//!   `daemon.cache.*` + `daemon.supervisor.*` counters (also pinned).
+//! The binary has the two serving modes and nothing else: every scripted
+//! fault sequence and every pinned counter lives in `tests/daemon.rs`, driven
+//! against this daemon over its socket.
 
 use omplt::options::{self, parse_value, Arg};
 use omplt::protocol::{
     error_reply, error_reply_for, overloaded_reply, read_frame, write_frame, FrameError,
-    HealthReport, JobRequest, Overloaded, Reply, Request,
+    HealthReport, JobRequest, Overloaded, Request,
 };
 use omplt::service::Service;
 use std::collections::VecDeque;
@@ -68,24 +63,20 @@ struct Config {
     frame_timeout_ms: u64,
     drain_ms: u64,
     inject_faults: Vec<String>,
-    warmup: bool,
-    selftest: bool,
 }
 
 fn usage() -> u8 {
     eprintln!(
         "usage: ompltd (--listen=PATH | --stdio) [--workers=N] [--cache-bytes=N]\n\
          \x20              [--queue-depth=N] [--job-deadline-ms=N] [--frame-timeout-ms=N]\n\
-         \x20              [--drain-ms=N] [--inject-fault=daemon.SITE[:N]]...\n\
-         \x20      ompltd --warmup [--cache-bytes=N]\n\
-         \x20      ompltd --selftest [--cache-bytes=N]"
+         \x20              [--drain-ms=N] [--inject-fault=daemon.SITE[:N]]..."
     );
     2
 }
 
 /// Every flag and its value form, scanned by the rule `ompltc` uses
 /// (`omplt::options::scan`).
-const FLAGS: [(&str, Arg); 11] = [
+const FLAGS: [(&str, Arg); 9] = [
     ("--listen", Arg::Value("PATH")),
     ("--stdio", Arg::Switch),
     ("--workers", Arg::Value("N")),
@@ -95,8 +86,6 @@ const FLAGS: [(&str, Arg); 11] = [
     ("--frame-timeout-ms", Arg::Value("N")),
     ("--drain-ms", Arg::Value("N")),
     ("--inject-fault", Arg::Value("SITE[:N]")),
-    ("--warmup", Arg::Switch),
-    ("--selftest", Arg::Switch),
 ];
 
 /// Applies one scanned flag. `Err` is a usage-error message.
@@ -127,8 +116,6 @@ fn apply_flag(cfg: &mut Config, flag: &str, v: Option<&str>) -> Result<(), Strin
             }
             cfg.inject_faults.push(spec.to_string());
         }
-        "--warmup" => cfg.warmup = true,
-        "--selftest" => cfg.selftest = true,
         _ => unreachable!("'{flag}' is not in FLAGS"),
     }
     Ok(())
@@ -154,11 +141,7 @@ fn parse_args(args: &[String]) -> Result<Config, u8> {
         eprintln!("ompltd: {msg}");
         return Err(2);
     }
-    let modes = usize::from(cfg.stdio)
-        + usize::from(cfg.listen.is_some())
-        + usize::from(cfg.warmup)
-        + usize::from(cfg.selftest);
-    if modes != 1 {
+    if cfg.stdio == cfg.listen.is_some() {
         return Err(usage());
     }
     Ok(cfg)
@@ -694,120 +677,6 @@ fn serve_stdio(cfg: &Config) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The scripted warm-up `ci/check_counter_drift.sh` pins: four distinct
-/// compile jobs replayed in a fixed pattern. The expected counters are part
-/// of the CI contract — if this script changes, the pin must change with it.
-fn warmup(cfg: &Config) -> ExitCode {
-    let service = Service::new(cfg.cache_bytes);
-    let a = "void print_i64(long v);\n\
-             int main(void) { print_i64(41); return 0; }\n";
-    let a_mutated = "void print_i64(long v);\n\
-             int main(void) { print_i64(42); return 0; }\n";
-    let b = "int main(void) { return 7; }\n";
-    // A(miss) A(hit) B(miss) A'(miss) A(hit) A'(hit) => 3 hits, 3 misses.
-    for (id, src) in [a, a, b, a_mutated, a, a_mutated].iter().enumerate() {
-        let mut job = JobRequest::new(id as u64, "warmup.c", src);
-        job.run = true;
-        let resp = service.execute(&job);
-        if resp.exit_code != 0 && resp.exit_code != 7 {
-            eprintln!(
-                "ompltd: warmup job {id} failed with exit {}: {}",
-                resp.exit_code, resp.stderr
-            );
-            return ExitCode::from(1);
-        }
-    }
-    print!("{}", service.cache().counters_json());
-    ExitCode::SUCCESS
-}
-
-/// Drives the supervised pool through a scripted fault sequence in-process
-/// and prints the combined `daemon.cache.*` + `daemon.supervisor.*`
-/// counters. `ci/check_counter_drift.sh` pins the exact values:
-///
-/// 1. clean job            → miss
-/// 2. same source          → hit
-/// 3. `worker-kill`        → killed, requeued, succeeds as a hit (respawn 1)
-/// 4. `worker-kill:2`      → killed twice, abandoned      (respawns 2 and 3)
-/// 5. `cache-corrupt`      → quarantined, recompiled as a miss
-/// 6. same source          → hit of the recompiled artifact
-fn selftest(cfg: &Config) -> ExitCode {
-    let service = Arc::new(Service::new(cfg.cache_bytes));
-    let pool = Pool::new(2, 16, service.clone());
-    let src = "void print_i64(long v);\n\
-               int main(void) { print_i64(40 + 2); return 0; }\n";
-    let mut failed = false;
-    let steps: &[(Option<&str>, &str)] = &[
-        (None, "miss"),
-        (None, "hit"),
-        (Some("daemon.worker-kill"), "hit"),
-        (Some("daemon.worker-kill:2"), "abandoned"),
-        (Some("daemon.cache-corrupt"), "miss"),
-        (None, "hit"),
-    ];
-    for (id, (fault, expect)) in steps.iter().enumerate() {
-        let buf = Arc::new(Mutex::new(Vec::<u8>::new()));
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let mut job = JobRequest::new(id as u64, "selftest.c", src);
-        job.run = true;
-        // The VM backend caches a bytecode image — the thing the integrity
-        // checksum protects; the interp backend would leave nothing to
-        // corrupt.
-        job.opts.backend = omplt::compiler::Backend::Vm;
-        job.inject_fault = fault.map(str::to_string);
-        if pool
-            .try_submit(QueuedJob {
-                job: Box::new(job),
-                writer: buf.clone(),
-                done: done_tx,
-                attempt: 0,
-            })
-            .is_err()
-        {
-            eprintln!("ompltd: selftest step {id}: queue refused the job");
-            return ExitCode::from(1);
-        }
-        let _ = done_rx.recv();
-        let bytes = buf.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        let frame = match read_frame(&mut &bytes[..]) {
-            Ok(Some(f)) => f,
-            other => {
-                eprintln!("ompltd: selftest step {id}: no reply frame ({other:?})");
-                return ExitCode::from(1);
-            }
-        };
-        let got = match Reply::parse(&String::from_utf8_lossy(&frame)) {
-            Ok(Reply::Job(resp)) if resp.exit_code == 0 => {
-                format!("{:?}", resp.cache).to_ascii_lowercase()
-            }
-            Ok(Reply::Job(resp)) => format!("exit {} ({})", resp.exit_code, resp.stderr),
-            Ok(Reply::Overloaded(_)) => "overloaded".to_string(),
-            Err(e) if e.contains("abandoned") => "abandoned".to_string(),
-            Err(e) => format!("error: {e}"),
-        };
-        if got != *expect {
-            eprintln!("ompltd: selftest step {id}: expected {expect}, got {got}");
-            failed = true;
-        }
-    }
-    let report = pool.close_and_join();
-    let mut counters: Vec<(String, u64)> = service
-        .cache()
-        .counters()
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    counters.push(("daemon.supervisor.abandoned".to_string(), report.abandoned));
-    counters.push(("daemon.supervisor.requeued".to_string(), report.requeued));
-    counters.push(("daemon.supervisor.respawns".to_string(), report.respawns));
-    counters.sort();
-    print!("{}", omplt::trace::json::counters_doc(counters));
-    if failed {
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = match parse_args(&args) {
@@ -817,12 +686,6 @@ fn main() -> ExitCode {
     for spec in &cfg.inject_faults {
         // Validated during parsing; arming cannot fail here.
         let _ = omplt::fault::arm_global(spec);
-    }
-    if cfg.warmup {
-        return warmup(&cfg);
-    }
-    if cfg.selftest {
-        return selftest(&cfg);
     }
     if cfg.stdio {
         return serve_stdio(&cfg);

@@ -223,6 +223,30 @@ fn remote_matches_local_for_diagnostics_in_both_formats() {
         String::from_utf8_lossy(&json.stderr).contains("\"level\":\"error\""),
         "JSON diagnostic expected"
     );
+
+    // A runtime entry called with too few arguments is the user program's
+    // error (exit 1) on every engine, format and transport — it used to be
+    // an index panic inside the runtime (exit 3).
+    let short = write_temp(
+        "short-call.c",
+        "void __omplt_atomic_add_i64(void);\nint main(void) {\n  __omplt_atomic_add_i64();\n  return 0;\n}\n",
+    );
+    for backend in ["--backend=interp", "--backend=vm:strict"] {
+        for format in ["--diag-format=text", "--diag-format=json"] {
+            let label = format!("short call/{backend}/{format}");
+            let out = assert_remote_matches_local(
+                &daemon,
+                &[],
+                &["--run", backend, format],
+                &short,
+                &label,
+            );
+            assert_eq!(out.code, 1, "[{label}]");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = "runtime error: malformed IR: call to '__omplt_atomic_add_i64' needs 2 arguments, got 0";
+            assert!(stderr.contains(what), "[{label}] {stderr}");
+        }
+    }
 }
 
 #[test]
@@ -630,6 +654,8 @@ fn killed_worker_is_respawned_and_the_job_requeued_once() {
         "kill/requeued",
     );
     assert_eq!(out.code, 0);
+    // The killed attempt never reached the cache; the retry compiled once.
+    assert_eq!(daemon.cache_counter("daemon.cache.misses"), 1);
 
     // Two kills on the same job: requeued at most once, then abandoned
     // with a structured error — never a hang, never a third attempt.
@@ -651,9 +677,12 @@ fn killed_worker_is_respawned_and_the_job_requeued_once() {
         String::from_utf8_lossy(&dead.stderr)
     );
 
-    // The pool healed: the next job is served normally.
-    let ok = run_ompltc(&[], &[&daemon.remote_flag(), "--run"], &src);
+    // The pool healed: the next job is served normally — from the artifact
+    // the requeued job cached (the abandoned one never touched the cache).
+    let ok = run_ompltc(&[], &[&daemon.remote_flag(), "--run", "--backend=vm"], &src);
     assert_eq!(ok.code, 0, "{}", String::from_utf8_lossy(&ok.stderr));
+    assert_eq!(daemon.cache_counter("daemon.cache.misses"), 1);
+    assert_eq!(daemon.cache_counter("daemon.cache.hits"), 1);
 
     let reply = daemon.request(&Request::Health.render());
     let health = omplt::protocol::HealthReport::parse(&reply).expect("health report");
@@ -987,8 +1016,9 @@ fn retry_flags_require_remote_and_validate_their_values() {
 
 #[test]
 fn daemon_has_no_timing_mode() {
-    // Throughput is `perfbench`'s `daemon_mix`; the daemon itself only has
-    // modes that serve or pin deterministic counters.
+    // Throughput is `perfbench`'s `daemon_mix` and every scripted sequence
+    // with pinned counters is a test in this file: the daemon itself only
+    // has the two modes that serve.
     let ompltd = |args: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_ompltd"))
             .args(args)
@@ -999,17 +1029,25 @@ fn daemon_has_no_timing_mode() {
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
-    for flag in ["--bench", "--bench-jobs=4", "--bench-out=b.json"] {
-        let (code, stderr) = ompltd(&["--warmup", flag]);
+    let gone = ["--bench", "--bench-jobs=4", "--bench-out=b.json"];
+    for flag in gone.into_iter().chain(["--warmup", "--selftest"]) {
+        let (code, stderr) = ompltd(&["--stdio", flag]);
         assert_eq!(code, Some(2), "{flag}: {stderr}");
         assert_eq!(stderr, format!("ompltd: unknown option '{flag}'\n"));
     }
     let (code, usage) = ompltd(&[]);
     assert_eq!(code, Some(2));
-    for mode in ["--listen", "--stdio", "--warmup", "--selftest"] {
-        assert!(usage.contains(mode), "usage must name {mode}:\n{usage}");
+    assert_eq!(
+        usage.matches("ompltd ").count(),
+        1,
+        "one usage form:\n{usage}"
+    );
+    assert!(usage.contains("(--listen=PATH | --stdio)"), "{usage}");
+    for word in ["bench", "warmup", "selftest"] {
+        assert!(!usage.contains(word), "{usage}");
     }
-    assert!(!usage.contains("bench"), "{usage}");
+    let (code, _) = ompltd(&["--stdio", "--listen=/tmp/x.sock"]);
+    assert_eq!(code, Some(2), "the two modes are exclusive");
 }
 
 #[test]
@@ -1075,4 +1113,5 @@ fn vector_width_is_one_token_of_the_cache_key() {
     run(&["--vector-width", "4"]);
     assert_eq!(daemon.cache_counter("daemon.cache.misses"), 3);
     assert_eq!(daemon.cache_counter("daemon.cache.hits"), 3);
+    assert_eq!(daemon.cache_counter("daemon.cache.integrity_failures"), 0);
 }

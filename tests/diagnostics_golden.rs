@@ -576,3 +576,64 @@ int main(void) {
          '#pragma omp parallel for schedule(dynamic, 4)' is a data race [-Wrace]"
     );
 }
+
+/// The runtime combines `+` and `*` into 4- and 8-byte variables. Any other
+/// reduction used to be "not supported; ignoring" — a codegen warning,
+/// printed twice on the IrBuilder path, that left the variable shared — or,
+/// for a `char`, an 8-byte atomic on a 1-byte variable. Both are refused at
+/// the clause, in both modes.
+#[test]
+fn unsupported_reduction_renders_exactly() {
+    let src = "\
+void f(void) {
+  long m = 0;
+  char c = 0;
+  #pragma omp parallel for reduction(max: m)
+  for (int i = 0; i < 8; i += 1)
+    if (i > m) m = i;
+  #pragma omp parallel for reduction(+: c)
+  for (int i = 0; i < 8; i += 1)
+    c += 1;
+}
+";
+    let expected = "\
+red.c:4:28: error: reduction operator 'max' is not supported
+  #pragma omp parallel for reduction(max: m)
+                           ^
+red.c:7:41: error: reduction variable 'c' has type 'char'; only int, long, float and double variables can be reduced
+  #pragma omp parallel for reduction(+: c)
+                                        ^
+";
+    for codegen_mode in [
+        omplt::OpenMpCodegenMode::Classic,
+        omplt::OpenMpCodegenMode::IrBuilder,
+    ] {
+        let mut ci = CompilerInstance::new(Options {
+            codegen_mode,
+            ..Options::default()
+        });
+        let err = ci
+            .parse_source("red.c", src)
+            .expect_err("unsupported reductions must be rejected");
+        assert_eq!(err, expected, "{codegen_mode:?}");
+    }
+}
+
+#[test]
+fn unsupported_reduction_json_golden() {
+    let src = "\
+void f(void) {
+  long m = 0;
+  #pragma omp parallel for reduction(max: m)
+  for (int i = 0; i < 8; i += 1)
+    if (i > m) m = i;
+}
+";
+    let mut ci = CompilerInstance::new(Options::default());
+    ci.parse_source("rj.c", src)
+        .expect_err("'max' reduction must be rejected");
+    assert_eq!(
+        ci.render_diags_json(),
+        "[{\"level\":\"error\",\"message\":\"reduction operator 'max' is not supported\",\"file\":\"rj.c\",\"line\":3,\"column\":28,\"notes\":[]}]\n"
+    );
+}
