@@ -1,11 +1,11 @@
-/* A loop-carried flow dependence of distance 1: lane-parallel execution
- * would read a[i] before the previous iteration's store to a[i+1]... i.e.
- * after widening, lane j reads the value lane j-1 was supposed to produce.
- * No safelen can make this legal (safelen(1) is scalar execution), so the
- * analysis rejects the directive, citing the dependence, and the bytecode
- * widening pass independently refuses it (vm.simd.refused) — the program
- * still runs correctly in scalar form.
- */
+/* A loop-carried flow dependence of distance 1: after widening, lane j
+ * would read the value lane j-1 was supposed to produce. No safelen can
+ * make this legal (safelen(1) is scalar execution), so `--analyze` rejects
+ * the directive, citing the dependence. It is a lint, not a compile error,
+ * because nothing runs the lanes: the interpreter is scalar and the
+ * bytecode widening pass independently refuses the loop (vm.simd.refused),
+ * so this file compiles silently and runs to exit 0 on every backend
+ * (tests/legality_gate.rs). */
 int main(void) {
   int a[64];
   for (int i = 0; i < 64; i += 1)

@@ -18,6 +18,11 @@
 //!   has negative distance: iteration `i` of the fused body would consume a
 //!   value that the original program produced only in a later iteration.
 //!
+//! These three are [`Checks::OrderChanging`], which every compile runs. The
+//! `simd` lane-distance check over the same graphs is
+//! [`Checks::SimdDistance`], an `--analyze` lint: no engine runs lanes the
+//! distance forbids.
+//!
 //! Subscripts are classified with the standard single-subscript tests over
 //! the *logical* iteration space (trip counting from 0): **ZIV** (no
 //! induction variable), **strong SIV** (`a*i + b1` vs. `a*i + b2`, exact
@@ -30,20 +35,31 @@
 //! with a `-Wanalysis-limit` note instead of guessing: **errors are reported
 //! only for proven violations**.
 
-use crate::nest::{extend_while_perfect, resolve_literal_nest, NestLevel};
+use crate::nest::{extend_while_perfect, resolve_literal_nest};
 use omplt_ast::{
     walk_expr, walk_stmt, BinOp, Decl, DeclId, Expr, ExprKind, OMPClauseKind, OMPDirective,
     OMPDirectiveKind, Stmt, StmtKind, StmtVisitor, TranslationUnit, Type, TypeKind, UnOp, P,
 };
-use omplt_sema::LoopDirection;
+use omplt_sema::{CanonicalLoopAnalysis, LoopDirection};
 use omplt_source::{Diagnostic, DiagnosticsEngine, Level, SourceLocation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Checks every `interchange`/`reverse`/`fuse` in `tu`, reporting proven
+/// Which directives one walk of the pass judges.
+#[derive(Clone, Copy, Debug)]
+pub enum Checks {
+    /// `interchange`, `reverse`, `fuse`: the compiler reorders iterations
+    /// on the user's word, so a proven violation must stop the compile.
+    OrderChanging,
+    /// `simd` and its composites: the promise that lanes may run
+    /// concurrently, which the engines re-check before they rely on it.
+    SimdDistance,
+}
+
+/// Checks every directive `checks` selects in `tu`, reporting proven
 /// dependence violations (and analysis limits) to `diags`.
-pub fn check_translation_unit(tu: &TranslationUnit, diags: &DiagnosticsEngine) {
-    let mut v = DependVisitor { diags };
+pub fn check_translation_unit(tu: &TranslationUnit, diags: &DiagnosticsEngine, checks: Checks) {
+    let mut v = DependVisitor { diags, checks };
     for d in &tu.decls {
         if let Decl::Function(f) = d {
             if let Some(body) = f.body.borrow().as_ref() {
@@ -757,11 +773,10 @@ fn test_pair(x: &LinSubscript, y: &LinSubscript, levels: &[LevelInfo]) -> Solve 
 // Graph construction
 // ---------------------------------------------------------------------------
 
-pub(crate) fn level_info(levels: &[NestLevel]) -> Vec<LevelInfo> {
+pub(crate) fn level_info(levels: &[CanonicalLoopAnalysis]) -> Vec<LevelInfo> {
     levels
         .iter()
-        .map(|l| {
-            let a = &l.analysis;
+        .map(|a| {
             let mag = a.step.eval_const_int();
             let step = mag.map(|m| match a.direction {
                 LoopDirection::Up => m,
@@ -842,11 +857,11 @@ impl DependenceGraph {
     /// Computes the dependence graph of a resolved literal nest. Vectors are
     /// expressed over all `levels` (outermost first); accesses that defeat
     /// the subscript tests are listed in [`DependenceGraph::limits`].
-    pub fn compute(levels: &[NestLevel]) -> DependenceGraph {
+    pub fn compute(levels: &[CanonicalLoopAnalysis]) -> DependenceGraph {
         omplt_trace::count("analysis.depend.graphs", 1);
         let info = level_info(levels);
         let mut col = DepCollector::new(&info);
-        col.visit_stmt(&levels[levels.len() - 1].analysis.body);
+        col.visit_stmt(&levels[levels.len() - 1].body);
 
         let mut deps: Vec<Dependence> = Vec::new();
         let mut limits = std::mem::take(&mut col.limits);
@@ -922,21 +937,25 @@ impl DependenceGraph {
 
 struct DependVisitor<'d> {
     diags: &'d DiagnosticsEngine,
+    checks: Checks,
 }
 
 impl StmtVisitor for DependVisitor<'_> {
     fn visit_stmt(&mut self, s: &P<Stmt>) {
         if let StmtKind::OMP(d) = &s.kind {
-            match d.kind {
-                OMPDirectiveKind::Interchange => self.check_interchange(d),
-                OMPDirectiveKind::Reverse => self.check_reverse(d),
-                OMPDirectiveKind::Fuse => self.check_fuse(d),
-                k if k.has_simd() => self.check_simd(d),
+            match (self.checks, d.kind) {
+                (Checks::OrderChanging, OMPDirectiveKind::Interchange) => self.check_interchange(d),
+                (Checks::OrderChanging, OMPDirectiveKind::Reverse) => self.check_reverse(d),
+                (Checks::OrderChanging, OMPDirectiveKind::Fuse) => self.check_fuse(d),
+                (Checks::SimdDistance, k) if k.has_simd() => self.check_simd(d),
                 _ => {}
             }
         }
         walk_stmt(self, s);
     }
+
+    // Directives are statements, and no expression holds one.
+    fn visit_expr(&mut self, _: &P<Expr>) {}
 }
 
 impl DependVisitor<'_> {
@@ -994,7 +1013,7 @@ impl DependVisitor<'_> {
     }
 
     /// Resolves the nest of a single-nest directive, reporting analysis
-    /// limits (unresolvable or imperfect nests, unmodeled accesses).
+    /// limits (unresolvable nests, unmodeled accesses).
     fn graph_for(
         &self,
         d: &P<OMPDirective>,
@@ -1010,15 +1029,6 @@ impl DependVisitor<'_> {
         // vectors while the nest stays perfect (they turn `a[i*M + j]` from
         // "not affine" into an exact MIV solve).
         extend_while_perfect(&mut levels, MAX_DEPTH);
-        if levels[..depth].iter().any(|l| !l.intervening.is_empty()) {
-            self.analysis_limit(
-                d.loc,
-                pragma,
-                "the loop nest is not perfectly nested",
-                Vec::new(),
-            );
-            return None;
-        }
         let graph = DependenceGraph::compute(&levels);
         if !graph.is_complete() {
             self.analysis_limit(
@@ -1139,7 +1149,7 @@ impl DependVisitor<'_> {
             StmtKind::Compound(ss) => ss.iter().map(P::clone).collect(),
             _ => return,
         };
-        let mut loops: Vec<NestLevel> = Vec::new();
+        let mut loops: Vec<CanonicalLoopAnalysis> = Vec::new();
         for s in &stmts {
             match resolve_literal_nest(s, 1) {
                 Some(mut lv) => loops.push(lv.pop().expect("depth-1 nest has one level")),
@@ -1166,7 +1176,7 @@ impl DependVisitor<'_> {
         let mut limits: Vec<(String, String, SourceLocation)> = Vec::new();
         for (l, info) in loops.iter().zip(&infos) {
             let mut col = DepCollector::new(info);
-            col.visit_stmt(&l.analysis.body);
+            col.visit_stmt(&l.body);
             limits.append(&mut col.limits);
             collected.push(col);
         }

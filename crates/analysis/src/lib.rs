@@ -3,14 +3,21 @@
 //! The static-analysis suite, spanning the compiler's two program
 //! representations:
 //!
-//! * at the **AST/Sema layer**, [`legality`] validates the OpenMP 5.1
-//!   preconditions of the loop-transformation directives that Sema's
-//!   transformation machinery silently tolerates (perfect nesting,
-//!   no escaping `return`), [`depend`] computes per-nest distance/direction
-//!   vectors from affine array subscripts and gates `interchange`,
-//!   `reverse` and `fuse` on them, and [`race`] detects data races in
-//!   `#pragma omp parallel for` regions by classifying variable references
-//!   as private or shared;
+//! * at the **AST layer**, on the translation unit Sema accepted (Sema
+//!   itself refuses what it can judge while it builds a directive: loop
+//!   form, `break`/`return`, rectangularity, perfect nesting):
+//!   * the **legality gate** ([`legality_gate`]) — [`depend`] computes
+//!     per-nest distance/direction vectors from affine array subscripts
+//!     and refuses the `interchange`, `reverse` and `fuse` that would
+//!     reorder a dependence. It is the last step of every compile
+//!     (`CompilerInstance::parse_source`): a transformation the compiler
+//!     applies unconditionally must not be applied when it is proven wrong;
+//!   * the two **lints** ([`run_lints`], `--analyze` only) — what the
+//!     compiler executes faithfully whatever the verdict: [`depend`]'s
+//!     `simd` lane-distance check (the interpreter runs scalar, and the
+//!     VM's widening pass has its own distance test and clamps or refuses)
+//!     and [`race`], which detects data races in `#pragma omp parallel for`
+//!     regions by classifying variable references as private or shared;
 //! * at the **IR layer**, the canonical-loop skeleton verifier lives in
 //!   `omplt-midend` (re-exported here) so `--verify-each` can re-check the
 //!   skeleton invariants between passes and after every `OpenMPIRBuilder`
@@ -21,7 +28,6 @@
 //! Sema's own diagnostics.
 
 pub mod depend;
-pub mod legality;
 pub mod nest;
 pub mod race;
 
@@ -49,94 +55,54 @@ impl AnalysisReport {
     }
 }
 
-/// One finding produced by a batch-mode analysis run (a detached
-/// [`omplt_source::Diagnostic`], without the engine it came from).
-#[derive(Clone, Debug)]
-pub struct Finding {
-    /// Severity.
-    pub level: Level,
-    /// Where the finding points.
-    pub loc: omplt_source::SourceLocation,
-    /// The message text.
-    pub message: String,
-}
-
-/// The legality verdict for one candidate program: the counted report plus
-/// the findings themselves, detached from any [`DiagnosticsEngine`].
-#[derive(Clone, Debug, Default)]
-pub struct Verdict {
-    /// Error/warning counts, as [`run_analyses`] returns them.
-    pub report: AnalysisReport,
-    /// Every diagnostic the passes produced (errors, warnings, and notes),
-    /// in emission order.
-    pub findings: Vec<Finding>,
-}
-
-impl Verdict {
-    /// The `--analyze` exit-code contract: legal ⇔ no findings at all
-    /// (warnings count — a racy candidate must not be auto-tuned into).
-    pub fn is_legal(&self) -> bool {
-        !self.report.has_findings()
-    }
-
-    /// Error- and warning-level messages, for pruned-candidate reports.
-    pub fn messages(&self) -> Vec<String> {
-        self.findings
-            .iter()
-            .filter(|f| f.level != Level::Note)
-            .map(|f| format!("{}: {}", f.level.as_str(), f.message))
-            .collect()
+impl std::ops::Add for AnalysisReport {
+    type Output = AnalysisReport;
+    fn add(self, other: AnalysisReport) -> AnalysisReport {
+        AnalysisReport {
+            errors: self.errors + other.errors,
+            warnings: self.warnings + other.warnings,
+        }
     }
 }
 
-/// Batch legality API: runs every AST-level analysis pass over `tu` into a
-/// *private* diagnostics engine and returns the verdict, leaving the
-/// caller's diagnostics untouched. This is what lets the autotuner (and any
-/// other bulk consumer) prune hundreds of candidate programs in-process
-/// instead of shelling out to `ompltc --analyze` per candidate.
-pub fn verdict(tu: &TranslationUnit) -> Verdict {
-    let diags = DiagnosticsEngine::new();
-    let report = run_analyses(tu, &diags);
-    let findings = diags
-        .take_all()
-        .into_iter()
-        .map(|d| Finding {
-            level: d.level,
-            loc: d.loc,
-            message: d.message,
-        })
-        .collect();
-    Verdict { report, findings }
-}
-
-/// Batch form of [`verdict`]: one verdict per translation unit, in order.
-pub fn batch_verdicts<'a, I>(tus: I) -> Vec<Verdict>
-where
-    I: IntoIterator<Item = &'a TranslationUnit>,
-{
-    tus.into_iter().map(verdict).collect()
-}
-
-/// Runs every AST-level analysis pass over `tu`, reporting findings through
-/// `diags`. Returns how many errors/warnings the passes added (diagnostics
-/// already present — e.g. Sema warnings — are not counted).
-pub fn run_analyses(tu: &TranslationUnit, diags: &DiagnosticsEngine) -> AnalysisReport {
+/// Runs `passes` and counts the errors/warnings they add to `diags`
+/// (diagnostics already present — e.g. Sema warnings — are not counted).
+fn counted(diags: &DiagnosticsEngine, passes: impl FnOnce()) -> AnalysisReport {
     let count = |lvl: Level| diags.all().iter().filter(|d| d.level == lvl).count();
     let (errors0, warnings0) = (count(Level::Error), count(Level::Warning));
-    {
-        let _span = omplt_trace::span_detail("analysis.pass", "legality");
-        legality::check_translation_unit(tu, diags);
-    }
-    {
-        let _span = omplt_trace::span_detail("analysis.pass", "depend");
-        depend::check_translation_unit(tu, diags);
-    }
-    {
-        let _span = omplt_trace::span_detail("analysis.pass", "race");
-        race::check_translation_unit(tu, diags);
-    }
+    passes();
     AnalysisReport {
         errors: count(Level::Error) - errors0,
         warnings: count(Level::Warning) - warnings0,
     }
+}
+
+/// The legality gate: the dependence pass over the order-changing
+/// directives (`interchange`, `reverse`, `fuse`). A proven violation is an
+/// error; a nest the tests cannot judge is a `-Wanalysis-limit` warning.
+pub fn legality_gate(tu: &TranslationUnit, diags: &DiagnosticsEngine) -> AnalysisReport {
+    counted(diags, || {
+        let _span = omplt_trace::span_detail("analysis.pass", "depend");
+        depend::check_translation_unit(tu, diags, depend::Checks::OrderChanging);
+    })
+}
+
+/// The lints: findings about programs the compiler still executes as
+/// written — the `simd` lane-distance check and `-Wrace`.
+pub fn run_lints(tu: &TranslationUnit, diags: &DiagnosticsEngine) -> AnalysisReport {
+    counted(diags, || {
+        {
+            let _span = omplt_trace::span_detail("analysis.pass", "simd");
+            depend::check_translation_unit(tu, diags, depend::Checks::SimdDistance);
+        }
+        let _span = omplt_trace::span_detail("analysis.pass", "race");
+        race::check_translation_unit(tu, diags);
+    })
+}
+
+/// Gate and lints over a translation unit that did not come through
+/// `CompilerInstance::parse_source` (which has run the gate already).
+/// Returns how many errors/warnings the passes added.
+pub fn run_analyses(tu: &TranslationUnit, diags: &DiagnosticsEngine) -> AnalysisReport {
+    legality_gate(tu, diags) + run_lints(tu, diags)
 }

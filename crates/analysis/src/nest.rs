@@ -10,45 +10,32 @@ use omplt_ast::{loop_level, loop_nest, ASTContext, Stmt, P};
 use omplt_sema::{analyze_canonical_loop, CanonicalLoopAnalysis};
 use omplt_source::DiagnosticsEngine;
 
-/// One level of a resolved loop nest.
-pub struct NestLevel {
-    /// Canonical-loop analysis of this level's loop.
-    pub analysis: CanonicalLoopAnalysis,
-    /// Statements sharing this level's enclosing *literal* block with the
-    /// loop: non-empty only when the nest is imperfect at this level. The
-    /// declarations a consumed transformation puts in front of its
-    /// generated loop are not intervening code.
-    pub intervening: Vec<P<Stmt>>,
-}
-
-/// Analyzes one walker level quietly.
-fn analyzed(level: omplt_ast::NestLevel) -> Option<NestLevel> {
+/// Analyzes one walker level quietly. What stands beside the loop does not
+/// matter here: Sema refused intervening code below the outermost level,
+/// and declarations beside the outermost loop run before the nest.
+fn analyzed(level: omplt_ast::NestLevel) -> Option<CanonicalLoopAnalysis> {
     let ctx = ASTContext::new();
     let quiet = DiagnosticsEngine::new();
-    let analysis = analyze_canonical_loop(&ctx, &quiet, &level.loop_stmt, "loop analysis")?;
-    Some(NestLevel {
-        analysis,
-        intervening: level.intervening,
-    })
+    analyze_canonical_loop(&ctx, &quiet, &level.loop_stmt, "loop analysis")
 }
 
 /// Resolves `depth` nested loops under `stmt`, analyzing each level
 /// quietly. Returns `None` when the nest cannot be resolved (malformed loop,
 /// missing level, or a nested directive that generates no loop) — Sema has
 /// already reported those cases.
-pub fn resolve_literal_nest(stmt: &P<Stmt>, depth: usize) -> Option<Vec<NestLevel>> {
+pub fn resolve_literal_nest(stmt: &P<Stmt>, depth: usize) -> Option<Vec<CanonicalLoopAnalysis>> {
     let levels = loop_nest(stmt, depth).ok()?;
     levels.into_iter().map(analyzed).collect()
 }
 
 /// Extends a resolved nest downwards, up to `max_depth` levels, while the
 /// next level is a loop with nothing beside it.
-pub fn extend_while_perfect(levels: &mut Vec<NestLevel>, max_depth: usize) {
+pub fn extend_while_perfect(levels: &mut Vec<CanonicalLoopAnalysis>, max_depth: usize) {
     while levels.len() < max_depth {
         let Some(innermost) = levels.last() else {
             return;
         };
-        let next = loop_level(&innermost.analysis.body).ok();
+        let next = loop_level(&innermost.body).ok();
         match next.filter(|l| l.intervening.is_empty()).and_then(analyzed) {
             Some(level) => levels.push(level),
             None => return,

@@ -105,8 +105,7 @@ impl RaceVisitor<'_> {
         };
         let pragma = d.pragma_text();
 
-        let mut privates: BTreeSet<DeclId> =
-            levels.iter().map(|l| l.analysis.iter_var.id).collect();
+        let mut privates: BTreeSet<DeclId> = levels.iter().map(|l| l.iter_var.id).collect();
         let mut reductions: BTreeSet<DeclId> = BTreeSet::new();
         for c in &d.clauses {
             let set = match c.kind {
@@ -120,7 +119,7 @@ impl RaceVisitor<'_> {
 
         let info = level_info(&levels);
         let mut col = DepCollector::new(&info);
-        col.visit_stmt(&levels[0].analysis.body);
+        col.visit_stmt(&levels[0].body);
 
         for (id, (name, accesses)) in &col.accesses {
             if privates.contains(id) || col.locals.contains(id) || reductions.contains(id) {

@@ -1,7 +1,8 @@
-//! End-to-end tests for the AST-level analysis passes: parse + Sema a C
-//! source, run the suite, inspect the produced diagnostics.
+//! End-to-end tests for the AST-level legality rules and analysis passes:
+//! parse + Sema a C source (Sema's own refusals are read off its
+//! diagnostics), run the suite, inspect the produced diagnostics.
 
-use omplt_analysis::{run_analyses, AnalysisReport};
+use omplt_analysis::{legality_gate, run_analyses, run_lints, AnalysisReport};
 use omplt_ast::TranslationUnit;
 use omplt_lex::Preprocessor;
 use omplt_parse::parse_translation_unit;
@@ -9,7 +10,7 @@ use omplt_sema::{OpenMpCodegenMode, Sema};
 use omplt_source::{Diagnostic, DiagnosticsEngine, FileManager, Level, SourceManager};
 use std::cell::RefCell;
 
-fn parse(src: &str) -> (TranslationUnit, DiagnosticsEngine) {
+fn sema(src: &str) -> (TranslationUnit, DiagnosticsEngine) {
     let mut fm = FileManager::new();
     let buf = fm.add_virtual_file("t.c", src);
     let sm = RefCell::new(SourceManager::new());
@@ -21,7 +22,11 @@ fn parse(src: &str) -> (TranslationUnit, DiagnosticsEngine) {
         pp.tokenize_all()
     };
     let mut sema = Sema::new(&diags, &sm, OpenMpCodegenMode::Classic, true);
-    let tu = parse_translation_unit(tokens, &mut sema);
+    (parse_translation_unit(tokens, &mut sema), diags)
+}
+
+fn parse(src: &str) -> (TranslationUnit, DiagnosticsEngine) {
+    let (tu, diags) = sema(src);
     assert!(
         !diags.has_errors(),
         "unexpected Sema errors: {:?}",
@@ -161,7 +166,8 @@ fn constant_subscript_write_is_a_race() {
 
 #[test]
 fn imperfect_tile_nest_is_an_error() {
-    let (diags, report) = analyze(
+    // Sema's rule: the refusal is there before any analysis pass runs.
+    let (_, diags) = sema(
         "int main() {\n\
          \x20 int a[64];\n\
          \x20 #pragma omp tile sizes(4, 4)\n\
@@ -173,8 +179,9 @@ fn imperfect_tile_nest_is_an_error() {
          \x20 return a[0];\n\
          }\n",
     );
-    assert_eq!(report.errors, 1, "{diags:?}");
+    let diags = diags.all();
     let errs = messages(&diags, Level::Error);
+    assert_eq!(errs.len(), 1, "{diags:?}");
     assert!(errs[0].contains("perfectly nested"), "{}", errs[0]);
     assert!(
         errs[0].contains("#pragma omp tile sizes(4, 4)"),
@@ -208,7 +215,7 @@ fn perfect_tile_nest_is_clean() {
 
 #[test]
 fn return_escaping_unroll_is_an_error() {
-    let (diags, report) = analyze(
+    let (_, diags) = sema(
         "int f() {\n\
          \x20 #pragma omp unroll partial(2)\n\
          \x20 for (int i = 0; i < 8; i += 1) {\n\
@@ -218,8 +225,9 @@ fn return_escaping_unroll_is_an_error() {
          }\n\
          int main() { return f(); }\n",
     );
-    assert_eq!(report.errors, 1, "{diags:?}");
+    let diags = diags.all();
     let errs = messages(&diags, Level::Error);
+    assert_eq!(errs.len(), 1, "{diags:?}");
     assert!(errs[0].contains("cannot 'return'"), "{}", errs[0]);
     assert!(
         errs[0].contains("#pragma omp unroll partial(2)"),
@@ -600,66 +608,81 @@ fn dependence_graph_api_reports_vectors() {
     assert!(graph.interchange_violation(&[0, 1]).is_none());
 }
 
+/// One refusal per `return`, reported by the directive whose region it
+/// sits in: a nested directive answers for its own region, so the outer one
+/// stays silent about it.
 #[test]
-fn unresolvable_nest_warns_analysis_limit() {
-    use omplt_ast::{Decl, OMPDirective, Stmt, StmtKind, P};
-
-    // Sema hard-errors on every *surface* program whose nest
-    // `resolve_literal_nest` cannot resolve, so through the driver the
-    // legality pass always either resolves the nest or sits behind an
-    // error. API consumers are not so constrained: a pipeline that rebuilds
-    // a directive (here: with a non-loop associated statement) must get the
-    // explicit -Wanalysis-limit abstention, not silence that reads as a
-    // clean bill of health.
-    let (tu, diags) = parse(
-        "int main() {\n\
-         \x20 int x = 0;\n\
-         \x20 #pragma omp tile sizes(4, 4)\n\
+fn nested_directive_answers_for_its_own_returns() {
+    let (_, diags) = sema(
+        "int f() {\n\
+         \x20 #pragma omp parallel for\n\
+         \x20 #pragma omp unroll partial(2)\n\
          \x20 for (int i = 0; i < 8; i += 1)\n\
-         \x20   for (int j = 0; j < 8; j += 1)\n\
-         \x20     x += i + j;\n\
-         \x20 return x;\n\
+         \x20   if (i == 3) return 1;\n\
+         \x20 return 0;\n\
          }\n",
     );
-    let Some(Decl::Function(f)) = tu.decls.first() else {
-        panic!("no function");
-    };
-    let rebuilt = {
-        let body = f.body.borrow();
-        let StmtKind::Compound(stmts) = &body.as_ref().unwrap().kind else {
-            panic!("no body");
-        };
-        let decl_stmt = stmts
-            .iter()
-            .find(|s| matches!(s.kind, StmtKind::Decl(_)))
-            .expect("decl stmt");
-        let omp = stmts
-            .iter()
-            .find_map(|s| match &s.kind {
-                StmtKind::OMP(d) => Some(d),
-                _ => None,
-            })
-            .expect("tile directive");
-        let d = OMPDirective::new(
-            omp.kind,
-            omp.clauses.iter().map(P::clone).collect(),
-            Some(P::clone(decl_stmt)),
-            omp.loc,
-        );
-        Stmt::new(
-            StmtKind::Compound(vec![Stmt::new(StmtKind::OMP(P::new(d)), omp.loc)]),
-            omp.loc,
-        )
-    };
-    f.body.replace(Some(rebuilt));
-    run_analyses(&tu, &diags);
-    let warns = messages(&diags.all(), Level::Warning);
+    let errs = messages(&diags.all(), Level::Error);
+    assert_eq!(errs.len(), 1, "{errs:?}");
     assert!(
-        warns.iter().any(|m| m
-            == "cannot verify that '#pragma omp tile sizes(4, 4)' is associated with 2 \
-                perfectly nested loops [-Wanalysis-limit]"),
-        "{warns:?}"
+        errs[0].ends_with("associated with '#pragma omp unroll partial(2)'"),
+        "{}",
+        errs[0]
     );
+}
+
+/// Declarations sharing a block with the *outermost* loop run before the
+/// nest with or without the transformation: Sema accepts them and the
+/// dependence pass judges the nest behind them.
+#[test]
+fn declarations_beside_the_outermost_loop_are_not_intervening() {
+    let (diags, report) = analyze(
+        "int main() {\n\
+         \x20 int a[64];\n\
+         \x20 #pragma omp interchange\n\
+         \x20 {\n\
+         \x20   int t = 0;\n\
+         \x20   for (int i = 0; i < 8; i += 1)\n\
+         \x20     for (int j = 0; j < 8; j += 1)\n\
+         \x20       a[i * 8 + j] = t;\n\
+         \x20 }\n\
+         \x20 return a[0];\n\
+         }\n",
+    );
+    assert_eq!(report, AnalysisReport::default(), "{diags:?}");
+}
+
+/// The gate judges the order-changing directives and nothing else; the
+/// lints judge the rest; together they are `run_analyses`, each finding
+/// reported once.
+#[test]
+fn gate_and_lints_split_the_findings_between_them() {
+    let src = "int main() {\n\
+         \x20 int a[64];\n\
+         \x20 int sum = 0;\n\
+         \x20 #pragma omp simd\n\
+         \x20 for (int i = 0; i < 63; i += 1)\n\
+         \x20   a[i + 1] = a[i] + 1;\n\
+         \x20 #pragma omp reverse\n\
+         \x20 for (int i = 0; i < 8; i += 1)\n\
+         \x20   a[i * i] = i;\n\
+         \x20 #pragma omp parallel for\n\
+         \x20 for (int i = 0; i < 8; i += 1)\n\
+         \x20   sum += a[i];\n\
+         \x20 return sum;\n\
+         }\n";
+    let (tu, diags) = parse(src);
+    let gate = legality_gate(&tu, &diags);
+    assert_eq!((gate.errors, gate.warnings), (0, 1), "{:?}", diags.all());
+    assert!(diags.all()[0].message.contains("'#pragma omp reverse'"));
+    let lints = run_lints(&tu, &diags);
+    assert_eq!((lints.errors, lints.warnings), (1, 1), "{:?}", diags.all());
+    let split: Vec<String> = diags.all().iter().map(|d| d.message.clone()).collect();
+
+    let (all, report) = analyze(src);
+    assert_eq!(report, gate + lints);
+    let whole: Vec<String> = all.iter().map(|d| d.message.clone()).collect();
+    assert_eq!(whole, split);
 }
 
 #[test]

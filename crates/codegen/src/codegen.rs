@@ -157,11 +157,16 @@ impl<'m, 'd> FnCodegen<'m, 'd> {
             return s;
         }
         // Allocas live in the entry block so they execute once per call.
-        let ty = ir_type(&v.ty);
-        let (elem_ty, count) = match &v.ty.kind {
-            TypeKind::Array(el, n) => (ir_type(el), *n),
-            _ if v.by_ref => (IrType::Ptr, 1),
-            _ => (ty, 1),
+        // An array is its scalar element type × the product of its extents
+        // (`int a[9][9]` is 81 `i32`s, as the global of that type is).
+        let (mut scalar, mut count) = (&v.ty, 1);
+        while let TypeKind::Array(el, n) = &scalar.kind {
+            (scalar, count) = (el, count * n);
+        }
+        let elem_ty = match v.ty.kind {
+            TypeKind::Array(..) => ir_type(scalar),
+            _ if v.by_ref => IrType::Ptr,
+            _ => ir_type(&v.ty),
         };
         let entry = self.func.entry();
         let slot = self.func.push_inst(

@@ -7,7 +7,7 @@
 //! sweeps so the workspace builds without registry access.
 
 use omplt_interp::{Engine, Interpreter, RtVal, RuntimeConfig, ThreadCtx};
-use omplt_ir::{BinOpKind, CmpPred, Function, Inst, IrBuilder, IrType, Module, Value};
+use omplt_ir::{BinOpKind, CastOp, CmpPred, Function, Inst, IrBuilder, IrType, Module, Value};
 
 /// Minimal deterministic PRNG (xorshift64*).
 struct Rng(u64);
@@ -216,4 +216,205 @@ fn algebraic_identities_preserve_runtime_value() {
             }
         }
     }
+}
+
+/// Runs the one-block function `t` that returns the value of its single
+/// instruction `inst`, pushed raw so the builder's folder never sees it.
+fn exec_raw(params: Vec<IrType>, ret: IrType, inst: Inst, args: Vec<RtVal>) -> RtVal {
+    let mut m = Module::new();
+    let mut f = Function::new("t", params, ret);
+    let entry = f.entry();
+    let v = f.push_inst(entry, inst);
+    f.blocks[0].term = Some(omplt_ir::Terminator::Ret(Some(v)));
+    m.add_function(f);
+    let it = Interpreter::new(&m, RuntimeConfig::default());
+    it.call_by_name("t", args, &ThreadCtx::initial())
+        .expect("executes")
+        .expect("returns a value")
+}
+
+/// A constant as the run-time value it stands for.
+fn const_rt(v: Value) -> Option<RtVal> {
+    match v {
+        Value::ConstInt { val, .. } => Some(RtVal::I(val)),
+        Value::ConstFloat { .. } => v.as_const_float().map(RtVal::F),
+        _ => None,
+    }
+}
+
+/// Bit-exact equality, every NaN equal to every other.
+fn same(a: RtVal, b: RtVal) -> bool {
+    match (a, b) {
+        (RtVal::F(x), RtVal::F(y)) => x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+        (RtVal::I(x), RtVal::I(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// What a variable of type `ty` can hold of `v`.
+fn held(ty: IrType, v: f64) -> f64 {
+    if ty == IrType::F32 {
+        v as f32 as f64
+    } else {
+        v
+    }
+}
+
+/// Values whose `f32` and `f64` forms differ, the rounding boundaries of
+/// both formats, and the specials.
+const FLOAT_EDGES: [f64; 20] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    0.1,
+    1.0 / 3.0,
+    3.0,
+    10.0,
+    16_777_217.0,
+    -2_147_483_649.0,
+    4_294_967_296.5,
+    1.0e-45,
+    1.0e38,
+    3.5e38,
+    1.0e308,
+    f64::MAX,
+    f64::MIN_POSITIVE,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+
+const FLOAT_TYPES: [IrType; 2] = [IrType::F32, IrType::F64];
+
+/// A constant of type `float` is a `float`: folding `a op b` gives what the
+/// interpreter computes from two variables holding `a` and `b`.
+#[test]
+fn float_folding_matches_execution() {
+    let mut rng = Rng::new(0xF10A7);
+    let mut values = FLOAT_EDGES.to_vec();
+    values.extend((0..12).map(|_| f64::from_bits(rng.next())));
+    values.extend((0..12).map(|_| f64::from(f32::from_bits(rng.next() as u32))));
+    let ops = [
+        BinOpKind::FAdd,
+        BinOpKind::FSub,
+        BinOpKind::FMul,
+        BinOpKind::FDiv,
+        BinOpKind::FRem,
+    ];
+    for ty in FLOAT_TYPES {
+        for op in ops {
+            for &a in &values {
+                for &b in &values {
+                    let folded =
+                        omplt_ir::fold_bin(op, Value::float(ty, a), Value::float(ty, b), ty)
+                            .and_then(const_rt)
+                            .expect("two float constants fold");
+                    let inst = Inst::Bin {
+                        op,
+                        lhs: Value::Arg(0),
+                        rhs: Value::Arg(1),
+                    };
+                    let args = vec![RtVal::F(held(ty, a)), RtVal::F(held(ty, b))];
+                    let executed = exec_raw(vec![ty, ty], ty, inst, args);
+                    assert!(
+                        same(folded, executed),
+                        "{op:?} {ty:?} a {a:e} b {b:e}: folded {folded:?}, executed {executed:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every cast the builder folds gives the constant the interpreter computes
+/// from a variable, for every `CastOp` and every type pair it applies to.
+#[test]
+fn cast_folding_matches_execution() {
+    use IrType::{F32, F64, I1, I32, I64, I8};
+    let mut rng = Rng::new(0xCA57);
+    let mut ints: Vec<i64> = EDGE_CASES.to_vec();
+    ints.extend([
+        127,
+        128,
+        255,
+        256,
+        16_777_217,
+        -16_777_217,
+        1 << 31,
+        1 << 53,
+    ]);
+    ints.extend((0..12).map(|_| rng.next_i64()));
+    let mut floats = FLOAT_EDGES.to_vec();
+    floats.extend([
+        0.5,
+        -0.5,
+        2.5,
+        127.9,
+        -128.9,
+        255.5,
+        2_147_483_647.5,
+        1.0e19,
+    ]);
+    floats.extend((0..12).map(|_| f64::from_bits(rng.next())));
+
+    let narrowing: &[(IrType, IrType)] = &[(I64, I32), (I64, I8), (I32, I8), (I32, I1)];
+    let widening: &[(IrType, IrType)] = &[(I1, I32), (I8, I32), (I8, I64), (I32, I64)];
+    let int_to_fp: &[(IrType, IrType)] = &[
+        (I8, F32),
+        (I32, F32),
+        (I64, F32),
+        (I8, F64),
+        (I32, F64),
+        (I64, F64),
+    ];
+    let fp_to_int: &[(IrType, IrType)] = &[
+        (F32, I8),
+        (F32, I32),
+        (F32, I64),
+        (F64, I8),
+        (F64, I32),
+        (F64, I64),
+    ];
+    let mut folded_ops = 0;
+    for op in CastOp::ALL {
+        let pairs = match op {
+            CastOp::Trunc => narrowing,
+            CastOp::ZExt | CastOp::SExt => widening,
+            CastOp::SiToFp | CastOp::UiToFp => int_to_fp,
+            CastOp::FpToSi | CastOp::FpToUi => fp_to_int,
+            CastOp::FpTrunc => &[(F64, F32)],
+            CastOp::FpExt => &[(F32, F64)],
+            // Pointers are run-time values: there is no constant to fold.
+            CastOp::PtrToInt | CastOp::IntToPtr => continue,
+        };
+        folded_ops += 1;
+        for &(from, to) in pairs {
+            let operands: Vec<(Value, RtVal)> = if from.is_float() {
+                (floats.iter())
+                    .map(|&v| (Value::float(from, v), RtVal::F(held(from, v))))
+                    .collect()
+            } else {
+                (ints.iter())
+                    .map(|&v| (Value::int(from, v), RtVal::I(from.wrap(v))))
+                    .collect()
+            };
+            for (constant, variable) in operands {
+                let mut scratch = Function::new("fold", vec![], to);
+                let folded = const_rt(IrBuilder::new(&mut scratch).cast(*op, constant, to))
+                    .expect("a cast of a constant folds");
+                let inst = Inst::Cast {
+                    op: *op,
+                    val: Value::Arg(0),
+                    to,
+                };
+                let executed = exec_raw(vec![from], to, inst, vec![variable]);
+                assert!(
+                    same(folded, executed),
+                    "{op:?} {from:?}->{to:?} of {variable:?}: folded {folded:?}, executed {executed:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(folded_ops, CastOp::ALL.len() - 2);
 }

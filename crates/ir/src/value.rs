@@ -71,9 +71,17 @@ impl Value {
         }
     }
 
-    /// A floating constant.
+    /// A floating constant, rounded to its type: an `f32` constant holds
+    /// what a `float` variable would, so folding an expression and
+    /// executing it give the same value on every engine (this is the only
+    /// constructor; the payload stays an `f64` bit pattern).
     pub fn float(ty: IrType, v: f64) -> Value {
         debug_assert!(ty.is_float());
+        let v = if ty == IrType::F32 {
+            v as f32 as f64
+        } else {
+            v
+        };
         Value::ConstFloat {
             ty,
             bits: v.to_bits(),
@@ -116,6 +124,9 @@ mod tests {
         assert_eq!(Value::i32(-1).as_const_int(), Some(-1));
         assert_eq!(Value::bool(true).as_const_int(), Some(1));
         assert_eq!(Value::float(IrType::F64, 2.5).as_const_float(), Some(2.5));
+        assert_eq!(Value::float(IrType::F64, 0.1).as_const_float(), Some(0.1));
+        let float = Value::float(IrType::F32, 0.1).as_const_float();
+        assert_eq!(float, Some(f64::from(0.1f32)));
         assert!(Value::int(IrType::I32, 0).is_zero_int());
         assert!(Value::int(IrType::I64, 1).is_one_int());
     }

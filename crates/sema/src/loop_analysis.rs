@@ -577,6 +577,26 @@ fn has_loop_break(body: &P<Stmt>) -> bool {
     f.found
 }
 
+/// Every `return` in the region associated with a directive, in source
+/// order. A nested directive answers for its own region.
+pub(crate) fn region_returns(region: &P<Stmt>) -> Vec<SourceLocation> {
+    struct Finder(Vec<SourceLocation>);
+    impl omplt_ast::StmtVisitor for Finder {
+        fn visit_stmt(&mut self, s: &P<Stmt>) {
+            match &s.kind {
+                StmtKind::Return(_) => self.0.push(s.loc),
+                StmtKind::OMP(_) => {}
+                _ => omplt_ast::walk_stmt(self, s),
+            }
+        }
+        // No expression holds a statement.
+        fn visit_expr(&mut self, _: &P<Expr>) {}
+    }
+    let mut f = Finder(Vec::new());
+    omplt_ast::StmtVisitor::visit_stmt(&mut f, region);
+    f.0
+}
+
 /// Searches the loop-control expressions of `analysis` (lower bound, upper
 /// bound, step) for a reference to one of `outer_ivs`, returning the
 /// referenced variable and the location of the offending reference.

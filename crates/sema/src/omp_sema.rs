@@ -4,10 +4,18 @@
 //! `get_transformed_stmt()` — the shadow-AST composition mechanism),
 //! shadow-AST construction, the classic `OMPLoopDirective` helper bundle,
 //! and `OMPCanonicalLoop` wrapping for the IrBuilder mode.
+//!
+//! A directive whose associated nest cannot be transformed as written is
+//! refused here, while the directive is built (paper Fig. 1), so CodeGen
+//! only ever lowers an AST that may be lowered: canonical loop form, the
+//! no-`break` and no-`return` rules, rectangularity and perfect nesting.
+//! The one legality rule Sema cannot decide on its own walk — whether an
+//! order-changing directive reverses a memory dependence — is
+//! `omplt-analysis`'s, which `CompilerInstance::parse_source` runs next.
 
 use crate::canonical::build_canonical_loop;
 use crate::capture::build_omp_captured_stmt;
-use crate::loop_analysis::{analyze_canonical_loop, find_nonrectangular_ref};
+use crate::loop_analysis::{analyze_canonical_loop, find_nonrectangular_ref, region_returns};
 use crate::sema::{OpenMpCodegenMode, Sema};
 use crate::transform::{
     transform_fuse, transform_interchange, transform_reverse, transform_tile,
@@ -18,7 +26,7 @@ use omplt_ast::{
     LoopDirectiveHelpers, NestRefusal, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind,
     PerLoopHelpers, ReductionOp, ScheduleKind, Stmt, StmtKind, VarDecl, P,
 };
-use omplt_source::SourceLocation;
+use omplt_source::{Diagnostic, Level, SourceLocation};
 
 impl Sema<'_> {
     /// Main entry: builds the AST for one OpenMP executable directive.
@@ -51,10 +59,26 @@ impl Sema<'_> {
             return Stmt::new(StmtKind::Null, loc);
         };
 
+        // A structured block is left only at its end: `break` is refused
+        // per loop by the canonical-form analysis, `return` here.
+        if d.associated_loops() > 0 {
+            for ret in region_returns(&associated) {
+                let pragma = d.pragma_text();
+                self.diags.report_with_notes(
+                    Level::Error,
+                    ret,
+                    format!("cannot 'return' out of the loop nest associated with '{pragma}'"),
+                    vec![Diagnostic::note(
+                        loc,
+                        format!("enclosing '{pragma}' construct begins here"),
+                    )],
+                );
+            }
+        }
         if kind.is_loop_transformation() {
             d.transformed = self.build_transformed(&d, &associated, &consumer);
         } else if kind.is_loop_directive() {
-            let levels = self.collect_loop_nest(&associated, d.associated_loops(), &consumer);
+            let levels = self.collect_loop_nest(&d, &associated, d.associated_loops(), &consumer);
             if let (Some(levels), OpenMpCodegenMode::Classic) = (&levels, self.mode) {
                 let helpers = self.build_loop_helpers(levels, loc);
                 omplt_trace::count("sema.shadow.helper_nodes", helpers.node_count() as u64);
@@ -181,7 +205,7 @@ impl Sema<'_> {
                     continue;
                 };
                 self.diags.report_with_notes(
-                    omplt_source::Level::Error,
+                    Level::Error,
                     e.loc,
                     format!(
                         "variable '{}' is named in more than one data-sharing clause of \
@@ -190,7 +214,7 @@ impl Sema<'_> {
                         first.kind.name(),
                         c.kind.name()
                     ),
-                    vec![omplt_source::Diagnostic::note(
+                    vec![Diagnostic::note(
                         *first_loc,
                         format!("first named in this '{}' clause", first.kind.name()),
                     )],
@@ -213,11 +237,16 @@ impl Sema<'_> {
     // ---------------- loop-nest collection ----------------
 
     /// Collects `depth` nested canonical loops, resolving each level with
-    /// the shared walker and turning its refusals into diagnostics.
-    /// Declarations in front of an inner loop are hoisted with the
-    /// generated prologues (`--analyze` reports the imperfect nest).
+    /// the shared walker and turning its refusals into diagnostics. Only
+    /// the outermost loop may share its literal block with declarations
+    /// (they run before the nest either way); below it the nest must be
+    /// perfect, because a statement hoisted out of an outer loop's body
+    /// would be evaluated once instead of once per iteration. The
+    /// prologue of a consumed transformation is not the user's code and
+    /// stays in front of the generated loop at every level.
     pub fn collect_loop_nest(
         &mut self,
+        d: &OMPDirective,
         stmt: &P<Stmt>,
         depth: usize,
         consumer: &str,
@@ -250,6 +279,25 @@ impl Sema<'_> {
                     return None;
                 }
             };
+            if lvl > 0 && !level.intervening.is_empty() {
+                let pragma = d.pragma_text();
+                for s in &level.intervening {
+                    self.diags.report_with_notes(
+                        Level::Error,
+                        s.loc,
+                        format!(
+                            "loop nest after '{pragma}' must be perfectly nested: \
+                             statement is not part of the loop at depth {}",
+                            lvl + 1
+                        ),
+                        vec![Diagnostic::note(
+                            d.loc,
+                            format!("'{pragma}' requires {depth} perfectly nested loops here"),
+                        )],
+                    );
+                }
+                return None;
+            }
             let only_decls = |s: &P<Stmt>| matches!(s.kind, StmtKind::Decl(_));
             if !level.intervening.iter().all(only_decls) {
                 not_a_loop(&cur);
@@ -267,7 +315,7 @@ impl Sema<'_> {
                 .collect();
             if let Some((var, ref_loc)) = find_nonrectangular_ref(&analysis, &outer) {
                 self.diags.report_with_notes(
-                    omplt_source::Level::Error,
+                    Level::Error,
                     ref_loc,
                     format!(
                         "loop nest associated with '{consumer}' must be rectangular: \
@@ -275,7 +323,7 @@ impl Sema<'_> {
                         lvl + 1,
                         var.name
                     ),
-                    vec![omplt_source::Diagnostic::note(
+                    vec![Diagnostic::note(
                         var.loc,
                         format!("iteration variable '{}' declared here", var.name),
                     )],
@@ -305,7 +353,7 @@ impl Sema<'_> {
         };
         let mut loops = Vec::with_capacity(stmts.len());
         for s in stmts {
-            loops.extend(self.collect_loop_nest(s, 1, consumer)?);
+            loops.extend(self.collect_loop_nest(d, s, 1, consumer)?);
         }
         if loops.len() < 2 {
             self.diags.error(
@@ -329,7 +377,7 @@ impl Sema<'_> {
     /// kept in IrBuilder mode too for the consumer-side diagnostics, "for
     /// the moment we rely on the existing diagnostic", §3.1), or an error
     /// already reported. Legality against the dependence graph is
-    /// `omplt-analysis`'s job (`--analyze`), not Sema's.
+    /// `omplt-analysis`'s gate, which runs on the finished translation unit.
     fn build_transformed(
         &mut self,
         d: &OMPDirective,
@@ -358,7 +406,7 @@ impl Sema<'_> {
         let levels = if kind.loop_association() == LoopAssociation::Sequence {
             self.collect_loop_sequence(d, associated, consumer)?
         } else {
-            self.collect_loop_nest(associated, d.associated_loops(), consumer)?
+            self.collect_loop_nest(d, associated, d.associated_loops(), consumer)?
         };
         let first = &levels[0].analysis;
         if full && first.const_trip_count().is_none() {
@@ -905,6 +953,39 @@ mod tests {
             msgs.iter().any(|m| m.contains("must be a for loop")),
             "{msgs:?}"
         );
+    }
+
+    /// `tile sizes(4, 2)` over `{ int t; for { int u; for } }`: the
+    /// declaration beside the outermost loop is accepted, the one between
+    /// the loops is refused, whichever representation is being built.
+    #[test]
+    fn only_the_outermost_level_may_have_siblings() {
+        for mode in [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder] {
+            for imperfect in [false, true] {
+                let (_, msgs) = with_sema(mode, |s| {
+                    let loc = SourceLocation::INVALID;
+                    let decl = |s: &Sema, name: &str| {
+                        let v = s.ctx.make_var(name, s.ctx.int(), None, loc);
+                        Stmt::new(StmtKind::Decl(vec![Decl::Var(v)]), loc)
+                    };
+                    let mut inner = mk_loop(s, 0, 8, 1, None);
+                    if imperfect {
+                        inner = Stmt::new(StmtKind::Compound(vec![decl(s, "u"), inner]), loc);
+                    }
+                    let outer = mk_loop(s, 0, 16, 1, Some(inner));
+                    let block = Stmt::new(StmtKind::Compound(vec![decl(s, "t"), outer]), loc);
+                    let lit = |v| s.ctx.int_lit(v, s.ctx.int(), loc);
+                    let sizes = OMPClause::new(OMPClauseKind::Sizes, vec![lit(4), lit(2)], loc);
+                    s.act_on_omp_directive(OMPDirectiveKind::Tile, vec![sizes], Some(block), loc)
+                });
+                let refused = msgs.iter().any(|m| {
+                    m == "loop nest after '#pragma omp tile sizes(4, 2)' must be perfectly \
+                          nested: statement is not part of the loop at depth 2"
+                });
+                assert_eq!(refused, imperfect, "{mode:?}: {msgs:?}");
+                assert_eq!(msgs.len(), usize::from(imperfect), "{mode:?}: {msgs:?}");
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * [`report`] — the ranked [`TuneReport`] with byte-deterministic text and
 //!   JSON renderings.
 //!
-//! Orchestration — parsing candidates, pruning them through
-//! `omplt-analysis` verdicts, executing survivors on the engines — lives in
+//! Orchestration — compiling candidates, pruning the refused and the
+//! doubtful, executing survivors on the engines — lives in
 //! the `omplt` facade (`omplt::tuner`), which wires these pieces to the
 //! `CompilerInstance` pipeline; the driver exposes it as
 //! `ompltc --autotune[=budget]`.

@@ -1,9 +1,11 @@
 //! Transformation legality: `#pragma omp interchange` may only permute a
 //! loop nest when no dependence has direction `(<, >)` under the new loop
-//! order — swapping such a nest would run the sink before its source. This
-//! example runs the `--analyze` dependence pass over a *negative* case (a
-//! wavefront stencil whose flow dependence flips sign under interchange)
-//! and over a legal permutation of an independent nest.
+//! order — swapping such a nest would run the sink before its source. The
+//! dependence gate is the last step of `CompilerInstance::parse_source`, so
+//! every compile gets it. This example shows the refusal on a *negative*
+//! case (a wavefront stencil whose flow dependence flips sign under
+//! interchange) and compiles and runs a legal permutation of an
+//! independent nest.
 //!
 //! ```text
 //! cargo run --example interchange_legality
@@ -14,7 +16,7 @@ use omplt::{CompilerInstance, Options};
 /// `a[i][j]` is written at iteration `(i, j)` and read at `(i+1, j-1)`: the
 /// flow dependence has distance vector `(1, -1)`, direction `(<, >)`.
 /// Interchanging the loops would make the reader run *before* the writer —
-/// the dependence pass rejects the permutation.
+/// the dependence gate refuses the permutation.
 const ILLEGAL: &str = r#"
 int main(void) {
   int a[9][9];
@@ -36,26 +38,26 @@ int main(void) {
   for (int j = 0; j < 9; j += 1)
     for (int i = 0; i < 8; i += 1)
       a[i * 9 + j] = i + j;
-  return 0;
+  return a[71];
 }
 "#;
 
-fn analyze(name: &str, source: &str) {
+fn compile_and_run(name: &str, source: &str) {
     let mut ci = CompilerInstance::new(Options::default());
-    let tu = ci.parse_source(name, source).expect("parse");
-    let report = ci.analyze(&tu);
-    if report.has_findings() {
-        println!("{} error(s):\n", report.errors);
-        print!("{}", ci.render_diags());
-    } else {
-        println!("no findings — the permutation is legal ✓");
+    match ci.parse_source(name, source) {
+        Err(refusal) => print!("refused by parse_source:\n\n{refusal}"),
+        Ok(tu) => {
+            let module = ci.codegen(&tu).expect("an accepted AST lowers");
+            let run = ci.run(&module).expect("and runs");
+            println!("compiled and ran: exit code {} ✓", run.exit_code);
+        }
     }
 }
 
 fn main() {
     println!("=== wavefront dependence (rejected) ===\n{ILLEGAL}");
-    analyze("wavefront.c", ILLEGAL);
+    compile_and_run("wavefront.c", ILLEGAL);
 
     println!("\n=== independent nest (accepted) ===\n{LEGAL}");
-    analyze("independent.c", LEGAL);
+    compile_and_run("independent.c", LEGAL);
 }

@@ -1,8 +1,10 @@
 //! Transformation legality: `#pragma omp tile sizes(4, 4)` requires a
-//! perfectly nested loop nest of depth 2 (OpenMP 5.1 §4.4.2). This example
-//! runs the `--analyze` legality pass over a *negative* case — a statement
+//! perfectly nested loop nest of depth 2 (OpenMP 5.1 §4.4.2). Sema checks
+//! that while it builds the directive, so the refusal comes out of
+//! `CompilerInstance::parse_source` — of every compile, not of a separate
+//! analysis mode. This example shows it on a *negative* case — a statement
 //! between the two loops that depends on the outer iteration variable — and
-//! over the corrected perfectly nested version.
+//! compiles and runs the corrected perfectly nested version.
 //!
 //! ```text
 //! cargo run --example tile_legality
@@ -10,10 +12,9 @@
 
 use omplt::{CompilerInstance, Options};
 
-/// `int t = i * 8;` sits between the loops. Sema's transformation machinery
-/// would hoist it out of the nest, but `t` depends on `i`, so the hoisted
-/// value would be stale for every tile except the first — the legality pass
-/// rejects the nest instead.
+/// `int t = i * 8;` sits between the loops. Hoisted out of the nest it
+/// would be evaluated once, so `t` would be stale for every `i` except the
+/// first — Sema refuses the nest instead.
 const IMPERFECT: &str = r#"
 int main(void) {
   int a[64];
@@ -23,7 +24,7 @@ int main(void) {
     for (int j = 0; j < 8; j += 1)
       a[t + j] = t;
   }
-  return 0;
+  return a[63];
 }
 "#;
 
@@ -36,26 +37,26 @@ int main(void) {
   for (int i = 0; i < 8; i += 1)
     for (int j = 0; j < 8; j += 1)
       a[i * 8 + j] = i * 8;
-  return 0;
+  return a[63];
 }
 "#;
 
-fn analyze(name: &str, source: &str) {
+fn compile_and_run(name: &str, source: &str) {
     let mut ci = CompilerInstance::new(Options::default());
-    let tu = ci.parse_source(name, source).expect("parse");
-    let report = ci.analyze(&tu);
-    if report.has_findings() {
-        println!("{} error(s):\n", report.errors);
-        print!("{}", ci.render_diags());
-    } else {
-        println!("no findings — the nest is legal to tile ✓");
+    match ci.parse_source(name, source) {
+        Err(refusal) => print!("refused by parse_source:\n\n{refusal}"),
+        Ok(tu) => {
+            let module = ci.codegen(&tu).expect("an accepted AST lowers");
+            let run = ci.run(&module).expect("and runs");
+            println!("compiled and ran: exit code {} ✓", run.exit_code);
+        }
     }
 }
 
 fn main() {
     println!("=== imperfect nest (rejected) ===\n{IMPERFECT}");
-    analyze("imperfect.c", IMPERFECT);
+    compile_and_run("imperfect.c", IMPERFECT);
 
     println!("\n=== perfectly nested (accepted) ===\n{PERFECT}");
-    analyze("perfect.c", PERFECT);
+    compile_and_run("perfect.c", PERFECT);
 }

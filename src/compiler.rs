@@ -117,6 +117,8 @@ pub struct CompilerInstance {
     pub sm: RefCell<SourceManager>,
     /// Diagnostics.
     pub diags: DiagnosticsEngine,
+    /// What the legality gate reported on the last `parse_source`.
+    gate: omplt_analysis::AnalysisReport,
 }
 
 impl CompilerInstance {
@@ -127,11 +129,17 @@ impl CompilerInstance {
             fm: FileManager::new(),
             sm: RefCell::new(SourceManager::new()),
             diags: DiagnosticsEngine::new(),
+            gate: omplt_analysis::AnalysisReport::default(),
         }
     }
 
-    /// Parses `source` (registered under `name`) into an AST. On error
-    /// returns the rendered diagnostics.
+    /// Parses `source` (registered under `name`) into an AST that may be
+    /// lowered: Sema refuses the nests it cannot transform while it builds
+    /// each directive, and the dependence gate over the order-changing
+    /// directives (`interchange`, `reverse`, `fuse`) closes the walk, so
+    /// every consumer of the result — compile, run, daemon job, tuner
+    /// candidate — is behind the same rules. On error returns the rendered
+    /// diagnostics.
     pub fn parse_source(&mut self, name: &str, source: &str) -> Result<TranslationUnit, String> {
         let _span = omplt_trace::span_detail("frontend", name);
         omplt_fault::set_stage("parse");
@@ -149,6 +157,9 @@ impl CompilerInstance {
             self.opts.openmp,
         );
         let tu = parse_translation_unit(tokens, &mut sema);
+        if !self.diags.has_errors() {
+            self.gate = omplt_analysis::legality_gate(&tu, &self.diags);
+        }
         if self.diags.has_errors() {
             return Err(self.render_diags());
         }
@@ -165,12 +176,15 @@ impl CompilerInstance {
         self.diags.render_json(&self.sm.borrow())
     }
 
-    /// Runs the static-analysis suite (`--analyze`): transformation legality
-    /// and `parallel for` race detection. Findings are reported through
-    /// [`CompilerInstance::diags`]; the returned report counts what the
-    /// analyses added.
+    /// The `--analyze` verdict on the translation unit the last
+    /// [`CompilerInstance::parse_source`] returned. Every legality *refusal*
+    /// already happened there; this runs the two lints over what the
+    /// compiler executes faithfully anyway (the `simd` lane-distance check
+    /// and `-Wrace`), reported through [`CompilerInstance::diags`], and
+    /// counts them together with what the gate warned about
+    /// (`-Wanalysis-limit`).
     pub fn analyze(&self, tu: &TranslationUnit) -> omplt_analysis::AnalysisReport {
-        omplt_analysis::run_analyses(tu, &self.diags)
+        self.gate + omplt_analysis::run_lints(tu, &self.diags)
     }
 
     /// Dumps the syntactic AST (`clang -ast-dump` style).

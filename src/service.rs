@@ -147,7 +147,8 @@ impl Service {
 /// `LocalViews::default()`.
 #[derive(Default)]
 pub struct LocalViews {
-    /// `--analyze`: run the static-analysis suite after parsing and stop.
+    /// `--analyze`: run the lints after parsing and stop, exit 1 on any
+    /// finding (the legality gate is part of parsing, with or without this).
     pub analyze: bool,
     /// `--ast-dump`: print the syntactic AST.
     pub ast_dump: bool,
@@ -234,8 +235,10 @@ pub fn contained_reply(
 }
 
 /// The pipeline proper — the only walk from source text to a run, for the
-/// daemon and the CLI alike: parse → [analyze] → [ast-dump] → codegen →
-/// optimize → [emit-ir] → compile bytecode (once) → [emit-bytecode] → run.
+/// daemon and the CLI alike: parse (every legality refusal: Sema's, then the
+/// dependence gate) → [the `--analyze` lints, and stop] → [ast-dump] →
+/// codegen → optimize → [emit-ir] → compile bytecode (once) →
+/// [emit-bytecode] → run.
 fn run_job(
     job: &JobRequest,
     cache: Option<&ArtifactCache>,

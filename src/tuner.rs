@@ -9,10 +9,12 @@
 //! 2. candidates come from the deterministic grid [`omplt_tune::Enumerator`]
 //!    (or the seeded [`omplt_tune::Sampler`] when a seed is given) and are
 //!    re-synthesized to full C sources;
-//! 3. each candidate is parsed and **pruned** through the batch legality API
-//!    ([`omplt_analysis::verdict`]): any parse/Sema error or `--analyze`
-//!    finding (legality, dependence gating, `-Wrace`) rejects it before it
-//!    ever executes — an illegal mutation is *diagnosed*, never miscompiled;
+//! 3. each candidate is parsed and **pruned**: every refusal (parse, Sema,
+//!    the dependence gate) is `parse_source`'s `Err`, as on any compile; a
+//!    candidate that compiles is dropped all the same when the gate could
+//!    not judge it (`-Wanalysis-limit`) or an `--analyze` lint fires (the
+//!    `simd` lane-distance check, `-Wrace`) — an illegal mutation is
+//!    *diagnosed*, never miscompiled, and a doubtful one never ranked;
 //! 4. survivors execute on their candidate backend under safety rails: a
 //!    fuel budget derived from the baseline's own op count (a mutation that
 //!    blows the program up runs out of fuel instead of hanging the search)
@@ -118,21 +120,18 @@ enum Eval {
 /// distinguishes "rejected by the legality gate" from "crashed past it".
 fn evaluate(name: &str, source: &str, opts: Options) -> Eval {
     let mut ci = CompilerInstance::new(opts);
-    let tu = match ci.parse_source(name, source) {
-        Ok(tu) => tu,
-        Err(_) => {
-            let msgs: Vec<String> = ci
-                .diags
-                .all()
-                .iter()
-                .map(|d| format!("{}: {}", d.level.as_str(), d.message))
-                .collect();
-            return Eval::Pruned(msgs);
-        }
+    let findings = |ci: &CompilerInstance| {
+        let all = ci.diags.all();
+        let msgs = all
+            .iter()
+            .map(|d| format!("{}: {}", d.level.as_str(), d.message));
+        Eval::Pruned(msgs.collect())
     };
-    let verdict = omplt_analysis::verdict(&tu);
-    if !verdict.is_legal() {
-        return Eval::Pruned(verdict.messages());
+    let Ok(tu) = ci.parse_source(name, source) else {
+        return findings(&ci);
+    };
+    if ci.analyze(&tu).has_findings() {
+        return findings(&ci);
     }
     let mut module = match ci.codegen(&tu) {
         Ok(m) => m,

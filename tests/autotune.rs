@@ -161,7 +161,7 @@ fn illegal_candidates_are_pruned_with_diagnostics() {
             .parse_source("cand.c", &mutated)
             .expect("evaluated candidates parse");
         assert!(
-            omplt::analysis::verdict(&tu).is_legal(),
+            !ci.analyze(&tu).has_findings(),
             "evaluated candidate '{}' fails --analyze",
             o.label
         );

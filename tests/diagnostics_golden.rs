@@ -1,14 +1,25 @@
-//! Golden tests for `DiagnosticsEngine::render` over analysis findings: the
-//! exact Clang-style text (level, `file:line:col`, carets, attached notes)
-//! is part of the user interface and must not drift.
+//! Golden tests for `DiagnosticsEngine::render` over legality and analysis
+//! findings: the exact Clang-style text (level, `file:line:col`, carets,
+//! attached notes) is part of the user interface and must not drift. Which
+//! call the text comes from is pinned too: a refusal is `parse_source`'s
+//! `Err` (every compile gets it), a lint finding appears under `analyze`.
 
 use omplt::{CompilerInstance, Options};
 
+/// The findings of the `--analyze` lints on a source every compile accepts.
 fn analyze_and_render(name: &str, src: &str) -> String {
     let mut ci = CompilerInstance::new(Options::default());
     let tu = ci.parse_source(name, src).expect("source parses cleanly");
+    assert!(ci.diags.is_empty(), "{}", ci.render_diags());
     ci.analyze(&tu);
     ci.render_diags()
+}
+
+/// The rendered refusal of a source no compile accepts.
+fn refusal(name: &str, src: &str) -> String {
+    CompilerInstance::new(Options::default())
+        .parse_source(name, src)
+        .expect_err("the legality rules refuse this source")
 }
 
 #[test]
@@ -59,7 +70,7 @@ tile.c:3:11: note: '#pragma omp tile sizes(4, 4)' requires 2 perfectly nested lo
   #pragma omp tile sizes(4, 4)
           ^
 ";
-    assert_eq!(analyze_and_render("tile.c", src), expected);
+    assert_eq!(refusal("tile.c", src), expected);
 }
 
 #[test]
@@ -227,7 +238,7 @@ ic.c:6:23: note: dependence sink: access to 'a[8*i + j - 7]' (distance vector (1
       a[i * 8 + j] = a[(i - 1) * 8 + (j + 1)];
                       ^
 ";
-    assert_eq!(analyze_and_render("ic.c", src), expected);
+    assert_eq!(refusal("ic.c", src), expected);
 }
 
 #[test]
@@ -257,7 +268,7 @@ fuse.c:7:38: note: dependence sink: access to 'a[j + 4]' (distance vector (-4))
     for (int j = 0; j < 64; j += 1) a[j + 4] = j;
                                      ^
 ";
-    assert_eq!(analyze_and_render("fuse.c", src), expected);
+    assert_eq!(refusal("fuse.c", src), expected);
 }
 
 #[test]
@@ -282,7 +293,16 @@ lim.c:6:10: note: 'a': subscript is not affine in the loop iteration variables
     a[idx[i]] = i;
          ^
 ";
-    assert_eq!(analyze_and_render("lim.c", src), expected);
+    // "Cannot disprove" lets the compile through, with the warning on it;
+    // `--analyze` counts it as a finding and does not print it again.
+    let mut ci = CompilerInstance::new(Options::default());
+    let tu = ci
+        .parse_source("lim.c", src)
+        .expect("a warning, not a refusal");
+    assert_eq!(ci.render_diags(), expected);
+    let report = ci.analyze(&tu);
+    assert_eq!((report.errors, report.warnings), (0, 1));
+    assert_eq!(ci.render_diags(), expected);
 }
 
 #[test]
@@ -300,9 +320,8 @@ int main(void) {
 }
 ";
     let mut ci = CompilerInstance::new(Options::default());
-    let tu = ci.parse_source("rev.c", src).expect("parses");
-    let report = ci.analyze(&tu);
-    assert_eq!((report.errors, report.warnings), (1, 0));
+    ci.parse_source("rev.c", src)
+        .expect_err("the dependence gate refuses the reversal");
     let expected = "[{\"level\":\"error\",\"message\":\"'#pragma omp reverse' is illegal here: \
                     the loop carries a flow dependence on 'a' with direction vector (<)\",\
                     \"file\":\"rev.c\",\"line\":4,\"column\":11,\"notes\":[{\"level\":\"note\",\
@@ -636,4 +655,39 @@ void f(void) {
         ci.render_diags_json(),
         "[{\"level\":\"error\",\"message\":\"reduction operator 'max' is not supported\",\"file\":\"rj.c\",\"line\":3,\"column\":28,\"notes\":[]}]\n"
     );
+}
+
+/// Every `ci/analysis-fixtures/*.c` through the `ompltc` binary: `--analyze
+/// --diag-format=json` prints its `.json` twin byte for byte on stderr and
+/// nothing on stdout, and exits 1 exactly when that golden has a finding in
+/// it (error or warning). A legitimate diagnostics change updates the
+/// goldens in the same commit and says why the wording, locations or
+/// vectors moved.
+#[test]
+fn analyze_json_matches_the_fixture_goldens() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut fixtures: Vec<_> = std::fs::read_dir(root.join("ci/analysis-fixtures"))
+        .expect("ci/analysis-fixtures exists")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "c"))
+        .collect();
+    fixtures.sort();
+    assert!(fixtures.len() >= 7, "{fixtures:?}");
+    for src in fixtures {
+        // The goldens spell the path as given, relative to the repo root.
+        let rel = src.strip_prefix(root).unwrap();
+        let expected = std::fs::read_to_string(src.with_extension("json"))
+            .unwrap_or_else(|e| panic!("{} has no golden: {e}", rel.display()));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ompltc"))
+            .current_dir(root)
+            .args(["--analyze", "--diag-format=json"])
+            .arg(rel)
+            .output()
+            .expect("run ompltc");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(stderr, expected, "diagnostics drift in {}", rel.display());
+        assert!(out.stdout.is_empty(), "{}", rel.display());
+        let want = i32::from(!expected.is_empty());
+        assert_eq!(out.status.code(), Some(want), "{}", rel.display());
+    }
 }

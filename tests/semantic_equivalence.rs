@@ -214,3 +214,39 @@ fn trip_count_type_extremes_i8() {
     );
     assert_matrix_output(&src, &seq([255]));
 }
+
+/// A local `int a[9][9]` is 81 `int`s, not 9 pointers: its alloca used to be
+/// sized by the *outer* extent only, so the first `a[2][0]` was an
+/// out-of-bounds access (globals of the same type were sized correctly).
+/// The 2-D nest is interchanged, which is legal — and provable — because
+/// every cell depends on itself only.
+#[test]
+fn local_multidimensional_arrays() {
+    let src = format!(
+        "{PRINT_PROTO}int main(void) {{\n  int a[9][9];\n  long b[2][3][4];\n  \
+         for (int i = 0; i < 9; i += 1)\n    for (int j = 0; j < 9; j += 1)\n      a[i][j] = 9 * i + j;\n  \
+         for (int i = 0; i < 2; i += 1)\n    for (int j = 0; j < 3; j += 1)\n      for (int k = 0; k < 4; k += 1)\n        b[i][j][k] = 100 * i + 10 * j + k;\n  \
+         #pragma omp interchange\n  for (int i = 0; i < 9; i += 1)\n    for (int j = 0; j < 9; j += 1)\n      a[i][j] = a[i][j] * 2 + 1;\n  \
+         long s = 0;\n  for (int i = 1; i < 9; i += 1)\n    for (int j = 0; j < 8; j += 1)\n      s += a[i][j] - a[i - 1][j + 1];\n  \
+         print_i64(s);\n  print_i64(a[8][8]);\n  print_i64(b[1][2][3] + b[0][1][2]);\n  return 0;\n}}\n"
+    );
+    let expected = seq([1024, 161, 135]);
+    assert_matrix_output(&src, &expected);
+    for codegen_mode in [
+        omplt::OpenMpCodegenMode::Classic,
+        omplt::OpenMpCodegenMode::IrBuilder,
+    ] {
+        for optimize in [false, true] {
+            let opts = Options {
+                codegen_mode,
+                backend: omplt::Backend::VmStrict,
+                ..Options::default()
+            };
+            let r = run_source_with(&src, opts, optimize);
+            assert_eq!(
+                r.stdout, expected,
+                "vm:strict, {codegen_mode:?}, {optimize}"
+            );
+        }
+    }
+}
