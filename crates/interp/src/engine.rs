@@ -114,11 +114,22 @@ impl<'m> RunState<'m> {
 
     /// Grants a frame its next [`FUEL_BATCH`] ops. Fuel is accounted in
     /// batches so team threads do not serialize on one contended cache line
-    /// (one `fetch_sub` per 4096 ops); the per-job wall-clock deadline
+    /// (one update per 4096 ops); the per-job wall-clock deadline
     /// piggybacks on the refill so the check costs nothing on the per-op path.
+    ///
+    /// A refused refill leaves the counter where it was — below a batch — so
+    /// once one thread of a team has exhausted the budget, every other
+    /// thread's next refill is refused too. (A plain `fetch_sub` wrapped the
+    /// counter to ≈ 2⁶⁴ on the refusal and granted the rest of the team
+    /// fuel forever.)
     #[inline]
     pub fn refill(&self) -> Result<u64, ExecError> {
-        if self.fuel.fetch_sub(FUEL_BATCH, Ordering::Relaxed) < FUEL_BATCH {
+        let take = |left: u64| left.checked_sub(FUEL_BATCH);
+        if self
+            .fuel
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, take)
+            .is_err()
+        {
             return Err(ExecError::FuelExhausted);
         }
         match self.cfg.deadline {

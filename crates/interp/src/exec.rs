@@ -1,5 +1,14 @@
 //! The IR interpreter: executes `omplt-ir` modules, dispatching runtime
 //! calls (OpenMP + I/O shims) to [`crate::runtime`].
+//!
+//! It is also where the guest's arithmetic is defined, once, for both
+//! engines: the kernels [`bin`], [`cmp`], [`cast`], [`gep`], [`decode`] and
+//! [`encode`] work on untagged 64-bit *payloads*. The interpreter's frames
+//! hold tagged [`RtVal`]s and reach the kernels through the coercing
+//! wrappers [`exec_bin`], [`exec_cmp`], [`exec_cast`], [`decode_scalar`] and
+//! [`encode_scalar`]; the bytecode VM keeps payloads in its registers — its
+//! verifier has proven each register's class — and calls the kernels
+//! directly.
 
 use crate::engine::{Callee, ChunkRecord, Engine, RunState};
 use crate::memory::Memory;
@@ -340,9 +349,7 @@ impl<'m> Interpreter<'m> {
             } => {
                 let p = self.eval(frame, args, *ptr)?.as_p();
                 let i = self.eval(frame, args, *index)?.as_i();
-                Some(RtVal::P(
-                    p.wrapping_add((i as u64).wrapping_mul(*elem_size)),
-                ))
+                Some(RtVal::P(gep(p, i as u64, *elem_size)))
             }
             Inst::Bin { op, lhs, rhs } => {
                 let ty = f.value_type(*lhs);
@@ -403,36 +410,30 @@ impl Engine for Interpreter<'_> {
     }
 }
 
-/// Converts raw loaded bits into a typed value.
-#[inline]
-pub fn decode_scalar(ty: IrType, raw: u64) -> RtVal {
-    match ty {
-        IrType::F32 => RtVal::F(f32::from_bits(raw as u32) as f64),
-        IrType::F64 => RtVal::F(f64::from_bits(raw)),
-        IrType::Ptr => RtVal::P(raw),
-        _ => RtVal::I(ty.wrap(raw as i64)),
-    }
-}
+// ---------------------------------------------------------------------------
+// Arithmetic: one definition, on payloads
+// ---------------------------------------------------------------------------
+//
+// A *payload* is the 64 bits a value occupies once its class is known from
+// somewhere else: an integer's `i64` (sign-extended from its width), a
+// float's `f64` bits (an `f32` widened, as [`RtVal::F`] holds it), a
+// pointer's handle. The kernels below are the only place the guest's
+// arithmetic, comparisons, conversions and scalar memory encodings are
+// written. The bytecode VM keeps payloads in its registers (its verifier
+// proved every register's class) and calls the kernels with the operator and
+// type as literals, so each call folds to the one instruction it means —
+// hence `#[inline(always)]`. The interpreter, whose frames hold tagged
+// [`RtVal`]s, goes through the `exec_*` wrappers after them, which coerce
+// each operand to the class the operator reads (`as_i`/`as_f`/`as_p`) and
+// tag the result.
 
-/// Converts a typed value into raw storable bits.
-#[inline]
-pub fn encode_scalar(ty: IrType, v: RtVal) -> u64 {
-    match ty {
-        IrType::F32 => (v.as_f() as f32).to_bits() as u64,
-        IrType::F64 => v.as_f().to_bits(),
-        IrType::Ptr => v.as_p(),
-        _ => v.as_i() as u64,
-    }
-}
-
-/// Executes one binary operation. Public so the bytecode VM shares *exactly*
-/// these semantics (wrapping, pointer flavor, division checks) — differential
-/// tests require bit-identical arithmetic between backends.
-#[inline]
-pub fn exec_bin(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, ExecError> {
+/// `lhs <op> rhs` at width `ty`, on payloads: wrapping integer arithmetic,
+/// division checks, `f32` rounding, the pointer flavor of `add`/`sub`.
+#[inline(always)]
+pub fn bin(op: BinOpKind, ty: IrType, a: u64, b: u64) -> Result<u64, ExecError> {
     use BinOpKind::*;
     if op.is_float() {
-        let (x, y) = (a.as_f(), b.as_f());
+        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
         let r = match op {
             FAdd => x + y,
             FSub => x - y,
@@ -441,27 +442,19 @@ pub fn exec_bin(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, 
             FRem => x % y,
             _ => unreachable!(),
         };
-        return Ok(RtVal::F(if ty == IrType::F32 {
-            (r as f32) as f64
-        } else {
-            r
-        }));
+        return Ok(round_to(ty, r).to_bits());
     }
     // Pointer arithmetic through add/sub keeps the pointer flavor.
     if ty == IrType::Ptr {
-        let (x, y) = (a.as_p(), b.as_p());
-        let r = match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            _ => {
-                return Err(ExecError::Malformed(
-                    "non-additive pointer arithmetic".into(),
-                ))
-            }
+        return match op {
+            Add => Ok(a.wrapping_add(b)),
+            Sub => Ok(a.wrapping_sub(b)),
+            _ => Err(ExecError::Malformed(
+                "non-additive pointer arithmetic".into(),
+            )),
         };
-        return Ok(RtVal::P(r));
     }
-    let (x, y) = (a.as_i(), b.as_i());
+    let (x, y) = (a as i64, b as i64);
     let (ux, uy) = (ty.wrap_unsigned(x), ty.wrap_unsigned(y));
     let r = match op {
         Add => x.wrapping_add(y),
@@ -499,15 +492,15 @@ pub fn exec_bin(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, 
         Xor => x ^ y,
         _ => unreachable!(),
     };
-    Ok(RtVal::I(ty.wrap(r)))
+    Ok(ty.wrap(r) as u64)
 }
 
-/// Executes one comparison (shared with the bytecode VM, see [`exec_bin`]).
-#[inline]
-pub fn exec_cmp(pred: CmpPred, ty: IrType, a: RtVal, b: RtVal) -> bool {
+/// `lhs <pred> rhs` at type `ty`, on payloads.
+#[inline(always)]
+pub fn cmp(pred: CmpPred, ty: IrType, a: u64, b: u64) -> bool {
     use CmpPred::*;
     if pred.is_float() {
-        let (x, y) = (a.as_f(), b.as_f());
+        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
         return match pred {
             FEq => x == y,
             FNe => x != y,
@@ -518,9 +511,9 @@ pub fn exec_cmp(pred: CmpPred, ty: IrType, a: RtVal, b: RtVal) -> bool {
             _ => unreachable!(),
         };
     }
-    let (x, y) = (a.as_i(), b.as_i());
+    let (x, y) = (a as i64, b as i64);
     let (ux, uy) = if ty == IrType::Ptr {
-        (a.as_p(), b.as_p())
+        (a, b)
     } else {
         (ty.wrap_unsigned(x), ty.wrap_unsigned(y))
     };
@@ -539,28 +532,131 @@ pub fn exec_cmp(pred: CmpPred, ty: IrType, a: RtVal, b: RtVal) -> bool {
     }
 }
 
-/// Executes one conversion (shared with the bytecode VM, see [`exec_bin`]).
-#[inline]
-pub fn exec_cast(op: CastOp, from: IrType, to: IrType, v: RtVal) -> RtVal {
+/// `cast<op>` from `from` to `to`, on payloads.
+#[inline(always)]
+pub fn cast(op: CastOp, from: IrType, to: IrType, v: u64) -> u64 {
+    let (i, f) = (v as i64, f64::from_bits(v));
     match op {
-        CastOp::Trunc => RtVal::I(to.wrap(v.as_i())),
-        CastOp::SExt => RtVal::I(v.as_i()),
-        CastOp::ZExt => RtVal::I(from.wrap_unsigned(v.as_i()) as i64),
-        CastOp::SiToFp => RtVal::F(round_to(to, v.as_i() as f64)),
-        CastOp::UiToFp => RtVal::F(round_to(to, from.wrap_unsigned(v.as_i()) as f64)),
-        CastOp::FpToSi => RtVal::I(to.wrap(v.as_f() as i64)),
-        CastOp::FpToUi => RtVal::I(to.wrap(v.as_f() as u64 as i64)),
-        CastOp::FpTrunc | CastOp::FpExt => RtVal::F(round_to(to, v.as_f())),
-        CastOp::PtrToInt => RtVal::I(to.wrap(v.as_p() as i64)),
-        CastOp::IntToPtr => RtVal::P(v.as_i() as u64),
+        CastOp::Trunc | CastOp::PtrToInt => to.wrap(i) as u64,
+        CastOp::SExt | CastOp::IntToPtr => v,
+        CastOp::ZExt => from.wrap_unsigned(i),
+        CastOp::SiToFp => round_to(to, i as f64).to_bits(),
+        CastOp::UiToFp => round_to(to, from.wrap_unsigned(i) as f64).to_bits(),
+        CastOp::FpToSi => to.wrap(f as i64) as u64,
+        CastOp::FpToUi => to.wrap(f as u64 as i64) as u64,
+        CastOp::FpTrunc | CastOp::FpExt => round_to(to, f).to_bits(),
     }
 }
 
+/// `base + index * elem_size`, on payloads (the byte-scaled GEP).
+#[inline(always)]
+pub fn gep(base: u64, index: u64, elem_size: u64) -> u64 {
+    base.wrapping_add(index.wrapping_mul(elem_size))
+}
+
+/// The payload of the `ty` whose stored bits are `raw` (zero-extended, as
+/// [`Memory::load`] returns them).
+#[inline(always)]
+pub fn decode(ty: IrType, raw: u64) -> u64 {
+    match ty {
+        IrType::F32 => (f32::from_bits(raw as u32) as f64).to_bits(),
+        IrType::F64 | IrType::Ptr => raw,
+        _ => ty.wrap(raw as i64) as u64,
+    }
+}
+
+/// The bits a payload of type `ty` is stored as ([`Memory::store`] keeps the
+/// low `ty.size()` bytes).
+#[inline(always)]
+pub fn encode(ty: IrType, v: u64) -> u64 {
+    match ty {
+        IrType::F32 => (f64::from_bits(v) as f32).to_bits() as u64,
+        _ => v,
+    }
+}
+
+#[inline(always)]
 fn round_to(ty: IrType, v: f64) -> f64 {
     if ty == IrType::F32 {
         (v as f32) as f64
     } else {
         v
+    }
+}
+
+// The wrappers: the same five entry points the interpreter and
+// `runtime::atomic_rmw` have always called. Each picks its operands'
+// coercion from the operator and type alone — never from the tag — so an
+// operand that crossed a call boundary at the wrong class is converted the
+// way C would, exactly as before the kernels existed.
+
+/// Converts raw loaded bits into a typed value.
+#[inline]
+pub fn decode_scalar(ty: IrType, raw: u64) -> RtVal {
+    let v = decode(ty, raw);
+    match ty {
+        IrType::F32 | IrType::F64 => RtVal::F(f64::from_bits(v)),
+        IrType::Ptr => RtVal::P(v),
+        _ => RtVal::I(v as i64),
+    }
+}
+
+/// Converts a typed value into raw storable bits.
+#[inline]
+pub fn encode_scalar(ty: IrType, v: RtVal) -> u64 {
+    match ty {
+        IrType::F32 | IrType::F64 => encode(ty, v.as_f().to_bits()),
+        IrType::Ptr => encode(ty, v.as_p()),
+        _ => encode(ty, v.as_i() as u64),
+    }
+}
+
+/// Executes one binary operation on tagged values: [`bin`] behind the
+/// operands' coercions.
+#[inline]
+pub fn exec_bin(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, ExecError> {
+    if op.is_float() {
+        let r = bin(op, ty, a.as_f().to_bits(), b.as_f().to_bits())?;
+        Ok(RtVal::F(f64::from_bits(r)))
+    } else if ty == IrType::Ptr {
+        Ok(RtVal::P(bin(op, ty, a.as_p(), b.as_p())?))
+    } else {
+        Ok(RtVal::I(
+            bin(op, ty, a.as_i() as u64, b.as_i() as u64)? as i64
+        ))
+    }
+}
+
+/// Executes one comparison on tagged values: [`cmp`] behind the operands'
+/// coercions. A pointer comparison reads its operands as pointers for the
+/// equality and unsigned predicates and as integers for the signed ones.
+#[inline]
+pub fn exec_cmp(pred: CmpPred, ty: IrType, a: RtVal, b: RtVal) -> bool {
+    use CmpPred::*;
+    if pred.is_float() {
+        cmp(pred, ty, a.as_f().to_bits(), b.as_f().to_bits())
+    } else if ty == IrType::Ptr && !matches!(pred, Slt | Sle | Sgt | Sge) {
+        cmp(pred, ty, a.as_p(), b.as_p())
+    } else {
+        cmp(pred, ty, a.as_i() as u64, b.as_i() as u64)
+    }
+}
+
+/// Executes one conversion on a tagged value: [`cast`] behind the operand's
+/// coercion.
+#[inline]
+pub fn exec_cast(op: CastOp, from: IrType, to: IrType, v: RtVal) -> RtVal {
+    use CastOp::*;
+    let src = match op {
+        Trunc | SExt | ZExt | SiToFp | UiToFp | IntToPtr => v.as_i() as u64,
+        FpToSi | FpToUi | FpTrunc | FpExt => v.as_f().to_bits(),
+        PtrToInt => v.as_p(),
+    };
+    let r = cast(op, from, to, src);
+    match op {
+        Trunc | SExt | ZExt | FpToSi | FpToUi | PtrToInt => RtVal::I(r as i64),
+        SiToFp | UiToFp | FpTrunc | FpExt => RtVal::F(f64::from_bits(r)),
+        IntToPtr => RtVal::P(r),
     }
 }
 
@@ -701,6 +797,120 @@ mod tests {
             out.starts_with("0.100000001"),
             "f32 rounding must be visible: {out}"
         );
+    }
+
+    /// What only a call boundary can produce — an operand whose tag is not
+    /// the class the operator reads — and the kernels therefore never see:
+    /// the wrappers coerce it the way `as_i`/`as_f`/`as_p` always have. Each
+    /// expectation is the answer the pre-kernel `exec_*` gave.
+    #[test]
+    fn wrappers_coerce_operands_of_the_wrong_class() {
+        use RtVal::{F, I, P};
+        let p = (3u64 << 32) + 16;
+        // Float operators read floats: an integer converts, a pointer too.
+        assert_eq!(
+            exec_bin(BinOpKind::FAdd, IrType::F64, I(3), F(0.5)),
+            Ok(F(3.5))
+        );
+        assert_eq!(
+            exec_bin(BinOpKind::FMul, IrType::F32, P(3), F(0.1)),
+            Ok(F((3.0f64 * 0.1) as f32 as f64))
+        );
+        // Pointer arithmetic reads pointers: an integer offset is its bits,
+        // a float is the null pointer.
+        assert_eq!(
+            exec_bin(BinOpKind::Add, IrType::Ptr, P(p), I(8)),
+            Ok(P(p + 8))
+        );
+        assert_eq!(
+            exec_bin(BinOpKind::Sub, IrType::Ptr, P(p), I(-8)),
+            Ok(P(p + 8))
+        );
+        assert_eq!(
+            exec_bin(BinOpKind::Add, IrType::Ptr, P(p), F(9.75)),
+            Ok(P(p))
+        );
+        assert_eq!(
+            exec_bin(BinOpKind::Mul, IrType::Ptr, P(p), I(2)),
+            Err(ExecError::Malformed(
+                "non-additive pointer arithmetic".into()
+            ))
+        );
+        // Integer operators read integers: a float truncates, a pointer is
+        // its bits.
+        assert_eq!(
+            exec_bin(BinOpKind::Add, IrType::I64, F(2.9), P(40)),
+            Ok(I(42))
+        );
+        assert_eq!(
+            exec_bin(BinOpKind::SDiv, IrType::I32, I(7), F(0.5)),
+            Err(ExecError::DivByZero)
+        );
+
+        // A pointer compare reads pointers for equality and the unsigned
+        // predicates — a float is null there — and integers for the signed.
+        assert!(exec_cmp(CmpPred::Ult, IrType::Ptr, I(5), P(p)));
+        assert!(exec_cmp(CmpPred::Ult, IrType::Ptr, F(7.0), P(1)));
+        assert!(exec_cmp(CmpPred::Eq, IrType::Ptr, F(7.0), P(0)));
+        assert!(exec_cmp(CmpPred::Uge, IrType::Ptr, I(-1), P(p)));
+        assert!(exec_cmp(CmpPred::Sgt, IrType::Ptr, F(7.0), P(1)));
+        assert!(exec_cmp(CmpPred::Slt, IrType::Ptr, I(-1), P(p)));
+        // Integer and float compares on mixed tags.
+        assert!(exec_cmp(CmpPred::Slt, IrType::I32, F(-2.5), I(-1)));
+        assert!(exec_cmp(CmpPred::Ult, IrType::I32, P(3), I(-1)));
+        assert!(exec_cmp(CmpPred::FLt, IrType::F64, I(1), F(1.5)));
+        assert!(!exec_cmp(CmpPred::FEq, IrType::F64, P(2), F(f64::NAN)));
+
+        // Conversions read the class their operator converts from.
+        assert_eq!(
+            exec_cast(CastOp::SiToFp, IrType::I64, IrType::F64, P(p)),
+            F(p as f64)
+        );
+        assert_eq!(
+            exec_cast(CastOp::SiToFp, IrType::I32, IrType::F32, F(16_777_217.9)),
+            F(16_777_216.0)
+        );
+        assert_eq!(
+            exec_cast(CastOp::UiToFp, IrType::I8, IrType::F64, P(0x1FF)),
+            F(255.0)
+        );
+        assert_eq!(
+            exec_cast(CastOp::FpToSi, IrType::F64, IrType::I32, I(-7)),
+            I(-7)
+        );
+        assert_eq!(
+            exec_cast(CastOp::FpExt, IrType::F32, IrType::F64, I(3)),
+            F(3.0)
+        );
+        assert_eq!(
+            exec_cast(CastOp::PtrToInt, IrType::Ptr, IrType::I64, F(1.0)),
+            I(0)
+        );
+        assert_eq!(
+            exec_cast(CastOp::PtrToInt, IrType::Ptr, IrType::I32, I(p as i64)),
+            I(16)
+        );
+        assert_eq!(
+            exec_cast(CastOp::IntToPtr, IrType::I64, IrType::Ptr, F(9.9)),
+            P(9)
+        );
+        assert_eq!(
+            exec_cast(CastOp::ZExt, IrType::I8, IrType::I64, P(0x180)),
+            I(0x80)
+        );
+        assert_eq!(
+            exec_cast(CastOp::Trunc, IrType::I64, IrType::I8, F(200.7)),
+            I(-56)
+        );
+
+        // Stores and loads: the stored bits of a value of the wrong class.
+        assert_eq!(encode_scalar(IrType::F32, I(3)), 3.0f32.to_bits() as u64);
+        assert_eq!(encode_scalar(IrType::F64, P(2)), 2.0f64.to_bits());
+        assert_eq!(encode_scalar(IrType::Ptr, F(1.0)), 0);
+        assert_eq!(encode_scalar(IrType::I32, F(-1.5)), -1i64 as u64);
+        assert_eq!(decode_scalar(IrType::I8, 0xFF), I(-1));
+        assert_eq!(decode_scalar(IrType::F32, 1.5f32.to_bits() as u64), F(1.5));
+        assert_eq!(decode_scalar(IrType::Ptr, p), P(p));
     }
 
     #[test]

@@ -32,6 +32,7 @@ mnemonic_enum! {
 
 impl BinOpKind {
     /// True for the floating-point ops.
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(
             self,
@@ -66,6 +67,7 @@ mnemonic_enum! {
 
 impl CmpPred {
     /// True for the floating-point predicates.
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(
             self,

@@ -55,6 +55,7 @@ mnemonic_enum! {
 
 impl IrType {
     /// True for the integer types (including `i1`).
+    #[inline]
     pub fn is_int(self) -> bool {
         matches!(
             self,
@@ -63,11 +64,13 @@ impl IrType {
     }
 
     /// True for floating-point types.
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(self, IrType::F32 | IrType::F64)
     }
 
     /// Bit width of integer types (1 for `i1`), 0 otherwise.
+    #[inline]
     pub fn bits(self) -> u32 {
         match self {
             IrType::I1 => 1,
@@ -80,6 +83,7 @@ impl IrType {
     }
 
     /// Store size in bytes (pointers are 8; `i1` stores as one byte).
+    #[inline]
     pub fn size(self) -> u64 {
         match self {
             IrType::Void => 0,
@@ -104,6 +108,7 @@ impl IrType {
 
     /// Wraps `v` (sign-agnostic bits) to this integer type's width,
     /// sign-extending into `i64` storage.
+    #[inline]
     pub fn wrap(self, v: i64) -> i64 {
         let bits = self.bits();
         if bits == 0 || bits >= 64 {
@@ -114,6 +119,7 @@ impl IrType {
     }
 
     /// Wraps `v` to this integer type's width as an unsigned value.
+    #[inline]
     pub fn wrap_unsigned(self, v: i64) -> u64 {
         let bits = self.bits();
         if bits == 0 || bits >= 64 {

@@ -21,15 +21,26 @@
 //! * [`verify`] — a load-time bytecode verifier (register def-before-use,
 //!   in-bounds jump targets, type-class-consistent operands) that runs on
 //!   every compiled module and again under `--verify-each`.
-//! * [`vm`] — the execution engine: a `pc` loop over a dense `#[repr(u8)]`
-//!   opcode `match`, unsafe-free, sharing the interpreter's [`omplt_interp::Memory`]
-//!   and — via the [`omplt_interp::Engine`] trait — its entire OpenMP runtime
-//!   (`__kmpc_fork_call` thread teams, every worksharing schedule, barriers),
-//!   so tile/unroll/`nowait` behave identically on both backends.
+//! * [`vm`] — the execution engine: `VmEngine::new` resolves each verified
+//!   [`Op`] once per run to a private execution form — a variant of its own
+//!   for each (operator, type) pair the benchmark's workloads retire, the
+//!   `Op` itself for everything else — and a `pc` loop runs that stream as a
+//!   `match` over untagged 64-bit registers — exact because the verifier has
+//!   proven every register's class — unsafe-free, sharing the interpreter's
+//!   [`omplt_interp::Memory`] (through a per-frame region cache that keeps
+//!   the bounds test) and — via the [`omplt_interp::Engine`] trait — its
+//!   entire OpenMP runtime (`__kmpc_fork_call` thread teams, every
+//!   worksharing schedule, barriers), so tile/unroll/`nowait` behave
+//!   identically on both backends. The resolved stream is not a format: it
+//!   is never serialised, verified or printed (`--emit-bytecode` shows `Op`).
 //!
-//! Arithmetic reuses the interpreter's `exec_bin`/`exec_cmp`/`exec_cast`
-//! helpers, so results are bit-identical by construction and differential
-//! tests can compare observable memory state across backends exactly.
+//! The engines share one definition of arithmetic: the payload kernels of
+//! `omplt_interp::exec` (`bin`, `cmp`, `cast`, `decode`, `encode`), which the
+//! VM's arms call — with the operator and type as literals where the pair
+//! has a variant — and the interpreter reaches through its tag-coercing
+//! `exec_bin`/`exec_cmp`/`exec_cast` wrappers — so results are bit-identical
+//! by construction and differential tests can compare observable memory
+//! state across backends exactly.
 
 pub mod compile;
 pub mod ops;
@@ -42,7 +53,7 @@ pub mod vm;
 
 pub use compile::{compile_module, compile_module_with, CompileError};
 pub use ops::{
-    disasm, CallTarget, Op, PoolConst, Reg, RegClass, VReg, VecVal, VmFunction, VmModule, MAX_LANES,
+    disasm, CallTarget, Op, PoolConst, Reg, RegClass, VReg, VmFunction, VmModule, MAX_LANES,
 };
 pub use serde::{decode, encode, DecodeError};
 pub use verify::{verify_function, verify_module, VerifyError};

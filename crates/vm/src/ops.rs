@@ -1,9 +1,13 @@
-//! The bytecode format: a register machine over [`RtVal`] values.
+//! The bytecode format: a register machine over 64-bit values, each
+//! register of one static class.
 //!
 //! Each function is one flat `Vec<Op>` — the CFG is linearized in
 //! reverse-postorder and branch targets are instruction offsets, so the hot
-//! execution loop is `pc`-increment plus one `match` on a dense `#[repr(u8)]`
-//! opcode (no block lookups, no phi scans, no operand re-matching).
+//! execution loop is `pc`-increment plus one `match` (no block lookups, no
+//! phi scans, no operand re-matching). What that loop streams is the
+//! engine's private resolution of each op, at the same `pc` — the hot
+//! (operator, type) pairs as variants of their own, every other op as itself
+//! (see `vm.rs`); `Op` is what is compiled, verified, serialised and printed.
 //!
 //! Registers are virtual (`u16` indices into a per-frame register file),
 //! typed by coarse [`RegClass`]; constants live in a per-function pool
@@ -32,24 +36,8 @@ pub type Reg = u16;
 pub type VReg = u16;
 
 /// Maximum lane count any vector op may carry. `--vector-width` requests are
-/// clamped here, and [`VecVal`] storage is sized by it.
+/// clamped here, and a frame's vector registers are sized by it.
 pub const MAX_LANES: usize = 8;
-
-/// One vector register's value: a fixed array of scalar lanes. Ops only
-/// touch lanes `0..w`; the rest are dead storage.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct VecVal {
-    /// Per-lane scalar values.
-    pub lanes: [RtVal; MAX_LANES],
-}
-
-impl Default for VecVal {
-    fn default() -> VecVal {
-        VecVal {
-            lanes: [RtVal::I(0); MAX_LANES],
-        }
-    }
-}
 
 /// Coarse register type class — enough to verify operand compatibility
 /// (the fine-grained `IrType` rides on the ops that need width information).
@@ -78,6 +66,28 @@ impl RegClass {
         }
     }
 
+    /// The register payload of `v` read at this class — the 64 bits a frame
+    /// keeps: `as_i`/`as_f`/`as_p`, so a value that crossed a call boundary
+    /// at another class is coerced exactly as a tagged read would have.
+    #[inline]
+    pub fn payload(self, v: RtVal) -> u64 {
+        match self {
+            RegClass::Int => v.as_i() as u64,
+            RegClass::Float => v.as_f().to_bits(),
+            RegClass::Ptr => v.as_p(),
+        }
+    }
+
+    /// Re-tags a register payload of this class as a value.
+    #[inline]
+    pub fn tag(self, bits: u64) -> RtVal {
+        match self {
+            RegClass::Int => RtVal::I(bits as i64),
+            RegClass::Float => RtVal::F(f64::from_bits(bits)),
+            RegClass::Ptr => RtVal::P(bits),
+        }
+    }
+
     /// Display letter (`i`/`f`/`p`) for the disassembler and diagnostics.
     pub fn letter(self) -> char {
         match self {
@@ -100,7 +110,7 @@ impl std::fmt::Display for RegClass {
 
 /// A constant-pool entry. `Global` and `FnPtr` are *symbolic*: their guest
 /// addresses exist only once an engine has materialized the module, so the
-/// engine resolves the pool to flat [`RtVal`]s at construction time.
+/// engine resolves the pool to flat register payloads at construction time.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum PoolConst {
     /// An immediate value.
@@ -216,8 +226,8 @@ macro_rules! ops {
     )*) => {
         /// One bytecode instruction.
         ///
-        /// `#[repr(u8)]` keeps the discriminant a single dense byte, so the
-        /// dispatch `match` compiles to a jump table.
+        /// `#[repr(u8)]` makes the discriminant the row's tag — one dense
+        /// byte, the same one the OMPLTBC codec writes.
         #[repr(u8)]
         #[derive(Clone, Copy, PartialEq, Debug)]
         pub enum Op {
@@ -1131,7 +1141,8 @@ pub(crate) mod tests {
 
     #[test]
     fn op_stays_small() {
-        // The dispatch loop streams these; keep them cache-friendly.
+        // The compiler passes stream these, and the engine's resolved form
+        // of an op is held to the same 16 bytes; keep them cache-friendly.
         assert!(
             std::mem::size_of::<Op>() <= 16,
             "Op grew to {} bytes",

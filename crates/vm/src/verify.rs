@@ -19,7 +19,7 @@
 //!    error, not a zero.
 
 use crate::ops::{CallTarget, Op, RegClass, VmFunction, VmModule, MAX_LANES};
-use omplt_ir::{CmpPred, IrType};
+use omplt_ir::{CastOp, CmpPred, IrType};
 
 /// One verification failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -276,6 +276,27 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                 }
             }
         };
+    // The operator rule `cast` and `vcast` share: a conversion's operator
+    // fixes the class it reads and the class it writes, and the engine reads
+    // the source payload at exactly that class.
+    let cast_types =
+        |errs: &mut Vec<VerifyError>, pc: usize, op: CastOp, from: IrType, to: IrType| {
+            use {CastOp::*, RegClass::*};
+            let (reads, writes) = match op {
+                Trunc | ZExt | SExt => (Int, Int),
+                SiToFp | UiToFp => (Int, Float),
+                FpToSi | FpToUi => (Float, Int),
+                FpTrunc | FpExt => (Float, Float),
+                PtrToInt => (Ptr, Int),
+                IntToPtr => (Int, Ptr),
+            };
+            if RegClass::of(from) != reads {
+                mismatch(errs, pc, format!("{} from {from}", op.mnemonic()));
+            }
+            if RegClass::of(to) != writes {
+                mismatch(errs, pc, format!("{} to {to}", op.mnemonic()));
+            }
+        };
     // Lane-count discipline: every vector op carries the width it operates
     // at, and that width must match the static width of every vector
     // register it touches — lane counts are part of the type, not a runtime
@@ -444,8 +465,13 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                 compare_operands(errs, pc, pred, ty, lhs, rhs);
             }
             Op::Cast {
-                from, to, dst, src, ..
+                op: cop,
+                from,
+                to,
+                dst,
+                src,
             } => {
+                cast_types(errs, pc, cop, from, to);
                 if cls(src) != RegClass::of(from) {
                     mismatch(
                         errs,
@@ -717,14 +743,15 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                 }
             }
             Op::VCast {
+                op: cop,
                 from,
                 to,
                 dst,
                 src,
                 w,
-                ..
             } => {
                 lanes(errs, pc, w);
+                cast_types(errs, pc, cop, from, to);
                 vwidth(errs, pc, "vector cast destination", dst, w);
                 vwidth(errs, pc, "vector cast source", src, w);
                 if vcls(src) != RegClass::of(from) {

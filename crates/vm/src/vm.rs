@@ -1,30 +1,64 @@
 //! The bytecode execution engine.
 //!
 //! [`VmEngine`] runs [`crate::ops::VmModule`] bytecode: one heap-allocated
-//! register file per frame, a `pc` loop whose body is a single `match` on
-//! the dense opcode, and no `unsafe` anywhere — the load-time verifier
-//! ([`crate::verify`]) has already proven every register index, pool index,
-//! and jump target in-bounds.
+//! register file per frame, a `pc` loop whose body is a `match`, and no
+//! `unsafe` anywhere.
+//!
+//! **Registers are payloads.** A frame's scalar file is a `Vec<u64>` and a
+//! vector register is `[u64; MAX_LANES]`: an integer's `i64`, a float's
+//! `f64` bits or a pointer's handle, with no tag. That is exact, not an
+//! approximation, because the load-time verifier ([`crate::verify`]) has
+//! proven that every op reads a register at the class of
+//! [`VmFunction::reg_class`] and that every write to it — including a call's
+//! result and a parameter's arrival — is at that same class, and that no
+//! register is read before it is written. Values are re-tagged into
+//! [`RtVal`], from `reg_class`, only where the [`Engine`] trait's currency
+//! requires it: a `Call`'s arguments and result, `Ret`, and the arguments of
+//! [`VmEngine::run_frame`].
+//!
+//! **What the loop runs is resolved once per run.** [`VmEngine::new`] maps
+//! each function's [`Op`]s 1:1 — same `pc`, same jump targets, same unit of
+//! fuel — to a private execution form, [`XOp`]: an op whose (operator, type)
+//! pair has a row in the table at the bottom of this file becomes that row's
+//! variant, whose dispatch arm is the interpreter's own arithmetic kernel
+//! (`omplt_interp::exec::{bin, cmp, cast, decode, encode}`) called with the
+//! operator and type as literals; every other op is carried as the `Op` it
+//! is and runs the same kernel with the operator and type it holds. The row
+//! variants, the resolver and their arms all come from that one table, and a
+//! row is there because a measured workload retires its pair — it buys
+//! speed, never meaning. The resolved stream is not a format: it is never
+//! serialised, never verified and never printed (`--emit-bytecode` shows
+//! `Op`, OMPLTBC carries `Op`), and it dies with the engine.
 //!
 //! Everything *around* the dispatch loop is shared with the interpreter:
 //!
 //! * guest memory is the interpreter's atomic-word [`Memory`], so racy guest
-//!   programs degrade to relaxed-atomic semantics identically;
-//! * arithmetic goes through `omplt_interp::exec::{exec_bin, exec_cmp,
-//!   exec_cast}` — bit-identical results by construction;
+//!   programs degrade to relaxed-atomic semantics identically; a frame's
+//!   loads, stores and lane accesses go through its own
+//!   [`omplt_interp::memory::RegionCache`], which skips the region-table
+//!   walk but keeps the bounds test;
+//! * no arithmetic, comparison or conversion is written out here — every
+//!   arm that computes calls a kernel of `omplt_interp::exec`, the same
+//!   kernels the interpreter reaches through its `exec_*` wrappers, so
+//!   results are bit-identical by construction;
 //! * the whole OpenMP runtime (`__kmpc_fork_call` thread teams, static/
 //!   dynamic/guided/runtime schedules, barriers, `nowait`) is the generic
 //!   `omplt_interp::runtime::dispatch`, reached through the [`Engine`]
 //!   trait. Team threads run their own VM frames over the same shared
 //!   [`RunState`].
 
-use crate::ops::{CallTarget, Op, PoolConst, VecVal, VmModule};
+use crate::ops::{CallTarget, Op, PoolConst, Reg, VmFunction, VmModule, MAX_LANES};
 use omplt_interp::engine::{Callee, Engine, RunState};
-use omplt_interp::exec::{decode_scalar, encode_scalar, exec_bin, exec_cast, exec_cmp};
+use omplt_interp::exec::{bin, cast, cmp, decode, encode, gep};
+use omplt_interp::memory::MemError;
 use omplt_interp::runtime::{self, RuntimeConfig, ThreadCtx};
 use omplt_interp::{ExecError, Memory, RtVal, RunResult};
-use omplt_ir::{IrType, Module, RtFn};
+use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, Module, RtFn};
 use std::sync::atomic::Ordering;
+
+/// One vector register: a fixed array of lane payloads. Ops only touch lanes
+/// `0..w`; the rest are dead storage.
+type Lanes = [u64; MAX_LANES];
 
 /// Shared VM state for one run (`Sync`; shared across team threads).
 pub struct VmEngine<'m> {
@@ -33,19 +67,33 @@ pub struct VmEngine<'m> {
     state: RunState<'m>,
     /// The compiled bytecode.
     code: &'m VmModule,
-    /// Per-function constant pools with globals/function pointers resolved
-    /// to concrete guest addresses (done once here, not per `Const` op).
-    resolved: Vec<Vec<RtVal>>,
-    /// Per function, its `call_targets` resolved against the module once
-    /// here (a frame index, a runtime entry, or an unknown function), so no
-    /// call looks a name up.
-    callees: Vec<Vec<Callee<u32>>>,
+    /// Per function of `code`, what its frames execute.
+    resolved: Vec<Resolved>,
+}
+
+/// One function as its frames run it, built once by [`VmEngine::new`].
+struct Resolved {
+    /// The resolved stream: `ops[pc]` is `VmFunction::ops[pc]`, resolved.
+    ops: Vec<XOp>,
+    /// The constant pool as payloads, globals and function pointers
+    /// resolved to concrete guest addresses.
+    consts: Vec<u64>,
+    /// `call_targets` resolved against the module (a frame index, a runtime
+    /// entry, or an unknown function), so no call looks a name up.
+    callees: Vec<Callee<u32>>,
 }
 
 impl<'m> VmEngine<'m> {
     /// Creates an engine: materializes module globals (identical layout to
-    /// the interpreter) and resolves every constant pool and runtime call
-    /// target against the module.
+    /// the interpreter) and resolves every constant pool, call target and op
+    /// against the module.
+    ///
+    /// `code` must have passed [`crate::verify::verify_module`] — every
+    /// product path hands over verified code only (`compile_bytecode`
+    /// verifies; a cached image was verified before it was inserted and is
+    /// checksummed on lookup). Registers carry no tag, so on code that never
+    /// saw the verifier the engine stays memory-safe but reinterprets a
+    /// payload where a class mismatch would once have been coerced.
     pub fn new(
         module: &'m Module,
         code: &'m VmModule,
@@ -53,28 +101,29 @@ impl<'m> VmEngine<'m> {
     ) -> Result<VmEngine<'m>, ExecError> {
         let state = RunState::new(module, cfg, "vm");
         let mut resolved = Vec::with_capacity(code.funcs.len());
-        let mut callees = Vec::with_capacity(code.funcs.len());
         for f in &code.funcs {
-            let mut pool = Vec::with_capacity(f.consts.len());
+            let mut consts = Vec::with_capacity(f.consts.len());
             for &c in &f.consts {
-                pool.push(match c {
-                    PoolConst::Val(v) => v,
-                    PoolConst::Global(s) => RtVal::P(state.global_addr(s)?),
-                    PoolConst::FnPtr(s) => RtVal::P(Memory::encode_fn_ptr(s.0)),
+                consts.push(match c {
+                    PoolConst::Val(v) => c.class().payload(v),
+                    PoolConst::Global(s) => state.global_addr(s)?,
+                    PoolConst::FnPtr(s) => Memory::encode_fn_ptr(s.0),
                 });
             }
-            resolved.push(pool);
-            let resolve = |t: &CallTarget| match *t {
+            let callee = |t: &CallTarget| match *t {
                 CallTarget::Bytecode(i) => Callee::Defined(i),
                 CallTarget::Runtime(sym) => state.resolve(sym, None),
             };
-            callees.push(f.call_targets.iter().map(resolve).collect());
+            resolved.push(Resolved {
+                ops: f.ops.iter().map(|&op| resolve(op)).collect(),
+                consts,
+                callees: f.call_targets.iter().map(callee).collect(),
+            });
         }
         Ok(VmEngine {
             state,
             code,
             resolved,
-            callees,
         })
     }
 
@@ -114,18 +163,19 @@ impl<'m> VmEngine<'m> {
         retired: &mut u64,
     ) -> Result<Option<RtVal>, ExecError> {
         let f = &self.code.funcs[fi as usize];
-        let consts = &self.resolved[fi as usize];
-        let callees = &self.callees[fi as usize];
-        let mut regs: Vec<RtVal> = vec![RtVal::I(0); f.num_regs as usize];
+        // Arguments arrive tagged; each lands as the payload of its
+        // parameter register's class.
+        let mut regs: Vec<u64> = vec![0; f.num_regs as usize];
         for (i, &p) in f.params.iter().enumerate() {
-            regs[p as usize] = *args
+            let arg = *args
                 .get(i)
                 .ok_or_else(|| ExecError::Malformed(format!("missing argument {i}")))?;
+            regs[p as usize] = f.reg_class[p as usize].payload(arg);
         }
 
         // The vector file is only materialized for widened functions, so
         // scalar code pays nothing for the tier.
-        let mut vregs: Vec<VecVal> = vec![VecVal::default(); f.num_vregs as usize];
+        let mut vregs: Vec<Lanes> = vec![[0; MAX_LANES]; f.num_vregs as usize];
 
         // Fuel arrives in batches ([`RunState::refill`]). Retired-op
         // accounting rides on the same counter (granted − unused) instead of
@@ -134,8 +184,7 @@ impl<'m> VmEngine<'m> {
         let mut local_fuel: u64 = 0;
         let r = self.dispatch(
             f,
-            consts,
-            callees,
+            &self.resolved[fi as usize],
             &mut regs,
             &mut vregs,
             ctx,
@@ -144,308 +193,6 @@ impl<'m> VmEngine<'m> {
         );
         *retired += granted - local_fuel;
         r
-    }
-
-    /// The dispatch loop proper. `granted`/`local_fuel` live in the caller
-    /// so retired-op counts survive early `?` returns.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &self,
-        f: &crate::ops::VmFunction,
-        consts: &[RtVal],
-        callees: &[Callee<u32>],
-        regs: &mut [RtVal],
-        vregs: &mut [VecVal],
-        ctx: &ThreadCtx,
-        granted: &mut u64,
-        local_fuel: &mut u64,
-    ) -> Result<Option<RtVal>, ExecError> {
-        // `fuel` stays in a machine register; it is written back to
-        // `*local_fuel` only on the explicit exits below. `?`-propagated
-        // errors skip the write-back, so failed frames report the
-        // batch-granted count — still deterministic, just coarser.
-        let mem: &Memory = &self.state.mem;
-        let mut fuel = *local_fuel;
-        let mut pc: usize = 0;
-        loop {
-            if fuel == 0 {
-                fuel = self.state.refill()?;
-                *granted += fuel;
-            }
-            fuel -= 1;
-            let op = f.ops[pc];
-            pc += 1;
-            match op {
-                Op::Const { dst, idx } => regs[dst as usize] = consts[idx as usize],
-                Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
-                Op::Alloca { dst, bytes } => {
-                    regs[dst as usize] = RtVal::P(mem.alloc(bytes as u64));
-                }
-                Op::Load { dst, addr, ty } => {
-                    let raw = mem
-                        .load(regs[addr as usize].as_p(), ty.size())
-                        .map_err(|e| ExecError::Mem(e.what))?;
-                    regs[dst as usize] = decode_scalar(ty, raw);
-                }
-                Op::Store { src, addr, ty } => {
-                    mem.store(
-                        regs[addr as usize].as_p(),
-                        ty.size(),
-                        encode_scalar(ty, regs[src as usize]),
-                    )
-                    .map_err(|e| ExecError::Mem(e.what))?;
-                }
-                Op::Gep {
-                    dst,
-                    base,
-                    index,
-                    elem_size,
-                } => {
-                    let p = regs[base as usize].as_p();
-                    let i = regs[index as usize].as_i();
-                    regs[dst as usize] =
-                        RtVal::P(p.wrapping_add((i as u64).wrapping_mul(elem_size as u64)));
-                }
-                Op::Bin {
-                    op,
-                    ty,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    regs[dst as usize] = exec_bin(op, ty, regs[lhs as usize], regs[rhs as usize])?;
-                }
-                Op::Cmp {
-                    pred,
-                    ty,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    regs[dst as usize] =
-                        RtVal::I(exec_cmp(pred, ty, regs[lhs as usize], regs[rhs as usize]) as i64);
-                }
-                Op::Cast {
-                    op,
-                    from,
-                    to,
-                    dst,
-                    src,
-                } => {
-                    regs[dst as usize] = exec_cast(op, from, to, regs[src as usize]);
-                }
-                Op::Select {
-                    dst,
-                    cond,
-                    t,
-                    f: fv,
-                } => {
-                    let c = regs[cond as usize].as_i();
-                    regs[dst as usize] = regs[if c != 0 { t } else { fv } as usize];
-                }
-                Op::Call {
-                    target,
-                    args_at,
-                    nargs,
-                    ret,
-                    dst,
-                } => {
-                    let lo = args_at as usize;
-                    let mut vs = Vec::with_capacity(nargs as usize);
-                    for &r in &f.call_args[lo..lo + nargs as usize] {
-                        vs.push(regs[r as usize]);
-                    }
-                    let r = match callees[target as usize] {
-                        Callee::Defined(i) => self.run_frame(i, vs, ctx)?,
-                        Callee::Runtime(rt) => runtime::dispatch(self, rt, vs, ctx)?,
-                        Callee::Unknown(sym) => return Err(self.state.unknown_function(sym)),
-                    };
-                    if ret != IrType::Void {
-                        if let Some(d) = dst {
-                            regs[d as usize] = r.unwrap_or(RtVal::I(0));
-                        }
-                    }
-                }
-                Op::Jmp { target } => pc = target as usize,
-                Op::BinJmp {
-                    op,
-                    ty,
-                    dst,
-                    lhs,
-                    rhs,
-                    target,
-                } => {
-                    regs[dst as usize] = exec_bin(op, ty, regs[lhs as usize], regs[rhs as usize])?;
-                    pc = target as usize;
-                }
-                Op::Br {
-                    cond,
-                    then_t,
-                    else_t,
-                } => {
-                    pc = if regs[cond as usize].as_i() != 0 {
-                        then_t
-                    } else {
-                        else_t
-                    } as usize;
-                }
-                Op::CmpBr {
-                    pred,
-                    ty,
-                    lhs,
-                    rhs,
-                    then_t,
-                    else_t,
-                } => {
-                    pc = if exec_cmp(pred, ty, regs[lhs as usize], regs[rhs as usize]) {
-                        then_t
-                    } else {
-                        else_t
-                    } as usize;
-                }
-                Op::Ret { src } => {
-                    *local_fuel = fuel;
-                    return Ok(src.map(|r| regs[r as usize]));
-                }
-                Op::Unreachable => {
-                    *local_fuel = fuel;
-                    return Err(ExecError::Unreachable);
-                }
-                Op::VMov { dst, src, .. } => vregs[dst as usize] = vregs[src as usize],
-                Op::VIota { dst, base, w } => {
-                    let b = regs[base as usize].as_i();
-                    let v = &mut vregs[dst as usize];
-                    for l in 0..w as usize {
-                        v.lanes[l] = RtVal::I(b.wrapping_add(l as i64));
-                    }
-                }
-                Op::VBroadcast { dst, src, w } => {
-                    let s = regs[src as usize];
-                    let v = &mut vregs[dst as usize];
-                    for l in 0..w as usize {
-                        v.lanes[l] = s;
-                    }
-                }
-                Op::VExtract { dst, src, lane } => {
-                    regs[dst as usize] = vregs[src as usize].lanes[lane as usize];
-                }
-                Op::VLoad { dst, addr, ty, w } => {
-                    let base = regs[addr as usize].as_p();
-                    let size = ty.size();
-                    let mut v = VecVal::default();
-                    for l in 0..w as usize {
-                        let raw = mem
-                            .load(base.wrapping_add(l as u64 * size), size)
-                            .map_err(|e| ExecError::Mem(e.what))?;
-                        v.lanes[l] = decode_scalar(ty, raw);
-                    }
-                    vregs[dst as usize] = v;
-                }
-                Op::VStore { src, addr, ty, w } => {
-                    let base = regs[addr as usize].as_p();
-                    let size = ty.size();
-                    let v = vregs[src as usize];
-                    for l in 0..w as usize {
-                        mem.store(
-                            base.wrapping_add(l as u64 * size),
-                            size,
-                            encode_scalar(ty, v.lanes[l]),
-                        )
-                        .map_err(|e| ExecError::Mem(e.what))?;
-                    }
-                }
-                Op::VGather {
-                    dst,
-                    base,
-                    idx,
-                    ty,
-                    elem_size,
-                    w,
-                } => {
-                    let p = regs[base as usize].as_p();
-                    let iv = vregs[idx as usize];
-                    let mut v = VecVal::default();
-                    for l in 0..w as usize {
-                        let a = p.wrapping_add(
-                            (iv.lanes[l].as_i() as u64).wrapping_mul(elem_size as u64),
-                        );
-                        let raw = mem.load(a, ty.size()).map_err(|e| ExecError::Mem(e.what))?;
-                        v.lanes[l] = decode_scalar(ty, raw);
-                    }
-                    vregs[dst as usize] = v;
-                }
-                Op::VScatter {
-                    src,
-                    base,
-                    idx,
-                    ty,
-                    elem_size,
-                    w,
-                } => {
-                    let p = regs[base as usize].as_p();
-                    let iv = vregs[idx as usize];
-                    let v = vregs[src as usize];
-                    for l in 0..w as usize {
-                        let a = p.wrapping_add(
-                            (iv.lanes[l].as_i() as u64).wrapping_mul(elem_size as u64),
-                        );
-                        mem.store(a, ty.size(), encode_scalar(ty, v.lanes[l]))
-                            .map_err(|e| ExecError::Mem(e.what))?;
-                    }
-                }
-                Op::VBin {
-                    op,
-                    ty,
-                    dst,
-                    lhs,
-                    rhs,
-                    w,
-                } => {
-                    let a = vregs[lhs as usize];
-                    let b = vregs[rhs as usize];
-                    let mut v = VecVal::default();
-                    for l in 0..w as usize {
-                        v.lanes[l] = exec_bin(op, ty, a.lanes[l], b.lanes[l])?;
-                    }
-                    vregs[dst as usize] = v;
-                }
-                Op::VCast {
-                    op,
-                    from,
-                    to,
-                    dst,
-                    src,
-                    w,
-                } => {
-                    let s = vregs[src as usize];
-                    let mut v = VecVal::default();
-                    for l in 0..w as usize {
-                        v.lanes[l] = exec_cast(op, from, to, s.lanes[l]);
-                    }
-                    vregs[dst as usize] = v;
-                }
-                Op::VReduce {
-                    op,
-                    ty,
-                    dst,
-                    src,
-                    w,
-                } => {
-                    let v = vregs[src as usize];
-                    let mut acc = v.lanes[0];
-                    for l in 1..w as usize {
-                        acc = exec_bin(op, ty, acc, v.lanes[l])?;
-                    }
-                    regs[dst as usize] = acc;
-                }
-                Op::VEpi { src } => {
-                    if omplt_trace::active() {
-                        let left = regs[src as usize].as_i().max(0) as u64;
-                        omplt_trace::count("vm.simd.epilogue_iters", left);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -471,5 +218,382 @@ impl Engine for VmEngine<'_> {
             Some(rt) => runtime::dispatch(self, rt, args, ctx),
             None => Err(ExecError::UnknownFunction(name.to_string())),
         }
+    }
+}
+
+fn mem_err(e: MemError) -> ExecError {
+    ExecError::Mem(e.what)
+}
+
+// Lane loops over the kernels. `#[inline(always)]`, like the kernels: a
+// vector arm picks its (operator, type) once and calls these with literals,
+// so the loop body is the folded instruction.
+
+#[inline(always)]
+fn lanes_bin(
+    op: BinOpKind,
+    ty: IrType,
+    a: &Lanes,
+    b: &Lanes,
+    out: &mut [u64],
+) -> Result<(), ExecError> {
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = bin(op, ty, a[l], b[l])?;
+    }
+    Ok(())
+}
+
+#[inline(always)]
+fn lanes_reduce(op: BinOpKind, ty: IrType, v: &[u64]) -> Result<u64, ExecError> {
+    let mut acc = v[0];
+    for &lane in &v[1..] {
+        acc = bin(op, ty, acc, lane)?;
+    }
+    Ok(acc)
+}
+
+#[inline(always)]
+fn lanes_cast(op: CastOp, from: IrType, to: IrType, src: &Lanes, out: &mut [u64]) {
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = cast(op, from, to, src[l]);
+    }
+}
+
+/// Generates, from the one table of kernel rows at its call site, everything
+/// that depends on which (operator, type) pairs have a variant of their own:
+/// the resolved op [`XOp`], the resolver from [`Op`], the dispatch loop —
+/// a row's arm instantiates its kernel with the row's literals, an op without
+/// one runs the arm of its own name — and the row list the tests walk. A row
+/// is `Variant [FusedVariant] = operator type(s);`; the compiler flags a pair
+/// listed twice as an unreachable pattern in `resolve`.
+macro_rules! resolved_ops {
+    (
+        bin { $($bin:ident $bin_jmp:ident = $bop:ident $bty:ident;)* }
+        cmp { $($cmp:ident $cmp_br:ident = $pred:ident $cty:ident;)* }
+        cast { $($cast:ident = $cop:ident $from:ident $to:ident;)* }
+        mem { $($load:ident $store:ident = $mty:ident;)* }
+    ) => {
+        /// One op as the dispatch loop executes it: a table row — an op
+        /// whose operator and type are the variant — or the [`Op`] itself.
+        #[derive(Clone, Copy)]
+        enum XOp {
+            /// An op with no row, executed as it is.
+            Carried(Op),
+            $(
+                $bin { dst: Reg, lhs: Reg, rhs: Reg },
+                $bin_jmp { dst: Reg, lhs: Reg, rhs: Reg, target: u32 },
+            )*
+            $(
+                $cmp { dst: Reg, lhs: Reg, rhs: Reg },
+                $cmp_br { lhs: Reg, rhs: Reg, then_t: u32, else_t: u32 },
+            )*
+            $($cast { dst: Reg, src: Reg },)*
+            $(
+                $load { dst: Reg, addr: Reg },
+                $store { src: Reg, addr: Reg },
+            )*
+        }
+
+        /// Resolves one op: to its table row's variant if its operator and
+        /// type have one, to itself otherwise. Total, and 1:1.
+        fn resolve(op: Op) -> XOp {
+            use {BinOpKind as B, CastOp as C, CmpPred as P, IrType as T};
+            match op {
+                $(Op::Load { dst, addr, ty: T::$mty } => XOp::$load { dst, addr },)*
+                $(Op::Store { src, addr, ty: T::$mty } => XOp::$store { src, addr },)*
+                $(Op::Bin { op: B::$bop, ty: T::$bty, dst, lhs, rhs } => XOp::$bin { dst, lhs, rhs },)*
+                $(Op::BinJmp { op: B::$bop, ty: T::$bty, dst, lhs, rhs, target } => XOp::$bin_jmp { dst, lhs, rhs, target },)*
+                $(Op::Cmp { pred: P::$pred, ty: T::$cty, dst, lhs, rhs } => XOp::$cmp { dst, lhs, rhs },)*
+                $(Op::CmpBr { pred: P::$pred, ty: T::$cty, lhs, rhs, then_t, else_t } => XOp::$cmp_br { lhs, rhs, then_t, else_t },)*
+                $(Op::Cast { op: C::$cop, from: T::$from, to: T::$to, dst, src } => XOp::$cast { dst, src },)*
+                other => XOp::Carried(other),
+            }
+        }
+
+        impl VmEngine<'_> {
+            /// The dispatch loop proper. `granted`/`local_fuel` live in the
+            /// caller so retired-op counts survive early `?` returns.
+            #[allow(clippy::too_many_arguments)]
+            fn dispatch(
+                &self,
+                f: &VmFunction,
+                code: &Resolved,
+                regs: &mut [u64],
+                vregs: &mut [Lanes],
+                ctx: &ThreadCtx,
+                granted: &mut u64,
+                local_fuel: &mut u64,
+            ) -> Result<Option<RtVal>, ExecError> {
+                use {BinOpKind as B, CastOp as C, CmpPred as P, IrType as T};
+                // `fuel` stays in a machine register; it is written back to
+                // `*local_fuel` only on the explicit exits below. `?`-propagated
+                // errors skip the write-back, so failed frames report the
+                // batch-granted count — still deterministic, just coarser.
+                let mem: &Memory = &self.state.mem;
+                let mut cache = mem.region_cache();
+                let (ops, consts) = (&code.ops[..], &code.consts[..]);
+                let mut fuel = *local_fuel;
+                let mut pc: usize = 0;
+                loop {
+                    if fuel == 0 {
+                        fuel = self.state.refill()?;
+                        *granted += fuel;
+                    }
+                    fuel -= 1;
+                    let op = ops[pc];
+                    pc += 1;
+                    // A row's arm is the whole op; an op without a row goes
+                    // on to the arm of its own name below.
+                    let op = match op {
+                        $(XOp::$load { dst, addr } => {
+                            let raw = mem.load_via(&mut cache, regs[addr as usize], T::$mty.size()).map_err(mem_err)?;
+                            regs[dst as usize] = decode(T::$mty, raw);
+                            continue;
+                        })*
+                        $(XOp::$store { src, addr } => {
+                            let raw = encode(T::$mty, regs[src as usize]);
+                            mem.store_via(&mut cache, regs[addr as usize], T::$mty.size(), raw).map_err(mem_err)?;
+                            continue;
+                        })*
+                        $(XOp::$bin { dst, lhs, rhs } => {
+                            regs[dst as usize] = bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize])?;
+                            continue;
+                        })*
+                        $(XOp::$bin_jmp { dst, lhs, rhs, target } => {
+                            regs[dst as usize] = bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize])?;
+                            pc = target as usize;
+                            continue;
+                        })*
+                        $(XOp::$cmp { dst, lhs, rhs } => {
+                            regs[dst as usize] = cmp(P::$pred, T::$cty, regs[lhs as usize], regs[rhs as usize]) as u64;
+                            continue;
+                        })*
+                        $(XOp::$cmp_br { lhs, rhs, then_t, else_t } => {
+                            let taken = cmp(P::$pred, T::$cty, regs[lhs as usize], regs[rhs as usize]);
+                            pc = if taken { then_t } else { else_t } as usize;
+                            continue;
+                        })*
+                        $(XOp::$cast { dst, src } => {
+                            regs[dst as usize] = cast(C::$cop, T::$from, T::$to, regs[src as usize]);
+                            continue;
+                        })*
+                        XOp::Carried(op) => op,
+                    };
+                    match op {
+                        Op::Const { dst, idx } => regs[dst as usize] = consts[idx as usize],
+                        Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
+                        Op::Alloca { dst, bytes } => regs[dst as usize] = mem.alloc(bytes as u64),
+                        Op::Load { dst, addr, ty } => {
+                            let raw = mem.load_via(&mut cache, regs[addr as usize], ty.size()).map_err(mem_err)?;
+                            regs[dst as usize] = decode(ty, raw);
+                        }
+                        Op::Store { src, addr, ty } => {
+                            let raw = encode(ty, regs[src as usize]);
+                            mem.store_via(&mut cache, regs[addr as usize], ty.size(), raw).map_err(mem_err)?;
+                        }
+                        Op::Gep { dst, base, index, elem_size } => {
+                            regs[dst as usize] = gep(regs[base as usize], regs[index as usize], elem_size as u64);
+                        }
+                        Op::Bin { op, ty, dst, lhs, rhs } => {
+                            regs[dst as usize] = bin(op, ty, regs[lhs as usize], regs[rhs as usize])?;
+                        }
+                        Op::Cmp { pred, ty, dst, lhs, rhs } => {
+                            regs[dst as usize] = cmp(pred, ty, regs[lhs as usize], regs[rhs as usize]) as u64;
+                        }
+                        Op::Cast { op, from, to, dst, src } => {
+                            regs[dst as usize] = cast(op, from, to, regs[src as usize]);
+                        }
+                        Op::Select { dst, cond, t, f: fv } => {
+                            regs[dst as usize] = regs[if regs[cond as usize] != 0 { t } else { fv } as usize];
+                        }
+                        Op::Call { target, args_at, nargs, ret, dst } => {
+                            // Across the `Engine` boundary values are tagged:
+                            // each argument from its register's class, the
+                            // result into its register's class.
+                            let run = &f.call_args[args_at as usize..args_at as usize + nargs as usize];
+                            let tag = |&r: &Reg| f.reg_class[r as usize].tag(regs[r as usize]);
+                            let vs: Vec<RtVal> = run.iter().map(tag).collect();
+                            let r = match code.callees[target as usize] {
+                                Callee::Defined(i) => self.run_frame(i, vs, ctx)?,
+                                Callee::Runtime(rt) => runtime::dispatch(self, rt, vs, ctx)?,
+                                Callee::Unknown(sym) => return Err(self.state.unknown_function(sym)),
+                            };
+                            if ret != IrType::Void {
+                                if let Some(d) = dst {
+                                    regs[d as usize] = f.reg_class[d as usize].payload(r.unwrap_or(RtVal::I(0)));
+                                }
+                            }
+                        }
+                        Op::Jmp { target } => pc = target as usize,
+                        Op::BinJmp { op, ty, dst, lhs, rhs, target } => {
+                            regs[dst as usize] = bin(op, ty, regs[lhs as usize], regs[rhs as usize])?;
+                            pc = target as usize;
+                        }
+                        Op::Br { cond, then_t, else_t } => {
+                            pc = if regs[cond as usize] != 0 { then_t } else { else_t } as usize;
+                        }
+                        Op::CmpBr { pred, ty, lhs, rhs, then_t, else_t } => {
+                            let taken = cmp(pred, ty, regs[lhs as usize], regs[rhs as usize]);
+                            pc = if taken { then_t } else { else_t } as usize;
+                        }
+                        Op::Ret { src } => {
+                            *local_fuel = fuel;
+                            return Ok(src.map(|r| f.reg_class[r as usize].tag(regs[r as usize])));
+                        }
+                        Op::Unreachable => {
+                            *local_fuel = fuel;
+                            return Err(ExecError::Unreachable);
+                        }
+                        Op::VMov { dst, src, .. } => vregs[dst as usize] = vregs[src as usize],
+                        Op::VIota { dst, base, w } => {
+                            let b = regs[base as usize];
+                            for (l, o) in vregs[dst as usize][..w as usize].iter_mut().enumerate() {
+                                *o = bin(B::Add, T::I64, b, l as u64)?;
+                            }
+                        }
+                        Op::VBroadcast { dst, src, w } => {
+                            vregs[dst as usize][..w as usize].fill(regs[src as usize]);
+                        }
+                        Op::VExtract { dst, src, lane } => {
+                            regs[dst as usize] = vregs[src as usize][lane as usize];
+                        }
+                        Op::VLoad { dst, addr, ty, w } => {
+                            let out = &mut vregs[dst as usize][..w as usize];
+                            mem.load_span(&mut cache, regs[addr as usize], ty.size(), out).map_err(mem_err)?;
+                            match ty {
+                                $(T::$mty => out.iter_mut().for_each(|o| *o = decode(T::$mty, *o)),)*
+                                _ => out.iter_mut().for_each(|o| *o = decode(ty, *o)),
+                            }
+                        }
+                        Op::VStore { src, addr, ty, w } => {
+                            let mut raw = vregs[src as usize];
+                            let raw = &mut raw[..w as usize];
+                            match ty {
+                                $(T::$mty => raw.iter_mut().for_each(|o| *o = encode(T::$mty, *o)),)*
+                                _ => raw.iter_mut().for_each(|o| *o = encode(ty, *o)),
+                            }
+                            mem.store_span(&mut cache, regs[addr as usize], ty.size(), raw).map_err(mem_err)?;
+                        }
+                        Op::VGather { elem_size, dst, base, idx, ty, w } => {
+                            let (p, iv) = (regs[base as usize], vregs[idx as usize]);
+                            for (l, o) in vregs[dst as usize][..w as usize].iter_mut().enumerate() {
+                                let a = gep(p, iv[l], elem_size as u64);
+                                *o = decode(ty, mem.load_via(&mut cache, a, ty.size()).map_err(mem_err)?);
+                            }
+                        }
+                        Op::VScatter { elem_size, src, base, idx, ty, w } => {
+                            let (p, iv) = (regs[base as usize], vregs[idx as usize]);
+                            for (l, &v) in vregs[src as usize][..w as usize].iter().enumerate() {
+                                let a = gep(p, iv[l], elem_size as u64);
+                                mem.store_via(&mut cache, a, ty.size(), encode(ty, v)).map_err(mem_err)?;
+                            }
+                        }
+                        Op::VBin { op, ty, dst, lhs, rhs, w } => {
+                            let (a, b) = (vregs[lhs as usize], vregs[rhs as usize]);
+                            let out = &mut vregs[dst as usize][..w as usize];
+                            match (op, ty) {
+                                $((B::$bop, T::$bty) => lanes_bin(B::$bop, T::$bty, &a, &b, out)?,)*
+                                _ => lanes_bin(op, ty, &a, &b, out)?,
+                            }
+                        }
+                        Op::VCast { op, from, to, dst, src, w } => {
+                            let s = vregs[src as usize];
+                            let out = &mut vregs[dst as usize][..w as usize];
+                            match (op, from, to) {
+                                $((C::$cop, T::$from, T::$to) => lanes_cast(C::$cop, T::$from, T::$to, &s, out),)*
+                                _ => lanes_cast(op, from, to, &s, out),
+                            }
+                        }
+                        Op::VReduce { op, ty, dst, src, w } => {
+                            let v = &vregs[src as usize][..w as usize];
+                            regs[dst as usize] = match (op, ty) {
+                                $((B::$bop, T::$bty) => lanes_reduce(B::$bop, T::$bty, v)?,)*
+                                _ => lanes_reduce(op, ty, v)?,
+                            };
+                        }
+                        Op::VEpi { src } => {
+                            if omplt_trace::active() {
+                                let left = (regs[src as usize] as i64).max(0) as u64;
+                                omplt_trace::count("vm.simd.epilogue_iters", left);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// One row of the kernel table: an (operator, type) pair with
+        /// variants of its own. For the tests, which walk [`KERNEL_ROWS`].
+        #[doc(hidden)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum KernelRow {
+            /// `Bin` and `BinJmp`.
+            Bin(BinOpKind, IrType),
+            /// `Cmp` and `CmpBr`.
+            Cmp(CmpPred, IrType),
+            /// `Cast`, source and destination type.
+            Cast(CastOp, IrType, IrType),
+            /// `Load` and `Store`.
+            Mem(IrType),
+        }
+
+        /// Every row of the table, in table order.
+        #[doc(hidden)]
+        pub const KERNEL_ROWS: &[KernelRow] = &[
+            $(KernelRow::Bin(BinOpKind::$bop, IrType::$bty),)*
+            $(KernelRow::Cmp(CmpPred::$pred, IrType::$cty),)*
+            $(KernelRow::Cast(CastOp::$cop, IrType::$from, IrType::$to),)*
+            $(KernelRow::Mem(IrType::$mty),)*
+        ];
+
+        /// True when `op` resolves to a table row's variant, false when it
+        /// is carried as it is. For the tests.
+        #[doc(hidden)]
+        pub fn has_kernel_row(op: Op) -> bool {
+            !matches!(resolve(op), XOp::Carried(_))
+        }
+    };
+}
+
+// The kernel table: the (operator, type) pairs that are at least 0.1 % of the
+// ops some `BENCHMARK.json` workload retires (counted once per pair over the
+// five `exec_vm` kernels, the `compile_*` translation units and the
+// `daemon_mix` jobs; CHANGES.md, PR 19, has the counts). A row names the
+// pair's variant (and the variant of its fused form — `BinJmp`, `CmpBr` — or,
+// for a type, of its store), then the literals its arms call the kernel with;
+// the vector arms pick the same literals once per op for all lanes. Every
+// pair without a row — f32, unsigned division and shifts, the narrow integer
+// types, most casts — runs the same kernel with its operator and type read
+// from the op. A row is added when a measured workload retires its pair.
+resolved_ops! {
+    bin {
+        AddI32 AddI32Jmp = Add I32; AddI64 AddI64Jmp = Add I64;
+        SubI32 SubI32Jmp = Sub I32; SubI64 SubI64Jmp = Sub I64;
+        MulI32 MulI32Jmp = Mul I32; SRemI32 SRemI32Jmp = SRem I32;
+        FAddF64 FAddF64Jmp = FAdd F64; FMulF64 FMulF64Jmp = FMul F64;
+    }
+    cmp {
+        SltI32 SltI32Br = Slt I32; UltI32 UltI32Br = Ult I32;
+        UltI64 UltI64Br = Ult I64; UleI64 UleI64Br = Ule I64;
+    }
+    cast {
+        TruncI64I32 = Trunc I64 I32; SExtI32I64 = SExt I32 I64; SiToFpI32F64 = SiToFp I32 F64;
+    }
+    mem {
+        LoadI32 StoreI32 = I32; LoadI64 StoreI64 = I64; LoadF64 StoreF64 = F64;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolved_op_stays_as_small_as_an_op() {
+        // The dispatch loop streams these; a function's resolved stream costs
+        // the 16 bytes per op its `ops` do. `Carried(Op)` fits only because
+        // the row variants live in the spare values of `Op`'s tag byte — a
+        // layout the compiler chooses, so it is held here.
+        assert_eq!(std::mem::size_of::<XOp>(), std::mem::size_of::<Op>());
     }
 }

@@ -1,5 +1,6 @@
 //! Golden-diagnostic tests for the bytecode verifier: one per rejection
-//! class, scalar (undefined register, out-of-bounds jump, type mismatch)
+//! class, scalar (undefined register, out-of-bounds jump, type mismatch,
+//! a conversion whose operator disagrees with its types)
 //! and vector (lane count, width mismatch, undefined vector register,
 //! lane out of range, element-class mismatch).
 //!
@@ -8,7 +9,7 @@
 //! asserts the verifier rejects it with the exact rendered diagnostic —
 //! the strings here are the contract `--verify-each` users see.
 
-use omplt_ir::{BinOpKind, CmpPred, Function, IrBuilder, IrType, Module, Value};
+use omplt_ir::{BinOpKind, CastOp, CmpPred, Function, IrBuilder, IrType, Module, Value};
 use omplt_vm::{compile_module, compile_module_with, verify_function, Op, RegClass, VmModule};
 
 /// A small straight-line function exercising alloca/store/load/arith/ret.
@@ -114,6 +115,36 @@ fn type_mismatch_golden() {
             format!("@main: op {at}: type mismatch: float op fadd with int lhs r{lhs}"),
             format!("@main: op {at}: type mismatch: float op fadd with int rhs r{rhs}"),
         ]
+    );
+}
+
+#[test]
+fn cast_operator_mismatch_golden() {
+    let (_m, mut code) = sample();
+    let f = &mut code.funcs[0];
+    // Corruption: the add becomes a float-to-int conversion that names
+    // integer types. Its registers agree with those types, so only the
+    // operator is wrong — and the engine would read an integer payload as
+    // a double's bits.
+    let at = f
+        .ops
+        .iter()
+        .position(|op| matches!(op, Op::Bin { .. }))
+        .expect("sample has an add");
+    let (dst, src) = match f.ops[at] {
+        Op::Bin { dst, lhs, .. } => (dst, lhs),
+        _ => unreachable!(),
+    };
+    f.ops[at] = Op::Cast {
+        op: CastOp::FpToSi,
+        from: IrType::I64,
+        to: IrType::I64,
+        dst,
+        src,
+    };
+    assert_eq!(
+        rendered(&code),
+        vec![format!("@main: op {at}: type mismatch: fptosi from i64")]
     );
 }
 

@@ -645,3 +645,88 @@ int main(void) {\n\
         }
     }
 }
+
+/// A widened loop that runs off the end of its array. The vector tier checks
+/// a unit-stride span once and, when that fails, goes lane by lane — so the
+/// fault is the first bad lane's own: the same error text as the scalar VM's
+/// and the interpreter's, at every width, whether the bad lane is the last
+/// of its block (widths 2 and 4), one in the middle (width 8), or a gathered
+/// one.
+#[test]
+fn widened_loop_running_off_its_array_faults_like_the_scalar_loop() {
+    let store = "long x[11];\n\
+         int main(void) {\n\
+         \x20 #pragma omp simd\n\
+         \x20 for (int i = 0; i < 14; i += 1)\n\
+         \x20   x[i] = i;\n\
+         \x20 return 0;\n\
+         }\n";
+    let load = "long x[19];\nlong y[32];\n\
+         int main(void) {\n\
+         \x20 #pragma omp simd\n\
+         \x20 for (int i = 0; i < 32; i += 1)\n\
+         \x20   y[i] = x[i] + 1;\n\
+         \x20 return 0;\n\
+         }\n";
+    let gather = "long x[21];\nlong y[16];\n\
+         int main(void) {\n\
+         \x20 #pragma omp simd\n\
+         \x20 for (int i = 0; i < 16; i += 1)\n\
+         \x20   y[i] = x[2 * i] + 1;\n\
+         \x20 return 0;\n\
+         }\n";
+    let cases = [
+        (
+            "store",
+            store,
+            "vstore",
+            "offset 88+8 in region of 88 bytes",
+        ),
+        ("load", load, "vload", "offset 152+8 in region of 152 bytes"),
+        (
+            "gather",
+            gather,
+            "vgather",
+            "offset 176+8 in region of 168 bytes",
+        ),
+    ];
+    for (name, src, vector_op, fault) in cases {
+        let mut ci = CompilerInstance::new(Options {
+            vector_width: 4,
+            ..Options::default()
+        });
+        let tu = ci.parse_source("oob.c", src).expect("parse");
+        let module = ci.codegen(&tu).expect("codegen");
+        let code = ci.compile_bytecode(&module).expect("bytecode");
+        let disasm: String = code.funcs.iter().map(omplt::vm::disasm).collect();
+        assert!(
+            disasm.contains(vector_op),
+            "[{name}] the loop should widen through a {vector_op}:\n{disasm}"
+        );
+
+        let run = |backend, vector_width| {
+            let opts = Options {
+                backend,
+                vector_width,
+                num_threads: 1,
+                ..Options::default()
+            };
+            CompilerInstance::new(opts)
+                .compile_and_run("oob.c", src, false)
+                .expect_err("the loop runs off its array")
+        };
+        let oracle = run(Backend::Interp, 0);
+        assert_eq!(
+            oracle,
+            format!("runtime error: memory error: out-of-bounds access: {fault}"),
+            "[{name}] interpreter"
+        );
+        for width in [0u8, 2, 4, 8] {
+            assert_eq!(
+                run(Backend::VmStrict, width),
+                oracle,
+                "[{name}] vm w{width}"
+            );
+        }
+    }
+}

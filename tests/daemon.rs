@@ -509,6 +509,39 @@ fn fuel_exhaustion_is_a_structured_reply_and_the_server_keeps_serving() {
         "{}",
         String::from_utf8_lossy(&starved.stderr)
     );
+    // A team whose every thread spins: the budget is one counter, and the
+    // thread that exhausts it must not leave the others refuelled forever
+    // (they were — the job hung its worker). `--exec-timeout` is the net.
+    let spin = write_temp(
+        "spinning_team.c",
+        "long s;\n\
+         int main(void) {\n\
+           #pragma omp parallel\n\
+           {\n\
+             long t = 0;\n\
+             for (long i = 0; i >= 0; i += 0)\n\
+               t = t + 1;\n\
+             s = t;\n\
+           }\n\
+           return 0;\n\
+         }\n",
+    );
+    for backend in ["--backend=interp", "--backend=vm", "--backend=vm:strict"] {
+        let args = [
+            "--run",
+            "--fuel=2000000",
+            "--exec-timeout=20000",
+            "--threads=4",
+            backend,
+        ];
+        let spun = assert_remote_matches_local(&daemon, &[], &args, &spin, "fuel/team");
+        assert_eq!(spun.code, 1);
+        assert!(
+            String::from_utf8_lossy(&spun.stderr).contains("step budget exhausted"),
+            "{backend}: {}",
+            String::from_utf8_lossy(&spun.stderr)
+        );
+    }
     let ok = run_ompltc(&[], &[&daemon.remote_flag(), "--run"], &src);
     assert_eq!(ok.code, 0, "{}", String::from_utf8_lossy(&ok.stderr));
 }

@@ -459,6 +459,48 @@ fn fuel_budget_bounds_execution() {
     assert_eq!(o.stdout, "6048\n");
 }
 
+/// Every thread of a team spins forever. The budget is one counter shared by
+/// the team: whichever thread exhausts it, every other thread's next refill
+/// must be refused too (it used to wrap the counter and be granted fuel
+/// forever — the run hung at any team size above one). `--exec-timeout` is
+/// the net: a regression reads as the wrong message, not as a hung test run.
+const SPINNING_TEAM: &str = "\
+long s;
+int main(void) {
+  #pragma omp parallel
+  {
+    long t = 0;
+    for (long i = 0; i >= 0; i += 0)
+      t = t + 1;
+    s = t;
+  }
+  return 0;
+}
+";
+
+#[test]
+fn fuel_exhaustion_stops_every_thread_of_a_team() {
+    let p = write_temp("spinning_team.c", SPINNING_TEAM);
+    for backend in ["--backend=interp", "--backend=vm:strict"] {
+        for threads in ["1", "2", "4", "8"] {
+            let o = run_ompltc(
+                &[
+                    "--run",
+                    "--fuel=2000000",
+                    "--exec-timeout=20000",
+                    "--threads",
+                    threads,
+                    backend,
+                ],
+                &p,
+            );
+            let what = format!("{backend} --threads {threads}: {}", o.stderr);
+            assert_eq!(o.code, Some(1), "{what}");
+            assert!(o.stderr.contains("step budget exhausted"), "{what}");
+        }
+    }
+}
+
 /// `--exec-timeout` terminates a genuinely unbounded program (fuel-immune
 /// here: huge budget) with a diagnostic instead of hanging.
 #[test]
