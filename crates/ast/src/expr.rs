@@ -25,7 +25,7 @@ pub enum UnOp {
 }
 
 impl UnOp {
-    /// Source spelling (for dumps and the C printer).
+    /// Source spelling (for dumps).
     pub fn spelling(self) -> &'static str {
         match self {
             UnOp::Plus => "+",

@@ -26,7 +26,6 @@ pub mod dump;
 pub mod expr;
 pub mod nest;
 pub mod omp;
-pub mod printer;
 pub mod stats;
 pub mod stmt;
 pub mod ty;
@@ -44,7 +43,6 @@ pub use omp::{
     OMPCanonicalLoop, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind, PerLoopHelpers,
     ReductionOp, ScheduleKind,
 };
-pub use printer::{print_expr, print_stmt, print_translation_unit};
 pub use stats::{stmt_stats, NodeStats};
 pub use stmt::{Attr, Capture, CaptureKind, CapturedStmt, CxxForRangeData, Stmt, StmtKind};
 pub use ty::{IntWidth, Type, TypeKind};

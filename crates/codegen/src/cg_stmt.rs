@@ -4,7 +4,15 @@
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{Attr, CxxForRangeData, Decl, Stmt, StmtKind, VarDecl, P};
 use omplt_ir::{IrType, LoopMetadata, UnrollHint, Value};
-use omplt_sema::OpenMpCodegenMode;
+use omplt_sema::{CanonicalLoopAnalysis, OpenMpCodegenMode};
+
+/// `a`'s trip count as an immediate of type `ty`, when it is a compile-time
+/// constant. The full-unroll path of the `LoopUnroll` pass needs the
+/// skeleton to compare against an immediate: the generic distance
+/// expression goes through memory and would not fold.
+pub(crate) fn const_trip_count(a: &CanonicalLoopAnalysis, ty: IrType) -> Option<Value> {
+    a.const_trip_count().map(|n| Value::int(ty, n as i64))
+}
 
 impl FnCodegen<'_, '_> {
     /// Emits one statement at the current insertion point.
@@ -251,17 +259,10 @@ impl FnCodegen<'_, '_> {
         let start = self.load_var(&a.iter_var);
         let step_expr = a.step.clone();
         let step = self.emit_rvalue(&step_expr);
-        // A compile-time trip count is materialized as a constant so the
-        // full-unroll path of the LoopUnroll pass can see it (the generic
-        // distance expression goes through memory and would not fold).
-        let logical_ir = ir_type(&a.logical_ty);
-        let tc = match a.const_trip_count() {
-            Some(n) => Value::int(logical_ir, n as i64),
-            None => {
-                let dist = a.distance_expr(&ctx);
-                self.emit_rvalue(&dist)
-            }
-        };
+        let tc = const_trip_count(&a, ir_type(&a.logical_ty)).unwrap_or_else(|| {
+            let dist = a.distance_expr(&ctx);
+            self.emit_rvalue(&dist)
+        });
         let var_ir = ir_type(&a.iter_var.ty);
         let is_ptr = a.iter_var.ty.is_pointer();
         let elem = a.iter_var.ty.pointee().map_or(1, |t| t.size_of()).max(1);

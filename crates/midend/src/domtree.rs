@@ -9,9 +9,18 @@ pub struct DomTree {
     idom: Vec<Option<BlockId>>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Trees built on this thread: `loop_unroll`'s tests pin that a function
+    /// without an actionable hint costs none.
+    pub(crate) static TREES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl DomTree {
     /// Computes dominators for `f`.
     pub fn compute(f: &Function) -> DomTree {
+        #[cfg(test)]
+        TREES_BUILT.with(|t| t.set(t.get() + 1));
         let n = f.blocks.len();
         let rpo = f.reverse_postorder();
         let mut rpo_index = vec![usize::MAX; n];

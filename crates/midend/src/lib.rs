@@ -15,7 +15,7 @@ pub mod constfold;
 pub mod domtree;
 pub mod loop_info;
 pub mod loop_unroll;
-pub mod pass_manager;
+pub mod pipeline;
 pub mod simplify_cfg;
 pub mod verify;
 
@@ -23,6 +23,6 @@ pub use constfold::constant_fold;
 pub use domtree::DomTree;
 pub use loop_info::{match_skeleton, LoopInfo, NaturalLoop, SkeletonLoop};
 pub use loop_unroll::{loop_unroll, UnrollStats};
-pub use pass_manager::{run_default_pipeline, run_default_pipeline_verified, Pass, PassManager};
+pub use pipeline::run_default_pipeline;
 pub use simplify_cfg::simplify_cfg;
 pub use verify::{verify_function_full, verify_loop_skeletons, verify_module_full};

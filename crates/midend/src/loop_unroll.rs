@@ -50,18 +50,21 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
     let mut stats = UnrollStats::default();
     // One loop per iteration: every transformation invalidates the CFG
     // analyses, so recompute. Terminates because each step removes or
-    // disables one metadata annotation.
+    // disables one metadata annotation. Most functions carry no actionable
+    // hint at all, and for those no analysis is built.
     loop {
+        let hinted = f.blocks.iter().any(|b| {
+            let md = b.term.as_ref().and_then(Terminator::loop_md);
+            md.is_some_and(|md| actionable(md.unroll).is_some())
+        });
+        if !hinted {
+            return stats;
+        }
         let dt = DomTree::compute(f);
         let li = LoopInfo::compute(f, &dt);
         let target = li.loops.iter().find_map(|l| {
             let md = f.block(l.latch).term.as_ref()?.loop_md()?;
-            match md.unroll {
-                Some(UnrollHint::Full) | Some(UnrollHint::Count(_)) | Some(UnrollHint::Enable) => {
-                    Some((l.clone(), md.unroll.unwrap()))
-                }
-                _ => None,
-            }
+            Some((l.clone(), actionable(md.unroll)?))
         });
         let Some((l, hint)) = target else {
             return stats;
@@ -78,7 +81,7 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
             stats.skipped += 1;
             continue;
         }
-        let body_size: usize = region.iter().map(|&b| f.block(b).insts.len()).sum();
+        let body_size = sweep_dead(f, &region);
 
         match hint {
             UnrollHint::Full => {
@@ -140,6 +143,11 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
     }
 }
 
+/// The hint, if it asks this pass for anything.
+fn actionable(hint: Option<UnrollHint>) -> Option<UnrollHint> {
+    hint.filter(|h| !matches!(h, UnrollHint::Disable))
+}
+
 fn disable(f: &mut Function, latch: BlockId) {
     if let Some(t) = f.block_mut(latch).term.as_mut() {
         if let Some(slot) = t.loop_md_mut() {
@@ -155,6 +163,42 @@ fn region_has_phis(f: &Function, region: &[BlockId]) -> bool {
             .iter()
             .any(|&i| matches!(f.inst(i), Inst::Phi { .. }))
     })
+}
+
+/// Drops from a phi-free `region` what the pipeline's DCE, which runs after
+/// this pass, would drop anyway — everything but stores, calls, what the
+/// region's branches read and what those need — and returns how many
+/// instructions are left. The thresholds weigh, and the copies hold, only
+/// code that will exist: a discarded expression statement (`a[i];`) is
+/// lowered to loads nothing reads. Without phis nothing outside the region
+/// can use a value defined in it, so the region's own roots decide.
+fn sweep_dead(f: &mut Function, region: &[BlockId]) -> usize {
+    let mut live = vec![false; f.insts.len()];
+    let mut work: Vec<Value> = Vec::new();
+    for &bb in region {
+        let block = f.block(bb);
+        for &i in &block.insts {
+            if matches!(f.inst(i), Inst::Store { .. } | Inst::Call { .. }) {
+                work.push(Value::Inst(i));
+            }
+        }
+        if let Some(Terminator::CondBr { cond: v, .. } | Terminator::Ret(Some(v))) = &block.term {
+            work.push(*v);
+        }
+    }
+    while let Some(v) = work.pop() {
+        let Value::Inst(i) = v else { continue };
+        if !std::mem::replace(&mut live[i.0 as usize], true) {
+            f.inst(i).for_each_operand(|op| work.push(op));
+        }
+    }
+    let mut size = 0;
+    for &bb in region {
+        let insts = &mut f.block_mut(bb).insts;
+        insts.retain(|i| live[i.0 as usize]);
+        size += insts.len();
+    }
+    size
 }
 
 /// The region's blocks in function reverse-postorder (defs before uses).
@@ -256,10 +300,12 @@ fn full_unroll(f: &mut Function, sk: &SkeletonLoop, region: &[BlockId], tc: u64)
         );
     }
     // The preheader now jumps straight into the first copy (or the exit for
-    // a zero-trip loop); header/cond/body/latch become unreachable.
+    // a zero-trip loop); header/cond/body/latch become unreachable, and the
+    // abandoned latch must not keep asking for analyses.
     if let Some(t) = f.block_mut(preheader).term.as_mut() {
         t.map_blocks(|b| if b == sk.header { next_entry } else { b });
     }
+    disable(f, sk.latch);
 }
 
 /// Partial unroll by factor `k` with a remainder loop:
@@ -476,11 +522,63 @@ mod tests {
         assert_eq!(run_collect(&m), expected(100));
     }
 
+    /// Runs the pass on `main`, returning its statistics and how many
+    /// dominator trees it built on the way.
+    fn unroll_counting_trees(m: &mut Module) -> (UnrollStats, usize) {
+        use crate::domtree::TREES_BUILT;
+        TREES_BUILT.with(|t| t.set(0));
+        let stats = loop_unroll(m.function_mut("main").unwrap());
+        (stats, TREES_BUILT.with(|t| t.get()))
+    }
+
     #[test]
     fn disable_metadata_is_respected() {
         let mut m = loop_module(Value::i64(5), UnrollHint::Disable);
-        let stats = loop_unroll(m.function_mut("main").unwrap());
-        assert_eq!(stats, UnrollStats::default());
+        let (stats, trees) = unroll_counting_trees(&mut m);
+        assert_eq!((stats, trees), (UnrollStats::default(), 0));
         assert_eq!(run_collect(&m), expected(5));
+    }
+
+    #[test]
+    fn no_actionable_hint_builds_no_analysis() {
+        // What most functions look like: a loop without metadata, with only
+        // the `is_canonical` marker every skeleton carries, or disabled.
+        let canonical = LoopMetadata {
+            is_canonical: true,
+            ..Default::default()
+        };
+        for md in [None, Some(canonical), Some(canonical.disabled())] {
+            let mut m = loop_module(Value::i64(5), UnrollHint::Enable);
+            let f = m.function_mut("main").unwrap();
+            let terms = f.blocks.iter_mut().filter_map(|b| b.term.as_mut());
+            let mut slots = terms.filter_map(Terminator::loop_md_mut);
+            *slots.find(|slot| slot.is_some()).expect("a latch") = md;
+            let (stats, trees) = unroll_counting_trees(&mut m);
+            assert_eq!((stats, trees), (UnrollStats::default(), 0), "{md:?}");
+            assert_eq!(run_collect(&m), expected(5));
+        }
+    }
+
+    #[test]
+    fn two_hinted_loops_in_one_function_are_both_unrolled() {
+        let mut m = Module::new();
+        let sink = m.intern("print_i64");
+        let mut f = Function::new("main", vec![], IrType::I32);
+        let mut b = IrBuilder::new(&mut f);
+        let body = |b: &mut IrBuilder<'_>, iv| {
+            b.call(sink, vec![iv], IrType::Void);
+        };
+        let first = omplt_ompirb::create_canonical_loop(&mut b, Value::i64(3), "i", body);
+        let second = omplt_ompirb::create_canonical_loop(&mut b, Value::i64(9), "j", body);
+        b.ret(Some(Value::i32(0)));
+        first.set_metadata(&mut f, LoopMetadata::unroll(UnrollHint::Full));
+        second.set_metadata(&mut f, LoopMetadata::unroll(UnrollHint::Count(4)));
+        m.add_function(f);
+
+        let (stats, trees) = unroll_counting_trees(&mut m);
+        assert_eq!((stats.full, stats.partial), (1, 1));
+        assert_eq!(trees, 2, "one per transformation, none to find nothing");
+        assert_verified(m.function("main").unwrap());
+        assert_eq!(run_collect(&m), expected(3) + &expected(9));
     }
 }

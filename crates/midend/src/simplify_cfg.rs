@@ -3,7 +3,7 @@
 //! handles"), folds constant conditional branches, and merges straight-line
 //! block chains.
 
-use omplt_ir::{BlockData, BlockId, Function, Inst, Terminator, Value};
+use omplt_ir::{BlockData, BlockId, Function, Inst, InstId, Terminator, Value};
 
 /// Runs CFG cleanup to a fixpoint. Returns true if anything changed.
 pub fn simplify_cfg(f: &mut Function) -> bool {
@@ -84,65 +84,75 @@ fn remove_unreachable(f: &mut Function) -> bool {
     true
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Blocks [`merge_chains`] read (to count predecessors, then as merge
+    /// heads) plus instructions it moved: the work the linearity test bounds.
+    static MERGE_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Merges `a → b` when `a` ends in an unconditional branch to `b`, `b` has
 /// exactly one predecessor and no phis, and `a`'s branch carries no loop
 /// metadata (latches must stay intact for the unroll pass).
 fn merge_chains(f: &mut Function) -> bool {
+    // Counted once. Splicing `b` into `a` drops the edge `a → b` and moves
+    // `b`'s out-edges to `a`, so no other block's count changes — and with
+    // it nothing a block already visited was refused for.
+    let mut pred_count = vec![0usize; f.blocks.len()];
+    for t in f.blocks.iter().filter_map(|b| b.term.as_ref()) {
+        for s in t.successors() {
+            pred_count[s.0 as usize] += 1;
+        }
+    }
+    #[cfg(test)]
+    MERGE_STEPS.with(|v| v.set(v.get() + f.blocks.len()));
     let mut changed = false;
-    loop {
-        let preds = f.predecessors();
-        let mut merged = false;
-        for ai in 0..f.blocks.len() {
-            let a = BlockId(ai as u32);
-            let Some(Terminator::Br {
-                target: b,
-                loop_md: None,
-            }) = f.blocks[ai].term.clone()
-            else {
-                continue;
-            };
-            if b == a || preds[b.0 as usize].len() != 1 {
-                continue;
-            }
-            let b_has_phi = f
-                .block(b)
-                .insts
-                .first()
-                .is_some_and(|&i| matches!(f.inst(i), Inst::Phi { .. }));
-            if b_has_phi {
-                continue;
+    // One sweep, in reverse postorder: a block with a single predecessor
+    // comes after it, so the head of every chain is reached first, absorbs
+    // the whole chain, and each instruction moves once however the blocks
+    // are laid out (the unroller creates its copies back to front).
+    for a in f.reverse_postorder() {
+        #[cfg(test)]
+        MERGE_STEPS.with(|v| v.set(v.get() + 1));
+        let ai = a.0 as usize;
+        while let Some(&Terminator::Br {
+            target: b,
+            loop_md: None,
+        }) = f.blocks[ai].term.as_ref()
+        {
+            if b == a || pred_count[b.0 as usize] != 1 || phi_at(f, b, 0).is_some() {
+                break;
             }
             // Splice b into a.
             let b_insts = std::mem::take(&mut f.blocks[b.0 as usize].insts);
-            let b_term = f.blocks[b.0 as usize].term.take();
-            f.blocks[b.0 as usize].term = Some(Terminator::Unreachable);
+            let b_term = f.blocks[b.0 as usize].term.replace(Terminator::Unreachable);
+            #[cfg(test)]
+            MERGE_STEPS.with(|v| v.set(v.get() + b_insts.len()));
             f.blocks[ai].insts.extend(b_insts);
             f.blocks[ai].term = b_term;
             // Phis in b's former successors must re-point their edges to a.
-            let succs: Vec<BlockId> = f.blocks[ai]
-                .term
-                .as_ref()
-                .map_or_else(Vec::new, |t| t.successors());
-            for s in succs {
-                let insts = f.block(s).insts.clone();
-                for iid in insts {
-                    if let Inst::Phi { incoming, .. } = f.inst_mut(iid) {
-                        for (from, _) in incoming.iter_mut() {
-                            if *from == b {
-                                *from = a;
-                            }
+            let succs = f.blocks[ai].term.as_ref().map(Terminator::successors);
+            for s in succs.unwrap_or_default() {
+                let mut k = 0;
+                while let Some(phi) = phi_at(f, s, k) {
+                    if let Inst::Phi { incoming, .. } = f.inst_mut(phi) {
+                        for (from, _) in incoming.iter_mut().filter(|(from, _)| *from == b) {
+                            *from = a;
                         }
                     }
+                    k += 1;
                 }
             }
-            merged = true;
             changed = true;
-            break; // predecessor lists are stale; recompute
-        }
-        if !merged {
-            return changed;
         }
     }
+    changed
+}
+
+/// The `k`th instruction of `b`, if it is one of the block's leading phis.
+fn phi_at(f: &Function, b: BlockId, k: usize) -> Option<InstId> {
+    let i = *f.block(b).insts.get(k)?;
+    matches!(f.inst(i), Inst::Phi { .. }).then_some(i)
 }
 
 #[cfg(test)]
@@ -235,6 +245,109 @@ mod tests {
             b.ret(None);
         }
         simplify_cfg(&mut f);
+        assert_verified(&f);
+    }
+
+    /// `entry → c1 → … → c(n-1): ret`, where chain position `k` is stored at
+    /// block index `index_of(k)`; every block stores its position to a slot
+    /// so the merged order is readable.
+    fn chain(n: usize, index_of: impl Fn(usize) -> usize) -> Function {
+        let mut f = Function::new("t", vec![], IrType::Void);
+        for k in 1..n {
+            f.add_block(format!("c{k}"));
+        }
+        let at = |k: usize| BlockId(index_of(k) as u32);
+        let mut b = IrBuilder::new(&mut f);
+        b.set_insert_point(at(0));
+        let slot = b.alloca(IrType::I64, 1, "x");
+        for k in 0..n {
+            b.set_insert_point(at(k));
+            b.store(Value::i64(k as i64), slot);
+            if k + 1 < n {
+                b.br(at(k + 1));
+            } else {
+                b.ret(None);
+            }
+        }
+        f
+    }
+
+    /// Makes `b`'s branch a latch's: it carries loop metadata.
+    fn mark_latch(f: &mut Function, b: BlockId) -> omplt_ir::LoopMetadata {
+        let md = omplt_ir::LoopMetadata::unroll(omplt_ir::UnrollHint::Disable);
+        *f.block_mut(b).term.as_mut().unwrap().loop_md_mut().unwrap() = Some(md);
+        md
+    }
+
+    /// The constants `b` stores, in order.
+    fn stored(f: &Function, b: BlockId) -> Vec<i64> {
+        let stores = f.block(b).insts.iter().filter_map(|&i| match f.inst(i) {
+            Inst::Store { val, .. } => val.as_const_int(),
+            _ => None,
+        });
+        stores.collect()
+    }
+
+    fn steps_of(f: &mut Function) -> usize {
+        MERGE_STEPS.with(|s| s.set(0));
+        assert!(merge_chains(f));
+        MERGE_STEPS.with(|s| s.get())
+    }
+
+    #[test]
+    fn a_long_chain_merges_in_one_linear_sweep() {
+        const N: usize = 10_000;
+        // Every block is read twice (predecessor count, sweep) and every
+        // instruction moves at most once.
+        let linear = |steps: usize| assert!(steps <= 3 * N, "{steps} steps for {N} blocks");
+        let in_order = (0..N as i64).collect::<Vec<_>>();
+
+        let mut f = chain(N, |k| k);
+        linear(steps_of(&mut f));
+        assert_eq!(stored(&f, f.entry()), in_order);
+        assert!(!merge_chains(&mut f), "one sweep reaches the fixpoint");
+        assert!(simplify_cfg(&mut f));
+        assert_eq!(f.blocks.len(), 1);
+        assert_verified(&f);
+
+        // What the unroller leaves: copies created back to front — the head
+        // of the chain has the highest index — behind a block that cannot
+        // absorb them.
+        let mut f = chain(N, |k| if k == 0 { 0 } else { N - k });
+        let entry = f.entry();
+        mark_latch(&mut f, entry);
+        linear(steps_of(&mut f));
+        assert_eq!(stored(&f, entry), [0]);
+        assert_eq!(stored(&f, BlockId(N as u32 - 1)), in_order[1..]);
+        assert!(simplify_cfg(&mut f));
+        assert_eq!(f.blocks.len(), 2);
+        assert_verified(&f);
+    }
+
+    #[test]
+    fn a_phi_and_a_latch_each_end_a_chain() {
+        // entry → c1 → c2 → c3 → c4 → c5: c2's branch carries loop metadata,
+        // c4 starts with a phi. Three chains: {entry, c1, c2}, {c3}, {c4, c5}.
+        let mut f = chain(6, |k| k);
+        let md = mark_latch(&mut f, BlockId(2));
+        let phi = Inst::Phi {
+            ty: IrType::I64,
+            incoming: vec![(BlockId(3), Value::i64(7))],
+        };
+        let Value::Inst(phi) = f.prepend_inst(BlockId(4), phi) else {
+            panic!("a phi is an instruction");
+        };
+        assert!(merge_chains(&mut f));
+        let entry = f.block(f.entry());
+        assert_eq!(stored(&f, f.entry()), [0, 1, 2]);
+        assert_eq!(entry.term.as_ref().unwrap().loop_md(), Some(&md));
+        let live = |b: u32| f.block(BlockId(b)).term != Some(Terminator::Unreachable);
+        assert_eq!([1, 2, 3, 4, 5].map(live), [false, false, true, true, false]);
+        // c3 kept its own edge into the phi: nothing was spliced into it.
+        assert!(matches!(f.inst(phi), Inst::Phi { incoming, .. } if incoming[0].0 == BlockId(3)));
+        assert_eq!(stored(&f, BlockId(4)), [4, 5]);
+        assert!(simplify_cfg(&mut f));
+        assert_eq!(f.blocks.len(), 3);
         assert_verified(&f);
     }
 }

@@ -9,8 +9,8 @@
 //! branch into body/exit, latch incrementing by 1), and its trip count
 //! must be defined at a point dominating the compare that consumes it.
 //!
-//! Wired into [`crate::pass_manager::PassManager`] so `--verify-each`
-//! re-checks the invariants between every mid-end pass.
+//! [`crate::run_default_pipeline`] runs it after every pass under
+//! `--verify-each`.
 
 use omplt_ir::{verify_function, BlockId, Function, InstId, Module, Value, VerifyError};
 

@@ -4,23 +4,21 @@
 //! user-variable reference.
 
 use crate::capture::build_helper_lambda;
-use crate::loop_analysis::{analyze_canonical_loop, CanonicalLoopAnalysis};
+use crate::loop_analysis::CanonicalLoopAnalysis;
 use omplt_ast::{ASTContext, Decl, Expr, ExprKind, OMPCanonicalLoop, Stmt, StmtKind, UnOp, P};
-use omplt_source::DiagnosticsEngine;
 
-/// Wraps `loop_stmt` in an `OMPCanonicalLoop` node, verifying canonical
-/// form. Returns the node plus the analysis (which CodeGen reuses).
+/// Wraps `loop_stmt`, whose canonical form `analysis` established, in an
+/// `OMPCanonicalLoop` node. The loop is analysed once, where the directive's
+/// nest is collected: a malformed loop was diagnosed there and gets no node.
 ///
 /// The node "acts like an implicit AST node similar to an implicit cast"
 /// and "can be losslessly removed again if the wrapped loop needs to be
 /// re-analyzed" — removal is just `strip_to_loop()`.
 pub fn build_canonical_loop(
     ctx: &ASTContext,
-    diags: &DiagnosticsEngine,
     loop_stmt: &P<Stmt>,
-    directive_name: &str,
-) -> Option<(P<OMPCanonicalLoop>, CanonicalLoopAnalysis)> {
-    let analysis = analyze_canonical_loop(ctx, diags, loop_stmt, directive_name)?;
+    analysis: &CanonicalLoopAnalysis,
+) -> P<OMPCanonicalLoop> {
     let loc = analysis.loc;
     let logical_ty = P::clone(&analysis.logical_ty);
 
@@ -110,20 +108,28 @@ pub fn build_canonical_loop(
         }
     };
 
-    let node = P::new(OMPCanonicalLoop {
+    P::new(OMPCanonicalLoop {
         loop_stmt: P::clone(loop_stmt),
         distance_fn,
         loop_var_fn,
         loop_var_ref,
-    });
-    Some((node, analysis))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loop_analysis::analyze_canonical_loop;
     use omplt_ast::{dump_stmt, BinOp, CaptureKind, DumpOptions};
-    use omplt_source::SourceLocation;
+    use omplt_source::{DiagnosticsEngine, SourceLocation};
+
+    /// Analyses `lp` the way nest collection does, then wraps it.
+    fn wrap(ctx: &ASTContext, lp: &P<Stmt>) -> (P<OMPCanonicalLoop>, CanonicalLoopAnalysis) {
+        let diags = DiagnosticsEngine::new();
+        let analysis = analyze_canonical_loop(ctx, &diags, lp, "#pragma omp unroll").unwrap();
+        assert!(!diags.has_errors());
+        (build_canonical_loop(ctx, lp, &analysis), analysis)
+    }
 
     fn literal_loop(ctx: &ASTContext) -> P<Stmt> {
         let loc = SourceLocation::INVALID;
@@ -156,11 +162,8 @@ mod tests {
     #[test]
     fn builds_three_meta_items() {
         let ctx = ASTContext::new();
-        let diags = DiagnosticsEngine::new();
         let lp = literal_loop(&ctx);
-        let (node, analysis) =
-            build_canonical_loop(&ctx, &diags, &lp, "#pragma omp unroll").unwrap();
-        assert!(!diags.has_errors());
+        let (node, analysis) = wrap(&ctx, &lp);
         assert_eq!(analysis.const_trip_count(), Some(4));
         // the wrapped loop is losslessly recoverable
         let s = Stmt::new(
@@ -175,9 +178,8 @@ mod tests {
     #[test]
     fn iteration_variable_captured_by_value_in_loop_var_fn() {
         let ctx = ASTContext::new();
-        let diags = DiagnosticsEngine::new();
         let lp = literal_loop(&ctx);
-        let (node, _) = build_canonical_loop(&ctx, &diags, &lp, "#pragma omp unroll").unwrap();
+        let (node, _) = wrap(&ctx, &lp);
         let cap = node
             .loop_var_fn
             .captures
@@ -192,9 +194,8 @@ mod tests {
         // OMPCanonicalLoop with children: ForStmt, CapturedStmt (distance),
         // CapturedStmt (loop value), DeclRefExpr (user var).
         let ctx = ASTContext::new();
-        let diags = DiagnosticsEngine::new();
         let lp = literal_loop(&ctx);
-        let (node, _) = build_canonical_loop(&ctx, &diags, &lp, "#pragma omp unroll").unwrap();
+        let (node, _) = wrap(&ctx, &lp);
         let s = Stmt::new(StmtKind::OMPCanonicalLoop(node), SourceLocation::INVALID);
         let d = dump_stmt(&s, DumpOptions::default());
         assert!(d.starts_with("OMPCanonicalLoop\n"), "{d}");
@@ -204,14 +205,5 @@ mod tests {
             d.contains("`-DeclRefExpr 'int' lvalue Var 'i' 'int'"),
             "{d}"
         );
-    }
-
-    #[test]
-    fn malformed_loop_produces_no_node() {
-        let ctx = ASTContext::new();
-        let diags = DiagnosticsEngine::new();
-        let s = Stmt::new(StmtKind::Null, SourceLocation::INVALID);
-        assert!(build_canonical_loop(&ctx, &diags, &s, "#pragma omp tile").is_none());
-        assert!(diags.has_errors());
     }
 }

@@ -15,7 +15,9 @@
 
 use crate::canonical::build_canonical_loop;
 use crate::capture::build_omp_captured_stmt;
-use crate::loop_analysis::{analyze_canonical_loop, find_nonrectangular_ref, region_returns};
+use crate::loop_analysis::{
+    analyze_canonical_loop, find_nonrectangular_ref, region_returns, CanonicalLoopAnalysis,
+};
 use crate::sema::{OpenMpCodegenMode, Sema};
 use crate::transform::{
     transform_fuse, transform_interchange, transform_reverse, transform_tile,
@@ -60,37 +62,41 @@ impl Sema<'_> {
         };
 
         // A structured block is left only at its end: `break` is refused
-        // per loop by the canonical-form analysis, `return` here.
-        if d.associated_loops() > 0 {
-            for ret in region_returns(&associated) {
-                let pragma = d.pragma_text();
-                self.diags.report_with_notes(
-                    Level::Error,
-                    ret,
-                    format!("cannot 'return' out of the loop nest associated with '{pragma}'"),
-                    vec![Diagnostic::note(
-                        loc,
-                        format!("enclosing '{pragma}' construct begins here"),
-                    )],
-                );
-            }
+        // per loop by the canonical-form analysis, `return` here — out of a
+        // loop nest and out of the outlined block of a `parallel` alike.
+        for ret in region_returns(&associated) {
+            let pragma = d.pragma_text();
+            let region = if kind.is_loop_based() {
+                "loop nest associated with"
+            } else {
+                "structured block of"
+            };
+            self.diags.report_with_notes(
+                Level::Error,
+                ret,
+                format!("cannot 'return' out of the {region} '{pragma}'"),
+                vec![Diagnostic::note(
+                    loc,
+                    format!("enclosing '{pragma}' construct begins here"),
+                )],
+            );
         }
+        // Either branch collects the associated nest, and in IrBuilder mode
+        // wraps the literal loop it starts with in the OMPCanonicalLoop meta
+        // node (paper §3.1) from that collection's analysis.
         if kind.is_loop_transformation() {
-            d.transformed = self.build_transformed(&d, &associated, &consumer);
+            d.transformed = self.build_transformed(&d, &mut associated, &consumer);
         } else if kind.is_loop_directive() {
-            let levels = self.collect_loop_nest(&d, &associated, d.associated_loops(), &consumer);
-            if let (Some(levels), OpenMpCodegenMode::Classic) = (&levels, self.mode) {
-                let helpers = self.build_loop_helpers(levels, loc);
-                omplt_trace::count("sema.shadow.helper_nodes", helpers.node_count() as u64);
-                d.loop_helpers = Some(helpers);
+            if let Some(levels) =
+                self.collect_loop_nest(&d, &associated, d.associated_loops(), &consumer)
+            {
+                if self.mode == OpenMpCodegenMode::Classic {
+                    let helpers = self.build_loop_helpers(&levels, loc);
+                    omplt_trace::count("sema.shadow.helper_nodes", helpers.node_count() as u64);
+                    d.loop_helpers = Some(helpers);
+                }
+                associated = self.maybe_wrap_canonical(associated, &levels[0].analysis);
             }
-        }
-        // IrBuilder mode additionally wraps the associated literal loop in
-        // the OMPCanonicalLoop meta node (paper §3.1). A loop *sequence* is
-        // not a single canonical loop; the IrBuilder path consumes its
-        // shadow AST (whose tail IS wrapped).
-        if kind.is_loop_based() && kind.loop_association() != LoopAssociation::Sequence {
-            associated = self.maybe_wrap_canonical(associated, &consumer);
         }
         // Parallel, worksharing and taskloop regions are outlined →
         // CapturedStmt (loop transformations must NOT capture; paper §2.1).
@@ -381,7 +387,7 @@ impl Sema<'_> {
     fn build_transformed(
         &mut self,
         d: &OMPDirective,
-        associated: &P<Stmt>,
+        associated: &mut P<Stmt>,
         consumer: &str,
     ) -> Option<P<Stmt>> {
         use OMPDirectiveKind::{Fuse, Interchange, Reverse, Tile, Unroll};
@@ -403,10 +409,14 @@ impl Sema<'_> {
             Vec::new()
         };
 
+        // A loop *sequence* is not a single canonical loop; the IrBuilder
+        // path consumes its shadow AST (whose tail IS wrapped).
         let levels = if kind.loop_association() == LoopAssociation::Sequence {
             self.collect_loop_sequence(d, associated, consumer)?
         } else {
-            self.collect_loop_nest(d, associated, d.associated_loops(), consumer)?
+            let levels = self.collect_loop_nest(d, associated, d.associated_loops(), consumer)?;
+            *associated = self.maybe_wrap_canonical(P::clone(associated), &levels[0].analysis);
+            levels
         };
         let first = &levels[0].analysis;
         if full && first.const_trip_count().is_none() {
@@ -480,34 +490,34 @@ impl Sema<'_> {
                 let loc = t.loc;
                 Stmt::new(StmtKind::Compound(stmts), loc)
             }
-            StmtKind::For { .. } => self.maybe_wrap_canonical(t, consumer),
+            // A generated loop has no collection behind it: analyse it here.
+            StmtKind::For { .. } => {
+                match analyze_canonical_loop(&self.ctx, self.diags, &t, consumer) {
+                    Some(analysis) => self.maybe_wrap_canonical(t, &analysis),
+                    None => t,
+                }
+            }
             _ => t,
         }
     }
 
-    /// In IrBuilder mode, wraps a *literal* loop in `OMPCanonicalLoop`.
-    /// Nested directives (transformation stacking) are left alone — their
-    /// own Sema pass already wrapped the innermost literal loop.
-    fn maybe_wrap_canonical(&mut self, stmt: P<Stmt>, consumer: &str) -> P<Stmt> {
-        if self.mode != OpenMpCodegenMode::IrBuilder {
+    /// In IrBuilder mode, wraps a *literal* loop in `OMPCanonicalLoop`;
+    /// `analysis` is what the nest collection made of `stmt`. Nested
+    /// directives (transformation stacking) are left alone — their own Sema
+    /// pass already wrapped the innermost literal loop.
+    fn maybe_wrap_canonical(&mut self, stmt: P<Stmt>, analysis: &CanonicalLoopAnalysis) -> P<Stmt> {
+        if self.mode != OpenMpCodegenMode::IrBuilder
+            || !matches!(stmt.kind, StmtKind::For { .. } | StmtKind::CxxForRange(_))
+        {
             return stmt;
         }
-        match &stmt.kind {
-            StmtKind::For { .. } | StmtKind::CxxForRange(_) => {
-                match build_canonical_loop(&self.ctx, self.diags, &stmt, consumer) {
-                    Some((node, _)) => {
-                        omplt_trace::count(
-                            "sema.canonical.meta_items",
-                            omplt_ast::OMPCanonicalLoop::META_NODE_COUNT as u64,
-                        );
-                        let loc = stmt.loc;
-                        Stmt::new(StmtKind::OMPCanonicalLoop(node), loc)
-                    }
-                    None => stmt,
-                }
-            }
-            _ => stmt,
-        }
+        let node = build_canonical_loop(&self.ctx, &stmt, analysis);
+        omplt_trace::count(
+            "sema.canonical.meta_items",
+            omplt_ast::OMPCanonicalLoop::META_NODE_COUNT as u64,
+        );
+        let loc = stmt.loc;
+        Stmt::new(StmtKind::OMPCanonicalLoop(node), loc)
     }
 
     // ---------------- classic helper bundle ----------------

@@ -599,7 +599,7 @@ pub fn count_generated_loops(stmt: &P<Stmt>) -> usize {
 mod tests {
     use super::*;
     use crate::loop_analysis::analyze_canonical_loop;
-    use omplt_ast::{dump_stmt, print_stmt, DumpOptions};
+    use omplt_ast::{dump_stmt, DumpOptions};
     use omplt_source::DiagnosticsEngine;
 
     fn analysis_for(ctx: &ASTContext, lb: i128, ub: i128, step: i128) -> CanonicalLoopAnalysis {
@@ -700,11 +700,11 @@ mod tests {
             "#pragma omp tile sizes(4, 8)",
         );
         assert_eq!(count_generated_loops(&t), 4, "tiling 2 loops → 4 loops");
-        let text = print_stmt(&t);
-        assert!(text.contains(".floor.iv.i"), "{text}");
-        assert!(text.contains(".tile.iv.i"), "{text}");
-        // partial-tile bound via min(): printed as a conditional
-        assert!(text.contains("?"), "{text}");
+        let d = dump_stmt(&t, DumpOptions::default());
+        assert!(d.contains("VarDecl implicit used .floor.iv.i"), "{d}");
+        assert!(d.contains("VarDecl implicit used .tile.iv.i"), "{d}");
+        // partial-tile bound via min(): a conditional in the tile loop's test
+        assert!(d.contains("| `-ConditionalOperator 'unsigned int'"), "{d}");
     }
 
     #[test]
@@ -722,10 +722,13 @@ mod tests {
             &[4],
             "#pragma omp tile sizes(4)",
         );
-        let text = print_stmt(&t);
+        let d = dump_stmt(&t, DumpOptions::default());
         // `int i = 5 + .tile.iv.i * 3;`
-        assert!(text.contains("int i = "), "{text}");
-        assert!(text.contains("* 3"), "{text}");
+        assert!(d.contains("VarDecl implicit used i 'int' cinit"), "{d}");
+        let init = &d[d.find("used i 'int'").unwrap()..];
+        assert!(init.contains("BinaryOperator 'int' '*'"), "{init}");
+        assert!(init.contains("Var '.tile.iv.i'"), "{init}");
+        assert!(init.contains("`-IntegerLiteral 'int' 3"), "{init}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   allocator, and the lowerer's per-instruction tables are dense vectors.
 //! * [`verify`] — a load-time bytecode verifier (register def-before-use,
 //!   in-bounds jump targets, type-class-consistent operands) that runs on
-//!   every compiled module and again under `--verify-each`.
+//!   every compiled module.
 //! * [`vm`] — the execution engine: `VmEngine::new` resolves each verified
 //!   [`Op`] once per run to a private execution form — a variant of its own
 //!   for each (operator, type) pair the benchmark's workloads retire, the

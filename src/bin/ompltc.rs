@@ -92,8 +92,9 @@ static DRIVER_FLAGS: [DriverFlag; 17] = [
     driver_flag(
         "--analyze",
         Arg::Switch,
-        "run the static-analysis suite (legality + -Wrace) and exit;\n\
-         non-zero exit on any finding",
+        "stop after the front end and add the simd lane-distance and\n\
+         -Wrace lints to the compile's own refusals; non-zero exit on\n\
+         any finding",
         |c, _| store(&mut c.views.analyze, true),
     ),
     driver_flag(

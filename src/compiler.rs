@@ -232,25 +232,21 @@ impl CompilerInstance {
         Ok(r.module)
     }
 
-    /// Runs the mid-end pipeline (SimplifyCfg, ConstFold, LoopUnroll). With
+    /// Runs the mid-end pipeline (LoopUnroll, SimplifyCfg, ConstFold). With
     /// `verify_each` set, the full verifier (structural + canonical-loop
     /// skeleton invariants) re-checks every function after every pass and
     /// reports violations as error diagnostics.
     pub fn optimize(&self, module: &mut Module) -> omplt_midend::UnrollStats {
         let _span = omplt_trace::span("midend");
         omplt_fault::set_stage("midend");
-        if self.opts.verify_each {
-            let (stats, errs) = omplt_midend::run_default_pipeline_verified(module);
-            for e in errs {
-                self.diags.error(
-                    omplt_source::SourceLocation::INVALID,
-                    format!("--verify-each: {e}"),
-                );
-            }
-            stats
-        } else {
-            omplt_midend::run_default_pipeline(module)
+        let (stats, errs) = omplt_midend::run_default_pipeline(module, self.opts.verify_each);
+        for e in errs {
+            self.diags.error(
+                omplt_source::SourceLocation::INVALID,
+                format!("--verify-each: {e}"),
+            );
         }
+        stats
     }
 
     /// The engine configuration derived from [`Options`], with any armed
@@ -356,8 +352,7 @@ impl CompilerInstance {
     }
 
     /// Lowers `module` to bytecode and runs the bytecode verifier over the
-    /// result (always once at load time; a second time under `--verify-each`,
-    /// mirroring the IR verifier's re-check discipline).
+    /// result.
     pub fn compile_bytecode(
         &self,
         module: &Module,
@@ -365,18 +360,15 @@ impl CompilerInstance {
         omplt_fault::set_stage("vm");
         let code = omplt_vm::compile_module_with(module, self.opts.vector_width)
             .map_err(|e| omplt_interp::ExecError::Malformed(format!("bytecode compile: {e}")))?;
-        let passes = if self.opts.verify_each { 2 } else { 1 };
-        for _ in 0..passes {
-            let errs = omplt_vm::verify_module(&code);
-            if !errs.is_empty() {
-                return Err(omplt_interp::ExecError::Malformed(format!(
-                    "bytecode verification failed:\n{}",
-                    errs.iter()
-                        .map(|e| format!("  {e}"))
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                )));
-            }
+        let errs = omplt_vm::verify_module(&code);
+        if !errs.is_empty() {
+            return Err(omplt_interp::ExecError::Malformed(format!(
+                "bytecode verification failed:\n{}",
+                errs.iter()
+                    .map(|e| format!("  {e}"))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            )));
         }
         Ok(code)
     }

@@ -4,7 +4,7 @@
 //! call the text comes from is pinned too: a refusal is `parse_source`'s
 //! `Err` (every compile gets it), a lint finding appears under `analyze`.
 
-use omplt::{CompilerInstance, Options};
+use omplt::{CompilerInstance, OpenMpCodegenMode, Options};
 
 /// The findings of the `--analyze` lints on a source every compile accepts.
 fn analyze_and_render(name: &str, src: &str) -> String {
@@ -20,6 +20,88 @@ fn refusal(name: &str, src: &str) -> String {
     CompilerInstance::new(Options::default())
         .parse_source(name, src)
         .expect_err("the legality rules refuse this source")
+}
+
+/// What a source no compile accepts is refused with, on both lowering
+/// paths, which must agree: the rendered text and the JSON document.
+fn refusal_on_both_paths(name: &str, src: &str) -> (String, String) {
+    let [classic, irbuilder] =
+        [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder].map(|codegen_mode| {
+            let mut ci = CompilerInstance::new(Options {
+                codegen_mode,
+                ..Options::default()
+            });
+            let text = ci.parse_source(name, src).expect_err("refused");
+            (text, ci.render_diags_json())
+        });
+    assert_eq!(classic, irbuilder, "the lowering paths disagree");
+    classic
+}
+
+/// Regression: IrBuilder mode analysed the loop a second time to wrap it in
+/// `OMPCanonicalLoop` and reported its malformation again.
+#[test]
+fn malformed_loop_is_reported_once_on_both_paths() {
+    let src = "\
+int main(void) {
+  int n = 4;
+  #pragma omp parallel for
+  for (int i = 0; i != n * 2; i *= 2)
+    n = n + 0;
+  #pragma omp tile sizes(4)
+  for (int j = 1; j < n; j *= 2)
+    n = n + 0;
+  return 0;
+}
+";
+    let text = "\
+inc.c:4:33: error: increment clause of OpenMP for loop is not in canonical form
+  for (int i = 0; i != n * 2; i *= 2)
+                                ^
+inc.c:7:28: error: increment clause of OpenMP for loop is not in canonical form
+  for (int j = 1; j < n; j *= 2)
+                           ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"increment clause of OpenMP for loop is not \
+                in canonical form\",\"file\":\"inc.c\",\"line\":4,\"column\":33,\"notes\":[]},\
+                {\"level\":\"error\",\"message\":\"increment clause of OpenMP for loop is not \
+                in canonical form\",\"file\":\"inc.c\",\"line\":7,\"column\":28,\"notes\":[]}]\n";
+    assert_eq!(
+        refusal_on_both_paths("inc.c", src),
+        (text.to_string(), json.to_string())
+    );
+}
+
+/// Regression: the outlined region is a `void` function, and the `return`
+/// reached the IR verifier ("ret with value in void function", no location).
+#[test]
+fn return_out_of_a_parallel_block_renders_exactly() {
+    let src = "\
+int main(void) {
+  #pragma omp parallel num_threads(2)
+  {
+    return 1;
+  }
+  return 0;
+}
+";
+    let text = "\
+ret.c:4:5: error: cannot 'return' out of the structured block of '#pragma omp parallel num_threads(2)'
+    return 1;
+    ^
+ret.c:2:11: note: enclosing '#pragma omp parallel num_threads(2)' construct begins here
+  #pragma omp parallel num_threads(2)
+          ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"cannot 'return' out of the structured block \
+                of '#pragma omp parallel num_threads(2)'\",\"file\":\"ret.c\",\"line\":4,\
+                \"column\":5,\"notes\":[{\"level\":\"note\",\"message\":\"enclosing '#pragma omp \
+                parallel num_threads(2)' construct begins here\",\"file\":\"ret.c\",\"line\":2,\
+                \"column\":11,\"notes\":[]}]}]\n";
+    assert_eq!(
+        refusal_on_both_paths("ret.c", src),
+        (text.to_string(), json.to_string())
+    );
 }
 
 #[test]

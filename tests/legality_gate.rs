@@ -75,6 +75,19 @@ int main(void) {
 }
 ";
 
+/// The same out of the outlined block of a directive without a loop.
+const RETURN_IN_PARALLEL: &str = "\
+void print_i64(long v);
+int main(void) {
+  #pragma omp parallel
+  {
+    return 1;
+  }
+  print_i64(7);
+  return 0;
+}
+";
+
 fn write_temp(name: &str, contents: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("omplt-legality-gate-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -155,6 +168,10 @@ fn an_illegal_nest_is_refused_on_every_entrance() {
         (
             write_temp("return_in_parallel_for.c", RETURN_IN_PARALLEL_FOR),
             "cannot 'return' out of the loop nest",
+        ),
+        (
+            write_temp("return_in_parallel.c", RETURN_IN_PARALLEL),
+            "cannot 'return' out of the structured block",
         ),
         (fixture("illegal_reverse.c"), "is illegal here"),
         (fixture("illegal_fuse.c"), "is illegal here"),

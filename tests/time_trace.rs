@@ -180,6 +180,35 @@ fn counters_json_is_deterministic_across_runs() {
 }
 
 #[test]
+fn every_pass_and_every_verifier_runs_once_per_function() {
+    // The default pipeline is three passes, none of them twice, and
+    // `--verify-each` adds one IR check after each — not a second run of the
+    // bytecode verifier over a module nothing changed in between.
+    let path = temp_path("stencil.once.json");
+    let out = ompltc()
+        .arg(format!("--counters-json={}", path.display()))
+        .args(["--opt", "--verify-each", "--backend=vm", "--run"])
+        .arg(STENCIL)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let counters = doc.get("counters").expect("counters object");
+    let count = |name: &str| counters.get(name).and_then(Value::as_u64);
+    let functions = count("vm.compile.functions").expect("functions were compiled");
+    for pass in ["loop-unroll", "simplify-cfg", "const-fold"] {
+        let runs = count(&format!("midend.pass.{pass}.runs"));
+        assert_eq!(runs, Some(functions), "{pass}");
+    }
+    assert_eq!(count("midend.verify_each.checks"), Some(3 * functions));
+    assert_eq!(count("vm.verify.functions"), Some(functions));
+}
+
+#[test]
 fn counters_reproduce_c1_node_counts_from_instrumentation_alone() {
     // Experiment C1 (paper: "reduced from the 36 shadow AST nodes required
     // by OMPLoopDirective" to 3 meta items) read straight from the driver's
