@@ -1,7 +1,7 @@
 //! Expression lowering.
 
 use crate::codegen::{ir_type, Binding, FnCodegen};
-use omplt_ast::{BinOp, CastKind, Expr, ExprKind, Type, TypeKind, UnOp, P};
+use omplt_ast::{BinOp, CastKind, Expr, ExprKind, Type, UnOp, P};
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, Value};
 
 impl FnCodegen<'_, '_> {
@@ -134,7 +134,8 @@ impl FnCodegen<'_, '_> {
             }
             CastKind::IntegralCast | CastKind::BooleanToIntegral => {
                 let v = self.emit_rvalue(sub);
-                let signed = sub.ty.is_signed_int() || *sub.ty == *Type::new(TypeKind::Bool);
+                // C's `bool` is unsigned: it widens with `zext`.
+                let signed = sub.ty.is_signed_int();
                 let to_ty = ir_type(to);
                 self.with_builder(|b| b.int_resize(v, to_ty, signed))
             }

@@ -1,18 +1,18 @@
 //! The IR interpreter: executes `omplt-ir` modules, dispatching runtime
 //! calls (OpenMP + I/O shims) to [`crate::runtime`].
 //!
-//! It is also where the guest's arithmetic is defined, once, for both
-//! engines: the kernels [`bin`], [`cmp`], [`cast`], [`gep`], [`decode`] and
-//! [`encode`] work on untagged 64-bit *payloads*. The interpreter's frames
-//! hold tagged [`RtVal`]s and reach the kernels through the coercing
-//! wrappers [`exec_bin`], [`exec_cmp`], [`exec_cast`], [`decode_scalar`] and
-//! [`encode_scalar`]; the bytecode VM keeps payloads in its registers — its
-//! verifier has proven each register's class — and calls the kernels
-//! directly.
+//! The guest's arithmetic is not defined here: it is the payload kernels of
+//! [`omplt_ir::arith`], the same functions the compiler folds constants
+//! with. The interpreter's frames hold tagged [`RtVal`]s and reach the
+//! kernels through the coercing wrappers [`exec_bin`], [`exec_cmp`],
+//! [`exec_cast`], [`decode_scalar`] and [`encode_scalar`]; the bytecode VM
+//! keeps payloads in its registers — its verifier has proven each register's
+//! class — and calls the kernels directly.
 
 use crate::engine::{Callee, ChunkRecord, Engine, RunState};
 use crate::memory::Memory;
 use crate::runtime::{self, RuntimeConfig, ThreadCtx};
+use omplt_ir::arith::{bin, cast, cmp, decode, encode, gep, Trap};
 use omplt_ir::{
     BinOpKind, BlockId, CastOp, CmpPred, Function, Inst, IrType, Module, SymbolId, Terminator,
     Value,
@@ -116,6 +116,20 @@ impl std::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+impl From<Trap> for ExecError {
+    /// Out of line and cold on purpose: every `bin(..)?` arm of the VM's
+    /// dispatch loop contains this conversion, and inlined it put a `String`
+    /// construction into each of them (`run_ms` on `exec_vm` +12 %).
+    #[cold]
+    #[inline(never)]
+    fn from(t: Trap) -> ExecError {
+        match t {
+            Trap::DivByZero => ExecError::DivByZero,
+            Trap::PtrArith => ExecError::Malformed("non-additive pointer arithmetic".into()),
+        }
+    }
+}
 
 /// Result of a completed run.
 #[derive(Debug, Clone, Default)]
@@ -411,184 +425,14 @@ impl Engine for Interpreter<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Arithmetic: one definition, on payloads
+// The coercing wrappers over `omplt_ir::arith`
 // ---------------------------------------------------------------------------
 //
-// A *payload* is the 64 bits a value occupies once its class is known from
-// somewhere else: an integer's `i64` (sign-extended from its width), a
-// float's `f64` bits (an `f32` widened, as [`RtVal::F`] holds it), a
-// pointer's handle. The kernels below are the only place the guest's
-// arithmetic, comparisons, conversions and scalar memory encodings are
-// written. The bytecode VM keeps payloads in its registers (its verifier
-// proved every register's class) and calls the kernels with the operator and
-// type as literals, so each call folds to the one instruction it means —
-// hence `#[inline(always)]`. The interpreter, whose frames hold tagged
-// [`RtVal`]s, goes through the `exec_*` wrappers after them, which coerce
-// each operand to the class the operator reads (`as_i`/`as_f`/`as_p`) and
-// tag the result.
-
-/// `lhs <op> rhs` at width `ty`, on payloads: wrapping integer arithmetic,
-/// division checks, `f32` rounding, the pointer flavor of `add`/`sub`.
-#[inline(always)]
-pub fn bin(op: BinOpKind, ty: IrType, a: u64, b: u64) -> Result<u64, ExecError> {
-    use BinOpKind::*;
-    if op.is_float() {
-        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-        let r = match op {
-            FAdd => x + y,
-            FSub => x - y,
-            FMul => x * y,
-            FDiv => x / y,
-            FRem => x % y,
-            _ => unreachable!(),
-        };
-        return Ok(round_to(ty, r).to_bits());
-    }
-    // Pointer arithmetic through add/sub keeps the pointer flavor.
-    if ty == IrType::Ptr {
-        return match op {
-            Add => Ok(a.wrapping_add(b)),
-            Sub => Ok(a.wrapping_sub(b)),
-            _ => Err(ExecError::Malformed(
-                "non-additive pointer arithmetic".into(),
-            )),
-        };
-    }
-    let (x, y) = (a as i64, b as i64);
-    let (ux, uy) = (ty.wrap_unsigned(x), ty.wrap_unsigned(y));
-    let r = match op {
-        Add => x.wrapping_add(y),
-        Sub => x.wrapping_sub(y),
-        Mul => x.wrapping_mul(y),
-        SDiv => {
-            if y == 0 {
-                return Err(ExecError::DivByZero);
-            }
-            x.wrapping_div(y)
-        }
-        UDiv => {
-            if uy == 0 {
-                return Err(ExecError::DivByZero);
-            }
-            (ux / uy) as i64
-        }
-        SRem => {
-            if y == 0 {
-                return Err(ExecError::DivByZero);
-            }
-            x.wrapping_rem(y)
-        }
-        URem => {
-            if uy == 0 {
-                return Err(ExecError::DivByZero);
-            }
-            (ux % uy) as i64
-        }
-        Shl => x.wrapping_shl((uy & 63) as u32),
-        AShr => x.wrapping_shr((uy & 63) as u32),
-        LShr => (ux >> (uy & (ty.bits() as u64 - 1).max(1))) as i64,
-        And => x & y,
-        Or => x | y,
-        Xor => x ^ y,
-        _ => unreachable!(),
-    };
-    Ok(ty.wrap(r) as u64)
-}
-
-/// `lhs <pred> rhs` at type `ty`, on payloads.
-#[inline(always)]
-pub fn cmp(pred: CmpPred, ty: IrType, a: u64, b: u64) -> bool {
-    use CmpPred::*;
-    if pred.is_float() {
-        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-        return match pred {
-            FEq => x == y,
-            FNe => x != y,
-            FLt => x < y,
-            FLe => x <= y,
-            FGt => x > y,
-            FGe => x >= y,
-            _ => unreachable!(),
-        };
-    }
-    let (x, y) = (a as i64, b as i64);
-    let (ux, uy) = if ty == IrType::Ptr {
-        (a, b)
-    } else {
-        (ty.wrap_unsigned(x), ty.wrap_unsigned(y))
-    };
-    match pred {
-        Eq => ux == uy,
-        Ne => ux != uy,
-        Slt => x < y,
-        Sle => x <= y,
-        Sgt => x > y,
-        Sge => x >= y,
-        Ult => ux < uy,
-        Ule => ux <= uy,
-        Ugt => ux > uy,
-        Uge => ux >= uy,
-        _ => unreachable!(),
-    }
-}
-
-/// `cast<op>` from `from` to `to`, on payloads.
-#[inline(always)]
-pub fn cast(op: CastOp, from: IrType, to: IrType, v: u64) -> u64 {
-    let (i, f) = (v as i64, f64::from_bits(v));
-    match op {
-        CastOp::Trunc | CastOp::PtrToInt => to.wrap(i) as u64,
-        CastOp::SExt | CastOp::IntToPtr => v,
-        CastOp::ZExt => from.wrap_unsigned(i),
-        CastOp::SiToFp => round_to(to, i as f64).to_bits(),
-        CastOp::UiToFp => round_to(to, from.wrap_unsigned(i) as f64).to_bits(),
-        CastOp::FpToSi => to.wrap(f as i64) as u64,
-        CastOp::FpToUi => to.wrap(f as u64 as i64) as u64,
-        CastOp::FpTrunc | CastOp::FpExt => round_to(to, f).to_bits(),
-    }
-}
-
-/// `base + index * elem_size`, on payloads (the byte-scaled GEP).
-#[inline(always)]
-pub fn gep(base: u64, index: u64, elem_size: u64) -> u64 {
-    base.wrapping_add(index.wrapping_mul(elem_size))
-}
-
-/// The payload of the `ty` whose stored bits are `raw` (zero-extended, as
-/// [`Memory::load`] returns them).
-#[inline(always)]
-pub fn decode(ty: IrType, raw: u64) -> u64 {
-    match ty {
-        IrType::F32 => (f32::from_bits(raw as u32) as f64).to_bits(),
-        IrType::F64 | IrType::Ptr => raw,
-        _ => ty.wrap(raw as i64) as u64,
-    }
-}
-
-/// The bits a payload of type `ty` is stored as ([`Memory::store`] keeps the
-/// low `ty.size()` bytes).
-#[inline(always)]
-pub fn encode(ty: IrType, v: u64) -> u64 {
-    match ty {
-        IrType::F32 => (f64::from_bits(v) as f32).to_bits() as u64,
-        _ => v,
-    }
-}
-
-#[inline(always)]
-fn round_to(ty: IrType, v: f64) -> f64 {
-    if ty == IrType::F32 {
-        (v as f32) as f64
-    } else {
-        v
-    }
-}
-
-// The wrappers: the same five entry points the interpreter and
-// `runtime::atomic_rmw` have always called. Each picks its operands'
-// coercion from the operator and type alone — never from the tag — so an
-// operand that crossed a call boundary at the wrong class is converted the
-// way C would, exactly as before the kernels existed.
+// The same five entry points the interpreter and `runtime::atomic_rmw` have
+// always called, for frames that hold tagged [`RtVal`]s. Each picks its
+// operands' coercion from the operator and type alone — never from the tag —
+// so an operand that crossed a call boundary at the wrong class is converted
+// the way C would, exactly as before the kernels existed.
 
 /// Converts raw loaded bits into a typed value.
 #[inline]

@@ -1,21 +1,19 @@
-//! Property-style test: the `IrBuilder`'s on-the-fly constant folder must
-//! agree with the interpreter's execution of the unfolded instruction —
-//! otherwise "simplifies expressions on-the-fly" (paper §1.3) would silently
-//! change program meaning.
-//!
-//! Formerly written with `proptest`; rewritten as deterministic fixed-seed
-//! sweeps so the workspace builds without registry access.
+//! Folding is executing: `omplt_ir::arith::simplify` — the function behind
+//! the `IrBuilder`'s on-the-fly folding (paper §1.3) and the mid end's
+//! `const-fold` — must hand back exactly the value the interpreter computes
+//! when it runs the unfolded instruction. For constants that holds by
+//! construction (both call the same kernels); these deterministic
+//! fixed-seed sweeps hold the plumbing around the kernels (`payload`,
+//! `of_payload`, the trap rule) and the fold-specific identities to it.
 
-use omplt_interp::{Engine, Interpreter, RtVal, RuntimeConfig, ThreadCtx};
-use omplt_ir::{BinOpKind, CastOp, CmpPred, Function, Inst, IrBuilder, IrType, Module, Value};
+use omplt_interp::{Engine, ExecError, Interpreter, RtVal, RuntimeConfig, ThreadCtx};
+use omplt_ir::arith::{may_trap, simplify};
+use omplt_ir::{BinOpKind, CastOp, CmpPred, Function, Inst, IrType, Module, Terminator, Value};
 
 /// Minimal deterministic PRNG (xorshift64*).
 struct Rng(u64);
 
 impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
     fn next(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
@@ -24,239 +22,276 @@ impl Rng {
         self.0 = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
-    fn next_i64(&mut self) -> i64 {
-        self.next() as i64
+}
+
+/// An operand of the instruction under test.
+#[derive(Clone, Copy)]
+enum Operand {
+    /// A constant: folded as itself, run as the argument that holds it.
+    Const(Value),
+    /// A variable of this type holding this value: an argument on both sides.
+    Var(IrType, RtVal),
+}
+
+fn int(ty: IrType, v: i64) -> Operand {
+    Operand::Const(Value::int(ty, v))
+}
+
+fn float(ty: IrType, v: f64) -> Operand {
+    Operand::Const(Value::float(ty, v))
+}
+
+/// Bit-exact equality, every NaN equal to every other.
+fn same(a: Option<RtVal>, b: Option<RtVal>) -> bool {
+    match (a, b) {
+        (Some(RtVal::F(x)), Some(RtVal::F(y))) => {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        }
+        _ => a == b,
     }
 }
 
-/// Interesting boundary operands mixed into every sweep.
-const EDGE_CASES: [i64; 9] = [
+/// A constant's type and the run-time value it stands for.
+fn constant(v: Value) -> Option<(IrType, RtVal)> {
+    match v {
+        Value::ConstInt { ty, val } => Some((ty, RtVal::I(val))),
+        Value::ConstFloat { ty, bits } => Some((ty, RtVal::F(f64::from_bits(bits)))),
+        _ => None,
+    }
+}
+
+/// The one harness. Builds the instruction `make` describes once over
+/// `operands` and asks [`simplify`] what it always computes; builds it again
+/// over arguments only, pushed raw so no folder sees it, and runs it on the
+/// interpreter with the operands' values. Whatever was folded must be,
+/// bit for bit, what was computed. Returns `(folded, executed)`.
+fn fold_and_run(
+    make: impl Fn(&[Value]) -> Inst,
+    operands: &[Operand],
+) -> (Option<RtVal>, Result<RtVal, ExecError>) {
+    let arg = |i: usize| Value::Arg(i as u32);
+    let mut params = Vec::new();
+    let mut args = Vec::new();
+    let mut mixed = Vec::new();
+    for (i, o) in operands.iter().enumerate() {
+        let (v, (ty, rt)) = match *o {
+            Operand::Var(ty, rt) => (arg(i), (ty, rt)),
+            Operand::Const(v) => (v, constant(v).expect("a constant")),
+        };
+        mixed.push(v);
+        params.push(ty);
+        args.push(rt);
+    }
+    let mut f = Function::new("t", params, IrType::Void);
+    let known = |v: Value| match v {
+        Value::Arg(i) => Some(args[i as usize]),
+        _ => constant(v).map(|(_, rt)| rt),
+    };
+    let folded = simplify(&make(&mixed), |v| f.value_type(v)).map(|v| known(v).expect("a value"));
+    // `const-fold` reaches the same folder: of the instruction over
+    // constants alone it leaves exactly that constant — or the instruction.
+    if operands.iter().all(|o| matches!(o, Operand::Const(_))) {
+        let mut c = Function::new("c", vec![], IrType::Void);
+        let v = c.push_inst(c.entry(), make(&mixed));
+        c.blocks[0].term = Some(Terminator::Ret(Some(v)));
+        omplt_midend::constant_fold(&mut c);
+        let left = match c.blocks[0].term {
+            Some(Terminator::Ret(Some(v))) => known(v),
+            _ => unreachable!(),
+        };
+        assert!(
+            same(left, folded),
+            "const-fold left {left:?}, simplify says {folded:?}"
+        );
+    }
+
+    let raw = make(&(0..operands.len()).map(arg).collect::<Vec<_>>());
+    f.ret = raw.result_type(|v| f.value_type(v));
+    let entry = f.entry();
+    let v = f.push_inst(entry, raw.clone());
+    f.blocks[0].term = Some(Terminator::Ret(Some(v)));
+    let mut m = Module::new();
+    m.add_function(f);
+    let it = Interpreter::new(&m, RuntimeConfig::default());
+    let executed = (it.call_by_name("t", args.clone(), &ThreadCtx::initial()))
+        .map(|r| r.expect("returns a value"));
+    if folded.is_some() {
+        let ran = executed.clone().expect("what folds must run");
+        assert!(
+            same(folded, Some(ran)),
+            "{raw:?} over {args:?}: folded {folded:?}, executed {ran:?}"
+        );
+    }
+    (folded, executed)
+}
+
+fn bin_of(op: BinOpKind) -> impl Fn(&[Value]) -> Inst {
+    move |v| Inst::Bin {
+        op,
+        lhs: v[0],
+        rhs: v[1],
+    }
+}
+
+fn cmp_of(pred: CmpPred) -> impl Fn(&[Value]) -> Inst {
+    move |v| Inst::Cmp {
+        pred,
+        lhs: v[0],
+        rhs: v[1],
+    }
+}
+
+/// Interesting boundary operands mixed into every sweep (shift amounts
+/// included: out-of-range ones are masked by the one kernel).
+const EDGE_CASES: [i64; 12] = [
     0,
     1,
     -1,
     2,
     -2,
+    31,
+    64,
+    65,
     i64::MAX,
     i64::MIN,
     i64::MAX - 1,
     i64::MIN + 1,
 ];
 
-/// Executes `op(a, b)` through the interpreter without any folding.
-fn exec_unfolded(op: BinOpKind, ty: IrType, a: i64, b: i64) -> Option<i64> {
-    let mut m = Module::new();
-    let mut f = Function::new("t", vec![ty, ty], IrType::I64);
-    {
-        // Raw pushes bypass the builder's folder.
-        let entry = f.entry();
-        let v = f.push_inst(
-            entry,
-            Inst::Bin {
-                op,
-                lhs: Value::Arg(0),
-                rhs: Value::Arg(1),
-            },
-        );
-        let widened = f.push_inst(
-            entry,
-            Inst::Cast {
-                op: omplt_ir::CastOp::SExt,
-                val: v,
-                to: IrType::I64,
-            },
-        );
-        f.blocks[0].term = Some(omplt_ir::Terminator::Ret(Some(widened)));
-    }
-    m.add_function(f);
-    let it = Interpreter::new(&m, RuntimeConfig::default());
-    let ctx = ThreadCtx::initial();
-    it.call_by_name("t", vec![RtVal::I(a), RtVal::I(b)], &ctx)
-        .ok()
-        .flatten()
-        .map(|v| v.as_i())
-}
-
-/// Folds `op(a, b)` through the builder, if it folds.
-fn fold(op: BinOpKind, ty: IrType, a: i64, b: i64) -> Option<i64> {
-    omplt_ir::fold_bin(op, Value::int(ty, a), Value::int(ty, b), ty).and_then(|v| v.as_const_int())
-}
-
-const INT_OPS: [BinOpKind; 13] = [
-    BinOpKind::Add,
-    BinOpKind::Sub,
-    BinOpKind::Mul,
-    BinOpKind::SDiv,
-    BinOpKind::UDiv,
-    BinOpKind::SRem,
-    BinOpKind::URem,
-    BinOpKind::Shl,
-    BinOpKind::AShr,
-    BinOpKind::LShr,
-    BinOpKind::And,
-    BinOpKind::Or,
-    BinOpKind::Xor,
+const INT_TYPES: [IrType; 5] = [
+    IrType::I64,
+    IrType::I32,
+    IrType::I16,
+    IrType::I8,
+    IrType::I1,
 ];
 
-const TYPES: [IrType; 3] = [IrType::I64, IrType::I32, IrType::I8];
+fn int_pairs(seed: u64, random: usize) -> Vec<(i64, i64)> {
+    let mut rng = Rng(seed);
+    let mut pairs: Vec<(i64, i64)> = (EDGE_CASES.iter())
+        .flat_map(|&a| EDGE_CASES.iter().map(move |&b| (a, b)))
+        .collect();
+    pairs.extend((0..random).map(|_| (rng.next() as i64, rng.next() as i64)));
+    pairs
+}
 
+/// Every integer operation over two constants folds to what running it
+/// gives — and the ones the kernel traps on are exactly the ones that do not
+/// fold, and still trap when run.
 #[test]
 fn folded_result_matches_interpreted_result() {
-    let mut rng = Rng::new(0xF01DED);
-    let mut operands: Vec<(i64, i64)> = Vec::new();
-    for &a in &EDGE_CASES {
-        for &b in &EDGE_CASES {
-            operands.push((a, b));
-        }
-    }
-    operands.extend((0..24).map(|_| (rng.next_i64(), rng.next_i64())));
-
-    for op in INT_OPS {
-        for ty in TYPES {
-            for &(a, b) in &operands {
-                // shift amounts are masked by the interpreter; restrict to
-                // in-range shifts where C behaviour is defined
-                let b = match op {
-                    BinOpKind::Shl | BinOpKind::AShr | BinOpKind::LShr => {
-                        b.rem_euclid(ty.bits() as i64)
-                    }
-                    _ => b,
-                };
-                let (a, b) = (ty.wrap(a), ty.wrap(b));
-                if let Some(folded) = fold(op, ty, a, b) {
-                    let executed = exec_unfolded(op, ty, a, b)
-                        .expect("interpreter must execute what the folder folds");
-                    assert_eq!(folded, executed, "op {op:?} ty {ty:?} a {a} b {b}");
-                }
+    let pairs = int_pairs(0xF01DED, 24);
+    for &op in BinOpKind::ALL.iter().filter(|op| !op.is_float()) {
+        for ty in INT_TYPES {
+            let mut trapped = false;
+            for &(a, b) in &pairs {
+                let (folded, executed) = fold_and_run(bin_of(op), &[int(ty, a), int(ty, b)]);
+                assert_eq!(
+                    folded.is_some(),
+                    executed.is_ok(),
+                    "{op:?} {ty:?} {a} {b}: {executed:?}"
+                );
+                trapped |= executed == Err(ExecError::DivByZero);
             }
+            assert_eq!(trapped, may_trap(op, ty), "{op:?} {ty:?}");
         }
+        let p = Operand::Var(IrType::Ptr, RtVal::P(1 << 32));
+        let (folded, executed) = fold_and_run(bin_of(op), &[p, p]);
+        let additive = matches!(op, BinOpKind::Add | BinOpKind::Sub);
+        assert_eq!(executed.is_ok(), additive, "{op:?} on pointers");
+        assert_eq!(may_trap(op, IrType::Ptr), !additive);
+        assert!(folded.is_none(), "{op:?} on pointers");
     }
 }
 
 #[test]
 fn icmp_folding_matches_execution() {
-    let preds = [
-        CmpPred::Eq,
-        CmpPred::Ne,
-        CmpPred::Slt,
-        CmpPred::Sle,
-        CmpPred::Sgt,
-        CmpPred::Sge,
-        CmpPred::Ult,
-        CmpPred::Ule,
-        CmpPred::Ugt,
-        CmpPred::Uge,
-    ];
-    let mut rng = Rng::new(0x1C_3E_77);
-    let mut operands: Vec<(i64, i64)> = Vec::new();
-    for &a in &EDGE_CASES {
-        for &b in &EDGE_CASES {
-            operands.push((a, b));
-        }
-    }
-    operands.extend((0..12).map(|_| (rng.next_i64(), rng.next_i64())));
-
-    for pred in preds {
-        for ty in TYPES {
-            for &(a, b) in &operands {
-                let (a, b) = (ty.wrap(a), ty.wrap(b));
-                let folded = omplt_ir::eval_icmp(pred, a, b, ty);
-
-                // interpreted
-                let mut m = Module::new();
-                let mut f = Function::new("t", vec![ty, ty], IrType::I64);
-                {
-                    let mut bld = IrBuilder::new(&mut f);
-                    let c = bld.cmp(pred, Value::Arg(0), Value::Arg(1));
-                    let w = bld.cast(omplt_ir::CastOp::ZExt, c, IrType::I64);
-                    bld.ret(Some(w));
-                }
-                m.add_function(f);
-                let it = Interpreter::new(&m, RuntimeConfig::default());
-                let ctx = ThreadCtx::initial();
-                let executed = it
-                    .call_by_name("t", vec![RtVal::I(a), RtVal::I(b)], &ctx)
-                    .unwrap()
-                    .unwrap()
-                    .as_i();
-                assert_eq!(
-                    folded as i64, executed,
-                    "pred {pred:?} ty {ty:?} a {a} b {b}"
-                );
+    let pairs = int_pairs(0x1C_3E_77, 12);
+    for &pred in CmpPred::ALL.iter().filter(|p| !p.is_float()) {
+        for ty in INT_TYPES {
+            for &(a, b) in &pairs {
+                let (folded, _) = fold_and_run(cmp_of(pred), &[int(ty, a), int(ty, b)]);
+                assert!(folded.is_some(), "{pred:?} {ty:?} {a} {b} did not fold");
             }
         }
     }
 }
 
+/// What stays fold-specific: each identity removes the instruction and hands
+/// back the value the instruction would have computed from a variable; a
+/// constant-condition `select` and a zero-index `gep` likewise; and no
+/// identity is applied to a float operator.
 #[test]
 fn algebraic_identities_preserve_runtime_value() {
-    let mut rng = Rng::new(0xA16EB8A);
+    use BinOpKind::*;
+    let mut rng = Rng(0xA16EB8A);
     let mut values: Vec<i64> = EDGE_CASES.to_vec();
-    values.extend((0..50).map(|_| rng.next_i64()));
-    for a in values {
-        // x+0, x*1, x-x, x*0, x&0, x|0 identities: folder vs direct compute.
-        for (op, rhs, expect) in [
-            (BinOpKind::Add, 0i64, a),
-            (BinOpKind::Sub, 0, a),
-            (BinOpKind::Mul, 1, a),
-            (BinOpKind::Mul, 0, 0),
-            (BinOpKind::And, 0, 0),
-            (BinOpKind::Or, 0, a),
-            (BinOpKind::Xor, 0, a),
-        ] {
-            let mut f = Function::new("t", vec![IrType::I64], IrType::I64);
-            let v = {
-                let mut b = IrBuilder::new(&mut f);
-                b.bin(op, Value::Arg(0), Value::i64(rhs))
+    values.extend((0..40).map(|_| rng.next() as i64));
+    for ty in [IrType::I64, IrType::I32, IrType::I8] {
+        for &x in &values {
+            let x = Operand::Var(ty, RtVal::I(ty.wrap(x)));
+            let with_rhs = [
+                (Add, 0),
+                (Sub, 0),
+                (Mul, 1),
+                (Mul, 0),
+                (SDiv, 1),
+                (UDiv, 1),
+                (Shl, 0),
+                (AShr, 0),
+                (LShr, 0),
+                (And, 0),
+                (Or, 0),
+                (Xor, 0),
+            ];
+            for (op, c) in with_rhs {
+                let (folded, _) = fold_and_run(bin_of(op), &[x, int(ty, c)]);
+                assert!(folded.is_some(), "x {op:?} {c} did not fold");
+            }
+            for (op, c) in [(Add, 0), (Mul, 1), (Mul, 0), (And, 0), (Or, 0), (Xor, 0)] {
+                let (folded, _) = fold_and_run(bin_of(op), &[int(ty, c), x]);
+                assert!(folded.is_some(), "{c} {op:?} x did not fold");
+            }
+            let x_minus_x = |v: &[Value]| Inst::Bin {
+                op: Sub,
+                lhs: v[0],
+                rhs: v[0],
             };
-            // identity must fold away the instruction entirely
-            match v {
-                Value::Arg(0) => assert_eq!(expect, a),
-                Value::ConstInt { val, .. } => assert_eq!(val, expect),
-                other => panic!("identity {op:?} x {rhs:?} did not fold: {other:?}"),
+            assert_eq!(fold_and_run(x_minus_x, &[x]).0, Some(RtVal::I(0)));
+            for cond in [false, true] {
+                let select = |v: &[Value]| Inst::Select {
+                    cond: v[0],
+                    t: v[1],
+                    f: v[2],
+                };
+                let operands = [Operand::Const(Value::bool(cond)), x, int(ty, 7)];
+                assert!(fold_and_run(select, &operands).0.is_some());
             }
         }
     }
-}
-
-/// Runs the one-block function `t` that returns the value of its single
-/// instruction `inst`, pushed raw so the builder's folder never sees it.
-fn exec_raw(params: Vec<IrType>, ret: IrType, inst: Inst, args: Vec<RtVal>) -> RtVal {
-    let mut m = Module::new();
-    let mut f = Function::new("t", params, ret);
-    let entry = f.entry();
-    let v = f.push_inst(entry, inst);
-    f.blocks[0].term = Some(omplt_ir::Terminator::Ret(Some(v)));
-    m.add_function(f);
-    let it = Interpreter::new(&m, RuntimeConfig::default());
-    it.call_by_name("t", args, &ThreadCtx::initial())
-        .expect("executes")
-        .expect("returns a value")
-}
-
-/// A constant as the run-time value it stands for.
-fn const_rt(v: Value) -> Option<RtVal> {
-    match v {
-        Value::ConstInt { val, .. } => Some(RtVal::I(val)),
-        Value::ConstFloat { .. } => v.as_const_float().map(RtVal::F),
-        _ => None,
-    }
-}
-
-/// Bit-exact equality, every NaN equal to every other.
-fn same(a: RtVal, b: RtVal) -> bool {
-    match (a, b) {
-        (RtVal::F(x), RtVal::F(y)) => x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-        (RtVal::I(x), RtVal::I(y)) => x == y,
-        _ => false,
-    }
-}
-
-/// What a variable of type `ty` can hold of `v`.
-fn held(ty: IrType, v: f64) -> f64 {
-    if ty == IrType::F32 {
-        v as f32 as f64
-    } else {
-        v
+    let zero_gep = |v: &[Value]| Inst::Gep {
+        ptr: v[0],
+        index: v[1],
+        elem_size: 8,
+    };
+    let p = Operand::Var(IrType::Ptr, RtVal::P((3 << 32) + 16));
+    assert!(fold_and_run(zero_gep, &[p, int(IrType::I64, 0)])
+        .0
+        .is_some());
+    assert!(fold_and_run(zero_gep, &[p, int(IrType::I64, 2)])
+        .0
+        .is_none());
+    for ty in FLOAT_TYPES {
+        for x in FLOAT_EDGES {
+            let (_, held) = constant(Value::float(ty, x)).unwrap();
+            let x = Operand::Var(ty, held);
+            for op in [FAdd, FSub, FMul, FDiv, FRem] {
+                for c in [0.0, 1.0] {
+                    assert_eq!(fold_and_run(bin_of(op), &[x, float(ty, c)]).0, None);
+                    assert_eq!(fold_and_run(bin_of(op), &[float(ty, c), x]).0, None);
+                }
+            }
+        }
     }
 }
 
@@ -287,64 +322,51 @@ const FLOAT_EDGES: [f64; 20] = [
 
 const FLOAT_TYPES: [IrType; 2] = [IrType::F32, IrType::F64];
 
-/// A constant of type `float` is a `float`: folding `a op b` gives what the
-/// interpreter computes from two variables holding `a` and `b`.
+/// A constant of type `float` is a `float`: folding `a op b` — the five
+/// operators and the six predicates, a NaN on either side included — gives
+/// what the interpreter computes from two variables holding `a` and `b`.
 #[test]
 fn float_folding_matches_execution() {
-    let mut rng = Rng::new(0xF10A7);
+    let mut rng = Rng(0xF10A7);
     let mut values = FLOAT_EDGES.to_vec();
     values.extend((0..12).map(|_| f64::from_bits(rng.next())));
     values.extend((0..12).map(|_| f64::from(f32::from_bits(rng.next() as u32))));
-    let ops = [
-        BinOpKind::FAdd,
-        BinOpKind::FSub,
-        BinOpKind::FMul,
-        BinOpKind::FDiv,
-        BinOpKind::FRem,
-    ];
     for ty in FLOAT_TYPES {
-        for op in ops {
-            for &a in &values {
-                for &b in &values {
-                    let folded =
-                        omplt_ir::fold_bin(op, Value::float(ty, a), Value::float(ty, b), ty)
-                            .and_then(const_rt)
-                            .expect("two float constants fold");
-                    let inst = Inst::Bin {
-                        op,
-                        lhs: Value::Arg(0),
-                        rhs: Value::Arg(1),
-                    };
-                    let args = vec![RtVal::F(held(ty, a)), RtVal::F(held(ty, b))];
-                    let executed = exec_raw(vec![ty, ty], ty, inst, args);
-                    assert!(
-                        same(folded, executed),
-                        "{op:?} {ty:?} a {a:e} b {b:e}: folded {folded:?}, executed {executed:?}"
-                    );
+        for &a in &values {
+            for &b in &values {
+                let operands = [float(ty, a), float(ty, b)];
+                for &op in BinOpKind::ALL.iter().filter(|op| op.is_float()) {
+                    let (folded, _) = fold_and_run(bin_of(op), &operands);
+                    assert!(folded.is_some(), "{op:?} {ty:?} {a:e} {b:e} did not fold");
+                }
+                for &pred in CmpPred::ALL.iter().filter(|p| p.is_float()) {
+                    let (folded, _) = fold_and_run(cmp_of(pred), &operands);
+                    assert!(folded.is_some(), "{pred:?} {ty:?} {a:e} {b:e} did not fold");
                 }
             }
         }
     }
 }
 
-/// Every cast the builder folds gives the constant the interpreter computes
+/// Every cast of a constant folds to the constant the interpreter computes
 /// from a variable, for every `CastOp` and every type pair it applies to.
 #[test]
 fn cast_folding_matches_execution() {
-    use IrType::{F32, F64, I1, I32, I64, I8};
-    let mut rng = Rng::new(0xCA57);
+    use IrType::{F32, F64, I1, I16, I32, I64, I8};
+    let mut rng = Rng(0xCA57);
     let mut ints: Vec<i64> = EDGE_CASES.to_vec();
     ints.extend([
         127,
         128,
         255,
         256,
+        65_535,
         16_777_217,
         -16_777_217,
         1 << 31,
         1 << 53,
     ]);
-    ints.extend((0..12).map(|_| rng.next_i64()));
+    ints.extend((0..12).map(|_| rng.next() as i64));
     let mut floats = FLOAT_EDGES.to_vec();
     floats.extend([
         0.5,
@@ -358,31 +380,22 @@ fn cast_folding_matches_execution() {
     ]);
     floats.extend((0..12).map(|_| f64::from_bits(rng.next())));
 
-    let narrowing: &[(IrType, IrType)] = &[(I64, I32), (I64, I8), (I32, I8), (I32, I1)];
-    let widening: &[(IrType, IrType)] = &[(I1, I32), (I8, I32), (I8, I64), (I32, I64)];
-    let int_to_fp: &[(IrType, IrType)] = &[
-        (I8, F32),
-        (I32, F32),
-        (I64, F32),
-        (I8, F64),
-        (I32, F64),
-        (I64, F64),
-    ];
-    let fp_to_int: &[(IrType, IrType)] = &[
-        (F32, I8),
-        (F32, I32),
-        (F32, I64),
-        (F64, I8),
-        (F64, I32),
-        (F64, I64),
-    ];
+    let narrowing: &[(IrType, IrType)] = &[(I64, I32), (I64, I16), (I64, I8), (I32, I8), (I32, I1)];
+    let widening: &[(IrType, IrType)] = &[(I1, I32), (I8, I32), (I16, I32), (I8, I64), (I32, I64)];
+    let ints_of = [I1, I8, I16, I32, I64];
+    let int_to_fp: Vec<_> = (ints_of.iter())
+        .flat_map(|&i| [(i, F32), (i, F64)])
+        .collect();
+    let fp_to_int: Vec<_> = (ints_of.iter())
+        .flat_map(|&i| [(F32, i), (F64, i)])
+        .collect();
     let mut folded_ops = 0;
-    for op in CastOp::ALL {
+    for &op in CastOp::ALL {
         let pairs = match op {
             CastOp::Trunc => narrowing,
             CastOp::ZExt | CastOp::SExt => widening,
-            CastOp::SiToFp | CastOp::UiToFp => int_to_fp,
-            CastOp::FpToSi | CastOp::FpToUi => fp_to_int,
+            CastOp::SiToFp | CastOp::UiToFp => &int_to_fp,
+            CastOp::FpToSi | CastOp::FpToUi => &fp_to_int,
             CastOp::FpTrunc => &[(F64, F32)],
             CastOp::FpExt => &[(F32, F64)],
             // Pointers are run-time values: there is no constant to fold.
@@ -390,29 +403,15 @@ fn cast_folding_matches_execution() {
         };
         folded_ops += 1;
         for &(from, to) in pairs {
-            let operands: Vec<(Value, RtVal)> = if from.is_float() {
-                (floats.iter())
-                    .map(|&v| (Value::float(from, v), RtVal::F(held(from, v))))
-                    .collect()
+            let operands: Vec<Operand> = if from.is_float() {
+                floats.iter().map(|&v| float(from, v)).collect()
             } else {
-                (ints.iter())
-                    .map(|&v| (Value::int(from, v), RtVal::I(from.wrap(v))))
-                    .collect()
+                ints.iter().map(|&v| int(from, v)).collect()
             };
-            for (constant, variable) in operands {
-                let mut scratch = Function::new("fold", vec![], to);
-                let folded = const_rt(IrBuilder::new(&mut scratch).cast(*op, constant, to))
-                    .expect("a cast of a constant folds");
-                let inst = Inst::Cast {
-                    op: *op,
-                    val: Value::Arg(0),
-                    to,
-                };
-                let executed = exec_raw(vec![from], to, inst, vec![variable]);
-                assert!(
-                    same(folded, executed),
-                    "{op:?} {from:?}->{to:?} of {variable:?}: folded {folded:?}, executed {executed:?}"
-                );
+            for operand in operands {
+                let make = |v: &[Value]| Inst::Cast { op, val: v[0], to };
+                let (folded, _) = fold_and_run(make, &[operand]);
+                assert!(folded.is_some(), "{op:?} {from:?}->{to:?} did not fold");
             }
         }
     }

@@ -3,6 +3,7 @@
 //! simplifications) on-the-fly which avoids creating instructions that would
 //! later be optimized away anyway" (paper §1.3).
 
+use crate::arith::simplify;
 use crate::function::{BlockId, Function, InstId};
 use crate::inst::{BinOpKind, Callee, CastOp, CmpPred, Inst, Terminator};
 use crate::metadata::LoopMetadata;
@@ -61,6 +62,15 @@ impl<'f> IrBuilder<'f> {
         self.func.push_inst(self.cur, inst)
     }
 
+    /// The value [`simplify`] says `inst` always computes, else `inst`
+    /// appended: every folding entry point below is this.
+    fn fold_or_push(&mut self, inst: Inst) -> Value {
+        match simplify(&inst, |v| self.func.value_type(v)) {
+            Some(v) => v,
+            None => self.push(inst),
+        }
+    }
+
     /// The type of `v` in the current function.
     pub fn type_of(&self, v: Value) -> IrType {
         self.func.value_type(v)
@@ -89,10 +99,7 @@ impl<'f> IrBuilder<'f> {
 
     /// Byte-scaled pointer arithmetic.
     pub fn gep(&mut self, ptr: Value, index: Value, elem_size: u64) -> Value {
-        if index.is_zero_int() {
-            return ptr;
-        }
-        self.push(Inst::Gep {
+        self.fold_or_push(Inst::Gep {
             ptr,
             index,
             elem_size,
@@ -104,10 +111,7 @@ impl<'f> IrBuilder<'f> {
     /// Generic binary operation with constant folding and algebraic
     /// identities.
     pub fn bin(&mut self, op: BinOpKind, lhs: Value, rhs: Value) -> Value {
-        if let Some(v) = fold_bin(op, lhs, rhs, self.type_of(lhs)) {
-            return v;
-        }
-        self.push(Inst::Bin { op, lhs, rhs })
+        self.fold_or_push(Inst::Bin { op, lhs, rhs })
     }
 
     /// `add` with identities.
@@ -142,45 +146,12 @@ impl<'f> IrBuilder<'f> {
 
     /// Comparison with constant folding.
     pub fn cmp(&mut self, pred: CmpPred, lhs: Value, rhs: Value) -> Value {
-        if let (Some(a), Some(b)) = (lhs.as_const_int(), rhs.as_const_int()) {
-            if !pred.is_float() {
-                let ty = self.type_of(lhs);
-                return Value::bool(eval_icmp(pred, a, b, ty));
-            }
-        }
-        self.push(Inst::Cmp { pred, lhs, rhs })
+        self.fold_or_push(Inst::Cmp { pred, lhs, rhs })
     }
 
     /// Conversion with folding of constants and no-op casts.
     pub fn cast(&mut self, op: CastOp, val: Value, to: IrType) -> Value {
-        let from = self.type_of(val);
-        if from == to
-            && matches!(
-                op,
-                CastOp::Trunc | CastOp::ZExt | CastOp::SExt | CastOp::FpTrunc | CastOp::FpExt
-            )
-        {
-            return val;
-        }
-        if let Some(c) = val.as_const_int() {
-            match op {
-                CastOp::Trunc => return Value::int(to, c),
-                CastOp::ZExt => return Value::int(to, from.wrap_unsigned(c) as i64),
-                CastOp::SExt => return Value::int(to, c),
-                CastOp::SiToFp => return Value::float(to, c as f64),
-                CastOp::UiToFp => return Value::float(to, from.wrap_unsigned(c) as f64),
-                _ => {}
-            }
-        }
-        if let Some(c) = val.as_const_float() {
-            match op {
-                CastOp::FpTrunc | CastOp::FpExt => return Value::float(to, c),
-                CastOp::FpToSi => return Value::int(to, c as i64),
-                CastOp::FpToUi => return Value::int(to, c as u64 as i64),
-                _ => {}
-            }
-        }
-        self.push(Inst::Cast { op, val, to })
+        self.fold_or_push(Inst::Cast { op, val, to })
     }
 
     /// Integer resize helper: truncates or extends `val` to `to`.
@@ -200,11 +171,7 @@ impl<'f> IrBuilder<'f> {
 
     /// `select` with constant-condition folding.
     pub fn select(&mut self, cond: Value, t: Value, f: Value) -> Value {
-        match cond.as_const_int() {
-            Some(0) => f,
-            Some(_) => t,
-            None => self.push(Inst::Select { cond, t, f }),
-        }
+        self.fold_or_push(Inst::Select { cond, t, f })
     }
 
     /// Unsigned `min(a, b)` via cmp+select.
@@ -284,128 +251,6 @@ impl<'f> IrBuilder<'f> {
         let b = self.func.block_mut(self.cur);
         debug_assert!(b.term.is_none(), "re-terminating block {}", b.name);
         b.term = Some(t);
-    }
-}
-
-/// Folds a binary operation over constants / algebraic identities.
-/// Returns `None` when an instruction must be emitted.
-pub fn fold_bin(op: BinOpKind, lhs: Value, rhs: Value, ty: IrType) -> Option<Value> {
-    use BinOpKind::*;
-    // Float constant folding.
-    if op.is_float() {
-        if let (Some(a), Some(b)) = (lhs.as_const_float(), rhs.as_const_float()) {
-            let v = match op {
-                FAdd => a + b,
-                FSub => a - b,
-                FMul => a * b,
-                FDiv => a / b,
-                FRem => a % b,
-                _ => unreachable!(),
-            };
-            return Some(Value::float(ty, v));
-        }
-        return None;
-    }
-    // Algebraic identities first (cheap, apply to non-constants too).
-    match op {
-        Add => {
-            if lhs.is_zero_int() {
-                return Some(rhs);
-            }
-            if rhs.is_zero_int() {
-                return Some(lhs);
-            }
-        }
-        Sub => {
-            if rhs.is_zero_int() {
-                return Some(lhs);
-            }
-            if lhs == rhs && matches!(lhs, Value::Inst(_) | Value::Arg(_)) {
-                return Some(Value::int(ty, 0));
-            }
-        }
-        Mul => {
-            if lhs.is_zero_int() || rhs.is_zero_int() {
-                return Some(Value::int(ty, 0));
-            }
-            if lhs.is_one_int() {
-                return Some(rhs);
-            }
-            if rhs.is_one_int() {
-                return Some(lhs);
-            }
-        }
-        UDiv | SDiv if rhs.is_one_int() => return Some(lhs),
-        Shl | AShr | LShr if rhs.is_zero_int() => return Some(lhs),
-        And if lhs.is_zero_int() || rhs.is_zero_int() => {
-            return Some(Value::int(ty, 0));
-        }
-        Or | Xor => {
-            if rhs.is_zero_int() {
-                return Some(lhs);
-            }
-            if lhs.is_zero_int() {
-                return Some(rhs);
-            }
-        }
-        _ => {}
-    }
-    // Integer constant folding.
-    let (a, b) = (lhs.as_const_int()?, rhs.as_const_int()?);
-    let v = match op {
-        Add => a.wrapping_add(b),
-        Sub => a.wrapping_sub(b),
-        Mul => a.wrapping_mul(b),
-        SDiv => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        UDiv => {
-            if b == 0 {
-                return None;
-            }
-            (ty.wrap_unsigned(a) / ty.wrap_unsigned(b)) as i64
-        }
-        SRem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        URem => {
-            if b == 0 {
-                return None;
-            }
-            (ty.wrap_unsigned(a) % ty.wrap_unsigned(b)) as i64
-        }
-        Shl => a.wrapping_shl(b as u32 & 63),
-        AShr => a.wrapping_shr(b as u32 & 63),
-        LShr => (ty.wrap_unsigned(a) >> (b as u32 & (ty.bits().max(1) - 1).max(1))) as i64,
-        And => a & b,
-        Or => a | b,
-        Xor => a ^ b,
-        _ => return None,
-    };
-    Some(Value::int(ty, v))
-}
-
-/// Evaluates an integer comparison on constants of type `ty`.
-pub fn eval_icmp(pred: CmpPred, a: i64, b: i64, ty: IrType) -> bool {
-    let (ua, ub) = (ty.wrap_unsigned(a), ty.wrap_unsigned(b));
-    match pred {
-        CmpPred::Eq => a == b,
-        CmpPred::Ne => a != b,
-        CmpPred::Slt => a < b,
-        CmpPred::Sle => a <= b,
-        CmpPred::Sgt => a > b,
-        CmpPred::Sge => a >= b,
-        CmpPred::Ult => ua < ub,
-        CmpPred::Ule => ua <= ub,
-        CmpPred::Ugt => ua > ub,
-        CmpPred::Uge => ua >= ub,
-        _ => unreachable!("float predicate on ints"),
     }
 }
 

@@ -329,6 +329,16 @@ impl Terminator {
         }
     }
 
+    /// Visits every value operand (the `&self` twin of
+    /// [`Terminator::map_operands`]).
+    pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
+        match self {
+            Terminator::CondBr { cond, .. } => f(*cond),
+            Terminator::Ret(Some(v)) => f(*v),
+            _ => {}
+        }
+    }
+
     /// Rewrites value operands through `f`.
     pub fn map_operands(&mut self, mut f: impl FnMut(Value) -> Value) {
         match self {

@@ -12,6 +12,7 @@
 //! ([`LoopMetadata`], the analogue of `llvm.loop.unroll.*`) attaches to the
 //! latch terminator and is consumed by the mid-end `LoopUnroll` pass.
 
+pub mod arith;
 pub mod builder;
 pub mod function;
 pub mod inst;
@@ -23,7 +24,7 @@ pub mod types;
 pub mod value;
 pub mod verifier;
 
-pub use builder::{eval_icmp, fold_bin, IrBuilder};
+pub use builder::IrBuilder;
 pub use function::{BlockData, BlockId, Function, InstId};
 pub use inst::{BinOpKind, Callee, CastOp, CmpPred, Inst, Terminator};
 pub use metadata::{LoopMetadata, UnrollHint};

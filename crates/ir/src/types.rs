@@ -107,12 +107,16 @@ impl IrType {
     }
 
     /// Wraps `v` (sign-agnostic bits) to this integer type's width,
-    /// sign-extending into `i64` storage.
+    /// sign-extending into `i64` storage — except an `i1`, which has no sign
+    /// bit: it wraps to 0 or 1 (the payload table of [`crate::arith`]).
     #[inline]
     pub fn wrap(self, v: i64) -> i64 {
         let bits = self.bits();
         if bits == 0 || bits >= 64 {
             return v;
+        }
+        if bits == 1 {
+            return v & 1;
         }
         let shift = 64 - bits;
         (v << shift) >> shift
@@ -153,6 +157,8 @@ mod tests {
         assert_eq!(IrType::I8.wrap(127), 127);
         assert_eq!(IrType::I32.wrap(i64::from(u32::MAX)), -1);
         assert_eq!(IrType::I64.wrap(-5), -5);
+        assert_eq!(IrType::I1.wrap(1), 1);
+        assert_eq!(IrType::I1.wrap(-2), 0);
     }
 
     #[test]

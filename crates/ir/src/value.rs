@@ -14,7 +14,7 @@ pub enum Value {
     Inst(InstId),
     /// The `n`-th function argument.
     Arg(u32),
-    /// Integer constant (stored sign-extended into `i64`).
+    /// Integer constant (stored sign-extended into `i64`; an `i1` as 0/1).
     ConstInt {
         /// Value type.
         ty: IrType,
@@ -101,6 +101,29 @@ impl Value {
         match self {
             Value::ConstFloat { bits, .. } => Some(f64::from_bits(bits)),
             _ => None,
+        }
+    }
+
+    /// The [`crate::arith`] payload of a constant: an integer's value, a
+    /// float's `f64` bits. `None` for everything only a run can know.
+    pub fn payload(self) -> Option<u64> {
+        match self {
+            Value::ConstInt { val, .. } => Some(val as u64),
+            Value::ConstFloat { bits, .. } => Some(bits),
+            _ => None,
+        }
+    }
+
+    /// The constant of type `ty` whose [`crate::arith`] payload is `p`
+    /// (wrapped to the type's width, as every constant is). `None` for the
+    /// types that have no constants: a pointer is a run-time value.
+    pub fn of_payload(ty: IrType, p: u64) -> Option<Value> {
+        if ty.is_int() {
+            Some(Value::int(ty, p as i64))
+        } else if ty.is_float() {
+            Some(Value::float(ty, f64::from_bits(p)))
+        } else {
+            None
         }
     }
 

@@ -3,7 +3,8 @@
 //! (unrolling in particular) substitute constants for induction variables
 //! *after* instructions were built, so a post-pass re-folds them.
 
-use omplt_ir::{eval_icmp, fold_bin, Function, Inst, InstId, Value};
+use omplt_ir::arith::simplify;
+use omplt_ir::{Function, Inst, InstId, Value};
 use std::collections::HashMap;
 
 /// Folds constants and removes dead instructions to a fixpoint.
@@ -27,35 +28,9 @@ fn fold_once(f: &mut Function) -> bool {
         for &iid in &f.blocks[bi].insts {
             let inst = f.inst(iid);
             let folded = match inst {
-                Inst::Bin { op, lhs, rhs } => {
-                    let ty = f.value_type(*lhs);
-                    fold_bin(*op, *lhs, *rhs, ty)
-                }
-                Inst::Cmp { pred, lhs, rhs } if !pred.is_float() => {
-                    match (lhs.as_const_int(), rhs.as_const_int()) {
-                        (Some(a), Some(b)) => {
-                            Some(Value::bool(eval_icmp(*pred, a, b, f.value_type(*lhs))))
-                        }
-                        _ => None,
-                    }
-                }
-                Inst::Select { cond, t, f: fv } => match cond.as_const_int() {
-                    Some(0) => Some(*fv),
-                    Some(_) => Some(*t),
-                    None => None,
-                },
-                Inst::Cast { op, val, to } => match (op, val.as_const_int()) {
-                    (omplt_ir::CastOp::Trunc, Some(c)) | (omplt_ir::CastOp::SExt, Some(c)) => {
-                        Some(Value::int(*to, c))
-                    }
-                    (omplt_ir::CastOp::ZExt, Some(c)) => {
-                        Some(Value::int(*to, f.value_type(*val).wrap_unsigned(c) as i64))
-                    }
-                    _ => None,
-                },
                 // Single-incoming phis collapse to their value.
                 Inst::Phi { incoming, .. } if incoming.len() == 1 => Some(incoming[0].1),
-                _ => None,
+                _ => simplify(inst, |v| f.value_type(v)),
             };
             if let Some(v) = folded {
                 // Avoid self-replacement cycles.
@@ -100,24 +75,17 @@ fn fold_once(f: &mut Function) -> bool {
 /// effects. Returns true if anything was removed.
 fn dce_once(f: &mut Function) -> bool {
     let mut used = vec![false; f.insts.len()];
+    let mut mark = |v: Value| {
+        if let Value::Inst(id) = v {
+            used[id.0 as usize] = true;
+        }
+    };
     for b in &f.blocks {
         for &iid in &b.insts {
-            for op in f.inst(iid).operands() {
-                if let Value::Inst(id) = op {
-                    used[id.0 as usize] = true;
-                }
-            }
+            f.inst(iid).for_each_operand(&mut mark);
         }
         if let Some(t) = &b.term {
-            let mut mark = |v: Value| {
-                if let Value::Inst(id) = v {
-                    used[id.0 as usize] = true;
-                }
-                v
-            };
-            // map_operands requires &mut; emulate with a clone
-            let mut t2 = t.clone();
-            t2.map_operands(&mut mark);
+            t.for_each_operand(&mut mark);
         }
     }
     let mut removed = false;

@@ -20,24 +20,35 @@ pub fn simplify_cfg(f: &mut Function) -> bool {
     }
 }
 
-/// `br i1 true/false` → unconditional branch.
+/// `br i1 true/false` → unconditional branch. The successor the branch no
+/// longer reaches may stay reachable another way (the join of a `&&` whose
+/// left side is constant): its phis lose this edge's operands.
 fn fold_const_branches(f: &mut Function) -> bool {
     let mut changed = false;
-    for b in &mut f.blocks {
-        if let Some(Terminator::CondBr {
+    for bi in 0..f.blocks.len() {
+        let Some(Terminator::CondBr {
             cond: Value::ConstInt { val, .. },
             then_bb,
             else_bb,
             loop_md,
-        }) = &b.term
-        {
-            let target = if *val != 0 { *then_bb } else { *else_bb };
-            b.term = Some(Terminator::Br {
-                target,
-                loop_md: *loop_md,
-            });
-            changed = true;
+        }) = &f.blocks[bi].term
+        else {
+            continue;
+        };
+        let (target, dropped) = if *val != 0 {
+            (*then_bb, *else_bb)
+        } else {
+            (*else_bb, *then_bb)
+        };
+        f.blocks[bi].term = Some(Terminator::Br {
+            target,
+            loop_md: *loop_md,
+        });
+        if dropped != target {
+            let from = BlockId(bi as u32);
+            edit_phis(f, dropped, |incoming| incoming.retain(|(b, _)| *b != from));
         }
+        changed = true;
     }
     changed
 }
@@ -133,20 +144,27 @@ fn merge_chains(f: &mut Function) -> bool {
             // Phis in b's former successors must re-point their edges to a.
             let succs = f.blocks[ai].term.as_ref().map(Terminator::successors);
             for s in succs.unwrap_or_default() {
-                let mut k = 0;
-                while let Some(phi) = phi_at(f, s, k) {
-                    if let Inst::Phi { incoming, .. } = f.inst_mut(phi) {
-                        for (from, _) in incoming.iter_mut().filter(|(from, _)| *from == b) {
-                            *from = a;
-                        }
+                edit_phis(f, s, |incoming| {
+                    for (from, _) in incoming.iter_mut().filter(|(from, _)| *from == b) {
+                        *from = a;
                     }
-                    k += 1;
-                }
+                });
             }
             changed = true;
         }
     }
     changed
+}
+
+/// Applies `edit` to the incoming list of each of `b`'s leading phis.
+fn edit_phis(f: &mut Function, b: BlockId, mut edit: impl FnMut(&mut Vec<(BlockId, Value)>)) {
+    let mut k = 0;
+    while let Some(phi) = phi_at(f, b, k) {
+        if let Inst::Phi { incoming, .. } = f.inst_mut(phi) {
+            edit(incoming);
+        }
+        k += 1;
+    }
 }
 
 /// The `k`th instruction of `b`, if it is one of the block's leading phis.
@@ -191,6 +209,38 @@ mod tests {
             f.block(f.entry()).term,
             Some(Terminator::Ret(None))
         ));
+    }
+
+    /// `1 && (x && y)`: the join the constant branch no longer reaches is
+    /// still reached from the right-hand side, and must not keep a phi edge
+    /// from a block that is no longer its predecessor.
+    #[test]
+    fn a_folded_branch_takes_its_phi_edge_with_it() {
+        let mut f = Function::new("t", vec![IrType::I1], IrType::I1);
+        let rhs = f.add_block("rhs");
+        let join = f.add_block("join");
+        let entry = f.entry();
+        {
+            let mut b = IrBuilder::new(&mut f);
+            b.cond_br(Value::bool(true), rhs, join);
+            b.set_insert_point(rhs);
+            b.br(join);
+            b.set_insert_point(join);
+            let (v, phi) = b.phi(IrType::I1);
+            b.add_phi_incoming(phi, entry, Value::bool(false));
+            b.add_phi_incoming(phi, rhs, Value::Arg(0));
+            b.ret(Some(v));
+        }
+        // Metadata on the folded branch keeps `entry → rhs` from merging, so
+        // `join` keeps its phi and `entry` stays a block of its own.
+        let md = f
+            .block_mut(entry)
+            .term
+            .as_mut()
+            .and_then(Terminator::loop_md_mut);
+        *md.unwrap() = Some(omplt_ir::LoopMetadata::default());
+        assert!(simplify_cfg(&mut f));
+        assert_verified(&f);
     }
 
     #[test]

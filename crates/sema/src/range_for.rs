@@ -165,13 +165,19 @@ impl Sema<'_> {
             return e;
         }
         let kind = match (&e.ty.kind, &to.kind) {
+            // `(bool)x` is `x != 0`, as the implicit conversion is — not a
+            // truncation to the low bit.
+            (
+                TypeKind::Int { .. } | TypeKind::Float | TypeKind::Double | TypeKind::Pointer(_),
+                TypeKind::Bool,
+            ) => CastKind::IntegralToBoolean,
             (TypeKind::Int { .. } | TypeKind::Bool, TypeKind::Int { .. } | TypeKind::Bool) => {
                 CastKind::IntegralCast
             }
             (TypeKind::Int { .. } | TypeKind::Bool, TypeKind::Float | TypeKind::Double) => {
                 CastKind::IntegralToFloating
             }
-            (TypeKind::Float | TypeKind::Double, TypeKind::Int { .. } | TypeKind::Bool) => {
+            (TypeKind::Float | TypeKind::Double, TypeKind::Int { .. }) => {
                 CastKind::FloatingToIntegral
             }
             (TypeKind::Float | TypeKind::Double, TypeKind::Float | TypeKind::Double) => {

@@ -3,8 +3,8 @@
 //! The default model is **retired-op count**: the number of IR/bytecode
 //! operations the selected engine executed, as reported by the pipeline's
 //! own `{interp,vm}.ops.retired` counters. Op counts are a pure function of
-//! the program and its directive configuration (the drift guard in
-//! `ci/check_counter_drift.sh` pins exactly this property), so rankings —
+//! the program and its directive configuration (the root suite's
+//! `tests/counter_pins.rs` pins exactly this property), so rankings —
 //! and therefore reports — are reproducible byte-for-byte, which is what
 //! lets the autotune test suite golden them. Wall time is available as an
 //! opt-in model for real measurements; it is deliberately excluded from the

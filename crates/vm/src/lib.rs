@@ -35,7 +35,7 @@
 //!   is never serialised, verified or printed (`--emit-bytecode` shows `Op`).
 //!
 //! The engines share one definition of arithmetic: the payload kernels of
-//! `omplt_interp::exec` (`bin`, `cmp`, `cast`, `decode`, `encode`), which the
+//! `omplt_ir::arith` (`bin`, `cmp`, `cast`, `decode`, `encode`), which the
 //! VM's arms call — with the operator and type as literals where the pair
 //! has a variant — and the interpreter reaches through its tag-coercing
 //! `exec_bin`/`exec_cmp`/`exec_cast` wrappers — so results are bit-identical

@@ -40,7 +40,7 @@
 
 use crate::ops::{Op, Reg, VmFunction};
 use crate::regalloc::{bit_clear, bit_set, bit_test, block_range, Analysis, Liveness};
-use omplt_ir::{BinOpKind, IrType};
+use omplt_ir::arith;
 
 /// Runs the full pipeline in place; returns the number of ops removed.
 pub fn optimize(f: &mut VmFunction) -> usize {
@@ -103,9 +103,9 @@ pub(crate) fn optimize_in(f: &mut VmFunction, a: &mut Analysis) -> usize {
 }
 
 /// True when deleting a dead instance of `op` cannot change observable
-/// behavior. Loads (out-of-bounds), calls, stores, and allocas stay; so do
-/// integer div/rem (`DivByZero`) and non-additive pointer arithmetic, which
-/// the shared `exec_bin` traps on — the interpreter oracle would too.
+/// behavior. Loads (out-of-bounds), calls, stores, and allocas stay; so does
+/// a `Bin` the shared kernel can trap on ([`arith::may_trap`]) — the
+/// interpreter oracle would too.
 fn removable(op: Op) -> bool {
     match op {
         Op::Const { .. }
@@ -114,14 +114,7 @@ fn removable(op: Op) -> bool {
         | Op::Cmp { .. }
         | Op::Cast { .. }
         | Op::Select { .. } => true,
-        Op::Bin { op, ty, .. } => {
-            let may_trap_zero = matches!(
-                op,
-                BinOpKind::SDiv | BinOpKind::UDiv | BinOpKind::SRem | BinOpKind::URem
-            );
-            let may_trap_ptr = ty == IrType::Ptr && !matches!(op, BinOpKind::Add | BinOpKind::Sub);
-            !may_trap_zero && !may_trap_ptr
-        }
+        Op::Bin { op, ty, .. } => !arith::may_trap(op, ty),
         _ => false,
     }
 }
@@ -407,7 +400,7 @@ mod tests {
     use super::*;
     use crate::ops::{PoolConst, RegClass};
     use omplt_interp::RtVal;
-    use omplt_ir::{CmpPred, IrType};
+    use omplt_ir::{BinOpKind, CmpPred, IrType};
 
     fn func(ops: Vec<Op>, classes: Vec<RegClass>, block_starts: Vec<u32>) -> VmFunction {
         VmFunction {

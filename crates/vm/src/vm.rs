@@ -20,8 +20,8 @@
 //! each function's [`Op`]s 1:1 — same `pc`, same jump targets, same unit of
 //! fuel — to a private execution form, [`XOp`]: an op whose (operator, type)
 //! pair has a row in the table at the bottom of this file becomes that row's
-//! variant, whose dispatch arm is the interpreter's own arithmetic kernel
-//! (`omplt_interp::exec::{bin, cmp, cast, decode, encode}`) called with the
+//! variant, whose dispatch arm is the IR's own arithmetic kernel
+//! (`omplt_ir::arith::{bin, cmp, cast, decode, encode}`) called with the
 //! operator and type as literals; every other op is carried as the `Op` it
 //! is and runs the same kernel with the operator and type it holds. The row
 //! variants, the resolver and their arms all come from that one table, and a
@@ -38,9 +38,10 @@
 //!   [`omplt_interp::memory::RegionCache`], which skips the region-table
 //!   walk but keeps the bounds test;
 //! * no arithmetic, comparison or conversion is written out here — every
-//!   arm that computes calls a kernel of `omplt_interp::exec`, the same
-//!   kernels the interpreter reaches through its `exec_*` wrappers, so
-//!   results are bit-identical by construction;
+//!   arm that computes calls a kernel of `omplt_ir::arith`, the same
+//!   kernels the interpreter reaches through its `exec_*` wrappers and the
+//!   compiler folds constants with, so results are bit-identical by
+//!   construction;
 //! * the whole OpenMP runtime (`__kmpc_fork_call` thread teams, static/
 //!   dynamic/guided/runtime schedules, barriers, `nowait`) is the generic
 //!   `omplt_interp::runtime::dispatch`, reached through the [`Engine`]
@@ -49,10 +50,10 @@
 
 use crate::ops::{CallTarget, Op, PoolConst, Reg, VmFunction, VmModule, MAX_LANES};
 use omplt_interp::engine::{Callee, Engine, RunState};
-use omplt_interp::exec::{bin, cast, cmp, decode, encode, gep};
 use omplt_interp::memory::MemError;
 use omplt_interp::runtime::{self, RuntimeConfig, ThreadCtx};
 use omplt_interp::{ExecError, Memory, RtVal, RunResult};
+use omplt_ir::arith::{bin, cast, cmp, decode, encode, gep};
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, Module, RtFn};
 use std::sync::atomic::Ordering;
 

@@ -646,6 +646,56 @@ int main(void) {\n\
     }
 }
 
+/// C's `bool` is unsigned and an `i1` is 0 or 1 wherever it has been: a
+/// `true` that sat in a slot, a global or an array element widens to 1 like
+/// the `true` a compare just produced — and like the literal. Each program
+/// prints the constant form, then the variable form, of eight expressions.
+#[test]
+fn a_bool_is_zero_or_one_wherever_it_has_been() {
+    let storages = [
+        ("local", "", "  bool t = x < y;\n", "t"),
+        ("global", "bool g;\n", "  g = x < y;\n", "g"),
+        ("element", "bool e[4];\n", "  e[2] = x < y;\n", "e[2]"),
+    ];
+    let expected = [1.0, -1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+    for (storage, global, set, t) in storages {
+        let src = format!(
+            "void print_i64(long v);\nvoid print_f64(double v);\n{global}bool flags[4];\n\
+             int main(void) {{\n  int x = 3;\n  int y = 5;\n  int w = 256;\n{set}\
+             \x20 int ca = true;\n  print_i64(ca);\n  print_i64(-true);\n\
+             \x20 print_i64(true + true);\n  print_i64(true == true);\n\
+             \x20 print_f64((double)true);\n  bool cnz = 256;\n  print_i64(cnz);\n\
+             \x20 print_i64(true & (5 > 3));\n  print_i64(false + true + false + false);\n\
+             \x20 int a = {t};\n  print_i64(a);\n  print_i64(-{t});\n\
+             \x20 print_i64({t} + {t});\n  print_i64({t} == true);\n\
+             \x20 print_f64((double){t});\n  bool nz = w;\n  print_i64(nz);\n\
+             \x20 print_i64({t} & (y > x));\n  flags[1] = {t};\n  int n = 0;\n\
+             \x20 for (int i = 0; i < 4; i += 1)\n    n += flags[i];\n  print_i64(n);\n\
+             \x20 return 0;\n}}\n"
+        );
+        for mode in MODES {
+            for optimize in [false, true] {
+                let base = Options {
+                    codegen_mode: mode,
+                    num_threads: 1,
+                    ..Options::default()
+                };
+                let label = format!("bool {storage} {mode:?} opt={optimize}");
+                let mut ci = CompilerInstance::new(base);
+                let tu = ci.parse_source("bool.c", &src).expect("parse");
+                let ir = omplt::ir::print_module(&ci.codegen(&tu).expect("codegen"));
+                assert!(!ir.contains("sext i1"), "[{label}] bool is unsigned:\n{ir}");
+                let vm = assert_backends_agree(&src, base, optimize, &label);
+                let printed: Vec<f64> = (vm.stdout.lines())
+                    .map(|l| l.parse().expect("a number per line"))
+                    .collect();
+                let both: Vec<f64> = expected.iter().chain(&expected).copied().collect();
+                assert_eq!(printed, both, "[{label}] {}", vm.stdout);
+            }
+        }
+    }
+}
+
 /// A widened loop that runs off the end of its array. The vector tier checks
 /// a unit-stride span once and, when that fails, goes lane by lane — so the
 /// fault is the first bad lane's own: the same error text as the scalar VM's

@@ -8,6 +8,9 @@
 //! * every reduction row computes the serial result;
 //! * no source file outside the table's spells a runtime name or a schedule
 //!   number.
+//!
+//! The same scan holds the other "one definition" of `omplt-ir`: what an
+//! operator means is written in `omplt_ir::arith` and nowhere else.
 
 use omplt::interp::{ExecError, Interpreter, RuntimeConfig};
 use omplt::ir::{Function, Inst, IrBuilder, IrType, Module, RtFn, Value};
@@ -263,15 +266,22 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn only_the_table_spells_runtime_names_and_schedule_numbers() {
-    let table = Path::new("crates/ir/src/runtime_abi.rs");
+/// Every `src/**/*.rs` and `crates/*/src/**/*.rs`.
+fn shipped_sources() -> Vec<PathBuf> {
     let mut files = Vec::new();
     rust_files(Path::new("src"), &mut files);
     for krate in std::fs::read_dir("crates").unwrap() {
         rust_files(&krate.unwrap().path().join("src"), &mut files);
     }
-    assert!(files.len() > 60 && files.iter().any(|f| f == table));
+    assert!(files.len() > 60);
+    files
+}
+
+#[test]
+fn only_the_table_spells_runtime_names_and_schedule_numbers() {
+    let table = Path::new("crates/ir/src/runtime_abi.rs");
+    let files = shipped_sources();
+    assert!(files.iter().any(|f| f == table));
     // Built from pieces so this file would pass its own scan.
     let literals = ["\"__kmpc", "\"__omplt"].map(|p| format!("{p}_"));
     let sched = format!("SCHED{}", "_");
@@ -295,5 +305,56 @@ fn only_the_table_spells_runtime_names_and_schedule_numbers() {
             "{} declares an extern by hand",
             file.display()
         );
+    }
+}
+
+/// What a `BinOpKind`, `CmpPred` or `CastOp` means at an `IrType` is written
+/// in `crates/ir/src/arith.rs` (over `IrType::wrap`/`wrap_unsigned` of
+/// `types.rs`) and nowhere else: no other shipped file wraps guest integers
+/// by hand, and none keeps its own list of the operators that trap.
+#[test]
+fn only_arith_spells_what_an_operator_means() {
+    let home = ["crates/ir/src/arith.rs", "crates/ir/src/types.rs"].map(Path::new);
+    // Host arithmetic that is not the guest's, by file and the one spelling
+    // it may use.
+    let exceptions = [
+        // Lane addresses: `base + lane * len` must not panic on a wild base.
+        ("crates/interp/src/memory.rs", "add"),
+        // The xorshift* step of the tuner's seeded mutation RNG.
+        ("crates/tune/src/mutate.rs", "mul"),
+        // FNV-1a over cache-key bytes.
+        ("src/cache.rs", "mul"),
+        // The retry back-off's jitter: a hash of the file name.
+        ("src/bin/ompltc.rs", "add"),
+        ("src/bin/ompltc.rs", "mul"),
+    ];
+    // Built from pieces so this file would pass its own scan.
+    let wrapping = ["add", "sub", "mul", "div", "rem", "shl", "shr"];
+    let unsigned = format!("wrap_unsigned{}", "(");
+    let files = shipped_sources();
+    assert!(home.iter().all(|h| files.iter().any(|f| f == h)));
+    for file in files.iter().filter(|f| !home.contains(&f.as_path())) {
+        let text = shipped_text(file);
+        for op in wrapping {
+            let excepted = (exceptions.iter()).any(|(f, o)| Path::new(f) == file && *o == op);
+            assert!(
+                excepted || !text.contains(&format!("wrapping_{op}")),
+                "{} wraps by hand (wrapping_{op})",
+                file.display()
+            );
+        }
+        assert!(
+            !text.contains(&unsigned),
+            "{} wraps by hand",
+            file.display()
+        );
+        // An or-pattern over the division operators is a second opinion on
+        // what traps: `arith::may_trap` is the first and only one.
+        let flat = text.split_whitespace().collect::<Vec<_>>().join(" ");
+        for op in ["SDiv", "UDiv", "SRem", "URem"] {
+            let listed = flat.contains(&format!("{op} |")) || flat.contains(&format!("| {op}"));
+            let qualified = flat.contains(&format!("| BinOpKind::{op}"));
+            assert!(!listed && !qualified, "{} lists {op}", file.display());
+        }
     }
 }
