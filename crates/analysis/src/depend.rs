@@ -35,12 +35,12 @@
 //! with a `-Wanalysis-limit` note instead of guessing: **errors are reported
 //! only for proven violations**.
 
-use crate::nest::{extend_while_perfect, resolve_literal_nest};
 use omplt_ast::{
-    walk_expr, walk_stmt, BinOp, Decl, DeclId, Expr, ExprKind, OMPClauseKind, OMPDirective,
-    OMPDirectiveKind, Stmt, StmtKind, StmtVisitor, TranslationUnit, Type, TypeKind, UnOp, P,
+    loop_level, walk_expr, walk_stmt, ASTContext, BinOp, CanonicalLoopAnalysis, Decl, DeclId, Expr,
+    ExprKind, LoopDirection, OMPClauseKind, OMPDirective, OMPDirectiveKind, Stmt, StmtKind,
+    StmtVisitor, TranslationUnit, Type, TypeKind, UnOp, P,
 };
-use omplt_sema::{CanonicalLoopAnalysis, LoopDirection};
+use omplt_sema::analyze_canonical_loop;
 use omplt_source::{Diagnostic, DiagnosticsEngine, Level, SourceLocation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -935,6 +935,35 @@ impl DependenceGraph {
 // The directive checks
 // ---------------------------------------------------------------------------
 
+/// The analyses of the loops Sema associated `d` with (`OMPDirective::nest`);
+/// empty when Sema refused the nest and has said why.
+pub(crate) fn analyses(d: &OMPDirective) -> Vec<CanonicalLoopAnalysis> {
+    d.nest.iter().map(|l| l.analysis.clone()).collect()
+}
+
+/// Extends a directive's nest downwards, up to `max_depth` levels, while
+/// the next level is a loop in canonical form with nothing beside it. No
+/// directive is associated with these loops, so nobody has analysed them
+/// and a refusal is nobody's error: this is the one call into the
+/// canonical-form analysis behind Sema.
+fn extend_while_perfect(levels: &mut Vec<CanonicalLoopAnalysis>, max_depth: usize) {
+    while levels.len() < max_depth {
+        let Some(innermost) = levels.last() else {
+            return;
+        };
+        let next = loop_level(&innermost.body).ok();
+        // A throwaway context is safe here: the analysis builds expression
+        // nodes only, over the original `VarDecl`s.
+        let analyzed = next.filter(|l| l.intervening.is_empty()).and_then(|l| {
+            analyze_canonical_loop(&ASTContext::new(), &l.loop_stmt, "loop analysis").ok()
+        });
+        match analyzed {
+            Some(level) => levels.push(level),
+            None => return,
+        }
+    }
+}
+
 struct DependVisitor<'d> {
     diags: &'d DiagnosticsEngine,
     checks: Checks,
@@ -1012,19 +1041,15 @@ impl DependVisitor<'_> {
         );
     }
 
-    /// Resolves the nest of a single-nest directive, reporting analysis
-    /// limits (unresolvable nests, unmodeled accesses).
-    fn graph_for(
-        &self,
-        d: &P<OMPDirective>,
-        pragma: &str,
-        depth: usize,
-    ) -> Option<DependenceGraph> {
-        let assoc = d.associated.as_ref()?;
-        let Some(mut levels) = resolve_literal_nest(assoc, depth) else {
+    /// The graph of a single-nest directive over the nest Sema resolved
+    /// for it, reporting analysis limits (a nest Sema refused, unmodeled
+    /// accesses).
+    fn graph_for(&self, d: &P<OMPDirective>, pragma: &str) -> Option<DependenceGraph> {
+        let mut levels = analyses(d);
+        if levels.is_empty() {
             self.analysis_limit(d.loc, pragma, "the loop nest is not analyzable", Vec::new());
             return None;
-        };
+        }
         // Levels below the directive's own depth sharpen the direction
         // vectors while the nest stays perfect (they turn `a[i*M + j]` from
         // "not affine" into an exact MIV solve).
@@ -1045,7 +1070,7 @@ impl DependVisitor<'_> {
         let pragma = d.pragma_text();
         // Sema has already diagnosed a list that is not a permutation.
         let Ok(perm) = d.permutation() else { return };
-        let Some(graph) = self.graph_for(d, &pragma, perm.len()) else {
+        let Some(graph) = self.graph_for(d, &pragma) else {
             return;
         };
         if let Some(dep) = graph.interchange_violation(&perm) {
@@ -1072,7 +1097,7 @@ impl DependVisitor<'_> {
     /// span at or below the distance.
     fn check_simd(&mut self, d: &P<OMPDirective>) {
         let pragma = d.pragma_text();
-        let Some(graph) = self.graph_for(d, &pragma, 1) else {
+        let Some(graph) = self.graph_for(d, &pragma) else {
             return;
         };
         let safelen = d.clause_value(OMPClauseKind::Safelen);
@@ -1124,7 +1149,7 @@ impl DependVisitor<'_> {
 
     fn check_reverse(&mut self, d: &P<OMPDirective>) {
         let pragma = d.pragma_text();
-        let Some(graph) = self.graph_for(d, &pragma, 1) else {
+        let Some(graph) = self.graph_for(d, &pragma) else {
             return;
         };
         if let Some(dep) = graph.carried_at(0) {
@@ -1144,28 +1169,11 @@ impl DependVisitor<'_> {
 
     fn check_fuse(&mut self, d: &P<OMPDirective>) {
         let pragma = d.pragma_text();
-        let Some(assoc) = &d.associated else { return };
-        let stmts: Vec<P<Stmt>> = match &assoc.kind {
-            StmtKind::Compound(ss) => ss.iter().map(P::clone).collect(),
-            _ => return,
-        };
-        let mut loops: Vec<CanonicalLoopAnalysis> = Vec::new();
-        for s in &stmts {
-            match resolve_literal_nest(s, 1) {
-                Some(mut lv) => loops.push(lv.pop().expect("depth-1 nest has one level")),
-                None => {
-                    self.analysis_limit(
-                        d.loc,
-                        &pragma,
-                        "the loop sequence is not analyzable",
-                        Vec::new(),
-                    );
-                    return;
-                }
-            }
-        }
-        if loops.len() < 2 {
-            return; // Sema diagnoses this
+        // The members of the sequence, in source order. Sema has diagnosed
+        // a sequence it could not resolve (or one of fewer than two loops).
+        let loops = analyses(d);
+        if loops.is_empty() {
+            return;
         }
         // Collect each loop's accesses in its own logical space.
         let infos: Vec<Vec<LevelInfo>> = loops

@@ -28,7 +28,6 @@
 //! Sema's own diagnostics.
 
 pub mod depend;
-pub mod nest;
 pub mod race;
 
 pub use depend::{DepKind, Dependence, DependenceGraph, Direction};

@@ -24,8 +24,7 @@
 //! iterations collide, bounds unknown" is not the question the dependence
 //! tests answer.
 
-use crate::depend::{gcd, level_info, DepAccess, DepCollector};
-use crate::nest::resolve_literal_nest;
+use crate::depend::{analyses, gcd, level_info, DepAccess, DepCollector};
 use omplt_ast::{
     walk_stmt, Decl, DeclId, OMPClauseKind, OMPDirective, OMPDirectiveKind, Stmt, StmtKind,
     StmtVisitor, TranslationUnit, P,
@@ -99,10 +98,11 @@ fn subscript(a: &DepAccess) -> Subscript {
 
 impl RaceVisitor<'_> {
     fn check_parallel_for(&mut self, d: &P<OMPDirective>) {
-        let Some(assoc) = &d.associated else { return };
-        let Some(levels) = resolve_literal_nest(assoc, d.associated_loops()) else {
+        // The nest Sema resolved; a nest it refused is not diagnosed twice.
+        let levels = analyses(d);
+        if levels.is_empty() {
             return;
-        };
+        }
         let pragma = d.pragma_text();
 
         let mut privates: BTreeSet<DeclId> = levels.iter().map(|l| l.iter_var.id).collect();

@@ -3,10 +3,10 @@
 //! diagnostics), run the suite, inspect the produced diagnostics.
 
 use omplt_analysis::{legality_gate, run_analyses, run_lints, AnalysisReport};
-use omplt_ast::TranslationUnit;
+use omplt_ast::{OpenMpCodegenMode, TranslationUnit};
 use omplt_lex::Preprocessor;
 use omplt_parse::parse_translation_unit;
-use omplt_sema::{OpenMpCodegenMode, Sema};
+use omplt_sema::Sema;
 use omplt_source::{Diagnostic, DiagnosticsEngine, FileManager, Level, SourceManager};
 use std::cell::RefCell;
 
@@ -575,6 +575,7 @@ fn dependence_graph_api_reports_vectors() {
     let (tu, _) = parse(
         "int main() {\n\
          \x20 int a[64];\n\
+         \x20 #pragma omp interchange\n\
          \x20 for (int i = 1; i < 8; i += 1)\n\
          \x20   for (int j = 0; j < 7; j += 1)\n\
          \x20     a[i * 8 + j] = a[(i - 1) * 8 + (j + 1)];\n\
@@ -588,11 +589,15 @@ fn dependence_graph_api_reports_vectors() {
     let StmtKind::Compound(stmts) = &body.as_ref().unwrap().kind else {
         panic!("no body");
     };
-    let nest = stmts
-        .iter()
-        .find(|s| matches!(s.kind, StmtKind::For { .. }))
-        .expect("nest");
-    let levels = omplt_analysis::nest::resolve_literal_nest(nest, 2).expect("resolved");
+    // The graph is built from what Sema resolved for the directive: no
+    // second walk, no second analysis.
+    let interchange = stmts.iter().find_map(|s| match &s.kind {
+        StmtKind::OMP(d) => Some(d),
+        _ => None,
+    });
+    let nest = &interchange.expect("directive").nest;
+    assert_eq!(nest.len(), 2, "one level per associated loop");
+    let levels: Vec<_> = nest.iter().map(|l| l.analysis.clone()).collect();
     let graph = DependenceGraph::compute(&levels);
     assert!(graph.is_complete(), "{:?}", graph.limits);
     assert_eq!(graph.depth, 2);

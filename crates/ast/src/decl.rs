@@ -60,13 +60,6 @@ pub struct VarDecl {
 
 use crate::expr::Expr;
 
-impl VarDecl {
-    /// True for the implicit-parameter flavor.
-    pub fn is_implicit_param(&self) -> bool {
-        self.kind == VarKind::ImplicitParam
-    }
-}
-
 /// A function declaration (and definition, once the body is attached).
 #[derive(Debug)]
 pub struct FunctionDecl {

@@ -282,15 +282,11 @@ fn stmt_node(s: &P<Stmt>, opts: DumpOptions) -> DumpNode {
     }
 }
 
-fn attr_node(a: &Attr) -> DumpNode {
-    match a {
-        Attr::LoopUnrollCount(n) => DumpNode::new(
-            "LoopHintAttr Implicit loop UnrollCount Numeric",
-            vec![DumpNode::leaf(format!("IntegerLiteral 'int' {n}"))],
-        ),
-        Attr::LoopUnrollFull => DumpNode::leaf("LoopHintAttr Implicit loop Unroll Full"),
-        Attr::LoopUnrollEnable => DumpNode::leaf("LoopHintAttr Implicit loop Unroll Enable"),
-    }
+fn attr_node(Attr::LoopUnrollCount(n): &Attr) -> DumpNode {
+    DumpNode::new(
+        "LoopHintAttr Implicit loop UnrollCount Numeric",
+        vec![DumpNode::leaf(format!("IntegerLiteral 'int' {n}"))],
+    )
 }
 
 fn omp_directive_node(d: &P<OMPDirective>, opts: DumpOptions) -> DumpNode {

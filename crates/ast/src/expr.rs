@@ -319,8 +319,8 @@ impl Expr {
             ExprKind::DeclRef(v) if v.implicit => v.init.as_ref().and_then(|i| i.eval_const_int()),
             ExprKind::Paren(e) => e.eval_const_int(),
             // LValueToRValue folds iff the wrapped node itself is constant
-            // (a DeclRef never is; TreeTransform substitution can leave a
-            // literal behind the cast).
+            // (a reference to a user variable never is; one to a
+            // compiler-generated variable is, see above).
             ExprKind::ImplicitCast(_, e) | ExprKind::ExplicitCast(_, e) => {
                 let v = e.eval_const_int()?;
                 Some(truncate_to(v, &self.ty))

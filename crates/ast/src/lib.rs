@@ -20,6 +20,7 @@
 //! * **`-ast-dump`** — [`dump::dump_stmt`] renders trees in the visual style
 //!   of `clang -Xclang -ast-dump`, regenerating the paper's listings.
 
+pub mod canonical_loop;
 pub mod context;
 pub mod decl;
 pub mod dump;
@@ -31,13 +32,14 @@ pub mod stmt;
 pub mod ty;
 pub mod visitor;
 
+pub use canonical_loop::{CanonicalLoopAnalysis, LoopDirection, LoopNestLevel, OpenMpCodegenMode};
 pub use context::ASTContext;
 pub use decl::{
     CapturedDecl, Decl, DeclId, DeclKind, FunctionDecl, TranslationUnit, VarDecl, VarKind,
 };
 pub use dump::{dump_stmt, dump_transformed_only, dump_translation_unit, DumpOptions};
 pub use expr::{BinOp, CastKind, Expr, ExprKind, UnOp, ValueCategory};
-pub use nest::{loop_level, loop_nest, NestLevel, NestRefusal};
+pub use nest::{loop_level, NestLevel, NestRefusal};
 pub use omp::{
     ArgShape, BadPermutation, ClauseModifier, LoopAssociation, LoopDirectiveHelpers,
     OMPCanonicalLoop, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind, PerLoopHelpers,
@@ -51,6 +53,6 @@ pub use visitor::{
 };
 
 /// Owning pointer for immutable AST subtrees (Clang uses raw pointers into an
-/// arena; we use `Rc` which also gives cheap structural sharing to
-/// `TreeTransform`).
+/// arena; we use `Rc` which also gives the shadow-AST transformations
+/// cheap structural sharing of the loop bodies they wrap).
 pub type P<T> = std::rc::Rc<T>;

@@ -1,8 +1,8 @@
-//! The one loop-nest walker. Sema (collecting the loops a directive
-//! associates with), both codegens (finding the loop and what must run
-//! before it) and the analyses (judging perfect nesting) all resolve "the
-//! loop this statement stands for" here, so they cannot disagree about
-//! which wrappers are transparent.
+//! The one loop-nest walker: "the loop this statement stands for". Sema
+//! walks it once per directive, collecting the loops the directive
+//! associates with into [`crate::OMPDirective::nest`], which is what both
+//! codegens and the analyses read; the only other caller is the dependence
+//! gate, probing for perfectly nested loops *below* a directive's own depth.
 //!
 //! A level is resolved by looking through, in any order and any number of
 //! times: attributes and `OMPCanonicalLoop` ([`Stmt::strip_to_loop`]),
@@ -33,15 +33,6 @@ pub struct NestLevel {
 }
 
 impl NestLevel {
-    /// The loop body — where the next level of the nest starts.
-    pub fn body(&self) -> &P<Stmt> {
-        match &self.loop_stmt.kind {
-            StmtKind::For { body, .. } => body,
-            StmtKind::CxxForRange(d) => &d.body,
-            _ => unreachable!("a resolved level holds a loop"),
-        }
-    }
-
     /// Everything a lowering runs before the loop, in source order: the
     /// literal blocks are outermost, so their statements come first.
     pub fn hoisted(&self) -> impl Iterator<Item = &P<Stmt>> {
@@ -112,17 +103,6 @@ pub fn loop_level(stmt: &P<Stmt>) -> Result<NestLevel, NestRefusal> {
         }
         cur = P::clone(next.strip_to_loop());
     }
-}
-
-/// Resolves `depth` nested levels: each level's loop is looked for in the
-/// body of the one before.
-pub fn loop_nest(stmt: &P<Stmt>, depth: usize) -> Result<Vec<NestLevel>, NestRefusal> {
-    let mut levels: Vec<NestLevel> = Vec::with_capacity(depth);
-    for _ in 0..depth {
-        let level = loop_level(levels.last().map_or(stmt, NestLevel::body))?;
-        levels.push(level);
-    }
-    Ok(levels)
 }
 
 #[cfg(test)]
@@ -203,11 +183,12 @@ mod tests {
     #[test]
     fn literal_siblings_are_intervening() {
         let ctx = ASTContext::new();
-        let imperfect = for_over(block(vec![decl(&ctx, "t"), for_stmt()]));
-        let levels = loop_nest(&imperfect, 2).unwrap();
-        assert!(levels[0].intervening.is_empty());
-        assert_eq!(levels[1].intervening.len(), 1);
-        assert!(levels[1].prologue.is_empty());
+        let body = block(vec![decl(&ctx, "t"), for_stmt()]);
+        let imperfect = for_over(P::clone(&body));
+        assert!(loop_level(&imperfect).unwrap().intervening.is_empty());
+        let inner = loop_level(&body).unwrap();
+        assert_eq!(inner.intervening.len(), 1);
+        assert!(inner.prologue.is_empty());
     }
 
     #[test]
@@ -226,6 +207,5 @@ mod tests {
             loop_level(&trailing),
             Err(NestRefusal::NotALoop(_))
         ));
-        assert!(loop_nest(&for_stmt(), 2).is_err(), "body is not a loop");
     }
 }

@@ -4,6 +4,7 @@
 //! `OMPCanonicalLoop` meta node — the two representations the paper
 //! contrasts.
 
+use crate::canonical_loop::LoopNestLevel;
 use crate::decl::VarDecl;
 use crate::expr::Expr;
 use crate::stmt::{CapturedStmt, Stmt};
@@ -567,6 +568,13 @@ pub struct OMPDirective {
     /// `unroll full`, or when CodeGen lowers directly). **Not** part of
     /// `children()` and invisible to the default AST dump.
     pub transformed: Option<P<Stmt>>,
+    /// The associated loops as Sema resolved and analysed them — outermost
+    /// first, the members of a loop sequence (`fuse`) in source order;
+    /// empty when the nest was refused (or the directive has none). The
+    /// helper bundle and the shadow AST are built from it, and CodeGen and
+    /// the legality gate read it instead of resolving the nest again.
+    /// **Not** part of `children()` and not dumped.
+    pub nest: Vec<LoopNestLevel>,
     /// Source position of the `#pragma`.
     pub loc: SourceLocation,
 }
@@ -597,6 +605,7 @@ impl OMPDirective {
             associated,
             loop_helpers: None,
             transformed: None,
+            nest: Vec::new(),
             loc,
         }
     }

@@ -50,10 +50,6 @@ pub enum Attr {
     /// partial unroll emits on its inner loop so the mid-end `LoopUnroll`
     /// pass performs the duplication (paper §2.1).
     LoopUnrollCount(u64),
-    /// `LoopHintAttr` requesting full unrolling.
-    LoopUnrollFull,
-    /// `LoopHintAttr` enabling heuristic unrolling.
-    LoopUnrollEnable,
 }
 
 /// De-sugared pieces of a C++ range-based for-loop, mirroring how Clang's

@@ -120,14 +120,6 @@ impl Type {
         matches!(self.kind, TypeKind::Int { signed: false, .. })
     }
 
-    /// Integer bit width, if an integer.
-    pub fn int_width(&self) -> Option<IntWidth> {
-        match self.kind {
-            TypeKind::Int { width, .. } => Some(width),
-            _ => None,
-        }
-    }
-
     /// Pointee type, if a pointer.
     pub fn pointee(&self) -> Option<&P<Type>> {
         match &self.kind {

@@ -7,8 +7,8 @@
 
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{
-    loop_level, loop_nest, ClauseModifier, DeclId, NestLevel, OMPClauseKind, OMPDirective,
-    OMPDirectiveKind, ReductionOp, ScheduleKind, Stmt, StmtKind, P,
+    ClauseModifier, DeclId, OMPClauseKind, OMPDirective, OMPDirectiveKind, OpenMpCodegenMode,
+    ReductionOp, ScheduleKind, Stmt, StmtKind, P,
 };
 use omplt_ir::{
     BlockId, Function, IrType, LoopMetadata, RtFn, SchedType, SymbolId, UnrollHint, Value,
@@ -70,19 +70,18 @@ impl FnCodegen<'_, '_> {
             // Heuristic mode: the pass chooses.
             UnrollHint::Enable
         });
-        // Resolve the associated loop, looking through wrappers and inner
-        // transformation directives.
-        let Some(assoc) = d.associated.clone() else {
-            return;
+        // The associated loop as Sema resolved it, looking through
+        // wrappers and inner transformation directives.
+        let Some(level) = d.nest.first() else {
+            return self.emit_transformed_or_associated(d);
         };
-        let Ok(level) = loop_level(&assoc) else {
-            return self.emit_stmt(&assoc);
-        };
-        for p in level.hoisted() {
+        for p in &level.prologue {
             self.emit_stmt(p);
         }
         match &level.loop_stmt.kind {
-            StmtKind::For { .. } => self.emit_for(&level.loop_stmt, Some(md)),
+            StmtKind::For { init, .. } => {
+                self.emit_canonical_for(init.as_ref(), &level.analysis, md)
+            }
             _ => self.emit_stmt(&level.loop_stmt),
         }
     }
@@ -142,8 +141,8 @@ impl FnCodegen<'_, '_> {
                     sub.emit_stmt(&cs.decl.body);
                 }
                 OutlinedContent::Workshare(dir) => match sub.opts.mode {
-                    omplt_sema::OpenMpCodegenMode::Classic => sub.emit_workshared_loop(dir),
-                    omplt_sema::OpenMpCodegenMode::IrBuilder => {
+                    OpenMpCodegenMode::Classic => sub.emit_workshared_loop(dir),
+                    OpenMpCodegenMode::IrBuilder => {
                         sub.emit_workshare_irbuilder(dir, &cs.decl.body)
                     }
                 },
@@ -709,12 +708,11 @@ enum LoopFlavor {
 
 /// The associated nest as codegen needs it: everything to run before the
 /// loops (prologues of consumed transformed ASTs, hoisted declarations) and
-/// the innermost body. The helper bundle's expressions refer to the same
-/// loops, so only structure is needed here, not re-analysis.
+/// the innermost body — read off the nest Sema resolved, which is the one
+/// the helper bundle's expressions refer to.
 fn associated_nest(d: &OMPDirective) -> Option<(Vec<P<Stmt>>, P<Stmt>)> {
-    let levels = loop_nest(d.associated.as_ref()?, d.associated_loops()).ok()?;
-    let body = P::clone(levels.last()?.body());
-    let hoisted = levels.iter().flat_map(NestLevel::hoisted).cloned();
+    let body = P::clone(&d.nest.last()?.analysis.body);
+    let hoisted = d.nest.iter().flat_map(|l| &l.prologue).cloned();
     Some((hoisted.collect(), body))
 }
 

@@ -19,8 +19,8 @@ use crate::cg_omp_classic::simd_metadata;
 use crate::cg_stmt::const_trip_count;
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{
-    loop_level, ASTContext, CaptureKind, OMPCanonicalLoop, OMPClauseKind, OMPDirective,
-    OMPDirectiveKind, ScheduleKind, Stmt, StmtKind, P,
+    CaptureKind, OMPCanonicalLoop, OMPClauseKind, OMPDirective, OMPDirectiveKind, ScheduleKind,
+    Stmt, StmtKind, P,
 };
 use omplt_ir::{IrType, RtFn, Value};
 use omplt_ompirb::{
@@ -28,20 +28,6 @@ use omplt_ompirb::{
     reverse_loop, tile_loops, unroll_loop_full, unroll_loop_heuristic, unroll_loop_partial,
     CanonicalLoopInfo, DispatchLoopInfo, WorksharingScheme,
 };
-use omplt_sema::analyze_canonical_loop;
-use omplt_source::DiagnosticsEngine;
-
-/// The constant trip count Sema required of the loop an `unroll full` over
-/// `assoc` applies to — literal or generated, resolved the way Sema resolved
-/// it. A skeleton reads its trip count back from the `.omp.distance` slot,
-/// which is not an immediate `LoopUnroll` could unroll by.
-fn required_trip_count(assoc: &P<Stmt>, ty: IrType) -> Option<Value> {
-    let level = loop_level(assoc).ok()?;
-    // A throwaway context is safe here: only the analysis's constant is kept.
-    let (ctx, quiet) = (ASTContext::new(), DiagnosticsEngine::new());
-    let a = analyze_canonical_loop(&ctx, &quiet, &level.loop_stmt, "unroll full")?;
-    const_trip_count(&a, ty)
-}
 
 impl FnCodegen<'_, '_> {
     /// `--verify-each`: re-checks the canonical-skeleton invariants of the
@@ -114,7 +100,12 @@ impl FnCodegen<'_, '_> {
                 self.cur = cli.after;
                 let full = d.clause(OMPClauseKind::Full).is_some();
                 if full {
-                    if let Some(tc) = required_trip_count(&assoc, cli.ty) {
+                    // The constant Sema required of the loop — literal or
+                    // generated. The skeleton reads its trip count back from
+                    // the `.omp.distance` slot, which is not an immediate
+                    // `LoopUnroll` could unroll by.
+                    let required = d.nest.first().map(|l| &l.analysis);
+                    if let Some(tc) = required.and_then(|a| const_trip_count(a, cli.ty)) {
                         cli.set_trip_count(&mut self.func, tc);
                     }
                 }

@@ -2,9 +2,11 @@
 //! `cg_omp_classic` / `cg_omp_irbuilder`).
 
 use crate::codegen::{ir_type, Binding, FnCodegen};
-use omplt_ast::{Attr, CxxForRangeData, Decl, Stmt, StmtKind, VarDecl, P};
+use omplt_ast::{
+    ASTContext, Attr, CanonicalLoopAnalysis, CxxForRangeData, Decl, LoopDirection,
+    OpenMpCodegenMode, Stmt, StmtKind, VarDecl, P,
+};
 use omplt_ir::{IrType, LoopMetadata, UnrollHint, Value};
-use omplt_sema::{CanonicalLoopAnalysis, OpenMpCodegenMode};
 
 /// `a`'s trip count as an immediate of type `ty`, when it is a compile-time
 /// constant. The full-unroll path of the `LoopUnroll` pass needs the
@@ -115,12 +117,12 @@ impl FnCodegen<'_, '_> {
             StmtKind::CxxForRange(d) => self.emit_range_for(d),
             StmtKind::Attributed { attrs, sub } => {
                 // LoopHintAttr → llvm.loop.unroll.* metadata on the loop we
-                // are about to emit (paper §2.1).
-                let md = attrs.first().map(|a| match a {
-                    Attr::LoopUnrollCount(n) => LoopMetadata::unroll(UnrollHint::Count(*n)),
-                    Attr::LoopUnrollFull => LoopMetadata::unroll(UnrollHint::Full),
-                    Attr::LoopUnrollEnable => LoopMetadata::unroll(UnrollHint::Enable),
-                });
+                // are about to emit (paper §2.1). The one producer is the
+                // shadow AST of a consumed `unroll partial`, whose inner
+                // loop is bounded by an `&&` and so is never a skeleton.
+                let md = attrs
+                    .first()
+                    .map(|Attr::LoopUnrollCount(n)| LoopMetadata::unroll(UnrollHint::Count(*n)));
                 match &sub.kind {
                     StmtKind::For { .. } => self.emit_for(sub, md),
                     _ => self.emit_stmt(sub),
@@ -178,19 +180,8 @@ impl FnCodegen<'_, '_> {
     }
 
     /// Generic C for-loop lowering; `md` attaches loop metadata to the latch
-    /// (LoopHintAttr / heuristic unroll deferral).
-    ///
-    /// Metadata-carrying loops are lowered through the canonical skeleton
-    /// when they are in canonical form, so the mid-end `LoopUnroll` pass can
-    /// recognize them without ScalarEvolution-style analysis — this is what
-    /// makes the shadow-AST deferral ("no duplication takes place until
-    /// that point", paper §2.1) actually fire.
+    /// (LoopHintAttr).
     pub(crate) fn emit_for(&mut self, s: &P<Stmt>, md: Option<LoopMetadata>) {
-        if let Some(m) = md {
-            if self.emit_canonical_for(s, m) {
-                return;
-            }
-        }
         let StmtKind::For {
             init,
             cond,
@@ -236,37 +227,36 @@ impl FnCodegen<'_, '_> {
         self.cur = end;
     }
 
-    /// Lowers a canonical-form for-loop through the canonical skeleton with
-    /// `md` on the latch. Returns false (emitting nothing) when the loop is
-    /// not in canonical form — the caller falls back to generic lowering.
-    fn emit_canonical_for(&mut self, s: &P<Stmt>, md: LoopMetadata) -> bool {
-        // A throwaway context is safe here: the analysis builds expression
-        // nodes only (no new declarations), and expressions reference the
-        // original `VarDecl`s.
-        let ctx = omplt_ast::ASTContext::new();
-        let quiet = omplt_source::DiagnosticsEngine::new();
-        let Some(a) = omplt_sema::analyze_canonical_loop(&ctx, &quiet, s, "loop hint") else {
-            return false;
-        };
-        let StmtKind::For { init, body, .. } = &s.kind else {
-            return false;
-        };
-        if let Some(i) = init.clone() {
-            self.emit_stmt(&i);
+    /// Lowers a literal `for` loop — its `init` statement and the canonical
+    /// form `a` Sema established for it — through the canonical skeleton
+    /// with `md` on the latch, so the mid-end `LoopUnroll` pass can
+    /// recognize it without ScalarEvolution-style analysis — this is what
+    /// makes the deferral of an unconsumed `unroll` ("no duplication takes
+    /// place until that point", paper §2.1) actually fire.
+    pub(crate) fn emit_canonical_for(
+        &mut self,
+        init: Option<&P<Stmt>>,
+        a: &CanonicalLoopAnalysis,
+        md: LoopMetadata,
+    ) {
+        if let Some(i) = init {
+            self.emit_stmt(i);
         }
         // Loop-invariant values, evaluated once in the preheader position:
         // the variable's start value, the step, and the trip count.
         let start = self.load_var(&a.iter_var);
-        let step_expr = a.step.clone();
-        let step = self.emit_rvalue(&step_expr);
-        let tc = const_trip_count(&a, ir_type(&a.logical_ty)).unwrap_or_else(|| {
-            let dist = a.distance_expr(&ctx);
+        let step = self.emit_rvalue(&a.step);
+        let tc = const_trip_count(a, ir_type(&a.logical_ty)).unwrap_or_else(|| {
+            // A throwaway context is safe here: the distance expression is
+            // built of expression nodes only (no new declarations), over
+            // the original `VarDecl`s.
+            let dist = a.distance_expr(&ASTContext::new());
             self.emit_rvalue(&dist)
         });
         let var_ir = ir_type(&a.iter_var.ty);
         let is_ptr = a.iter_var.ty.is_pointer();
         let elem = a.iter_var.ty.pointee().map_or(1, |t| t.size_of()).max(1);
-        let down = a.direction == omplt_sema::LoopDirection::Down;
+        let down = a.direction == LoopDirection::Down;
 
         let cli = {
             let mut b = omplt_ir::IrBuilder::new(&mut self.func);
@@ -306,11 +296,10 @@ impl FnCodegen<'_, '_> {
         });
         self.store_var(&a.iter_var, val);
         self.loop_stack.push((cli.after, cli.latch));
-        self.emit_stmt(body);
+        self.emit_stmt(&a.body);
         self.loop_stack.pop();
         self.branch_if_open(cli.latch);
         self.cur = cli.after;
-        true
     }
 
     /// Lowers a range-based for through its de-sugared form (paper Fig.

@@ -1,8 +1,9 @@
 //! CodeGen driver: lowers a type-checked translation unit to `omplt-ir`.
 
-use omplt_ast::{Decl, DeclId, FunctionDecl, TranslationUnit, Type, TypeKind, VarDecl, P};
+use omplt_ast::{
+    Decl, DeclId, FunctionDecl, OpenMpCodegenMode, TranslationUnit, Type, TypeKind, VarDecl, P,
+};
 use omplt_ir::{Function, IrType, Module, SymbolId, Value};
-use omplt_sema::OpenMpCodegenMode;
 use omplt_source::DiagnosticsEngine;
 use std::collections::HashMap;
 

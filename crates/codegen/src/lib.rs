@@ -2,7 +2,7 @@
 //!
 //! The CodeGen layer (paper Fig. 1): lowers the type-checked AST to
 //! `omplt-ir`. Two OpenMP lowering paths co-exist, selected by
-//! [`omplt_sema::OpenMpCodegenMode`], mirroring Clang's
+//! [`omplt_ast::OpenMpCodegenMode`], mirroring Clang's
 //! `-fopenmp-enable-irbuilder` flag:
 //!
 //! * **Classic** — early outlining done by the front-end: `parallel` regions

@@ -190,11 +190,6 @@ impl Drop for ContainGuard {
     }
 }
 
-/// Returns `true` when `name` is a registered fault site.
-pub fn is_known_site(name: &str) -> bool {
-    SITES.iter().any(|(s, _)| *s == name)
-}
-
 /// Renders the site catalog for usage errors: `"lex.panic, parse.panic, ..."`.
 pub fn site_catalog() -> String {
     SITES.iter().map(|(s, _)| *s).collect::<Vec<_>>().join(", ")

@@ -415,11 +415,6 @@ impl Memory {
         let cell = &reg.words[(offset / 8) as usize];
         Ok(update_field(cell, (offset % 8) * 8, len, f))
     }
-
-    /// Number of live regions (diagnostic).
-    pub fn num_regions(&self) -> usize {
-        self.regions.len.load(Ordering::Acquire) as usize
-    }
 }
 
 #[cfg(test)]

@@ -49,11 +49,6 @@ impl<'f> IrBuilder<'f> {
         self.func.add_block(name)
     }
 
-    /// Whether the current block already has a terminator.
-    pub fn is_terminated(&self) -> bool {
-        self.func.block(self.cur).term.is_some()
-    }
-
     // Note: inserting into an already-terminated block is allowed and
     // meaningful — the terminator is stored separately, so appended
     // instructions still execute before it. The OpenMPIRBuilder relies on

@@ -58,7 +58,7 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
             md.is_some_and(|md| actionable(md.unroll).is_some())
         });
         if !hinted {
-            return stats;
+            break;
         }
         let dt = DomTree::compute(f);
         let li = LoopInfo::compute(f, &dt);
@@ -67,7 +67,7 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
             Some((l.clone(), actionable(md.unroll)?))
         });
         let Some((l, hint)) = target else {
-            return stats;
+            break;
         };
 
         let Some(sk) = match_skeleton(f, &l) else {
@@ -141,6 +141,18 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
             UnrollHint::Disable => unreachable!("filtered above"),
         }
     }
+    // What became of every hint, for `--counters-json` (absent = 0).
+    for (name, n) in [
+        ("midend.unroll.full", stats.full),
+        ("midend.unroll.partial", stats.partial),
+        ("midend.unroll.declined", stats.declined),
+        ("midend.unroll.skipped", stats.skipped),
+    ] {
+        if n > 0 {
+            omplt_trace::count(name, n as u64);
+        }
+    }
+    stats
 }
 
 /// The hint, if it asks this pass for anything.

@@ -2,10 +2,10 @@
 //! AST, checked via clang-style dumps. These regenerate the paper's
 //! listings (see EXPERIMENTS.md index: L3, L4, L5, L7).
 
-use omplt_ast::{dump_translation_unit, DumpOptions, StmtKind, TranslationUnit};
+use omplt_ast::{dump_translation_unit, DumpOptions, OpenMpCodegenMode, StmtKind, TranslationUnit};
 use omplt_lex::Preprocessor;
 use omplt_parse::parse_translation_unit;
-use omplt_sema::{OpenMpCodegenMode, Sema};
+use omplt_sema::Sema;
 use omplt_source::{DiagnosticsEngine, FileManager, SourceManager};
 use std::cell::RefCell;
 

@@ -6,7 +6,7 @@
 //! representations the paper contrasts:
 //!
 //! * the **shadow-AST** path (paper §2): [`transform`] applies `tile`/`unroll`
-//!   on the AST via [`tree_transform::TreeTransform`]-style rebuilding and
+//!   on the AST by building a new loop nest around the shared body and
 //!   stores the result on the directive node, where consuming directives pick
 //!   it up with `get_transformed_stmt()`;
 //! * the **canonical-loop** path (paper §3): [`canonical`] wraps literal loops
@@ -15,7 +15,9 @@
 //!   of meta-information that needs to be resolved at the Sema layer".
 //!
 //! [`loop_analysis`] implements OpenMP's *canonical loop form* check
-//! (init/test/incr shape), shared by both paths.
+//! (init/test/incr shape), shared by both paths. Sema is the one layer that
+//! resolves and analyses a directive's loops: what it found stays on the
+//! node (`OMPDirective::nest`), and CodeGen and the legality gate read it.
 
 pub mod canonical;
 pub mod capture;
@@ -25,13 +27,9 @@ pub mod range_for;
 pub mod scope;
 pub mod sema;
 pub mod transform;
-pub mod tree_transform;
 
 pub use canonical::build_canonical_loop;
 pub use capture::{build_omp_captured_stmt, free_variables};
-pub use loop_analysis::{
-    analyze_canonical_loop, find_nonrectangular_ref, CanonicalLoopAnalysis, LoopDirection,
-};
-pub use sema::{OpenMpCodegenMode, Sema};
-pub use transform::{count_generated_loops, LoopNestLevel};
-pub use tree_transform::TreeTransform;
+pub use loop_analysis::{analyze_canonical_loop, find_nonrectangular_ref, LoopRefusal};
+pub use sema::Sema;
+pub use transform::count_generated_loops;

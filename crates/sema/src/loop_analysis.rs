@@ -10,214 +10,43 @@
 //! one of `++var`, `var++`, `--var`, `var--`, `var += s`, `var -= s`,
 //! `var = var + s`, `var = var - s`.
 //!
-//! The analysis produces everything Sema needs for either representation:
-//! the trip-count ("distance") expression over an **unsigned** logical
-//! counter of the iteration variable's width — the paper's rule; see the
-//! `INT32_MIN..INT32_MAX` discussion in §3.1 — and the expression mapping a
-//! logical iteration number back to the user variable's value.
+//! The analysis produces an `omplt_ast::CanonicalLoopAnalysis` — everything
+//! Sema needs for either representation, kept on the directive
+//! (`OMPDirective::nest`) for the layers behind Sema — or a [`LoopRefusal`]
+//! saying where and why the loop is not in canonical form. It writes into no
+//! diagnostics engine: Sema renders the refusals of the loops a directive is
+//! associated with, and the dependence gate, probing below a directive's own
+//! depth, ignores them.
 
 use omplt_ast::{
-    ASTContext, BinOp, CastKind, Decl, Expr, ExprKind, Stmt, StmtKind, Type, UnOp, VarDecl, P,
+    ASTContext, BinOp, CanonicalLoopAnalysis, Decl, Expr, ExprKind, LoopDirection, Stmt, StmtKind,
+    UnOp, VarDecl, P,
 };
-use omplt_source::{DiagnosticsEngine, SourceLocation};
+use omplt_source::SourceLocation;
 
-/// Iteration direction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LoopDirection {
-    /// Counting up (`<`, `<=`, or `!=` with positive step).
-    Up,
-    /// Counting down (`>`, `>=`, or `!=` with negative step).
-    Down,
-}
-
-/// Everything Sema learned about one canonical loop.
+/// Why a statement is not an OpenMP canonical loop.
 #[derive(Debug)]
-pub struct CanonicalLoopAnalysis {
-    /// The loop iteration variable (paper terminology).
-    pub iter_var: P<VarDecl>,
-    /// Whether the init-statement *declares* the variable (vs. assigns it).
-    pub declares_var: bool,
-    /// Lower bound (initial value) expression.
-    pub lb: P<Expr>,
-    /// The bound the condition tests against.
-    pub ub: P<Expr>,
-    /// Comparison used in the test (normalized so `iter_var` is on the LHS).
-    pub relop: BinOp,
-    /// Step magnitude expression (always positive; direction is separate).
-    pub step: P<Expr>,
-    /// Direction of iteration.
-    pub direction: LoopDirection,
-    /// The loop body.
-    pub body: P<Stmt>,
-    /// Location of the `for` keyword.
+pub struct LoopRefusal {
+    /// Where the loop departs from the canonical form.
     pub loc: SourceLocation,
-    /// The unsigned logical-iteration-counter type (paper §3.1: unsigned,
-    /// same precision as the iteration variable).
-    pub logical_ty: P<Type>,
+    /// The diagnostic text.
+    pub message: String,
 }
 
-impl CanonicalLoopAnalysis {
-    /// Builds the **distance function** body expression: the loop trip
-    /// count as a value of [`CanonicalLoopAnalysis::logical_ty`].
-    ///
-    /// For an upward loop with exclusive bound:
-    /// `lb < ub ? (unsigned)(ub - lb - 1) / step + 1 : 0`
-    /// (computed in the unsigned type so the `INT32_MIN..INT32_MAX` case —
-    /// 2³²−2 iterations — is representable; paper §3.1).
-    pub fn distance_expr(&self, ctx: &ASTContext) -> P<Expr> {
-        // Current (start) value of the iteration variable.
-        let start = ctx.read_var(&self.iter_var, self.loc);
-        self.distance_expr_with_start(ctx, start)
-    }
-
-    /// Like [`CanonicalLoopAnalysis::distance_expr`], but with an explicit
-    /// start-value expression (the shadow-AST transforms use the loop's
-    /// lower bound directly, since the transformed AST replaces the loop and
-    /// its variable declaration).
-    pub fn distance_expr_with_start(&self, ctx: &ASTContext, start: P<Expr>) -> P<Expr> {
-        let loc = self.loc;
-        let uty = P::clone(&self.logical_ty);
-        let var_ty = P::clone(&self.iter_var.ty);
-        let bound = P::clone(&self.ub);
-
-        // Normalize to a strict "distance > 0" test and an inclusive span.
-        // span = (up)  bound - start   (exclusive) or bound - start + 1
-        //        (down) start - bound  (exclusive) or start - bound + 1
-        let (hi, lo) = match self.direction {
-            LoopDirection::Up => (bound, start),
-            LoopDirection::Down => (start, bound),
-        };
-        let strict = matches!(self.relop, BinOp::Lt | BinOp::Gt | BinOp::Ne);
-
-        // nonempty = lo < hi   (or lo <= hi for inclusive bounds)
-        let cmp_op = if strict { BinOp::Lt } else { BinOp::Le };
-        let nonempty = ctx.binary(cmp_op, P::clone(&lo), P::clone(&hi), ctx.bool_ty(), loc);
-
-        // raw = (unsigned)(hi - lo); for inclusive bounds the span is
-        // raw + 1 iterations of step 1 — folded into the +1 below by using
-        // `raw - 1 + 1 = raw` (exclusive) vs `raw + 1` (inclusive):
-        //   iterations = (raw - (strict ? 1 : 0)) / step + 1
-        // Pointer difference yields ptrdiff_t (element count, C semantics).
-        let diff_ty = if var_ty.is_pointer() {
-            ctx.ptrdiff_t()
-        } else {
-            P::clone(&var_ty)
-        };
-        let diff = ctx.binary(BinOp::Sub, hi, lo, diff_ty, loc);
-        let raw = to_unsigned(ctx, diff, &uty);
-        let adjusted = if strict {
-            ctx.binary(
-                BinOp::Sub,
-                raw,
-                ctx.int_lit(1, P::clone(&uty), loc),
-                P::clone(&uty),
-                loc,
-            )
-        } else {
-            raw
-        };
-        let step_u = to_unsigned(ctx, P::clone(&self.step), &uty);
-        let divided = ctx.binary(BinOp::Div, adjusted, step_u, P::clone(&uty), loc);
-        let plus1 = ctx.binary(
-            BinOp::Add,
-            divided,
-            ctx.int_lit(1, P::clone(&uty), loc),
-            P::clone(&uty),
-            loc,
-        );
-        let zero = ctx.int_lit(0, P::clone(&uty), loc);
-        P::new(Expr {
-            kind: ExprKind::Conditional(nonempty, plus1, zero),
-            ty: uty,
-            category: omplt_ast::ValueCategory::RValue,
-            loc,
-        })
-    }
-
-    /// Builds the **loop user value function** body expression: the value of
-    /// the iteration variable for logical iteration `logical` (an expression
-    /// of the logical type), given `start` — the by-value-captured start
-    /// value (paper §3.1: `__begin` is "captured by-value so at any time it
-    /// will contain the start value").
-    pub fn user_value_expr(&self, ctx: &ASTContext, start: P<Expr>, logical: P<Expr>) -> P<Expr> {
-        let loc = self.loc;
-        let var_ty = P::clone(&self.iter_var.ty);
-        // offset = logical * step. For integer variables the multiply
-        // happens in the variable's type; for pointer variables (iterator
-        // loops) it stays in the logical type and `ptr + n` scales by the
-        // element size (C semantics, implemented by codegen).
-        let mul_ty = if var_ty.is_pointer() {
-            P::clone(&self.logical_ty)
-        } else {
-            P::clone(&var_ty)
-        };
-        let step_in = ctx.int_convert(P::clone(&self.step), &mul_ty);
-        let logical_in = ctx.int_convert(logical, &mul_ty);
-        let offset = ctx.binary(BinOp::Mul, logical_in, step_in, mul_ty, loc);
-        let op = match self.direction {
-            LoopDirection::Up => BinOp::Add,
-            LoopDirection::Down => BinOp::Sub,
-        };
-        ctx.binary(op, start, offset, var_ty, loc)
-    }
-
-    /// Constant trip count, when lb/ub/step are all constants.
-    ///
-    /// The count is computed in **checked unsigned arithmetic**, mirroring
-    /// the paper's rule (§3.1, claim C5) that the logical iteration counter
-    /// is *unsigned*: the full `i64` range (`lb = i64::MIN`, `ub = i64::MAX`,
-    /// strict, step 1) yields `u64::MAX` exactly, while a count that does
-    /// not fit `u64` (the same range inclusive) returns `None` rather than
-    /// truncating. A non-positive step also returns `None`: `analyze_for`
-    /// rejects constant zero steps and folds negative ones into the loop
-    /// direction, so such a value only reaches here through a hand-built
-    /// analysis — refusing is safer than fabricating a count from a clamp.
-    pub fn const_trip_count(&self) -> Option<u64> {
-        let lb = self.lb.eval_const_int()?;
-        let ub = self.ub.eval_const_int()?;
-        let step = self.step.eval_const_int()?;
-        if step <= 0 {
-            return None;
-        }
-        let strict = matches!(self.relop, BinOp::Lt | BinOp::Gt | BinOp::Ne);
-        let (hi, lo) = match self.direction {
-            LoopDirection::Up => (ub, lb),
-            LoopDirection::Down => (lb, ub),
-        };
-        // `eval_const_int` values are arbitrary i128; the subtraction itself
-        // must be checked before moving to unsigned math.
-        let diff = hi.checked_sub(lo)?;
-        if diff < 0 || (strict && diff == 0) {
-            return Some(0);
-        }
-        let span = (diff as u128) + u128::from(!strict);
-        let count = (span - 1) / (step as u128) + 1;
-        u64::try_from(count).ok()
-    }
-}
-
-fn to_unsigned(_ctx: &ASTContext, e: P<Expr>, uty: &P<Type>) -> P<Expr> {
-    if *e.ty == **uty {
-        return e;
-    }
-    let loc = e.loc;
-    P::new(Expr {
-        kind: ExprKind::ImplicitCast(CastKind::IntegralCast, e),
-        ty: P::clone(uty),
-        category: omplt_ast::ValueCategory::RValue,
+fn refuse<T>(loc: SourceLocation, message: impl Into<String>) -> Result<T, LoopRefusal> {
+    Err(LoopRefusal {
         loc,
+        message: message.into(),
     })
 }
 
-/// Analyzes `stmt` as an OpenMP canonical loop; reports diagnostics through
-/// `diags` and returns `None` on malformed loops. `directive_name` is used
-/// in messages (e.g. `"#pragma omp unroll"`).
+/// Analyzes `stmt` as an OpenMP canonical loop. `directive_name` is used in
+/// the refusal's message (e.g. `"#pragma omp unroll"`).
 pub fn analyze_canonical_loop(
     ctx: &ASTContext,
-    diags: &DiagnosticsEngine,
     stmt: &P<Stmt>,
     directive_name: &str,
-) -> Option<CanonicalLoopAnalysis> {
+) -> Result<CanonicalLoopAnalysis, LoopRefusal> {
     let stmt = stmt.strip_to_loop();
     match &stmt.kind {
         StmtKind::For {
@@ -227,7 +56,6 @@ pub fn analyze_canonical_loop(
             body,
         } => analyze_for(
             ctx,
-            diags,
             stmt.loc,
             init.as_ref(),
             cond.as_ref(),
@@ -243,9 +71,10 @@ pub fn analyze_canonical_loop(
             // expression works unchanged (the paper's "ptrdiff_t for
             // pointers and most iterators").
             let iter_var = P::clone(&d.begin_var);
-            let lb = d.begin_var.init.clone()?;
+            let lb = d.begin_var.init.clone();
+            let lb = lb.expect("the range-for de-sugaring initializes __begin");
             let ub = ctx.read_var(&d.end_var, stmt.loc);
-            Some(CanonicalLoopAnalysis {
+            Ok(CanonicalLoopAnalysis {
                 logical_ty: ctx.size_t(),
                 iter_var,
                 declares_var: true,
@@ -258,27 +87,23 @@ pub fn analyze_canonical_loop(
                 loc: stmt.loc,
             })
         }
-        _ => {
-            diags.error(
-                stmt.loc,
-                format!("statement after '{directive_name}' must be a for loop"),
-            );
-            None
-        }
+        _ => refuse(
+            stmt.loc,
+            format!("statement after '{directive_name}' must be a for loop"),
+        ),
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn analyze_for(
     ctx: &ASTContext,
-    diags: &DiagnosticsEngine,
     loc: SourceLocation,
     init: Option<&P<Stmt>>,
     cond: Option<&P<Expr>>,
     inc: Option<&P<Expr>>,
     body: &P<Stmt>,
     directive_name: &str,
-) -> Option<CanonicalLoopAnalysis> {
+) -> Result<CanonicalLoopAnalysis, LoopRefusal> {
     // ---- init-expr ----
     let (iter_var, lb, declares_var) = match init {
         Some(s) => match &s.kind {
@@ -289,62 +114,55 @@ fn analyze_for(
                     true,
                 ),
                 _ => {
-                    diags.error(
+                    return refuse(
                         s.loc,
                         format!(
                             "initialization clause of OpenMP for loop is not in canonical form ('var = init' or 'T var = init') for '{directive_name}'"
                         ),
                     );
-                    return None;
                 }
             },
             StmtKind::Expr(e) => match &e.ignore_wrappers().kind {
                 ExprKind::Binary(BinOp::Assign, lhs, rhs) => match lhs.as_decl_ref() {
                     Some(v) => (P::clone(v), P::clone(rhs), false),
                     None => {
-                        diags.error(e.loc, "canonical loop init must assign a variable");
-                        return None;
+                        return refuse(e.loc, "canonical loop init must assign a variable");
                     }
                 },
                 _ => {
-                    diags.error(
+                    return refuse(
                         e.loc,
                         "initialization clause of OpenMP for loop is not in canonical form",
                     );
-                    return None;
                 }
             },
             _ => {
-                diags.error(
+                return refuse(
                     s.loc,
                     "initialization clause of OpenMP for loop is not in canonical form",
                 );
-                return None;
             }
         },
         None => {
-            diags.error(
+            return refuse(
                 loc,
                 format!("'{directive_name}' loop requires an init clause"),
             );
-            return None;
         }
     };
     if !iter_var.ty.is_integer() && !iter_var.ty.is_pointer() {
-        diags.error(
+        return refuse(
             iter_var.loc,
             format!(
                 "variable '{}' must be of integer or pointer type in OpenMP canonical loop",
                 iter_var.name
             ),
         );
-        return None;
     }
 
     // ---- test-expr ----
     let Some(cond) = cond else {
-        diags.error(loc, format!("'{directive_name}' loop requires a condition"));
-        return None;
+        return refuse(loc, format!("'{directive_name}' loop requires a condition"));
     };
     let (relop, ub, var_on_left) = match &cond.ignore_wrappers().kind {
         ExprKind::Binary(op, l, r) if op.is_comparison() && *op != BinOp::Eq => {
@@ -353,22 +171,20 @@ fn analyze_for(
             } else if refers_to(r, &iter_var) {
                 (*op, P::clone(l), false)
             } else {
-                diags.error(
+                return refuse(
                     cond.loc,
                     format!(
                         "condition of OpenMP for loop must test iteration variable '{}'",
                         iter_var.name
                     ),
                 );
-                return None;
             }
         }
         _ => {
-            diags.error(
+            return refuse(
                 cond.loc,
                 "condition of OpenMP for loop is not in canonical form",
             );
-            return None;
         }
     };
     // Normalize `ub (op) var` to `var (op') ub`.
@@ -384,20 +200,18 @@ fn analyze_for(
         }
     };
     if refers_to_anywhere(&ub, &iter_var) {
-        diags.error(
+        return refuse(
             cond.loc,
             "loop bound must be invariant in the iteration variable",
         );
-        return None;
     }
 
     // ---- incr-expr ----
     let Some(inc) = inc else {
-        diags.error(
+        return refuse(
             loc,
             format!("'{directive_name}' loop requires an increment"),
         );
-        return None;
     };
     let (step, step_negative) = match &inc.ignore_wrappers().kind {
         ExprKind::Unary(op, sub) if sub.as_decl_ref().is_some_and(|v| v.id == iter_var.id) => {
@@ -409,11 +223,10 @@ fn analyze_for(
                     (ctx.int_lit(1, P::clone(&iter_var.ty), inc.loc), true)
                 }
                 _ => {
-                    diags.error(
+                    return refuse(
                         inc.loc,
                         "increment clause of OpenMP for loop is not in canonical form",
                     );
-                    return None;
                 }
             }
         }
@@ -434,39 +247,35 @@ fn analyze_for(
                     } else if refers_to(b, &iter_var) {
                         (P::clone(a), false)
                     } else {
-                        diags.error(
+                        return refuse(
                             inc.loc,
                             "increment clause of OpenMP for loop is not in canonical form",
                         );
-                        return None;
                     }
                 }
                 ExprKind::Binary(BinOp::Sub, a, b) if refers_to(a, &iter_var) => {
                     (P::clone(b), true)
                 }
                 _ => {
-                    diags.error(
+                    return refuse(
                         inc.loc,
                         "increment clause of OpenMP for loop is not in canonical form",
                     );
-                    return None;
                 }
             }
         }
         _ => {
-            diags.error(
+            return refuse(
                 inc.loc,
                 "increment clause of OpenMP for loop is not in canonical form",
             );
-            return None;
         }
     };
     if refers_to_anywhere(&step, &iter_var) {
-        diags.error(
+        return refuse(
             inc.loc,
             "loop step must be invariant in the iteration variable",
         );
-        return None;
     }
 
     // Fold the sign: a negative constant step flips the direction.
@@ -476,8 +285,7 @@ fn analyze_for(
             !step_negative,
         ),
         Some(0) => {
-            diags.error(inc.loc, "loop step must be non-zero");
-            return None;
+            return refuse(inc.loc, "loop step must be non-zero");
         }
         _ => (step, step_negative),
     };
@@ -488,25 +296,23 @@ fn analyze_for(
         (BinOp::Ne, false) => LoopDirection::Up,
         (BinOp::Ne, true) => LoopDirection::Down,
         _ => {
-            diags.error(
+            return refuse(
                 cond.loc,
                 "direction of condition and increment of OpenMP for loop disagree",
             );
-            return None;
         }
     };
 
     // ---- structured block: no break out of the loop ----
     if has_loop_break(body) {
-        diags.error(
+        return refuse(
             body.loc,
             "break statement cannot be used in an OpenMP for loop",
         );
-        return None;
     }
 
     let logical_ty = ctx.unsigned_of_same_width(&iter_var.ty);
-    Some(CanonicalLoopAnalysis {
+    Ok(CanonicalLoopAnalysis {
         iter_var,
         declares_var,
         lb,
@@ -680,13 +486,8 @@ mod tests {
         )
     }
 
-    fn analyze(ctx: &ASTContext, s: &P<Stmt>) -> Option<CanonicalLoopAnalysis> {
-        let diags = DiagnosticsEngine::new();
-        let r = analyze_canonical_loop(ctx, &diags, s, "#pragma omp for");
-        if r.is_none() {
-            assert!(diags.has_errors(), "analysis failed without a diagnostic");
-        }
-        r
+    fn analyze(ctx: &ASTContext, s: &P<Stmt>) -> Result<CanonicalLoopAnalysis, LoopRefusal> {
+        analyze_canonical_loop(ctx, s, "#pragma omp for")
     }
 
     #[test]
@@ -726,12 +527,10 @@ mod tests {
     #[test]
     fn non_loop_statement_is_diagnosed() {
         let ctx = ASTContext::new();
-        let diags = DiagnosticsEngine::new();
         let s = Stmt::new(StmtKind::Null, SourceLocation::INVALID);
-        assert!(analyze_canonical_loop(&ctx, &diags, &s, "#pragma omp tile").is_none());
-        let msgs = diags.all();
-        assert!(msgs[0].message.contains("must be a for loop"));
-        assert!(msgs[0].message.contains("#pragma omp tile"));
+        let refusal = analyze_canonical_loop(&ctx, &s, "#pragma omp tile").unwrap_err();
+        assert!(refusal.message.contains("must be a for loop"));
+        assert!(refusal.message.contains("#pragma omp tile"));
     }
 
     #[test]
@@ -748,9 +547,8 @@ mod tests {
             },
             loc,
         );
-        let diags = DiagnosticsEngine::new();
-        assert!(analyze_canonical_loop(&ctx, &diags, &s, "#pragma omp for").is_none());
-        assert!(diags.has_errors());
+        let refusal = analyze(&ctx, &s).unwrap_err();
+        assert!(refusal.message.contains("requires a condition"));
     }
 
     #[test]
@@ -781,9 +579,8 @@ mod tests {
             },
             loc,
         );
-        let diags = DiagnosticsEngine::new();
-        assert!(analyze_canonical_loop(&ctx, &diags, &s, "#pragma omp for").is_none());
-        assert!(diags.all()[0].message.contains("break statement"));
+        let refusal = analyze(&ctx, &s).unwrap_err();
+        assert!(refusal.message.contains("break statement"));
     }
 
     #[test]
@@ -822,8 +619,7 @@ mod tests {
             },
             loc,
         );
-        let diags = DiagnosticsEngine::new();
-        assert!(analyze_canonical_loop(&ctx, &diags, &s, "#pragma omp for").is_some());
+        assert!(analyze(&ctx, &s).is_ok());
     }
 
     #[test]
@@ -933,8 +729,6 @@ mod tests {
             },
             loc,
         );
-        let diags = DiagnosticsEngine::new();
-        assert!(analyze_canonical_loop(&ctx, &diags, &s, "#pragma omp for").is_none());
-        assert!(diags.all().iter().any(|d| d.message.contains("invariant")));
+        assert!(analyze(&ctx, &s).unwrap_err().message.contains("invariant"));
     }
 }

@@ -3,7 +3,9 @@
 //! walker (which looks *through* transformation directives via
 //! `get_transformed_stmt()` — the shadow-AST composition mechanism),
 //! shadow-AST construction, the classic `OMPLoopDirective` helper bundle,
-//! and `OMPCanonicalLoop` wrapping for the IrBuilder mode.
+//! and `OMPCanonicalLoop` wrapping for the IrBuilder mode. The collected
+//! nest stays on the node (`OMPDirective::nest`): it is the one resolution
+//! and analysis of the directive's loops, and every later layer reads it.
 //!
 //! A directive whose associated nest cannot be transformed as written is
 //! refused here, while the directive is built (paper Fig. 1), so CodeGen
@@ -16,17 +18,18 @@
 use crate::canonical::build_canonical_loop;
 use crate::capture::build_omp_captured_stmt;
 use crate::loop_analysis::{
-    analyze_canonical_loop, find_nonrectangular_ref, region_returns, CanonicalLoopAnalysis,
+    analyze_canonical_loop, find_nonrectangular_ref, region_returns, LoopRefusal,
 };
-use crate::sema::{OpenMpCodegenMode, Sema};
+use crate::sema::Sema;
 use crate::transform::{
     transform_fuse, transform_interchange, transform_reverse, transform_tile,
-    transform_unroll_partial, LoopNestLevel,
+    transform_unroll_partial,
 };
 use omplt_ast::{
-    loop_level, ArgShape, BadPermutation, BinOp, ClauseModifier, Expr, LoopAssociation,
-    LoopDirectiveHelpers, NestRefusal, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind,
-    PerLoopHelpers, ReductionOp, ScheduleKind, Stmt, StmtKind, VarDecl, P,
+    loop_level, ArgShape, BadPermutation, BinOp, CanonicalLoopAnalysis, ClauseModifier, Expr,
+    LoopAssociation, LoopDirectiveHelpers, LoopNestLevel, NestRefusal, OMPClause, OMPClauseKind,
+    OMPDirective, OMPDirectiveKind, OpenMpCodegenMode, PerLoopHelpers, ReductionOp, ScheduleKind,
+    Stmt, StmtKind, VarDecl, P,
 };
 use omplt_source::{Diagnostic, Level, SourceLocation};
 
@@ -85,7 +88,7 @@ impl Sema<'_> {
         // wraps the literal loop it starts with in the OMPCanonicalLoop meta
         // node (paper §3.1) from that collection's analysis.
         if kind.is_loop_transformation() {
-            d.transformed = self.build_transformed(&d, &mut associated, &consumer);
+            d.transformed = self.build_transformed(&mut d, &mut associated, &consumer);
         } else if kind.is_loop_directive() {
             if let Some(levels) =
                 self.collect_loop_nest(&d, &associated, d.associated_loops(), &consumer)
@@ -96,6 +99,7 @@ impl Sema<'_> {
                     d.loop_helpers = Some(helpers);
                 }
                 associated = self.maybe_wrap_canonical(associated, &levels[0].analysis);
+                d.nest = levels;
             }
         }
         // Parallel, worksharing and taskloop regions are outlined →
@@ -242,6 +246,15 @@ impl Sema<'_> {
 
     // ---------------- loop-nest collection ----------------
 
+    /// The canonical-form analysis of `stmt`; a refusal is rendered as the
+    /// error of the directive being built.
+    fn analyze_loop(&self, stmt: &P<Stmt>, consumer: &str) -> Option<CanonicalLoopAnalysis> {
+        let refused = |r: LoopRefusal| self.diags.error(r.loc, r.message);
+        analyze_canonical_loop(&self.ctx, stmt, consumer)
+            .map_err(refused)
+            .ok()
+    }
+
     /// Collects `depth` nested canonical loops, resolving each level with
     /// the shared walker and turning its refusals into diagnostics. Only
     /// the outermost loop may share its literal block with declarations
@@ -309,8 +322,7 @@ impl Sema<'_> {
                 not_a_loop(&cur);
                 return None;
             }
-            let analysis =
-                analyze_canonical_loop(&self.ctx, self.diags, &level.loop_stmt, consumer)?;
+            let analysis = self.analyze_loop(&level.loop_stmt, consumer)?;
             // Rectangularity (OpenMP 5.1 §4.4.2): bounds of inner loops must
             // be invariant in outer iteration variables — the nest's trip
             // counts are all evaluated before the nest runs, so a dependent
@@ -339,7 +351,11 @@ impl Sema<'_> {
             // The next level must be the sole loop of the body.
             cur = P::clone(&analysis.body);
             let prologue = level.hoisted().cloned().collect();
-            levels.push(LoopNestLevel { prologue, analysis });
+            levels.push(LoopNestLevel {
+                prologue,
+                loop_stmt: level.loop_stmt,
+                analysis,
+            });
         }
         Some(levels)
     }
@@ -375,9 +391,10 @@ impl Sema<'_> {
 
     /// Builds the shadow AST of a loop transformation — the driver all
     /// five share: validate the directive's own clauses, collect the nest
-    /// its catalog row associates it with, run its `transform_*`, then
-    /// make the result consumable (IrBuilder tail wrap, prologue re-wrap)
-    /// and count it. `None` means no generated loop stands in for the
+    /// its catalog row associates it with (kept as `d.nest`, with or
+    /// without a shadow AST), run its `transform_*`, then make the result
+    /// consumable (IrBuilder tail wrap, prologue re-wrap) and count it.
+    /// `None` means no generated loop stands in for the
     /// directive: `unroll` without `partial` (paper §2.2 — the shadow AST
     /// exists exactly when the directive is potentially consumable; it is
     /// kept in IrBuilder mode too for the consumer-side diagnostics, "for
@@ -386,7 +403,7 @@ impl Sema<'_> {
     /// `omplt-analysis`'s gate, which runs on the finished translation unit.
     fn build_transformed(
         &mut self,
-        d: &OMPDirective,
+        d: &mut OMPDirective,
         associated: &mut P<Stmt>,
         consumer: &str,
     ) -> Option<P<Stmt>> {
@@ -411,13 +428,14 @@ impl Sema<'_> {
 
         // A loop *sequence* is not a single canonical loop; the IrBuilder
         // path consumes its shadow AST (whose tail IS wrapped).
-        let levels = if kind.loop_association() == LoopAssociation::Sequence {
+        d.nest = if kind.loop_association() == LoopAssociation::Sequence {
             self.collect_loop_sequence(d, associated, consumer)?
         } else {
             let levels = self.collect_loop_nest(d, associated, d.associated_loops(), consumer)?;
             *associated = self.maybe_wrap_canonical(P::clone(associated), &levels[0].analysis);
             levels
         };
+        let levels = &d.nest;
         let first = &levels[0].analysis;
         if full && first.const_trip_count().is_none() {
             self.diags.error(
@@ -431,10 +449,10 @@ impl Sema<'_> {
             let (ctx, sm) = (&self.ctx, &mut *self.sm.borrow_mut());
             match kind {
                 Unroll => transform_unroll_partial(ctx, sm, first, d.partial_factor()?, &pragma),
-                Tile => transform_tile(ctx, sm, &levels, &sizes, &pragma),
-                Interchange => transform_interchange(ctx, sm, &levels, &perm, &pragma),
+                Tile => transform_tile(ctx, sm, levels, &sizes, &pragma),
+                Interchange => transform_interchange(ctx, sm, levels, &perm, &pragma),
                 Reverse => transform_reverse(ctx, sm, first, &pragma),
-                Fuse => transform_fuse(ctx, sm, &levels, &pragma),
+                Fuse => transform_fuse(ctx, sm, levels, &pragma),
                 _ => unreachable!("'{consumer}' is not a loop transformation"),
             }
         };
@@ -491,12 +509,10 @@ impl Sema<'_> {
                 Stmt::new(StmtKind::Compound(stmts), loc)
             }
             // A generated loop has no collection behind it: analyse it here.
-            StmtKind::For { .. } => {
-                match analyze_canonical_loop(&self.ctx, self.diags, &t, consumer) {
-                    Some(analysis) => self.maybe_wrap_canonical(t, &analysis),
-                    None => t,
-                }
-            }
+            StmtKind::For { .. } => match self.analyze_loop(&t, consumer) {
+                Some(analysis) => self.maybe_wrap_canonical(t, &analysis),
+                None => t,
+            },
             _ => t,
         }
     }
@@ -740,15 +756,6 @@ fn wrap_with_prologue(prologue: &[P<Stmt>], t: P<Stmt>, loc: SourceLocation) -> 
     Stmt::new(StmtKind::Compound(stmts), loc)
 }
 
-/// Statistics helper: the shadow-node count of a helper bundle plus the
-/// capture declarations (used by the representation-comparison experiment).
-pub fn helpers_node_count(h: &LoopDirectiveHelpers) -> usize {
-    h.node_count()
-}
-
-/// Re-export for the paper's C1 experiment.
-pub use omplt_ast::OMPCanonicalLoop as _CanonicalForStats;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,6 +851,11 @@ mod tests {
             d.get_transformed_stmt().is_none(),
             "full unroll leaves no generated loop"
         );
+        // The nest is kept with or without a shadow AST: CodeGen reads the
+        // constant Sema required off it.
+        assert_eq!(d.nest.len(), 1);
+        assert_eq!(d.nest[0].analysis.const_trip_count(), Some(10));
+        assert!(d.nest[0].loop_stmt.is_loop());
     }
 
     #[test]
@@ -901,6 +913,11 @@ mod tests {
         let StmtKind::Captured(_) = &d.associated.as_ref().unwrap().kind else {
             panic!("worksharing must capture its region");
         };
+        // The level the directive carries is the generated loop, behind the
+        // shadow AST's `.capture_expr.` declaration.
+        assert_eq!(d.nest.len(), 1);
+        assert_eq!(d.nest[0].prologue.len(), 1);
+        assert_eq!(d.nest[0].analysis.iter_var.name, ".unrolled.iv.i");
     }
 
     #[test]
@@ -942,11 +959,18 @@ mod tests {
         };
         let t = d.get_transformed_stmt().unwrap();
         assert_eq!(crate::transform::count_generated_loops(t), 4);
+        // Outermost first.
+        let trips: Vec<_> = d
+            .nest
+            .iter()
+            .map(|l| l.analysis.const_trip_count())
+            .collect();
+        assert_eq!(trips, [Some(16), Some(8)]);
     }
 
     #[test]
     fn insufficient_nest_depth_is_diagnosed() {
-        let (_, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
+        let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
             let lp = mk_loop(s, 0, 8, 1, None); // body is NullStmt, not a loop
             let loc = SourceLocation::INVALID;
             let sizes = OMPClause::new(
@@ -963,6 +987,10 @@ mod tests {
             msgs.iter().any(|m| m.contains("must be a for loop")),
             "{msgs:?}"
         );
+        let StmtKind::OMP(d) = &stmt.kind else {
+            panic!()
+        };
+        assert!(d.nest.is_empty(), "a refused nest leaves no level behind");
     }
 
     /// `tile sizes(4, 2)` over `{ int t; for { int u; for } }`: the
@@ -1168,6 +1196,13 @@ mod tests {
         };
         let t = d.get_transformed_stmt().expect("fuse builds shadow AST");
         assert_eq!(crate::transform::count_generated_loops(t), 1);
+        // The members of the sequence, in source order.
+        let trips: Vec<_> = d
+            .nest
+            .iter()
+            .map(|l| l.analysis.const_trip_count())
+            .collect();
+        assert_eq!(trips, [Some(10), Some(6)]);
     }
 
     #[test]

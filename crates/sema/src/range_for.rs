@@ -221,7 +221,7 @@ pub struct RangeForParts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sema::OpenMpCodegenMode;
+    use omplt_ast::OpenMpCodegenMode;
     use omplt_source::{DiagnosticsEngine, SourceManager};
     use std::cell::RefCell;
 

@@ -6,22 +6,11 @@
 
 use crate::scope::ScopeStack;
 use omplt_ast::{
-    ASTContext, BinOp, CastKind, Decl, Expr, ExprKind, FunctionDecl, Stmt, StmtKind, Type,
-    TypeKind, UnOp, VarDecl, VarKind, P,
+    ASTContext, BinOp, CastKind, Decl, Expr, ExprKind, FunctionDecl, OpenMpCodegenMode, Stmt,
+    StmtKind, Type, TypeKind, UnOp, VarDecl, VarKind, P,
 };
 use omplt_source::{DiagnosticsEngine, SourceLocation, SourceManager};
 use std::cell::RefCell;
-
-/// Which OpenMP lowering the pipeline uses — Clang's
-/// `-fopenmp-enable-irbuilder` flag (paper §1.3).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum OpenMpCodegenMode {
-    /// Shadow-AST representation + classic CodeGen (paper §2).
-    #[default]
-    Classic,
-    /// `OMPCanonicalLoop` + OpenMPIRBuilder (paper §3).
-    IrBuilder,
-}
 
 /// The Sema layer state.
 pub struct Sema<'a> {

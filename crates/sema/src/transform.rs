@@ -19,18 +19,11 @@
 //! Every generated statement carries a *synthetic* location mapped back to
 //! the literal loop, so diagnostics attribute to the right source (§2).
 
-use crate::loop_analysis::CanonicalLoopAnalysis;
-use omplt_ast::{ASTContext, Attr, BinOp, Decl, Expr, Stmt, StmtKind, UnOp, VarDecl, P};
+use omplt_ast::{
+    ASTContext, Attr, BinOp, CanonicalLoopAnalysis, Decl, Expr, LoopNestLevel, Stmt, StmtKind,
+    UnOp, VarDecl, P,
+};
 use omplt_source::{SourceLocation, SourceManager};
-
-/// One level of a collected (possibly already-transformed) loop nest.
-pub struct LoopNestLevel {
-    /// Statements that must execute before this level's loop (e.g. the
-    /// `.capture_expr.` declarations of an inner transformed AST).
-    pub prologue: Vec<P<Stmt>>,
-    /// The canonical-form analysis of the level's loop.
-    pub analysis: CanonicalLoopAnalysis,
-}
 
 /// Declares `.capture_expr.` holding the level's trip count.
 fn capture_trip_count(
@@ -600,9 +593,8 @@ mod tests {
     use super::*;
     use crate::loop_analysis::analyze_canonical_loop;
     use omplt_ast::{dump_stmt, DumpOptions};
-    use omplt_source::DiagnosticsEngine;
 
-    fn analysis_for(ctx: &ASTContext, lb: i128, ub: i128, step: i128) -> CanonicalLoopAnalysis {
+    fn level_for(ctx: &ASTContext, lb: i128, ub: i128, step: i128) -> LoopNestLevel {
         let loc = SourceLocation::INVALID;
         let i = ctx.make_var("i", ctx.int(), Some(ctx.int_lit(lb, ctx.int(), loc)), loc);
         let cond = ctx.binary(
@@ -628,8 +620,16 @@ mod tests {
             },
             loc,
         );
-        let diags = DiagnosticsEngine::new();
-        analyze_canonical_loop(ctx, &diags, &s, "#pragma omp unroll").unwrap()
+        let analysis = analyze_canonical_loop(ctx, &s, "#pragma omp unroll").unwrap();
+        LoopNestLevel {
+            prologue: vec![],
+            loop_stmt: s,
+            analysis,
+        }
+    }
+
+    fn analysis_for(ctx: &ASTContext, lb: i128, ub: i128, step: i128) -> CanonicalLoopAnalysis {
+        level_for(ctx, lb, ub, step).analysis
     }
 
     fn fresh_sm() -> SourceManager {
@@ -668,34 +668,23 @@ mod tests {
         let t = transform_unroll_partial(&ctx, &mut sm, &a, 4, "#pragma omp unroll partial(4)");
         let level = omplt_ast::loop_level(&t).expect("compound with trailing loop");
         assert_eq!(level.intervening.len(), 1, "a bare compound is literal");
-        let diags = DiagnosticsEngine::new();
-        let re = analyze_canonical_loop(&ctx, &diags, &level.loop_stmt, "#pragma omp for").unwrap();
-        assert!(!diags.has_errors());
+        let re = analyze_canonical_loop(&ctx, &level.loop_stmt, "#pragma omp for").unwrap();
         // 10 iterations unrolled by 4 → ⌈10/4⌉ = 3 outer iterations; the
         // trip count is not constant (it reads .capture_expr.) but the
         // analysis succeeds and the direction is up.
-        assert_eq!(re.direction, crate::loop_analysis::LoopDirection::Up);
+        assert_eq!(re.direction, omplt_ast::LoopDirection::Up);
     }
 
     #[test]
     fn tile_generates_twice_as_many_loops() {
         let ctx = ASTContext::new();
         let mut sm = fresh_sm();
-        let outer = analysis_for(&ctx, 0, 32, 1);
-        let inner = analysis_for(&ctx, 0, 16, 1);
+        let outer = level_for(&ctx, 0, 32, 1);
+        let inner = level_for(&ctx, 0, 16, 1);
         let t = transform_tile(
             &ctx,
             &mut sm,
-            &[
-                LoopNestLevel {
-                    prologue: vec![],
-                    analysis: outer,
-                },
-                LoopNestLevel {
-                    prologue: vec![],
-                    analysis: inner,
-                },
-            ],
+            &[outer, inner],
             &[4, 8],
             "#pragma omp tile sizes(4, 8)",
         );
@@ -711,17 +700,8 @@ mod tests {
     fn tile_body_materializes_original_variables() {
         let ctx = ASTContext::new();
         let mut sm = fresh_sm();
-        let a = analysis_for(&ctx, 5, 20, 3);
-        let t = transform_tile(
-            &ctx,
-            &mut sm,
-            &[LoopNestLevel {
-                prologue: vec![],
-                analysis: a,
-            }],
-            &[4],
-            "#pragma omp tile sizes(4)",
-        );
+        let level = level_for(&ctx, 5, 20, 3);
+        let t = transform_tile(&ctx, &mut sm, &[level], &[4], "#pragma omp tile sizes(4)");
         let d = dump_stmt(&t, DumpOptions::default());
         // `int i = 5 + .tile.iv.i * 3;`
         assert!(d.contains("VarDecl implicit used i 'int' cinit"), "{d}");

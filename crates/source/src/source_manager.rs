@@ -181,11 +181,6 @@ impl SourceManager {
         let idx = loc.raw() - SourceLocation::synthetic(0).raw();
         self.transformed.get(&idx).map(|(l, s)| (*l, s.as_str()))
     }
-
-    /// Number of registered files.
-    pub fn num_files(&self) -> usize {
-        self.files.len()
-    }
 }
 
 #[cfg(test)]

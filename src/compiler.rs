@@ -1,13 +1,13 @@
 //! `CompilerInstance`: the user-facing pipeline façade (the equivalent of
 //! Clang's driver + CompilerInstance).
 
-use omplt_ast::{DumpOptions, TranslationUnit};
+use omplt_ast::{DumpOptions, OpenMpCodegenMode, TranslationUnit};
 use omplt_codegen::{codegen_translation_unit, CodegenOptions};
 use omplt_interp::{Interpreter, RunResult, RuntimeConfig};
 use omplt_ir::Module;
 use omplt_lex::Preprocessor;
 use omplt_parse::parse_translation_unit;
-use omplt_sema::{OpenMpCodegenMode, Sema};
+use omplt_sema::Sema;
 use omplt_source::{DiagnosticsEngine, FileManager, SourceManager};
 use std::cell::RefCell;
 

@@ -35,7 +35,7 @@ pub mod tuner;
 
 pub use compiler::{Backend, CompilerInstance, Options};
 pub use omplt_analysis::AnalysisReport;
-pub use omplt_sema::OpenMpCodegenMode;
+pub use omplt_ast::OpenMpCodegenMode;
 pub use pipeline::{assert_matrix_output, run_matrix, run_source, run_source_with};
 pub use service::Service;
 

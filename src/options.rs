@@ -16,8 +16,8 @@
 
 use crate::compiler::Backend;
 use crate::protocol::{schedule_to_string, JobRequest};
+use omplt_ast::OpenMpCodegenMode;
 use omplt_interp::RuntimeSchedule;
-use omplt_sema::OpenMpCodegenMode;
 use omplt_trace::json::{Value, Writer};
 use std::str::FromStr;
 

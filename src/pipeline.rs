@@ -2,8 +2,8 @@
 //! snippet through the whole pipeline in one call.
 
 use crate::compiler::{CompilerInstance, Options};
+use omplt_ast::OpenMpCodegenMode;
 use omplt_interp::RunResult;
-use omplt_sema::OpenMpCodegenMode;
 
 /// Compiles and runs `source` with default options; panics on any error
 /// (test helper).

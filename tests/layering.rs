@@ -1,0 +1,132 @@
+//! The layering is held by a test. The paper's Fig. 1 makes the AST the one
+//! hand-off between Sema and CodeGen: Sema resolves and analyses a
+//! directive's loops once and leaves what it found on the node
+//! (`OMPDirective::nest`); CodeGen and the analyses read it. Two things
+//! would quietly undo that — a crate edge back to `omplt-sema`, and a
+//! private `ASTContext` / `DiagnosticsEngine` to re-run the analysis with —
+//! so both are pinned here against the manifests and the shipped sources.
+
+mod scan;
+
+use std::path::Path;
+
+/// The crate DAG DESIGN.md §2 prints: each crate's `omplt-*`
+/// `[dependencies]`, without the `omplt-` prefix. Dev-dependencies are the
+/// tests' business. `codegen` has no edge to `sema`.
+const DAG: [(&str, &[&str]); 15] = [
+    (
+        "analysis",
+        &["ast", "ir", "midend", "sema", "source", "trace"],
+    ),
+    ("ast", &["source", "trace"]),
+    (
+        "codegen",
+        &["ast", "fault", "ir", "ompirb", "source", "trace"],
+    ),
+    ("fault", &["trace"]),
+    ("interp", &["fault", "ir", "trace"]),
+    ("ir", &["trace"]),
+    ("lex", &["fault", "source", "trace"]),
+    ("midend", &["fault", "ir", "trace"]),
+    ("ompirb", &["ir", "trace"]),
+    ("parse", &["ast", "fault", "lex", "sema", "source", "trace"]),
+    ("sema", &["ast", "fault", "source", "trace"]),
+    ("source", &["trace"]),
+    ("trace", &[]),
+    ("tune", &["ast", "trace"]),
+    ("vm", &["fault", "interp", "ir", "trace"]),
+];
+
+/// The `omplt-*` entries of a manifest's `[dependencies]` table, sorted.
+fn workspace_dependencies(manifest: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(manifest).unwrap();
+    let mut section = "";
+    let mut deps = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+        } else if section == "[dependencies]" {
+            if let Some(rest) = line.strip_prefix("omplt-") {
+                let name = rest.split(|c: char| !c.is_ascii_alphanumeric() && c != '-');
+                deps.push(name.into_iter().next().unwrap().to_string());
+            }
+        }
+    }
+    deps.sort();
+    deps
+}
+
+#[test]
+fn the_crate_dag_is_the_documented_one() {
+    let mut crates: Vec<String> = std::fs::read_dir("crates")
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    crates.sort();
+    assert_eq!(crates, DAG.map(|(name, _)| name), "the crates of the table");
+    for (name, documented) in DAG {
+        let manifest = format!("crates/{name}/Cargo.toml");
+        let actual = workspace_dependencies(Path::new(&manifest));
+        assert_eq!(actual, documented, "[dependencies] of {manifest}");
+    }
+}
+
+#[test]
+fn only_sema_analyses_a_loop_and_only_the_driver_owns_an_engine() {
+    // Needle, then every shipped file that may spell it and why.
+    let rules: [(&str, &[(&str, &str)]); 3] = [
+        (
+            "analyze_canonical_loop(",
+            &[
+                ("crates/sema/src/loop_analysis.rs", "the definition"),
+                ("crates/sema/src/omp_sema.rs", "Sema renders the refusal"),
+                // `extend_while_perfect`: loops below a directive's own
+                // depth, which no directive is associated with.
+                ("crates/analysis/src/depend.rs", "the gate's extension site"),
+            ],
+        ),
+        (
+            "DiagnosticsEngine::new()",
+            &[("src/compiler.rs", "the compile's one engine")],
+        ),
+        (
+            "ASTContext::new()",
+            &[
+                ("crates/sema/src/sema.rs", "the translation unit's context"),
+                // Expression nodes only, over the original declarations:
+                (
+                    "crates/codegen/src/cg_stmt.rs",
+                    "a non-constant distance expression",
+                ),
+                ("crates/analysis/src/depend.rs", "the gate's extension site"),
+            ],
+        ),
+    ];
+    let files = scan::shipped_sources();
+    for (needle, allowed) in rules {
+        let mut seen = Vec::new();
+        for file in &files {
+            let count = scan::shipped_text(file).matches(needle).count();
+            if count == 0 {
+                continue;
+            }
+            let file = file.to_str().unwrap();
+            assert!(
+                allowed.iter().any(|(f, _)| *f == file),
+                "{file} spells {needle}: what it needs is on the AST (`OMPDirective::nest`)"
+            );
+            // One site per exception outside Sema itself.
+            assert!(
+                file.starts_with("crates/sema/") || count == 1,
+                "{file} spells {needle} {count} times"
+            );
+            seen.push(file.to_string());
+        }
+        for (file, why) in allowed {
+            assert!(
+                seen.iter().any(|s| s == file),
+                "{file} ({why}) no longer spells {needle}"
+            );
+        }
+    }
+}

@@ -117,6 +117,48 @@ fn classic_and_irbuilder_paths_feed_the_same_pass() {
     }
 }
 
+/// What became of every unroll hint is in the counter document
+/// (`midend.unroll.{full,partial,declined,skipped}`), not only in the
+/// `UnrollStats` both drivers drop.
+///
+/// The second row pins a limitation, it does not bless it: a *consumed*
+/// `unroll partial` is never unrolled on the classic path. Its shadow AST
+/// hints the inner loop, that loop keeps the paper's `&&` bound (L5: group
+/// end *and* trip count) and so is not an OpenMP canonical loop, and this
+/// mid end unrolls canonical skeletons only — the hint reaches the pass on a
+/// generic `for.cond` loop and is skipped. The IrBuilder path tiles the
+/// skeleton itself and hands the pass a tile loop it can unroll.
+#[test]
+fn what_the_pass_did_with_a_hint_is_counted() {
+    const NAMES: [&str; 4] = ["full", "partial", "declined", "skipped"];
+    let unconsumed = "void body(int i);\nvoid kernel(int n) {\n  #pragma omp unroll partial(4)\n  for (int i = 0; i < n; i += 1)\n    body(i);\n}\n";
+    let consumed = "void body(int i);\nvoid kernel(int n) {\n  #pragma omp parallel for\n  #pragma omp unroll partial(2)\n  for (int i = 0; i < n; i += 1)\n    body(i);\n}\n";
+    let rows = [
+        (unconsumed, OpenMpCodegenMode::Classic, [0, 1, 0, 0]),
+        (unconsumed, OpenMpCodegenMode::IrBuilder, [0, 1, 0, 0]),
+        (consumed, OpenMpCodegenMode::Classic, [0, 0, 0, 1]),
+        (consumed, OpenMpCodegenMode::IrBuilder, [0, 1, 0, 0]),
+    ];
+    for (src, codegen_mode, expected) in rows {
+        let mut ci = CompilerInstance::new(Options {
+            codegen_mode,
+            ..Options::default()
+        });
+        let tu = ci.parse_source("m.c", src).expect("parse");
+        let mut module = ci.codegen(&tu).expect("codegen");
+        let session = omplt::trace::Session::begin();
+        let stats = ci.optimize(&mut module);
+        let counters = session.finish().counters;
+        let counted = NAMES.map(|n| {
+            let key = format!("midend.unroll.{n}");
+            counters.get(&key).copied().unwrap_or(0)
+        });
+        assert_eq!(counted, expected, "{codegen_mode:?}:\n{src}");
+        let returned = [stats.full, stats.partial, stats.declined, stats.skipped];
+        assert_eq!(counted, returned.map(|n| n as u64), "{codegen_mode:?}");
+    }
+}
+
 #[test]
 fn unroll_pass_skips_already_disabled_loops() {
     let src = "void body(int i);\nvoid kernel(int n) {\n  #pragma omp unroll partial(2)\n  for (int i = 0; i < n; i += 1)\n    body(i);\n}\n";

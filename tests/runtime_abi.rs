@@ -17,7 +17,10 @@ use omplt::ir::{Function, Inst, IrBuilder, IrType, Module, RtFn, Value};
 use omplt::vm::{compile_module, VmEngine};
 use omplt::{Backend, CompilerInstance, OpenMpCodegenMode, Options};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+mod scan;
+use scan::{shipped_sources, shipped_text};
 
 const MODES: [OpenMpCodegenMode; 2] = [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder];
 
@@ -246,35 +249,6 @@ fn every_reduction_row_computes_the_serial_result() {
             }
         }
     }
-}
-
-/// The part of a source file that ships: everything before its unit tests.
-fn shipped_text(path: &Path) -> String {
-    let text = std::fs::read_to_string(path).unwrap();
-    let cut = text.find("#[cfg(test)]").unwrap_or(text.len());
-    text[..cut].to_string()
-}
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// Every `src/**/*.rs` and `crates/*/src/**/*.rs`.
-fn shipped_sources() -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    rust_files(Path::new("src"), &mut files);
-    for krate in std::fs::read_dir("crates").unwrap() {
-        rust_files(&krate.unwrap().path().join("src"), &mut files);
-    }
-    assert!(files.len() > 60);
-    files
 }
 
 #[test]
