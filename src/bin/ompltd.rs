@@ -21,7 +21,8 @@
 //!   A job arriving at a full queue (or while draining) is shed with a
 //!   structured `Overloaded{retry_after_ms,queue_depth}` reply instead of
 //!   growing the queue without bound. `{"op":"health"}` reports queue
-//!   depth, worker liveness, supervisor counters, cache counters, uptime.
+//!   depth, worker liveness, supervisor counters, cache counters, uptime,
+//!   and the `queue_wait_us` / `execute_us` latency of answered jobs.
 //! * **Deadlines** — `--job-deadline-ms=N` imposes a server-side wall-clock
 //!   budget on every job (composed with the client's `--exec-timeout` by
 //!   taking the minimum); `--frame-timeout-ms=N` bounds how long a
@@ -31,6 +32,11 @@
 //!   accepting work, finishes everything queued and running, refuses new
 //!   jobs with `Overloaded`, and exits 0 within `--drain-ms` (a daemon that
 //!   cannot drain in time exits 1 rather than hang).
+//! * **No clock in the transport** — the accept and drain loops block in
+//!   `poll(2)` on the listener and a wake pipe. A connection is accepted
+//!   the moment it arrives; a drain trigger sets its flag, then writes one
+//!   byte to the pipe ([`wake`]), so an idle daemon makes no wakeups at all.
+//!   The drain loop's only timeout is the `--drain-ms` deadline.
 //! * **Cache integrity** — see `src/cache.rs`: artifacts are checksummed at
 //!   insert, verified on hit, and quarantined + recompiled on mismatch.
 //!
@@ -41,14 +47,16 @@
 use omplt::options::{self, parse_value, Arg};
 use omplt::protocol::{
     error_reply, error_reply_for, overloaded_reply, read_frame, write_frame, FrameError,
-    HealthReport, JobRequest, Overloaded, Request,
+    HealthReport, JobRequest, Overloaded, Request, StageLatency,
 };
 use omplt::service::Service;
 use std::collections::VecDeque;
-use std::io::Write;
-use std::os::unix::net::UnixListener;
+use std::ffi::c_ulong;
+use std::io::{Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -160,6 +168,9 @@ struct QueuedJob {
     done: mpsc::Sender<()>,
     /// 0 on admission; 1 after a supervisor requeue. Never exceeds 1.
     attempt: u32,
+    /// Stamped as the job is offered to [`Pool::try_submit`]; a requeue
+    /// keeps it, so a requeued job's queue wait includes its lost attempt.
+    admitted: Instant,
 }
 
 struct PoolQueue {
@@ -179,6 +190,10 @@ struct PoolShared {
     respawns: AtomicU64,
     requeued: AtomicU64,
     abandoned: AtomicU64,
+    /// Admission to worker pick-up, per answered job.
+    queue_wait_us: LatencyHist,
+    /// Worker pick-up to the rendered reply, per answered job.
+    execute_us: LatencyHist,
     service: Arc<Service>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -186,6 +201,59 @@ struct PoolShared {
 impl PoolShared {
     fn lock_queue(&self) -> std::sync::MutexGuard<'_, PoolQueue> {
         self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+/// A stage's latency in log2-microsecond buckets: bucket `k` holds the
+/// values of bit length `k` (0 → 0, 1 → 1, 2..=3 → 2, 4..=7 → 3, …), so
+/// its upper edge is `2^k − 1`. Recording is one atomic add — no lock, no
+/// allocation.
+struct LatencyHist {
+    buckets: [AtomicU64; 65],
+}
+
+impl Default for LatencyHist {
+    fn default() -> LatencyHist {
+        LatencyHist {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+fn latency_bucket(us: u64) -> usize {
+    (u64::BITS - us.leading_zeros()) as usize
+}
+
+fn bucket_upper_edge(k: usize) -> u64 {
+    ((1u128 << k) - 1) as u64
+}
+
+impl LatencyHist {
+    fn record(&self, d: Duration) {
+        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        self.buckets[latency_bucket(us)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The count, and for each percentile the upper edge of the first
+    /// bucket whose running total reaches its rank.
+    fn summary(&self) -> StageLatency {
+        let counts = self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed));
+        let count = counts.iter().sum::<u64>();
+        let percentile = |p: u64| {
+            let rank = (count * p).div_ceil(100).max(1);
+            let mut seen = 0;
+            let k = counts.iter().position(|&c| {
+                seen += c;
+                seen >= rank
+            });
+            k.map_or(0, bucket_upper_edge)
+        };
+        StageLatency {
+            count,
+            p50: percentile(50),
+            p90: percentile(90),
+            p99: percentile(99),
+        }
     }
 }
 
@@ -216,6 +284,8 @@ impl Pool {
             respawns: AtomicU64::new(0),
             requeued: AtomicU64::new(0),
             abandoned: AtomicU64::new(0),
+            queue_wait_us: LatencyHist::default(),
+            execute_us: LatencyHist::default(),
             service,
             handles: Mutex::new(Vec::new()),
         });
@@ -243,9 +313,13 @@ impl Pool {
         self.shared.lock_queue().jobs.len()
     }
 
-    /// True when nothing is queued and nothing is running.
+    /// True when nothing is queued and nothing is running. Read under the
+    /// queue lock: a worker counts a job running in the lock section that
+    /// pops it, and a requeue pushes the job back before it releases the
+    /// count, so a job in hand is always in one of the two places.
     fn idle(&self) -> bool {
-        self.shared.running.load(Ordering::SeqCst) == 0 && self.depth() == 0
+        let q = self.shared.lock_queue();
+        q.jobs.is_empty() && self.shared.running.load(Ordering::SeqCst) == 0
     }
 
     /// Closes the queue and joins every worker (including respawned ones),
@@ -310,10 +384,12 @@ impl Drop for AliveGuard {
 }
 
 /// Owns the job a worker is executing. Dropped normally it only releases
-/// the running count; dropped during an unwind (the worker is dying) it
-/// *supervises*: respawn a replacement worker, then requeue the job at the
-/// front of the queue if this was its first attempt, or abandon it with a
-/// correlated error reply so the client still gets exactly one answer.
+/// the running count (and, while draining, wakes the drain loop: the pool
+/// may have just gone idle); dropped during an unwind (the worker is dying)
+/// it first *supervises*: respawn a replacement worker, then requeue the
+/// job at the front of the queue if this was its first attempt, or abandon
+/// it with a correlated error reply so the client still gets exactly one
+/// answer.
 struct InFlight {
     shared: Arc<PoolShared>,
     job: Option<QueuedJob>,
@@ -321,10 +397,20 @@ struct InFlight {
 
 impl Drop for InFlight {
     fn drop(&mut self) {
-        self.shared.running.fetch_sub(1, Ordering::SeqCst);
-        if !std::thread::panicking() {
-            return;
+        if std::thread::panicking() {
+            self.supervise();
         }
+        // Released only after a requeue has put the job back, so
+        // `Pool::idle` never reads idle while the job is in hand.
+        self.shared.running.fetch_sub(1, Ordering::SeqCst);
+        if draining() {
+            wake();
+        }
+    }
+}
+
+impl InFlight {
+    fn supervise(&mut self) {
         self.shared.respawns.fetch_add(1, Ordering::SeqCst);
         if let Some(mut qj) = self.job.take() {
             if qj.attempt == 0 {
@@ -373,6 +459,9 @@ fn worker_loop(shared: Arc<PoolShared>) {
             let mut q = shared.lock_queue();
             loop {
                 if let Some(j) = q.jobs.pop_front() {
+                    // Running from the moment it leaves the queue (see
+                    // `Pool::idle`).
+                    shared.running.fetch_add(1, Ordering::SeqCst);
                     break j;
                 }
                 if q.closed {
@@ -381,7 +470,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 q = shared.cv.wait(q).unwrap_or_else(|p| p.into_inner());
             }
         };
-        shared.running.fetch_add(1, Ordering::SeqCst);
+        let picked = Instant::now();
         let mut flight = InFlight {
             shared: shared.clone(),
             job: Some(qj),
@@ -407,6 +496,10 @@ fn worker_loop(shared: Arc<PoolShared>) {
             .execute(&flight.job.as_ref().expect("job in flight").job)
             .render();
         let qj = flight.job.take().expect("job in flight");
+        // Recorded before the reply is written, so a `health` request sent
+        // after a reply arrived always counts its job.
+        shared.queue_wait_us.record(picked - qj.admitted);
+        shared.execute_us.record(picked.elapsed());
         {
             let mut w = qj.writer.lock().unwrap_or_else(|p| p.into_inner());
             let _ = write_frame(&mut *w, reply.as_bytes());
@@ -416,21 +509,82 @@ fn worker_loop(shared: Arc<PoolShared>) {
     }
 }
 
-/// SIGTERM/SIGINT land here; the accept loop polls the flag.
-static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
+/// Set by SIGTERM/SIGINT and by a `shutdown` frame, always through
+/// [`start_drain`]: the flag first, then [`wake`].
+static DRAIN: AtomicBool = AtomicBool::new(false);
+
+/// The write end of the wake pipe while `serve_socket` runs, -1 otherwise.
+/// A raw fd in a static, so the signal handler can reach it.
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
+fn draining() -> bool {
+    DRAIN.load(Ordering::SeqCst)
+}
+
+fn start_drain() {
+    DRAIN.store(true, Ordering::SeqCst);
+    wake();
+}
+
+/// Makes the wake pipe readable: one `write(2)` of one byte, which is
+/// async-signal-safe. A full pipe is readable already, so the result does
+/// not matter; with no socket loop running this does nothing.
+fn wake() {
+    let fd = WAKE_FD.load(Ordering::SeqCst);
+    if fd >= 0 {
+        // SAFETY: the buffer is a 1-byte static; `fd` is the wake pipe's
+        // write end, which `serve_socket` keeps open until it resets
+        // `WAKE_FD` to -1.
+        unsafe { write(fd, b"!".as_ptr(), 1) };
+    }
+}
 
 extern "C" fn on_drain_signal(_sig: i32) {
-    SIGNAL_DRAIN.store(true, Ordering::SeqCst);
+    start_drain();
 }
 
-// `std` links libc; declaring `signal` directly keeps the workspace free of
-// external crates. Registering an atomic-store handler is async-signal-safe.
+// `std` links libc; declaring `signal`, `poll` and `write` directly keeps
+// the workspace free of external crates. The drain-signal handler is an
+// atomic store and a `write(2)`, both async-signal-safe.
 extern "C" {
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: i32) -> i32;
+    fn write(fd: RawFd, buf: *const u8, count: usize) -> isize;
 }
 
+/// `struct pollfd` of `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 1;
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
+
+/// Blocks in `poll(2)` until the listener or the wake pipe is readable or
+/// `timeout_ms` passes (-1: never), and says which of the two is. A wait
+/// cut short by a signal reports neither; the callers re-check the drain
+/// flag and wait again.
+fn wait_readable(listener: &UnixListener, wake_rx: &UnixStream, timeout_ms: i32) -> [bool; 2] {
+    let mut fds = [listener.as_raw_fd(), wake_rx.as_raw_fd()].map(|fd| PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    });
+    // SAFETY: `fds` is a live array of `fds.len()` `#[repr(C)]` pollfd
+    // records whose fds the borrowed listener and pipe keep open.
+    let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+    fds.map(|p| ready > 0 && p.revents != 0)
+}
+
+/// Empties the (non-blocking) wake pipe.
+fn empty_wake_pipe(mut wake_rx: &UnixStream) {
+    let mut buf = [0u8; 64];
+    while matches!(wake_rx.read(&mut buf), Ok(n) if n > 0) {}
+}
 
 fn install_drain_signals() {
     unsafe {
@@ -439,12 +593,10 @@ fn install_drain_signals() {
     }
 }
 
-/// Everything a connection thread needs: the service, the pool, and the
-/// drain state.
+/// Everything a connection thread needs: the service and the pool.
 struct DaemonCtx {
     service: Arc<Service>,
     pool: Pool,
-    drain: AtomicBool,
     job_deadline_ms: Option<u64>,
 }
 
@@ -455,13 +607,8 @@ impl DaemonCtx {
         DaemonCtx {
             service,
             pool,
-            drain: AtomicBool::new(false),
             job_deadline_ms: cfg.job_deadline_ms,
         }
-    }
-
-    fn draining(&self) -> bool {
-        self.drain.load(Ordering::SeqCst) || SIGNAL_DRAIN.load(Ordering::SeqCst)
     }
 
     fn health(&self) -> HealthReport {
@@ -472,10 +619,12 @@ impl DaemonCtx {
         h.running = s.running.load(Ordering::SeqCst) as u64;
         h.workers_alive = s.alive.load(Ordering::SeqCst) as u64;
         h.workers_configured = s.workers_configured as u64;
-        h.draining = self.draining();
+        h.draining = draining();
         h.respawns = s.respawns.load(Ordering::SeqCst);
         h.requeued = s.requeued.load(Ordering::SeqCst);
         h.abandoned = s.abandoned.load(Ordering::SeqCst);
+        h.queue_wait_us = s.queue_wait_us.summary();
+        h.execute_us = s.execute_us.summary();
         h
     }
 }
@@ -491,8 +640,8 @@ fn compose_deadline(client: Option<u64>, server: Option<u64>) -> Option<u64> {
 
 /// Reads frames from `reader`, answering control requests inline and
 /// admitting jobs to the pool (replies are written by the workers, in
-/// completion order — replies carry the request id). A shutdown frame sets
-/// the drain flag; the accept loop observes it.
+/// completion order — replies carry the request id). A shutdown frame
+/// starts the drain, which wakes the accept loop.
 fn serve_stream<R: std::io::Read>(reader: &mut R, writer: SharedWriter, ctx: &DaemonCtx) {
     let (done_tx, done_rx) = mpsc::channel::<()>();
     let mut outstanding = 0usize;
@@ -533,17 +682,19 @@ fn serve_stream<R: std::io::Read>(reader: &mut R, writer: SharedWriter, ctx: &Da
                     }
                     Ok(Request::Health) => write_reply(&ctx.health().render()),
                     Ok(Request::Shutdown) => {
+                        // Draining before the acknowledgement: a client
+                        // that has read it is refused from then on.
+                        start_drain();
                         write_reply("{\"ok\":true}");
-                        ctx.drain.store(true, Ordering::SeqCst);
                         break;
                     }
                     Ok(Request::Job(mut job)) => {
                         job.opts.deadline_ms =
                             compose_deadline(job.opts.deadline_ms, ctx.job_deadline_ms);
                         let shed_injected = omplt::fault::fire_global("daemon.queue-full");
-                        if ctx.draining() || shed_injected {
+                        if draining() || shed_injected {
                             let o = Overloaded {
-                                retry_after_ms: if ctx.draining() { 100 } else { 50 },
+                                retry_after_ms: if draining() { 100 } else { 50 },
                                 queue_depth: ctx.pool.depth() as u64,
                             };
                             write_reply(&overloaded_reply(Some(job.id), &o));
@@ -554,6 +705,7 @@ fn serve_stream<R: std::io::Read>(reader: &mut R, writer: SharedWriter, ctx: &Da
                             writer: writer.clone(),
                             done: done_tx.clone(),
                             attempt: 0,
+                            admitted: Instant::now(),
                         };
                         match ctx.pool.try_submit(qj) {
                             Ok(()) => outstanding += 1,
@@ -586,10 +738,24 @@ fn serve_socket(path: &str, cfg: &Config) -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("ompltd: cannot poll '{path}': {e}");
-        return ExitCode::from(1);
-    }
+    // Non-blocking listener and wake pipe: `poll(2)` says when to read, so
+    // a client that vanished between `poll` and `accept` costs nothing.
+    let wake_pipe = listener
+        .set_nonblocking(true)
+        .and_then(|()| UnixStream::pair())
+        .and_then(|(tx, rx)| {
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            Ok((tx, rx))
+        });
+    let (wake_tx, wake_rx) = match wake_pipe {
+        Ok(pair) => pair,
+        Err(e) => {
+            eprintln!("ompltd: cannot set up poll(2) on '{path}': {e}");
+            return ExitCode::from(1);
+        }
+    };
+    WAKE_FD.store(wake_tx.as_raw_fd(), Ordering::SeqCst);
     install_drain_signals();
     let ctx = DaemonCtx::new(cfg);
     eprintln!(
@@ -597,28 +763,34 @@ fn serve_socket(path: &str, cfg: &Config) -> ExitCode {
         cfg.workers, cfg.queue_depth
     );
     std::thread::scope(|scope| {
-        while !ctx.draining() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    if cfg.frame_timeout_ms > 0 {
-                        let _ = stream
-                            .set_read_timeout(Some(Duration::from_millis(cfg.frame_timeout_ms)));
-                    }
-                    let ctx = &ctx;
-                    scope.spawn(move || {
-                        let Ok(mut reader) = stream.try_clone() else {
-                            return;
-                        };
-                        let writer: SharedWriter = Arc::new(Mutex::new(stream));
-                        serve_stream(&mut reader, writer, ctx);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => {}
+        // Every drain trigger sets `DRAIN` before it wakes, and `poll` is
+        // level-triggered: a trigger that lands between this check and
+        // `poll` leaves the pipe readable, so `poll` returns at once.
+        while !draining() {
+            let [conn, woken] = wait_readable(&listener, &wake_rx, -1);
+            count_accept_turn();
+            if woken {
+                empty_wake_pipe(&wake_rx);
+                continue;
             }
+            if !conn {
+                continue;
+            }
+            let Ok((stream, _)) = listener.accept() else {
+                continue;
+            };
+            let _ = stream.set_nonblocking(false);
+            if cfg.frame_timeout_ms > 0 {
+                let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.frame_timeout_ms)));
+            }
+            let ctx = &ctx;
+            scope.spawn(move || {
+                let Ok(mut reader) = stream.try_clone() else {
+                    return;
+                };
+                let writer: SharedWriter = Arc::new(Mutex::new(stream));
+                serve_stream(&mut reader, writer, ctx);
+            });
         }
         eprintln!(
             "ompltd: draining ({} queued, {} running)",
@@ -626,10 +798,13 @@ fn serve_socket(path: &str, cfg: &Config) -> ExitCode {
             ctx.pool.shared.running.load(Ordering::SeqCst)
         );
         // Drain phase: finish queued+running jobs, refuse new connections
-        // with `Overloaded`, and never outlive the drain window.
+        // with `Overloaded`, and never outlive the drain window. A job that
+        // finishes wakes this loop (`InFlight::drop`), so the deadline is
+        // the only timeout.
         let deadline = Instant::now() + Duration::from_millis(cfg.drain_ms);
         while !ctx.pool.idle() {
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 let _ = std::fs::remove_file(path);
                 eprintln!(
                     "ompltd: drain deadline ({} ms) exceeded with work unfinished; aborting",
@@ -637,8 +812,13 @@ fn serve_socket(path: &str, cfg: &Config) -> ExitCode {
                 );
                 std::process::exit(1);
             }
-            match listener.accept() {
-                Ok((mut stream, _)) => {
+            let timeout_ms = i32::try_from(left.as_micros().div_ceil(1000)).unwrap_or(i32::MAX);
+            let [conn, woken] = wait_readable(&listener, &wake_rx, timeout_ms);
+            if woken {
+                empty_wake_pipe(&wake_rx);
+            }
+            if conn {
+                if let Ok((mut stream, _)) = listener.accept() {
                     let _ = stream.set_nonblocking(false);
                     let o = Overloaded {
                         retry_after_ms: 100,
@@ -646,10 +826,10 @@ fn serve_socket(path: &str, cfg: &Config) -> ExitCode {
                     };
                     let _ = write_frame(&mut stream, overloaded_reply(None, &o).as_bytes());
                 }
-                _ => std::thread::sleep(Duration::from_millis(10)),
             }
         }
     });
+    WAKE_FD.store(-1, Ordering::SeqCst);
     let report = ctx.pool.close_and_join();
     if report.respawns > 0 {
         eprintln!(
@@ -693,5 +873,78 @@ fn main() -> ExitCode {
     match &cfg.listen {
         Some(path) => serve_socket(path, &cfg),
         None => ExitCode::from(usage()),
+    }
+}
+
+/// The shipped binary does not count accept-loop turns.
+#[cfg(not(test))]
+fn count_accept_turn() {}
+
+/// Returns from `poll` in the accept loop: the wakeup test's probe.
+#[cfg(test)]
+static ACCEPT_TURNS: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+fn count_accept_turn() {
+    ACCEPT_TURNS.fetch_add(1, Ordering::SeqCst);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_buckets_are_log2_microseconds_with_upper_edges() {
+        assert_eq!((latency_bucket(0), bucket_upper_edge(0)), (0, 0));
+        assert_eq!((latency_bucket(1), bucket_upper_edge(1)), (1, 1));
+        for k in 1..64 {
+            let edge = (1u64 << k) - 1;
+            assert_eq!(latency_bucket(edge), k, "2^{k}-1 closes bucket {k}");
+            assert_eq!(bucket_upper_edge(k), edge);
+            assert_eq!(latency_bucket(edge + 1), k + 1, "2^{k} opens the next");
+        }
+        assert_eq!(latency_bucket(u64::MAX), 64);
+        assert_eq!(bucket_upper_edge(64), u64::MAX);
+
+        let h = LatencyHist::default();
+        assert_eq!(h.summary(), StageLatency::default(), "nothing timed yet");
+        let us = |n: u64| Duration::from_micros(n);
+        (0..90).for_each(|_| h.record(us(3)));
+        (0..9).for_each(|_| h.record(us(100)));
+        h.record(us(5000));
+        let s = h.summary();
+        assert_eq!((s.count, s.p50, s.p90, s.p99), (100, 3, 3, 127));
+    }
+
+    #[test]
+    fn an_idle_daemon_makes_no_wakeups_and_a_connection_costs_one() {
+        let path = std::env::temp_dir().join(format!("ompltd-idle-{}.sock", std::process::id()));
+        let listen = format!("--listen={}", path.display());
+        let cfg = parse_args(&[listen, "--workers=1".to_string()]).unwrap();
+        let socket = path.to_str().unwrap().to_string();
+        let server = std::thread::spawn(move || serve_socket(&socket, &cfg));
+        for _ in 0..400 {
+            if path.exists() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let request = |req: Request| {
+            let mut s = UnixStream::connect(&path).expect("connect");
+            write_frame(&mut s, req.render().as_bytes()).unwrap();
+            let reply = read_frame(&mut s).unwrap().expect("reply frame");
+            String::from_utf8(reply).unwrap()
+        };
+
+        // The parent's loop ticked every 20 ms: about ten turns here.
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(ACCEPT_TURNS.load(Ordering::SeqCst), 0, "idle wakeups");
+        let health = HealthReport::parse(&request(Request::Health)).unwrap();
+        assert_eq!(health.workers_configured, 1);
+        assert_eq!(ACCEPT_TURNS.load(Ordering::SeqCst), 1, "one connection");
+
+        assert_eq!(request(Request::Shutdown), "{\"ok\":true}");
+        assert_eq!(server.join().unwrap(), ExitCode::SUCCESS);
+        assert!(!path.exists(), "the socket file is removed");
     }
 }

@@ -463,8 +463,45 @@ pub struct HealthReport {
     pub requeued: u64,
     /// Jobs abandoned after dying twice; their clients got an error reply.
     pub abandoned: u64,
+    /// Admission to worker pick-up, per answered job.
+    pub queue_wait_us: StageLatency,
+    /// Worker pick-up to the rendered reply, per answered job.
+    pub execute_us: StageLatency,
     /// `daemon.cache.*` counters, sorted by name.
     pub cache: Vec<(String, u64)>,
+}
+
+/// One daemon stage's latency distribution in a [`HealthReport`]: how many
+/// jobs it timed, and for each percentile the upper edge (in µs) of the
+/// log2 bucket that holds it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct StageLatency {
+    /// Jobs timed.
+    pub count: u64,
+    /// Median, µs (upper bucket edge).
+    pub p50: u64,
+    /// 90th percentile, µs (upper bucket edge).
+    pub p90: u64,
+    /// 99th percentile, µs (upper bucket edge).
+    pub p99: u64,
+}
+
+impl StageLatency {
+    fn write(&self, w: &mut Writer) {
+        w.open('{').key("count").raw(self.count);
+        w.key("p50").raw(self.p50);
+        w.key("p90").raw(self.p90);
+        w.key("p99").raw(self.p99).close('}');
+    }
+
+    fn from_value(v: &Value) -> Result<StageLatency, String> {
+        Ok(StageLatency {
+            count: need_u64(v, "count")?,
+            p50: need_u64(v, "p50")?,
+            p90: need_u64(v, "p90")?,
+            p99: need_u64(v, "p99")?,
+        })
+    }
 }
 
 impl HealthReport {
@@ -483,6 +520,8 @@ impl HealthReport {
         w.key("respawns").raw(self.respawns);
         w.key("requeued").raw(self.requeued);
         w.key("abandoned").raw(self.abandoned).close('}');
+        self.queue_wait_us.write(w.key("queue_wait_us"));
+        self.execute_us.write(w.key("execute_us"));
         w.key("counters").open('{');
         for (k, v) in &self.cache {
             w.key(k).raw(v);
@@ -495,6 +534,10 @@ impl HealthReport {
         let v = reply_doc(body)?;
         let h = v.get("health").ok_or("missing 'health'")?;
         let sup = h.get("supervisor").ok_or("missing 'supervisor'")?;
+        let stage = |name: &str| match h.get(name) {
+            Some(s) => StageLatency::from_value(s),
+            None => Err(format!("missing '{name}'")),
+        };
         let cache = h
             .get("counters")
             .and_then(Value::as_object)
@@ -520,6 +563,8 @@ impl HealthReport {
             respawns: need_u64(sup, "respawns")?,
             requeued: need_u64(sup, "requeued")?,
             abandoned: need_u64(sup, "abandoned")?,
+            queue_wait_us: stage("queue_wait_us")?,
+            execute_us: stage("execute_us")?,
             cache,
         })
     }
@@ -716,6 +761,18 @@ mod tests {
             respawns: 3,
             requeued: 2,
             abandoned: 1,
+            queue_wait_us: StageLatency {
+                count: 12,
+                p50: 7,
+                p90: 63,
+                p99: 1023,
+            },
+            execute_us: StageLatency {
+                count: 11,
+                p50: 127,
+                p90: 511,
+                p99: 4095,
+            },
             cache: vec![
                 ("daemon.cache.hits".to_string(), 7),
                 ("daemon.cache.misses".to_string(), 9),

@@ -5,9 +5,9 @@
 //! gets its own [`CompilerInstance`], its own fault-injection scope, its own
 //! trace session, and its own ICE boundary, so any number of workers can
 //! execute jobs concurrently on one service without observing each other.
-//! The transport (Unix socket or stdio, in `src/bin/ompltd.rs`) is a thin
-//! loop over [`Service::handle_frame`]; everything protocol-visible lives
-//! here so tests can drive the daemon without spawning a process.
+//! The transport (Unix socket or stdio, in `src/bin/ompltd.rs`) owns frame
+//! dispatch, the worker pool and drain; it calls [`Service::execute`] per
+//! job and [`Service::base_health`] per `health` frame.
 //!
 //! ## Output parity
 //!
@@ -35,8 +35,7 @@
 use crate::cache::{Artifact, ArtifactCache, CacheKey};
 use crate::compiler::{Backend, CompilerInstance};
 use crate::protocol::{
-    driver_diag, error_reply, render_chunk_log, CacheOutcome, HealthReport, IceInfo, JobRequest,
-    JobResponse, Request,
+    driver_diag, render_chunk_log, CacheOutcome, HealthReport, IceInfo, JobRequest, JobResponse,
 };
 use omplt_trace::TraceData;
 use std::panic::AssertUnwindSafe;
@@ -64,15 +63,6 @@ impl JobBuf {
         let text = |m: Mutex<String>| m.into_inner().unwrap_or_else(|p| p.into_inner());
         (text(self.stdout), text(self.stderr))
     }
-}
-
-/// What [`Service::handle_frame`] produced: the reply body to send back,
-/// and whether the server should drain its connections and exit.
-pub struct FrameOutcome {
-    /// Reply frame body (JSON document).
-    pub reply: String,
-    /// True only for an accepted shutdown request.
-    pub shutdown: bool,
 }
 
 /// The compile service: one shared artifact cache plus stateless per-job
@@ -109,29 +99,6 @@ impl Service {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             cache: counters.map(|(k, v)| (k.to_string(), v)).collect(),
             ..HealthReport::default()
-        }
-    }
-
-    /// Handles one already-read frame body and says whether the server
-    /// should drain and exit. Never panics on malformed input: bad frames
-    /// get an `{"id":null,"error":...}` reply.
-    pub fn handle_frame(&self, payload: &[u8]) -> FrameOutcome {
-        let keep = |reply: String| FrameOutcome {
-            reply,
-            shutdown: false,
-        };
-        let Ok(text) = std::str::from_utf8(payload) else {
-            return keep(error_reply("frame is not valid UTF-8"));
-        };
-        match Request::parse(text) {
-            Err(e) => keep(error_reply(&e)),
-            Ok(Request::Stats) => keep(self.cache.counters_json().trim_end().to_string()),
-            Ok(Request::Health) => keep(self.base_health().render()),
-            Ok(Request::Shutdown) => FrameOutcome {
-                reply: "{\"ok\":true}".to_string(),
-                shutdown: true,
-            },
-            Ok(Request::Job(job)) => keep(self.execute(&job).render()),
         }
     }
 
@@ -522,11 +489,11 @@ mod tests {
 
     #[test]
     fn health_frames_answer_with_service_level_snapshot() {
+        // The transport overlays its pool on this; `tests/daemon.rs` checks
+        // the overlaid reply over the socket.
         let service = Service::new(DEFAULT_CACHE_BYTES);
         service.execute(&run_request(1));
-        let out = service.handle_frame(b"{\"op\":\"health\"}");
-        assert!(!out.shutdown);
-        let h = crate::protocol::HealthReport::parse(&out.reply).unwrap();
+        let h = service.base_health();
         assert_eq!(h.workers_configured, 0, "bare service has no pool");
         let cache: std::collections::HashMap<_, _> = h.cache.into_iter().collect();
         assert_eq!(cache["daemon.cache.misses"], 1);
@@ -569,40 +536,6 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn malformed_frames_get_error_replies_not_crashes() {
-        let service = Service::new(DEFAULT_CACHE_BYTES);
-        for bad in [
-            &b"not json"[..],
-            b"{\"op\":\"job\"}",
-            b"{}",
-            b"[1,2,3]",
-            b"\xff\xfe\x00",
-        ] {
-            let out = service.handle_frame(bad);
-            assert!(!out.shutdown);
-            assert!(
-                out.reply.starts_with("{\"id\":null,\"error\":"),
-                "reply for {bad:?}: {}",
-                out.reply
-            );
-        }
-        // And the service still works afterwards.
-        let out = service.handle_frame(run_request(9).render().as_bytes());
-        let resp = JobResponse::parse(&out.reply).unwrap();
-        assert_eq!(resp.exit_code, 0, "stderr: {}", resp.stderr);
-    }
-
-    #[test]
-    fn shutdown_and_stats_frames() {
-        let service = Service::new(DEFAULT_CACHE_BYTES);
-        let stats = service.handle_frame(b"{\"op\":\"stats\"}");
-        assert!(stats.reply.contains("daemon.cache.hits"));
-        assert!(!stats.shutdown);
-        let bye = service.handle_frame(b"{\"op\":\"shutdown\"}");
-        assert!(bye.shutdown);
     }
 
     #[test]

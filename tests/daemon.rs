@@ -6,11 +6,15 @@
 //! and exit code to the in-process driver. Cache behaviour is observed
 //! through the `stats` frame (`daemon.cache.*` counters).
 
-use omplt::protocol::{read_frame, write_frame, CacheOutcome, JobRequest, Request};
-use std::io::Write as _;
+mod scan;
+
+use omplt::protocol::{
+    read_frame, write_frame, CacheOutcome, HealthReport, JobRequest, JobResponse, Request,
+};
+use std::io::{Read as _, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::Duration;
 
 fn write_temp(name: &str, contents: &str) -> PathBuf {
@@ -42,6 +46,10 @@ impl Daemon {
     }
 
     fn start_with(tag: &str, extra_args: &[&str], env: &[(&str, &str)]) -> Daemon {
+        Daemon::spawn(tag, extra_args, env, Stdio::null())
+    }
+
+    fn spawn(tag: &str, extra_args: &[&str], env: &[(&str, &str)], stderr: Stdio) -> Daemon {
         let dir = std::env::temp_dir().join("omplt-daemon-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let socket = dir.join(format!("{tag}-{}.sock", std::process::id()));
@@ -50,7 +58,7 @@ impl Daemon {
         cmd.arg(format!("--listen={}", socket.display()))
             .args(extra_args)
             .env_remove("OMP_SCHEDULE")
-            .stderr(Stdio::null());
+            .stderr(stderr);
         for (k, v) in env {
             cmd.env(k, v);
         }
@@ -93,6 +101,32 @@ impl Daemon {
             .find(|c: char| !c.is_ascii_digit())
             .unwrap_or(rest.len());
         rest[..end].parse().unwrap()
+    }
+
+    fn health(&self) -> HealthReport {
+        HealthReport::parse(&self.request(&Request::Health.render())).expect("health report")
+    }
+
+    /// Polls `health` until `n` jobs are running on the pool.
+    fn wait_until_running(&self, n: u64) {
+        for _ in 0..400 {
+            if self.health().running == n {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("{n} job(s) never started running");
+    }
+
+    /// Waits (bounded) for the daemon process to exit by itself.
+    fn wait_exit(&mut self) -> ExitStatus {
+        for _ in 0..200 {
+            if let Ok(Some(status)) = self.child.try_wait() {
+                return status;
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        panic!("ompltd did not exit");
     }
 }
 
@@ -351,6 +385,14 @@ fn malformed_frames_get_error_replies_and_the_server_survives() {
     // Valid frame, invalid JSON payload.
     let reply = daemon.request("this is not json");
     assert!(reply.contains("\"error\""), "{reply}");
+    // Valid JSON that is no request, and a payload that is not UTF-8.
+    for bad in [&b"{}"[..], b"[1,2,3]", b"\xff\xfe\x00"] {
+        let mut s = UnixStream::connect(&daemon.socket).unwrap();
+        write_frame(&mut s, bad).unwrap();
+        let reply = read_frame(&mut s).expect("reply").expect("reply frame");
+        let reply = String::from_utf8(reply).unwrap();
+        assert!(reply.starts_with("{\"id\":null,\"error\":"), "{reply}");
+    }
 
     // Length prefix larger than the frame cap: rejected before allocation.
     {
@@ -670,6 +712,26 @@ fn health_reports_transport_and_supervisor_state() {
         health.cache.iter().any(|(k, _)| k == "daemon.cache.hits"),
         "cache counters travel in the health reply: {reply}"
     );
+    assert_eq!(health.queue_wait_us.count, 0);
+    assert_eq!(health.execute_us.count, 0);
+
+    // Every answered job is timed once per stage, before its reply is
+    // written: a `health` sent after the replies counts all of them.
+    const N: u64 = 3;
+    for id in 0..N {
+        let mut job = JobRequest::new(id, "health.c", DEMO);
+        job.run = true;
+        let resp = JobResponse::parse(&daemon.request(&job.render())).expect("job reply");
+        assert_eq!(resp.exit_code, 0, "{}", resp.stderr);
+    }
+    let health = daemon.health();
+    for (stage, s) in [
+        ("queue_wait_us", health.queue_wait_us),
+        ("execute_us", health.execute_us),
+    ] {
+        assert_eq!(s.count, N, "{stage}: {s:?}");
+        assert!(s.p50 <= s.p90 && s.p90 <= s.p99, "{stage}: {s:?}");
+    }
 }
 
 #[test]
@@ -907,6 +969,104 @@ fn sigterm_drains_queued_jobs_and_exits_zero() {
     }
     let status = status.expect("daemon exits within the drain window");
     assert!(status.success(), "drain must exit 0, got {status:?}");
+}
+
+/// The drain tests' long job: `while (x) { x = 1; }` on the interpreter
+/// never ends by itself, so the job runs exactly as long as its own
+/// 1000 ms deadline lets it — about a second in a debug or a release build
+/// alike — and is then answered with the deadline error, like any job that
+/// ran to its end.
+fn one_second_job(id: u64) -> JobRequest {
+    let src = "int main(void) { int x = 1; while (x) { x = 1; } return 0; }\n";
+    let mut job = JobRequest::new(id, "one-second.c", src);
+    job.opts.backend = omplt::Backend::Interp;
+    job.opts.deadline_ms = Some(1000);
+    job.run = true;
+    job
+}
+
+/// Submits `job` on its own connection from a thread; the thread yields the
+/// reply, or `None` if the daemon closed the connection without one.
+fn submit_in_background(
+    daemon: &Daemon,
+    job: JobRequest,
+) -> std::thread::JoinHandle<Option<String>> {
+    let socket = daemon.socket.clone();
+    std::thread::spawn(move || {
+        let mut s = UnixStream::connect(&socket).expect("connect");
+        write_frame(&mut s, job.render().as_bytes()).unwrap();
+        let reply = read_frame(&mut s).ok().flatten()?;
+        Some(String::from_utf8(reply).unwrap())
+    })
+}
+
+#[test]
+fn shutdown_mid_job_refuses_new_connections_and_still_answers_the_job() {
+    let mut daemon = Daemon::start_with("drainjob", &["--workers=1"], &[]);
+    let running = submit_in_background(&daemon, one_second_job(41));
+    daemon.wait_until_running(1);
+    assert_eq!(daemon.request(&Request::Shutdown.render()), "{\"ok\":true}");
+
+    // The daemon drains from the acknowledgement on: the drain loop answers
+    // a new connection with a refusal before it has sent a byte.
+    let mut late = UnixStream::connect(&daemon.socket).expect("listener open while draining");
+    let refusal = read_frame(&mut late).expect("read").expect("refusal frame");
+    let refusal = String::from_utf8(refusal).unwrap();
+    assert!(
+        refusal.starts_with("{\"id\":null,\"overloaded\":{\"retry_after_ms\":100,"),
+        "{refusal}"
+    );
+
+    let reply = running
+        .join()
+        .unwrap()
+        .expect("the running job is answered");
+    let resp = JobResponse::parse(&reply).expect("a job reply");
+    assert_eq!(resp.id, 41);
+    assert_eq!(resp.exit_code, 1, "{}", resp.stderr);
+    assert!(
+        resp.stderr
+            .contains("wall-clock deadline of 1000 ms exceeded"),
+        "{}",
+        resp.stderr
+    );
+    let status = daemon.wait_exit();
+    assert!(status.success(), "a finished drain exits 0, got {status:?}");
+}
+
+#[test]
+fn a_drain_that_outlives_drain_ms_exits_one_and_removes_the_socket() {
+    let args = ["--workers=1", "--drain-ms=50"];
+    let mut daemon = Daemon::spawn("drainlate", &args, &[], Stdio::piped());
+    let running = submit_in_background(&daemon, one_second_job(42));
+    daemon.wait_until_running(1);
+    assert_eq!(daemon.request(&Request::Shutdown.render()), "{\"ok\":true}");
+
+    let status = daemon.wait_exit();
+    assert_eq!(status.code(), Some(1), "{status:?}");
+    let mut stderr = String::new();
+    let pipe = daemon.child.stderr.as_mut().unwrap();
+    pipe.read_to_string(&mut stderr).unwrap();
+    assert!(
+        stderr.contains("drain deadline (50 ms) exceeded"),
+        "{stderr}"
+    );
+    assert!(!daemon.socket.exists(), "the socket file is removed");
+    // The job died with the daemon; its client saw the connection close.
+    assert_eq!(running.join().unwrap(), None);
+}
+
+#[test]
+fn the_daemon_sleeps_on_nothing() {
+    // The accept and drain loops block in `poll(2)` on the listener and a
+    // wake pipe; a timed wakeup anywhere in the daemon would be a latency
+    // floor under every `ompltc --remote` call.
+    let ompltd = scan::shipped_sources()
+        .into_iter()
+        .find(|p| p.ends_with("src/bin/ompltd.rs"))
+        .expect("ompltd.rs is a shipped source");
+    let text = scan::shipped_text(&ompltd);
+    assert!(!text.contains("sleep("), "src/bin/ompltd.rs spells sleep(");
 }
 
 /// The soak: 8 concurrent clients, each cycling through a mixed workload —
