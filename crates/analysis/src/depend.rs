@@ -1,12 +1,11 @@
-//! Direction-vector dependence analysis gating `interchange`, `reverse`
-//! and `fuse`.
+//! Direction-vector dependence analysis: the legality gate of `interchange`,
+//! `reverse`, `fuse` and `simd`.
 //!
 //! Sema applies the loop-transformation directives unconditionally — OpenMP
 //! makes the user responsible for their legality. This pass recovers the
 //! classical memory-dependence information needed to *check* that
-//! responsibility: for every `#pragma omp interchange` / `reverse` / `fuse`
-//! it builds a [`DependenceGraph`] of the associated nest and diagnoses the
-//! transformations that provably reorder a dependence:
+//! responsibility: for every such directive it builds one
+//! [`DependenceGraph`] of the associated nest, which every check reads:
 //!
 //! * **interchange** is illegal when permuting the direction vector of any
 //!   dependence makes its leading non-`=` entry `>` (the textbook `(<, >)`
@@ -16,12 +15,19 @@
 //!   and sink;
 //! * **fuse** is illegal when a dependence between two of the fused loops
 //!   has negative distance: iteration `i` of the fused body would consume a
-//!   value that the original program produced only in a later iteration.
+//!   value that the original program produced only in a later iteration;
+//! * **simd** (and its composites) runs consecutive iterations as lock-step
+//!   lanes, each access for every lane before the next access. A dependence
+//!   carried by the `simd` loops caps the lanes at its distance — linearised
+//!   over the `collapse`d levels — when its sink runs no later than its
+//!   source in the body's evaluation order; lane-private variables
+//!   (`private`, `firstprivate`, `reduction`, a scalar every iteration writes
+//!   before it reads it) carry none. The bound is recorded as
+//!   [`OMPDirective::simd_lanes`]: CodeGen turns it into `safelen`, and the
+//!   VM widens no further. Below two lanes it is a warning and the loop runs
+//!   scalar.
 //!
-//! These three are [`Checks::OrderChanging`], which every compile runs. The
-//! `simd` lane-distance check over the same graphs is
-//! [`Checks::SimdDistance`], an `--analyze` lint: no engine runs lanes the
-//! distance forbids.
+//! Every compile runs all four (`CompilerInstance::parse_source`).
 //!
 //! Subscripts are classified with the standard single-subscript tests over
 //! the *logical* iteration space (trip counting from 0): **ZIV** (no
@@ -30,36 +36,33 @@
 //! variable, GCD feasibility + direction `*`), and a bounded **MIV** solver
 //! for equal coefficient vectors (`a[i*M + j]`-style linearized accesses)
 //! that enumerates the small solution set when constant trip counts bound
-//! it. Everything else — non-affine subscripts, symbolic bounds feeding
-//! unequal coefficients, calls — defeats the analysis, and the pass says so
-//! with a `-Wanalysis-limit` note instead of guessing: **errors are reported
-//! only for proven violations**.
+//! it. A local initialised once and never assigned — a user temporary, or
+//! the user counter a transformation re-materialises from its generated
+//! one — stands for its initialiser. Everything else — non-affine
+//! subscripts, symbolic bounds feeding unequal coefficients, accesses
+//! through computed pointers — defeats the analysis for a variable the nest
+//! writes (what is only read carries no dependence), and the pass says so
+//! with a `-Wanalysis-limit` note instead of guessing. So does a written base
+//! next to another one when either is a pointer: a pointer may alias any
+//! base, two distinct arrays never do. **Errors are reported only for
+//! proven violations**.
 
 use omplt_ast::{
     loop_level, walk_expr, walk_stmt, ASTContext, BinOp, CanonicalLoopAnalysis, Decl, DeclId, Expr,
     ExprKind, LoopDirection, OMPClauseKind, OMPDirective, OMPDirectiveKind, Stmt, StmtKind,
-    StmtVisitor, TranslationUnit, Type, TypeKind, UnOp, P,
+    StmtVisitor, TranslationUnit, Type, TypeKind, UnOp, VarDecl, P,
 };
 use omplt_sema::analyze_canonical_loop;
 use omplt_source::{Diagnostic, DiagnosticsEngine, Level, SourceLocation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Which directives one walk of the pass judges.
-#[derive(Clone, Copy, Debug)]
-pub enum Checks {
-    /// `interchange`, `reverse`, `fuse`: the compiler reorders iterations
-    /// on the user's word, so a proven violation must stop the compile.
-    OrderChanging,
-    /// `simd` and its composites: the promise that lanes may run
-    /// concurrently, which the engines re-check before they rely on it.
-    SimdDistance,
-}
-
-/// Checks every directive `checks` selects in `tu`, reporting proven
-/// dependence violations (and analysis limits) to `diags`.
-pub fn check_translation_unit(tu: &TranslationUnit, diags: &DiagnosticsEngine, checks: Checks) {
-    let mut v = DependVisitor { diags, checks };
+/// Judges every `interchange`, `reverse`, `fuse` and `simd`-bearing
+/// directive in `tu`: proven violations are errors, a `simd` loop that must
+/// run scalar and what the tests cannot judge are warnings, and each
+/// `simd` directive's lane bound is recorded on it.
+pub fn check_translation_unit(tu: &TranslationUnit, diags: &DiagnosticsEngine) {
+    let mut v = DependVisitor { diags };
     for d in &tu.decls {
         if let Decl::Function(f) = d {
             if let Some(body) = f.body.borrow().as_ref() {
@@ -124,6 +127,8 @@ impl fmt::Display for DepKind {
 #[derive(Clone, Debug)]
 pub struct Dependence {
     /// Variable the dependence is on.
+    pub var: DeclId,
+    /// Its name.
     pub name: String,
     pub kind: DepKind,
     /// Source access (subscript rendering and location).
@@ -134,6 +139,11 @@ pub struct Dependence {
     pub directions: Vec<Direction>,
     /// Per-level distances in logical iterations; `None` where unconstrained.
     pub distances: Vec<Option<i128>>,
+    /// Whether the sink access runs no later than the source access in the
+    /// body's evaluation order. Lanes running the body in lock-step then
+    /// reach the sink of a later iteration before the source of an earlier
+    /// one.
+    pub lexically_backward: bool,
 }
 
 impl Dependence {
@@ -168,6 +178,10 @@ pub struct DependenceGraph {
     /// Accesses the subscript tests could not model — the graph is
     /// *incomplete* with respect to these (variable name, reason, location).
     pub limits: Vec<(String, String, SourceLocation)>,
+    /// Scalars whose first access in the body is an unconditional write:
+    /// every iteration defines them before it uses them, so only the value
+    /// the last iteration leaves behind crosses iterations.
+    pub write_first: BTreeSet<DeclId>,
 }
 
 impl DependenceGraph {
@@ -230,55 +244,6 @@ pub(crate) struct LinSubscript {
     coefs: Option<Vec<i128>>,
     /// Folded logical offset (`None` when a used level's `lb` is symbolic).
     off: Option<i128>,
-}
-
-/// Linearizes `e` as an affine function of the nest's iteration variables.
-/// Returns `None` for anything non-affine.
-fn linearize(
-    e: &P<Expr>,
-    ivs: &BTreeMap<DeclId, usize>,
-    depth: usize,
-) -> Option<(Vec<i128>, i128)> {
-    let e = e.ignore_wrappers();
-    if let Some(c) = e.eval_const_int() {
-        return Some((vec![0; depth], c));
-    }
-    if let Some(v) = e.as_decl_ref() {
-        let k = *ivs.get(&v.id)?;
-        let mut coefs = vec![0; depth];
-        coefs[k] = 1;
-        return Some((coefs, 0));
-    }
-    match &e.kind {
-        ExprKind::Unary(UnOp::Plus, s) => linearize(s, ivs, depth),
-        ExprKind::Unary(UnOp::Minus, s) => {
-            let (coefs, off) = linearize(s, ivs, depth)?;
-            Some((coefs.iter().map(|c| -c).collect(), -off))
-        }
-        ExprKind::Binary(BinOp::Add, a, b) => {
-            let (ca, oa) = linearize(a, ivs, depth)?;
-            let (cb, ob) = linearize(b, ivs, depth)?;
-            Some((ca.iter().zip(&cb).map(|(x, y)| x + y).collect(), oa + ob))
-        }
-        ExprKind::Binary(BinOp::Sub, a, b) => {
-            let (ca, oa) = linearize(a, ivs, depth)?;
-            let (cb, ob) = linearize(b, ivs, depth)?;
-            Some((ca.iter().zip(&cb).map(|(x, y)| x - y).collect(), oa - ob))
-        }
-        ExprKind::Binary(BinOp::Mul, a, b) => {
-            let (ca, oa) = linearize(a, ivs, depth)?;
-            let (cb, ob) = linearize(b, ivs, depth)?;
-            // One side must be constant for the product to stay affine.
-            if ca.iter().all(|&c| c == 0) {
-                Some((cb.iter().map(|c| c * oa).collect(), ob * oa))
-            } else if cb.iter().all(|&c| c == 0) {
-                Some((ca.iter().map(|c| c * ob).collect(), oa * ob))
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
 }
 
 /// Renders the raw affine form back to source-like text for diagnostics.
@@ -357,6 +322,62 @@ pub(crate) fn element_strides(ty: &P<Type>, n: usize) -> Option<Vec<i128>> {
     Some(strides)
 }
 
+/// The variable a pointer-valued expression is computed from (`p` of
+/// `p + i`, `(p - 1)`, `q`), if any.
+fn pointer_root(e: &P<Expr>) -> Option<&P<VarDecl>> {
+    let e = e.ignore_wrappers();
+    match &e.kind {
+        ExprKind::DeclRef(v) => Some(v),
+        ExprKind::ExplicitCast(_, s) => pointer_root(s),
+        ExprKind::Binary(BinOp::Add | BinOp::Sub, l, r) => {
+            if l.ty.is_pointer() || matches!(l.ty.kind, TypeKind::Array(..)) {
+                pointer_root(l)
+            } else {
+                pointer_root(r)
+            }
+        }
+        _ => None,
+    }
+}
+
+/// Whether `e` reads a variable `hit` selects.
+fn mentions(e: &P<Expr>, hit: impl Fn(DeclId) -> bool) -> bool {
+    struct Mentions<F>(F, bool);
+    impl<F: Fn(DeclId) -> bool> StmtVisitor for Mentions<F> {
+        fn visit_expr(&mut self, e: &P<Expr>) {
+            if let ExprKind::DeclRef(v) = &e.kind {
+                self.1 |= (self.0)(v.id);
+            }
+            walk_expr(self, e);
+        }
+    }
+    let mut m = Mentions(hit, false);
+    m.visit_expr(e);
+    m.1
+}
+
+/// The scalars a body assigns (or takes the address of): their values vary
+/// within the nest, so no subscript may treat them as constants.
+fn assigned_vars(body: &P<Stmt>) -> BTreeSet<DeclId> {
+    struct Assigned(BTreeSet<DeclId>);
+    impl StmtVisitor for Assigned {
+        fn visit_expr(&mut self, e: &P<Expr>) {
+            let target = match &e.kind {
+                ExprKind::Binary(op, lhs, _) if op.is_assignment() => Some(lhs),
+                ExprKind::Unary(op, sub) if op.is_inc_dec() || *op == UnOp::AddrOf => Some(sub),
+                _ => None,
+            };
+            if let Some(v) = target.and_then(|t| t.as_decl_ref()) {
+                self.0.insert(v.id);
+            }
+            walk_expr(self, e);
+        }
+    }
+    let mut a = Assigned(BTreeSet::new());
+    a.visit_stmt(body);
+    a.0
+}
+
 // ---------------------------------------------------------------------------
 // Access collection
 // ---------------------------------------------------------------------------
@@ -372,31 +393,137 @@ pub(crate) struct DepAccess {
     pub(crate) sub: Option<LinSubscript>,
     /// Source-like rendering of the subscript (empty for scalars).
     pub(crate) text: String,
-    /// Program-order rank (collection order), used to orient
-    /// loop-independent dependences.
+    /// Rank in the body's evaluation order: an assignment's write follows
+    /// the reads of its right-hand side.
     order: usize,
+    /// Whether the access sits under a branch, in an inner loop or behind a
+    /// `continue`: some iterations may skip it.
+    conditional: bool,
 }
+
+/// The accesses of one variable, in evaluation order.
+pub(crate) struct VarAccesses {
+    pub(crate) name: String,
+    /// A pointer-typed base: it may alias any other base.
+    pointer: bool,
+    pub(crate) list: Vec<DepAccess>,
+}
+
+/// A limit entry: variable, why the tests cannot judge it, where.
+type Limit = (String, String, SourceLocation);
 
 /// Collects the per-variable accesses of a loop body. Shared with the race
 /// detector ([`crate::race`]), which reads `locals` and `accesses`.
 pub(crate) struct DepCollector<'a> {
     levels: &'a [LevelInfo],
     ivs: BTreeMap<DeclId, usize>,
+    /// Scalars the body assigns.
+    assigned: BTreeSet<DeclId>,
+    /// Body locals initialised once and never assigned: a use stands for
+    /// the initialiser.
+    defs: BTreeMap<DeclId, P<Expr>>,
     pub(crate) locals: BTreeSet<DeclId>,
-    pub(crate) accesses: BTreeMap<DeclId, (String, Vec<DepAccess>)>,
-    limits: Vec<(String, String, SourceLocation)>,
+    pub(crate) accesses: BTreeMap<DeclId, VarAccesses>,
+    /// Accesses the tests cannot model: (variable, why, where).
+    unmodeled: Vec<(DeclId, String, SourceLocation)>,
     next_order: usize,
+    /// Nesting depth of branches, inner loops and `continue`s seen so far.
+    cond_depth: usize,
 }
 
 impl<'a> DepCollector<'a> {
-    pub(crate) fn new(levels: &'a [LevelInfo]) -> Self {
-        DepCollector {
+    /// Collects the accesses of `body`, the innermost body of the nest
+    /// `levels` describes.
+    pub(crate) fn collect(levels: &'a [LevelInfo], body: &P<Stmt>) -> Self {
+        let mut col = DepCollector {
             levels,
             ivs: levels.iter().enumerate().map(|(k, l)| (l.iv, k)).collect(),
+            assigned: assigned_vars(body),
+            defs: BTreeMap::new(),
             locals: BTreeSet::new(),
             accesses: BTreeMap::new(),
-            limits: Vec::new(),
+            unmodeled: Vec::new(),
             next_order: 0,
+            cond_depth: 0,
+        };
+        col.visit_stmt(body);
+        col
+    }
+
+    /// Whether each iteration has its own copy of `id`: a loop counter or a
+    /// local of the body (not a pointer — the memory it points to is not
+    /// the iteration's).
+    fn is_private(&self, id: DeclId) -> bool {
+        self.ivs.contains_key(&id)
+            || (self.locals.contains(&id) && !self.accesses.get(&id).is_some_and(|v| v.pointer))
+    }
+
+    fn writes(&self, id: DeclId) -> bool {
+        (self.accesses.get(&id)).is_some_and(|v| v.list.iter().any(|a| a.write))
+    }
+
+    /// The unmodeled accesses of the variables `written` selects.
+    fn limits(&self, written: impl Fn(DeclId) -> bool) -> Vec<Limit> {
+        (self.unmodeled.iter())
+            .filter(|(id, ..)| written(*id) && !self.is_private(*id))
+            .map(|(id, why, loc)| (self.accesses[id].name.clone(), why.clone(), *loc))
+            .collect()
+    }
+
+    /// Linearizes `e` as an affine function of the nest's iteration
+    /// variables. Returns `None` for anything non-affine.
+    fn linearize(&self, e: &P<Expr>) -> Option<(Vec<i128>, i128)> {
+        let depth = self.levels.len();
+        let e = e.ignore_wrappers();
+        let varies = |id| {
+            self.ivs.contains_key(&id) || self.assigned.contains(&id) || self.locals.contains(&id)
+        };
+        let affine = |a: Option<(Vec<i128>, i128)>, b: Option<(Vec<i128>, i128)>, sign: i128| {
+            let ((ca, oa), (cb, ob)) = (a?, b?);
+            Some((
+                ca.iter().zip(&cb).map(|(x, y)| x + sign * y).collect(),
+                oa + sign * ob,
+            ))
+        };
+        match &e.kind {
+            ExprKind::DeclRef(v) => {
+                if let Some(&k) = self.ivs.get(&v.id) {
+                    let mut coefs = vec![0; depth];
+                    coefs[k] = 1;
+                    return Some((coefs, 0));
+                }
+                if self.assigned.contains(&v.id) {
+                    return None;
+                }
+                match self.defs.get(&v.id) {
+                    Some(init) => self.linearize(init),
+                    None => e.eval_const_int().map(|c| (vec![0; depth], c)),
+                }
+            }
+            ExprKind::ExplicitCast(_, s) if e.ty.is_integer() => self.linearize(s),
+            ExprKind::Unary(UnOp::Plus, s) => self.linearize(s),
+            ExprKind::Unary(UnOp::Minus, s) => {
+                let (coefs, off) = self.linearize(s)?;
+                Some((coefs.iter().map(|c| -c).collect(), -off))
+            }
+            ExprKind::Binary(BinOp::Add, a, b) => affine(self.linearize(a), self.linearize(b), 1),
+            ExprKind::Binary(BinOp::Sub, a, b) => affine(self.linearize(a), self.linearize(b), -1),
+            ExprKind::Binary(BinOp::Mul, a, b) => {
+                let (ca, oa) = self.linearize(a)?;
+                let (cb, ob) = self.linearize(b)?;
+                // One side must be constant for the product to stay affine.
+                if ca.iter().all(|&c| c == 0) {
+                    Some((cb.iter().map(|c| c * oa).collect(), ob * oa))
+                } else if cb.iter().all(|&c| c == 0) {
+                    Some((ca.iter().map(|c| c * ob).collect(), oa * ob))
+                } else {
+                    None
+                }
+            }
+            // Constant folding must not see through a variable that varies
+            // in the nest (a compiler-generated counter folds to its start).
+            _ if mentions(e, varies) => None,
+            _ => e.eval_const_int().map(|c| (vec![0; depth], c)),
         }
     }
 
@@ -406,7 +533,7 @@ impl<'a> DepCollector<'a> {
     /// element-count stride of dimension `k` — as weights.
     fn classify(
         &mut self,
-        name: &str,
+        var: DeclId,
         idxs: &[&P<Expr>],
         strides: &[i128],
     ) -> (Option<LinSubscript>, String) {
@@ -414,9 +541,9 @@ impl<'a> DepCollector<'a> {
         let mut raw = vec![0i128; depth];
         let mut raw_off = 0i128;
         for (idx, &stride) in idxs.iter().zip(strides) {
-            let Some((r, o)) = linearize(idx, &self.ivs, depth) else {
-                self.limits.push((
-                    name.to_string(),
+            let Some((r, o)) = self.linearize(idx) else {
+                self.unmodeled.push((
+                    var,
                     "subscript is not affine in the loop iteration variables".to_string(),
                     idx.loc,
                 ));
@@ -428,28 +555,14 @@ impl<'a> DepCollector<'a> {
             raw_off += stride * o;
         }
         let text = render_affine(&raw, raw_off, self.levels);
-        let mut coefs = Some(Vec::with_capacity(depth));
-        let mut off = Some(raw_off);
-        for (k, &a) in raw.iter().enumerate() {
-            if a == 0 {
-                if let Some(c) = coefs.as_mut() {
-                    c.push(0);
-                }
-                continue;
-            }
-            match self.levels[k].step {
-                Some(s) => {
-                    if let Some(c) = coefs.as_mut() {
-                        c.push(a * s);
-                    }
-                }
-                None => coefs = None,
-            }
-            match self.levels[k].lb {
-                Some(lb) => off = off.map(|o| o + a * lb),
-                None => off = None,
-            }
-        }
+        // A level the subscript does not use needs neither step nor bound.
+        let levels = || raw.iter().zip(self.levels);
+        let coefs = levels()
+            .map(|(&a, l)| l.step.map(|s| a * s).or((a == 0).then_some(0)))
+            .collect();
+        let off = levels().try_fold(raw_off, |o, (&a, l)| {
+            l.lb.map(|lb| o + a * lb).or((a == 0).then_some(o))
+        });
         (
             Some(LinSubscript {
                 raw,
@@ -461,101 +574,181 @@ impl<'a> DepCollector<'a> {
         )
     }
 
+    /// The variable an element access is based on, with its modeled
+    /// subscript — or `None` with the reason recorded as unmodeled.
+    fn element(&mut self, e: &P<Expr>) -> Option<(P<VarDecl>, Option<LinSubscript>, String)> {
+        let unmodeled = |col: &mut Self, v: &P<VarDecl>, why: &str| {
+            col.unmodeled.push((v.id, why.to_string(), e.loc));
+            Some((P::clone(v), None, String::new()))
+        };
+        if let ExprKind::Unary(UnOp::Deref, p) = &e.kind {
+            let v = pointer_root(p)?;
+            return unmodeled(self, v, "access through a dereferenced pointer");
+        }
+        let (base, idxs) = subscript_chain(e);
+        let Some(v) = base.as_decl_ref() else {
+            let v = pointer_root(base)?;
+            return unmodeled(self, v, "access through a computed pointer");
+        };
+        if v.ty.is_pointer() && self.locals.contains(&v.id) {
+            return unmodeled(self, v, "access through a pointer declared inside the loop");
+        }
+        let Some(strides) = element_strides(&v.ty, idxs.len()) else {
+            return unmodeled(
+                self,
+                v,
+                "subscript chain does not match the array's dimensions",
+            );
+        };
+        let (sub, text) = self.classify(v.id, &idxs, &strides);
+        Some((P::clone(v), sub, text))
+    }
+
     fn record(&mut self, e: &P<Expr>, write: bool) {
         let e = e.ignore_wrappers();
         let order = self.next_order;
         self.next_order += 1;
-        match &e.kind {
-            ExprKind::DeclRef(v) => {
-                let (id, name) = (v.id, v.name.clone());
-                self.accesses
-                    .entry(id)
-                    .or_insert_with(|| (name, Vec::new()))
-                    .1
-                    .push(DepAccess {
-                        loc: e.loc,
-                        write,
-                        array: false,
-                        sub: None,
-                        text: String::new(),
-                        order,
-                    });
+        let (v, array, sub, text) = match &e.kind {
+            ExprKind::DeclRef(v) => (P::clone(v), false, None, String::new()),
+            ExprKind::ArraySubscript(..) | ExprKind::Unary(UnOp::Deref, _) => {
+                let Some((v, sub, text)) = self.element(e) else {
+                    return;
+                };
+                (v, true, sub, text)
             }
-            ExprKind::ArraySubscript(..) => {
-                let (base, idxs) = subscript_chain(e);
-                if let Some(v) = base.as_decl_ref() {
-                    let (id, name) = (v.id, v.name.clone());
-                    let (sub, text) = match element_strides(&v.ty, idxs.len()) {
-                        Some(strides) => self.classify(&name, &idxs, &strides),
-                        None => {
-                            self.limits.push((
-                                name.clone(),
-                                "subscript chain does not match the array's dimensions".to_string(),
-                                e.loc,
-                            ));
-                            (None, String::new())
-                        }
-                    };
-                    self.accesses
-                        .entry(id)
-                        .or_insert_with(|| (name, Vec::new()))
-                        .1
-                        .push(DepAccess {
-                            loc: e.loc,
-                            write,
-                            array: true,
-                            sub,
-                            text,
-                            order,
-                        });
+            _ => return,
+        };
+        let access = DepAccess {
+            loc: e.loc,
+            write,
+            array,
+            sub,
+            text,
+            order,
+            conditional: self.cond_depth > 0,
+        };
+        (self.accesses.entry(v.id))
+            .or_insert_with(|| VarAccesses {
+                name: v.name.clone(),
+                pointer: v.ty.is_pointer(),
+                list: Vec::new(),
+            })
+            .list
+            .push(access);
+    }
+
+    /// Visits what computing the address of the lvalue `e` reads.
+    fn visit_address(&mut self, e: &P<Expr>) {
+        match &e.ignore_wrappers().kind {
+            ExprKind::Unary(UnOp::Deref, p) => self.visit_expr(p),
+            _ => {
+                for idx in subscript_chain(e).1 {
+                    self.visit_expr(idx);
                 }
             }
-            _ => {}
         }
+    }
+
+    /// Visits `f`'s part of the body as code some iterations may skip.
+    fn conditionally(&mut self, f: impl FnOnce(&mut Self)) {
+        self.cond_depth += 1;
+        f(self);
+        self.cond_depth -= 1;
     }
 }
 
 impl StmtVisitor for DepCollector<'_> {
     fn visit_stmt(&mut self, s: &P<Stmt>) {
-        if let StmtKind::Decl(decls) = &s.kind {
-            for d in decls {
-                if let Decl::Var(v) = d {
-                    self.locals.insert(v.id);
+        match &s.kind {
+            StmtKind::Decl(decls) => {
+                for d in decls {
+                    if let Decl::Var(v) = d {
+                        self.locals.insert(v.id);
+                        if let Some(init) = v.init.as_ref().filter(|_| !v.by_ref) {
+                            if !self.assigned.contains(&v.id) {
+                                self.defs.insert(v.id, P::clone(init));
+                            }
+                        }
+                    }
                 }
+                walk_stmt(self, s);
             }
+            StmtKind::If { cond, then, els } => {
+                self.visit_expr(cond);
+                self.conditionally(|c| {
+                    c.visit_stmt(then);
+                    if let Some(e) = els {
+                        c.visit_stmt(e);
+                    }
+                });
+            }
+            StmtKind::For { .. }
+            | StmtKind::CxxForRange(_)
+            | StmtKind::While { .. }
+            | StmtKind::DoWhile { .. } => self.conditionally(|c| walk_stmt(c, s)),
+            // Everything after a `continue` may be skipped.
+            StmtKind::Continue => self.cond_depth += 1,
+            _ => walk_stmt(self, s),
         }
-        walk_stmt(self, s);
     }
 
     fn visit_expr(&mut self, e: &P<Expr>) {
         match &e.kind {
             ExprKind::Binary(op, lhs, rhs) if op.is_assignment() => {
-                self.record(lhs, true);
+                self.visit_address(lhs);
                 if *op != BinOp::Assign {
                     self.record(lhs, false);
                 }
-                for idx in subscript_chain(lhs).1 {
-                    self.visit_expr(idx);
-                }
                 self.visit_expr(rhs);
+                self.record(lhs, true);
             }
             ExprKind::Unary(op, sub) if op.is_inc_dec() => {
-                self.record(sub, true);
+                self.visit_address(sub);
                 self.record(sub, false);
-                for idx in subscript_chain(sub).1 {
-                    self.visit_expr(idx);
-                }
+                self.record(sub, true);
+            }
+            ExprKind::Binary(BinOp::LAnd | BinOp::LOr, l, r) => {
+                self.visit_expr(l);
+                self.conditionally(|c| c.visit_expr(r));
+            }
+            ExprKind::Conditional(cond, t, f) => {
+                self.visit_expr(cond);
+                self.conditionally(|c| {
+                    c.visit_expr(t);
+                    c.visit_expr(f);
+                });
             }
             ExprKind::DeclRef(_) => self.record(e, false),
-            ExprKind::ArraySubscript(..) => {
+            ExprKind::ArraySubscript(..) | ExprKind::Unary(UnOp::Deref, _) => {
+                self.visit_address(e);
                 self.record(e, false);
-                for idx in subscript_chain(e).1 {
-                    self.visit_expr(idx);
-                }
             }
             _ => walk_expr(self, e),
         }
     }
+}
+
+/// Pairs of bases the subscript tests cannot tell apart: a base written in
+/// `writer` and a different one accessed in `other`, either pointer-typed.
+fn may_alias(writer: &DepCollector<'_>, other: &DepCollector<'_>) -> Vec<Limit> {
+    fn bases<'c>(c: &'c DepCollector<'_>) -> impl Iterator<Item = (&'c DeclId, &'c VarAccesses)> {
+        (c.accesses.iter()).filter(|(id, v)| !c.is_private(**id) && v.list.iter().any(|a| a.array))
+    }
+    let mut limits = Vec::new();
+    for (xid, x) in bases(writer) {
+        let Some(w) = x.list.iter().find(|a| a.write && a.array) else {
+            continue;
+        };
+        for (_, y) in bases(other).filter(|(yid, _)| *yid != xid) {
+            let why = match (x.pointer, y.pointer) {
+                (true, _) => format!("pointer may alias '{}'", y.name),
+                (false, true) => format!("may be aliased by pointer '{}'", y.name),
+                (false, false) => continue,
+            };
+            limits.push((x.name.clone(), why, w.loc));
+        }
+    }
+    limits
 }
 
 // ---------------------------------------------------------------------------
@@ -589,7 +782,7 @@ const MAX_SOLUTIONS: usize = 8;
 /// differences `d_k`, with `|d_k| <= bound_k` where known. Levels with a
 /// zero coefficient are unconstrained (`None` in the solution vector).
 fn solve_equal_coefs(coefs: &[i128], bounds: &[Option<i128>], target: i128) -> Solve {
-    let live: Vec<usize> = (0..coefs.len()).filter(|&k| coefs[k] != 0).collect();
+    let mut live: Vec<usize> = (0..coefs.len()).filter(|&k| coefs[k] != 0).collect();
     if live.is_empty() {
         return if target == 0 {
             Solve::Solutions(vec![vec![None; coefs.len()]])
@@ -601,64 +794,76 @@ fn solve_equal_coefs(coefs: &[i128], bounds: &[Option<i128>], target: i128) -> S
     if target % g != 0 {
         return Solve::Independent;
     }
-    // Recursive enumeration over the live levels, largest |c| first so the
-    // candidate windows stay small.
-    let mut order = live.clone();
-    order.sort_by_key(|&k| std::cmp::Reverse(coefs[k].abs()));
-    let mut solutions: Vec<Vec<Option<i128>>> = Vec::new();
-    let mut gave_up = false;
-    fn recurse(
-        order: &[usize],
-        coefs: &[i128],
-        bounds: &[Option<i128>],
-        target: i128,
-        partial: &mut Vec<(usize, i128)>,
-        solutions: &mut Vec<Vec<Option<i128>>>,
-        gave_up: &mut bool,
-    ) {
-        if *gave_up {
+    // Enumerate the live levels largest |c| first, so the candidate windows
+    // stay small.
+    live.sort_by_key(|&k| std::cmp::Reverse(coefs[k].abs()));
+    let mut miv = Miv {
+        coefs,
+        bounds,
+        partial: Vec::new(),
+        solutions: Vec::new(),
+        gave_up: false,
+    };
+    miv.solve(&live, target);
+    if miv.gave_up {
+        Solve::GiveUp
+    } else if miv.solutions.is_empty() {
+        Solve::Independent
+    } else {
+        Solve::Solutions(miv.solutions)
+    }
+}
+
+/// The bounded enumeration behind [`solve_equal_coefs`].
+struct Miv<'c> {
+    coefs: &'c [i128],
+    bounds: &'c [Option<i128>],
+    /// The differences chosen so far: (level, d).
+    partial: Vec<(usize, i128)>,
+    solutions: Vec<Vec<Option<i128>>>,
+    gave_up: bool,
+}
+
+impl Miv<'_> {
+    /// Extends `partial` over the levels `order` so the remaining terms
+    /// sum to `target`.
+    fn solve(&mut self, order: &[usize], target: i128) {
+        if self.gave_up {
             return;
         }
         let Some((&k, rest)) = order.split_first() else {
             if target == 0 {
-                if solutions.len() >= MAX_SOLUTIONS {
-                    *gave_up = true;
+                if self.solutions.len() >= MAX_SOLUTIONS {
+                    self.gave_up = true;
                     return;
                 }
-                let mut sol = vec![None; coefs.len()];
-                for &(lvl, v) in partial.iter() {
+                let mut sol = vec![None; self.coefs.len()];
+                for &(lvl, v) in &self.partial {
                     sol[lvl] = Some(v);
                 }
-                solutions.push(sol);
+                self.solutions.push(sol);
             }
             return;
         };
-        let c = coefs[k];
+        let c = self.coefs[k];
         if rest.is_empty() {
             // Exact solve on the last live level: no bound needed.
-            if target % c == 0 {
-                let d = target / c;
-                if bounds[k].is_none_or(|b| d.abs() <= b) {
-                    partial.push((k, d));
-                    recurse(rest, coefs, bounds, 0, partial, solutions, gave_up);
-                    partial.pop();
-                }
+            let d = target / c;
+            if target % c == 0 && self.bounds[k].is_none_or(|b| d.abs() <= b) {
+                self.choose(k, d, rest, 0);
             }
             return;
         }
         // The remaining levels can absorb at most `slack`; that bounds this
-        // level's candidate window. Every remaining level needs a known
-        // trip count for the window to be finite.
-        let mut slack: i128 = 0;
-        for &j in rest {
-            match bounds[j] {
-                Some(b) => slack += coefs[j].abs() * b,
-                None => {
-                    *gave_up = true;
-                    return;
-                }
-            }
-        }
+        // level's candidate window. This level and every remaining one need
+        // a known trip count for the window to be finite.
+        let slack: Option<i128> = (rest.iter())
+            .map(|&j| self.bounds[j].map(|b| self.coefs[j].abs() * b))
+            .sum();
+        let (Some(slack), Some(b)) = (slack, self.bounds[k]) else {
+            self.gave_up = true;
+            return;
+        };
         // `c*d` must land in `[target - slack, target + slack]`. Normalize
         // to a positive divisor so the euclidean roundings are exact.
         let (cc, tlo, thi) = if c > 0 {
@@ -666,52 +871,22 @@ fn solve_equal_coefs(coefs: &[i128], bounds: &[Option<i128>], target: i128) -> S
         } else {
             (-c, -(target + slack), -(target - slack))
         };
-        let ceil_div = |a: i128, b: i128| -(-a).div_euclid(b);
-        let (mut lo, mut hi) = (ceil_div(tlo, cc), thi.div_euclid(cc));
-        if let Some(b) = bounds[k] {
-            lo = lo.max(-b);
-            hi = hi.min(b);
-        } else {
-            *gave_up = true;
-            return;
-        }
+        let lo = (-(-tlo).div_euclid(cc)).max(-b);
+        let hi = thi.div_euclid(cc).min(b);
         if hi - lo + 1 > MAX_CANDIDATES_PER_LEVEL {
-            *gave_up = true;
+            self.gave_up = true;
             return;
         }
         for d in lo..=hi {
-            partial.push((k, d));
-            recurse(
-                rest,
-                coefs,
-                bounds,
-                target - c * d,
-                partial,
-                solutions,
-                gave_up,
-            );
-            partial.pop();
-            if *gave_up {
-                return;
-            }
+            self.choose(k, d, rest, target - c * d);
         }
     }
-    let mut partial = Vec::new();
-    recurse(
-        &order,
-        coefs,
-        bounds,
-        target,
-        &mut partial,
-        &mut solutions,
-        &mut gave_up,
-    );
-    if gave_up {
-        Solve::GiveUp
-    } else if solutions.is_empty() {
-        Solve::Independent
-    } else {
-        Solve::Solutions(solutions)
+
+    /// Tries `d` for level `k`, then solves the rest.
+    fn choose(&mut self, k: usize, d: i128, rest: &[usize], target: i128) {
+        self.partial.push((k, d));
+        self.solve(rest, target);
+        self.partial.pop();
     }
 }
 
@@ -796,7 +971,7 @@ pub(crate) fn level_info(levels: &[CanonicalLoopAnalysis]) -> Vec<LevelInfo> {
 /// Turns one solution vector into a normalized [`Dependence`], or `None`
 /// for the self-pair same-iteration case.
 fn make_dependence(
-    name: &str,
+    (var, name): (DeclId, &str),
     x: &DepAccess,
     y: &DepAccess,
     sol: &[Option<i128>],
@@ -808,7 +983,7 @@ fn make_dependence(
     }
     // Orient the dependence source → sink: flip when the leading non-zero
     // distance is negative, or (for loop-independent dependences) when the
-    // sink precedes the source in program order.
+    // sink precedes the source in evaluation order.
     let leading = sol.iter().flatten().find(|&&d| d != 0);
     let flip = match leading {
         Some(&d) => {
@@ -844,12 +1019,14 @@ fn make_dependence(
         (false, false) => return None,
     };
     Some(Dependence {
+        var,
         name: name.to_string(),
         kind,
         src: (src.text.clone(), src.loc),
         dst: (dst.text.clone(), dst.loc),
         directions,
         distances: dists,
+        lexically_backward: dst.order <= src.order,
     })
 }
 
@@ -860,26 +1037,29 @@ impl DependenceGraph {
     pub fn compute(levels: &[CanonicalLoopAnalysis]) -> DependenceGraph {
         omplt_trace::count("analysis.depend.graphs", 1);
         let info = level_info(levels);
-        let mut col = DepCollector::new(&info);
-        col.visit_stmt(&levels[levels.len() - 1].body);
+        let col = DepCollector::collect(&info, &levels[levels.len() - 1].body);
 
         let mut deps: Vec<Dependence> = Vec::new();
-        let mut limits = std::mem::take(&mut col.limits);
-        for (id, (name, accesses)) in &col.accesses {
-            if col.ivs.contains_key(id) || col.locals.contains(id) {
+        let mut limits = col.limits(|id| col.writes(id));
+        limits.extend(may_alias(&col, &col));
+        let mut write_first = BTreeSet::new();
+        for (&id, var) in &col.accesses {
+            if col.is_private(id) || !col.writes(id) {
                 continue;
             }
-            if !accesses.iter().any(|a| a.write) {
-                continue;
-            }
+            let name = &var.name;
             // Scalar writes: the variable is live across iterations, which
             // carries a dependence at every level.
-            if let Some(w) = accesses.iter().find(|a| a.write && !a.array) {
-                let other = accesses
-                    .iter()
+            if let Some(w) = var.list.iter().find(|a| a.write && !a.array) {
+                let first = var.list.iter().find(|a| !a.array).unwrap_or(w);
+                if first.write && !first.conditional {
+                    write_first.insert(id);
+                }
+                let other = (var.list.iter())
                     .find(|a| !std::ptr::eq::<DepAccess>(*a, w))
                     .unwrap_or(w);
                 deps.push(Dependence {
+                    var: id,
                     name: name.clone(),
                     kind: if other.write {
                         DepKind::Output
@@ -890,11 +1070,12 @@ impl DependenceGraph {
                     dst: (String::new(), other.loc),
                     directions: vec![Direction::Any; levels.len()],
                     distances: vec![None; levels.len()],
+                    lexically_backward: true,
                 });
                 continue;
             }
-            for (i, x) in accesses.iter().enumerate() {
-                for y in &accesses[i..] {
+            for (i, x) in var.list.iter().enumerate() {
+                for y in &var.list[i..] {
                     let same_access = std::ptr::eq::<DepAccess>(x, y);
                     if !x.write && !y.write {
                         continue;
@@ -906,7 +1087,8 @@ impl DependenceGraph {
                         Solve::Independent => {}
                         Solve::Solutions(sols) => {
                             for sol in &sols {
-                                if let Some(d) = make_dependence(name, x, y, sol, same_access) {
+                                if let Some(d) = make_dependence((id, name), x, y, sol, same_access)
+                                {
                                     deps.push(d);
                                 }
                             }
@@ -927,6 +1109,7 @@ impl DependenceGraph {
             depth: levels.len(),
             deps,
             limits,
+            write_first,
         }
     }
 }
@@ -942,10 +1125,11 @@ pub(crate) fn analyses(d: &OMPDirective) -> Vec<CanonicalLoopAnalysis> {
 }
 
 /// Extends a directive's nest downwards, up to `max_depth` levels, while
-/// the next level is a loop in canonical form with nothing beside it. No
-/// directive is associated with these loops, so nobody has analysed them
-/// and a refusal is nobody's error: this is the one call into the
-/// canonical-form analysis behind Sema.
+/// the next level is a loop in canonical form with nothing beside it and
+/// with bounds the enclosing levels do not move — the tests treat levels
+/// as independent. No directive is associated with these loops, so nobody
+/// has analysed them and a refusal is nobody's error: this is the one call
+/// into the canonical-form analysis behind Sema.
 fn extend_while_perfect(levels: &mut Vec<CanonicalLoopAnalysis>, max_depth: usize) {
     while levels.len() < max_depth {
         let Some(innermost) = levels.last() else {
@@ -957,26 +1141,49 @@ fn extend_while_perfect(levels: &mut Vec<CanonicalLoopAnalysis>, max_depth: usiz
         let analyzed = next.filter(|l| l.intervening.is_empty()).and_then(|l| {
             analyze_canonical_loop(&ASTContext::new(), &l.loop_stmt, "loop analysis").ok()
         });
-        match analyzed {
+        let outer: BTreeSet<DeclId> = levels.iter().map(|l| l.iter_var.id).collect();
+        let rectangular = |l: &CanonicalLoopAnalysis| {
+            [&l.lb, &l.ub, &l.step]
+                .iter()
+                .all(|e| !mentions(e, |id| outer.contains(&id)))
+        };
+        match analyzed.filter(rectangular) {
             Some(level) => levels.push(level),
             None => return,
         }
     }
 }
 
+/// The lanes a dependence carried at `level` leaves: its distance
+/// linearised over the levels from `level` to the innermost collapsed one,
+/// whose constant trip counts are `trips`. `None` when a distance is
+/// unconstrained or a needed trip count is symbolic.
+fn linear_distance(dists: &[Option<i128>], trips: &[Option<u64>]) -> Option<u64> {
+    let (mut sum, mut weight) = (0i128, Some(1i128));
+    for (d, tc) in dists.iter().zip(trips).rev() {
+        let d = (*d)?;
+        if d != 0 {
+            sum = sum.checked_add(d.checked_mul(weight?)?)?;
+        }
+        weight = weight
+            .zip(*tc)
+            .and_then(|(w, t)| w.checked_mul(i128::from(t)));
+    }
+    u64::try_from(sum).ok()
+}
+
 struct DependVisitor<'d> {
     diags: &'d DiagnosticsEngine,
-    checks: Checks,
 }
 
 impl StmtVisitor for DependVisitor<'_> {
     fn visit_stmt(&mut self, s: &P<Stmt>) {
         if let StmtKind::OMP(d) = &s.kind {
-            match (self.checks, d.kind) {
-                (Checks::OrderChanging, OMPDirectiveKind::Interchange) => self.check_interchange(d),
-                (Checks::OrderChanging, OMPDirectiveKind::Reverse) => self.check_reverse(d),
-                (Checks::OrderChanging, OMPDirectiveKind::Fuse) => self.check_fuse(d),
-                (Checks::SimdDistance, k) if k.has_simd() => self.check_simd(d),
+            match d.kind {
+                OMPDirectiveKind::Interchange => self.check_interchange(d),
+                OMPDirectiveKind::Reverse => self.check_reverse(d),
+                OMPDirectiveKind::Fuse => self.check_fuse(d),
+                k if k.has_simd() => d.simd_lanes.set(Some(self.simd_lanes(d))),
                 _ => {}
             }
         }
@@ -998,7 +1205,7 @@ impl DependVisitor<'_> {
         );
     }
 
-    fn limit_notes(limits: &[(String, String, SourceLocation)]) -> Vec<Diagnostic> {
+    fn limit_notes(limits: &[Limit]) -> Vec<Diagnostic> {
         limits
             .iter()
             .take(3)
@@ -1006,8 +1213,15 @@ impl DependVisitor<'_> {
             .collect()
     }
 
-    fn violation(&self, d: &P<OMPDirective>, pragma: &str, why: String, dep: &Dependence) {
-        omplt_trace::count("analysis.depend.illegal", 1);
+    /// Reports `message` at the directive with the dependence's source and
+    /// sink as notes.
+    fn report_dependence(
+        &self,
+        level: Level,
+        d: &P<OMPDirective>,
+        message: String,
+        dep: &Dependence,
+    ) {
         let sub = |(text, _): &(String, SourceLocation)| -> String {
             if text.is_empty() {
                 String::new()
@@ -1016,9 +1230,9 @@ impl DependVisitor<'_> {
             }
         };
         self.diags.report_with_notes(
-            Level::Error,
+            level,
             d.loc,
-            format!("'{pragma}' is illegal here: {why}"),
+            message,
             vec![
                 Diagnostic::note(
                     dep.src.1,
@@ -1039,6 +1253,12 @@ impl DependVisitor<'_> {
                 ),
             ],
         );
+    }
+
+    fn violation(&self, d: &P<OMPDirective>, pragma: &str, why: String, dep: &Dependence) {
+        omplt_trace::count("analysis.depend.illegal", 1);
+        let message = format!("'{pragma}' is illegal here: {why}");
+        self.report_dependence(Level::Error, d, message, dep);
     }
 
     /// The graph of a single-nest directive over the nest Sema resolved
@@ -1089,62 +1309,59 @@ impl DependVisitor<'_> {
         }
     }
 
-    /// `simd` (and the `for simd` composites) promise that consecutive
-    /// iterations may execute as concurrent lanes. Anti dependences survive
-    /// (the lane model preserves in-chunk textual order); a loop-carried
-    /// flow or output dependence is illegal unless its distance leaves room
-    /// for at least two lanes — or unless `safelen` already caps the lane
-    /// span at or below the distance.
-    fn check_simd(&mut self, d: &P<OMPDirective>) {
+    /// How many consecutive iterations of `d`'s loop may run as lock-step
+    /// lanes (`u64::MAX`: unbounded). Below two — and below what `safelen`
+    /// already allows — the loop runs scalar, and says why.
+    fn simd_lanes(&self, d: &P<OMPDirective>) -> u64 {
         let pragma = d.pragma_text();
-        let Some(graph) = self.graph_for(d, &pragma) else {
-            return;
+        // What the tests cannot judge has been reported; it runs scalar.
+        let Some(graph) = self
+            .graph_for(d, &pragma)
+            .filter(DependenceGraph::is_complete)
+        else {
+            return 1;
         };
-        let safelen = d.clause_value(OMPClauseKind::Safelen);
-        // Variables the directive privatizes per lane carry no cross-lane
-        // dependence: each lane gets its own copy (reductions combine after
-        // the loop).
-        let privatized: std::collections::HashSet<String> = d
-            .clauses
-            .iter()
+        let private: BTreeSet<DeclId> = (d.clauses.iter())
             .filter(|c| {
                 use OMPClauseKind::{FirstPrivate, Private, Reduction};
                 matches!(c.kind, Reduction | Private | FirstPrivate)
             })
             .flat_map(|c| &c.args)
-            .filter_map(|e| e.as_decl_ref().map(|v| v.name.clone()))
+            .filter_map(|e| e.as_decl_ref().map(|v| v.id))
+            .chain(graph.write_first.iter().copied())
             .collect();
-        for dep in graph.deps.iter().filter(|p| p.carried_level() == Some(0)) {
-            if dep.kind == DepKind::Anti || privatized.contains(&dep.name) {
+        let trips: Vec<Option<u64>> = (d.nest.iter())
+            .map(|l| l.analysis.const_trip_count())
+            .collect();
+        let mut lanes = u64::MAX;
+        let mut culprit = None;
+        for dep in &graph.deps {
+            let Some(level) = dep.carried_level().filter(|&l| l < trips.len()) else {
+                continue;
+            };
+            // Lock-step lanes keep a lexically forward dependence's order.
+            let forward = dep.directions[level] == Direction::Lt && !dep.lexically_backward;
+            if forward || private.contains(&dep.var) {
                 continue;
             }
-            let illegal = match dep.distances[0] {
-                Some(dist) => match safelen {
-                    // The user-asserted lane span must not exceed the
-                    // provable dependence distance.
-                    Some(s) => u128::from(s) > dist.unsigned_abs(),
-                    // No cap: distance 1 forbids any lane pair; distance
-                    // >= 2 still admits a narrower vector (the backend
-                    // clamps its width to the distance).
-                    None => dist.unsigned_abs() < 2,
-                },
-                None => true, // carried at an unprovable distance
-            };
-            if illegal {
-                self.violation(
-                    d,
-                    &pragma,
-                    format!(
-                        "concurrent lanes would violate the loop-carried {} dependence on '{}' with distance vector {}",
-                        dep.kind,
-                        dep.name,
-                        dep.distance_vector()
-                    ),
-                    dep,
-                );
-                return;
+            let distance = linear_distance(&dep.distances[level..trips.len()], &trips[level..]);
+            let distance = distance.unwrap_or(1);
+            if distance < lanes {
+                (lanes, culprit) = (distance, Some(dep));
             }
         }
+        let safelen = d.clause_value(OMPClauseKind::Safelen);
+        if let Some(dep) = culprit.filter(|_| lanes < 2 && safelen.is_none_or(|s| s > lanes)) {
+            let message = format!(
+                "'{pragma}' is not applied: concurrent lanes would violate the loop-carried \
+                 {} dependence on '{}' with distance vector {} [-Wpass-failed=transform-warning]",
+                dep.kind,
+                dep.name,
+                dep.distance_vector()
+            );
+            self.report_dependence(Level::Warning, d, message, dep);
+        }
+        lanes
     }
 
     fn check_reverse(&mut self, d: &P<OMPDirective>) {
@@ -1180,15 +1397,19 @@ impl DependVisitor<'_> {
             .iter()
             .map(|l| level_info(std::slice::from_ref(l)))
             .collect();
-        let mut collected = Vec::with_capacity(loops.len());
-        let mut limits: Vec<(String, String, SourceLocation)> = Vec::new();
-        for (l, info) in loops.iter().zip(&infos) {
-            let mut col = DepCollector::new(info);
-            col.visit_stmt(&l.body);
-            limits.append(&mut col.limits);
-            collected.push(col);
-        }
+        let collected: Vec<DepCollector<'_>> = (loops.iter().zip(&infos))
+            .map(|(l, info)| DepCollector::collect(info, &l.body))
+            .collect();
         omplt_trace::count("analysis.depend.graphs", 1);
+        // A variable any member writes is judged in all of them.
+        let written = |id: DeclId| collected.iter().any(|c| c.writes(id));
+        let mut limits: Vec<Limit> = collected.iter().flat_map(|c| c.limits(written)).collect();
+        for (p, first) in collected.iter().enumerate() {
+            for second in &collected[p + 1..] {
+                limits.extend(may_alias(first, second));
+                limits.extend(may_alias(second, first));
+            }
+        }
         if !limits.is_empty() {
             self.analysis_limit(
                 d.loc,
@@ -1200,63 +1421,63 @@ impl DependVisitor<'_> {
         // Cross-loop pairs: an access in loop p against one in loop q > p.
         for p in 0..collected.len() {
             for q in p + 1..collected.len() {
-                if let Some((dep, why)) = self.fuse_pair(&collected[p], &collected[q]) {
-                    match dep {
-                        Some(dep) => {
-                            self.violation(
-                                d,
-                                &pragma,
-                                format!(
-                                    "fusing loops {} and {} creates a negative-distance {} \
-                                     dependence on '{}' (distance {})",
-                                    p + 1,
-                                    q + 1,
-                                    dep.kind,
-                                    dep.name,
-                                    dep.distances[0].map_or("*".to_string(), |v| v.to_string())
-                                ),
-                                &dep,
-                            );
-                        }
-                        None => {
-                            self.analysis_limit(d.loc, &pragma, &why, Vec::new());
-                        }
-                    }
-                    return;
+                match Self::fuse_pair(&collected[p], &collected[q]) {
+                    Some(Ok(dep)) => self.violation(
+                        d,
+                        &pragma,
+                        format!(
+                            "fusing loops {} and {} creates a negative-distance {} \
+                             dependence on '{}' (distance {})",
+                            p + 1,
+                            q + 1,
+                            dep.kind,
+                            dep.name,
+                            dep.distances[0].map_or("*".to_string(), |v| v.to_string())
+                        ),
+                        &dep,
+                    ),
+                    Some(Err(why)) => self.analysis_limit(d.loc, &pragma, &why, Vec::new()),
+                    None => continue,
                 }
+                return;
             }
         }
     }
 
-    /// Tests every same-variable access pair across two fused loops.
-    /// Returns `Some((Some(dep), _))` for a proven violation,
-    /// `Some((None, why))` when a pair defeats the tests.
-    #[allow(clippy::type_complexity)]
+    /// Tests every same-variable access pair across two fused loops: a
+    /// proven violation, or why a pair defeats the tests.
     fn fuse_pair(
-        &self,
         first: &DepCollector<'_>,
         second: &DepCollector<'_>,
-    ) -> Option<(Option<Dependence>, String)> {
-        for (id, (name, xs)) in &first.accesses {
-            if first.locals.contains(id) || first.ivs.contains_key(id) {
-                continue;
-            }
-            let Some((_, ys)) = second.accesses.get(id) else {
+    ) -> Option<Result<Dependence, String>> {
+        for (&id, VarAccesses { name, list: xs, .. }) in &first.accesses {
+            let Some(VarAccesses { list: ys, .. }) = second.accesses.get(&id) else {
                 continue;
             };
-            if second.locals.contains(id) || second.ivs.contains_key(id) {
+            if first.is_private(id) || second.is_private(id) {
                 continue;
             }
+            // Source `x` in the first loop, sink `y` `distance` iterations of
+            // the second loop later.
+            let dependence = |x: &DepAccess, y: &DepAccess, kind, distance: Option<i128>| {
+                Some(Ok(Dependence {
+                    var: id,
+                    name: name.clone(),
+                    kind,
+                    src: (x.text.clone(), x.loc),
+                    dst: (y.text.clone(), y.loc),
+                    directions: vec![distance.map_or(Direction::Any, |_| Direction::Gt)],
+                    distances: vec![distance],
+                    lexically_backward: false,
+                }))
+            };
             for x in xs {
                 for y in ys {
-                    if !x.write && !y.write {
-                        continue;
-                    }
                     let kind = match (x.write, y.write) {
                         (true, true) => DepKind::Output,
                         (true, false) => DepKind::Flow,
                         (false, true) => DepKind::Anti,
-                        (false, false) => unreachable!(),
+                        (false, false) => continue,
                     };
                     if (x.array && x.sub.is_none()) || (y.array && y.sub.is_none()) {
                         continue; // unmodeled subscript — already in `limits`
@@ -1264,27 +1485,16 @@ impl DependVisitor<'_> {
                     // Scalar touched in both loops with a write involved:
                     // every iteration pair is related — fusion reorders it.
                     let (Some(sx), Some(sy)) = (&x.sub, &y.sub) else {
-                        return Some((
-                            Some(Dependence {
-                                name: name.clone(),
-                                kind,
-                                src: (x.text.clone(), x.loc),
-                                dst: (y.text.clone(), y.loc),
-                                directions: vec![Direction::Any],
-                                distances: vec![None],
-                            }),
-                            String::new(),
-                        ));
+                        return dependence(x, y, kind, None);
                     };
                     // Different iteration spaces: everything must fold to
                     // constants. `cx*K1 + ox == cy*K2 + oy`.
                     let (Some(cx), Some(cy), Some(ox), Some(oy)) =
                         (&sx.coefs, &sy.coefs, sx.off, sy.off)
                     else {
-                        return Some((
-                            None,
-                            format!("the bounds of the loops accessing '{name}' are not constant"),
-                        ));
+                        let why =
+                            format!("the bounds of the loops accessing '{name}' are not constant");
+                        return Some(Err(why));
                     };
                     let (a, b) = (cx[0], cy[0]);
                     let d = ox - oy;
@@ -1295,50 +1505,23 @@ impl DependVisitor<'_> {
                         // Same element in both loops: after fusion, early
                         // iterations of the second body see late iterations
                         // of the first — a negative-distance instance.
-                        return Some((
-                            Some(Dependence {
-                                name: name.clone(),
-                                kind,
-                                src: (x.text.clone(), x.loc),
-                                dst: (y.text.clone(), y.loc),
-                                directions: vec![Direction::Any],
-                                distances: vec![None],
-                            }),
-                            String::new(),
-                        ));
+                        return dependence(x, y, kind, None);
                     }
                     if a == b {
                         // Strong SIV across the loops: K2 - K1 == (ox-oy)/a.
-                        if d % a != 0 {
-                            continue;
-                        }
-                        let dist = d / a;
-                        if dist < 0 {
-                            return Some((
-                                Some(Dependence {
-                                    name: name.clone(),
-                                    kind,
-                                    src: (x.text.clone(), x.loc),
-                                    dst: (y.text.clone(), y.loc),
-                                    directions: vec![Direction::Gt],
-                                    distances: vec![Some(dist)],
-                                }),
-                                String::new(),
-                            ));
+                        if d % a == 0 && d / a < 0 {
+                            return dependence(x, y, kind, Some(d / a));
                         }
                         continue;
                     }
                     if gcd(a, b) != 0 && d % gcd(a, b) != 0 {
                         continue; // no integer solution at all
                     }
-                    return Some((
-                        None,
-                        format!(
-                            "cannot relate subscripts '{}' and '{}' of '{name}' across \
-                             the fused loops",
-                            x.text, y.text
-                        ),
-                    ));
+                    return Some(Err(format!(
+                        "cannot relate subscripts '{}' and '{}' of '{name}' across the fused \
+                         loops",
+                        x.text, y.text
+                    )));
                 }
             }
         }

@@ -7,17 +7,17 @@
 //!   itself refuses what it can judge while it builds a directive: loop
 //!   form, `break`/`return`, rectangularity, perfect nesting):
 //!   * the **legality gate** ([`legality_gate`]) — [`depend`] computes
-//!     per-nest distance/direction vectors from affine array subscripts
-//!     and refuses the `interchange`, `reverse` and `fuse` that would
-//!     reorder a dependence. It is the last step of every compile
+//!     per-nest distance/direction vectors from affine array subscripts,
+//!     refuses the `interchange`, `reverse` and `fuse` that would reorder a
+//!     dependence, and decides how many lanes each `simd` loop may run
+//!     (recorded on the directive for CodeGen's `safelen`; a loop that must
+//!     run scalar is a warning). It is the last step of every compile
 //!     (`CompilerInstance::parse_source`): a transformation the compiler
 //!     applies unconditionally must not be applied when it is proven wrong;
-//!   * the two **lints** ([`run_lints`], `--analyze` only) — what the
-//!     compiler executes faithfully whatever the verdict: [`depend`]'s
-//!     `simd` lane-distance check (the interpreter runs scalar, and the
-//!     VM's widening pass has its own distance test and clamps or refuses)
-//!     and [`race`], which detects data races in `#pragma omp parallel for`
-//!     regions by classifying variable references as private or shared;
+//!   * the **lint** ([`run_lints`], `--analyze` only) — [`race`], which
+//!     detects data races in `#pragma omp parallel for` regions by
+//!     classifying variable references as private or shared: the compiler
+//!     executes the program as written whatever the verdict;
 //! * at the **IR layer**, the canonical-loop skeleton verifier lives in
 //!   `omplt-midend` (re-exported here) so `--verify-each` can re-check the
 //!   skeleton invariants between passes and after every `OpenMPIRBuilder`
@@ -76,24 +76,21 @@ fn counted(diags: &DiagnosticsEngine, passes: impl FnOnce()) -> AnalysisReport {
     }
 }
 
-/// The legality gate: the dependence pass over the order-changing
-/// directives (`interchange`, `reverse`, `fuse`). A proven violation is an
-/// error; a nest the tests cannot judge is a `-Wanalysis-limit` warning.
+/// The legality gate: the dependence pass over `interchange`, `reverse`,
+/// `fuse` and the `simd`-bearing directives. A proven violation is an
+/// error; a `simd` loop bounded below two lanes, and a nest the tests
+/// cannot judge, are warnings. Records each `simd` directive's lane bound.
 pub fn legality_gate(tu: &TranslationUnit, diags: &DiagnosticsEngine) -> AnalysisReport {
     counted(diags, || {
         let _span = omplt_trace::span_detail("analysis.pass", "depend");
-        depend::check_translation_unit(tu, diags, depend::Checks::OrderChanging);
+        depend::check_translation_unit(tu, diags);
     })
 }
 
-/// The lints: findings about programs the compiler still executes as
-/// written — the `simd` lane-distance check and `-Wrace`.
+/// The lint: `-Wrace`, a finding about programs the compiler still
+/// executes as written.
 pub fn run_lints(tu: &TranslationUnit, diags: &DiagnosticsEngine) -> AnalysisReport {
     counted(diags, || {
-        {
-            let _span = omplt_trace::span_detail("analysis.pass", "simd");
-            depend::check_translation_unit(tu, diags, depend::Checks::SimdDistance);
-        }
         let _span = omplt_trace::span_detail("analysis.pass", "race");
         race::check_translation_unit(tu, diags);
     })

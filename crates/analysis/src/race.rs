@@ -118,10 +118,10 @@ impl RaceVisitor<'_> {
         }
 
         let info = level_info(&levels);
-        let mut col = DepCollector::new(&info);
-        col.visit_stmt(&levels[0].body);
+        let col = DepCollector::collect(&info, &levels[0].body);
 
-        for (id, (name, accesses)) in &col.accesses {
+        for (id, var) in &col.accesses {
+            let (name, accesses) = (&var.name, &var.list);
             if privates.contains(id) || col.locals.contains(id) || reductions.contains(id) {
                 continue;
             }

@@ -657,9 +657,9 @@ fn declarations_beside_the_outermost_loop_are_not_intervening() {
     assert_eq!(report, AnalysisReport::default(), "{diags:?}");
 }
 
-/// The gate judges the order-changing directives and nothing else; the
-/// lints judge the rest; together they are `run_analyses`, each finding
-/// reported once.
+/// The gate judges the order-changing directives and `simd` — a `simd`
+/// bounded below two lanes is a warning, not an error; the lint judges
+/// races; together they are `run_analyses`, each finding reported once.
 #[test]
 fn gate_and_lints_split_the_findings_between_them() {
     let src = "int main() {\n\
@@ -678,16 +678,134 @@ fn gate_and_lints_split_the_findings_between_them() {
          }\n";
     let (tu, diags) = parse(src);
     let gate = legality_gate(&tu, &diags);
-    assert_eq!((gate.errors, gate.warnings), (0, 1), "{:?}", diags.all());
-    assert!(diags.all()[0].message.contains("'#pragma omp reverse'"));
+    assert_eq!((gate.errors, gate.warnings), (0, 2), "{:?}", diags.all());
+    assert!(diags.all()[0]
+        .message
+        .contains("'#pragma omp simd' is not applied"));
+    assert!(diags.all()[1].message.contains("'#pragma omp reverse'"));
     let lints = run_lints(&tu, &diags);
-    assert_eq!((lints.errors, lints.warnings), (1, 1), "{:?}", diags.all());
+    assert_eq!((lints.errors, lints.warnings), (0, 1), "{:?}", diags.all());
+    assert!(diags.all()[2].message.ends_with("[-Wrace]"));
     let split: Vec<String> = diags.all().iter().map(|d| d.message.clone()).collect();
 
     let (all, report) = analyze(src);
     assert_eq!(report, gate + lints);
     let whole: Vec<String> = all.iter().map(|d| d.message.clone()).collect();
     assert_eq!(whole, split);
+}
+
+/// The lanes the gate records on each `simd` directive, in source order.
+fn simd_lanes(src: &str) -> Vec<Option<u64>> {
+    use omplt_ast::{walk_stmt, Decl, Stmt, StmtKind, StmtVisitor, P};
+    struct Lanes(Vec<Option<u64>>);
+    impl StmtVisitor for Lanes {
+        fn visit_stmt(&mut self, s: &P<Stmt>) {
+            if let StmtKind::OMP(d) = &s.kind {
+                if d.kind.has_simd() {
+                    self.0.push(d.simd_lanes.get());
+                }
+            }
+            walk_stmt(self, s);
+        }
+    }
+    let (tu, diags) = parse(src);
+    legality_gate(&tu, &diags);
+    let mut lanes = Lanes(Vec::new());
+    for d in &tu.decls {
+        if let Decl::Function(f) = d {
+            if let Some(body) = f.body.borrow().as_ref() {
+                lanes.visit_stmt(body);
+            }
+        }
+    }
+    lanes.0
+}
+
+#[test]
+fn simd_lanes_follow_the_one_dependence_rule() {
+    let unbounded = Some(u64::MAX);
+    let cases: [(&str, Option<u64>); 14] = [
+        // Sink first in the body: the distance bounds the lanes.
+        ("a[i] = a[i - 1] + 1;", Some(1)),
+        ("a[i] = a[i - 3] + 1;", Some(3)),
+        // Source first: lock-step lanes keep the order.
+        ("a[i] = 3 * i; b[i] = a[i - 1];", unbounded),
+        // Scalars: written first, privatized, or carried.
+        ("t = b[i] * 2; a[i] = t + 1;", unbounded),
+        ("if (b[i] > 0) t = b[i]; a[i] = t;", Some(1)),
+        ("s = s + b[i];", Some(1)),
+        // Only a written variable's subscripts must be modeled.
+        ("a[i] = b[idx[i]] + 1;", unbounded),
+        ("a[idx[i]] = b[i];", Some(1)),
+        // A local stands for its initializer.
+        ("int k = 2 * i; a[k + 1] = a[k] + 1;", unbounded),
+        ("int k = i + 1; a[k] = a[i] + 1;", Some(1)),
+        // Pointers may alias any other base, but reads alias harmlessly.
+        ("p[i] = b[i];", Some(1)),
+        ("a[i] = p[i];", Some(1)),
+        ("p[i] = p[i] + 1;", unbounded),
+        ("t = p[i] + b[i];", unbounded),
+    ];
+    for (body, want) in cases {
+        let src = format!(
+            "int a[64];\nint b[64];\nint idx[64];\n\
+             int f(int *p) {{\n  int s = 0;\n  int t = 0;\n\
+             \x20 #pragma omp simd\n  for (int i = 8; i < 24; i += 1) {{ {body} }}\n\
+             \x20 return s + t;\n}}\n"
+        );
+        assert_eq!(simd_lanes(&src), [want], "{body}");
+    }
+
+    // `reduction` privatizes the accumulator.
+    let reduced = "int a[64];\nint f() {\n  int s = 0;\n  #pragma omp simd reduction(+: s)\n\
+                   \x20 for (int i = 0; i < 64; i += 1)\n    s = s + a[i];\n  return s;\n}\n";
+    assert_eq!(simd_lanes(reduced), [unbounded]);
+
+    // Under `collapse`, distances are linearised over the collapsed space:
+    // (1, 0) is a whole row of 8 iterations apart, (0, 2) two.
+    let collapsed = |stmt: &str, j_bound: &str| {
+        format!(
+            "int a[9][10];\nint f(int n) {{\n  #pragma omp simd collapse(2)\n\
+             \x20 for (int i = 1; i < 9; i += 1)\n    for (int j = 0; j < {j_bound}; j += 1)\n\
+             \x20     {stmt}\n  return a[1][1];\n}}\n"
+        )
+    };
+    assert_eq!(
+        simd_lanes(&collapsed("a[i][j] = a[i - 1][j] + 1;", "8")),
+        [Some(8)]
+    );
+    assert_eq!(
+        simd_lanes(&collapsed("a[i][j + 2] = a[i][j] + 1;", "8")),
+        [Some(2)]
+    );
+    // A row apart over a symbolic row length is no provable lane count.
+    assert_eq!(
+        simd_lanes(&collapsed("a[i][j] = a[i - 1][j] + 1;", "n")),
+        [Some(1)]
+    );
+
+    // Over a generated loop, the re-materialized user counter is looked
+    // through: `simd` over `reverse` of an independent loop keeps its lanes.
+    let stacked = "int a[64];\nint f() {\n  #pragma omp simd\n  #pragma omp reverse\n\
+                   \x20 for (int i = 0; i < 64; i += 1)\n    a[i] = a[i] + 1;\n  return a[0];\n}\n";
+    assert_eq!(simd_lanes(stacked), [unbounded]);
+}
+
+/// What the nest only reads carries no dependence, modeled or not.
+#[test]
+fn an_unmodeled_read_is_no_analysis_limit() {
+    let (diags, report) = analyze(
+        "int main() {\n\
+         \x20 int x[64];\n\
+         \x20 int y[64];\n\
+         \x20 int idx[64];\n\
+         \x20 #pragma omp reverse\n\
+         \x20 for (int i = 0; i < 64; i += 1)\n\
+         \x20   y[i] = x[idx[i]] + 1;\n\
+         \x20 return y[9];\n\
+         }\n",
+    );
+    assert_eq!(report, AnalysisReport::default(), "{diags:?}");
 }
 
 #[test]

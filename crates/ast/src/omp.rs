@@ -10,6 +10,7 @@ use crate::expr::Expr;
 use crate::stmt::{CapturedStmt, Stmt};
 use crate::P;
 use omplt_source::SourceLocation;
+use std::cell::Cell;
 
 /// Directive kinds (the class-hierarchy leaves of the paper's Fig. 3/5) —
 /// the row index into the directive table.
@@ -575,6 +576,12 @@ pub struct OMPDirective {
     /// the legality gate read it instead of resolving the nest again.
     /// **Not** part of `children()` and not dumped.
     pub nest: Vec<LoopNestLevel>,
+    /// How many consecutive iterations of a `simd`-bearing directive's loop
+    /// may run as lock-step lanes, as the legality gate proved it
+    /// (`u64::MAX`: no dependence bounds them). `None` until the gate has
+    /// judged the directive; CodeGen emits an unjudged loop scalar.
+    /// **Not** part of `children()` and not dumped.
+    pub simd_lanes: Cell<Option<u64>>,
     /// Source position of the `#pragma`.
     pub loc: SourceLocation,
 }
@@ -606,6 +613,7 @@ impl OMPDirective {
             loop_helpers: None,
             transformed: None,
             nest: Vec::new(),
+            simd_lanes: Cell::new(None),
             loc,
         }
     }

@@ -717,17 +717,23 @@ fn associated_nest(d: &OMPDirective) -> Option<(Vec<P<Stmt>>, P<Stmt>)> {
 }
 
 /// The loop metadata a `simd`-bearing directive hangs on its (innermost)
-/// latch: `base` plus `vectorize.enable` and the clause-supplied
-/// `safelen`/`simdlen` caps the widening pass must honor.
+/// latch: `base` plus `vectorize.enable`, `safelen` = min(the clause, the
+/// lanes the legality gate proved) and the clause's `simdlen` — the caps the
+/// widening pass honours without re-checking. A loop the gate bounded below
+/// two lanes, or never judged, keeps `base`: it runs scalar.
 pub(crate) fn simd_metadata(d: &OMPDirective, base: LoopMetadata) -> LoopMetadata {
-    let cap = |kind| {
-        d.clause_value(kind)
-            .map_or(0, |v| u8::try_from(v).unwrap_or(u8::MAX))
-    };
+    let lanes = d.simd_lanes.get().unwrap_or(0);
+    if lanes < 2 {
+        return base;
+    }
+    let cap = |v: u64| u8::try_from(v).unwrap_or(u8::MAX);
+    let safelen = d
+        .clause_value(OMPClauseKind::Safelen)
+        .map_or(lanes, |s| s.min(lanes));
     LoopMetadata {
         vectorize_enable: true,
-        safelen: cap(OMPClauseKind::Safelen),
-        simdlen: cap(OMPClauseKind::Simdlen),
+        safelen: if safelen == u64::MAX { 0 } else { cap(safelen) },
+        simdlen: d.clause_value(OMPClauseKind::Simdlen).map_or(0, cap),
         ..base
     }
 }

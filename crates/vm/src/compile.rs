@@ -90,8 +90,8 @@ pub fn compile_module(m: &Module) -> Result<VmModule, CompileError> {
 
 /// [`compile_module`] with the widening pass enabled: `vector_width >= 2`
 /// converts eligible `simd`-annotated innermost loops to lane-parallel
-/// vector ops at that width (clamped by `safelen`/`simdlen` and dependence
-/// distances); `0` or `1` disables the pass entirely.
+/// vector ops at that width (clamped by the loop metadata's `safelen` and
+/// `simdlen`); `0` or `1` disables the pass entirely.
 pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, CompileError> {
     let _span = omplt_trace::span("vm.compile");
     omplt_fault::panic_if_armed("vm.panic");

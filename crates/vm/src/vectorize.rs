@@ -8,12 +8,14 @@
 //! * [`plan_loops`] pattern-matches canonical counted loops whose latch
 //!   carries `llvm.loop.vectorize.enable` metadata, classifies every
 //!   promoted stack slot the body touches (induction variable, integer
-//!   reduction, written-before-read temporary, loop-invariant), derives the
-//!   linear form `coeff·iv + sym + k` of every memory index, and applies a
-//!   distance-based dependence test. A loop-carried dependence with
-//!   distance `d` clamps the width to `d` (`safelen` semantics); anything
-//!   the analysis cannot prove safe *refuses* the loop — it stays scalar
-//!   and `vm.simd.refused` ticks. Never miscompile, always fall back.
+//!   reduction, written-before-read temporary, loop-invariant), and picks
+//!   each memory access's form (unit-stride from the linear form
+//!   `coeff·iv + sym + k` of its index, gather/scatter otherwise). Whether
+//!   lanes may run together at all is not decided here: the front end's
+//!   legality gate proved it, and the metadata carries its answer — the
+//!   width is min(`--vector-width`, `simdlen`, `safelen`). A loop whose
+//!   shape the emitter cannot handle is *refused* — it stays scalar and
+//!   `vm.simd.refused` ticks.
 //! * [`emit_vector_loop`] emits, at the loop-header offset: a preamble
 //!   (accumulator init, trip-count guard), the vector main loop, and an
 //!   exit block (horizontal reduces, last-lane extracts, `VEpi` epilogue
@@ -36,7 +38,8 @@ use std::collections::{HashMap, HashSet};
 pub(crate) struct PlanStats {
     /// Loops converted to vector form.
     pub widened: u64,
-    /// `simd`-annotated loops the legality analysis rejected.
+    /// `simd`-annotated loops left scalar: a width below two, or a shape
+    /// the emitter cannot handle.
     pub refused: u64,
 }
 
@@ -74,6 +77,9 @@ pub(crate) struct LoopPlan {
     bound: Value,
     /// Chosen width after all clamps (2..=[`MAX_LANES`]).
     width: u8,
+    /// The `Gep`s whose accesses widen to `VLoad`/`VStore` (the others
+    /// gather and scatter).
+    unit_stride: HashSet<InstId>,
     /// Slot classification; sorted vectors keep emission deterministic.
     reductions: Vec<(InstId, BinOpKind)>,
     write_first: Vec<InstId>,
@@ -83,9 +89,8 @@ pub(crate) struct LoopPlan {
     wf_value: HashMap<InstId, Value>,
 }
 
-/// Finds and legality-checks every widenable loop of `f`. Keys are header
-/// block ids. `width` is the CLI request; `simdlen`/`safelen` metadata and
-/// dependence distances clamp it per loop.
+/// Finds every widenable loop of `f`. Keys are header block ids. `width`
+/// is the CLI request; `simdlen`/`safelen` metadata clamp it per loop.
 pub(crate) fn plan_loops(
     f: &Function,
     promoted: &Promoted,
@@ -106,16 +111,9 @@ pub(crate) fn plan_loops(
             continue;
         }
         let latch = BlockId(b as u32);
-        let requested = if md.simdlen != 0 {
-            width.min(md.simdlen)
-        } else {
-            width
-        };
-        let requested = if md.safelen != 0 {
-            requested.min(md.safelen)
-        } else {
-            requested
-        };
+        // `simdlen` and `safelen` cap the request; 0 leaves a cap unset.
+        let cap = |c: u8| if c == 0 { u8::MAX } else { c };
+        let requested = width.min(cap(md.simdlen)).min(cap(md.safelen));
         let requested = requested.min(MAX_LANES as u8);
         match try_plan(f, &preds, promoted, *header, latch, requested) {
             Some(plan) if !plans.contains_key(&plan.header.0) => {
@@ -138,61 +136,21 @@ fn slot_of(promoted: &Promoted, f: &Function, ptr: Value) -> Option<InstId> {
     None
 }
 
-/// The root a memory access's base pointer resolves to. Distinct globals
-/// never alias; everything else only compares equal to itself, and any
-/// store forces unequal non-global bases to refuse.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum BaseKey {
-    Global(u32),
-    /// An `alloca` outside the loop: a fresh allocation, distinct from
-    /// every global and every other alloca.
-    Alloca(u32),
-    Arg(u32),
-    /// Non-alloca instruction defined outside the loop.
-    OutInst(u32),
-    /// Load of a loop-invariant promoted pointer slot.
-    Slot(u32),
-}
-
-impl BaseKey {
-    /// Two *different* base keys provably never overlap only when both
-    /// name whole objects (globals / fresh allocations); pointer-valued
-    /// args, slots, and arbitrary expressions may alias anything.
-    fn distinct_objects(a: BaseKey, b: BaseKey) -> bool {
-        matches!(a, BaseKey::Global(_) | BaseKey::Alloca(_))
-            && matches!(b, BaseKey::Global(_) | BaseKey::Alloca(_))
-    }
-}
-
-/// A single symbolic addend in a linear index form (loop-invariant by
-/// construction; equal syms cancel in distance computations).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SymKey {
-    Arg(u32),
-    OutInst(u32),
-    Slot(u32),
-}
-
-/// `index = coeff·iv + sym + k`.
+/// `index = coeff·iv + sym + k`, where `sym` is at most one loop-invariant
+/// value of unknown magnitude.
 #[derive(Clone, Copy, PartialEq, Debug)]
 struct Lin {
     coeff: i64,
-    sym: Option<SymKey>,
+    sym: bool,
     k: i64,
 }
 
-/// One analyzed memory access (through a `Gep`, not a promoted slot).
-struct Access {
-    /// Textual position within the flattened body (for the direction test).
-    pos: usize,
-    is_store: bool,
-    base: BaseKey,
-    /// `None` = opaque (non-affine) index: gather-only.
-    lin: Option<Lin>,
-    elem_size: u64,
-    /// Accessed scalar size in bytes.
-    ty_size: u64,
-}
+/// The linear form of a loop-invariant value.
+const SYM: Lin = Lin {
+    coeff: 0,
+    sym: true,
+    k: 0,
+};
 
 struct Planner<'a> {
     f: &'a Function,
@@ -219,32 +177,25 @@ impl<'a> Planner<'a> {
         if depth == 0 {
             return None;
         }
-        let sym = |s: SymKey| {
-            Some(Lin {
-                coeff: 0,
-                sym: Some(s),
-                k: 0,
-            })
-        };
         match v {
             Value::ConstInt { val, .. } => Some(Lin {
                 coeff: 0,
-                sym: None,
+                sym: false,
                 k: val,
             }),
-            Value::Arg(i) => sym(SymKey::Arg(i)),
-            Value::Inst(id) if !self.in_loop(id) => sym(SymKey::OutInst(id.0)),
+            Value::Arg(_) => Some(SYM),
+            Value::Inst(id) if !self.in_loop(id) => Some(SYM),
             Value::Inst(id) => match self.f.inst(id) {
                 Inst::Load { ptr, .. } => {
                     let slot = slot_of(self.promoted, self.f, *ptr)?;
                     if slot == self.iv_slot {
                         Some(Lin {
                             coeff: 1,
-                            sym: None,
+                            sym: false,
                             k: 0,
                         })
                     } else if !self.stored_slots.contains(&slot) {
-                        sym(SymKey::Slot(slot.0))
+                        Some(SYM)
                     } else if let Some(&wv) = self.wf_value.get(&slot) {
                         self.lin(wv, depth - 1)
                     } else {
@@ -263,8 +214,8 @@ impl<'a> Planner<'a> {
                     let combine = |a: Lin, b: Lin, neg: bool| -> Option<Lin> {
                         let s: i64 = if neg { -1 } else { 1 };
                         let sym = match (a.sym, b.sym) {
-                            (x, None) => x,
-                            (None, Some(y)) if !neg => Some(y),
+                            (x, false) => x,
+                            (false, true) if !neg => true,
                             _ => return None, // can't subtract or sum two syms
                         };
                         Some(Lin {
@@ -285,20 +236,20 @@ impl<'a> Planner<'a> {
                         BinOpKind::Mul => {
                             let (a, b) = (self.lin(*lhs, depth - 1)?, self.lin(*rhs, depth - 1)?);
                             // One side must be a pure constant, the other
-                            // sym-free (a scaled sym breaks cancellation).
+                            // sym-free (a scaled sym has no known value).
                             let scale = |l: Lin, c: i64| -> Option<Lin> {
-                                if l.sym.is_some() {
+                                if l.sym {
                                     return None;
                                 }
                                 Some(Lin {
                                     coeff: l.coeff.checked_mul(c)?,
-                                    sym: None,
+                                    sym: false,
                                     k: l.k.checked_mul(c)?,
                                 })
                             };
-                            if a.coeff == 0 && a.sym.is_none() {
+                            if a.coeff == 0 && !a.sym {
                                 scale(b, a.k)
-                            } else if b.coeff == 0 && b.sym.is_none() {
+                            } else if b.coeff == 0 && !b.sym {
                                 scale(a, b.k)
                             } else {
                                 None
@@ -356,7 +307,7 @@ impl<'a> Planner<'a> {
             Value::Inst(id) if self.in_loop(id) => match self.f.inst(id) {
                 Inst::Load { ty, ptr } => match slot_of(self.promoted, self.f, *ptr) {
                     Some(s) => roles.contains_key(&s) || s == self.iv_slot,
-                    None => self.mem_load_wideable(*ty, *ptr, roles, depth),
+                    None => self.mem_access_emittable(*ty, *ptr, roles, depth),
                 },
                 Inst::Bin { lhs, rhs, .. } => {
                     self.wideable(*lhs, roles, depth - 1) && self.wideable(*rhs, roles, depth - 1)
@@ -369,9 +320,11 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// A memory load widens as a unit-stride `VLoad` (scalar-cloneable
-    /// address) or a `VGather` (cloneable base, wideable index vector).
-    fn mem_load_wideable(
+    /// A memory access widens through an in-loop `Gep` whose base is the
+    /// same pointer in every lane: as a unit-stride `VLoad`/`VStore`
+    /// (scalar-cloneable address) or a `VGather`/`VScatter` (cloneable base,
+    /// wideable index vector).
+    fn mem_access_emittable(
         &self,
         ty: IrType,
         ptr: Value,
@@ -380,7 +333,7 @@ impl<'a> Planner<'a> {
     ) -> bool {
         let Value::Inst(gid) = ptr else { return false };
         if !self.in_loop(gid) {
-            return false; // loop-invariant address: uniform load, refused
+            return false; // loop-invariant address: uniform access, refused
         }
         let Inst::Gep {
             ptr: base,
@@ -390,47 +343,35 @@ impl<'a> Planner<'a> {
         else {
             return false;
         };
-        if u32::try_from(*elem_size).is_err() {
+        if u32::try_from(*elem_size).is_err() || !self.lane_invariant(*base) {
             return false;
         }
-        match self.lin(*index, 16) {
-            Some(l)
-                if l.coeff != 0 && l.coeff as i128 * *elem_size as i128 == ty.size() as i128 =>
-            {
-                // Unit stride: lane-0 address is the scalar Gep clone.
-                self.scalar_cloneable(ptr, depth - 1)
-            }
-            _ => {
-                // Gather: affine-non-unit or opaque per-lane indices.
-                self.scalar_cloneable(*base, depth - 1) && self.wideable(*index, roles, depth - 1)
-            }
+        if self.unit_stride(ty, gid) {
+            // Unit stride: lane-0 address is the scalar Gep clone.
+            self.scalar_cloneable(ptr, depth - 1)
+        } else {
+            // Gather: affine-non-unit or opaque per-lane indices.
+            self.scalar_cloneable(*base, depth - 1) && self.wideable(*index, roles, depth - 1)
         }
     }
 
-    /// Resolves a `Gep` base pointer to its aliasing root.
-    fn base_key(&self, v: Value) -> Option<BaseKey> {
+    /// Whether `gid` is a `Gep` that steps one `ty` element per iteration.
+    fn unit_stride(&self, ty: IrType, gid: InstId) -> bool {
+        matches!(self.f.inst(gid), Inst::Gep { index, elem_size, .. }
+            if matches!(self.lin(*index, 16), Some(l)
+                if l.coeff != 0 && l.coeff as i128 * *elem_size as i128 == ty.size() as i128))
+    }
+
+    /// Whether a `Gep` base holds the same pointer in every lane: defined
+    /// before the loop, or loaded from a slot the loop never stores.
+    fn lane_invariant(&self, v: Value) -> bool {
         match v {
-            Value::Global(s) => Some(BaseKey::Global(s.0)),
-            Value::Arg(i) => Some(BaseKey::Arg(i)),
-            Value::Inst(id) if !self.in_loop(id) => {
-                if matches!(self.f.inst(id), Inst::Alloca { .. }) {
-                    Some(BaseKey::Alloca(id.0))
-                } else {
-                    Some(BaseKey::OutInst(id.0))
-                }
-            }
-            Value::Inst(id) => match self.f.inst(id) {
-                Inst::Load { ptr, .. } => {
-                    let slot = slot_of(self.promoted, self.f, *ptr)?;
-                    if slot != self.iv_slot && !self.stored_slots.contains(&slot) {
-                        Some(BaseKey::Slot(slot.0))
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            },
-            _ => None,
+            Value::Global(_) | Value::Arg(_) => true,
+            Value::Inst(id) if !self.in_loop(id) => true,
+            Value::Inst(id) => matches!(self.f.inst(id), Inst::Load { ptr, .. }
+                if slot_of(self.promoted, self.f, *ptr)
+                    .is_some_and(|s| s != self.iv_slot && !self.stored_slots.contains(&s))),
+            _ => false,
         }
     }
 }
@@ -549,39 +490,29 @@ fn try_plan(
             loop_insts.insert(iid);
         }
     }
-    // Per-slot access lists in textual order; memory accesses positioned.
-    let mut order: HashMap<InstId, usize> = HashMap::new();
+    // Per-slot access lists in textual order.
     let mut stored_slots: HashSet<InstId> = HashSet::new();
     let mut slot_acc: HashMap<InstId, Vec<(usize, bool, InstId)>> = HashMap::new();
-    let mut pos = 0usize;
-    for &bb in &chain {
-        for &iid in &f.block(bb).insts {
-            order.insert(iid, pos);
-            match f.inst(iid) {
-                Inst::Phi { .. }
-                | Inst::Call { .. }
-                | Inst::Select { .. }
-                | Inst::Alloca { .. } => {
-                    return None;
-                }
-                Inst::Load { ptr, .. } => {
-                    if let Some(s) = slot_of(promoted, f, *ptr) {
-                        slot_acc.entry(s).or_default().push((pos, false, iid));
-                    }
-                }
-                Inst::Store { ptr, val } => {
-                    if let Some(s) = slot_of(promoted, f, *ptr) {
-                        stored_slots.insert(s);
-                        slot_acc.entry(s).or_default().push((pos, true, iid));
-                    }
-                    // Storing a slot's *address* would have disqualified
-                    // promotion already; storing to a non-slot is a memory
-                    // store handled below.
-                    let _ = val;
-                }
-                _ => {}
+    let body_insts = chain.iter().flat_map(|&bb| &f.block(bb).insts);
+    for (pos, &iid) in body_insts.enumerate() {
+        match f.inst(iid) {
+            Inst::Phi { .. } | Inst::Call { .. } | Inst::Select { .. } | Inst::Alloca { .. } => {
+                return None;
             }
-            pos += 1;
+            Inst::Load { ptr, .. } => {
+                if let Some(s) = slot_of(promoted, f, *ptr) {
+                    slot_acc.entry(s).or_default().push((pos, false, iid));
+                }
+            }
+            // Storing a slot's *address* would have disqualified promotion
+            // already; a store to a non-slot is a memory store.
+            Inst::Store { ptr, .. } => {
+                if let Some(s) = slot_of(promoted, f, *ptr) {
+                    stored_slots.insert(s);
+                    slot_acc.entry(s).or_default().push((pos, true, iid));
+                }
+            }
+            _ => {}
         }
     }
     // Header slot loads (bound etc.) mark their slots as read-only users;
@@ -718,150 +649,46 @@ fn try_plan(
         }
     }
 
-    // --- memory accesses: linear forms + dependence test -------------------
-    let mut accesses: Vec<Access> = Vec::new();
-    for &bb in &chain {
-        for &iid in &f.block(bb).insts {
-            let (is_store, ty, ptr, val) = match f.inst(iid) {
-                Inst::Load { ty, ptr } => {
-                    if slot_of(promoted, f, *ptr).is_some() {
-                        continue;
-                    }
-                    (false, *ty, *ptr, None)
-                }
-                Inst::Store { val, ptr } => {
-                    if slot_of(promoted, f, *ptr).is_some() {
-                        continue;
-                    }
-                    (true, f.value_type(*val), *ptr, Some(*val))
-                }
-                _ => continue,
-            };
-            let Value::Inst(gid) = ptr else { return None };
-            if !p.in_loop(gid) {
-                return None;
-            }
-            let Inst::Gep {
-                ptr: base,
-                index,
-                elem_size,
-            } = f.inst(gid)
-            else {
-                return None;
-            };
-            let base = p.base_key(*base)?;
-            let lin = p.lin(*index, 16);
-            if !is_store && !p.mem_load_wideable(ty, ptr, &roles, 16) {
-                // Every load is widened eagerly at its textual position
-                // (ordering against stores), so all must be emittable.
-                return None;
-            }
-            if is_store {
-                // Stored value must widen; the address must be affine with
-                // a nonzero stride (distinct lanes hit distinct locations).
-                let l = lin?;
-                if l.coeff == 0 {
-                    return None;
-                }
-                if !p.wideable(val.unwrap(), &roles, 16) || !p.wideable(*index, &roles, 16) {
-                    return None;
-                }
-            }
-            accesses.push(Access {
-                pos: order[&iid],
-                is_store,
-                base,
-                lin,
-                elem_size: *elem_size,
-                ty_size: ty.size(),
-            });
-        }
-    }
-    let mut clamp = requested as i64;
-    for s in accesses.iter().filter(|a| a.is_store) {
-        for a in &accesses {
-            if std::ptr::eq(s, a) {
-                continue;
-            }
-            if a.base != s.base {
-                // Distinct whole objects never alias; any other unequal
-                // base pair is unprovable next to a store.
-                if BaseKey::distinct_objects(a.base, s.base) {
-                    continue;
-                }
-                return None;
-            }
-            if a.elem_size != s.elem_size || a.ty_size != s.ty_size {
-                return None;
-            }
-            let (Some(la), Some(ls)) = (a.lin, s.lin) else {
-                return None; // opaque access sharing a stored base
-            };
-            if la.coeff != ls.coeff || la.sym != ls.sym {
-                return None;
-            }
-            let c = ls.coeff;
-            if c == 0 {
-                return None; // uniform store address
-            }
-            let num = ls.k - la.k;
-            if num % c != 0 {
-                continue; // never the same location
-            }
-            let delta = num / c;
-            if delta == 0 {
-                continue; // same iteration, textual order preserved per lane
-            }
-            // Direction test: a dependence whose source executes textually
-            // *after* its sink within one vector chunk would be reordered.
-            let violated = if a.is_store {
-                true // store-store: order matters both ways
-            } else {
-                (delta > 0 && a.pos < s.pos) || (delta < 0 && s.pos < a.pos)
-            };
-            if violated {
-                clamp = clamp.min(delta.abs());
+    // --- every memory access and every store must be emittable -------------
+    // Loads widen eagerly at their textual position (ordering against
+    // stores), so all of them must be emittable, not only the demanded ones.
+    let mut unit_stride = HashSet::new();
+    let mut memory = |ty: IrType, ptr: Value| {
+        if let Value::Inst(gid) = ptr {
+            if p.unit_stride(ty, gid) {
+                unit_stride.insert(gid);
             }
         }
-    }
-    if clamp < 2 {
-        return None;
-    }
-    let width = clamp.min(requested as i64) as u8;
-
-    // --- every effectful body value must be emittable ----------------------
-    for &bb in &chain {
-        for &iid in &f.block(bb).insts {
-            if let Inst::Store { val, ptr } = f.inst(iid) {
-                if let Some(s) = slot_of(promoted, f, *ptr) {
-                    if s == iv_slot {
-                        continue;
-                    }
-                    match roles.get(&s) {
-                        Some(SlotRole::Reduction(_)) => {
-                            // The non-accumulator operand must widen.
-                            let Value::Inst(bid) = val else { return None };
-                            let Inst::Bin { lhs, rhs, .. } = f.inst(*bid) else {
-                                return None;
-                            };
-                            for side in [*lhs, *rhs] {
-                                let is_acc_load = matches!(side, Value::Inst(l)
-                                    if matches!(f.inst(l), Inst::Load { ptr, .. }
-                                                if slot_of(promoted, f, *ptr) == Some(s)));
-                                if !is_acc_load && !p.wideable(side, &roles, 16) {
-                                    return None;
-                                }
-                            }
-                        }
-                        Some(SlotRole::WriteFirst) => {
-                            if !p.wideable(*val, &roles, 16) {
-                                return None;
-                            }
-                        }
-                        _ => return None,
-                    }
+        p.mem_access_emittable(ty, ptr, &roles, 16)
+    };
+    for iid in chain.iter().flat_map(|&bb| &f.block(bb).insts) {
+        let emittable = match f.inst(*iid) {
+            Inst::Load { ty, ptr } => slot_of(promoted, f, *ptr).is_some() || memory(*ty, *ptr),
+            Inst::Store { val, ptr } => match slot_of(promoted, f, *ptr) {
+                None => p.wideable(*val, &roles, 16) && memory(f.value_type(*val), *ptr),
+                Some(s) if s == iv_slot => true,
+                // The non-accumulator operand must widen.
+                Some(s) if matches!(roles.get(&s), Some(SlotRole::Reduction(_))) => {
+                    let Value::Inst(bid) = val else { return None };
+                    let Inst::Bin { lhs, rhs, .. } = f.inst(*bid) else {
+                        return None;
+                    };
+                    [*lhs, *rhs].into_iter().all(|side| {
+                        let is_acc_load = matches!(side, Value::Inst(l)
+                            if matches!(f.inst(l), Inst::Load { ptr, .. }
+                                        if slot_of(promoted, f, *ptr) == Some(s)));
+                        is_acc_load || p.wideable(side, &roles, 16)
+                    })
                 }
-            }
+                Some(s) => {
+                    matches!(roles.get(&s), Some(SlotRole::WriteFirst))
+                        && p.wideable(*val, &roles, 16)
+                }
+            },
+            _ => true,
+        };
+        if !emittable {
+            return None;
         }
     }
 
@@ -887,7 +714,8 @@ fn try_plan(
         iv_ty: *iv_ty,
         pred: *pred,
         bound,
-        width,
+        width: requested,
+        unit_stride,
         reductions,
         write_first,
         roles,
@@ -1036,12 +864,7 @@ impl<'a, 'b> Widener<'a, 'b> {
     }
 
     fn lookup_slot(&self, ptr: Value) -> Option<InstId> {
-        if let Value::Inst(id) = ptr {
-            if self.c.promoted.contains(&id) && matches!(self.c.f.inst(id), Inst::Alloca { .. }) {
-                return Some(id);
-            }
-        }
-        None
+        slot_of(&self.c.promoted, self.c.f, ptr)
     }
 
     fn broadcast(&mut self, r: Reg, class: RegClass) -> Result<VReg, CompileError> {
@@ -1150,7 +973,7 @@ impl<'a, 'b> Widener<'a, 'b> {
             });
         };
         let es32 = u32::try_from(elem_size).map_err(|_| self.c.err_large("gep element size"))?;
-        if self.unit_stride(ty, Value::Inst(gid)) {
+        if self.unit_stride(ptr) {
             let addr = self.scalar_of(ptr)?;
             let dst = self.c.new_vvreg(RegClass::of(ty), self.w())?;
             self.c.ops.push(Op::VLoad {
@@ -1176,38 +999,9 @@ impl<'a, 'b> Widener<'a, 'b> {
         }
     }
 
-    /// Re-runs the planner's unit-stride test for one address (the planner
-    /// proved emittability; this only picks the instruction form).
-    fn unit_stride(&self, ty: IrType, ptr: Value) -> bool {
-        let Value::Inst(gid) = ptr else { return false };
-        let Inst::Gep {
-            index, elem_size, ..
-        } = self.c.f.inst(gid)
-        else {
-            return false;
-        };
-        let stored: HashSet<InstId> = self
-            .plan
-            .roles
-            .iter()
-            .filter(|(_, r)| {
-                matches!(
-                    r,
-                    SlotRole::Iv | SlotRole::Reduction(_) | SlotRole::WriteFirst
-                )
-            })
-            .map(|(&s, _)| s)
-            .collect();
-        let p = Planner {
-            f: self.c.f,
-            promoted: &self.c.promoted,
-            loop_insts: self.loop_insts.clone(),
-            stored_slots: stored,
-            iv_slot: self.plan.iv_slot,
-            wf_value: self.plan.wf_value.clone(),
-        };
-        matches!(p.lin(*index, 16), Some(l)
-            if l.coeff != 0 && l.coeff as i128 * *elem_size as i128 == ty.size() as i128)
+    /// Whether the planner chose the unit-stride form for this address.
+    fn unit_stride(&self, ptr: Value) -> bool {
+        matches!(ptr, Value::Inst(gid) if self.plan.unit_stride.contains(&gid))
     }
 }
 
@@ -1343,8 +1137,9 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         for &iid in &f.block(*bb).insts {
             // Memory loads widen *eagerly* at their textual position:
             // demand-driven emission could float a load past an aliasing
-            // same-iteration store (the dependence test treats distance-0
-            // pairs as ordered by position). Arithmetic stays demand-driven.
+            // same-iteration store (the front end's legality gate treats
+            // same-iteration pairs as ordered by position). Arithmetic stays
+            // demand-driven.
             if let Inst::Load { ptr, .. } = f.inst(iid) {
                 if wd.lookup_slot(*ptr).is_none() {
                     wd.vec_of(Value::Inst(iid))?;
@@ -1403,7 +1198,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             } else {
                 let ty = f.value_type(val);
                 let src = wd.vec_of(val)?;
-                if wd.unit_stride(ty, ptr) {
+                if wd.unit_stride(ptr) {
                     let addr = wd.scalar_of(ptr)?;
                     wd.c.ops.push(Op::VStore { src, addr, ty, w });
                 } else {

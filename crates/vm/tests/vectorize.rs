@@ -15,6 +15,14 @@ fn simd_md() -> LoopMetadata {
     }
 }
 
+/// `simd` metadata carrying the lane bound the front end proved.
+fn safelen_md(safelen: u8) -> LoopMetadata {
+    LoopMetadata {
+        safelen,
+        ..simd_md()
+    }
+}
+
 /// `main`: `long a[n], b[n]` (allocas), `b[i] = i*3 + 1`, then `reps`
 /// repetitions of the simd loop
 /// `for (i = 0; i < n; i++) { a[i] = b[i]*k + a[i]; sum += b[i]; }`,
@@ -195,8 +203,9 @@ fn epilogue_iterations_are_counted() {
     assert_eq!(counters.get("vm.simd.epilogue_iters"), Some(&3));
 }
 
-/// `for (i = 0; i < n; i++) a[i+1] = a[i] + 1` — loop-carried distance 1:
-/// must be refused outright (clamp would be 1 < 2).
+/// `for (i = 0; i < n; i++) a[i+1] = a[i] + 1` — loop-carried distance 1.
+/// The widener runs no dependence test of its own: the front end's verdict
+/// arrives as `safelen: 1`, and a loop allowed one lane stays scalar.
 #[test]
 fn carried_dependence_is_refused_not_miscompiled() {
     let n = 40i64;
@@ -227,7 +236,7 @@ fn carried_dependence_is_refused_not_miscompiled() {
         b.store(nv, dst);
         let i2 = b.add(i1, Value::i64(1));
         b.store(i2, iv);
-        b.br_with_md(hdr, simd_md());
+        b.br_with_md(hdr, safelen_md(1));
         b.set_insert_point(exit);
         let last = b.gep(a_arr, Value::i64(n), 8);
         let lv = b.load(IrType::I64, last);
@@ -247,8 +256,9 @@ fn carried_dependence_is_refused_not_miscompiled() {
     assert_eq!(run(&code, &m), want);
 }
 
-/// `a[i+2] = a[i] + 1` — flow dependence of distance 2: each chunk may
-/// cover at most 2 lanes, so the width clamps to 2 instead of refusing.
+/// `a[i+2] = a[i] + 1` — flow dependence of distance 2: the front end
+/// proves two lanes and says so as `safelen: 2`, which the widener obeys
+/// over a wider CLI request.
 #[test]
 fn dependence_distance_clamps_width() {
     let n = 32i64;
@@ -329,7 +339,7 @@ fn dependence_distance_clamps_width() {
         m
     };
 
-    let m = build(simd_md());
+    let m = build(safelen_md(2));
     let scalar = compile_module(&m).expect("scalar compiles");
     let want = run(&scalar, &m);
     let (code, counters) = counters_of(|| compile_module_with(&m, 8).expect("compiles"));
@@ -337,7 +347,7 @@ fn dependence_distance_clamps_width() {
     let text = disasm_all(&code);
     assert!(
         text.contains(".x2") && !text.contains(".x8"),
-        "width must clamp to the dependence distance 2:\n{text}"
+        "width must clamp to safelen 2:\n{text}"
     );
     assert_eq!(run(&code, &m), want, "clamped loop diverged");
 }

@@ -92,9 +92,8 @@ static DRIVER_FLAGS: [DriverFlag; 17] = [
     driver_flag(
         "--analyze",
         Arg::Switch,
-        "stop after the front end and add the simd lane-distance and\n\
-         -Wrace lints to the compile's own refusals; non-zero exit on\n\
-         any finding",
+        "stop after the front end and add the -Wrace lint to the\n\
+         compile's own verdicts; non-zero exit on any finding",
         |c, _| store(&mut c.views.analyze, true),
     ),
     driver_flag(

@@ -135,11 +135,11 @@ impl CompilerInstance {
 
     /// Parses `source` (registered under `name`) into an AST that may be
     /// lowered: Sema refuses the nests it cannot transform while it builds
-    /// each directive, and the dependence gate over the order-changing
-    /// directives (`interchange`, `reverse`, `fuse`) closes the walk, so
-    /// every consumer of the result — compile, run, daemon job, tuner
-    /// candidate — is behind the same rules. On error returns the rendered
-    /// diagnostics.
+    /// each directive, and the dependence gate closes the walk — it refuses
+    /// the `interchange`, `reverse` and `fuse` that would reorder a
+    /// dependence and decides each `simd` loop's lane count — so every
+    /// consumer of the result — compile, run, daemon job, tuner candidate —
+    /// is behind the same rules. On error returns the rendered diagnostics.
     pub fn parse_source(&mut self, name: &str, source: &str) -> Result<TranslationUnit, String> {
         let _span = omplt_trace::span_detail("frontend", name);
         omplt_fault::set_stage("parse");
@@ -177,12 +177,11 @@ impl CompilerInstance {
     }
 
     /// The `--analyze` verdict on the translation unit the last
-    /// [`CompilerInstance::parse_source`] returned. Every legality *refusal*
-    /// already happened there; this runs the two lints over what the
-    /// compiler executes faithfully anyway (the `simd` lane-distance check
-    /// and `-Wrace`), reported through [`CompilerInstance::diags`], and
-    /// counts them together with what the gate warned about
-    /// (`-Wanalysis-limit`).
+    /// [`CompilerInstance::parse_source`] returned. Every legality decision —
+    /// the refusals and each `simd` loop's lanes — already happened there;
+    /// this adds only `-Wrace`, over what the compiler executes faithfully
+    /// anyway, reported through [`CompilerInstance::diags`], and counts it
+    /// together with what the gate warned about.
     pub fn analyze(&self, tu: &TranslationUnit) -> omplt_analysis::AnalysisReport {
         self.gate + omplt_analysis::run_lints(tu, &self.diags)
     }

@@ -401,8 +401,8 @@ pub static JOB_OPTIONS: [OptionRow; 19] = [
         "invalid value '{v}' for '--vector-width': expected 0 (scalar) or a lane count \
          between 2 and 8",
         "widen `simd`-annotated loops to N lanes (2-8) in the VM\n\
-         backend; 0 (default) stays scalar. Illegal widenings are\n\
-         refused per loop, never miscompiled",
+         backend; 0 (default) stays scalar. No loop runs more lanes\n\
+         than the legality gate proved (its `safelen`)",
     ),
     OptionRow::new("log_chunks", Bool, None, field!(opts.log_chunks)),
     OptionRow::new(

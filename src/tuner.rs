@@ -12,8 +12,8 @@
 //! 3. each candidate is parsed and **pruned**: every refusal (parse, Sema,
 //!    the dependence gate) is `parse_source`'s `Err`, as on any compile; a
 //!    candidate that compiles is dropped all the same when the gate could
-//!    not judge it (`-Wanalysis-limit`) or an `--analyze` lint fires (the
-//!    `simd` lane-distance check, `-Wrace`) — an illegal mutation is
+//!    not judge it (`-Wanalysis-limit`), a `simd` loop must run scalar, or
+//!    the `--analyze` lint fires (`-Wrace`) — an illegal mutation is
 //!    *diagnosed*, never miscompiled, and a doubtful one never ranked;
 //! 4. survivors execute on their candidate backend under safety rails: a
 //!    fuel budget derived from the baseline's own op count (a mutation that
