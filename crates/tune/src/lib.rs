@@ -18,10 +18,8 @@
 //! * [`mutate`] — the mutation axes, the deterministic grid [`Enumerator`],
 //!   and the seeded random [`Sampler`] that doubles as the differential
 //!   stress-corpus generator;
-//! * [`cost`] — the [`CostModel`]s (deterministic retired-op counts by
-//!   default, opt-in wall time);
-//! * [`report`] — the ranked [`TuneReport`] with byte-deterministic text and
-//!   JSON renderings.
+//! * [`report`] — the [`TuneReport`], ranked by retired ops, with
+//!   byte-deterministic text and JSON renderings.
 //!
 //! Orchestration — compiling candidates, pruning the refused and the
 //! doubtful, executing survivors on the engines — lives in
@@ -31,15 +29,13 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
 pub mod model;
 pub mod mutate;
 pub mod report;
 
-pub use cost::{CostModel, Measurement};
 pub use model::{Clause, Mutation, Pragma, Site, SourceModel};
 pub use mutate::{
     axes_for, enumerate, sample, Axis, AxisKind, AxisValue, BackendChoice, Candidate, EnumConfig,
     Enumerator, Sampler, XorShift,
 };
-pub use report::{CandidateOutcome, Status, TuneReport};
+pub use report::{CandidateOutcome, Measurement, Status, TuneReport};

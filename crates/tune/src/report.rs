@@ -1,16 +1,28 @@
 //! The ranked tuning report (text and JSON renderings).
 //!
-//! Determinism contract: with the [`CostModel::Ops`](crate::CostModel::Ops)
-//! cost model, two runs of the same tuner invocation produce byte-identical
-//! text and JSON reports — candidate ids come from the deterministic
-//! enumeration order, scores from deterministic op counts, and wall-clock
-//! fields are only emitted under the `time` model. The autotune test suite
-//! goldens this property.
+//! Candidates are ranked by **retired-op count**: the number of IR/bytecode
+//! operations the selected engine executed, as reported by the pipeline's
+//! own `{interp,vm}.ops.retired` counters. Op counts are a pure function of
+//! the program and its directive configuration (the root suite's
+//! `tests/counter_pins.rs` pins exactly this property), so two runs of the
+//! same tuner invocation produce byte-identical text and JSON reports —
+//! candidate ids come from the deterministic enumeration order, scores from
+//! op counts, and no clock is read. The autotune test suite goldens this
+//! property.
 
-use crate::cost::{CostModel, Measurement};
 use crate::mutate::BackendChoice;
 use omplt_trace::json::Writer;
 use std::fmt::Write as _;
+
+/// What evaluating one candidate measured.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Measurement {
+    /// Ops the engine retired during the run: the candidate's score, lower
+    /// is better.
+    pub ops_retired: u64,
+    /// The program's exit code.
+    pub exit_code: i64,
+}
 
 /// Terminal state of one enumerated candidate.
 #[derive(Clone, Debug)]
@@ -49,8 +61,6 @@ pub struct CandidateOutcome {
 pub struct TuneReport {
     /// Input name (file path as given to the driver).
     pub input: String,
-    /// Cost model that ranked the candidates.
-    pub cost_model: CostModel,
     /// Evaluation budget (max candidates executed).
     pub budget: usize,
     /// Sampler seed (`None` = deterministic grid enumeration).
@@ -70,7 +80,7 @@ impl TuneReport {
             .outcomes
             .iter()
             .filter_map(|o| match &o.status {
-                Status::Evaluated(m) => Some((o, m.score(self.cost_model))),
+                Status::Evaluated(m) => Some((o, m.ops_retired)),
                 _ => None,
             })
             .collect();
@@ -114,8 +124,7 @@ impl TuneReport {
         let _ = writeln!(out, "== autotune report: {} ==", self.input);
         let _ = writeln!(
             out,
-            "cost model: {} (lower is better) | budget: {} | enumeration: {}",
-            self.cost_model.name(),
+            "cost model: ops (lower is better) | budget: {} | enumeration: {}",
             self.budget,
             match self.seed {
                 Some(s) => format!("seeded random (seed {s})"),
@@ -130,7 +139,7 @@ impl TuneReport {
         let _ = writeln!(
             out,
             "baseline (hand-annotated): score {}",
-            self.baseline.score(self.cost_model)
+            self.baseline.ops_retired
         );
         let _ = writeln!(out);
         let _ = writeln!(
@@ -182,14 +191,14 @@ impl TuneReport {
     pub fn to_json(&self) -> String {
         let mut w = Writer::default();
         w.open('{').key("input").str(&self.input);
-        w.key("cost_model").str(self.cost_model.name());
+        w.key("cost_model").str("ops");
         w.key("budget").raw(self.budget);
         match self.seed {
             Some(s) => w.key("seed").raw(s),
             None => w.key("seed").raw("null"),
         };
         w.key("baseline").open('{');
-        w.key("score").raw(self.baseline.score(self.cost_model));
+        w.key("score").raw(self.baseline.ops_retired);
         w.key("exit_code").raw(self.baseline.exit_code).close('}');
         let (ev, pr, dv, fl, du) = self.tally();
         w.key("tally").open('{');
@@ -203,12 +212,9 @@ impl TuneReport {
             match &o.status {
                 Status::Evaluated(m) => {
                     w.key("status").str("evaluated");
-                    w.key("score").raw(m.score(self.cost_model));
+                    w.key("score").raw(m.ops_retired);
                     w.key("ops").raw(m.ops_retired);
                     w.key("exit_code").raw(m.exit_code);
-                    if self.cost_model == CostModel::Time {
-                        w.key("wall_us").raw(m.wall_us);
-                    }
                 }
                 Status::Pruned(diags) => {
                     w.key("status").str("pruned").key("diagnostics").open('[');
@@ -253,12 +259,10 @@ mod tests {
     fn sample_report() -> TuneReport {
         TuneReport {
             input: "t.c".into(),
-            cost_model: CostModel::Ops,
             budget: 8,
             seed: None,
             baseline: Measurement {
                 ops_retired: 100,
-                wall_us: 5,
                 exit_code: 0,
             },
             outcomes: vec![
@@ -268,7 +272,6 @@ mod tests {
                     backend: BackendChoice::Interp,
                     status: Status::Evaluated(Measurement {
                         ops_retired: 100,
-                        wall_us: 5,
                         exit_code: 0,
                     }),
                 },
@@ -278,7 +281,6 @@ mod tests {
                     backend: BackendChoice::Interp,
                     status: Status::Evaluated(Measurement {
                         ops_retired: 80,
-                        wall_us: 9,
                         exit_code: 0,
                     }),
                 },

@@ -1,6 +1,6 @@
-//! Race detection: run the `--analyze` suite over a shared-accumulator
-//! parallel loop (a classic data race), then over the `reduction` fix, and
-//! show the Clang-style `-Wrace` diagnostics.
+//! Race detection: compile a shared-accumulator parallel loop (a classic
+//! data race), then the `reduction` fix, and show the Clang-style `-Wrace`
+//! diagnostics the front end's analysis reports.
 //!
 //! ```text
 //! cargo run --example race_detection
@@ -43,8 +43,8 @@ int main(void) {
 
 fn analyze(name: &str, source: &str) {
     let mut ci = CompilerInstance::new(Options::default());
-    let tu = ci.parse_source(name, source).expect("parse");
-    let report = ci.analyze(&tu);
+    ci.parse_source(name, source).expect("parse");
+    let report = ci.analysis();
     if report.has_findings() {
         println!(
             "{} finding(s) — {} error(s), {} warning(s):\n",

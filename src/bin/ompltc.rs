@@ -60,7 +60,6 @@ struct Cli {
     tune_json: Dest,
     tune_best: Option<String>,
     tune_seed: Option<u64>,
-    tune_cost: Option<omplt::tune::CostModel>,
 }
 
 /// A flag that is not a job option: spelling and help, plus how it applies
@@ -88,12 +87,12 @@ fn store<T>(slot: &mut T, value: T) -> Result<(), String> {
 
 /// The driver-only flags — local-only views, driver modes, and where outputs
 /// go — one row each.
-static DRIVER_FLAGS: [DriverFlag; 17] = [
+static DRIVER_FLAGS: [DriverFlag; 16] = [
     driver_flag(
         "--analyze",
         Arg::Switch,
-        "stop after the front end and add the -Wrace lint to the\n\
-         compile's own verdicts; non-zero exit on any finding",
+        "stop after the front end; non-zero exit on any finding of\n\
+         its analysis (legality, simd lanes, -Wrace)",
         |c, _| store(&mut c.views.analyze, true),
     ),
     driver_flag(
@@ -203,18 +202,6 @@ static DRIVER_FLAGS: [DriverFlag; 17] = [
         |c, v| store(&mut c.tune_best, v.map(String::from)),
     ),
     driver_flag(
-        "--tune-cost",
-        Arg::Value("M"),
-        "candidate cost model: ops (default; retired-op count,\n\
-         deterministic) | time (wall micros)",
-        |c, v| {
-            let v = v.unwrap_or_default();
-            let model = omplt::tune::CostModel::parse(v)
-                .ok_or_else(|| format!("unknown cost model '{v}' for '--tune-cost': ops|time"))?;
-            store(&mut c.tune_cost, Some(model))
-        },
-    ),
-    driver_flag(
         "--tune-json",
         Arg::Optional("FILE"),
         "emit the ranked report as JSON (replaces the text report when\n\
@@ -307,13 +294,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, u8> {
             json,
         ));
     }
-    let tune_flags = cli.tune_json.is_some()
-        || cli.tune_best.is_some()
-        || cli.tune_seed.is_some()
-        || cli.tune_cost.is_some();
+    let tune_flags = cli.tune_json.is_some() || cli.tune_best.is_some() || cli.tune_seed.is_some();
     if cli.autotune.is_none() && tune_flags {
         return Err(driver_error(
-            "'--tune-json', '--tune-best', '--tune-seed', and '--tune-cost' require '--autotune'",
+            "'--tune-json', '--tune-best', and '--tune-seed' require '--autotune'",
             json,
         ));
     }
@@ -366,7 +350,6 @@ fn drive_autotune(cli: &Cli) -> u8 {
     let cfg = omplt::tuner::TuneConfig {
         budget: cli.autotune.expect("drive_autotune called with --autotune"),
         seed: cli.tune_seed,
-        cost: cli.tune_cost.unwrap_or_default(),
         opts: cli.job.opts,
         enum_config: omplt::tune::EnumConfig::default(),
     };

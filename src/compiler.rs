@@ -117,8 +117,8 @@ pub struct CompilerInstance {
     pub sm: RefCell<SourceManager>,
     /// Diagnostics.
     pub diags: DiagnosticsEngine,
-    /// What the legality gate reported on the last `parse_source`.
-    gate: omplt_analysis::AnalysisReport,
+    /// What the analysis pass reported on the last `parse_source`.
+    analysis: omplt_analysis::AnalysisReport,
 }
 
 impl CompilerInstance {
@@ -129,17 +129,18 @@ impl CompilerInstance {
             fm: FileManager::new(),
             sm: RefCell::new(SourceManager::new()),
             diags: DiagnosticsEngine::new(),
-            gate: omplt_analysis::AnalysisReport::default(),
+            analysis: omplt_analysis::AnalysisReport::default(),
         }
     }
 
     /// Parses `source` (registered under `name`) into an AST that may be
     /// lowered: Sema refuses the nests it cannot transform while it builds
-    /// each directive, and the dependence gate closes the walk — it refuses
+    /// each directive, and the dependence pass closes the walk — it refuses
     /// the `interchange`, `reverse` and `fuse` that would reorder a
-    /// dependence and decides each `simd` loop's lane count — so every
-    /// consumer of the result — compile, run, daemon job, tuner candidate —
-    /// is behind the same rules. On error returns the rendered diagnostics.
+    /// dependence, decides each `simd` loop's lane count and warns about
+    /// data races — so every consumer of the result — compile, run, daemon
+    /// job, tuner candidate — is behind the same rules. On error returns the
+    /// rendered diagnostics.
     pub fn parse_source(&mut self, name: &str, source: &str) -> Result<TranslationUnit, String> {
         let _span = omplt_trace::span_detail("frontend", name);
         omplt_fault::set_stage("parse");
@@ -158,7 +159,7 @@ impl CompilerInstance {
         );
         let tu = parse_translation_unit(tokens, &mut sema);
         if !self.diags.has_errors() {
-            self.gate = omplt_analysis::legality_gate(&tu, &self.diags);
+            self.analysis = omplt_analysis::run_analyses(&tu, &self.diags);
         }
         if self.diags.has_errors() {
             return Err(self.render_diags());
@@ -176,14 +177,10 @@ impl CompilerInstance {
         self.diags.render_json(&self.sm.borrow())
     }
 
-    /// The `--analyze` verdict on the translation unit the last
-    /// [`CompilerInstance::parse_source`] returned. Every legality decision —
-    /// the refusals and each `simd` loop's lanes — already happened there;
-    /// this adds only `-Wrace`, over what the compiler executes faithfully
-    /// anyway, reported through [`CompilerInstance::diags`], and counts it
-    /// together with what the gate warned about.
-    pub fn analyze(&self, tu: &TranslationUnit) -> omplt_analysis::AnalysisReport {
-        self.gate + omplt_analysis::run_lints(tu, &self.diags)
+    /// What the analysis pass of the last [`CompilerInstance::parse_source`]
+    /// reported — the `--analyze` verdict.
+    pub fn analysis(&self) -> omplt_analysis::AnalysisReport {
+        self.analysis
     }
 
     /// Dumps the syntactic AST (`clang -ast-dump` style).

@@ -114,8 +114,8 @@ impl Service {
 /// `LocalViews::default()`.
 #[derive(Default)]
 pub struct LocalViews {
-    /// `--analyze`: run the lints after parsing and stop, exit 1 on any
-    /// finding (the legality gate is part of parsing, with or without this).
+    /// `--analyze`: stop after the front end, exit 1 on any finding of its
+    /// analysis pass (which every compile runs, with or without this).
     pub analyze: bool,
     /// `--ast-dump`: print the syntactic AST.
     pub ast_dump: bool,
@@ -202,8 +202,8 @@ pub fn contained_reply(
 }
 
 /// The pipeline proper — the only walk from source text to a run, for the
-/// daemon and the CLI alike: parse (every legality refusal: Sema's, then the
-/// dependence gate) → [the `--analyze` lints, and stop] → [ast-dump] →
+/// daemon and the CLI alike: parse (every legality refusal and `-Wrace`:
+/// Sema's, then the dependence pass) → [`--analyze`: stop] → [ast-dump] →
 /// codegen → optimize → [emit-ir] → compile bytecode (once) →
 /// [emit-bytecode] → run.
 fn run_job(
@@ -270,9 +270,8 @@ fn run_job(
                 }
             };
             if views.analyze {
-                let report = ci.analyze(&tu);
                 emit_diags(&ci);
-                return (u8::from(report.has_findings()), cache_outcome, None);
+                return (u8::from(ci.analysis().has_findings()), cache_outcome, None);
             }
             if views.ast_dump_transformed {
                 buf.out(&ci.ast_dump_transformed(&tu));

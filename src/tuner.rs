@@ -10,12 +10,14 @@
 //!    (or the seeded [`omplt_tune::Sampler`] when a seed is given) and are
 //!    re-synthesized to full C sources;
 //! 3. each candidate is parsed and **pruned**: every refusal (parse, Sema,
-//!    the dependence gate) is `parse_source`'s `Err`, as on any compile; a
-//!    candidate that compiles is dropped all the same when the gate could
-//!    not judge it (`-Wanalysis-limit`), a `simd` loop must run scalar, or
-//!    the `--analyze` lint fires (`-Wrace`) — an illegal mutation is
-//!    *diagnosed*, never miscompiled, and a doubtful one never ranked;
-//! 4. survivors execute on their candidate backend under safety rails: a
+//!    the dependence pass) is `parse_source`'s `Err`, as on any compile; a
+//!    candidate that compiles is dropped all the same when that pass warned
+//!    — it could not judge a transformation (`-Wanalysis-limit`), a `simd`
+//!    loop must run scalar, or a loop races (`-Wrace`) — an illegal
+//!    mutation is *diagnosed*, never miscompiled, and a doubtful one never
+//!    ranked;
+//! 4. survivors execute serially on their candidate backend, ranked by
+//!    retired ops (deterministic, so reports are too), under safety rails: a
 //!    fuel budget derived from the baseline's own op count (a mutation that
 //!    blows the program up runs out of fuel instead of hanging the search)
 //!    and a per-candidate ICE containment wall (a candidate that panics the
@@ -35,12 +37,11 @@
 use crate::compiler::{Backend, CompilerInstance, Options};
 use omplt_interp::RunResult;
 use omplt_tune::{
-    enumerate, sample, BackendChoice, Candidate, CandidateOutcome, CostModel, EnumConfig,
-    Measurement, SourceModel, Status, TuneReport,
+    enumerate, sample, BackendChoice, Candidate, CandidateOutcome, EnumConfig, Measurement,
+    SourceModel, Status, TuneReport,
 };
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::time::Instant;
 
 /// Default evaluation budget for a bare `--autotune`.
 pub const DEFAULT_BUDGET: usize = 32;
@@ -60,11 +61,9 @@ pub struct TuneConfig {
     /// `Some(seed)` switches from the deterministic grid to seeded random
     /// sampling (the stress-corpus mode).
     pub seed: Option<u64>,
-    /// What ranks candidates.
-    pub cost: CostModel,
     /// Pipeline options candidates inherit (threads, backend, fuel caps…).
-    /// Under the `ops` cost model evaluation is forced serial so op counts
-    /// — and therefore reports — are deterministic.
+    /// Evaluation is forced serial so op counts — and therefore reports —
+    /// are deterministic.
     pub opts: Options,
     /// Axis construction knobs.
     pub enum_config: EnumConfig,
@@ -75,7 +74,6 @@ impl Default for TuneConfig {
         TuneConfig {
             budget: DEFAULT_BUDGET,
             seed: None,
-            cost: CostModel::Ops,
             opts: Options::default(),
             enum_config: EnumConfig::default(),
         }
@@ -111,13 +109,13 @@ impl std::fmt::Display for TuneError {
 
 /// How one candidate evaluation ended.
 enum Eval {
-    Ok(RunResult, u64),
+    Ok(RunResult),
     Pruned(Vec<String>),
     Failed(String),
 }
 
-/// Compiles, analyzes, and runs one full source. The returned `Eval`
-/// distinguishes "rejected by the legality gate" from "crashed past it".
+/// Compiles and runs one full source. The returned `Eval` distinguishes
+/// "rejected by the front end's analysis" from "crashed past it".
 fn evaluate(name: &str, source: &str, opts: Options) -> Eval {
     let mut ci = CompilerInstance::new(opts);
     let findings = |ci: &CompilerInstance| {
@@ -127,12 +125,10 @@ fn evaluate(name: &str, source: &str, opts: Options) -> Eval {
             .map(|d| format!("{}: {}", d.level.as_str(), d.message));
         Eval::Pruned(msgs.collect())
     };
-    let Ok(tu) = ci.parse_source(name, source) else {
-        return findings(&ci);
+    let tu = match ci.parse_source(name, source) {
+        Ok(tu) if !ci.analysis().has_findings() => tu,
+        _ => return findings(&ci),
     };
-    if ci.analyze(&tu).has_findings() {
-        return findings(&ci);
-    }
     let mut module = match ci.codegen(&tu) {
         Ok(m) => m,
         Err(rendered) => return Eval::Failed(rendered.lines().next().unwrap_or("").to_string()),
@@ -141,12 +137,8 @@ fn evaluate(name: &str, source: &str, opts: Options) -> Eval {
     if ci.diags.has_errors() {
         return Eval::Failed("mid-end pipeline reported errors".to_string());
     }
-    let start = Instant::now();
     match ci.run(&module) {
-        Ok(r) => {
-            let wall = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            Eval::Ok(r, wall)
-        }
+        Ok(r) => Eval::Ok(r),
         Err(e) => Eval::Failed(format!("runtime error: {e}")),
     }
 }
@@ -205,20 +197,18 @@ pub fn autotune(name: &str, source: &str, cfg: &TuneConfig) -> Result<TuneOutcom
     let _span = omplt_trace::span("tuner");
     let mut base_opts = cfg.opts;
     base_opts.log_chunks = false;
-    if cfg.cost == CostModel::Ops {
-        // Deterministic scores ⇒ deterministic (goldenable) reports.
-        base_opts.serial = true;
-    }
+    // Deterministic scores ⇒ deterministic (goldenable) reports.
+    base_opts.serial = true;
 
     // Phase 1: the baseline anchors everything. It must itself pass the
     // legality gate — tuning a program whose hand-written annotation is
     // already illegal (or racy) would cross-check candidates against
     // undefined behaviour.
     let model = SourceModel::parse(source);
-    let (baseline_run, baseline_wall) = {
+    let baseline_run = {
         let _span = omplt_trace::span_detail("tuner.candidate", "baseline");
         match evaluate_contained(name, source, base_opts) {
-            Eval::Ok(r, w) => (r, w),
+            Eval::Ok(r) => r,
             Eval::Pruned(msgs) => {
                 return Err(TuneError::Baseline(format!(
                     "the input itself fails the legality/analysis gate:\n  {}",
@@ -230,7 +220,6 @@ pub fn autotune(name: &str, source: &str, cfg: &TuneConfig) -> Result<TuneOutcom
     };
     let baseline = Measurement {
         ops_retired: baseline_run.ops_retired,
-        wall_us: baseline_wall,
         exit_code: baseline_run.exit_code,
     };
 
@@ -294,13 +283,12 @@ pub fn autotune(name: &str, source: &str, cfg: &TuneConfig) -> Result<TuneOutcom
                     match evaluate_contained(name, &mutated, opts) {
                         Eval::Pruned(msgs) => Some(Status::Pruned(msgs)),
                         Eval::Failed(msg) => Some(Status::Failed(msg)),
-                        Eval::Ok(run, wall) => {
+                        Eval::Ok(run) => {
                             evaluated += 1;
                             match observables_agree(&baseline_run, &run, &opts) {
                                 Err(why) => Some(Status::Diverged(why)),
                                 Ok(()) => Some(Status::Evaluated(Measurement {
                                     ops_retired: run.ops_retired,
-                                    wall_us: wall,
                                     exit_code: run.exit_code,
                                 })),
                             }
@@ -329,7 +317,6 @@ pub fn autotune(name: &str, source: &str, cfg: &TuneConfig) -> Result<TuneOutcom
     // Phase 6: report + winning source.
     let report = TuneReport {
         input: name.to_string(),
-        cost_model: cfg.cost,
         budget: cfg.budget,
         seed: cfg.seed,
         baseline,

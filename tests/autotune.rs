@@ -40,7 +40,7 @@ fn winner_never_loses_to_the_hand_annotation() {
             panic!("winner must be an evaluated candidate");
         };
         assert!(
-            m.score(report.cost_model) <= report.baseline.score(report.cost_model),
+            m.ops_retired <= report.baseline.ops_retired,
             "{name}: winner ({}) scored worse than the hand annotation",
             winner.label
         );
@@ -78,7 +78,7 @@ fn tuner_rediscovers_known_best_configs() {
         panic!("winner must be evaluated");
     };
     assert!(
-        m.score(report.cost_model) < report.baseline.score(report.cost_model),
+        m.ops_retired < report.baseline.ops_retired,
         "stencil search should strictly improve on the hand annotation"
     );
 }
@@ -157,11 +157,10 @@ fn illegal_candidates_are_pruned_with_diagnostics() {
         }
         let mutated = model.apply(&grid[o.id].mutations).expect("re-synthesis");
         let mut ci = omplt::CompilerInstance::new(omplt::Options::default());
-        let tu = ci
-            .parse_source("cand.c", &mutated)
+        ci.parse_source("cand.c", &mutated)
             .expect("evaluated candidates parse");
         assert!(
-            !ci.analyze(&tu).has_findings(),
+            !ci.analysis().has_findings(),
             "evaluated candidate '{}' fails --analyze",
             o.label
         );
@@ -199,11 +198,11 @@ fn vector_width_axis_rediscovers_widening() {
         panic!("winner must be evaluated");
     };
     assert!(
-        m.score(report.cost_model) * 2 < report.baseline.score(report.cost_model),
+        m.ops_retired * 2 < report.baseline.ops_retired,
         "width-4 lanes should at least halve the retired-op score \
          (winner {} vs baseline {})",
-        m.score(report.cost_model),
-        report.baseline.score(report.cost_model)
+        m.ops_retired,
+        report.baseline.ops_retired
     );
 
     // The ranked text report renders the axis labels verbatim.

@@ -278,8 +278,8 @@ int main(void) {\n\
                     c.label
                 );
             }
-            Ok(tu) => {
-                if !ci.analyze(&tu).has_findings() {
+            Ok(_) => {
+                if !ci.analysis().has_findings() {
                     legal += 1;
                     let base = Options {
                         num_threads: 4,

@@ -37,8 +37,8 @@ const ROWS: [(&str, &[&str], Pin); 9] = [
         &["--counters-json", "--syntax-only", "--enable-irbuilder"],
         Pin::Counters(|n| n.starts_with("sema.")),
     ),
-    // An example without transformation directives builds no graph: the
-    // empty file is itself the expectation.
+    // One graph per transformation, `simd` or `parallel` worksharing
+    // directive; an example with none would pin an empty file.
     (
         "analyze.txt",
         &["--counters-json", "--analyze"],

@@ -2,16 +2,15 @@
 //! findings: the exact Clang-style text (level, `file:line:col`, carets,
 //! attached notes) is part of the user interface and must not drift. Which
 //! call the text comes from is pinned too: a refusal is `parse_source`'s
-//! `Err` (every compile gets it), a lint finding appears under `analyze`.
+//! `Err`, a warning rides on its `Ok` — every compile gets both.
 
 use omplt::{CompilerInstance, OpenMpCodegenMode, Options};
 
-/// The findings of the `--analyze` lint on a source every compile accepts.
+/// The warnings every compile reports on a source it accepts.
 fn analyze_and_render(name: &str, src: &str) -> String {
     let mut ci = CompilerInstance::new(Options::default());
-    let tu = ci.parse_source(name, src).expect("source parses cleanly");
-    assert!(ci.diags.is_empty(), "{}", ci.render_diags());
-    ci.analyze(&tu);
+    ci.parse_source(name, src)
+        .expect("a warning, not a refusal");
     ci.render_diags()
 }
 
@@ -376,15 +375,13 @@ lim.c:6:10: note: 'a': subscript is not affine in the loop iteration variables
          ^
 ";
     // "Cannot disprove" lets the compile through, with the warning on it;
-    // `--analyze` counts it as a finding and does not print it again.
+    // `--analyze` counts it as a finding.
     let mut ci = CompilerInstance::new(Options::default());
-    let tu = ci
-        .parse_source("lim.c", src)
+    ci.parse_source("lim.c", src)
         .expect("a warning, not a refusal");
     assert_eq!(ci.render_diags(), expected);
-    let report = ci.analyze(&tu);
+    let report = ci.analysis();
     assert_eq!((report.errors, report.warnings), (0, 1));
-    assert_eq!(ci.render_diags(), expected);
 }
 
 #[test]
@@ -426,8 +423,8 @@ int main(void) {
 }
 ";
     let mut ci = CompilerInstance::new(Options::default());
-    let tu = ci.parse_source("j.c", src).expect("parses");
-    let report = ci.analyze(&tu);
+    ci.parse_source("j.c", src).expect("parses");
+    let report = ci.analysis();
     assert_eq!((report.errors, report.warnings), (0, 1));
     let json = ci.render_diags_json();
     assert!(
@@ -466,16 +463,13 @@ simd.c:7:17: note: dependence sink: access to 'a[i]' (distance vector (1))
                 ^
 ";
     // The lanes are decided on every compile: the loop compiles, runs
-    // scalar, and says why; `--analyze` counts the warning as a finding
-    // and does not print it again.
+    // scalar, and says why; `--analyze` counts the warning as a finding.
     let mut ci = CompilerInstance::new(Options::default());
-    let tu = ci
-        .parse_source("simd.c", src)
+    ci.parse_source("simd.c", src)
         .expect("a warning, not a refusal");
     assert_eq!(ci.render_diags(), expected);
-    let report = ci.analyze(&tu);
+    let report = ci.analysis();
     assert_eq!((report.errors, report.warnings), (0, 1));
-    assert_eq!(ci.render_diags(), expected);
 }
 
 #[test]

@@ -633,7 +633,7 @@ fn autotune_flag_conflicts_are_usage_errors() {
         vec!["--tune-seed=1"],
         vec!["--autotune=0"], // budget must be positive
         vec!["--autotune=banana"],
-        vec!["--autotune", "--tune-cost=furlongs"],
+        vec!["--autotune", "--tune-cost=ops"], // no such option
     ] {
         let out = ompltc().args(&args).arg(&p).output().unwrap();
         assert_eq!(

@@ -4,9 +4,10 @@
 //! built, the dependence gate over `interchange`/`reverse`/`fuse` as the
 //! last step of `parse_source` — so no mode, backend, lowering path or
 //! transport can be handed the miscompile instead. The same gate decides
-//! how many lanes each `simd` loop may run, once, for every consumer.
-//! `--analyze` adds only `-Wrace`, over what the compiler executes
-//! faithfully anyway.
+//! how many lanes each `simd` loop may run, once, for every consumer, and
+//! warns about the data races of `parallel` worksharing loops (`-Wrace`,
+//! over what the compiler executes faithfully anyway). `--analyze` is that
+//! compile stopped after the front end.
 //!
 //! The independent oracle for "legal programs do not move" is the program
 //! with its pragmas ignored (`--no-openmp`): each of the refused programs
@@ -87,6 +88,29 @@ int main(void) {
     return 1;
   }
   print_i64(7);
+  return 0;
+}
+";
+
+/// Each row of `a` depends on itself one column back: `parallel for` over
+/// the rows is race-free as written. `interchange` makes the columns the
+/// workshared loop, and every thread then reads what another one writes.
+const ROWS_THEN_COLUMNS: &str = "\
+void print_i64(long v);
+long a[8][9];
+int main(void) {
+  for (int i = 0; i < 8; i += 1)
+    for (int j = 0; j < 9; j += 1)
+      a[i][j] = i + j;
+  #pragma omp parallel for
+  for (int i = 0; i < 8; i += 1)
+    for (int j = 1; j < 9; j += 1)
+      a[i][j] = a[i][j - 1] + 1;
+  long s = 0;
+  for (int i = 0; i < 8; i += 1)
+    for (int j = 0; j < 9; j += 1)
+      s += a[i][j] * (i * 9 + j + 1);
+  print_i64(s);
   return 0;
 }
 ";
@@ -551,6 +575,83 @@ fn simd_lanes_are_decided_once_on_every_entrance() {
             );
         }
     }
+}
+
+/// `-Wrace` is part of every compile: the racy loop gets the same located
+/// warning on every entrance — the program still runs as written — and the
+/// tuner never ranks a candidate that races.
+#[test]
+fn a_race_warns_on_every_entrance() {
+    use omplt::protocol::{read_frame, write_frame, JobRequest, JobResponse};
+    let daemon = Daemon::start();
+    let remote = format!("--remote={}", daemon.socket.display());
+    let source = ROWS_THEN_COLUMNS.replace(
+        "  #pragma omp parallel for\n",
+        "  #pragma omp parallel for\n  #pragma omp interchange\n",
+    );
+    let file = write_temp("racy_interchange.c", &source);
+    let name = file.display().to_string();
+    let compiled = ompltc(&[], &file);
+    assert_eq!(compiled.code, Some(0), "{}", compiled.stderr);
+    assert_eq!(compiled.stderr.matches("warning: ").count(), 1);
+    assert!(
+        compiled.stderr.starts_with(&format!(
+            "{name}:11:11: warning: loop-carried access to shared array 'a' in \
+             '#pragma omp parallel for'"
+        )) && compiled.stderr.contains("[-Wrace]"),
+        "{}",
+        compiled.stderr
+    );
+
+    let oracle = ompltc(&["--no-openmp", "--serial", "--run"], &file);
+    for args in [
+        vec!["--run", "--backend=vm", "--serial"],
+        vec![remote.as_str(), "--run", "--backend=vm", "--serial"],
+    ] {
+        let got = ompltc(&args, &file);
+        assert_eq!(got.code, Some(0), "{args:?}: {}", got.stderr);
+        assert_eq!(got.stdout, oracle.stdout, "{args:?}");
+        assert_eq!(got.stderr, compiled.stderr, "{args:?}");
+    }
+
+    // A job straight on the daemon's socket, as any client sends it.
+    let mut job = JobRequest::new(1, &name, &source);
+    job.opts.backend = omplt::Backend::Vm;
+    job.opts.serial = true;
+    job.run = true;
+    let mut stream = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
+    write_frame(&mut stream, job.render().as_bytes()).unwrap();
+    let reply = read_frame(&mut stream).unwrap().expect("a reply");
+    let resp = JobResponse::parse(&String::from_utf8(reply).unwrap()).expect("a job reply");
+    assert_eq!(resp.exit_code, 0, "{}", resp.stderr);
+    assert_eq!(resp.stdout, oracle.stdout);
+    assert_eq!(resp.stderr, compiled.stderr);
+
+    let analyzed = ompltc(&["--analyze"], &file);
+    assert_eq!(analyzed.code, Some(1));
+    assert_eq!(analyzed.stderr, compiled.stderr);
+
+    // The tuner inserts that `interchange` into the race-free loop itself:
+    // each such candidate is pruned with the warning, nothing else is.
+    let tuned = ompltc(&["--autotune"], &write_temp("rows.c", ROWS_THEN_COLUMNS));
+    assert_eq!(tuned.code, Some(0), "{}", tuned.stderr);
+    let pruned =
+        (tuned.stdout.split("pruned (illegal) candidates:\n").nth(1)).expect("a pruned candidate");
+    let pruned: Vec<&str> = pruned.lines().collect();
+    assert!(!pruned.is_empty());
+    for pair in pruned.chunks(2) {
+        assert!(pair[0].ends_with(" s0.+interchange21"), "{pair:?}");
+        assert!(
+            pair[1].starts_with("      warning: loop-carried access to shared array 'a'")
+                && pair[1].ends_with("[-Wrace]"),
+            "{pair:?}"
+        );
+    }
+    let ranked = tuned
+        .stdout
+        .lines()
+        .filter(|l| l.contains("+interchange21"));
+    assert_eq!(ranked.count(), pruned.len() / 2, "{}", tuned.stdout);
 }
 
 /// `reverse` over two pointer parameters the caller aliases (`p == q + 1`)
