@@ -278,6 +278,30 @@ pub fn fire(site: &str) -> bool {
     fired
 }
 
+/// The hit of `site` that will fire, counted from the next [`fire`] call
+/// (1 = that call), or `None` when `site` is not armed here. A probe hit once
+/// per element of a loop reads this once per loop instead, counts its own
+/// hits, and accounts for them with [`skip`].
+pub fn armed_in(site: &str) -> Option<u64> {
+    with_current(|scope| match scope.armed.lock().unwrap().as_ref() {
+        Some(a) if a.site == site => Some(a.remaining),
+        _ => None,
+    })
+    .flatten()
+}
+
+/// Consumes `hits` calls of `site` that did not fire — fewer than
+/// [`armed_in`] returned — as that many [`fire`] calls would have.
+pub fn skip(site: &str, hits: u64) {
+    with_current(|scope| {
+        if let Some(a) = scope.armed.lock().unwrap().as_mut() {
+            if a.site == site {
+                a.remaining -= hits;
+            }
+        }
+    });
+}
+
 /// Process-global armory for daemon-level sites. Unlike the per-thread
 /// scope, a global armament is visible from every thread (the acceptor, any
 /// pool worker) and `SITE:COUNT` means *COUNT shots*: the first COUNT

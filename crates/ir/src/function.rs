@@ -127,22 +127,17 @@ impl Function {
         }
     }
 
-    /// Successors of a block (empty while unterminated).
-    pub fn successors(&self, bb: BlockId) -> Vec<BlockId> {
-        self.block(bb)
-            .term
-            .as_ref()
-            .map_or_else(Vec::new, |t| t.successors())
+    /// Successors of a block (none while unterminated), without allocating.
+    pub fn successors(&self, bb: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+        self.block(bb).term.iter().flat_map(Terminator::successors)
     }
 
     /// Computes the predecessor lists of every block.
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (i, b) in self.blocks.iter().enumerate() {
-            if let Some(t) = &b.term {
-                for s in t.successors() {
-                    preds[s.0 as usize].push(BlockId(i as u32));
-                }
+        for i in 0..self.blocks.len() as u32 {
+            for s in self.successors(BlockId(i)) {
+                preds[s.0 as usize].push(BlockId(i));
             }
         }
         preds
@@ -153,8 +148,10 @@ impl Function {
         let n = self.blocks.len();
         let mut visited = vec![false; n];
         let mut post = Vec::with_capacity(n);
-        // Iterative DFS with an explicit "exit" marker stack.
-        let mut stack: Vec<(BlockId, bool)> = vec![(self.entry(), false)];
+        // Iterative DFS with an explicit "exit" marker stack, sized for a
+        // straight chain: one marker per block on the path.
+        let mut stack: Vec<(BlockId, bool)> = Vec::with_capacity(n);
+        stack.push((self.entry(), false));
         while let Some((bb, processed)) = stack.pop() {
             if processed {
                 post.push(bb);
@@ -228,7 +225,7 @@ mod tests {
     fn preds_and_succs() {
         let f = sample();
         let preds = f.predecessors();
-        assert_eq!(f.successors(f.entry()).len(), 2);
+        assert_eq!(f.successors(f.entry()).count(), 2);
         assert_eq!(preds[2].len(), 2); // b has entry and a
         assert_eq!(preds[0].len(), 0);
     }

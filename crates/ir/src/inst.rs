@@ -204,24 +204,8 @@ impl Inst {
         }
     }
 
-    /// All value operands (for remapping during cloning).
-    pub fn operands(&self) -> Vec<Value> {
-        match self {
-            Inst::Alloca { .. } => Vec::new(),
-            Inst::Load { ptr, .. } => vec![*ptr],
-            Inst::Store { val, ptr } => vec![*val, *ptr],
-            Inst::Gep { ptr, index, .. } => vec![*ptr, *index],
-            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Cast { val, .. } => vec![*val],
-            Inst::Select { cond, t, f } => vec![*cond, *t, *f],
-            Inst::Phi { incoming, .. } => incoming.iter().map(|(_, v)| *v).collect(),
-            Inst::Call { args, .. } => args.clone(),
-        }
-    }
-
-    /// Visits every value operand in [`Inst::operands`] order, without the
-    /// `Vec` (the bytecode lowerer walks every instruction's operands
-    /// twice).
+    /// Visits every value operand, in field order (a phi's incoming values,
+    /// a call's arguments, in list order).
     pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
         match self {
             Inst::Alloca { .. } => {}
@@ -304,15 +288,17 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br { target, .. } => vec![*target],
+    /// Successor blocks, in branch order. At most two, so nothing is
+    /// allocated; the iterator does not borrow the terminator.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Terminator::Br { target, .. } => (Some(target), None),
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret(_) | Terminator::Unreachable => Vec::new(),
-        }
+            } => (Some(then_bb), Some(else_bb)),
+            Terminator::Ret(_) | Terminator::Unreachable => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Rewrites successor block ids through `f`.
@@ -406,15 +392,15 @@ mod tests {
             target: BlockId(3),
             loop_md: None,
         };
-        assert_eq!(b.successors(), vec![BlockId(3)]);
+        assert!(b.successors().eq([BlockId(3)]));
         let c = Terminator::CondBr {
             cond: Value::bool(true),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
             loop_md: None,
         };
-        assert_eq!(c.successors(), vec![BlockId(1), BlockId(2)]);
-        assert!(Terminator::Ret(None).successors().is_empty());
+        assert!(c.successors().eq([BlockId(1), BlockId(2)]));
+        assert_eq!(Terminator::Ret(None).successors().count(), 0);
     }
 
     #[test]
@@ -428,7 +414,9 @@ mod tests {
             Some(n) => Value::i32(n as i32 * 10),
             None => v,
         });
-        assert_eq!(i.operands(), vec![Value::i32(10), Value::i32(20)]);
+        let mut ops = Vec::new();
+        i.for_each_operand(|v| ops.push(v));
+        assert_eq!(ops, [Value::i32(10), Value::i32(20)]);
     }
 
     #[test]

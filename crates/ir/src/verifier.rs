@@ -18,6 +18,26 @@ impl std::fmt::Display for VerifyError {
     }
 }
 
+/// Where an error is: `block NAME.INDEX`, then ` inst %ID` for an
+/// instruction. Formatted only into a message that is pushed, so a clean
+/// function costs no string per block or instruction.
+#[derive(Clone, Copy)]
+struct At<'a> {
+    block: &'a str,
+    bi: usize,
+    inst: Option<u32>,
+}
+
+impl std::fmt::Display for At<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "block {}.{}", self.block, self.bi)?;
+        match self.inst {
+            Some(i) => write!(f, " inst %{i}"),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Verifies one function; returns all problems found.
 pub fn verify_function(f: &Function) -> Vec<VerifyError> {
     omplt_trace::count("ir.verify.functions", 1);
@@ -33,7 +53,7 @@ pub fn verify_function(f: &Function) -> Vec<VerifyError> {
         reachable[bb.0 as usize] = true;
     }
 
-    let check_val = |v: Value, ctx: &str, errs: &mut Vec<VerifyError>| match v {
+    let check_val = |v: Value, ctx: &At, errs: &mut Vec<VerifyError>| match v {
         Value::Inst(id) if id.0 >= ninsts => errs.push(VerifyError(format!(
             "{ctx}: reference to out-of-range inst %{}",
             id.0
@@ -66,7 +86,11 @@ pub fn verify_function(f: &Function) -> Vec<VerifyError> {
 
     for (bi, b) in f.blocks.iter().enumerate() {
         let bid = BlockId(bi as u32);
-        let ctx = format!("block {}.{bi}", b.name);
+        let ctx = At {
+            block: &b.name,
+            bi,
+            inst: None,
+        };
         match &b.term {
             None => errs.push(VerifyError(format!("{ctx}: missing terminator"))),
             Some(t) => {
@@ -106,10 +130,11 @@ pub fn verify_function(f: &Function) -> Vec<VerifyError> {
                 continue;
             }
             let inst = f.inst(iid);
-            let ictx = format!("{ctx} inst %{}", iid.0);
-            for op in inst.operands() {
-                check_val(op, &ictx, &mut errs);
-            }
+            let ictx = At {
+                inst: Some(iid.0),
+                ..ctx
+            };
+            inst.for_each_operand(|op| check_val(op, &ictx, &mut errs));
             match inst {
                 Inst::Phi { incoming, .. } if reachable[bi] => {
                     if pos != 0 && !matches!(f.inst(b.insts[pos - 1]), Inst::Phi { .. }) {

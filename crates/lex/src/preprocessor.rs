@@ -150,14 +150,22 @@ impl<'a> Preprocessor<'a> {
     /// convenience entry point used by the parser and tests.
     pub fn tokenize_all(&mut self) -> Vec<Token> {
         let _span = omplt_trace::span("lex.tokenize");
+        // Fault site: COUNT selects which token's lexing panics. The site is
+        // hit once per token but read once per call; the hits that did not
+        // fire are consumed on the way out.
+        let fire_at = omplt_fault::armed_in("lex.panic");
         let mut out = Vec::new();
         loop {
-            // Fault site: COUNT selects which token's lexing panics.
-            omplt_fault::panic_if_armed("lex.panic");
+            let hit = out.len() as u64 + 1;
+            if fire_at == Some(hit) {
+                omplt_fault::skip("lex.panic", hit - 1);
+                omplt_fault::panic_if_armed("lex.panic");
+            }
             let t = self.next_token();
             let eof = matches!(t.kind, TokenKind::Eof);
             out.push(t);
             if eof {
+                omplt_fault::skip("lex.panic", out.len() as u64);
                 omplt_trace::count("lex.tokens", out.len() as u64);
                 return out;
             }

@@ -60,7 +60,9 @@ pub fn run_default_pipeline(m: &mut Module, verify_each: bool) -> (UnrollStats, 
         for (name, pass) in DEFAULT_PIPELINE {
             {
                 let _span = omplt_trace::span_detail("midend.pass", name);
-                omplt_trace::count(&format!("midend.pass.{name}.runs"), 1);
+                if omplt_trace::active() {
+                    omplt_trace::count(&format!("midend.pass.{name}.runs"), 1);
+                }
                 pass(f, &mut stats);
             }
             if verify_each {

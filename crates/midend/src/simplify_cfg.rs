@@ -77,20 +77,16 @@ fn remove_unreachable(f: &mut Function) -> bool {
     }
     f.blocks = kept;
     // Rewrite targets and phi incoming lists.
-    let kept_ids: Vec<BlockId> = (0..f.blocks.len() as u32).map(BlockId).collect();
-    for &bb in &kept_ids {
-        if let Some(t) = f.blocks[bb.0 as usize].term.as_mut() {
+    for bi in 0..f.blocks.len() {
+        if let Some(t) = f.blocks[bi].term.as_mut() {
             t.map_blocks(|old| remap[old.0 as usize]);
         }
-        let insts = f.blocks[bb.0 as usize].insts.clone();
-        for iid in insts {
-            if let Inst::Phi { incoming, .. } = f.inst_mut(iid) {
-                incoming.retain(|(from, _)| reachable[from.0 as usize]);
-                for (from, _) in incoming.iter_mut() {
-                    *from = remap[from.0 as usize];
-                }
+        edit_phis(f, BlockId(bi as u32), |incoming| {
+            incoming.retain(|(from, _)| reachable[from.0 as usize]);
+            for (from, _) in incoming.iter_mut() {
+                *from = remap[from.0 as usize];
             }
-        }
+        });
     }
     true
 }
@@ -143,7 +139,7 @@ fn merge_chains(f: &mut Function) -> bool {
             f.blocks[ai].term = b_term;
             // Phis in b's former successors must re-point their edges to a.
             let succs = f.blocks[ai].term.as_ref().map(Terminator::successors);
-            for s in succs.unwrap_or_default() {
+            for s in succs.into_iter().flatten() {
                 edit_phis(f, s, |incoming| {
                     for (from, _) in incoming.iter_mut().filter(|(from, _)| *from == b) {
                         *from = a;

@@ -632,7 +632,7 @@ mod tests {
             }
             if let Some(t) = &data.term {
                 assert!(
-                    !t.successors().contains(&dli.inner_preheader),
+                    !t.successors().any(|s| s == dli.inner_preheader),
                     "stray edge from {bb:?} into the inner preheader bypasses dispatch init"
                 );
             }

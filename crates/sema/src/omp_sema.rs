@@ -460,7 +460,9 @@ impl Sema<'_> {
         // transformation is consumed on that path through its shadow AST.
         if !matches!(kind, Unroll | Tile) {
             t = self.wrap_transformed_tail_canonical(t, consumer);
-            omplt_trace::count(&format!("sema.transform.{}", kind.name()), 1);
+            if omplt_trace::active() {
+                omplt_trace::count(&format!("sema.transform.{}", kind.name()), 1);
+            }
         }
         // The single-loop transforms see only the loop's analysis: the
         // prologue of a consumed inner transformation must stay in front.

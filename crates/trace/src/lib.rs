@@ -197,19 +197,20 @@ pub fn span(name: &str) -> Span {
 }
 
 /// Like [`span`] but with a free-form detail argument (directive kind, pass
-/// name, …) shown in the trace viewer.
-pub fn span_detail(name: &str, detail: impl Into<String>) -> Span {
-    span_impl(name, Some(detail.into()))
+/// name, …) shown in the trace viewer. `detail` is copied only inside a
+/// session.
+pub fn span_detail(name: &str, detail: &str) -> Span {
+    span_impl(name, Some(detail))
 }
 
-fn span_impl(name: &str, detail: Option<String>) -> Span {
+fn span_impl(name: &str, detail: Option<&str>) -> Span {
     let rec = CURRENT.with(|c| {
         c.borrow().as_ref().map(|(inner, tid)| SpanRec {
             start_us: inner.elapsed_us(),
             inner: inner.clone(),
             tid: *tid,
             name: name.to_string(),
-            detail: detail.clone(),
+            detail: detail.map(str::to_string),
         })
     });
     Span { rec }

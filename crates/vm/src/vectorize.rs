@@ -386,16 +386,10 @@ fn use_counts(f: &Function, blocks: &[BlockId]) -> HashMap<InstId, u32> {
     };
     for &bb in blocks {
         for &iid in &f.block(bb).insts {
-            for v in f.inst(iid).operands() {
-                tally(v);
-            }
+            f.inst(iid).for_each_operand(&mut tally);
         }
         if let Some(t) = &f.block(bb).term {
-            match t {
-                Terminator::CondBr { cond, .. } => tally(*cond),
-                Terminator::Ret(Some(v)) => tally(*v),
-                _ => {}
-            }
+            t.for_each_operand(&mut tally);
         }
     }
     uses

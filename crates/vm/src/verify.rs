@@ -833,15 +833,14 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
         f.ops[range.end - 1].for_each_target(|t| preds[block_of(t)].push(b));
     }
 
-    let top = vec![u64::MAX; words];
-    let mut entry_set = vec![0u64; words];
-    for &p in &f.params {
-        entry_set[p as usize / 64] |= 1 << (p as usize % 64);
-    }
     // in[b] = (params if entry) ∩ over preds out[p]; out[b] = in[b] ∪ defs.
-    let mut in_set: Vec<Vec<u64>> = vec![top.clone(); nb];
-    in_set[0] = entry_set.clone();
-    let mut out_set: Vec<Vec<u64>> = vec![top.clone(); nb];
+    // Both sets are flat tables (row b = `[b * words..(b + 1) * words]`)
+    // and each round works in one scratch row, so the fixpoint allocates
+    // nothing however many rounds it takes.
+    let row = |b: usize| b * words..(b + 1) * words;
+    let mut in_set = vec![u64::MAX; nb * words];
+    let mut out_set = vec![u64::MAX; nb * words];
+    let mut cur = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
@@ -850,36 +849,35 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
             // entry can only add registers already defined on every path, so
             // joining it would be a no-op). Unreachable blocks keep ⊤ and
             // are skipped by the report pass.
-            let inn = if b == 0 {
-                entry_set.clone()
-            } else if preds[b].is_empty() {
-                top.clone()
+            if b == 0 {
+                cur.fill(0);
+                for &p in &f.params {
+                    cur[p as usize / 64] |= 1 << (p as usize % 64);
+                }
             } else {
-                let mut inn = top.clone();
+                cur.fill(u64::MAX);
                 for &p in &preds[b] {
-                    for (w, &o) in inn.iter_mut().zip(&out_set[p]) {
+                    for (w, &o) in cur.iter_mut().zip(&out_set[row(p)]) {
                         *w &= o;
                     }
                 }
-                inn
-            };
-            let mut out = inn.clone();
+            }
+            if in_set[row(b)] != cur[..] {
+                in_set[row(b)].copy_from_slice(&cur);
+                changed = true;
+            }
             let range = f.block_range(f.block_starts[b]);
             for op in &f.ops[range.clone()] {
                 if let Some(d) = op.def() {
-                    out[d as usize / 64] |= 1 << (d as usize % 64);
+                    cur[d as usize / 64] |= 1 << (d as usize % 64);
                 }
                 if let Some(v) = op.vdef() {
                     let bit = n + v as usize;
-                    out[bit / 64] |= 1 << (bit % 64);
+                    cur[bit / 64] |= 1 << (bit % 64);
                 }
             }
-            if inn != in_set[b] {
-                in_set[b] = inn;
-                changed = true;
-            }
-            if out != out_set[b] {
-                out_set[b] = out;
+            if out_set[row(b)] != cur[..] {
+                out_set[row(b)].copy_from_slice(&cur);
                 changed = true;
             }
         }
@@ -890,7 +888,8 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
         if b != 0 && preds[b].is_empty() {
             continue; // unreachable code is not checked
         }
-        let mut defined = in_set[b].clone();
+        let defined = &mut cur;
+        defined.copy_from_slice(&in_set[row(b)]);
         let range = f.block_range(s);
         for pc in range {
             let op = f.ops[pc];

@@ -212,6 +212,7 @@ impl CompilerInstance {
         if self.diags.has_errors() {
             return Err(self.render_diags());
         }
+        let _span = omplt_trace::span("ir.verify");
         for f in &r.module.functions {
             let errs = omplt_ir::verify_function(f);
             if !errs.is_empty() {
@@ -356,7 +357,10 @@ impl CompilerInstance {
         omplt_fault::set_stage("vm");
         let code = omplt_vm::compile_module_with(module, self.opts.vector_width)
             .map_err(|e| omplt_interp::ExecError::Malformed(format!("bytecode compile: {e}")))?;
-        let errs = omplt_vm::verify_module(&code);
+        let errs = {
+            let _span = omplt_trace::span("vm.verify");
+            omplt_vm::verify_module(&code)
+        };
         if !errs.is_empty() {
             return Err(omplt_interp::ExecError::Malformed(format!(
                 "bytecode verification failed:\n{}",

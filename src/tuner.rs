@@ -275,7 +275,7 @@ pub fn autotune(name: &str, source: &str, cfg: &TuneConfig) -> Result<TuneOutcom
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
                     v.insert(c.id);
-                    let _span = omplt_trace::span_detail("tuner.candidate", c.label.clone());
+                    let _span = omplt_trace::span_detail("tuner.candidate", &c.label);
                     let mut opts = base_opts;
                     opts.backend = backend;
                     opts.vector_width = vector_width;

@@ -1,0 +1,200 @@
+//! Allocation budgets of the compile path: a check or probe that runs per
+//! instruction, block, dataflow round or token must not allocate per
+//! element. A counting global allocator tallies allocations per thread, so
+//! the tests of this binary can run in parallel without seeing each other's
+//! work; each test compares two inputs that differ only in the element count
+//! the site used to allocate for.
+
+use omplt::ir::{
+    verify_function, BinOpKind, Function, IrBuilder, IrType, LoopMetadata, UnrollHint, Value,
+};
+use omplt::vm::{Op, PoolConst, RegClass, VmFunction};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations (and reallocations) `f` makes on this thread, with its
+/// result, which is dropped after counting.
+fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+/// One block of `n` `add`s to the argument (not a chain: typing a chain
+/// recurses through it).
+fn adds(n: usize) -> Function {
+    let mut f = Function::new("adds", vec![IrType::I64], IrType::I64);
+    let mut b = IrBuilder::new(&mut f);
+    let mut v = Value::Arg(0);
+    for k in 0..n {
+        v = b.bin(BinOpKind::Add, Value::Arg(0), Value::i64(k as i64));
+    }
+    b.ret(Some(v));
+    f
+}
+
+#[test]
+fn the_ir_verifier_does_not_allocate_per_instruction() {
+    let verify = |n: usize| {
+        let f = adds(n);
+        let (count, errs) = allocs(|| verify_function(&f));
+        assert_eq!(errs, vec![]);
+        count
+    };
+    assert_eq!(verify(10_000), verify(100));
+}
+
+/// `entry → c1 → … → c(n-1): ret`, every branch a latch's (it carries loop
+/// metadata), so there is nothing for CFG simplification to do.
+fn latch_chain(n: usize) -> Function {
+    let mut f = Function::new("chain", vec![], IrType::Void);
+    let blocks: Vec<_> = (1..n).map(|k| f.add_block(format!("c{k}"))).collect();
+    let mut b = IrBuilder::new(&mut f);
+    for &next in &blocks {
+        b.br_with_md(next, LoopMetadata::unroll(UnrollHint::Disable));
+        b.set_insert_point(next);
+    }
+    b.ret(None);
+    f
+}
+
+#[test]
+fn simplify_cfg_on_a_simplified_chain_does_not_allocate_per_block() {
+    let run = |n: usize| {
+        let mut f = latch_chain(n);
+        let (count, changed) = allocs(|| omplt::midend::simplify_cfg(&mut f));
+        assert!(!changed, "a chain of latches is already simplified");
+        assert_eq!(f.blocks.len(), n);
+        count
+    };
+    assert_eq!(run(200), run(20));
+}
+
+/// `blocks` blocks: block 0 defines r0, every other block jumps on, the
+/// last one returns r0. Laid out forward (0 → 1 → …) the definite-init
+/// fixpoint settles in one round; reversed (0 → n-1 → n-2 → … → 1) each
+/// round settles one more block.
+fn jump_chain(blocks: u32, reversed: bool) -> VmFunction {
+    // Block 0 is ops 0..2, block k ≥ 1 is op k + 1.
+    let start = |b: u32| if b == 0 { 0 } else { b + 1 };
+    let (first, last) = if reversed {
+        (blocks - 1, 1)
+    } else {
+        (1, blocks - 1)
+    };
+    let next = |b: u32| if reversed { b - 1 } else { b + 1 };
+    let mut ops = vec![
+        Op::Const { dst: 0, idx: 0 },
+        Op::Jmp {
+            target: start(first),
+        },
+    ];
+    for b in 1..blocks {
+        ops.push(if b == last {
+            Op::Ret { src: Some(0) }
+        } else {
+            Op::Jmp {
+                target: start(next(b)),
+            }
+        });
+    }
+    VmFunction {
+        name: "chain".into(),
+        params: vec![],
+        num_regs: 1,
+        reg_class: vec![RegClass::Int],
+        num_vregs: 0,
+        vreg_class: vec![],
+        vreg_width: vec![],
+        ops,
+        consts: vec![PoolConst::Val(omplt::interp::RtVal::I(7))],
+        call_args: vec![],
+        call_targets: vec![],
+        block_starts: (0..blocks).map(start).collect(),
+        ret: IrType::I64,
+    }
+}
+
+#[test]
+fn the_bytecode_verifier_does_not_allocate_per_dataflow_round() {
+    let verify = |reversed: bool| {
+        let f = jump_chain(100, reversed);
+        let (count, errs) = allocs(|| omplt::vm::verify_function(&f, 1));
+        assert_eq!(errs, vec![], "reversed: {reversed}");
+        count
+    };
+    // Two rounds against a hundred: the same blocks, the same allocations.
+    assert_eq!(verify(true), verify(false));
+}
+
+#[test]
+fn tokenize_all_allocates_only_for_spellings_and_growth() {
+    // Per statement six tokens: one identifier, one string literal and four
+    // that own nothing.
+    let tokenize = |statements: usize| {
+        let source = "x = \"s\" + 1;\n".repeat(statements);
+        let mut fm = omplt::source::FileManager::new();
+        let mut sm = omplt::source::SourceManager::new();
+        let diags = omplt::source::DiagnosticsEngine::new();
+        let file = sm.add_file(fm.add_virtual_file("t.c", source)).0;
+        let mut pp = omplt::lex::Preprocessor::new(&mut sm, &mut fm, &diags, file);
+        let (count, tokens) = allocs(|| pp.tokenize_all());
+        assert_eq!(tokens.len(), 6 * statements + 1);
+        count
+    };
+    // Armed for another site, so the thread has a fault scope to consult.
+    omplt::fault::arm("vm.panic").unwrap();
+    let (small, large) = (tokenize(100), tokenize(10_000));
+    omplt::fault::reset();
+    // Two spellings per statement, 9 900 more statements; the token vector
+    // doubles at most log2(60 001) < 16 times.
+    let spellings = 2 * 9_900;
+    assert!(
+        large - small <= spellings + 16,
+        "{large} allocations for 10 000 statements against {small} for 100"
+    );
+}
+
+#[test]
+fn probes_without_a_session_do_not_allocate() {
+    let (count, ()) = allocs(|| {
+        let _outer = omplt::trace::span("stage");
+        let _inner = omplt::trace::span_detail("stage.detail", "a detail string");
+        omplt::trace::count("stage.items", 1);
+    });
+    assert_eq!(count, 0);
+}

@@ -162,6 +162,39 @@ fn fault_count_selects_the_nth_hit() {
     assert_eq!(o.code, Some(0), "{}", o.stderr);
 }
 
+/// `lex.panic` is hit once per token, the final `Eof` included: with N
+/// tokens lexed (the `lex.tokens` counter), COUNT = N dies on the last one
+/// and COUNT = N + 1 is never reached.
+#[test]
+fn lex_panic_count_selects_a_token_up_to_the_last() {
+    let p = write_temp("ice_last_token.c", FULL_PIPELINE);
+    let counters = std::env::temp_dir().join("omplt-fault-tests/ice_last_token.counters.json");
+    let flag = format!("--counters-json={}", counters.display());
+    let o = run_ompltc(&[flag.as_str()], &p);
+    assert_eq!(o.code, Some(0), "{}", o.stderr);
+    let doc = omplt::trace::json::parse(&std::fs::read_to_string(&counters).unwrap()).unwrap();
+    let tokens = doc
+        .get("counters")
+        .and_then(|c| c.get("lex.tokens"))
+        .and_then(omplt::trace::json::Value::as_u64)
+        .expect("lex.tokens counter");
+
+    let last = format!("--inject-fault=lex.panic:{tokens}");
+    let o = run_ompltc(&[last.as_str()], &p);
+    assert_contained(&o, &last);
+    assert_eq!(o.code, Some(3), "{}", o.stderr);
+    assert!(
+        o.stderr.contains("internal compiler error in stage 'lex'"),
+        "{}",
+        o.stderr
+    );
+
+    let beyond = format!("--inject-fault=lex.panic:{}", tokens + 1);
+    let o = run_ompltc(&[beyond.as_str()], &p);
+    assert_eq!(o.code, Some(0), "{}", o.stderr);
+    assert!(o.stderr.is_empty(), "{}", o.stderr);
+}
+
 /// Runtime-limit sites × {text, json}: structured runtime errors, exit 1.
 #[test]
 fn runtime_sites_are_structured_runtime_errors_in_both_formats() {

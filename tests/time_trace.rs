@@ -70,9 +70,9 @@ fn time_trace_emits_valid_nested_json_covering_every_stage() {
     let doc = json::parse(&text).expect("--time-trace output must be valid JSON");
 
     let spans = complete_events(&doc);
-    // Every pipeline layer must appear: front-end (lex/parse/sema), codegen,
-    // mid-end passes, verifier re-checks, and the interpreter run — all
-    // nested under the root `ompltc` span.
+    // Every pipeline layer must appear: front-end (lex/parse/sema), codegen
+    // and the IR check behind it, mid-end passes, verifier re-checks, and the
+    // interpreter run — all nested under the root `ompltc` span.
     for stage in [
         "ompltc",
         "frontend",
@@ -80,6 +80,7 @@ fn time_trace_emits_valid_nested_json_covering_every_stage() {
         "parse",
         "sema.directive",
         "codegen",
+        "ir.verify",
         "midend",
         "midend.pass",
         "midend.verify-each",
@@ -140,9 +141,9 @@ fn time_trace_emits_valid_nested_json_covering_every_stage() {
         counters.get("interp.barrier.waits").is_some(),
         "runtime counters must ride along in the trace:\n{text}"
     );
-    // `--verify-each` re-checks every function after each pass; the verifier
-    // layer reports through this counter (it verifies function-by-function
-    // on this path, so no module-level `ir.verify` span is opened).
+    // The IR verifier counts every function it checks: once each behind
+    // codegen (inside the `ir.verify` span), and again after every pass
+    // under `--verify-each` (inside `midend.verify-each`).
     assert!(
         counters
             .get("ir.verify.functions")
@@ -150,6 +151,38 @@ fn time_trace_emits_valid_nested_json_covering_every_stage() {
             .is_some_and(|n| n > 0),
         "verifier re-checks must be counted:\n{text}"
     );
+}
+
+#[test]
+fn the_bytecode_backend_traces_compile_verify_and_run() {
+    // Both verifiers run on every `--backend=vm` compile, each in a span of
+    // its own, so their time shows in `--time-report` as rows of their own.
+    let trace = temp_path("stencil.vm.trace.json");
+    let out = ompltc()
+        .arg(format!("--time-trace={}", trace.display()))
+        .args(["--opt", "--backend=vm", "--run"])
+        .arg(STENCIL)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let spans = complete_events(&json::parse(&text).expect("valid JSON"));
+    let root = spans
+        .iter()
+        .find(|s| s.name == "ompltc")
+        .expect("root span");
+    for stage in ["ir.verify", "vm.compile", "vm.verify", "vm.run"] {
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == stage && root.start <= s.start && s.end <= root.end),
+            "no span for stage '{stage}' under the root in:\n{text}"
+        );
+    }
 }
 
 #[test]
