@@ -132,44 +132,25 @@ impl Function {
         self.block(bb).term.iter().flat_map(Terminator::successors)
     }
 
-    /// Computes the predecessor lists of every block.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for i in 0..self.blocks.len() as u32 {
-            for s in self.successors(BlockId(i)) {
-                preds[s.0 as usize].push(BlockId(i));
-            }
-        }
-        preds
-    }
-
-    /// Blocks reachable from entry, in reverse-postorder.
-    pub fn reverse_postorder(&self) -> Vec<BlockId> {
-        let n = self.blocks.len();
-        let mut visited = vec![false; n];
-        let mut post = Vec::with_capacity(n);
-        // Iterative DFS with an explicit "exit" marker stack, sized for a
-        // straight chain: one marker per block on the path.
-        let mut stack: Vec<(BlockId, bool)> = Vec::with_capacity(n);
-        stack.push((self.entry(), false));
-        while let Some((bb, processed)) = stack.pop() {
-            if processed {
-                post.push(bb);
-                continue;
-            }
-            if visited[bb.0 as usize] {
-                continue;
-            }
-            visited[bb.0 as usize] = true;
-            stack.push((bb, true));
-            for s in self.successors(bb) {
-                if !visited[s.0 as usize] {
-                    stack.push((s, false));
+    /// The predecessors of every block: `preds[b]` for block index `b`, in
+    /// ascending block order (a block branching to `b` on both arms appears
+    /// twice).
+    pub fn predecessors(&self) -> BlockLists<BlockId> {
+        BlockLists::group(self.blocks.len(), BlockId(0), |preds| {
+            for i in 0..self.blocks.len() as u32 {
+                for s in self.successors(BlockId(i)) {
+                    preds.push(s.0 as usize, BlockId(i));
                 }
             }
-        }
-        post.reverse();
-        post
+        })
+    }
+
+    /// Blocks reachable from entry, in reverse-postorder (a walk with fresh
+    /// [`Rpo`] buffers).
+    pub fn reverse_postorder(&self) -> Vec<BlockId> {
+        let mut rpo = Rpo::default();
+        rpo.compute(self);
+        rpo.order
     }
 
     /// The blocks reachable from `from` without passing through `stop`
@@ -194,6 +175,119 @@ impl Function {
     /// heuristics).
     pub fn num_insts(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
+    }
+}
+
+/// Per-block lists in one flat vector — list `b` is `lists[b]` — so a CFG
+/// query allocates twice however many blocks and edges it covers.
+#[derive(Clone, Debug)]
+pub struct BlockLists<T> {
+    /// List `b` is `items[at[b]..at[b + 1]]`.
+    at: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> BlockLists<T> {
+    /// Groups the `(list, item)` pairs `walk` pushes by list, each list in
+    /// the order its items came. `walk` runs twice, to count and then to
+    /// place, and must push the same pairs both times; `filler` only holds a
+    /// slot until its item is placed.
+    pub fn group(lists: usize, filler: T, walk: impl Fn(&mut Grouper<'_, T>)) -> Self {
+        let mut at = vec![0u32; lists + 1];
+        walk(&mut Grouper {
+            at: &mut at,
+            items: None,
+        });
+        // `at[b + 1]` becomes list `b`'s start; placing its items advances
+        // it to the list's end, which is where list `b + 1` starts.
+        let mut start = 0;
+        for slot in &mut at[1..] {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        let mut items = vec![filler; start as usize];
+        walk(&mut Grouper {
+            at: &mut at,
+            items: Some(&mut items),
+        });
+        BlockLists { at, items }
+    }
+}
+
+/// Where [`BlockLists::group`]'s walk pushes its pairs.
+pub struct Grouper<'a, T> {
+    at: &'a mut [u32],
+    /// `None` while counting.
+    items: Option<&'a mut [T]>,
+}
+
+impl<T> Grouper<'_, T> {
+    /// Adds `item` to list `list`.
+    pub fn push(&mut self, list: usize, item: T) {
+        let slot = &mut self.at[list + 1];
+        if let Some(items) = &mut self.items {
+            items[*slot as usize] = item;
+        }
+        *slot += 1;
+    }
+}
+
+impl<T> std::ops::Index<usize> for BlockLists<T> {
+    type Output = [T];
+
+    fn index(&self, b: usize) -> &[T] {
+        &self.items[self.at[b] as usize..self.at[b + 1] as usize]
+    }
+}
+
+/// A reverse-postorder walk and its buffers. A caller that walks many
+/// functions, or one function many times, keeps one and stops allocating
+/// once the buffers have grown; [`Function::reverse_postorder`] walks with
+/// fresh ones.
+#[derive(Default)]
+pub struct Rpo {
+    order: Vec<BlockId>,
+    visited: Vec<bool>,
+    stack: Vec<(BlockId, bool)>,
+}
+
+impl Rpo {
+    /// Walks `f`: the blocks reachable from its entry, in reverse postorder.
+    pub fn compute(&mut self, f: &Function) -> &[BlockId] {
+        let n = f.blocks.len();
+        self.visited.clear();
+        self.visited.resize(n, false);
+        self.order.clear();
+        self.order.reserve(n);
+        // Iterative DFS with an explicit "exit" marker stack, sized for a
+        // straight chain: one marker per block on the path.
+        self.stack.clear();
+        self.stack.reserve(n);
+        self.stack.push((f.entry(), false));
+        while let Some((bb, processed)) = self.stack.pop() {
+            if processed {
+                self.order.push(bb);
+                continue;
+            }
+            if self.visited[bb.0 as usize] {
+                continue;
+            }
+            self.visited[bb.0 as usize] = true;
+            self.stack.push((bb, true));
+            for s in f.successors(bb) {
+                if !self.visited[s.0 as usize] {
+                    self.stack.push((s, false));
+                }
+            }
+        }
+        self.order.reverse();
+        &self.order
+    }
+
+    /// Whether the last walk reached `b`.
+    pub fn reached(&self, b: BlockId) -> bool {
+        self.visited[b.0 as usize]
     }
 }
 

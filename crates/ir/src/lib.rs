@@ -25,7 +25,7 @@ pub mod value;
 pub mod verifier;
 
 pub use builder::IrBuilder;
-pub use function::{BlockData, BlockId, Function, InstId};
+pub use function::{BlockData, BlockId, BlockLists, Function, Grouper, InstId, Rpo};
 pub use inst::{BinOpKind, Callee, CastOp, CmpPred, Inst, Terminator};
 pub use metadata::{LoopMetadata, UnrollHint};
 pub use module::{ExternFn, GlobalVar, Module};

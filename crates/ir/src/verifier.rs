@@ -3,7 +3,7 @@
 //! invariants (explicit blocks, identifiable IV and trip count) have their
 //! own checker in `omplt-ompirb`; this one covers basic structural rules.
 
-use crate::function::{BlockId, Function};
+use crate::function::{BlockId, Function, Rpo};
 use crate::inst::{Inst, Terminator};
 use crate::types::IrType;
 use crate::value::Value;
@@ -48,10 +48,8 @@ pub fn verify_function(f: &Function) -> Vec<VerifyError> {
     // Phi-coherence rules only apply to reachable blocks: transformations
     // (tile/collapse) abandon old loop scaffolding, leaving dead blocks with
     // stale edges until SimplifyCfg sweeps them.
-    let mut reachable = vec![false; f.blocks.len()];
-    for bb in f.reverse_postorder() {
-        reachable[bb.0 as usize] = true;
-    }
+    let mut reachable = Rpo::default();
+    reachable.compute(f);
 
     let check_val = |v: Value, ctx: &At, errs: &mut Vec<VerifyError>| match v {
         Value::Inst(id) if id.0 >= ninsts => errs.push(VerifyError(format!(
@@ -136,7 +134,7 @@ pub fn verify_function(f: &Function) -> Vec<VerifyError> {
             };
             inst.for_each_operand(|op| check_val(op, &ictx, &mut errs));
             match inst {
-                Inst::Phi { incoming, .. } if reachable[bi] => {
+                Inst::Phi { incoming, .. } if reachable.reached(bid) => {
                     if pos != 0 && !matches!(f.inst(b.insts[pos - 1]), Inst::Phi { .. }) {
                         errs.push(VerifyError(format!("{ictx}: phi not at block start")));
                     }

@@ -4,16 +4,18 @@
 //! *after* instructions were built, so a post-pass re-folds them.
 
 use omplt_ir::arith::simplify;
-use omplt_ir::{Function, Inst, InstId, Value};
-use std::collections::HashMap;
+use omplt_ir::{Function, Inst, Value};
 
 /// Folds constants and removes dead instructions to a fixpoint.
 /// Returns true if anything changed.
 pub fn constant_fold(f: &mut Function) -> bool {
+    // Both rows are indexed by `InstId` and reused by every round.
+    let mut replacement = Vec::new();
+    let mut used = Vec::new();
     let mut changed = false;
     loop {
-        let mut local = fold_once(f);
-        local |= dce_once(f);
+        let mut local = fold_once(f, &mut replacement);
+        local |= dce_once(f, &mut used);
         if !local {
             return changed;
         }
@@ -21,11 +23,13 @@ pub fn constant_fold(f: &mut Function) -> bool {
     }
 }
 
-fn fold_once(f: &mut Function) -> bool {
+fn fold_once(f: &mut Function, replacement: &mut Vec<Option<Value>>) -> bool {
     // Pass 1: decide replacements.
-    let mut replacements: HashMap<InstId, Value> = HashMap::new();
-    for bi in 0..f.blocks.len() {
-        for &iid in &f.blocks[bi].insts {
+    replacement.clear();
+    replacement.resize(f.insts.len(), None);
+    let mut any = false;
+    for block in &f.blocks {
+        for &iid in &block.insts {
             let inst = f.inst(iid);
             let folded = match inst {
                 // Single-incoming phis collapse to their value.
@@ -35,20 +39,21 @@ fn fold_once(f: &mut Function) -> bool {
             if let Some(v) = folded {
                 // Avoid self-replacement cycles.
                 if v != Value::Inst(iid) {
-                    replacements.insert(iid, v);
+                    replacement[iid.0 as usize] = Some(v);
+                    any = true;
                 }
             }
         }
     }
-    if replacements.is_empty() {
+    if !any {
         return false;
     }
     // Resolve chains (a→b→const).
     let resolve = |mut v: Value| {
         let mut hops = 0;
         while let Value::Inst(id) = v {
-            match replacements.get(&id) {
-                Some(&next) if hops < 64 => {
+            match replacement.get(id.0 as usize).copied().flatten() {
+                Some(next) if hops < 64 => {
                     v = next;
                     hops += 1;
                 }
@@ -58,23 +63,24 @@ fn fold_once(f: &mut Function) -> bool {
         v
     };
     // Pass 2: rewrite all uses and drop the folded instructions.
-    for bi in 0..f.blocks.len() {
-        let insts = f.blocks[bi].insts.clone();
-        for iid in insts {
-            f.inst_mut(iid).map_operands(resolve);
+    let Function { insts, blocks, .. } = f;
+    for block in blocks {
+        for &iid in &block.insts {
+            insts[iid.0 as usize].map_operands(resolve);
         }
-        if let Some(t) = f.blocks[bi].term.as_mut() {
+        if let Some(t) = block.term.as_mut() {
             t.map_operands(resolve);
         }
-        f.blocks[bi].insts.retain(|i| !replacements.contains_key(i));
+        block.insts.retain(|i| replacement[i.0 as usize].is_none());
     }
     true
 }
 
 /// Removes instructions whose results are unused and that have no side
 /// effects. Returns true if anything was removed.
-fn dce_once(f: &mut Function) -> bool {
-    let mut used = vec![false; f.insts.len()];
+fn dce_once(f: &mut Function, used: &mut Vec<bool>) -> bool {
+    used.clear();
+    used.resize(f.insts.len(), false);
     let mut mark = |v: Value| {
         if let Value::Inst(id) = v {
             used[id.0 as usize] = true;

@@ -24,7 +24,6 @@ use omplt_ir::{
     BlockId, CmpPred, Function, Inst, InstId, IrBuilder, LoopMetadata, Terminator, UnrollHint,
     Value,
 };
-use std::collections::HashMap;
 
 /// What the pass did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -213,70 +212,96 @@ fn sweep_dead(f: &mut Function, region: &[BlockId]) -> usize {
     size
 }
 
-/// The region's blocks in function reverse-postorder (defs before uses).
-fn region_in_rpo(f: &Function, region: &[BlockId]) -> Vec<BlockId> {
-    let set: Vec<bool> = {
-        let mut v = vec![false; f.blocks.len()];
-        for &b in region {
-            v[b.0 as usize] = true;
-        }
-        v
-    };
-    f.reverse_postorder()
-        .into_iter()
-        .filter(|b| set[b.0 as usize])
-        .collect()
+/// A loop's body region and the tables its copies are mapped through.
+/// Every key is an id that existed before the first copy was added (a
+/// region block, a region instruction, the induction phi), so the tables
+/// are sized once per transformation and each copy resets only its own
+/// entries.
+struct RegionCopier {
+    /// The region's blocks in function reverse-postorder (defs before uses).
+    rpo: Vec<BlockId>,
+    /// The region's entry (the loop body), the latch its branches leave it
+    /// for, and the induction phi each copy replaces with its own value.
+    entry: BlockId,
+    latch: BlockId,
+    iv_phi: InstId,
+    block_map: Vec<Option<BlockId>>,
+    value_map: Vec<Option<Value>>,
 }
 
-/// Clones `region`, remapping values through `vmap` (seeded with the IV
-/// substitution) and intra-region branch targets. Branches to `old_exit_to`
-/// are retargeted to `new_exit_to`. Returns the clone's entry block.
-fn clone_region(
-    f: &mut Function,
-    region_rpo: &[BlockId],
-    entry: BlockId,
-    seed: &[(InstId, Value)],
-    old_exit_to: BlockId,
-    new_exit_to: BlockId,
-    tag: &str,
-) -> BlockId {
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
-    for &bb in region_rpo {
-        let name = format!("{}.{tag}", f.block(bb).name);
-        bmap.insert(bb, f.add_block(name));
-    }
-    let mut vmap: HashMap<InstId, Value> = seed.iter().copied().collect();
-    for &bb in region_rpo {
-        let new_bb = bmap[&bb];
-        let insts = f.block(bb).insts.clone();
-        for iid in insts {
-            let mut inst = f.inst(iid).clone();
-            inst.map_operands(|v| match v {
-                Value::Inst(id) => vmap.get(&id).copied().unwrap_or(v),
-                _ => v,
-            });
-            let nv = f.push_inst(new_bb, inst);
-            vmap.insert(iid, nv);
+impl RegionCopier {
+    fn new(f: &Function, sk: &SkeletonLoop, region: &[BlockId]) -> RegionCopier {
+        let mut in_region = vec![false; f.blocks.len()];
+        for &b in region {
+            in_region[b.0 as usize] = true;
         }
-        let mut term = f
-            .block(bb)
-            .term
-            .clone()
-            .expect("region blocks must be terminated");
-        term.map_operands(|v| match v {
-            Value::Inst(id) => vmap.get(&id).copied().unwrap_or(v),
-            _ => v,
-        });
-        term.map_blocks(|t| {
-            if t == old_exit_to {
-                new_exit_to
-            } else {
-                bmap.get(&t).copied().unwrap_or(t)
-            }
-        });
-        f.block_mut(new_bb).term = Some(term);
+        let mut rpo = f.reverse_postorder();
+        rpo.retain(|b| in_region[b.0 as usize]);
+        RegionCopier {
+            rpo,
+            entry: sk.body,
+            latch: sk.latch,
+            iv_phi: sk.iv_phi,
+            block_map: vec![None; f.blocks.len()],
+            value_map: vec![None; f.insts.len()],
+        }
     }
-    bmap[&entry]
+
+    /// Clones the region with the induction phi standing for `iv`,
+    /// remapping values and intra-region branch targets; branches to the
+    /// latch go to `exit_to` instead. Returns the clone's entry block.
+    fn copy(&mut self, f: &mut Function, iv: Value, exit_to: BlockId, tag: &str) -> BlockId {
+        for &bb in &self.rpo {
+            let name = format!("{}.{tag}", f.block(bb).name);
+            self.block_map[bb.0 as usize] = Some(f.add_block(name));
+        }
+        self.block_map[self.latch.0 as usize] = Some(exit_to);
+        self.value_map[self.iv_phi.0 as usize] = Some(iv);
+        for i in 0..self.rpo.len() {
+            let (bb, new_bb) = (self.rpo[i], self.block(self.rpo[i]));
+            for k in 0..f.block(bb).insts.len() {
+                let iid = f.block(bb).insts[k];
+                let mut inst = f.inst(iid).clone();
+                inst.map_operands(|v| self.value(v));
+                self.value_map[iid.0 as usize] = Some(f.push_inst(new_bb, inst));
+            }
+            let mut term = f
+                .block(bb)
+                .term
+                .clone()
+                .expect("region blocks must be terminated");
+            term.map_operands(|v| self.value(v));
+            term.map_blocks(|t| self.block(t));
+            f.block_mut(new_bb).term = Some(term);
+        }
+        let entry = self.block(self.entry);
+        // The next copy starts from empty tables, as if they were new.
+        self.block_map[self.latch.0 as usize] = None;
+        self.value_map[self.iv_phi.0 as usize] = None;
+        for &bb in &self.rpo {
+            self.block_map[bb.0 as usize] = None;
+            for &iid in &f.block(bb).insts {
+                self.value_map[iid.0 as usize] = None;
+            }
+        }
+        entry
+    }
+
+    fn value(&self, v: Value) -> Value {
+        match v {
+            Value::Inst(id) => self.value_map.get(id.0 as usize).copied().flatten(),
+            _ => None,
+        }
+        .unwrap_or(v)
+    }
+
+    fn block(&self, b: BlockId) -> BlockId {
+        self.block_map
+            .get(b.0 as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(b)
+    }
 }
 
 /// The preheader of a skeleton loop: the IV phi's non-latch incoming block.
@@ -293,23 +318,15 @@ fn preheader_of(f: &Function, sk: &SkeletonLoop) -> BlockId {
 
 /// Replaces the loop with `tc` sequential body copies (IV = 0..tc-1).
 fn full_unroll(f: &mut Function, sk: &SkeletonLoop, region: &[BlockId], tc: u64) {
-    let region_rpo = region_in_rpo(f, region);
+    let mut copier = RegionCopier::new(f, sk, region);
     let preheader = preheader_of(f, sk);
     let ty = f.value_type(sk.trip_count);
 
     // Clone back-to-front so each copy can point at its successor.
     let mut next_entry = sk.exit;
     for k in (0..tc).rev() {
-        let seed = [(sk.iv_phi, Value::int(ty, k as i64))];
-        next_entry = clone_region(
-            f,
-            &region_rpo,
-            sk.body,
-            &seed,
-            sk.latch,
-            next_entry,
-            &format!("unroll{k}"),
-        );
+        let iv = Value::int(ty, k as i64);
+        next_entry = copier.copy(f, iv, next_entry, &format!("unroll{k}"));
     }
     // The preheader now jumps straight into the first copy (or the exit for
     // a zero-trip loop); header/cond/body/latch become unreachable, and the
@@ -334,7 +351,7 @@ fn full_unroll(f: &mut Function, sk: &SkeletonLoop, region: &[BlockId], tc: u64)
 /// old loop:    unchanged, but IV starts at rem_start; metadata disabled
 /// ```
 fn partial_unroll(f: &mut Function, sk: &SkeletonLoop, region: &[BlockId], k: u64) {
-    let region_rpo = region_in_rpo(f, region);
+    let mut copier = RegionCopier::new(f, sk, region);
     let preheader = preheader_of(f, sk);
     let ty = f.value_type(sk.trip_count);
     let k_const = Value::int(ty, k as i64);
@@ -384,16 +401,8 @@ fn partial_unroll(f: &mut Function, sk: &SkeletonLoop, region: &[BlockId], k: u6
     // Body copies, chained back-to-front into the main latch.
     let mut next_entry = mlatch;
     for j in (0..k).rev() {
-        let seed = [(sk.iv_phi, ivs[j as usize])];
-        next_entry = clone_region(
-            f,
-            &region_rpo,
-            sk.body,
-            &seed,
-            sk.latch,
-            next_entry,
-            &format!("copy{j}"),
-        );
+        let iv = ivs[j as usize];
+        next_entry = copier.copy(f, iv, next_entry, &format!("copy{j}"));
     }
     // Patch the main cond's true edge to the first copy.
     if let Some(Terminator::CondBr { then_bb, .. }) = f.block_mut(mcond).term.as_mut() {

@@ -3,16 +3,27 @@
 //! handles"), folds constant conditional branches, and merges straight-line
 //! block chains.
 
-use omplt_ir::{BlockData, BlockId, Function, Inst, InstId, Terminator, Value};
+use omplt_ir::{BlockId, Function, Inst, InstId, Rpo, Terminator, Value};
+
+/// What every round of one [`simplify_cfg`] call reuses.
+#[derive(Default)]
+struct Scratch {
+    rpo: Rpo,
+    /// Old block index → new one, during [`remove_unreachable`].
+    remap: Vec<BlockId>,
+    /// Predecessors per block, during [`merge_chains`].
+    pred_count: Vec<u32>,
+}
 
 /// Runs CFG cleanup to a fixpoint. Returns true if anything changed.
 pub fn simplify_cfg(f: &mut Function) -> bool {
+    let mut scratch = Scratch::default();
     let mut changed = false;
     loop {
         let mut local = false;
         local |= fold_const_branches(f);
-        local |= remove_unreachable(f);
-        local |= merge_chains(f);
+        local |= remove_unreachable(f, &mut scratch);
+        local |= merge_chains(f, &mut scratch);
         if !local {
             return changed;
         }
@@ -54,35 +65,31 @@ fn fold_const_branches(f: &mut Function) -> bool {
 }
 
 /// Drops blocks unreachable from the entry, remapping ids.
-fn remove_unreachable(f: &mut Function) -> bool {
-    let reachable = {
-        let mut r = vec![false; f.blocks.len()];
-        for b in f.reverse_postorder() {
-            r[b.0 as usize] = true;
-        }
-        r
-    };
-    if reachable.iter().all(|&x| x) {
+fn remove_unreachable(f: &mut Function, scratch: &mut Scratch) -> bool {
+    let Scratch { rpo, remap, .. } = scratch;
+    if rpo.compute(f).len() == f.blocks.len() {
         return false;
     }
-    // Build the remap table.
-    let mut remap = vec![BlockId(u32::MAX); f.blocks.len()];
-    let mut kept: Vec<BlockData> = Vec::new();
-    let blocks = std::mem::take(&mut f.blocks);
-    for (i, b) in blocks.into_iter().enumerate() {
-        if reachable[i] {
-            remap[i] = BlockId(kept.len() as u32);
-            kept.push(b);
-        }
+    let reachable = |b: BlockId| rpo.reached(b);
+    // Build the remap table, compacting the kept blocks in place.
+    remap.clear();
+    let mut kept = 0;
+    for i in 0..f.blocks.len() as u32 {
+        remap.push(BlockId(kept));
+        kept += u32::from(reachable(BlockId(i)));
     }
-    f.blocks = kept;
+    let mut i = 0;
+    f.blocks.retain(|_| {
+        i += 1;
+        reachable(BlockId(i - 1))
+    });
     // Rewrite targets and phi incoming lists.
     for bi in 0..f.blocks.len() {
         if let Some(t) = f.blocks[bi].term.as_mut() {
             t.map_blocks(|old| remap[old.0 as usize]);
         }
         edit_phis(f, BlockId(bi as u32), |incoming| {
-            incoming.retain(|(from, _)| reachable[from.0 as usize]);
+            incoming.retain(|(from, _)| reachable(*from));
             for (from, _) in incoming.iter_mut() {
                 *from = remap[from.0 as usize];
             }
@@ -101,11 +108,13 @@ thread_local! {
 /// Merges `a → b` when `a` ends in an unconditional branch to `b`, `b` has
 /// exactly one predecessor and no phis, and `a`'s branch carries no loop
 /// metadata (latches must stay intact for the unroll pass).
-fn merge_chains(f: &mut Function) -> bool {
+fn merge_chains(f: &mut Function, scratch: &mut Scratch) -> bool {
     // Counted once. Splicing `b` into `a` drops the edge `a → b` and moves
     // `b`'s out-edges to `a`, so no other block's count changes — and with
     // it nothing a block already visited was refused for.
-    let mut pred_count = vec![0usize; f.blocks.len()];
+    let pred_count = &mut scratch.pred_count;
+    pred_count.clear();
+    pred_count.resize(f.blocks.len(), 0);
     for t in f.blocks.iter().filter_map(|b| b.term.as_ref()) {
         for s in t.successors() {
             pred_count[s.0 as usize] += 1;
@@ -118,7 +127,7 @@ fn merge_chains(f: &mut Function) -> bool {
     // comes after it, so the head of every chain is reached first, absorbs
     // the whole chain, and each instruction moves once however the blocks
     // are laid out (the unroller creates its copies back to front).
-    for a in f.reverse_postorder() {
+    for &a in scratch.rpo.compute(f) {
         #[cfg(test)]
         MERGE_STEPS.with(|v| v.set(v.get() + 1));
         let ai = a.0 as usize;
@@ -336,7 +345,7 @@ mod tests {
 
     fn steps_of(f: &mut Function) -> usize {
         MERGE_STEPS.with(|s| s.set(0));
-        assert!(merge_chains(f));
+        assert!(merge_chains(f, &mut Scratch::default()));
         MERGE_STEPS.with(|s| s.get())
     }
 
@@ -351,7 +360,8 @@ mod tests {
         let mut f = chain(N, |k| k);
         linear(steps_of(&mut f));
         assert_eq!(stored(&f, f.entry()), in_order);
-        assert!(!merge_chains(&mut f), "one sweep reaches the fixpoint");
+        let again = merge_chains(&mut f, &mut Scratch::default());
+        assert!(!again, "one sweep reaches the fixpoint");
         assert!(simplify_cfg(&mut f));
         assert_eq!(f.blocks.len(), 1);
         assert_verified(&f);
@@ -383,7 +393,7 @@ mod tests {
         let Value::Inst(phi) = f.prepend_inst(BlockId(4), phi) else {
             panic!("a phi is an instruction");
         };
-        assert!(merge_chains(&mut f));
+        assert!(merge_chains(&mut f, &mut Scratch::default()));
         let entry = f.block(f.entry());
         assert_eq!(stored(&f, f.entry()), [0, 1, 2]);
         assert_eq!(entry.term.as_ref().unwrap().loop_md(), Some(&md));

@@ -16,14 +16,19 @@
 //! * A peephole pass ([`crate::peephole`]) then propagates copies, deletes
 //!   dead ops, and fuses compare/branch pairs, and a linear-scan pass
 //!   ([`crate::regalloc`]) compacts the register file. Both work on one
-//!   [`Analysis`] (CFG + liveness) that `compile_module_with` owns for the
-//!   whole module.
+//!   [`Analysis`] (CFG + liveness and their buffers).
 //!
 //! Everything the lowerer looks up per instruction is a dense table indexed
 //! by `InstId` — result type, register, promoted slot — filled in one walk
 //! each; the two tables keyed by something sparse (constants, callees) are
 //! sorted vectors. No table is a `HashMap`, so nothing the emitted bytes
 //! depend on has a per-process order.
+//!
+//! `compile_module_with` keeps two workspaces for the whole module: one
+//! [`FuncCompiler`], whose tables and output buffers every function reuses,
+//! and one [`Analysis`]. A function is built, optimized and allocated in the
+//! workspace's own `VmFunction`, and the module keeps an exact-size copy of
+//! it, so per function the only allocations are that copy's buffers.
 //!
 //! Under a trace session each function records three child spans of
 //! `vm.compile` — `vm.compile.lower`, `vm.compile.peephole`,
@@ -35,8 +40,9 @@ use crate::peephole;
 use crate::regalloc::{self, Analysis};
 use crate::vectorize;
 use omplt_interp::RtVal;
-use omplt_ir::{BlockId, Function, Inst, InstId, IrType, Module, SymbolId, Terminator, Value};
+use omplt_ir::{BlockId, Function, Inst, InstId, IrType, Module, Rpo, SymbolId, Terminator, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Why a function could not be lowered.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,14 +110,15 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
     let mut promoted_total = 0u64;
     let mut removed_total = 0u64;
     let mut stats = vectorize::PlanStats::default();
-    // One CFG + liveness workspace for the whole module.
     let mut analysis = Analysis::default();
-    for f in &m.functions {
-        let (vf, promoted, removed) =
-            compile_function(m, f, &fn_index, vector_width, &mut stats, &mut analysis)?;
-        promoted_total += promoted as u64;
-        removed_total += removed as u64;
-        funcs.push(vf);
+    if let Some(first) = m.functions.first() {
+        let mut c = FuncCompiler::new(m, first, &fn_index);
+        for f in &m.functions {
+            let (vf, promoted, removed) = c.compile(f, vector_width, &mut stats, &mut analysis)?;
+            promoted_total += promoted as u64;
+            removed_total += removed as u64;
+            funcs.push(vf);
+        }
     }
     let vm = VmModule { funcs };
     if omplt_trace::active() {
@@ -189,15 +196,15 @@ impl<K: Ord + Copy, V: Copy> SortedMap<K, V> {
 /// Result type of every instruction in a reachable block, by `InstId` —
 /// computed once, in RPO, so an operand's type is a table read instead of
 /// [`Function::value_type`]'s walk down the operand chain at every use.
-fn inst_types(f: &Function, rpo: &[BlockId]) -> Vec<Option<IrType>> {
-    let mut types = vec![None; f.insts.len()];
+fn inst_types(types: &mut Vec<Option<IrType>>, f: &Function, rpo: &[BlockId]) {
+    types.clear();
+    types.resize(f.insts.len(), None);
     for &bb in rpo {
         for &iid in &f.block(bb).insts {
-            let ty = f.inst(iid).result_type(|v| value_type(&types, f, v));
+            let ty = f.inst(iid).result_type(|v| value_type(types, f, v));
             types[iid.0 as usize] = Some(ty);
         }
     }
-    types
 }
 
 /// [`Function::value_type`] through the [`inst_types`] table (an operand not
@@ -211,23 +218,17 @@ fn value_type(types: &[Option<IrType>], f: &Function, v: Value) -> IrType {
 }
 
 /// The promoted `alloca`s of one function, dense by `InstId`.
+#[derive(Default)]
 pub(crate) struct Promoted {
     /// Slot type of each promoted alloca; `None` for every other
     /// instruction.
     slot_ty: Vec<Option<IrType>>,
-    /// Slot register of each promoted alloca, once `lower_function` has
-    /// numbered the registers.
+    /// Slot register of each promoted alloca, once `lower` has numbered the
+    /// registers.
     slot_reg: Vec<Reg>,
 }
 
 impl Promoted {
-    fn new(slot_ty: Vec<Option<IrType>>) -> Promoted {
-        Promoted {
-            slot_reg: vec![0; slot_ty.len()],
-            slot_ty,
-        }
-    }
-
     pub(crate) fn contains(&self, id: &InstId) -> bool {
         self.slot_ty[id.0 as usize].is_some()
     }
@@ -242,8 +243,17 @@ impl Promoted {
 /// or smaller, and used *only* as the direct address of same-typed loads and
 /// stores (never as a stored value, call argument, GEP base, or any other
 /// operand — those escape the slot and force it to stay in guest memory).
-fn promotable_allocas(f: &Function, rpo: &[BlockId], types: &[Option<IrType>]) -> Promoted {
-    let mut slot_ty: Vec<Option<IrType>> = vec![None; f.insts.len()];
+fn promotable_allocas(
+    promoted: &mut Promoted,
+    f: &Function,
+    rpo: &[BlockId],
+    types: &[Option<IrType>],
+) {
+    promoted.slot_reg.clear();
+    promoted.slot_reg.resize(f.insts.len(), 0);
+    let slot_ty = &mut promoted.slot_ty;
+    slot_ty.clear();
+    slot_ty.resize(f.insts.len(), None);
     for &bb in rpo {
         for &iid in &f.block(bb).insts {
             if let Inst::Alloca { ty, count: 1, .. } = f.inst(iid) {
@@ -259,7 +269,7 @@ fn promotable_allocas(f: &Function, rpo: &[BlockId], types: &[Option<IrType>]) -
         }
     };
     if slot_ty.iter().all(Option::is_none) {
-        return Promoted::new(slot_ty);
+        return;
     }
     for &bb in rpo {
         for &iid in &f.block(bb).insts {
@@ -272,7 +282,7 @@ fn promotable_allocas(f: &Function, rpo: &[BlockId], types: &[Option<IrType>]) -
                     }
                 }
                 Inst::Store { val, ptr } => {
-                    disqualify(&mut slot_ty, *val);
+                    disqualify(slot_ty, *val);
                     if let Value::Inst(a) = ptr {
                         if slot_ty[a.0 as usize]
                             .is_some_and(|aty| aty != value_type(types, f, *val))
@@ -281,21 +291,21 @@ fn promotable_allocas(f: &Function, rpo: &[BlockId], types: &[Option<IrType>]) -
                         }
                     }
                 }
-                other => other.for_each_operand(|v| disqualify(&mut slot_ty, v)),
+                other => other.for_each_operand(|v| disqualify(slot_ty, v)),
             }
         }
         if let Some(t) = &f.block(bb).term {
             match t {
-                Terminator::CondBr { cond, .. } => disqualify(&mut slot_ty, *cond),
-                Terminator::Ret(Some(v)) => disqualify(&mut slot_ty, *v),
+                Terminator::CondBr { cond, .. } => disqualify(slot_ty, *cond),
+                Terminator::Ret(Some(v)) => disqualify(slot_ty, *v),
                 _ => {}
             }
         }
     }
-    Promoted::new(slot_ty)
 }
 
 /// Jump-target placeholder, patched once every block offset is known.
+#[derive(Clone, Copy)]
 enum Fixup {
     /// `Jmp` at this op index targets the given IR block.
     Jmp(usize, BlockId),
@@ -304,32 +314,34 @@ enum Fixup {
     BrArm(usize, bool, BlockId),
 }
 
+/// The lowerer of one module: the function being lowered and the tables and
+/// output buffers every function of the module reuses.
 pub(crate) struct FuncCompiler<'a> {
     m: &'a Module,
     pub(crate) f: &'a Function,
     fn_index: &'a HashMap<&'a str, u32>,
+    /// The function being built — its register classes, ops, pool, call
+    /// tables and block starts are the output buffers; [`Self::compile`]
+    /// hands the module an exact-size copy.
+    pub(crate) out: VmFunction,
+    rpo: Rpo,
     /// [`inst_types`] of `f`.
     inst_ty: Vec<Option<IrType>>,
     pub(crate) promoted: Promoted,
-    pub(crate) vreg_class: Vec<RegClass>,
     /// Register of every non-void, non-promoted instruction, by `InstId`.
     inst_reg: Vec<Option<Reg>>,
     /// Pool index and prologue-loaded register of every interned constant.
     consts: SortedMap<ConstKey, (u16, Reg)>,
-    pub(crate) pool: Vec<PoolConst>,
-    pub(crate) ops: Vec<Op>,
-    call_args: Vec<Reg>,
-    call_targets: Vec<CallTarget>,
-    /// Index into `call_targets` by callee symbol (symbols are interned, so
-    /// one symbol is one target).
+    /// Index into `out.call_targets` by callee symbol (symbols are interned,
+    /// so one symbol is one target).
     target_idx: SortedMap<u32, u16>,
-    block_starts: Vec<u32>,
     block_off: Vec<Option<u32>>,
     fixups: Vec<Fixup>,
-    /// Vector register classes (one per vector register).
-    pub(crate) vv_class: Vec<RegClass>,
-    /// Vector register widths, parallel to `vv_class`.
-    pub(crate) vv_width: Vec<u8>,
+    /// `(phi register, source register)` copies of the edges of the
+    /// terminator being emitted, then the temporaries of a multi-phi edge.
+    edge_copies: Vec<(Reg, Reg)>,
+    /// The entry prologue's `(pool index, register)` loads.
+    loads: Vec<(u16, Reg)>,
     /// Widened-loop latch blocks mapped to their *scalar* header offset:
     /// the backedge must re-enter the scalar epilogue loop, not the vector
     /// preamble the header's block offset points at.
@@ -337,6 +349,42 @@ pub(crate) struct FuncCompiler<'a> {
 }
 
 impl<'a> FuncCompiler<'a> {
+    /// A lowerer for the functions of `m`, starting with `f`.
+    fn new(m: &'a Module, f: &'a Function, fn_index: &'a HashMap<&'a str, u32>) -> Self {
+        let out = VmFunction {
+            name: String::new(),
+            params: Vec::new(),
+            num_regs: 0,
+            reg_class: Vec::new(),
+            num_vregs: 0,
+            vreg_class: Vec::new(),
+            vreg_width: Vec::new(),
+            ops: Vec::new(),
+            consts: Vec::new(),
+            call_args: Vec::new(),
+            call_targets: Vec::new(),
+            block_starts: Vec::new(),
+            ret: f.ret,
+        };
+        FuncCompiler {
+            m,
+            f,
+            fn_index,
+            out,
+            rpo: Rpo::default(),
+            inst_ty: Vec::new(),
+            promoted: Promoted::default(),
+            inst_reg: Vec::new(),
+            consts: SortedMap(Vec::new()),
+            target_idx: SortedMap(Vec::new()),
+            block_off: Vec::new(),
+            fixups: Vec::new(),
+            edge_copies: Vec::new(),
+            loads: Vec::new(),
+            latch_redirect: HashMap::new(),
+        }
+    }
+
     pub(crate) fn err_large(&self, what: &str) -> CompileError {
         CompileError::TooLarge {
             func: self.f.name.clone(),
@@ -345,13 +393,13 @@ impl<'a> FuncCompiler<'a> {
     }
 
     pub(crate) fn new_vreg(&mut self, class: RegClass) -> Result<Reg, CompileError> {
-        if self.vreg_class.len() >= u16::MAX as usize {
+        if self.out.reg_class.len() >= u16::MAX as usize {
             return Err(CompileError::TooManyRegs {
                 func: self.f.name.clone(),
             });
         }
-        let r = self.vreg_class.len() as Reg;
-        self.vreg_class.push(class);
+        let r = self.out.reg_class.len() as Reg;
+        self.out.reg_class.push(class);
         Ok(r)
     }
 
@@ -360,11 +408,11 @@ impl<'a> FuncCompiler<'a> {
         if let Some((_, r)) = self.consts.get(key) {
             return Ok(r);
         }
-        if self.pool.len() >= u16::MAX as usize {
+        if self.out.consts.len() >= u16::MAX as usize {
             return Err(self.err_large("constant pool"));
         }
-        let idx = self.pool.len() as u16;
-        self.pool.push(entry);
+        let idx = self.out.consts.len() as u16;
+        self.out.consts.push(entry);
         let r = self.new_vreg(entry.class())?;
         self.consts.insert(key, (idx, r));
         Ok(r)
@@ -372,14 +420,14 @@ impl<'a> FuncCompiler<'a> {
 
     /// Allocates a vector register of the given class and lane width.
     pub(crate) fn new_vvreg(&mut self, class: RegClass, w: u8) -> Result<Reg, CompileError> {
-        if self.vv_class.len() >= u16::MAX as usize {
+        if self.out.vreg_class.len() >= u16::MAX as usize {
             return Err(CompileError::TooManyRegs {
                 func: self.f.name.clone(),
             });
         }
-        let r = self.vv_class.len() as Reg;
-        self.vv_class.push(class);
-        self.vv_width.push(w);
+        let r = self.out.vreg_class.len() as Reg;
+        self.out.vreg_class.push(class);
+        self.out.vreg_width.push(w);
         Ok(r)
     }
 
@@ -397,13 +445,13 @@ impl<'a> FuncCompiler<'a> {
         if let Some((_, r)) = self.consts.get(key) {
             return Ok(r);
         }
-        if self.pool.len() >= u16::MAX as usize {
+        if self.out.consts.len() >= u16::MAX as usize {
             return Err(self.err_large("constant pool"));
         }
-        let idx = self.pool.len() as u16;
-        self.pool.push(entry);
+        let idx = self.out.consts.len() as u16;
+        self.out.consts.push(entry);
         let dst = self.new_vreg(entry.class())?;
-        self.ops.push(Op::Const { dst, idx });
+        self.out.ops.push(Op::Const { dst, idx });
         Ok(dst)
     }
 
@@ -434,8 +482,7 @@ impl<'a> FuncCompiler<'a> {
         }
     }
 
-    /// The register `lower_function` numbered the non-void instruction
-    /// `iid` with.
+    /// The register `lower` numbered the non-void instruction `iid` with.
     fn dst_of(&self, iid: InstId) -> Reg {
         self.inst_reg[iid.0 as usize].expect("non-void instruction has a register")
     }
@@ -446,57 +493,55 @@ impl<'a> FuncCompiler<'a> {
     }
 
     pub(crate) fn mark_block_start(&mut self) {
-        self.block_starts.push(self.ops.len() as u32);
+        self.out.block_starts.push(self.out.ops.len() as u32);
     }
 
-    /// The phi copies needed on the edge `pred → succ`:
-    /// `(phi register, source value)` pairs, in phi order.
-    fn edge_pairs(
-        &mut self,
-        pred: BlockId,
-        succ: BlockId,
-    ) -> Result<Vec<(Reg, Reg)>, CompileError> {
-        let mut pairs = Vec::new();
-        for &iid in &self.f.block(succ).insts {
-            let Inst::Phi { incoming, .. } = self.f.inst(iid) else {
+    /// Appends to `edge_copies` the phi copies needed on the edge
+    /// `pred → succ`, `(phi register, source register)` in phi order, and
+    /// returns where they are.
+    fn edge_pairs(&mut self, pred: BlockId, succ: BlockId) -> Result<Range<usize>, CompileError> {
+        let f = self.f;
+        let at = self.edge_copies.len();
+        for &iid in &f.block(succ).insts {
+            let Inst::Phi { incoming, .. } = f.inst(iid) else {
                 break;
             };
             let Some((_, val)) = incoming.iter().find(|(b, _)| *b == pred) else {
                 return Err(CompileError::Malformed {
-                    func: self.f.name.clone(),
+                    func: f.name.clone(),
                     what: format!("phi %{} has no edge for predecessor {}", iid.0, pred.0),
                 });
             };
-            let val = *val;
             let dst = self.dst_of(iid);
-            let src = self.reg_of(val)?;
-            pairs.push((dst, src));
+            let src = self.reg_of(*val)?;
+            self.edge_copies.push((dst, src));
         }
-        Ok(pairs)
+        Ok(at..self.edge_copies.len())
     }
 
-    /// Emits the copies for one edge with simultaneous-assignment semantics:
-    /// multi-phi edges go through fresh temporaries (a phi source may itself
-    /// be another phi's destination), single copies move directly.
-    fn emit_edge_moves(&mut self, pairs: &[(Reg, Reg)]) -> Result<(), CompileError> {
-        match pairs {
-            [] => {}
-            &[(dst, src)] => {
-                if dst != src {
-                    self.ops.push(Op::Mov { dst, src });
-                }
+    /// Emits the copies `edge_copies[pairs]` of one edge with
+    /// simultaneous-assignment semantics: multi-phi edges go through fresh
+    /// temporaries (a phi source may itself be another phi's destination),
+    /// single copies move directly.
+    fn emit_edge_moves(&mut self, pairs: Range<usize>) -> Result<(), CompileError> {
+        if pairs.len() == 1 {
+            let (dst, src) = self.edge_copies[pairs.start];
+            if dst != src {
+                self.out.ops.push(Op::Mov { dst, src });
             }
-            many => {
-                let mut temps = Vec::with_capacity(many.len());
-                for &(dst, src) in many {
-                    let t = self.new_vreg(self.vreg_class[dst as usize])?;
-                    self.ops.push(Op::Mov { dst: t, src });
-                    temps.push((dst, t));
-                }
-                for (dst, t) in temps {
-                    self.ops.push(Op::Mov { dst, src: t });
-                }
+        } else if pairs.len() > 1 {
+            let temps = self.edge_copies.len();
+            for i in pairs {
+                let (dst, src) = self.edge_copies[i];
+                let t = self.new_vreg(self.out.reg_class[dst as usize])?;
+                self.out.ops.push(Op::Mov { dst: t, src });
+                self.edge_copies.push((dst, t));
             }
+            for i in temps..self.edge_copies.len() {
+                let (dst, t) = self.edge_copies[i];
+                self.out.ops.push(Op::Mov { dst, src: t });
+            }
+            self.edge_copies.truncate(temps);
         }
         Ok(())
     }
@@ -510,36 +555,36 @@ impl<'a> FuncCompiler<'a> {
                     // op (alloca inside a loop) must reset the slot too.
                     let (key, entry) = const_of(Value::Undef(*ty)).expect("undef is a constant");
                     let src = self.const_vreg(key, entry)?;
-                    self.ops.push(Op::Mov { dst: slot, src });
+                    self.out.ops.push(Op::Mov { dst: slot, src });
                 } else {
                     let bytes = ty.size().max(1) * (*count).max(1);
                     let bytes = u32::try_from(bytes).map_err(|_| self.err_large("alloca size"))?;
                     let dst = self.dst_of(iid);
-                    self.ops.push(Op::Alloca { dst, bytes });
+                    self.out.ops.push(Op::Alloca { dst, bytes });
                 }
             }
             Inst::Load { ty, ptr } => {
                 let dst = self.dst_of(iid);
                 if let Value::Inst(a) = ptr {
                     if let Some(slot) = self.promoted.reg(*a) {
-                        self.ops.push(Op::Mov { dst, src: slot });
+                        self.out.ops.push(Op::Mov { dst, src: slot });
                         return Ok(());
                     }
                 }
                 let addr = self.reg_of(*ptr)?;
-                self.ops.push(Op::Load { dst, addr, ty: *ty });
+                self.out.ops.push(Op::Load { dst, addr, ty: *ty });
             }
             Inst::Store { val, ptr } => {
                 let src = self.reg_of(*val)?;
                 if let Value::Inst(a) = ptr {
                     if let Some(slot) = self.promoted.reg(*a) {
-                        self.ops.push(Op::Mov { dst: slot, src });
+                        self.out.ops.push(Op::Mov { dst: slot, src });
                         return Ok(());
                     }
                 }
                 let ty = self.type_of(*val);
                 let addr = self.reg_of(*ptr)?;
-                self.ops.push(Op::Store { src, addr, ty });
+                self.out.ops.push(Op::Store { src, addr, ty });
             }
             Inst::Gep {
                 ptr,
@@ -551,7 +596,7 @@ impl<'a> FuncCompiler<'a> {
                 let dst = self.dst_of(iid);
                 let base = self.reg_of(*ptr)?;
                 let index = self.reg_of(*index)?;
-                self.ops.push(Op::Gep {
+                self.out.ops.push(Op::Gep {
                     dst,
                     base,
                     index,
@@ -563,7 +608,7 @@ impl<'a> FuncCompiler<'a> {
                 let dst = self.dst_of(iid);
                 let lhs = self.reg_of(*lhs)?;
                 let rhs = self.reg_of(*rhs)?;
-                self.ops.push(Op::Bin {
+                self.out.ops.push(Op::Bin {
                     op: *op,
                     ty,
                     dst,
@@ -576,7 +621,7 @@ impl<'a> FuncCompiler<'a> {
                 let dst = self.dst_of(iid);
                 let lhs = self.reg_of(*lhs)?;
                 let rhs = self.reg_of(*rhs)?;
-                self.ops.push(Op::Cmp {
+                self.out.ops.push(Op::Cmp {
                     pred: *pred,
                     ty,
                     dst,
@@ -588,7 +633,7 @@ impl<'a> FuncCompiler<'a> {
                 let from = self.type_of(*val);
                 let dst = self.dst_of(iid);
                 let src = self.reg_of(*val)?;
-                self.ops.push(Op::Cast {
+                self.out.ops.push(Op::Cast {
                     op: *op,
                     from,
                     to: *to,
@@ -601,7 +646,7 @@ impl<'a> FuncCompiler<'a> {
                 let cond = self.reg_of(*cond)?;
                 let t = self.reg_of(*t)?;
                 let fv = self.reg_of(*fv)?;
-                self.ops.push(Op::Select {
+                self.out.ops.push(Op::Select {
                     dst,
                     cond,
                     t,
@@ -615,12 +660,12 @@ impl<'a> FuncCompiler<'a> {
                 let target = match self.target_idx.get(sym) {
                     Some(i) => i,
                     None => {
-                        if self.call_targets.len() >= u16::MAX as usize {
+                        if self.out.call_targets.len() >= u16::MAX as usize {
                             return Err(self.err_large("call-target table"));
                         }
                         let name = self.m.symbol_name(callee.0);
-                        let i = self.call_targets.len() as u16;
-                        self.call_targets.push(match self.fn_index.get(name) {
+                        let i = self.out.call_targets.len() as u16;
+                        self.out.call_targets.push(match self.fn_index.get(name) {
                             Some(&i) => CallTarget::Bytecode(i),
                             None => CallTarget::Runtime(callee.0),
                         });
@@ -628,20 +673,20 @@ impl<'a> FuncCompiler<'a> {
                         i
                     }
                 };
-                let args_at = u32::try_from(self.call_args.len())
+                let args_at = u32::try_from(self.out.call_args.len())
                     .map_err(|_| self.err_large("call-argument pool"))?;
                 let nargs =
                     u16::try_from(args.len()).map_err(|_| self.err_large("argument count"))?;
                 for a in args {
                     let r = self.reg_of(*a)?;
-                    self.call_args.push(r);
+                    self.out.call_args.push(r);
                 }
                 let dst = if *ty == IrType::Void {
                     None
                 } else {
                     Some(self.dst_of(iid))
                 };
-                self.ops.push(Op::Call {
+                self.out.ops.push(Op::Call {
                     target,
                     args_at,
                     nargs,
@@ -661,13 +706,14 @@ impl<'a> FuncCompiler<'a> {
                 // the header's block offset points at the vector preamble,
                 // which must run only on loop entry.
                 if let Some(&off) = self.latch_redirect.get(&bb.0) {
-                    self.ops.push(Op::Jmp { target: off });
+                    self.out.ops.push(Op::Jmp { target: off });
                     return Ok(());
                 }
+                self.edge_copies.clear();
                 let pairs = self.edge_pairs(bb, *target)?;
-                self.emit_edge_moves(&pairs)?;
-                self.fixups.push(Fixup::Jmp(self.ops.len(), *target));
-                self.ops.push(Op::Jmp { target: 0 });
+                self.emit_edge_moves(pairs)?;
+                self.fixups.push(Fixup::Jmp(self.out.ops.len(), *target));
+                self.out.ops.push(Op::Jmp { target: 0 });
             }
             Terminator::CondBr {
                 cond,
@@ -676,10 +722,11 @@ impl<'a> FuncCompiler<'a> {
                 ..
             } => {
                 let cond = self.reg_of(*cond)?;
+                self.edge_copies.clear();
                 let then_pairs = self.edge_pairs(bb, *then_bb)?;
                 let else_pairs = self.edge_pairs(bb, *else_bb)?;
-                let br_at = self.ops.len();
-                self.ops.push(Op::Br {
+                let br_at = self.out.ops.len();
+                self.out.ops.push(Op::Br {
                     cond,
                     then_t: 0,
                     else_t: 0,
@@ -692,12 +739,12 @@ impl<'a> FuncCompiler<'a> {
                     if pairs.is_empty() {
                         self.fixups.push(Fixup::BrArm(br_at, is_then, succ));
                     } else {
-                        let tramp = self.ops.len() as u32;
+                        let tramp = self.out.ops.len() as u32;
                         self.mark_block_start();
-                        self.emit_edge_moves(&pairs)?;
-                        self.fixups.push(Fixup::Jmp(self.ops.len(), succ));
-                        self.ops.push(Op::Jmp { target: 0 });
-                        if let Op::Br { then_t, else_t, .. } = &mut self.ops[br_at] {
+                        self.emit_edge_moves(pairs)?;
+                        self.fixups.push(Fixup::Jmp(self.out.ops.len(), succ));
+                        self.out.ops.push(Op::Jmp { target: 0 });
+                        if let Op::Br { then_t, else_t, .. } = &mut self.out.ops[br_at] {
                             if is_then {
                                 *then_t = tramp;
                             } else {
@@ -712,15 +759,16 @@ impl<'a> FuncCompiler<'a> {
                     Some(v) => Some(self.reg_of(*v)?),
                     None => None,
                 };
-                self.ops.push(Op::Ret { src });
+                self.out.ops.push(Op::Ret { src });
             }
-            Terminator::Unreachable => self.ops.push(Op::Unreachable),
+            Terminator::Unreachable => self.out.ops.push(Op::Unreachable),
         }
         Ok(())
     }
 
     fn patch_fixups(&mut self) -> Result<(), CompileError> {
-        for fix in std::mem::take(&mut self.fixups) {
+        for i in 0..self.fixups.len() {
+            let fix = self.fixups[i];
             let (at, block) = match fix {
                 Fixup::Jmp(at, b) | Fixup::BrArm(at, _, b) => (at, b),
             };
@@ -728,7 +776,7 @@ impl<'a> FuncCompiler<'a> {
                 func: self.f.name.clone(),
                 what: format!("branch to unreachable block {}", block.0),
             })?;
-            match (&mut self.ops[at], fix) {
+            match (&mut self.out.ops[at], fix) {
                 (Op::Jmp { target }, Fixup::Jmp(..)) => *target = off,
                 (Op::Br { then_t, .. }, Fixup::BrArm(_, true, _)) => *then_t = off,
                 (Op::Br { else_t, .. }, Fixup::BrArm(_, false, _)) => *else_t = off,
@@ -737,186 +785,177 @@ impl<'a> FuncCompiler<'a> {
         }
         Ok(())
     }
-}
 
-/// Lowers one function; returns the compiled body plus the numbers of
-/// promoted `alloca` slots and peephole-removed ops (for the
-/// `vm.compile.promoted` / `vm.compile.peephole.removed` counters).
-fn compile_function(
-    m: &Module,
-    f: &Function,
-    fn_index: &HashMap<&str, u32>,
-    vector_width: u8,
-    stats: &mut vectorize::PlanStats,
-    analysis: &mut Analysis,
-) -> Result<(VmFunction, usize, usize), CompileError> {
-    // The three stages as child spans of `vm.compile`; without a session
-    // this is the one thread-local check the function pays for tracing.
-    let traced = omplt_trace::active();
-    let stage = |name| traced.then(|| omplt_trace::span(name));
+    /// Lowers, optimizes and allocates `f`; returns the compiled body plus
+    /// the numbers of promoted `alloca` slots and peephole-removed ops (for
+    /// the `vm.compile.promoted` / `vm.compile.peephole.removed` counters).
+    fn compile(
+        &mut self,
+        f: &'a Function,
+        vector_width: u8,
+        stats: &mut vectorize::PlanStats,
+        analysis: &mut Analysis,
+    ) -> Result<(VmFunction, usize, usize), CompileError> {
+        // The three stages as child spans of `vm.compile`; without a session
+        // this is the one thread-local check the function pays for tracing.
+        let traced = omplt_trace::active();
+        let stage = |name| traced.then(|| omplt_trace::span(name));
 
-    let lower = stage("vm.compile.lower");
-    let (mut vf, promoted) = lower_function(m, f, fn_index, vector_width, stats)?;
-    drop(lower);
+        let lower = stage("vm.compile.lower");
+        let mut rpo = std::mem::take(&mut self.rpo);
+        let promoted = self.lower(f, rpo.compute(f), vector_width, stats);
+        self.rpo = rpo;
+        let promoted = promoted?;
+        drop(lower);
 
-    let peephole = stage("vm.compile.peephole");
-    let removed = peephole::optimize_in(&mut vf, analysis);
-    drop(peephole);
+        let peephole = stage("vm.compile.peephole");
+        let removed = peephole::optimize_in(&mut self.out, analysis);
+        drop(peephole);
 
-    let _regalloc = stage("vm.compile.regalloc");
-    regalloc::allocate_in(&mut vf, analysis);
-    Ok((vf, promoted, removed))
-}
-
-/// IR → naive bytecode over virtual registers; also returns the number of
-/// promoted `alloca` slots.
-fn lower_function(
-    m: &Module,
-    f: &Function,
-    fn_index: &HashMap<&str, u32>,
-    vector_width: u8,
-    stats: &mut vectorize::PlanStats,
-) -> Result<(VmFunction, usize), CompileError> {
-    let rpo = f.reverse_postorder();
-    let inst_ty = inst_types(f, &rpo);
-    let promoted = promotable_allocas(f, &rpo, &inst_ty);
-    let plans = if vector_width >= 2 {
-        vectorize::plan_loops(f, &promoted, vector_width, stats)
-    } else {
-        HashMap::new()
-    };
-    let mut c = FuncCompiler {
-        m,
-        f,
-        fn_index,
-        inst_ty,
-        promoted,
-        vreg_class: Vec::with_capacity(f.insts.len()),
-        inst_reg: vec![None; f.insts.len()],
-        consts: SortedMap(Vec::new()),
-        pool: Vec::new(),
-        ops: Vec::with_capacity(f.insts.len() + 2 * f.blocks.len()),
-        call_args: Vec::new(),
-        call_targets: Vec::new(),
-        target_idx: SortedMap(Vec::new()),
-        block_starts: Vec::new(),
-        block_off: vec![None; f.blocks.len()],
-        fixups: Vec::new(),
-        vv_class: Vec::new(),
-        vv_width: Vec::new(),
-        latch_redirect: HashMap::new(),
-    };
-
-    // Virtual registers: arguments first (frame entry copies them in).
-    for &p in &f.params {
-        c.new_vreg(RegClass::of(p))?;
-    }
-    let params: Vec<Reg> = (0..f.params.len() as u16).collect();
-
-    // Then one per SSA value (promoted allocas get their slot register; the
-    // pointer they used to produce never materializes).
-    for &bb in &rpo {
-        for &iid in &f.block(bb).insts {
-            if let Some(ty) = c.promoted.slot_ty[iid.0 as usize] {
-                c.promoted.slot_reg[iid.0 as usize] = c.new_vreg(RegClass::of(ty))?;
-                continue;
-            }
-            let ty = c.inst_ty[iid.0 as usize].expect("typed above");
-            if ty != IrType::Void {
-                c.inst_reg[iid.0 as usize] = Some(c.new_vreg(RegClass::of(ty))?);
-            }
-        }
+        let regalloc = stage("vm.compile.regalloc");
+        regalloc::allocate_in(&mut self.out, analysis);
+        drop(regalloc);
+        Ok((self.out.clone(), promoted, removed))
     }
 
-    // Pre-intern every constant any reachable instruction, phi edge, or
-    // terminator mentions, so the prologue can be emitted *first* (as the
-    // head of the entry block) and no offsets ever need shifting.
-    for &bb in &rpo {
-        for &iid in &f.block(bb).insts {
-            if let Some(ty) = c.promoted.slot_ty[iid.0 as usize] {
-                // Promoted alloca re-zeroing needs the zero of its class.
-                let (key, entry) = const_of(Value::Undef(ty)).expect("undef is a constant");
-                c.const_vreg(key, entry)?;
-                continue;
-            }
-            let mut failed = None;
-            f.inst(iid).for_each_operand(|v| {
-                if let Some((key, entry)) = const_of(v) {
-                    failed = failed.take().or(c.const_vreg(key, entry).err());
-                }
-            });
-            if let Some(e) = failed {
-                return Err(e);
-            }
-        }
-        let term_val = match &f.block(bb).term {
-            Some(Terminator::CondBr { cond, .. }) => Some(*cond),
-            Some(Terminator::Ret(Some(v))) => Some(*v),
-            _ => None,
+    /// IR → naive bytecode over virtual registers, in `out`; returns the
+    /// number of promoted `alloca` slots.
+    fn lower(
+        &mut self,
+        f: &'a Function,
+        rpo: &[BlockId],
+        vector_width: u8,
+        stats: &mut vectorize::PlanStats,
+    ) -> Result<usize, CompileError> {
+        self.f = f;
+        inst_types(&mut self.inst_ty, f, rpo);
+        promotable_allocas(&mut self.promoted, f, rpo, &self.inst_ty);
+        let plans = if vector_width >= 2 {
+            vectorize::plan_loops(f, &self.promoted, vector_width, stats)
+        } else {
+            HashMap::new()
         };
-        if let Some((key, entry)) = term_val.and_then(const_of) {
-            c.const_vreg(key, entry)?;
-        }
-    }
+        self.inst_reg.clear();
+        self.inst_reg.resize(f.insts.len(), None);
+        self.consts.0.clear();
+        self.target_idx.0.clear();
+        self.block_off.clear();
+        self.block_off.resize(f.blocks.len(), None);
+        self.fixups.clear();
+        self.latch_redirect.clear();
+        let out = &mut self.out;
+        out.name.clear();
+        out.name.push_str(&f.name);
+        out.params.clear();
+        out.params.extend(0..f.params.len() as u16);
+        out.ret = f.ret;
+        out.reg_class.clear();
+        out.vreg_class.clear();
+        out.vreg_width.clear();
+        out.ops.clear();
+        out.consts.clear();
+        out.call_args.clear();
+        out.call_targets.clear();
+        out.block_starts.clear();
 
-    // Emission. The prologue belongs to the entry block: block offset 0
-    // covers it, so a backedge into the entry re-runs the (idempotent)
-    // constant loads — liveness-based intervals keep those registers from
-    // being reused across any such edge.
-    for (i, &bb) in rpo.iter().enumerate() {
-        c.block_off[bb.0 as usize] = Some(c.ops.len() as u32);
-        c.mark_block_start();
-        if i == 0 {
-            // In pool order — the order the constants were first met in —
-            // whatever order the table keeps them in: the emitted bytes must
-            // be a function of the module alone.
-            let mut loads: Vec<(u16, Reg)> = c.consts.0.iter().map(|&(_, load)| load).collect();
-            loads.sort_unstable();
-            for (idx, dst) in loads {
-                c.ops.push(Op::Const { dst, idx });
+        // Virtual registers: arguments first (frame entry copies them in).
+        for &p in &f.params {
+            self.new_vreg(RegClass::of(p))?;
+        }
+
+        // Then one per SSA value (promoted allocas get their slot register; the
+        // pointer they used to produce never materializes).
+        for &bb in rpo {
+            for &iid in &f.block(bb).insts {
+                if let Some(ty) = self.promoted.slot_ty[iid.0 as usize] {
+                    self.promoted.slot_reg[iid.0 as usize] = self.new_vreg(RegClass::of(ty))?;
+                    continue;
+                }
+                let ty = self.inst_ty[iid.0 as usize].expect("typed above");
+                if ty != IrType::Void {
+                    self.inst_reg[iid.0 as usize] = Some(self.new_vreg(RegClass::of(ty))?);
+                }
             }
         }
-        if let Some(plan) = plans.get(&bb.0) {
-            // Vector preamble + main loop + exit combine, then the scalar
-            // copy of the loop as its epilogue. The block offset recorded
-            // above points at the preamble, so entry edges run it; the
-            // latch's backedge is redirected past it (`latch_redirect`).
-            vectorize::emit_vector_loop(&mut c, plan)?;
-            c.mark_block_start();
-        }
-        for &iid in &f.block(bb).insts {
-            c.emit_inst(iid, f.inst(iid))?;
-        }
-        let term = f
-            .block(bb)
-            .term
-            .as_ref()
-            .ok_or_else(|| CompileError::Malformed {
-                func: f.name.clone(),
-                what: format!("unterminated block {}", f.block(bb).name),
-            })?;
-        c.emit_terminator(bb, term)?;
-    }
-    c.patch_fixups()?;
 
-    if c.ops.len() > u32::MAX as usize {
-        return Err(c.err_large("op stream"));
-    }
+        // Pre-intern every constant any reachable instruction, phi edge, or
+        // terminator mentions, so the prologue can be emitted *first* (as the
+        // head of the entry block) and no offsets ever need shifting.
+        for &bb in rpo {
+            for &iid in &f.block(bb).insts {
+                if let Some(ty) = self.promoted.slot_ty[iid.0 as usize] {
+                    // Promoted alloca re-zeroing needs the zero of its class.
+                    let (key, entry) = const_of(Value::Undef(ty)).expect("undef is a constant");
+                    self.const_vreg(key, entry)?;
+                    continue;
+                }
+                let mut failed = None;
+                f.inst(iid).for_each_operand(|v| {
+                    if let Some((key, entry)) = const_of(v) {
+                        failed = failed.take().or(self.const_vreg(key, entry).err());
+                    }
+                });
+                if let Some(e) = failed {
+                    return Err(e);
+                }
+            }
+            let term_val = match &f.block(bb).term {
+                Some(Terminator::CondBr { cond, .. }) => Some(*cond),
+                Some(Terminator::Ret(Some(v))) => Some(*v),
+                _ => None,
+            };
+            if let Some((key, entry)) = term_val.and_then(const_of) {
+                self.const_vreg(key, entry)?;
+            }
+        }
 
-    let vf = VmFunction {
-        name: f.name.clone(),
-        params,
-        num_regs: c.vreg_class.len() as u16,
-        reg_class: c.vreg_class,
-        num_vregs: c.vv_class.len() as u16,
-        vreg_class: c.vv_class,
-        vreg_width: c.vv_width,
-        ops: c.ops,
-        consts: c.pool,
-        call_args: c.call_args,
-        call_targets: c.call_targets,
-        block_starts: c.block_starts,
-        ret: f.ret,
-    };
-    Ok((vf, c.promoted.slot_ty.iter().flatten().count()))
+        // Emission. The prologue belongs to the entry block: block offset 0
+        // covers it, so a backedge into the entry re-runs the (idempotent)
+        // constant loads — liveness-based intervals keep those registers from
+        // being reused across any such edge.
+        for (i, &bb) in rpo.iter().enumerate() {
+            self.block_off[bb.0 as usize] = Some(self.out.ops.len() as u32);
+            self.mark_block_start();
+            if i == 0 {
+                // In pool order — the order the constants were first met in —
+                // whatever order the table keeps them in: the emitted bytes
+                // must be a function of the module alone.
+                self.loads.clear();
+                self.loads
+                    .extend(self.consts.0.iter().map(|&(_, load)| load));
+                self.loads.sort_unstable();
+                for &(idx, dst) in &self.loads {
+                    self.out.ops.push(Op::Const { dst, idx });
+                }
+            }
+            if let Some(plan) = plans.get(&bb.0) {
+                // Vector preamble + main loop + exit combine, then the scalar
+                // copy of the loop as its epilogue. The block offset recorded
+                // above points at the preamble, so entry edges run it; the
+                // latch's backedge is redirected past it (`latch_redirect`).
+                vectorize::emit_vector_loop(self, plan)?;
+                self.mark_block_start();
+            }
+            for &iid in &f.block(bb).insts {
+                self.emit_inst(iid, f.inst(iid))?;
+            }
+            let term = f
+                .block(bb)
+                .term
+                .as_ref()
+                .ok_or_else(|| CompileError::Malformed {
+                    func: f.name.clone(),
+                    what: format!("unterminated block {}", f.block(bb).name),
+                })?;
+            self.emit_terminator(bb, term)?;
+        }
+        self.patch_fixups()?;
+
+        if self.out.ops.len() > u32::MAX as usize {
+            return Err(self.err_large("op stream"));
+        }
+        self.out.num_regs = self.out.reg_class.len() as u16;
+        self.out.num_vregs = self.out.vreg_class.len() as u16;
+        Ok(self.promoted.slot_ty.iter().flatten().count())
+    }
 }

@@ -36,7 +36,9 @@
 //! once (no stage before 5 moves an edge, and 5 remaps it), and liveness is
 //! solved once per dead-op sweep and never again — [`optimize_in`] says why
 //! the last sweep's solve still holds for stages 3 and 4 and, remapped, for
-//! the register allocator.
+//! the register allocator. The `dead` mask, the backward walks' live row,
+//! the copy map, the edge counts, the merge mask and the compaction offsets
+//! are `Analysis` buffers too, reused from function to function.
 
 use crate::ops::{Op, Reg, VmFunction};
 use crate::regalloc::{bit_clear, bit_set, bit_test, block_range, Analysis, Liveness};
@@ -83,23 +85,22 @@ pub(crate) fn optimize_in(f: &mut VmFunction, a: &mut Analysis) -> usize {
         return 0;
     }
     a.cfg.build(f);
-    copy_propagate(f);
-    let mut dead = vec![false; f.ops.len()];
-    // The backward walks' running live set, one buffer for every block.
-    let mut live = Vec::new();
+    copy_propagate(f, &mut a.copies);
+    a.dead.clear();
+    a.dead.resize(f.ops.len(), false);
     loop {
-        a.live.solve(f, &a.cfg, &dead);
-        if !eliminate_dead(f, &a.live, &mut dead, &mut live) {
+        a.live.solve(f, &a.cfg, &a.dead);
+        if !eliminate_dead(f, &a.live, &mut a.dead, &mut a.row) {
             break;
         }
     }
-    coalesce_defs(f, &a.live, &mut dead, &mut live);
-    debug_assert!(a.is_current(f, &dead), "@{}: coalesce_defs", f.name);
-    fuse_cmp_br(f, &a.live, &mut dead);
-    debug_assert!(a.is_current(f, &dead), "@{}: fuse_cmp_br", f.name);
-    elide_fallthrough_jumps(f, a, &mut dead);
-    fuse_bin_jmp(f, &mut dead);
-    compact(f, &dead)
+    coalesce_defs(f, &a.live, &mut a.dead, &mut a.row);
+    debug_assert!(a.is_current(f, &a.dead), "@{}: coalesce_defs", f.name);
+    fuse_cmp_br(f, &a.live, &mut a.dead);
+    debug_assert!(a.is_current(f, &a.dead), "@{}: fuse_cmp_br", f.name);
+    elide_fallthrough_jumps(f, a);
+    fuse_bin_jmp(f, &mut a.dead);
+    compact(f, &a.dead, &mut a.new_off)
 }
 
 /// True when deleting a dead instance of `op` cannot change observable
@@ -128,7 +129,7 @@ thread_local! {
 
 /// What [`copy_propagate`] knows about one register.
 #[derive(Clone, Copy, Default)]
-struct CopyEntry {
+pub(crate) struct CopyEntry {
     /// The register this one is a copy of — if `recorded_in` is the current
     /// block and `src_stamp` is still `copy_of`'s `def_stamp`.
     copy_of: Reg,
@@ -145,8 +146,9 @@ struct CopyEntry {
 /// Block-local copy propagation: after `dst = mov src`, later reads of `dst`
 /// become reads of `src` (chased to the root of a copy chain) until either
 /// side is redefined. The `Mov`s themselves are left for DCE to collect.
-fn copy_propagate(f: &mut VmFunction) {
-    let mut regs = vec![CopyEntry::default(); f.num_regs as usize];
+fn copy_propagate(f: &mut VmFunction, regs: &mut Vec<CopyEntry>) {
+    regs.clear();
+    regs.resize(f.num_regs as usize, CopyEntry::default());
     let mut cur_block: u32 = 0;
     let mut clock: u32 = 0;
     for b in 0..f.block_starts.len() {
@@ -343,38 +345,40 @@ fn fuse_bin_jmp(f: &mut VmFunction, dead: &mut [bool]) {
 /// Deletes `jmp` ops that target the instruction physically following them
 /// when nothing else jumps there, merging the two blocks. (RPO linearization
 /// makes loop bodies fall through to their latch, so these are common.)
-fn elide_fallthrough_jumps(f: &mut VmFunction, a: &mut Analysis, dead: &mut [bool]) {
+fn elide_fallthrough_jumps(f: &mut VmFunction, a: &mut Analysis) {
     let nb = a.cfg.num_blocks();
     // Terminators are never deleted, so every edge of the CFG is live.
-    let mut incoming: Vec<u32> = vec![0; nb];
+    a.incoming.clear();
+    a.incoming.resize(nb, 0);
     for &head in a.cfg.edge_heads() {
-        incoming[head as usize] += 1;
+        a.incoming[head as usize] += 1;
     }
-    let mut merged = vec![false; nb];
+    a.merged.clear();
+    a.merged.resize(nb, false);
     for b in 1..nb {
         // `end` is where block `b` starts; one incoming edge means the
         // previous block's `Jmp` to it is that edge.
         let end = f.block_starts[b];
         let jmp = end as usize - 1;
-        if incoming[b] == 1 && matches!(f.ops[jmp], Op::Jmp { target } if target == end) {
-            dead[jmp] = true;
-            merged[b] = true;
+        if a.incoming[b] == 1 && matches!(f.ops[jmp], Op::Jmp { target } if target == end) {
+            a.dead[jmp] = true;
+            a.merged[b] = true;
         }
     }
-    if merged.contains(&true) {
-        a.merge_blocks(f, &merged);
+    if a.merged.contains(&true) {
+        a.merge_blocks(f);
     }
 }
 
 /// Drops marked ops and remaps every jump target and block start. Targets
 /// are always block starts and terminators are never marked, so each block
 /// retains at least one op and the remapped starts stay strictly sorted.
-fn compact(f: &mut VmFunction, dead: &[bool]) -> usize {
+fn compact(f: &mut VmFunction, dead: &[bool], new_off: &mut Vec<u32>) -> usize {
     let removed = dead.iter().filter(|&&d| d).count();
     if removed == 0 {
         return 0;
     }
-    let mut new_off: Vec<u32> = Vec::with_capacity(f.ops.len());
+    new_off.clear();
     let mut kept: u32 = 0;
     for &d in dead {
         new_off.push(kept);
@@ -491,7 +495,7 @@ mod tests {
             vec![RegClass::Int; 4],
             vec![0],
         );
-        copy_propagate(&mut f);
+        copy_propagate(&mut f, &mut Vec::new());
         assert!(
             matches!(f.ops[4], Op::Bin { lhs: 1, rhs: 0, .. }),
             "{:?}",
@@ -524,7 +528,7 @@ mod tests {
         let n = ops.len() as u64;
         let mut f = func(ops, vec![RegClass::Int; 2 * PAIRS as usize + 1], vec![0]);
         INVALIDATION_STEPS.with(|s| s.set(0));
-        copy_propagate(&mut f);
+        copy_propagate(&mut f, &mut Vec::new());
         let steps = INVALIDATION_STEPS.with(|s| s.get());
         assert!(steps <= n, "{steps} invalidation steps for {n} ops");
         for i in 0..PAIRS as usize {

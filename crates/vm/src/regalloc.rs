@@ -20,11 +20,15 @@
 //! terminators once, the liveness rows live in four flat `blocks × words`
 //! vectors that every solve reuses, and the allocator takes the rows of the
 //! peephole pipeline's last solve instead of solving again
-//! (`peephole::optimize_in` says why they are still current). One `Analysis`
-//! serves every function of a module, so in the steady state nothing here
-//! reallocates.
+//! (`peephole::optimize_in` says why they are still current). The same
+//! `Analysis` also holds the peephole stages' masks and rows and the
+//! allocator's intervals, order, assignment and pools. `compile_module_with`
+//! keeps one per module, so what is allocated per function is only the
+//! compiled `VmFunction` itself; the buffers here grow to the module's
+//! largest function and are then reused.
 
 use crate::ops::{Reg, RegClass, VmFunction};
+use crate::peephole::CopyEntry;
 
 /// `(start, end)` op index range of block `b`.
 pub(crate) fn block_range(f: &VmFunction, b: usize) -> (usize, usize) {
@@ -190,16 +194,46 @@ impl Liveness {
     }
 }
 
-/// What the peephole stages and the allocator know about one function: its
-/// [`Cfg`] and the [`Liveness`] of the last solve, plus index scratch. Filled
-/// by `peephole::optimize_in`, consumed by [`allocate_in`], then reused for
-/// the next function.
+/// What the peephole stages and the allocator know about one function — its
+/// [`Cfg`] and the [`Liveness`] of the last solve — and the buffers they
+/// work in. Filled by `peephole::optimize_in`, consumed by [`allocate_in`],
+/// then reused for the next function.
 #[derive(Default)]
 pub(crate) struct Analysis {
     pub(crate) cfg: Cfg,
     pub(crate) live: Liveness,
+    /// The peephole stages' deleted-op mask, the running live row of their
+    /// backward walks, copy propagation's per-register entries, and the
+    /// compaction's new op offsets.
+    pub(crate) dead: Vec<bool>,
+    pub(crate) row: Vec<u64>,
+    pub(crate) copies: Vec<CopyEntry>,
+    pub(crate) new_off: Vec<u32>,
+    /// Incoming edges per block, and the blocks
+    /// [`Analysis::merge_blocks`] folds into their predecessor.
+    pub(crate) incoming: Vec<u32>,
+    pub(crate) merged: Vec<bool>,
     /// Old block index → new block index during [`Analysis::merge_blocks`].
     remap: Vec<u32>,
+    scan: Scan,
+}
+
+/// The buffers of [`allocate_in`]'s linear scan.
+#[derive(Default)]
+struct Scan {
+    /// First and last op index of each virtual register's interval.
+    start: Vec<usize>,
+    end: Vec<usize>,
+    /// Virtual registers with an interval, by start.
+    order: Vec<usize>,
+    /// Physical register of each virtual register, and class of each
+    /// physical one.
+    assign: Vec<Reg>,
+    phys_class: Vec<RegClass>,
+    /// Expired physical registers per class, and the live intervals as
+    /// `(end, phys, class index)`.
+    free: [Vec<Reg>; 3],
+    active: Vec<(usize, Reg, usize)>,
 }
 
 impl Analysis {
@@ -210,32 +244,39 @@ impl Analysis {
     /// rather than re-solved — a merged block is live-in what its first
     /// block was and live-out what its last block was, and no other block's
     /// equations mention the blocks in between.
-    pub(crate) fn merge_blocks(&mut self, f: &mut VmFunction, merged: &[bool]) {
+    pub(crate) fn merge_blocks(&mut self, f: &mut VmFunction) {
+        let Analysis {
+            cfg,
+            live,
+            merged,
+            remap,
+            ..
+        } = self;
         let nb = merged.len();
-        let w = self.live.words;
+        let w = live.words;
         let ends_chain = |b: usize| b + 1 == nb || !merged[b + 1];
-        self.remap.clear();
+        remap.clear();
         let mut kept = 0u32;
-        for &m in merged {
+        for &m in merged.iter() {
             kept += u32::from(!m);
-            self.remap.push(kept - 1);
+            remap.push(kept - 1);
         }
         // Everything below compacts in place, front to back: block `b` lands
         // on `remap[b] <= b`, after that slot's old contents were consumed.
-        let Cfg { succ_at, succ } = &mut self.cfg;
+        let Cfg { succ_at, succ } = cfg;
         let mut edges = 0;
         for b in 0..nb {
-            let k = self.remap[b] as usize;
+            let k = remap[b] as usize;
             if !merged[b] {
-                self.live.live_in.copy_within(b * w..(b + 1) * w, k * w);
+                live.live_in.copy_within(b * w..(b + 1) * w, k * w);
                 f.block_starts[k] = f.block_starts[b];
             }
             let (lo, hi) = (succ_at[b] as usize, succ_at[b + 1] as usize);
             if ends_chain(b) {
-                self.live.live_out.copy_within(b * w..(b + 1) * w, k * w);
+                live.live_out.copy_within(b * w..(b + 1) * w, k * w);
                 succ_at[k] = edges as u32;
                 for e in lo..hi {
-                    succ[edges] = self.remap[succ[e] as usize];
+                    succ[edges] = remap[succ[e] as usize];
                     edges += 1;
                 }
             }
@@ -245,8 +286,8 @@ impl Analysis {
         succ_at.truncate(kept + 1);
         succ.truncate(edges);
         f.block_starts.truncate(kept);
-        self.live.live_in.truncate(kept * w);
-        self.live.live_out.truncate(kept * w);
+        live.live_in.truncate(kept * w);
+        live.live_out.truncate(kept * w);
     }
 
     /// Whether the CFG and the live-in/live-out rows are what building and
@@ -273,11 +314,11 @@ pub fn allocate(f: &mut VmFunction) {
     let mut a = Analysis::default();
     a.cfg.build(f);
     a.live.solve(f, &a.cfg, &vec![false; f.ops.len()]);
-    allocate_in(f, &a);
+    allocate_in(f, &mut a);
 }
 
 /// [`allocate`] over an [`Analysis`] that is current for `f`.
-pub(crate) fn allocate_in(f: &mut VmFunction, a: &Analysis) {
+pub(crate) fn allocate_in(f: &mut VmFunction, a: &mut Analysis) {
     let n = f.num_regs as usize;
     if n == 0 || f.ops.is_empty() {
         return;
@@ -287,6 +328,15 @@ pub(crate) fn allocate_in(f: &mut VmFunction, a: &Analysis) {
         "@{}: liveness handed to the allocator is stale",
         f.name
     );
+    let Scan {
+        start,
+        end,
+        order,
+        assign,
+        phys_class,
+        free,
+        active,
+    } = &mut a.scan;
 
     // Conservative hole-free intervals: cover every def/use position plus
     // every block boundary the value is live across.
@@ -299,41 +349,41 @@ pub(crate) fn allocate_in(f: &mut VmFunction, a: &Analysis) {
             end[v] = pos;
         }
     }
-    let mut start = vec![UNSET; n];
-    let mut end = vec![0usize; n];
+    start.clear();
+    start.resize(n, UNSET);
+    end.clear();
+    end.resize(n, 0);
     for &p in &f.params {
-        touch(&mut start, &mut end, p as usize, 0);
+        touch(start, end, p as usize, 0);
     }
     for (pc, op) in f.ops.iter().enumerate() {
         if let Some(d) = op.def() {
-            touch(&mut start, &mut end, d as usize, pc);
+            touch(start, end, d as usize, pc);
         }
-        op.for_each_use(&f.call_args, |r| {
-            touch(&mut start, &mut end, r as usize, pc)
-        });
+        op.for_each_use(&f.call_args, |r| touch(start, end, r as usize, pc));
     }
     for b in 0..a.cfg.num_blocks() {
         let (bs, be) = block_range(f, b);
-        for_each_one(a.live.live_in(b), |v| touch(&mut start, &mut end, v, bs));
-        for_each_one(a.live.live_out(b), |v| {
-            touch(&mut start, &mut end, v, be - 1)
-        });
+        for_each_one(a.live.live_in(b), |v| touch(start, end, v, bs));
+        for_each_one(a.live.live_out(b), |v| touch(start, end, v, be - 1));
     }
 
     // Linear scan with per-class free pools. Registers never share even when
     // intervals merely touch (strict `<` expiry) — a cheap safety margin.
-    let mut order: Vec<usize> = (0..n).filter(|&v| start[v] != UNSET).collect();
+    order.clear();
+    order.extend((0..n).filter(|&v| start[v] != UNSET));
     order.sort_unstable_by_key(|&v| (start[v], v));
-    let mut assign: Vec<Reg> = vec![0; n];
-    let mut phys_class: Vec<RegClass> = Vec::new();
-    let mut free: [Vec<Reg>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    assign.clear();
+    assign.resize(n, 0);
+    phys_class.clear();
+    free.iter_mut().for_each(Vec::clear);
+    active.clear();
     let class_idx = |c: RegClass| match c {
         RegClass::Int => 0usize,
         RegClass::Float => 1,
         RegClass::Ptr => 2,
     };
-    let mut active: Vec<(usize, Reg, usize)> = Vec::new(); // (end, phys, class idx)
-    for &v in &order {
+    for &v in order.iter() {
         active.retain(|&(e, phys, ci)| {
             if e < start[v] {
                 free[ci].push(phys);
@@ -366,7 +416,8 @@ pub(crate) fn allocate_in(f: &mut VmFunction, a: &Analysis) {
         *p = assign[*p as usize];
     }
     f.num_regs = phys_class.len() as u16;
-    f.reg_class = phys_class;
+    // The virtual classes' buffer becomes the next function's scratch.
+    std::mem::swap(&mut f.reg_class, phys_class);
 }
 
 /// The solver this module used before the flat-row workspace: one heap
@@ -781,7 +832,7 @@ mod tests {
                     a.is_current(&f, &vec![false; f.ops.len()]),
                     "seed {seed}, {n} registers:\n{disasm}"
                 );
-                allocate_in(&mut f, &a);
+                allocate_in(&mut f, &mut a);
 
                 // And the allocation is the one a solve of its own gives.
                 assert_eq!(crate::peephole::optimize(&mut fresh), removed);

@@ -30,7 +30,9 @@
 use crate::compile::{const_of, CompileError, ConstKey, FuncCompiler, Promoted};
 use crate::ops::{Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
 use omplt_interp::RtVal;
-use omplt_ir::{BinOpKind, BlockId, CmpPred, Function, Inst, InstId, IrType, Terminator, Value};
+use omplt_ir::{
+    BinOpKind, BlockId, BlockLists, CmpPred, Function, Inst, InstId, IrType, Terminator, Value,
+};
 use std::collections::{HashMap, HashSet};
 
 /// Per-module widening statistics, reported as `vm.simd.*` counters.
@@ -398,7 +400,7 @@ fn use_counts(f: &Function, blocks: &[BlockId]) -> HashMap<InstId, u32> {
 /// Attempts to build a plan for the loop `header`/`latch`. `None` = refuse.
 fn try_plan(
     f: &Function,
-    preds: &[Vec<BlockId>],
+    preds: &BlockLists<BlockId>,
     promoted: &Promoted,
     header: BlockId,
     latch: BlockId,
@@ -793,7 +795,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                         let l = self.scalar_of(lhs)?;
                         let r2 = self.scalar_of(rhs)?;
                         let dst = self.c.new_vreg(RegClass::of(ty))?;
-                        self.c.ops.push(Op::Bin {
+                        self.c.out.ops.push(Op::Bin {
                             op,
                             ty,
                             dst,
@@ -806,7 +808,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                         let from = self.c.f.value_type(val);
                         let src = self.scalar_of(val)?;
                         let dst = self.c.new_vreg(RegClass::of(to))?;
-                        self.c.ops.push(Op::Cast {
+                        self.c.out.ops.push(Op::Cast {
                             op,
                             from,
                             to,
@@ -825,7 +827,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                         let base = self.scalar_of(ptr)?;
                         let idx = self.scalar_of(index)?;
                         let dst = self.c.new_vreg(RegClass::Ptr)?;
-                        self.c.ops.push(Op::Gep {
+                        self.c.out.ops.push(Op::Gep {
                             dst,
                             base,
                             index: idx,
@@ -866,7 +868,7 @@ impl<'a, 'b> Widener<'a, 'b> {
             return Ok(v);
         }
         let dst = self.c.new_vvreg(class, self.w())?;
-        self.c.ops.push(Op::VBroadcast {
+        self.c.out.ops.push(Op::VBroadcast {
             dst,
             src: r,
             w: self.w(),
@@ -905,7 +907,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                         let l = self.vec_of(lhs)?;
                         let r = self.vec_of(rhs)?;
                         let dst = self.c.new_vvreg(RegClass::of(ty), self.w())?;
-                        self.c.ops.push(Op::VBin {
+                        self.c.out.ops.push(Op::VBin {
                             op,
                             ty,
                             dst,
@@ -919,7 +921,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                         let from = self.c.f.value_type(val);
                         let src = self.vec_of(val)?;
                         let dst = self.c.new_vvreg(RegClass::of(to), self.w())?;
-                        self.c.ops.push(Op::VCast {
+                        self.c.out.ops.push(Op::VCast {
                             op,
                             from,
                             to,
@@ -970,7 +972,7 @@ impl<'a, 'b> Widener<'a, 'b> {
         if self.unit_stride(ptr) {
             let addr = self.scalar_of(ptr)?;
             let dst = self.c.new_vvreg(RegClass::of(ty), self.w())?;
-            self.c.ops.push(Op::VLoad {
+            self.c.out.ops.push(Op::VLoad {
                 dst,
                 addr,
                 ty,
@@ -981,7 +983,7 @@ impl<'a, 'b> Widener<'a, 'b> {
             let b = self.scalar_of(base)?;
             let idx = self.vec_of(index)?;
             let dst = self.c.new_vvreg(RegClass::of(ty), self.w())?;
-            self.c.ops.push(Op::VGather {
+            self.c.out.ops.push(Op::VGather {
                 elem_size: es32,
                 dst,
                 base: b,
@@ -1041,12 +1043,12 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         None
     };
     let bound_reg = wd.scalar_of(plan.bound)?;
-    wd.c.ops.push(Op::Mov {
+    wd.c.out.ops.push(Op::Mov {
         dst: riv,
         src: iv_reg,
     });
     let n_main = wd.c.new_vreg(RegClass::Int)?;
-    wd.c.ops.push(Op::Bin {
+    wd.c.out.ops.push(Op::Bin {
         op: BinOpKind::Sub,
         ty: plan.iv_ty,
         dst: n_main,
@@ -1060,7 +1062,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         };
         let id_reg = wd.int_const(identity)?;
         let acc = wd.c.new_vvreg(RegClass::Int, w)?;
-        wd.c.ops.push(Op::VBroadcast {
+        wd.c.out.ops.push(Op::VBroadcast {
             dst: acc,
             src: id_reg,
             w,
@@ -1069,9 +1071,9 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     }
     for &slot in &plan.write_first {
         let r = wd.slot_reg(slot);
-        let class = wd.c.vreg_class[r as usize];
+        let class = wd.c.out.reg_class[r as usize];
         let acc = wd.c.new_vvreg(class, w)?;
-        wd.c.ops.push(Op::VBroadcast {
+        wd.c.out.ops.push(Op::VBroadcast {
             dst: acc,
             src: r,
             w,
@@ -1087,8 +1089,8 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     } else {
         CmpPred::Sge
     };
-    let guard_at = wd.c.ops.len();
-    wd.c.ops.push(Op::CmpBr {
+    let guard_at = wd.c.out.ops.len();
+    wd.c.out.ops.push(Op::CmpBr {
         pred: guard_pred,
         ty: plan.iv_ty,
         lhs: bound_reg,
@@ -1098,18 +1100,18 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     });
 
     // --- vcond --------------------------------------------------------------
-    let vcond_off = wd.c.ops.len() as u32;
+    let vcond_off = wd.c.out.ops.len() as u32;
     wd.c.mark_block_start();
     let cnd = wd.c.new_vreg(RegClass::Int)?;
-    wd.c.ops.push(Op::Cmp {
+    wd.c.out.ops.push(Op::Cmp {
         pred: plan.pred,
         ty: plan.iv_ty,
         dst: cnd,
         lhs: riv,
         rhs: n_main,
     });
-    let br_at = wd.c.ops.len();
-    wd.c.ops.push(Op::Br {
+    let br_at = wd.c.out.ops.len();
+    wd.c.out.ops.push(Op::Br {
         cond: cnd,
         then_t: (br_at + 1) as u32,
         else_t: 0, // patched to vexit
@@ -1117,7 +1119,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
 
     // --- vbody --------------------------------------------------------------
     wd.c.mark_block_start();
-    wd.c.ops.push(Op::VIota {
+    wd.c.out.ops.push(Op::VIota {
         dst: ivec,
         base: riv,
         w,
@@ -1165,7 +1167,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
                         let e = wd.vec_of(expr)?;
                         let acc = wd.acc[&slot];
                         let ty = f.value_type(val);
-                        wd.c.ops.push(Op::VBin {
+                        wd.c.out.ops.push(Op::VBin {
                             op: *op,
                             ty,
                             dst: acc,
@@ -1181,7 +1183,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
                         let acc = wd.acc[&slot];
                         // Later reads of this slot in the same chunk load
                         // through `acc`, which now holds the new lanes.
-                        wd.c.ops.push(Op::VMov {
+                        wd.c.out.ops.push(Op::VMov {
                             dst: acc,
                             src: v,
                             w,
@@ -1194,7 +1196,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
                 let src = wd.vec_of(val)?;
                 if wd.unit_stride(ptr) {
                     let addr = wd.scalar_of(ptr)?;
-                    wd.c.ops.push(Op::VStore { src, addr, ty, w });
+                    wd.c.out.ops.push(Op::VStore { src, addr, ty, w });
                 } else {
                     let Value::Inst(gid) = ptr else {
                         unreachable!()
@@ -1211,7 +1213,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
                         u32::try_from(elem_size).map_err(|_| wd.c.err_large("gep element size"))?;
                     let b = wd.scalar_of(base)?;
                     let idx = wd.vec_of(index)?;
-                    wd.c.ops.push(Op::VScatter {
+                    wd.c.out.ops.push(Op::VScatter {
                         elem_size: es32,
                         src,
                         base: b,
@@ -1223,17 +1225,17 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             }
         }
     }
-    wd.c.ops.push(Op::Bin {
+    wd.c.out.ops.push(Op::Bin {
         op: BinOpKind::Add,
         ty: plan.iv_ty,
         dst: riv,
         lhs: riv,
         rhs: w_const,
     });
-    wd.c.ops.push(Op::Jmp { target: vcond_off });
+    wd.c.out.ops.push(Op::Jmp { target: vcond_off });
 
     // --- vexit --------------------------------------------------------------
-    let vexit_off = wd.c.ops.len() as u32;
+    let vexit_off = wd.c.out.ops.len() as u32;
     wd.c.mark_block_start();
     for &(slot, op) in &plan.reductions {
         let acc = wd.acc[&slot];
@@ -1245,14 +1247,14 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             Inst::Alloca { ty, .. } => *ty,
             _ => unreachable!(),
         };
-        wd.c.ops.push(Op::VReduce {
+        wd.c.out.ops.push(Op::VReduce {
             op,
             ty,
             dst: red,
             src: acc,
             w,
         });
-        wd.c.ops.push(Op::Bin {
+        wd.c.out.ops.push(Op::Bin {
             op,
             ty,
             dst: slot_reg,
@@ -1263,18 +1265,18 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     for &slot in &plan.write_first {
         let acc = wd.acc[&slot];
         let slot_reg = wd.slot_reg(slot);
-        wd.c.ops.push(Op::VExtract {
+        wd.c.out.ops.push(Op::VExtract {
             dst: slot_reg,
             src: acc,
             lane: w - 1,
         });
     }
-    wd.c.ops.push(Op::Mov {
+    wd.c.out.ops.push(Op::Mov {
         dst: iv_reg,
         src: riv,
     });
     let epi = wd.c.new_vreg(RegClass::Int)?;
-    wd.c.ops.push(Op::Bin {
+    wd.c.out.ops.push(Op::Bin {
         op: BinOpKind::Sub,
         ty: plan.iv_ty,
         dst: epi,
@@ -1283,7 +1285,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     });
     let epi = if let Some(one) = one_const {
         let epi2 = wd.c.new_vreg(RegClass::Int)?;
-        wd.c.ops.push(Op::Bin {
+        wd.c.out.ops.push(Op::Bin {
             op: BinOpKind::Add,
             ty: plan.iv_ty,
             dst: epi2,
@@ -1294,18 +1296,18 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     } else {
         epi
     };
-    wd.c.ops.push(Op::VEpi { src: epi });
-    let jmp_at = wd.c.ops.len();
-    wd.c.ops.push(Op::Jmp {
+    wd.c.out.ops.push(Op::VEpi { src: epi });
+    let jmp_at = wd.c.out.ops.len();
+    wd.c.out.ops.push(Op::Jmp {
         target: (jmp_at + 1) as u32, // falls through to the scalar header
     });
-    let scalar_header_off = wd.c.ops.len() as u32;
+    let scalar_header_off = wd.c.out.ops.len() as u32;
 
     // Patch the two forward branches into vexit.
-    if let Op::CmpBr { else_t, .. } = &mut wd.c.ops[guard_at] {
+    if let Op::CmpBr { else_t, .. } = &mut wd.c.out.ops[guard_at] {
         *else_t = vexit_off;
     }
-    if let Op::Br { else_t, .. } = &mut wd.c.ops[br_at] {
+    if let Op::Br { else_t, .. } = &mut wd.c.out.ops[br_at] {
         *else_t = vexit_off;
     }
     wd.c.latch_redirect.insert(plan.latch.0, scalar_header_off);

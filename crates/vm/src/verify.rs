@@ -19,7 +19,7 @@
 //!    error, not a zero.
 
 use crate::ops::{CallTarget, Op, RegClass, VmFunction, VmModule, MAX_LANES};
-use omplt_ir::{CastOp, CmpPred, IrType};
+use omplt_ir::{BlockLists, CastOp, CmpPred, IrType};
 
 /// One verification failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -827,11 +827,12 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
             Err(i) => i - 1,
         }
     };
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for (b, &s) in f.block_starts.iter().enumerate() {
-        let range = f.block_range(s);
-        f.ops[range.end - 1].for_each_target(|t| preds[block_of(t)].push(b));
-    }
+    let preds = BlockLists::group(nb, 0, |preds| {
+        for (b, &s) in f.block_starts.iter().enumerate() {
+            let range = f.block_range(s);
+            f.ops[range.end - 1].for_each_target(|t| preds.push(block_of(t), b));
+        }
+    });
 
     // in[b] = (params if entry) ∩ over preds out[p]; out[b] = in[b] ∪ defs.
     // Both sets are flat tables (row b = `[b * words..(b + 1) * words]`)

@@ -1,12 +1,14 @@
 //! Allocation budgets of the compile path: a check or probe that runs per
 //! instruction, block, dataflow round or token must not allocate per
-//! element. A counting global allocator tallies allocations per thread, so
-//! the tests of this binary can run in parallel without seeing each other's
-//! work; each test compares two inputs that differ only in the element count
-//! the site used to allocate for.
+//! element, and compiling a module allocates per function only what the
+//! module keeps. A counting global allocator tallies allocations per
+//! thread, so the tests of this binary can run in parallel without seeing
+//! each other's work; each test compares two inputs that differ only in the
+//! element count the site used to allocate for.
 
 use omplt::ir::{
-    verify_function, BinOpKind, Function, IrBuilder, IrType, LoopMetadata, UnrollHint, Value,
+    verify_function, BinOpKind, BlockId, Function, Inst, IrBuilder, IrType, LoopMetadata,
+    Terminator, UnrollHint, Value,
 };
 use omplt::vm::{Op, PoolConst, RegClass, VmFunction};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -93,6 +95,48 @@ fn latch_chain(n: usize) -> Function {
 }
 
 #[test]
+fn predecessors_are_one_flat_list() {
+    let preds = |n: usize| {
+        let f = latch_chain(n);
+        let (count, preds) = allocs(|| f.predecessors());
+        assert_eq!(preds[n - 1], [BlockId(n as u32 - 2)]);
+        count
+    };
+    assert_eq!(preds(200), preds(20));
+}
+
+/// One block of `n` `add`s of two constants, pushed past the builder's
+/// on-the-fly folding as the unroller's substitutions are; the last is
+/// returned.
+fn foldable_adds(n: usize) -> Function {
+    let mut f = Function::new("fold", vec![], IrType::I64);
+    let entry = f.entry();
+    let mut v = Value::i64(0);
+    for k in 0..n {
+        let add = Inst::Bin {
+            op: BinOpKind::Add,
+            lhs: Value::i64(k as i64),
+            rhs: Value::i64(1),
+        };
+        v = f.push_inst(entry, add);
+    }
+    f.block_mut(entry).term = Some(Terminator::Ret(Some(v)));
+    f
+}
+
+#[test]
+fn constant_folding_does_not_allocate_per_instruction() {
+    let fold = |n: usize| {
+        let mut f = foldable_adds(n);
+        let (count, changed) = allocs(|| omplt::midend::constant_fold(&mut f));
+        assert!(changed);
+        assert_eq!(f.num_insts(), 0);
+        count
+    };
+    assert_eq!(fold(10_000), fold(100));
+}
+
+#[test]
 fn simplify_cfg_on_a_simplified_chain_does_not_allocate_per_block() {
     let run = |n: usize| {
         let mut f = latch_chain(n);
@@ -159,6 +203,65 @@ fn the_bytecode_verifier_does_not_allocate_per_dataflow_round() {
     };
     // Two rounds against a hundred: the same blocks, the same allocations.
     assert_eq!(verify(true), verify(false));
+}
+
+#[test]
+fn the_bytecode_verifier_does_not_allocate_per_block() {
+    let verify = |blocks: u32| {
+        let f = jump_chain(blocks, false);
+        let (count, errs) = allocs(|| omplt::vm::verify_function(&f, 1));
+        assert_eq!(errs, vec![], "{blocks} blocks");
+        count
+    };
+    assert_eq!(verify(100), verify(10));
+}
+
+/// `n` copies of `long fK(long n) { long s = 0; for (i < n) { s += i;
+/// print_i64(i); } return s; }`, as the canonical-loop builder emits them.
+#[cfg(not(debug_assertions))]
+fn looped_module(n: usize) -> omplt::ir::Module {
+    let mut m = omplt::ir::Module::new();
+    let sink = m.intern("print_i64");
+    for k in 0..n {
+        let mut f = Function::new(format!("f{k}"), vec![IrType::I64], IrType::I64);
+        let mut b = IrBuilder::new(&mut f);
+        let sum = b.alloca(IrType::I64, 1, "s");
+        b.store(Value::i64(0), sum);
+        omplt::ompirb::create_canonical_loop(&mut b, Value::Arg(0), "i", |b, iv| {
+            let s = b.load(IrType::I64, sum);
+            let s = b.add(s, iv);
+            b.store(s, sum);
+            b.call(sink, vec![iv], IrType::Void);
+        });
+        let s = b.load(IrType::I64, sum);
+        b.ret(Some(s));
+        m.add_function(f);
+    }
+    m
+}
+
+/// Release builds only: debug builds also run `regalloc::reference` and
+/// `Analysis::is_current` on every liveness solve and hand-off, and both
+/// build their own tables per block by design.
+#[cfg(not(debug_assertions))]
+#[test]
+fn compiling_a_module_allocates_per_function_only_what_the_module_keeps() {
+    // A `VmFunction`'s own buffers: its name, `params`, `reg_class`,
+    // `vreg_class`, `vreg_width`, `ops`, `consts`, `call_args`,
+    // `call_targets` and `block_starts`.
+    const KEPT_BUFFERS: u64 = 10;
+    let compile = |n: usize| {
+        let m = looped_module(n);
+        let (count, module) = allocs(|| omplt::vm::compile_module(&m));
+        assert_eq!(module.expect("compiles").funcs.len(), n);
+        count
+    };
+    let (small, large) = (compile(20), compile(200));
+    let per_function = (large - small) as f64 / 180.0;
+    assert!(
+        large - small <= 180 * KEPT_BUFFERS,
+        "{per_function:.1} allocations per added function ({small} for 20, {large} for 200)"
+    );
 }
 
 #[test]
