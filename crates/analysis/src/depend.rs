@@ -60,7 +60,7 @@ use omplt_ast::{
     StmtVisitor, TranslationUnit, Type, TypeKind, UnOp, VarDecl, P,
 };
 use omplt_sema::analyze_canonical_loop;
-use omplt_source::{Diagnostic, DiagnosticsEngine, Level, SourceLocation};
+use omplt_source::{Diagnostic, DiagnosticsEngine, IdentifierTable, Level, SourceLocation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -70,7 +70,10 @@ use std::fmt;
 /// cannot judge of a transformation are warnings; and each `simd`
 /// directive's lane bound is recorded on it.
 pub fn check_translation_unit(tu: &TranslationUnit, diags: &DiagnosticsEngine) {
-    let mut v = DependVisitor { diags };
+    let mut v = DependVisitor {
+        diags,
+        idents: &tu.idents,
+    };
     for d in &tu.decls {
         if let Decl::Function(f) = d {
             if let Some(body) = f.body.borrow().as_ref() {
@@ -423,6 +426,8 @@ type Limit = (String, String, SourceLocation);
 /// Collects the per-variable accesses of a loop body.
 struct DepCollector<'a> {
     levels: &'a [LevelInfo],
+    /// The spellings of the variables' names.
+    idents: &'a IdentifierTable,
     ivs: BTreeMap<DeclId, usize>,
     /// Scalars the body assigns.
     assigned: BTreeSet<DeclId>,
@@ -441,9 +446,10 @@ struct DepCollector<'a> {
 impl<'a> DepCollector<'a> {
     /// Collects the accesses of `body`, the innermost body of the nest
     /// `levels` describes.
-    fn collect(levels: &'a [LevelInfo], body: &P<Stmt>) -> Self {
+    fn collect(levels: &'a [LevelInfo], idents: &'a IdentifierTable, body: &P<Stmt>) -> Self {
         let mut col = DepCollector {
             levels,
+            idents,
             ivs: levels.iter().enumerate().map(|(k, l)| (l.iv, k)).collect(),
             assigned: assigned_vars(body),
             defs: BTreeMap::new(),
@@ -636,7 +642,7 @@ impl<'a> DepCollector<'a> {
         };
         (self.accesses.entry(v.id))
             .or_insert_with(|| VarAccesses {
-                name: v.name.clone(),
+                name: self.idents.get(v.name).to_string(),
                 pointer: v.ty.is_pointer(),
                 list: Vec::new(),
             })
@@ -955,7 +961,7 @@ fn test_pair(x: &LinSubscript, y: &LinSubscript, levels: &[LevelInfo]) -> Solve 
 // Graph construction
 // ---------------------------------------------------------------------------
 
-fn level_info(levels: &[CanonicalLoopAnalysis]) -> Vec<LevelInfo> {
+fn level_info(levels: &[CanonicalLoopAnalysis], idents: &IdentifierTable) -> Vec<LevelInfo> {
     levels
         .iter()
         .map(|a| {
@@ -966,7 +972,7 @@ fn level_info(levels: &[CanonicalLoopAnalysis]) -> Vec<LevelInfo> {
             });
             LevelInfo {
                 iv: a.iter_var.id,
-                iv_name: a.iter_var.name.clone(),
+                iv_name: idents.get(a.iter_var.name).to_string(),
                 step,
                 lb: a.lb.eval_const_int(),
                 max_iter: a.const_trip_count().map(|tc| i128::from(tc).max(1) - 1),
@@ -1040,11 +1046,12 @@ fn make_dependence(
 impl DependenceGraph {
     /// Computes the dependence graph of a resolved literal nest. Vectors are
     /// expressed over all `levels` (outermost first); accesses that defeat
-    /// the subscript tests are listed in [`DependenceGraph::limits`].
-    pub fn compute(levels: &[CanonicalLoopAnalysis]) -> DependenceGraph {
+    /// the subscript tests are listed in [`DependenceGraph::limits`];
+    /// `idents` spells the variables' names.
+    pub fn compute(levels: &[CanonicalLoopAnalysis], idents: &IdentifierTable) -> DependenceGraph {
         omplt_trace::count("analysis.depend.graphs", 1);
-        let info = level_info(levels);
-        let col = DepCollector::collect(&info, &levels[levels.len() - 1].body);
+        let info = level_info(levels, idents);
+        let col = DepCollector::collect(&info, idents, &levels[levels.len() - 1].body);
 
         let mut deps: Vec<Dependence> = Vec::new();
         let mut limits = col.limits(|id| col.writes(id));
@@ -1154,9 +1161,9 @@ fn graph_levels(d: &OMPDirective) -> Vec<CanonicalLoopAnalysis> {
 
 /// The graph of a single-nest directive over its [`graph_levels`]; `None`
 /// when Sema refused the nest.
-fn nest_graph(d: &OMPDirective) -> Option<DependenceGraph> {
+fn nest_graph(d: &OMPDirective, idents: &IdentifierTable) -> Option<DependenceGraph> {
     let levels = graph_levels(d);
-    (!levels.is_empty()).then(|| DependenceGraph::compute(&levels))
+    (!levels.is_empty()).then(|| DependenceGraph::compute(&levels, idents))
 }
 
 /// The variables `d`'s clauses give each iteration its own copy of:
@@ -1222,6 +1229,7 @@ fn linear_distance(dists: &[Option<i128>], trips: &[Option<u64>]) -> Option<u64>
 
 struct DependVisitor<'d> {
     diags: &'d DiagnosticsEngine,
+    idents: &'d IdentifierTable,
 }
 
 impl StmtVisitor for DependVisitor<'_> {
@@ -1234,7 +1242,8 @@ impl StmtVisitor for DependVisitor<'_> {
                 OMPDirectiveKind::Fuse => self.check_fuse(d),
                 k if k.has_simd() || threaded => {
                     let levels = graph_levels(d);
-                    let graph = (!levels.is_empty()).then(|| DependenceGraph::compute(&levels));
+                    let graph = (!levels.is_empty())
+                        .then(|| DependenceGraph::compute(&levels, self.idents));
                     if k.has_simd() {
                         d.simd_lanes.set(Some(self.simd_lanes(d, graph.as_ref())));
                     }
@@ -1346,7 +1355,7 @@ impl DependVisitor<'_> {
         let pragma = d.pragma_text();
         // Sema has already diagnosed a list that is not a permutation.
         let Ok(perm) = d.permutation() else { return };
-        let graph = nest_graph(d);
+        let graph = nest_graph(d, self.idents);
         let Some(graph) = self.judged(d, &pragma, graph.as_ref()) else {
             return;
         };
@@ -1434,7 +1443,8 @@ impl DependVisitor<'_> {
             .filter(|l| !l.declares_var && !private.contains(&l.iter_var.id))
             .map(|l| l.iter_var.id)
             .collect();
-        let own = (!counters.is_empty()).then(|| DependenceGraph::compute(&levels[..workshared]));
+        let own = (!counters.is_empty())
+            .then(|| DependenceGraph::compute(&levels[..workshared], self.idents));
         if let Some(own) = &own {
             let shared = own.deps.chunk_by(|x, y| x.var == y.var);
             groups.extend(shared.filter(|g| counters.contains(&g[0].var)));
@@ -1501,7 +1511,7 @@ impl DependVisitor<'_> {
 
     fn check_reverse(&mut self, d: &P<OMPDirective>) {
         let pragma = d.pragma_text();
-        let graph = nest_graph(d);
+        let graph = nest_graph(d, self.idents);
         let Some(graph) = self.judged(d, &pragma, graph.as_ref()) else {
             return;
         };
@@ -1531,10 +1541,10 @@ impl DependVisitor<'_> {
         // Collect each loop's accesses in its own logical space.
         let infos: Vec<Vec<LevelInfo>> = loops
             .iter()
-            .map(|l| level_info(std::slice::from_ref(l)))
+            .map(|l| level_info(std::slice::from_ref(l), self.idents))
             .collect();
         let collected: Vec<DepCollector<'_>> = (loops.iter().zip(&infos))
-            .map(|(l, info)| DepCollector::collect(info, &l.body))
+            .map(|(l, info)| DepCollector::collect(info, self.idents, &l.body))
             .collect();
         omplt_trace::count("analysis.depend.graphs", 1);
         // A variable any member writes is judged in all of them.

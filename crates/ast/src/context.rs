@@ -1,16 +1,20 @@
 //! `ASTContext`: allocation context for AST nodes — fresh declaration
-//! identities, interned builtin types, synthetic-name generation, and
-//! node-creation statistics.
+//! identities, interned builtin types, the identifier table declaration
+//! names are symbols of, and synthetic-name generation.
 
 use crate::decl::{DeclId, VarDecl, VarKind};
 use crate::expr::{BinOp, CastKind, Expr, ExprKind, UnOp};
 use crate::ty::{IntWidth, Type, TypeKind};
 use crate::P;
-use omplt_source::SourceLocation;
-use std::cell::Cell;
+use omplt_source::{IdentifierTable, SourceLocation, Symbol};
+use std::cell::{Cell, Ref, RefCell};
+use std::rc::Rc;
 
 /// Per-compilation AST context.
 pub struct ASTContext {
+    /// The compilation's spellings. Node factories take `&self`, so the
+    /// table is a `RefCell`: nothing holds a borrow across a call.
+    idents: RefCell<IdentifierTable>,
     next_decl: Cell<u32>,
     next_synth_name: Cell<u32>,
     // Interned builtin types.
@@ -37,6 +41,7 @@ impl ASTContext {
     pub fn new() -> Self {
         let int = |width, signed| Type::new(TypeKind::Int { width, signed });
         ASTContext {
+            idents: RefCell::default(),
             next_decl: Cell::new(0),
             next_synth_name: Cell::new(0),
             ty_void: Type::new(TypeKind::Void),
@@ -57,6 +62,32 @@ impl ASTContext {
         let id = self.next_decl.get();
         self.next_decl.set(id + 1);
         DeclId(id)
+    }
+
+    /// Installs the table the lexer filled; the parser does this before
+    /// the first declaration.
+    pub fn set_idents(&self, idents: IdentifierTable) {
+        *self.idents.borrow_mut() = idents;
+    }
+
+    /// Hands the table on (to the finished translation unit).
+    pub fn take_idents(&self) -> IdentifierTable {
+        self.idents.take()
+    }
+
+    /// The identifier table, for rendering symbols.
+    pub fn idents(&self) -> Ref<'_, IdentifierTable> {
+        self.idents.borrow()
+    }
+
+    /// The symbol of `spelling`.
+    pub fn intern(&self, spelling: &str) -> Symbol {
+        self.idents.borrow_mut().intern(spelling)
+    }
+
+    /// The spelling of `sym`.
+    pub fn spelling(&self, sym: Symbol) -> Rc<str> {
+        self.idents.borrow().shared(sym)
     }
 
     /// Produces a unique internal name with the given stem, e.g.
@@ -155,18 +186,19 @@ impl ASTContext {
     }
 
     // ---- convenience node factories (used heavily by Sema/transforms) ----
+    // Each interns the name it is given.
 
     /// A local variable declaration.
     pub fn make_var(
         &self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         ty: P<Type>,
         init: Option<P<Expr>>,
         loc: SourceLocation,
     ) -> P<VarDecl> {
         P::new(VarDecl {
             id: self.fresh_decl_id(),
-            name: name.into(),
+            name: self.intern(name.as_ref()),
             ty,
             init,
             loc,
@@ -181,14 +213,14 @@ impl ASTContext {
     /// it only in transformed subtrees).
     pub fn make_implicit_var(
         &self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         ty: P<Type>,
         init: Option<P<Expr>>,
         loc: SourceLocation,
     ) -> P<VarDecl> {
         P::new(VarDecl {
             id: self.fresh_decl_id(),
-            name: name.into(),
+            name: self.intern(name.as_ref()),
             ty,
             init,
             loc,
@@ -200,10 +232,10 @@ impl ASTContext {
     }
 
     /// An implicit parameter (`.global_tid.` and friends).
-    pub fn make_implicit_param(&self, name: impl Into<String>, ty: P<Type>) -> P<VarDecl> {
+    pub fn make_implicit_param(&self, name: impl AsRef<str>, ty: P<Type>) -> P<VarDecl> {
         P::new(VarDecl {
             id: self.fresh_decl_id(),
-            name: name.into(),
+            name: self.intern(name.as_ref()),
             ty,
             init: None,
             loc: SourceLocation::INVALID,

@@ -5,7 +5,7 @@
 use crate::stmt::Stmt;
 use crate::ty::Type;
 use crate::P;
-use omplt_source::SourceLocation;
+use omplt_source::{IdentifierTable, SourceLocation, Symbol};
 use std::cell::{Cell, RefCell};
 
 /// Stable identity of a declaration. Two `DeclRefExpr`s refer to the same
@@ -37,7 +37,7 @@ pub struct VarDecl {
     /// Source name; compiler-generated variables use dotted/internal names
     /// such as `.unrolled.iv.i` or `__begin` that cannot collide with user
     /// identifiers.
-    pub name: String,
+    pub name: Symbol,
     /// Declared type.
     pub ty: P<Type>,
     /// Initializer, if any.
@@ -66,7 +66,7 @@ pub struct FunctionDecl {
     /// Stable identity.
     pub id: DeclId,
     /// Function name.
-    pub name: String,
+    pub name: Symbol,
     /// Full function type.
     pub ty: P<Type>,
     /// Parameter declarations.
@@ -130,10 +130,10 @@ impl Decl {
     }
 
     /// The declaration's name.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> Symbol {
         match self {
-            Decl::Var(v) => &v.name,
-            Decl::Function(f) => &f.name,
+            Decl::Var(v) => v.name,
+            Decl::Function(f) => f.name,
         }
     }
 }
@@ -167,13 +167,15 @@ impl Decl {
 pub struct TranslationUnit {
     /// Top-level declarations in source order.
     pub decls: Vec<Decl>,
+    /// The spellings its symbols (declaration names, string literals) index.
+    pub idents: IdentifierTable,
 }
 
 impl TranslationUnit {
     /// Finds a function by name.
     pub fn function(&self, name: &str) -> Option<&P<FunctionDecl>> {
         self.decls.iter().find_map(|d| match d {
-            Decl::Function(f) if f.name == name => Some(f),
+            Decl::Function(f) if self.idents.get(f.name) == name => Some(f),
             _ => None,
         })
     }

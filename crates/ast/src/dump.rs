@@ -10,10 +10,11 @@
 //! paper's Fig. lst:transformedast.
 
 use crate::decl::{Decl, FunctionDecl, TranslationUnit, VarDecl, VarKind};
-use crate::expr::{Expr, ExprKind, UnOp};
+use crate::expr::{Expr, ExprKind};
 use crate::omp::{ClauseModifier, OMPClause, OMPDirective};
 use crate::stmt::{Attr, CapturedStmt, Stmt, StmtKind};
 use crate::P;
+use omplt_source::IdentifierTable;
 
 /// Controls dump contents.
 #[derive(Clone, Copy, Default)]
@@ -64,27 +65,28 @@ impl DumpNode {
     }
 }
 
-/// Dumps a statement subtree.
-pub fn dump_stmt(s: &P<Stmt>, opts: DumpOptions) -> String {
+/// Dumps a statement subtree whose names are symbols of `idents`.
+pub fn dump_stmt(s: &P<Stmt>, idents: &IdentifierTable, opts: DumpOptions) -> String {
     let mut out = String::new();
-    stmt_node(s, opts).render(&mut out);
+    Dumper { idents, opts }.stmt_node(s).render(&mut out);
     out
 }
 
-/// Dumps an expression subtree.
-pub fn dump_expr(e: &P<Expr>, opts: DumpOptions) -> String {
+/// Dumps an expression subtree whose names are symbols of `idents`.
+pub fn dump_expr(e: &P<Expr>, idents: &IdentifierTable, opts: DumpOptions) -> String {
     let mut out = String::new();
-    expr_node(e, opts).render(&mut out);
+    Dumper { idents, opts }.expr_node(e).render(&mut out);
     out
 }
 
 /// Dumps a whole translation unit.
 pub fn dump_translation_unit(tu: &TranslationUnit, opts: DumpOptions) -> String {
     let _span = omplt_trace::span("ast.dump");
-    let mut children = Vec::new();
-    for d in &tu.decls {
-        children.push(decl_node(d, opts));
-    }
+    let dumper = Dumper {
+        idents: &tu.idents,
+        opts,
+    };
+    let children = tu.decls.iter().map(|d| dumper.decl_node(d)).collect();
     let mut out = String::new();
     DumpNode::new("TranslationUnitDecl", children).render(&mut out);
     out
@@ -93,38 +95,303 @@ pub fn dump_translation_unit(tu: &TranslationUnit, opts: DumpOptions) -> String 
 /// Dumps only the shadow (transformed) AST of a transformation directive —
 /// the view of the paper's Fig. lst:transformedast. Returns `None` if the
 /// directive has no generated loop.
-pub fn dump_transformed_only(d: &OMPDirective, opts: DumpOptions) -> Option<String> {
+pub fn dump_transformed_only(
+    d: &OMPDirective,
+    idents: &IdentifierTable,
+    opts: DumpOptions,
+) -> Option<String> {
     let t = d.transformed.as_ref()?;
-    Some(dump_stmt(t, opts))
+    Some(dump_stmt(t, idents, opts))
 }
 
-fn decl_node(d: &Decl, opts: DumpOptions) -> DumpNode {
-    match d {
-        Decl::Var(v) => var_decl_node(v, opts),
-        Decl::Function(f) => function_node(f, opts),
+/// What a dump renders with: the spellings of its symbols and the options.
+struct Dumper<'a> {
+    idents: &'a IdentifierTable,
+    opts: DumpOptions,
+}
+
+impl Dumper<'_> {
+    fn decl_node(&self, d: &Decl) -> DumpNode {
+        match d {
+            Decl::Var(v) => self.var_decl_node(v),
+            Decl::Function(f) => self.function_node(f),
+        }
     }
-}
 
-fn function_node(f: &P<FunctionDecl>, opts: DumpOptions) -> DumpNode {
-    let mut children: Vec<DumpNode> = f
-        .params
-        .iter()
-        .map(|p| {
-            DumpNode::leaf(format!(
+    fn function_node(&self, f: &P<FunctionDecl>) -> DumpNode {
+        let mut children: Vec<DumpNode> = f
+            .params
+            .iter()
+            .map(|p| {
+                DumpNode::leaf(format!(
+                    "ParmVarDecl{} {} '{}'",
+                    used_marker(p),
+                    self.idents.get(p.name),
+                    p.ty.spelling()
+                ))
+            })
+            .collect();
+        if let Some(body) = f.body.borrow().as_ref() {
+            children.push(self.stmt_node(body));
+        }
+        DumpNode::new(
+            format!(
+                "FunctionDecl {} '{}'",
+                self.idents.get(f.name),
+                f.ty.spelling()
+            ),
+            children,
+        )
+    }
+
+    fn var_decl_node(&self, v: &P<VarDecl>) -> DumpNode {
+        let name = self.idents.get(v.name);
+        match v.kind {
+            VarKind::ImplicitParam => DumpNode::leaf(format!(
+                "ImplicitParamDecl implicit {} '{}'",
+                name,
+                v.ty.spelling()
+            )),
+            VarKind::Param => DumpNode::leaf(format!(
                 "ParmVarDecl{} {} '{}'",
-                used_marker(p),
-                p.name,
-                p.ty.spelling()
-            ))
-        })
-        .collect();
-    if let Some(body) = f.body.borrow().as_ref() {
-        children.push(stmt_node(body, opts));
+                used_marker(v),
+                name,
+                v.ty.spelling()
+            )),
+            _ => {
+                let implicit = if v.implicit { " implicit" } else { "" };
+                match &v.init {
+                    Some(init) => DumpNode::new(
+                        format!(
+                            "VarDecl{}{} {} '{}' cinit",
+                            implicit,
+                            used_marker(v),
+                            name,
+                            v.ty.spelling()
+                        ),
+                        vec![self.expr_node(init)],
+                    ),
+                    None => DumpNode::leaf(format!(
+                        "VarDecl{}{} {} '{}'",
+                        implicit,
+                        used_marker(v),
+                        name,
+                        v.ty.spelling()
+                    )),
+                }
+            }
+        }
     }
-    DumpNode::new(
-        format!("FunctionDecl {} '{}'", f.name, f.ty.spelling()),
-        children,
-    )
+
+    fn captured_stmt_node(&self, c: &P<CapturedStmt>) -> DumpNode {
+        let mut decl_children = vec![self.stmt_node(&c.decl.body)];
+        for p in &c.decl.params {
+            decl_children.push(self.var_decl_node(p));
+        }
+        // Clang also lists the captured VarDecls after the implicit params.
+        for cap in &c.captures {
+            decl_children.push(DumpNode::leaf(format!(
+                "VarDecl used {} '{}'",
+                self.idents.get(cap.var.name),
+                cap.var.ty.spelling()
+            )));
+        }
+        let nothrow = if c.decl.nothrow { " nothrow" } else { "" };
+        DumpNode::new(
+            "CapturedStmt",
+            vec![DumpNode::new(
+                format!("CapturedDecl{nothrow}"),
+                decl_children,
+            )],
+        )
+    }
+
+    fn stmt_node(&self, s: &P<Stmt>) -> DumpNode {
+        match &s.kind {
+            StmtKind::Compound(stmts) => DumpNode::new(
+                "CompoundStmt",
+                stmts.iter().map(|c| self.stmt_node(c)).collect(),
+            ),
+            StmtKind::Decl(decls) => DumpNode::new(
+                "DeclStmt",
+                decls.iter().map(|d| self.decl_node(d)).collect(),
+            ),
+            StmtKind::Expr(e) => self.expr_node(e),
+            StmtKind::If { cond, then, els } => {
+                let mut ch = vec![self.expr_node(cond), self.stmt_node(then)];
+                if let Some(e) = els {
+                    ch.push(self.stmt_node(e));
+                }
+                DumpNode::new("IfStmt", ch)
+            }
+            StmtKind::While { cond, body } => DumpNode::new(
+                "WhileStmt",
+                vec![self.expr_node(cond), self.stmt_node(body)],
+            ),
+            StmtKind::DoWhile { body, cond } => {
+                DumpNode::new("DoStmt", vec![self.stmt_node(body), self.expr_node(cond)])
+            }
+            StmtKind::For {
+                init,
+                cond,
+                inc,
+                body,
+            } => {
+                let ch = vec![
+                    init.as_ref()
+                        .map_or_else(null_placeholder, |i| self.stmt_node(i)),
+                    // Clang's ForStmt has a second slot for the C99 condition
+                    // declaration, always null in our subset.
+                    null_placeholder(),
+                    cond.as_ref()
+                        .map_or_else(null_placeholder, |c| self.expr_node(c)),
+                    inc.as_ref()
+                        .map_or_else(null_placeholder, |i| self.expr_node(i)),
+                    self.stmt_node(body),
+                ];
+                DumpNode::new("ForStmt", ch)
+            }
+            StmtKind::CxxForRange(d) => DumpNode::new(
+                "CXXForRangeStmt",
+                vec![
+                    self.stmt_node(&d.range_stmt),
+                    self.stmt_node(&d.begin_stmt),
+                    self.stmt_node(&d.end_stmt),
+                    self.expr_node(&d.cond),
+                    self.expr_node(&d.inc),
+                    self.stmt_node(&d.loop_var_stmt),
+                    self.stmt_node(&d.body),
+                ],
+            ),
+            StmtKind::Return(e) => {
+                DumpNode::new("ReturnStmt", e.iter().map(|e| self.expr_node(e)).collect())
+            }
+            StmtKind::Break => DumpNode::leaf("BreakStmt"),
+            StmtKind::Continue => DumpNode::leaf("ContinueStmt"),
+            StmtKind::Null => DumpNode::leaf("NullStmt"),
+            StmtKind::Attributed { attrs, sub } => {
+                let mut ch: Vec<DumpNode> = attrs.iter().map(attr_node).collect();
+                ch.push(self.stmt_node(sub));
+                DumpNode::new("AttributedStmt", ch)
+            }
+            StmtKind::Captured(c) => self.captured_stmt_node(c),
+            StmtKind::OMP(d) => self.omp_directive_node(d),
+            StmtKind::OMPCanonicalLoop(cl) => DumpNode::new(
+                "OMPCanonicalLoop",
+                vec![
+                    self.stmt_node(&cl.loop_stmt),
+                    self.captured_stmt_node(&cl.distance_fn),
+                    self.captured_stmt_node(&cl.loop_var_fn),
+                    self.expr_node(&cl.loop_var_ref),
+                ],
+            ),
+        }
+    }
+
+    fn omp_directive_node(&self, d: &P<OMPDirective>) -> DumpNode {
+        let mut ch: Vec<DumpNode> = d.clauses.iter().map(|c| self.clause_node(c)).collect();
+        if let Some(a) = &d.associated {
+            ch.push(self.stmt_node(a));
+        }
+        if self.opts.show_transformed {
+            if let Some(t) = &d.transformed {
+                ch.push(DumpNode::new("TransformedStmt", vec![self.stmt_node(t)]));
+            }
+        }
+        DumpNode::new(d.kind.class_name(), ch)
+    }
+
+    fn clause_node(&self, c: &P<OMPClause>) -> DumpNode {
+        let class = c.kind.class_name();
+        let label = match c.modifier {
+            ClauseModifier::None => class.to_string(),
+            ClauseModifier::Schedule(kind) => format!("{class} {}", kind.name()),
+            ClauseModifier::Reduction(op) => format!("{class} '{}'", op.name()),
+        };
+        DumpNode::new(label, c.args.iter().map(|e| self.expr_node(e)).collect())
+    }
+
+    fn expr_node(&self, e: &P<Expr>) -> DumpNode {
+        let ty = e.ty.spelling();
+        match &e.kind {
+            ExprKind::IntegerLiteral(v) => DumpNode::leaf(format!("IntegerLiteral '{ty}' {v}")),
+            ExprKind::FloatingLiteral(v) => DumpNode::leaf(format!("FloatingLiteral '{ty}' {v:e}")),
+            ExprKind::BoolLiteral(b) => DumpNode::leaf(format!("CXXBoolLiteralExpr '{ty}' {b}")),
+            ExprKind::StringLiteral(s) => {
+                DumpNode::leaf(format!("StringLiteral '{ty}' \"{}\"", self.idents.get(*s)))
+            }
+            ExprKind::DeclRef(v) => DumpNode::leaf(format!(
+                "DeclRefExpr '{ty}' lvalue Var '{}' '{}'",
+                self.idents.get(v.name),
+                v.ty.spelling()
+            )),
+            ExprKind::Unary(op, s) => {
+                let fixity = if op.is_postfix() { "postfix" } else { "prefix" };
+                DumpNode::new(
+                    format!("UnaryOperator '{ty}' {fixity} '{}'", op.spelling()),
+                    vec![self.expr_node(s)],
+                )
+            }
+            ExprKind::Binary(op, l, r) => {
+                let class = if op.compound_base().is_some() {
+                    "CompoundAssignOperator"
+                } else {
+                    "BinaryOperator"
+                };
+                DumpNode::new(
+                    format!("{class} '{ty}' '{}'", op.spelling()),
+                    vec![self.expr_node(l), self.expr_node(r)],
+                )
+            }
+            ExprKind::Call { callee, args } => {
+                let mut ch = vec![DumpNode::new(
+                    format!(
+                        "ImplicitCastExpr '{} (*)' <FunctionToPointerDecay>",
+                        callee.ty.spelling()
+                    ),
+                    vec![DumpNode::leaf(format!(
+                        "DeclRefExpr '{}' Function '{}'",
+                        callee.ty.spelling(),
+                        self.idents.get(callee.name)
+                    ))],
+                )];
+                for a in args {
+                    ch.push(self.expr_node(a));
+                }
+                DumpNode::new(format!("CallExpr '{ty}'"), ch)
+            }
+            ExprKind::ImplicitCast(k, s) => DumpNode::new(
+                format!("ImplicitCastExpr '{ty}' <{k:?}>"),
+                vec![self.expr_node(s)],
+            ),
+            ExprKind::ExplicitCast(k, s) => DumpNode::new(
+                format!("CStyleCastExpr '{ty}' <{k:?}>"),
+                vec![self.expr_node(s)],
+            ),
+            ExprKind::Paren(s) => {
+                DumpNode::new(format!("ParenExpr '{ty}'"), vec![self.expr_node(s)])
+            }
+            ExprKind::ArraySubscript(b, i) => DumpNode::new(
+                format!("ArraySubscriptExpr '{ty}'"),
+                vec![self.expr_node(b), self.expr_node(i)],
+            ),
+            ExprKind::Conditional(c, t, f) => DumpNode::new(
+                format!("ConditionalOperator '{ty}'"),
+                vec![self.expr_node(c), self.expr_node(t), self.expr_node(f)],
+            ),
+            ExprKind::ConstantExpr { value, sub } => DumpNode::new(
+                format!("ConstantExpr '{ty}'"),
+                vec![
+                    DumpNode::leaf(format!("value: Int {value}")),
+                    self.expr_node(sub),
+                ],
+            ),
+            ExprKind::SizeOf(t) => DumpNode::leaf(format!(
+                "UnaryExprOrTypeTraitExpr '{ty}' sizeof '{}'",
+                t.spelling()
+            )),
+        }
+    }
 }
 
 fn used_marker(v: &VarDecl) -> &'static str {
@@ -135,151 +402,8 @@ fn used_marker(v: &VarDecl) -> &'static str {
     }
 }
 
-fn var_decl_node(v: &P<VarDecl>, opts: DumpOptions) -> DumpNode {
-    match v.kind {
-        VarKind::ImplicitParam => DumpNode::leaf(format!(
-            "ImplicitParamDecl implicit {} '{}'",
-            v.name,
-            v.ty.spelling()
-        )),
-        VarKind::Param => DumpNode::leaf(format!(
-            "ParmVarDecl{} {} '{}'",
-            used_marker(v),
-            v.name,
-            v.ty.spelling()
-        )),
-        _ => {
-            let implicit = if v.implicit { " implicit" } else { "" };
-            match &v.init {
-                Some(init) => DumpNode::new(
-                    format!(
-                        "VarDecl{}{} {} '{}' cinit",
-                        implicit,
-                        used_marker(v),
-                        v.name,
-                        v.ty.spelling()
-                    ),
-                    vec![expr_node(init, opts)],
-                ),
-                None => DumpNode::leaf(format!(
-                    "VarDecl{}{} {} '{}'",
-                    implicit,
-                    used_marker(v),
-                    v.name,
-                    v.ty.spelling()
-                )),
-            }
-        }
-    }
-}
-
-fn captured_stmt_node(c: &P<CapturedStmt>, opts: DumpOptions) -> DumpNode {
-    let mut decl_children = vec![stmt_node(&c.decl.body, opts)];
-    for p in &c.decl.params {
-        decl_children.push(var_decl_node(p, opts));
-    }
-    // Clang also lists the captured VarDecls after the implicit params.
-    for cap in &c.captures {
-        decl_children.push(DumpNode::leaf(format!(
-            "VarDecl used {} '{}'",
-            cap.var.name,
-            cap.var.ty.spelling()
-        )));
-    }
-    let nothrow = if c.decl.nothrow { " nothrow" } else { "" };
-    DumpNode::new(
-        "CapturedStmt",
-        vec![DumpNode::new(
-            format!("CapturedDecl{nothrow}"),
-            decl_children,
-        )],
-    )
-}
-
 fn null_placeholder() -> DumpNode {
     DumpNode::leaf("<<<NULL>>>")
-}
-
-fn stmt_node(s: &P<Stmt>, opts: DumpOptions) -> DumpNode {
-    match &s.kind {
-        StmtKind::Compound(stmts) => DumpNode::new(
-            "CompoundStmt",
-            stmts.iter().map(|c| stmt_node(c, opts)).collect(),
-        ),
-        StmtKind::Decl(decls) => DumpNode::new(
-            "DeclStmt",
-            decls.iter().map(|d| decl_node(d, opts)).collect(),
-        ),
-        StmtKind::Expr(e) => expr_node(e, opts),
-        StmtKind::If { cond, then, els } => {
-            let mut ch = vec![expr_node(cond, opts), stmt_node(then, opts)];
-            if let Some(e) = els {
-                ch.push(stmt_node(e, opts));
-            }
-            DumpNode::new("IfStmt", ch)
-        }
-        StmtKind::While { cond, body } => DumpNode::new(
-            "WhileStmt",
-            vec![expr_node(cond, opts), stmt_node(body, opts)],
-        ),
-        StmtKind::DoWhile { body, cond } => {
-            DumpNode::new("DoStmt", vec![stmt_node(body, opts), expr_node(cond, opts)])
-        }
-        StmtKind::For {
-            init,
-            cond,
-            inc,
-            body,
-        } => {
-            let ch = vec![
-                init.as_ref()
-                    .map_or_else(null_placeholder, |i| stmt_node(i, opts)),
-                // Clang's ForStmt has a second slot for the C99 condition
-                // declaration, always null in our subset.
-                null_placeholder(),
-                cond.as_ref()
-                    .map_or_else(null_placeholder, |c| expr_node(c, opts)),
-                inc.as_ref()
-                    .map_or_else(null_placeholder, |i| expr_node(i, opts)),
-                stmt_node(body, opts),
-            ];
-            DumpNode::new("ForStmt", ch)
-        }
-        StmtKind::CxxForRange(d) => DumpNode::new(
-            "CXXForRangeStmt",
-            vec![
-                stmt_node(&d.range_stmt, opts),
-                stmt_node(&d.begin_stmt, opts),
-                stmt_node(&d.end_stmt, opts),
-                expr_node(&d.cond, opts),
-                expr_node(&d.inc, opts),
-                stmt_node(&d.loop_var_stmt, opts),
-                stmt_node(&d.body, opts),
-            ],
-        ),
-        StmtKind::Return(e) => {
-            DumpNode::new("ReturnStmt", e.iter().map(|e| expr_node(e, opts)).collect())
-        }
-        StmtKind::Break => DumpNode::leaf("BreakStmt"),
-        StmtKind::Continue => DumpNode::leaf("ContinueStmt"),
-        StmtKind::Null => DumpNode::leaf("NullStmt"),
-        StmtKind::Attributed { attrs, sub } => {
-            let mut ch: Vec<DumpNode> = attrs.iter().map(attr_node).collect();
-            ch.push(stmt_node(sub, opts));
-            DumpNode::new("AttributedStmt", ch)
-        }
-        StmtKind::Captured(c) => captured_stmt_node(c, opts),
-        StmtKind::OMP(d) => omp_directive_node(d, opts),
-        StmtKind::OMPCanonicalLoop(cl) => DumpNode::new(
-            "OMPCanonicalLoop",
-            vec![
-                stmt_node(&cl.loop_stmt, opts),
-                captured_stmt_node(&cl.distance_fn, opts),
-                captured_stmt_node(&cl.loop_var_fn, opts),
-                expr_node(&cl.loop_var_ref, opts),
-            ],
-        ),
-    }
 }
 
 fn attr_node(Attr::LoopUnrollCount(n): &Attr) -> DumpNode {
@@ -287,114 +411,6 @@ fn attr_node(Attr::LoopUnrollCount(n): &Attr) -> DumpNode {
         "LoopHintAttr Implicit loop UnrollCount Numeric",
         vec![DumpNode::leaf(format!("IntegerLiteral 'int' {n}"))],
     )
-}
-
-fn omp_directive_node(d: &P<OMPDirective>, opts: DumpOptions) -> DumpNode {
-    let mut ch: Vec<DumpNode> = d.clauses.iter().map(|c| clause_node(c, opts)).collect();
-    if let Some(a) = &d.associated {
-        ch.push(stmt_node(a, opts));
-    }
-    if opts.show_transformed {
-        if let Some(t) = &d.transformed {
-            ch.push(DumpNode::new("TransformedStmt", vec![stmt_node(t, opts)]));
-        }
-    }
-    DumpNode::new(d.kind.class_name(), ch)
-}
-
-fn clause_node(c: &P<OMPClause>, opts: DumpOptions) -> DumpNode {
-    let class = c.kind.class_name();
-    let label = match c.modifier {
-        ClauseModifier::None => class.to_string(),
-        ClauseModifier::Schedule(kind) => format!("{class} {}", kind.name()),
-        ClauseModifier::Reduction(op) => format!("{class} '{}'", op.name()),
-    };
-    DumpNode::new(label, c.args.iter().map(|e| expr_node(e, opts)).collect())
-}
-
-#[allow(clippy::only_used_in_recursion)] // `opts` mirrors stmt_node's signature
-fn expr_node(e: &P<Expr>, opts: DumpOptions) -> DumpNode {
-    let ty = e.ty.spelling();
-    match &e.kind {
-        ExprKind::IntegerLiteral(v) => DumpNode::leaf(format!("IntegerLiteral '{ty}' {v}")),
-        ExprKind::FloatingLiteral(v) => DumpNode::leaf(format!("FloatingLiteral '{ty}' {v:e}")),
-        ExprKind::BoolLiteral(b) => DumpNode::leaf(format!("CXXBoolLiteralExpr '{ty}' {b}")),
-        ExprKind::StringLiteral(s) => DumpNode::leaf(format!("StringLiteral '{ty}' \"{s}\"")),
-        ExprKind::DeclRef(v) => DumpNode::leaf(format!(
-            "DeclRefExpr '{ty}' lvalue Var '{}' '{}'",
-            v.name,
-            v.ty.spelling()
-        )),
-        ExprKind::Unary(op, s) => {
-            let fixity = if op.is_postfix() { "postfix" } else { "prefix" };
-            DumpNode::new(
-                format!("UnaryOperator '{ty}' {fixity} '{}'", op.spelling()),
-                vec![expr_node(s, opts)],
-            )
-        }
-        ExprKind::Binary(op, l, r) => {
-            let class = if op.compound_base().is_some() {
-                "CompoundAssignOperator"
-            } else {
-                "BinaryOperator"
-            };
-            DumpNode::new(
-                format!("{class} '{ty}' '{}'", op.spelling()),
-                vec![expr_node(l, opts), expr_node(r, opts)],
-            )
-        }
-        ExprKind::Call { callee, args } => {
-            let mut ch = vec![DumpNode::new(
-                format!(
-                    "ImplicitCastExpr '{} (*)' <FunctionToPointerDecay>",
-                    callee.ty.spelling()
-                ),
-                vec![DumpNode::leaf(format!(
-                    "DeclRefExpr '{}' Function '{}'",
-                    callee.ty.spelling(),
-                    callee.name
-                ))],
-            )];
-            for a in args {
-                ch.push(expr_node(a, opts));
-            }
-            DumpNode::new(format!("CallExpr '{ty}'"), ch)
-        }
-        ExprKind::ImplicitCast(k, s) => DumpNode::new(
-            format!("ImplicitCastExpr '{ty}' <{k:?}>"),
-            vec![expr_node(s, opts)],
-        ),
-        ExprKind::ExplicitCast(k, s) => DumpNode::new(
-            format!("CStyleCastExpr '{ty}' <{k:?}>"),
-            vec![expr_node(s, opts)],
-        ),
-        ExprKind::Paren(s) => DumpNode::new(format!("ParenExpr '{ty}'"), vec![expr_node(s, opts)]),
-        ExprKind::ArraySubscript(b, i) => DumpNode::new(
-            format!("ArraySubscriptExpr '{ty}'"),
-            vec![expr_node(b, opts), expr_node(i, opts)],
-        ),
-        ExprKind::Conditional(c, t, f) => DumpNode::new(
-            format!("ConditionalOperator '{ty}'"),
-            vec![expr_node(c, opts), expr_node(t, opts), expr_node(f, opts)],
-        ),
-        ExprKind::ConstantExpr { value, sub } => DumpNode::new(
-            format!("ConstantExpr '{ty}'"),
-            vec![
-                DumpNode::leaf(format!("value: Int {value}")),
-                expr_node(sub, opts),
-            ],
-        ),
-        ExprKind::SizeOf(t) => DumpNode::leaf(format!(
-            "UnaryExprOrTypeTraitExpr '{ty}' sizeof '{}'",
-            t.spelling()
-        )),
-    }
-}
-
-/// Marks `UnOp` spelling usable in labels (silence unused warning paths).
-#[allow(dead_code)]
-fn _unop_spelling(op: UnOp) -> &'static str {
-    op.spelling()
 }
 
 #[cfg(test)]
@@ -436,7 +452,7 @@ mod tests {
     #[test]
     fn for_dump_shape() {
         let ctx = ASTContext::new();
-        let d = dump_stmt(&ctx_loop(&ctx), DumpOptions::default());
+        let d = dump_stmt(&ctx_loop(&ctx), &ctx.idents(), DumpOptions::default());
         assert!(d.starts_with("ForStmt\n"), "{d}");
         assert!(d.contains("|-DeclStmt"), "{d}");
         assert!(d.contains("VarDecl used i 'int' cinit"), "{d}");
@@ -449,7 +465,7 @@ mod tests {
     #[test]
     fn tree_connectors_are_well_formed() {
         let ctx = ASTContext::new();
-        let d = dump_stmt(&ctx_loop(&ctx), DumpOptions::default());
+        let d = dump_stmt(&ctx_loop(&ctx), &ctx.idents(), DumpOptions::default());
         for line in d.lines().skip(1) {
             let trimmed = line.trim_start_matches(['|', ' ', '`']);
             assert!(
@@ -477,13 +493,14 @@ mod tests {
         dir.transformed = Some(shadow);
         let s = Stmt::new(StmtKind::OMP(P::new(dir)), SourceLocation::INVALID);
 
-        let plain = dump_stmt(&s, DumpOptions::default());
+        let plain = dump_stmt(&s, &ctx.idents(), DumpOptions::default());
         assert!(plain.contains("OMPUnrollDirective"));
         assert!(plain.contains("OMPPartialClause"));
         assert!(!plain.contains("TransformedStmt"), "{plain}");
 
         let full = dump_stmt(
             &s,
+            &ctx.idents(),
             DumpOptions {
                 show_transformed: true,
             },
@@ -503,7 +520,7 @@ mod tests {
             ctx.int(),
             loc,
         );
-        let d = dump_expr(&ce, DumpOptions::default());
+        let d = dump_expr(&ce, &ctx.idents(), DumpOptions::default());
         assert!(d.starts_with("ConstantExpr 'int'\n"), "{d}");
         assert!(d.contains("|-value: Int 2"), "{d}");
         assert!(d.contains("`-IntegerLiteral 'int' 2"), "{d}");
@@ -519,7 +536,7 @@ mod tests {
             },
             SourceLocation::INVALID,
         );
-        let d = dump_stmt(&s, DumpOptions::default());
+        let d = dump_stmt(&s, &ctx.idents(), DumpOptions::default());
         assert!(d.starts_with("AttributedStmt\n"), "{d}");
         assert!(
             d.contains("LoopHintAttr Implicit loop UnrollCount Numeric"),

@@ -6,7 +6,7 @@
 use crate::decl::{FunctionDecl, VarDecl};
 use crate::ty::Type;
 use crate::P;
-use omplt_source::SourceLocation;
+use omplt_source::{SourceLocation, Symbol};
 
 /// Unary operator kinds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -209,7 +209,7 @@ pub enum ExprKind {
     /// `true`/`false`.
     BoolLiteral(bool),
     /// String literal (only valid as a call argument to runtime helpers).
-    StringLiteral(String),
+    StringLiteral(Symbol),
     /// Reference to a variable declaration.
     DeclRef(P<VarDecl>),
     /// Unary operation.

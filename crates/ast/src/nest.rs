@@ -131,7 +131,7 @@ mod tests {
     }
 
     fn decl(ctx: &ASTContext, name: &str) -> P<Stmt> {
-        let v = ctx.make_implicit_var(name.to_string(), ctx.int(), None, LOC);
+        let v = ctx.make_implicit_var(name, ctx.int(), None, LOC);
         Stmt::new(StmtKind::Decl(vec![Decl::Var(v)]), LOC)
     }
 

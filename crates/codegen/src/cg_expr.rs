@@ -112,7 +112,7 @@ impl FnCodegen<'_, '_> {
                 for a in args {
                     vals.push(self.emit_rvalue(a));
                 }
-                let sym = self.sym(&callee.name.clone());
+                let sym = self.module.intern(self.idents.get(callee.name));
                 let ret = ir_type(&callee.return_type());
                 self.with_builder(|b| b.call(sym, vals, ret))
             }

@@ -122,6 +122,7 @@ impl FnCodegen<'_, '_> {
                 self.diags,
                 self.opts,
                 self.globals,
+                self.idents,
                 sub_fn,
             );
             sub.outlined_counter = self.outlined_counter * 64 + 1;
@@ -598,7 +599,10 @@ impl FnCodegen<'_, '_> {
                         let old_addr = old
                             .map(|b| b.addr)
                             .or_else(|| self.globals.get(&v.id).map(|&s| Value::Global(s)));
-                        let fresh = self.scratch(ir_type(&v.ty), &format!(".priv.{}", v.name));
+                        let fresh = self.scratch(
+                            ir_type(&v.ty),
+                            &format!(".priv.{}", self.idents.get(v.name)),
+                        );
                         if first {
                             if let Some(oa) = old_addr {
                                 let ty = ir_type(&v.ty);
@@ -620,7 +624,8 @@ impl FnCodegen<'_, '_> {
                         let shared_addr = old
                             .map(|b| b.addr)
                             .or_else(|| self.globals.get(&v.id).map(|&s| Value::Global(s)));
-                        let fresh = self.scratch(ir_type(&v.ty), &format!(".red.{}", v.name));
+                        let fresh = self
+                            .scratch(ir_type(&v.ty), &format!(".red.{}", self.idents.get(v.name)));
                         let ty = ir_type(&v.ty);
                         // Sema admits `+` and `*` only: the identity is 0 or 1.
                         let one = i64::from(op == ReductionOp::Mul);

@@ -364,7 +364,10 @@ impl FnCodegen<'_, '_> {
             if cap.kind == CaptureKind::ByValue {
                 let var = P::clone(&cap.var);
                 let cur_val = self.load_var(&var);
-                let snap = self.scratch(ir_type(&var.ty), &format!(".snap.{}", var.name));
+                let snap = self.scratch(
+                    ir_type(&var.ty),
+                    &format!(".snap.{}", self.idents.get(var.name)),
+                );
                 self.with_builder(|b| b.store(cur_val, snap));
                 snapshots.push((var.id, snap));
             }

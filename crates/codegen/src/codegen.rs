@@ -4,7 +4,7 @@ use omplt_ast::{
     Decl, DeclId, FunctionDecl, OpenMpCodegenMode, TranslationUnit, Type, TypeKind, VarDecl, P,
 };
 use omplt_ir::{Function, IrType, Module, SymbolId, Value};
-use omplt_source::DiagnosticsEngine;
+use omplt_source::{DiagnosticsEngine, IdentifierTable};
 use std::collections::HashMap;
 
 /// Codegen configuration.
@@ -43,7 +43,8 @@ pub fn codegen_translation_unit(
     // Globals first (zero-initialized; constant initializers applied).
     for d in &tu.decls {
         if let Decl::Var(v) = d {
-            let sym = module.add_global(&v.name, ir_type(&v.ty), v.ty.size_of().max(1));
+            let name = tu.idents.get(v.name);
+            let sym = module.add_global(name, ir_type(&v.ty), v.ty.size_of().max(1));
             if let Some(init) = &v.init {
                 if let Some(c) = init.eval_const_int() {
                     if let Some(g) = module.globals.last_mut() {
@@ -59,13 +60,13 @@ pub fn codegen_translation_unit(
     for d in &tu.decls {
         if let Decl::Function(f) = d {
             let params: Vec<IrType> = f.params.iter().map(|p| ir_type(&p.ty)).collect();
-            module.declare_extern(&f.name, params, ir_type(&f.return_type()));
+            module.declare_extern(tu.idents.get(f.name), params, ir_type(&f.return_type()));
         }
     }
     for d in &tu.decls {
         if let Decl::Function(f) = d {
             if f.is_definition() {
-                emit_function(&mut module, f, &globals, opts, diags);
+                emit_function(&mut module, f, &tu.idents, &globals, opts, diags);
             }
         }
     }
@@ -98,6 +99,8 @@ pub(crate) struct FnCodegen<'m, 'd> {
     pub diags: &'d DiagnosticsEngine,
     pub opts: CodegenOptions,
     pub globals: &'m HashMap<DeclId, SymbolId>,
+    /// The spellings of the translation unit's names.
+    pub idents: &'m IdentifierTable,
     /// The function being built.
     pub func: Function,
     /// Current insertion block.
@@ -122,6 +125,7 @@ impl<'m, 'd> FnCodegen<'m, 'd> {
         diags: &'d DiagnosticsEngine,
         opts: CodegenOptions,
         globals: &'m HashMap<DeclId, SymbolId>,
+        idents: &'m IdentifierTable,
         func: Function,
     ) -> Self {
         let entry = func.entry();
@@ -130,6 +134,7 @@ impl<'m, 'd> FnCodegen<'m, 'd> {
             diags,
             opts,
             globals,
+            idents,
             func,
             cur: entry,
             bindings: HashMap::new(),
@@ -175,7 +180,7 @@ impl<'m, 'd> FnCodegen<'m, 'd> {
             omplt_ir::Inst::Alloca {
                 ty: elem_ty,
                 count,
-                name: v.name.clone(),
+                name: self.idents.get(v.name).to_string(),
             },
         );
         self.var_slots.insert(v.id, slot);
@@ -198,13 +203,14 @@ impl<'m, 'd> FnCodegen<'m, 'd> {
 fn emit_function(
     module: &mut Module,
     f: &P<FunctionDecl>,
+    idents: &IdentifierTable,
     globals: &HashMap<DeclId, SymbolId>,
     opts: CodegenOptions,
     diags: &DiagnosticsEngine,
 ) {
     let params: Vec<IrType> = f.params.iter().map(|p| ir_type(&p.ty)).collect();
-    let func = Function::new(&f.name, params, ir_type(&f.return_type()));
-    let mut cg = FnCodegen::new(module, diags, opts, globals, func);
+    let func = Function::new(idents.get(f.name), params, ir_type(&f.return_type()));
+    let mut cg = FnCodegen::new(module, diags, opts, globals, idents, func);
 
     // Spill arguments into allocas so parameters are addressable like
     // locals (clang -O0 style).

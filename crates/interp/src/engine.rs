@@ -168,7 +168,7 @@ impl<'m> RunState<'m> {
     #[cold]
     pub fn unknown_function(&self, sym: SymbolId) -> ExecError {
         let name = self.module.symbols().get(sym.0 as usize);
-        ExecError::UnknownFunction(name.map_or_else(|| format!("#{}", sym.0), String::clone))
+        ExecError::UnknownFunction(name.map_or_else(|| format!("#{}", sym.0), |n| n.to_string()))
     }
 }
 

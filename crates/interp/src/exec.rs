@@ -174,8 +174,8 @@ impl<'m> Interpreter<'m> {
             defined.entry(&f.name).or_insert(f);
         }
         let names = module.symbols().iter().zip(0..);
-        let resolve = |(name, i): (&String, u32)| {
-            state.resolve(SymbolId(i), defined.get(name.as_str()).copied())
+        let resolve = |(name, i): (&std::sync::Arc<str>, u32)| {
+            state.resolve(SymbolId(i), defined.get(&**name).copied())
         };
         let targets = names.map(resolve).collect();
         Interpreter { state, targets }

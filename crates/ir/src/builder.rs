@@ -45,7 +45,7 @@ impl<'f> IrBuilder<'f> {
     }
 
     /// Creates a new empty block (does not move the insertion point).
-    pub fn create_block(&mut self, name: &str) -> BlockId {
+    pub fn create_block(&mut self, name: impl Into<std::borrow::Cow<'static, str>>) -> BlockId {
         self.func.add_block(name)
     }
 

@@ -5,6 +5,7 @@
 use crate::inst::{Inst, Terminator};
 use crate::types::IrType;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// Index of an instruction within its function.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, PartialOrd, Ord)]
@@ -17,8 +18,9 @@ pub struct BlockId(pub u32);
 /// One basic block: an ordered list of instruction ids plus a terminator.
 #[derive(Clone, Debug)]
 pub struct BlockData {
-    /// Debug name (`preheader`, `header`, `body`, …).
-    pub name: String,
+    /// Debug name (`for.cond`, `omp_i.header`, …): borrowed when static,
+    /// so only a formatted name costs an allocation.
+    pub name: Cow<'static, str>,
     /// Instructions in execution order.
     pub insts: Vec<InstId>,
     /// The terminator; `None` only while the block is under construction.
@@ -49,7 +51,7 @@ impl Function {
             ret,
             insts: Vec::new(),
             blocks: vec![BlockData {
-                name: "entry".into(),
+                name: Cow::Borrowed("entry"),
                 insts: Vec::new(),
                 term: None,
             }],
@@ -62,7 +64,7 @@ impl Function {
     }
 
     /// Appends a new empty block.
-    pub fn add_block(&mut self, name: impl Into<String>) -> BlockId {
+    pub fn add_block(&mut self, name: impl Into<Cow<'static, str>>) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(BlockData {
             name: name.into(),

@@ -4,6 +4,7 @@ use crate::function::Function;
 use crate::types::IrType;
 use crate::value::SymbolId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A module-level global variable (zero-initialized byte region).
 #[derive(Clone, Debug)]
@@ -38,8 +39,9 @@ pub struct Module {
     pub globals: Vec<GlobalVar>,
     /// External declarations.
     pub externs: Vec<ExternFn>,
-    symbols: Vec<String>,
-    symbol_index: HashMap<String, SymbolId>,
+    /// Each name once, shared by the list and the index.
+    symbols: Vec<Arc<str>>,
+    symbol_index: HashMap<Arc<str>, SymbolId>,
 }
 
 impl Module {
@@ -54,8 +56,9 @@ impl Module {
             return id;
         }
         let id = SymbolId(self.symbols.len() as u32);
-        self.symbols.push(name.to_string());
-        self.symbol_index.insert(name.to_string(), id);
+        let stored: Arc<str> = name.into();
+        self.symbols.push(Arc::clone(&stored));
+        self.symbol_index.insert(stored, id);
         id
     }
 
@@ -65,7 +68,7 @@ impl Module {
     }
 
     /// Every interned name; `symbols()[id.0 as usize]` is `symbol_name(id)`.
-    pub fn symbols(&self) -> &[String] {
+    pub fn symbols(&self) -> &[Arc<str>] {
         &self.symbols
     }
 
@@ -76,7 +79,7 @@ impl Module {
 
     /// Adds a function definition; its name is interned automatically.
     pub fn add_function(&mut self, f: Function) -> SymbolId {
-        let sym = self.intern(&f.name.clone());
+        let sym = self.intern(&f.name);
         self.functions.push(f);
         sym
     }
@@ -91,10 +94,17 @@ impl Module {
         self.functions.iter_mut().find(|f| f.name == name)
     }
 
-    /// Declares an external function (idempotent per name).
-    pub fn declare_extern(&mut self, name: &str, params: Vec<IrType>, ret: IrType) -> SymbolId {
+    /// Declares an external function (idempotent per name: `params` is
+    /// made a list only for a new one).
+    pub fn declare_extern(
+        &mut self,
+        name: &str,
+        params: impl Into<Vec<IrType>>,
+        ret: IrType,
+    ) -> SymbolId {
         let sym = self.intern(name);
         if !self.externs.iter().any(|e| e.sym == sym) {
+            let params = params.into();
             self.externs.push(ExternFn { sym, params, ret });
         }
         sym

@@ -97,7 +97,7 @@ impl Module {
     /// user prototype of the same name declared earlier wins).
     pub fn declare_rt(&mut self, f: RtFn) -> SymbolId {
         let row = f.row();
-        self.declare_extern(row.name, row.params.to_vec(), row.ret)
+        self.declare_extern(row.name, row.params, row.ret)
     }
 }
 

@@ -1,215 +1,127 @@
 //! Token definitions shared by the lexer, preprocessor and parser.
+//!
+//! A token owns nothing. The lexer interns every identifier and
+//! string-literal spelling in the compilation's [`IdentifierTable`], so an
+//! identifier is a [`Symbol`] and a whole token is a small `Copy` value:
+//! the preprocessor's lookahead and the parser pass tokens around without
+//! copying a string. Whatever renders a token (a diagnostic, a dump) reads
+//! its spelling back from the table.
 
-use omplt_source::SourceLocation;
+use omplt_source::{IdentifierTable, SourceLocation, Symbol};
 
-/// Reserved words of the base language subset.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-#[allow(missing_docs)]
-pub enum Keyword {
-    Void,
-    Bool,
-    Char,
-    Short,
-    Int,
-    Long,
-    Unsigned,
-    Signed,
-    Float,
-    Double,
-    SizeT,
-    PtrdiffT,
-    Auto,
-    Const,
-    If,
-    Else,
-    While,
-    Do,
-    For,
-    Return,
-    Break,
-    Continue,
-    True,
-    False,
-    Sizeof,
-    Extern,
-    Static,
+/// Declares a token enum whose variants carry their source spelling (and
+/// any alternative spellings `from_spelling` accepts).
+macro_rules! spelled_enum {
+    ($(#[$doc:meta])* $name:ident { $($v:ident = $s:literal $(| $alt:literal)*,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+        #[allow(missing_docs)]
+        pub enum $name {
+            $($v,)*
+        }
+
+        impl $name {
+            /// The variant spelled `s`, if any.
+            pub fn from_spelling(s: &str) -> Option<$name> {
+                Some(match s {
+                    $($s $(| $alt)* => $name::$v,)*
+                    _ => return None,
+                })
+            }
+
+            /// The source spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$v => $s,)*
+                }
+            }
+        }
+    };
 }
 
-impl Keyword {
-    /// Maps an identifier spelling to a keyword, if reserved.
-    pub fn from_spelling(s: &str) -> Option<Keyword> {
-        Some(match s {
-            "void" => Keyword::Void,
-            "bool" | "_Bool" => Keyword::Bool,
-            "char" => Keyword::Char,
-            "short" => Keyword::Short,
-            "int" => Keyword::Int,
-            "long" => Keyword::Long,
-            "unsigned" => Keyword::Unsigned,
-            "signed" => Keyword::Signed,
-            "float" => Keyword::Float,
-            "double" => Keyword::Double,
-            "size_t" => Keyword::SizeT,
-            "ptrdiff_t" => Keyword::PtrdiffT,
-            "auto" => Keyword::Auto,
-            "const" => Keyword::Const,
-            "if" => Keyword::If,
-            "else" => Keyword::Else,
-            "while" => Keyword::While,
-            "do" => Keyword::Do,
-            "for" => Keyword::For,
-            "return" => Keyword::Return,
-            "break" => Keyword::Break,
-            "continue" => Keyword::Continue,
-            "true" => Keyword::True,
-            "false" => Keyword::False,
-            "sizeof" => Keyword::Sizeof,
-            "extern" => Keyword::Extern,
-            "static" => Keyword::Static,
-            _ => return None,
-        })
-    }
-
-    /// The source spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Keyword::Void => "void",
-            Keyword::Bool => "bool",
-            Keyword::Char => "char",
-            Keyword::Short => "short",
-            Keyword::Int => "int",
-            Keyword::Long => "long",
-            Keyword::Unsigned => "unsigned",
-            Keyword::Signed => "signed",
-            Keyword::Float => "float",
-            Keyword::Double => "double",
-            Keyword::SizeT => "size_t",
-            Keyword::PtrdiffT => "ptrdiff_t",
-            Keyword::Auto => "auto",
-            Keyword::Const => "const",
-            Keyword::If => "if",
-            Keyword::Else => "else",
-            Keyword::While => "while",
-            Keyword::Do => "do",
-            Keyword::For => "for",
-            Keyword::Return => "return",
-            Keyword::Break => "break",
-            Keyword::Continue => "continue",
-            Keyword::True => "true",
-            Keyword::False => "false",
-            Keyword::Sizeof => "sizeof",
-            Keyword::Extern => "extern",
-            Keyword::Static => "static",
-        }
+spelled_enum! {
+    /// Reserved words of the base language subset.
+    Keyword {
+        Void = "void",
+        Bool = "bool" | "_Bool",
+        Char = "char",
+        Short = "short",
+        Int = "int",
+        Long = "long",
+        Unsigned = "unsigned",
+        Signed = "signed",
+        Float = "float",
+        Double = "double",
+        SizeT = "size_t",
+        PtrdiffT = "ptrdiff_t",
+        Auto = "auto",
+        Const = "const",
+        If = "if",
+        Else = "else",
+        While = "while",
+        Do = "do",
+        For = "for",
+        Return = "return",
+        Break = "break",
+        Continue = "continue",
+        True = "true",
+        False = "false",
+        Sizeof = "sizeof",
+        Extern = "extern",
+        Static = "static",
     }
 }
 
-/// Punctuators and operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-#[allow(missing_docs)]
-pub enum Punct {
-    LParen,
-    RParen,
-    LBrace,
-    RBrace,
-    LBracket,
-    RBracket,
-    Semi,
-    Comma,
-    Colon,
-    Question,
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Percent,
-    Amp,
-    Pipe,
-    Caret,
-    Tilde,
-    Bang,
-    Assign,
-    PlusAssign,
-    MinusAssign,
-    StarAssign,
-    SlashAssign,
-    PercentAssign,
-    ShlAssign,
-    ShrAssign,
-    AmpAssign,
-    PipeAssign,
-    CaretAssign,
-    PlusPlus,
-    MinusMinus,
-    Shl,
-    Shr,
-    Lt,
-    Gt,
-    Le,
-    Ge,
-    EqEq,
-    NotEq,
-    AmpAmp,
-    PipePipe,
-    Arrow,
-    Dot,
-    Hash,
-    Ellipsis,
-}
-
-impl Punct {
-    /// The source spelling.
-    pub fn as_str(self) -> &'static str {
-        use Punct::*;
-        match self {
-            LParen => "(",
-            RParen => ")",
-            LBrace => "{",
-            RBrace => "}",
-            LBracket => "[",
-            RBracket => "]",
-            Semi => ";",
-            Comma => ",",
-            Colon => ":",
-            Question => "?",
-            Plus => "+",
-            Minus => "-",
-            Star => "*",
-            Slash => "/",
-            Percent => "%",
-            Amp => "&",
-            Pipe => "|",
-            Caret => "^",
-            Tilde => "~",
-            Bang => "!",
-            Assign => "=",
-            PlusAssign => "+=",
-            MinusAssign => "-=",
-            StarAssign => "*=",
-            SlashAssign => "/=",
-            PercentAssign => "%=",
-            ShlAssign => "<<=",
-            ShrAssign => ">>=",
-            AmpAssign => "&=",
-            PipeAssign => "|=",
-            CaretAssign => "^=",
-            PlusPlus => "++",
-            MinusMinus => "--",
-            Shl => "<<",
-            Shr => ">>",
-            Lt => "<",
-            Gt => ">",
-            Le => "<=",
-            Ge => ">=",
-            EqEq => "==",
-            NotEq => "!=",
-            AmpAmp => "&&",
-            PipePipe => "||",
-            Arrow => "->",
-            Dot => ".",
-            Hash => "#",
-            Ellipsis => "...",
-        }
+spelled_enum! {
+    /// Punctuators and operators.
+    Punct {
+        LParen = "(",
+        RParen = ")",
+        LBrace = "{",
+        RBrace = "}",
+        LBracket = "[",
+        RBracket = "]",
+        Semi = ";",
+        Comma = ",",
+        Colon = ":",
+        Question = "?",
+        Plus = "+",
+        Minus = "-",
+        Star = "*",
+        Slash = "/",
+        Percent = "%",
+        Amp = "&",
+        Pipe = "|",
+        Caret = "^",
+        Tilde = "~",
+        Bang = "!",
+        Assign = "=",
+        PlusAssign = "+=",
+        MinusAssign = "-=",
+        StarAssign = "*=",
+        SlashAssign = "/=",
+        PercentAssign = "%=",
+        ShlAssign = "<<=",
+        ShrAssign = ">>=",
+        AmpAssign = "&=",
+        PipeAssign = "|=",
+        CaretAssign = "^=",
+        PlusPlus = "++",
+        MinusMinus = "--",
+        Shl = "<<",
+        Shr = ">>",
+        Lt = "<",
+        Gt = ">",
+        Le = "<=",
+        Ge = ">=",
+        EqEq = "==",
+        NotEq = "!=",
+        AmpAmp = "&&",
+        PipePipe = "||",
+        Arrow = "->",
+        Dot = ".",
+        Hash = "#",
+        Ellipsis = "...",
     }
 }
 
@@ -232,18 +144,24 @@ pub enum IntSuffix {
 }
 
 /// The kind (and payload) of a token.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum TokenKind {
     /// An identifier that is not a keyword.
-    Ident(String),
+    Ident(Symbol),
     /// A reserved word.
     Kw(Keyword),
-    /// An integer literal with its parsed value and suffix.
-    IntLit { value: u128, suffix: IntSuffix },
+    /// An integer literal: its value (one above `u64::MAX` was reported and
+    /// reads 0), its suffix and whether it was written in decimal — what
+    /// C11 6.4.4.1 types it by.
+    IntLit {
+        value: u64,
+        suffix: IntSuffix,
+        decimal: bool,
+    },
     /// A floating-point literal.
     FloatLit(f64),
     /// A string literal (contents, unescaped).
-    StrLit(String),
+    StrLit(Symbol),
     /// A character literal value.
     CharLit(u8),
     /// A punctuator or operator.
@@ -269,17 +187,24 @@ impl TokenKind {
         matches!(self, TokenKind::Kw(q) if *q == k)
     }
 
-    /// True for an identifier with this exact spelling (used for OpenMP
-    /// directive/clause names, which are contextual keywords).
-    pub fn is_ident(&self, s: &str) -> bool {
-        matches!(self, TokenKind::Ident(t) if t == s)
+    /// The kind as `Debug` prints it, with identifier and string spellings
+    /// written out (`Ident("n")`) — how parse diagnostics quote a token.
+    pub fn spelled(&self, idents: &IdentifierTable) -> String {
+        match *self {
+            TokenKind::Ident(s) => format!("Ident({:?})", idents.get(s)),
+            TokenKind::StrLit(s) => format!("StrLit({:?})", idents.get(s)),
+            TokenKind::IntLit { value, suffix, .. } => {
+                format!("IntLit {{ value: {value}, suffix: {suffix:?} }}")
+            }
+            other => format!("{other:?}"),
+        }
     }
 }
 
 /// A lexed token: kind, location of its first character, and whether it is
 /// the first token on its line (needed for preprocessor-directive detection
 /// and for finding the end of a pragma line).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Token {
     /// What the token is.
     pub kind: TokenKind,
@@ -291,9 +216,9 @@ pub struct Token {
 
 impl Token {
     /// A user-facing description used in parse diagnostics.
-    pub fn describe(&self) -> String {
-        match &self.kind {
-            TokenKind::Ident(s) => format!("identifier '{s}'"),
+    pub fn describe(&self, idents: &IdentifierTable) -> String {
+        match self.kind {
+            TokenKind::Ident(s) => format!("identifier '{}'", idents.get(s)),
             TokenKind::Kw(k) => format!("'{}'", k.as_str()),
             TokenKind::IntLit { value, .. } => format!("integer literal '{value}'"),
             TokenKind::FloatLit(v) => format!("floating literal '{v}'"),
@@ -330,20 +255,29 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        let k = TokenKind::Ident("unroll".into());
-        assert!(k.is_ident("unroll"));
-        assert!(!k.is_ident("tile"));
         assert!(TokenKind::Punct(Punct::Semi).is_punct(Punct::Semi));
         assert!(TokenKind::Kw(Keyword::For).is_kw(Keyword::For));
     }
 
     #[test]
     fn describe_is_human_readable() {
-        let t = Token {
-            kind: TokenKind::Punct(Punct::LParen),
+        let mut idents = IdentifierTable::default();
+        let t = |kind| Token {
+            kind,
             loc: SourceLocation::INVALID,
             at_line_start: false,
         };
-        assert_eq!(t.describe(), "'('");
+        assert_eq!(t(TokenKind::Punct(Punct::LParen)).describe(&idents), "'('");
+        let n = TokenKind::Ident(idents.intern("n"));
+        assert_eq!(t(n).describe(&idents), "identifier 'n'");
+        // Spelled as the derived `Debug` of an owning token reads.
+        assert_eq!(n.spelled(&idents), r#"Ident("n")"#);
+        let four = TokenKind::IntLit {
+            value: 4,
+            suffix: IntSuffix::None,
+            decimal: true,
+        };
+        assert_eq!(four.spelled(&idents), "IntLit { value: 4, suffix: None }");
+        assert_eq!(std::mem::size_of::<Token>(), 24);
     }
 }

@@ -6,7 +6,7 @@
 //! hundreds of generated inputs, and failures print the offending input.
 
 use omplt_lex::{Preprocessor, TokenKind};
-use omplt_source::{DiagnosticsEngine, FileManager, SourceManager};
+use omplt_source::{DiagnosticsEngine, FileManager, IdentifierTable, SourceManager};
 
 /// Minimal deterministic PRNG (xorshift64*), good enough for input sweeps.
 struct Rng(u64);
@@ -33,19 +33,20 @@ impl Rng {
     }
 }
 
-fn lex(src: &str) -> (Vec<TokenKind>, bool) {
+fn lex(src: &str) -> (Vec<TokenKind>, bool, IdentifierTable) {
     let mut fm = FileManager::new();
     let main = fm.add_virtual_file("p.c", src);
     let mut sm = SourceManager::new();
     let (id, _) = sm.add_file(main);
     let diags = DiagnosticsEngine::new();
-    let toks = {
+    let (toks, idents) = {
         let mut pp = Preprocessor::new(&mut sm, &mut fm, &diags, id);
         pp.tokenize_all()
     };
     (
         toks.into_iter().map(|t| t.kind).collect(),
         diags.has_errors(),
+        idents,
     )
 }
 
@@ -68,7 +69,7 @@ fn lexer_never_panics_on_arbitrary_ascii() {
         // Any printable-ASCII input must lex to EOF without panicking
         // (errors are fine; crashes are not).
         let src = arbitrary_ascii(&mut rng);
-        let (toks, _) = lex(&src);
+        let (toks, ..) = lex(&src);
         assert!(
             matches!(toks.last(), Some(TokenKind::Eof)),
             "case {case}: no EOF for input {src:?}"
@@ -82,9 +83,9 @@ fn integer_literals_round_trip() {
     let mut values: Vec<u64> = (0..200).map(|_| rng.next() % (u64::MAX / 2 + 1)).collect();
     values.extend([0, 1, 7, u64::MAX / 2]);
     for v in values {
-        let (toks, errs) = lex(&format!("{v}"));
+        let (toks, errs, _) = lex(&format!("{v}"));
         assert!(!errs, "errors lexing literal {v}");
-        let ok = matches!(toks[0], TokenKind::IntLit { value, .. } if value == v as u128);
+        let ok = matches!(toks[0], TokenKind::IntLit { value, .. } if value == v);
         assert!(ok, "literal {v} did not round-trip: {:?}", toks[0]);
     }
 }
@@ -104,10 +105,10 @@ fn identifiers_survive_whitespace_and_comments() {
         let pad: String = (0..rng.below(6))
             .map(|_| PAD[rng.below(PAD.len() as u64) as usize] as char)
             .collect();
-        let (toks, errs) = lex(&format!("{pad}{name}{pad}// trailing\n"));
+        let (toks, errs, idents) = lex(&format!("{pad}{name}{pad}// trailing\n"));
         assert!(!errs, "errors lexing identifier {name:?}");
-        match &toks[0] {
-            TokenKind::Ident(s) => assert_eq!(s, &name),
+        match toks[0] {
+            TokenKind::Ident(s) => assert_eq!(idents.get(s), name),
             TokenKind::Kw(_) => {} // reserved words are fine
             other => panic!("unexpected token {other:?} for identifier {name:?}"),
         }
@@ -119,11 +120,11 @@ fn macro_substitution_is_literal() {
     let mut rng = Rng::new(0xDEF17E);
     for _ in 0..100 {
         let v = rng.below(1_000_000) as u32;
-        let (toks, errs) = lex(&format!("#define K {v}\nint a = K;"));
+        let (toks, errs, _) = lex(&format!("#define K {v}\nint a = K;"));
         assert!(!errs, "errors expanding macro K = {v}");
         let found = toks
             .iter()
-            .any(|t| matches!(t, TokenKind::IntLit { value, .. } if *value == v as u128));
+            .any(|t| matches!(t, TokenKind::IntLit { value, .. } if *value == u64::from(v)));
         assert!(found, "macro value {v} not substituted");
     }
 }
@@ -133,7 +134,7 @@ fn pragma_bodies_are_bracketed() {
     let mut rng = Rng::new(0x0F_0A_66_A5);
     for _ in 0..63 {
         let factor = rng.range(1, 64) as u32;
-        let (toks, errs) = lex(&format!("#pragma omp unroll partial({factor})\n;"));
+        let (toks, errs, _) = lex(&format!("#pragma omp unroll partial({factor})\n;"));
         assert!(!errs, "errors lexing pragma with factor {factor}");
         let start = toks
             .iter()

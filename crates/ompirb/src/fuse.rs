@@ -52,7 +52,7 @@ pub fn fuse_loops(b: &mut IrBuilder<'_>, loops: &[CanonicalLoopInfo]) -> Canonic
     //    `if (iv < tc_k) body_k`, joining behind the guard.
     let mut current = fused.body;
     for (k, l) in loops.iter().enumerate() {
-        let join = b.create_block(&format!("omp_fuse.join{k}"));
+        let join = b.create_block(format!("omp_fuse.join{k}"));
         b.set_insert_point(current);
         let in_range = b.cmp(CmpPred::Ult, fused.iv(), tcs[k]);
         // A constant-true guard still needs a structural branch; force the

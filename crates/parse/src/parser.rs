@@ -7,16 +7,24 @@ use crate::pragma::parse_omp_directive;
 use omplt_ast::{
     BinOp, Decl, Expr, ExprKind, IntWidth, Stmt, StmtKind, TranslationUnit, Type, TypeKind, UnOp, P,
 };
+use omplt_lex::token::IntSuffix;
 use omplt_lex::{Keyword, Punct, Token, TokenKind};
 use omplt_sema::Sema;
-use omplt_source::SourceLocation;
+use omplt_source::{IdentifierTable, SourceLocation, Symbol};
 
-/// Parses a preprocessed token stream into a translation unit.
-pub fn parse_translation_unit(tokens: Vec<Token>, sema: &mut Sema<'_>) -> TranslationUnit {
+/// Parses a preprocessed token stream, with the identifier table its
+/// symbols index, into a translation unit, which takes the table on.
+pub fn parse_translation_unit(
+    (tokens, idents): (Vec<Token>, IdentifierTable),
+    sema: &mut Sema<'_>,
+) -> TranslationUnit {
     let _span = omplt_trace::span("parse");
     omplt_fault::panic_if_armed("parse.panic");
+    sema.ctx.set_idents(idents);
     let mut p = Parser::new(tokens, sema);
-    p.parse_tu()
+    let mut tu = p.parse_tu();
+    tu.idents = sema.ctx.take_idents();
+    tu
 }
 
 /// The parser state.
@@ -49,7 +57,7 @@ impl<'s, 'a> Parser<'s, 'a> {
     }
 
     pub(crate) fn next(&mut self) -> Token {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
+        let t = self.toks[self.pos.min(self.toks.len() - 1)];
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -88,7 +96,7 @@ impl<'s, 'a> Parser<'s, 'a> {
 
     pub(crate) fn expect_punct(&mut self, p: Punct) {
         if !self.eat_punct(p) {
-            let d = self.peek().describe();
+            let d = self.peek().describe(&self.sema.ctx.idents());
             self.sema.diags.error(
                 self.loc(),
                 format!("expected '{}', found {}", p.as_str(), d),
@@ -120,25 +128,7 @@ impl<'s, 'a> Parser<'s, 'a> {
 
     /// Whether the current token can start a type.
     pub(crate) fn at_type_start(&self) -> bool {
-        matches!(
-            self.peek().kind,
-            TokenKind::Kw(
-                Keyword::Void
-                    | Keyword::Bool
-                    | Keyword::Char
-                    | Keyword::Short
-                    | Keyword::Int
-                    | Keyword::Long
-                    | Keyword::Unsigned
-                    | Keyword::Signed
-                    | Keyword::Float
-                    | Keyword::Double
-                    | Keyword::SizeT
-                    | Keyword::PtrdiffT
-                    | Keyword::Const
-                    | Keyword::Auto
-            )
-        )
+        matches!(self.peek().kind, TokenKind::Kw(k) if type_start_kw(k) || k == Keyword::Auto)
     }
 
     /// Parses declaration specifiers + pointer declarators:
@@ -150,79 +140,26 @@ impl<'s, 'a> Parser<'s, 'a> {
         let mut is_auto = false;
         let mut any = false;
         while let TokenKind::Kw(k) = self.peek().kind {
+            let ctx = &self.sema.ctx;
             match k {
-                Keyword::Const => {
-                    self.next();
-                }
-                Keyword::Auto => {
-                    self.next();
-                    is_auto = true;
-                    any = true;
-                }
-                Keyword::Void => {
-                    self.next();
-                    base = Some(self.sema.ctx.void());
-                    any = true;
-                }
-                Keyword::Bool => {
-                    self.next();
-                    base = Some(self.sema.ctx.bool_ty());
-                    any = true;
-                }
-                Keyword::Char => {
-                    self.next();
-                    base = Some(self.sema.ctx.char_ty());
-                    any = true;
-                }
-                Keyword::Short => {
-                    self.next();
-                    base = Some(self.sema.ctx.short_ty());
-                    any = true;
-                }
-                Keyword::Int => {
-                    self.next();
-                    if base.is_none() {
-                        base = Some(self.sema.ctx.int());
-                    }
-                    any = true;
-                }
-                Keyword::Long => {
-                    self.next();
-                    longs += 1;
-                    any = true;
-                }
-                Keyword::Unsigned => {
-                    self.next();
-                    signed = Some(false);
-                    any = true;
-                }
-                Keyword::Signed => {
-                    self.next();
-                    signed = Some(true);
-                    any = true;
-                }
-                Keyword::Float => {
-                    self.next();
-                    base = Some(self.sema.ctx.float_ty());
-                    any = true;
-                }
-                Keyword::Double => {
-                    self.next();
-                    base = Some(self.sema.ctx.double_ty());
-                    any = true;
-                }
-                Keyword::SizeT => {
-                    self.next();
-                    base = Some(self.sema.ctx.size_t());
-                    any = true;
-                }
-                Keyword::PtrdiffT => {
-                    self.next();
-                    base = Some(self.sema.ctx.ptrdiff_t());
-                    any = true;
-                }
+                Keyword::Const => {}
+                Keyword::Auto => is_auto = true,
+                Keyword::Void => base = Some(ctx.void()),
+                Keyword::Bool => base = Some(ctx.bool_ty()),
+                Keyword::Char => base = Some(ctx.char_ty()),
+                Keyword::Short => base = Some(ctx.short_ty()),
+                Keyword::Int => base = base.or_else(|| Some(ctx.int())),
+                Keyword::Long => longs += 1,
+                Keyword::Unsigned => signed = Some(false),
+                Keyword::Signed => signed = Some(true),
+                Keyword::Float => base = Some(ctx.float_ty()),
+                Keyword::Double => base = Some(ctx.double_ty()),
+                Keyword::SizeT => base = Some(ctx.size_t()),
+                Keyword::PtrdiffT => base = Some(ctx.ptrdiff_t()),
                 _ => break,
             }
+            any |= k != Keyword::Const;
+            self.next();
         }
         if !any {
             return None;
@@ -275,18 +212,19 @@ impl<'s, 'a> Parser<'s, 'a> {
             let Some(ty) = self.parse_type() else {
                 self.error_here(format!(
                     "expected declaration, found {}",
-                    self.peek().describe()
+                    self.peek().describe(&self.sema.ctx.idents())
                 ));
                 self.recover();
                 continue;
             };
             let name_loc = self.loc();
-            let name = match &self.next().kind {
-                TokenKind::Ident(n) => n.clone(),
+            let name = match self.next().kind {
+                TokenKind::Ident(n) => n,
                 other => {
+                    let other = other.spelled(&self.sema.ctx.idents());
                     self.sema
                         .diags
-                        .error(name_loc, format!("expected identifier, found {other:?}"));
+                        .error(name_loc, format!("expected identifier, found {other}"));
                     self.recover();
                     continue;
                 }
@@ -303,7 +241,7 @@ impl<'s, 'a> Parser<'s, 'a> {
                     None
                 };
                 self.expect_punct(Punct::Semi);
-                let v = self.sema.act_on_var_decl(&name, ty, init, false, name_loc);
+                let v = self.sema.act_on_var_decl(name, ty, init, false, name_loc);
                 tu.decls.push(Decl::Var(v));
             }
         }
@@ -335,7 +273,7 @@ impl<'s, 'a> Parser<'s, 'a> {
 
     fn parse_function_rest(
         &mut self,
-        name: String,
+        name: Symbol,
         ret: P<Type>,
         loc: SourceLocation,
     ) -> Option<P<omplt_ast::FunctionDecl>> {
@@ -352,13 +290,12 @@ impl<'s, 'a> Parser<'s, 'a> {
                         break;
                     };
                     let ploc = self.loc();
-                    let pname = match &self.peek().kind {
+                    let pname = match self.peek().kind {
                         TokenKind::Ident(n) => {
-                            let n = n.clone();
                             self.next();
                             n
                         }
-                        _ => self.sema.ctx.fresh_name(".unnamed."),
+                        _ => self.sema.ctx.intern(&self.sema.ctx.fresh_name(".unnamed.")),
                     };
                     // Array parameters decay to pointers.
                     let pty = self.parse_array_suffix(pty);
@@ -374,7 +311,7 @@ impl<'s, 'a> Parser<'s, 'a> {
             }
         }
         self.expect_punct(Punct::RParen);
-        let func = self.sema.act_on_function_start(&name, ret, params, loc);
+        let func = self.sema.act_on_function_start(name, ret, params, loc);
         if self.at_punct(Punct::LBrace) {
             let body = self.parse_compound_stmt();
             self.sema.act_on_function_end(&func, Some(body));
@@ -487,9 +424,8 @@ impl<'s, 'a> Parser<'s, 'a> {
         let mut decls = Vec::new();
         loop {
             let name_loc = self.loc();
-            let name = match &self.peek().kind {
+            let name = match self.peek().kind {
                 TokenKind::Ident(n) => {
-                    let n = n.clone();
                     self.next();
                     n
                 }
@@ -506,7 +442,7 @@ impl<'s, 'a> Parser<'s, 'a> {
                 None
             };
             decls.push(Decl::Var(
-                self.sema.act_on_var_decl(&name, ty, init, false, name_loc),
+                self.sema.act_on_var_decl(name, ty, init, false, name_loc),
             ));
             if !self.eat_punct(Punct::Comma) {
                 break;
@@ -527,7 +463,7 @@ impl<'s, 'a> Parser<'s, 'a> {
             let save = self.pos;
             let elem_ty = self.parse_type(); // None for `auto`
             let by_ref = self.eat_punct(Punct::Amp);
-            if let TokenKind::Ident(name) = self.peek().kind.clone() {
+            if let TokenKind::Ident(name) = self.peek().kind {
                 if self.peek2().kind.is_punct(Punct::Colon) {
                     self.next(); // ident
                     self.next(); // :
@@ -535,7 +471,7 @@ impl<'s, 'a> Parser<'s, 'a> {
                     self.expect_punct(Punct::RParen);
                     match self
                         .sema
-                        .act_on_range_for_begin(&name, elem_ty, by_ref, range, loc)
+                        .act_on_range_for_begin(name, elem_ty, by_ref, range, loc)
                     {
                         Some(parts) => {
                             let body = self.parse_stmt();
@@ -745,24 +681,14 @@ impl<'s, 'a> Parser<'s, 'a> {
     fn parse_primary(&mut self) -> P<Expr> {
         let loc = self.loc();
         match self.next().kind {
-            TokenKind::IntLit { value, suffix } => {
-                use omplt_lex::token::IntSuffix;
+            TokenKind::IntLit {
+                value,
+                suffix,
+                decimal,
+            } => {
                 let ctx = &self.sema.ctx;
-                let ty = match suffix {
-                    IntSuffix::None => {
-                        if value <= i32::MAX as u128 {
-                            ctx.int()
-                        } else if value <= i64::MAX as u128 {
-                            ctx.long_ty()
-                        } else {
-                            ctx.size_t()
-                        }
-                    }
-                    IntSuffix::Unsigned => ctx.uint(),
-                    IntSuffix::Long | IntSuffix::LongLong => ctx.long_ty(),
-                    IntSuffix::UnsignedLong | IntSuffix::UnsignedLongLong => ctx.size_t(),
-                };
-                ctx.int_lit(value as i128, ty, loc)
+                let (width, signed) = int_literal_type(value, suffix, decimal);
+                ctx.int_lit(value.into(), ctx.int_ty(width, signed), loc)
             }
             TokenKind::FloatLit(v) => {
                 Expr::rvalue(ExprKind::FloatingLiteral(v), self.sema.ctx.double_ty(), loc)
@@ -795,9 +721,9 @@ impl<'s, 'a> Parser<'s, 'a> {
                         }
                     }
                     self.expect_punct(Punct::RParen);
-                    self.sema.act_on_call(&name, args, loc)
+                    self.sema.act_on_call(name, args, loc)
                 } else {
-                    self.sema.act_on_decl_ref(&name, loc)
+                    self.sema.act_on_decl_ref(name, loc)
                 }
             }
             TokenKind::Punct(Punct::LParen) => {
@@ -813,13 +739,37 @@ impl<'s, 'a> Parser<'s, 'a> {
                 })
             }
             other => {
+                let other = other.spelled(&self.sema.ctx.idents());
                 self.sema
                     .diags
-                    .error(loc, format!("expected expression, found {other:?}"));
+                    .error(loc, format!("expected expression, found {other}"));
                 self.sema.error_expr(loc)
             }
         }
     }
+}
+
+/// The type of an integer literal under LP64: the first of `int`, `unsigned
+/// int`, `long`, `unsigned long` its value fits that C11 6.4.4.1 lists for
+/// its suffix and base. A decimal literal without `u` skips `unsigned int`,
+/// and one too large for `long` is `unsigned long`, as Clang types it.
+fn int_literal_type(value: u64, suffix: IntSuffix, decimal: bool) -> (IntWidth, bool) {
+    use IntSuffix::*;
+    let unsigned = matches!(suffix, Unsigned | UnsignedLong | UnsignedLongLong);
+    let long = !matches!(suffix, IntSuffix::None | Unsigned);
+    let listed = |width, signed| match (width, signed) {
+        (IntWidth::W32, true) => !unsigned && !long,
+        (IntWidth::W32, false) => !long && (unsigned || !decimal),
+        (_, true) => !unsigned,
+        (_, false) => true,
+    };
+    let fits =
+        |width: IntWidth, signed| u128::from(value) >> (width.bits() - u32::from(signed)) == 0;
+    let (w32, w64) = (IntWidth::W32, IntWidth::W64);
+    [(w32, true), (w32, false), (w64, true), (w64, false)]
+        .into_iter()
+        .find(|&(width, signed)| listed(width, signed) && fits(width, signed))
+        .expect("unsigned long holds every u64")
 }
 
 fn type_start_kw(k: Keyword) -> bool {

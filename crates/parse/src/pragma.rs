@@ -10,6 +10,7 @@ use omplt_ast::{
     ScheduleKind, Stmt, P,
 };
 use omplt_lex::{Punct, TokenKind};
+use omplt_source::IdentifierTable;
 
 /// Parses one OpenMP directive (pragma line + associated statement).
 pub fn parse_omp_directive(p: &mut Parser<'_, '_>) -> P<Stmt> {
@@ -56,9 +57,9 @@ pub fn parse_omp_directive(p: &mut Parser<'_, '_>) -> P<Stmt> {
 
 /// The spelling of a token that can be part of a directive or clause
 /// argument name: an identifier or a base-language keyword.
-fn word(kind: &TokenKind) -> Option<&str> {
+fn word(kind: TokenKind, idents: &IdentifierTable) -> Option<&str> {
     match kind {
-        TokenKind::Ident(name) => Some(name),
+        TokenKind::Ident(name) => Some(idents.get(name)),
         TokenKind::Kw(k) => Some(k.as_str()),
         _ => None,
     }
@@ -66,8 +67,13 @@ fn word(kind: &TokenKind) -> Option<&str> {
 
 /// Longest match of the upcoming words against the directive catalog.
 fn parse_directive_name(p: &mut Parser<'_, '_>) -> Option<OMPDirectiveKind> {
-    let words: Vec<&str> = (0..).map_while(|i| word(&p.peek_nth(i).kind)).collect();
-    let (kind, n) = OMPDirectiveKind::match_words(&words)?;
+    let (kind, n) = {
+        let idents = p.sema.ctx.idents();
+        let words: Vec<&str> = (0..)
+            .map_while(|i| word(p.peek_nth(i).kind, &idents))
+            .collect();
+        OMPDirectiveKind::match_words(&words)?
+    };
     for _ in 0..n {
         p.next();
     }
@@ -76,12 +82,13 @@ fn parse_directive_name(p: &mut Parser<'_, '_>) -> Option<OMPDirectiveKind> {
 
 fn parse_clause(p: &mut Parser<'_, '_>) -> Option<P<OMPClause>> {
     let loc = p.loc();
-    let name = match &p.peek().kind {
-        TokenKind::Ident(n) => n.clone(),
+    let name = match p.peek().kind {
+        TokenKind::Ident(n) => p.sema.ctx.spelling(n),
         other => {
+            let other = other.spelled(&p.sema.ctx.idents());
             p.sema.diags.error(
                 loc,
-                format!("expected an OpenMP clause name, found {other:?}"),
+                format!("expected an OpenMP clause name, found {other}"),
             );
             return None;
         }
@@ -125,12 +132,13 @@ fn parse_clause(p: &mut Parser<'_, '_>) -> Option<P<OMPClause>> {
             }
             loop {
                 let vloc = p.loc();
-                match &p.next().kind {
+                match p.next().kind {
                     TokenKind::Ident(vn) => args.push(p.sema.act_on_decl_ref(vn, vloc)),
                     other => {
+                        let other = other.spelled(&p.sema.ctx.idents());
                         p.sema
                             .diags
-                            .error(vloc, format!("expected variable name, found {other:?}"));
+                            .error(vloc, format!("expected variable name, found {other}"));
                     }
                 }
                 if !p.eat_punct(Punct::Comma) {
@@ -170,10 +178,10 @@ fn parse_clause_expr(p: &mut Parser<'_, '_>, kind: OMPClauseKind) -> P<Expr> {
 fn parse_schedule_kind(p: &mut Parser<'_, '_>) -> ScheduleKind {
     let loc = p.loc();
     let tok = p.next().kind;
-    let Some(name) = word(&tok) else {
-        p.sema
-            .diags
-            .error(loc, format!("expected schedule kind, found {tok:?}"));
+    let idents = p.sema.ctx.idents();
+    let Some(name) = word(tok, &idents) else {
+        let msg = format!("expected schedule kind, found {}", tok.spelled(&idents));
+        p.sema.diags.error(loc, msg);
         return ScheduleKind::Static;
     };
     ScheduleKind::from_name(name).unwrap_or_else(|| {
@@ -187,14 +195,14 @@ fn parse_schedule_kind(p: &mut Parser<'_, '_>) -> ScheduleKind {
 fn parse_reduction_op(p: &mut Parser<'_, '_>) -> ReductionOp {
     let loc = p.loc();
     let tok = p.next().kind;
-    let name = match &tok {
+    let idents = p.sema.ctx.idents();
+    let name = match tok {
         TokenKind::Punct(punct) => Some(punct.as_str()),
-        other => word(other),
+        other => word(other, &idents),
     };
     name.and_then(ReductionOp::from_name).unwrap_or_else(|| {
-        p.sema
-            .diags
-            .error(loc, format!("unsupported reduction operator {tok:?}"));
+        let msg = format!("unsupported reduction operator {}", tok.spelled(&idents));
+        p.sema.diags.error(loc, msg);
         ReductionOp::Add
     })
 }
@@ -206,7 +214,7 @@ fn skip_paren_group(p: &mut Parser<'_, '_>) {
     }
     let mut depth = 1;
     while depth > 0 && !matches!(p.peek().kind, TokenKind::Eof | TokenKind::PragmaOmpEnd) {
-        match &p.next().kind {
+        match p.next().kind {
             TokenKind::Punct(Punct::LParen) => depth += 1,
             TokenKind::Punct(Punct::RParen) => depth -= 1,
             _ => {}

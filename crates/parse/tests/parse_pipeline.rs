@@ -129,6 +129,7 @@ fn paper_listing_composed_unroll() {
     let body = f.body.borrow();
     let full_dump = omplt_ast::dump_stmt(
         body.as_ref().unwrap(),
+        &tu.idents,
         DumpOptions {
             show_transformed: true,
         },
@@ -315,7 +316,7 @@ fn pragma_composition_order_is_reverse_source_order() {
     // strip-mined inner loop inherited from the consumed unroll's body.
     let t = tile.get_transformed_stmt().unwrap();
     assert_eq!(omplt_sema::count_generated_loops(t), 3);
-    let t_dump = omplt_ast::dump_stmt(t, DumpOptions::default());
+    let t_dump = omplt_ast::dump_stmt(t, &tu.idents, DumpOptions::default());
     assert!(t_dump.contains(".floor.iv"), "{t_dump}");
     assert!(t_dump.contains(".unroll_inner.iv"), "{t_dump}");
     // its associated statement is the unroll directive

@@ -74,7 +74,7 @@ pub fn build_canonical_loop(
             // (same DeclId: body references keep working).
             let rebound = P::new(omplt_ast::VarDecl {
                 id: d.loop_var.id,
-                name: d.loop_var.name.clone(),
+                name: d.loop_var.name,
                 ty: P::clone(&d.loop_var.ty),
                 init: Some(deref),
                 loc,
@@ -172,7 +172,8 @@ mod tests {
         );
         assert!(s.strip_to_loop().is_loop());
         // user variable reference points at the iteration variable
-        assert_eq!(node.loop_var_ref.as_decl_ref().unwrap().name, "i");
+        let i = node.loop_var_ref.as_decl_ref().unwrap().name;
+        assert_eq!(&*ctx.spelling(i), "i");
     }
 
     #[test]
@@ -184,7 +185,7 @@ mod tests {
             .loop_var_fn
             .captures
             .iter()
-            .find(|c| c.var.name == "i")
+            .find(|c| c.var.name == ctx.intern("i"))
             .expect("iteration variable must be captured");
         assert_eq!(cap.kind, CaptureKind::ByValue);
     }
@@ -197,7 +198,7 @@ mod tests {
         let lp = literal_loop(&ctx);
         let (node, _) = wrap(&ctx, &lp);
         let s = Stmt::new(StmtKind::OMPCanonicalLoop(node), SourceLocation::INVALID);
-        let d = dump_stmt(&s, DumpOptions::default());
+        let d = dump_stmt(&s, &ctx.idents(), DumpOptions::default());
         assert!(d.starts_with("OMPCanonicalLoop\n"), "{d}");
         assert!(d.contains("|-ForStmt"), "{d}");
         assert_eq!(d.matches("CapturedStmt").count(), 2, "{d}");

@@ -172,7 +172,7 @@ mod tests {
         );
         let free = free_variables(&body);
         assert_eq!(free.len(), 1);
-        assert_eq!(free[0].name, "n");
+        assert_eq!(&*ctx.spelling(free[0].name), "n");
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         );
         let free = free_variables(&s);
         assert_eq!(free.len(), 1, "only 'n' is free");
-        assert_eq!(free[0].name, "n");
+        assert_eq!(&*ctx.spelling(free[0].name), "n");
     }
 
     #[test]
@@ -215,7 +215,8 @@ mod tests {
         let loc = SourceLocation::INVALID;
         let body = Stmt::new(StmtKind::Null, loc);
         let cs = build_omp_captured_stmt(&ctx, body);
-        let names: Vec<&str> = cs.decl.params.iter().map(|p| p.name.as_str()).collect();
+        let idents = ctx.idents();
+        let names: Vec<&str> = cs.decl.params.iter().map(|p| idents.get(p.name)).collect();
         assert_eq!(names, vec![".global_tid.", ".bound_tid.", "__context"]);
         assert!(cs.decl.nothrow);
     }
@@ -238,7 +239,7 @@ mod tests {
         let kinds: Vec<(String, CaptureKind)> = cs
             .captures
             .iter()
-            .map(|c| (c.var.name.clone(), c.kind))
+            .map(|c| (ctx.spelling(c.var.name).to_string(), c.kind))
             .collect();
         assert!(kinds.contains(&("a".to_string(), CaptureKind::ByValue)));
         assert!(kinds.contains(&("b".to_string(), CaptureKind::ByRef)));

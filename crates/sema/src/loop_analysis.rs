@@ -22,21 +22,35 @@ use omplt_ast::{
     ASTContext, BinOp, CanonicalLoopAnalysis, Decl, Expr, ExprKind, LoopDirection, Stmt, StmtKind,
     UnOp, VarDecl, P,
 };
-use omplt_source::SourceLocation;
+use omplt_source::{SourceLocation, Symbol};
 
 /// Why a statement is not an OpenMP canonical loop.
 #[derive(Debug)]
 pub struct LoopRefusal {
     /// Where the loop departs from the canonical form.
     pub loc: SourceLocation,
-    /// The diagnostic text.
+    /// The diagnostic text; a `{}` in it stands for the name of `var`.
     pub message: String,
+    /// The variable the message names, spelled when it is rendered: the
+    /// gate, which ignores refusals, analyses with a context of its own.
+    pub var: Option<Symbol>,
+}
+
+impl LoopRefusal {
+    /// The diagnostic text with the variable it names spelled.
+    pub fn render(&self, ctx: &ASTContext) -> String {
+        match self.var {
+            Some(var) => self.message.replacen("{}", &ctx.spelling(var), 1),
+            None => self.message.clone(),
+        }
+    }
 }
 
 fn refuse<T>(loc: SourceLocation, message: impl Into<String>) -> Result<T, LoopRefusal> {
     Err(LoopRefusal {
         loc,
         message: message.into(),
+        var: None,
     })
 }
 
@@ -151,13 +165,12 @@ fn analyze_for(
         }
     };
     if !iter_var.ty.is_integer() && !iter_var.ty.is_pointer() {
-        return refuse(
-            iter_var.loc,
-            format!(
-                "variable '{}' must be of integer or pointer type in OpenMP canonical loop",
-                iter_var.name
-            ),
-        );
+        return Err(LoopRefusal {
+            loc: iter_var.loc,
+            message: "variable '{}' must be of integer or pointer type in OpenMP canonical loop"
+                .into(),
+            var: Some(iter_var.name),
+        });
     }
 
     // ---- test-expr ----
@@ -171,13 +184,12 @@ fn analyze_for(
             } else if refers_to(r, &iter_var) {
                 (*op, P::clone(l), false)
             } else {
-                return refuse(
-                    cond.loc,
-                    format!(
-                        "condition of OpenMP for loop must test iteration variable '{}'",
-                        iter_var.name
-                    ),
-                );
+                return Err(LoopRefusal {
+                    loc: cond.loc,
+                    message: "condition of OpenMP for loop must test iteration variable '{}'"
+                        .into(),
+                    var: Some(iter_var.name),
+                });
             }
         }
         _ => {

@@ -155,7 +155,7 @@ impl Sema<'_> {
                             format!(
                                 "reduction variable '{}' has type '{}'; only int, long, float \
                                  and double variables can be reduced",
-                                var.name,
+                                self.ctx.spelling(var.name),
                                 var.ty.spelling()
                             ),
                         );
@@ -220,7 +220,7 @@ impl Sema<'_> {
                     format!(
                         "variable '{}' is named in more than one data-sharing clause of \
                          '{consumer}' ('{}' and '{}')",
-                        var.name,
+                        self.ctx.spelling(var.name),
                         first.kind.name(),
                         c.kind.name()
                     ),
@@ -249,7 +249,7 @@ impl Sema<'_> {
     /// The canonical-form analysis of `stmt`; a refusal is rendered as the
     /// error of the directive being built.
     fn analyze_loop(&self, stmt: &P<Stmt>, consumer: &str) -> Option<CanonicalLoopAnalysis> {
-        let refused = |r: LoopRefusal| self.diags.error(r.loc, r.message);
+        let refused = |r: LoopRefusal| self.diags.error(r.loc, r.render(&self.ctx));
         analyze_canonical_loop(&self.ctx, stmt, consumer)
             .map_err(refused)
             .ok()
@@ -339,11 +339,14 @@ impl Sema<'_> {
                         "loop nest associated with '{consumer}' must be rectangular: \
                          bound of loop {} depends on iteration variable '{}'",
                         lvl + 1,
-                        var.name
+                        self.ctx.spelling(var.name)
                     ),
                     vec![Diagnostic::note(
                         var.loc,
-                        format!("iteration variable '{}' declared here", var.name),
+                        format!(
+                            "iteration variable '{}' declared here",
+                            self.ctx.spelling(var.name)
+                        ),
                     )],
                 );
                 return None;
@@ -696,7 +699,7 @@ impl Sema<'_> {
             let final_val = a.user_value_expr(ctx, P::clone(&a.lb), final_idx);
             let final_k = ctx.assign(ctx.decl_ref(&a.iter_var, loc), final_val, loc);
             let private_counter = ctx.make_implicit_var(
-                format!(".omp.priv.{}", a.iter_var.name),
+                format!(".omp.priv.{}", ctx.spelling(a.iter_var.name)),
                 P::clone(&a.iter_var.ty),
                 None,
                 loc,
@@ -887,7 +890,7 @@ mod tests {
 
     #[test]
     fn consuming_partial_unroll_reanalyzes_generated_loop() {
-        let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
+        let ((stmt, generated_iv), msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
             let lp = mk_loop(s, 0, 10, 1, None);
             let c = unroll_clause(s, Some(2));
             let inner = s.act_on_omp_directive(
@@ -896,12 +899,13 @@ mod tests {
                 Some(lp),
                 SourceLocation::INVALID,
             );
-            s.act_on_omp_directive(
+            let stmt = s.act_on_omp_directive(
                 OMPDirectiveKind::ParallelFor,
                 vec![],
                 Some(inner),
                 SourceLocation::INVALID,
-            )
+            );
+            (stmt, s.ctx.intern(".unrolled.iv.i"))
         });
         assert!(msgs.is_empty(), "{msgs:?}");
         let StmtKind::OMP(d) = &stmt.kind else {
@@ -919,7 +923,7 @@ mod tests {
         // shadow AST's `.capture_expr.` declaration.
         assert_eq!(d.nest.len(), 1);
         assert_eq!(d.nest[0].prologue.len(), 1);
-        assert_eq!(d.nest[0].analysis.iter_var.name, ".unrolled.iv.i");
+        assert_eq!(d.nest[0].analysis.iter_var.name, generated_iv);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use omplt_ast::{
     BinOp, CastKind, CxxForRangeData, Decl, Expr, ExprKind, Stmt, StmtKind, Type, TypeKind, UnOp,
     VarDecl, VarKind, P,
 };
-use omplt_source::SourceLocation;
+use omplt_source::{SourceLocation, Symbol};
 
 impl Sema<'_> {
     /// Builds `for (T [&]name : range) body-to-come`; returns the de-sugared
@@ -21,7 +21,7 @@ impl Sema<'_> {
     /// the declared element type (checked against the array).
     pub fn act_on_range_for_begin(
         &mut self,
-        name: &str,
+        name: Symbol,
         elem_ty: Option<P<Type>>,
         by_ref: bool,
         range: P<Expr>,
@@ -115,7 +115,7 @@ impl Sema<'_> {
         };
         let loop_var = P::new(VarDecl {
             id: self.ctx.fresh_decl_id(),
-            name: name.to_string(),
+            name,
             ty: arr_elem,
             init: Some(deref),
             loc,
@@ -233,13 +233,14 @@ mod tests {
         s.scopes.push();
         let loc = SourceLocation::INVALID;
         let arr_ty = Type::new(TypeKind::Array(s.ctx.double_ty(), 8));
-        let arr = s.act_on_var_decl("data", arr_ty, None, false, loc);
+        let arr = s.act_on_var_decl(s.ctx.intern("data"), arr_ty, None, false, loc);
         let range = s.ctx.decl_ref(&arr, loc);
+        let v = s.ctx.intern("v");
         let parts = s
-            .act_on_range_for_begin("v", Some(s.ctx.double_ty()), true, range, loc)
+            .act_on_range_for_begin(v, Some(s.ctx.double_ty()), true, range, loc)
             .expect("desugar");
         // loop variable is in scope for the body
-        let body_ref = s.act_on_decl_ref("v", loc);
+        let body_ref = s.act_on_decl_ref(v, loc);
         assert!(body_ref.as_decl_ref().is_some());
         let body = Stmt::new(StmtKind::Expr(body_ref), loc);
         let stmt = s.act_on_range_for_end(parts, body);
@@ -247,12 +248,12 @@ mod tests {
         let StmtKind::CxxForRange(d) = &stmt.kind else {
             panic!()
         };
-        assert_eq!(d.begin_var.name, "__begin");
-        assert_eq!(d.end_var.name, "__end");
+        assert_eq!(&*s.ctx.spelling(d.begin_var.name), "__begin");
+        assert_eq!(&*s.ctx.spelling(d.end_var.name), "__end");
         assert!(d.loop_var.by_ref);
         assert_eq!(d.loop_var.ty.spelling(), "double");
         // loop variable is out of scope after
-        s.act_on_decl_ref("v", loc);
+        s.act_on_decl_ref(v, loc);
         assert!(diags.has_errors());
     }
 
@@ -264,9 +265,10 @@ mod tests {
         s.scopes.push();
         let loc = SourceLocation::INVALID;
         let arr_ty = Type::new(TypeKind::Array(s.ctx.double_ty(), 4));
-        let arr = s.act_on_var_decl("a", arr_ty, None, false, loc);
+        let arr = s.act_on_var_decl(s.ctx.intern("a"), arr_ty, None, false, loc);
         let range = s.ctx.decl_ref(&arr, loc);
-        let parts = s.act_on_range_for_begin("v", Some(s.ctx.int()), false, range, loc);
+        let v = s.ctx.intern("v");
+        let parts = s.act_on_range_for_begin(v, Some(s.ctx.int()), false, range, loc);
         assert!(parts.is_some());
         assert!(diags.has_errors());
         if let Some(p) = parts {
@@ -282,10 +284,11 @@ mod tests {
         let mut s = Sema::new(&diags, &sm, OpenMpCodegenMode::Classic, true);
         s.scopes.push();
         let loc = SourceLocation::INVALID;
-        let x = s.act_on_var_decl("x", s.ctx.int(), None, false, loc);
+        let x = s.act_on_var_decl(s.ctx.intern("x"), s.ctx.int(), None, false, loc);
         let range = s.ctx.decl_ref(&x, loc);
+        let v = s.ctx.intern("v");
         assert!(s
-            .act_on_range_for_begin("v", None, false, range, loc)
+            .act_on_range_for_begin(v, None, false, range, loc)
             .is_none());
         assert!(diags.has_errors());
     }

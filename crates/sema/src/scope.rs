@@ -1,56 +1,69 @@
-//! Lexical scopes for name lookup.
+//! Lexical scopes for name lookup, indexed by symbol. As Clang keeps the
+//! innermost declaration of a name on its `IdentifierInfo`, the stack keeps
+//! each symbol's visible declaration in one table: a lookup is an index,
+//! and leaving a scope restores what its declarations shadowed.
 
 use omplt_ast::{Decl, FunctionDecl, VarDecl, P};
-use std::collections::HashMap;
+use omplt_source::Symbol;
 
-/// One lexical scope level.
-#[derive(Default)]
-pub struct Scope {
-    names: HashMap<String, Decl>,
-}
+/// A declaration and the depth of the scope that declared it.
+type Binding = Option<(Decl, usize)>;
 
-/// A stack of scopes (function, block, loop-init, …).
+/// A stack of scopes (function, block, loop-init, …) over the
+/// translation-unit scope.
 #[derive(Default)]
 pub struct ScopeStack {
-    scopes: Vec<Scope>,
+    /// `visible[sym]`: the innermost declaration of `sym`.
+    visible: Vec<Binding>,
+    /// Every declaration of the open scopes, in order: its symbol and the
+    /// binding it replaced.
+    shadowed: Vec<(Symbol, Binding)>,
+    /// Where each nested scope's entries of `shadowed` start.
+    starts: Vec<usize>,
 }
 
 impl ScopeStack {
     /// Creates the stack with the translation-unit scope.
     pub fn new() -> ScopeStack {
-        ScopeStack {
-            scopes: vec![Scope::default()],
-        }
+        ScopeStack::default()
     }
 
     /// Enters a nested scope.
     pub fn push(&mut self) {
-        self.scopes.push(Scope::default());
+        self.starts.push(self.shadowed.len());
     }
 
     /// Leaves the innermost scope.
     pub fn pop(&mut self) {
-        assert!(
-            self.scopes.len() > 1,
-            "cannot pop the translation-unit scope"
-        );
-        self.scopes.pop();
+        let start = self.starts.pop();
+        let start = start.expect("cannot pop the translation-unit scope");
+        for (sym, prev) in self.shadowed.drain(start..).rev() {
+            self.visible[sym.index()] = prev;
+        }
     }
 
     /// Declares `decl` in the innermost scope; returns the previous
     /// same-scope declaration on redefinition.
     pub fn declare(&mut self, decl: Decl) -> Option<Decl> {
-        let scope = self.scopes.last_mut().expect("scope stack never empty");
-        scope.names.insert(decl.name().to_string(), decl)
+        let (sym, depth) = (decl.name(), self.depth());
+        if self.visible.len() <= sym.index() {
+            self.visible.resize(sym.index() + 1, None);
+        }
+        let prev = self.visible[sym.index()].replace((decl, depth));
+        let redefined = prev.as_ref().filter(|(_, d)| *d == depth);
+        let redefined = redefined.map(|(decl, _)| decl.clone());
+        self.shadowed.push((sym, prev));
+        redefined
     }
 
     /// Innermost-out lookup.
-    pub fn lookup(&self, name: &str) -> Option<&Decl> {
-        self.scopes.iter().rev().find_map(|s| s.names.get(name))
+    pub fn lookup(&self, name: Symbol) -> Option<&Decl> {
+        let binding = self.visible.get(name.index())?.as_ref();
+        binding.map(|(decl, _)| decl)
     }
 
     /// Looks up a variable.
-    pub fn lookup_var(&self, name: &str) -> Option<&P<VarDecl>> {
+    pub fn lookup_var(&self, name: Symbol) -> Option<&P<VarDecl>> {
         match self.lookup(name) {
             Some(Decl::Var(v)) => Some(v),
             _ => None,
@@ -58,7 +71,7 @@ impl ScopeStack {
     }
 
     /// Looks up a function.
-    pub fn lookup_fn(&self, name: &str) -> Option<&P<FunctionDecl>> {
+    pub fn lookup_fn(&self, name: Symbol) -> Option<&P<FunctionDecl>> {
         match self.lookup(name) {
             Some(Decl::Function(f)) => Some(f),
             _ => None,
@@ -67,7 +80,7 @@ impl ScopeStack {
 
     /// Current nesting depth (1 = file scope).
     pub fn depth(&self) -> usize {
-        self.scopes.len()
+        self.starts.len() + 1
     }
 }
 
@@ -86,9 +99,9 @@ mod tests {
         s.push();
         let inner = ctx.make_var("x", ctx.double_ty(), None, SourceLocation::INVALID);
         s.declare(Decl::Var(inner));
-        assert_eq!(s.lookup_var("x").unwrap().ty.spelling(), "double");
+        assert_eq!(s.lookup_var(outer.name).unwrap().ty.spelling(), "double");
         s.pop();
-        assert_eq!(s.lookup_var("x").unwrap().ty.spelling(), "int");
+        assert_eq!(s.lookup_var(outer.name).unwrap().ty.spelling(), "int");
     }
 
     #[test]
@@ -97,12 +110,17 @@ mod tests {
         let mut s = ScopeStack::new();
         let a = ctx.make_var("a", ctx.int(), None, SourceLocation::INVALID);
         assert!(s.declare(Decl::Var(P::clone(&a))).is_none());
-        assert!(s.declare(Decl::Var(a)).is_some());
+        assert!(s.declare(Decl::Var(P::clone(&a))).is_some());
+        s.push();
+        assert!(s.declare(Decl::Var(P::clone(&a))).is_none());
+        s.pop();
+        assert!(s.lookup(a.name).is_some());
     }
 
     #[test]
     fn unknown_name_is_none() {
+        let ctx = ASTContext::new();
         let s = ScopeStack::new();
-        assert!(s.lookup("nope").is_none());
+        assert!(s.lookup(ctx.intern("nope")).is_none());
     }
 }

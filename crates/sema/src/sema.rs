@@ -9,7 +9,7 @@ use omplt_ast::{
     ASTContext, BinOp, CastKind, Decl, Expr, ExprKind, FunctionDecl, OpenMpCodegenMode, Stmt,
     StmtKind, Type, TypeKind, UnOp, VarDecl, VarKind, P,
 };
-use omplt_source::{DiagnosticsEngine, SourceLocation, SourceManager};
+use omplt_source::{DiagnosticsEngine, SourceLocation, SourceManager, Symbol};
 use std::cell::RefCell;
 
 /// The Sema layer state.
@@ -60,7 +60,7 @@ impl<'a> Sema<'a> {
     /// Declares a local variable, converting the initializer.
     pub fn act_on_var_decl(
         &mut self,
-        name: &str,
+        name: Symbol,
         ty: P<Type>,
         init: Option<P<Expr>>,
         by_ref: bool,
@@ -76,7 +76,7 @@ impl<'a> Sema<'a> {
         });
         let var = P::new(VarDecl {
             id: self.ctx.fresh_decl_id(),
-            name: name.to_string(),
+            name,
             ty,
             init,
             loc,
@@ -90,6 +90,7 @@ impl<'a> Sema<'a> {
             used: std::cell::Cell::new(false),
         });
         if self.scopes.declare(Decl::Var(P::clone(&var))).is_some() {
+            let name = self.ctx.spelling(name);
             self.diags.error(loc, format!("redefinition of '{name}'"));
         }
         var
@@ -98,9 +99,9 @@ impl<'a> Sema<'a> {
     /// Starts a function: declares it, pushes the parameter scope.
     pub fn act_on_function_start(
         &mut self,
-        name: &str,
+        name: Symbol,
         ret: P<Type>,
-        params: Vec<(String, P<Type>, SourceLocation)>,
+        params: Vec<(Symbol, P<Type>, SourceLocation)>,
         loc: SourceLocation,
     ) -> P<FunctionDecl> {
         let param_decls: Vec<P<VarDecl>> = params
@@ -108,7 +109,7 @@ impl<'a> Sema<'a> {
             .map(|(n, t, l)| {
                 P::new(VarDecl {
                     id: self.ctx.fresh_decl_id(),
-                    name: n.clone(),
+                    name: *n,
                     ty: P::clone(t),
                     init: None,
                     loc: *l,
@@ -126,6 +127,7 @@ impl<'a> Sema<'a> {
         // Re-declaration with a body is a definition of a prior prototype.
         let func = if let Some(prev) = self.scopes.lookup_fn(name).cloned() {
             if *prev.ty != *fn_ty {
+                let name = self.ctx.spelling(name);
                 self.diags
                     .error(loc, format!("conflicting types for '{name}'"));
             }
@@ -133,7 +135,7 @@ impl<'a> Sema<'a> {
         } else {
             let f = P::new(FunctionDecl {
                 id: self.ctx.fresh_decl_id(),
-                name: name.to_string(),
+                name,
                 ty: fn_ty,
                 params: param_decls.clone(),
                 body: RefCell::new(None),
@@ -154,8 +156,9 @@ impl<'a> Sema<'a> {
     pub fn act_on_function_end(&mut self, func: &P<FunctionDecl>, body: Option<P<Stmt>>) {
         if let Some(b) = body {
             if func.is_definition() {
+                let name = self.ctx.spelling(func.name);
                 self.diags
-                    .error(func.loc, format!("redefinition of '{}'", func.name));
+                    .error(func.loc, format!("redefinition of '{name}'"));
             }
             *func.body.borrow_mut() = Some(b);
         }
@@ -167,10 +170,11 @@ impl<'a> Sema<'a> {
 
     /// Resolves a name to a variable reference (with array decay deferred to
     /// the use site).
-    pub fn act_on_decl_ref(&mut self, name: &str, loc: SourceLocation) -> P<Expr> {
+    pub fn act_on_decl_ref(&mut self, name: Symbol, loc: SourceLocation) -> P<Expr> {
         match self.scopes.lookup_var(name) {
-            Some(v) => self.ctx.decl_ref(&P::clone(v), loc),
+            Some(v) => self.ctx.decl_ref(v, loc),
             None => {
+                let name = self.ctx.spelling(name);
                 self.diags
                     .error(loc, format!("use of undeclared identifier '{name}'"));
                 self.error_expr(loc)
@@ -425,8 +429,14 @@ impl<'a> Sema<'a> {
     }
 
     /// Builds a type-checked call.
-    pub fn act_on_call(&mut self, name: &str, args: Vec<P<Expr>>, loc: SourceLocation) -> P<Expr> {
+    pub fn act_on_call(
+        &mut self,
+        name: Symbol,
+        args: Vec<P<Expr>>,
+        loc: SourceLocation,
+    ) -> P<Expr> {
         let Some(callee) = self.scopes.lookup_fn(name).cloned() else {
+            let name = self.ctx.spelling(name);
             self.diags
                 .error(loc, format!("call to undeclared function '{name}'"));
             return self.error_expr(loc);
@@ -436,6 +446,7 @@ impl<'a> Sema<'a> {
         };
         let (ret, params) = (P::clone(ret), params.clone());
         if args.len() != params.len() {
+            let name = self.ctx.spelling(name);
             self.diags.error(
                 loc,
                 format!(
@@ -572,7 +583,8 @@ mod tests {
 
     #[test]
     fn undeclared_identifier_is_diagnosed() {
-        let (_, errs) = with_sema(|s| s.act_on_decl_ref("ghost", SourceLocation::INVALID));
+        let (_, errs) =
+            with_sema(|s| s.act_on_decl_ref(s.ctx.intern("ghost"), SourceLocation::INVALID));
         assert_eq!(errs, 1);
     }
 
@@ -581,20 +593,22 @@ mod tests {
         let (name, errs) = with_sema(|s| {
             let loc = SourceLocation::INVALID;
             let init = s.ctx.int_lit(3, s.ctx.int(), loc);
-            s.act_on_var_decl("x", s.ctx.int(), Some(init), false, loc);
-            let r = s.act_on_decl_ref("x", loc);
-            r.as_decl_ref().unwrap().name.clone()
+            let x = s.ctx.intern("x");
+            s.act_on_var_decl(x, s.ctx.int(), Some(init), false, loc);
+            let r = s.act_on_decl_ref(x, loc);
+            s.ctx.spelling(r.as_decl_ref().unwrap().name)
         });
         assert_eq!(errs, 0);
-        assert_eq!(name, "x");
+        assert_eq!(&*name, "x");
     }
 
     #[test]
     fn redefinition_is_diagnosed() {
         let (_, errs) = with_sema(|s| {
             let loc = SourceLocation::INVALID;
-            s.act_on_var_decl("x", s.ctx.int(), None, false, loc);
-            s.act_on_var_decl("x", s.ctx.int(), None, false, loc);
+            let x = s.ctx.intern("x");
+            s.act_on_var_decl(x, s.ctx.int(), None, false, loc);
+            s.act_on_var_decl(x, s.ctx.int(), None, false, loc);
         });
         assert_eq!(errs, 1);
     }
@@ -604,7 +618,7 @@ mod tests {
         let (ty, errs) = with_sema(|s| {
             let loc = SourceLocation::INVALID;
             let arr_ty = Type::new(TypeKind::Array(s.ctx.double_ty(), 8));
-            let a = s.act_on_var_decl("a", arr_ty, None, false, loc);
+            let a = s.act_on_var_decl(s.ctx.intern("a"), arr_ty, None, false, loc);
             let base = s.ctx.decl_ref(&a, loc);
             let idx = s.ctx.int_lit(2, s.ctx.int(), loc);
             let e = s.act_on_subscript(base, idx, loc);
@@ -620,8 +634,8 @@ mod tests {
         let (ty, errs) = with_sema(|s| {
             let loc = SourceLocation::INVALID;
             let pty = s.ctx.pointer_to(s.ctx.double_ty());
-            let p = s.act_on_var_decl("p", P::clone(&pty), None, false, loc);
-            let q = s.act_on_var_decl("q", pty, None, false, loc);
+            let p = s.act_on_var_decl(s.ctx.intern("p"), P::clone(&pty), None, false, loc);
+            let q = s.act_on_var_decl(s.ctx.intern("q"), pty, None, false, loc);
             let e = s.act_on_binary(
                 BinOp::Sub,
                 s.ctx.decl_ref(&p, loc),
@@ -638,14 +652,11 @@ mod tests {
     fn call_arity_checked() {
         let (_, errs) = with_sema(|s| {
             let loc = SourceLocation::INVALID;
-            let f = s.act_on_function_start(
-                "f",
-                s.ctx.void(),
-                vec![("x".into(), s.ctx.int(), loc)],
-                loc,
-            );
-            s.act_on_function_end(&f, None);
-            s.act_on_call("f", vec![], loc)
+            let f = s.ctx.intern("f");
+            let params = vec![(s.ctx.intern("x"), s.ctx.int(), loc)];
+            let decl = s.act_on_function_start(f, s.ctx.void(), params, loc);
+            s.act_on_function_end(&decl, None);
+            s.act_on_call(f, vec![], loc)
         });
         assert_eq!(errs, 1);
     }
@@ -654,7 +665,7 @@ mod tests {
     fn return_type_mismatch_diagnosed() {
         let (_, errs) = with_sema(|s| {
             let loc = SourceLocation::INVALID;
-            let f = s.act_on_function_start("v", s.ctx.void(), vec![], loc);
+            let f = s.act_on_function_start(s.ctx.intern("v"), s.ctx.void(), vec![], loc);
             let lit = s.ctx.int_lit(1, s.ctx.int(), loc);
             let r = s.act_on_return(Some(lit), loc);
             s.act_on_function_end(&f, Some(r));

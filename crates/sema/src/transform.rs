@@ -54,7 +54,7 @@ fn materialize_user_var(
     let value = a.user_value_expr(ctx, P::clone(&a.lb), logical);
     let rebound = P::new(VarDecl {
         id: a.iter_var.id,
-        name: a.iter_var.name.clone(),
+        name: a.iter_var.name,
         ty: P::clone(&a.iter_var.ty),
         init: Some(value),
         loc,
@@ -116,13 +116,13 @@ pub fn transform_unroll_partial(
     let (tc_var, tc_decl) = capture_trip_count(ctx, a, loc);
 
     let outer_iv = ctx.make_implicit_var(
-        format!(".unrolled.iv.{}", a.iter_var.name),
+        format!(".unrolled.iv.{}", ctx.spelling(a.iter_var.name)),
         P::clone(&uty),
         Some(ulit(0)),
         loc,
     );
     let inner_iv = ctx.make_implicit_var(
-        format!(".unroll_inner.iv.{}", a.iter_var.name),
+        format!(".unroll_inner.iv.{}", ctx.spelling(a.iter_var.name)),
         P::clone(&uty),
         Some(ctx.read_var(&outer_iv, loc)),
         loc,
@@ -236,7 +236,7 @@ pub fn transform_tile(
         .iter()
         .map(|l| {
             ctx.make_implicit_var(
-                format!(".floor.iv.{}", l.analysis.iter_var.name),
+                format!(".floor.iv.{}", ctx.spelling(l.analysis.iter_var.name)),
                 P::clone(&l.analysis.logical_ty),
                 Some(ctx.int_lit(0, P::clone(&l.analysis.logical_ty), loc)),
                 loc,
@@ -248,7 +248,7 @@ pub fn transform_tile(
         .zip(&floor_ivs)
         .map(|(l, f)| {
             ctx.make_implicit_var(
-                format!(".tile.iv.{}", l.analysis.iter_var.name),
+                format!(".tile.iv.{}", ctx.spelling(l.analysis.iter_var.name)),
                 P::clone(&l.analysis.logical_ty),
                 Some(ctx.read_var(f, loc)),
                 loc,
@@ -366,7 +366,7 @@ pub fn transform_interchange(
         .iter()
         .map(|l| {
             ctx.make_implicit_var(
-                format!(".permuted.iv.{}", l.analysis.iter_var.name),
+                format!(".permuted.iv.{}", ctx.spelling(l.analysis.iter_var.name)),
                 P::clone(&l.analysis.logical_ty),
                 Some(ctx.int_lit(0, P::clone(&l.analysis.logical_ty), loc)),
                 loc,
@@ -428,7 +428,7 @@ pub fn transform_reverse(
     let (tc_var, tc_decl) = capture_trip_count(ctx, a, loc);
 
     let iv = ctx.make_implicit_var(
-        format!(".reversed.iv.{}", a.iter_var.name),
+        format!(".reversed.iv.{}", ctx.spelling(a.iter_var.name)),
         P::clone(&uty),
         Some(ulit(0)),
         loc,
@@ -642,7 +642,7 @@ mod tests {
         let mut sm = fresh_sm();
         let a = analysis_for(&ctx, 7, 17, 3);
         let t = transform_unroll_partial(&ctx, &mut sm, &a, 2, "#pragma omp unroll partial(2)");
-        let d = dump_stmt(&t, DumpOptions::default());
+        let d = dump_stmt(&t, &ctx.idents(), DumpOptions::default());
         // strip-mined outer loop over '.unrolled.iv.i'
         assert!(d.contains(".unrolled.iv.i"), "{d}");
         // inner loop kept, annotated with LoopHintAttr UnrollCount
@@ -689,7 +689,7 @@ mod tests {
             "#pragma omp tile sizes(4, 8)",
         );
         assert_eq!(count_generated_loops(&t), 4, "tiling 2 loops → 4 loops");
-        let d = dump_stmt(&t, DumpOptions::default());
+        let d = dump_stmt(&t, &ctx.idents(), DumpOptions::default());
         assert!(d.contains("VarDecl implicit used .floor.iv.i"), "{d}");
         assert!(d.contains("VarDecl implicit used .tile.iv.i"), "{d}");
         // partial-tile bound via min(): a conditional in the tile loop's test
@@ -702,7 +702,7 @@ mod tests {
         let mut sm = fresh_sm();
         let level = level_for(&ctx, 5, 20, 3);
         let t = transform_tile(&ctx, &mut sm, &[level], &[4], "#pragma omp tile sizes(4)");
-        let d = dump_stmt(&t, DumpOptions::default());
+        let d = dump_stmt(&t, &ctx.idents(), DumpOptions::default());
         // `int i = 5 + .tile.iv.i * 3;`
         assert!(d.contains("VarDecl implicit used i 'int' cinit"), "{d}");
         let init = &d[d.find("used i 'int'").unwrap()..];

@@ -264,18 +264,27 @@ fn compiling_a_module_allocates_per_function_only_what_the_module_keeps() {
     );
 }
 
+/// A preprocessor over `source`, with what it borrows.
+fn preprocess<R>(source: &str, f: impl FnOnce(&mut omplt::lex::Preprocessor<'_>) -> R) -> R {
+    let mut fm = omplt::source::FileManager::new();
+    let mut sm = omplt::source::SourceManager::new();
+    let diags = omplt::source::DiagnosticsEngine::new();
+    let file = sm.add_file(fm.add_virtual_file("t.c", source)).0;
+    let r = f(&mut omplt::lex::Preprocessor::new(
+        &mut sm, &mut fm, &diags, file,
+    ));
+    assert!(diags.is_empty(), "{:?}", diags.all());
+    r
+}
+
 #[test]
 fn tokenize_all_allocates_only_for_spellings_and_growth() {
     // Per statement six tokens: one identifier, one string literal and four
-    // that own nothing.
+    // others. A token owns nothing, and each spelling is stored the first
+    // time it is seen.
     let tokenize = |statements: usize| {
         let source = "x = \"s\" + 1;\n".repeat(statements);
-        let mut fm = omplt::source::FileManager::new();
-        let mut sm = omplt::source::SourceManager::new();
-        let diags = omplt::source::DiagnosticsEngine::new();
-        let file = sm.add_file(fm.add_virtual_file("t.c", source)).0;
-        let mut pp = omplt::lex::Preprocessor::new(&mut sm, &mut fm, &diags, file);
-        let (count, tokens) = allocs(|| pp.tokenize_all());
+        let (count, (tokens, _)) = preprocess(&source, |pp| allocs(|| pp.tokenize_all()));
         assert_eq!(tokens.len(), 6 * statements + 1);
         count
     };
@@ -283,12 +292,68 @@ fn tokenize_all_allocates_only_for_spellings_and_growth() {
     omplt::fault::arm("vm.panic").unwrap();
     let (small, large) = (tokenize(100), tokenize(10_000));
     omplt::fault::reset();
-    // Two spellings per statement, 9 900 more statements; the token vector
-    // doubles at most log2(60 001) < 16 times.
-    let spellings = 2 * 9_900;
+    // Only the token vector grows: it doubles at most log2(60 001 / 601) < 7
+    // more times.
     assert!(
-        large - small <= spellings + 16,
+        large - small <= 7,
         "{large} allocations for 10 000 statements against {small} for 100"
+    );
+}
+
+#[test]
+fn parse_and_sema_allocate_per_statement_only_the_nodes_it_builds() {
+    // `x = x + 1;` builds seven nodes: the statement, the assignment, the
+    // addition, two references to `x`, the load of the right-hand one and
+    // the literal. Its tokens are copied, and `x` is looked up by symbol.
+    const K: u64 = 7;
+    let parse = |statements: usize| {
+        let body = "  x = x + 1;\n".repeat(statements);
+        let source = format!("int f(void) {{\n  int x = 0;\n{body}  return x;\n}}\n");
+        let tokens = preprocess(&source, |pp| pp.tokenize_all());
+        let diags = omplt::source::DiagnosticsEngine::new();
+        let sm = std::cell::RefCell::new(omplt::source::SourceManager::new());
+        let mut sema = omplt::sema::Sema::new(&diags, &sm, omplt::OpenMpCodegenMode::Classic, true);
+        let (count, tu) = allocs(|| omplt::parse::parse_translation_unit(tokens, &mut sema));
+        assert!(
+            diags.is_empty() && tu.function("f").is_some(),
+            "{:?}",
+            diags.all()
+        );
+        count
+    };
+    let (small, large) = (parse(100), parse(10_000));
+    // Beyond the nodes, the function body's statement list doubles at most
+    // log2(10 002 / 102) < 7 more times.
+    assert!(
+        large - small <= K * 9_900 + 7,
+        "{:.2} allocations per added statement ({small} for 100, {large} for 10 000)",
+        (large - small) as f64 / 9_900.0
+    );
+}
+
+#[test]
+fn codegen_allocates_no_name_per_static_named_block() {
+    // A loop's four blocks (`for.cond`, `for.body`, `for.inc`, `for.end`)
+    // each allocate their instruction list and nothing for their name; the
+    // slot of its `i` keeps the variable's name.
+    const PER_LOOP: u64 = 4 + 1;
+    let lower = |loops: usize| {
+        let body = "  for (long i = 0; i < n; i++) s += i;\n".repeat(loops);
+        let source = format!("long f(long n) {{\n  long s = 0;\n{body}  return s;\n}}\n");
+        let mut ci = omplt::CompilerInstance::new(omplt::Options::default());
+        let tu = ci.parse_source("t.c", &source).expect("parses");
+        let opts = omplt::codegen::CodegenOptions::default();
+        let (count, r) = allocs(|| omplt::codegen::codegen_translation_unit(&tu, opts, &ci.diags));
+        assert_eq!(r.module.functions[0].blocks.len(), 1 + 4 * loops);
+        count
+    };
+    let (small, large) = (lower(20), lower(200));
+    // The instruction and block arenas and the two binding tables grow
+    // tenfold: each doubles at most four more times.
+    assert!(
+        large - small <= PER_LOOP * 180 + 16,
+        "{:.2} allocations per added loop ({small} for 20, {large} for 200)",
+        (large - small) as f64 / 180.0
     );
 }
 

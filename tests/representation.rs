@@ -124,7 +124,7 @@ fn l5_transformed_ast_shape_of_partial_unroll() {
     let (_, tu) = parse(src, OpenMpCodegenMode::Classic);
     let d = first_directive(&tu, "f");
     let t = d.get_transformed_stmt().expect("shadow AST");
-    let dump = omplt_ast::dump_stmt(t, omplt_ast::DumpOptions::default());
+    let dump = omplt_ast::dump_stmt(t, &tu.idents, omplt_ast::DumpOptions::default());
     assert!(dump.contains(".unrolled.iv.i"), "{dump}");
     assert!(dump.contains(".unroll_inner.iv.i"), "{dump}");
     assert!(
@@ -246,7 +246,11 @@ fn shadow_ast_invisible_in_children_but_counted_in_stats() {
         "transformed subtree must count as shadow: {stats:?}"
     );
     // The default dump (children() view) hides it:
-    let dump = omplt_ast::dump_stmt(body.as_ref().unwrap(), omplt_ast::DumpOptions::default());
+    let dump = omplt_ast::dump_stmt(
+        body.as_ref().unwrap(),
+        &tu.idents,
+        omplt_ast::DumpOptions::default(),
+    );
     assert!(!dump.contains(".unrolled.iv"), "{dump}");
 }
 

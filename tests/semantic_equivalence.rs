@@ -2,7 +2,7 @@
 //! transformation, in both representations, with and without the mid-end
 //! pipeline, must preserve program behaviour.
 
-use omplt::{assert_matrix_output, run_source, run_source_with, Options};
+use omplt::{assert_matrix_output, run_source, run_source_with, CompilerInstance, Options};
 
 /// Expected "print each iteration value" output.
 fn seq(vals: impl IntoIterator<Item = i64>) -> String {
@@ -10,6 +10,30 @@ fn seq(vals: impl IntoIterator<Item = i64>) -> String {
 }
 
 const PRINT_PROTO: &str = "void print_i64(long v);\n";
+
+/// Asserts `expected` on stdout at every matrix point on the interpreter,
+/// and in both representations, with and without the mid end, on the
+/// bytecode VM with fallback disabled.
+fn assert_output_on_both_engines(src: &str, expected: &str) {
+    assert_matrix_output(src, expected);
+    for codegen_mode in [
+        omplt::OpenMpCodegenMode::Classic,
+        omplt::OpenMpCodegenMode::IrBuilder,
+    ] {
+        for optimize in [false, true] {
+            let opts = Options {
+                codegen_mode,
+                backend: omplt::Backend::VmStrict,
+                ..Options::default()
+            };
+            let r = run_source_with(src, opts, optimize);
+            assert_eq!(
+                r.stdout, expected,
+                "vm:strict, {codegen_mode:?}, {optimize}"
+            );
+        }
+    }
+}
 
 #[test]
 fn plain_loop_baseline() {
@@ -230,23 +254,41 @@ fn local_multidimensional_arrays() {
          long s = 0;\n  for (int i = 1; i < 9; i += 1)\n    for (int j = 0; j < 8; j += 1)\n      s += a[i][j] - a[i - 1][j + 1];\n  \
          print_i64(s);\n  print_i64(a[8][8]);\n  print_i64(b[1][2][3] + b[0][1][2]);\n  return 0;\n}}\n"
     );
-    let expected = seq([1024, 161, 135]);
-    assert_matrix_output(&src, &expected);
-    for codegen_mode in [
-        omplt::OpenMpCodegenMode::Classic,
-        omplt::OpenMpCodegenMode::IrBuilder,
-    ] {
-        for optimize in [false, true] {
-            let opts = Options {
-                codegen_mode,
-                backend: omplt::Backend::VmStrict,
-                ..Options::default()
-            };
-            let r = run_source_with(&src, opts, optimize);
-            assert_eq!(
-                r.stdout, expected,
-                "vm:strict, {codegen_mode:?}, {optimize}"
-            );
-        }
-    }
+    assert_output_on_both_engines(&src, &seq([1024, 161, 135]));
+}
+
+/// A replacement list is rescanned for macro names (C11 6.10.3.4), in
+/// pragma bodies too: the paper's per-machine directive selection builds
+/// `tile sizes(4)` from two macros, and it prints what the plain loop does.
+#[test]
+fn a_macro_built_tile_prints_what_the_plain_loop_prints() {
+    let src = format!(
+        "{PRINT_PROTO}#define N 4\n#define F sizes(N)\n#define LAST 9\n#define END LAST\n\
+         int main(void) {{\n  #pragma omp tile F\n  for (int i = 0; i < END; i += 1)\n    \
+         print_i64(i);\n  return 0;\n}}\n"
+    );
+    assert_output_on_both_engines(&src, &seq(0..9));
+}
+
+/// Integer literals have C11 6.4.4.1's types under LP64: `010` is octal, a
+/// `u` literal above `UINT_MAX` is `unsigned long`, `0xFFFFFFFF` is
+/// `unsigned int` (adding 1 wraps to 0) while decimal `2147483648` is
+/// `long`, and a literal no type holds is an error.
+#[test]
+fn integer_literals_have_their_c_types() {
+    let src = format!(
+        "{PRINT_PROTO}int main(void) {{\n  print_i64(010);\n  print_i64(5000000000u);\n  \
+         print_i64(0xFFFFFFFF + 1);\n  print_i64(sizeof(0xFFFFFFFF) + sizeof(2147483648));\n  \
+         return 0;\n}}\n"
+    );
+    assert_output_on_both_engines(&src, &seq([8, 5_000_000_000, 0, 12]));
+    let mut ci = CompilerInstance::new(Options::default());
+    let err = ci.parse_source("t.c", "long x = 99999999999999999999;\n");
+    let err = err.expect_err("no integer type holds the literal");
+    assert!(
+        err.contains(
+            "1:10: error: integer literal is too large to be represented in any integer type"
+        ),
+        "{err}"
+    );
 }
