@@ -256,13 +256,14 @@ impl<'m> Interpreter<'m> {
         let mut prev: Option<BlockId> = None;
         // A per-frame local counter, refilled in batches from the shared one.
         let mut local_fuel: u64 = 0;
+        // Phase 1's values, reused by every block the frame enters.
+        let mut phi_updates: Vec<(usize, RtVal)> = Vec::new();
 
         loop {
             let block = f.block(cur);
 
             // Phase 1: evaluate all phis against the incoming edge
             // simultaneously (textbook simultaneous-assignment semantics).
-            let mut phi_updates: Vec<(usize, RtVal)> = Vec::new();
             for &iid in &block.insts {
                 match f.inst(iid) {
                     Inst::Phi { incoming, .. } => {
@@ -281,7 +282,7 @@ impl<'m> Interpreter<'m> {
                     _ => break,
                 }
             }
-            for (slot, v) in phi_updates {
+            for (slot, v) in phi_updates.drain(..) {
                 frame[slot] = Some(v);
             }
 

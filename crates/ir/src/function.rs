@@ -178,6 +178,56 @@ impl Function {
     pub fn num_insts(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
+
+    /// The one rule, for the mid end's promotion and the VM's lowering, of
+    /// which `alloca`s of `blocks` can live in a register: one element of
+    /// 1–8 bytes, whose address only same-typed loads and stores use (any
+    /// other use lets it escape). `slot_ty[i]` becomes the type of each such
+    /// `%i`, `None` for every other instruction.
+    pub fn promotable_allocas(
+        &self,
+        blocks: &[BlockId],
+        value_type: impl Fn(Value) -> IrType,
+        slot_ty: &mut Vec<Option<IrType>>,
+    ) {
+        slot_ty.clear();
+        slot_ty.resize(self.insts.len(), None);
+        for &bb in blocks {
+            for &iid in &self.block(bb).insts {
+                if let Inst::Alloca { ty, count: 1, .. } = self.inst(iid) {
+                    if (1..=8).contains(&ty.size()) {
+                        slot_ty[iid.0 as usize] = Some(*ty);
+                    }
+                }
+            }
+        }
+        if slot_ty.iter().all(Option::is_none) {
+            return;
+        }
+        let escape =
+            |slot_ty: &mut [Option<IrType>], v: Value, escapes: &dyn Fn(IrType) -> bool| {
+                if let Value::Inst(a) = v {
+                    if slot_ty[a.0 as usize].is_some_and(escapes) {
+                        slot_ty[a.0 as usize] = None;
+                    }
+                }
+            };
+        let any = |_| true;
+        for &bb in blocks {
+            for &iid in &self.block(bb).insts {
+                match self.inst(iid) {
+                    Inst::Load { ty, ptr } => escape(slot_ty, *ptr, &|t| t != *ty),
+                    Inst::Store { val, ptr } => {
+                        escape(slot_ty, *val, &any);
+                        escape(slot_ty, *ptr, &|t| t != value_type(*val));
+                    }
+                    other => other.for_each_operand(|v| escape(slot_ty, v, &any)),
+                }
+            }
+            let term = self.block(bb).term.iter();
+            term.for_each(|t| t.for_each_operand(|v| escape(slot_ty, v, &any)));
+        }
+    }
 }
 
 /// Per-block lists in one flat vector — list `b` is `lists[b]` — so a CFG

@@ -1,6 +1,6 @@
 //! Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm.
 
-use omplt_ir::{BlockId, Function};
+use omplt_ir::{BlockId, BlockLists, Function};
 
 /// Immediate-dominator tree for a function's reachable blocks.
 pub struct DomTree {
@@ -19,17 +19,20 @@ thread_local! {
 impl DomTree {
     /// Computes dominators for `f`.
     pub fn compute(f: &Function) -> DomTree {
+        DomTree::from_cfg(&f.reverse_postorder(), &f.predecessors(), f.blocks.len())
+    }
+
+    /// Dominators of `n` blocks with reverse postorder `rpo` (the entry
+    /// first) and predecessors `preds`, for a caller that has both at hand.
+    pub fn from_cfg(rpo: &[BlockId], preds: &BlockLists<BlockId>, n: usize) -> DomTree {
         #[cfg(test)]
         TREES_BUILT.with(|t| t.set(t.get() + 1));
-        let n = f.blocks.len();
-        let rpo = f.reverse_postorder();
         let mut rpo_index = vec![usize::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
             rpo_index[b.0 as usize] = i;
         }
-        let preds = f.predecessors();
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        let entry = f.entry();
+        let entry = rpo[0];
         idom[entry.0 as usize] = Some(entry);
 
         let mut changed = true;

@@ -16,6 +16,7 @@ pub mod domtree;
 pub mod loop_info;
 pub mod loop_unroll;
 pub mod pipeline;
+pub mod promote;
 pub mod simplify_cfg;
 pub mod verify;
 
@@ -24,5 +25,6 @@ pub use domtree::DomTree;
 pub use loop_info::{match_skeleton, LoopInfo, NaturalLoop, SkeletonLoop};
 pub use loop_unroll::{loop_unroll, UnrollStats};
 pub use pipeline::run_default_pipeline;
+pub use promote::{promote, Promote};
 pub use simplify_cfg::simplify_cfg;
 pub use verify::{verify_function_full, verify_loop_skeletons, verify_module_full};

@@ -2,44 +2,55 @@
 
 use crate::constfold::constant_fold;
 use crate::loop_unroll::{loop_unroll, UnrollStats};
+use crate::promote::{promote, Promote};
 use crate::simplify_cfg::simplify_cfg;
 use crate::verify::verify_function_full;
 use omplt_ir::{Function, Module, VerifyError};
 
-/// A pass over one function; only the unroller has statistics to add.
-type PassFn = fn(&mut Function, &mut UnrollStats);
+/// What the passes keep for a module: unroll statistics, promotion buffers.
+#[derive(Default)]
+struct Workspace {
+    stats: UnrollStats,
+    promote: Promote,
+}
+
+/// A pass over one function, with the module's workspace.
+type PassFn = fn(&mut Function, &mut Workspace);
 
 /// The passes of the default pipeline, in the order they run on a function.
 ///
 /// * `loop-unroll` runs first, on the IR as the lowerings built it: it
-///   recognizes the canonical skeleton (header + cond) structurally, and
-///   block merging would collapse exactly that shape.
+///   recognizes the canonical skeleton (header + cond) structurally, block
+///   merging would collapse that shape, and it refuses a body with phis.
 /// * `simplify-cfg` then sweeps the blocks the unroller abandoned and merges
 ///   the straight-line chains the body copies form.
-/// * `const-fold` runs once, last: sweeping the dead arm of a branch the
-///   builder already decided (the `lb < ub ? … : 0` of a distance expression
-///   over constant bounds) leaves the join's phi with one incoming value,
-///   and collapsing that phi is what lets the arithmetic behind it fold. The
-///   constants the unroller put into already-built instructions in place of
-///   an induction variable fold on the same run, and its DCE is the
-///   pipeline's only one.
+/// * `promote` turns every non-escaping scalar slot into SSA values
+///   ([`crate::promote`]): both engines run the same register-form IR.
+/// * `const-fold` runs once, last, and sees through former slots. Sweeping
+///   the dead arm of a branch the builder already decided (the `lb < ub ? … : 0`
+///   of a distance expression over constant bounds) leaves the join's phi
+///   with one incoming value, and collapsing that phi is what lets the
+///   arithmetic behind it fold. Its DCE is the pipeline's only one.
 ///
 /// No fold runs before the unroller because there is nothing for it to
 /// find: the `IrBuilder` folds every constant expression as it builds, and
 /// a trip count that is not an immediate reaches the skeleton through a
-/// load from its `.omp.distance` / `.capture_expr.` slot, which no fold
-/// sees through. A lowering that wants `unroll full` applied hands the
+/// load from its `.omp.distance` / `.capture_expr.` slot, which is still a
+/// slot then. A lowering that wants `unroll full` applied hands the
 /// skeleton the constant Sema required (`const_trip_count` in `omplt-codegen`).
-const DEFAULT_PIPELINE: [(&str, PassFn); 3] = [
-    ("loop-unroll", |f, stats| {
+const DEFAULT_PIPELINE: [(&str, PassFn); 4] = [
+    ("loop-unroll", |f, ws| {
         let s = loop_unroll(f);
-        stats.full += s.full;
-        stats.partial += s.partial;
-        stats.declined += s.declined;
-        stats.skipped += s.skipped;
+        ws.stats.full += s.full;
+        ws.stats.partial += s.partial;
+        ws.stats.declined += s.declined;
+        ws.stats.skipped += s.skipped;
     }),
     ("simplify-cfg", |f, _| {
         simplify_cfg(f);
+    }),
+    ("promote", |f, ws| {
+        promote(f, &mut ws.promote);
     }),
     ("const-fold", |f, _| {
         constant_fold(f);
@@ -52,7 +63,7 @@ const DEFAULT_PIPELINE: [(&str, PassFn); 3] = [
 /// after every pass; its findings come back tagged with the pass and the
 /// function, and are empty otherwise.
 pub fn run_default_pipeline(m: &mut Module, verify_each: bool) -> (UnrollStats, Vec<VerifyError>) {
-    let mut stats = UnrollStats::default();
+    let mut ws = Workspace::default();
     let mut errors = Vec::new();
     for f in &mut m.functions {
         // Fault site: COUNT selects which function's pipeline panics.
@@ -63,7 +74,7 @@ pub fn run_default_pipeline(m: &mut Module, verify_each: bool) -> (UnrollStats, 
                 if omplt_trace::active() {
                     omplt_trace::count(&format!("midend.pass.{name}.runs"), 1);
                 }
-                pass(f, &mut stats);
+                pass(f, &mut ws);
             }
             if verify_each {
                 let _span = omplt_trace::span_detail("midend.verify-each", name);
@@ -75,7 +86,7 @@ pub fn run_default_pipeline(m: &mut Module, verify_each: bool) -> (UnrollStats, 
             }
         }
     }
-    (stats, errors)
+    (ws.stats, errors)
 }
 
 #[cfg(test)]

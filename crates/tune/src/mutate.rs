@@ -4,9 +4,11 @@
 //! degree of freedom the directive stacks expose: the schedule of each
 //! worksharing directive, the sizes of each `tile`, the factor of each
 //! `unroll`, the permutation of each `interchange`, presence toggles for the
-//! order-changing transformations, the execution backend, and — when the
-//! program has a simd-annotated loop — the `simdlen` hint and the VM's
-//! `--vector-width`. Axis value 0
+//! order-changing transformations, and — when the program has a
+//! simd-annotated loop — the `simdlen` hint and the VM's `--vector-width`.
+//! Candidates run on the session's backend: an interpreter op and a VM op
+//! are different units, so engines are never ranked against each other
+//! (only a vector width, which exists only on the VM, implies it). Axis value 0
 //! is always the *identity* (keep the original configuration), so the
 //! all-identity candidate is the hand-annotated program itself and is always
 //! enumerated first — the tuner can only ever report a configuration at
@@ -54,7 +56,7 @@ impl BackendChoice {
 /// unannotated program; order-changing ones need dependence legality).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AxisKind {
-    /// Schedule kind/chunk, tile sizes, unroll factors, backend choice.
+    /// Schedule kind/chunk, tile sizes, unroll factors, vector widths.
     OrderPreserving,
     /// Interchange permutations, reverse/fuse toggles, stack insertions.
     OrderChanging,
@@ -67,8 +69,6 @@ pub struct AxisValue {
     pub label: String,
     /// Source mutations realizing this value (empty = identity).
     pub mutations: Vec<Mutation>,
-    /// Backend override (the backend axis only).
-    pub backend: Option<BackendChoice>,
     /// `--vector-width` override (the vector-width axis only; implies the
     /// VM backend, since the widening pass lives in the bytecode tier).
     pub vector_width: Option<u8>,
@@ -79,7 +79,6 @@ impl AxisValue {
         AxisValue {
             label: String::new(),
             mutations: Vec::new(),
-            backend: None,
             vector_width: None,
         }
     }
@@ -114,8 +113,6 @@ pub struct EnumConfig {
     pub tile_sizes: Vec<u32>,
     /// `unroll partial(f)` factors tried.
     pub unroll_factors: Vec<u32>,
-    /// Whether to add the interp/vm backend axis.
-    pub explore_backends: bool,
     /// `--vector-width` values tried (and `simdlen` clause candidates) when
     /// the program has a simd-annotated loop; empty disables the axis.
     pub vector_widths: Vec<u8>,
@@ -142,7 +139,6 @@ impl Default for EnumConfig {
             ],
             tile_sizes: vec![2, 4, 8],
             unroll_factors: vec![2, 4, 8],
-            explore_backends: true,
             vector_widths: vec![2, 4, 8],
             insertions: true,
             order_preserving_only: false,
@@ -152,7 +148,7 @@ impl Default for EnumConfig {
 }
 
 /// A fully specified configuration to try: a set of source mutations plus
-/// the backend that executes it.
+/// the vector width that executes it.
 #[derive(Clone, Debug)]
 pub struct Candidate {
     /// Stable enumeration index (ids are dense and deterministic).
@@ -162,10 +158,8 @@ pub struct Candidate {
     pub label: String,
     /// Source mutations (empty for the original program).
     pub mutations: Vec<Mutation>,
-    /// Execution engine for this candidate; `None` inherits whatever the
-    /// session's `--backend` selected.
-    pub backend: Option<BackendChoice>,
-    /// `--vector-width` for this candidate; `None` inherits the session's.
+    /// `--vector-width` for this candidate (which implies the VM); `None`
+    /// inherits the session's width and backend.
     pub vector_width: Option<u8>,
 }
 
@@ -195,7 +189,7 @@ fn permutations(n: usize) -> Vec<Vec<u32>> {
 }
 
 /// Builds the axes for `model` under `cfg`. Deterministic: axes appear in
-/// (site, pragma) order, with the backend and vector-width axes last. Which
+/// (site, pragma) order, with the vector-width axis last. Which
 /// axes a pragma gets is read off its catalog row in `omplt-ast`: the
 /// worksharing flag brings the schedule axis, the simd flag the `simdlen`
 /// axis, and each transformation its own.
@@ -344,20 +338,6 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
     if cfg.order_preserving_only {
         axes.retain(|a| a.kind == AxisKind::OrderPreserving);
     }
-    if cfg.explore_backends {
-        axes.push(Axis {
-            name: "backend".into(),
-            kind: AxisKind::OrderPreserving,
-            values: vec![
-                AxisValue::identity(),
-                AxisValue {
-                    label: "backend=vm".into(),
-                    backend: Some(BackendChoice::Vm),
-                    ..AxisValue::identity()
-                },
-            ],
-        });
-    }
     // Vector-width axis: lane counts the VM's widening pass tries on the
     // program's simd loops. Gated on a simd-annotated pragma actually being
     // present — on any other program every width is a no-op and the axis
@@ -375,7 +355,6 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
             values.push(AxisValue {
                 label: format!("vw={w}"),
                 mutations: Vec::new(),
-                backend: Some(BackendChoice::Vm),
                 vector_width: Some(w),
             });
         }
@@ -391,15 +370,11 @@ pub fn axes_for(model: &SourceModel, cfg: &EnumConfig) -> Vec<Axis> {
 /// Materializes the candidate for one axis-value selection.
 fn build_candidate(axes: &[Axis], sel: &[usize], id: usize) -> Candidate {
     let mut mutations = Vec::new();
-    let mut backend = None;
     let mut vector_width = None;
     let mut labels = Vec::new();
     for (a, &v) in axes.iter().zip(sel) {
         let val = &a.values[v];
         mutations.extend(val.mutations.iter().cloned());
-        if val.backend.is_some() {
-            backend = val.backend;
-        }
         if val.vector_width.is_some() {
             vector_width = val.vector_width;
         }
@@ -416,7 +391,6 @@ fn build_candidate(axes: &[Axis], sel: &[usize], id: usize) -> Candidate {
         id,
         label,
         mutations,
-        backend,
         vector_width,
     }
 }
@@ -612,7 +586,10 @@ mod tests {
         let c0 = e.next().unwrap();
         assert_eq!(c0.label, "original");
         assert_eq!(m.apply(&c0.mutations).unwrap(), SRC);
-        assert_eq!(c0.backend, None, "identity inherits the session backend");
+        assert_eq!(
+            c0.vector_width, None,
+            "identity inherits the session backend"
+        );
     }
 
     #[test]
@@ -664,7 +641,6 @@ mod tests {
         assert_eq!(m.sites[0].pragmas[0].directive, "for simd");
         let cfg = EnumConfig {
             insertions: false,
-            explore_backends: false,
             ..EnumConfig::default()
         };
         let names: Vec<String> = axes_for(&m, &cfg).into_iter().map(|a| a.name).collect();

@@ -7,10 +7,10 @@
 //! * Blocks are linearized in reverse-postorder; branch targets become
 //!   instruction offsets.
 //! * Every SSA value gets a virtual register; phis are eliminated into edge
-//!   copies (with parallel-copy temporaries on multi-phi edges, and critical
-//!   edges from conditional branches split via trampoline blocks).
-//! * Non-escaping scalar `alloca` slots — the locals C frontends emit for
-//!   every variable — are promoted to registers (mem2reg-style), turning the
+//!   copies (through temporaries where one reads what another writes, and
+//!   critical edges from conditional branches split via trampoline blocks).
+//! * The `alloca` slots the mid end left in memory (every one without
+//!   `--opt`) that its rule would promote get a register each, turning the
 //!   hottest loads/stores into register moves.
 //! * Distinct constants are loaded once in an entry prologue, not per use.
 //! * A peephole pass ([`crate::peephole`]) then propagates copies, deletes
@@ -239,71 +239,6 @@ impl Promoted {
     }
 }
 
-/// Finds the scalar `alloca`s that can live in a register: one element, word
-/// or smaller, and used *only* as the direct address of same-typed loads and
-/// stores (never as a stored value, call argument, GEP base, or any other
-/// operand — those escape the slot and force it to stay in guest memory).
-fn promotable_allocas(
-    promoted: &mut Promoted,
-    f: &Function,
-    rpo: &[BlockId],
-    types: &[Option<IrType>],
-) {
-    promoted.slot_reg.clear();
-    promoted.slot_reg.resize(f.insts.len(), 0);
-    let slot_ty = &mut promoted.slot_ty;
-    slot_ty.clear();
-    slot_ty.resize(f.insts.len(), None);
-    for &bb in rpo {
-        for &iid in &f.block(bb).insts {
-            if let Inst::Alloca { ty, count: 1, .. } = f.inst(iid) {
-                if *ty != IrType::Void && (1..=8).contains(&ty.size()) {
-                    slot_ty[iid.0 as usize] = Some(*ty);
-                }
-            }
-        }
-    }
-    let disqualify = |slot_ty: &mut [Option<IrType>], v: Value| {
-        if let Value::Inst(id) = v {
-            slot_ty[id.0 as usize] = None;
-        }
-    };
-    if slot_ty.iter().all(Option::is_none) {
-        return;
-    }
-    for &bb in rpo {
-        for &iid in &f.block(bb).insts {
-            match f.inst(iid) {
-                Inst::Load { ty, ptr } => {
-                    if let Value::Inst(a) = ptr {
-                        if slot_ty[a.0 as usize].is_some_and(|aty| aty != *ty) {
-                            slot_ty[a.0 as usize] = None;
-                        }
-                    }
-                }
-                Inst::Store { val, ptr } => {
-                    disqualify(slot_ty, *val);
-                    if let Value::Inst(a) = ptr {
-                        if slot_ty[a.0 as usize]
-                            .is_some_and(|aty| aty != value_type(types, f, *val))
-                        {
-                            slot_ty[a.0 as usize] = None;
-                        }
-                    }
-                }
-                other => other.for_each_operand(|v| disqualify(slot_ty, v)),
-            }
-        }
-        if let Some(t) = &f.block(bb).term {
-            match t {
-                Terminator::CondBr { cond, .. } => disqualify(slot_ty, *cond),
-                Terminator::Ret(Some(v)) => disqualify(slot_ty, *v),
-                _ => {}
-            }
-        }
-    }
-}
-
 /// Jump-target placeholder, patched once every block offset is known.
 #[derive(Clone, Copy)]
 enum Fixup {
@@ -520,16 +455,17 @@ impl<'a> FuncCompiler<'a> {
     }
 
     /// Emits the copies `edge_copies[pairs]` of one edge with
-    /// simultaneous-assignment semantics: multi-phi edges go through fresh
-    /// temporaries (a phi source may itself be another phi's destination),
-    /// single copies move directly.
+    /// simultaneous-assignment semantics: they move directly unless a phi
+    /// source is another phi's destination, and then through fresh
+    /// temporaries.
     fn emit_edge_moves(&mut self, pairs: Range<usize>) -> Result<(), CompileError> {
-        if pairs.len() == 1 {
-            let (dst, src) = self.edge_copies[pairs.start];
-            if dst != src {
+        let copies = &self.edge_copies[pairs.clone()];
+        let overlap = |&(d, s): &(Reg, Reg)| d != s && copies.iter().any(|c| c.0 == s);
+        if !copies.iter().any(overlap) {
+            for &(dst, src) in copies.iter().filter(|(dst, src)| dst != src) {
                 self.out.ops.push(Op::Mov { dst, src });
             }
-        } else if pairs.len() > 1 {
+        } else {
             let temps = self.edge_copies.len();
             for i in pairs {
                 let (dst, src) = self.edge_copies[i];
@@ -829,7 +765,10 @@ impl<'a> FuncCompiler<'a> {
     ) -> Result<usize, CompileError> {
         self.f = f;
         inst_types(&mut self.inst_ty, f, rpo);
-        promotable_allocas(&mut self.promoted, f, rpo, &self.inst_ty);
+        let types = &self.inst_ty;
+        f.promotable_allocas(rpo, |v| value_type(types, f, v), &mut self.promoted.slot_ty);
+        self.promoted.slot_reg.clear();
+        self.promoted.slot_reg.resize(f.insts.len(), 0);
         let plans = if vector_width >= 2 {
             vectorize::plan_loops(f, &self.promoted, vector_width, stats)
         } else {

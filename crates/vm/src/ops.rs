@@ -678,17 +678,6 @@ impl Op {
         });
     }
 
-    /// Overwrites the destination register (def-coalescing in the peephole
-    /// pass). No-op for ops without one.
-    #[inline]
-    pub fn set_def(&mut self, r: Reg) {
-        self.slots(|s| {
-            if let Slot::RDef(d) = s {
-                *d = r;
-            }
-        });
-    }
-
     /// Rewrites only the registers this op *reads* (copy propagation must
     /// not touch defs — a `Mov` destination can be a live copy-map key).
     /// A call rewrites its own (never shared) slice of `call_args`.
@@ -1116,15 +1105,6 @@ pub(crate) mod tests {
             assert_eq!(
                 pool[0], POOL[0],
                 "map_uses reaches outside the call's own run"
-            );
-
-            let mut coalesced = op;
-            coalesced.set_def(77);
-            assert_eq!(coalesced.def(), row.def.map(|_| 77), "set_def of {op:?}");
-            assert_eq!(
-                uses(coalesced, &POOL),
-                row.uses,
-                "set_def touched a use of {op:?}"
             );
 
             let mut moved = op;

@@ -1,10 +1,11 @@
 //! Pre-regalloc peephole optimization over the flat op stream.
 //!
-//! The lowerer's output is deliberately naive: promoted `alloca` slots turn
-//! every load/store into a `Mov`, phi edges add more copies, and each
-//! loop latch is a `Cmp` feeding a `Br`. In the hot dense-arithmetic loops
-//! the VM exists for, roughly a third of the retired ops were copies —
-//! dispatch overhead with no work attached. Six stages fix that:
+//! The lowerer's output is deliberately naive: every phi becomes a copy on
+//! each incoming edge, a slot it promotes turns each load/store into a
+//! `Mov`, and each loop latch is a `Cmp` feeding a `Br`. In the hot
+//! dense-arithmetic loops the VM exists for, roughly a third of the retired
+//! ops were copies — dispatch overhead with no work attached. Six stages
+//! fix that:
 //!
 //! 1. **Copy propagation** (block-local): uses of a `Mov` destination are
 //!    rewritten to its source until either register is redefined, so the
@@ -14,8 +15,9 @@
 //!    trap on (`sdiv`/`urem`/… by zero, non-additive pointer arithmetic) are
 //!    kept even when dead — deleting them would make the VM succeed where the
 //!    interpreter errors, breaking the differential oracle.
-//! 3. **Writeback coalescing**: `d = <op> …; s = mov d` with `d` dead after
-//!    the `Mov` becomes `s = <op> …`.
+//! 3. **Out of SSA by coalescing**: the two registers of a `Mov` become one
+//!    where neither is written while the other is live, and the `Mov` goes;
+//!    a critical edge's trampoline left holding only its `jmp` goes too.
 //! 4. **Compare/branch fusion**: a `Cmp` immediately feeding the block's
 //!    `Br`, with no other consumer, becomes one [`Op::CmpBr`].
 //! 5. **Fallthrough-jump elision**: a `Jmp` to the op that physically
@@ -61,12 +63,11 @@ pub fn optimize(f: &mut VmFunction) -> usize {
 /// last sweep's solve is therefore exact for the op stream it leaves
 /// behind, and no later stage moves a block's live-in or live-out:
 ///
-/// * writeback coalescing renames the def of `d = <op>` to `s` and deletes
-///   `s = mov d`. `d` is dead after the `Mov`, so either it is not live-out
-///   of the block or a later op of the block redefines it (it stays in the
-///   block's kill set); the two ops are adjacent and an op reads before it
-///   writes, so the uses exposed at the block's top are the same, and `s`
-///   is still defined at that point of the block;
+/// * coalescing merges two registers that do not interfere, and the merged
+///   one is live exactly where either was ([`coalesce_copies`]); the
+///   self-moves it deletes were each where both were live. An emptied
+///   trampoline's one edge moves to where its jump went, which is live-in
+///   what the trampoline was;
 /// * compare/branch fusion deletes a `Cmp` whose result the adjacent `Br`
 ///   alone read and which is not live-out: the fused op reads the `Cmp`'s
 ///   operands where the `Cmp` did, and the one register that leaves the
@@ -84,18 +85,19 @@ pub(crate) fn optimize_in(f: &mut VmFunction, a: &mut Analysis) -> usize {
     if f.ops.is_empty() {
         return 0;
     }
-    a.cfg.build(f);
-    copy_propagate(f, &mut a.copies);
     a.dead.clear();
     a.dead.resize(f.ops.len(), false);
+    a.cfg.build(f, &a.dead);
+    copy_propagate(f, &mut a.copies);
     loop {
         a.live.solve(f, &a.cfg, &a.dead);
         if !eliminate_dead(f, &a.live, &mut a.dead, &mut a.row) {
             break;
         }
     }
-    coalesce_defs(f, &a.live, &mut a.dead, &mut a.row);
-    debug_assert!(a.is_current(f, &a.dead), "@{}: coalesce_defs", f.name);
+    coalesce_copies(f, a);
+    drop_empty_trampolines(f, a);
+    debug_assert!(a.is_current(f, &a.dead), "@{}: coalesce_copies", f.name);
     fuse_cmp_br(f, &a.live, &mut a.dead);
     debug_assert!(a.is_current(f, &a.dead), "@{}: fuse_cmp_br", f.name);
     elide_fallthrough_jumps(f, a);
@@ -224,39 +226,187 @@ fn eliminate_dead(
     changed
 }
 
-/// Coalesces `d = <op> …; s = mov d` into `s = <op> …` when `d` dies at the
-/// `Mov` — the "write the result back into the promoted slot" pattern every
-/// loop-carried variable produces. Safe because every op reads its operands
-/// before writing its destination, so `<op>` may freely read `s`'s old value.
-fn coalesce_defs(f: &mut VmFunction, solved: &Liveness, dead: &mut [bool], live: &mut Vec<u64>) {
-    for b in 0..f.block_starts.len() {
-        let (start, end) = block_range(f, b);
-        live.clear();
-        live.extend_from_slice(solved.live_out(b));
-        for pc in (start..end).rev() {
-            if dead[pc] {
+/// "No op" in the def lists of [`Coalesce`].
+const NONE: u32 = u32::MAX;
+
+/// The buffers of [`coalesce_copies`]: a union-find over registers and the
+/// ops that define each class, as one linked list per class.
+#[derive(Default)]
+pub(crate) struct Coalesce {
+    /// Union-find parent of each register.
+    rep: Vec<Reg>,
+    /// First and last op defining a register of each class (indexed by
+    /// the class's representative), and the next one after each op.
+    def_head: Vec<u32>,
+    def_tail: Vec<u32>,
+    def_next: Vec<u32>,
+}
+
+/// The representative of `r`'s class (with path halving).
+fn find(rep: &mut [Reg], mut r: Reg) -> Reg {
+    while rep[r as usize] != r {
+        rep[r as usize] = rep[rep[r as usize] as usize];
+        r = rep[r as usize];
+    }
+    r
+}
+
+impl Coalesce {
+    /// Appends the def list `first ..= last` to class `r`'s.
+    fn append(&mut self, r: Reg, first: u32, last: u32) {
+        match self.def_tail[r as usize] {
+            NONE => self.def_head[r as usize] = first,
+            t => self.def_next[t as usize] = first,
+        }
+        self.def_tail[r as usize] = last;
+    }
+
+    /// Whether an op defining class `x` — other than a copy from `y`, after
+    /// which both hold one value — sits where class `y` is live: where `y`
+    /// is read before it is written again, or is live out and not written.
+    fn interferes(
+        &mut self,
+        f: &VmFunction,
+        live: &Liveness,
+        dead: &[bool],
+        x: Reg,
+        y: Reg,
+    ) -> bool {
+        let mut next = self.def_head[x as usize];
+        while next != NONE {
+            let at = next as usize;
+            next = self.def_next[at];
+            let b = f.block_starts.partition_point(|&s| s as usize <= at) - 1;
+            let (start, end) = block_range(f, b);
+            // Live after `at` only if live into the block or written before
+            // `at` in it: otherwise a read after `at` would be upward-exposed.
+            let mut def = self.def_head[y as usize];
+            while def != NONE && !(start..at).contains(&(def as usize)) {
+                def = self.def_next[def as usize];
+            }
+            let copy = matches!(f.ops[at], Op::Mov { src, .. } if find(&mut self.rep, src) == y);
+            if copy || (def == NONE && !bit_test(live.live_in(b), y)) {
                 continue;
             }
-            let op = f.ops[pc];
-            if let Op::Mov { dst: s, src: d } = op {
-                let same_class = f.reg_class[s as usize] == f.reg_class[d as usize];
-                if s != d && !bit_test(live, d) && same_class {
-                    // The op before the `Mov` among live ops must be `d`'s def.
-                    let prev = (start..pc).rev().find(|&q| !dead[q]);
-                    if let Some(q) = prev.filter(|&q| f.ops[q].def() == Some(d)) {
-                        f.ops[q].set_def(s);
-                        dead[pc] = true;
-                        // The Mov contributes nothing to liveness now; `q` is
-                        // processed next with its rewritten destination.
-                        continue;
-                    }
+            let mut live_after = bit_test(live.live_out(b), y);
+            for op in (at + 1..end).filter(|&pc| !dead[pc]).map(|pc| f.ops[pc]) {
+                let mut read = false;
+                op.for_each_use(&f.call_args, |r| read |= find(&mut self.rep, r) == y);
+                if read || op.def().is_some_and(|d| find(&mut self.rep, d) == y) {
+                    live_after = read;
+                    break;
                 }
             }
-            if let Some(dd) = op.def() {
-                bit_clear(live, dd);
+            if live_after {
+                return true;
             }
-            op.for_each_use(&f.call_args, |r| bit_set(live, r));
         }
+        false
+    }
+}
+
+/// Out of SSA by coalescing: the two registers of a live `d = mov s` become
+/// one when no def of either sits where the other is live, and the `Mov`,
+/// now a self-move, is deleted. Phi edge copies, their parallel-copy
+/// temporaries and the writeback into a slot register (`d = <op> …; s = mov
+/// d`) all go this way. Argument registers keep their own. The liveness
+/// rows are renamed, not solved again: where the two do not interfere, the
+/// merged register is live exactly where either was.
+fn coalesce_copies(f: &mut VmFunction, a: &mut Analysis) {
+    let Analysis {
+        live,
+        dead,
+        coalesce: c,
+        ..
+    } = a;
+    let n = f.num_regs as usize;
+    c.rep.clear();
+    c.rep.extend(0..n as Reg);
+    for v in [&mut c.def_head, &mut c.def_tail] {
+        v.clear();
+        v.resize(n, NONE);
+    }
+    c.def_next.clear();
+    c.def_next.resize(f.ops.len(), NONE);
+    for pc in (0..f.ops.len()).filter(|&pc| !dead[pc]) {
+        if let Some(d) = f.ops[pc].def() {
+            c.append(d, pc as u32, pc as u32);
+        }
+    }
+    let mut merged = false;
+    for pc in (0..f.ops.len()).filter(|&pc| !dead[pc]) {
+        let Op::Mov { dst, src } = f.ops[pc] else {
+            continue;
+        };
+        let (x, y) = (find(&mut c.rep, dst), find(&mut c.rep, src));
+        if x == y
+            || f.reg_class[x as usize] != f.reg_class[y as usize]
+            || f.params.contains(&x)
+            || f.params.contains(&y)
+            || c.interferes(f, live, dead, x, y)
+            || c.interferes(f, live, dead, y, x)
+        {
+            continue;
+        }
+        let (keep, gone) = (x.min(y), x.max(y));
+        c.rep[gone as usize] = keep;
+        let (head, tail) = (c.def_head[gone as usize], c.def_tail[gone as usize]);
+        if head != NONE {
+            c.append(keep, head, tail);
+        }
+        live.rename(gone, keep);
+        merged = true;
+    }
+    if !merged {
+        return;
+    }
+    for (pc, op) in f.ops.iter_mut().enumerate() {
+        op.map_regs(|r| find(&mut c.rep, r));
+        dead[pc] |= matches!(op, Op::Mov { dst, src } if dst == src);
+    }
+    for r in &mut f.call_args {
+        *r = find(&mut c.rep, *r);
+    }
+}
+
+/// Deletes each block a branch arm is the only way into and whose one live
+/// op is a `jmp` — a critical edge's trampoline whose copies all coalesced
+/// away — and points the arm at the jump's target.
+fn drop_empty_trampolines(f: &mut VmFunction, a: &mut Analysis) {
+    let nb = a.cfg.num_blocks();
+    a.incoming.clear();
+    a.incoming.resize(nb, 0);
+    for &head in a.cfg.edge_heads() {
+        a.incoming[head as usize] += 1;
+    }
+    a.merged.clear();
+    a.merged.resize(nb, false);
+    for b in 0..nb {
+        let (_, br) = block_range(f, b);
+        if !matches!(f.ops[br - 1], Op::Br { .. }) {
+            continue;
+        }
+        for arm in 0..2 {
+            let t = a.cfg.succs(b)[arm] as usize;
+            let (start, end) = block_range(f, t);
+            let Op::Jmp { target } = f.ops[end - 1] else {
+                continue;
+            };
+            let into = a.cfg.succs(t)[0];
+            let emptied = a.dead[start..end - 1].iter().all(|&d| d);
+            if t == 0 || a.incoming[t] != 1 || into as usize == t || !emptied {
+                continue;
+            }
+            if let Op::Br { then_t, else_t, .. } = &mut f.ops[br - 1] {
+                *[then_t, else_t][arm] = target;
+            }
+            a.cfg.set_succ(b, arm, into);
+            a.dead[end - 1] = true;
+            a.merged[t] = true;
+        }
+    }
+    if a.merged.contains(&true) {
+        a.merge_blocks(f, false);
     }
 }
 
@@ -360,13 +510,14 @@ fn elide_fallthrough_jumps(f: &mut VmFunction, a: &mut Analysis) {
         // previous block's `Jmp` to it is that edge.
         let end = f.block_starts[b];
         let jmp = end as usize - 1;
-        if a.incoming[b] == 1 && matches!(f.ops[jmp], Op::Jmp { target } if target == end) {
+        let jumps_here = matches!(f.ops[jmp], Op::Jmp { target } if target == end);
+        if a.incoming[b] == 1 && jumps_here && !a.dead[jmp] {
             a.dead[jmp] = true;
             a.merged[b] = true;
         }
     }
     if a.merged.contains(&true) {
-        a.merge_blocks(f);
+        a.merge_blocks(f, true);
     }
 }
 
@@ -400,11 +551,43 @@ fn compact(f: &mut VmFunction, dead: &[bool], new_off: &mut Vec<u32>) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ops::{PoolConst, RegClass};
     use omplt_interp::RtVal;
     use omplt_ir::{BinOpKind, CmpPred, IrType};
+
+    /// `dst = lhs + rhs` over `i64`.
+    pub(crate) fn add(dst: Reg, lhs: Reg, rhs: Reg) -> Op {
+        let (op, ty) = (BinOpKind::Add, IrType::I64);
+        Op::Bin {
+            op,
+            ty,
+            dst,
+            lhs,
+            rhs,
+        }
+    }
+
+    /// `dst = lhs < rhs` over `i64`, and `br cond, then_t, else_t`.
+    pub(crate) fn slt(dst: Reg, lhs: Reg, rhs: Reg) -> Op {
+        let (pred, ty) = (CmpPred::Slt, IrType::I64);
+        Op::Cmp {
+            pred,
+            ty,
+            dst,
+            lhs,
+            rhs,
+        }
+    }
+
+    pub(crate) fn br(cond: Reg, then_t: u32, else_t: u32) -> Op {
+        Op::Br {
+            cond,
+            then_t,
+            else_t,
+        }
+    }
 
     fn func(ops: Vec<Op>, classes: Vec<RegClass>, block_starts: Vec<u32>) -> VmFunction {
         VmFunction {
@@ -431,13 +614,7 @@ mod tests {
             vec![
                 Op::Const { dst: 0, idx: 0 },
                 Op::Mov { dst: 1, src: 0 },
-                Op::Bin {
-                    op: BinOpKind::Add,
-                    ty: IrType::I64,
-                    dst: 2,
-                    lhs: 1,
-                    rhs: 1,
-                },
+                add(2, 1, 1),
                 Op::Ret { src: Some(2) },
             ],
             vec![RegClass::Int; 3],
@@ -456,19 +633,14 @@ mod tests {
                 Op::Const { dst: 0, idx: 0 },
                 Op::Mov { dst: 1, src: 0 },
                 Op::Const { dst: 0, idx: 0 },
-                Op::Bin {
-                    op: BinOpKind::Add,
-                    ty: IrType::I64,
-                    dst: 2,
-                    lhs: 1,
-                    rhs: 1,
-                },
+                add(2, 1, 1),
                 Op::Ret { src: Some(2) },
             ],
             vec![RegClass::Int; 3],
             vec![0],
         );
-        optimize(&mut f);
+        // (The whole pipeline may merge the two: the second `const` is dead.)
+        copy_propagate(&mut f, &mut Vec::new());
         let bin = f.ops.iter().find(|o| matches!(o, Op::Bin { .. })).unwrap();
         assert!(matches!(bin, Op::Bin { lhs: 1, rhs: 1, .. }), "{bin:?}");
     }
@@ -483,13 +655,7 @@ mod tests {
                 Op::Mov { dst: 1, src: 0 },
                 Op::Const { dst: 0, idx: 0 },
                 Op::Mov { dst: 2, src: 0 },
-                Op::Bin {
-                    op: BinOpKind::Add,
-                    ty: IrType::I64,
-                    dst: 3,
-                    lhs: 1,
-                    rhs: 2,
-                },
+                add(3, 1, 2),
                 Op::Ret { src: Some(3) },
             ],
             vec![RegClass::Int; 4],
@@ -514,13 +680,7 @@ mod tests {
         for i in 0..PAIRS {
             let (prev, m, b) = (2 * i, 2 * i + 1, 2 * i + 2);
             ops.push(Op::Mov { dst: m, src: prev });
-            ops.push(Op::Bin {
-                op: BinOpKind::Add,
-                ty: IrType::I64,
-                dst: b,
-                lhs: m,
-                rhs: m,
-            });
+            ops.push(add(b, m, m));
         }
         ops.push(Op::Ret {
             src: Some(2 * PAIRS),
@@ -586,26 +746,10 @@ mod tests {
                 Op::Const { dst: 0, idx: 0 },
                 Op::Const { dst: 1, idx: 0 },
                 Op::Jmp { target: 3 },
-                Op::Bin {
-                    op: BinOpKind::Add,
-                    ty: IrType::I64,
-                    dst: 2,
-                    lhs: 1,
-                    rhs: 0,
-                },
+                add(2, 1, 0),
                 Op::Mov { dst: 1, src: 2 },
-                Op::Cmp {
-                    pred: CmpPred::Slt,
-                    ty: IrType::I64,
-                    dst: 3,
-                    lhs: 0,
-                    rhs: 0,
-                },
-                Op::Br {
-                    cond: 3,
-                    then_t: 3,
-                    else_t: 7,
-                },
+                slt(3, 0, 0),
+                br(3, 3, 7),
                 Op::Ret { src: Some(1) },
             ],
             vec![RegClass::Int; 4],
@@ -638,25 +782,9 @@ mod tests {
                 Op::Const { dst: 0, idx: 0 },
                 Op::Const { dst: 1, idx: 0 },
                 Op::Jmp { target: 3 },
-                Op::Bin {
-                    op: BinOpKind::Add,
-                    ty: IrType::I64,
-                    dst: 1,
-                    lhs: 1,
-                    rhs: 0,
-                },
-                Op::Cmp {
-                    pred: CmpPred::Slt,
-                    ty: IrType::I64,
-                    dst: 2,
-                    lhs: 1,
-                    rhs: 0,
-                },
-                Op::Br {
-                    cond: 2,
-                    then_t: 3,
-                    else_t: 6,
-                },
+                add(1, 1, 0),
+                slt(2, 1, 0),
+                br(2, 3, 6),
                 Op::Ret { src: Some(1) },
             ],
             vec![RegClass::Int; 3],
@@ -701,13 +829,7 @@ mod tests {
                     then_t: 4,
                     else_t: 6,
                 },
-                Op::Bin {
-                    op: BinOpKind::Add,
-                    ty: IrType::I64,
-                    dst: 1,
-                    lhs: 1,
-                    rhs: 0,
-                },
+                add(1, 1, 0),
                 Op::Jmp { target: 3 },
                 Op::Ret { src: Some(1) },
             ],

@@ -43,7 +43,7 @@ pub(crate) fn block_range(f: &VmFunction, b: usize) -> (usize, usize) {
 /// Successor block indices of every block, read off each block's terminator
 /// op, as one flat list. Block *ranges* are not copied here: they are
 /// `f.block_starts`, which deleting ops remaps without moving an edge, so
-/// only a block merge ([`Analysis::merge_blocks`]) has to touch a `Cfg`.
+/// only merging blocks or retargeting a branch has to touch a `Cfg`.
 #[derive(Default, PartialEq, Debug)]
 pub(crate) struct Cfg {
     /// Block `b`'s successors are `succ[succ_at[b]..succ_at[b + 1]]`.
@@ -52,15 +52,18 @@ pub(crate) struct Cfg {
 }
 
 impl Cfg {
-    /// Reads the block structure of `f` (every block non-empty), reusing
-    /// this value's buffers.
-    pub(crate) fn build(&mut self, f: &VmFunction) {
+    /// Reads the block structure of `f` (every block ends in a terminator
+    /// `dead` does not mask), reusing this value's buffers.
+    pub(crate) fn build(&mut self, f: &VmFunction, dead: &[bool]) {
         self.succ_at.clear();
         self.succ.clear();
         for b in 0..f.block_starts.len() {
             self.succ_at.push(self.succ.len() as u32);
-            let (_, end) = block_range(f, b);
-            f.ops[end - 1].for_each_target(|t| {
+            let (start, end) = block_range(f, b);
+            let term = (start..end)
+                .rfind(|&pc| !dead[pc])
+                .expect("a live terminator");
+            f.ops[term].for_each_target(|t| {
                 let s = match f.block_starts.binary_search(&t) {
                     Ok(i) => i,
                     Err(i) => i - 1,
@@ -77,6 +80,11 @@ impl Cfg {
 
     pub(crate) fn succs(&self, b: usize) -> &[u32] {
         &self.succ[self.succ_at[b] as usize..self.succ_at[b + 1] as usize]
+    }
+
+    /// Makes block `s` the `i`-th successor of block `b`.
+    pub(crate) fn set_succ(&mut self, b: usize, i: usize, s: u32) {
+        self.succ[self.succ_at[b] as usize + i] = s;
     }
 
     /// The head block of every edge, one entry per edge (a `Br` with both
@@ -192,6 +200,21 @@ impl Liveness {
     pub(crate) fn live_out(&self, b: usize) -> &[u64] {
         &self.live_out[b * self.words..(b + 1) * self.words]
     }
+
+    /// Register `gone` becomes `keep` in every row: two registers that do
+    /// not interfere merge into one live exactly where either was.
+    pub(crate) fn rename(&mut self, gone: Reg, keep: Reg) {
+        for row in self
+            .live_in
+            .chunks_exact_mut(self.words)
+            .chain(self.live_out.chunks_exact_mut(self.words))
+        {
+            if bit_test(row, gone) {
+                bit_clear(row, gone);
+                bit_set(row, keep);
+            }
+        }
+    }
 }
 
 /// What the peephole stages and the allocator know about one function — its
@@ -210,11 +233,12 @@ pub(crate) struct Analysis {
     pub(crate) copies: Vec<CopyEntry>,
     pub(crate) new_off: Vec<u32>,
     /// Incoming edges per block, and the blocks
-    /// [`Analysis::merge_blocks`] folds into their predecessor.
+    /// [`Analysis::merge_blocks`] folds into the block before them.
     pub(crate) incoming: Vec<u32>,
     pub(crate) merged: Vec<bool>,
     /// Old block index → new block index during [`Analysis::merge_blocks`].
     remap: Vec<u32>,
+    pub(crate) coalesce: crate::peephole::Coalesce,
     scan: Scan,
 }
 
@@ -237,14 +261,14 @@ struct Scan {
 }
 
 impl Analysis {
-    /// Folds every block `b` with `merged[b]` set into the block before it
-    /// (its only predecessor, whose terminator — a jump to `b` — the caller
-    /// has deleted): `f.block_starts` drops the start, the chain's last
-    /// block donates its successors, and the liveness rows are remapped
-    /// rather than re-solved — a merged block is live-in what its first
-    /// block was and live-out what its last block was, and no other block's
-    /// equations mention the blocks in between.
-    pub(crate) fn merge_blocks(&mut self, f: &mut VmFunction) {
+    /// Folds every block `b` with `merged[b]` set into the block before it:
+    /// `f.block_starts` drops the start and the liveness rows are remapped,
+    /// not re-solved. With `fallthrough`, the block before is `b`'s only
+    /// predecessor and its deleted jump went to `b`: a merged chain is
+    /// live-in what its first block was and live-out, with the successors,
+    /// what its last was. Otherwise no edge enters `b` any more and its jump
+    /// is deleted: the block before keeps its own successors and rows.
+    pub(crate) fn merge_blocks(&mut self, f: &mut VmFunction, fallthrough: bool) {
         let Analysis {
             cfg,
             live,
@@ -254,7 +278,10 @@ impl Analysis {
         } = self;
         let nb = merged.len();
         let w = live.words;
-        let ends_chain = |b: usize| b + 1 == nb || !merged[b + 1];
+        let donates = |b: usize| match fallthrough {
+            true => b + 1 == nb || !merged[b + 1],
+            false => !merged[b],
+        };
         remap.clear();
         let mut kept = 0u32;
         for &m in merged.iter() {
@@ -272,7 +299,7 @@ impl Analysis {
                 f.block_starts[k] = f.block_starts[b];
             }
             let (lo, hi) = (succ_at[b] as usize, succ_at[b + 1] as usize);
-            if ends_chain(b) {
+            if donates(b) {
                 live.live_out.copy_within(b * w..(b + 1) * w, k * w);
                 succ_at[k] = edges as u32;
                 for e in lo..hi {
@@ -296,7 +323,7 @@ impl Analysis {
     /// at each one).
     pub(crate) fn is_current(&self, f: &VmFunction, dead: &[bool]) -> bool {
         let mut fresh = Analysis::default();
-        fresh.cfg.build(f);
+        fresh.cfg.build(f, dead);
         fresh.live.solve(f, &fresh.cfg, dead);
         fresh.cfg == self.cfg
             && fresh.live.live_in == self.live.live_in
@@ -312,8 +339,9 @@ pub fn allocate(f: &mut VmFunction) {
         return;
     }
     let mut a = Analysis::default();
-    a.cfg.build(f);
-    a.live.solve(f, &a.cfg, &vec![false; f.ops.len()]);
+    let live = vec![false; f.ops.len()];
+    a.cfg.build(f, &live);
+    a.live.solve(f, &a.cfg, &live);
     allocate_in(f, &mut a);
 }
 
@@ -449,21 +477,12 @@ mod reference {
             self.words[i / 64] & (1 << (i % 64)) != 0
         }
 
-        /// `self |= (other & !mask)`; returns true if anything changed.
-        fn union_minus(&mut self, other: &BitSet, mask: &BitSet) -> bool {
+        /// `self |= (other & !mask)` (no mask: all of `other`); returns true
+        /// if anything changed.
+        fn union_minus(&mut self, other: &BitSet, mask: Option<&BitSet>) -> bool {
             let mut changed = false;
-            for ((w, &o), &m) in self.words.iter_mut().zip(&other.words).zip(&mask.words) {
-                let new = *w | (o & !m);
-                changed |= new != *w;
-                *w = new;
-            }
-            changed
-        }
-
-        fn union(&mut self, other: &BitSet) -> bool {
-            let mut changed = false;
-            for (w, &o) in self.words.iter_mut().zip(&other.words) {
-                let new = *w | o;
+            for (i, w) in self.words.iter_mut().enumerate() {
+                let new = *w | (other.words[i] & !mask.map_or(0, |m| m.words[i]));
                 changed |= new != *w;
                 *w = new;
             }
@@ -511,11 +530,11 @@ mod reference {
             for b in (0..nb).rev() {
                 for &s in cfg.succs(b) {
                     let inn = live_in[s as usize].clone();
-                    changed |= live_out[b].union(&inn);
+                    changed |= live_out[b].union_minus(&inn, None);
                 }
                 let out = live_out[b].clone();
-                changed |= live_in[b].union_minus(&out, &kill[b]);
-                changed |= live_in[b].union(&gen_set[b]);
+                changed |= live_in[b].union_minus(&out, Some(&kill[b]));
+                changed |= live_in[b].union_minus(&gen_set[b], None);
             }
         }
         (live_in, live_out)
@@ -567,13 +586,7 @@ mod tests {
         let mut f = linear_fn(
             vec![
                 Op::Const { dst: 0, idx: 0 },
-                Op::Bin {
-                    op: BinOpKind::Add,
-                    ty: IrType::I64,
-                    dst: 1,
-                    lhs: 0,
-                    rhs: 0,
-                },
+                crate::peephole::tests::add(1, 0, 0),
                 Op::Const { dst: 2, idx: 0 },
                 Op::Ret { src: Some(2) },
             ],
@@ -616,25 +629,9 @@ mod tests {
                 Op::Const { dst: 0, idx: 0 },
                 Op::Const { dst: 1, idx: 0 },
                 Op::Jmp { target: 3 },
-                Op::Bin {
-                    op: BinOpKind::Add,
-                    ty: IrType::I64,
-                    dst: 1,
-                    lhs: 1,
-                    rhs: 0,
-                },
-                Op::Cmp {
-                    pred: omplt_ir::CmpPred::Slt,
-                    ty: IrType::I64,
-                    dst: 2,
-                    lhs: 1,
-                    rhs: 0,
-                },
-                Op::Br {
-                    cond: 2,
-                    then_t: 3,
-                    else_t: 6,
-                },
+                crate::peephole::tests::add(1, 1, 0),
+                crate::peephole::tests::slt(2, 1, 0),
+                crate::peephole::tests::br(2, 3, 6),
                 Op::Ret { src: Some(1) },
             ],
             3,
@@ -753,13 +750,7 @@ mod tests {
                     let cond = reg(rng);
                     let at = ops.len() - 1;
                     if rng.below(2) == 0 {
-                        ops[at] = Op::Cmp {
-                            pred: omplt_ir::CmpPred::Slt,
-                            ty: IrType::I64,
-                            dst: cond,
-                            lhs: last_def,
-                            rhs: cond,
-                        };
+                        ops[at] = crate::peephole::tests::slt(cond, last_def, cond);
                     }
                     Op::Br {
                         cond,
@@ -799,7 +790,7 @@ mod tests {
                     .map(|op| !op.is_terminator() && rng.below(3) == 0)
                     .collect();
                 let mut a = Analysis::default();
-                a.cfg.build(&f);
+                a.cfg.build(&f, &vec![false; f.ops.len()]);
                 for mask in [vec![false; f.ops.len()], dead] {
                     // One workspace, solved twice: stale rows of the first
                     // solve must not leak into the second.

@@ -16,7 +16,7 @@
 //!    loop must run scalar, or a loop races (`-Wrace`) — an illegal
 //!    mutation is *diagnosed*, never miscompiled, and a doubtful one never
 //!    ranked;
-//! 4. survivors execute serially on their candidate backend, ranked by
+//! 4. survivors execute serially on the session's backend, ranked by
 //!    retired ops (deterministic, so reports are too), under safety rails: a
 //!    fuel budget derived from the baseline's own op count (a mutation that
 //!    blows the program up runs out of fuel instead of hanging the search)
@@ -248,12 +248,12 @@ pub fn autotune(name: &str, source: &str, cfg: &TuneConfig) -> Result<TuneOutcom
             break;
         }
         omplt_trace::count("tuner.candidates", 1);
-        let backend = match c.backend {
+        // A vector width implies the VM — strict: a bytecode compile/verify
+        // failure must fail the candidate, not silently re-measure it on the
+        // interpreter. Everything else runs on the session's backend.
+        let backend = match c.vector_width {
             None => base_opts.backend,
-            Some(BackendChoice::Interp) => Backend::Interp,
-            // Strict: a bytecode compile/verify failure must fail the
-            // candidate, not silently re-measure it on the interpreter.
-            Some(BackendChoice::Vm) => Backend::VmStrict,
+            Some(_) => Backend::VmStrict,
         };
         let choice = match backend {
             Backend::Interp => BackendChoice::Interp,

@@ -264,6 +264,83 @@ fn compiling_a_module_allocates_per_function_only_what_the_module_keeps() {
     );
 }
 
+/// `n` slots and `n` diamonds in a chain, `f(a)`: diamond `k` writes slot
+/// `k` on one arm when `a < k`, and its join reads the slot — the one place
+/// a phi goes. The slots are written first in the entry block.
+fn diamond_chain(m: &mut omplt::ir::Module, n: usize) -> Function {
+    let sink = m.intern("print_i64");
+    let mut f = Function::new("chain", vec![IrType::I64], IrType::Void);
+    let mut b = IrBuilder::new(&mut f);
+    let slots: Vec<Value> = (0..n).map(|_| b.alloca(IrType::I64, 1, "s")).collect();
+    for &slot in &slots {
+        b.store(Value::i64(0), slot);
+    }
+    for (k, &slot) in slots.iter().enumerate() {
+        let (arm, join) = (
+            b.func_mut().add_block("arm"),
+            b.func_mut().add_block("join"),
+        );
+        let taken = b.cmp(omplt::ir::CmpPred::Slt, Value::Arg(0), Value::i64(k as i64));
+        b.cond_br(taken, arm, join);
+        b.set_insert_point(arm);
+        b.store(Value::i64(k as i64), slot);
+        b.br(join);
+        b.set_insert_point(join);
+        let v = b.load(IrType::I64, slot);
+        b.call(sink, vec![v], IrType::Void);
+    }
+    b.ret(None);
+    f
+}
+
+#[test]
+fn promotion_allocates_per_phi_only_its_incoming_list() {
+    let mut m = omplt::ir::Module::new();
+    let mut ws = omplt::midend::Promote::default();
+    // The workspace's buffers grow to the larger function first.
+    omplt::midend::promote(&mut diamond_chain(&mut m, 200), &mut ws);
+    let mut promote = |n: usize| {
+        let mut f = diamond_chain(&mut m, n);
+        let (count, promoted) = allocs(|| omplt::midend::promote(&mut f, &mut ws));
+        assert!(promoted);
+        assert_eq!(verify_function(&f), vec![]);
+        let phis = f.insts.iter().filter(|i| matches!(i, Inst::Phi { .. }));
+        assert_eq!(phis.count(), n, "one phi per join");
+        count
+    };
+    let (small, large) = (promote(20), promote(200));
+    // 180 more phis, and the instruction arena may double once more.
+    assert!(
+        large - small <= 180 + 1,
+        "{small} allocations for 20 slots, {large} for 200"
+    );
+}
+
+/// Release builds only, as above.
+#[cfg(not(debug_assertions))]
+#[test]
+fn coalescing_allocates_nothing_per_copy() {
+    // The chain's phis become copies on the edges into each join, and the
+    // coalescer merges them. A module whose first function is the larger
+    // chain compiles the second on grown buffers: what that costs must not
+    // depend on how many copies it coalesces.
+    let compile = |n: usize| {
+        let mut m = omplt::ir::Module::new();
+        for size in [200, n] {
+            let f = diamond_chain(&mut m, size);
+            m.add_function(f);
+        }
+        omplt::midend::run_default_pipeline(&mut m, false);
+        let (count, module) = allocs(|| omplt::vm::compile_module(&m));
+        assert!(module.expect("compiles").num_ops() > 0);
+        count
+    };
+    // Only a register-file-sized buffer that the allocator hands back as
+    // scratch regrows with the function: a doubling or four from 20 to 200.
+    let (small, large) = (compile(20), compile(200));
+    assert!(large - small <= 4, "{small} allocations for 20, {large} for 200");
+}
+
 /// A preprocessor over `source`, with what it borrows.
 fn preprocess<R>(source: &str, f: impl FnOnce(&mut omplt::lex::Preprocessor<'_>) -> R) -> R {
     let mut fm = omplt::source::FileManager::new();

@@ -5,7 +5,8 @@
 //! * rank the hand-annotated original no better than its own winner (the
 //!   identity is candidate 0, so the winner can only improve on it),
 //! * rediscover the known-best configurations of the two reference
-//!   workloads (stencil: a better schedule; triangular: the VM backend),
+//!   workloads (stencil: a better schedule; triangular: a load-balancing
+//!   schedule), every candidate on the session's backend,
 //! * produce **byte-identical** reports across independent runs,
 //! * respect the evaluation budget,
 //! * prune every illegal candidate with the analysis diagnostics that
@@ -56,16 +57,30 @@ fn winner_never_loses_to_the_hand_annotation() {
 
 #[test]
 fn tuner_rediscovers_known_best_configs() {
-    // Triangular: the imbalanced nest retires roughly half the ops on the
-    // register VM, so with backend exploration on, the known-best config is
-    // a VM candidate — the tuner must land on it.
+    // Triangular: the rows of the imbalanced nest grow with `i`, so the
+    // known-best config hands them out dynamically (`dynamic`/`guided`) —
+    // on the session's engine: an interpreter op and a VM op are different
+    // units, so the tuner never ranks one engine against the other.
     let outcome = tune("triangular_reduction.c", 24, None);
-    let winner = outcome.report.winner().expect("survivor");
-    assert_eq!(
-        winner.backend,
-        BackendChoice::Vm,
-        "triangular winner should run on the VM, got '{}'",
+    let report = &outcome.report;
+    let winner = report.winner().expect("survivor");
+    let Status::Evaluated(m) = &winner.status else {
+        panic!("winner must be evaluated");
+    };
+    assert!(
+        m.ops_retired < report.baseline.ops_retired
+            && ["sched=dynamic", "sched=guided"]
+                .iter()
+                .any(|s| winner.label.contains(s)),
+        "triangular winner should balance the rows, got '{}'",
         winner.label
+    );
+    assert!(
+        report
+            .outcomes
+            .iter()
+            .all(|o| o.backend == BackendChoice::Interp),
+        "every candidate runs on the session's backend"
     );
 
     // Stencil: the hand annotation uses the default static schedule; the

@@ -8,8 +8,9 @@
 //! each backend retires (deterministic: the default team size is fixed and
 //! static chunk assignment is a pure function of it), the widening pass's
 //! outcome at `--vector-width=4`, the OMPLTBC image's size (the benchmark's
-//! `bytecode_bytes`) and checksum on both lowering paths, and what
-//! `vm.compile` emitted, promoted, removed and solved.
+//! `bytecode_bytes`) and checksum on both lowering paths, what `vm.compile`
+//! emitted, promoted, removed and solved, and the ops both backends retire
+//! on the IR the mid end optimised (`--opt`).
 
 use std::path::Path;
 use std::process::Command;
@@ -21,12 +22,14 @@ enum Pin {
     /// The same at `--vector-width` 0 and 4 while emitting an image, each
     /// line prefixed `vw=N`.
     CountersPerWidth(fn(&str) -> bool),
+    /// The same on the interpreter, then on the VM.
+    CountersPerBackend(fn(&str) -> bool),
     /// `vw=N bytes=<size> cksum=<POSIX cksum>` of the image at each width.
     Image,
 }
 
 /// `(file suffix, flags, what is pinned)`.
-const ROWS: [(&str, &[&str], Pin); 9] = [
+const ROWS: [(&str, &[&str], Pin); 10] = [
     (
         "classic.txt",
         &["--counters-json", "--syntax-only"],
@@ -53,6 +56,12 @@ const ROWS: [(&str, &[&str], Pin); 9] = [
         "vm.ops.txt",
         &["--counters-json", "--run", "--backend=vm"],
         Pin::Counters(|n| n == "vm.ops.retired"),
+    ),
+    // What the mid end does to the work: both engines run its promoted IR.
+    (
+        "opt.ops.txt",
+        &["--counters-json", "--run", "--opt"],
+        Pin::CountersPerBackend(|n| n.ends_with("ops.retired")),
     ),
     // Examples without a `simd` loop pin all-zero widening counters: the
     // widener must not touch them.
@@ -159,6 +168,13 @@ fn the_example_corpus_counts_what_its_pins_say() {
         for (suffix, flags, pin) in &ROWS {
             let lines: Vec<String> = match pin {
                 Pin::Counters(keep) => counters(&ompltc(flags, &[], src), *keep),
+                Pin::CountersPerBackend(keep) => ["interp", "vm"]
+                    .into_iter()
+                    .flat_map(|be| {
+                        let backend = [format!("--backend={be}")];
+                        counters(&ompltc(flags, &backend, src), *keep)
+                    })
+                    .collect(),
                 Pin::CountersPerWidth(keep) => [0, 4]
                     .into_iter()
                     .flat_map(|vw| {

@@ -586,7 +586,6 @@ fn order_preserving_mutations_preserve_output_multiset() {
     let cfg = omplt::tune::EnumConfig {
         order_preserving_only: true,
         insertions: false,
-        explore_backends: false,
         ..omplt::tune::EnumConfig::default()
     };
     let mut checked = 0;
