@@ -179,8 +179,9 @@ impl Function {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
-    /// The one rule, for the mid end's promotion and the VM's lowering, of
-    /// which `alloca`s of `blocks` can live in a register: one element of
+    /// The one rule, for the mid end's promotion, of which `alloca`s of
+    /// `blocks` can live in a register (the VM asks it only whether a
+    /// function still needs promoting): one element of
     /// 1–8 bytes, whose address only same-typed loads and stores use (any
     /// other use lets it escape). `slot_ty[i]` becomes the type of each such
     /// `%i`, `None` for every other instruction.

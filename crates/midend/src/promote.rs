@@ -2,17 +2,17 @@
 //! `alloca` slots every lowering emits become SSA values, with pruned phis
 //! on the iterated dominance frontiers of each slot's writes and one walk
 //! down the [`DomTree`] naming every load (Cytron et al.). The slots are
-//! [`Function::promotable_allocas`], the VM lowering's rule too, minus
-//! those a `simd` loop touches ([`keep_simd_slots`]). A load before any
-//! store reads the type's zero, what a fresh `alloca` holds on both engines
-//! (also when it re-executes in a loop); new phis go after a block's own,
-//! so a skeleton's IV phi stays first. [`Promote`] keeps the buffers for a
-//! whole module: per function the pass allocates its CFG tables and one
-//! incoming list per phi, nothing per block, slot or placement round.
+//! [`Function::promotable_allocas`]; the mid end runs the pass under `--opt`,
+//! and the VM on a copy of any function that reaches it unpromoted. A load
+//! before any store reads the type's zero, what a fresh `alloca` holds on
+//! both engines (also when it re-executes in a loop); new phis go after a
+//! block's own, so a skeleton's IV phi stays first. [`Promote`] keeps the
+//! buffers for a whole module: per function the pass allocates its CFG
+//! tables and one incoming list per phi, nothing per block, slot or
+//! placement round.
 
 use crate::domtree::DomTree;
-use crate::loop_info::LoopInfo;
-use omplt_ir::{BlockId, BlockLists, Function, Inst, InstId, IrType, LoopMetadata, Rpo, Value};
+use omplt_ir::{BlockId, BlockLists, Function, Inst, InstId, IrType, Rpo, Value};
 
 /// "No slot" and the walk's "entering" mark.
 const NONE: u32 = u32::MAX;
@@ -66,45 +66,22 @@ fn slot_access(slot_of: &[u32], iid: InstId, inst: &Inst) -> Option<u32> {
     slot_of.get(slot.0 as usize).copied().filter(|&k| k != NONE)
 }
 
-/// The `simd` exception: clears every candidate that a `simd` loop — one
-/// whose latch carries `vectorize_enable` — loads or stores, so that it stays
-/// in memory. The VM's widener plans over slots and cannot yet read phis.
-pub fn keep_simd_slots(f: &Function, dt: &DomTree, slot_ty: &mut [Option<IrType>]) {
-    let simd = |md: &LoopMetadata| md.vectorize_enable;
-    let mut latches = f.blocks.iter().filter_map(|b| b.term.as_ref()?.loop_md());
-    if !latches.any(simd) {
-        return;
-    }
-    for l in LoopInfo::compute(f, dt).with_metadata(f, simd) {
-        for &b in &l.blocks {
-            for &iid in &f.block(b).insts {
-                if let Inst::Load { ptr, .. } | Inst::Store { ptr, .. } = f.inst(iid) {
-                    if let Value::Inst(a) = ptr {
-                        slot_ty[a.0 as usize] = None;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Promotes every non-escaping scalar `alloca` of `f` outside `simd` loops
-/// to SSA values; returns whether any was.
-pub fn promote(f: &mut Function, ws: &mut Promote) -> bool {
+/// Promotes every non-escaping scalar `alloca` of `f` to SSA values;
+/// returns how many it promoted.
+pub fn promote(f: &mut Function, ws: &mut Promote) -> usize {
     let order = ws.rpo.compute(f);
     f.promotable_allocas(order, |v| f.value_type(v), &mut ws.slot_ty);
     if ws.slot_ty.iter().all(Option::is_none) {
-        return false;
+        return 0;
     }
     // A branch back into the entry block would leave its phis no edge for
     // the function's entry.
     let preds = f.predecessors();
     if !preds[0].is_empty() {
-        return false;
+        return 0;
     }
     let nb = f.blocks.len();
     let dt = DomTree::from_cfg(order, &preds, nb);
-    keep_simd_slots(f, &dt, &mut ws.slot_ty);
     ws.slot_of.clear();
     ws.slot_of.resize(f.insts.len(), NONE);
     ws.ty.clear();
@@ -127,9 +104,6 @@ pub fn promote(f: &mut Function, ws: &mut Promote) -> bool {
                 }
             }
         }
-    }
-    if ws.ty.is_empty() {
-        return false;
     }
 
     // Dominance frontiers (Cooper–Harvey–Kennedy): a join block is in the
@@ -269,7 +243,7 @@ pub fn promote(f: &mut Function, ws: &mut Promote) -> bool {
         ws.stack
             .extend(children[b.0 as usize].iter().rev().map(|&c| (c, NONE)));
     }
-    true
+    ws.ty.len()
 }
 
 /// How many phis head `list`.

@@ -9,9 +9,10 @@
 //! * Every SSA value gets a virtual register; phis are eliminated into edge
 //!   copies (through temporaries where one reads what another writes, and
 //!   critical edges from conditional branches split via trampoline blocks).
-//! * The `alloca` slots the mid end left in memory (every one without
-//!   `--opt`) that its rule would promote get a register each, turning the
-//!   hottest loads/stores into register moves.
+//! * SSA is the one input form: a function that still has a slot the mid
+//!   end's rule would promote (every one without `--opt`) is lowered from a
+//!   copy that [`omplt_midend::promote`] rewrote, so every `alloca` that
+//!   reaches the lowerer is memory.
 //! * Distinct constants are loaded once in an entry prologue, not per use.
 //! * A peephole pass ([`crate::peephole`]) then propagates copies, deletes
 //!   dead ops, and fuses compare/branch pairs, and a linear-scan pass
@@ -19,10 +20,10 @@
 //!   [`Analysis`] (CFG + liveness and their buffers).
 //!
 //! Everything the lowerer looks up per instruction is a dense table indexed
-//! by `InstId` — result type, register, promoted slot — filled in one walk
-//! each; the two tables keyed by something sparse (constants, callees) are
-//! sorted vectors. No table is a `HashMap`, so nothing the emitted bytes
-//! depend on has a per-process order.
+//! by `InstId` — result type, register — filled in one walk each; the two
+//! tables keyed by something sparse (constants, callees) are sorted
+//! vectors. No table is a `HashMap`, so nothing the emitted bytes depend on
+//! has a per-process order.
 //!
 //! `compile_module_with` keeps two workspaces for the whole module: one
 //! [`FuncCompiler`], whose tables and output buffers every function reuses,
@@ -41,6 +42,7 @@ use crate::regalloc::{self, Analysis};
 use crate::vectorize;
 use omplt_interp::RtVal;
 use omplt_ir::{BlockId, Function, Inst, InstId, IrType, Module, Rpo, SymbolId, Terminator, Value};
+use omplt_midend::Promote;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -106,16 +108,16 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
     for (i, f) in m.functions.iter().enumerate() {
         fn_index.entry(f.name.as_str()).or_insert(i as u32);
     }
+    let (copies, promoted_total) = promoted_copies(m);
     let mut funcs = Vec::with_capacity(m.functions.len());
-    let mut promoted_total = 0u64;
     let mut removed_total = 0u64;
     let mut stats = vectorize::PlanStats::default();
     let mut analysis = Analysis::default();
     if let Some(first) = m.functions.first() {
         let mut c = FuncCompiler::new(m, first, &fn_index);
-        for f in &m.functions {
-            let (vf, promoted, removed) = c.compile(f, vector_width, &mut stats, &mut analysis)?;
-            promoted_total += promoted as u64;
+        for (f, copy) in m.functions.iter().zip(&copies) {
+            let f = copy.as_ref().unwrap_or(f);
+            let (vf, removed) = c.compile(f, vector_width, &mut stats, &mut analysis)?;
             removed_total += removed as u64;
             funcs.push(vf);
         }
@@ -135,6 +137,24 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
         }
     }
     Ok(vm)
+}
+
+/// The functions of `m` that still have a slot [`Function::promotable_allocas`]
+/// admits (every one without `--opt`), each as a copy the mid end's
+/// [`omplt_midend::promote`] rewrote, `None` for every other function; and
+/// how many slots that promoted.
+fn promoted_copies(m: &Module) -> (Vec<Option<Function>>, u64) {
+    let (mut rpo, mut slot_ty, mut ws) = (Rpo::default(), Vec::new(), Promote::default());
+    let mut promoted = 0;
+    let copies = m.functions.iter().map(|f| {
+        f.promotable_allocas(rpo.compute(f), |v| f.value_type(v), &mut slot_ty);
+        slot_ty.iter().any(Option::is_some).then(|| {
+            let mut copy = f.clone();
+            promoted += omplt_midend::promote(&mut copy, &mut ws) as u64;
+            copy
+        })
+    });
+    (copies.collect(), promoted)
 }
 
 /// Dedup key for constant-pool entries (`RtVal` holds an `f64`, so the pool
@@ -217,28 +237,6 @@ fn value_type(types: &[Option<IrType>], f: &Function, v: Value) -> IrType {
     }
 }
 
-/// The promoted `alloca`s of one function, dense by `InstId`.
-#[derive(Default)]
-pub(crate) struct Promoted {
-    /// Slot type of each promoted alloca; `None` for every other
-    /// instruction.
-    slot_ty: Vec<Option<IrType>>,
-    /// Slot register of each promoted alloca, once `lower` has numbered the
-    /// registers.
-    slot_reg: Vec<Reg>,
-}
-
-impl Promoted {
-    pub(crate) fn contains(&self, id: &InstId) -> bool {
-        self.slot_ty[id.0 as usize].is_some()
-    }
-
-    /// The register standing in for the promoted slot `id`.
-    pub(crate) fn reg(&self, id: InstId) -> Option<Reg> {
-        self.contains(&id).then(|| self.slot_reg[id.0 as usize])
-    }
-}
-
 /// Jump-target placeholder, patched once every block offset is known.
 #[derive(Clone, Copy)]
 enum Fixup {
@@ -262,8 +260,7 @@ pub(crate) struct FuncCompiler<'a> {
     rpo: Rpo,
     /// [`inst_types`] of `f`.
     inst_ty: Vec<Option<IrType>>,
-    pub(crate) promoted: Promoted,
-    /// Register of every non-void, non-promoted instruction, by `InstId`.
+    /// Register of every non-void instruction, by `InstId`.
     inst_reg: Vec<Option<Reg>>,
     /// Pool index and prologue-loaded register of every interned constant.
     consts: SortedMap<ConstKey, (u16, Reg)>,
@@ -308,7 +305,6 @@ impl<'a> FuncCompiler<'a> {
             out,
             rpo: Rpo::default(),
             inst_ty: Vec::new(),
-            promoted: Promoted::default(),
             inst_reg: Vec::new(),
             consts: SortedMap(Vec::new()),
             target_idx: SortedMap(Vec::new()),
@@ -397,7 +393,7 @@ impl<'a> FuncCompiler<'a> {
             Value::Inst(id) => {
                 self.inst_reg[id.0 as usize].ok_or_else(|| CompileError::Malformed {
                     func: self.f.name.clone(),
-                    what: format!("use of void or promoted value %{}", id.0),
+                    what: format!("use of void value %{}", id.0),
                 })
             }
             Value::Arg(i) => {
@@ -418,7 +414,7 @@ impl<'a> FuncCompiler<'a> {
     }
 
     /// The register `lower` numbered the non-void instruction `iid` with.
-    fn dst_of(&self, iid: InstId) -> Reg {
+    pub(crate) fn dst_of(&self, iid: InstId) -> Reg {
         self.inst_reg[iid.0 as usize].expect("non-void instruction has a register")
     }
 
@@ -486,38 +482,18 @@ impl<'a> FuncCompiler<'a> {
         match inst {
             Inst::Phi { .. } => {} // eliminated into edge copies
             Inst::Alloca { ty, count, .. } => {
-                if let Some(slot) = self.promoted.reg(iid) {
-                    // A fresh alloca is zero-initialized; re-executing the
-                    // op (alloca inside a loop) must reset the slot too.
-                    let (key, entry) = const_of(Value::Undef(*ty)).expect("undef is a constant");
-                    let src = self.const_vreg(key, entry)?;
-                    self.out.ops.push(Op::Mov { dst: slot, src });
-                } else {
-                    let bytes = ty.size().max(1) * (*count).max(1);
-                    let bytes = u32::try_from(bytes).map_err(|_| self.err_large("alloca size"))?;
-                    let dst = self.dst_of(iid);
-                    self.out.ops.push(Op::Alloca { dst, bytes });
-                }
+                let bytes = ty.size().max(1) * (*count).max(1);
+                let bytes = u32::try_from(bytes).map_err(|_| self.err_large("alloca size"))?;
+                let dst = self.dst_of(iid);
+                self.out.ops.push(Op::Alloca { dst, bytes });
             }
             Inst::Load { ty, ptr } => {
                 let dst = self.dst_of(iid);
-                if let Value::Inst(a) = ptr {
-                    if let Some(slot) = self.promoted.reg(*a) {
-                        self.out.ops.push(Op::Mov { dst, src: slot });
-                        return Ok(());
-                    }
-                }
                 let addr = self.reg_of(*ptr)?;
                 self.out.ops.push(Op::Load { dst, addr, ty: *ty });
             }
             Inst::Store { val, ptr } => {
                 let src = self.reg_of(*val)?;
-                if let Value::Inst(a) = ptr {
-                    if let Some(slot) = self.promoted.reg(*a) {
-                        self.out.ops.push(Op::Mov { dst: slot, src });
-                        return Ok(());
-                    }
-                }
                 let ty = self.type_of(*val);
                 let addr = self.reg_of(*ptr)?;
                 self.out.ops.push(Op::Store { src, addr, ty });
@@ -637,19 +613,19 @@ impl<'a> FuncCompiler<'a> {
     fn emit_terminator(&mut self, bb: BlockId, term: &Terminator) -> Result<(), CompileError> {
         match term {
             Terminator::Br { target, .. } => {
+                self.edge_copies.clear();
+                let pairs = self.edge_pairs(bb, *target)?;
+                self.emit_edge_moves(pairs)?;
                 // A widened loop's latch re-enters the *scalar* copy of the
                 // header (already emitted — headers precede latches in RPO);
                 // the header's block offset points at the vector preamble,
                 // which must run only on loop entry.
                 if let Some(&off) = self.latch_redirect.get(&bb.0) {
                     self.out.ops.push(Op::Jmp { target: off });
-                    return Ok(());
+                } else {
+                    self.fixups.push(Fixup::Jmp(self.out.ops.len(), *target));
+                    self.out.ops.push(Op::Jmp { target: 0 });
                 }
-                self.edge_copies.clear();
-                let pairs = self.edge_pairs(bb, *target)?;
-                self.emit_edge_moves(pairs)?;
-                self.fixups.push(Fixup::Jmp(self.out.ops.len(), *target));
-                self.out.ops.push(Op::Jmp { target: 0 });
             }
             Terminator::CondBr {
                 cond,
@@ -723,15 +699,15 @@ impl<'a> FuncCompiler<'a> {
     }
 
     /// Lowers, optimizes and allocates `f`; returns the compiled body plus
-    /// the numbers of promoted `alloca` slots and peephole-removed ops (for
-    /// the `vm.compile.promoted` / `vm.compile.peephole.removed` counters).
+    /// the number of peephole-removed ops (the `vm.compile.peephole.removed`
+    /// counter).
     fn compile(
         &mut self,
         f: &'a Function,
         vector_width: u8,
         stats: &mut vectorize::PlanStats,
         analysis: &mut Analysis,
-    ) -> Result<(VmFunction, usize, usize), CompileError> {
+    ) -> Result<(VmFunction, usize), CompileError> {
         // The three stages as child spans of `vm.compile`; without a session
         // this is the one thread-local check the function pays for tracing.
         let traced = omplt_trace::active();
@@ -739,9 +715,9 @@ impl<'a> FuncCompiler<'a> {
 
         let lower = stage("vm.compile.lower");
         let mut rpo = std::mem::take(&mut self.rpo);
-        let promoted = self.lower(f, rpo.compute(f), vector_width, stats);
+        let lowered = self.lower(f, rpo.compute(f), vector_width, stats);
         self.rpo = rpo;
-        let promoted = promoted?;
+        lowered?;
         drop(lower);
 
         let peephole = stage("vm.compile.peephole");
@@ -751,26 +727,21 @@ impl<'a> FuncCompiler<'a> {
         let regalloc = stage("vm.compile.regalloc");
         regalloc::allocate_in(&mut self.out, analysis);
         drop(regalloc);
-        Ok((self.out.clone(), promoted, removed))
+        Ok((self.out.clone(), removed))
     }
 
-    /// IR → naive bytecode over virtual registers, in `out`; returns the
-    /// number of promoted `alloca` slots.
+    /// IR → naive bytecode over virtual registers, in `out`.
     fn lower(
         &mut self,
         f: &'a Function,
         rpo: &[BlockId],
         vector_width: u8,
         stats: &mut vectorize::PlanStats,
-    ) -> Result<usize, CompileError> {
+    ) -> Result<(), CompileError> {
         self.f = f;
         inst_types(&mut self.inst_ty, f, rpo);
-        let types = &self.inst_ty;
-        f.promotable_allocas(rpo, |v| value_type(types, f, v), &mut self.promoted.slot_ty);
-        self.promoted.slot_reg.clear();
-        self.promoted.slot_reg.resize(f.insts.len(), 0);
         let plans = if vector_width >= 2 {
-            vectorize::plan_loops(f, &self.promoted, vector_width, stats)
+            vectorize::plan_loops(f, vector_width, stats)
         } else {
             HashMap::new()
         };
@@ -802,14 +773,9 @@ impl<'a> FuncCompiler<'a> {
             self.new_vreg(RegClass::of(p))?;
         }
 
-        // Then one per SSA value (promoted allocas get their slot register; the
-        // pointer they used to produce never materializes).
+        // Then one per SSA value.
         for &bb in rpo {
             for &iid in &f.block(bb).insts {
-                if let Some(ty) = self.promoted.slot_ty[iid.0 as usize] {
-                    self.promoted.slot_reg[iid.0 as usize] = self.new_vreg(RegClass::of(ty))?;
-                    continue;
-                }
                 let ty = self.inst_ty[iid.0 as usize].expect("typed above");
                 if ty != IrType::Void {
                     self.inst_reg[iid.0 as usize] = Some(self.new_vreg(RegClass::of(ty))?);
@@ -822,12 +788,6 @@ impl<'a> FuncCompiler<'a> {
         // head of the entry block) and no offsets ever need shifting.
         for &bb in rpo {
             for &iid in &f.block(bb).insts {
-                if let Some(ty) = self.promoted.slot_ty[iid.0 as usize] {
-                    // Promoted alloca re-zeroing needs the zero of its class.
-                    let (key, entry) = const_of(Value::Undef(ty)).expect("undef is a constant");
-                    self.const_vreg(key, entry)?;
-                    continue;
-                }
                 let mut failed = None;
                 f.inst(iid).for_each_operand(|v| {
                     if let Some((key, entry)) = const_of(v) {
@@ -895,6 +855,6 @@ impl<'a> FuncCompiler<'a> {
         }
         self.out.num_regs = self.out.reg_class.len() as u16;
         self.out.num_vregs = self.out.vreg_class.len() as u16;
-        Ok(self.promoted.slot_ty.iter().flatten().count())
+        Ok(())
     }
 }

@@ -10,9 +10,10 @@
 //! the rows):
 //!
 //! * [`compile`] — lowers a verified IR [`omplt_ir::Module`] to flat
-//!   bytecode: blocks are linearized in reverse-postorder, SSA values get
-//!   virtual registers (phis become edge copies, hot scalar `alloca` slots
-//!   are promoted to registers mem2reg-style), a peephole pass
+//!   bytecode: a function that still has promotable `alloca` slots is
+//!   lowered from a copy the mid end's `promote` rewrote, blocks are
+//!   linearized in reverse-postorder, SSA values get virtual registers
+//!   (phis become edge copies), a peephole pass
 //!   ([`peephole`]) propagates copies, deletes dead ops, and fuses
 //!   compare/branch pairs, and a linear-scan pass ([`regalloc`]) compacts
 //!   the register file. The per-function analysis is done once: one CFG and

@@ -298,7 +298,7 @@ ops! {
         /// Constant-pool index.
         idx: u16,
     },
-    /// `dst = src` (phi-edge copies, promoted-slot reads/writes).
+    /// `dst = src` (phi-edge copies).
     1 => Mov {
         /// Destination register.
         dst: rdef,

@@ -1,8 +1,7 @@
 //! Pre-regalloc peephole optimization over the flat op stream.
 //!
 //! The lowerer's output is deliberately naive: every phi becomes a copy on
-//! each incoming edge, a slot it promotes turns each load/store into a
-//! `Mov`, and each loop latch is a `Cmp` feeding a `Br`. In the hot
+//! each incoming edge, and each loop latch is a `Cmp` feeding a `Br`. In the hot
 //! dense-arithmetic loops the VM exists for, roughly a third of the retired
 //! ops were copies — dispatch overhead with no work attached. Six stages
 //! fix that:
@@ -307,9 +306,8 @@ impl Coalesce {
 
 /// Out of SSA by coalescing: the two registers of a live `d = mov s` become
 /// one when no def of either sits where the other is live, and the `Mov`,
-/// now a self-move, is deleted. Phi edge copies, their parallel-copy
-/// temporaries and the writeback into a slot register (`d = <op> …; s = mov
-/// d`) all go this way. Argument registers keep their own. The liveness
+/// now a self-move, is deleted. Phi edge copies and their parallel-copy
+/// temporaries (`d = <op> …; s = mov d`) go this way. Argument registers keep their own. The liveness
 /// rows are renamed, not solved again: where the two do not interfere, the
 /// merged register is live exactly where either was.
 fn coalesce_copies(f: &mut VmFunction, a: &mut Analysis) {

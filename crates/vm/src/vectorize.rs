@@ -2,36 +2,39 @@
 //! lane-parallel vector bytecode at a configurable width.
 //!
 //! Layering mirrors a classic inner-loop vectorizer split into *planning*
-//! (pure analysis over the IR, before any bytecode exists) and *emission*
-//! (interleaved with [`crate::compile`]'s normal block walk):
+//! (pure analysis over the SSA form, before any bytecode exists) and
+//! *emission* (interleaved with [`crate::compile`]'s normal block walk):
 //!
-//! * [`plan_loops`] pattern-matches canonical counted loops whose latch
-//!   carries `llvm.loop.vectorize.enable` metadata, classifies every
-//!   promoted stack slot the body touches (induction variable, integer
-//!   reduction, written-before-read temporary, loop-invariant), and picks
-//!   each memory access's form (unit-stride from the linear form
-//!   `coeff·iv + sym + k` of its index, gather/scatter otherwise). Whether
-//!   lanes may run together at all is not decided here: the front end's
-//!   legality gate proved it, and the metadata carries its answer — the
-//!   width is min(`--vector-width`, `simdlen`, `safelen`). A loop whose
-//!   shape the emitter cannot handle is *refused* — it stays scalar and
-//!   `vm.simd.refused` ticks.
+//! * [`plan_loops`] pattern-matches counted loops whose latch carries
+//!   `llvm.loop.vectorize.enable` metadata and classifies the header's phis:
+//!   the induction variable (`{start, +, 1}`, the one the exit test reads),
+//!   integer `+`/`*` reductions (latch value `phi ⊕ e`, the phi's one use),
+//!   and last values (a latch value that does not read the phi, whose exit
+//!   value is lane `w-1`). It picks each memory access's form (unit-stride
+//!   from the linear form `coeff·iv + sym + k` of its index, gather/scatter
+//!   otherwise). Whether lanes may run together at all is not decided here:
+//!   the front end's legality gate proved it, and the metadata carries its
+//!   answer — the width is min(`--vector-width`, `simdlen`, `safelen`). A
+//!   loop whose shape the emitter cannot handle is *refused* — it stays
+//!   scalar and `vm.simd.refused` ticks.
 //! * [`emit_vector_loop`] emits, at the loop-header offset: a preamble
-//!   (accumulator init, trip-count guard), the vector main loop, and an
-//!   exit block (horizontal reduces, last-lane extracts, `VEpi` epilogue
-//!   accounting) that falls through to the untouched scalar loop, which
-//!   runs the remaining `trip mod width` iterations.
+//!   (accumulator init, trip-count guard) reading the phi registers the
+//!   preheader's edge copies set, the vector main loop, and an exit block
+//!   (horizontal reduces, last-lane extracts, `VEpi` epilogue accounting)
+//!   that writes them back and falls through to the untouched scalar loop,
+//!   which runs the remaining `trip mod width` iterations.
 //!
 //! Floating-point reductions are refused on purpose: lane-partial sums
 //! reassociate the reduction, and the VM is held byte-identical to the
 //! scalar interpreter oracle by the backend-differential harness. Integer
 //! (wrapping) add/mul are associative, so those widen.
 
-use crate::compile::{const_of, CompileError, ConstKey, FuncCompiler, Promoted};
+use crate::compile::{const_of, CompileError, ConstKey, FuncCompiler};
 use crate::ops::{Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
 use omplt_interp::RtVal;
 use omplt_ir::{
-    BinOpKind, BlockId, BlockLists, CmpPred, Function, Inst, InstId, IrType, Terminator, Value,
+    BinOpKind, BlockId, BlockLists, CastOp, CmpPred, Function, Inst, InstId, IrType, Terminator,
+    Value,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -45,60 +48,41 @@ pub(crate) struct PlanStats {
     pub refused: u64,
 }
 
-/// What a promoted stack slot does inside the loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SlotRole {
-    /// The loop counter: reads map to the scalar chunk base (addresses) or
-    /// a `VIota` lane vector (data); the increment store is elided.
-    Iv,
-    /// Integer `s = s ⊕ expr` accumulator: lanes accumulate into a vector
-    /// register initialized to the identity, combined by `VReduce` on exit.
-    Reduction(BinOpKind),
-    /// Written before read each iteration: lanes are independent; the exit
-    /// extracts lane `w-1` so the slot holds the last iteration's value.
-    WriteFirst,
-    /// Never stored inside the loop: reads broadcast the scalar register.
-    Invariant,
-}
-
 /// A loop the planner approved for widening.
 pub(crate) struct LoopPlan {
     /// Loop header (the block whose bytecode offset gains the preamble).
     pub header: BlockId,
     /// Latch block (its `Br` backedge is redirected past the preamble).
     pub latch: BlockId,
-    /// Body blocks, header-successor through latch, in chain order.
+    /// Body blocks, exit-test successor through latch, in chain order.
     chain: Vec<BlockId>,
-    /// The induction variable's promoted `alloca`.
-    iv_slot: InstId,
+    /// Every instruction of the header, the exit-test block and the body.
+    loop_insts: HashSet<InstId>,
+    /// The induction variable's header phi.
+    iv: InstId,
     /// Induction variable type (`I32`/`I64`).
     iv_ty: IrType,
-    /// Header comparison predicate (`Slt`/`Ult`/`Sle`/`Ule`).
+    /// Exit-test predicate (`Slt`/`Ult`/`Sle`/`Ule`).
     pred: CmpPred,
-    /// Loop bound value (loop-invariant by construction).
+    /// Loop bound value (defined outside the loop).
     bound: Value,
     /// Chosen width after all clamps (2..=[`MAX_LANES`]).
     width: u8,
     /// The `Gep`s whose accesses widen to `VLoad`/`VStore` (the others
     /// gather and scatter).
     unit_stride: HashSet<InstId>,
-    /// Slot classification; sorted vectors keep emission deterministic.
-    reductions: Vec<(InstId, BinOpKind)>,
-    write_first: Vec<InstId>,
-    roles: HashMap<InstId, SlotRole>,
-    /// Single-store write-first slots: slot -> stored value (see
-    /// [`Planner::wf_value`]).
-    wf_value: HashMap<InstId, Value>,
+    /// Integer reductions: the header phi, its operator, and the `e` of its
+    /// latch value `phi ⊕ e`. Lanes accumulate into a vector started at the
+    /// identity and combined by `VReduce` on exit.
+    reductions: Vec<(InstId, BinOpKind, Value)>,
+    /// Last values: the header phi and its latch value, which lanes compute
+    /// independently; the exit extracts lane `w-1`.
+    last_values: Vec<(InstId, Value)>,
 }
 
 /// Finds every widenable loop of `f`. Keys are header block ids. `width`
 /// is the CLI request; `simdlen`/`safelen` metadata clamp it per loop.
-pub(crate) fn plan_loops(
-    f: &Function,
-    promoted: &Promoted,
-    width: u8,
-    stats: &mut PlanStats,
-) -> HashMap<u32, LoopPlan> {
+pub(crate) fn plan_loops(f: &Function, width: u8, stats: &mut PlanStats) -> HashMap<u32, LoopPlan> {
     let preds = f.predecessors();
     let mut plans: HashMap<u32, LoopPlan> = HashMap::new();
     for (b, block) in f.blocks.iter().enumerate() {
@@ -117,7 +101,7 @@ pub(crate) fn plan_loops(
         let cap = |c: u8| if c == 0 { u8::MAX } else { c };
         let requested = width.min(cap(md.simdlen)).min(cap(md.safelen));
         let requested = requested.min(MAX_LANES as u8);
-        match try_plan(f, &preds, promoted, *header, latch, requested) {
+        match try_plan(f, &preds, *header, latch, requested) {
             Some(plan) if !plans.contains_key(&plan.header.0) => {
                 stats.widened += 1;
                 plans.insert(plan.header.0, plan);
@@ -126,16 +110,6 @@ pub(crate) fn plan_loops(
         }
     }
     plans
-}
-
-/// The slot a load/store address resolves to, if it is a promoted alloca.
-fn slot_of(promoted: &Promoted, f: &Function, ptr: Value) -> Option<InstId> {
-    if let Value::Inst(id) = ptr {
-        if promoted.contains(&id) && matches!(f.inst(id), Inst::Alloca { .. }) {
-            return Some(id);
-        }
-    }
-    None
 }
 
 /// `index = coeff·iv + sym + k`, where `sym` is at most one loop-invariant
@@ -156,17 +130,10 @@ const SYM: Lin = Lin {
 
 struct Planner<'a> {
     f: &'a Function,
-    promoted: &'a Promoted,
-    /// All instructions inside the loop (header + chain).
-    loop_insts: HashSet<InstId>,
-    /// Slots with at least one store inside the loop.
-    stored_slots: HashSet<InstId>,
-    iv_slot: InstId,
-    /// Write-first slots with exactly one store: slot -> stored value.
-    /// Loads of such a slot all follow the store, so analyses may look
-    /// through them to the stored value (the codegen'd user counter
-    /// `i = trunc(iv)` pattern resolves to an affine form this way).
-    wf_value: HashMap<InstId, Value>,
+    /// All instructions inside the loop (header, exit test, body).
+    loop_insts: &'a HashSet<InstId>,
+    /// The induction variable's header phi.
+    iv: InstId,
 }
 
 impl<'a> Planner<'a> {
@@ -185,30 +152,19 @@ impl<'a> Planner<'a> {
                 sym: false,
                 k: val,
             }),
+            Value::Inst(id) if id == self.iv => Some(Lin {
+                coeff: 1,
+                sym: false,
+                k: 0,
+            }),
             Value::Arg(_) => Some(SYM),
             Value::Inst(id) if !self.in_loop(id) => Some(SYM),
             Value::Inst(id) => match self.f.inst(id) {
-                Inst::Load { ptr, .. } => {
-                    let slot = slot_of(self.promoted, self.f, *ptr)?;
-                    if slot == self.iv_slot {
-                        Some(Lin {
-                            coeff: 1,
-                            sym: false,
-                            k: 0,
-                        })
-                    } else if !self.stored_slots.contains(&slot) {
-                        Some(SYM)
-                    } else if let Some(&wv) = self.wf_value.get(&slot) {
-                        self.lin(wv, depth - 1)
-                    } else {
-                        None // lane-varying: not a linear form
-                    }
-                }
                 // Width changes preserve the linear form for in-range
                 // indices; an index that actually wraps would fault both
                 // backends identically long before a chunk spans the wrap.
                 Inst::Cast {
-                    op: omplt_ir::CastOp::SExt | omplt_ir::CastOp::ZExt | omplt_ir::CastOp::Trunc,
+                    op: CastOp::SExt | CastOp::ZExt | CastOp::Trunc,
                     val,
                     ..
                 } => self.lin(*val, depth - 1),
@@ -266,25 +222,15 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Can `v` be re-emitted as a scalar (lane-0) value with `load iv`
-    /// mapped to the chunk-base register?
+    /// Can `v` be re-emitted as a scalar (lane-0) value with the induction
+    /// variable mapped to the chunk base?
     fn scalar_cloneable(&self, v: Value, depth: u8) -> bool {
         if depth == 0 {
             return false;
         }
         match v {
+            Value::Inst(id) if id == self.iv => true,
             Value::Inst(id) if self.in_loop(id) => match self.f.inst(id) {
-                Inst::Load { ptr, .. } => match slot_of(self.promoted, self.f, *ptr) {
-                    Some(s) => {
-                        s == self.iv_slot
-                            || !self.stored_slots.contains(&s)
-                            || self
-                                .wf_value
-                                .get(&s)
-                                .is_some_and(|&wv| self.scalar_cloneable(wv, depth - 1))
-                    }
-                    None => false,
-                },
                 Inst::Bin { lhs, rhs, .. } => {
                     self.scalar_cloneable(*lhs, depth - 1) && self.scalar_cloneable(*rhs, depth - 1)
                 }
@@ -301,20 +247,18 @@ impl<'a> Planner<'a> {
     }
 
     /// Can `v` be computed as a per-lane vector?
-    fn wideable(&self, v: Value, roles: &HashMap<InstId, SlotRole>, depth: u8) -> bool {
+    fn wideable(&self, v: Value, depth: u8) -> bool {
         if depth == 0 {
             return false;
         }
         match v {
+            Value::Inst(id) if id == self.iv => true,
             Value::Inst(id) if self.in_loop(id) => match self.f.inst(id) {
-                Inst::Load { ty, ptr } => match slot_of(self.promoted, self.f, *ptr) {
-                    Some(s) => roles.contains_key(&s) || s == self.iv_slot,
-                    None => self.mem_access_emittable(*ty, *ptr, roles, depth),
-                },
+                Inst::Load { ty, ptr } => self.mem_access_emittable(*ty, *ptr, depth),
                 Inst::Bin { lhs, rhs, .. } => {
-                    self.wideable(*lhs, roles, depth - 1) && self.wideable(*rhs, roles, depth - 1)
+                    self.wideable(*lhs, depth - 1) && self.wideable(*rhs, depth - 1)
                 }
-                Inst::Cast { val, .. } => self.wideable(*val, roles, depth - 1),
+                Inst::Cast { val, .. } => self.wideable(*val, depth - 1),
                 _ => false,
             },
             Value::Inst(_) | Value::Arg(_) => true, // loop-invariant: broadcast
@@ -326,13 +270,7 @@ impl<'a> Planner<'a> {
     /// same pointer in every lane: as a unit-stride `VLoad`/`VStore`
     /// (scalar-cloneable address) or a `VGather`/`VScatter` (cloneable base,
     /// wideable index vector).
-    fn mem_access_emittable(
-        &self,
-        ty: IrType,
-        ptr: Value,
-        roles: &HashMap<InstId, SlotRole>,
-        depth: u8,
-    ) -> bool {
+    fn mem_access_emittable(&self, ty: IrType, ptr: Value, depth: u8) -> bool {
         let Value::Inst(gid) = ptr else { return false };
         if !self.in_loop(gid) {
             return false; // loop-invariant address: uniform access, refused
@@ -353,7 +291,7 @@ impl<'a> Planner<'a> {
             self.scalar_cloneable(ptr, depth - 1)
         } else {
             // Gather: affine-non-unit or opaque per-lane indices.
-            self.scalar_cloneable(*base, depth - 1) && self.wideable(*index, roles, depth - 1)
+            self.scalar_cloneable(*base, depth - 1) && self.wideable(*index, depth - 1)
         }
     }
 
@@ -364,15 +302,12 @@ impl<'a> Planner<'a> {
                 if l.coeff != 0 && l.coeff as i128 * *elem_size as i128 == ty.size() as i128))
     }
 
-    /// Whether a `Gep` base holds the same pointer in every lane: defined
-    /// before the loop, or loaded from a slot the loop never stores.
+    /// Whether a `Gep` base holds the same pointer in every lane: it is
+    /// defined before the loop.
     fn lane_invariant(&self, v: Value) -> bool {
         match v {
             Value::Global(_) | Value::Arg(_) => true,
-            Value::Inst(id) if !self.in_loop(id) => true,
-            Value::Inst(id) => matches!(self.f.inst(id), Inst::Load { ptr, .. }
-                if slot_of(self.promoted, self.f, *ptr)
-                    .is_some_and(|s| s != self.iv_slot && !self.stored_slots.contains(&s))),
+            Value::Inst(id) => !self.in_loop(id),
             _ => false,
         }
     }
@@ -401,7 +336,6 @@ fn use_counts(f: &Function, blocks: &[BlockId]) -> HashMap<InstId, u32> {
 fn try_plan(
     f: &Function,
     preds: &BlockLists<BlockId>,
-    promoted: &Promoted,
     header: BlockId,
     latch: BlockId,
     requested: u8,
@@ -409,12 +343,21 @@ fn try_plan(
     if requested < 2 {
         return None;
     }
-    // --- shape: header is a conditional counted-loop test -----------------
+    // --- shape: entered from the preheader and the latch; the exit test
+    // sits in the header or in the one block the header falls into --------
+    let hp = &preds[header.0 as usize];
+    if hp.len() != 2 || !hp.contains(&latch) {
+        return None;
+    }
+    let test = match &f.block(header).term {
+        Some(Terminator::Br { target, .. }) if preds[target.0 as usize].len() == 1 => *target,
+        _ => header,
+    };
     let Some(Terminator::CondBr {
         cond: Value::Inst(cmp_id),
         then_bb,
         ..
-    }) = &f.block(header).term
+    }) = &f.block(test).term
     else {
         return None;
     };
@@ -427,39 +370,23 @@ fn try_plan(
     ) {
         return None;
     }
-    // lhs must load the induction slot.
-    let Value::Inst(iv_load) = lhs else {
-        return None;
+    // The test compares the induction variable, a header phi.
+    let Value::Inst(iv) = *lhs else { return None };
+    let iv_ty = match f.inst(iv) {
+        Inst::Phi { ty, .. } if f.block(header).insts.contains(&iv) => *ty,
+        _ => return None,
     };
-    let Inst::Load { ptr, ty: iv_ty } = f.inst(*iv_load) else {
-        return None;
-    };
-    let iv_slot = slot_of(promoted, f, *ptr)?;
     if !matches!(iv_ty, IrType::I32 | IrType::I64) {
         return None;
     }
-    // Header preds: exactly the preheader and the latch.
-    let hp = &preds[header.0 as usize];
-    if hp.len() != 2 || !hp.contains(&latch) {
-        return None;
-    }
-    // Header holds only promoted-slot loads plus the comparison.
-    for &iid in &f.block(header).insts {
-        let ok = iid == *cmp_id
-            || matches!(f.inst(iid), Inst::Load { ptr, .. }
-                        if slot_of(promoted, f, *ptr).is_some());
-        if !ok {
-            return None;
-        }
-    }
-    // --- shape: straight-line body chain from header to latch -------------
+    // --- shape: straight-line body chain from the test to the latch -------
     let mut chain = Vec::new();
     let mut cur = *then_bb;
     loop {
-        if cur == header || chain.contains(&cur) || chain.len() > 128 {
+        if cur == header || cur == test || chain.contains(&cur) || chain.len() > 128 {
             return None;
         }
-        let expected_pred = *chain.last().unwrap_or(&header);
+        let expected_pred = *chain.last().unwrap_or(&test);
         let cp = &preds[cur.0 as usize];
         if cp.len() != 1 || cp[0] != expected_pred {
             return None;
@@ -477,170 +404,88 @@ fn try_plan(
         }
     }
 
-    // --- gather loop contents ---------------------------------------------
+    // --- loop contents: the header and the test compute phis and pure
+    // values; the body no phi, call, select or alloca ---------------------
     let mut loop_blocks = vec![header];
+    if test != header {
+        loop_blocks.push(test);
+    }
     loop_blocks.extend(chain.iter().copied());
     let mut loop_insts = HashSet::new();
     for &bb in &loop_blocks {
+        let in_body = chain.contains(&bb);
         for &iid in &f.block(bb).insts {
+            let allowed = match f.inst(iid) {
+                Inst::Phi { .. } => bb == header,
+                Inst::Load { .. } | Inst::Store { .. } => in_body,
+                Inst::Gep { .. } | Inst::Bin { .. } | Inst::Cmp { .. } | Inst::Cast { .. } => true,
+                Inst::Alloca { .. } | Inst::Select { .. } | Inst::Call { .. } => false,
+            };
+            if !allowed {
+                return None;
+            }
             loop_insts.insert(iid);
         }
     }
-    // Per-slot access lists in textual order.
-    let mut stored_slots: HashSet<InstId> = HashSet::new();
-    let mut slot_acc: HashMap<InstId, Vec<(usize, bool, InstId)>> = HashMap::new();
-    let body_insts = chain.iter().flat_map(|&bb| &f.block(bb).insts);
-    for (pos, &iid) in body_insts.enumerate() {
-        match f.inst(iid) {
-            Inst::Phi { .. } | Inst::Call { .. } | Inst::Select { .. } | Inst::Alloca { .. } => {
-                return None;
-            }
-            Inst::Load { ptr, .. } => {
-                if let Some(s) = slot_of(promoted, f, *ptr) {
-                    slot_acc.entry(s).or_default().push((pos, false, iid));
-                }
-            }
-            // Storing a slot's *address* would have disqualified promotion
-            // already; a store to a non-slot is a memory store.
-            Inst::Store { ptr, .. } => {
-                if let Some(s) = slot_of(promoted, f, *ptr) {
-                    stored_slots.insert(s);
-                    slot_acc.entry(s).or_default().push((pos, true, iid));
-                }
-            }
-            _ => {}
-        }
-    }
-    // Header slot loads (bound etc.) mark their slots as read-only users;
-    // they never store, so no entry needed beyond the invariant default.
-
-    let mut p = Planner {
+    let p = Planner {
         f,
-        promoted,
-        loop_insts,
-        stored_slots,
-        iv_slot,
-        wf_value: HashMap::new(),
+        loop_insts: &loop_insts,
+        iv,
     };
 
-    // --- bound must be loop-invariant and available pre-loop ---------------
+    // --- bound must be defined before the loop -----------------------------
     let bound = *rhs;
     match bound {
-        Value::Inst(id) if p.in_loop(id) => {
-            // Permitted only as a header load of an un-stored slot.
-            let Inst::Load { ptr, .. } = f.inst(id) else {
-                return None;
-            };
-            let s = slot_of(promoted, f, *ptr)?;
-            if s == iv_slot || p.stored_slots.contains(&s) {
-                return None;
-            }
-        }
+        Value::Inst(id) if p.in_loop(id) => return None,
         Value::Inst(_) | Value::Arg(_) => {}
         other => {
             const_of(other)?;
         }
     }
 
-    // --- classify slots ----------------------------------------------------
+    // --- classify the header phis -------------------------------------------
     let uses = use_counts(f, &loop_blocks);
-    let mut roles: HashMap<InstId, SlotRole> = HashMap::new();
-    roles.insert(iv_slot, SlotRole::Iv);
-    // The induction variable: exactly one store, of `load iv + 1`.
-    {
-        let acc = slot_acc.get(&iv_slot)?;
-        let stores: Vec<_> = acc.iter().filter(|(_, st, _)| *st).collect();
-        if stores.len() != 1 {
-            return None;
-        }
-        let Inst::Store { val, .. } = f.inst(stores[0].2) else {
-            return None;
+    let uses_of = |id: InstId| uses.get(&id).copied().unwrap_or(0);
+    let mut reductions = Vec::new();
+    let mut last_values = Vec::new();
+    for &phi in &f.block(header).insts {
+        let Inst::Phi { ty, incoming } = f.inst(phi) else {
+            break;
         };
-        let Value::Inst(bid) = val else { return None };
-        let Inst::Bin {
-            op: BinOpKind::Add,
-            lhs,
-            rhs,
-        } = f.inst(*bid)
-        else {
-            return None;
+        let (_, next) = *incoming.iter().find(|(b, _)| *b == latch)?;
+        let is_phi = |v: Value| v == Value::Inst(phi);
+        // `phi ⊕ e` computed in the loop.
+        let carried = match next {
+            Value::Inst(b) if p.in_loop(b) => match f.inst(b) {
+                Inst::Bin { op, lhs, rhs } if is_phi(*lhs) => Some((b, *op, *rhs)),
+                Inst::Bin { op, lhs, rhs } if is_phi(*rhs) => Some((b, *op, *lhs)),
+                _ => None,
+            },
+            _ => None,
         };
-        let is_iv_load = |v: Value| match v {
-            Value::Inst(l) => matches!(f.inst(l), Inst::Load { ptr, .. }
-                                       if slot_of(promoted, f, *ptr) == Some(iv_slot)),
-            _ => false,
-        };
-        let step_one = |v: Value| matches!(v, Value::ConstInt { val: 1, .. });
-        if !((is_iv_load(*lhs) && step_one(*rhs)) || (is_iv_load(*rhs) && step_one(*lhs))) {
-            return None;
-        }
-        // The lane vector holds the *pre-increment* iv; a load placed after
-        // the increment store would observe iv+1 and must refuse.
-        let store_pos = stores[0].0;
-        if acc.iter().any(|(pos, st, _)| !*st && *pos > store_pos) {
-            return None;
-        }
-    }
-    for (&slot, acc) in &slot_acc {
-        if slot == iv_slot {
-            continue;
-        }
-        let any_store = acc.iter().any(|(_, st, _)| *st);
-        if !any_store {
-            roles.insert(slot, SlotRole::Invariant);
-            continue;
-        }
-        let first_is_store = acc.first().is_some_and(|(_, st, _)| *st);
-        if first_is_store {
-            roles.insert(slot, SlotRole::WriteFirst);
-            let stores: Vec<_> = acc.iter().filter(|(_, st, _)| *st).collect();
-            if stores.len() == 1 {
-                if let Inst::Store { val, .. } = f.inst(stores[0].2) {
-                    p.wf_value.insert(slot, *val);
+        match carried {
+            // The induction variable: `{start, +, 1}`.
+            Some((_, BinOpKind::Add, Value::ConstInt { val: 1, .. })) if phi == iv => {}
+            _ if phi == iv => return None,
+            // An integer reduction: the phi has that one use, and nothing
+            // else in the loop reads the running value.
+            Some((b, op, e)) => {
+                let ok = matches!(op, BinOpKind::Add | BinOpKind::Mul)
+                    && ty.is_int()
+                    && uses_of(phi) == 1
+                    && uses_of(b) == 1
+                    && p.wideable(e, 16);
+                if !ok {
+                    return None; // float reductions reassociate: refuse
                 }
+                reductions.push((phi, op, e));
             }
-            continue;
-        }
-        // Read-before-write: only the integer reduction idiom is legal.
-        let loads: Vec<_> = acc.iter().filter(|(_, st, _)| !*st).collect();
-        let stores: Vec<_> = acc.iter().filter(|(_, st, _)| *st).collect();
-        if loads.len() != 1 || stores.len() != 1 || loads[0].0 > stores[0].0 {
-            return None;
-        }
-        let (load_id, store_id) = (loads[0].2, stores[0].2);
-        let Inst::Store { val, .. } = f.inst(store_id) else {
-            return None;
-        };
-        let Value::Inst(bid) = val else { return None };
-        let Inst::Bin { op, lhs, rhs } = f.inst(*bid) else {
-            return None;
-        };
-        if !matches!(op, BinOpKind::Add | BinOpKind::Mul) {
-            return None; // float reductions reassociate: refuse
-        }
-        let uses_load = |v: Value| v == Value::Inst(load_id);
-        if !(uses_load(*lhs) ^ uses_load(*rhs)) {
-            return None;
-        }
-        if uses.get(&load_id).copied().unwrap_or(0) != 1 || uses.get(bid).copied().unwrap_or(0) != 1
-        {
-            return None;
-        }
-        if !f.value_type(*val).is_int() {
-            return None;
-        }
-        roles.insert(slot, SlotRole::Reduction(*op));
-    }
-    // Slots loaded only in the header (e.g. the bound) are invariant. A
-    // header load of a loop-stored slot other than the iv would observe the
-    // *previous* iteration's value, which no role models — refuse.
-    for &iid in &f.block(header).insts {
-        if let Inst::Load { ptr, .. } = f.inst(iid) {
-            if let Some(s) = slot_of(promoted, f, *ptr) {
-                if s != iv_slot && p.stored_slots.contains(&s) {
+            // A last value: no iteration reads the one before it.
+            None => {
+                if uses_of(phi) != 0 || !p.wideable(next, 16) {
                     return None;
                 }
-                roles.entry(s).or_insert(SlotRole::Invariant);
+                last_values.push((phi, next));
             }
         }
     }
@@ -655,32 +500,12 @@ fn try_plan(
                 unit_stride.insert(gid);
             }
         }
-        p.mem_access_emittable(ty, ptr, &roles, 16)
+        p.mem_access_emittable(ty, ptr, 16)
     };
     for iid in chain.iter().flat_map(|&bb| &f.block(bb).insts) {
         let emittable = match f.inst(*iid) {
-            Inst::Load { ty, ptr } => slot_of(promoted, f, *ptr).is_some() || memory(*ty, *ptr),
-            Inst::Store { val, ptr } => match slot_of(promoted, f, *ptr) {
-                None => p.wideable(*val, &roles, 16) && memory(f.value_type(*val), *ptr),
-                Some(s) if s == iv_slot => true,
-                // The non-accumulator operand must widen.
-                Some(s) if matches!(roles.get(&s), Some(SlotRole::Reduction(_))) => {
-                    let Value::Inst(bid) = val else { return None };
-                    let Inst::Bin { lhs, rhs, .. } = f.inst(*bid) else {
-                        return None;
-                    };
-                    [*lhs, *rhs].into_iter().all(|side| {
-                        let is_acc_load = matches!(side, Value::Inst(l)
-                            if matches!(f.inst(l), Inst::Load { ptr, .. }
-                                        if slot_of(promoted, f, *ptr) == Some(s)));
-                        is_acc_load || p.wideable(side, &roles, 16)
-                    })
-                }
-                Some(s) => {
-                    matches!(roles.get(&s), Some(SlotRole::WriteFirst))
-                        && p.wideable(*val, &roles, 16)
-                }
-            },
+            Inst::Load { ty, ptr } => memory(*ty, *ptr),
+            Inst::Store { val, ptr } => p.wideable(*val, 16) && memory(f.value_type(*val), *ptr),
             _ => true,
         };
         if !emittable {
@@ -688,34 +513,19 @@ fn try_plan(
         }
     }
 
-    let mut reductions: Vec<(InstId, BinOpKind)> = roles
-        .iter()
-        .filter_map(|(&s, r)| match r {
-            SlotRole::Reduction(op) => Some((s, *op)),
-            _ => None,
-        })
-        .collect();
-    reductions.sort_by_key(|(s, _)| *s);
-    let mut write_first: Vec<InstId> = roles
-        .iter()
-        .filter_map(|(&s, r)| matches!(r, SlotRole::WriteFirst).then_some(s))
-        .collect();
-    write_first.sort();
-
     Some(LoopPlan {
         header,
         latch,
         chain,
-        iv_slot,
-        iv_ty: *iv_ty,
+        loop_insts,
+        iv,
+        iv_ty,
         pred: *pred,
         bound,
         width: requested,
         unit_stride,
         reductions,
-        write_first,
-        roles,
-        wf_value: p.wf_value,
+        last_values,
     })
 }
 
@@ -724,12 +534,11 @@ fn try_plan(
 struct Widener<'a, 'b> {
     c: &'a mut FuncCompiler<'b>,
     plan: &'a LoopPlan,
-    /// Scalar chunk-base induction register (`iv` of lane 0).
+    /// Scalar chunk-base induction register (`iv` of lane 0): the IV phi's
+    /// own register.
     riv: Reg,
     /// Lane vector `riv + [0, 1, …, w-1]`, refreshed each chunk.
     ivec: VReg,
-    /// Accumulator / temporary vector per reduction and write-first slot.
-    acc: HashMap<InstId, VReg>,
     /// Scalar clones of loop instructions (per-chunk, lane-0 values).
     scalar_map: HashMap<InstId, Reg>,
     /// Vector values of loop instructions (per-chunk).
@@ -738,12 +547,22 @@ struct Widener<'a, 'b> {
     bcast: HashMap<Reg, VReg>,
     /// Constants materialized for this loop (preamble-dominated).
     consts: HashMap<ConstKey, Reg>,
-    loop_insts: HashSet<InstId>,
 }
 
 impl<'a, 'b> Widener<'a, 'b> {
     fn w(&self) -> u8 {
         self.plan.width
+    }
+
+    fn in_loop(&self, id: InstId) -> bool {
+        self.plan.loop_insts.contains(&id)
+    }
+
+    fn malformed(&self, what: String) -> CompileError {
+        CompileError::Malformed {
+            func: self.c.f.name.clone(),
+            what,
+        }
     }
 
     fn int_const(&mut self, v: i64) -> Result<Reg, CompileError> {
@@ -756,40 +575,16 @@ impl<'a, 'b> Widener<'a, 'b> {
         Ok(r)
     }
 
-    fn slot_reg(&self, slot: InstId) -> Reg {
-        self.c
-            .promoted
-            .reg(slot)
-            .expect("planned slots are promoted")
-    }
-
     /// Scalar (lane-0 / chunk-base) register for `v`, cloning loop
-    /// instructions with `load iv` mapped to `riv`.
+    /// instructions with the induction variable mapped to `riv`.
     fn scalar_of(&mut self, v: Value) -> Result<Reg, CompileError> {
         match v {
-            Value::Inst(id) if self.loop_insts.contains(&id) => {
+            Value::Inst(id) if id == self.plan.iv => Ok(self.riv),
+            Value::Inst(id) if self.in_loop(id) => {
                 if let Some(&r) = self.scalar_map.get(&id) {
                     return Ok(r);
                 }
                 let r = match self.c.f.inst(id).clone() {
-                    Inst::Load { ptr, .. } => match self.lookup_slot(ptr) {
-                        Some(slot) if slot == self.plan.iv_slot => self.riv,
-                        Some(slot) => {
-                            if let Some(&wv) = self.plan.wf_value.get(&slot) {
-                                // Write-first slot: lane 0 re-derives the
-                                // stored value at the chunk base.
-                                self.scalar_of(wv)?
-                            } else {
-                                self.slot_reg(slot)
-                            }
-                        }
-                        None => {
-                            return Err(CompileError::Malformed {
-                                func: self.c.f.name.clone(),
-                                what: "widener cannot scalarize a memory load".into(),
-                            })
-                        }
-                    },
                     Inst::Bin { op, lhs, rhs } => {
                         let ty = self.c.f.value_type(lhs);
                         let l = self.scalar_of(lhs)?;
@@ -836,10 +631,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                         dst
                     }
                     other => {
-                        return Err(CompileError::Malformed {
-                            func: self.c.f.name.clone(),
-                            what: format!("widener cannot scalarize {other:?}"),
-                        })
+                        return Err(self.malformed(format!("widener cannot scalarize {other:?}")))
                     }
                 };
                 self.scalar_map.insert(id, r);
@@ -859,10 +651,6 @@ impl<'a, 'b> Widener<'a, 'b> {
         }
     }
 
-    fn lookup_slot(&self, ptr: Value) -> Option<InstId> {
-        slot_of(&self.c.promoted, self.c.f, ptr)
-    }
-
     fn broadcast(&mut self, r: Reg, class: RegClass) -> Result<VReg, CompileError> {
         if let Some(&v) = self.bcast.get(&r) {
             return Ok(v);
@@ -879,29 +667,14 @@ impl<'a, 'b> Widener<'a, 'b> {
 
     /// Per-lane vector register for `v`.
     fn vec_of(&mut self, v: Value) -> Result<VReg, CompileError> {
-        let malformed = |c: &FuncCompiler, what: String| CompileError::Malformed {
-            func: c.f.name.clone(),
-            what,
-        };
         match v {
-            Value::Inst(id) if self.loop_insts.contains(&id) => {
+            Value::Inst(id) if id == self.plan.iv => Ok(self.ivec),
+            Value::Inst(id) if self.in_loop(id) => {
                 if let Some(&vr) = self.vec_map.get(&id) {
                     return Ok(vr);
                 }
                 let vr = match self.c.f.inst(id).clone() {
-                    Inst::Load { ty, ptr } => match self.lookup_slot(ptr) {
-                        Some(slot) if slot == self.plan.iv_slot => self.ivec,
-                        Some(slot) => match self.plan.roles.get(&slot) {
-                            Some(SlotRole::Reduction(_)) | Some(SlotRole::WriteFirst) => {
-                                self.acc[&slot]
-                            }
-                            _ => {
-                                let r = self.slot_reg(slot);
-                                self.broadcast(r, RegClass::of(ty))?
-                            }
-                        },
-                        None => self.widen_mem_load(ty, ptr)?,
-                    },
+                    Inst::Load { ty, ptr } => self.widen_mem_load(ty, ptr)?,
                     Inst::Bin { op, lhs, rhs } => {
                         let ty = self.c.f.value_type(lhs);
                         let l = self.vec_of(lhs)?;
@@ -932,10 +705,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                         dst
                     }
                     other => {
-                        return Err(malformed(
-                            self.c,
-                            format!("widener cannot vectorize {other:?}"),
-                        ))
+                        return Err(self.malformed(format!("widener cannot vectorize {other:?}")))
                     }
                 };
                 self.vec_map.insert(id, vr);
@@ -949,50 +719,72 @@ impl<'a, 'b> Widener<'a, 'b> {
         }
     }
 
-    /// A widened memory load: unit-stride `VLoad` or per-lane `VGather`.
-    fn widen_mem_load(&mut self, ty: IrType, ptr: Value) -> Result<VReg, CompileError> {
-        let Value::Inst(gid) = ptr else {
-            return Err(CompileError::Malformed {
-                func: self.c.f.name.clone(),
-                what: "widened load without gep address".into(),
-            });
+    /// The `Gep` a widened access goes through, as `(base, index, element
+    /// size)`.
+    fn gep_of(&self, ptr: Value) -> Result<(Value, Value, u32), CompileError> {
+        let gep = match ptr {
+            Value::Inst(gid) => self.c.f.inst(gid),
+            _ => return Err(self.malformed("widened access without gep address".into())),
         };
         let Inst::Gep {
             ptr: base,
             index,
             elem_size,
-        } = self.c.f.inst(gid).clone()
+        } = *gep
         else {
-            return Err(CompileError::Malformed {
-                func: self.c.f.name.clone(),
-                what: "widened load without gep address".into(),
-            });
+            return Err(self.malformed("widened access without gep address".into()));
         };
         let es32 = u32::try_from(elem_size).map_err(|_| self.c.err_large("gep element size"))?;
+        Ok((base, index, es32))
+    }
+
+    /// A widened memory load: unit-stride `VLoad` or per-lane `VGather`.
+    fn widen_mem_load(&mut self, ty: IrType, ptr: Value) -> Result<VReg, CompileError> {
+        let (base, index, elem_size) = self.gep_of(ptr)?;
+        let w = self.w();
         if self.unit_stride(ptr) {
             let addr = self.scalar_of(ptr)?;
-            let dst = self.c.new_vvreg(RegClass::of(ty), self.w())?;
-            self.c.out.ops.push(Op::VLoad {
-                dst,
-                addr,
-                ty,
-                w: self.w(),
-            });
+            let dst = self.c.new_vvreg(RegClass::of(ty), w)?;
+            self.c.out.ops.push(Op::VLoad { dst, addr, ty, w });
             Ok(dst)
         } else {
-            let b = self.scalar_of(base)?;
+            let base = self.scalar_of(base)?;
             let idx = self.vec_of(index)?;
-            let dst = self.c.new_vvreg(RegClass::of(ty), self.w())?;
+            let dst = self.c.new_vvreg(RegClass::of(ty), w)?;
             self.c.out.ops.push(Op::VGather {
-                elem_size: es32,
+                elem_size,
                 dst,
-                base: b,
+                base,
                 idx,
                 ty,
-                w: self.w(),
+                w,
             });
             Ok(dst)
         }
+    }
+
+    /// A widened memory store: unit-stride `VStore` or per-lane `VScatter`.
+    fn widen_store(&mut self, val: Value, ptr: Value) -> Result<(), CompileError> {
+        let ty = self.c.f.value_type(val);
+        let src = self.vec_of(val)?;
+        let w = self.w();
+        if self.unit_stride(ptr) {
+            let addr = self.scalar_of(ptr)?;
+            self.c.out.ops.push(Op::VStore { src, addr, ty, w });
+        } else {
+            let (base, index, elem_size) = self.gep_of(ptr)?;
+            let base = self.scalar_of(base)?;
+            let idx = self.vec_of(index)?;
+            self.c.out.ops.push(Op::VScatter {
+                elem_size,
+                src,
+                base,
+                idx,
+                ty,
+                w,
+            });
+        }
+        Ok(())
     }
 
     /// Whether the planner chose the unit-stride form for this address.
@@ -1008,29 +800,19 @@ impl<'a, 'b> Widener<'a, 'b> {
 pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<(), CompileError> {
     let w = plan.width;
     let f = c.f;
-    let mut loop_insts: HashSet<InstId> = HashSet::new();
-    for &bb in std::iter::once(&plan.header).chain(plan.chain.iter()) {
-        for &iid in &f.block(bb).insts {
-            loop_insts.insert(iid);
-        }
-    }
-    let iv_reg = c
-        .promoted
-        .reg(plan.iv_slot)
-        .expect("planned slots are promoted");
-    let riv = c.new_vreg(RegClass::Int)?;
+    // The phi registers hold the loop's entry values: the preheader's edge
+    // copies set them before jumping here.
+    let riv = c.dst_of(plan.iv);
     let ivec = c.new_vvreg(RegClass::Int, w)?;
     let mut wd = Widener {
         c,
         plan,
         riv,
         ivec,
-        acc: HashMap::new(),
         scalar_map: HashMap::new(),
         vec_map: HashMap::new(),
         bcast: HashMap::new(),
         consts: HashMap::new(),
-        loop_insts,
     };
 
     // --- preamble (same bytecode block as the header offset) ---------------
@@ -1043,10 +825,6 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         None
     };
     let bound_reg = wd.scalar_of(plan.bound)?;
-    wd.c.out.ops.push(Op::Mov {
-        dst: riv,
-        src: iv_reg,
-    });
     let n_main = wd.c.new_vreg(RegClass::Int)?;
     wd.c.out.ops.push(Op::Bin {
         op: BinOpKind::Sub,
@@ -1055,30 +833,26 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         lhs: bound_reg,
         rhs: wm1_const,
     });
-    for &(slot, op) in &plan.reductions {
+    // One accumulator per carried phi: a reduction starts at its identity,
+    // a last value at the phi's entry value (what the exit keeps when no
+    // chunk runs).
+    let mut acc = Vec::with_capacity(plan.reductions.len() + plan.last_values.len());
+    for &(_, op, _) in &plan.reductions {
         let identity = match op {
             BinOpKind::Mul => 1,
             _ => 0,
         };
-        let id_reg = wd.int_const(identity)?;
-        let acc = wd.c.new_vvreg(RegClass::Int, w)?;
-        wd.c.out.ops.push(Op::VBroadcast {
-            dst: acc,
-            src: id_reg,
-            w,
-        });
-        wd.acc.insert(slot, acc);
+        let src = wd.int_const(identity)?;
+        let dst = wd.c.new_vvreg(RegClass::Int, w)?;
+        wd.c.out.ops.push(Op::VBroadcast { dst, src, w });
+        acc.push(dst);
     }
-    for &slot in &plan.write_first {
-        let r = wd.slot_reg(slot);
-        let class = wd.c.out.reg_class[r as usize];
-        let acc = wd.c.new_vvreg(class, w)?;
-        wd.c.out.ops.push(Op::VBroadcast {
-            dst: acc,
-            src: r,
-            w,
-        });
-        wd.acc.insert(slot, acc);
+    for &(phi, _) in &plan.last_values {
+        let src = wd.c.dst_of(phi);
+        let class = wd.c.out.reg_class[src as usize];
+        let dst = wd.c.new_vvreg(class, w)?;
+        wd.c.out.ops.push(Op::VBroadcast { dst, src, w });
+        acc.push(dst);
     }
     // Guard: `bound >= w-1` keeps `bound - (w-1)` from wrapping for
     // unsigned loops (and from overflowing near the signed minimum); a
@@ -1124,106 +898,39 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         base: riv,
         w,
     });
-    // Per-chunk caches start fresh: everything emitted below re-executes
-    // each chunk, so chunk-dependent values may not leak across iterations.
-    wd.scalar_map.clear();
-    wd.vec_map.clear();
-    wd.bcast.clear();
-    for bb in &plan.chain {
-        for &iid in &f.block(*bb).insts {
-            // Memory loads widen *eagerly* at their textual position:
-            // demand-driven emission could float a load past an aliasing
-            // same-iteration store (the front end's legality gate treats
-            // same-iteration pairs as ordered by position). Arithmetic stays
-            // demand-driven.
-            if let Inst::Load { ptr, .. } = f.inst(iid) {
-                if wd.lookup_slot(*ptr).is_none() {
-                    wd.vec_of(Value::Inst(iid))?;
-                }
-                continue;
+    // Memory accesses widen *eagerly* at their textual position:
+    // demand-driven emission could float a load past an aliasing
+    // same-iteration store (the front end's legality gate treats
+    // same-iteration pairs as ordered by position). Arithmetic stays
+    // demand-driven.
+    for iid in plan.chain.iter().flat_map(|&bb| &f.block(bb).insts) {
+        match *f.inst(*iid) {
+            Inst::Load { .. } => {
+                wd.vec_of(Value::Inst(*iid))?;
             }
-            let Inst::Store { val, ptr } = f.inst(iid) else {
-                continue;
-            };
-            let (val, ptr) = (*val, *ptr);
-            if let Some(slot) = wd.lookup_slot(ptr) {
-                if slot == plan.iv_slot {
-                    continue; // increment handled by riv += w
-                }
-                match plan.roles.get(&slot) {
-                    Some(SlotRole::Reduction(op)) => {
-                        let Value::Inst(bid) = val else {
-                            unreachable!()
-                        };
-                        let Inst::Bin { lhs, rhs, .. } = f.inst(bid) else {
-                            unreachable!()
-                        };
-                        let is_acc_load = |v: Value| {
-                            matches!(v, Value::Inst(l)
-                                if matches!(f.inst(l), Inst::Load { ptr, .. }
-                                    if wd.lookup_slot(*ptr) == Some(slot)))
-                        };
-                        let expr = if is_acc_load(*lhs) { *rhs } else { *lhs };
-                        let e = wd.vec_of(expr)?;
-                        let acc = wd.acc[&slot];
-                        let ty = f.value_type(val);
-                        wd.c.out.ops.push(Op::VBin {
-                            op: *op,
-                            ty,
-                            dst: acc,
-                            lhs: acc,
-                            rhs: e,
-                            w,
-                        });
-                        // The scalar bin/load feeding this store were not
-                        // demanded; lanes accumulate independently.
-                    }
-                    Some(SlotRole::WriteFirst) => {
-                        let v = wd.vec_of(val)?;
-                        let acc = wd.acc[&slot];
-                        // Later reads of this slot in the same chunk load
-                        // through `acc`, which now holds the new lanes.
-                        wd.c.out.ops.push(Op::VMov {
-                            dst: acc,
-                            src: v,
-                            w,
-                        });
-                    }
-                    _ => unreachable!("planned store to unclassified slot"),
-                }
-            } else {
-                let ty = f.value_type(val);
-                let src = wd.vec_of(val)?;
-                if wd.unit_stride(ptr) {
-                    let addr = wd.scalar_of(ptr)?;
-                    wd.c.out.ops.push(Op::VStore { src, addr, ty, w });
-                } else {
-                    let Value::Inst(gid) = ptr else {
-                        unreachable!()
-                    };
-                    let Inst::Gep {
-                        ptr: base,
-                        index,
-                        elem_size,
-                    } = f.inst(gid).clone()
-                    else {
-                        unreachable!()
-                    };
-                    let es32 =
-                        u32::try_from(elem_size).map_err(|_| wd.c.err_large("gep element size"))?;
-                    let b = wd.scalar_of(base)?;
-                    let idx = wd.vec_of(index)?;
-                    wd.c.out.ops.push(Op::VScatter {
-                        elem_size: es32,
-                        src,
-                        base: b,
-                        idx,
-                        ty,
-                        w,
-                    });
-                }
-            }
+            Inst::Store { val, ptr } => wd.widen_store(val, ptr)?,
+            _ => {}
         }
+    }
+    // Then the carried values: lanes fold their `e` into a reduction's
+    // accumulator, and a last value's accumulator takes the chunk's lanes.
+    for (k, &(phi, op, e)) in plan.reductions.iter().enumerate() {
+        let rhs = wd.vec_of(e)?;
+        let ty = f.value_type(Value::Inst(phi));
+        let dst = acc[k];
+        wd.c.out.ops.push(Op::VBin {
+            op,
+            ty,
+            dst,
+            lhs: dst,
+            rhs,
+            w,
+        });
+    }
+    for (k, &(_, next)) in plan.last_values.iter().enumerate() {
+        let src = wd.vec_of(next)?;
+        let dst = acc[plan.reductions.len() + k];
+        wd.c.out.ops.push(Op::VMov { dst, src, w });
     }
     wd.c.out.ops.push(Op::Bin {
         op: BinOpKind::Add,
@@ -1234,47 +941,35 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     });
     wd.c.out.ops.push(Op::Jmp { target: vcond_off });
 
-    // --- vexit --------------------------------------------------------------
+    // --- vexit: the phi registers take the vector loop's values ----------
     let vexit_off = wd.c.out.ops.len() as u32;
     wd.c.mark_block_start();
-    for &(slot, op) in &plan.reductions {
-        let acc = wd.acc[&slot];
-        let slot_reg = wd.slot_reg(slot);
+    for (k, &(phi, op, _)) in plan.reductions.iter().enumerate() {
+        let phi_reg = wd.c.dst_of(phi);
+        let ty = f.value_type(Value::Inst(phi));
         let red = wd.c.new_vreg(RegClass::Int)?;
-        // The slot's int width: reductions were planned on the stored
-        // value's type; re-derive it from the slot's alloca.
-        let ty = match f.inst(slot) {
-            Inst::Alloca { ty, .. } => *ty,
-            _ => unreachable!(),
-        };
         wd.c.out.ops.push(Op::VReduce {
             op,
             ty,
             dst: red,
-            src: acc,
+            src: acc[k],
             w,
         });
         wd.c.out.ops.push(Op::Bin {
             op,
             ty,
-            dst: slot_reg,
-            lhs: slot_reg,
+            dst: phi_reg,
+            lhs: phi_reg,
             rhs: red,
         });
     }
-    for &slot in &plan.write_first {
-        let acc = wd.acc[&slot];
-        let slot_reg = wd.slot_reg(slot);
+    for (k, &(phi, _)) in plan.last_values.iter().enumerate() {
         wd.c.out.ops.push(Op::VExtract {
-            dst: slot_reg,
-            src: acc,
+            dst: wd.c.dst_of(phi),
+            src: acc[plan.reductions.len() + k],
             lane: w - 1,
         });
     }
-    wd.c.out.ops.push(Op::Mov {
-        dst: iv_reg,
-        src: riv,
-    });
     let epi = wd.c.new_vreg(RegClass::Int)?;
     wd.c.out.ops.push(Op::Bin {
         op: BinOpKind::Sub,

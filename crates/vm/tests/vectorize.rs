@@ -394,3 +394,74 @@ fn width_four_halves_retired_ops() {
         "expected >=2x retired-op cut at width 4: scalar={s} vector={v}"
     );
 }
+
+/// `main`, built in SSA form: `for (i = 0; i < n; i++) { b[i] = a[i + 1];
+/// last = a[i + 1] * 3; }`, returning `last * 1000 + b[n - 1]` (`last`
+/// starts at 7). The header carries the IV and `last`, a last value; the
+/// body reads `i + 1`, the IV's own latch value. The exit test sits in its
+/// own block, as in the canonical skeleton.
+fn last_value_loop(n: i64) -> Module {
+    let mut m = Module::new();
+    let mut f = Function::new("main", vec![], IrType::I64);
+    {
+        let mut b = IrBuilder::new(&mut f);
+        let a_arr = b.alloca(IrType::I64, (n + 1) as u64, "a");
+        let b_arr = b.alloca(IrType::I64, n.max(1) as u64, "b");
+        for k in 0..=n {
+            let p = b.gep(a_arr, Value::i64(k), 8);
+            b.store(Value::i64(k * k - 5), p);
+        }
+        let entry = b.insert_block();
+        let hdr = b.create_block("hdr");
+        let cond = b.create_block("cond");
+        let body = b.create_block("body");
+        let exit = b.create_block("exit");
+        b.br(hdr);
+        b.set_insert_point(hdr);
+        let (iv, iv_phi) = b.phi(IrType::I64);
+        let (last, last_phi) = b.phi(IrType::I64);
+        b.br(cond);
+        b.set_insert_point(cond);
+        let more = b.cmp(CmpPred::Slt, iv, Value::i64(n));
+        b.cond_br(more, body, exit);
+        b.set_insert_point(body);
+        let next = b.add(iv, Value::i64(1));
+        let src = b.gep(a_arr, next, 8);
+        let v = b.load(IrType::I64, src);
+        let dst = b.gep(b_arr, iv, 8);
+        b.store(v, dst);
+        let tripled = b.mul(v, Value::i64(3));
+        b.br_with_md(hdr, simd_md());
+        b.add_phi_incoming(iv_phi, entry, Value::i64(0));
+        b.add_phi_incoming(iv_phi, body, next);
+        b.add_phi_incoming(last_phi, entry, Value::i64(7));
+        b.add_phi_incoming(last_phi, body, tripled);
+        b.set_insert_point(exit);
+        let probe = b.gep(b_arr, Value::i64((n - 1).max(0)), 8);
+        let pv = b.load(IrType::I64, probe);
+        let scaled = b.mul(last, Value::i64(1000));
+        let r = b.add(scaled, pv);
+        b.ret(Some(r));
+    }
+    m.add_function(f);
+    m
+}
+
+#[test]
+fn a_last_value_leaves_the_loop_with_its_last_lane() {
+    for n in [0i64, 1, 3, 4, 5, 8, 17] {
+        let m = last_value_loop(n);
+        let scalar = compile_module(&m).expect("scalar compiles");
+        let want = run(&scalar, &m);
+        for w in [2u8, 4, 8] {
+            let (vec, counters) = counters_of(|| compile_module_with(&m, w).expect("compiles"));
+            assert_eq!(
+                counters.get("vm.simd.widened_loops"),
+                Some(&1),
+                "n={n} w={w}"
+            );
+            assert!(verify_module(&vec).is_empty(), "n={n} w={w}");
+            assert_eq!(run(&vec, &m), want, "n={n} width={w} diverged");
+        }
+    }
+}

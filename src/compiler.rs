@@ -229,10 +229,10 @@ impl CompilerInstance {
         Ok(r.module)
     }
 
-    /// Runs the mid-end pipeline (LoopUnroll, SimplifyCfg, ConstFold). With
-    /// `verify_each` set, the full verifier (structural + canonical-loop
-    /// skeleton invariants) re-checks every function after every pass and
-    /// reports violations as error diagnostics.
+    /// Runs the mid-end pipeline (LoopUnroll, SimplifyCfg, Promote,
+    /// ConstFold). With `verify_each` set, the full verifier (structural +
+    /// canonical-loop skeleton invariants) re-checks every function after
+    /// every pass and reports violations as error diagnostics.
     pub fn optimize(&self, module: &mut Module) -> omplt_midend::UnrollStats {
         let _span = omplt_trace::span("midend");
         omplt_fault::set_stage("midend");

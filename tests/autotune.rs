@@ -188,7 +188,10 @@ fn vector_width_axis_rediscovers_widening() {
     // loop the VM widens. The grid's vector-width axis must (a) keep the
     // unmutated hand annotation as candidate 0 — the scalar baseline every
     // ranked report is anchored to — and (b) land the winner on a widened
-    // VM candidate that retires well under half the baseline's ops.
+    // VM candidate that retires well under the baseline's ops. The baseline
+    // runs promoted IR too, so what the winner saves is the lanes alone:
+    // under 0.6× the baseline, as the widened VM retires under 0.6× the
+    // scalar VM.
     let outcome = tune("saxpy_simd.c", 12, None);
     let report = &outcome.report;
 
@@ -213,8 +216,8 @@ fn vector_width_axis_rediscovers_widening() {
         panic!("winner must be evaluated");
     };
     assert!(
-        m.ops_retired * 2 < report.baseline.ops_retired,
-        "width-4 lanes should at least halve the retired-op score \
+        m.ops_retired * 5 < report.baseline.ops_retired * 3,
+        "width-4 lanes should cut the retired-op score below 0.6x \
          (winner {} vs baseline {})",
         m.ops_retired,
         report.baseline.ops_retired

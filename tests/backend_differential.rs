@@ -378,11 +378,11 @@ int main(void) {\n\
 #[test]
 fn simd_width_transform_matrix_agrees() {
     // The vector tier's acceptance matrix: `simd` alone and composed with
-    // tile, unroll, and worksharing, at every vector width — byte-identical
-    // against the interpreter whether the widening pass fires or refuses
-    // (compositions that land a non-canonical loop under the simd metadata
-    // are refused per loop and run scalar; the differential cannot tell and
-    // must not care).
+    // tile, unroll, and worksharing, at every vector width, on the IR as
+    // lowered and as the mid end optimised it — byte-identical against the
+    // interpreter whether the widening pass fires or refuses (compositions
+    // that land a non-canonical loop under the simd metadata are refused per
+    // loop and run scalar; the differential cannot tell and must not care).
     let cases = [
         (
             "simd",
@@ -471,14 +471,16 @@ fn simd_width_transform_matrix_agrees() {
         for mode in MODES {
             for threads in [1u32, 4] {
                 for width in [0u8, 2, 4, 8] {
-                    let base = Options {
-                        codegen_mode: mode,
-                        num_threads: threads,
-                        vector_width: width,
-                        ..Options::default()
-                    };
-                    let label = format!("{name} {mode:?} t{threads} w{width}");
-                    assert_backends_agree(src, base, false, &label);
+                    for optimize in [false, true] {
+                        let base = Options {
+                            codegen_mode: mode,
+                            num_threads: threads,
+                            vector_width: width,
+                            ..Options::default()
+                        };
+                        let label = format!("{name} {mode:?} t{threads} w{width} opt={optimize}");
+                        assert_backends_agree(src, base, optimize, &label);
+                    }
                 }
             }
         }
@@ -505,25 +507,31 @@ fn simd_gather_case_agrees_and_widens() {
          \x20 return 0;\n\
          }\n";
 
-    let mut ci = CompilerInstance::new(Options {
-        vector_width: 4,
-        ..Options::default()
-    });
-    let tu = ci.parse_source("gather.c", src).expect("parse");
-    let module = ci.codegen(&tu).expect("codegen");
-    let code = ci.compile_bytecode(&module).expect("bytecode");
-    let disasm: String = code.funcs.iter().map(omplt::vm::disasm).collect();
-    assert!(
-        disasm.contains("vgather"),
-        "stride-2 subscript should widen through a gather:\n{disasm}"
-    );
-
-    for width in [0u8, 2, 4, 8] {
-        let base = Options {
-            vector_width: width,
+    for optimize in [false, true] {
+        let mut ci = CompilerInstance::new(Options {
+            vector_width: 4,
             ..Options::default()
-        };
-        assert_backends_agree(src, base, false, &format!("gather w{width}"));
+        });
+        let tu = ci.parse_source("gather.c", src).expect("parse");
+        let mut module = ci.codegen(&tu).expect("codegen");
+        if optimize {
+            ci.optimize(&mut module);
+        }
+        let code = ci.compile_bytecode(&module).expect("bytecode");
+        let disasm: String = code.funcs.iter().map(omplt::vm::disasm).collect();
+        assert!(
+            disasm.contains("vgather"),
+            "stride-2 subscript should widen through a gather (opt={optimize}):\n{disasm}"
+        );
+
+        for width in [0u8, 2, 4, 8] {
+            let base = Options {
+                vector_width: width,
+                ..Options::default()
+            };
+            let label = format!("gather w{width} opt={optimize}");
+            assert_backends_agree(src, base, optimize, &label);
+        }
     }
 }
 
@@ -564,22 +572,25 @@ fn dense_simd_kernels_agree_at_every_width_and_width_four_halves_saxpy_ops() {
          \x20 return 0;\n\
          }}\n"
     );
-    let retired = |name: &str, src: &str| {
+    let retired = |name: &str, src: &str, optimize: bool| {
         [0u8, 2, 4, 8].map(|width| {
             let base = Options {
                 num_threads: 1,
                 vector_width: width,
                 ..Options::default()
             };
-            assert_backends_agree(src, base, false, &format!("{name} w{width}")).ops_retired
+            let label = format!("{name} w{width} opt={optimize}");
+            assert_backends_agree(src, base, optimize, &label).ops_retired
         })
     };
-    retired("dot", &dot);
-    let [scalar, _, w4, _] = retired("saxpy", &saxpy);
-    assert!(
-        w4 * 2 <= scalar,
-        "saxpy at width 4 retired {w4}, the scalar VM {scalar}"
-    );
+    for optimize in [false, true] {
+        retired("dot", &dot, optimize);
+        let [scalar, _, w4, _] = retired("saxpy", &saxpy, optimize);
+        assert!(
+            w4 * 2 <= scalar,
+            "saxpy at width 4 (opt={optimize}) retired {w4}, the scalar VM {scalar}"
+        );
+    }
 }
 
 /// A `float` constant is a `float`. The VM promotes a stack slot to a

@@ -7,8 +7,9 @@
 //! representation (experiment C1), the dependence-analysis counters, the ops
 //! each backend retires (deterministic: the default team size is fixed and
 //! static chunk assignment is a pure function of it), the widening pass's
-//! outcome at `--vector-width=4`, the OMPLTBC image's size (the benchmark's
-//! `bytecode_bytes`) and checksum on both lowering paths, what `vm.compile`
+//! outcome at `--vector-width=4` on both lowering paths, the OMPLTBC
+//! image's size (the benchmark's `bytecode_bytes`) and checksum on both
+//! lowering paths, what `vm.compile`
 //! emitted, promoted, removed and solved, and the ops both backends retire
 //! on the IR the mid end optimised (`--opt`).
 
@@ -29,7 +30,7 @@ enum Pin {
 }
 
 /// `(file suffix, flags, what is pinned)`.
-const ROWS: [(&str, &[&str], Pin); 10] = [
+const ROWS: [(&str, &[&str], Pin); 11] = [
     (
         "classic.txt",
         &["--counters-json", "--syntax-only"],
@@ -72,6 +73,18 @@ const ROWS: [(&str, &[&str], Pin); 10] = [
             "--run",
             "--backend=vm",
             "--vector-width=4",
+        ],
+        Pin::Counters(|n| n.starts_with("vm.simd.") || n == "vm.ops.retired"),
+    ),
+    // The same on the irbuilder skeleton, whose IV is a phi from the start.
+    (
+        "vm.simd.irbuilder.txt",
+        &[
+            "--counters-json",
+            "--run",
+            "--backend=vm",
+            "--vector-width=4",
+            "--enable-irbuilder",
         ],
         Pin::Counters(|n| n.starts_with("vm.simd.") || n == "vm.ops.retired"),
     ),

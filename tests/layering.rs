@@ -34,7 +34,7 @@ const DAG: [(&str, &[&str]); 15] = [
     ("source", &["trace"]),
     ("trace", &[]),
     ("tune", &["ast", "trace"]),
-    ("vm", &["fault", "interp", "ir", "trace"]),
+    ("vm", &["fault", "interp", "ir", "midend", "trace"]),
 ];
 
 /// The `omplt-*` entries of a manifest's `[dependencies]` table, sorted.

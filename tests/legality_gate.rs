@@ -523,9 +523,7 @@ fn simd_lanes_are_decided_once_on_every_entrance() {
             ];
             let widened = run(&with(&[&vm4[..], &[flag.as_str()]].concat()));
             assert_eq!(widened.stdout, oracle.stdout, "{md}");
-            // The IrBuilder skeleton's phi counter is a loop shape the
-            // widener does not take yet: it keeps those loops scalar.
-            let lanes_at_4 = p.lanes_at_4.filter(|_| lowering.is_none());
+            let lanes_at_4 = p.lanes_at_4;
             let json = std::fs::read_to_string(&counters).unwrap();
             let loops = u64::from(lanes_at_4.is_some());
             assert_eq!(counter(&json, "vm.simd.widened_loops"), Some(loops), "{md}");

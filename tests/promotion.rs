@@ -5,14 +5,12 @@
 //! * A local read before any write reads zero — what a fresh `alloca` holds,
 //!   also when it re-executes inside a loop.
 //! * A local whose address escapes keeps its `alloca`.
-//! * A slot a `simd` loop touches stays in memory, so the VM still widens
-//!   the loop (`keep_simd_slots`, the one exception).
+//! * A `simd` loop is promoted like any other, and the VM widens it over its
+//!   phis, whether the mid end or the VM itself promoted it.
 //! * Fewer retired ops do not let a run escape its `--fuel` budget.
 
 use omplt::interp::RunResult;
-use omplt::ir::{
-    print_module, CmpPred, Function, Inst, IrBuilder, IrType, LoopMetadata, Module, Value,
-};
+use omplt::ir::{print_module, Function, Inst, IrBuilder, IrType, Module, Value};
 use omplt::{Backend, CompilerInstance, OpenMpCodegenMode, Options};
 
 const MODES: [OpenMpCodegenMode; 2] = [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder];
@@ -117,83 +115,36 @@ fn a_local_whose_address_escapes_keeps_its_alloca() {
     });
 }
 
-/// `in` is read and written by a loop, `out` only after it; the loop's latch
-/// carries `vectorize_enable` when `simd` is set.
-fn simd_candidate(simd: bool) -> Function {
-    let mut f = Function::new("k", vec![], IrType::I64);
-    let header = f.add_block("header");
-    let body = f.add_block("body");
-    let exit = f.add_block("exit");
-    let mut b = IrBuilder::new(&mut f);
-    let inside = b.alloca(IrType::I64, 1, "in");
-    let outside = b.alloca(IrType::I64, 1, "out");
-    b.store(Value::i64(0), inside);
-    b.store(Value::i64(0), outside);
-    b.br(header);
-    b.set_insert_point(header);
-    let v = b.load(IrType::I64, inside);
-    let more = b.cmp(CmpPred::Slt, v, Value::i64(4));
-    b.cond_br(more, body, exit);
-    b.set_insert_point(body);
-    let next = b.add(v, Value::i64(1));
-    b.store(next, inside);
-    let md = LoopMetadata {
-        vectorize_enable: simd,
-        ..LoopMetadata::default()
-    };
-    b.br_with_md(header, md);
-    b.set_insert_point(exit);
-    let w = b.load(IrType::I64, outside);
-    b.ret(Some(w));
-    f
-}
-
 #[test]
-fn keep_simd_slots_keeps_exactly_what_a_simd_loop_touches() {
-    for simd in [false, true] {
-        let f = simd_candidate(simd);
-        let blocks = f.reverse_postorder();
-        let mut slot_ty = Vec::new();
-        f.promotable_allocas(&blocks, |v| f.value_type(v), &mut slot_ty);
-        let dt = omplt::midend::DomTree::compute(&f);
-        omplt::midend::promote::keep_simd_slots(&f, &dt, &mut slot_ty);
-        let promotable: Vec<&str> = f.blocks[0]
-            .insts
-            .iter()
-            .filter(|i| slot_ty[i.0 as usize].is_some())
-            .map(|&i| match f.inst(i) {
-                Inst::Alloca { name, .. } => name.as_str(),
-                _ => unreachable!("only allocas are candidates"),
-            })
-            .collect();
-        let expected: &[&str] = if simd { &["out"] } else { &["in", "out"] };
-        assert_eq!(promotable, expected, "simd: {simd}");
-    }
-}
-
-#[test]
-fn a_simd_loop_keeps_its_slots_and_still_widens() {
+fn a_simd_loop_is_promoted_and_still_widens() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/c/saxpy_simd.c");
     let src = std::fs::read_to_string(path).unwrap();
     for codegen_mode in MODES {
-        let opts = Options {
-            codegen_mode,
-            backend: Backend::VmStrict,
-            vector_width: 4,
-            ..Options::default()
-        };
-        let session = omplt::trace::Session::begin();
-        let (module, result) = run(&src, opts, true);
-        let counters = session.finish().counters;
-        assert!(!allocas(&module, "main").is_empty(), "{codegen_mode:?}");
-        assert_eq!(result.expect("runs").stdout, "16583\n");
-        // The widener plans over slots: the classic `simd` loop widens, and
-        // the irbuilder skeleton, whose IV is a phi, it refuses.
-        let widened = u64::from(codegen_mode == OpenMpCodegenMode::Classic);
-        assert_eq!(
-            counters["vm.simd.widened_loops"], widened,
-            "{codegen_mode:?}"
-        );
+        for optimize in [false, true] {
+            let opts = Options {
+                codegen_mode,
+                backend: Backend::VmStrict,
+                vector_width: 4,
+                ..Options::default()
+            };
+            let at = format!("{codegen_mode:?}, optimized: {optimize}");
+            let session = omplt::trace::Session::begin();
+            let (module, result) = run(&src, opts, optimize);
+            let counters = session.finish().counters;
+            assert_eq!(result.expect(&at).stdout, "16583\n", "{at}");
+            assert_eq!(counters["vm.simd.widened_loops"], 1, "{at}");
+            assert_eq!(counters["vm.simd.refused"], 0, "{at}");
+            if optimize {
+                // Only the classic path's shared `checksum` stays in memory:
+                // its address goes to the reduction's atomic combine, after
+                // the loop.
+                let escaping: &[&str] = match codegen_mode {
+                    OpenMpCodegenMode::Classic => &["checksum"],
+                    OpenMpCodegenMode::IrBuilder => &[],
+                };
+                assert_eq!(allocas(&module, "main"), escaping, "{at}");
+            }
+        }
     }
 }
 
