@@ -16,7 +16,6 @@
 //! it is a clause on `for`, which `emit_workshare_irbuilder` handles.
 
 use crate::cg_omp_classic::simd_metadata;
-use crate::cg_stmt::const_trip_count;
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{
     CaptureKind, OMPCanonicalLoop, OMPClauseKind, OMPDirective, OMPDirectiveKind, ScheduleKind,
@@ -94,21 +93,11 @@ impl FnCodegen<'_, '_> {
                 }
             }
             OMPDirectiveKind::Unroll => {
-                let Some(mut cli) = self.emit_loop_construct(&assoc) else {
+                let Some(cli) = self.emit_loop_construct(&assoc) else {
                     return;
                 };
                 self.cur = cli.after;
                 let full = d.clause(OMPClauseKind::Full).is_some();
-                if full {
-                    // The constant Sema required of the loop — literal or
-                    // generated. The skeleton reads its trip count back from
-                    // the `.omp.distance` slot, which is not an immediate
-                    // `LoopUnroll` could unroll by.
-                    let required = d.nest.first().map(|l| &l.analysis);
-                    if let Some(tc) = required.and_then(|a| const_trip_count(a, cli.ty)) {
-                        cli.set_trip_count(&mut self.func, tc);
-                    }
-                }
                 let mut b = omplt_ir::IrBuilder::new(&mut self.func);
                 b.set_insert_point(cli.after);
                 if full {

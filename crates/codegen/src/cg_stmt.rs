@@ -8,14 +8,6 @@ use omplt_ast::{
 };
 use omplt_ir::{IrType, LoopMetadata, UnrollHint, Value};
 
-/// `a`'s trip count as an immediate of type `ty`, when it is a compile-time
-/// constant. The full-unroll path of the `LoopUnroll` pass needs the
-/// skeleton to compare against an immediate: the generic distance
-/// expression goes through memory and would not fold.
-pub(crate) fn const_trip_count(a: &CanonicalLoopAnalysis, ty: IrType) -> Option<Value> {
-    a.const_trip_count().map(|n| Value::int(ty, n as i64))
-}
-
 impl FnCodegen<'_, '_> {
     /// Emits one statement at the current insertion point.
     pub(crate) fn emit_stmt(&mut self, s: &P<Stmt>) {
@@ -246,13 +238,13 @@ impl FnCodegen<'_, '_> {
         // the variable's start value, the step, and the trip count.
         let start = self.load_var(&a.iter_var);
         let step = self.emit_rvalue(&a.step);
-        let tc = const_trip_count(a, ir_type(&a.logical_ty)).unwrap_or_else(|| {
+        let tc = match a.const_trip_count() {
+            Some(n) => Value::int(ir_type(&a.logical_ty), n as i64),
             // A throwaway context is safe here: the distance expression is
             // built of expression nodes only (no new declarations), over
             // the original `VarDecl`s.
-            let dist = a.distance_expr(&ASTContext::new());
-            self.emit_rvalue(&dist)
-        });
+            None => self.emit_rvalue(&a.distance_expr(&ASTContext::new())),
+        };
         let var_ir = ir_type(&a.iter_var.ty);
         let is_ptr = a.iter_var.ty.is_pointer();
         let elem = a.iter_var.ty.pointee().map_or(1, |t| t.size_of()).max(1);

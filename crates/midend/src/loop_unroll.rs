@@ -1,28 +1,35 @@
 //! The `LoopUnroll` pass — the mid-end half of the paper's deferred-unroll
 //! design (§2.1/§2.2): the front-end only attaches `llvm.loop.unroll.*`
 //! metadata ("no duplication takes place until that point"); this pass
-//! performs the duplication:
+//! performs the duplication, on the SSA form `promote` leaves (as LLVM's
+//! `LoopUnroll` runs on what mem2reg left):
 //!
-//! * **full** (constant trip count): the loop is replaced by `tc` copies of
-//!   the body with the IV substituted by constants;
+//! * **full** (constant trip count): `tc` copies of the body chained behind
+//!   the preheader, the IV substituted by constants; the header stays as the
+//!   way out, its phis holding what the last copy leaves;
 //! * **count(k)**: partial unroll producing a main loop of `tc / k` groups
 //!   of `k` body copies plus a **remainder loop** reusing the original loop
 //!   blocks — the exact shape of the paper's "Partial unrolling with
 //!   remainder loop" figure; "LoopUnroll will also handle the case when the
-//!   iteration count is not a multiple of the unroll factor";
+//!   iteration count is not a multiple of the unroll factor". When a
+//!   constant trip count is a multiple of `k`, no remainder is built;
 //! * **enable**: a documented profitability heuristic picks full, a factor,
 //!   or nothing (the paper: "the LoopUnroll pass can apply profitability
 //!   heuristics to determine an appropriate factor").
 //!
 //! Only loops in the canonical skeleton shape are transformed (recovered by
 //! [`crate::loop_info::match_skeleton`]); anything else keeps its metadata
-//! and a statistic records the skip.
+//! and a statistic records the skip. The trip count is the one the
+//! skeleton's compare reads; when it is not an immediate, the function is
+//! folded once and the compare read again.
 
+use crate::constfold::constant_fold;
 use crate::domtree::DomTree;
 use crate::loop_info::{match_skeleton, LoopInfo, SkeletonLoop};
+use crate::simplify_cfg::simplify_cfg;
 use omplt_ir::{
-    BlockId, CmpPred, Function, Inst, InstId, IrBuilder, LoopMetadata, Terminator, UnrollHint,
-    Value,
+    arith, BlockId, CastOp, CmpPred, Function, Inst, InstId, IrBuilder, IrType, LoopMetadata,
+    Terminator, UnrollHint, Value,
 };
 
 /// What the pass did.
@@ -40,17 +47,28 @@ pub struct UnrollStats {
 
 /// Cost-model limits (documented in DESIGN.md §7).
 const FULL_UNROLL_MAX_GROWTH: u64 = 8_192;
-const HEURISTIC_FULL_MAX_TC: i64 = 64;
-const HEURISTIC_SMALL_BODY: usize = 16;
-const HEURISTIC_MEDIUM_BODY: usize = 64;
+const HEURISTIC_FULL_MAX_TC: u64 = 64;
+const HEURISTIC_SMALL_BODY: u64 = 16;
+const HEURISTIC_MEDIUM_BODY: u64 = 64;
+
+/// What the pass does with one hinted loop: unroll it fully (`tc` copies)
+/// or by a factor, or disable its hint as declined or skipped.
+#[derive(Clone, Copy)]
+enum Plan {
+    Full(u64),
+    Partial(u64),
+    Decline,
+    Skip,
+}
 
 /// Runs the unroll pass over `f` until no actionable metadata remains.
 pub fn loop_unroll(f: &mut Function) -> UnrollStats {
     let mut stats = UnrollStats::default();
+    let mut folded = false;
     // One loop per iteration: every transformation invalidates the CFG
     // analyses, so recompute. Terminates because each step removes or
-    // disables one metadata annotation. Most functions carry no actionable
-    // hint at all, and for those no analysis is built.
+    // disables one metadata annotation (or folds, once). Most functions
+    // carry no actionable hint at all, and for those no analysis is built.
     loop {
         let hinted = f.blocks.iter().any(|b| {
             let md = b.term.as_ref().and_then(Terminator::loop_md);
@@ -63,82 +81,59 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
         let li = LoopInfo::compute(f, &dt);
         let target = li.loops.iter().find_map(|l| {
             let md = f.block(l.latch).term.as_ref()?.loop_md()?;
-            Some((l.clone(), actionable(md.unroll)?))
+            Some((l, actionable(md.unroll)?))
         });
         let Some((l, hint)) = target else {
             break;
         };
-
-        let Some(sk) = match_skeleton(f, &l) else {
+        let Some(sk) = match_skeleton(f, l) else {
             disable(f, l.latch);
             stats.skipped += 1;
             continue;
         };
-        let region = f.region_until(sk.body, sk.latch);
-        if region_has_phis(f, &region) {
-            disable(f, l.latch);
-            stats.skipped += 1;
+        let tc = match sk.trip_count {
+            Value::ConstInt { ty, val } => Some(unsigned(ty, val)),
+            _ => None,
+        };
+        if tc.is_none() && !folded {
+            folded = true;
+            // A bound over constants may still sit behind a branch the
+            // builder decided (`lb < ub ? … : 0`): fold, and read it again.
+            constant_fold(f);
+            simplify_cfg(f);
+            constant_fold(f);
             continue;
         }
-        let body_size = sweep_dead(f, &region);
-
-        match hint {
-            UnrollHint::Full => {
-                let Some(tc) = sk.trip_count.as_const_int() else {
-                    // Non-constant trip count: full unrolling is impossible;
-                    // the front-end guarantees `unroll full` only on
-                    // countable loops, but degrade gracefully.
-                    disable(f, l.latch);
-                    stats.skipped += 1;
-                    continue;
-                };
-                if (tc.max(0) as u64).saturating_mul(body_size.max(1) as u64)
-                    > FULL_UNROLL_MAX_GROWTH
-                {
-                    // Too large to fully materialize: fall back to a factor.
-                    partial_unroll(f, &sk, &region, 4);
-                    stats.partial += 1;
-                    continue;
-                }
-                full_unroll(f, &sk, &region, tc.max(0) as u64);
-                stats.full += 1;
-            }
-            UnrollHint::Count(k) if k <= 1 => {
-                disable(f, l.latch);
-                stats.declined += 1;
-            }
-            UnrollHint::Count(k) => {
-                partial_unroll(f, &sk, &region, k);
-                stats.partial += 1;
-            }
-            UnrollHint::Enable => {
-                // Profitability heuristic.
-                let tc = sk.trip_count.as_const_int();
-                match tc {
-                    Some(n)
-                        if n <= HEURISTIC_FULL_MAX_TC
-                            && (n.max(0) as u64) * body_size.max(1) as u64
-                                <= FULL_UNROLL_MAX_GROWTH =>
-                    {
-                        full_unroll(f, &sk, &region, n.max(0) as u64);
-                        stats.full += 1;
-                    }
-                    _ if body_size <= HEURISTIC_SMALL_BODY => {
-                        partial_unroll(f, &sk, &region, 4);
-                        stats.partial += 1;
-                    }
-                    _ if body_size <= HEURISTIC_MEDIUM_BODY => {
-                        partial_unroll(f, &sk, &region, 2);
-                        stats.partial += 1;
-                    }
-                    _ => {
-                        disable(f, l.latch);
-                        stats.declined += 1;
-                    }
-                }
-            }
-            UnrollHint::Disable => unreachable!("filtered above"),
+        let mut copier = RegionCopier::new(f, sk);
+        let body_size = copier.size(f);
+        let fits = |n: u64| n.saturating_mul(body_size) <= FULL_UNROLL_MAX_GROWTH;
+        let plan = match (hint, tc) {
+            (UnrollHint::Full, Some(n)) if fits(n) => Plan::Full(n),
+            // Too large to fully materialize: fall back to a factor.
+            (UnrollHint::Full, Some(_)) => Plan::Partial(4),
+            // The front-end guarantees `unroll full` only on countable
+            // loops, but degrade gracefully.
+            (UnrollHint::Full, None) => Plan::Skip,
+            (UnrollHint::Count(k), _) if k <= 1 => Plan::Decline,
+            (UnrollHint::Count(k), _) => Plan::Partial(k),
+            // The profitability heuristic.
+            (UnrollHint::Enable, Some(n)) if n <= HEURISTIC_FULL_MAX_TC && fits(n) => Plan::Full(n),
+            (UnrollHint::Enable, _) if body_size <= HEURISTIC_SMALL_BODY => Plan::Partial(4),
+            (UnrollHint::Enable, _) if body_size <= HEURISTIC_MEDIUM_BODY => Plan::Partial(2),
+            (UnrollHint::Enable, _) => Plan::Decline,
+            (UnrollHint::Disable, _) => unreachable!("filtered above"),
+        };
+        match plan {
+            Plan::Full(n) => full_unroll(f, &mut copier, n),
+            Plan::Partial(k) => partial_unroll(f, &mut copier, k, tc),
+            Plan::Decline | Plan::Skip => disable(f, sk.latch),
         }
+        *match plan {
+            Plan::Full(_) => &mut stats.full,
+            Plan::Partial(_) => &mut stats.partial,
+            Plan::Decline => &mut stats.declined,
+            Plan::Skip => &mut stats.skipped,
+        } += 1;
     }
     // What became of every hint, for `--counters-json` (absent = 0).
     for (name, n) in [
@@ -154,6 +149,12 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
     stats
 }
 
+/// `val` of type `ty` read unsigned, as the skeleton's `icmp ult` reads a
+/// trip count.
+fn unsigned(ty: IrType, val: i64) -> u64 {
+    arith::cast(CastOp::ZExt, ty, IrType::I64, val as u64)
+}
+
 /// The hint, if it asks this pass for anything.
 fn actionable(hint: Option<UnrollHint>) -> Option<UnrollHint> {
     hint.filter(|h| !matches!(h, UnrollHint::Disable))
@@ -167,102 +168,91 @@ fn disable(f: &mut Function, latch: BlockId) {
     }
 }
 
-fn region_has_phis(f: &Function, region: &[BlockId]) -> bool {
-    region.iter().any(|&bb| {
-        f.block(bb)
-            .insts
-            .iter()
-            .any(|&i| matches!(f.inst(i), Inst::Phi { .. }))
-    })
+/// Points `bb`'s branches to `old` at `new`.
+fn retarget(f: &mut Function, bb: BlockId, old: BlockId, new: BlockId) {
+    if let Some(t) = f.block_mut(bb).term.as_mut() {
+        t.map_blocks(|b| if b == old { new } else { b });
+    }
 }
 
-/// Drops from a phi-free `region` what the pipeline's DCE, which runs after
-/// this pass, would drop anyway — everything but stores, calls, what the
-/// region's branches read and what those need — and returns how many
-/// instructions are left. The thresholds weigh, and the copies hold, only
-/// code that will exist: a discarded expression statement (`a[i];`) is
-/// lowered to loads nothing reads. Without phis nothing outside the region
-/// can use a value defined in it, so the region's own roots decide.
-fn sweep_dead(f: &mut Function, region: &[BlockId]) -> usize {
-    let mut live = vec![false; f.insts.len()];
-    let mut work: Vec<Value> = Vec::new();
-    for &bb in region {
-        let block = f.block(bb);
-        for &i in &block.insts {
-            if matches!(f.inst(i), Inst::Store { .. } | Inst::Call { .. }) {
-                work.push(Value::Inst(i));
-            }
-        }
-        if let Some(Terminator::CondBr { cond: v, .. } | Terminator::Ret(Some(v))) = &block.term {
-            work.push(*v);
-        }
-    }
-    while let Some(v) = work.pop() {
-        let Value::Inst(i) = v else { continue };
-        if !std::mem::replace(&mut live[i.0 as usize], true) {
-            f.inst(i).for_each_operand(|op| work.push(op));
-        }
-    }
-    let mut size = 0;
-    for &bb in region {
-        let insts = &mut f.block_mut(bb).insts;
-        insts.retain(|i| live[i.0 as usize]);
-        size += insts.len();
-    }
-    size
-}
-
-/// A loop's body region and the tables its copies are mapped through.
-/// Every key is an id that existed before the first copy was added (a
-/// region block, a region instruction, the induction phi), so the tables
-/// are sized once per transformation and each copy resets only its own
-/// entries.
+/// A loop's body region — `region_until(body, latch)` and the latch — and
+/// the tables its copies are mapped through. A copy enters with one value
+/// per header phi, the IV first, which stands for that phi inside it; it
+/// leaves with its mapped latch operands, and the next copy enters with
+/// them. Every key is an id that existed before the first copy was added,
+/// so the tables are sized once per transformation; a copy overwrites the
+/// previous copy's entries before it reads them, and maps a phi's
+/// back-edge operands again once they are written.
 struct RegionCopier {
     /// The region's blocks in function reverse-postorder (defs before uses).
     rpo: Vec<BlockId>,
-    /// The region's entry (the loop body), the latch its branches leave it
-    /// for, and the induction phi each copy replaces with its own value.
-    entry: BlockId,
-    latch: BlockId,
-    iv_phi: InstId,
+    /// The loop, and the block that leads into its header from outside.
+    sk: SkeletonLoop,
+    preheader: BlockId,
+    /// Each header phi with the values it takes from the preheader and from
+    /// the latch, the IV phi first.
+    phis: Vec<(InstId, Value, Value)>,
     block_map: Vec<Option<BlockId>>,
     value_map: Vec<Option<Value>>,
 }
 
 impl RegionCopier {
-    fn new(f: &Function, sk: &SkeletonLoop, region: &[BlockId]) -> RegionCopier {
+    fn new(f: &Function, sk: SkeletonLoop) -> RegionCopier {
         let mut in_region = vec![false; f.blocks.len()];
-        for &b in region {
+        for b in f.region_until(sk.body, sk.latch) {
             in_region[b.0 as usize] = true;
         }
+        in_region[sk.latch.0 as usize] = true;
         let mut rpo = f.reverse_postorder();
         rpo.retain(|b| in_region[b.0 as usize]);
+        // A header phi's edge from the latch, or from outside the loop.
+        let edge = |phi: InstId, latch: bool| match f.inst(phi) {
+            Inst::Phi { incoming, .. } => {
+                let mut edges = incoming.iter().copied();
+                edges.find(|(b, _)| (*b == sk.latch) == latch)
+            }
+            _ => None,
+        };
+        let header = f.block(sk.header).insts.iter();
+        let phis = header
+            .map_while(|&i| Some((i, edge(i, false)?.1, edge(i, true)?.1)))
+            .collect();
+        let preheader = edge(sk.iv_phi, false)
+            .expect("skeleton phi must have a preheader edge")
+            .0;
         RegionCopier {
             rpo,
-            entry: sk.body,
-            latch: sk.latch,
-            iv_phi: sk.iv_phi,
+            sk,
+            preheader,
+            phis,
             block_map: vec![None; f.blocks.len()],
             value_map: vec![None; f.insts.len()],
         }
     }
 
-    /// Clones the region with the induction phi standing for `iv`,
-    /// remapping values and intra-region branch targets; branches to the
-    /// latch go to `exit_to` instead. Returns the clone's entry block.
-    fn copy(&mut self, f: &mut Function, iv: Value, exit_to: BlockId, tag: &str) -> BlockId {
+    /// What one copy costs: the region's instruction count.
+    fn size(&self, f: &Function) -> u64 {
+        let insts = self.rpo.iter().map(|&b| f.block(b).insts.len());
+        insts.sum::<usize>().max(1) as u64
+    }
+
+    /// Clones the region once, `vals` entering the header phis, and leaves
+    /// in `vals` what the copy feeds back to them. The copy's latch keeps
+    /// branching to the header, without the loop's metadata. Returns the
+    /// copy's entry and latch.
+    fn copy(&mut self, f: &mut Function, vals: &mut [Value], tag: &str) -> (BlockId, BlockId) {
+        for (&(phi, ..), &v) in self.phis.iter().zip(vals.iter()) {
+            self.value_map[phi.0 as usize] = Some(v);
+        }
         for &bb in &self.rpo {
             let name = format!("{}.{tag}", f.block(bb).name);
             self.block_map[bb.0 as usize] = Some(f.add_block(name));
         }
-        self.block_map[self.latch.0 as usize] = Some(exit_to);
-        self.value_map[self.iv_phi.0 as usize] = Some(iv);
-        for i in 0..self.rpo.len() {
-            let (bb, new_bb) = (self.rpo[i], self.block(self.rpo[i]));
+        for &bb in &self.rpo {
+            let new_bb = self.block(bb);
             for k in 0..f.block(bb).insts.len() {
                 let iid = f.block(bb).insts[k];
-                let mut inst = f.inst(iid).clone();
-                inst.map_operands(|v| self.value(v));
+                let inst = self.mapped(f.inst(iid));
                 self.value_map[iid.0 as usize] = Some(f.push_inst(new_bb, inst));
             }
             let mut term = f
@@ -272,27 +262,100 @@ impl RegionCopier {
                 .expect("region blocks must be terminated");
             term.map_operands(|v| self.value(v));
             term.map_blocks(|t| self.block(t));
+            if let Some(md) = term.loop_md_mut().filter(|_| bb == self.sk.latch) {
+                *md = None;
+            }
             f.block_mut(new_bb).term = Some(term);
         }
-        let entry = self.block(self.entry);
-        // The next copy starts from empty tables, as if they were new.
-        self.block_map[self.latch.0 as usize] = None;
-        self.value_map[self.iv_phi.0 as usize] = None;
+        // A phi's operand from an inner loop's back edge is defined later in
+        // reverse postorder: map the phis again, now that the whole region
+        // has its copy.
         for &bb in &self.rpo {
-            self.block_map[bb.0 as usize] = None;
-            for &iid in &f.block(bb).insts {
-                self.value_map[iid.0 as usize] = None;
+            for k in 0..f.block(bb).insts.len() {
+                let iid = f.block(bb).insts[k];
+                if !matches!(f.inst(iid), Inst::Phi { .. }) {
+                    break;
+                }
+                let Some(Value::Inst(copy)) = self.value_map[iid.0 as usize] else {
+                    unreachable!("every region instruction was copied")
+                };
+                *f.inst_mut(copy) = self.mapped(f.inst(iid));
             }
         }
-        entry
+        for (&(.., next), v) in self.phis.iter().zip(vals.iter_mut()) {
+            *v = self.value(next);
+        }
+        (self.block(self.sk.body), self.block(self.sk.latch))
+    }
+
+    /// Chains one copy per IV value behind `from`, each taking over the
+    /// branch to the header of the block before it; `vals` enter the first
+    /// copy and come back holding what the last one leaves. Returns the
+    /// block left branching to the header (`from` when there is no copy).
+    fn chain(
+        &mut self,
+        f: &mut Function,
+        mut from: BlockId,
+        ivs: impl IntoIterator<Item = Value>,
+        vals: &mut [Value],
+        tag: &str,
+    ) -> BlockId {
+        for (j, iv) in ivs.into_iter().enumerate() {
+            vals[0] = iv;
+            let (entry, latch) = self.copy(f, vals, &format!("{tag}{j}"));
+            retarget(f, from, self.sk.header, entry);
+            from = latch;
+        }
+        from
+    }
+
+    /// Makes `from`, with `vals`, the header's way in from outside the loop.
+    /// With `last`, the loop does not run again: the header phis keep only
+    /// that edge, `cond` falls through to the exit and the old latch becomes
+    /// unreachable.
+    fn reenter(&self, f: &mut Function, from: BlockId, vals: &[Value], last: bool) {
+        let sk = &self.sk;
+        for (&(phi, ..), &v) in self.phis.iter().zip(vals) {
+            let Inst::Phi { incoming, .. } = f.inst_mut(phi) else {
+                unreachable!("a header phi")
+            };
+            if last {
+                *incoming = vec![(from, v)];
+            } else if let Some(e) = incoming.iter_mut().find(|(b, _)| *b != sk.latch) {
+                *e = (from, v);
+            }
+        }
+        if last {
+            let exit = Terminator::Br {
+                target: sk.exit,
+                loop_md: None,
+            };
+            f.block_mut(sk.cond).term = Some(exit);
+            f.block_mut(sk.latch).term = Some(Terminator::Unreachable);
+        } else {
+            disable(f, sk.latch);
+        }
+    }
+
+    /// `inst` with its operands and a phi's incoming blocks mapped.
+    fn mapped(&self, inst: &Inst) -> Inst {
+        let mut inst = inst.clone();
+        inst.map_operands(|v| self.value(v));
+        if let Inst::Phi { incoming, .. } = &mut inst {
+            for (b, _) in incoming.iter_mut() {
+                *b = self.block(*b);
+            }
+        }
+        inst
     }
 
     fn value(&self, v: Value) -> Value {
-        match v {
-            Value::Inst(id) => self.value_map.get(id.0 as usize).copied().flatten(),
-            _ => None,
-        }
-        .unwrap_or(v)
+        let Value::Inst(id) = v else { return v };
+        self.value_map
+            .get(id.0 as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(v)
     }
 
     fn block(&self, b: BlockId) -> BlockId {
@@ -304,133 +367,100 @@ impl RegionCopier {
     }
 }
 
-/// The preheader of a skeleton loop: the IV phi's non-latch incoming block.
-fn preheader_of(f: &Function, sk: &SkeletonLoop) -> BlockId {
-    match f.inst(sk.iv_phi) {
-        Inst::Phi { incoming, .. } => incoming
-            .iter()
-            .find(|(b, _)| *b != sk.latch)
-            .map(|(b, _)| *b)
-            .expect("skeleton phi must have a preheader edge"),
-        _ => unreachable!("iv_phi is a phi"),
-    }
+/// Replaces the loop with `tc` copies of its body (IV = 0..tc-1) chained
+/// behind the preheader; the header, run once, leaves with their result.
+fn full_unroll(f: &mut Function, copier: &mut RegionCopier, tc: u64) {
+    let ty = f.value_type(copier.sk.trip_count);
+    let mut vals: Vec<Value> = copier.phis.iter().map(|p| p.1).collect();
+    let ivs = (0..tc).map(|k| Value::int(ty, k as i64));
+    let last = copier.chain(f, copier.preheader, ivs, &mut vals, "unroll");
+    copier.reenter(f, last, &vals, true);
 }
 
-/// Replaces the loop with `tc` sequential body copies (IV = 0..tc-1).
-fn full_unroll(f: &mut Function, sk: &SkeletonLoop, region: &[BlockId], tc: u64) {
-    let mut copier = RegionCopier::new(f, sk, region);
-    let preheader = preheader_of(f, sk);
-    let ty = f.value_type(sk.trip_count);
-
-    // Clone back-to-front so each copy can point at its successor.
-    let mut next_entry = sk.exit;
-    for k in (0..tc).rev() {
-        let iv = Value::int(ty, k as i64);
-        next_entry = copier.copy(f, iv, next_entry, &format!("unroll{k}"));
-    }
-    // The preheader now jumps straight into the first copy (or the exit for
-    // a zero-trip loop); header/cond/body/latch become unreachable, and the
-    // abandoned latch must not keep asking for analyses.
-    if let Some(t) = f.block_mut(preheader).term.as_mut() {
-        t.map_blocks(|b| if b == sk.header { next_entry } else { b });
-    }
-    disable(f, sk.latch);
-}
-
-/// Partial unroll by factor `k` with a remainder loop:
+/// Partial unroll by factor `k` — capped at a constant trip count and at
+/// the full-unroll budget, and never below 2 — with a remainder loop:
 ///
 /// ```text
 /// preheader:  main_tc = tc / k;  rem_start = main_tc * k;  br main_header
 /// main_header: g = phi [0, preheader], [g+1, main_latch]
+///              t = phi [init, preheader], [out, main_latch]  (per header phi)
 ///              base = g * k;  iv_0 = base;  iv_1 = base + 1; …
 ///              br main_cond
 /// main_cond:   br (g <u main_tc), copy_0, main_exit
-/// copy_j:      <body with iv := iv_j>            (j = 0 … k-1)
+/// copy_j:      <body with iv := iv_j, entered with t or copy_j-1's out>
 /// main_latch:  g = g + 1; br main_header         (unroll.disable)
 /// main_exit:   br old_header                      (remainder loop)
-/// old loop:    unchanged, but IV starts at rem_start; metadata disabled
+/// old loop:    unchanged, but entered with IV = rem_start and the t;
+///              metadata disabled
 /// ```
-fn partial_unroll(f: &mut Function, sk: &SkeletonLoop, region: &[BlockId], k: u64) {
-    let mut copier = RegionCopier::new(f, sk, region);
-    let preheader = preheader_of(f, sk);
+///
+/// When a constant trip count is a multiple of `k`, the old loop is left
+/// through its header as in [`full_unroll`]: no remainder runs.
+fn partial_unroll(f: &mut Function, copier: &mut RegionCopier, k: u64, tc: Option<u64>) {
+    let sk = copier.sk;
     let ty = f.value_type(sk.trip_count);
+    let budget = FULL_UNROLL_MAX_GROWTH / copier.size(f);
+    // Without a constant, the most trips the type can count.
+    let k = k.min(tc.unwrap_or(unsigned(ty, -1))).min(budget).max(2);
+    let preheader = copier.preheader;
     let k_const = Value::int(ty, k as i64);
 
-    // Preheader computations.
-    let (main_tc, rem_start) = {
-        let mut b = IrBuilder::new(f);
-        b.set_insert_point(preheader);
-        let main_tc = b.udiv(sk.trip_count, k_const);
-        let rem_start = b.mul(main_tc, k_const);
-        (main_tc, rem_start)
-    };
+    let mut b = IrBuilder::new(f);
+    b.set_insert_point(preheader);
+    let main_tc = b.udiv(sk.trip_count, k_const);
+    let rem_start = b.mul(main_tc, k_const);
 
-    // Main-loop skeleton.
-    let (mheader, mcond, mlatch, mexit, g_phi, ivs) = {
-        let mut b = IrBuilder::new(f);
-        let mheader = b.create_block("main.header");
-        let mcond = b.create_block("main.cond");
-        let mlatch = b.create_block("main.latch");
-        let mexit = b.create_block("main.exit");
-
-        b.set_insert_point(mheader);
-        let (g, g_phi) = b.phi(ty);
-        b.add_phi_incoming(g_phi, preheader, Value::int(ty, 0));
-        let base = b.mul(g, k_const);
-        let ivs: Vec<Value> = (0..k)
-            .map(|j| b.add(base, Value::int(ty, j as i64)))
-            .collect();
-        b.br(mcond);
-
-        b.set_insert_point(mcond);
-        let c = b.cmp(CmpPred::Ult, g, main_tc);
-        // placeholder targets patched below (copy_0 unknown yet)
-        b.cond_br(c, mexit, mexit);
-
-        b.set_insert_point(mlatch);
-        let g1 = b.add(g, Value::int(ty, 1));
-        b.add_phi_incoming(g_phi, mlatch, g1);
-        b.br_with_md(mheader, LoopMetadata::unroll(UnrollHint::Disable));
-
-        b.set_insert_point(mexit);
-        b.br(sk.header);
-        (mheader, mcond, mlatch, mexit, g_phi, ivs)
-    };
-    let _ = g_phi;
-
-    // Body copies, chained back-to-front into the main latch.
-    let mut next_entry = mlatch;
-    for j in (0..k).rev() {
-        let iv = ivs[j as usize];
-        next_entry = copier.copy(f, iv, next_entry, &format!("copy{j}"));
+    let mheader = b.create_block("main.header");
+    let mcond = b.create_block("main.cond");
+    let mlatch = b.create_block("main.latch");
+    let mexit = b.create_block("main.exit");
+    b.set_insert_point(mheader);
+    let mut phis = Vec::with_capacity(copier.phis.len());
+    for &(phi, init, _) in &copier.phis {
+        let ty = b.type_of(Value::Inst(phi));
+        let (v, twin) = b.phi(ty);
+        b.add_phi_incoming(twin, preheader, init);
+        phis.push((v, twin));
     }
-    // Patch the main cond's true edge to the first copy.
-    if let Some(Terminator::CondBr { then_bb, .. }) = f.block_mut(mcond).term.as_mut() {
-        *then_bb = next_entry;
-    }
+    // The IV phi's twin counts groups.
+    let g = phis[0].0;
+    let base = b.mul(g, k_const);
+    let ivs: Vec<Value> = (0..k)
+        .map(|j| b.add(base, Value::int(ty, j as i64)))
+        .collect();
+    b.br(mcond);
+    b.set_insert_point(mcond);
+    let c = b.cmp(CmpPred::Ult, g, main_tc);
+    // The first copy takes over the branch to the header.
+    b.cond_br(c, sk.header, mexit);
+    b.set_insert_point(mlatch);
+    let g1 = b.add(g, Value::int(ty, 1));
+    b.br_with_md(mheader, LoopMetadata::unroll(UnrollHint::Disable));
+    b.set_insert_point(mexit);
+    b.br(sk.header);
 
-    // Redirect the preheader into the main loop.
-    if let Some(t) = f.block_mut(preheader).term.as_mut() {
-        t.map_blocks(|b| if b == sk.header { mheader } else { b });
+    let mut vals: Vec<Value> = phis.iter().map(|p| p.0).collect();
+    let last = copier.chain(f, mcond, ivs, &mut vals, "copy");
+    retarget(f, last, sk.header, mlatch);
+    vals[0] = g1;
+    let mut b = IrBuilder::new(f);
+    for (&(_, twin), &v) in phis.iter().zip(&vals) {
+        b.add_phi_incoming(twin, mlatch, v);
     }
+    retarget(f, preheader, sk.header, mheader);
 
-    // Remainder: the original loop, entered from main_exit with
-    // IV = rem_start.
-    if let Inst::Phi { incoming, .. } = f.inst_mut(sk.iv_phi) {
-        for (from, val) in incoming.iter_mut() {
-            if *from == preheader {
-                *from = mexit;
-                *val = rem_start;
-            }
-        }
-    }
-    disable(f, sk.latch);
+    // The old loop is entered with what the main loop leaves.
+    let mut vals: Vec<Value> = phis.iter().map(|p| p.0).collect();
+    vals[0] = rem_start;
+    let last_trip = tc.is_some_and(|n| n % k == 0);
+    copier.reenter(f, mexit, &vals, last_trip);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use omplt_ir::{assert_verified, IrType, Module};
+    use omplt_ompirb::{create_canonical_loop_skeleton, CanonicalLoopInfo};
 
     /// Adds `name(params) { for (iv in 0..tc) print_i64(iv) }` to `m`, the
     /// loop built by the builder every lowering uses and carrying `hint`.
@@ -495,6 +525,172 @@ mod tests {
             assert_verified(m.function("main").unwrap());
             assert_eq!(run_collect(&m), expected(tc), "tc={tc}");
         }
+    }
+
+    /// Adds `name(params)`: `s = 7`, a loop over `tc` trips carrying `hint`
+    /// whose body `body` advances `s` — a second header phi — and branches
+    /// to the latch, then `print_i64(s)`. `body` gets the builder at the
+    /// loop body, the loop and `s`, and returns the value `s` takes at the
+    /// latch.
+    fn add_sum_fn(
+        m: &mut Module,
+        name: &str,
+        params: Vec<IrType>,
+        tc: Value,
+        hint: UnrollHint,
+        body: impl FnOnce(&mut IrBuilder<'_>, &CanonicalLoopInfo, Value) -> Value,
+    ) {
+        let sink = m.intern("print_i64");
+        let mut f = Function::new(name, params, IrType::I32);
+        let mut b = IrBuilder::new(&mut f);
+        let cli = create_canonical_loop_skeleton(&mut b, tc, "i", true);
+        let s = header_phi(&mut b, cli.header, cli.preheader, Value::i64(7));
+        b.set_insert_point(cli.body);
+        let next = body(&mut b, &cli, Value::Inst(s));
+        b.add_phi_incoming(s, cli.latch, next);
+        b.set_insert_point(cli.after);
+        b.call(sink, vec![Value::Inst(s)], IrType::Void);
+        b.ret(Some(Value::i32(0)));
+        cli.set_metadata(&mut f, LoopMetadata::unroll(hint));
+        m.add_function(f);
+    }
+
+    /// An `i64` phi after `header`'s, entered with `init` from `preheader`.
+    fn header_phi(
+        b: &mut IrBuilder<'_>,
+        header: BlockId,
+        preheader: BlockId,
+        init: Value,
+    ) -> InstId {
+        let incoming = vec![(preheader, init)];
+        let phi = b.func_mut().push_inst(
+            header,
+            Inst::Phi {
+                ty: IrType::I64,
+                incoming,
+            },
+        );
+        let Value::Inst(id) = phi else { unreachable!() };
+        id
+    }
+
+    /// `s + iv * iv`.
+    fn squares(b: &mut IrBuilder<'_>, cli: &CanonicalLoopInfo, s: Value) -> Value {
+        let sq = b.mul(cli.iv(), cli.iv());
+        let next = b.add(s, sq);
+        b.br(cli.latch);
+        next
+    }
+
+    /// Unrolls `main`, which must verify and print what it printed before.
+    fn unroll_main(m: &mut Module) -> UnrollStats {
+        let before = run_collect(m);
+        let stats = loop_unroll(m.function_mut("main").unwrap());
+        assert_verified(m.function("main").unwrap());
+        assert_eq!(run_collect(m), before);
+        stats
+    }
+
+    fn loops_in_main(m: &Module) -> usize {
+        let f = m.function("main").unwrap();
+        LoopInfo::compute(f, &DomTree::compute(f)).loops.len()
+    }
+
+    #[test]
+    fn a_second_header_phi_leaves_with_the_last_copy() {
+        for tc in [0, 1, 3, 4, 10, 17] {
+            for hint in [UnrollHint::Full, UnrollHint::Count(4)] {
+                let mut m = Module::new();
+                add_sum_fn(&mut m, "main", vec![], Value::i64(tc), hint, squares);
+                let stats = unroll_main(&mut m);
+                assert_eq!(stats.full + stats.partial, 1, "tc={tc} {hint:?}");
+            }
+        }
+        // A runtime trip count: main loop and remainder, for every `n`.
+        let mut m = Module::new();
+        let (params, tc) = (vec![IrType::I64], Value::Arg(0));
+        add_sum_fn(&mut m, "kernel", params, tc, UnrollHint::Count(4), squares);
+        let run = |m: &Module, n| {
+            let it = omplt_interp::Interpreter::new(m, omplt_interp::RuntimeConfig::default());
+            let run = it.run_function("kernel", vec![omplt_interp::RtVal::I(n)]);
+            run.expect("execution failed").stdout
+        };
+        let ns = [0i64, 1, 3, 4, 7, 11];
+        let before = ns.map(|n| run(&m, n));
+        let stats = loop_unroll(m.function_mut("kernel").unwrap());
+        assert_eq!(stats.partial, 1);
+        assert_verified(m.function("kernel").unwrap());
+        assert_eq!(ns.map(|n| run(&m, n)), before);
+    }
+
+    #[test]
+    fn a_region_with_its_own_skeleton_is_copied_with_its_phis() {
+        // `for i < 9 { for j < 3 { s += i * j } }`: the inner skeleton's IV
+        // and its own `s` are phis of the region, with back-edge operands.
+        let nested = |b: &mut IrBuilder<'_>, cli: &CanonicalLoopInfo, s: Value| {
+            let inner = create_canonical_loop_skeleton(b, Value::i64(3), "j", true);
+            let t = header_phi(b, inner.header, inner.preheader, s);
+            b.set_insert_point(inner.body);
+            let p = b.mul(cli.iv(), inner.iv());
+            let next = b.add(Value::Inst(t), p);
+            b.br(inner.latch);
+            b.add_phi_incoming(t, inner.latch, next);
+            b.set_insert_point(inner.after);
+            b.br(cli.latch);
+            Value::Inst(t)
+        };
+        let mut m = Module::new();
+        add_sum_fn(
+            &mut m,
+            "main",
+            vec![],
+            Value::i64(9),
+            UnrollHint::Count(2),
+            nested,
+        );
+        assert_eq!(unroll_main(&mut m).partial, 1);
+        assert_eq!(run_collect(&m), "115\n");
+        // Main loop, remainder, and an inner loop in each of the 2 + 1 copies.
+        assert_eq!(loops_in_main(&m), 5);
+    }
+
+    #[test]
+    fn a_latch_with_a_phi_is_copied() {
+        // `if (iv & 1) s += iv;` with the join — what a `continue` makes —
+        // at the latch.
+        let odd = |b: &mut IrBuilder<'_>, cli: &CanonicalLoopInfo, s: Value| {
+            let from = b.insert_block();
+            let then = b.create_block("then");
+            let bit = b.bin(omplt_ir::BinOpKind::And, cli.iv(), Value::i64(1));
+            let c = b.cmp(CmpPred::Ne, bit, Value::i64(0));
+            b.cond_br(c, then, cli.latch);
+            b.set_insert_point(then);
+            let added = b.add(s, cli.iv());
+            b.br(cli.latch);
+            let incoming = vec![(from, s), (then, added)];
+            let join = Inst::Phi {
+                ty: IrType::I64,
+                incoming,
+            };
+            b.func_mut().prepend_inst(cli.latch, join)
+        };
+        for (tc, hint) in [
+            (10, UnrollHint::Full),
+            (10, UnrollHint::Count(3)),
+            (7, UnrollHint::Count(2)),
+        ] {
+            let mut m = Module::new();
+            add_sum_fn(&mut m, "main", vec![], Value::i64(tc), hint, odd);
+            let stats = unroll_main(&mut m);
+            assert_eq!(stats.full + stats.partial, 1, "tc={tc} {hint:?}");
+        }
+    }
+
+    #[test]
+    fn a_trip_count_the_factor_divides_builds_no_remainder() {
+        let mut m = loop_module(Value::i64(12), UnrollHint::Count(4));
+        assert_eq!(unroll_main(&mut m).partial, 1);
+        assert_eq!(loops_in_main(&m), 1, "the main loop only");
     }
 
     #[test]

@@ -17,28 +17,20 @@ struct Workspace {
 /// A pass over one function, with the module's workspace.
 type PassFn = fn(&mut Function, &mut Workspace);
 
-/// The passes of the default pipeline, in the order they run on a function.
-///
-/// * `loop-unroll` runs first, on the IR as the lowerings built it: it
-///   recognizes the canonical skeleton (header + cond) structurally, block
-///   merging would collapse that shape, and it refuses a body with phis.
-/// * `simplify-cfg` then sweeps the blocks the unroller abandoned and merges
-///   the straight-line chains the body copies form.
-/// * `promote` turns every non-escaping scalar slot into SSA values
-///   ([`crate::promote`]): both engines run the same register-form IR.
-/// * `const-fold` runs once, last, and sees through former slots. Sweeping
-///   the dead arm of a branch the builder already decided (the `lb < ub ? … : 0`
-///   of a distance expression over constant bounds) leaves the join's phi
-///   with one incoming value, and collapsing that phi is what lets the
-///   arithmetic behind it fold. Its DCE is the pipeline's only one.
-///
-/// No fold runs before the unroller because there is nothing for it to
-/// find: the `IrBuilder` folds every constant expression as it builds, and
-/// a trip count that is not an immediate reaches the skeleton through a
-/// load from its `.omp.distance` / `.capture_expr.` slot, which is still a
-/// slot then. A lowering that wants `unroll full` applied hands the
-/// skeleton the constant Sema required (`const_trip_count` in `omplt-codegen`).
+/// The passes of the default pipeline, in the order they run on a function:
+/// `loop-unroll` wants SSA, so `promote` ([`crate::promote`]) runs first —
+/// both engines then run the same register-form IR — and the cleanup comes
+/// after it. `simplify-cfg` sweeps the blocks the unroller abandoned and
+/// merges the chains the body copies form. `const-fold` folds the copies'
+/// constant IVs and drops the dead code they hold; collapsing the join phi
+/// of a branch the builder already decided (the `lb < ub ? … : 0` of a
+/// distance over constant bounds), once `simplify-cfg` swept its dead arm,
+/// is what lets the arithmetic behind it fold. Its DCE is the pipeline's
+/// only one.
 const DEFAULT_PIPELINE: [(&str, PassFn); 4] = [
+    ("promote", |f, ws| {
+        promote(f, &mut ws.promote);
+    }),
     ("loop-unroll", |f, ws| {
         let s = loop_unroll(f);
         ws.stats.full += s.full;
@@ -48,9 +40,6 @@ const DEFAULT_PIPELINE: [(&str, PassFn); 4] = [
     }),
     ("simplify-cfg", |f, _| {
         simplify_cfg(f);
-    }),
-    ("promote", |f, ws| {
-        promote(f, &mut ws.promote);
     }),
     ("const-fold", |f, _| {
         constant_fold(f);

@@ -588,6 +588,39 @@ fn fuel_exhaustion_is_a_structured_reply_and_the_server_keeps_serving() {
     assert_eq!(ok.code, 0, "{}", String::from_utf8_lossy(&ok.stderr));
 }
 
+/// `unroll partial(2147483647)` once asked the mid end for two billion
+/// copies of the body: the allocation aborted the process, and a remote job
+/// took `ompltd` down with it. The factor is capped now, so the job is
+/// answered like any other and the server serves the next one.
+#[test]
+fn a_huge_unroll_factor_is_answered_and_the_server_keeps_serving() {
+    let daemon = Daemon::start("hugefactor");
+    let src = write_temp(
+        "huge_factor.c",
+        "void print_i64(long v);\n\
+         long f(int n) {\n\
+           long s = 0;\n\
+           #pragma omp unroll partial(2147483647)\n\
+           for (int i = 0; i < n; i++)\n\
+             s += i * i + 3;\n\
+           return s;\n\
+         }\n\
+         int main(void) {\n\
+           print_i64(f(1000));\n\
+           return 0;\n\
+         }\n",
+    );
+    for backend in ["--backend=interp", "--backend=vm:strict"] {
+        let args = ["--opt", "--run", backend];
+        let job = assert_remote_matches_local(&daemon, &[], &args, &src, "hugefactor");
+        assert_eq!(job.code, 0, "{}", String::from_utf8_lossy(&job.stderr));
+        assert_eq!(job.stdout, b"332836500\n", "{backend}");
+    }
+    let next = write_temp("hugefactor_next.c", DEMO);
+    let ok = run_ompltc(&[], &[&daemon.remote_flag(), "--run"], &next);
+    assert_eq!(ok.code, 0, "{}", String::from_utf8_lossy(&ok.stderr));
+}
+
 #[test]
 fn verifier_rejection_degrades_the_same_way_local_and_remote() {
     // Bytecode is compiled exactly once per job, so the one-shot

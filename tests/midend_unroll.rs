@@ -258,8 +258,8 @@ fn unroll_styles_print_the_same_sum_and_the_remainder_style_retires_fewer_ops() 
 /// Every way a hint reaches the pass, in one function: `unroll full`, the
 /// heuristic, a factor with a remainder, `unroll full` over a generated
 /// loop (constant and tiled trip counts), a worksharing nest whose trip
-/// counts come out of `collapse`, a body whose discarded loads would tip
-/// the heuristic from factor 4 to 2 if they were weighed, and a branch the
+/// counts come out of `collapse`, a body with discarded loads (`a[i];`),
+/// which its copies hold until `const-fold` drops them, and a branch the
 /// front end already folded.
 const HINTED: &str = "\
 void print_i64(long v);
@@ -374,36 +374,95 @@ fn the_pipeline_prints_what_the_five_pass_order_printed() {
     assert_eq!(compared, 4 * (sources.len() - 3));
 }
 
-/// Every program of the corpus, on both lowering paths, passes the full
-/// verifier (structure and canonical skeletons) after every pass of the
-/// `-O` pipeline (`--opt --verify-each`).
-#[test]
-fn the_corpus_verifies_after_every_pass() {
-    let mut verified = 0;
-    for (name, text) in &corpus() {
-        for codegen_mode in MODES {
-            let mut ci = CompilerInstance::new(Options {
-                codegen_mode,
-                verify_each: true,
-                ..Options::default()
-            });
-            let Ok(tu) = ci.parse_source(name, text) else {
-                continue;
-            };
-            let mut module = ci.codegen(&tu).expect("codegen");
-            ci.optimize(&mut module);
-            let findings: Vec<String> = ci
-                .diags
-                .all()
-                .into_iter()
-                .map(|d| d.message)
-                .filter(|m| m.contains("--verify-each"))
-                .collect();
-            assert_eq!(findings, Vec::<String>::new(), "{name} ({codegen_mode:?})");
-            verified += 1;
+/// The benchmark's stacks that carry an unroll hint, and the two region
+/// shapes with phis the unroller copies (a `continue` joining at the latch,
+/// an inner loop), each over a reduction into `s`.
+const STACKS: [(&str, &str); 5] = [
+    (
+        "#pragma omp unroll partial(2)\n#pragma omp tile sizes(4)\n",
+        "s = s + a[i] * 3;",
+    ),
+    (
+        "#pragma omp unroll full\n#pragma omp tile sizes(4)\n",
+        "s = s + a[i] * 3;",
+    ),
+    (
+        "#pragma omp parallel for reduction(+: s) schedule(dynamic, 4)\n#pragma omp unroll partial(2)\n",
+        "s = s + a[i] * 3;",
+    ),
+    (
+        "#pragma omp unroll partial(3)\n",
+        "{ if (a[i] % 2) continue; s = s + a[i]; }",
+    ),
+    (
+        "#pragma omp unroll partial(3)\n",
+        "for (int j = 0; j < 3; j += 1) s = s + a[i] * j;",
+    ),
+];
+
+/// `STACKS` over a trip count the factors divide and one they do not.
+fn stacks() -> Vec<(String, String)> {
+    let mut sources = Vec::new();
+    for (pragmas, body) in STACKS {
+        for n in [36, 37] {
+            let text = format!(
+                "void print_i64(long v);\nint a[40];\nint main(void) {{\n  for (int i = 0; i < 40; i += 1)\n    a[i] = i * 7 % 11;\n  long s = 0;\n{pragmas}  for (int i = 0; i < {n}; i += 1)\n    {body}\n  print_i64(s);\n  return 0;\n}}\n"
+            );
+            sources.push((format!("{pragmas}{body} ({n} trips)"), text));
         }
     }
-    assert_eq!(verified, 2 * (corpus().len() - 3));
+    sources
+}
+
+/// Every program of the corpus and every stack, on both lowering paths,
+/// passes the full verifier (structure and canonical skeletons) after every
+/// pass of the `-O` pipeline (`--opt --verify-each`); each stack prints, on
+/// both engines, what the interpreter prints for it without `--opt`.
+#[test]
+fn the_corpus_verifies_after_every_pass() {
+    let stacks = stacks();
+    let mut verified = 0;
+    for (name, text) in corpus().iter().chain(&stacks) {
+        let is_stack = stacks.iter().any(|(n, _)| n == name);
+        for codegen_mode in MODES {
+            for backend in BACKENDS {
+                let opts = Options {
+                    codegen_mode,
+                    backend,
+                    verify_each: true,
+                    ..Options::default()
+                };
+                let mut ci = CompilerInstance::new(opts);
+                let Ok(tu) = ci.parse_source(name, text) else {
+                    continue;
+                };
+                let mut module = ci.codegen(&tu).expect("codegen");
+                ci.optimize(&mut module);
+                let findings: Vec<String> = ci
+                    .diags
+                    .all()
+                    .into_iter()
+                    .map(|d| d.message)
+                    .filter(|m| m.contains("--verify-each"))
+                    .collect();
+                assert_eq!(findings, Vec::<String>::new(), "{name} ({codegen_mode:?})");
+                if is_stack {
+                    let plain = Options {
+                        backend: Backend::Interp,
+                        ..opts
+                    };
+                    let expected = omplt::run_source_with(text, plain, false).stdout;
+                    let run = ci.run(&module).expect("run");
+                    assert_eq!(
+                        run.stdout, expected,
+                        "{name} ({codegen_mode:?}, {backend:?})"
+                    );
+                }
+                verified += 1;
+            }
+        }
+    }
+    assert_eq!(verified, 4 * (corpus().len() - 3 + stacks.len()));
 }
 
 /// ROADMAP's probe: `s += i` over `trips` iterations under `pragma`.
@@ -480,51 +539,87 @@ fn unroll_full_of_the_probe_leaves_no_loop_and_no_memory_access() {
     }
 }
 
-/// What the mid end leaves open: the unroller refuses a body region with
-/// phis, so `unroll full` over `tile` — whose inner skeleton is one — is
-/// still skipped, and says so.
+/// `unroll full` over `tile`: the floor loop's body is the tile loop, a
+/// region with phis, and the unroller copies it — four tile loops are left.
 #[test]
-fn unroll_full_over_tile_is_still_skipped() {
-    for codegen_mode in MODES {
-        for backend in BACKENDS {
+fn unroll_full_over_tile_unrolls_the_floor_loop() {
+    // Retired ops when the unroller still skipped the hint, by path.
+    let skipped_ops = [
+        (Backend::Interp, [127, 111]),
+        (Backend::VmStrict, [143, 128]),
+    ];
+    for (backend, before) in skipped_ops {
+        for (codegen_mode, before) in MODES.into_iter().zip(before) {
             let src = probe(
                 "  #pragma omp unroll full\n  #pragma omp tile sizes(4)\n",
                 16,
             );
-            let (_, stats, run) = optimized(&src, codegen_mode, backend);
-            assert_eq!((stats.skipped, run.stdout.as_str()), (1, "120\n"));
+            let (module, stats, run) = optimized(&src, codegen_mode, backend);
+            let what = format!("{codegen_mode:?} on {backend:?}");
+            assert_eq!((stats.full, stats.skipped), (1, 0), "{what}");
+            assert_eq!(run.stdout, "120\n", "{what}");
+            assert_eq!(loop_count(&module, "main"), 4, "{what}");
+            assert!(run.ops_retired < before, "{what}: {} ops", run.ops_retired);
         }
     }
 }
 
+/// The trip count is read off the skeleton's compare on both paths, so
+/// `unroll full` costs the same on both.
 #[test]
 fn unroll_full_is_applied_on_the_irbuilder_path_too() {
-    // The canonical skeleton reads its trip count back from the
-    // `.omp.distance` slot; `LoopUnroll` needs the constant Sema required.
     let src = "void print_i64(long v);\nint main(void) {\n  int s = 0;\n  #pragma omp unroll full\n  for (int i = 0; i < 8; i += 1)\n    s = s + i * 3;\n  print_i64(s);\n  return 0;\n}\n";
     for backend in [Backend::Interp, Backend::Vm] {
-        let ops = [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder].map(|codegen_mode| {
-            let mut ci = CompilerInstance::new(Options {
-                codegen_mode,
-                backend,
-                ..Options::default()
-            });
-            let tu = ci.parse_source("m.c", src).expect("parse");
-            let mut module = ci.codegen(&tu).expect("codegen");
-            let stats = ci.optimize(&mut module);
+        let ops = MODES.map(|codegen_mode| {
+            let (module, stats, run) = optimized(src, codegen_mode, backend);
             assert_eq!((stats.full, stats.skipped), (1, 0), "{codegen_mode:?}");
             assert_eq!(loop_count(&module, "main"), 0, "{codegen_mode:?}");
-            let run = ci.run(&module).expect("run");
             assert_eq!(run.stdout, "84\n", "{codegen_mode:?} on {backend:?}");
             run.ops_retired
         });
-        // What the canonical-loop path still pays over the classic one: the
-        // distance computation in front of where the loop was.
-        assert!(
-            ops[1] <= ops[0] + 8,
-            "{backend:?}: {} ops on the irbuilder path, {} on the classic",
-            ops[1],
-            ops[0]
+        assert_eq!(ops[1], ops[0], "{backend:?}: irbuilder, classic");
+    }
+}
+
+/// Heuristic `unroll` reads the same trip count on both paths, so it makes
+/// the same decision — here `full`, over a body with an inner loop — and
+/// the result retires the same ops.
+#[test]
+fn heuristic_unroll_decides_the_same_on_both_paths() {
+    let src = "void print_i64(long v);\nint main(void) {\n  long s = 0;\n  #pragma omp unroll\n  for (int i = 0; i < 10; i += 1)\n    for (int j = 0; j < 3; j += 1)\n      s = s + i * j;\n  print_i64(s);\n  return 0;\n}\n";
+    for backend in BACKENDS {
+        let ops = MODES.map(|codegen_mode| {
+            let (_, stats, run) = optimized(src, codegen_mode, backend);
+            let what = format!("{codegen_mode:?} on {backend:?}");
+            assert_eq!((stats.full, stats.partial), (1, 0), "{what}");
+            assert_eq!(run.stdout, "135\n", "{what}");
+            run.ops_retired
+        });
+        assert_eq!(ops[1], ops[0], "{backend:?}: irbuilder, classic");
+    }
+}
+
+/// A factor far beyond the trip count or the full-unroll budget is capped
+/// at both: `partial(2147483647)` used to ask for two billion copies and
+/// abort the compiler, `partial(16000)` over ten trips overflowed the VM's
+/// register file. Each compiles to a bounded function and prints the sum.
+#[test]
+fn a_huge_unroll_factor_is_capped_at_the_trips_and_the_budget() {
+    for factor in [2_147_483_647u64, 16_000] {
+        let src = format!(
+            "void print_i64(long v);\nlong f(int n) {{\n  long s = 0;\n  #pragma omp unroll partial({factor})\n  for (int i = 0; i < n; i++)\n    s += i * i + 3;\n  return s;\n}}\nlong g(void) {{\n  long s = 0;\n  #pragma omp unroll partial({factor})\n  for (int i = 0; i < 10; i++)\n    s += i * i + 3;\n  return s;\n}}\nint main(void) {{\n  print_i64(f(1000));\n  print_i64(g());\n  return 0;\n}}\n"
         );
+        for codegen_mode in MODES {
+            for backend in BACKENDS {
+                let (module, stats, run) = optimized(&src, codegen_mode, backend);
+                let what = format!("partial({factor}), {codegen_mode:?} on {backend:?}");
+                assert_eq!(stats.partial, 2, "{what}");
+                assert_eq!(run.stdout, "332836500\n315\n", "{what}");
+                for func in ["f", "g"] {
+                    let insts = module.function(func).unwrap().num_insts();
+                    assert!(insts < 2 * 8_192, "{what}: @{func} has {insts} insts");
+                }
+            }
+        }
     }
 }
