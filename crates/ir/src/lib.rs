@@ -16,6 +16,7 @@ pub mod arith;
 pub mod builder;
 pub mod function;
 pub mod inst;
+pub mod loops;
 pub mod metadata;
 pub mod module;
 pub mod printer;
@@ -27,6 +28,7 @@ pub mod verifier;
 pub use builder::IrBuilder;
 pub use function::{BlockData, BlockId, BlockLists, Function, Grouper, InstId, Rpo};
 pub use inst::{BinOpKind, Callee, CastOp, CmpPred, Inst, Terminator};
+pub use loops::Induction;
 pub use metadata::{LoopMetadata, UnrollHint};
 pub use module::{ExternFn, GlobalVar, Module};
 pub use printer::{print_function, print_module};

@@ -9,13 +9,6 @@ pub struct DomTree {
     idom: Vec<Option<BlockId>>,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Trees built on this thread: `loop_unroll`'s tests pin that a function
-    /// without an actionable hint costs none.
-    pub(crate) static TREES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 impl DomTree {
     /// Computes dominators for `f`.
     pub fn compute(f: &Function) -> DomTree {
@@ -25,8 +18,6 @@ impl DomTree {
     /// Dominators of `n` blocks with reverse postorder `rpo` (the entry
     /// first) and predecessors `preds`, for a caller that has both at hand.
     pub fn from_cfg(rpo: &[BlockId], preds: &BlockLists<BlockId>, n: usize) -> DomTree {
-        #[cfg(test)]
-        TREES_BUILT.with(|t| t.set(t.get() + 1));
         let mut rpo_index = vec![usize::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
             rpo_index[b.0 as usize] = i;

@@ -22,7 +22,7 @@ pub mod verify;
 
 pub use constfold::constant_fold;
 pub use domtree::DomTree;
-pub use loop_info::{match_skeleton, LoopInfo, NaturalLoop, SkeletonLoop};
+pub use loop_info::{LoopInfo, NaturalLoop};
 pub use loop_unroll::{loop_unroll, UnrollStats};
 pub use pipeline::run_default_pipeline;
 pub use promote::{promote, Promote};

@@ -1,10 +1,11 @@
-//! Natural-loop detection from back edges, plus recovery of the canonical
-//! skeleton roles (header/cond/body/latch/exit) that `create_canonical_loop`
-//! guarantees — which is exactly what lets the `LoopUnroll` pass work
+//! Natural-loop detection from back edges, for the skeleton verifier. The
+//! canonical skeleton's roles (header/cond/body/latch/exit, the IV and the
+//! trip count) are recognised by `Function::induction` in `omplt-ir`, from
+//! a back edge alone — which is exactly what lets the `LoopUnroll` pass work
 //! "without requiring analysis by ScalarEvolution" (paper §3.2).
 
 use crate::domtree::DomTree;
-use omplt_ir::{BlockId, CmpPred, Function, Inst, InstId, LoopMetadata, Terminator, Value};
+use omplt_ir::{BlockId, Function, LoopMetadata};
 
 /// A natural loop: a back edge `latch → header` plus its body.
 #[derive(Debug, Clone)]
@@ -80,86 +81,10 @@ impl LoopInfo {
     }
 }
 
-/// The canonical-skeleton roles of a loop, recovered structurally.
-#[derive(Debug, Clone, Copy)]
-pub struct SkeletonLoop {
-    /// Skeleton blocks (see `omplt-ompirb`).
-    pub header: BlockId,
-    /// Condition block.
-    pub cond: BlockId,
-    /// Body-region entry.
-    pub body: BlockId,
-    /// Latch.
-    pub latch: BlockId,
-    /// Exit block.
-    pub exit: BlockId,
-    /// The IV phi.
-    pub iv_phi: InstId,
-    /// Trip count value compared in `cond`.
-    pub trip_count: Value,
-}
-
-/// Tries to recognize the canonical skeleton rooted at `loop_`. Returns
-/// `None` for loops that were not produced by `create_canonical_loop` (or
-/// were restructured beyond recognition).
-pub fn match_skeleton(f: &Function, loop_: &NaturalLoop) -> Option<SkeletonLoop> {
-    let header = loop_.header;
-    let latch = loop_.latch;
-    // header: first inst is the IV phi; terminator is Br(cond) — or, after
-    // SimplifyCfg merged header+cond, the header itself holds the compare
-    // and conditional branch.
-    let iv_phi = *f.block(header).insts.first()?;
-    let Inst::Phi { incoming, .. } = f.inst(iv_phi) else {
-        return None;
-    };
-    if incoming.len() != 2 || !incoming.iter().any(|(b, _)| *b == latch) {
-        return None;
-    }
-    let cond = match f.block(header).term.as_ref()? {
-        Terminator::Br { target, .. } => *target,
-        Terminator::CondBr { .. } => header,
-        _ => return None,
-    };
-    // cond: an `icmp ult iv, tc` feeding a CondBr(body, exit). In the
-    // merged form the compare follows the phi(s).
-    let cmp_id = *f
-        .block(cond)
-        .insts
-        .iter()
-        .find(|&&i| !matches!(f.inst(i), Inst::Phi { .. }))?;
-    let Inst::Cmp {
-        pred: CmpPred::Ult,
-        lhs,
-        rhs,
-    } = f.inst(cmp_id)
-    else {
-        return None;
-    };
-    if *lhs != Value::Inst(iv_phi) {
-        return None;
-    }
-    let trip_count = *rhs;
-    let (body, exit) = match f.block(cond).term.as_ref()? {
-        Terminator::CondBr {
-            then_bb, else_bb, ..
-        } => (*then_bb, *else_bb),
-        _ => return None,
-    };
-    Some(SkeletonLoop {
-        header,
-        cond,
-        body,
-        latch,
-        exit,
-        iv_phi,
-        trip_count,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omplt_ir::{IrBuilder, IrType};
+    use omplt_ir::{CmpPred, IrBuilder, IrType, Value};
 
     /// `for (i = 0; i < arg0; ++i) {}` followed by `ret`, as the builder
     /// every lowering uses emits it.
@@ -193,9 +118,11 @@ mod tests {
         let cli = canonical(&mut f);
         let dt = DomTree::compute(&f);
         let li = LoopInfo::compute(&f, &dt);
-        let sk = match_skeleton(&f, &li.loops[0]).expect("canonical loop must be recognized");
+        let l = &li.loops[0];
+        let sk = f.induction(l.header, l.latch);
+        let sk = sk.expect("canonical loop must be recognized");
         assert_eq!(sk.iv_phi, cli.iv_phi);
-        assert_eq!(sk.trip_count, Value::Arg(0));
+        assert_eq!(sk.bound, Value::Arg(0));
         assert_eq!(f.region_until(sk.body, sk.latch), [cli.body]);
     }
 
@@ -221,7 +148,8 @@ mod tests {
         let dt = DomTree::compute(&f);
         let li = LoopInfo::compute(&f, &dt);
         assert_eq!(li.loops.len(), 1);
-        assert!(match_skeleton(&f, &li.loops[0]).is_none());
+        let l = &li.loops[0];
+        assert!(f.induction(l.header, l.latch).is_none());
     }
 
     #[test]

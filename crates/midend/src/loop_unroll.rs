@@ -17,19 +17,18 @@
 //!   or nothing (the paper: "the LoopUnroll pass can apply profitability
 //!   heuristics to determine an appropriate factor").
 //!
-//! Only loops in the canonical skeleton shape are transformed (recovered by
-//! [`crate::loop_info::match_skeleton`]); anything else keeps its metadata
-//! and a statistic records the skip. The trip count is the one the
-//! skeleton's compare reads; when it is not an immediate, the function is
-//! folded once and the compare read again.
+//! Only loops in the canonical skeleton shape are transformed: a latch's
+//! branch target is its header, and [`Function::induction`] must recognise
+//! an `icmp ult iv, tc` on an IV from 0. Anything else keeps its metadata
+//! and a statistic records the skip. The trip count is the compare's bound;
+//! when it is not an immediate, the function is folded once and the
+//! compare read again. No dominator tree or loop forest is built.
 
 use crate::constfold::constant_fold;
-use crate::domtree::DomTree;
-use crate::loop_info::{match_skeleton, LoopInfo, SkeletonLoop};
 use crate::simplify_cfg::simplify_cfg;
 use omplt_ir::{
-    arith, BlockId, CastOp, CmpPred, Function, Inst, InstId, IrBuilder, IrType, LoopMetadata,
-    Terminator, UnrollHint, Value,
+    arith, BlockId, CastOp, CmpPred, Function, Induction, Inst, InstId, IrBuilder, IrType,
+    LoopMetadata, Terminator, UnrollHint, Value,
 };
 
 /// What the pass did.
@@ -65,33 +64,30 @@ enum Plan {
 pub fn loop_unroll(f: &mut Function) -> UnrollStats {
     let mut stats = UnrollStats::default();
     let mut folded = false;
-    // One loop per iteration: every transformation invalidates the CFG
-    // analyses, so recompute. Terminates because each step removes or
-    // disables one metadata annotation (or folds, once). Most functions
-    // carry no actionable hint at all, and for those no analysis is built.
+    // One loop per iteration, the first latch with an actionable hint.
+    // Terminates because each step removes or disables one metadata
+    // annotation (or folds, once).
     loop {
-        let hinted = f.blocks.iter().any(|b| {
-            let md = b.term.as_ref().and_then(Terminator::loop_md);
-            md.is_some_and(|md| actionable(md.unroll).is_some())
+        let target = f.blocks.iter().enumerate().find_map(|(b, block)| {
+            let Some(Terminator::Br {
+                target: header,
+                loop_md: Some(md),
+            }) = block.term
+            else {
+                return None;
+            };
+            Some((header, BlockId(b as u32), actionable(md.unroll)?))
         });
-        if !hinted {
-            break;
-        }
-        let dt = DomTree::compute(f);
-        let li = LoopInfo::compute(f, &dt);
-        let target = li.loops.iter().find_map(|l| {
-            let md = f.block(l.latch).term.as_ref()?.loop_md()?;
-            Some((l, actionable(md.unroll)?))
-        });
-        let Some((l, hint)) = target else {
+        let Some((header, latch, hint)) = target else {
             break;
         };
-        let Some(sk) = match_skeleton(f, l) else {
-            disable(f, l.latch);
+        let skeleton = f.induction(header, latch);
+        let Some(ind) = skeleton.filter(|i| i.pred == CmpPred::Ult && i.start.is_zero_int()) else {
+            disable(f, latch);
             stats.skipped += 1;
             continue;
         };
-        let tc = match sk.trip_count {
+        let tc = match ind.bound {
             Value::ConstInt { ty, val } => Some(unsigned(ty, val)),
             _ => None,
         };
@@ -104,7 +100,7 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
             constant_fold(f);
             continue;
         }
-        let mut copier = RegionCopier::new(f, sk);
+        let mut copier = RegionCopier::new(f, ind);
         let body_size = copier.size(f);
         let fits = |n: u64| n.saturating_mul(body_size) <= FULL_UNROLL_MAX_GROWTH;
         let plan = match (hint, tc) {
@@ -126,7 +122,7 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
         match plan {
             Plan::Full(n) => full_unroll(f, &mut copier, n),
             Plan::Partial(k) => partial_unroll(f, &mut copier, k, tc),
-            Plan::Decline | Plan::Skip => disable(f, sk.latch),
+            Plan::Decline | Plan::Skip => disable(f, latch),
         }
         *match plan {
             Plan::Full(_) => &mut stats.full,
@@ -186,44 +182,41 @@ fn retarget(f: &mut Function, bb: BlockId, old: BlockId, new: BlockId) {
 struct RegionCopier {
     /// The region's blocks in function reverse-postorder (defs before uses).
     rpo: Vec<BlockId>,
-    /// The loop, and the block that leads into its header from outside.
-    sk: SkeletonLoop,
-    preheader: BlockId,
+    /// The loop.
+    ind: Induction,
     /// Each header phi with the values it takes from the preheader and from
-    /// the latch, the IV phi first.
+    /// the latch, the IV phi moved first.
     phis: Vec<(InstId, Value, Value)>,
     block_map: Vec<Option<BlockId>>,
     value_map: Vec<Option<Value>>,
 }
 
 impl RegionCopier {
-    fn new(f: &Function, sk: SkeletonLoop) -> RegionCopier {
+    fn new(f: &Function, ind: Induction) -> RegionCopier {
         let mut in_region = vec![false; f.blocks.len()];
-        for b in f.region_until(sk.body, sk.latch) {
+        for b in f.region_until(ind.body, ind.latch) {
             in_region[b.0 as usize] = true;
         }
-        in_region[sk.latch.0 as usize] = true;
+        in_region[ind.latch.0 as usize] = true;
         let mut rpo = f.reverse_postorder();
         rpo.retain(|b| in_region[b.0 as usize]);
         // A header phi's edge from the latch, or from outside the loop.
         let edge = |phi: InstId, latch: bool| match f.inst(phi) {
             Inst::Phi { incoming, .. } => {
                 let mut edges = incoming.iter().copied();
-                edges.find(|(b, _)| (*b == sk.latch) == latch)
+                edges.find(|(b, _)| (*b == ind.latch) == latch)
             }
             _ => None,
         };
-        let header = f.block(sk.header).insts.iter();
-        let phis = header
+        let header = f.block(ind.header).insts.iter();
+        let mut phis: Vec<_> = header
             .map_while(|&i| Some((i, edge(i, false)?.1, edge(i, true)?.1)))
             .collect();
-        let preheader = edge(sk.iv_phi, false)
-            .expect("skeleton phi must have a preheader edge")
-            .0;
+        let iv = phis.iter().position(|p| p.0 == ind.iv_phi);
+        phis[..=iv.expect("the IV is a header phi")].rotate_right(1);
         RegionCopier {
             rpo,
-            sk,
-            preheader,
+            ind,
             phis,
             block_map: vec![None; f.blocks.len()],
             value_map: vec![None; f.insts.len()],
@@ -262,7 +255,7 @@ impl RegionCopier {
                 .expect("region blocks must be terminated");
             term.map_operands(|v| self.value(v));
             term.map_blocks(|t| self.block(t));
-            if let Some(md) = term.loop_md_mut().filter(|_| bb == self.sk.latch) {
+            if let Some(md) = term.loop_md_mut().filter(|_| bb == self.ind.latch) {
                 *md = None;
             }
             f.block_mut(new_bb).term = Some(term);
@@ -285,7 +278,7 @@ impl RegionCopier {
         for (&(.., next), v) in self.phis.iter().zip(vals.iter_mut()) {
             *v = self.value(next);
         }
-        (self.block(self.sk.body), self.block(self.sk.latch))
+        (self.block(self.ind.body), self.block(self.ind.latch))
     }
 
     /// Chains one copy per IV value behind `from`, each taking over the
@@ -303,7 +296,7 @@ impl RegionCopier {
         for (j, iv) in ivs.into_iter().enumerate() {
             vals[0] = iv;
             let (entry, latch) = self.copy(f, vals, &format!("{tag}{j}"));
-            retarget(f, from, self.sk.header, entry);
+            retarget(f, from, self.ind.header, entry);
             from = latch;
         }
         from
@@ -314,26 +307,26 @@ impl RegionCopier {
     /// that edge, `cond` falls through to the exit and the old latch becomes
     /// unreachable.
     fn reenter(&self, f: &mut Function, from: BlockId, vals: &[Value], last: bool) {
-        let sk = &self.sk;
+        let ind = &self.ind;
         for (&(phi, ..), &v) in self.phis.iter().zip(vals) {
             let Inst::Phi { incoming, .. } = f.inst_mut(phi) else {
                 unreachable!("a header phi")
             };
             if last {
                 *incoming = vec![(from, v)];
-            } else if let Some(e) = incoming.iter_mut().find(|(b, _)| *b != sk.latch) {
+            } else if let Some(e) = incoming.iter_mut().find(|(b, _)| *b != ind.latch) {
                 *e = (from, v);
             }
         }
         if last {
             let exit = Terminator::Br {
-                target: sk.exit,
+                target: ind.exit,
                 loop_md: None,
             };
-            f.block_mut(sk.cond).term = Some(exit);
-            f.block_mut(sk.latch).term = Some(Terminator::Unreachable);
+            f.block_mut(ind.cond).term = Some(exit);
+            f.block_mut(ind.latch).term = Some(Terminator::Unreachable);
         } else {
-            disable(f, sk.latch);
+            disable(f, ind.latch);
         }
     }
 
@@ -370,10 +363,10 @@ impl RegionCopier {
 /// Replaces the loop with `tc` copies of its body (IV = 0..tc-1) chained
 /// behind the preheader; the header, run once, leaves with their result.
 fn full_unroll(f: &mut Function, copier: &mut RegionCopier, tc: u64) {
-    let ty = f.value_type(copier.sk.trip_count);
+    let ty = f.value_type(copier.ind.bound);
     let mut vals: Vec<Value> = copier.phis.iter().map(|p| p.1).collect();
     let ivs = (0..tc).map(|k| Value::int(ty, k as i64));
-    let last = copier.chain(f, copier.preheader, ivs, &mut vals, "unroll");
+    let last = copier.chain(f, copier.ind.preheader, ivs, &mut vals, "unroll");
     copier.reenter(f, last, &vals, true);
 }
 
@@ -397,17 +390,17 @@ fn full_unroll(f: &mut Function, copier: &mut RegionCopier, tc: u64) {
 /// When a constant trip count is a multiple of `k`, the old loop is left
 /// through its header as in [`full_unroll`]: no remainder runs.
 fn partial_unroll(f: &mut Function, copier: &mut RegionCopier, k: u64, tc: Option<u64>) {
-    let sk = copier.sk;
-    let ty = f.value_type(sk.trip_count);
+    let ind = copier.ind;
+    let ty = f.value_type(ind.bound);
     let budget = FULL_UNROLL_MAX_GROWTH / copier.size(f);
     // Without a constant, the most trips the type can count.
     let k = k.min(tc.unwrap_or(unsigned(ty, -1))).min(budget).max(2);
-    let preheader = copier.preheader;
+    let preheader = ind.preheader;
     let k_const = Value::int(ty, k as i64);
 
     let mut b = IrBuilder::new(f);
     b.set_insert_point(preheader);
-    let main_tc = b.udiv(sk.trip_count, k_const);
+    let main_tc = b.udiv(ind.bound, k_const);
     let rem_start = b.mul(main_tc, k_const);
 
     let mheader = b.create_block("main.header");
@@ -432,22 +425,22 @@ fn partial_unroll(f: &mut Function, copier: &mut RegionCopier, k: u64, tc: Optio
     b.set_insert_point(mcond);
     let c = b.cmp(CmpPred::Ult, g, main_tc);
     // The first copy takes over the branch to the header.
-    b.cond_br(c, sk.header, mexit);
+    b.cond_br(c, ind.header, mexit);
     b.set_insert_point(mlatch);
     let g1 = b.add(g, Value::int(ty, 1));
     b.br_with_md(mheader, LoopMetadata::unroll(UnrollHint::Disable));
     b.set_insert_point(mexit);
-    b.br(sk.header);
+    b.br(ind.header);
 
     let mut vals: Vec<Value> = phis.iter().map(|p| p.0).collect();
     let last = copier.chain(f, mcond, ivs, &mut vals, "copy");
-    retarget(f, last, sk.header, mlatch);
+    retarget(f, last, ind.header, mlatch);
     vals[0] = g1;
     let mut b = IrBuilder::new(f);
     for (&(_, twin), &v) in phis.iter().zip(&vals) {
         b.add_phi_incoming(twin, mlatch, v);
     }
-    retarget(f, preheader, sk.header, mheader);
+    retarget(f, preheader, ind.header, mheader);
 
     // The old loop is entered with what the main loop leaves.
     let mut vals: Vec<Value> = phis.iter().map(|p| p.0).collect();
@@ -459,6 +452,7 @@ fn partial_unroll(f: &mut Function, copier: &mut RegionCopier, k: u64, tc: Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DomTree, LoopInfo};
     use omplt_ir::{assert_verified, IrType, Module};
     use omplt_ompirb::{create_canonical_loop_skeleton, CanonicalLoopInfo};
 
@@ -739,27 +733,19 @@ mod tests {
         assert_eq!(run_collect(&m), expected(100));
     }
 
-    /// Runs the pass on `main`, returning its statistics and how many
-    /// dominator trees it built on the way.
-    fn unroll_counting_trees(m: &mut Module) -> (UnrollStats, usize) {
-        use crate::domtree::TREES_BUILT;
-        TREES_BUILT.with(|t| t.set(0));
-        let stats = loop_unroll(m.function_mut("main").unwrap());
-        (stats, TREES_BUILT.with(|t| t.get()))
-    }
-
     #[test]
     fn disable_metadata_is_respected() {
         let mut m = loop_module(Value::i64(5), UnrollHint::Disable);
-        let (stats, trees) = unroll_counting_trees(&mut m);
-        assert_eq!((stats, trees), (UnrollStats::default(), 0));
+        let stats = loop_unroll(m.function_mut("main").unwrap());
+        assert_eq!(stats, UnrollStats::default());
         assert_eq!(run_collect(&m), expected(5));
     }
 
     #[test]
     fn no_actionable_hint_builds_no_analysis() {
         // What most functions look like: a loop without metadata, with only
-        // the `is_canonical` marker every skeleton carries, or disabled.
+        // the `is_canonical` marker every skeleton carries, or disabled. The
+        // pass finds no latch to act on and leaves the loop as it is.
         let canonical = LoopMetadata {
             is_canonical: true,
             ..Default::default()
@@ -770,8 +756,8 @@ mod tests {
             let terms = f.blocks.iter_mut().filter_map(|b| b.term.as_mut());
             let mut slots = terms.filter_map(Terminator::loop_md_mut);
             *slots.find(|slot| slot.is_some()).expect("a latch") = md;
-            let (stats, trees) = unroll_counting_trees(&mut m);
-            assert_eq!((stats, trees), (UnrollStats::default(), 0), "{md:?}");
+            let stats = loop_unroll(m.function_mut("main").unwrap());
+            assert_eq!(stats, UnrollStats::default(), "{md:?}");
             assert_eq!(run_collect(&m), expected(5));
         }
     }
@@ -792,10 +778,40 @@ mod tests {
         second.set_metadata(&mut f, LoopMetadata::unroll(UnrollHint::Count(4)));
         m.add_function(f);
 
-        let (stats, trees) = unroll_counting_trees(&mut m);
+        let stats = loop_unroll(m.function_mut("main").unwrap());
         assert_eq!((stats.full, stats.partial), (1, 1));
-        assert_eq!(trees, 2, "one per transformation, none to find nothing");
         assert_verified(m.function("main").unwrap());
         assert_eq!(run_collect(&m), expected(3) + &expected(9));
+    }
+
+    /// Feeds `iv + 2` to the IV phi — the first instruction of the header —
+    /// of `f`'s hinted loop; the latch keeps its `iv + 1`.
+    fn step_by_two(f: &mut Function) {
+        let hinted =
+            |b: &omplt_ir::BlockData| b.term.as_ref().is_some_and(|t| t.loop_md().is_some());
+        let latch = BlockId(f.blocks.iter().position(hinted).unwrap() as u32);
+        let Some(Terminator::Br { target, .. }) = f.block(latch).term else {
+            panic!("a latch branches back")
+        };
+        let iv = f.block(target).insts[0];
+        let two = Inst::Bin {
+            op: omplt_ir::BinOpKind::Add,
+            lhs: Value::Inst(iv),
+            rhs: Value::i64(2),
+        };
+        let two = f.push_inst(latch, two);
+        if let Inst::Phi { incoming, .. } = f.inst_mut(iv) {
+            incoming.iter_mut().find(|(b, _)| *b == latch).unwrap().1 = two;
+        }
+    }
+
+    #[test]
+    fn a_skeleton_stepping_by_two_is_skipped() {
+        for hint in [UnrollHint::Full, UnrollHint::Count(2)] {
+            let mut m = loop_module(Value::i64(8), hint);
+            step_by_two(m.function_mut("main").unwrap());
+            assert_eq!(run_collect(&m), "0\n2\n4\n6\n");
+            assert_eq!(unroll_main(&mut m).skipped, 1, "{hint:?}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! and the VM on a copy of any function that reaches it unpromoted. A load
 //! before any store reads the type's zero, what a fresh `alloca` holds on
 //! both engines (also when it re-executes in a loop); new phis go after a
-//! block's own, so a skeleton's IV phi stays first. [`Promote`] keeps the
+//! block's own. [`Promote`] keeps the
 //! buffers for a whole module: per function the pass allocates its CFG
 //! tables and one incoming list per phi, nothing per block, slot or
 //! placement round.

@@ -4,18 +4,20 @@
 //! (terminators, phi coherence, operand ranges). This pass layers the
 //! paper's *loop-shape* invariants on top: every loop whose latch branch
 //! carries `is_canonical` metadata — i.e. every loop minted by
-//! `create_canonical_loop` — must still look like the canonical skeleton
-//! (header phi from 0, `icmp ult iv, tc` condition feeding a conditional
-//! branch into body/exit, latch incrementing by 1), and its trip count
-//! must be defined at a point dominating the compare that consumes it.
+//! `create_canonical_loop` — must still be recognised by
+//! [`Function::induction`] as an `icmp ult iv, tc` on a header phi that the
+//! latch increments by 1, the compare's true edge entering the loop and its
+//! false edge leaving it, and its trip count must be defined at a point
+//! dominating the compare that consumes it. (The IV need not enter at 0
+//! here: a partial unroll's remainder loop restarts mid-range.)
 //!
 //! [`crate::run_default_pipeline`] runs it after every pass under
 //! `--verify-each`.
 
-use omplt_ir::{verify_function, BlockId, Function, InstId, Module, Value, VerifyError};
+use omplt_ir::{verify_function, BlockId, CmpPred, Function, InstId, Module, Value, VerifyError};
 
 use crate::domtree::DomTree;
-use crate::loop_info::{match_skeleton, LoopInfo};
+use crate::loop_info::LoopInfo;
 
 /// Finds the block owning `inst`, if any.
 fn owner_block(f: &Function, inst: InstId) -> Option<BlockId> {
@@ -38,55 +40,49 @@ pub fn verify_loop_skeletons(f: &Function) -> Vec<VerifyError> {
             f.block(nl.header).name,
             nl.header.0
         );
-        let Some(sk) = match_skeleton(f, nl) else {
+        let skeleton = f.induction(nl.header, nl.latch);
+        let Some(ind) = skeleton.filter(|i| i.pred == CmpPred::Ult) else {
             errs.push(VerifyError(format!(
                 "{where_}: marked `is_canonical` but no longer matches the \
-                 canonical skeleton (header phi / icmp ult / cond-br shape)"
+                 canonical skeleton (header phi stepping by 1 / icmp ult / \
+                 cond-br shape)"
             )));
             continue;
         };
-        if sk.body == sk.exit {
-            errs.push(VerifyError(format!(
-                "{where_}: condition branch must distinguish body from exit"
-            )));
-        }
         // The taken edge of `icmp ult iv, tc` must stay inside the loop and
         // the fall-through edge must leave it — swapped edges invert the
         // guard and execute the body exactly when it must not run.
-        if !nl.blocks.contains(&sk.body) {
+        if !nl.blocks.contains(&ind.body) {
             errs.push(VerifyError(format!(
                 "{where_}: condition true edge must enter the loop body, \
                  but {}.{} is outside the loop",
-                f.block(sk.body).name,
-                sk.body.0
+                f.block(ind.body).name,
+                ind.body.0
             )));
         }
-        if nl.blocks.contains(&sk.exit) {
+        if nl.blocks.contains(&ind.exit) {
             errs.push(VerifyError(format!(
                 "{where_}: condition false edge must leave the loop, \
                  but {}.{} is inside it",
-                f.block(sk.exit).name,
-                sk.exit.0
+                f.block(ind.exit).name,
+                ind.exit.0
             )));
         }
-        // (Entering at IV = 0 is only guaranteed at creation time —
-        // `CanonicalLoopInfo::check` enforces it in `omplt-ompirb`; the
-        // partial-unroll remainder loop legitimately restarts mid-range.)
         // The trip count must dominate the compare that consumes it; a
         // transformation that sank or cloned the bound computation into the
         // loop would execute it per-iteration (or worse, use a stale copy).
-        if let Value::Inst(tc) = sk.trip_count {
+        if let Value::Inst(tc) = ind.bound {
             match owner_block(f, tc) {
                 Some(def_bb) => {
-                    if !dt.dominates(def_bb, sk.cond) {
+                    if !dt.dominates(def_bb, ind.cond) {
                         errs.push(VerifyError(format!(
                             "{where_}: trip count %{} defined in {}.{} does not \
                              dominate the loop condition {}.{}",
                             tc.0,
                             f.block(def_bb).name,
                             def_bb.0,
-                            f.block(sk.cond).name,
-                            sk.cond.0
+                            f.block(ind.cond).name,
+                            ind.cond.0
                         )));
                     }
                 }
@@ -184,6 +180,33 @@ mod tests {
         }
         let errs = verify_loop_skeletons(&f);
         assert!(!errs.is_empty(), "non-ult compare must be rejected");
+    }
+
+    #[test]
+    fn rejects_a_latch_stepping_by_two() {
+        // The latch keeps `iv + 1` but feeds `iv + 2` to the IV phi.
+        let (mut f, cli) = skeleton_fn();
+        let two = f.push_inst(
+            cli.latch,
+            Inst::Bin {
+                op: omplt_ir::BinOpKind::Add,
+                lhs: cli.iv(),
+                rhs: Value::i64(2),
+            },
+        );
+        if let Inst::Phi { incoming, .. } = f.inst_mut(cli.iv_phi) {
+            incoming
+                .iter_mut()
+                .find(|(b, _)| *b == cli.latch)
+                .unwrap()
+                .1 = two;
+        }
+        assert_eq!(omplt_ir::verify_function(&f), vec![]);
+        let errs = verify_loop_skeletons(&f);
+        assert!(
+            errs.iter().any(|e| e.0.contains("no longer matches")),
+            "a step of 2 must be flagged: {errs:?}"
+        );
     }
 
     #[test]

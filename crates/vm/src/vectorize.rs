@@ -5,12 +5,13 @@
 //! (pure analysis over the SSA form, before any bytecode exists) and
 //! *emission* (interleaved with [`crate::compile`]'s normal block walk):
 //!
-//! * [`plan_loops`] pattern-matches counted loops whose latch carries
-//!   `llvm.loop.vectorize.enable` metadata and classifies the header's phis:
-//!   the induction variable (`{start, +, 1}`, the one the exit test reads),
-//!   integer `+`/`*` reductions (latch value `phi ⊕ e`, the phi's one use),
-//!   and last values (a latch value that does not read the phi, whose exit
-//!   value is lane `w-1`). It picks each memory access's form (unit-stride
+//! * [`plan_loops`] takes the counted loop [`Function::induction`]
+//!   recognises behind each latch carrying `llvm.loop.vectorize.enable`
+//!   metadata — its IV `{start, +, 1}`, exit test and bound — and keeps the
+//!   widener's own conditions: a straight-line body and an `i32`/`i64` IV.
+//!   It classifies the other header phis as integer `+`/`*` reductions
+//!   (latch value `phi ⊕ e`, the phi's one use) and last values (a latch
+//!   value that does not read the phi, whose exit value is lane `w-1`). It picks each memory access's form (unit-stride
 //!   from the linear form `coeff·iv + sym + k` of its index, gather/scatter
 //!   otherwise). Whether lanes may run together at all is not decided here:
 //!   the front end's legality gate proved it, and the metadata carries its
@@ -343,45 +344,22 @@ fn try_plan(
     if requested < 2 {
         return None;
     }
-    // --- shape: entered from the preheader and the latch; the exit test
-    // sits in the header or in the one block the header falls into --------
-    let hp = &preds[header.0 as usize];
-    if hp.len() != 2 || !hp.contains(&latch) {
+    // --- shape: a counted loop entered from the preheader and the latch,
+    // its exit test in the header or in a block only the header enters -----
+    let ind = f.induction(header, latch)?;
+    let test = ind.cond;
+    if preds[header.0 as usize].len() != 2 || (test != header && preds[test.0 as usize].len() != 1)
+    {
         return None;
     }
-    let test = match &f.block(header).term {
-        Some(Terminator::Br { target, .. }) if preds[target.0 as usize].len() == 1 => *target,
-        _ => header,
-    };
-    let Some(Terminator::CondBr {
-        cond: Value::Inst(cmp_id),
-        then_bb,
-        ..
-    }) = &f.block(test).term
-    else {
-        return None;
-    };
-    let Inst::Cmp { pred, lhs, rhs } = f.inst(*cmp_id) else {
-        return None;
-    };
-    if !matches!(
-        pred,
-        CmpPred::Slt | CmpPred::Ult | CmpPred::Sle | CmpPred::Ule
-    ) {
-        return None;
-    }
-    // The test compares the induction variable, a header phi.
-    let Value::Inst(iv) = *lhs else { return None };
-    let iv_ty = match f.inst(iv) {
-        Inst::Phi { ty, .. } if f.block(header).insts.contains(&iv) => *ty,
-        _ => return None,
-    };
+    let iv = ind.iv_phi;
+    let iv_ty = f.value_type(Value::Inst(iv));
     if !matches!(iv_ty, IrType::I32 | IrType::I64) {
         return None;
     }
     // --- shape: straight-line body chain from the test to the latch -------
     let mut chain = Vec::new();
-    let mut cur = *then_bb;
+    let mut cur = ind.body;
     loop {
         if cur == header || cur == test || chain.contains(&cur) || chain.len() > 128 {
             return None;
@@ -434,7 +412,7 @@ fn try_plan(
     };
 
     // --- bound must be defined before the loop -----------------------------
-    let bound = *rhs;
+    let bound = ind.bound;
     match bound {
         Value::Inst(id) if p.in_loop(id) => return None,
         Value::Inst(_) | Value::Arg(_) => {}
@@ -464,9 +442,8 @@ fn try_plan(
             _ => None,
         };
         match carried {
-            // The induction variable: `{start, +, 1}`.
-            Some((_, BinOpKind::Add, Value::ConstInt { val: 1, .. })) if phi == iv => {}
-            _ if phi == iv => return None,
+            // The induction variable: `{start, +, 1}`, recognised above.
+            _ if phi == iv => {}
             // An integer reduction: the phi has that one use, and nothing
             // else in the loop reads the running value.
             Some((b, op, e)) => {
@@ -520,7 +497,7 @@ fn try_plan(
         loop_insts,
         iv,
         iv_ty,
-        pred: *pred,
+        pred: ind.pred,
         bound,
         width: requested,
         unit_stride,
