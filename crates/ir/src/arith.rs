@@ -46,12 +46,32 @@ pub enum Trap {
 }
 
 /// Whether `lhs <op> rhs` at type `ty` can [`Trap`] for some operands — what
-/// a pass asks before deleting a dead instance.
+/// [`removable`] asks of a dead `Bin`.
 pub fn may_trap(op: BinOpKind, ty: IrType) -> bool {
     use BinOpKind::*;
     !op.is_float()
         && (matches!(op, SDiv | UDiv | SRem | URem)
             || (ty == IrType::Ptr && !matches!(op, Add | Sub)))
+}
+
+/// Whether `inst` may be deleted when nothing uses its result: the one
+/// dead-code rule, which the mid end's DCE (and through it the VM's input
+/// step) reads. A store or a call acts, an alloca claims a region of guest
+/// memory, a load can fault on its address and a `Bin` for which
+/// [`may_trap`] holds can [`Trap`]: the interpreter runs the IR as written,
+/// so deleting one of them would let an optimized program succeed where the
+/// same program unoptimized reports the error. `type_of` types the `Bin`'s
+/// operand.
+pub fn removable(inst: &Inst, type_of: impl Fn(Value) -> IrType) -> bool {
+    match *inst {
+        Inst::Store { .. } | Inst::Call { .. } | Inst::Alloca { .. } | Inst::Load { .. } => false,
+        Inst::Bin { op, lhs, .. } => !may_trap(op, type_of(lhs)),
+        Inst::Gep { .. }
+        | Inst::Cmp { .. }
+        | Inst::Cast { .. }
+        | Inst::Select { .. }
+        | Inst::Phi { .. } => true,
+    }
 }
 
 /// `lhs <op> rhs` at width `ty`, on payloads: wrapping integer arithmetic,
@@ -265,6 +285,102 @@ fn identity(op: BinOpKind, lhs: Value, rhs: Value, ty: IrType) -> Option<Value> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::Callee;
+    use crate::{BlockId, SymbolId};
+
+    /// The dead-code rule, one row per instruction kind (a `Bin` at an
+    /// integer, a float and a pointer type): `true` where an unused instance
+    /// may go.
+    #[test]
+    fn removable_keeps_what_acts_or_may_trap() {
+        let (int, float) = (Value::i64(7), Value::float(IrType::F64, 7.0));
+        let ptr = Value::Undef(IrType::Ptr);
+        let bin = |op, v| Inst::Bin { op, lhs: v, rhs: v };
+        let rows = [
+            (bin(BinOpKind::Add, int), true),
+            (bin(BinOpKind::Mul, int), true),
+            (bin(BinOpKind::SDiv, int), false),
+            (bin(BinOpKind::UDiv, int), false),
+            (bin(BinOpKind::SRem, int), false),
+            (bin(BinOpKind::URem, int), false),
+            (bin(BinOpKind::FDiv, float), true),
+            (bin(BinOpKind::FRem, float), true),
+            (bin(BinOpKind::Add, ptr), true),
+            (bin(BinOpKind::Sub, ptr), true),
+            (bin(BinOpKind::Mul, ptr), false),
+            (bin(BinOpKind::And, ptr), false),
+            (
+                Inst::Cmp {
+                    pred: CmpPred::Slt,
+                    lhs: int,
+                    rhs: int,
+                },
+                true,
+            ),
+            (
+                Inst::Cast {
+                    op: CastOp::SiToFp,
+                    val: int,
+                    to: IrType::F64,
+                },
+                true,
+            ),
+            (
+                Inst::Select {
+                    cond: Value::bool(true),
+                    t: int,
+                    f: int,
+                },
+                true,
+            ),
+            (
+                Inst::Gep {
+                    ptr,
+                    index: int,
+                    elem_size: 8,
+                },
+                true,
+            ),
+            (
+                Inst::Phi {
+                    ty: IrType::I64,
+                    incoming: vec![(BlockId(0), int)],
+                },
+                true,
+            ),
+            (
+                Inst::Alloca {
+                    ty: IrType::I64,
+                    count: 1,
+                    name: "x".into(),
+                },
+                false,
+            ),
+            (
+                Inst::Load {
+                    ty: IrType::I64,
+                    ptr,
+                },
+                false,
+            ),
+            (Inst::Store { val: int, ptr }, false),
+            (
+                Inst::Call {
+                    callee: Callee(SymbolId(0)),
+                    args: vec![],
+                    ty: IrType::I64,
+                },
+                false,
+            ),
+        ];
+        let type_of = |v: Value| match v {
+            Value::ConstInt { ty, .. } | Value::ConstFloat { ty, .. } | Value::Undef(ty) => ty,
+            _ => unreachable!("the rows use constants only"),
+        };
+        for (inst, want) in rows {
+            assert_eq!(removable(&inst, type_of), want, "{inst:?}");
+        }
+    }
 
     /// The header's `i1` row: every producer of an `i1` payload yields 0 or
     /// 1, and the two constructors of an `i1` constant agree.

@@ -2,20 +2,28 @@
 //! complementing the `IrBuilder`'s on-the-fly folding: transformations
 //! (unrolling in particular) substitute constants for induction variables
 //! *after* instructions were built, so a post-pass re-folds them.
+//!
+//! The DCE ([`eliminate_dead_code`]) is the system's only one. What it may
+//! delete is the one dead-code rule, [`omplt_ir::arith::removable`]; what
+//! it deletes is everything no kept instruction and no terminator reaches
+//! through operands, so a cycle of phis reading only each other goes in the
+//! same pass. The bytecode VM runs it too, after `promote`, on every
+//! function that reaches it unoptimized, and lowers nothing it would delete.
 
-use omplt_ir::arith::simplify;
-use omplt_ir::{Function, Inst, Value};
+use omplt_ir::arith::{removable, simplify};
+use omplt_ir::{Function, Inst, InstId, Value};
 
 /// Folds constants and removes dead instructions to a fixpoint.
 /// Returns true if anything changed.
 pub fn constant_fold(f: &mut Function) -> bool {
-    // Both rows are indexed by `InstId` and reused by every round.
+    // The replacement row (indexed by `InstId`) and the DCE's buffers are
+    // reused by every round.
     let mut replacement = Vec::new();
-    let mut used = Vec::new();
+    let mut dce = Dce::default();
     let mut changed = false;
     loop {
         let mut local = fold_once(f, &mut replacement);
-        local |= dce_once(f, &mut used);
+        local |= eliminate_dead_code(f, &mut dce);
         if !local {
             return changed;
         }
@@ -76,37 +84,68 @@ fn fold_once(f: &mut Function, replacement: &mut Vec<Option<Value>>) -> bool {
     true
 }
 
-/// Removes instructions whose results are unused and that have no side
-/// effects. Returns true if anything was removed.
-fn dce_once(f: &mut Function, used: &mut Vec<bool>) -> bool {
-    used.clear();
-    used.resize(f.insts.len(), false);
-    let mut mark = |v: Value| {
-        if let Value::Inst(id) = v {
-            used[id.0 as usize] = true;
-        }
-    };
-    for b in &f.blocks {
-        for &iid in &b.insts {
-            f.inst(iid).for_each_operand(&mut mark);
-        }
-        if let Some(t) = &b.term {
-            t.for_each_operand(&mut mark);
-        }
-    }
+/// The buffers of [`eliminate_dead_code`], reused from function to function.
+#[derive(Default)]
+pub struct Dce {
+    /// Whether each instruction is live, by `InstId`.
+    live: Vec<bool>,
+    /// Live instructions whose operands are still to be marked.
+    work: Vec<InstId>,
+}
+
+/// Deletes every instruction of `f` that no terminator and no instruction
+/// the one dead-code rule ([`removable`]) keeps reaches through operands:
+/// an unused instruction the rule lets go, what only such instructions
+/// read, and a cycle of phis that only read each other. Returns true if
+/// anything was removed.
+pub fn eliminate_dead_code(f: &mut Function, ws: &mut Dce) -> bool {
+    mark_live(f, ws);
     let mut removed = false;
     for b in &mut f.blocks {
         let before = b.insts.len();
-        b.insts.retain(|&iid| {
-            used[iid.0 as usize]
-                || matches!(
-                    f.insts[iid.0 as usize],
-                    Inst::Store { .. } | Inst::Call { .. }
-                )
-        });
+        b.insts.retain(|&iid| ws.live[iid.0 as usize]);
         removed |= b.insts.len() != before;
     }
     removed
+}
+
+/// Whether [`eliminate_dead_code`] would remove something from `f`.
+pub fn has_dead_code(f: &Function, ws: &mut Dce) -> bool {
+    mark_live(f, ws);
+    f.blocks
+        .iter()
+        .any(|b| b.insts.iter().any(|&iid| !ws.live[iid.0 as usize]))
+}
+
+/// Marks in `ws.live` every instruction a terminator or an instruction the
+/// rule keeps reaches through operands.
+fn mark_live(f: &Function, ws: &mut Dce) {
+    let Dce { live, work } = ws;
+    live.clear();
+    live.resize(f.insts.len(), false);
+    work.clear();
+    for b in &f.blocks {
+        for &iid in &b.insts {
+            if !removable(f.inst(iid), |v| f.value_type(v)) {
+                mark(live, work, Value::Inst(iid));
+            }
+        }
+        if let Some(t) = &b.term {
+            t.for_each_operand(|v| mark(live, work, v));
+        }
+    }
+    while let Some(iid) = work.pop() {
+        f.inst(iid).for_each_operand(|v| mark(live, work, v));
+    }
+}
+
+/// Marks the instruction `v` live, to mark its operands next.
+fn mark(live: &mut [bool], work: &mut Vec<InstId>, v: Value) {
+    if let Value::Inst(id) = v {
+        if !std::mem::replace(&mut live[id.0 as usize], true) {
+            work.push(id);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ pub mod promote;
 pub mod simplify_cfg;
 pub mod verify;
 
-pub use constfold::constant_fold;
+pub use constfold::{constant_fold, eliminate_dead_code, has_dead_code, Dce};
 pub use domtree::DomTree;
 pub use loop_info::{LoopInfo, NaturalLoop};
 pub use loop_unroll::{loop_unroll, UnrollStats};

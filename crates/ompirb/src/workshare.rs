@@ -66,7 +66,9 @@ pub fn create_static_workshare_loop(
 }
 
 /// Emits the init call and loads the resulting bounds. Returns
-/// `(gtid, lb, ub, stride)` as `i64` values (except `gtid`: `i32`).
+/// `(gtid, lb, ub, stride slot)`: `lb` and `ub` as `i64` values, `gtid` as
+/// an `i32`. Only the chunked schedule reads the stride, so only it loads
+/// the slot.
 fn emit_static_init(
     b: &mut IrBuilder<'_>,
     cli: &CanonicalLoopInfo,
@@ -103,8 +105,7 @@ fn emit_static_init(
     );
     let lb = b.load(IrType::I64, plb);
     let ub = b.load(IrType::I64, pub_);
-    let stride = b.load(IrType::I64, pstride);
-    (gtid, lb, ub, stride)
+    (gtid, lb, ub, pstride)
 }
 
 /// Shifts the body's view of the IV by `offset` (in the IV type): prepends
@@ -150,7 +151,7 @@ fn apply_unchunked(
     let saved = b.insert_block();
 
     b.set_insert_point(cli.preheader);
-    let (gtid, lb, ub, _stride) =
+    let (gtid, lb, ub, _) =
         emit_static_init(b, cli, SchedType::Static, Value::i64(0), gtid_fn, init_fn);
     // span = ub + 1 - lb  (0 when the thread got an empty range: ub = lb - 1)
     let ubp1 = b.add(ub, Value::i64(1));
@@ -191,8 +192,9 @@ fn apply_chunked(
     }
 
     b.set_insert_point(setup);
-    let (gtid, lb0, _ub0, stride) =
+    let (gtid, lb0, _ub0, pstride) =
         emit_static_init(b, cli, SchedType::StaticChunked, chunk, gtid_fn, init_fn);
+    let stride = b.load(IrType::I64, pstride);
     let tc64 = b.int_resize(cli.trip_count, IrType::I64, false);
     let chunk64 = b.int_resize(chunk, IrType::I64, false);
     // Number of chunks this thread executes:

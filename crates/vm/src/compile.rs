@@ -9,13 +9,15 @@
 //! * Every SSA value gets a virtual register; phis are eliminated into edge
 //!   copies (through temporaries where one reads what another writes, and
 //!   critical edges from conditional branches split via trampoline blocks).
-//! * SSA is the one input form: a function that still has a slot the mid
-//!   end's rule would promote (every one without `--opt`) is lowered from a
-//!   copy that [`omplt_midend::promote`] rewrote, so every `alloca` that
-//!   reaches the lowerer is memory.
+//! * The input is the mid end's: a function that still has a slot the mid
+//!   end's rule would promote (every one without `--opt`), or dead code
+//!   under the one dead-code rule, is lowered from a copy that
+//!   [`omplt_midend::promote`] and [`omplt_midend::eliminate_dead_code`]
+//!   rewrote (`input_copies`), so the lowerer meets SSA, every `alloca`
+//!   it meets is memory, and every value it lowers is needed.
 //! * Distinct constants are loaded once in an entry prologue, not per use.
-//! * A peephole pass ([`crate::peephole`]) then propagates copies, deletes
-//!   dead ops, and fuses compare/branch pairs, and a linear-scan pass
+//! * A peephole pass ([`crate::peephole`]) then leaves SSA by coalescing
+//!   and fuses compare/branch pairs, and a linear-scan pass
 //!   ([`crate::regalloc`]) compacts the register file. Both work on one
 //!   [`Analysis`] (CFG + liveness and their buffers).
 //!
@@ -42,7 +44,7 @@ use crate::regalloc::{self, Analysis};
 use crate::vectorize;
 use omplt_interp::RtVal;
 use omplt_ir::{BlockId, Function, Inst, InstId, IrType, Module, Rpo, SymbolId, Terminator, Value};
-use omplt_midend::Promote;
+use omplt_midend::{Dce, Promote};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -108,7 +110,7 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
     for (i, f) in m.functions.iter().enumerate() {
         fn_index.entry(f.name.as_str()).or_insert(i as u32);
     }
-    let (copies, promoted_total) = promoted_copies(m);
+    let (copies, promoted_total) = input_copies(m);
     let mut funcs = Vec::with_capacity(m.functions.len());
     let mut removed_total = 0u64;
     let mut stats = vectorize::PlanStats::default();
@@ -139,18 +141,25 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
     Ok(vm)
 }
 
-/// The functions of `m` that still have a slot [`Function::promotable_allocas`]
-/// admits (every one without `--opt`), each as a copy the mid end's
-/// [`omplt_midend::promote`] rewrote, `None` for every other function; and
-/// how many slots that promoted.
-fn promoted_copies(m: &Module) -> (Vec<Option<Function>>, u64) {
+/// The VM's one input step: each function of `m` that still has a slot
+/// [`Function::promotable_allocas`] admits (every one without `--opt`) or an
+/// unused instruction the one dead-code rule ([`omplt_ir::arith::removable`])
+/// lets go, as a copy the mid end's [`omplt_midend::promote`] and then its
+/// [`omplt_midend::eliminate_dead_code`] rewrote; `None` for every other
+/// function, which the mid end has already cleaned (so `--opt` input is
+/// neither copied nor allocated for). Also returns how many slots that
+/// promoted.
+fn input_copies(m: &Module) -> (Vec<Option<Function>>, u64) {
     let (mut rpo, mut slot_ty, mut ws) = (Rpo::default(), Vec::new(), Promote::default());
+    let mut dce = Dce::default();
     let mut promoted = 0;
     let copies = m.functions.iter().map(|f| {
         f.promotable_allocas(rpo.compute(f), |v| f.value_type(v), &mut slot_ty);
-        slot_ty.iter().any(Option::is_some).then(|| {
+        let promotable = slot_ty.iter().any(Option::is_some);
+        (promotable || omplt_midend::has_dead_code(f, &mut dce)).then(|| {
             let mut copy = f.clone();
             promoted += omplt_midend::promote(&mut copy, &mut ws) as u64;
+            omplt_midend::eliminate_dead_code(&mut copy, &mut dce);
             copy
         })
     });
@@ -713,6 +722,12 @@ impl<'a> FuncCompiler<'a> {
         let traced = omplt_trace::active();
         let stage = |name| traced.then(|| omplt_trace::span(name));
 
+        // The precondition the peephole's one liveness solve rests on.
+        debug_assert!(
+            !omplt_midend::has_dead_code(f, &mut Dce::default()),
+            "@{}: dead code reached the lowerer",
+            f.name
+        );
         let lower = stage("vm.compile.lower");
         let mut rpo = std::mem::take(&mut self.rpo);
         let lowered = self.lower(f, rpo.compute(f), vector_width, stats);

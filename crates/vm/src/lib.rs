@@ -10,12 +10,13 @@
 //! the rows):
 //!
 //! * [`compile`] — lowers a verified IR [`omplt_ir::Module`] to flat
-//!   bytecode: a function that still has promotable `alloca` slots is
-//!   lowered from a copy the mid end's `promote` rewrote, blocks are
+//!   bytecode: a function that still has promotable `alloca` slots or dead
+//!   code is lowered from a copy the mid end's `promote` and DCE rewrote
+//!   (the VM optimizes nothing the mid end does), blocks are
 //!   linearized in reverse-postorder, SSA values get virtual registers
-//!   (phis become edge copies), a peephole pass
-//!   ([`peephole`]) propagates copies, deletes dead ops, and fuses
-//!   compare/branch pairs, and a linear-scan pass ([`regalloc`]) compacts
+//!   (phis become edge copies), a peephole pass ([`peephole`]) leaves SSA
+//!   by coalescing those copies and fuses compare/branch and latch
+//!   arithmetic/jump pairs, and a linear-scan pass ([`regalloc`]) compacts
 //!   the register file. The per-function analysis is done once: one CFG and
 //!   one flat-row liveness workspace serve every peephole stage and the
 //!   allocator, and the lowerer's per-instruction tables are dense vectors.

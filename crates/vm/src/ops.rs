@@ -678,21 +678,6 @@ impl Op {
         });
     }
 
-    /// Rewrites only the registers this op *reads* (copy propagation must
-    /// not touch defs — a `Mov` destination can be a live copy-map key).
-    /// A call rewrites its own (never shared) slice of `call_args`.
-    #[inline]
-    pub fn map_uses(&mut self, call_args: &mut [Reg], mut f: impl FnMut(Reg) -> Reg) {
-        for r in &mut call_args[self.call_arg_run()] {
-            *r = f(*r);
-        }
-        self.slots(|s| {
-            if let Slot::RUse(r) = s {
-                *r = f(*r);
-            }
-        });
-    }
-
     /// Visits every instruction offset this op may jump to, in row order
     /// (`then_t` before `else_t`).
     #[inline]
@@ -1088,23 +1073,6 @@ pub(crate) mod tests {
             assert_eq!(
                 (renamed.vdef(), vuses(renamed)),
                 (row.vdef, row.vuses.to_vec())
-            );
-
-            let (mut propagated, mut pool) = (op, POOL);
-            propagated.map_uses(&mut pool, |r| r + 100);
-            assert_eq!(
-                propagated.def(),
-                row.def,
-                "map_uses must leave the def of {op:?}"
-            );
-            assert_eq!(
-                uses(propagated, &pool),
-                shifted(row.uses),
-                "map_uses of {op:?}"
-            );
-            assert_eq!(
-                pool[0], POOL[0],
-                "map_uses reaches outside the call's own run"
             );
 
             let mut moved = op;

@@ -3,28 +3,22 @@
 //! The lowerer's output is deliberately naive: every phi becomes a copy on
 //! each incoming edge, and each loop latch is a `Cmp` feeding a `Br`. In the hot
 //! dense-arithmetic loops the VM exists for, roughly a third of the retired
-//! ops were copies — dispatch overhead with no work attached. Six stages
-//! fix that:
+//! ops were copies — dispatch overhead with no work attached. Dead code is
+//! not this module's business: no function reaches the lowerer holding
+//! any (`compile::input_copies` runs the mid end's DCE on one that would),
+//! so this module only makes the stream bytecode-shaped, in four stages:
 //!
-//! 1. **Copy propagation** (block-local): uses of a `Mov` destination are
-//!    rewritten to its source until either register is redefined, so the
-//!    copies lose their consumers.
-//! 2. **Dead-op elimination** (global liveness, to fixpoint): side-effect-free
-//!    ops whose destination is dead are deleted. Ops the interpreter could
-//!    trap on (`sdiv`/`urem`/… by zero, non-additive pointer arithmetic) are
-//!    kept even when dead — deleting them would make the VM succeed where the
-//!    interpreter errors, breaking the differential oracle.
-//! 3. **Out of SSA by coalescing**: the two registers of a `Mov` become one
+//! 1. **Out of SSA by coalescing**: the two registers of a `Mov` become one
 //!    where neither is written while the other is live, and the `Mov` goes;
 //!    a critical edge's trampoline left holding only its `jmp` goes too.
-//! 4. **Compare/branch fusion**: a `Cmp` immediately feeding the block's
+//! 2. **Compare/branch fusion**: a `Cmp` immediately feeding the block's
 //!    `Br`, with no other consumer, becomes one [`Op::CmpBr`].
-//! 5. **Fallthrough-jump elision**: a `Jmp` to the op that physically
+//! 3. **Fallthrough-jump elision**: a `Jmp` to the op that physically
 //!    follows it, when that target has no other incoming edge, is deleted
 //!    and the two blocks merge.
-//! 6. **Arithmetic/jump fusion**: a `Bin` immediately preceding its block's
+//! 4. **Arithmetic/jump fusion**: a `Bin` immediately preceding its block's
 //!    surviving `Jmp` becomes one [`Op::BinJmp`] — the canonical loop latch
-//!    (`i = i + step; jmp header`) in one dispatch. This runs *after* stage 5
+//!    (`i = i + step; jmp header`) in one dispatch. This runs *after* stage 3
 //!    so a jump that can be elided outright is, and only real backedges fuse.
 //!
 //! Deletion is mark-then-compact: stages only set a `dead` mask, and a final
@@ -34,18 +28,18 @@
 //! deleted, and therefore each block keeps at least one op.
 //!
 //! The stages share one [`Analysis`]: the CFG is read off the terminators
-//! once (no stage before 5 moves an edge, and 5 remaps it), and liveness is
-//! solved once per dead-op sweep and never again — [`optimize_in`] says why
-//! the last sweep's solve still holds for stages 3 and 4 and, remapped, for
-//! the register allocator. The `dead` mask, the backward walks' live row,
-//! the copy map, the edge counts, the merge mask and the compaction offsets
-//! are `Analysis` buffers too, reused from function to function.
+//! once and kept current by the two stages that move an edge (the
+//! trampoline drop retargets one, stage 3 remaps them), and liveness is
+//! solved once per function — [`optimize_in`] says why that solve still
+//! holds for every stage and, remapped, for the register allocator. The `dead` mask, the edge counts,
+//! the merge mask and the compaction offsets are `Analysis` buffers too,
+//! reused from function to function.
 
 use crate::ops::{Op, Reg, VmFunction};
-use crate::regalloc::{bit_clear, bit_set, bit_test, block_range, Analysis, Liveness};
-use omplt_ir::arith;
+use crate::regalloc::{bit_test, block_range, Analysis, Liveness};
 
 /// Runs the full pipeline in place; returns the number of ops removed.
+#[cfg(test)]
 pub fn optimize(f: &mut VmFunction) -> usize {
     optimize_in(f, &mut Analysis::default())
 }
@@ -54,13 +48,8 @@ pub fn optimize(f: &mut VmFunction) -> usize {
 /// block-level liveness of the function as returned, for
 /// [`crate::regalloc::allocate_in`].
 ///
-/// Dead-op elimination stays an iterated *plain*-liveness fixpoint: each
-/// sweep solves, deletes what that solution calls dead, and repeats until a
-/// sweep deletes nothing. (Strong/faint liveness would finish in one solve,
-/// but it also deletes dead cyclic chains — `a = b; b = a` around a loop —
-/// that this fixpoint keeps, i.e. it would change the emitted code.) The
-/// last sweep's solve is therefore exact for the op stream it leaves
-/// behind, and no later stage moves a block's live-in or live-out:
+/// Liveness is solved once, over the stream as lowered, and no stage moves
+/// a block's live-in or live-out:
 ///
 /// * coalescing merges two registers that do not interfere, and the merged
 ///   one is live exactly where either was ([`coalesce_copies`]); the
@@ -78,8 +67,12 @@ pub fn optimize(f: &mut VmFunction) -> usize {
 /// In each case the old solution still satisfies the new equations and —
 /// the only change being a register that leaves a kill set it was never
 /// live-out of — iterating from empty sets reaches it again, so it is the
-/// least fixpoint a fresh solve would return. Debug builds assert exactly
-/// that at every hand-off ([`Analysis::is_current`]).
+/// least fixpoint a fresh solve would return. That rests on the lowerer's
+/// input holding nothing the mid end's DCE would delete — a phi cycle that
+/// only feeds itself would coalesce into a register the renamed rows keep
+/// live with nothing reading it. `compile` asserts the precondition in
+/// debug builds, which also assert the result at every hand-off
+/// ([`Analysis::is_current`]).
 pub(crate) fn optimize_in(f: &mut VmFunction, a: &mut Analysis) -> usize {
     if f.ops.is_empty() {
         return 0;
@@ -87,13 +80,7 @@ pub(crate) fn optimize_in(f: &mut VmFunction, a: &mut Analysis) -> usize {
     a.dead.clear();
     a.dead.resize(f.ops.len(), false);
     a.cfg.build(f, &a.dead);
-    copy_propagate(f, &mut a.copies);
-    loop {
-        a.live.solve(f, &a.cfg, &a.dead);
-        if !eliminate_dead(f, &a.live, &mut a.dead, &mut a.row) {
-            break;
-        }
-    }
+    a.live.solve(f, &a.cfg, &a.dead);
     coalesce_copies(f, a);
     drop_empty_trampolines(f, a);
     debug_assert!(a.is_current(f, &a.dead), "@{}: coalesce_copies", f.name);
@@ -102,127 +89,6 @@ pub(crate) fn optimize_in(f: &mut VmFunction, a: &mut Analysis) -> usize {
     elide_fallthrough_jumps(f, a);
     fuse_bin_jmp(f, &mut a.dead);
     compact(f, &a.dead, &mut a.new_off)
-}
-
-/// True when deleting a dead instance of `op` cannot change observable
-/// behavior. Loads (out-of-bounds), calls, stores, and allocas stay; so does
-/// a `Bin` the shared kernel can trap on ([`arith::may_trap`]) — the
-/// interpreter oracle would too.
-fn removable(op: Op) -> bool {
-    match op {
-        Op::Const { .. }
-        | Op::Mov { .. }
-        | Op::Gep { .. }
-        | Op::Cmp { .. }
-        | Op::Cast { .. }
-        | Op::Select { .. } => true,
-        Op::Bin { op, ty, .. } => !arith::may_trap(op, ty),
-        _ => false,
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Copy-map entries [`copy_propagate`] visited to invalidate them, summed
-    /// over its defs: the work the linearity test bounds.
-    static INVALIDATION_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// What [`copy_propagate`] knows about one register.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct CopyEntry {
-    /// The register this one is a copy of — if `recorded_in` is the current
-    /// block and `src_stamp` is still `copy_of`'s `def_stamp`.
-    copy_of: Reg,
-    /// Block generation in which the copy was recorded (0: none; a def of
-    /// this register resets it), so resetting per block is O(1).
-    recorded_in: u32,
-    /// `copy_of`'s `def_stamp` when the copy was recorded.
-    src_stamp: u32,
-    /// Bumped to a fresh value by every def of this register, which
-    /// invalidates every copy *of* it in O(1).
-    def_stamp: u32,
-}
-
-/// Block-local copy propagation: after `dst = mov src`, later reads of `dst`
-/// become reads of `src` (chased to the root of a copy chain) until either
-/// side is redefined. The `Mov`s themselves are left for DCE to collect.
-fn copy_propagate(f: &mut VmFunction, regs: &mut Vec<CopyEntry>) {
-    regs.clear();
-    regs.resize(f.num_regs as usize, CopyEntry::default());
-    let mut cur_block: u32 = 0;
-    let mut clock: u32 = 0;
-    for b in 0..f.block_starts.len() {
-        cur_block += 1;
-        let (start, end) = block_range(f, b);
-        for pc in start..end {
-            let op = &mut f.ops[pc];
-            op.map_uses(&mut f.call_args, |r| {
-                let e = regs[r as usize];
-                let valid =
-                    e.recorded_in == cur_block && e.src_stamp == regs[e.copy_of as usize].def_stamp;
-                if valid {
-                    e.copy_of
-                } else {
-                    r
-                }
-            });
-            if let Some(d) = op.def() {
-                // `d` is overwritten: forget the copy *into* it, and outdate
-                // every copy *of* it.
-                clock += 1;
-                regs[d as usize].recorded_in = 0;
-                regs[d as usize].def_stamp = clock;
-                #[cfg(test)]
-                INVALIDATION_STEPS.with(|s| s.set(s.get() + 1));
-            }
-            if let Op::Mov { dst, src } = *op {
-                if dst != src {
-                    // `src` was already rewritten to its root above.
-                    let src_stamp = regs[src as usize].def_stamp;
-                    let e = &mut regs[dst as usize];
-                    e.copy_of = src;
-                    e.recorded_in = cur_block;
-                    e.src_stamp = src_stamp;
-                }
-            }
-        }
-    }
-}
-
-/// One backward DCE sweep over live ops; returns true if anything new died.
-fn eliminate_dead(
-    f: &VmFunction,
-    solved: &Liveness,
-    dead: &mut [bool],
-    live: &mut Vec<u64>,
-) -> bool {
-    let mut changed = false;
-    for b in 0..f.block_starts.len() {
-        let (start, end) = block_range(f, b);
-        live.clear();
-        live.extend_from_slice(solved.live_out(b));
-        for pc in (start..end).rev() {
-            if dead[pc] {
-                continue;
-            }
-            let op = f.ops[pc];
-            let def = op.def();
-            // A self-copy is a no-op whether or not its register is live.
-            let self_mov = matches!(op, Op::Mov { dst, src } if dst == src);
-            let dead_def = matches!(def, Some(d) if !bit_test(live, d)) && removable(op);
-            if self_mov || dead_def {
-                dead[pc] = true;
-                changed = true;
-                continue;
-            }
-            if let Some(d) = def {
-                bit_clear(live, d);
-            }
-            op.for_each_use(&f.call_args, |r| bit_set(live, r));
-        }
-    }
-    changed
 }
 
 /// "No op" in the def lists of [`Coalesce`].
@@ -522,7 +388,7 @@ fn elide_fallthrough_jumps(f: &mut VmFunction, a: &mut Analysis) {
 /// Drops marked ops and remaps every jump target and block start. Targets
 /// are always block starts and terminators are never marked, so each block
 /// retains at least one op and the remapped starts stay strictly sorted.
-fn compact(f: &mut VmFunction, dead: &[bool], new_off: &mut Vec<u32>) -> usize {
+pub(crate) fn compact(f: &mut VmFunction, dead: &[bool], new_off: &mut Vec<u32>) -> usize {
     let removed = dead.iter().filter(|&&d| d).count();
     if removed == 0 {
         return 0;
@@ -606,139 +472,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn copies_are_propagated_and_collected() {
-        // r0 = const; r1 = mov r0; r2 = r1 + r1; ret r2
-        let mut f = func(
-            vec![
-                Op::Const { dst: 0, idx: 0 },
-                Op::Mov { dst: 1, src: 0 },
-                add(2, 1, 1),
-                Op::Ret { src: Some(2) },
-            ],
-            vec![RegClass::Int; 3],
-            vec![0],
-        );
-        let removed = optimize(&mut f);
-        assert_eq!(removed, 1, "the mov must die:\n{}", crate::ops::disasm(&f));
-        assert!(matches!(f.ops[1], Op::Bin { lhs: 0, rhs: 0, .. }));
-    }
-
-    #[test]
-    fn copy_map_invalidated_when_source_is_redefined() {
-        // r1 = mov r0; r0 = const; r2 = r1 + r1 — r1 must NOT become r0.
-        let mut f = func(
-            vec![
-                Op::Const { dst: 0, idx: 0 },
-                Op::Mov { dst: 1, src: 0 },
-                Op::Const { dst: 0, idx: 0 },
-                add(2, 1, 1),
-                Op::Ret { src: Some(2) },
-            ],
-            vec![RegClass::Int; 3],
-            vec![0],
-        );
-        // (The whole pipeline may merge the two: the second `const` is dead.)
-        copy_propagate(&mut f, &mut Vec::new());
-        let bin = f.ops.iter().find(|o| matches!(o, Op::Bin { .. })).unwrap();
-        assert!(matches!(bin, Op::Bin { lhs: 1, rhs: 1, .. }), "{bin:?}");
-    }
-
-    #[test]
-    fn redefined_source_can_be_copied_again() {
-        // r1 = mov r0; r0 = const; r2 = mov r0; r3 = r1 + r2: r1 holds the
-        // *old* r0 and must stay, r2 is a copy of the new r0.
-        let mut f = func(
-            vec![
-                Op::Const { dst: 0, idx: 0 },
-                Op::Mov { dst: 1, src: 0 },
-                Op::Const { dst: 0, idx: 0 },
-                Op::Mov { dst: 2, src: 0 },
-                add(3, 1, 2),
-                Op::Ret { src: Some(3) },
-            ],
-            vec![RegClass::Int; 4],
-            vec![0],
-        );
-        copy_propagate(&mut f, &mut Vec::new());
-        assert!(
-            matches!(f.ops[4], Op::Bin { lhs: 1, rhs: 0, .. }),
-            "{:?}",
-            f.ops[4]
-        );
-    }
-
-    #[test]
-    fn copy_invalidation_is_constant_per_def() {
-        // One block of 40 000 alternating ops, every `Mov` into a fresh
-        // register so the copy map only grows:
-        //   m_i = mov b_{i-1};  b_i = m_i + m_i
-        // Walking the recorded copies on every def made this quadratic.
-        const PAIRS: u16 = 20_000;
-        let mut ops = vec![Op::Const { dst: 0, idx: 0 }];
-        for i in 0..PAIRS {
-            let (prev, m, b) = (2 * i, 2 * i + 1, 2 * i + 2);
-            ops.push(Op::Mov { dst: m, src: prev });
-            ops.push(add(b, m, m));
-        }
-        ops.push(Op::Ret {
-            src: Some(2 * PAIRS),
-        });
-        let n = ops.len() as u64;
-        let mut f = func(ops, vec![RegClass::Int; 2 * PAIRS as usize + 1], vec![0]);
-        INVALIDATION_STEPS.with(|s| s.set(0));
-        copy_propagate(&mut f, &mut Vec::new());
-        let steps = INVALIDATION_STEPS.with(|s| s.get());
-        assert!(steps <= n, "{steps} invalidation steps for {n} ops");
-        for i in 0..PAIRS as usize {
-            let prev = 2 * i as u16;
-            assert!(
-                matches!(f.ops[2 + 2 * i], Op::Bin { lhs, rhs, .. } if lhs == prev && rhs == prev),
-                "pair {i}: {:?}",
-                f.ops[2 + 2 * i]
-            );
-        }
-    }
-
-    #[test]
-    fn dead_division_survives() {
-        // r2 = r0 / r1 is dead but may trap on r1 == 0: it must be kept.
-        let mut f = func(
-            vec![
-                Op::Const { dst: 0, idx: 0 },
-                Op::Const { dst: 1, idx: 0 },
-                Op::Bin {
-                    op: BinOpKind::SDiv,
-                    ty: IrType::I64,
-                    dst: 2,
-                    lhs: 0,
-                    rhs: 1,
-                },
-                Op::Ret { src: Some(0) },
-            ],
-            vec![RegClass::Int; 3],
-            vec![0],
-        );
-        optimize(&mut f);
-        assert!(
-            f.ops.iter().any(|o| matches!(
-                o,
-                Op::Bin {
-                    op: BinOpKind::SDiv,
-                    ..
-                }
-            )),
-            "dead sdiv was deleted:\n{}",
-            crate::ops::disasm(&f)
-        );
-    }
-
-    #[test]
     fn loop_carried_writeback_is_coalesced() {
         // Loop body: r2 = r1 + r0; r1 = mov r2; r3 = r0 < r0; br r3.
         // The Bin must absorb the Mov (write r1 directly) and the Cmp must
-        // fuse into the branch. (The compare deliberately avoids r1/r2:
-        // copy propagation would rewrite a read of r1 into r2, keeping r2
-        // live past the Mov and rightly blocking the coalesce.)
+        // fuse into the branch.
         let mut f = func(
             vec![
                 Op::Const { dst: 0, idx: 0 },

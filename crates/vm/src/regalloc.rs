@@ -19,16 +19,15 @@
 //! handed on to [`allocate_in`]: the successor lists are read off the
 //! terminators once, the liveness rows live in four flat `blocks × words`
 //! vectors that every solve reuses, and the allocator takes the rows of the
-//! peephole pipeline's last solve instead of solving again
+//! peephole pipeline's one solve instead of solving again
 //! (`peephole::optimize_in` says why they are still current). The same
-//! `Analysis` also holds the peephole stages' masks and rows and the
-//! allocator's intervals, order, assignment and pools. `compile_module_with`
+//! `Analysis` also holds the peephole stages' masks and the allocator's
+//! intervals, order, assignment and pools. `compile_module_with`
 //! keeps one per module, so what is allocated per function is only the
 //! compiled `VmFunction` itself; the buffers here grow to the module's
 //! largest function and are then reused.
 
 use crate::ops::{Reg, RegClass, VmFunction};
-use crate::peephole::CopyEntry;
 
 /// `(start, end)` op index range of block `b`.
 pub(crate) fn block_range(f: &VmFunction, b: usize) -> (usize, usize) {
@@ -225,12 +224,9 @@ impl Liveness {
 pub(crate) struct Analysis {
     pub(crate) cfg: Cfg,
     pub(crate) live: Liveness,
-    /// The peephole stages' deleted-op mask, the running live row of their
-    /// backward walks, copy propagation's per-register entries, and the
-    /// compaction's new op offsets.
+    /// The peephole stages' deleted-op mask and the compaction's new op
+    /// offsets.
     pub(crate) dead: Vec<bool>,
-    pub(crate) row: Vec<u64>,
-    pub(crate) copies: Vec<CopyEntry>,
     pub(crate) new_off: Vec<u32>,
     /// Incoming edges per block, and the blocks
     /// [`Analysis::merge_blocks`] folds into the block before them.
@@ -334,6 +330,7 @@ impl Analysis {
 /// Rewrites `f` in place so registers are compactly numbered and reused
 /// where live intervals permit; updates `num_regs`, `reg_class`, `params`,
 /// `call_args`, and every op.
+#[cfg(test)]
 pub fn allocate(f: &mut VmFunction) {
     if f.num_regs == 0 || f.ops.is_empty() {
         return;
@@ -783,7 +780,7 @@ mod tests {
                 let nb = 2 + rng.below(12);
                 let f = random_fn(&mut rng, n, nb);
                 // Mask a third of the non-terminator ops, as the peephole
-                // stages do between sweeps.
+                // stages do before compaction.
                 let dead: Vec<bool> = f
                     .ops
                     .iter()
@@ -803,6 +800,65 @@ mod tests {
         assert_eq!(solved, 60 * WIDTHS.len() * 2);
     }
 
+    /// Deletes from `f` what a real function never brings to the peephole:
+    /// a self-move (the lowerer emits none), and every op the mid end's DCE
+    /// would have removed before lowering — of what [`random_fn`] emits, a
+    /// `mov`, `const`, `cmp` or `add` whose register nothing needed reads.
+    /// "Needed" is faint liveness, solved to its least fixpoint: only a
+    /// needed op's reads make a register live, so a dead copy cycle (`a =
+    /// mov b` … `b = mov a`) goes too, as a dead phi cycle does in the IR.
+    fn sweep_dead(f: &mut VmFunction) {
+        let needed = |op: Op, live: &[u64]| match op {
+            Op::Mov { dst, src } if dst == src => false,
+            Op::Mov { dst, .. }
+            | Op::Const { dst, .. }
+            | Op::Cmp { dst, .. }
+            | Op::Bin {
+                op: BinOpKind::Add,
+                dst,
+                ..
+            } => bit_test(live, dst),
+            _ => true,
+        };
+        let mut a = Analysis::default();
+        let mut dead = vec![false; f.ops.len()];
+        a.cfg.build(f, &dead);
+        let (nb, w) = (a.cfg.num_blocks(), (f.num_regs as usize).div_ceil(64));
+        let mut live_in = vec![0u64; nb * w];
+        let mut live = vec![0u64; w];
+        // `pass` walks every block backward from its live-out; the last
+        // pass, on the fixpoint, marks the ops no one needs.
+        let mut pass = |live_in: &mut [u64], dead: &mut [bool]| {
+            let mut changed = false;
+            for b in (0..nb).rev() {
+                live.fill(0);
+                for &s in a.cfg.succs(b) {
+                    for (l, i) in live.iter_mut().zip(&live_in[s as usize * w..]) {
+                        *l |= i;
+                    }
+                }
+                let (start, end) = block_range(f, b);
+                for pc in (start..end).rev() {
+                    let op = f.ops[pc];
+                    dead[pc] = !needed(op, &live);
+                    if dead[pc] {
+                        continue;
+                    }
+                    if let Some(d) = op.def() {
+                        bit_clear(&mut live, d);
+                    }
+                    op.for_each_use(&f.call_args, |r| bit_set(&mut live, r));
+                }
+                let row = &mut live_in[b * w..(b + 1) * w];
+                changed |= row != live.as_slice();
+                row.copy_from_slice(&live);
+            }
+            changed
+        };
+        while pass(&mut live_in, &mut dead) {}
+        crate::peephole::compact(f, &dead, &mut a.new_off);
+    }
+
     #[test]
     fn handed_over_liveness_equals_a_fresh_solve() {
         for seed in 1..=60u64 {
@@ -810,6 +866,7 @@ mod tests {
                 let mut rng = Rng(seed.wrapping_mul(0xD134_2543_DE82_EF95) + n as u64);
                 let nb = 2 + rng.below(12);
                 let mut f = random_fn(&mut rng, n, nb);
+                sweep_dead(&mut f);
                 let mut fresh = f.clone();
 
                 // The hand-offs inside the pipeline (after writeback

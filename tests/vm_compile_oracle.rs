@@ -1,18 +1,19 @@
 //! The bytecode compiler's oracles, driven over the example corpus.
 //!
 //! `omplt-vm` checks itself in debug builds, which is what `cargo test`
-//! builds: every liveness solve is compared with the previous per-block
-//! `BitSet` solver (`regalloc::reference`), and every hand-off of a solve —
-//! from dead-op elimination to writeback coalescing, to compare/branch
-//! fusion and, through the block merge and compaction, to the register
-//! allocator — asserts that the rows handed over equal a fresh solve
-//! (`Analysis::is_current`). The crate cannot parse C, so this file is what
-//! puts every function of every `examples/c/*.c`, on both lowering paths,
-//! optimized and not, scalar and widened, through those assertions. On top
-//! it checks what only a whole compile can show, in any build: that
-//! compiling twice gives the same image (no table whose iteration order
-//! varies), and that the solve really is shared
-//! (`vm.compile.liveness.solves`).
+//! builds: no function reaches the lowerer holding an instruction the mid
+//! end's DCE would delete (the precondition its one liveness solve per
+//! function rests on), every solve is compared with the previous per-block
+//! `BitSet` solver (`regalloc::reference`), and every hand-off of that
+//! solve — to compare/branch fusion after writeback coalescing and, through
+//! the block merge and compaction, to the register allocator — asserts
+//! that the rows handed over equal a fresh solve (`Analysis::is_current`).
+//! The crate cannot parse C, so this file is what puts every function of
+//! every `examples/c/*.c`, on both lowering paths, optimized and not, scalar
+//! and widened, through those assertions. On top it checks what only a
+//! whole compile can show, in any build: that compiling twice gives the
+//! same image (no table whose iteration order varies), and that liveness is
+//! solved exactly once per function (`vm.compile.liveness.solves`).
 
 use omplt::trace::Session;
 use omplt::{CompilerInstance, OpenMpCodegenMode, Options};
@@ -58,11 +59,10 @@ fn examples_pass_the_compilers_own_oracles_and_compile_deterministically() {
                     let (image, functions, solves) = compile(&name, &source, opts, optimize);
                     let (again, ..) = compile(&name, &source, opts, optimize);
                     assert_eq!(image, again, "[{label}] two compiles, two images");
-                    // One solve per dead-op sweep (at least one, and the
-                    // examples never need more than three); none for the
-                    // four consumers that used to solve for themselves.
-                    assert!(
-                        (functions..=3 * functions).contains(&solves),
+                    // One solve per function, shared by the peephole
+                    // stages and the allocator.
+                    assert_eq!(
+                        solves, functions,
                         "[{label}] {solves} liveness solves for {functions} functions"
                     );
                     compiled += 1;
@@ -71,4 +71,37 @@ fn examples_pass_the_compilers_own_oracles_and_compile_deterministically() {
         }
     }
     assert!(compiled >= 4 * 8, "only {compiled} compiles ran");
+}
+
+/// A value read only by a phi cycle: `t = s` is never used, so the header
+/// phi of `s` and the phi joining the conditional write read only each
+/// other. Coalescing their edge copies used to leave the merged register
+/// live in the handed-over rows with nothing reading it, which debug builds
+/// reported as an internal compiler error; the mid end's DCE now deletes
+/// the cycle before the VM sees it.
+#[test]
+fn a_dead_phi_cycle_is_deleted_before_lowering() {
+    let source = "\
+void print_i64(long v);
+int main() {
+  int s = 0, c = 3;
+  for (int i = 0; i < 10; i++) {
+    int t = s;
+    if (i < c) s = i;
+  }
+  print_i64(7);
+  return 0;
+}
+";
+    for codegen_mode in [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder] {
+        for optimize in [false, true] {
+            let opts = Options {
+                codegen_mode,
+                ..Options::default()
+            };
+            let (image, functions, solves) = compile("cycle.c", source, opts, optimize);
+            assert!(!image.is_empty());
+            assert_eq!(solves, functions, "{codegen_mode:?} opt={optimize}");
+        }
+    }
 }
