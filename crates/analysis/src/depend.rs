@@ -55,11 +55,11 @@
 //! proven violations**.
 
 use omplt_ast::{
-    loop_level, walk_expr, walk_stmt, ASTContext, BinOp, CanonicalLoopAnalysis, Decl, DeclId, Expr,
-    ExprKind, LoopDirection, OMPClauseKind, OMPDirective, OMPDirectiveKind, Stmt, StmtKind,
-    StmtVisitor, TranslationUnit, Type, TypeKind, UnOp, VarDecl, P,
+    walk_expr, walk_stmt, BinOp, CanonicalLoopAnalysis, Decl, DeclId, Expr, ExprKind,
+    LoopDirection, OMPClauseKind, OMPDirective, OMPDirectiveKind, Stmt, StmtKind, StmtVisitor,
+    TranslationUnit, Type, TypeKind, UnOp, VarDecl, P,
 };
-use omplt_sema::analyze_canonical_loop;
+use omplt_sema::extend_loop_nest;
 use omplt_source::{Diagnostic, DiagnosticsEngine, IdentifierTable, Level, SourceLocation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -1146,17 +1146,13 @@ fn analyses(d: &OMPDirective) -> Vec<CanonicalLoopAnalysis> {
 }
 
 /// The loops a single-nest directive's graph spans: the nest Sema resolved
-/// for it, extended downwards while it stays perfect; empty when Sema
-/// refused the nest.
+/// for it, extended downwards by Sema's own level rule — levels below the
+/// directive's depth sharpen the direction vectors (they turn `a[i*M + j]`
+/// from "not affine" into an exact MIV solve); empty when Sema refused the
+/// nest.
 fn graph_levels(d: &OMPDirective) -> Vec<CanonicalLoopAnalysis> {
-    let mut levels = analyses(d);
-    // Levels below the directive's own depth sharpen the direction vectors
-    // while the nest stays perfect (they turn `a[i*M + j]` from "not
-    // affine" into an exact MIV solve).
-    if !levels.is_empty() {
-        extend_while_perfect(&mut levels, MAX_DEPTH);
-    }
-    levels
+    let nest = extend_loop_nest(&d.nest, MAX_DEPTH);
+    nest.into_iter().map(|l| l.analysis).collect()
 }
 
 /// The graph of a single-nest directive over its [`graph_levels`]; `None`
@@ -1177,36 +1173,6 @@ fn clause_privates(d: &OMPDirective) -> BTreeSet<DeclId> {
         .flat_map(|c| &c.args)
         .filter_map(|e| e.as_decl_ref().map(|v| v.id))
         .collect()
-}
-
-/// Extends a directive's nest downwards, up to `max_depth` levels, while
-/// the next level is a loop in canonical form with nothing beside it and
-/// with bounds the enclosing levels do not move — the tests treat levels
-/// as independent. No directive is associated with these loops, so nobody
-/// has analysed them and a refusal is nobody's error: this is the one call
-/// into the canonical-form analysis behind Sema.
-fn extend_while_perfect(levels: &mut Vec<CanonicalLoopAnalysis>, max_depth: usize) {
-    while levels.len() < max_depth {
-        let Some(innermost) = levels.last() else {
-            return;
-        };
-        let next = loop_level(&innermost.body).ok();
-        // A throwaway context is safe here: the analysis builds expression
-        // nodes only, over the original `VarDecl`s.
-        let analyzed = next.filter(|l| l.intervening.is_empty()).and_then(|l| {
-            analyze_canonical_loop(&ASTContext::new(), &l.loop_stmt, "loop analysis").ok()
-        });
-        let outer: BTreeSet<DeclId> = levels.iter().map(|l| l.iter_var.id).collect();
-        let rectangular = |l: &CanonicalLoopAnalysis| {
-            [&l.lb, &l.ub, &l.step]
-                .iter()
-                .all(|e| !mentions(e, |id| outer.contains(&id)))
-        };
-        match analyzed.filter(rectangular) {
-            Some(level) => levels.push(level),
-            None => return,
-        }
-    }
 }
 
 /// The lanes a dependence carried at `level` leaves: its distance

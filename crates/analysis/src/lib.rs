@@ -1,37 +1,27 @@
 //! # omplt-analysis
 //!
-//! The static-analysis suite, spanning the compiler's two program
-//! representations:
+//! The static-analysis pass on the translation unit Sema accepted (Sema
+//! itself refuses what it can judge while it builds a directive: loop form,
+//! `break`/`return`, rectangularity, perfect nesting), run as the last step
+//! of every compile in `CompilerInstance::parse_source`: [`depend`] builds
+//! one dependence graph per directive nest from affine array subscripts and
+//! answers every legality question from it. It refuses the `interchange`,
+//! `reverse` and `fuse` that would reorder a dependence (a transformation
+//! the compiler applies unconditionally must not be applied when it is
+//! proven wrong), decides how many lanes each `simd` loop may run (recorded
+//! on the directive for CodeGen's `safelen`; a loop that must run scalar is
+//! a warning), and warns about the data races of `parallel for` and
+//! `parallel for simd` (`-Wrace`: the compiler executes the program as
+//! written whatever the verdict). The IR's canonical-loop skeleton verifier
+//! is `omplt-midend`'s, run by `--verify-each`.
 //!
-//! * at the **AST layer**, on the translation unit Sema accepted (Sema
-//!   itself refuses what it can judge while it builds a directive: loop
-//!   form, `break`/`return`, rectangularity, perfect nesting), one pass
-//!   ([`run_analyses`], the last step of every compile in
-//!   `CompilerInstance::parse_source`): [`depend`] builds one dependence
-//!   graph per directive nest from affine array subscripts and answers
-//!   every legality question from it. It refuses the `interchange`,
-//!   `reverse` and `fuse` that would reorder a dependence (a transformation
-//!   the compiler applies unconditionally must not be applied when it is
-//!   proven wrong), decides how many lanes each `simd` loop may run
-//!   (recorded on the directive for CodeGen's `safelen`; a loop that must
-//!   run scalar is a warning), and warns about the data races of
-//!   `parallel for` and `parallel for simd` (`-Wrace`: the compiler
-//!   executes the program as written whatever the verdict);
-//! * at the **IR layer**, the canonical-loop skeleton verifier lives in
-//!   `omplt-midend` (re-exported here) so `--verify-each` can re-check the
-//!   skeleton invariants between passes and after every `OpenMPIRBuilder`
-//!   transformation.
-//!
-//! The AST pass reports through the shared [`DiagnosticsEngine`], so its
+//! The pass reports through the shared [`DiagnosticsEngine`], so its
 //! findings render Clang-style (or as JSON via `--diag-format=json`) next to
 //! Sema's own diagnostics.
 
 pub mod depend;
 
 pub use depend::{DepKind, Dependence, DependenceGraph, Direction};
-
-pub use omplt_ir::{verify_module, VerifyError};
-pub use omplt_midend::{verify_function_full, verify_loop_skeletons, verify_module_full};
 
 use omplt_ast::TranslationUnit;
 use omplt_source::{DiagnosticsEngine, Level};

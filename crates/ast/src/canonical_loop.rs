@@ -219,7 +219,7 @@ fn to_unsigned(_ctx: &ASTContext, e: P<Expr>, uty: &P<Type>) -> P<Expr> {
 }
 
 /// One level of a collected (possibly already-transformed) loop nest.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct LoopNestLevel {
     /// Statements that must execute before this level's loop (e.g. the
     /// `.capture_expr.` declarations of an inner transformed AST).

@@ -12,8 +12,8 @@
 //! whose associated statement is not a literal loop (a nested
 //! transformation). One-loop `tile`, `unroll`, `reverse` over a literal
 //! loop, `simd`, `taskloop` and the worksharing directives use the
-//! `CanonicalLoopInfo` operations. `collapse` never reaches that dispatch:
-//! it is a clause on `for`, which `emit_workshare_irbuilder` handles.
+//! `CanonicalLoopInfo` operations. A `collapse(n > 1)` clause on those is a
+//! warning: the construct applies to the outermost loop only.
 
 use crate::cg_omp_classic::simd_metadata;
 use crate::codegen::{ir_type, Binding, FnCodegen};
@@ -70,7 +70,7 @@ impl FnCodegen<'_, '_> {
                 self.emit_workshare_irbuilder(d, &assoc)
             }
             OMPDirectiveKind::Simd => {
-                if let Some(cli) = self.emit_loop_construct(&assoc) {
+                if let Some(cli) = self.emit_associated_loop(d, &assoc) {
                     let md = simd_metadata(d, cli.metadata(&self.func).unwrap_or_default());
                     cli.set_metadata(&mut self.func, md);
                     self.cur = cli.after;
@@ -78,7 +78,7 @@ impl FnCodegen<'_, '_> {
             }
             OMPDirectiveKind::Taskloop => {
                 let task_fn = self.module.declare_rt(RtFn::TaskCreated);
-                if let Some(cli) = self.emit_loop_construct(&assoc) {
+                if let Some(cli) = self.emit_associated_loop(d, &assoc) {
                     // Account one task per logical iteration: the unroll
                     // factor is observable through this count (paper §2.2).
                     self.func.prepend_inst(
@@ -174,7 +174,7 @@ impl FnCodegen<'_, '_> {
             let v = self.emit_rvalue(&e);
             self.with_builder(|b| b.int_resize(v, IrType::I64, true))
         });
-        let Some(mut cli) = self.emit_loop_construct(body) else {
+        let Some(mut cli) = self.emit_associated_loop(d, body) else {
             self.restore_data_sharing(d, saved);
             return;
         };
@@ -232,6 +232,28 @@ impl FnCodegen<'_, '_> {
         self.restore_data_sharing(d, saved);
     }
 
+    /// The handle of the loop a worksharing, `simd` or `taskloop`
+    /// directive applies to. `collapse(n)` is not lowered on this path
+    /// (`collapse_loops` is not wired): Sema wraps only the outermost loop
+    /// in `OMPCanonicalLoop`, so the directive applies to that loop alone —
+    /// said, not silently.
+    fn emit_associated_loop(
+        &mut self,
+        d: &P<OMPDirective>,
+        body: &P<Stmt>,
+    ) -> Option<CanonicalLoopInfo> {
+        if let Some(c) = d.clause(OMPClauseKind::Collapse) {
+            let n = d.associated_loops();
+            if n > 1 {
+                self.diags.warning(
+                    c.loc,
+                    format!("'collapse({n})' is not supported by the IrBuilder path; the construct applies to the outermost loop only"),
+                );
+            }
+        }
+        self.emit_loop_construct(body)
+    }
+
     /// Resolves a directive/loop stack bottom-up into a single
     /// [`CanonicalLoopInfo`]: `OMPCanonicalLoop` nodes emit skeletons;
     /// nested `unroll partial`/`tile` consume and return new handles —
@@ -255,16 +277,10 @@ impl FnCodegen<'_, '_> {
             StmtKind::OMP(d) if d.kind == OMPDirectiveKind::Unroll => {
                 let d = P::clone(d);
                 let assoc = d.associated.clone()?;
+                // Only `unroll partial` generates a loop; Sema associates
+                // nothing with `unroll full` or a bare `unroll`.
+                let factor = d.partial_factor()?;
                 let inner = self.emit_loop_construct(&assoc)?;
-                if d.clause(OMPClauseKind::Full).is_some() {
-                    // Sema rejects consumption of full unrolls; degrade by
-                    // returning the loop unrolled via metadata.
-                    let mut b = omplt_ir::IrBuilder::new(&mut self.func);
-                    unroll_loop_full(&mut b, &inner);
-                    self.verify_transformed("omp unroll full", d.loc, &[inner]);
-                    return Some(inner);
-                }
-                let factor = d.partial_factor().unwrap_or(2);
                 let mut b = omplt_ir::IrBuilder::new(&mut self.func);
                 b.set_insert_point(inner.after);
                 // Consumed: a generated loop is required (paper §2.2/§3.2).

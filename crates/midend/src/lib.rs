@@ -4,16 +4,16 @@
 //! unrolling only *annotates* the inner loop with unroll metadata — "no
 //! duplication takes place until" the `LoopUnroll` pass runs here.
 //!
-//! Provides classic scalar/CFG infrastructure (dominator tree, natural-loop
-//! detection, CFG simplification, constant folding + DCE) and the
-//! [`mod@loop_unroll`] pass, which consumes `llvm.loop.unroll.{full,count,enable}`
+//! Provides classic scalar/CFG infrastructure (dominator tree, CFG
+//! simplification, constant folding + DCE, promotion to SSA), the
+//! canonical-skeleton verifier — which, like the unroller, finds its loops
+//! by the metadata on their latches — and the [`mod@loop_unroll`] pass, which consumes `llvm.loop.unroll.{full,count,enable}`
 //! metadata, performs full unrolling for constant trip counts, and partial
 //! unrolling with a **remainder loop** in the shape of the paper's
 //! "Partial unrolling with remainder loop" figure.
 
 pub mod constfold;
 pub mod domtree;
-pub mod loop_info;
 pub mod loop_unroll;
 pub mod pipeline;
 pub mod promote;
@@ -22,9 +22,8 @@ pub mod verify;
 
 pub use constfold::{constant_fold, eliminate_dead_code, has_dead_code, Dce};
 pub use domtree::DomTree;
-pub use loop_info::{LoopInfo, NaturalLoop};
 pub use loop_unroll::{loop_unroll, UnrollStats};
 pub use pipeline::run_default_pipeline;
 pub use promote::{promote, Promote};
 pub use simplify_cfg::simplify_cfg;
-pub use verify::{verify_function_full, verify_loop_skeletons, verify_module_full};
+pub use verify::{verify_function_full, verify_loop_skeletons};

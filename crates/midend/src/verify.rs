@@ -14,10 +14,11 @@
 //! [`crate::run_default_pipeline`] runs it after every pass under
 //! `--verify-each`.
 
-use omplt_ir::{verify_function, BlockId, CmpPred, Function, InstId, Module, Value, VerifyError};
+use omplt_ir::{
+    verify_function, BlockId, BlockLists, CmpPred, Function, InstId, Value, VerifyError,
+};
 
 use crate::domtree::DomTree;
-use crate::loop_info::LoopInfo;
 
 /// Finds the block owning `inst`, if any.
 fn owner_block(f: &Function, inst: InstId) -> Option<BlockId> {
@@ -27,73 +28,111 @@ fn owner_block(f: &Function, inst: InstId) -> Option<BlockId> {
         .map(|i| BlockId(i as u32))
 }
 
+/// Which blocks belong to the natural loop of the back edge
+/// `latch → header`: the header and everything that reaches the latch
+/// without passing through it.
+fn loop_blocks(
+    f: &Function,
+    preds: &BlockLists<BlockId>,
+    header: BlockId,
+    latch: BlockId,
+) -> Vec<bool> {
+    let mut inside = vec![false; f.blocks.len()];
+    inside[header.0 as usize] = true;
+    let mut stack = vec![latch];
+    while let Some(b) = stack.pop() {
+        if !std::mem::replace(&mut inside[b.0 as usize], true) {
+            stack.extend_from_slice(&preds[b.0 as usize]);
+        }
+    }
+    inside
+}
+
 /// Checks the canonical-skeleton invariants of every loop marked
-/// `is_canonical`. A marked loop that no longer matches the skeleton is an
+/// `is_canonical`, found as the unroller and the widener find theirs: by
+/// the metadata on a latch — a reachable one, whose branch target
+/// dominates it. A marked loop that no longer matches the skeleton is an
 /// error — a transformation restructured it without clearing the metadata.
 pub fn verify_loop_skeletons(f: &Function) -> Vec<VerifyError> {
     let mut errs = Vec::new();
     let dt = DomTree::compute(f);
-    let li = LoopInfo::compute(f, &dt);
-    for nl in li.with_metadata(f, |md| md.is_canonical) {
-        let where_ = format!(
-            "canonical loop at {}.{}",
-            f.block(nl.header).name,
-            nl.header.0
-        );
-        let skeleton = f.induction(nl.header, nl.latch);
-        let Some(ind) = skeleton.filter(|i| i.pred == CmpPred::Ult) else {
-            errs.push(VerifyError(format!(
-                "{where_}: marked `is_canonical` but no longer matches the \
-                 canonical skeleton (header phi stepping by 1 / icmp ult / \
-                 cond-br shape)"
-            )));
+    let preds = f.predecessors();
+    for (i, block) in f.blocks.iter().enumerate() {
+        let latch = BlockId(i as u32);
+        let Some(term) = &block.term else { continue };
+        if !term.loop_md().is_some_and(|md| md.is_canonical) || !dt.is_reachable(latch) {
             continue;
-        };
-        // The taken edge of `icmp ult iv, tc` must stay inside the loop and
-        // the fall-through edge must leave it — swapped edges invert the
-        // guard and execute the body exactly when it must not run.
-        if !nl.blocks.contains(&ind.body) {
-            errs.push(VerifyError(format!(
-                "{where_}: condition true edge must enter the loop body, \
-                 but {}.{} is outside the loop",
-                f.block(ind.body).name,
-                ind.body.0
-            )));
         }
-        if nl.blocks.contains(&ind.exit) {
-            errs.push(VerifyError(format!(
-                "{where_}: condition false edge must leave the loop, \
-                 but {}.{} is inside it",
-                f.block(ind.exit).name,
-                ind.exit.0
-            )));
-        }
-        // The trip count must dominate the compare that consumes it; a
-        // transformation that sank or cloned the bound computation into the
-        // loop would execute it per-iteration (or worse, use a stale copy).
-        if let Value::Inst(tc) = ind.bound {
-            match owner_block(f, tc) {
-                Some(def_bb) => {
-                    if !dt.dominates(def_bb, ind.cond) {
-                        errs.push(VerifyError(format!(
-                            "{where_}: trip count %{} defined in {}.{} does not \
-                             dominate the loop condition {}.{}",
-                            tc.0,
-                            f.block(def_bb).name,
-                            def_bb.0,
-                            f.block(ind.cond).name,
-                            ind.cond.0
-                        )));
-                    }
-                }
-                None => errs.push(VerifyError(format!(
-                    "{where_}: trip count %{} is not attached to any block",
-                    tc.0
-                ))),
-            }
+        for header in term.successors().filter(|&h| dt.dominates(h, latch)) {
+            check_skeleton(f, &dt, &preds, header, latch, &mut errs);
         }
     }
     errs
+}
+
+/// The checks of [`verify_loop_skeletons`] on the loop of one back edge.
+fn check_skeleton(
+    f: &Function,
+    dt: &DomTree,
+    preds: &BlockLists<BlockId>,
+    header: BlockId,
+    latch: BlockId,
+    errs: &mut Vec<VerifyError>,
+) {
+    let where_ = format!("canonical loop at {}.{}", f.block(header).name, header.0);
+    let skeleton = f.induction(header, latch);
+    let Some(ind) = skeleton.filter(|i| i.pred == CmpPred::Ult) else {
+        errs.push(VerifyError(format!(
+            "{where_}: marked `is_canonical` but no longer matches the \
+             canonical skeleton (header phi stepping by 1 / icmp ult / \
+             cond-br shape)"
+        )));
+        return;
+    };
+    let inside = loop_blocks(f, preds, header, latch);
+    // The taken edge of `icmp ult iv, tc` must stay inside the loop and
+    // the fall-through edge must leave it — swapped edges invert the
+    // guard and execute the body exactly when it must not run.
+    if !inside[ind.body.0 as usize] {
+        errs.push(VerifyError(format!(
+            "{where_}: condition true edge must enter the loop body, \
+             but {}.{} is outside the loop",
+            f.block(ind.body).name,
+            ind.body.0
+        )));
+    }
+    if inside[ind.exit.0 as usize] {
+        errs.push(VerifyError(format!(
+            "{where_}: condition false edge must leave the loop, \
+             but {}.{} is inside it",
+            f.block(ind.exit).name,
+            ind.exit.0
+        )));
+    }
+    // The trip count must dominate the compare that consumes it; a
+    // transformation that sank or cloned the bound computation into the
+    // loop would execute it per-iteration (or worse, use a stale copy).
+    if let Value::Inst(tc) = ind.bound {
+        match owner_block(f, tc) {
+            Some(def_bb) => {
+                if !dt.dominates(def_bb, ind.cond) {
+                    errs.push(VerifyError(format!(
+                        "{where_}: trip count %{} defined in {}.{} does not \
+                         dominate the loop condition {}.{}",
+                        tc.0,
+                        f.block(def_bb).name,
+                        def_bb.0,
+                        f.block(ind.cond).name,
+                        ind.cond.0
+                    )));
+                }
+            }
+            None => errs.push(VerifyError(format!(
+                "{where_}: trip count %{} is not attached to any block",
+                tc.0
+            ))),
+        }
+    }
 }
 
 /// Full per-function verification: structural rules plus skeleton
@@ -101,17 +140,6 @@ pub fn verify_loop_skeletons(f: &Function) -> Vec<VerifyError> {
 pub fn verify_function_full(f: &Function) -> Vec<VerifyError> {
     let mut errs = verify_function(f);
     errs.extend(verify_loop_skeletons(f));
-    errs
-}
-
-/// Module-level wrapper prefixing each error with the offending function.
-pub fn verify_module_full(m: &Module) -> Vec<VerifyError> {
-    let mut errs = Vec::new();
-    for f in &m.functions {
-        for e in verify_function_full(f) {
-            errs.push(VerifyError(format!("@{}: {}", f.name, e.0)));
-        }
-    }
     errs
 }
 
@@ -139,6 +167,66 @@ mod tests {
     fn accepts_pristine_skeleton() {
         let (f, _) = skeleton_fn();
         assert_eq!(verify_function_full(&f), vec![]);
+    }
+
+    #[test]
+    fn a_nested_marked_loop_is_checked_as_its_own_loop() {
+        let mut f = Function::new("k", vec![IrType::I64], IrType::Void);
+        let mut b = IrBuilder::new(&mut f);
+        let mut inner = None;
+        let outer = omplt_ompirb::create_canonical_loop(&mut b, Value::Arg(0), "i", |b, _| {
+            let nested = omplt_ompirb::create_canonical_loop(b, Value::Arg(0), "j", |_, _| {});
+            inner = Some(nested);
+        });
+        b.ret(None);
+        // The inner loop's exit lies inside the outer loop: had the outer
+        // loop's blocks been taken for the inner's, its false edge would
+        // not leave it.
+        assert_eq!(verify_loop_skeletons(&f), vec![]);
+        let inner = inner.unwrap();
+        let cmp_id = f.block(inner.cond).insts[0];
+        if let Inst::Cmp { pred, .. } = f.inst_mut(cmp_id) {
+            *pred = CmpPred::Sgt;
+        }
+        let errs = verify_loop_skeletons(&f);
+        let at = |cli: &omplt_ompirb::CanonicalLoopInfo| {
+            format!("at {}.{}:", f.block(cli.header).name, cli.header.0)
+        };
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].0.contains(&at(&inner)), "{errs:?}");
+        assert!(!errs[0].0.contains(&at(&outer)), "{errs:?}");
+    }
+
+    #[test]
+    fn a_while_shaped_loop_is_no_skeleton() {
+        // header: cond-br on the loop test; body: back to the header. No
+        // cond/latch split, so it is no skeleton: ignored unmarked,
+        // reported marked.
+        let mut f = Function::new("w", vec![IrType::I64], IrType::Void);
+        let header = f.add_block("header");
+        let body = f.add_block("body");
+        let exit = f.add_block("exit");
+        {
+            let mut b = IrBuilder::new(&mut f);
+            b.br(header);
+            b.set_insert_point(header);
+            let c = b.cmp(CmpPred::Ult, Value::Arg(0), Value::i64(4));
+            b.cond_br(c, body, exit);
+            b.set_insert_point(body);
+            b.br(header);
+            b.set_insert_point(exit);
+            b.ret(None);
+        }
+        assert_eq!(verify_function_full(&f), vec![]);
+        if let Some(Terminator::Br { loop_md, .. }) = &mut f.block_mut(body).term {
+            *loop_md = Some(omplt_ir::LoopMetadata {
+                is_canonical: true,
+                ..Default::default()
+            });
+        }
+        let errs = verify_loop_skeletons(&f);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].0.contains("at header.1: marked"), "{errs:?}");
     }
 
     #[test]

@@ -156,7 +156,9 @@ pub(crate) fn retarget_region_exits(
     }
 }
 
-/// Replaces value uses in `region` according to `replacements`.
+/// Replaces value uses in `region` according to `replacements` — in every
+/// instruction of it, so a replacement defined inside the region has its
+/// own operands rewritten too.
 pub(crate) fn rewrite_region_uses(
     b: &mut IrBuilder<'_>,
     region: &[BlockId],
@@ -166,9 +168,6 @@ pub(crate) fn rewrite_region_uses(
     for &bb in region {
         let insts = func.block(bb).insts.clone();
         for iid in insts {
-            // Skip the replacement-producing instructions themselves (they
-            // live in the new tile body block, not the original region, so
-            // no aliasing is possible — but guard anyway).
             func.inst_mut(iid).map_operands(|v| remap(v, replacements));
         }
         if let Some(t) = func.block_mut(bb).term.as_mut() {

@@ -16,6 +16,7 @@
 //! cannot disagree about a signature.
 
 use crate::canonical_loop::{create_canonical_loop_skeleton, CanonicalLoopInfo};
+use crate::tile::rewrite_region_uses;
 use omplt_ir::{
     BlockId, CmpPred, Function, Inst, IrBuilder, IrType, Module, RtFn, SchedType, Terminator, Value,
 };
@@ -113,8 +114,7 @@ fn emit_static_init(
 /// uses of the IV.
 fn shift_body_iv(b: &mut IrBuilder<'_>, cli: &CanonicalLoopInfo, offset: Value) {
     let region = cli.body_region(b.func());
-    let func = b.func_mut();
-    let shifted = func.prepend_inst(
+    let shifted = b.func_mut().prepend_inst(
         cli.body,
         Inst::Bin {
             op: omplt_ir::BinOpKind::Add,
@@ -122,22 +122,13 @@ fn shift_body_iv(b: &mut IrBuilder<'_>, cli: &CanonicalLoopInfo, offset: Value) 
             rhs: offset,
         },
     );
-    let shifted_id = match shifted {
-        Value::Inst(id) => id,
-        _ => unreachable!(),
+    rewrite_region_uses(b, &region, &[(cli.iv(), shifted)]);
+    // The add itself still reads the IV.
+    let Value::Inst(add) = shifted else {
+        unreachable!("a prepended instruction is an instruction")
     };
-    for bb in region {
-        let insts = func.block(bb).insts.clone();
-        for iid in insts {
-            if iid == shifted_id {
-                continue;
-            }
-            func.inst_mut(iid)
-                .map_operands(|v| if v == cli.iv() { shifted } else { v });
-        }
-        if let Some(t) = func.block_mut(bb).term.as_mut() {
-            t.map_operands(|v| if v == cli.iv() { shifted } else { v });
-        }
+    if let Inst::Bin { lhs, .. } = b.func_mut().inst_mut(add) {
+        *lhs = cli.iv();
     }
 }
 

@@ -236,10 +236,18 @@ fn break_in_omp_loop_diagnosed() {
 #[test]
 fn full_unroll_consumed_by_worksharing_is_error() {
     // C4: "fully unrolled, there is no generated loop that can be
-    // associated with another directive".
-    let src = "void body(int i);\nvoid f(void) {\n  #pragma omp parallel for\n  #pragma omp unroll full\n  for (int i = 0; i < 8; i += 1)\n    body(i);\n}\n";
-    let (_, _, errs) = parse(src);
-    assert!(errs.contains("does not generate a loop"), "{errs}");
+    // associated with another directive" — nor after a bare `unroll`,
+    // whose factor is the compiler's choice, on either path.
+    for unroll in ["unroll full", "unroll"] {
+        let src = format!("void body(int i);\nvoid f(void) {{\n  #pragma omp parallel for\n  #pragma omp {unroll}\n  for (int i = 0; i < 8; i += 1)\n    body(i);\n}}\n");
+        for mode in [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder] {
+            let (_, _, errs) = parse_mode(&src, mode);
+            assert!(
+                errs.contains("'#pragma omp unroll' here does not generate a loop"),
+                "{unroll} {mode:?}: {errs}"
+            );
+        }
+    }
 }
 
 #[test]

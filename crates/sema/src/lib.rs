@@ -15,9 +15,12 @@
 //!   of meta-information that needs to be resolved at the Sema layer".
 //!
 //! [`loop_analysis`] implements OpenMP's *canonical loop form* check
-//! (init/test/incr shape), shared by both paths. Sema is the one layer that
-//! resolves and analyses a directive's loops: what it found stays on the
-//! node (`OMPDirective::nest`), and CodeGen and the legality gate read it.
+//! (init/test/incr shape), shared by both paths, and the one rule for a
+//! level of a nest (`loop_analysis::nest_level`). Sema is the one layer
+//! that resolves and analyses a directive's loops: what it found stays on
+//! the node (`OMPDirective::nest`), and CodeGen and the legality gate read
+//! it; the gate extends it below the directive's depth with
+//! [`extend_loop_nest`].
 
 pub mod canonical;
 pub mod capture;
@@ -30,6 +33,6 @@ pub mod transform;
 
 pub use canonical::build_canonical_loop;
 pub use capture::{build_omp_captured_stmt, free_variables};
-pub use loop_analysis::{analyze_canonical_loop, find_nonrectangular_ref, LoopRefusal};
+pub use loop_analysis::{extend_loop_nest, LoopRefusal};
 pub use sema::Sema;
 pub use transform::count_generated_loops;

@@ -13,14 +13,16 @@
 //! The analysis produces an `omplt_ast::CanonicalLoopAnalysis` — everything
 //! Sema needs for either representation, kept on the directive
 //! (`OMPDirective::nest`) for the layers behind Sema — or a [`LoopRefusal`]
-//! saying where and why the loop is not in canonical form. It writes into no
-//! diagnostics engine: Sema renders the refusals of the loops a directive is
-//! associated with, and the dependence gate, probing below a directive's own
-//! depth, ignores them.
+//! saying where and why the loop is not in canonical form. `nest_level`
+//! adds the nest's own rules (perfect nesting, rectangularity) with a
+//! `LevelRefusal`. Neither writes into a diagnostics engine: Sema renders
+//! the refusals of the loops a directive is associated with, and
+//! [`extend_loop_nest`], which the dependence gate reads the levels below a
+//! directive's own depth with, ignores them.
 
 use omplt_ast::{
-    ASTContext, BinOp, CanonicalLoopAnalysis, Decl, Expr, ExprKind, LoopDirection, Stmt, StmtKind,
-    UnOp, VarDecl, P,
+    loop_level, ASTContext, BinOp, CanonicalLoopAnalysis, Decl, Expr, ExprKind, LoopDirection,
+    LoopNestLevel, NestRefusal, Stmt, StmtKind, UnOp, VarDecl, P,
 };
 use omplt_source::{SourceLocation, Symbol};
 
@@ -31,8 +33,9 @@ pub struct LoopRefusal {
     pub loc: SourceLocation,
     /// The diagnostic text; a `{}` in it stands for the name of `var`.
     pub message: String,
-    /// The variable the message names, spelled when it is rendered: the
-    /// gate, which ignores refusals, analyses with a context of its own.
+    /// The variable the message names, spelled when it is rendered:
+    /// [`extend_loop_nest`], which ignores refusals, analyses with a
+    /// context of its own.
     pub var: Option<Symbol>,
 }
 
@@ -415,21 +418,84 @@ pub(crate) fn region_returns(region: &P<Stmt>) -> Vec<SourceLocation> {
     f.0
 }
 
-/// Searches the loop-control expressions of `analysis` (lower bound, upper
-/// bound, step) for a reference to one of `outer_ivs`, returning the
-/// referenced variable and the location of the offending reference.
+/// Why a statement cannot be the next level of a loop nest.
+#[derive(Debug)]
+pub(crate) enum LevelRefusal {
+    /// The walker's: no loop here, or a transformation that leaves none.
+    Walker(NestRefusal),
+    /// Statements beside the loop below the outermost level.
+    Intervening(Vec<P<Stmt>>),
+    /// The loop is not in canonical form.
+    Canonical(LoopRefusal),
+    /// A bound reads this enclosing iteration variable, at this location.
+    NonRectangular(P<VarDecl>, SourceLocation),
+}
+
+/// Resolves and analyses the loop `stmt` stands for as the level below
+/// `outer` — the one rule for a level of a nest. Only the outermost loop
+/// may share its literal block with declarations (they run before the nest
+/// either way); below it the nest must be perfect, because a statement
+/// hoisted out of an outer loop's body would be evaluated once instead of
+/// once per iteration. The prologue of a consumed transformation is not the
+/// user's code and stays in front of the generated loop at every level.
 ///
-/// Loop nests consumed by `tile` and `collapse` must be **rectangular**
-/// (OpenMP 5.1 §4.4.2: `tile` is not defined for non-rectangular nests):
-/// the trip count of every loop is evaluated *before* the nest runs, so an
-/// inner bound depending on an outer iteration variable would read the
-/// variable out of scope and silently miscompile.
-pub fn find_nonrectangular_ref(
+/// The nest must also be **rectangular** (OpenMP 5.1 §4.4.2): the trip
+/// count of every level is evaluated *before* the nest runs, so a bound
+/// reading an outer iteration variable would read it out of scope.
+pub(crate) fn nest_level(
+    ctx: &ASTContext,
+    stmt: &P<Stmt>,
+    outer: &[LoopNestLevel],
+    directive_name: &str,
+) -> Result<LoopNestLevel, LevelRefusal> {
+    let level = loop_level(stmt).map_err(LevelRefusal::Walker)?;
+    if !outer.is_empty() && !level.intervening.is_empty() {
+        return Err(LevelRefusal::Intervening(level.intervening));
+    }
+    let only_decls = |s: &P<Stmt>| matches!(s.kind, StmtKind::Decl(_));
+    if !level.intervening.iter().all(only_decls) {
+        return Err(LevelRefusal::Walker(NestRefusal::NotALoop(P::clone(stmt))));
+    }
+    let analysis = analyze_canonical_loop(ctx, &level.loop_stmt, directive_name)
+        .map_err(LevelRefusal::Canonical)?;
+    if let Some((var, loc)) = find_nonrectangular_ref(&analysis, outer) {
+        return Err(LevelRefusal::NonRectangular(var, loc));
+    }
+    Ok(LoopNestLevel {
+        prologue: level.hoisted().cloned().collect(),
+        loop_stmt: level.loop_stmt,
+        analysis,
+    })
+}
+
+/// `nest` extended downwards by the rule of `nest_level`, up to
+/// `max_depth` levels in all, stopping silently at the first level it
+/// refuses: no directive is associated with these loops, so a refusal is
+/// nobody's error. The dependence gate reads the levels below a directive's
+/// own depth this way (they sharpen its direction vectors).
+pub fn extend_loop_nest(nest: &[LoopNestLevel], max_depth: usize) -> Vec<LoopNestLevel> {
+    // A context of its own is safe: the analysis builds literals over the
+    // original `VarDecl`s, and no refusal is rendered.
+    let ctx = ASTContext::new();
+    let mut levels = nest.to_vec();
+    while let Some(innermost) = levels.last().filter(|_| levels.len() < max_depth) {
+        match nest_level(&ctx, &innermost.analysis.body, &levels, "loop analysis") {
+            Ok(level) => levels.push(level),
+            Err(_) => break,
+        }
+    }
+    levels
+}
+
+/// The first reference in the loop-control expressions of `analysis`
+/// (lower bound, upper bound, step) to an iteration variable of `outer`,
+/// with its location.
+fn find_nonrectangular_ref(
     analysis: &CanonicalLoopAnalysis,
-    outer_ivs: &[P<VarDecl>],
+    outer: &[LoopNestLevel],
 ) -> Option<(P<VarDecl>, SourceLocation)> {
     struct Finder<'a> {
-        outer: &'a [P<VarDecl>],
+        outer: &'a [LoopNestLevel],
         hit: Option<(P<VarDecl>, SourceLocation)>,
     }
     impl omplt_ast::StmtVisitor for Finder<'_> {
@@ -438,7 +504,8 @@ pub fn find_nonrectangular_ref(
                 return;
             }
             if let Some(v) = e.as_decl_ref() {
-                if let Some(o) = self.outer.iter().find(|o| o.id == v.id) {
+                let mut ivs = self.outer.iter().map(|l| &l.analysis.iter_var);
+                if let Some(o) = ivs.find(|o| o.id == v.id) {
                     self.hit = Some((P::clone(o), e.loc));
                     return;
                 }
@@ -446,10 +513,7 @@ pub fn find_nonrectangular_ref(
             omplt_ast::walk_expr(self, e);
         }
     }
-    let mut f = Finder {
-        outer: outer_ivs,
-        hit: None,
-    };
+    let mut f = Finder { outer, hit: None };
     for e in [&analysis.lb, &analysis.ub, &analysis.step] {
         omplt_ast::StmtVisitor::visit_expr(&mut f, e);
     }

@@ -18,7 +18,7 @@
 use crate::canonical::build_canonical_loop;
 use crate::capture::build_omp_captured_stmt;
 use crate::loop_analysis::{
-    analyze_canonical_loop, find_nonrectangular_ref, region_returns, LoopRefusal,
+    analyze_canonical_loop, nest_level, region_returns, LevelRefusal, LoopRefusal,
 };
 use crate::sema::Sema;
 use crate::transform::{
@@ -26,10 +26,10 @@ use crate::transform::{
     transform_unroll_partial,
 };
 use omplt_ast::{
-    loop_level, ArgShape, BadPermutation, BinOp, CanonicalLoopAnalysis, ClauseModifier, Expr,
-    LoopAssociation, LoopDirectiveHelpers, LoopNestLevel, NestRefusal, OMPClause, OMPClauseKind,
-    OMPDirective, OMPDirectiveKind, OpenMpCodegenMode, PerLoopHelpers, ReductionOp, ScheduleKind,
-    Stmt, StmtKind, VarDecl, P,
+    ArgShape, BadPermutation, BinOp, CanonicalLoopAnalysis, ClauseModifier, Expr, LoopAssociation,
+    LoopDirectiveHelpers, LoopNestLevel, NestRefusal, OMPClause, OMPClauseKind, OMPDirective,
+    OMPDirectiveKind, OpenMpCodegenMode, PerLoopHelpers, ReductionOp, ScheduleKind, Stmt, StmtKind,
+    VarDecl, P,
 };
 use omplt_source::{Diagnostic, Level, SourceLocation};
 
@@ -255,14 +255,8 @@ impl Sema<'_> {
             .ok()
     }
 
-    /// Collects `depth` nested canonical loops, resolving each level with
-    /// the shared walker and turning its refusals into diagnostics. Only
-    /// the outermost loop may share its literal block with declarations
-    /// (they run before the nest either way); below it the nest must be
-    /// perfect, because a statement hoisted out of an outer loop's body
-    /// would be evaluated once instead of once per iteration. The
-    /// prologue of a consumed transformation is not the user's code and
-    /// stays in front of the generated loop at every level.
+    /// Collects `depth` nested canonical loops, one `nest_level` at a
+    /// time, and renders the first refusal as the directive's error.
     pub fn collect_loop_nest(
         &mut self,
         d: &OMPDirective,
@@ -273,41 +267,54 @@ impl Sema<'_> {
         let mut levels: Vec<LoopNestLevel> = Vec::with_capacity(depth);
         let mut cur = P::clone(stmt);
         for lvl in 0..depth {
-            let not_a_loop = |at: &P<Stmt>| {
-                self.diags.error(
-                    at.loc,
-                    format!("statement after '{consumer}' must be a for loop"),
-                );
-            };
-            let level = match loop_level(&cur) {
-                Ok(l) => l,
-                Err(NestRefusal::NotALoop(s)) => {
-                    not_a_loop(&s);
+            match nest_level(&self.ctx, &cur, &levels, consumer) {
+                Ok(level) => {
+                    // The next level must be the sole loop of the body.
+                    cur = P::clone(&level.analysis.body);
+                    levels.push(level);
+                }
+                Err(refusal) => {
+                    self.report_level_refusal(d, refusal, lvl + 1, depth, consumer);
                     return None;
                 }
-                // `unroll full` / heuristic unroll leave no generated loop
-                // to associate (paper §1.1).
-                Err(NestRefusal::NoGeneratedLoop(d)) => {
-                    self.diags.error(
-                        d.loc,
-                        format!(
-                            "'#pragma omp {}' here does not generate a loop that can be associated with '{consumer}'",
-                            d.kind.name()
-                        ),
-                    );
-                    return None;
-                }
-            };
-            if lvl > 0 && !level.intervening.is_empty() {
+            }
+        }
+        Some(levels)
+    }
+
+    /// Renders why the loop at depth `depth_at` (from 1) of a nest of
+    /// `depth` cannot be associated with `d`.
+    fn report_level_refusal(
+        &self,
+        d: &OMPDirective,
+        refusal: LevelRefusal,
+        depth_at: usize,
+        depth: usize,
+        consumer: &str,
+    ) {
+        match refusal {
+            LevelRefusal::Walker(NestRefusal::NotALoop(s)) => self.diags.error(
+                s.loc,
+                format!("statement after '{consumer}' must be a for loop"),
+            ),
+            // `unroll full` / heuristic unroll leave no generated loop to
+            // associate (paper §1.1).
+            LevelRefusal::Walker(NestRefusal::NoGeneratedLoop(d)) => self.diags.error(
+                d.loc,
+                format!(
+                    "'#pragma omp {}' here does not generate a loop that can be associated with '{consumer}'",
+                    d.kind.name()
+                ),
+            ),
+            LevelRefusal::Intervening(stmts) => {
                 let pragma = d.pragma_text();
-                for s in &level.intervening {
+                for s in &stmts {
                     self.diags.report_with_notes(
                         Level::Error,
                         s.loc,
                         format!(
                             "loop nest after '{pragma}' must be perfectly nested: \
-                             statement is not part of the loop at depth {}",
-                            lvl + 1
+                             statement is not part of the loop at depth {depth_at}"
                         ),
                         vec![Diagnostic::note(
                             d.loc,
@@ -315,52 +322,24 @@ impl Sema<'_> {
                         )],
                     );
                 }
-                return None;
             }
-            let only_decls = |s: &P<Stmt>| matches!(s.kind, StmtKind::Decl(_));
-            if !level.intervening.iter().all(only_decls) {
-                not_a_loop(&cur);
-                return None;
-            }
-            let analysis = self.analyze_loop(&level.loop_stmt, consumer)?;
-            // Rectangularity (OpenMP 5.1 §4.4.2): bounds of inner loops must
-            // be invariant in outer iteration variables — the nest's trip
-            // counts are all evaluated before the nest runs, so a dependent
-            // bound would read the outer variable out of scope.
-            let outer: Vec<_> = levels
-                .iter()
-                .map(|l| P::clone(&l.analysis.iter_var))
-                .collect();
-            if let Some((var, ref_loc)) = find_nonrectangular_ref(&analysis, &outer) {
+            LevelRefusal::Canonical(r) => self.diags.error(r.loc, r.render(&self.ctx)),
+            LevelRefusal::NonRectangular(var, ref_loc) => {
+                let name = self.ctx.spelling(var.name);
                 self.diags.report_with_notes(
                     Level::Error,
                     ref_loc,
                     format!(
                         "loop nest associated with '{consumer}' must be rectangular: \
-                         bound of loop {} depends on iteration variable '{}'",
-                        lvl + 1,
-                        self.ctx.spelling(var.name)
+                         bound of loop {depth_at} depends on iteration variable '{name}'"
                     ),
                     vec![Diagnostic::note(
                         var.loc,
-                        format!(
-                            "iteration variable '{}' declared here",
-                            self.ctx.spelling(var.name)
-                        ),
+                        format!("iteration variable '{name}' declared here"),
                     )],
                 );
-                return None;
             }
-            // The next level must be the sole loop of the body.
-            cur = P::clone(&analysis.body);
-            let prologue = level.hoisted().cloned().collect();
-            levels.push(LoopNestLevel {
-                prologue,
-                loop_stmt: level.loop_stmt,
-                analysis,
-            });
         }
-        Some(levels)
     }
 
     /// Collects a *loop sequence*: the statements of a block, each
@@ -865,27 +844,27 @@ mod tests {
 
     #[test]
     fn consuming_full_unroll_is_diagnosed() {
-        // #pragma omp for over #pragma omp unroll full → C4.
-        let (_, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            let full = OMPClause::new(OMPClauseKind::Full, vec![], SourceLocation::INVALID);
-            let inner = s.act_on_omp_directive(
-                OMPDirectiveKind::Unroll,
-                vec![full],
-                Some(lp),
-                SourceLocation::INVALID,
+        // #pragma omp for over #pragma omp unroll full, or over a bare
+        // #pragma omp unroll → C4, on both paths.
+        let modes = [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder];
+        for (mode, full) in modes.into_iter().flat_map(|m| [(m, true), (m, false)]) {
+            let (_, msgs) = with_sema(mode, |s| {
+                let lp = mk_loop(s, 0, 10, 1, None);
+                let loc = SourceLocation::INVALID;
+                let clauses = if full {
+                    vec![OMPClause::new(OMPClauseKind::Full, vec![], loc)]
+                } else {
+                    vec![]
+                };
+                let inner =
+                    s.act_on_omp_directive(OMPDirectiveKind::Unroll, clauses, Some(lp), loc);
+                s.act_on_omp_directive(OMPDirectiveKind::For, vec![], Some(inner), loc)
+            });
+            assert!(
+                msgs.iter().any(|m| m.contains("does not generate a loop")),
+                "{mode:?} full={full}: {msgs:?}"
             );
-            s.act_on_omp_directive(
-                OMPDirectiveKind::For,
-                vec![],
-                Some(inner),
-                SourceLocation::INVALID,
-            )
-        });
-        assert!(
-            msgs.iter().any(|m| m.contains("does not generate a loop")),
-            "{msgs:?}"
-        );
+        }
     }
 
     #[test]
@@ -1029,6 +1008,98 @@ mod tests {
                 assert_eq!(refused, imperfect, "{mode:?}: {msgs:?}");
                 assert_eq!(msgs.len(), usize::from(imperfect), "{mode:?}: {msgs:?}");
             }
+        }
+    }
+
+    const LOC: SourceLocation = SourceLocation::INVALID;
+
+    fn int_var(s: &Sema, name: &str) -> P<VarDecl> {
+        let zero = s.ctx.int_lit(0, s.ctx.int(), LOC);
+        s.ctx.make_var(name, s.ctx.int(), Some(zero), LOC)
+    }
+
+    /// `for (int iv = 0; iv < ub; iv += 1) body`, without the test when
+    /// `cond` is false.
+    fn for_stmt(s: &Sema, iv: &P<VarDecl>, ub: P<Expr>, cond: bool, body: P<Stmt>) -> P<Stmt> {
+        let ctx = &s.ctx;
+        let test = ctx.binary(BinOp::Lt, ctx.read_var(iv, LOC), ub, ctx.bool_ty(), LOC);
+        let one = ctx.int_lit(1, ctx.int(), LOC);
+        let inc = ctx.binary(BinOp::AddAssign, ctx.decl_ref(iv, LOC), one, ctx.int(), LOC);
+        let init = Stmt::new(StmtKind::Decl(vec![Decl::Var(P::clone(iv))]), LOC);
+        let kind = StmtKind::For {
+            init: Some(init),
+            cond: cond.then_some(test),
+            inc: Some(inc),
+            body,
+        };
+        Stmt::new(kind, LOC)
+    }
+
+    /// `for (int j = 0; j < ub; j += 1);` where `ub` reads `outer`, or is 8.
+    fn j_loop(s: &Sema, outer: Option<&P<VarDecl>>, canonical: bool) -> P<Stmt> {
+        let ub = match outer {
+            Some(v) => s.ctx.read_var(v, LOC),
+            None => s.ctx.int_lit(8, s.ctx.int(), LOC),
+        };
+        let null = Stmt::new(StmtKind::Null, LOC);
+        for_stmt(s, &int_var(s, "j"), ub, canonical, null)
+    }
+
+    #[test]
+    fn the_gate_extends_a_nest_by_the_level_rule() {
+        // `#pragma omp for` over `for (i < 16) <below>`: the iteration
+        // variables of what `extend_loop_nest` makes of its nest.
+        type Below = fn(&mut Sema, &P<VarDecl>) -> P<Stmt>;
+        let cases: [(&str, Below, &[&str]); 6] = [
+            ("perfect", |s, _| j_loop(s, None, true), &["i", "j"]),
+            (
+                "intervening statement",
+                |s, _| {
+                    let decl = Stmt::new(StmtKind::Decl(vec![Decl::Var(int_var(s, "u"))]), LOC);
+                    Stmt::new(StmtKind::Compound(vec![decl, j_loop(s, None, true)]), LOC)
+                },
+                &["i"],
+            ),
+            ("not canonical", |s, _| j_loop(s, None, false), &["i"]),
+            ("bound reads i", |s, i| j_loop(s, Some(i), true), &["i"]),
+            (
+                "unroll full",
+                |s, _| {
+                    let full = OMPClause::new(OMPClauseKind::Full, vec![], LOC);
+                    let lp = Some(j_loop(s, None, true));
+                    s.act_on_omp_directive(OMPDirectiveKind::Unroll, vec![full], lp, LOC)
+                },
+                &["i"],
+            ),
+            // Through to the generated loop; the loop of its copies below
+            // is bounded by the generated variable, so it stops there.
+            (
+                "consumed unroll partial",
+                |s, _| {
+                    let c = unroll_clause(s, Some(2));
+                    let lp = Some(j_loop(s, None, true));
+                    s.act_on_omp_directive(OMPDirectiveKind::Unroll, vec![c], lp, LOC)
+                },
+                &["i", ".unrolled.iv.j"],
+            ),
+        ];
+        for (what, below, expected) in cases {
+            let (ivs, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
+                let i = int_var(s, "i");
+                let bound = s.ctx.int_lit(16, s.ctx.int(), LOC);
+                let body = below(s, &i);
+                let outer = for_stmt(s, &i, bound, true, body);
+                let stmt = s.act_on_omp_directive(OMPDirectiveKind::For, vec![], Some(outer), LOC);
+                let StmtKind::OMP(d) = &stmt.kind else {
+                    panic!("{what}: not a directive")
+                };
+                let nest = crate::extend_loop_nest(&d.nest, 4);
+                let spell =
+                    |l: &LoopNestLevel| s.ctx.spelling(l.analysis.iter_var.name).to_string();
+                nest.iter().map(spell).collect::<Vec<_>>()
+            });
+            assert!(msgs.is_empty(), "{what}: {msgs:?}");
+            assert_eq!(ivs, expected, "{what}");
         }
     }
 

@@ -14,10 +14,7 @@ use std::path::Path;
 /// `[dependencies]`, without the `omplt-` prefix. Dev-dependencies are the
 /// tests' business. `codegen` has no edge to `sema`.
 const DAG: [(&str, &[&str]); 15] = [
-    (
-        "analysis",
-        &["ast", "ir", "midend", "sema", "source", "trace"],
-    ),
+    ("analysis", &["ast", "sema", "source", "trace"]),
     ("ast", &["source", "trace"]),
     (
         "codegen",
@@ -80,9 +77,6 @@ fn only_sema_analyses_a_loop_and_only_the_driver_owns_an_engine() {
             &[
                 ("crates/sema/src/loop_analysis.rs", "the definition"),
                 ("crates/sema/src/omp_sema.rs", "Sema renders the refusal"),
-                // `extend_while_perfect`: loops below a directive's own
-                // depth, which no directive is associated with.
-                ("crates/analysis/src/depend.rs", "the gate's extension site"),
             ],
         ),
         (
@@ -93,12 +87,17 @@ fn only_sema_analyses_a_loop_and_only_the_driver_owns_an_engine() {
             "ASTContext::new()",
             &[
                 ("crates/sema/src/sema.rs", "the translation unit's context"),
+                // `extend_loop_nest`: loops below a directive's own depth,
+                // which no directive is associated with.
+                (
+                    "crates/sema/src/loop_analysis.rs",
+                    "the extension below a directive",
+                ),
                 // Expression nodes only, over the original declarations:
                 (
                     "crates/codegen/src/cg_stmt.rs",
                     "a non-constant distance expression",
                 ),
-                ("crates/analysis/src/depend.rs", "the gate's extension site"),
             ],
         ),
     ];

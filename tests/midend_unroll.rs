@@ -4,7 +4,7 @@
 
 use omplt::ir::print_module;
 use omplt::{Backend, CompilerInstance, OpenMpCodegenMode, Options};
-use omplt_midend::{constant_fold, loop_unroll, simplify_cfg, DomTree, LoopInfo};
+use omplt_midend::{constant_fold, loop_unroll, simplify_cfg, DomTree};
 
 fn compile(src: &str, optimize: bool) -> (CompilerInstance, omplt::ir::Module) {
     let mut ci = CompilerInstance::new(Options::default());
@@ -25,10 +25,16 @@ fn live_calls(module: &omplt::ir::Module, func: &str) -> usize {
         .count()
 }
 
+/// The loops of `func`, one per back edge: an edge from a reachable block
+/// to a block dominating it.
 fn loop_count(module: &omplt::ir::Module, func: &str) -> usize {
     let f = module.function(func).unwrap();
     let dt = DomTree::compute(f);
-    LoopInfo::compute(f, &dt).loops.len()
+    let blocks = (0..f.blocks.len() as u32).map(omplt::ir::BlockId);
+    let edges = blocks.flat_map(|b| f.successors(b).map(move |s| (b, s)));
+    edges
+        .filter(|&(b, s)| dt.is_reachable(b) && dt.dominates(s, b))
+        .count()
 }
 
 #[test]
