@@ -55,7 +55,7 @@ pub enum Attr {
 /// De-sugared pieces of a C++ range-based for-loop, mirroring how Clang's
 /// `CXXForRangeStmt` stores "some of the statements the range for-loop is
 /// equivalent to" (paper §1.2 and Fig. lst:rangeloop).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CxxForRangeData {
     /// `auto &&__range = Container;`
     pub range_stmt: P<Stmt>,

@@ -51,7 +51,7 @@ impl FnCodegen<'_, '_> {
 
     /// Emits the directive's shadow AST in its place — or, when Sema built
     /// none (the nest was already diagnosed), the associated statement.
-    pub(crate) fn emit_transformed_or_associated(&mut self, d: &P<OMPDirective>) {
+    fn emit_transformed_or_associated(&mut self, d: &P<OMPDirective>) {
         if let Some(s) = d.get_transformed_stmt().or(d.associated.as_ref()) {
             self.emit_stmt(&P::clone(s));
         }

@@ -1,31 +1,30 @@
-//! The `OMPCanonicalLoop` / OpenMPIRBuilder lowering path (paper §3):
-//! CodeGen evaluates the Sema-provided *distance function* to obtain the
-//! trip count, calls `create_canonical_loop` for the skeleton, emits the
-//! *loop user value function* plus the loop body inside it, and hands the
-//! resulting `CanonicalLoopInfo` handles to the transformation methods.
-//!
-//! Implementation status intentionally mirrors the paper's report for the
-//! then-current Clang ("missing implementations for … loop nests with more
-//! than one loop"). What `emit_omp_irbuilder` falls back to the classic
-//! shadow-AST emission for (Sema still builds the shadow AST in this mode):
-//! `tile` over more than one loop, `interchange`, `fuse`, and `reverse`
-//! whose associated statement is not a literal loop (a nested
-//! transformation). One-loop `tile`, `unroll`, `reverse` over a literal
-//! loop, `simd`, `taskloop` and the worksharing directives use the
-//! `CanonicalLoopInfo` operations. A `collapse(n > 1)` clause on those is a
-//! warning: the construct applies to the outermost loop only.
+//! The `OMPCanonicalLoop` / OpenMPIRBuilder lowering path (paper §3).
+//! Sema wraps every literal loop a directive associates with in an
+//! `OMPCanonicalLoop`. CodeGen evaluates each level's *distance function*
+//! in front of the nest, builds a perfect nest of skeletons with
+//! `create_canonical_loop_skeleton`, and emits every level's *loop user
+//! value function* at the top of the innermost body, then the user body:
+//! the ompirb operations move only the innermost body region, as
+//! OpenMPIRBuilder sinks its in-between code. The `CanonicalLoopInfo`
+//! handles go to those operations. A transformation directive consumes the
+//! handles of its associated loops and returns the ones it generates
+//! (`tile_loops`, `interchange_loops`, `fuse_loops`, `reverse_loop`,
+//! `unroll_loop_partial`), so a stack of them lowers bottom-up;
+//! `collapse(n)` on `for`, `simd` and `taskloop` is `collapse_loops`.
+//! Nothing on this path emits the shadow AST Sema still builds.
 
 use crate::cg_omp_classic::simd_metadata;
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{
-    CaptureKind, OMPCanonicalLoop, OMPClauseKind, OMPDirective, OMPDirectiveKind, ScheduleKind,
-    Stmt, StmtKind, P,
+    CaptureKind, DeclId, OMPCanonicalLoop, OMPClauseKind, OMPDirective, OMPDirectiveKind,
+    ScheduleKind, Stmt, StmtKind, P,
 };
 use omplt_ir::{IrType, RtFn, Value};
 use omplt_ompirb::{
-    create_canonical_loop_skeleton, create_dynamic_workshare_loop, create_static_workshare_loop,
-    reverse_loop, tile_loops, unroll_loop_full, unroll_loop_heuristic, unroll_loop_partial,
-    CanonicalLoopInfo, DispatchLoopInfo, WorksharingScheme,
+    collapse_loops, create_canonical_loop_skeleton, create_dynamic_workshare_loop,
+    create_static_workshare_loop, fuse_loops, interchange_loops, reverse_loop, tile_loops,
+    unroll_loop_full, unroll_loop_heuristic, unroll_loop_partial, CanonicalLoopInfo,
+    DispatchLoopInfo, WorksharingScheme,
 };
 
 impl FnCodegen<'_, '_> {
@@ -73,7 +72,6 @@ impl FnCodegen<'_, '_> {
                 if let Some(cli) = self.emit_associated_loop(d, &assoc) {
                     let md = simd_metadata(d, cli.metadata(&self.func).unwrap_or_default());
                     cli.set_metadata(&mut self.func, md);
-                    self.cur = cli.after;
                 }
             }
             OMPDirectiveKind::Taskloop => {
@@ -89,54 +87,29 @@ impl FnCodegen<'_, '_> {
                             ty: IrType::Void,
                         },
                     );
-                    self.cur = cli.after;
                 }
             }
+            // Not consumed: `unroll partial` defers entirely to the mid end.
             OMPDirectiveKind::Unroll => {
-                let Some(cli) = self.emit_loop_construct(&assoc) else {
+                let Some(&cli) = self.emit_loop_construct(&assoc, 1).first() else {
                     return;
                 };
-                self.cur = cli.after;
-                let full = d.clause(OMPClauseKind::Full).is_some();
                 let mut b = omplt_ir::IrBuilder::new(&mut self.func);
                 b.set_insert_point(cli.after);
-                if full {
+                if d.clause(OMPClauseKind::Full).is_some() {
                     unroll_loop_full(&mut b, &cli);
                 } else if let Some(factor) = d.partial_factor() {
-                    // Not consumed here → defer entirely to the mid-end.
                     unroll_loop_partial(&mut b, &cli, factor, false);
                 } else {
                     unroll_loop_heuristic(&mut b, &cli);
                 }
                 self.verify_transformed("omp unroll", d.loc, &[cli]);
             }
-            // A one-loop tile is the same CanonicalLoopInfo operation
-            // whether or not another directive consumes the floor loop.
-            OMPDirectiveKind::Tile if d.associated_loops() == 1 => {
-                if let Some(floor) = self.emit_consumed_tile(d) {
-                    self.cur = floor.after;
-                }
-            }
-            OMPDirectiveKind::Reverse => match self.emit_loop_construct(&assoc) {
-                Some(cli) => {
-                    self.cur = cli.after;
-                    let mut b = omplt_ir::IrBuilder::new(&mut self.func);
-                    b.set_insert_point(cli.after);
-                    let rev = reverse_loop(&mut b, &cli);
-                    self.verify_transformed("omp reverse", d.loc, &[rev]);
-                }
-                // The associated statement was not a wrapped literal
-                // loop (e.g. a nested transformation): emit the shadow
-                // AST, which Sema always builds for reverse.
-                None => self.emit_transformed_or_associated(d),
-            },
-            // Multi-loop constructs fall back to the shadow AST (the paper
-            // reports "missing implementations for … loop nests with more
-            // than one loop" on the IrBuilder path). The CanonicalLoopInfo
-            // operations themselves live in omplt-ompirb for nests built
-            // directly.
-            OMPDirectiveKind::Tile | OMPDirectiveKind::Interchange | OMPDirectiveKind::Fuse => {
-                self.emit_transformed_or_associated(d)
+            OMPDirectiveKind::Tile
+            | OMPDirectiveKind::Interchange
+            | OMPDirectiveKind::Reverse
+            | OMPDirectiveKind::Fuse => {
+                self.emit_transformation(d);
             }
         }
     }
@@ -233,138 +206,201 @@ impl FnCodegen<'_, '_> {
     }
 
     /// The handle of the loop a worksharing, `simd` or `taskloop`
-    /// directive applies to. `collapse(n)` is not lowered on this path
-    /// (`collapse_loops` is not wired): Sema wraps only the outermost loop
-    /// in `OMPCanonicalLoop`, so the directive applies to that loop alone —
-    /// said, not silently.
+    /// directive applies to: the `collapse_loops` of the first `n` handles
+    /// of its nest under `collapse(n)` — the first handle itself for `n = 1`.
     fn emit_associated_loop(
         &mut self,
         d: &P<OMPDirective>,
         body: &P<Stmt>,
     ) -> Option<CanonicalLoopInfo> {
-        if let Some(c) = d.clause(OMPClauseKind::Collapse) {
-            let n = d.associated_loops();
-            if n > 1 {
-                self.diags.warning(
-                    c.loc,
-                    format!("'collapse({n})' is not supported by the IrBuilder path; the construct applies to the outermost loop only"),
-                );
-            }
-        }
-        self.emit_loop_construct(body)
+        let n = d.nest.len();
+        let loops = self.emit_loop_construct(body, n);
+        let nest = loops.get(..n).filter(|l| !l.is_empty())?;
+        let collapsed = collapse_loops(&mut omplt_ir::IrBuilder::new(&mut self.func), nest);
+        self.verify_transformed("collapse", d.loc, &[collapsed]);
+        Some(collapsed)
     }
 
-    /// Resolves a directive/loop stack bottom-up into a single
-    /// [`CanonicalLoopInfo`]: `OMPCanonicalLoop` nodes emit skeletons;
-    /// nested `unroll partial`/`tile` consume and return new handles —
-    /// "in the case of loop transformations, the methods again return (one
-    /// or more) CanonicalLoopInfos that can in turn again be used as
-    /// handles" (paper §3.2).
-    pub(crate) fn emit_loop_construct(&mut self, stmt: &P<Stmt>) -> Option<CanonicalLoopInfo> {
+    /// The loops `stmt` stands for, as handles, outermost first: an
+    /// `OMPCanonicalLoop` starts a nest of `depth` levels, and a
+    /// transformation directive returns the loops it generates — "in the
+    /// case of loop transformations, the methods again return (one or more)
+    /// CanonicalLoopInfos that can in turn again be used as handles" (paper
+    /// §3.2). The construct continues at the first handle's `after` block.
+    pub(crate) fn emit_loop_construct(
+        &mut self,
+        stmt: &P<Stmt>,
+        depth: usize,
+    ) -> Vec<CanonicalLoopInfo> {
+        let stmt = self.enter_level(stmt);
         match &stmt.kind {
-            StmtKind::OMPCanonicalLoop(cl) => {
-                let cl = P::clone(cl);
-                Some(self.emit_canonical_loop(&cl))
-            }
-            StmtKind::Attributed { sub, .. } => {
-                let sub = P::clone(sub);
-                self.emit_loop_construct(&sub)
-            }
-            StmtKind::Captured(c) => {
-                let body = P::clone(&c.decl.body);
-                self.emit_loop_construct(&body)
-            }
-            StmtKind::OMP(d) if d.kind == OMPDirectiveKind::Unroll => {
-                let d = P::clone(d);
-                let assoc = d.associated.clone()?;
-                // Only `unroll partial` generates a loop; Sema associates
-                // nothing with `unroll full` or a bare `unroll`.
-                let factor = d.partial_factor()?;
-                let inner = self.emit_loop_construct(&assoc)?;
-                let mut b = omplt_ir::IrBuilder::new(&mut self.func);
-                b.set_insert_point(inner.after);
-                // Consumed: a generated loop is required (paper §2.2/§3.2).
-                let out = unroll_loop_partial(&mut b, &inner, factor, true);
-                if let Some(generated) = out {
-                    self.verify_transformed("omp unroll partial", d.loc, &[generated]);
-                }
-                out
-            }
-            StmtKind::OMP(d) if d.kind == OMPDirectiveKind::Tile => {
-                let d = P::clone(d);
-                if d.associated_loops() != 1 {
-                    self.diags.warning(
-                        d.loc,
-                        "consumed multi-loop tile is not supported by the IrBuilder path; using the outer floor loop of a 1-D tiling",
-                    );
-                }
-                self.emit_consumed_tile(&d)
-            }
-            // Interchange / reverse / fuse consumed by an outer directive:
-            // Sema wrapped the trailing loop of the shadow AST in
-            // `OMPCanonicalLoop`, so the generated loop is reached by
-            // emitting the compound's prologue and recursing into its tail.
-            StmtKind::OMP(d) if d.kind.is_loop_transformation() => {
-                let t = d.get_transformed_stmt().cloned()?;
-                self.emit_loop_construct(&t)
-            }
+            StmtKind::OMPCanonicalLoop(_) => self.emit_canonical_nest(&stmt, depth),
+            StmtKind::OMP(d) => self.emit_transformation(&P::clone(d)),
+            _ => Vec::new(),
+        }
+    }
+
+    /// The statement a nest level stands for, past the outlining and the
+    /// blocks around it; a block's leading statements (the declarations
+    /// Sema allows beside the outermost loop) run first.
+    fn enter_level(&mut self, stmt: &P<Stmt>) -> P<Stmt> {
+        match &stmt.kind {
+            StmtKind::Captured(c) => self.enter_level(&P::clone(&c.decl.body)),
             StmtKind::Compound(stmts) if !stmts.is_empty() => {
-                // A transformed shadow compound (or a `{ decls…; loop }`
-                // prologue): run the leading statements, the loop is last.
                 let stmts = stmts.clone();
-                let (last, lead) = stmts.split_last().unwrap();
+                let (last, lead) = stmts.split_last().expect("a non-empty block");
                 for s in lead {
                     self.emit_stmt(s);
                 }
-                let last = P::clone(last);
-                self.emit_loop_construct(&last)
+                self.enter_level(last)
             }
-            // A literal loop that Sema did not wrap (only possible when the
-            // directive stack was malformed): nothing to hand back.
-            _ => None,
+            _ => P::clone(stmt),
         }
     }
 
-    /// Tiles the loop under `tile` by its first size and returns the floor
-    /// loop's handle.
-    fn emit_consumed_tile(&mut self, d: &P<OMPDirective>) -> Option<CanonicalLoopInfo> {
-        let assoc = d.associated.clone()?;
-        let inner = self.emit_loop_construct(&assoc)?;
-        let size = d.sizes().and_then(|s| s.first().copied()).unwrap_or(4);
+    /// Lowers a transformation directive: it consumes the handles of the
+    /// loops it is associated with and returns the ones it generates.
+    fn emit_transformation(&mut self, d: &P<OMPDirective>) -> Vec<CanonicalLoopInfo> {
+        let Some(assoc) = d.associated.clone() else {
+            return Vec::new();
+        };
+        let depth = d.nest.len();
+        let loops = match &assoc.kind {
+            // A loop sequence: one loop per member, each member's setup
+            // behind the loop before it.
+            StmtKind::Compound(members) if d.kind == OMPDirectiveKind::Fuse => {
+                let members = members.clone();
+                let first = |m| self.emit_loop_construct(m, 1).first().copied();
+                members.iter().filter_map(first).collect()
+            }
+            _ => self.emit_loop_construct(&assoc, depth),
+        };
+        let Some(loops) = loops.get(..depth).filter(|l| !l.is_empty()) else {
+            return Vec::new();
+        };
         let mut b = omplt_ir::IrBuilder::new(&mut self.func);
-        b.set_insert_point(inner.after);
-        let tiled = tile_loops(&mut b, &[inner], &[Value::int(inner.ty, size as i64)]);
-        self.verify_transformed("omp tile", d.loc, &tiled);
-        tiled.first().copied()
+        let generated = match d.kind {
+            // Consumed: a generated loop is required (paper §2.2/§3.2).
+            OMPDirectiveKind::Unroll => d
+                .partial_factor()
+                .and_then(|factor| unroll_loop_partial(&mut b, &loops[0], factor, true))
+                .into_iter()
+                .collect(),
+            OMPDirectiveKind::Tile => {
+                let sizes = d.sizes().unwrap_or_default().into_iter().zip(loops);
+                let sizes: Vec<_> = sizes.map(|(s, l)| Value::int(l.ty, s as i64)).collect();
+                tile_loops(&mut b, loops, &sizes)
+            }
+            OMPDirectiveKind::Interchange => d
+                .permutation()
+                .map_or_else(|_| Vec::new(), |p| interchange_loops(&mut b, loops, &p)),
+            OMPDirectiveKind::Reverse => vec![reverse_loop(&mut b, &loops[0])],
+            OMPDirectiveKind::Fuse => vec![fuse_loops(&mut b, loops)],
+            _ => Vec::new(),
+        };
+        if let Some(first) = generated.first() {
+            self.cur = first.after;
+        }
+        self.verify_transformed(&format!("omp {}", d.kind.name()), d.loc, &generated);
+        generated
     }
 
-    /// Emits one `OMPCanonicalLoop`: the paper's §3.2 CodeGen sequence.
-    pub(crate) fn emit_canonical_loop(&mut self, cl: &P<OMPCanonicalLoop>) -> CanonicalLoopInfo {
-        // 1. Run the loop's init statement(s) so the iteration variable
-        //    holds its start value.
-        match &cl.loop_stmt.kind {
-            StmtKind::For { init, .. } => {
-                if let Some(i) = init.clone() {
-                    self.emit_stmt(&i);
-                }
+    /// Emits the perfect nest of `depth` loops that starts with the
+    /// `OMPCanonicalLoop` `stmt` (paper §3.2's CodeGen sequence, per
+    /// level). Every level's prelude — its iteration variable's start, the
+    /// by-value captures, the distance function — runs in front of the
+    /// nest; then one skeleton per level, each in the body of the one
+    /// before. A transformation directive standing for the levels below is
+    /// emitted in front as well, and its loops are moved into the innermost
+    /// skeleton. The loop user value functions run at the top of the
+    /// innermost body, in front of the user body.
+    fn emit_canonical_nest(&mut self, stmt: &P<Stmt>, depth: usize) -> Vec<CanonicalLoopInfo> {
+        let mut levels = Vec::with_capacity(depth);
+        let mut inner = Vec::new();
+        let mut s = P::clone(stmt);
+        loop {
+            let StmtKind::OMPCanonicalLoop(cl) = &s.kind else {
+                inner = self.emit_loop_construct(&s, depth - levels.len());
+                break;
+            };
+            let cl = P::clone(cl);
+            let (tc, snapshots) = self.emit_prelude(&cl);
+            let body = user_body(&cl);
+            levels.push((cl, tc, snapshots));
+            if levels.len() >= depth {
+                break;
             }
+            s = self.enter_level(&body);
+        }
+
+        // The skeletons. `create_canonical_loop` counts its own; these are
+        // the ones codegen builds for `OMPCanonicalLoop` nodes.
+        let mut loops: Vec<CanonicalLoopInfo> = Vec::with_capacity(depth);
+        for &(_, tc, _) in &levels {
+            omplt_trace::count("ompirb.canonical_loops", 1);
+            let mut b = omplt_ir::IrBuilder::new(&mut self.func);
+            b.set_insert_point(self.cur);
+            let cli = create_canonical_loop_skeleton(&mut b, tc, "omp_canonical", true);
+            if let Some(outer) = loops.last() {
+                b.br(outer.latch);
+            }
+            self.cur = cli.body;
+            loops.push(cli);
+        }
+        let Some(&outermost) = loops.first() else {
+            return inner;
+        };
+
+        // The user value functions, then the user body — or the loops of
+        // the directive below, behind a block that computes them first.
+        let innermost = loops[loops.len() - 1];
+        let resume = (!inner.is_empty()).then(|| {
+            let mut b = omplt_ir::IrBuilder::new(&mut self.func);
+            inner[0].nest_into(&mut b, innermost.body, innermost.latch);
+            let last = inner.last_mut().expect("the directive's loops");
+            let body = last.body;
+            self.cur = last.prepend_body_block(&mut b, "omp_canonical.values");
+            body
+        });
+        for ((cl, _, snapshots), cli) in levels.iter().zip(&loops) {
+            self.emit_user_value(cl, cli.iv(), snapshots);
+        }
+        match resume {
+            Some(body) => self.branch_if_open(body),
+            None => {
+                // `continue` jumps to the latch (break is rejected by
+                // Sema's canonical-form check).
+                let (cl, ..) = &levels[levels.len() - 1];
+                self.loop_stack.push((innermost.after, innermost.latch));
+                self.emit_stmt(&user_body(cl));
+                self.loop_stack.pop();
+                self.branch_if_open(innermost.latch);
+            }
+        }
+        self.cur = outermost.after;
+        loops.extend(inner);
+        loops
+    }
+
+    /// What an `OMPCanonicalLoop` runs in front of its loop, the paper's
+    /// §3.2 steps before the skeleton: the init statement(s), so the
+    /// iteration variable holds its start value; the snapshots of the loop
+    /// user value function's by-value captures ("captures take place before
+    /// the loop itself"); and the distance function's trip count. Returns
+    /// the trip count and the snapshots' slots, by the variable each stands
+    /// for.
+    fn emit_prelude(&mut self, cl: &P<OMPCanonicalLoop>) -> (Value, Vec<(DeclId, Value)>) {
+        match &cl.loop_stmt.kind {
+            StmtKind::For { init: Some(i), .. } => self.emit_stmt(i),
             StmtKind::CxxForRange(d) => {
-                let (r, b_, e) = (
-                    P::clone(&d.range_stmt),
-                    P::clone(&d.begin_stmt),
-                    P::clone(&d.end_stmt),
-                );
-                self.emit_stmt(&r);
-                self.emit_stmt(&b_);
-                self.emit_stmt(&e);
+                for s in [&d.range_stmt, &d.begin_stmt, &d.end_stmt] {
+                    self.emit_stmt(s);
+                }
             }
             _ => {}
         }
 
-        // 2. "Captures take place before the loop itself": snapshot the
-        //    by-value captures of the loop user value function (the start
-        //    value of the iteration variable).
-        let mut snapshots: Vec<(omplt_ast::DeclId, Value)> = Vec::new();
+        let mut snapshots: Vec<(DeclId, Value)> = Vec::new();
         for cap in &cl.loop_var_fn.captures {
             if cap.kind == CaptureKind::ByValue {
                 let var = P::clone(&cap.var);
@@ -378,8 +414,8 @@ impl FnCodegen<'_, '_> {
             }
         }
 
-        // 3. Call the distance function: bind its Result parameter to a
-        //    scratch slot, emit the body, read the trip count.
+        // Call the distance function: bind its Result parameter to a
+        // scratch slot, emit the body, read the trip count.
         let dist_result = &cl.distance_fn.decl.params[0];
         let dist_slot = self.scratch(ir_type(&dist_result.ty), ".omp.distance");
         let saved_binding = self
@@ -387,38 +423,25 @@ impl FnCodegen<'_, '_> {
             .insert(dist_result.id, Binding { addr: dist_slot });
         let dist_body = P::clone(&cl.distance_fn.decl.body);
         self.emit_stmt(&dist_body);
-        match saved_binding {
-            Some(b) => {
-                self.bindings.insert(dist_result.id, b);
-            }
-            None => {
-                self.bindings.remove(&dist_result.id);
-            }
-        }
+        self.restore_binding(dist_result.id, saved_binding);
         let tc_ty = ir_type(&dist_result.ty);
-        let tc = self.with_builder(|b| b.load(tc_ty, dist_slot));
+        (self.with_builder(|b| b.load(tc_ty, dist_slot)), snapshots)
+    }
 
-        // 4. The skeleton. `create_canonical_loop` counts its own; this is
-        //    the one codegen builds for an `OMPCanonicalLoop` node.
-        omplt_trace::count("ompirb.canonical_loops", 1);
-        let cli = {
-            let mut b = omplt_ir::IrBuilder::new(&mut self.func);
-            b.set_insert_point(self.cur);
-            create_canonical_loop_skeleton(&mut b, tc, "omp_canonical", true)
-        };
-
-        // 5. Body: call the loop user value function with the logical IV,
-        //    then the user body.
-        self.cur = cli.body;
-        // __i parameter: materialize the IV in a slot.
+    /// Calls the loop user value function with the logical IV `iv`: the
+    /// user variable gets the value of this iteration.
+    fn emit_user_value(
+        &mut self,
+        cl: &P<OMPCanonicalLoop>,
+        iv: Value,
+        snapshots: &[(DeclId, Value)],
+    ) {
+        // __i parameter (the last one): materialize the IV in a slot.
         let params = &cl.loop_var_fn.decl.params;
-        let (result_param, i_param) = if params.len() == 2 {
-            (Some(P::clone(&params[0])), P::clone(&params[1]))
-        } else {
-            (None, P::clone(&params[0]))
-        };
+        let i_param = P::clone(params.last().expect("the __i parameter"));
+        let result_param = (params.len() == 2).then(|| P::clone(&params[0]));
         let i_slot = self.scratch(ir_type(&i_param.ty), ".omp.logical");
-        self.with_builder(|b| b.store(cli.iv(), i_slot));
+        self.with_builder(|b| b.store(iv, i_slot));
         let saved_i = self.bindings.insert(i_param.id, Binding { addr: i_slot });
         // Result parameter → the user variable's storage.
         let saved_result = result_param.as_ref().map(|rp| {
@@ -437,46 +460,32 @@ impl FnCodegen<'_, '_> {
         self.emit_stmt(&lv_body);
         // Restore shadowed bindings (the user body must see the real vars).
         for (id, old) in saved_snaps {
-            match old {
-                Some(b) => {
-                    self.bindings.insert(id, b);
-                }
-                None => {
-                    self.bindings.remove(&id);
-                }
-            }
+            self.restore_binding(id, old);
         }
         if let Some((rid, old)) = saved_result {
-            match old {
-                Some(b) => {
-                    self.bindings.insert(rid, b);
-                }
-                None => {
-                    self.bindings.remove(&rid);
-                }
-            }
+            self.restore_binding(rid, old);
         }
-        match saved_i {
+        self.restore_binding(i_param.id, saved_i);
+    }
+
+    /// Puts back the binding `id` had before it was shadowed.
+    fn restore_binding(&mut self, id: DeclId, old: Option<Binding>) {
+        match old {
             Some(b) => {
-                self.bindings.insert(i_param.id, b);
+                self.bindings.insert(id, b);
             }
             None => {
-                self.bindings.remove(&i_param.id);
+                self.bindings.remove(&id);
             }
         }
+    }
+}
 
-        // User body; `continue` jumps to the latch (break is rejected by
-        // Sema's canonical-form check).
-        let user_body = match &cl.loop_stmt.kind {
-            StmtKind::For { body, .. } => P::clone(body),
-            StmtKind::CxxForRange(d) => P::clone(&d.body),
-            _ => P::clone(&cl.loop_stmt),
-        };
-        self.loop_stack.push((cli.after, cli.latch));
-        self.emit_stmt(&user_body);
-        self.loop_stack.pop();
-        self.branch_if_open(cli.latch);
-        self.cur = cli.after;
-        cli
+/// The user body of a canonical loop.
+fn user_body(cl: &OMPCanonicalLoop) -> P<Stmt> {
+    match &cl.loop_stmt.kind {
+        StmtKind::For { body, .. } => P::clone(body),
+        StmtKind::CxxForRange(d) => P::clone(&d.body),
+        _ => P::clone(&cl.loop_stmt),
     }
 }

@@ -124,10 +124,10 @@ impl FnCodegen<'_, '_> {
                 // A bare captured statement executes its body inline.
                 self.emit_stmt(&c.decl.body);
             }
-            StmtKind::OMPCanonicalLoop(cl) => {
+            StmtKind::OMPCanonicalLoop(_) => {
                 // Outside a directive the canonical loop wrapper is
                 // transparent.
-                let _ = self.emit_canonical_loop(cl);
+                self.emit_loop_construct(s, 1);
             }
             StmtKind::OMP(d) => match self.opts.mode {
                 OpenMpCodegenMode::Classic => self.emit_omp_classic(d),

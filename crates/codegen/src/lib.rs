@@ -11,11 +11,16 @@
 //!   shadow helper expressions; `tile`/`unroll` directives emit their
 //!   Sema-built transformed AST (or just attach unroll metadata when not
 //!   consumed by another directive).
-//! * **IrBuilder** — the `OMPCanonicalLoop`-based path: CodeGen evaluates the
-//!   distance function, calls `omplt_ompirb::create_canonical_loop`, emits
-//!   the loop-user-value call and body inside the callback, and hands the
-//!   resulting `CanonicalLoopInfo` handles to `tile_loops` /
-//!   `unroll_loop_*` / `create_static_workshare_loop`.
+//! * **IrBuilder** — the `OMPCanonicalLoop`-based path: Sema wraps every
+//!   associated loop in an `OMPCanonicalLoop`; CodeGen evaluates each
+//!   level's distance function in front of the nest, builds a perfect nest
+//!   of `omplt_ompirb` skeletons with the loop-user-value calls and the body
+//!   in the innermost one, and lowers every directive through the
+//!   `CanonicalLoopInfo` handles: `tile_loops`, `interchange_loops`,
+//!   `fuse_loops`, `reverse_loop`, `unroll_loop_*`, `collapse_loops` and the
+//!   worksharing schemes. A transformation returns the handles it
+//!   generates, so a stack of them lowers bottom-up; the shadow AST Sema
+//!   still builds is never emitted.
 
 pub mod cg_expr;
 pub mod cg_omp_classic;

@@ -1,6 +1,6 @@
 //! Folding is executing: `omplt_ir::arith::simplify` — the function behind
 //! the `IrBuilder`'s on-the-fly folding (paper §1.3) and the mid end's
-//! `const-fold` — must hand back exactly the value the interpreter computes
+//! `cleanup` — must hand back exactly the value the interpreter computes
 //! when it runs the unfolded instruction. For constants that holds by
 //! construction (both call the same kernels); these deterministic
 //! fixed-seed sweeps hold the plumbing around the kernels (`payload`,
@@ -88,20 +88,20 @@ fn fold_and_run(
         _ => constant(v).map(|(_, rt)| rt),
     };
     let folded = simplify(&make(&mixed), |v| f.value_type(v)).map(|v| known(v).expect("a value"));
-    // `const-fold` reaches the same folder: of the instruction over
+    // `cleanup` reaches the same folder: of the instruction over
     // constants alone it leaves exactly that constant — or the instruction.
     if operands.iter().all(|o| matches!(o, Operand::Const(_))) {
         let mut c = Function::new("c", vec![], IrType::Void);
         let v = c.push_inst(c.entry(), make(&mixed));
         c.blocks[0].term = Some(Terminator::Ret(Some(v)));
-        omplt_midend::constant_fold(&mut c);
+        omplt_midend::cleanup(&mut c);
         let left = match c.blocks[0].term {
             Some(Terminator::Ret(Some(v))) => known(v),
             _ => unreachable!(),
         };
         assert!(
             same(left, folded),
-            "const-fold left {left:?}, simplify says {folded:?}"
+            "cleanup left {left:?}, simplify says {folded:?}"
         );
     }
 

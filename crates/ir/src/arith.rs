@@ -27,7 +27,7 @@
 //! `#[inline(always)]`; the interpreter reaches them through its
 //! tag-coercing `exec_*` wrappers. *Folding* a program is calling them too:
 //! [`simplify`], the one function behind the [`crate::IrBuilder`]'s
-//! on-the-fly folding and the mid end's `const-fold`, runs the kernel on
+//! on-the-fly folding and the mid end's `cleanup`, runs the kernel on
 //! [`Value::payload`]s when every operand is a constant, so a folded
 //! constant is by construction the value the program would have computed.
 

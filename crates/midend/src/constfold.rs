@@ -1,7 +1,8 @@
-//! Constant folding + dead-code elimination over whole functions,
-//! complementing the `IrBuilder`'s on-the-fly folding: transformations
-//! (unrolling in particular) substitute constants for induction variables
-//! *after* instructions were built, so a post-pass re-folds them.
+//! Constant folding + dead-code elimination over whole functions, the
+//! instruction half of [`crate::cleanup`](mod@crate::cleanup), complementing the `IrBuilder`'s
+//! on-the-fly folding: transformations (unrolling in particular) substitute
+//! constants for induction variables *after* instructions were built, so a
+//! post-pass re-folds them.
 //!
 //! The DCE ([`eliminate_dead_code`]) is the system's only one. What it may
 //! delete is the one dead-code rule, [`omplt_ir::arith::removable`]; what
@@ -13,75 +14,74 @@
 use omplt_ir::arith::{removable, simplify};
 use omplt_ir::{Function, Inst, InstId, Value};
 
-/// Folds constants and removes dead instructions to a fixpoint.
-/// Returns true if anything changed.
-pub fn constant_fold(f: &mut Function) -> bool {
-    // The replacement row (indexed by `InstId`) and the DCE's buffers are
-    // reused by every round.
-    let mut replacement = Vec::new();
-    let mut dce = Dce::default();
-    let mut changed = false;
-    loop {
-        let mut local = fold_once(f, &mut replacement);
-        local |= eliminate_dead_code(f, &mut dce);
-        if !local {
-            return changed;
-        }
-        changed = true;
-    }
-}
-
-fn fold_once(f: &mut Function, replacement: &mut Vec<Option<Value>>) -> bool {
+/// One folding round: replaces every instruction that folds to a constant
+/// or to another value, and every single-incoming phi, by what it folds to.
+/// An instruction is simplified over what its operands were already
+/// replaced by, so a chain whose links come in block order folds in one
+/// round. Returns `None` if nothing was replaced, else whether another
+/// round may fold more: an instruction it kept had an operand replaced
+/// only after pass 1 had simplified it.
+pub(crate) fn fold_once(f: &mut Function, replacement: &mut Vec<Option<Value>>) -> Option<bool> {
     // Pass 1: decide replacements.
     replacement.clear();
     replacement.resize(f.insts.len(), None);
     let mut any = false;
-    for block in &f.blocks {
-        for &iid in &block.insts {
+    for b in 0..f.blocks.len() {
+        for k in 0..f.blocks[b].insts.len() {
+            let iid = f.blocks[b].insts[k];
+            if any {
+                f.inst_mut(iid).map_operands(|v| resolve(replacement, v));
+            }
             let inst = f.inst(iid);
             let folded = match inst {
                 // Single-incoming phis collapse to their value.
                 Inst::Phi { incoming, .. } if incoming.len() == 1 => Some(incoming[0].1),
                 _ => simplify(inst, |v| f.value_type(v)),
             };
-            if let Some(v) = folded {
-                // Avoid self-replacement cycles.
-                if v != Value::Inst(iid) {
-                    replacement[iid.0 as usize] = Some(v);
-                    any = true;
-                }
+            // Avoid self-replacement cycles.
+            if let Some(v) = folded.filter(|&v| v != Value::Inst(iid)) {
+                replacement[iid.0 as usize] = Some(v);
+                any = true;
             }
         }
     }
     if !any {
-        return false;
+        return None;
     }
-    // Resolve chains (a→b→const).
-    let resolve = |mut v: Value| {
-        let mut hops = 0;
-        while let Value::Inst(id) = v {
-            match replacement.get(id.0 as usize).copied().flatten() {
-                Some(next) if hops < 64 => {
-                    v = next;
-                    hops += 1;
-                }
-                _ => break,
-            }
-        }
-        v
-    };
-    // Pass 2: rewrite all uses and drop the folded instructions.
+    // Pass 2: rewrite the uses pass 1 had not reached (phis, terminators,
+    // blocks laid out behind their users) and drop the folded instructions.
+    let mut again = false;
     let Function { insts, blocks, .. } = f;
     for block in blocks {
         for &iid in &block.insts {
-            insts[iid.0 as usize].map_operands(resolve);
+            let kept = replacement[iid.0 as usize].is_none();
+            insts[iid.0 as usize].map_operands(|v| {
+                let to = resolve(replacement, v);
+                again |= kept && to != v;
+                to
+            });
         }
         if let Some(t) = block.term.as_mut() {
-            t.map_operands(resolve);
+            t.map_operands(|v| resolve(replacement, v));
         }
         block.insts.retain(|i| replacement[i.0 as usize].is_none());
     }
-    true
+    Some(again)
+}
+
+/// What `v` is replaced by, through chains (a→b→const).
+fn resolve(replacement: &[Option<Value>], mut v: Value) -> Value {
+    let mut hops = 0;
+    while let Value::Inst(id) = v {
+        match replacement.get(id.0 as usize).copied().flatten() {
+            Some(next) if hops < 64 => {
+                v = next;
+                hops += 1;
+            }
+            _ => break,
+        }
+    }
+    v
 }
 
 /// The buffers of [`eliminate_dead_code`], reused from function to function.
@@ -151,6 +151,7 @@ fn mark(live: &mut [bool], work: &mut Vec<InstId>, v: Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cleanup::cleanup;
     use omplt_ir::{assert_verified, BinOpKind, IrBuilder, IrType};
 
     #[test]
@@ -179,7 +180,7 @@ mod tests {
             );
             b.ret(Some(v2));
         }
-        assert!(constant_fold(&mut f));
+        assert!(cleanup(&mut f));
         assert_eq!(f.num_insts(), 0);
         assert!(matches!(
             f.block(f.entry()).term,
@@ -210,7 +211,7 @@ mod tests {
             );
             b.ret(None);
         }
-        constant_fold(&mut f);
+        cleanup(&mut f);
         // alloca + store survive; dead add is gone
         assert_eq!(f.block(f.entry()).insts.len(), 2);
     }
@@ -228,9 +229,10 @@ mod tests {
             b.add_phi_incoming(phi, e, Value::i64(9));
             b.ret(Some(v));
         }
-        constant_fold(&mut f);
+        cleanup(&mut f);
+        // The collapsed phi leaves `next` to merge into the entry block.
         assert!(matches!(
-            f.block(next).term,
+            f.block(f.entry()).term,
             Some(omplt_ir::Terminator::Ret(Some(Value::ConstInt {
                 val: 9,
                 ..
@@ -246,6 +248,6 @@ mod tests {
             let v = b.add(Value::Arg(0), Value::i64(1));
             b.ret(Some(v));
         }
-        assert!(!constant_fold(&mut f));
+        assert!(!cleanup(&mut f));
     }
 }

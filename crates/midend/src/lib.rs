@@ -4,14 +4,19 @@
 //! unrolling only *annotates* the inner loop with unroll metadata — "no
 //! duplication takes place until" the `LoopUnroll` pass runs here.
 //!
-//! Provides classic scalar/CFG infrastructure (dominator tree, CFG
-//! simplification, constant folding + DCE, promotion to SSA), the
-//! canonical-skeleton verifier — which, like the unroller, finds its loops
-//! by the metadata on their latches — and the [`mod@loop_unroll`] pass, which consumes `llvm.loop.unroll.{full,count,enable}`
-//! metadata, performs full unrolling for constant trip counts, and partial
-//! unrolling with a **remainder loop** in the shape of the paper's
-//! "Partial unrolling with remainder loop" figure.
+//! Provides classic scalar/CFG infrastructure (dominator tree, promotion to
+//! SSA, and [`mod@cleanup`], one joint fixpoint of constant folding, CFG
+//! simplification and DCE), the canonical-skeleton verifier — which, like
+//! the unroller, finds its loops by the metadata on their latches — and the
+//! [`mod@loop_unroll`] pass, which consumes
+//! `llvm.loop.unroll.{full,count,enable}` metadata, performs full unrolling
+//! for constant trip counts, and partial unrolling with a **remainder
+//! loop** in the shape of the paper's "Partial unrolling with remainder
+//! loop" figure. [`run_default_pipeline`] runs `promote`, `cleanup`,
+//! `loop-unroll` and, when the unroller copied a loop, `cleanup` again; no
+//! pass calls another.
 
+pub mod cleanup;
 pub mod constfold;
 pub mod domtree;
 pub mod loop_unroll;
@@ -20,10 +25,10 @@ pub mod promote;
 pub mod simplify_cfg;
 pub mod verify;
 
-pub use constfold::{constant_fold, eliminate_dead_code, has_dead_code, Dce};
+pub use cleanup::cleanup;
+pub use constfold::{eliminate_dead_code, has_dead_code, Dce};
 pub use domtree::DomTree;
 pub use loop_unroll::{loop_unroll, UnrollStats};
 pub use pipeline::run_default_pipeline;
 pub use promote::{promote, Promote};
-pub use simplify_cfg::simplify_cfg;
 pub use verify::{verify_function_full, verify_loop_skeletons};

@@ -20,12 +20,11 @@
 //! Only loops in the canonical skeleton shape are transformed: a latch's
 //! branch target is its header, and [`Function::induction`] must recognise
 //! an `icmp ult iv, tc` on an IV from 0. Anything else keeps its metadata
-//! and a statistic records the skip. The trip count is the compare's bound;
-//! when it is not an immediate, the function is folded once and the
-//! compare read again. No dominator tree or loop forest is built.
+//! and a statistic records the skip. The trip count is the compare's bound,
+//! an immediate when the pipeline's cleanup (which runs first) could fold
+//! it. No dominator tree or loop forest is built, and no other pass runs
+//! from here.
 
-use crate::constfold::constant_fold;
-use crate::simplify_cfg::simplify_cfg;
 use omplt_ir::{
     arith, BlockId, CastOp, CmpPred, Function, Induction, Inst, InstId, IrBuilder, IrType,
     LoopMetadata, Terminator, UnrollHint, Value,
@@ -63,10 +62,9 @@ enum Plan {
 /// Runs the unroll pass over `f` until no actionable metadata remains.
 pub fn loop_unroll(f: &mut Function) -> UnrollStats {
     let mut stats = UnrollStats::default();
-    let mut folded = false;
     // One loop per iteration, the first latch with an actionable hint.
     // Terminates because each step removes or disables one metadata
-    // annotation (or folds, once).
+    // annotation.
     loop {
         let target = f.blocks.iter().enumerate().find_map(|(b, block)| {
             let Some(Terminator::Br {
@@ -91,15 +89,6 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
             Value::ConstInt { ty, val } => Some(unsigned(ty, val)),
             _ => None,
         };
-        if tc.is_none() && !folded {
-            folded = true;
-            // A bound over constants may still sit behind a branch the
-            // builder decided (`lb < ub ? … : 0`): fold, and read it again.
-            constant_fold(f);
-            simplify_cfg(f);
-            constant_fold(f);
-            continue;
-        }
         let mut copier = RegionCopier::new(f, ind);
         let body_size = copier.size(f);
         let fits = |n: u64| n.saturating_mul(body_size) <= FULL_UNROLL_MAX_GROWTH;

@@ -1,69 +1,44 @@
-//! The default `-O` pipeline: the paper's one pass and its cleanup.
+//! The default `-O` pipeline: the paper's one pass and the cleanup around
+//! it.
 
-use crate::constfold::constant_fold;
+use crate::cleanup::cleanup;
 use crate::loop_unroll::{loop_unroll, UnrollStats};
 use crate::promote::{promote, Promote};
-use crate::simplify_cfg::simplify_cfg;
 use crate::verify::verify_function_full;
 use omplt_ir::{Function, Module, VerifyError};
 
-/// What the passes keep for a module: unroll statistics, promotion buffers.
-#[derive(Default)]
-struct Workspace {
-    stats: UnrollStats,
-    promote: Promote,
-}
-
-/// A pass over one function, with the module's workspace.
-type PassFn = fn(&mut Function, &mut Workspace);
-
-/// The passes of the default pipeline, in the order they run on a function:
-/// `loop-unroll` wants SSA, so `promote` ([`crate::promote`]) runs first —
-/// both engines then run the same register-form IR — and the cleanup comes
-/// after it. `simplify-cfg` sweeps the blocks the unroller abandoned and
-/// merges the chains the body copies form. `const-fold` folds the copies'
-/// constant IVs and drops the dead code they hold; collapsing the join phi
-/// of a branch the builder already decided (the `lb < ub ? … : 0` of a
-/// distance over constant bounds), once `simplify-cfg` swept its dead arm,
-/// is what lets the arithmetic behind it fold. Its DCE is the pipeline's
-/// only one.
-const DEFAULT_PIPELINE: [(&str, PassFn); 4] = [
-    ("promote", |f, ws| {
-        promote(f, &mut ws.promote);
-    }),
-    ("loop-unroll", |f, ws| {
-        let s = loop_unroll(f);
-        ws.stats.full += s.full;
-        ws.stats.partial += s.partial;
-        ws.stats.declined += s.declined;
-        ws.stats.skipped += s.skipped;
-    }),
-    ("simplify-cfg", |f, _| {
-        simplify_cfg(f);
-    }),
-    ("const-fold", |f, _| {
-        constant_fold(f);
-    }),
-];
-
 /// Runs the default `-O` pipeline on every function of `m` and returns the
-/// accumulated unroll statistics. With `verify_each` (`--verify-each`) the
-/// full verifier (structural rules + canonical-skeleton invariants) runs
-/// after every pass; its findings come back tagged with the pass and the
-/// function, and are empty otherwise.
+/// accumulated unroll statistics. On each function, in order:
+///
+/// 1. `promote` ([`promote`](fn@crate::promote)): `loop-unroll` wants SSA,
+///    and both engines then run the same register-form IR;
+/// 2. `cleanup` ([`cleanup`](fn@crate::cleanup)): folds what the builder
+///    left — a distance over constant bounds sits behind a branch it
+///    already decided (`lb < ub ? … : 0`) — so the unroller reads trip
+///    counts as immediates;
+/// 3. `loop-unroll` ([`loop_unroll`](fn@crate::loop_unroll));
+/// 4. `cleanup` again, only when the unroller copied a loop: it sweeps the
+///    blocks the unroller abandoned, merges the chains the body copies form
+///    and folds the copies' constant IVs.
+///
+/// With `verify_each` (`--verify-each`) the full verifier (the structural
+/// rules and the canonical-skeleton invariants) runs after every pass that
+/// ran; its findings come back tagged with the pass and the function, and
+/// are empty otherwise.
 pub fn run_default_pipeline(m: &mut Module, verify_each: bool) -> (UnrollStats, Vec<VerifyError>) {
-    let mut ws = Workspace::default();
+    let mut stats = UnrollStats::default();
+    let mut promote_ws = Promote::default();
     let mut errors = Vec::new();
     for f in &mut m.functions {
         // Fault site: COUNT selects which function's pipeline panics.
         omplt_fault::panic_if_armed("midend.panic");
-        for (name, pass) in DEFAULT_PIPELINE {
+        let mut run = |name: &str, f: &mut Function, pass: &mut dyn FnMut(&mut Function)| {
             {
                 let _span = omplt_trace::span_detail("midend.pass", name);
                 if omplt_trace::active() {
                     omplt_trace::count(&format!("midend.pass.{name}.runs"), 1);
                 }
-                pass(f, &mut ws);
+                pass(f);
             }
             if verify_each {
                 let _span = omplt_trace::span_detail("midend.verify-each", name);
@@ -73,9 +48,26 @@ pub fn run_default_pipeline(m: &mut Module, verify_each: bool) -> (UnrollStats, 
                     errors.push(VerifyError(at));
                 }
             }
+        };
+        run("promote", f, &mut |f| {
+            promote(f, &mut promote_ws);
+        });
+        run("cleanup", f, &mut |f| {
+            cleanup(f);
+        });
+        let mut unrolled = UnrollStats::default();
+        run("loop-unroll", f, &mut |f| unrolled = loop_unroll(f));
+        if unrolled.full + unrolled.partial > 0 {
+            run("cleanup", f, &mut |f| {
+                cleanup(f);
+            });
         }
+        stats.full += unrolled.full;
+        stats.partial += unrolled.partial;
+        stats.declined += unrolled.declined;
+        stats.skipped += unrolled.skipped;
     }
-    (ws.stats, errors)
+    (stats, errors)
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
-//! CFG simplification: sweeps the unreachable scaffolding that loop
-//! transformations abandon (paper §3.2: transformations may "abandon the old
-//! handles"), folds constant conditional branches, and merges straight-line
-//! block chains.
+//! CFG simplification, the control-flow half of [`crate::cleanup`](mod@crate::cleanup): sweeps
+//! the unreachable scaffolding that loop transformations abandon (paper
+//! §3.2: transformations may "abandon the old handles"), folds constant
+//! conditional branches, and merges straight-line block chains.
 
 use omplt_ir::{BlockId, Function, Inst, InstId, Rpo, Terminator, Value};
 
-/// What every round of one [`simplify_cfg`] call reuses.
+/// What every round of one [`crate::cleanup`](mod@crate::cleanup) call reuses.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     rpo: Rpo,
     /// Old block index → new one, during [`remove_unreachable`].
     remap: Vec<BlockId>,
@@ -15,26 +15,10 @@ struct Scratch {
     pred_count: Vec<u32>,
 }
 
-/// Runs CFG cleanup to a fixpoint. Returns true if anything changed.
-pub fn simplify_cfg(f: &mut Function) -> bool {
-    let mut scratch = Scratch::default();
-    let mut changed = false;
-    loop {
-        let mut local = false;
-        local |= fold_const_branches(f);
-        local |= remove_unreachable(f, &mut scratch);
-        local |= merge_chains(f, &mut scratch);
-        if !local {
-            return changed;
-        }
-        changed = true;
-    }
-}
-
 /// `br i1 true/false` → unconditional branch. The successor the branch no
 /// longer reaches may stay reachable another way (the join of a `&&` whose
 /// left side is constant): its phis lose this edge's operands.
-fn fold_const_branches(f: &mut Function) -> bool {
+pub(crate) fn fold_const_branches(f: &mut Function) -> bool {
     let mut changed = false;
     for bi in 0..f.blocks.len() {
         let Some(Terminator::CondBr {
@@ -65,7 +49,7 @@ fn fold_const_branches(f: &mut Function) -> bool {
 }
 
 /// Drops blocks unreachable from the entry, remapping ids.
-fn remove_unreachable(f: &mut Function, scratch: &mut Scratch) -> bool {
+pub(crate) fn remove_unreachable(f: &mut Function, scratch: &mut Scratch) -> bool {
     let Scratch { rpo, remap, .. } = scratch;
     if rpo.compute(f).len() == f.blocks.len() {
         return false;
@@ -108,7 +92,7 @@ thread_local! {
 /// Merges `a → b` when `a` ends in an unconditional branch to `b`, `b` has
 /// exactly one predecessor and no phis, and `a`'s branch carries no loop
 /// metadata (latches must stay intact for the unroll pass).
-fn merge_chains(f: &mut Function, scratch: &mut Scratch) -> bool {
+pub(crate) fn merge_chains(f: &mut Function, scratch: &mut Scratch) -> bool {
     // Counted once. Splicing `b` into `a` drops the edge `a → b` and moves
     // `b`'s out-edges to `a`, so no other block's count changes — and with
     // it nothing a block already visited was refused for.
@@ -181,6 +165,7 @@ fn phi_at(f: &Function, b: BlockId, k: usize) -> Option<InstId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cleanup::cleanup;
     use omplt_ir::{assert_verified, IrBuilder, IrType};
 
     #[test]
@@ -189,7 +174,7 @@ mod tests {
         let dead = f.add_block("dead");
         f.block_mut(dead).term = Some(Terminator::Ret(None));
         f.block_mut(f.entry()).term = Some(Terminator::Ret(None));
-        assert!(simplify_cfg(&mut f));
+        assert!(cleanup(&mut f));
         assert_eq!(f.blocks.len(), 1);
         assert_verified(&f);
     }
@@ -207,7 +192,7 @@ mod tests {
         });
         f.block_mut(taken).term = Some(Terminator::Ret(None));
         f.block_mut(dead).term = Some(Terminator::Ret(None));
-        assert!(simplify_cfg(&mut f));
+        assert!(cleanup(&mut f));
         // entry+taken merged, dead swept
         assert_eq!(f.blocks.len(), 1);
         assert!(matches!(
@@ -244,7 +229,7 @@ mod tests {
             .as_mut()
             .and_then(Terminator::loop_md_mut);
         *md.unwrap() = Some(omplt_ir::LoopMetadata::default());
-        assert!(simplify_cfg(&mut f));
+        assert!(cleanup(&mut f));
         assert_verified(&f);
     }
 
@@ -265,7 +250,7 @@ mod tests {
             b.set_insert_point(end);
             b.ret(None);
         }
-        simplify_cfg(&mut f);
+        cleanup(&mut f);
         // entry+mid merged; end survives because the branch has metadata.
         assert_eq!(f.blocks.len(), 2);
         let t = f.block(f.entry()).term.as_ref().unwrap();
@@ -299,7 +284,7 @@ mod tests {
             b.add_phi_incoming(phi, pre_join, Value::i64(2));
             b.ret(None);
         }
-        simplify_cfg(&mut f);
+        cleanup(&mut f);
         assert_verified(&f);
     }
 
@@ -362,7 +347,7 @@ mod tests {
         assert_eq!(stored(&f, f.entry()), in_order);
         let again = merge_chains(&mut f, &mut Scratch::default());
         assert!(!again, "one sweep reaches the fixpoint");
-        assert!(simplify_cfg(&mut f));
+        assert!(cleanup(&mut f));
         assert_eq!(f.blocks.len(), 1);
         assert_verified(&f);
 
@@ -375,7 +360,7 @@ mod tests {
         linear(steps_of(&mut f));
         assert_eq!(stored(&f, entry), [0]);
         assert_eq!(stored(&f, BlockId(N as u32 - 1)), in_order[1..]);
-        assert!(simplify_cfg(&mut f));
+        assert!(cleanup(&mut f));
         assert_eq!(f.blocks.len(), 2);
         assert_verified(&f);
     }
@@ -402,8 +387,9 @@ mod tests {
         // c3 kept its own edge into the phi: nothing was spliced into it.
         assert!(matches!(f.inst(phi), Inst::Phi { incoming, .. } if incoming[0].0 == BlockId(3)));
         assert_eq!(stored(&f, BlockId(4)), [4, 5]);
-        assert!(simplify_cfg(&mut f));
-        assert_eq!(f.blocks.len(), 3);
+        // The cleanup also drops the unused phi, so c3 absorbs {c4, c5}.
+        assert!(cleanup(&mut f));
+        assert_eq!(f.blocks.len(), 2);
         assert_verified(&f);
     }
 }

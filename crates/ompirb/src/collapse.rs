@@ -3,34 +3,29 @@
 //! originals (the OpenMP `collapse(n)` clause; paper §3.2 lists
 //! `collapseLoops` among the CanonicalLoopInfo consumers).
 
-use crate::canonical_loop::{create_canonical_loop_skeleton, CanonicalLoopInfo};
-use crate::tile::{retarget_region_exits, rewrite_region_uses};
-use omplt_ir::{IrBuilder, IrType, Terminator, Value};
+use crate::canonical_loop::{
+    create_canonical_loop_skeleton, replace_nest, rewrite_region_uses, CanonicalLoopInfo,
+};
+use omplt_ir::{IrBuilder, IrType, Value};
 
-/// Collapses `loops` (outermost → innermost) into one canonical loop.
+/// Collapses `loops` (outermost → innermost) into one canonical loop; one
+/// loop is its own collapse.
 ///
 /// The collapsed trip count is computed in the outermost preheader as the
 /// product of the individual trip counts (widened to `i64`); the original
 /// induction variables are recovered inside the body via division/remainder
 /// chains, exactly as the OpenMP runtime numbers logical iterations.
 pub fn collapse_loops(b: &mut IrBuilder<'_>, loops: &[CanonicalLoopInfo]) -> CanonicalLoopInfo {
-    omplt_trace::count("ompirb.collapse", 1);
     let n = loops.len();
     assert!(n >= 1, "collapse_loops requires at least one loop");
     if n == 1 {
         return loops[0];
     }
-    let outermost = loops[0];
-    let innermost = loops[n - 1];
-
-    let orig_body_entry = innermost.body;
-    let orig_latch = innermost.latch;
-    let orig_region = innermost.body_region(b.func());
-
+    omplt_trace::count("ompirb.collapse", 1);
     // Product trip count (in i64: the collapsed space can exceed any single
     // loop's type; the paper's "logical iteration counter" is normalized).
     let saved_ip = b.insert_block();
-    b.set_insert_point(outermost.preheader);
+    b.set_insert_point(loops[0].preheader);
     let mut wide_tcs = Vec::with_capacity(n);
     let mut total = Value::i64(1);
     for l in loops {
@@ -39,27 +34,9 @@ pub fn collapse_loops(b: &mut IrBuilder<'_>, loops: &[CanonicalLoopInfo]) -> Can
         wide_tcs.push(w);
     }
 
-    let mut collapsed = create_canonical_loop_skeleton(b, total, "collapsed", false);
-
-    // Stitch: preheader of the nest → collapsed loop. The original `after`
-    // (still the unterminated continuation point) becomes the collapsed
-    // loop's `after`.
-    b.func_mut().block_mut(outermost.preheader).term = Some(Terminator::Br {
-        target: collapsed.preheader,
-        loop_md: None,
-    });
-    let orphan_after = collapsed.after;
-    b.func_mut().block_mut(orphan_after).term = Some(Terminator::Unreachable);
-    collapsed.after = outermost.after;
-    b.func_mut().block_mut(collapsed.exit).term = Some(Terminator::Br {
-        target: outermost.after,
-        loop_md: None,
-    });
-    b.func_mut().block_mut(collapsed.body).term = Some(Terminator::Br {
-        target: orig_body_entry,
-        loop_md: None,
-    });
-    retarget_region_exits(b, &orig_region, orig_latch, collapsed.latch);
+    let mut collapsed = [create_canonical_loop_skeleton(b, total, "collapsed", false)];
+    let region = replace_nest(b, &loops[0], &mut collapsed, Some(&loops[n - 1]));
+    let [collapsed] = collapsed;
 
     // Recover original IVs: iterating row-major, the innermost varies
     // fastest:  iv_{n-1} = I % tc_{n-1};  I /= tc_{n-1};  …
@@ -78,7 +55,7 @@ pub fn collapse_loops(b: &mut IrBuilder<'_>, loops: &[CanonicalLoopInfo]) -> Can
             rest = b.udiv(rest, wide_tcs[i]);
         }
     }
-    rewrite_region_uses(b, &orig_region, &replacements);
+    rewrite_region_uses(b.func_mut(), &region, &replacements);
 
     b.set_insert_point(saved_ip);
     collapsed

@@ -6,17 +6,22 @@
 //! trip counts (the guards fold away when the counts are provably equal).
 //! The original control skeletons are abandoned, as in `tile_loops`.
 
-use crate::canonical_loop::{create_canonical_loop_skeleton, CanonicalLoopInfo};
-use crate::tile::{retarget_region_exits, rewrite_region_uses};
+use crate::canonical_loop::{
+    create_canonical_loop_skeleton, replace_nest, retarget_region_exits, rewrite_region_uses,
+    CanonicalLoopInfo,
+};
 use omplt_ir::{CmpPred, IrBuilder, Terminator, Value};
 
 /// Fuses a sequence of sibling canonical loops (first → last in program
 /// order) into a single canonical loop.
 ///
-/// Trip counts of all loops must be defined in (or before) the first loop's
-/// preheader, and no side-effecting code may sit between the loops —
-/// guaranteed by the front-end, which only fuses adjacent members of a loop
-/// sequence.
+/// Each loop's preheader must lead, through its `after` block and any code
+/// there, to the next loop's preheader — the order in which the front end
+/// emits a sequence, each member's setup (its iteration variable's start,
+/// its trip count) in front of its loop. The members' setups keep running
+/// in that order: each preheader now branches straight to its `after`
+/// block, and the fused loop runs from the last preheader, where every trip
+/// count is available, on to the last `after` block.
 ///
 /// Returns the generated loop.
 pub fn fuse_loops(b: &mut IrBuilder<'_>, loops: &[CanonicalLoopInfo]) -> CanonicalLoopInfo {
@@ -24,17 +29,23 @@ pub fn fuse_loops(b: &mut IrBuilder<'_>, loops: &[CanonicalLoopInfo]) -> Canonic
     let n = loops.len();
     assert!(n >= 2, "fuse_loops requires at least two loops");
 
-    let first = loops[0];
     let last = loops[n - 1];
-    let ty = first.ty;
+    let ty = loops[0].ty;
 
     // Snapshot every body region before creating new blocks.
     let regions: Vec<Vec<omplt_ir::BlockId>> =
         loops.iter().map(|l| l.body_region(b.func())).collect();
 
-    // 1. max trip count, computed in the first loop's preheader.
+    // 1. Bypass every member but the last; the max trip count is computed
+    //    in the last one's preheader.
+    for l in &loops[..n - 1] {
+        b.func_mut().block_mut(l.preheader).term = Some(Terminator::Br {
+            target: l.after,
+            loop_md: None,
+        });
+    }
     let saved_ip = b.insert_block();
-    b.set_insert_point(first.preheader);
+    b.set_insert_point(last.preheader);
     let tcs: Vec<Value> = loops
         .iter()
         .map(|l| b.int_resize(l.trip_count, ty, false))
@@ -45,8 +56,10 @@ pub fn fuse_loops(b: &mut IrBuilder<'_>, loops: &[CanonicalLoopInfo]) -> Canonic
         tc_max = b.select(lt, tc, tc_max);
     }
 
-    // 2. The fused skeleton.
-    let mut fused = create_canonical_loop_skeleton(b, tc_max, "fuse", false);
+    // 2. The fused skeleton, in place of the last loop.
+    let mut fused = [create_canonical_loop_skeleton(b, tc_max, "fuse", false)];
+    replace_nest(b, &last, &mut fused, None);
+    let [fused] = fused;
 
     // 3. Guard chain in the fused body: for each original loop,
     //    `if (iv < tc_k) body_k`, joining behind the guard.
@@ -58,26 +71,12 @@ pub fn fuse_loops(b: &mut IrBuilder<'_>, loops: &[CanonicalLoopInfo]) -> Canonic
         // A constant-true guard still needs a structural branch; force the
         // conditional form so every region keeps a single entry edge shape.
         b.cond_br(in_range, l.body, join);
-        retarget_region_exits(b, &regions[k], l.latch, join);
-        rewrite_region_uses(b, &regions[k], &[(l.iv(), fused.iv())]);
+        retarget_region_exits(b.func_mut(), &regions[k], l.latch, join);
+        rewrite_region_uses(b.func_mut(), &regions[k], &[(l.iv(), fused.iv())]);
         current = join;
     }
     b.set_insert_point(current);
     b.br(fused.latch);
-
-    // 4. Entry/exit stitching: the first loop's preheader feeds the fused
-    //    loop; the construct continues at the last loop's `after` block.
-    b.func_mut().block_mut(first.preheader).term = Some(Terminator::Br {
-        target: fused.preheader,
-        loop_md: None,
-    });
-    let orphan_after = fused.after;
-    b.func_mut().block_mut(orphan_after).term = Some(Terminator::Unreachable);
-    fused.after = last.after;
-    b.func_mut().block_mut(fused.exit).term = Some(Terminator::Br {
-        target: last.after,
-        loop_md: None,
-    });
 
     b.set_insert_point(saved_ip);
     fused

@@ -8,9 +8,10 @@
 //! induction variable is rewritten to the new loop now running that
 //! dimension.
 
-use crate::canonical_loop::{create_canonical_loop_skeleton, CanonicalLoopInfo};
-use crate::tile::{retarget_region_exits, rewrite_region_uses};
-use omplt_ir::{IrBuilder, Terminator, Value};
+use crate::canonical_loop::{
+    create_canonical_loop_skeleton, replace_nest, rewrite_region_uses, CanonicalLoopInfo,
+};
+use omplt_ir::{IrBuilder, Value};
 
 /// Permutes a perfect nest of canonical loops.
 ///
@@ -39,68 +40,27 @@ pub fn interchange_loops(
         }
     }
 
-    let outermost = loops[0];
-    let innermost = loops[n - 1];
-    let orig_body_entry = innermost.body;
-    let orig_latch = innermost.latch;
-    let orig_region = innermost.body_region(b.func());
-
-    // 1. New skeletons, nested in permuted order: position k runs loop
-    //    perm[k]'s iteration space.
+    // 1. New skeletons, nested in permuted order in place of the original
+    //    nest: position k runs loop perm[k]'s iteration space.
     let saved_ip = b.insert_block();
-    let mut chain: Vec<CanonicalLoopInfo> = Vec::with_capacity(n);
-    for (k, &p) in perm.iter().enumerate() {
-        chain.push(create_canonical_loop_skeleton(
-            b,
-            loops[p].trip_count,
-            &format!("interchange{k}"),
-            false,
-        ));
-    }
-    for k in 0..n - 1 {
-        let (a, c) = (chain[k], chain[k + 1]);
-        b.func_mut().block_mut(a.body).term = Some(Terminator::Br {
-            target: c.preheader,
-            loop_md: None,
-        });
-        b.func_mut().block_mut(c.after).term = Some(Terminator::Br {
-            target: a.latch,
-            loop_md: None,
-        });
-    }
+    let mut chain: Vec<CanonicalLoopInfo> = perm
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| {
+            let name = format!("interchange{k}");
+            create_canonical_loop_skeleton(b, loops[p].trip_count, &name, false)
+        })
+        .collect();
+    let region = replace_nest(b, &loops[0], &mut chain, Some(&loops[n - 1]));
 
-    // 2. Splice the original body region into the new innermost loop.
-    let inner_new = chain[n - 1];
-    b.func_mut().block_mut(inner_new.body).term = Some(Terminator::Br {
-        target: orig_body_entry,
-        loop_md: None,
-    });
-    retarget_region_exits(b, &orig_region, orig_latch, inner_new.latch);
-
-    // 3. Entry/exit stitching (same as tile_loops): the old preheader feeds
-    //    the new outermost loop; the construct still continues at the old
-    //    `after` block.
-    b.func_mut().block_mut(outermost.preheader).term = Some(Terminator::Br {
-        target: chain[0].preheader,
-        loop_md: None,
-    });
-    let orphan_after = chain[0].after;
-    b.func_mut().block_mut(orphan_after).term = Some(Terminator::Unreachable);
-    chain[0].after = outermost.after;
-    b.func_mut().block_mut(chain[0].exit).term = Some(Terminator::Br {
-        target: outermost.after,
-        loop_md: None,
-    });
-
-    // 4. Each original IV is now produced by the chain position running
+    // 2. Each original IV is now produced by the chain position running
     //    that dimension.
     let replacements: Vec<(Value, Value)> = perm
         .iter()
         .enumerate()
         .map(|(k, &p)| (loops[p].iv(), chain[k].iv()))
         .collect();
-    rewrite_region_uses(b, &orig_region, &replacements);
-
+    rewrite_region_uses(b.func_mut(), &region, &replacements);
     b.set_insert_point(saved_ip);
     chain
 }

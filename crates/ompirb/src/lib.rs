@@ -20,6 +20,13 @@
 //!   opposite order by mirroring the logical IV.
 //! * [`fuse_loops`] — fuses a sequence of *sibling* canonical loops into
 //!   one, guarding each body for unequal trip counts.
+//!
+//!   The four that abandon their input handles share one stitching
+//!   helper: the fresh skeletons are chained, the innermost body region is
+//!   spliced into the last one, and the construct re-enters at the old
+//!   `after` block. [`CanonicalLoopInfo::nest_into`] moves a loop emitted in
+//!   line into an enclosing body, which is how CodeGen nests the loops a
+//!   transformation generated below literal levels.
 //! * [`unroll_loop_full`] / [`unroll_loop_partial`] / [`unroll_loop_heuristic`]
 //!   — the three modes of the `unroll` directive; partial unrolling tiles by
 //!   the factor and annotates the inner loop with unroll metadata, deferring

@@ -9,8 +9,7 @@
 //! rewritten to the mirrored value `(tc - 1) - iv`, computed in a fresh block
 //! spliced between `cond` and the old body entry.
 
-use crate::canonical_loop::CanonicalLoopInfo;
-use crate::tile::rewrite_region_uses;
+use crate::canonical_loop::{rewrite_region_uses, CanonicalLoopInfo};
 use omplt_ir::{IrBuilder, Value};
 
 /// Reverses the iteration order of `cli`.
@@ -25,28 +24,21 @@ pub fn reverse_loop(b: &mut IrBuilder<'_>, cli: &CanonicalLoopInfo) -> Canonical
     // Snapshot the body region before creating the mirror block.
     let orig_region = cli.body_region(b.func());
 
-    // mirror block: rev = (tc - 1) - iv
+    // mirror block: rev = (tc - 1) - iv, in front of the old body entry.
     let saved_ip = b.insert_block();
-    let mirror = b.create_block("omp_reverse.body");
+    let mut rev_cli = *cli;
+    let mirror = rev_cli.prepend_body_block(b, "omp_reverse.body");
     b.set_insert_point(mirror);
     let tcm1 = b.sub(cli.trip_count, Value::int(cli.ty, 1));
     let rev = b.sub(tcm1, cli.iv());
     b.br(cli.body);
 
-    // cond's true edge now enters the mirror block.
-    if let Some(t) = b.func_mut().block_mut(cli.cond).term.as_mut() {
-        t.map_blocks(|x| if x == cli.body { mirror } else { x });
-    }
-
     // Body uses of the logical IV see the mirrored value. The latch is not
     // part of the region, so the increment keeps stepping the real counter.
-    rewrite_region_uses(b, &orig_region, &[(cli.iv(), rev)]);
+    rewrite_region_uses(b.func_mut(), &orig_region, &[(cli.iv(), rev)]);
 
     b.set_insert_point(saved_ip);
-    CanonicalLoopInfo {
-        body: mirror,
-        ..*cli
-    }
+    rev_cli
 }
 
 #[cfg(test)]

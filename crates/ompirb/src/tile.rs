@@ -10,8 +10,10 @@
 //! and create new loops using the skeleton" (paper §3.2); this
 //! implementation, like LLVM's, does the latter.
 
-use crate::canonical_loop::{create_canonical_loop_skeleton, CanonicalLoopInfo};
-use omplt_ir::{BlockId, CmpPred, IrBuilder, Terminator, Value};
+use crate::canonical_loop::{
+    create_canonical_loop_skeleton, replace_nest, rewrite_region_uses, CanonicalLoopInfo,
+};
+use omplt_ir::{CmpPred, IrBuilder, Value};
 
 /// Tiles a perfect nest of canonical loops.
 ///
@@ -34,18 +36,10 @@ pub fn tile_loops(
     assert!(n >= 1, "tile_loops requires at least one loop");
     assert_eq!(n, sizes.len(), "one tile size per loop");
 
-    let outermost = loops[0];
-    let innermost = loops[n - 1];
-
-    // Snapshot the original body region before creating new blocks.
-    let orig_body_entry = innermost.body;
-    let orig_latch = innermost.latch;
-    let orig_region = innermost.body_region(b.func());
-
     // 1. Floor trip counts, computed in the outermost preheader:
     //    floor_tc = tc == 0 ? 0 : (tc - 1) / size + 1   (overflow-safe ceildiv)
     let saved_ip = b.insert_block();
-    b.set_insert_point(outermost.preheader);
+    b.set_insert_point(loops[0].preheader);
     let mut floor_tcs = Vec::with_capacity(n);
     let mut sizes_typed = Vec::with_capacity(n);
     for (l, &size) in loops.iter().zip(sizes) {
@@ -70,6 +64,7 @@ pub fn tile_loops(
             false,
         ));
     }
+    let mut starts = Vec::with_capacity(n);
     for i in 0..n {
         // Placeholder trip count; patched below once the floor IV exists.
         let mut tile = create_canonical_loop_skeleton(
@@ -78,111 +73,32 @@ pub fn tile_loops(
             &format!("tile{i}"),
             false,
         );
-        // Tile span = min(size, tc - floor_iv * size), computed in the tile
-        // loop's own preheader (dominated by every floor header).
+        // Tile start = floor_iv * size and span = min(size, tc - start),
+        // computed in the tile loop's own preheader (dominated by every
+        // floor header).
         b.set_insert_point(tile.preheader);
         let start = b.mul(chain[i].iv(), sizes_typed[i]);
         let rem = b.sub(loops[i].trip_count, start);
         let span = b.umin(sizes_typed[i], rem);
         tile.set_trip_count(b.func_mut(), span);
         chain.push(tile);
+        starts.push(start);
     }
 
-    // 3. Nest the chain: each loop's body enters the next loop; each inner
-    //    `after` returns to the enclosing latch.
-    for k in 0..2 * n - 1 {
-        let (a, c) = (chain[k], chain[k + 1]);
-        b.func_mut().block_mut(a.body).term = Some(Terminator::Br {
-            target: c.preheader,
-            loop_md: None,
-        });
-        b.func_mut().block_mut(c.after).term = Some(Terminator::Br {
-            target: a.latch,
-            loop_md: None,
-        });
-    }
+    // 3. Nest the chain around the original body region, in place of the
+    //    original nest.
+    let region = replace_nest(b, &loops[0], &mut chain, Some(&loops[n - 1]));
 
-    // 4. Splice the original body region into the innermost tile loop.
-    let tile_last = chain[2 * n - 1];
-    b.func_mut().block_mut(tile_last.body).term = Some(Terminator::Br {
-        target: orig_body_entry,
-        loop_md: None,
-    });
-    retarget_region_exits(b, &orig_region, orig_latch, tile_last.latch);
-
-    // 5. Entry and exit edges: the outermost original preheader now feeds
-    //    the first floor loop. The original `after` block — still the
-    //    *unterminated continuation point* of the whole construct — becomes
-    //    the first floor loop's `after`, so consumers keep emitting there.
-    b.func_mut().block_mut(outermost.preheader).term = Some(Terminator::Br {
-        target: chain[0].preheader,
-        loop_md: None,
-    });
-    let orphan_after = chain[0].after;
-    b.func_mut().block_mut(orphan_after).term = Some(Terminator::Unreachable);
-    chain[0].after = outermost.after;
-    b.func_mut().block_mut(chain[0].exit).term = Some(Terminator::Br {
-        target: outermost.after,
-        loop_md: None,
-    });
-
-    // 6. Rewrite uses of the original IVs inside the body region:
-    //    iv_i := floor_iv_i * size_i + tile_iv_i
-    b.set_insert_point(tile_last.body);
+    // 4. Rewrite uses of the original IVs inside the body region:
+    //    iv_i := start_i + tile_iv_i
+    b.set_insert_point(chain[2 * n - 1].body);
     let replacements: Vec<(Value, Value)> = (0..n)
-        .map(|i| {
-            let scaled = b.mul(chain[i].iv(), sizes_typed[i]);
-            let v = b.add(scaled, chain[n + i].iv());
-            (loops[i].iv(), v)
-        })
+        .map(|i| (loops[i].iv(), b.add(starts[i], chain[n + i].iv())))
         .collect();
-    rewrite_region_uses(b, &orig_region, &replacements);
+    rewrite_region_uses(b.func_mut(), &region, &replacements);
 
     b.set_insert_point(saved_ip);
     chain
-}
-
-/// Rewrites every branch in `region` that targets `old_latch` to `new_latch`.
-pub(crate) fn retarget_region_exits(
-    b: &mut IrBuilder<'_>,
-    region: &[BlockId],
-    old_latch: BlockId,
-    new_latch: BlockId,
-) {
-    for &bb in region {
-        if let Some(t) = b.func_mut().block_mut(bb).term.as_mut() {
-            t.map_blocks(|x| if x == old_latch { new_latch } else { x });
-        }
-    }
-}
-
-/// Replaces value uses in `region` according to `replacements` — in every
-/// instruction of it, so a replacement defined inside the region has its
-/// own operands rewritten too.
-pub(crate) fn rewrite_region_uses(
-    b: &mut IrBuilder<'_>,
-    region: &[BlockId],
-    replacements: &[(Value, Value)],
-) {
-    let func = b.func_mut();
-    for &bb in region {
-        let insts = func.block(bb).insts.clone();
-        for iid in insts {
-            func.inst_mut(iid).map_operands(|v| remap(v, replacements));
-        }
-        if let Some(t) = func.block_mut(bb).term.as_mut() {
-            t.map_operands(|v| remap(v, replacements));
-        }
-    }
-}
-
-fn remap(v: Value, replacements: &[(Value, Value)]) -> Value {
-    for &(from, to) in replacements {
-        if v == from {
-            return to;
-        }
-    }
-    v
 }
 
 #[cfg(test)]

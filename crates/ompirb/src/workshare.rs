@@ -15,8 +15,9 @@
 //! [`omplt_ir::SchedType`], as in the classic lowering — the two paths
 //! cannot disagree about a signature.
 
-use crate::canonical_loop::{create_canonical_loop_skeleton, CanonicalLoopInfo};
-use crate::tile::rewrite_region_uses;
+use crate::canonical_loop::{
+    create_canonical_loop_skeleton, redirect_edges, rewrite_region_uses, CanonicalLoopInfo,
+};
 use omplt_ir::{
     BlockId, CmpPred, Function, Inst, IrBuilder, IrType, Module, RtFn, SchedType, Terminator, Value,
 };
@@ -122,7 +123,7 @@ fn shift_body_iv(b: &mut IrBuilder<'_>, cli: &CanonicalLoopInfo, offset: Value) 
             rhs: offset,
         },
     );
-    rewrite_region_uses(b, &region, &[(cli.iv(), shifted)]);
+    rewrite_region_uses(b.func_mut(), &region, &[(cli.iv(), shifted)]);
     // The add itself still reads the IV.
     let Value::Inst(add) = shifted else {
         unreachable!("a prepended instruction is an instruction")
@@ -171,16 +172,7 @@ fn apply_chunked(
     // A new setup block takes over every edge into the loop's preheader.
     let setup = b.create_block("omp_ws.setup");
     let pre = cli.preheader;
-    let nblocks = b.func().blocks.len();
-    for i in 0..nblocks {
-        let bb = BlockId(i as u32);
-        if bb == setup {
-            continue;
-        }
-        if let Some(t) = b.func_mut().block_mut(bb).term.as_mut() {
-            t.map_blocks(|x| if x == pre { setup } else { x });
-        }
-    }
+    redirect_edges(b.func_mut(), pre, setup);
 
     b.set_insert_point(setup);
     let (gtid, lb0, _ub0, pstride) =
@@ -379,16 +371,7 @@ pub fn create_dynamic_workshare_loop(
     // The setup block takes over every edge into the loop's preheader.
     let setup = b.create_block("omp_ws.dispatch.setup");
     let pre = cli.preheader;
-    let nblocks = b.func().blocks.len();
-    for i in 0..nblocks {
-        let bb = BlockId(i as u32);
-        if bb == setup {
-            continue;
-        }
-        if let Some(t) = b.func_mut().block_mut(bb).term.as_mut() {
-            t.map_blocks(|x| if x == pre { setup } else { x });
-        }
-    }
+    redirect_edges(b.func_mut(), pre, setup);
     let head = b.create_block("omp_ws.dispatch.head");
     let chunk_setup = b.create_block("omp_ws.dispatch.chunk");
     let fini = b.create_block("omp_ws.dispatch.fini");

@@ -17,19 +17,16 @@
 
 use crate::canonical::build_canonical_loop;
 use crate::capture::build_omp_captured_stmt;
-use crate::loop_analysis::{
-    analyze_canonical_loop, nest_level, region_returns, LevelRefusal, LoopRefusal,
-};
+use crate::loop_analysis::{nest_level, region_returns, LevelRefusal};
 use crate::sema::Sema;
 use crate::transform::{
     transform_fuse, transform_interchange, transform_reverse, transform_tile,
     transform_unroll_partial,
 };
 use omplt_ast::{
-    ArgShape, BadPermutation, BinOp, CanonicalLoopAnalysis, ClauseModifier, Expr, LoopAssociation,
-    LoopDirectiveHelpers, LoopNestLevel, NestRefusal, OMPClause, OMPClauseKind, OMPDirective,
-    OMPDirectiveKind, OpenMpCodegenMode, PerLoopHelpers, ReductionOp, ScheduleKind, Stmt, StmtKind,
-    VarDecl, P,
+    ArgShape, BadPermutation, BinOp, ClauseModifier, Expr, LoopAssociation, LoopDirectiveHelpers,
+    LoopNestLevel, NestRefusal, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind,
+    OpenMpCodegenMode, PerLoopHelpers, ReductionOp, ScheduleKind, Stmt, StmtKind, VarDecl, P,
 };
 use omplt_source::{Diagnostic, Level, SourceLocation};
 
@@ -85,8 +82,8 @@ impl Sema<'_> {
             );
         }
         // Either branch collects the associated nest, and in IrBuilder mode
-        // wraps the literal loop it starts with in the OMPCanonicalLoop meta
-        // node (paper §3.1) from that collection's analysis.
+        // wraps each of its literal loops in the OMPCanonicalLoop meta node
+        // (paper §3.1) from that collection's analysis.
         if kind.is_loop_transformation() {
             d.transformed = self.build_transformed(&mut d, &mut associated, &consumer);
         } else if kind.is_loop_directive() {
@@ -98,7 +95,7 @@ impl Sema<'_> {
                     omplt_trace::count("sema.shadow.helper_nodes", helpers.node_count() as u64);
                     d.loop_helpers = Some(helpers);
                 }
-                associated = self.maybe_wrap_canonical(associated, &levels[0].analysis);
+                associated = self.wrap_canonical_nest(&associated, &levels);
                 d.nest = levels;
             }
         }
@@ -246,15 +243,6 @@ impl Sema<'_> {
 
     // ---------------- loop-nest collection ----------------
 
-    /// The canonical-form analysis of `stmt`; a refusal is rendered as the
-    /// error of the directive being built.
-    fn analyze_loop(&self, stmt: &P<Stmt>, consumer: &str) -> Option<CanonicalLoopAnalysis> {
-        let refused = |r: LoopRefusal| self.diags.error(r.loc, r.render(&self.ctx));
-        analyze_canonical_loop(&self.ctx, stmt, consumer)
-            .map_err(refused)
-            .ok()
-    }
-
     /// Collects `depth` nested canonical loops, one `nest_level` at a
     /// time, and renders the first refusal as the directive's error.
     pub fn collect_loop_nest(
@@ -375,7 +363,7 @@ impl Sema<'_> {
     /// five share: validate the directive's own clauses, collect the nest
     /// its catalog row associates it with (kept as `d.nest`, with or
     /// without a shadow AST), run its `transform_*`, then make the result
-    /// consumable (IrBuilder tail wrap, prologue re-wrap) and count it.
+    /// consumable (prologue re-wrap) and count it.
     /// `None` means no generated loop stands in for the
     /// directive: `unroll` without `partial` (paper §2.2 — the shadow AST
     /// exists exactly when the directive is potentially consumable; it is
@@ -408,13 +396,21 @@ impl Sema<'_> {
             Vec::new()
         };
 
-        // A loop *sequence* is not a single canonical loop; the IrBuilder
-        // path consumes its shadow AST (whose tail IS wrapped).
+        // A loop *sequence* is one level per member.
         d.nest = if kind.loop_association() == LoopAssociation::Sequence {
-            self.collect_loop_sequence(d, associated, consumer)?
+            let levels = self.collect_loop_sequence(d, associated, consumer)?;
+            if let StmtKind::Compound(members) = &associated.kind {
+                let members = members
+                    .iter()
+                    .zip(&levels)
+                    .map(|(m, l)| self.wrap_canonical_nest(m, std::slice::from_ref(l)))
+                    .collect();
+                *associated = Stmt::new(StmtKind::Compound(members), associated.loc);
+            }
+            levels
         } else {
             let levels = self.collect_loop_nest(d, associated, d.associated_loops(), consumer)?;
-            *associated = self.maybe_wrap_canonical(P::clone(associated), &levels[0].analysis);
+            *associated = self.wrap_canonical_nest(associated, &levels);
             levels
         };
         let levels = &d.nest;
@@ -438,13 +434,8 @@ impl Sema<'_> {
                 _ => unreachable!("'{consumer}' is not a loop transformation"),
             }
         };
-        // OpenMPIRBuilder has its own unroll and tile; every other
-        // transformation is consumed on that path through its shadow AST.
-        if !matches!(kind, Unroll | Tile) {
-            t = self.wrap_transformed_tail_canonical(t, consumer);
-            if omplt_trace::active() {
-                omplt_trace::count(&format!("sema.transform.{}", kind.name()), 1);
-            }
+        if !matches!(kind, Unroll | Tile) && omplt_trace::active() {
+            omplt_trace::count(&format!("sema.transform.{}", kind.name()), 1);
         }
         // The single-loop transforms see only the loop's analysis: the
         // prologue of a consumed inner transformation must stay in front.
@@ -476,47 +467,54 @@ impl Sema<'_> {
         None
     }
 
-    /// In IrBuilder mode, wraps the *trailing loop* of a freshly built
-    /// transformed compound in `OMPCanonicalLoop`, so a consuming directive
-    /// (`#pragma omp for` over `interchange`/`reverse`/`fuse`) can emit the
-    /// generated loop through `emit_loop_construct` like any literal loop.
-    fn wrap_transformed_tail_canonical(&mut self, t: P<Stmt>, consumer: &str) -> P<Stmt> {
+    /// In IrBuilder mode, wraps every level of `levels` that is a literal
+    /// loop of `stmt` in `OMPCanonicalLoop`, so CodeGen reads one node per
+    /// depth (Clang's `EmitOMPCollapsedCanonicalLoopNest`). A level that a
+    /// nested transformation directive stands for is left alone: CodeGen
+    /// gets it as a handle that directive generates.
+    fn wrap_canonical_nest(&mut self, stmt: &P<Stmt>, levels: &[LoopNestLevel]) -> P<Stmt> {
+        let Some((level, inner)) = levels.split_first() else {
+            return P::clone(stmt);
+        };
         if self.mode != OpenMpCodegenMode::IrBuilder {
-            return t;
+            return P::clone(stmt);
         }
-        match &t.kind {
+        let loc = stmt.loc;
+        let lp = match &stmt.kind {
+            // Declarations beside the outermost loop; it comes last.
             StmtKind::Compound(stmts) if !stmts.is_empty() => {
                 let mut stmts = stmts.clone();
-                let last = stmts.pop().unwrap();
-                stmts.push(self.wrap_transformed_tail_canonical(last, consumer));
-                let loc = t.loc;
-                Stmt::new(StmtKind::Compound(stmts), loc)
+                let last = stmts.pop().expect("a non-empty block");
+                stmts.push(self.wrap_canonical_nest(&last, levels));
+                return Stmt::new(StmtKind::Compound(stmts), loc);
             }
-            // A generated loop has no collection behind it: analyse it here.
-            StmtKind::For { .. } => match self.analyze_loop(&t, consumer) {
-                Some(analysis) => self.maybe_wrap_canonical(t, &analysis),
-                None => t,
-            },
-            _ => t,
-        }
-    }
-
-    /// In IrBuilder mode, wraps a *literal* loop in `OMPCanonicalLoop`;
-    /// `analysis` is what the nest collection made of `stmt`. Nested
-    /// directives (transformation stacking) are left alone — their own Sema
-    /// pass already wrapped the innermost literal loop.
-    fn maybe_wrap_canonical(&mut self, stmt: P<Stmt>, analysis: &CanonicalLoopAnalysis) -> P<Stmt> {
-        if self.mode != OpenMpCodegenMode::IrBuilder
-            || !matches!(stmt.kind, StmtKind::For { .. } | StmtKind::CxxForRange(_))
-        {
-            return stmt;
-        }
-        let node = build_canonical_loop(&self.ctx, &stmt, analysis);
+            StmtKind::For { .. } | StmtKind::CxxForRange(_) if inner.is_empty() => P::clone(stmt),
+            StmtKind::For {
+                init,
+                cond,
+                inc,
+                body,
+            } => {
+                let kind = StmtKind::For {
+                    init: init.clone(),
+                    cond: cond.clone(),
+                    inc: inc.clone(),
+                    body: self.wrap_canonical_nest(body, inner),
+                };
+                Stmt::new(kind, loc)
+            }
+            StmtKind::CxxForRange(r) => {
+                let mut r = omplt_ast::CxxForRangeData::clone(r);
+                r.body = self.wrap_canonical_nest(&r.body, inner);
+                Stmt::new(StmtKind::CxxForRange(P::new(r)), loc)
+            }
+            _ => return P::clone(stmt),
+        };
+        let node = build_canonical_loop(&self.ctx, &lp, &level.analysis);
         omplt_trace::count(
             "sema.canonical.meta_items",
             omplt_ast::OMPCanonicalLoop::META_NODE_COUNT as u64,
         );
-        let loc = stmt.loc;
         Stmt::new(StmtKind::OMPCanonicalLoop(node), loc)
     }
 

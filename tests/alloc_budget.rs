@@ -128,7 +128,7 @@ fn foldable_adds(n: usize) -> Function {
 fn constant_folding_does_not_allocate_per_instruction() {
     let fold = |n: usize| {
         let mut f = foldable_adds(n);
-        let (count, changed) = allocs(|| omplt::midend::constant_fold(&mut f));
+        let (count, changed) = allocs(|| omplt::midend::cleanup(&mut f));
         assert!(changed);
         assert_eq!(f.num_insts(), 0);
         count
@@ -140,7 +140,7 @@ fn constant_folding_does_not_allocate_per_instruction() {
 fn simplify_cfg_on_a_simplified_chain_does_not_allocate_per_block() {
     let run = |n: usize| {
         let mut f = latch_chain(n);
-        let (count, changed) = allocs(|| omplt::midend::simplify_cfg(&mut f));
+        let (count, changed) = allocs(|| omplt::midend::cleanup(&mut f));
         assert!(!changed, "a chain of latches is already simplified");
         assert_eq!(f.blocks.len(), n);
         count

@@ -10,8 +10,9 @@
 //! outcome at `--vector-width=4` on both lowering paths, the OMPLTBC
 //! image's size (the benchmark's `bytecode_bytes`) and checksum on both
 //! lowering paths, what `vm.compile`
-//! emitted, promoted, removed and solved, and the ops both backends retire
-//! on the IR the mid end optimised (`--opt`).
+//! emitted, promoted, removed and solved, the ops both backends retire
+//! on the IR the mid end optimised (`--opt`), and what the irbuilder
+//! lowering built: its skeletons and the `ompirb` operations it called.
 
 use std::path::Path;
 use std::process::Command;
@@ -30,7 +31,7 @@ enum Pin {
 }
 
 /// `(file suffix, flags, what is pinned)`.
-const ROWS: [(&str, &[&str], Pin); 11] = [
+const ROWS: [(&str, &[&str], Pin); 12] = [
     (
         "classic.txt",
         &["--counters-json", "--syntax-only"],
@@ -101,6 +102,11 @@ const ROWS: [(&str, &[&str], Pin); 11] = [
             let compile = n.strip_prefix("vm.compile.").unwrap_or("");
             ["ops", "promoted", "peephole.removed", "liveness.solves"].contains(&compile)
         }),
+    ),
+    (
+        "ompirb.irbuilder.txt",
+        &["--enable-irbuilder", "--opt", "--counters-json"],
+        Pin::Counters(|n| n.starts_with("ompirb.")),
     ),
 ];
 

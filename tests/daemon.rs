@@ -63,15 +63,23 @@ impl Daemon {
             cmd.env(k, v);
         }
         let mut child = cmd.spawn().expect("spawn ompltd");
+        // Ready is a connect that succeeds: the socket file appears at
+        // bind(2), before listen(2). The probe connection closes unused,
+        // which the daemon drops without a reply or a counter.
+        let mut refused = None;
         for _ in 0..400 {
-            if socket.exists() {
-                return Daemon { child, socket };
+            match UnixStream::connect(&socket) {
+                Ok(_) => return Daemon { child, socket },
+                Err(e) => refused = Some(e),
             }
             std::thread::sleep(Duration::from_millis(25));
         }
         let _ = child.kill();
         let _ = child.wait();
-        panic!("ompltd never bound {}", socket.display());
+        panic!(
+            "ompltd never accepted a connection on {}: {refused:?}",
+            socket.display()
+        );
     }
 
     fn remote_flag(&self) -> String {

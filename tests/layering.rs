@@ -74,10 +74,10 @@ fn only_sema_analyses_a_loop_and_only_the_driver_owns_an_engine() {
     let rules: [(&str, &[(&str, &str)]); 3] = [
         (
             "analyze_canonical_loop(",
-            &[
-                ("crates/sema/src/loop_analysis.rs", "the definition"),
-                ("crates/sema/src/omp_sema.rs", "Sema renders the refusal"),
-            ],
+            &[(
+                "crates/sema/src/loop_analysis.rs",
+                "the definition and the level rule",
+            )],
         ),
         (
             "DiagnosticsEngine::new()",

@@ -4,7 +4,7 @@
 
 use omplt::ir::print_module;
 use omplt::{Backend, CompilerInstance, OpenMpCodegenMode, Options};
-use omplt_midend::{constant_fold, loop_unroll, simplify_cfg, DomTree};
+use omplt_midend::{cleanup, loop_unroll, DomTree};
 
 fn compile(src: &str, optimize: bool) -> (CompilerInstance, omplt::ir::Module) {
     let mut ci = CompilerInstance::new(Options::default());
@@ -265,7 +265,7 @@ fn unroll_styles_print_the_same_sum_and_the_remainder_style_retires_fewer_ops() 
 /// heuristic, a factor with a remainder, `unroll full` over a generated
 /// loop (constant and tiled trip counts), a worksharing nest whose trip
 /// counts come out of `collapse`, a body with discarded loads (`a[i];`),
-/// which its copies hold until `const-fold` drops them, and a branch the
+/// which its copies hold until `cleanup` drops them, and a branch the
 /// front end already folded.
 const HINTED: &str = "\
 void print_i64(long v);
@@ -308,16 +308,13 @@ int main(void) {
 }
 ";
 
-/// The `-O` pipeline as it was before it lost its first two `ConstFold`
-/// runs and gained promotion, kept as the oracle for the one that replaced
-/// it.
+/// The `-O` pipeline without promotion, kept as the oracle for the one
+/// that promotes: the unroller between two cleanups, on memory-form IR.
 fn five_pass_reference(m: &mut omplt::ir::Module) {
     for f in &mut m.functions {
-        constant_fold(f);
+        cleanup(f);
         loop_unroll(f);
-        constant_fold(f);
-        simplify_cfg(f);
-        constant_fold(f);
+        cleanup(f);
     }
 }
 

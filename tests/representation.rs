@@ -76,22 +76,29 @@ fn c1_classic_helper_nodes_vs_canonical_meta_items() {
             *irb.get("sema.canonical.meta_items")
                 .expect("irbuilder Sema must count its meta items") as usize;
         assert!(!irb.contains_key("sema.shadow.helper_nodes"));
-        assert_eq!(canonical_items, OMPCanonicalLoop::META_NODE_COUNT);
-        // One per skeleton codegen builds for an `OMPCanonicalLoop`.
-        assert!(irb.get("ompirb.canonical_loops").is_some_and(|&n| n >= 1));
-
-        // The paper's headline: "reduced from the 36 shadow AST nodes
-        // required by OMPLoopDirective" to 3 meta-information items. Our
-        // bundle models 17 nest-wide + 6 per-loop = 23 for one loop (the
-        // remainder of Clang's ~36 are distribute/doacross-only helpers;
-        // DESIGN.md §7); the meta items stay at 3 per directive whatever
-        // the collapse depth.
-        assert_eq!(classic_nodes, 23 + 6 * (depth - 1), "depth {depth}");
-        assert_eq!(canonical_items, 3, "depth {depth}");
-        assert!(
-            classic_nodes >= 7 * canonical_items,
-            "~an order of magnitude more Sema nodes"
+        // One node per associated level, one skeleton per node.
+        assert_eq!(
+            canonical_items,
+            depth * OMPCanonicalLoop::META_NODE_COUNT,
+            "depth {depth}"
         );
+        assert_eq!(irb.get("ompirb.canonical_loops"), Some(&(depth as u64)));
+
+        // Our bundle models 17 nest-wide + 6 per-loop = 23 for one loop (the
+        // remainder of Clang's ~36 are distribute/doacross-only helpers;
+        // DESIGN.md §7); Sema wraps each associated level in its own
+        // `OMPCanonicalLoop`, 3 meta items each.
+        assert_eq!(classic_nodes, 23 + 6 * (depth - 1), "depth {depth}");
+        assert_eq!(canonical_items, 3 * depth, "depth {depth}");
+        // The paper's headline, for one loop: "reduced from the 36 shadow
+        // AST nodes required by OMPLoopDirective" to 3 meta-information
+        // items.
+        if depth == 1 {
+            assert!(
+                classic_nodes >= 7 * canonical_items,
+                "~an order of magnitude more Sema nodes"
+            );
+        }
     }
 }
 

@@ -292,3 +292,131 @@ fn integer_literals_have_their_c_types() {
         "{err}"
     );
 }
+
+/// `assert_output_on_both_engines`, plus one `--verify-each` compile per
+/// lowering path: every handle a transformation hands on must be a
+/// canonical skeleton, and the mid end must keep every one it leaves.
+fn assert_stack_output(src: &str, expected: &str) {
+    assert_output_on_both_engines(src, expected);
+    for codegen_mode in [
+        omplt::OpenMpCodegenMode::Classic,
+        omplt::OpenMpCodegenMode::IrBuilder,
+    ] {
+        let opts = Options {
+            codegen_mode,
+            backend: omplt::Backend::VmStrict,
+            verify_each: true,
+            ..Options::default()
+        };
+        let r = run_source_with(src, opts, true);
+        assert_eq!(r.stdout, expected, "--verify-each, {codegen_mode:?}");
+    }
+}
+
+/// `for (int i = 0; i < 5; i += 1) for (int j = 0; j < 7; j += 1)
+/// print_i64(i * 10 + j);` under `pragmas`.
+fn over_5x7(pragmas: &str) -> String {
+    format!(
+        "{PRINT_PROTO}int main(void) {{\n{pragmas}  for (int i = 0; i < 5; i += 1)\n    \
+         for (int j = 0; j < 7; j += 1)\n      print_i64(i * 10 + j);\n  return 0;\n}}\n"
+    )
+}
+
+/// `(lo..hi).step_by(step)` as the first element of each tile, with the
+/// tile's end.
+fn tiles(hi: i64, size: i64) -> impl Iterator<Item = (i64, i64)> + Clone {
+    (0..hi)
+        .step_by(size as usize)
+        .map(move |lo| (lo, (lo + size).min(hi)))
+}
+
+/// Tiling two loops visits the tiles row-major and each tile row-major,
+/// including the partial tiles of a 5×7 space.
+#[test]
+fn tile_2x3_over_5x7_visits_tiles_in_order() {
+    let src = over_5x7("  #pragma omp tile sizes(2, 3)\n");
+    let order = tiles(5, 2).flat_map(|(i0, i1)| {
+        tiles(7, 3)
+            .flat_map(move |(j0, j1)| (i0..i1).flat_map(move |i| (j0..j1).map(move |j| i * 10 + j)))
+    });
+    assert_stack_output(&src, &seq(order));
+}
+
+/// `tile` consumes the loops `interchange` generated: the tiles run over
+/// `j` outside `i`.
+#[test]
+fn tile_over_interchange_tiles_the_permuted_nest() {
+    let src = over_5x7("  #pragma omp tile sizes(2, 2)\n  #pragma omp interchange\n");
+    let order = tiles(7, 2).flat_map(|(j0, j1)| {
+        tiles(5, 2)
+            .flat_map(move |(i0, i1)| (j0..j1).flat_map(move |j| (i0..i1).map(move |i| i * 10 + j)))
+    });
+    assert_stack_output(&src, &seq(order));
+}
+
+/// `reverse` consumes the outer loop `interchange` generated, the `j` loop.
+#[test]
+fn reverse_over_interchange_runs_the_new_outer_loop_backwards() {
+    let src = over_5x7("  #pragma omp reverse\n  #pragma omp interchange\n");
+    let order = (0..7).rev().flat_map(|j| (0..5).map(move |i| i * 10 + j));
+    assert_stack_output(&src, &seq(order));
+}
+
+/// `unroll partial(2)` over the loop `fuse` generated from loops of 5 and 8
+/// trips: the fused loop runs 8 trips, the first body only in the first 5.
+#[test]
+fn unroll_over_fuse_of_unequal_trip_counts() {
+    let src = format!(
+        "{PRINT_PROTO}int main(void) {{\n  #pragma omp unroll partial(2)\n  #pragma omp fuse\n  {{\n    \
+         for (int i = 0; i < 5; i += 1)\n      print_i64(i);\n    \
+         for (int j = 0; j < 8; j += 1)\n      print_i64(100 + j);\n  }}\n  return 0;\n}}\n"
+    );
+    let order = (0..8).flat_map(|k| (k < 5).then_some(k).into_iter().chain([100 + k]));
+    assert_stack_output(&src, &seq(order));
+}
+
+/// `collapse(2)` over `tile sizes(2, 2)` collapses the two floor loops; the
+/// weighted sum sees each `(i, j)` exactly once.
+#[test]
+fn collapse_over_tile_covers_the_space_once() {
+    let src = format!(
+        "{PRINT_PROTO}int main(void) {{\n  long s = 0;\n  \
+         #pragma omp parallel for collapse(2) reduction(+: s)\n  #pragma omp tile sizes(2, 2)\n  \
+         for (int i = 0; i < 5; i += 1)\n    for (int j = 0; j < 7; j += 1)\n      \
+         s += (i * 7 + j) * (i + 1);\n  print_i64(s);\n  return 0;\n}}\n"
+    );
+    let sum: i64 = (0..5)
+        .flat_map(|i| (0..7).map(move |j| (i * 7 + j) * (i + 1)))
+        .sum();
+    assert_stack_output(&src, &seq([sum]));
+}
+
+/// `taskloop collapse(2)` creates one task per iteration of the collapsed
+/// space on both lowering paths, and `simd collapse(2)` keeps the sum.
+#[test]
+fn taskloop_and_simd_collapse_the_nest() {
+    let body = "for (int i = 0; i < 5; i += 1)\n    for (int j = 0; j < 7; j += 1)\n      \
+                s += i * 7 + j;\n  print_i64(s);\n  return 0;\n}\n";
+    let taskloop = format!(
+        "{PRINT_PROTO}int main(void) {{\n  long s = 0;\n  #pragma omp taskloop collapse(2)\n  {body}"
+    );
+    let simd = format!(
+        "{PRINT_PROTO}int main(void) {{\n  long s = 0;\n  \
+         #pragma omp simd collapse(2) reduction(+: s)\n  {body}"
+    );
+    assert_stack_output(&taskloop, "595\n");
+    assert_stack_output(&simd, "595\n");
+    for codegen_mode in [
+        omplt::OpenMpCodegenMode::Classic,
+        omplt::OpenMpCodegenMode::IrBuilder,
+    ] {
+        for optimize in [false, true] {
+            let opts = Options {
+                codegen_mode,
+                ..Options::default()
+            };
+            let r = run_source_with(&taskloop, opts, optimize);
+            assert_eq!(r.tasks_created, 35, "{codegen_mode:?}, {optimize}");
+        }
+    }
+}

@@ -214,7 +214,8 @@ fn counters_json_is_deterministic_across_runs() {
 
 #[test]
 fn every_pass_and_every_verifier_runs_once_per_function() {
-    // The default pipeline is four passes, none of them twice, and
+    // The default pipeline runs three passes on a function the unroller
+    // leaves alone (the second `cleanup` follows only a copied loop), and
     // `--verify-each` adds one IR check after each — not a second run of the
     // bytecode verifier over a module nothing changed in between.
     let path = temp_path("stencil.once.json");
@@ -233,11 +234,11 @@ fn every_pass_and_every_verifier_runs_once_per_function() {
     let counters = doc.get("counters").expect("counters object");
     let count = |name: &str| counters.get(name).and_then(Value::as_u64);
     let functions = count("vm.compile.functions").expect("functions were compiled");
-    for pass in ["loop-unroll", "simplify-cfg", "promote", "const-fold"] {
+    for pass in ["promote", "cleanup", "loop-unroll"] {
         let runs = count(&format!("midend.pass.{pass}.runs"));
         assert_eq!(runs, Some(functions), "{pass}");
     }
-    assert_eq!(count("midend.verify_each.checks"), Some(4 * functions));
+    assert_eq!(count("midend.verify_each.checks"), Some(3 * functions));
     assert_eq!(count("vm.verify.functions"), Some(functions));
 }
 
@@ -246,8 +247,9 @@ fn counters_reproduce_c1_node_counts_from_instrumentation_alone() {
     // Experiment C1 (paper: "reduced from the 36 shadow AST nodes required
     // by OMPLoopDirective" to 3 meta items) read straight from the driver's
     // `--counters-json`, with no test-side AST walking. The stencil's
-    // `parallel for` builds the 23-node helper bundle on the classic path
-    // and 3 canonical meta items on the irbuilder path.
+    // `parallel for` builds the 23-node helper bundle on the classic path;
+    // on the irbuilder path each of the two levels its `tile sizes(4, 4)`
+    // is associated with is one `OMPCanonicalLoop` of 3 meta items.
     let classic = temp_path("c1.classic.json");
     let out = ompltc()
         .arg(format!("--counters-json={}", classic.display()))
@@ -283,7 +285,7 @@ fn counters_reproduce_c1_node_counts_from_instrumentation_alone() {
         counters
             .get("sema.canonical.meta_items")
             .and_then(Value::as_u64),
-        Some(3),
+        Some(6),
         "canonical meta-item count"
     );
     assert!(

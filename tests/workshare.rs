@@ -143,9 +143,9 @@ fn workshared_saxpy_matches_serial() {
 
 #[test]
 fn collapse_2_covers_product_space() {
-    // The classic path workshares the collapsed 64-iteration space; the
-    // IrBuilder path workshares the outer loop only (`collapse_loops` is not
-    // wired) and warns about it. Both cover the product space.
+    // Both paths workshare the collapsed 64-iteration space: the classic
+    // path from its helper bundle, the IrBuilder path through
+    // `collapse_loops`. Neither has anything to say about it.
     let src = format!(
         "{PROTO}int main(void) {{\n  long sum = 0;\n  #pragma omp parallel for collapse(2) reduction(+: sum)\n  for (int i = 0; i < 8; i += 1)\n    for (int j = 0; j < 8; j += 1)\n      sum = sum + i * 8 + j;\n  print_i64(sum);\n  return 0;\n}}\n"
     );
@@ -153,14 +153,7 @@ fn collapse_2_covers_product_space() {
         let mut ci = CompilerInstance::new(opts(mode, 4));
         let r = ci.compile_and_run("c2.c", &src, false).unwrap();
         assert_eq!(r.stdout, "2016\n", "mode {mode:?}");
-        let warned = ci
-            .render_diags()
-            .contains("c2.c:4:28: warning: 'collapse(2)' is not supported by the IrBuilder path");
-        assert_eq!(
-            warned,
-            mode == OpenMpCodegenMode::IrBuilder,
-            "mode {mode:?}"
-        );
+        assert_eq!(ci.render_diags(), "", "mode {mode:?}");
     }
 }
 
