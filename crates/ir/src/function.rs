@@ -338,6 +338,11 @@ impl Rpo {
         &self.order
     }
 
+    /// The last walk's blocks, in reverse postorder.
+    pub fn order(&self) -> &[BlockId] {
+        &self.order
+    }
+
     /// Whether the last walk reached `b`.
     pub fn reached(&self, b: BlockId) -> bool {
         self.visited[b.0 as usize]

@@ -28,7 +28,7 @@ pub mod verifier;
 pub use builder::IrBuilder;
 pub use function::{BlockData, BlockId, BlockLists, Function, Grouper, InstId, Rpo};
 pub use inst::{BinOpKind, Callee, CastOp, CmpPred, Inst, Terminator};
-pub use loops::Induction;
+pub use loops::{Induction, LoopRole};
 pub use metadata::{LoopMetadata, UnrollHint};
 pub use module::{ExternFn, GlobalVar, Module};
 pub use printer::{print_function, print_module};

@@ -38,17 +38,47 @@ pub struct Induction {
     pub bound: Value,
 }
 
+/// The part of a counted loop [`Function::induction`] looked for and did
+/// not find: what a loop that should be counted has lost.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LoopRole {
+    /// The latch does not branch back to the header.
+    Latch,
+    /// The header, or the block it falls into, does not end in a
+    /// conditional branch on a compare.
+    ExitTest,
+    /// The compare is not `slt`, `ult`, `sle` or `ule`.
+    Predicate,
+    /// The compare's left side is not a header phi entered from one block
+    /// outside the loop and from the latch.
+    IvPhi,
+    /// The IV phi's latch value is not the phi plus 1.
+    Step,
+}
+
+impl std::fmt::Display for LoopRole {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            LoopRole::Latch => "latch",
+            LoopRole::ExitTest => "exit test",
+            LoopRole::Predicate => "predicate",
+            LoopRole::IvPhi => "IV phi",
+            LoopRole::Step => "step",
+        })
+    }
+}
+
 impl Function {
     /// Recognises the counted loop closed by the back edge `latch → header`,
-    /// or `None` when its shape is not `icmp {slt,ult,sle,ule} iv, bound` on
-    /// a two-edge header phi stepping by 1.
-    pub fn induction(&self, header: BlockId, latch: BlockId) -> Option<Induction> {
+    /// or names the first role its shape does not fill: `icmp
+    /// {slt,ult,sle,ule} iv, bound` on a two-edge header phi stepping by 1.
+    pub fn induction(&self, header: BlockId, latch: BlockId) -> Result<Induction, LoopRole> {
         match self.block(latch).term {
             Some(Terminator::Br { target, .. }) if target == header => {}
-            _ => return None,
+            _ => return Err(LoopRole::Latch),
         }
-        let cond = match self.block(header).term.as_ref()? {
-            Terminator::Br { target, .. } => *target,
+        let cond = match self.block(header).term.as_ref() {
+            Some(Terminator::Br { target, .. }) => *target,
             _ => header,
         };
         let Some(Terminator::CondBr {
@@ -58,30 +88,39 @@ impl Function {
             ..
         }) = self.block(cond).term
         else {
-            return None;
+            return Err(LoopRole::ExitTest);
         };
         let Inst::Cmp {
-            pred: pred @ (CmpPred::Slt | CmpPred::Ult | CmpPred::Sle | CmpPred::Ule),
-            lhs: Value::Inst(iv_phi),
+            pred,
+            lhs,
             rhs: bound,
         } = *self.inst(test)
         else {
-            return None;
+            return Err(LoopRole::ExitTest);
         };
-        if !self.block(header).insts.contains(&iv_phi) {
-            return None;
+        if !matches!(
+            pred,
+            CmpPred::Slt | CmpPred::Ult | CmpPred::Sle | CmpPred::Ule
+        ) {
+            return Err(LoopRole::Predicate);
         }
+        let iv_phi = match lhs {
+            Value::Inst(iv_phi) if self.block(header).insts.contains(&iv_phi) => iv_phi,
+            _ => return Err(LoopRole::IvPhi),
+        };
         let Inst::Phi { incoming, .. } = self.inst(iv_phi) else {
-            return None;
+            return Err(LoopRole::IvPhi);
         };
         let (preheader, start, next) = match incoming[..] {
             [(a, start), (b, next)] | [(b, next), (a, start)] if b == latch && a != latch => {
                 (a, start, next)
             }
-            _ => return None,
+            _ => return Err(LoopRole::IvPhi),
         };
         let iv = Value::Inst(iv_phi);
-        let Value::Inst(next) = next else { return None };
+        let Value::Inst(next) = next else {
+            return Err(LoopRole::Step);
+        };
         let steps_by_one = match *self.inst(next) {
             Inst::Bin {
                 op: BinOpKind::Add,
@@ -90,7 +129,10 @@ impl Function {
             } => (lhs == iv && rhs.is_one_int()) || (rhs == iv && lhs.is_one_int()),
             _ => false,
         };
-        steps_by_one.then_some(Induction {
+        if !steps_by_one {
+            return Err(LoopRole::Step);
+        }
+        Ok(Induction {
             preheader,
             header,
             cond,
@@ -195,21 +237,21 @@ mod tests {
     fn accepts_the_skeleton_with_its_test_in_its_own_block() {
         let (f, rec) = skeleton();
         assert_ne!(rec.cond, rec.header);
-        assert_eq!(f.induction(rec.header, rec.latch), Some(rec));
+        assert_eq!(f.induction(rec.header, rec.latch), Ok(rec));
     }
 
     #[test]
     fn accepts_the_merged_header_simplify_cfg_leaves() {
         let (f, rec) = build(Value::i64(0), CmpPred::Ult, false);
         assert_eq!(rec.cond, rec.header);
-        assert_eq!(f.induction(rec.header, rec.latch), Some(rec));
+        assert_eq!(f.induction(rec.header, rec.latch), Ok(rec));
     }
 
     #[test]
     fn accepts_a_plain_for_from_a_non_zero_start() {
         for pred in [CmpPred::Slt, CmpPred::Sle] {
             let (f, rec) = build(Value::i64(3), pred, false);
-            assert_eq!(f.induction(rec.header, rec.latch), Some(rec), "{pred:?}");
+            assert_eq!(f.induction(rec.header, rec.latch), Ok(rec), "{pred:?}");
         }
     }
 
@@ -226,7 +268,7 @@ mod tests {
         );
         f.block_mut(rec.header).insts.rotate_right(1);
         assert_ne!(f.block(rec.header).insts[0], rec.iv_phi);
-        assert_eq!(f.induction(rec.header, rec.latch), Some(rec));
+        assert_eq!(f.induction(rec.header, rec.latch), Ok(rec));
     }
 
     #[test]
@@ -235,24 +277,25 @@ mod tests {
         if let Inst::Bin { lhs, rhs, .. } = next_of(&mut f, rec) {
             std::mem::swap(lhs, rhs);
         }
-        assert_eq!(f.induction(rec.header, rec.latch), Some(rec));
+        assert_eq!(f.induction(rec.header, rec.latch), Ok(rec));
     }
 
-    /// Applies `mutate` to a fresh skeleton, which must then be refused.
-    fn refused(what: &str, mutate: impl FnOnce(&mut Function, &Induction)) {
+    /// Applies `mutate` to a fresh skeleton, which must then be refused
+    /// for having lost `role`.
+    fn refused(what: &str, role: LoopRole, mutate: impl FnOnce(&mut Function, &Induction)) {
         let (mut f, rec) = skeleton();
         mutate(&mut f, &rec);
-        assert_eq!(f.induction(rec.header, rec.latch), None, "{what}");
+        assert_eq!(f.induction(rec.header, rec.latch), Err(role), "{what}");
     }
 
     #[test]
     fn refuses_a_test_that_does_not_count_up() {
-        refused("sgt", |f, rec| {
+        refused("sgt", LoopRole::Predicate, |f, rec| {
             if let Inst::Cmp { pred, .. } = test_of(f, *rec) {
                 *pred = CmpPred::Sgt;
             }
         });
-        refused("swapped compare operands", |f, rec| {
+        refused("swapped compare operands", LoopRole::IvPhi, |f, rec| {
             if let Inst::Cmp { lhs, rhs, .. } = test_of(f, *rec) {
                 std::mem::swap(lhs, rhs);
             }
@@ -261,7 +304,7 @@ mod tests {
 
     #[test]
     fn refuses_a_step_of_two() {
-        refused("iv + 2", |f, rec| {
+        refused("iv + 2", LoopRole::Step, |f, rec| {
             if let Inst::Bin { rhs, .. } = next_of(f, *rec) {
                 *rhs = Value::i64(2);
             }
@@ -271,13 +314,31 @@ mod tests {
     #[test]
     fn refuses_a_latch_that_does_not_branch_to_the_header() {
         let (f, rec) = skeleton();
-        assert_eq!(f.induction(rec.header, rec.body), None);
-        assert_eq!(f.induction(rec.cond, rec.latch), None);
+        assert_eq!(f.induction(rec.header, rec.body), Err(LoopRole::Latch));
+        assert_eq!(f.induction(rec.cond, rec.latch), Err(LoopRole::Latch));
+    }
+
+    #[test]
+    fn refuses_a_test_block_that_does_not_branch_on_a_compare() {
+        refused("unconditional", LoopRole::ExitTest, |f, rec| {
+            let target = rec.body;
+            f.block_mut(rec.cond).term = Some(Terminator::Br {
+                target,
+                loop_md: None,
+            });
+        });
+        refused("branch on a sum", LoopRole::ExitTest, |f, rec| {
+            *test_of(f, *rec) = Inst::Bin {
+                op: BinOpKind::Add,
+                lhs: Value::Inst(rec.iv_phi),
+                rhs: Value::i64(1),
+            };
+        });
     }
 
     #[test]
     fn refuses_a_phi_with_a_third_edge() {
-        refused("third edge", |f, rec| {
+        refused("third edge", LoopRole::IvPhi, |f, rec| {
             if let Inst::Phi { incoming, .. } = f.inst_mut(rec.iv_phi) {
                 incoming.push((rec.exit, Value::i64(0)));
             }
@@ -286,7 +347,7 @@ mod tests {
 
     #[test]
     fn refuses_a_compare_on_a_value_that_is_not_a_header_phi() {
-        refused("a phi of the test block", |f, rec| {
+        refused("a phi of the test block", LoopRole::IvPhi, |f, rec| {
             let copy = f.prepend_inst(
                 rec.cond,
                 Inst::Phi {

@@ -7,8 +7,10 @@ use crate::types::IrType;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct SymbolId(pub u32);
 
-/// An SSA value.
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// An SSA value. Two values are equal when they are the same instruction,
+/// argument or symbol, or the same constant of the same type (a float by
+/// its bits), so a value can key a table.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Value {
     /// Result of an instruction.
     Inst(InstId),

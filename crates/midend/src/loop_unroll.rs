@@ -18,12 +18,13 @@
 //!   heuristics to determine an appropriate factor").
 //!
 //! Only loops in the canonical skeleton shape are transformed: a latch's
-//! branch target is its header, and [`Function::induction`] must recognise
-//! an `icmp ult iv, tc` on an IV from 0. Anything else keeps its metadata
-//! and a statistic records the skip. The trip count is the compare's bound,
-//! an immediate when the pipeline's cleanup (which runs first) could fold
-//! it. No dominator tree or loop forest is built, and no other pass runs
-//! from here.
+//! branch target is its header, [`Function::induction`] must recognise an
+//! `icmp ult iv, tc` on an IV from 0, and the body — the only region copied
+//! — may read no value of the header or the exit-test block but a header
+//! phi. Anything else keeps its metadata and a statistic records the skip.
+//! The trip count is the compare's bound, an immediate when the pipeline's
+//! cleanup (which runs first) could fold it. No dominator tree or loop
+//! forest is built, and no other pass runs from here.
 
 use omplt_ir::{
     arith, BlockId, CastOp, CmpPred, Function, Induction, Inst, InstId, IrBuilder, IrType,
@@ -79,17 +80,19 @@ pub fn loop_unroll(f: &mut Function) -> UnrollStats {
         let Some((header, latch, hint)) = target else {
             break;
         };
-        let skeleton = f.induction(header, latch);
-        let Some(ind) = skeleton.filter(|i| i.pred == CmpPred::Ult && i.start.is_zero_int()) else {
+        let skeleton = f.induction(header, latch).ok();
+        let skeleton = skeleton.filter(|i| i.pred == CmpPred::Ult && i.start.is_zero_int());
+        let copier = skeleton.map(|ind| RegionCopier::new(f, ind));
+        let Some(mut copier) = copier.filter(|c| !c.reads_header_value(f)) else {
             disable(f, latch);
             stats.skipped += 1;
             continue;
         };
+        let ind = copier.ind;
         let tc = match ind.bound {
             Value::ConstInt { ty, val } => Some(unsigned(ty, val)),
             _ => None,
         };
-        let mut copier = RegionCopier::new(f, ind);
         let body_size = copier.size(f);
         let fits = |n: u64| n.saturating_mul(body_size) <= FULL_UNROLL_MAX_GROWTH;
         let plan = match (hint, tc) {
@@ -210,6 +213,31 @@ impl RegionCopier {
             block_map: vec![None; f.blocks.len()],
             value_map: vec![None; f.insts.len()],
         }
+    }
+
+    /// Whether the region reads a value of the header or of the exit-test
+    /// block that the copies do not remap: anything but a header phi. Every
+    /// copy would read the value the header computed from the loop's own IV
+    /// (value numbering keeps the header's values to itself, so the loops it
+    /// leaves never do).
+    fn reads_header_value(&self, f: &Function) -> bool {
+        let ind = &self.ind;
+        let fixed = |v: Value| match v {
+            Value::Inst(i) => {
+                let defines = |b: BlockId| f.block(b).insts.contains(&i);
+                !self.phis.iter().any(|p| p.0 == i) && (defines(ind.header) || defines(ind.cond))
+            }
+            _ => false,
+        };
+        self.rpo.iter().any(|&b| {
+            let mut reads = false;
+            for &i in &f.block(b).insts {
+                f.inst(i).for_each_operand(|v| reads |= fixed(v));
+            }
+            let term = f.block(b).term.iter();
+            term.for_each(|t| t.for_each_operand(|v| reads |= fixed(v)));
+            reads
+        })
     }
 
     /// What one copy costs: the region's instruction count.
@@ -795,6 +823,34 @@ mod tests {
         let two = f.push_inst(latch, two);
         if let Inst::Phi { incoming, .. } = f.inst_mut(iv) {
             incoming.iter_mut().find(|(b, _)| *b == latch).unwrap().1 = two;
+        }
+    }
+
+    /// A body reading `10 * i` off the header, where no copy remaps it, is
+    /// skipped rather than every copy printing the first trip's value.
+    #[test]
+    fn a_body_reading_a_header_value_is_skipped() {
+        for hint in [UnrollHint::Full, UnrollHint::Count(2)] {
+            let mut m = Module::new();
+            let sink = m.intern("print_i64");
+            let mut f = Function::new("main", vec![], IrType::I32);
+            let mut b = IrBuilder::new(&mut f);
+            let cli = create_canonical_loop_skeleton(&mut b, Value::i64(4), "i", true);
+            let tens = Inst::Bin {
+                op: omplt_ir::BinOpKind::Mul,
+                lhs: cli.iv(),
+                rhs: Value::i64(10),
+            };
+            let tens = b.func_mut().push_inst(cli.header, tens);
+            b.set_insert_point(cli.body);
+            b.call(sink, vec![tens], IrType::Void);
+            b.br(cli.latch);
+            b.set_insert_point(cli.after);
+            b.ret(Some(Value::i32(0)));
+            cli.set_metadata(&mut f, LoopMetadata::unroll(hint));
+            m.add_function(f);
+            assert_eq!(run_collect(&m), "0\n10\n20\n30\n");
+            assert_eq!(unroll_main(&mut m).skipped, 1, "{hint:?}");
         }
     }
 

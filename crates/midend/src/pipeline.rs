@@ -1,7 +1,8 @@
-//! The default `-O` pipeline: the paper's one pass and the cleanup around
-//! it.
+//! The default `-O` pipeline: the paper's one pass, the cleanup around it,
+//! and the loop-invariant code motion the shadow AST's tile loops rely on.
 
 use crate::cleanup::cleanup;
+use crate::licm::{value_number_and_hoist, Licm};
 use crate::loop_unroll::{loop_unroll, UnrollStats};
 use crate::promote::{promote, Promote};
 use crate::verify::verify_function_full;
@@ -15,9 +16,15 @@ use omplt_ir::{Function, Module, VerifyError};
 /// 2. `cleanup` ([`cleanup`](fn@crate::cleanup)): folds what the builder
 ///    left — a distance over constant bounds sits behind a branch it
 ///    already decided (`lb < ub ? … : 0`) — so the unroller reads trip
-///    counts as immediates;
-/// 3. `loop-unroll` ([`loop_unroll`](fn@crate::loop_unroll));
-/// 4. `cleanup` again, only when the unroller copied a loop: it sweeps the
+///    counts as immediates, and folds small if/else hammocks into
+///    `select`s, so the classic tile's `min(ub, floor + s)` is
+///    straight-line code;
+/// 3. `gvn-licm` ([`value_number_and_hoist`]): dominator-scoped value
+///    numbering, then loop-invariant code motion to each loop's preheader
+///    (the tile bound above leaves the tile loop). It deletes what it
+///    replaces, so no `cleanup` follows it;
+/// 4. `loop-unroll` ([`loop_unroll`](fn@crate::loop_unroll));
+/// 5. `cleanup` again, only when the unroller copied a loop: it sweeps the
 ///    blocks the unroller abandoned, merges the chains the body copies form
 ///    and folds the copies' constant IVs.
 ///
@@ -28,6 +35,7 @@ use omplt_ir::{Function, Module, VerifyError};
 pub fn run_default_pipeline(m: &mut Module, verify_each: bool) -> (UnrollStats, Vec<VerifyError>) {
     let mut stats = UnrollStats::default();
     let mut promote_ws = Promote::default();
+    let mut licm_ws = Licm::default();
     let mut errors = Vec::new();
     for f in &mut m.functions {
         // Fault site: COUNT selects which function's pipeline panics.
@@ -54,6 +62,9 @@ pub fn run_default_pipeline(m: &mut Module, verify_each: bool) -> (UnrollStats, 
         });
         run("cleanup", f, &mut |f| {
             cleanup(f);
+        });
+        run("gvn-licm", f, &mut |f| {
+            value_number_and_hoist(f, &mut licm_ws);
         });
         let mut unrolled = UnrollStats::default();
         run("loop-unroll", f, &mut |f| unrolled = loop_unroll(f));

@@ -1,8 +1,10 @@
 //! CFG simplification, the control-flow half of [`crate::cleanup`](mod@crate::cleanup): sweeps
 //! the unreachable scaffolding that loop transformations abandon (paper
 //! §3.2: transformations may "abandon the old handles"), folds constant
-//! conditional branches, and merges straight-line block chains.
+//! conditional branches, merges straight-line block chains, and folds small
+//! if/else hammocks into `select`s.
 
+use omplt_ir::arith::removable;
 use omplt_ir::{BlockId, Function, Inst, InstId, Rpo, Terminator, Value};
 
 /// What every round of one [`crate::cleanup`](mod@crate::cleanup) call reuses.
@@ -11,7 +13,8 @@ pub(crate) struct Scratch {
     rpo: Rpo,
     /// Old block index → new one, during [`remove_unreachable`].
     remap: Vec<BlockId>,
-    /// Predecessors per block, during [`merge_chains`].
+    /// Predecessors per block, during [`merge_chains`] and
+    /// [`fold_hammocks`].
     pred_count: Vec<u32>,
 }
 
@@ -96,14 +99,8 @@ pub(crate) fn merge_chains(f: &mut Function, scratch: &mut Scratch) -> bool {
     // Counted once. Splicing `b` into `a` drops the edge `a → b` and moves
     // `b`'s out-edges to `a`, so no other block's count changes — and with
     // it nothing a block already visited was refused for.
-    let pred_count = &mut scratch.pred_count;
-    pred_count.clear();
-    pred_count.resize(f.blocks.len(), 0);
-    for t in f.blocks.iter().filter_map(|b| b.term.as_ref()) {
-        for s in t.successors() {
-            pred_count[s.0 as usize] += 1;
-        }
-    }
+    count_preds(f, &mut scratch.pred_count);
+    let pred_count = &scratch.pred_count;
     #[cfg(test)]
     MERGE_STEPS.with(|v| v.set(v.get() + f.blocks.len()));
     let mut changed = false;
@@ -143,6 +140,95 @@ pub(crate) fn merge_chains(f: &mut Function, scratch: &mut Scratch) -> bool {
         }
     }
     changed
+}
+
+/// The most instructions one arm of a hammock may hold for
+/// [`fold_hammocks`] to run them on both paths.
+const HAMMOCK_ARM_MAX: usize = 2;
+
+/// LLVM SimplifyCFG's two-entry-phi fold. A conditional branch whose arms
+/// — two blocks (a diamond), or one block and the join itself (a triangle)
+/// — only it enters, that hold at most [`HAMMOCK_ARM_MAX`] instructions the
+/// dead-code rule ([`omplt_ir::arith::removable`]) would let go, and that
+/// fall into one join only they enter, becomes a branch to the join: the
+/// arms' instructions move up in front of it, and each join phi becomes a
+/// `select` on the condition. The arms are left unreachable for the sweep.
+pub(crate) fn fold_hammocks(f: &mut Function, scratch: &mut Scratch) -> bool {
+    let preds = count_preds(f, &mut scratch.pred_count);
+    let mut changed = false;
+    for a in 0..f.blocks.len() as u32 {
+        let a = BlockId(a);
+        let Some(Terminator::CondBr {
+            cond,
+            then_bb,
+            else_bb,
+            loop_md: None,
+        }) = f.block(a).term
+        else {
+            continue;
+        };
+        // The join an arm falls into, if `b` can be one.
+        let arm_join = |b: BlockId| {
+            let block = f.block(b);
+            let Some(Terminator::Br {
+                target,
+                loop_md: None,
+            }) = block.term
+            else {
+                return None;
+            };
+            let speculable = |&i: &InstId| {
+                let inst = f.inst(i);
+                !matches!(inst, Inst::Phi { .. }) && removable(inst, |v| f.value_type(v))
+            };
+            let arm = b != a && preds[b.0 as usize] == 1 && block.insts.len() <= HAMMOCK_ARM_MAX;
+            (arm && block.insts.iter().all(speculable)).then_some(target)
+        };
+        // Each edge into the join, from an arm or from `a` itself.
+        let (from_then, from_else, join) = match (arm_join(then_bb), arm_join(else_bb)) {
+            (Some(j), Some(k)) if j == k && then_bb != else_bb => (then_bb, else_bb, j),
+            (Some(j), _) if j == else_bb => (then_bb, a, j),
+            (_, Some(j)) if j == then_bb => (a, else_bb, j),
+            _ => continue,
+        };
+        if join == a || join == f.entry() || preds[join.0 as usize] != 2 {
+            continue;
+        }
+        for arm in [from_then, from_else].into_iter().filter(|&b| b != a) {
+            let moved = std::mem::take(&mut f.block_mut(arm).insts);
+            f.block_mut(a).insts.extend(moved);
+        }
+        let mut k = 0;
+        while let Some(phi) = phi_at(f, join, k) {
+            let Inst::Phi { incoming, .. } = f.inst(phi) else {
+                unreachable!("phi_at returns phis")
+            };
+            let on = |from: BlockId| incoming.iter().find(|(b, _)| *b == from).map(|e| e.1);
+            let (Some(t), Some(fv)) = (on(from_then), on(from_else)) else {
+                unreachable!("a join phi has an edge from each arm")
+            };
+            *f.inst_mut(phi) = Inst::Select { cond, t, f: fv };
+            k += 1;
+        }
+        f.block_mut(a).term = Some(Terminator::Br {
+            target: join,
+            loop_md: None,
+        });
+        changed = true;
+    }
+    changed
+}
+
+/// Counts each block's predecessors into `count`, unreachable ones too.
+fn count_preds<'a>(f: &Function, count: &'a mut Vec<u32>) -> &'a [u32] {
+    count.clear();
+    count.resize(f.blocks.len(), 0);
+    for t in f.blocks.iter().filter_map(|b| b.term.as_ref()) {
+        for s in t.successors() {
+            count[s.0 as usize] += 1;
+        }
+    }
+    count
 }
 
 /// Applies `edit` to the incoming list of each of `b`'s leading phis.
@@ -231,6 +317,85 @@ mod tests {
         *md.unwrap() = Some(omplt_ir::LoopMetadata::default());
         assert!(cleanup(&mut f));
         assert_verified(&f);
+    }
+
+    /// `r = arg0 < arg1 ? then(arg0) : else(arg1)`, each arm built by its
+    /// closure (`None`: no arm block, the edge goes straight to the join).
+    type Arm = Option<fn(&mut IrBuilder<'_>) -> Value>;
+    fn hammock(then: Arm, els: Arm) -> Function {
+        let mut f = Function::new("h", vec![IrType::I64, IrType::I64], IrType::I64);
+        let join = f.add_block("join");
+        let mut b = IrBuilder::new(&mut f);
+        let c = b.cmp(omplt_ir::CmpPred::Slt, Value::Arg(0), Value::Arg(1));
+        let mut edges = Vec::new();
+        let mut targets = [join; 2];
+        for (k, (arm, default)) in [(then, Value::Arg(0)), (els, Value::Arg(1))]
+            .iter()
+            .enumerate()
+        {
+            let Some(arm) = arm else {
+                edges.push((b.func().entry(), *default));
+                continue;
+            };
+            let at = b.create_block("arm");
+            targets[k] = at;
+            let back = b.insert_block();
+            b.set_insert_point(at);
+            let v = arm(&mut b);
+            b.br(join);
+            b.set_insert_point(back);
+            edges.push((at, v));
+        }
+        b.cond_br(c, targets[0], targets[1]);
+        b.set_insert_point(join);
+        let (r, phi) = b.phi(IrType::I64);
+        for (from, v) in edges {
+            b.add_phi_incoming(phi, from, v);
+        }
+        b.ret(Some(r));
+        assert_verified(&f);
+        f
+    }
+
+    fn selects(f: &Function) -> usize {
+        let insts = f.blocks.iter().flat_map(|b| &b.insts);
+        insts
+            .filter(|&&i| matches!(f.inst(i), Inst::Select { .. }))
+            .count()
+    }
+
+    #[test]
+    fn a_diamond_and_a_triangle_of_arithmetic_become_a_select() {
+        let plus: fn(&mut IrBuilder<'_>) -> Value = |b| b.add(Value::Arg(0), Value::i64(4));
+        let times: fn(&mut IrBuilder<'_>) -> Value = |b| b.mul(Value::Arg(1), Value::Arg(0));
+        for (then, els) in [
+            (Some(plus), Some(times)),
+            (Some(plus), None),
+            (None, Some(times)),
+        ] {
+            let mut f = hammock(then, els);
+            assert!(cleanup(&mut f));
+            assert_verified(&f);
+            assert_eq!((f.blocks.len(), selects(&f)), (1, 1));
+        }
+    }
+
+    #[test]
+    fn an_arm_holding_a_trapping_division_or_a_call_is_not_folded() {
+        let div: fn(&mut IrBuilder<'_>) -> Value = |b| b.sdiv(Value::Arg(0), Value::Arg(1));
+        let call: fn(&mut IrBuilder<'_>) -> Value =
+            |b| b.call(omplt_ir::SymbolId(0), vec![], IrType::I64);
+        let long: fn(&mut IrBuilder<'_>) -> Value = |b| {
+            let x = b.add(Value::Arg(0), Value::i64(1));
+            let y = b.add(x, Value::i64(2));
+            b.add(y, Value::i64(3))
+        };
+        for arm in [div, call, long] {
+            let mut f = hammock(Some(arm), None);
+            cleanup(&mut f);
+            assert_verified(&f);
+            assert_eq!((f.blocks.len(), selects(&f)), (3, 0));
+        }
     }
 
     #[test]

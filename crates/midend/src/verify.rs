@@ -15,7 +15,7 @@
 //! `--verify-each`.
 
 use omplt_ir::{
-    verify_function, BlockId, BlockLists, CmpPred, Function, InstId, Value, VerifyError,
+    verify_function, BlockId, BlockLists, CmpPred, Function, InstId, LoopRole, Value, VerifyError,
 };
 
 use crate::domtree::DomTree;
@@ -80,14 +80,17 @@ fn check_skeleton(
     errs: &mut Vec<VerifyError>,
 ) {
     let where_ = format!("canonical loop at {}.{}", f.block(header).name, header.0);
-    let skeleton = f.induction(header, latch);
-    let Some(ind) = skeleton.filter(|i| i.pred == CmpPred::Ult) else {
-        errs.push(VerifyError(format!(
-            "{where_}: marked `is_canonical` but no longer matches the \
-             canonical skeleton (header phi stepping by 1 / icmp ult / \
-             cond-br shape)"
-        )));
-        return;
+    let ind = match f.induction(header, latch) {
+        Ok(ind) if ind.pred == CmpPred::Ult => ind,
+        found => {
+            let role = found.err().unwrap_or(LoopRole::Predicate);
+            errs.push(VerifyError(format!(
+                "{where_}: marked `is_canonical` but no longer matches the \
+                 canonical skeleton (an `icmp ult` on a header phi stepping \
+                 by 1 at the latch): its {role} is lost"
+            )));
+            return;
+        }
     };
     let inside = loop_blocks(f, preds, header, latch);
     // The taken edge of `icmp ult iv, tc` must stay inside the loop and
@@ -146,7 +149,7 @@ pub fn verify_function_full(f: &Function) -> Vec<VerifyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omplt_ir::{CmpPred, Inst, IrBuilder, IrType, Terminator};
+    use omplt_ir::{Inst, IrBuilder, IrType, Terminator};
     use omplt_ompirb::create_canonical_loop_skeleton;
 
     fn skeleton_fn() -> (Function, omplt_ompirb::CanonicalLoopInfo) {
@@ -268,6 +271,61 @@ mod tests {
         }
         let errs = verify_loop_skeletons(&f);
         assert!(!errs.is_empty(), "non-ult compare must be rejected");
+    }
+
+    /// One corruption per role `Function::induction` reports; the verifier
+    /// must name that role.
+    #[test]
+    fn names_the_role_a_marked_loop_lost() {
+        type Corrupt = fn(&mut Function, &omplt_ompirb::CanonicalLoopInfo);
+        fn set_pred(f: &mut Function, cli: &omplt_ompirb::CanonicalLoopInfo, to: CmpPred) {
+            let cmp_id = f.block(cli.cond).insts[0];
+            if let Inst::Cmp { pred, .. } = f.inst_mut(cmp_id) {
+                *pred = to;
+            }
+        }
+        let rows: [(LoopRole, Corrupt); 6] = [
+            (LoopRole::Latch, |f, cli| {
+                let md = f.block(cli.latch).term.as_ref().unwrap().loop_md().copied();
+                f.block_mut(cli.latch).term = Some(Terminator::CondBr {
+                    cond: Value::bool(true),
+                    then_bb: cli.header,
+                    else_bb: cli.exit,
+                    loop_md: md,
+                });
+            }),
+            (LoopRole::ExitTest, |f, cli| {
+                let body = cli.body;
+                f.block_mut(cli.cond).term = Some(Terminator::Br {
+                    target: body,
+                    loop_md: None,
+                });
+            }),
+            (LoopRole::Predicate, |f, cli| set_pred(f, cli, CmpPred::Sgt)),
+            (LoopRole::Predicate, |f, cli| set_pred(f, cli, CmpPred::Slt)),
+            (LoopRole::IvPhi, |f, cli| {
+                let cmp_id = f.block(cli.cond).insts[0];
+                if let Inst::Cmp { lhs, rhs, .. } = f.inst_mut(cmp_id) {
+                    std::mem::swap(lhs, rhs);
+                }
+            }),
+            (LoopRole::Step, |f, cli| {
+                let step = f.block(cli.latch).insts[0];
+                if let Inst::Bin { rhs, .. } = f.inst_mut(step) {
+                    *rhs = Value::i64(3);
+                }
+            }),
+        ];
+        for (role, corrupt) in rows {
+            let (mut f, cli) = skeleton_fn();
+            corrupt(&mut f, &cli);
+            let errs = verify_loop_skeletons(&f);
+            let named = format!("its {role} is lost");
+            assert!(
+                errs.len() == 1 && errs[0].0.contains(&named),
+                "{role:?}: {errs:?}"
+            );
+        }
     }
 
     #[test]

@@ -346,7 +346,7 @@ fn try_plan(
     }
     // --- shape: a counted loop entered from the preheader and the latch,
     // its exit test in the header or in a block only the header enters -----
-    let ind = f.induction(header, latch)?;
+    let ind = f.induction(header, latch).ok()?;
     let test = ind.cond;
     if preds[header.0 as usize].len() != 2 || (test != header && preds[test.0 as usize].len() != 1)
     {
@@ -514,13 +514,15 @@ struct Widener<'a, 'b> {
     /// Scalar chunk-base induction register (`iv` of lane 0): the IV phi's
     /// own register.
     riv: Reg,
-    /// Lane vector `riv + [0, 1, …, w-1]`, refreshed each chunk.
-    ivec: VReg,
+    /// Lane vector `riv + [0, 1, …, w-1]`, refreshed each chunk where a
+    /// lane first reads it (none when no lane does).
+    ivec: Option<VReg>,
     /// Scalar clones of loop instructions (per-chunk, lane-0 values).
     scalar_map: HashMap<InstId, Reg>,
     /// Vector values of loop instructions (per-chunk).
     vec_map: HashMap<InstId, VReg>,
-    /// Broadcasts of loop-invariant scalar registers (per-chunk).
+    /// Broadcasts of scalar registers: of values defined outside the loop,
+    /// made once in the preamble; of chunk-base clones, per chunk.
     bcast: HashMap<Reg, VReg>,
     /// Constants materialized for this loop (preamble-dominated).
     consts: HashMap<ConstKey, Reg>,
@@ -645,7 +647,16 @@ impl<'a, 'b> Widener<'a, 'b> {
     /// Per-lane vector register for `v`.
     fn vec_of(&mut self, v: Value) -> Result<VReg, CompileError> {
         match v {
-            Value::Inst(id) if id == self.plan.iv => Ok(self.ivec),
+            Value::Inst(id) if id == self.plan.iv => match self.ivec {
+                Some(ivec) => Ok(ivec),
+                None => {
+                    let (w, base) = (self.w(), self.riv);
+                    let dst = self.c.new_vvreg(RegClass::Int, w)?;
+                    self.c.out.ops.push(Op::VIota { dst, base, w });
+                    self.ivec = Some(dst);
+                    Ok(dst)
+                }
+            },
             Value::Inst(id) if self.in_loop(id) => {
                 if let Some(&vr) = self.vec_map.get(&id) {
                     return Ok(vr);
@@ -693,6 +704,35 @@ impl<'a, 'b> Widener<'a, 'b> {
                 let r = self.scalar_of(other)?;
                 self.broadcast(r, RegClass::of(ty))
             }
+        }
+    }
+
+    /// Adds to `out` the values defined outside the loop whose lanes
+    /// [`Self::vec_of`] of `v` broadcasts, each once, in the order it reads
+    /// them; `seen` holds the loop instructions already walked.
+    fn invariant_lanes(&self, v: Value, seen: &mut HashSet<InstId>, out: &mut Vec<Value>) {
+        match v {
+            Value::Inst(id) if id == self.plan.iv => {}
+            Value::Inst(id) if self.in_loop(id) => {
+                if !seen.insert(id) {
+                    return;
+                }
+                match *self.c.f.inst(id) {
+                    Inst::Load { ptr, .. } if !self.unit_stride(ptr) => {
+                        if let Ok((_, index, _)) = self.gep_of(ptr) {
+                            self.invariant_lanes(index, seen, out);
+                        }
+                    }
+                    Inst::Bin { lhs, rhs, .. } => {
+                        self.invariant_lanes(lhs, seen, out);
+                        self.invariant_lanes(rhs, seen, out);
+                    }
+                    Inst::Cast { val, .. } => self.invariant_lanes(val, seen, out),
+                    _ => {}
+                }
+            }
+            other if !out.contains(&other) => out.push(other),
+            _ => {}
         }
     }
 
@@ -780,12 +820,11 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     // The phi registers hold the loop's entry values: the preheader's edge
     // copies set them before jumping here.
     let riv = c.dst_of(plan.iv);
-    let ivec = c.new_vvreg(RegClass::Int, w)?;
     let mut wd = Widener {
         c,
         plan,
         riv,
-        ivec,
+        ivec: None,
         scalar_map: HashMap::new(),
         vec_map: HashMap::new(),
         bcast: HashMap::new(),
@@ -831,6 +870,32 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         wd.c.out.ops.push(Op::VBroadcast { dst, src, w });
         acc.push(dst);
     }
+    // Broadcasts of what the loop does not change, once: the values its
+    // lanes read as the body below demands them.
+    let mut invariant = Vec::new();
+    let mut seen = HashSet::new();
+    for iid in plan.chain.iter().flat_map(|&bb| &f.block(bb).insts) {
+        match *f.inst(*iid) {
+            Inst::Load { .. } => wd.invariant_lanes(Value::Inst(*iid), &mut seen, &mut invariant),
+            Inst::Store { val, ptr } => {
+                wd.invariant_lanes(val, &mut seen, &mut invariant);
+                if !wd.unit_stride(ptr) {
+                    let (_, index, _) = wd.gep_of(ptr)?;
+                    wd.invariant_lanes(index, &mut seen, &mut invariant);
+                }
+            }
+            _ => {}
+        }
+    }
+    let carried = plan.reductions.iter().map(|r| r.2);
+    for v in carried.chain(plan.last_values.iter().map(|l| l.1)) {
+        wd.invariant_lanes(v, &mut seen, &mut invariant);
+    }
+    for v in invariant {
+        let ty = f.value_type(v);
+        let r = wd.scalar_of(v)?;
+        wd.broadcast(r, RegClass::of(ty))?;
+    }
     // Guard: `bound >= w-1` keeps `bound - (w-1)` from wrapping for
     // unsigned loops (and from overflowing near the signed minimum); a
     // failed guard skips straight to the exit combine, which is the
@@ -870,11 +935,6 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
 
     // --- vbody --------------------------------------------------------------
     wd.c.mark_block_start();
-    wd.c.out.ops.push(Op::VIota {
-        dst: ivec,
-        base: riv,
-        w,
-    });
     // Memory accesses widen *eagerly* at their textual position:
     // demand-driven emission could float a load past an aliasing
     // same-iteration store (the front end's legality gate treats

@@ -176,9 +176,59 @@ fn widened_loop_emits_vector_ops_and_counts() {
     assert!(text.contains("vload"), "unit-stride loads widen:\n{text}");
     assert!(text.contains("vstore"), "unit-stride stores widen:\n{text}");
     assert!(text.contains("vreduce"), "sum reduction widens:\n{text}");
-    assert!(text.contains("viota"), "lane vector present:\n{text}");
+    // No lane reads the IV itself (the addresses step it as a scalar), and
+    // the one invariant lane operand, `k`, is broadcast before the loop
+    // with the accumulator's identity, not once per chunk.
+    assert!(!text.contains("viota"), "no lane reads the IV:\n{text}");
+    let first_load = text.find("vload").unwrap();
+    assert_eq!(text.matches("vbcast").count(), 2, "{text}");
+    assert!(text.rfind("vbcast").unwrap() < first_load, "{text}");
     assert_eq!(counters.get("vm.simd.widened_loops"), Some(&1));
     assert_eq!(counters.get("vm.simd.refused"), Some(&0));
+}
+
+/// `sum = 0; for (i = 0; i < n; i++) sum += i` under `md`, returning `sum`:
+/// a lane reads the IV vector itself.
+fn iota_sum(n: i64, md: LoopMetadata) -> Module {
+    let mut m = Module::new();
+    let mut f = Function::new("main", vec![], IrType::I64);
+    {
+        let mut b = IrBuilder::new(&mut f);
+        let iv = b.alloca(IrType::I64, 1, "i");
+        let sum = b.alloca(IrType::I64, 1, "sum");
+        b.store(Value::i64(0), iv);
+        b.store(Value::i64(0), sum);
+        let hdr = b.create_block("hdr");
+        let body = b.create_block("body");
+        let exit = b.create_block("exit");
+        b.br(hdr);
+        b.set_insert_point(hdr);
+        let i = b.load(IrType::I64, iv);
+        let c = b.cmp(CmpPred::Slt, i, Value::i64(n));
+        b.cond_br(c, body, exit);
+        b.set_insert_point(body);
+        let i = b.load(IrType::I64, iv);
+        let s = b.load(IrType::I64, sum);
+        let s = b.add(s, i);
+        b.store(s, sum);
+        let i = b.add(i, Value::i64(1));
+        b.store(i, iv);
+        b.br_with_md(hdr, md);
+        b.set_insert_point(exit);
+        let s = b.load(IrType::I64, sum);
+        b.ret(Some(s));
+    }
+    m.add_function(f);
+    m
+}
+
+#[test]
+fn a_lane_reading_the_iv_gets_the_lane_vector() {
+    let m = iota_sum(64, simd_md());
+    let code = compile_module_with(&m, 4).expect("compiles");
+    let text = disasm_all(&code);
+    assert_eq!(text.matches("viota").count(), 1, "{text}");
+    assert_eq!(run(&code, &m), 64 * 63 / 2);
 }
 
 #[test]

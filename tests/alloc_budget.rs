@@ -148,6 +148,63 @@ fn simplify_cfg_on_a_simplified_chain_does_not_allocate_per_block() {
     assert_eq!(run(200), run(20));
 }
 
+/// `n` counted loops in a row, `for (i = 0; i < arg; i++) s += arg * 3 +
+/// arg * 3`: in each, value numbering has a duplicate to replace and code
+/// motion an invariant `mul` and `add` to move into a preheader that
+/// already computes the sum's start (so its instruction list has room).
+fn loops_in_a_row(n: usize) -> Function {
+    let mut f = Function::new("loops", vec![IrType::I64], IrType::I64);
+    let mut b = IrBuilder::new(&mut f);
+    for k in 0..n {
+        let (pre, header, body, next) = (
+            b.create_block("pre"),
+            b.create_block("header"),
+            b.create_block("body"),
+            b.create_block("next"),
+        );
+        b.br(pre);
+        b.set_insert_point(pre);
+        let start = b.add(Value::Arg(0), Value::i64(k as i64));
+        b.br(header);
+        b.set_insert_point(header);
+        let (i, i_phi) = b.phi(IrType::I64);
+        let (s, s_phi) = b.phi(IrType::I64);
+        let c = b.cmp(omplt::ir::CmpPred::Slt, i, Value::Arg(0));
+        b.cond_br(c, body, next);
+        b.set_insert_point(body);
+        let t = b.mul(Value::Arg(0), Value::i64(3));
+        let u = b.mul(Value::Arg(0), Value::i64(3));
+        let v = b.add(t, u);
+        let s1 = b.add(s, v);
+        let i1 = b.add(i, Value::i64(1));
+        b.br(header);
+        for (phi, entry, again) in [(i_phi, Value::i64(0), i1), (s_phi, start, s1)] {
+            b.add_phi_incoming(phi, pre, entry);
+            b.add_phi_incoming(phi, body, again);
+        }
+        b.set_insert_point(next);
+    }
+    b.ret(Some(Value::Arg(0)));
+    f
+}
+
+#[test]
+fn value_numbering_and_code_motion_do_not_allocate_per_instruction_or_loop() {
+    let run = |n: usize| {
+        let mut f = loops_in_a_row(n);
+        let mut ws = omplt::midend::Licm::default();
+        let (count, changed) = allocs(|| omplt::midend::value_number_and_hoist(&mut f, &mut ws));
+        assert!(changed);
+        assert_eq!(verify_function(&f), vec![]);
+        // Each body keeps its two adds: the sum and the step.
+        let bodies = f.blocks.iter().filter(|b| b.name == "body");
+        assert!(bodies.clone().all(|b| b.insts.len() == 2));
+        assert_eq!(bodies.count(), n);
+        count
+    };
+    assert_eq!(run(200), run(20));
+}
+
 /// `blocks` blocks: block 0 defines r0, every other block jumps on, the
 /// last one returns r0. Laid out forward (0 → 1 → …) the definite-init
 /// fixpoint settles in one round; reversed (0 → n-1 → n-2 → … → 1) each

@@ -523,6 +523,27 @@ fn unroll_partial_retires_no_more_than_the_plain_loop() {
     }
 }
 
+/// ROADMAP's probe on the VM, in exact retired ops: the plain loop, and
+/// `tile sizes(4)` once the mid end has folded the classic tile's bound
+/// `min(ub, floor + 4)` to a `select` and hoisted it out of the tile loop.
+/// The irbuilder tile computes its span in the preheader already; what is
+/// left of both is the per-element user value (ROADMAP item 3).
+#[test]
+fn the_tile_probe_retires_what_the_mid_end_leaves() {
+    let tile = "  #pragma omp tile sizes(4)\n";
+    for (codegen_mode, tiled) in MODES.into_iter().zip([100_011, 125_012]) {
+        let (_, _, plain) = optimized(&probe("", 20_000), codegen_mode, Backend::VmStrict);
+        let (_, _, run) = optimized(&probe(tile, 20_000), codegen_mode, Backend::VmStrict);
+        assert_eq!(run.stdout, plain.stdout);
+        assert_eq!(plain.ops_retired, 60_010, "{codegen_mode:?}");
+        if codegen_mode == OpenMpCodegenMode::Classic {
+            assert!(run.ops_retired <= tiled, "{}", run.ops_retired);
+        } else {
+            assert_eq!(run.ops_retired, tiled, "{codegen_mode:?}");
+        }
+    }
+}
+
 /// `unroll full` of sixteen constant trips folds to the constant: no back
 /// edge and, the slots promoted, no `load` or `store` left to fold through.
 #[test]

@@ -214,7 +214,7 @@ fn counters_json_is_deterministic_across_runs() {
 
 #[test]
 fn every_pass_and_every_verifier_runs_once_per_function() {
-    // The default pipeline runs three passes on a function the unroller
+    // The default pipeline runs four passes on a function the unroller
     // leaves alone (the second `cleanup` follows only a copied loop), and
     // `--verify-each` adds one IR check after each — not a second run of the
     // bytecode verifier over a module nothing changed in between.
@@ -234,11 +234,11 @@ fn every_pass_and_every_verifier_runs_once_per_function() {
     let counters = doc.get("counters").expect("counters object");
     let count = |name: &str| counters.get(name).and_then(Value::as_u64);
     let functions = count("vm.compile.functions").expect("functions were compiled");
-    for pass in ["promote", "cleanup", "loop-unroll"] {
+    for pass in ["promote", "cleanup", "gvn-licm", "loop-unroll"] {
         let runs = count(&format!("midend.pass.{pass}.runs"));
         assert_eq!(runs, Some(functions), "{pass}");
     }
-    assert_eq!(count("midend.verify_each.checks"), Some(3 * functions));
+    assert_eq!(count("midend.verify_each.checks"), Some(4 * functions));
     assert_eq!(count("vm.verify.functions"), Some(functions));
 }
 
