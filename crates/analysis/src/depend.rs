@@ -55,9 +55,9 @@
 //! proven violations**.
 
 use omplt_ast::{
-    walk_expr, walk_stmt, BinOp, CanonicalLoopAnalysis, Decl, DeclId, Expr, ExprKind,
-    LoopDirection, OMPClauseKind, OMPDirective, OMPDirectiveKind, Stmt, StmtKind, StmtVisitor,
-    TranslationUnit, Type, TypeKind, UnOp, VarDecl, P,
+    walk_expr, walk_stmt, BinOp, Decl, DeclId, Expr, ExprKind, LoopDirection, LoopNestLevel,
+    OMPClauseKind, OMPDirective, OMPDirectiveKind, Stmt, StmtKind, StmtVisitor, TranslationUnit,
+    Type, TypeKind, UnOp, VarDecl, P,
 };
 use omplt_sema::extend_loop_nest;
 use omplt_source::{Diagnostic, DiagnosticsEngine, IdentifierTable, Level, SourceLocation};
@@ -234,8 +234,12 @@ struct LevelInfo {
     iv_name: String,
     /// Signed constant step (`+step` for `Up` loops, `-step` for `Down`).
     step: Option<i128>,
-    /// Constant lower bound, when known.
+    /// Constant lower bound, when known (a counter that walks: its offset).
     lb: Option<i128>,
+    /// The variable a pointer counter starts in (`a` of `p = a + 1`, of a
+    /// range-`for`'s `__begin`): the counter then stands for the element
+    /// offset from it, and an access through it is an element of it.
+    walks: Option<P<VarDecl>>,
     /// `tc - 1`, the largest logical iteration, when the trip count is
     /// a known constant.
     max_iter: Option<i128>,
@@ -431,8 +435,9 @@ struct DepCollector<'a> {
     ivs: BTreeMap<DeclId, usize>,
     /// Scalars the body assigns.
     assigned: BTreeSet<DeclId>,
-    /// Body locals initialised once and never assigned: a use stands for
-    /// the initialiser.
+    /// Body locals initialised once and never assigned, and body
+    /// references: a use stands for the initialiser (for a reference, an
+    /// access of the lvalue it binds).
     defs: BTreeMap<DeclId, P<Expr>>,
     locals: BTreeSet<DeclId>,
     accesses: BTreeMap<DeclId, VarAccesses>,
@@ -467,8 +472,8 @@ impl<'a> DepCollector<'a> {
     /// local of the body (not a pointer — the memory it points to is not
     /// the iteration's).
     fn is_private(&self, id: DeclId) -> bool {
-        self.ivs.contains_key(&id)
-            || (self.locals.contains(&id) && !self.accesses.get(&id).is_some_and(|v| v.pointer))
+        (self.ivs.contains_key(&id) || self.locals.contains(&id))
+            && !self.accesses.get(&id).is_some_and(|v| v.pointer)
     }
 
     fn writes(&self, id: DeclId) -> bool {
@@ -513,7 +518,7 @@ impl<'a> DepCollector<'a> {
                     None => e.eval_const_int().map(|c| (vec![0; depth], c)),
                 }
             }
-            ExprKind::ExplicitCast(_, s) if e.ty.is_integer() => self.linearize(s),
+            ExprKind::ExplicitCast(_, s) if s.ty.is_integer() => self.linearize(s),
             ExprKind::Unary(UnOp::Plus, s) => self.linearize(s),
             ExprKind::Unary(UnOp::Minus, s) => {
                 let (coefs, off) = self.linearize(s)?;
@@ -587,6 +592,12 @@ impl<'a> DepCollector<'a> {
         )
     }
 
+    /// The variable the pointer counter `v` walks, unless the body assigns it.
+    fn walked(&self, v: &P<VarDecl>) -> Option<P<VarDecl>> {
+        let base = self.levels[*self.ivs.get(&v.id)?].walks.as_ref()?;
+        (!self.assigned.contains(&base.id)).then(|| P::clone(base))
+    }
+
     /// The variable an element access is based on, with its modeled
     /// subscript — or `None` with the reason recorded as unmodeled.
     fn element(&mut self, e: &P<Expr>) -> Option<(P<VarDecl>, Option<LinSubscript>, String)> {
@@ -594,17 +605,27 @@ impl<'a> DepCollector<'a> {
             col.unmodeled.push((v.id, why.to_string(), e.loc));
             Some((P::clone(v), None, String::new()))
         };
+        // Through a counter that walks `a`, `*(p + e)` is `a[p + e]` and
+        // `p[e]` is `a[p + e]`: the counter stands for its element offset.
         if let ExprKind::Unary(UnOp::Deref, p) = &e.kind {
             let v = pointer_root(p)?;
-            return unmodeled(self, v, "access through a dereferenced pointer");
+            let Some(a) = self.walked(v) else {
+                return unmodeled(self, v, "access through a dereferenced pointer");
+            };
+            let (sub, text) = self.classify(a.id, &[p], &[1]);
+            return Some((a, sub, text));
         }
         let (base, idxs) = subscript_chain(e);
         let Some(v) = base.as_decl_ref() else {
             let v = pointer_root(base)?;
             return unmodeled(self, v, "access through a computed pointer");
         };
-        if v.ty.is_pointer() && self.locals.contains(&v.id) {
-            return unmodeled(self, v, "access through a pointer declared inside the loop");
+        if let (Some(a), [idx]) = (self.walked(v), &idxs[..]) {
+            let (sub, text) = self.classify(a.id, &[base, idx], &[1, 1]);
+            return Some((a, sub, text));
+        }
+        if v.ty.is_pointer() && (self.locals.contains(&v.id) || self.ivs.contains_key(&v.id)) {
+            return unmodeled(self, v, "access through a pointer that changes in the loop");
         }
         let Some(strides) = element_strides(&v.ty, idxs.len()) else {
             return unmodeled(
@@ -619,6 +640,14 @@ impl<'a> DepCollector<'a> {
 
     fn record(&mut self, e: &P<Expr>, write: bool) {
         let e = e.ignore_wrappers();
+        let reference = e.as_decl_ref().filter(|v| v.by_ref);
+        if let Some(bound) = reference.and_then(|v| self.defs.get(&v.id)) {
+            let at_use = P::new(Expr {
+                loc: e.loc,
+                ..Expr::clone(bound)
+            });
+            return self.record(&at_use, write);
+        }
         let order = self.next_order;
         self.next_order += 1;
         let (v, array, sub, text) = match &e.kind {
@@ -675,16 +704,17 @@ impl StmtVisitor for DepCollector<'_> {
         match &s.kind {
             StmtKind::Decl(decls) => {
                 for d in decls {
-                    if let Decl::Var(v) = d {
-                        self.locals.insert(v.id);
-                        if let Some(init) = v.init.as_ref().filter(|_| !v.by_ref) {
-                            if !self.assigned.contains(&v.id) {
-                                self.defs.insert(v.id, P::clone(init));
-                            }
-                        }
+                    let Decl::Var(v) = d else { continue };
+                    self.locals.insert(v.id);
+                    let Some(init) = &v.init else { continue };
+                    if v.by_ref || !self.assigned.contains(&v.id) {
+                        self.defs.insert(v.id, P::clone(init));
+                    }
+                    match v.by_ref {
+                        true => self.visit_address(init),
+                        false => self.visit_expr(init),
                     }
                 }
-                walk_stmt(self, s);
             }
             StmtKind::If { cond, then, els } => {
                 self.visit_expr(cond);
@@ -961,24 +991,45 @@ fn test_pair(x: &LinSubscript, y: &LinSubscript, levels: &[LevelInfo]) -> Solve 
 // Graph construction
 // ---------------------------------------------------------------------------
 
-fn level_info(levels: &[CanonicalLoopAnalysis], idents: &IdentifierTable) -> Vec<LevelInfo> {
+fn level_info(levels: &[LoopNestLevel], idents: &IdentifierTable) -> Vec<LevelInfo> {
     levels
         .iter()
-        .map(|a| {
+        .map(|LoopNestLevel { analysis: a, .. }| {
             let mag = a.step.eval_const_int();
             let step = mag.map(|m| match a.direction {
                 LoopDirection::Up => m,
                 LoopDirection::Down => -m,
             });
+            let (walks, lb) = match start_of(&a.lb) {
+                Some((v, off)) if a.iter_var.ty.is_pointer() => (Some(v), Some(off)),
+                _ => (None, a.lb.eval_const_int()),
+            };
             LevelInfo {
                 iv: a.iter_var.id,
                 iv_name: idents.get(a.iter_var.name).to_string(),
                 step,
-                lb: a.lb.eval_const_int(),
+                lb,
+                walks,
                 max_iter: a.const_trip_count().map(|tc| i128::from(tc).max(1) - 1),
             }
         })
         .collect()
+}
+
+/// The pointer `e` as a variable and a constant element offset, looking
+/// through the compiler's never-reassigned variables (`__range`).
+fn start_of(e: &P<Expr>) -> Option<(P<VarDecl>, i128)> {
+    match &e.ignore_wrappers().kind {
+        ExprKind::DeclRef(v) => match &v.init {
+            Some(init) if v.implicit => start_of(init),
+            _ => Some((P::clone(v), 0)),
+        },
+        ExprKind::Binary(op @ (BinOp::Add | BinOp::Sub), l, r) if l.ty.is_pointer() => {
+            let ((v, off), c) = (start_of(l)?, r.eval_const_int()?);
+            Some((v, if *op == BinOp::Add { off + c } else { off - c }))
+        }
+        _ => None,
+    }
 }
 
 /// Turns one solution vector into a normalized [`Dependence`], or `None`
@@ -1048,10 +1099,10 @@ impl DependenceGraph {
     /// expressed over all `levels` (outermost first); accesses that defeat
     /// the subscript tests are listed in [`DependenceGraph::limits`];
     /// `idents` spells the variables' names.
-    pub fn compute(levels: &[CanonicalLoopAnalysis], idents: &IdentifierTable) -> DependenceGraph {
+    pub fn compute(levels: &[LoopNestLevel], idents: &IdentifierTable) -> DependenceGraph {
         omplt_trace::count("analysis.depend.graphs", 1);
         let info = level_info(levels, idents);
-        let col = DepCollector::collect(&info, idents, &levels[levels.len() - 1].body);
+        let col = DepCollector::collect(&info, idents, &LoopNestLevel::innermost_body(levels));
 
         let mut deps: Vec<Dependence> = Vec::new();
         let mut limits = col.limits(|id| col.writes(id));
@@ -1139,20 +1190,13 @@ impl DependenceGraph {
 // The directive checks
 // ---------------------------------------------------------------------------
 
-/// The analyses of the loops Sema associated `d` with (`OMPDirective::nest`);
-/// empty when Sema refused the nest and has said why.
-fn analyses(d: &OMPDirective) -> Vec<CanonicalLoopAnalysis> {
-    d.nest.iter().map(|l| l.analysis.clone()).collect()
-}
-
 /// The loops a single-nest directive's graph spans: the nest Sema resolved
 /// for it, extended downwards by Sema's own level rule — levels below the
 /// directive's depth sharpen the direction vectors (they turn `a[i*M + j]`
 /// from "not affine" into an exact MIV solve); empty when Sema refused the
 /// nest.
-fn graph_levels(d: &OMPDirective) -> Vec<CanonicalLoopAnalysis> {
-    let nest = extend_loop_nest(&d.nest, MAX_DEPTH);
-    nest.into_iter().map(|l| l.analysis).collect()
+fn graph_levels(d: &OMPDirective) -> Vec<LoopNestLevel> {
+    extend_loop_nest(&d.nest, MAX_DEPTH)
 }
 
 /// The graph of a single-nest directive over its [`graph_levels`]; `None`
@@ -1391,12 +1435,7 @@ impl DependVisitor<'_> {
     /// privatise races when a dependence on it is carried by one of those
     /// levels. One warning per variable, at its write. `graph` spans
     /// `levels`, the workshared ones and those extended below them.
-    fn check_race(
-        &self,
-        d: &P<OMPDirective>,
-        levels: &[CanonicalLoopAnalysis],
-        graph: &DependenceGraph,
-    ) {
+    fn check_race(&self, d: &P<OMPDirective>, levels: &[LoopNestLevel], graph: &DependenceGraph) {
         let pragma = d.pragma_text();
         let private = clause_privates(d);
         let workshared = d.nest.len();
@@ -1406,8 +1445,8 @@ impl DependVisitor<'_> {
         // thread assigns the one shared object. The graph of the workshared
         // levels alone sees it as the written scalar it is.
         let counters: BTreeSet<DeclId> = (levels[workshared..].iter())
-            .filter(|l| !l.declares_var && !private.contains(&l.iter_var.id))
-            .map(|l| l.iter_var.id)
+            .filter(|l| !l.analysis.declares_var && !private.contains(&l.analysis.iter_var.id))
+            .map(|l| l.analysis.iter_var.id)
             .collect();
         let own = (!counters.is_empty())
             .then(|| DependenceGraph::compute(&levels[..workshared], self.idents));
@@ -1500,17 +1539,17 @@ impl DependVisitor<'_> {
         let pragma = d.pragma_text();
         // The members of the sequence, in source order. Sema has diagnosed
         // a sequence it could not resolve (or one of fewer than two loops).
-        let loops = analyses(d);
-        if loops.is_empty() {
+        if d.nest.is_empty() {
             return;
         }
         // Collect each loop's accesses in its own logical space.
-        let infos: Vec<Vec<LevelInfo>> = loops
-            .iter()
-            .map(|l| level_info(std::slice::from_ref(l), self.idents))
-            .collect();
-        let collected: Vec<DepCollector<'_>> = (loops.iter().zip(&infos))
-            .map(|(l, info)| DepCollector::collect(info, self.idents, &l.body))
+        let loops = d.nest.chunks(1);
+        let infos: Vec<Vec<LevelInfo>> =
+            loops.clone().map(|l| level_info(l, self.idents)).collect();
+        let collected: Vec<DepCollector<'_>> = (loops.zip(&infos))
+            .map(|(l, info)| {
+                DepCollector::collect(info, self.idents, &LoopNestLevel::innermost_body(l))
+            })
             .collect();
         omplt_trace::count("analysis.depend.graphs", 1);
         // A variable any member writes is judged in all of them.

@@ -683,8 +683,7 @@ fn dependence_graph_api_reports_vectors() {
     });
     let nest = &interchange.expect("directive").nest;
     assert_eq!(nest.len(), 2, "one level per associated loop");
-    let levels: Vec<_> = nest.iter().map(|l| l.analysis.clone()).collect();
-    let graph = DependenceGraph::compute(&levels, &tu.idents);
+    let graph = DependenceGraph::compute(nest, &tu.idents);
     assert!(graph.is_complete(), "{:?}", graph.limits);
     assert_eq!(graph.depth, 2);
     assert_eq!(graph.deps.len(), 1, "{:?}", graph.deps);

@@ -14,7 +14,7 @@
 use crate::context::ASTContext;
 use crate::decl::VarDecl;
 use crate::expr::{BinOp, CastKind, Expr, ExprKind, ValueCategory};
-use crate::stmt::Stmt;
+use crate::stmt::{Stmt, StmtKind};
 use crate::ty::Type;
 use crate::P;
 use omplt_source::SourceLocation;
@@ -221,12 +221,31 @@ fn to_unsigned(_ctx: &ASTContext, e: P<Expr>, uty: &P<Type>) -> P<Expr> {
 /// One level of a collected (possibly already-transformed) loop nest.
 #[derive(Clone, Debug)]
 pub struct LoopNestLevel {
-    /// Statements that must execute before this level's loop (e.g. the
-    /// `.capture_expr.` declarations of an inner transformed AST).
+    /// Statements that must execute before this level's loop: the
+    /// `.capture_expr.` declarations of an inner transformed AST, then a
+    /// range-`for`'s `__range`/`__begin`/`__end` (Clang's `OMPLoopScope`).
     pub prologue: Vec<P<Stmt>>,
+    /// What an iteration runs before the body, once every counter of the
+    /// nest is set: a range-`for`'s `T &v = *__begin` declaration (the
+    /// loop-variable statement Clang's `EmitOMPLoopBody` emits first).
+    pub binding: Option<P<Stmt>>,
     /// The literal `for` / range-`for` statement the walker found, wrappers
     /// removed.
     pub loop_stmt: P<Stmt>,
     /// The canonical-form analysis of the level's loop.
     pub analysis: CanonicalLoopAnalysis,
+}
+
+impl LoopNestLevel {
+    /// The innermost body of `nest` as each iteration runs it: every
+    /// level's binding, outermost first, then the user's body.
+    pub fn innermost_body(nest: &[LoopNestLevel]) -> P<Stmt> {
+        let body = &nest[nest.len() - 1].analysis.body;
+        let bindings = nest.iter().filter_map(|l| l.binding.clone());
+        let stmts: Vec<P<Stmt>> = bindings.chain([P::clone(body)]).collect();
+        match stmts.len() {
+            1 => P::clone(body),
+            _ => Stmt::new(StmtKind::Compound(stmts), body.loc),
+        }
+    }
 }

@@ -7,8 +7,8 @@
 
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{
-    ClauseModifier, DeclId, OMPClauseKind, OMPDirective, OMPDirectiveKind, OpenMpCodegenMode,
-    ReductionOp, ScheduleKind, Stmt, StmtKind, P,
+    ClauseModifier, DeclId, LoopNestLevel, OMPClauseKind, OMPDirective, OMPDirectiveKind,
+    OpenMpCodegenMode, ReductionOp, ScheduleKind, Stmt, StmtKind, P,
 };
 use omplt_ir::{
     BlockId, Function, IrType, LoopMetadata, RtFn, SchedType, SymbolId, UnrollHint, Value,
@@ -72,17 +72,9 @@ impl FnCodegen<'_, '_> {
         });
         // The associated loop as Sema resolved it, looking through
         // wrappers and inner transformation directives.
-        let Some(level) = d.nest.first() else {
-            return self.emit_transformed_or_associated(d);
-        };
-        for p in &level.prologue {
-            self.emit_stmt(p);
-        }
-        match &level.loop_stmt.kind {
-            StmtKind::For { init, .. } => {
-                self.emit_canonical_for(init.as_ref(), &level.analysis, md)
-            }
-            _ => self.emit_stmt(&level.loop_stmt),
+        match d.nest.first() {
+            Some(level) => self.emit_canonical_for(level, md),
+            None => self.emit_transformed_or_associated(d),
         }
     }
 
@@ -712,11 +704,11 @@ enum LoopFlavor {
 }
 
 /// The associated nest as codegen needs it: everything to run before the
-/// loops (prologues of consumed transformed ASTs, hoisted declarations) and
-/// the innermost body — read off the nest Sema resolved, which is the one
-/// the helper bundle's expressions refer to.
+/// loops (every level's prologue) and the innermost body with the levels'
+/// bindings — read off the nest Sema resolved, which is the one the helper
+/// bundle's expressions refer to.
 fn associated_nest(d: &OMPDirective) -> Option<(Vec<P<Stmt>>, P<Stmt>)> {
-    let body = P::clone(&d.nest.last()?.analysis.body);
+    let body = (!d.nest.is_empty()).then(|| LoopNestLevel::innermost_body(&d.nest))?;
     let hoisted = d.nest.iter().flat_map(|l| &l.prologue).cloned();
     Some((hoisted.collect(), body))
 }

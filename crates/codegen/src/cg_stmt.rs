@@ -3,8 +3,8 @@
 
 use crate::codegen::{ir_type, Binding, FnCodegen};
 use omplt_ast::{
-    ASTContext, Attr, CanonicalLoopAnalysis, CxxForRangeData, Decl, LoopDirection,
-    OpenMpCodegenMode, Stmt, StmtKind, VarDecl, P,
+    ASTContext, Attr, CxxForRangeData, Decl, LoopDirection, LoopNestLevel, OpenMpCodegenMode, Stmt,
+    StmtKind, VarDecl, P,
 };
 use omplt_ir::{IrType, LoopMetadata, UnrollHint, Value};
 
@@ -219,19 +219,18 @@ impl FnCodegen<'_, '_> {
         self.cur = end;
     }
 
-    /// Lowers a literal `for` loop — its `init` statement and the canonical
-    /// form `a` Sema established for it — through the canonical skeleton
-    /// with `md` on the latch, so the mid-end `LoopUnroll` pass can
+    /// Lowers the loop of `level` — its prologue, its `init` statement and
+    /// the canonical form Sema established for it — through the canonical
+    /// skeleton with `md` on the latch, so the mid-end `LoopUnroll` pass can
     /// recognize it without ScalarEvolution-style analysis — this is what
     /// makes the deferral of an unconsumed `unroll` ("no duplication takes
     /// place until that point", paper §2.1) actually fire.
-    pub(crate) fn emit_canonical_for(
-        &mut self,
-        init: Option<&P<Stmt>>,
-        a: &CanonicalLoopAnalysis,
-        md: LoopMetadata,
-    ) {
-        if let Some(i) = init {
+    pub(crate) fn emit_canonical_for(&mut self, level: &LoopNestLevel, md: LoopMetadata) {
+        let a = &level.analysis;
+        for p in &level.prologue {
+            self.emit_stmt(p);
+        }
+        if let StmtKind::For { init: Some(i), .. } = &level.loop_stmt.kind {
             self.emit_stmt(i);
         }
         // Loop-invariant values, evaluated once in the preheader position:
@@ -288,7 +287,7 @@ impl FnCodegen<'_, '_> {
         });
         self.store_var(&a.iter_var, val);
         self.loop_stack.push((cli.after, cli.latch));
-        self.emit_stmt(&a.body);
+        self.emit_stmt(&LoopNestLevel::innermost_body(std::slice::from_ref(level)));
         self.loop_stack.pop();
         self.branch_if_open(cli.latch);
         self.cur = cli.after;

@@ -127,7 +127,8 @@ mod tests {
 
     /// Analyses `lp` the way nest collection does, then wraps it.
     fn wrap(ctx: &ASTContext, lp: &P<Stmt>) -> (P<OMPCanonicalLoop>, CanonicalLoopAnalysis) {
-        let analysis = analyze_canonical_loop(ctx, lp, "#pragma omp unroll").unwrap();
+        let level = analyze_canonical_loop(ctx, lp, "#pragma omp unroll").unwrap();
+        let analysis = level.analysis;
         (build_canonical_loop(ctx, lp, &analysis), analysis)
     }
 

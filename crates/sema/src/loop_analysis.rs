@@ -10,8 +10,8 @@
 //! one of `++var`, `var++`, `--var`, `var--`, `var += s`, `var -= s`,
 //! `var = var + s`, `var = var - s`.
 //!
-//! The analysis produces an `omplt_ast::CanonicalLoopAnalysis` — everything
-//! Sema needs for either representation, kept on the directive
+//! The analysis produces an `omplt_ast::LoopNestLevel` — everything Sema
+//! needs for either representation, kept on the directive
 //! (`OMPDirective::nest`) for the layers behind Sema — or a [`LoopRefusal`]
 //! saying where and why the loop is not in canonical form. `nest_level`
 //! adds the nest's own rules (perfect nesting, rectangularity) with a
@@ -21,8 +21,8 @@
 //! directive's own depth with, ignores them.
 
 use omplt_ast::{
-    loop_level, ASTContext, BinOp, CanonicalLoopAnalysis, Decl, Expr, ExprKind, LoopDirection,
-    LoopNestLevel, NestRefusal, Stmt, StmtKind, UnOp, VarDecl, P,
+    loop_level, ASTContext, BinOp, CanonicalLoopAnalysis, Decl, DeclId, Expr, ExprKind,
+    LoopDirection, LoopNestLevel, NestRefusal, Stmt, StmtKind, UnOp, VarDecl, P,
 };
 use omplt_source::{SourceLocation, Symbol};
 
@@ -57,14 +57,21 @@ fn refuse<T>(loc: SourceLocation, message: impl Into<String>) -> Result<T, LoopR
     })
 }
 
-/// Analyzes `stmt` as an OpenMP canonical loop. `directive_name` is used in
-/// the refusal's message (e.g. `"#pragma omp unroll"`).
+/// Analyzes `stmt` as an OpenMP canonical loop: the level it makes on its
+/// own. `directive_name` is used in the refusal's message (e.g.
+/// `"#pragma omp unroll"`).
 pub fn analyze_canonical_loop(
     ctx: &ASTContext,
     stmt: &P<Stmt>,
     directive_name: &str,
-) -> Result<CanonicalLoopAnalysis, LoopRefusal> {
+) -> Result<LoopNestLevel, LoopRefusal> {
     let stmt = stmt.strip_to_loop();
+    let level = |analysis, prologue, binding| LoopNestLevel {
+        prologue,
+        binding,
+        loop_stmt: P::clone(stmt),
+        analysis,
+    };
     match &stmt.kind {
         StmtKind::For {
             init,
@@ -79,7 +86,8 @@ pub fn analyze_canonical_loop(
             inc.as_ref(),
             body,
             directive_name,
-        ),
+        )
+        .map(|a| level(a, Vec::new(), None)),
         StmtKind::CxxForRange(d) => {
             // The de-sugared begin/end/cond/inc follow the canonical pattern
             // by construction (Sema built them); analyze the pointer loop.
@@ -91,7 +99,7 @@ pub fn analyze_canonical_loop(
             let lb = d.begin_var.init.clone();
             let lb = lb.expect("the range-for de-sugaring initializes __begin");
             let ub = ctx.read_var(&d.end_var, stmt.loc);
-            Ok(CanonicalLoopAnalysis {
+            let a = CanonicalLoopAnalysis {
                 logical_ty: ctx.size_t(),
                 iter_var,
                 declares_var: true,
@@ -102,7 +110,9 @@ pub fn analyze_canonical_loop(
                 direction: LoopDirection::Up,
                 body: P::clone(&d.body),
                 loc: stmt.loc,
-            })
+            };
+            let setup = [&d.range_stmt, &d.begin_stmt, &d.end_stmt].map(P::clone);
+            Ok(level(a, setup.to_vec(), Some(P::clone(&d.loop_var_stmt))))
         }
         _ => refuse(
             stmt.loc,
@@ -228,15 +238,17 @@ fn analyze_for(
             format!("'{directive_name}' loop requires an increment"),
         );
     };
+    // A pointer steps by a count of elements.
+    let unit_ty = if iter_var.ty.is_pointer() {
+        ctx.ptrdiff_t()
+    } else {
+        P::clone(&iter_var.ty)
+    };
     let (step, step_negative) = match &inc.ignore_wrappers().kind {
         ExprKind::Unary(op, sub) if sub.as_decl_ref().is_some_and(|v| v.id == iter_var.id) => {
             match op {
-                UnOp::PreInc | UnOp::PostInc => {
-                    (ctx.int_lit(1, P::clone(&iter_var.ty), inc.loc), false)
-                }
-                UnOp::PreDec | UnOp::PostDec => {
-                    (ctx.int_lit(1, P::clone(&iter_var.ty), inc.loc), true)
-                }
+                UnOp::PreInc | UnOp::PostInc => (ctx.int_lit(1, unit_ty, inc.loc), false),
+                UnOp::PreDec | UnOp::PostDec => (ctx.int_lit(1, unit_ty, inc.loc), true),
                 _ => {
                     return refuse(
                         inc.loc,
@@ -456,16 +468,13 @@ pub(crate) fn nest_level(
     if !level.intervening.iter().all(only_decls) {
         return Err(LevelRefusal::Walker(NestRefusal::NotALoop(P::clone(stmt))));
     }
-    let analysis = analyze_canonical_loop(ctx, &level.loop_stmt, directive_name)
+    let mut nested = analyze_canonical_loop(ctx, &level.loop_stmt, directive_name)
         .map_err(LevelRefusal::Canonical)?;
-    if let Some((var, loc)) = find_nonrectangular_ref(&analysis, outer) {
+    nested.prologue.splice(0..0, level.hoisted().cloned());
+    if let Some((var, loc)) = find_nonrectangular_ref(&nested, outer) {
         return Err(LevelRefusal::NonRectangular(var, loc));
     }
-    Ok(LoopNestLevel {
-        prologue: level.hoisted().cloned().collect(),
-        loop_stmt: level.loop_stmt,
-        analysis,
-    })
+    Ok(nested)
 }
 
 /// `nest` extended downwards by the rule of `nest_level`, up to
@@ -487,34 +496,41 @@ pub fn extend_loop_nest(nest: &[LoopNestLevel], max_depth: usize) -> Vec<LoopNes
     levels
 }
 
-/// The first reference in the loop-control expressions of `analysis`
-/// (lower bound, upper bound, step) to an iteration variable of `outer`,
-/// with its location.
+/// The first reference in what `level` runs before its loop (its prologue,
+/// lower bound, upper bound and step) to a variable an iteration of `outer`
+/// sets (its counter or binding), with its location.
 fn find_nonrectangular_ref(
-    analysis: &CanonicalLoopAnalysis,
+    level: &LoopNestLevel,
     outer: &[LoopNestLevel],
 ) -> Option<(P<VarDecl>, SourceLocation)> {
-    struct Finder<'a> {
-        outer: &'a [LoopNestLevel],
+    struct Finder {
+        set: Vec<DeclId>,
         hit: Option<(P<VarDecl>, SourceLocation)>,
     }
-    impl omplt_ast::StmtVisitor for Finder<'_> {
+    impl omplt_ast::StmtVisitor for Finder {
         fn visit_expr(&mut self, e: &P<Expr>) {
             if self.hit.is_some() {
                 return;
             }
-            if let Some(v) = e.as_decl_ref() {
-                let mut ivs = self.outer.iter().map(|l| &l.analysis.iter_var);
-                if let Some(o) = ivs.find(|o| o.id == v.id) {
-                    self.hit = Some((P::clone(o), e.loc));
-                    return;
-                }
+            if let Some(v) = e.as_decl_ref().filter(|v| self.set.contains(&v.id)) {
+                self.hit = Some((P::clone(v), e.loc));
+                return;
             }
             omplt_ast::walk_expr(self, e);
         }
     }
-    let mut f = Finder { outer, hit: None };
-    for e in [&analysis.lb, &analysis.ub, &analysis.step] {
+    let mut set: Vec<DeclId> = outer.iter().map(|l| l.analysis.iter_var.id).collect();
+    for l in outer {
+        if let Some(StmtKind::Decl(decls)) = l.binding.as_ref().map(|s| &s.kind) {
+            set.extend(decls.iter().map(Decl::id));
+        }
+    }
+    let mut f = Finder { set, hit: None };
+    for s in &level.prologue {
+        omplt_ast::StmtVisitor::visit_stmt(&mut f, s);
+    }
+    let a = &level.analysis;
+    for e in [&a.lb, &a.ub, &a.step] {
         omplt_ast::StmtVisitor::visit_expr(&mut f, e);
     }
     f.hit
@@ -563,7 +579,7 @@ mod tests {
     }
 
     fn analyze(ctx: &ASTContext, s: &P<Stmt>) -> Result<CanonicalLoopAnalysis, LoopRefusal> {
-        analyze_canonical_loop(ctx, s, "#pragma omp for")
+        analyze_canonical_loop(ctx, s, "#pragma omp for").map(|l| l.analysis)
     }
 
     #[test]

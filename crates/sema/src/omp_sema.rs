@@ -414,8 +414,8 @@ impl Sema<'_> {
             levels
         };
         let levels = &d.nest;
-        let first = &levels[0].analysis;
-        if full && first.const_trip_count().is_none() {
+        let first = &levels[0];
+        if full && first.analysis.const_trip_count().is_none() {
             self.diags.error(
                 loc,
                 "loop to be fully unrolled must have a constant trip count (is the bound a constant?)",
@@ -437,8 +437,9 @@ impl Sema<'_> {
         if !matches!(kind, Unroll | Tile) && omplt_trace::active() {
             omplt_trace::count(&format!("sema.transform.{}", kind.name()), 1);
         }
-        // The single-loop transforms see only the loop's analysis: the
-        // prologue of a consumed inner transformation must stay in front.
+        // The single-loop transforms leave the level's prologue (a consumed
+        // inner transformation's declarations, a range's setup) to us: it
+        // must stay in front.
         if kind.loop_association() == LoopAssociation::One {
             t = wrap_with_prologue(&levels[0].prologue, t, loc);
         }

@@ -105,10 +105,11 @@ fn make_loop(
 pub fn transform_unroll_partial(
     ctx: &ASTContext,
     sm: &mut SourceManager,
-    a: &CanonicalLoopAnalysis,
+    level: &LoopNestLevel,
     factor: u64,
     pragma_text: &str,
 ) -> P<Stmt> {
+    let a = &level.analysis;
     let loc = sm.create_transformed_loc(a.loc, pragma_text);
     let uty = P::clone(&a.logical_ty);
     let ulit = |v: i128| ctx.int_lit(v, P::clone(&uty), loc);
@@ -160,7 +161,7 @@ pub fn transform_unroll_partial(
     let inner_body = Stmt::new(
         StmtKind::Compound(vec![
             materialize_user_var(ctx, a, ctx.read_var(&inner_iv, loc), loc),
-            P::clone(&a.body),
+            LoopNestLevel::innermost_body(std::slice::from_ref(level)),
         ]),
         loc,
     );
@@ -266,7 +267,7 @@ pub fn transform_tile(
             loc,
         ));
     }
-    body_stmts.push(P::clone(&levels[n - 1].analysis.body));
+    body_stmts.push(LoopNestLevel::innermost_body(levels));
     let mut current = Stmt::new(StmtKind::Compound(body_stmts), loc);
 
     // Tile loops, innermost-out.
@@ -384,7 +385,7 @@ pub fn transform_interchange(
             loc,
         ));
     }
-    body_stmts.push(P::clone(&levels[n - 1].analysis.body));
+    body_stmts.push(LoopNestLevel::innermost_body(levels));
     let mut current = Stmt::new(StmtKind::Compound(body_stmts), loc);
 
     // Loops in permuted order, innermost-out.
@@ -418,9 +419,10 @@ pub fn transform_interchange(
 pub fn transform_reverse(
     ctx: &ASTContext,
     sm: &mut SourceManager,
-    a: &CanonicalLoopAnalysis,
+    level: &LoopNestLevel,
     pragma_text: &str,
 ) -> P<Stmt> {
+    let a = &level.analysis;
     let loc = sm.create_transformed_loc(a.loc, pragma_text);
     let uty = P::clone(&a.logical_ty);
     let ulit = |v: i128| ctx.int_lit(v, P::clone(&uty), loc);
@@ -452,7 +454,7 @@ pub fn transform_reverse(
     let body = Stmt::new(
         StmtKind::Compound(vec![
             materialize_user_var(ctx, a, mirrored, loc),
-            P::clone(&a.body),
+            LoopNestLevel::innermost_body(std::slice::from_ref(level)),
         ]),
         loc,
     );
@@ -536,7 +538,7 @@ pub fn transform_fuse(
         let then = Stmt::new(
             StmtKind::Compound(vec![
                 materialize_user_var(ctx, a, ctx.read_var(&iv, loc), loc),
-                P::clone(&a.body),
+                LoopNestLevel::innermost_body(std::slice::from_ref(l)),
             ]),
             loc,
         );
@@ -620,16 +622,7 @@ mod tests {
             },
             loc,
         );
-        let analysis = analyze_canonical_loop(ctx, &s, "#pragma omp unroll").unwrap();
-        LoopNestLevel {
-            prologue: vec![],
-            loop_stmt: s,
-            analysis,
-        }
-    }
-
-    fn analysis_for(ctx: &ASTContext, lb: i128, ub: i128, step: i128) -> CanonicalLoopAnalysis {
-        level_for(ctx, lb, ub, step).analysis
+        analyze_canonical_loop(ctx, &s, "#pragma omp unroll").unwrap()
     }
 
     fn fresh_sm() -> SourceManager {
@@ -640,8 +633,8 @@ mod tests {
     fn partial_unroll_shape_matches_paper() {
         let ctx = ASTContext::new();
         let mut sm = fresh_sm();
-        let a = analysis_for(&ctx, 7, 17, 3);
-        let t = transform_unroll_partial(&ctx, &mut sm, &a, 2, "#pragma omp unroll partial(2)");
+        let l = level_for(&ctx, 7, 17, 3);
+        let t = transform_unroll_partial(&ctx, &mut sm, &l, 2, "#pragma omp unroll partial(2)");
         let d = dump_stmt(&t, &ctx.idents(), DumpOptions::default());
         // strip-mined outer loop over '.unrolled.iv.i'
         assert!(d.contains(".unrolled.iv.i"), "{d}");
@@ -664,15 +657,15 @@ mod tests {
         // transformed AST "must be an OpenMP canonical loop nest itself").
         let ctx = ASTContext::new();
         let mut sm = fresh_sm();
-        let a = analysis_for(&ctx, 0, 10, 1);
-        let t = transform_unroll_partial(&ctx, &mut sm, &a, 4, "#pragma omp unroll partial(4)");
+        let l = level_for(&ctx, 0, 10, 1);
+        let t = transform_unroll_partial(&ctx, &mut sm, &l, 4, "#pragma omp unroll partial(4)");
         let level = omplt_ast::loop_level(&t).expect("compound with trailing loop");
         assert_eq!(level.intervening.len(), 1, "a bare compound is literal");
         let re = analyze_canonical_loop(&ctx, &level.loop_stmt, "#pragma omp for").unwrap();
         // 10 iterations unrolled by 4 → ⌈10/4⌉ = 3 outer iterations; the
         // trip count is not constant (it reads .capture_expr.) but the
         // analysis succeeds and the direction is up.
-        assert_eq!(re.direction, omplt_ast::LoopDirection::Up);
+        assert_eq!(re.analysis.direction, omplt_ast::LoopDirection::Up);
     }
 
     #[test]
@@ -715,11 +708,11 @@ mod tests {
     fn generated_statements_have_synthetic_locations() {
         let ctx = ASTContext::new();
         let mut sm = fresh_sm();
-        let a = analysis_for(&ctx, 0, 8, 1);
-        let t = transform_unroll_partial(&ctx, &mut sm, &a, 2, "#pragma omp unroll partial(2)");
+        let l = level_for(&ctx, 0, 8, 1);
+        let t = transform_unroll_partial(&ctx, &mut sm, &l, 2, "#pragma omp unroll partial(2)");
         assert!(t.loc.is_synthetic());
         let (rep, origin) = sm.map_transformed(t.loc).unwrap();
-        assert_eq!(rep, a.loc);
+        assert_eq!(rep, l.analysis.loc);
         assert_eq!(origin, "#pragma omp unroll partial(2)");
     }
 }

@@ -103,6 +103,82 @@ ret.c:2:11: note: enclosing '#pragma omp parallel num_threads(2)' construct begi
     );
 }
 
+/// A range below the outermost level is set up in front of the nest, so a
+/// range reading an outer counter makes the nest non-rectangular; the
+/// refusal points at the counter in the range.
+#[test]
+fn range_reading_an_outer_counter_renders_exactly() {
+    let src = "\
+void print_i64(long v);
+long m[2][4];
+int main(void) {
+  #pragma omp for collapse(2)
+  for (int i = 0; i < 2; i++)
+    for (long &v : m[i])
+      print_i64(v);
+  return 0;
+}
+";
+    let text = "\
+rect.c:6:22: error: loop nest associated with '#pragma omp for' must be rectangular: bound of loop 2 depends on iteration variable 'i'
+    for (long &v : m[i])
+                     ^
+rect.c:5:12: note: iteration variable 'i' declared here
+  for (int i = 0; i < 2; i++)
+           ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"loop nest associated with '#pragma omp \
+                for' must be rectangular: bound of loop 2 depends on iteration variable 'i'\",\
+                \"file\":\"rect.c\",\"line\":6,\"column\":22,\"notes\":[{\"level\":\"note\",\
+                \"message\":\"iteration variable 'i' declared here\",\"file\":\"rect.c\",\
+                \"line\":5,\"column\":12,\"notes\":[]}]}]\n";
+    assert_eq!(
+        refusal_on_both_paths("rect.c", src),
+        (text.to_string(), json.to_string())
+    );
+}
+
+/// A consumed transformation's `.capture_expr.` declarations are set up in
+/// front of the nest as well, so a transformed inner loop whose bound reads
+/// an outer counter makes the nest non-rectangular too; the refusal points
+/// at the counter in the bound.
+#[test]
+fn captured_bound_reading_an_outer_counter_renders_exactly() {
+    let text = "\
+rect.c:6:25: error: loop nest associated with '#pragma omp for' must be rectangular: bound of loop 2 depends on iteration variable 'i'
+    for (int j = 0; j < i; j++)
+                        ^
+rect.c:4:12: note: iteration variable 'i' declared here
+  for (int i = 0; i < 6; i++) {
+           ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"loop nest associated with '#pragma omp \
+                for' must be rectangular: bound of loop 2 depends on iteration variable 'i'\",\
+                \"file\":\"rect.c\",\"line\":6,\"column\":25,\"notes\":[{\"level\":\"note\",\
+                \"message\":\"iteration variable 'i' declared here\",\"file\":\"rect.c\",\
+                \"line\":4,\"column\":12,\"notes\":[]}]}]\n";
+    for inner in ["tile sizes(4)", "unroll partial(2)"] {
+        let src = format!(
+            "void print_i64(long v);
+int main(void) {{
+  #pragma omp for collapse(2)
+  for (int i = 0; i < 6; i++) {{
+    #pragma omp {inner}
+    for (int j = 0; j < i; j++)
+      print_i64(i * 10 + j);
+  }}
+  return 0;
+}}
+"
+        );
+        assert_eq!(
+            refusal_on_both_paths("rect.c", &src),
+            (text.to_string(), json.to_string()),
+            "{inner}"
+        );
+    }
+}
+
 #[test]
 fn race_warning_renders_exactly() {
     let src = "\

@@ -129,3 +129,18 @@ fn only_sema_analyses_a_loop_and_only_the_driver_owns_an_engine() {
         }
     }
 }
+
+/// A range-`for` reaches the loop-directive lowerings only through the
+/// level record Sema resolved (`LoopNestLevel::prologue` and `binding`,
+/// read through `LoopNestLevel::innermost_body`): the classic lowering and
+/// the shadow-AST builders have no range-`for` case of their own.
+#[test]
+fn no_directive_lowering_has_a_range_for_case() {
+    for file in [
+        "crates/codegen/src/cg_omp_classic.rs",
+        "crates/sema/src/transform.rs",
+    ] {
+        let text = std::fs::read_to_string(file).unwrap();
+        assert!(!text.contains("CxxForRange"), "{file} names CxxForRange");
+    }
+}

@@ -688,6 +688,112 @@ fn reverse_through_aliasing_pointers_is_an_analysis_limit() {
     }
 }
 
+/// A range-`for`'s `long &v` is the element `__begin` points at, an element
+/// of the array the range walks, so the gate judges `v` as it judges `*p`
+/// in a pointer loop over that array. On both paths the race-free and
+/// dependence-free rows of `range_for.c` get no finding naming `v`, and
+/// `v = a[0] + v`, whose first iteration writes the `a[0]` every iteration
+/// reads, is refused under `reverse` and a 2-D `interchange`, is a race
+/// under `parallel for` and never runs widened under `simd`. Through the
+/// pointer loop the gate sees the same elements of `a`.
+#[test]
+fn a_range_for_is_judged_as_its_pointer_loop() {
+    let rows = fixture("range_for.c");
+    let program = |name: &str, pragma: &str, nest: &str, body: &str| {
+        let src = format!(
+            "void print_i64(long v);\nlong a[7];\nint main(void) {{\n\
+             \x20 for (int i = 0; i < 7; i += 1)\n    a[i] = i + 1;\n\
+             \x20 #pragma omp {pragma}\n  {nest}\n    {body}\n\
+             \x20 for (int i = 0; i < 7; i += 1)\n    print_i64(a[i]);\n  return 0;\n}}\n"
+        );
+        write_temp(name, &src)
+    };
+    let carried =
+        |name: &str, pragma: &str, nest: &str| program(name, pragma, nest, "v = a[0] + v;");
+    let simd = carried("range_for_carried.c", "simd", "for (long &v : a)");
+    let refused = [
+        carried("range_for_reverse.c", "reverse", "for (long &v : a)"),
+        carried(
+            "range_for_interchange.c",
+            "interchange",
+            "for (int i = 0; i < 2; i += 1) for (long &v : a)",
+        ),
+        program(
+            "pointer_reverse.c",
+            "reverse",
+            "for (long *p = a; p < a + 7; p++)",
+            "*p = a[0] + *p;",
+        ),
+    ];
+    let race = carried("range_for_race.c", "parallel for", "for (long &v : a)");
+    let pointer_simd = program(
+        "pointer_carried.c",
+        "simd",
+        "for (long *p = a + 1; p < a + 7; p++)",
+        "*p = p[-1] * 2 + 1;",
+    );
+    let oracle = ompltc(&["--no-openmp", "--run"], &simd);
+    assert_eq!(oracle.stdout, "2\n4\n5\n6\n7\n8\n9\n");
+    let counters = write_temp("range_for_carried.counters.json", "");
+    let flag = format!("--counters-json={}", counters.display());
+    for path in [&[][..], &["--enable-irbuilder"]] {
+        let analyzed = ompltc(&[path, &["--analyze"]].concat(), &rows);
+        assert!(
+            !analyzed.stderr.contains("'v'"),
+            "{path:?}: {}",
+            analyzed.stderr
+        );
+        let findings: Vec<&str> = (analyzed.stderr.lines())
+            .filter(|l| l.contains(": warning: ") || l.contains(": error: "))
+            .collect();
+        assert_eq!(findings.len(), 1, "{path:?}: {}", analyzed.stderr);
+        assert!(
+            findings[0].contains("'#pragma omp simd' is not applied")
+                && findings[0].contains("dependence on 'a'"),
+            "{path:?}: {}",
+            findings[0]
+        );
+        let vm4 = [
+            "--backend=vm:strict",
+            "--vector-width=4",
+            "--opt",
+            "--run",
+            &flag,
+        ];
+        let ran = ompltc(&[path, &vm4[..]].concat(), &simd);
+        assert_eq!(ran.stdout, oracle.stdout, "{path:?}: {}", ran.stderr);
+        assert!(
+            ran.stderr.contains("is not applied"),
+            "{path:?}: {}",
+            ran.stderr
+        );
+        let json = std::fs::read_to_string(&counters).unwrap();
+        assert_eq!(counter(&json, "vm.simd.widened_loops"), Some(0), "{path:?}");
+        for src in &refused {
+            let out = ompltc(&[path, &["--analyze"]].concat(), src);
+            assert_eq!(out.code, Some(1), "{path:?} {}", src.display());
+            assert!(
+                out.stderr.contains("' is illegal here: ") && out.stderr.contains("on 'a'"),
+                "{path:?}: {}",
+                out.stderr
+            );
+        }
+        let out = ompltc(&[path, &["--analyze"]].concat(), &pointer_simd);
+        assert!(
+            out.stderr
+                .contains("flow dependence on 'a' with distance vector (1)"),
+            "{path:?}: {}",
+            out.stderr
+        );
+        let out = ompltc(&[path, &["--analyze"]].concat(), &race);
+        assert!(
+            out.stderr.contains("shared array 'a'") && out.stderr.contains("[-Wrace]"),
+            "{path:?}: {}",
+            out.stderr
+        );
+    }
+}
+
 /// What is not intervening code stays accepted: declarations sharing a block
 /// with the *outermost* loop run before the nest either way, and the
 /// `.capture_expr.` declarations of a consumed transformation are the

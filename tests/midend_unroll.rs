@@ -523,6 +523,25 @@ fn unroll_partial_retires_no_more_than_the_plain_loop() {
     }
 }
 
+/// An unconsumed `unroll partial` over a range-`for` lowers through the
+/// canonical skeleton as it does over a pointer loop: the pass unrolls both
+/// on both lowering paths, and the program prints what it prints serially.
+#[test]
+fn unroll_partial_keeps_its_hint_over_a_range_for() {
+    let src = "void print_i64(long v);\nlong a[7];\nint main(void) {\n\
+               \x20 for (int i = 0; i < 7; i++)\n    a[i] = i + 1;\n\
+               \x20 #pragma omp unroll partial(3)\n  for (long &v : a)\n    v = v * 3;\n\
+               \x20 #pragma omp unroll partial(3)\n  for (long *p = a; p != a + 7; p++)\n\
+               \x20   print_i64(*p);\n  return 0;\n}\n";
+    for codegen_mode in MODES {
+        for backend in BACKENDS {
+            let (_, stats, run) = optimized(src, codegen_mode, backend);
+            assert_eq!(stats.partial, 2, "{codegen_mode:?} on {backend:?}");
+            assert_eq!(run.stdout, "3\n6\n9\n12\n15\n18\n21\n");
+        }
+    }
+}
+
 /// ROADMAP's probe on the VM, in exact retired ops: the plain loop, and
 /// `tile sizes(4)` once the mid end has folded the classic tile's bound
 /// `min(ub, floor + 4)` to a `select` and hoisted it out of the tile loop.

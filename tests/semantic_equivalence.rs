@@ -35,6 +35,192 @@ fn assert_output_on_both_engines(src: &str, expected: &str) {
     }
 }
 
+/// The loop forms of the directive matrix: a header, and what its body
+/// prints. Every form visits ten values; the pointer and range forms walk
+/// `a`, and a by-reference form writes through.
+const LOOP_FORMS: [(&str, &str); 15] = [
+    ("for (int i = 0; i < 10; i++)", "i"),
+    ("for (int i = 0; i <= 9; i++)", "i"),
+    ("for (int i = 0; i != 10; i++)", "i"),
+    ("for (int i = 9; i >= 0; i--)", "i"),
+    ("for (int i = 10; i > 0; i--)", "i"),
+    ("for (int i = 0; 10 > i; i++)", "i"),
+    ("for (int i = 1; i < 30; i += 3)", "i"),
+    ("for (int i = 28; i > 0; i -= 3)", "i"),
+    ("for (unsigned i = 0; i < 10; i++)", "i"),
+    ("for (long i = -5; i < 5; i++)", "i"),
+    ("for (char c = 'a'; c < 'k'; c++)", "c"),
+    ("for (long *p = a; p < a + 10; p++)", "*p"),
+    ("for (long *p = a + 9; p >= a; p--)", "*p"),
+    ("for (long &v : a)", "v += 1000"),
+    ("for (long v : a)", "v"),
+];
+
+/// The directive stacks of the matrix over one loop, and whether each
+/// keeps the iteration order (at one thread).
+const ONE_LEVEL_STACKS: [(&str, bool); 11] = [
+    ("for", true),
+    ("parallel for", true),
+    ("parallel for collapse(1)", true),
+    ("for simd", true),
+    ("for schedule(dynamic, 2)", true),
+    ("simd", true),
+    ("taskloop", true),
+    ("tile sizes(4)", true),
+    ("unroll partial(3)", true),
+    ("reverse", false),
+    ("unroll full", true),
+];
+
+/// `lp` under `#pragma omp <stack>`, between the setup of arrays that hold
+/// known values and a print of `a` (which shows a by-reference write).
+fn matrix_program(stack: &str, lp: &str) -> String {
+    format!(
+        "{PRINT_PROTO}long a[10];\nlong b[3];\nlong m[2][4];\nint main(void) {{\n  \
+         for (int k = 0; k < 10; k++) a[k] = 100 + k;\n  \
+         for (int k = 0; k < 3; k++) b[k] = k + 1;\n  \
+         for (int k = 0; k < 8; k++) m[k / 4][k % 4] = 200 + k;\n  \
+         #pragma omp {stack}\n  {lp}\n  \
+         for (int k = 0; k < 10; k++) print_i64(a[k]);\n  return 0;\n}}\n"
+    )
+}
+
+/// What one compile of `src` prints on the interpreter and on `vm:strict`,
+/// both running the same module, or the compile's rendered diagnostics.
+fn outputs_of_one_compile(src: &str, opts: Options, optimize: bool) -> Result<[String; 2], String> {
+    let mut ci = CompilerInstance::new(opts);
+    let tu = ci.parse_source("matrix.c", src)?;
+    let mut module = ci.codegen(&tu)?;
+    if optimize {
+        ci.optimize(&mut module);
+    }
+    Ok(
+        [omplt::Backend::Interp, omplt::Backend::VmStrict].map(|backend| {
+            ci.opts.backend = backend;
+            ci.run(&module).expect("a compiled program runs").stdout
+        }),
+    )
+}
+
+/// Where `src` departs from the serial program on both paths, with and
+/// without the mid end, on both engines, at one thread. Each must print what
+/// the `--no-openmp` run prints (in order when `ordered`, else as a
+/// multiset) — or, exactly when `refusal` names one, fail to compile with an
+/// error containing it.
+fn departures_from_serial(src: &str, ordered: bool, refusal: Option<&str>) -> Vec<String> {
+    let lines = |out: &str| {
+        let mut lines: Vec<String> = out.lines().map(String::from).collect();
+        if !ordered {
+            lines.sort();
+        }
+        lines
+    };
+    let serial = Options {
+        openmp: false,
+        ..Options::default()
+    };
+    let expected = lines(&run_source_with(src, serial, false).stdout);
+    let mut departures = Vec::new();
+    for codegen_mode in [
+        omplt::OpenMpCodegenMode::Classic,
+        omplt::OpenMpCodegenMode::IrBuilder,
+    ] {
+        for optimize in [false, true] {
+            let opts = Options {
+                codegen_mode,
+                num_threads: 1,
+                ..Options::default()
+            };
+            let what = match (outputs_of_one_compile(src, opts, optimize), refusal) {
+                (Ok(outs), None) if outs.iter().all(|out| lines(out) == expected) => continue,
+                (Err(diags), Some(why)) if diags.contains(": error: ") && diags.contains(why) => {
+                    continue
+                }
+                (Ok(outs), _) => format!("printed {:?}", outs.map(|out| lines(&out))),
+                (Err(diags), _) => format!("refused: {diags}"),
+            };
+            departures.push(format!(
+                "{codegen_mode:?}, optimize {optimize}: {what}\n{src}"
+            ));
+        }
+    }
+    departures
+}
+
+/// Fails with the first of `departures` and their count.
+fn assert_no_departures(departures: &[String], points: usize) {
+    assert!(
+        departures.is_empty(),
+        "{} of {points} compiles depart from the serial run; the first:\n{}",
+        departures.len(),
+        departures[0]
+    );
+}
+
+/// Every directive stack over every loop form runs what the serial program
+/// runs. Only `unroll full` over a loop without a constant trip count is
+/// refused.
+#[test]
+fn every_directive_over_every_loop_form_matches_the_serial_run() {
+    let mut departures = Vec::new();
+    for (header, value) in LOOP_FORMS {
+        let lp = format!("{header} print_i64({value});");
+        let constant = !header.contains('*') && !header.contains(':');
+        for (stack, ordered) in ONE_LEVEL_STACKS {
+            let refusal = (stack == "unroll full" && !constant).then_some("constant trip count");
+            departures.extend(departures_from_serial(
+                &matrix_program(stack, &lp),
+                ordered,
+                refusal,
+            ));
+        }
+    }
+    assert_no_departures(&departures, LOOP_FORMS.len() * ONE_LEVEL_STACKS.len() * 4);
+}
+
+/// Two-level nests that mix a range-`for` with a counted or pointer loop
+/// run what the serial program runs under every stack that associates two
+/// levels. A range below the outermost level that reads an outer counter
+/// is refused: the nest is not rectangular. So is `interchange` over the
+/// nest that writes `b` through `v`, as it is over `b[j] += 10` in the
+/// counted nest: the gate finds the dependence with vector `(*, =)` and
+/// does not split its `*`.
+#[test]
+fn two_level_nests_with_a_range_for_match_the_serial_run() {
+    let nests = [
+        "for (long &v : a) for (int j = 0; j < 3; j++) print_i64(v * 10 + j);",
+        "for (long v : a) for (long *q = b; q < b + 3; q++) print_i64(v * 10 + *q);",
+        "for (int i = 0; i < 3; i++) for (long &v : b) print_i64(i * 1000 + v);",
+        "for (int i = 0; i < 3; i++) for (long &v : b) print_i64(i * 1000 + (v += 10));",
+        "for (long *p = a; p < a + 4; p++) for (long v : b) print_i64(*p * 10 + v);",
+        "for (int i = 0; i < 2; i++) for (long &v : m[i]) print_i64(v);",
+    ];
+    let stacks = [
+        ("for collapse(2)", true),
+        ("simd collapse(2)", true),
+        ("tile sizes(2, 2)", false),
+        ("interchange", false),
+    ];
+    let mut departures = Vec::new();
+    for nest in nests {
+        for (stack, ordered) in stacks {
+            let refusal = if nest.contains("m[i]") {
+                Some("must be rectangular")
+            } else if nest.contains("v += 10") && stack == "interchange" {
+                Some("would reverse the anti dependence on 'b'")
+            } else {
+                None
+            };
+            departures.extend(departures_from_serial(
+                &matrix_program(stack, nest),
+                ordered,
+                refusal,
+            ));
+        }
+    }
+    assert_no_departures(&departures, nests.len() * stacks.len() * 4);
+}
+
 #[test]
 fn plain_loop_baseline() {
     let src = format!(
