@@ -1,6 +1,6 @@
 //! Direction-vector dependence analysis: the legality gate of `interchange`,
-//! `reverse`, `fuse` and `simd`, and the `-Wrace` check of `parallel`
-//! worksharing loops.
+//! `tile`, `reverse`, `fuse` and `simd`, and the `-Wrace` check of
+//! `parallel` worksharing loops.
 //!
 //! Sema applies the loop-transformation directives unconditionally — OpenMP
 //! makes the user responsible for their legality. This pass recovers the
@@ -10,7 +10,13 @@
 //!
 //! * **interchange** is illegal when permuting the direction vector of any
 //!   dependence makes its leading non-`=` entry `>` (the textbook `(<, >)`
-//!   pattern: the permuted sink would run before its source);
+//!   pattern: the permuted sink would run before its source). A `*` stands
+//!   for each of `<`, `=` and `>`, in either orientation of the dependence;
+//! * **tile** over two or more loops runs the tiles of the band in
+//!   lexicographic order, which is legal when the band is fully permutable:
+//!   it is illegal when a dependence carried by a tiled loop (`<`) has a
+//!   definite `>` at a later tiled loop. What it cannot judge (a `*`,
+//!   unmodeled accesses) it leaves silent, as `-Wrace` does;
 //! * **reverse** is illegal when the reversed loop *carries* any dependence
 //!   (leading direction `<`) — running the iterations backwards swaps source
 //!   and sink;
@@ -34,7 +40,7 @@
 //!   the clauses privatise and what the body declares carry none, and what
 //!   the tests cannot judge is no finding: the check is silent about it.
 //!
-//! Every compile runs all five (`CompilerInstance::parse_source`).
+//! Every compile runs all six (`CompilerInstance::parse_source`).
 //!
 //! Subscripts are classified with the standard single-subscript tests over
 //! the *logical* iteration space (trip counting from 0): **ZIV** (no
@@ -59,16 +65,15 @@ use omplt_ast::{
     OMPClauseKind, OMPDirective, OMPDirectiveKind, Stmt, StmtKind, StmtVisitor, TranslationUnit,
     Type, TypeKind, UnOp, VarDecl, P,
 };
-use omplt_sema::extend_loop_nest;
 use omplt_source::{Diagnostic, DiagnosticsEngine, IdentifierTable, Level, SourceLocation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Judges every `interchange`, `reverse`, `fuse`, `simd`-bearing and
-/// `parallel` worksharing directive in `tu`: proven violations are errors;
-/// a `simd` loop that must run scalar, a data race and what the tests
-/// cannot judge of a transformation are warnings; and each `simd`
-/// directive's lane bound is recorded on it.
+/// Judges every `interchange`, multi-loop `tile`, `reverse`, `fuse`,
+/// `simd`-bearing and `parallel` worksharing directive in `tu`: proven
+/// violations are errors; a `simd` loop that must run scalar, a data race
+/// and what the tests cannot judge of a transformation are warnings; and
+/// each `simd` directive's lane bound is recorded on it.
 pub fn check_translation_unit(tu: &TranslationUnit, diags: &DiagnosticsEngine) {
     let mut v = DependVisitor {
         diags,
@@ -207,21 +212,56 @@ impl DependenceGraph {
     }
 
     /// The first dependence that `perm` (0-based, applied to the outermost
-    /// `perm.len()` levels) would provably reorder: after permutation its
-    /// leading non-`=` direction is `>` or `*`.
+    /// `perm.len()` levels) would reorder: after permutation the leading
+    /// non-`=` direction of one of its [`definite_vectors`] is `>`.
     pub fn interchange_violation(&self, perm: &[usize]) -> Option<&Dependence> {
         self.deps.iter().find(|d| {
-            let permuted: Vec<Direction> = perm
-                .iter()
-                .map(|&p| d.directions[p])
-                .chain(d.directions[perm.len()..].iter().copied())
-                .collect();
-            matches!(
-                permuted.iter().find(|&&x| x != Direction::Eq),
-                Some(Direction::Gt | Direction::Any)
-            )
+            definite_vectors(&d.directions).iter().any(|v| {
+                let permuted = perm.iter().map(|&p| v[p]);
+                let mut permuted = permuted.chain(v[perm.len()..].iter().copied());
+                permuted.find(|&x| x != Direction::Eq) == Some(Direction::Gt)
+            })
         })
     }
+
+    /// The first dependence that tiling the outermost `band` levels would
+    /// reorder: carried by one of them (`<`) with a `>` at a later one.
+    pub fn tile_violation(&self, band: usize) -> Option<&Dependence> {
+        use Direction::{Gt, Lt};
+        self.deps.iter().find(|d| {
+            let dirs = &d.directions[..band];
+            let carried = d.carried_level().filter(|&l| l < band && dirs[l] == Lt);
+            carried.is_some_and(|l| dirs[l + 1..].contains(&Gt))
+        })
+    }
+}
+
+/// The definite direction vectors `dirs` stands for: every `*` split into
+/// `<`, `=` and `>`, an expansion whose leading non-`=` entry is `>`
+/// turned around (a `*` covers both orientations of the dependence), and
+/// the all-`=` one dropped.
+fn definite_vectors(dirs: &[Direction]) -> Vec<Vec<Direction>> {
+    use Direction::{Any, Eq, Gt, Lt};
+    let mut vectors = vec![Vec::with_capacity(dirs.len())];
+    for &d in dirs {
+        let choices: &[Direction] = if d == Any { &[Lt, Eq, Gt] } else { &[d] };
+        vectors = (vectors.iter())
+            .flat_map(|v| choices.iter().map(|&c| [&v[..], &[c]].concat()))
+            .collect();
+    }
+    vectors.retain(|v| v.iter().any(|&x| x != Eq));
+    for v in &mut vectors {
+        if v.iter().find(|&&x| x != Eq) == Some(&Gt) {
+            for x in v.iter_mut() {
+                *x = match *x {
+                    Lt => Gt,
+                    Gt => Lt,
+                    x => x,
+                };
+            }
+        }
+    }
+    vectors
 }
 
 // ---------------------------------------------------------------------------
@@ -817,7 +857,6 @@ fn gcd(a: i128, b: i128) -> i128 {
 }
 
 /// Caps that keep the MIV enumeration trivially cheap.
-const MAX_DEPTH: usize = 4;
 const MAX_CANDIDATES_PER_LEVEL: i128 = 16;
 const MAX_SOLUTIONS: usize = 8;
 
@@ -1191,12 +1230,12 @@ impl DependenceGraph {
 // ---------------------------------------------------------------------------
 
 /// The loops a single-nest directive's graph spans: the nest Sema resolved
-/// for it, extended downwards by Sema's own level rule — levels below the
-/// directive's depth sharpen the direction vectors (they turn `a[i*M + j]`
-/// from "not affine" into an exact MIV solve); empty when Sema refused the
-/// nest.
+/// for it and the levels below it (`OMPDirective::below`) — levels below
+/// the directive's depth sharpen the direction vectors (they turn
+/// `a[i*M + j]` from "not affine" into an exact MIV solve); empty when Sema
+/// refused the nest.
 fn graph_levels(d: &OMPDirective) -> Vec<LoopNestLevel> {
-    extend_loop_nest(&d.nest, MAX_DEPTH)
+    d.nest.iter().chain(&d.below).cloned().collect()
 }
 
 /// The graph of a single-nest directive over its [`graph_levels`]; `None`
@@ -1247,8 +1286,22 @@ impl StmtVisitor for DependVisitor<'_> {
         if let StmtKind::OMP(d) = &s.kind {
             let threaded = d.kind.is_parallel() && d.kind.is_worksharing();
             match d.kind {
-                OMPDirectiveKind::Interchange => self.check_interchange(d),
-                OMPDirectiveKind::Reverse => self.check_reverse(d),
+                // Sema has already diagnosed a list that is not a permutation.
+                OMPDirectiveKind::Interchange => {
+                    if let Ok(perm) = d.permutation() {
+                        let what = "interchanging the loops would reverse the";
+                        self.check_order(d, true, what, |g| g.interchange_violation(&perm));
+                    }
+                }
+                // A one-loop tile only strip-mines its loop. What the tests
+                // cannot judge of a tile stays silent, as for `-Wrace`.
+                OMPDirectiveKind::Tile if d.nest.len() >= 2 => {
+                    let what = "tiling the loops would reverse the";
+                    self.check_order(d, false, what, |g| g.tile_violation(d.nest.len()));
+                }
+                OMPDirectiveKind::Reverse => {
+                    self.check_order(d, true, "the loop carries a", |g| g.carried_at(0));
+                }
                 OMPDirectiveKind::Fuse => self.check_fuse(d),
                 k if k.has_simd() || threaded => {
                     let levels = graph_levels(d);
@@ -1361,27 +1414,26 @@ impl DependVisitor<'_> {
         graph
     }
 
-    fn check_interchange(&mut self, d: &P<OMPDirective>) {
+    /// Refuses `d` when `reordered` finds a dependence in its graph that the
+    /// transformation runs sink before source; `what` says how, before "the
+    /// <kind> dependence on '<name>' with direction vector <vector>". What
+    /// the graph cannot judge is a warning when `judge` asks for one.
+    fn check_order<F>(&mut self, d: &P<OMPDirective>, judge: bool, what: &str, reordered: F)
+    where
+        F: for<'g> Fn(&'g DependenceGraph) -> Option<&'g Dependence>,
+    {
         let pragma = d.pragma_text();
-        // Sema has already diagnosed a list that is not a permutation.
-        let Ok(perm) = d.permutation() else { return };
         let graph = nest_graph(d, self.idents);
-        let Some(graph) = self.judged(d, &pragma, graph.as_ref()) else {
-            return;
+        let graph = if judge {
+            self.judged(d, &pragma, graph.as_ref())
+        } else {
+            graph.as_ref()
         };
-        if let Some(dep) = graph.interchange_violation(&perm) {
-            self.violation(
-                d,
-                &pragma,
-                format!(
-                    "interchanging the loops would reverse the {} dependence on '{}' \
-                     with direction vector {}",
-                    dep.kind,
-                    dep.name,
-                    dep.direction_vector()
-                ),
-                dep,
-            );
+        if let Some(dep) = graph.and_then(reordered) {
+            let (kind, name, vector) = (dep.kind, &dep.name, dep.direction_vector());
+            let why =
+                format!("{what} {kind} dependence on '{name}' with direction vector {vector}");
+            self.violation(d, &pragma, why, dep);
         }
     }
 
@@ -1511,27 +1563,6 @@ impl DependVisitor<'_> {
             };
             self.diags
                 .report_with_notes(Level::Warning, write.1, message, notes);
-        }
-    }
-
-    fn check_reverse(&mut self, d: &P<OMPDirective>) {
-        let pragma = d.pragma_text();
-        let graph = nest_graph(d, self.idents);
-        let Some(graph) = self.judged(d, &pragma, graph.as_ref()) else {
-            return;
-        };
-        if let Some(dep) = graph.carried_at(0) {
-            self.violation(
-                d,
-                &pragma,
-                format!(
-                    "the loop carries a {} dependence on '{}' with direction vector {}",
-                    dep.kind,
-                    dep.name,
-                    dep.direction_vector()
-                ),
-                dep,
-            );
         }
     }
 

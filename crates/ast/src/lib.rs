@@ -39,7 +39,7 @@ pub use decl::{
 };
 pub use dump::{dump_stmt, dump_transformed_only, dump_translation_unit, DumpOptions};
 pub use expr::{BinOp, CastKind, Expr, ExprKind, UnOp, ValueCategory};
-pub use nest::{loop_level, NestLevel, NestRefusal};
+pub use nest::{loop_level, LevelLoops, NestLevel, NestRefusal};
 pub use omp::{
     ArgShape, BadPermutation, ClauseModifier, LoopAssociation, LoopDirectiveHelpers,
     OMPCanonicalLoop, OMPClause, OMPClauseKind, OMPDirective, OMPDirectiveKind, PerLoopHelpers,

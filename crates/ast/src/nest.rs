@@ -1,19 +1,17 @@
 //! The one loop-nest walker: "the loop this statement stands for". Sema
 //! walks it once per directive, collecting the loops the directive
-//! associates with into [`crate::OMPDirective::nest`], which is what both
-//! codegens and the analyses read; the only other caller is the dependence
-//! gate, probing for perfectly nested loops *below* a directive's own depth.
+//! associates with into [`crate::OMPDirective::nest`] and the loops below
+//! them into [`crate::OMPDirective::below`], which is what both codegens
+//! and the analyses read.
 //!
 //! A level is resolved by looking through, in any order and any number of
-//! times: attributes and `OMPCanonicalLoop` ([`Stmt::strip_to_loop`]),
-//! `CapturedStmt` outlining, a transformation directive standing in for
-//! its generated loop (`get_transformed_stmt()`, paper §2), and blocks
-//! whose last statement is the loop. The statements in front of the loop
-//! in such a block are kept apart by origin: inside a transformed
-//! statement they are the generated nest's *prologue* (the
-//! `.capture_expr.` declarations — part of the transformation, not of the
-//! user's nest); in a literal block they are *intervening* code that makes
-//! the nest imperfect.
+//! times: attributes and `OMPCanonicalLoop` ([`Stmt::strip_to_loop`]), and
+//! blocks whose last statement is the loop. The statements in front of the
+//! loop in such a block are *intervening* code, which makes the nest
+//! imperfect. The walk stops at a transformation directive: it stands for
+//! the loops it generates, which Sema recorded on it
+//! ([`crate::OMPDirective::generated`], paper §2's "as if it was a literal
+//! for-loop"), and the walker never looks inside it.
 
 use crate::omp::OMPDirective;
 use crate::stmt::{Stmt, StmtKind};
@@ -22,22 +20,20 @@ use crate::P;
 /// One resolved level of a loop nest.
 #[derive(Debug)]
 pub struct NestLevel {
-    /// Leading declarations of the transformed statements looked through:
-    /// they must run before the loop.
-    pub prologue: Vec<P<Stmt>>,
     /// Statements sharing a literal block with the loop: the nest is
     /// imperfect at this level.
     pub intervening: Vec<P<Stmt>>,
-    /// The literal `for` / range-`for` statement, wrappers removed.
-    pub loop_stmt: P<Stmt>,
+    /// What stands for the level's loops.
+    pub loops: LevelLoops,
 }
 
-impl NestLevel {
-    /// Everything a lowering runs before the loop, in source order: the
-    /// literal blocks are outermost, so their statements come first.
-    pub fn hoisted(&self) -> impl Iterator<Item = &P<Stmt>> {
-        self.intervening.iter().chain(&self.prologue)
-    }
+/// What a level of a nest is made of.
+#[derive(Debug)]
+pub enum LevelLoops {
+    /// The literal `for` / range-`for` statement, wrappers removed.
+    Literal(P<Stmt>),
+    /// A transformation directive standing for the loops it generates.
+    Generated(P<OMPDirective>),
 }
 
 /// Why a statement does not resolve to a loop.
@@ -53,52 +49,34 @@ pub enum NestRefusal {
 
 /// Resolves the loop `stmt` stands for.
 pub fn loop_level(stmt: &P<Stmt>) -> Result<NestLevel, NestRefusal> {
-    let (mut prologue, mut intervening) = (Vec::new(), Vec::new());
-    let mut generated = false;
+    let mut intervening = Vec::new();
     let mut block: Option<P<Stmt>> = None;
     let mut cur = P::clone(stmt.strip_to_loop());
     loop {
         let next = match &cur.kind {
             StmtKind::For { .. } | StmtKind::CxxForRange(_) => {
-                return Ok(NestLevel {
-                    prologue,
-                    intervening,
-                    loop_stmt: cur,
-                });
+                let loops = LevelLoops::Literal(cur);
+                return Ok(NestLevel { intervening, loops });
             }
-            StmtKind::Captured(c) => Some(&c.decl.body),
-            // A directive is looked through only where it stands alone:
+            // A directive stands for a level only where it stands alone:
             // behind leading statements a block must end in the loop itself.
-            StmtKind::OMP(_) if !intervening.is_empty() || !prologue.is_empty() => None,
-            StmtKind::OMP(d) => match d.get_transformed_stmt() {
-                Some(t) => {
-                    generated = true;
-                    Some(t)
-                }
-                None if d.kind.is_loop_transformation() => {
+            StmtKind::OMP(d) if d.kind.is_loop_transformation() && intervening.is_empty() => {
+                if d.generated.is_empty() {
                     return Err(NestRefusal::NoGeneratedLoop(P::clone(d)));
                 }
-                None => None,
-            },
-            StmtKind::Compound(stmts) => match stmts.split_last() {
-                Some((tail, lead)) if !generated => {
-                    intervening.extend(lead.iter().cloned());
-                    Some(tail)
-                }
-                // Sema's transformations put only declarations in front
-                // of a generated loop.
-                Some((tail, lead)) if lead.iter().all(|s| matches!(s.kind, StmtKind::Decl(_))) => {
-                    prologue.extend(lead.iter().cloned());
-                    Some(tail)
-                }
-                _ => None,
-            },
+                let loops = LevelLoops::Generated(P::clone(d));
+                return Ok(NestLevel { intervening, loops });
+            }
+            StmtKind::Compound(stmts) => stmts.split_last().map(|(tail, lead)| {
+                intervening.extend(lead.iter().cloned());
+                tail
+            }),
             _ => None,
         };
         let Some(next) = next else {
             return Err(NestRefusal::NotALoop(block.unwrap_or(cur)));
         };
-        if block.is_none() && matches!(cur.kind, StmtKind::Compound(_)) {
+        if block.is_none() {
             block = Some(P::clone(&cur));
         }
         cur = P::clone(next.strip_to_loop());
@@ -108,7 +86,9 @@ pub fn loop_level(stmt: &P<Stmt>) -> Result<NestLevel, NestRefusal> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canonical_loop::{CanonicalLoopAnalysis, LoopDirection, LoopNestLevel};
     use crate::decl::Decl;
+    use crate::expr::BinOp;
     use crate::omp::{OMPCanonicalLoop, OMPDirectiveKind};
     use crate::stmt::Attr;
     use crate::ASTContext;
@@ -139,9 +119,28 @@ mod tests {
         Stmt::new(StmtKind::Compound(stmts), LOC)
     }
 
-    fn transformation(kind: OMPDirectiveKind, transformed: Option<P<Stmt>>) -> P<Stmt> {
+    /// A transformation directive that generated `loops` loops.
+    fn transformation(ctx: &ASTContext, kind: OMPDirectiveKind, loops: usize) -> P<Stmt> {
         let mut d = OMPDirective::new(kind, vec![], Some(for_stmt()), LOC);
-        d.transformed = transformed;
+        let iv = ctx.make_implicit_var(".iv", ctx.uint(), None, LOC);
+        let record = || LoopNestLevel {
+            prologue: Vec::new(),
+            binding: None,
+            loop_stmt: for_stmt(),
+            analysis: CanonicalLoopAnalysis {
+                iter_var: P::clone(&iv),
+                declares_var: true,
+                lb: ctx.int_lit(0, ctx.uint(), LOC),
+                ub: ctx.int_lit(4, ctx.uint(), LOC),
+                relop: BinOp::Lt,
+                step: ctx.int_lit(1, ctx.uint(), LOC),
+                direction: LoopDirection::Up,
+                body: Stmt::new(StmtKind::Null, LOC),
+                loc: LOC,
+                logical_ty: ctx.uint(),
+            },
+        };
+        d.generated = (0..loops).map(|_| record()).collect();
         Stmt::new(StmtKind::OMP(P::new(d)), LOC)
     }
 
@@ -160,24 +159,31 @@ mod tests {
         );
         for s in [for_stmt(), attributed, canonical, block(vec![for_stmt()])] {
             let l = loop_level(&s).unwrap();
-            assert!(l.loop_stmt.is_loop());
-            assert!(l.prologue.is_empty() && l.intervening.is_empty());
+            assert!(matches!(l.loops, LevelLoops::Literal(s) if s.is_loop()));
+            assert!(l.intervening.is_empty());
         }
     }
 
     #[test]
-    fn generated_prologue_is_not_intervening() {
-        // `reverse` consuming a tiled loop yields
-        // `{ <tile decls>; { <reverse decls>; for } }`; a consumer must see
-        // one flat prologue ending in the loop, and a perfect nest.
+    fn a_transformation_stands_for_its_generated_loops() {
+        // The walk stops at the directive, alone or as a block's only
+        // statement; what it generated is the directive's record.
         let ctx = ASTContext::new();
-        let inner = block(vec![decl(&ctx, ".inner."), for_stmt()]);
-        let outer = block(vec![decl(&ctx, ".outer."), inner]);
-        let stacked = transformation(OMPDirectiveKind::Reverse, Some(outer));
-        let l = loop_level(&stacked).unwrap();
-        assert_eq!(l.prologue.len(), 2);
-        assert!(l.intervening.is_empty());
-        assert_eq!(l.hoisted().count(), 2);
+        let tile = transformation(&ctx, OMPDirectiveKind::Tile, 2);
+        for s in [P::clone(&tile), block(vec![P::clone(&tile)])] {
+            let l = loop_level(&s).unwrap();
+            assert!(l.intervening.is_empty());
+            let LevelLoops::Generated(d) = l.loops else {
+                panic!("{:?}", l.loops)
+            };
+            assert_eq!(d.generated.len(), 2);
+        }
+        // Behind a leading statement it is not a level.
+        let behind = block(vec![decl(&ctx, "t"), tile]);
+        assert!(matches!(
+            loop_level(&behind),
+            Err(NestRefusal::NotALoop(s)) if std::ptr::eq(&*s, &*behind)
+        ));
     }
 
     #[test]
@@ -186,14 +192,15 @@ mod tests {
         let body = block(vec![decl(&ctx, "t"), for_stmt()]);
         let imperfect = for_over(P::clone(&body));
         assert!(loop_level(&imperfect).unwrap().intervening.is_empty());
-        let inner = loop_level(&body).unwrap();
-        assert_eq!(inner.intervening.len(), 1);
-        assert!(inner.prologue.is_empty());
+        let nested = block(vec![decl(&ctx, "u"), P::clone(&body)]);
+        assert_eq!(loop_level(&body).unwrap().intervening.len(), 1);
+        assert_eq!(loop_level(&nested).unwrap().intervening.len(), 2);
     }
 
     #[test]
     fn refusals_are_typed() {
-        let full = transformation(OMPDirectiveKind::Unroll, None);
+        let ctx = ASTContext::new();
+        let full = transformation(&ctx, OMPDirectiveKind::Unroll, 0);
         assert!(matches!(
             loop_level(&full),
             Err(NestRefusal::NoGeneratedLoop(d)) if d.kind == OMPDirectiveKind::Unroll
@@ -201,11 +208,14 @@ mod tests {
         let null = Stmt::new(StmtKind::Null, LOC);
         assert!(matches!(loop_level(&null), Err(NestRefusal::NotALoop(_))));
         // The loop must come last in its block.
-        let ctx = ASTContext::new();
         let trailing = block(vec![for_stmt(), decl(&ctx, "t")]);
         assert!(matches!(
             loop_level(&trailing),
             Err(NestRefusal::NotALoop(_))
         ));
+        // A directive that is not a transformation stands for no loop.
+        let simd = OMPDirective::new(OMPDirectiveKind::Simd, vec![], Some(for_stmt()), LOC);
+        let simd = Stmt::new(StmtKind::OMP(P::new(simd)), LOC);
+        assert!(matches!(loop_level(&simd), Err(NestRefusal::NotALoop(_))));
     }
 }

@@ -576,6 +576,16 @@ pub struct OMPDirective {
     /// the legality gate read it instead of resolving the nest again.
     /// **Not** part of `children()` and not dumped.
     pub nest: Vec<LoopNestLevel>,
+    /// The loops below the directive's own depth, as the walk that
+    /// collected `nest` resolved them: up to four levels in all, stopping
+    /// silently at the first one the level rule refuses. The dependence
+    /// gate's graphs span `nest` and these. **Not** part of `children()`.
+    pub below: Vec<LoopNestLevel>,
+    /// The loops of [`OMPDirective::transformed`] a consuming directive may
+    /// take, outermost first, as level records (`unroll partial`'s outer
+    /// loop, `tile`'s floor loops, `interchange`'s permuted loops, the loop
+    /// of `reverse` and of `fuse`). **Not** part of `children()`.
+    pub generated: Vec<LoopNestLevel>,
     /// How many consecutive iterations of a `simd`-bearing directive's loop
     /// may run as lock-step lanes, as the legality gate proved it
     /// (`u64::MAX`: no dependence bounds them). `None` until the gate has
@@ -613,15 +623,18 @@ impl OMPDirective {
             loop_helpers: None,
             transformed: None,
             nest: Vec::new(),
+            below: Vec::new(),
+            generated: Vec::new(),
             simd_lanes: Cell::new(None),
             loc,
         }
     }
 
-    /// The semantically equivalent statement a consuming directive analyzes
-    /// instead of the directive itself — `getTransformedStmt()` of the
-    /// shadow-AST design. Returns `None` if this directive does not stand
-    /// for a generated loop (not a transformation, or fully unrolled).
+    /// The semantically equivalent statement classic CodeGen emits in the
+    /// directive's place — `getTransformedStmt()` of the shadow-AST design
+    /// (a consuming directive takes [`OMPDirective::generated`] instead).
+    /// Returns `None` if this directive does not stand for a generated loop
+    /// (not a transformation, or fully unrolled).
     pub fn get_transformed_stmt(&self) -> Option<&P<Stmt>> {
         self.transformed.as_ref()
     }

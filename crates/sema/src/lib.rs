@@ -7,8 +7,9 @@
 //!
 //! * the **shadow-AST** path (paper §2): [`transform`] applies `tile`/`unroll`
 //!   on the AST by building a new loop nest around the shared body and
-//!   stores the result on the directive node, where consuming directives pick
-//!   it up with `get_transformed_stmt()`;
+//!   stores the result on the directive node (`get_transformed_stmt()`),
+//!   together with the level records of the loops it generates
+//!   (`OMPDirective::generated`), which a consuming directive takes;
 //! * the **canonical-loop** path (paper §3): [`canonical`] wraps literal loops
 //!   in `OMPCanonicalLoop` nodes carrying the distance function, the loop
 //!   user value function and the user-variable reference — the "minimal set
@@ -16,11 +17,11 @@
 //!
 //! [`loop_analysis`] implements OpenMP's *canonical loop form* check
 //! (init/test/incr shape), shared by both paths, and the one rule for a
-//! level of a nest (`loop_analysis::nest_level`). Sema is the one layer
-//! that resolves and analyses a directive's loops: what it found stays on
-//! the node (`OMPDirective::nest`), and CodeGen and the legality gate read
-//! it; the gate extends it below the directive's depth with
-//! [`extend_loop_nest`].
+//! level of a nest (`loop_analysis::NestWalk`). Sema is the one layer
+//! that resolves and analyses a directive's loops, in one walk per
+//! directive: what it found stays on the node (`OMPDirective::nest`, and
+//! the levels below it in `OMPDirective::below`), and CodeGen and the
+//! legality gate read it.
 
 pub mod canonical;
 pub mod capture;
@@ -33,6 +34,6 @@ pub mod transform;
 
 pub use canonical::build_canonical_loop;
 pub use capture::{build_omp_captured_stmt, free_variables};
-pub use loop_analysis::{extend_loop_nest, LoopRefusal};
+pub use loop_analysis::LoopRefusal;
 pub use sema::Sema;
 pub use transform::count_generated_loops;

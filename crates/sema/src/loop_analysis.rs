@@ -13,47 +13,33 @@
 //! The analysis produces an `omplt_ast::LoopNestLevel` — everything Sema
 //! needs for either representation, kept on the directive
 //! (`OMPDirective::nest`) for the layers behind Sema — or a [`LoopRefusal`]
-//! saying where and why the loop is not in canonical form. `nest_level`
+//! saying where and why the loop is not in canonical form. A [`NestWalk`]
 //! adds the nest's own rules (perfect nesting, rectangularity) with a
-//! `LevelRefusal`. Neither writes into a diagnostics engine: Sema renders
-//! the refusals of the loops a directive is associated with, and
-//! [`extend_loop_nest`], which the dependence gate reads the levels below a
-//! directive's own depth with, ignores them.
+//! `LevelRefusal`, and takes the loops a transformation directive generated
+//! as the records that directive keeps (`OMPDirective::generated`) instead
+//! of analysing its shadow AST again. Neither writes into a diagnostics
+//! engine: Sema renders the refusals of the loops a directive is associated
+//! with, and ignores those of the levels below them.
 
 use omplt_ast::{
-    loop_level, ASTContext, BinOp, CanonicalLoopAnalysis, Decl, DeclId, Expr, ExprKind,
+    loop_level, ASTContext, BinOp, CanonicalLoopAnalysis, Decl, DeclId, Expr, ExprKind, LevelLoops,
     LoopDirection, LoopNestLevel, NestRefusal, Stmt, StmtKind, UnOp, VarDecl, P,
 };
-use omplt_source::{SourceLocation, Symbol};
+use omplt_source::SourceLocation;
 
 /// Why a statement is not an OpenMP canonical loop.
 #[derive(Debug)]
 pub struct LoopRefusal {
     /// Where the loop departs from the canonical form.
     pub loc: SourceLocation,
-    /// The diagnostic text; a `{}` in it stands for the name of `var`.
+    /// The diagnostic text.
     pub message: String,
-    /// The variable the message names, spelled when it is rendered:
-    /// [`extend_loop_nest`], which ignores refusals, analyses with a
-    /// context of its own.
-    pub var: Option<Symbol>,
-}
-
-impl LoopRefusal {
-    /// The diagnostic text with the variable it names spelled.
-    pub fn render(&self, ctx: &ASTContext) -> String {
-        match self.var {
-            Some(var) => self.message.replacen("{}", &ctx.spelling(var), 1),
-            None => self.message.clone(),
-        }
-    }
 }
 
 fn refuse<T>(loc: SourceLocation, message: impl Into<String>) -> Result<T, LoopRefusal> {
     Err(LoopRefusal {
         loc,
         message: message.into(),
-        var: None,
     })
 }
 
@@ -132,58 +118,44 @@ fn analyze_for(
     directive_name: &str,
 ) -> Result<CanonicalLoopAnalysis, LoopRefusal> {
     // ---- init-expr ----
-    let (iter_var, lb, declares_var) = match init {
-        Some(s) => match &s.kind {
-            StmtKind::Decl(decls) => match decls.as_slice() {
-                [Decl::Var(v)] if v.init.is_some() => (
-                    P::clone(v),
-                    v.init.clone().expect("guard checked init"),
-                    true,
-                ),
-                _ => {
-                    return refuse(
-                        s.loc,
-                        format!(
-                            "initialization clause of OpenMP for loop is not in canonical form ('var = init' or 'T var = init') for '{directive_name}'"
-                        ),
-                    );
-                }
-            },
-            StmtKind::Expr(e) => match &e.ignore_wrappers().kind {
-                ExprKind::Binary(BinOp::Assign, lhs, rhs) => match lhs.as_decl_ref() {
-                    Some(v) => (P::clone(v), P::clone(rhs), false),
-                    None => {
-                        return refuse(e.loc, "canonical loop init must assign a variable");
-                    }
-                },
-                _ => {
-                    return refuse(
-                        e.loc,
-                        "initialization clause of OpenMP for loop is not in canonical form",
-                    );
-                }
-            },
+    let Some(init) = init else {
+        return refuse(
+            loc,
+            format!("'{directive_name}' loop requires an init clause"),
+        );
+    };
+    let not_canonical = "initialization clause of OpenMP for loop is not in canonical form";
+    let (iter_var, lb, declares_var) = match &init.kind {
+        StmtKind::Decl(decls) => match decls.as_slice() {
+            [Decl::Var(v)] if v.init.is_some() => {
+                let lb = v.init.clone().expect("guard checked init");
+                (P::clone(v), lb, true)
+            }
             _ => {
+                let form = "('var = init' or 'T var = init')";
                 return refuse(
-                    s.loc,
-                    "initialization clause of OpenMP for loop is not in canonical form",
+                    init.loc,
+                    format!("{not_canonical} {form} for '{directive_name}'"),
                 );
             }
         },
-        None => {
-            return refuse(
-                loc,
-                format!("'{directive_name}' loop requires an init clause"),
-            );
-        }
+        StmtKind::Expr(e) => match &e.ignore_wrappers().kind {
+            ExprKind::Binary(BinOp::Assign, lhs, rhs) => match lhs.as_decl_ref() {
+                Some(v) => (P::clone(v), P::clone(rhs), false),
+                None => return refuse(e.loc, "canonical loop init must assign a variable"),
+            },
+            _ => return refuse(e.loc, not_canonical),
+        },
+        _ => return refuse(init.loc, not_canonical),
     };
+    let name = ctx.spelling(iter_var.name);
     if !iter_var.ty.is_integer() && !iter_var.ty.is_pointer() {
-        return Err(LoopRefusal {
-            loc: iter_var.loc,
-            message: "variable '{}' must be of integer or pointer type in OpenMP canonical loop"
-                .into(),
-            var: Some(iter_var.name),
-        });
+        return refuse(
+            iter_var.loc,
+            format!(
+                "variable '{name}' must be of integer or pointer type in OpenMP canonical loop"
+            ),
+        );
     }
 
     // ---- test-expr ----
@@ -197,12 +169,10 @@ fn analyze_for(
             } else if refers_to(r, &iter_var) {
                 (*op, P::clone(l), false)
             } else {
-                return Err(LoopRefusal {
-                    loc: cond.loc,
-                    message: "condition of OpenMP for loop must test iteration variable '{}'"
-                        .into(),
-                    var: Some(iter_var.name),
-                });
+                return refuse(
+                    cond.loc,
+                    format!("condition of OpenMP for loop must test iteration variable '{name}'"),
+                );
             }
         }
         _ => {
@@ -244,59 +214,28 @@ fn analyze_for(
     } else {
         P::clone(&iter_var.ty)
     };
-    let (step, step_negative) = match &inc.ignore_wrappers().kind {
-        ExprKind::Unary(op, sub) if sub.as_decl_ref().is_some_and(|v| v.id == iter_var.id) => {
-            match op {
-                UnOp::PreInc | UnOp::PostInc => (ctx.int_lit(1, unit_ty, inc.loc), false),
-                UnOp::PreDec | UnOp::PostDec => (ctx.int_lit(1, unit_ty, inc.loc), true),
-                _ => {
-                    return refuse(
-                        inc.loc,
-                        "increment clause of OpenMP for loop is not in canonical form",
-                    );
-                }
-            }
+    let one = || ctx.int_lit(1, P::clone(&unit_ty), inc.loc);
+    let is_var = |e: &P<Expr>| refers_to(e, &iter_var);
+    let step = match &inc.ignore_wrappers().kind {
+        ExprKind::Unary(UnOp::PreInc | UnOp::PostInc, v) if is_var(v) => Some((one(), false)),
+        ExprKind::Unary(UnOp::PreDec | UnOp::PostDec, v) if is_var(v) => Some((one(), true)),
+        ExprKind::Binary(op @ (BinOp::AddAssign | BinOp::SubAssign), v, r) if is_var(v) => {
+            Some((P::clone(r), *op == BinOp::SubAssign))
         }
-        ExprKind::Binary(op, l, r)
-            if matches!(op, BinOp::AddAssign | BinOp::SubAssign)
-                && l.as_decl_ref().is_some_and(|v| v.id == iter_var.id) =>
-        {
-            (P::clone(r), *op == BinOp::SubAssign)
-        }
-        ExprKind::Binary(BinOp::Assign, l, r)
-            if l.as_decl_ref().is_some_and(|v| v.id == iter_var.id) =>
-        {
-            // var = var + s | var = var - s | var = s + var
-            match &r.ignore_wrappers().kind {
-                ExprKind::Binary(BinOp::Add, a, b) => {
-                    if refers_to(a, &iter_var) {
-                        (P::clone(b), false)
-                    } else if refers_to(b, &iter_var) {
-                        (P::clone(a), false)
-                    } else {
-                        return refuse(
-                            inc.loc,
-                            "increment clause of OpenMP for loop is not in canonical form",
-                        );
-                    }
-                }
-                ExprKind::Binary(BinOp::Sub, a, b) if refers_to(a, &iter_var) => {
-                    (P::clone(b), true)
-                }
-                _ => {
-                    return refuse(
-                        inc.loc,
-                        "increment clause of OpenMP for loop is not in canonical form",
-                    );
-                }
-            }
-        }
-        _ => {
-            return refuse(
-                inc.loc,
-                "increment clause of OpenMP for loop is not in canonical form",
-            );
-        }
+        // var = var + s | var = var - s | var = s + var
+        ExprKind::Binary(BinOp::Assign, v, r) if is_var(v) => match &r.ignore_wrappers().kind {
+            ExprKind::Binary(BinOp::Add, a, b) if is_var(a) => Some((P::clone(b), false)),
+            ExprKind::Binary(BinOp::Add, a, b) if is_var(b) => Some((P::clone(a), false)),
+            ExprKind::Binary(BinOp::Sub, a, b) if is_var(a) => Some((P::clone(b), true)),
+            _ => None,
+        },
+        _ => None,
+    };
+    let Some((step, step_negative)) = step else {
+        return refuse(
+            inc.loc,
+            "increment clause of OpenMP for loop is not in canonical form",
+        );
     };
     if refers_to_anywhere(&step, &iter_var) {
         return refuse(
@@ -443,57 +382,93 @@ pub(crate) enum LevelRefusal {
     NonRectangular(P<VarDecl>, SourceLocation),
 }
 
-/// Resolves and analyses the loop `stmt` stands for as the level below
-/// `outer` — the one rule for a level of a nest. Only the outermost loop
-/// may share its literal block with declarations (they run before the nest
-/// either way); below it the nest must be perfect, because a statement
-/// hoisted out of an outer loop's body would be evaluated once instead of
-/// once per iteration. The prologue of a consumed transformation is not the
-/// user's code and stays in front of the generated loop at every level.
-///
-/// The nest must also be **rectangular** (OpenMP 5.1 §4.4.2): the trip
-/// count of every level is evaluated *before* the nest runs, so a bound
-/// reading an outer iteration variable would read it out of scope.
-pub(crate) fn nest_level(
-    ctx: &ASTContext,
-    stmt: &P<Stmt>,
-    outer: &[LoopNestLevel],
-    directive_name: &str,
-) -> Result<LoopNestLevel, LevelRefusal> {
-    let level = loop_level(stmt).map_err(LevelRefusal::Walker)?;
-    if !outer.is_empty() && !level.intervening.is_empty() {
-        return Err(LevelRefusal::Intervening(level.intervening));
-    }
-    let only_decls = |s: &P<Stmt>| matches!(s.kind, StmtKind::Decl(_));
-    if !level.intervening.iter().all(only_decls) {
-        return Err(LevelRefusal::Walker(NestRefusal::NotALoop(P::clone(stmt))));
-    }
-    let mut nested = analyze_canonical_loop(ctx, &level.loop_stmt, directive_name)
-        .map_err(LevelRefusal::Canonical)?;
-    nested.prologue.splice(0..0, level.hoisted().cloned());
-    if let Some((var, loc)) = find_nonrectangular_ref(&nested, outer) {
-        return Err(LevelRefusal::NonRectangular(var, loc));
-    }
-    Ok(nested)
+/// How many levels a directive's nest is resolved to in all, the levels
+/// below its own depth included (`OMPDirective::below`): the dependence
+/// gate's graphs span them, and its MIV solver enumerates per level.
+pub(crate) const RESOLVED_DEPTH: usize = 4;
+
+/// A walk down a loop nest, one level at a time, by the one rule for a
+/// level of a nest. A statement resolves to a literal loop, analysed here,
+/// or to a transformation directive, whose generated loops are taken in
+/// order as the records it keeps; a body is walked only below the last
+/// level a statement resolved to.
+pub(crate) struct NestWalk {
+    /// What the next level is resolved from once `pending` is spent.
+    next: P<Stmt>,
+    /// Generated levels not taken yet, outermost first.
+    pending: std::vec::IntoIter<LoopNestLevel>,
 }
 
-/// `nest` extended downwards by the rule of `nest_level`, up to
-/// `max_depth` levels in all, stopping silently at the first level it
-/// refuses: no directive is associated with these loops, so a refusal is
-/// nobody's error. The dependence gate reads the levels below a directive's
-/// own depth this way (they sharpen its direction vectors).
-pub fn extend_loop_nest(nest: &[LoopNestLevel], max_depth: usize) -> Vec<LoopNestLevel> {
-    // A context of its own is safe: the analysis builds literals over the
-    // original `VarDecl`s, and no refusal is rendered.
-    let ctx = ASTContext::new();
-    let mut levels = nest.to_vec();
-    while let Some(innermost) = levels.last().filter(|_| levels.len() < max_depth) {
-        match nest_level(&ctx, &innermost.analysis.body, &levels, "loop analysis") {
-            Ok(level) => levels.push(level),
-            Err(_) => break,
+impl NestWalk {
+    /// A walk starting at the loop `stmt` stands for.
+    pub(crate) fn new(stmt: &P<Stmt>) -> NestWalk {
+        NestWalk {
+            next: P::clone(stmt),
+            pending: Vec::new().into_iter(),
         }
     }
-    levels
+
+    /// The level below `outer`. Only the outermost loop may share its
+    /// literal block with declarations (they run before the nest either
+    /// way); below it the nest must be perfect, because a statement
+    /// hoisted out of an outer loop's body would be evaluated once instead
+    /// of once per iteration. The prologue of a generated loop is not the
+    /// user's code and stays in front of it at every level.
+    ///
+    /// The nest must also be **rectangular** (OpenMP 5.1 §4.4.2): the trip
+    /// count of every level is evaluated *before* the nest runs, so a bound
+    /// reading an outer iteration variable would read it out of scope.
+    pub(crate) fn level(
+        &mut self,
+        ctx: &ASTContext,
+        outer: &[LoopNestLevel],
+        directive_name: &str,
+    ) -> Result<LoopNestLevel, LevelRefusal> {
+        let level = match self.pending.next() {
+            Some(level) => level,
+            None => {
+                let mut levels = self.resolve(ctx, outer, directive_name)?.into_iter();
+                let first = levels.next().expect("a level resolves to a loop");
+                self.pending = levels;
+                first
+            }
+        };
+        if let Some((var, loc)) = find_nonrectangular_ref(&level, outer) {
+            return Err(LevelRefusal::NonRectangular(var, loc));
+        }
+        Ok(level)
+    }
+
+    /// The levels the next statement stands for, outermost first; the walk
+    /// goes on below the last of them.
+    fn resolve(
+        &mut self,
+        ctx: &ASTContext,
+        outer: &[LoopNestLevel],
+        directive_name: &str,
+    ) -> Result<Vec<LoopNestLevel>, LevelRefusal> {
+        let level = loop_level(&self.next).map_err(LevelRefusal::Walker)?;
+        if !outer.is_empty() && !level.intervening.is_empty() {
+            return Err(LevelRefusal::Intervening(level.intervening));
+        }
+        let only_decls = |s: &P<Stmt>| matches!(s.kind, StmtKind::Decl(_));
+        if !level.intervening.iter().all(only_decls) {
+            let stmt = P::clone(&self.next);
+            return Err(LevelRefusal::Walker(NestRefusal::NotALoop(stmt)));
+        }
+        let levels = match level.loops {
+            LevelLoops::Literal(stmt) => {
+                let mut nested = analyze_canonical_loop(ctx, &stmt, directive_name)
+                    .map_err(LevelRefusal::Canonical)?;
+                nested.prologue.splice(0..0, level.intervening);
+                vec![nested]
+            }
+            LevelLoops::Generated(d) => d.generated.clone(),
+        };
+        let last = levels.last().expect("a directive stands for its loops");
+        self.next = P::clone(&last.analysis.body);
+        Ok(levels)
+    }
 }
 
 /// The first reference in what `level` runs before its loop (its prologue,
@@ -540,42 +515,47 @@ fn find_nonrectangular_ref(
 mod tests {
     use super::*;
 
-    fn ctx_loop(ctx: &ASTContext, lb: i128, ub: i128, step: i128, relop: BinOp) -> P<Stmt> {
-        let loc = SourceLocation::INVALID;
-        let i = ctx.make_var("i", ctx.int(), Some(ctx.int_lit(lb, ctx.int(), loc)), loc);
-        let cond = ctx.binary(
-            relop,
-            ctx.read_var(&i, loc),
-            ctx.int_lit(ub, ctx.int(), loc),
-            ctx.bool_ty(),
-            loc,
-        );
-        let inc = if step >= 0 {
-            ctx.binary(
-                BinOp::AddAssign,
-                ctx.decl_ref(&i, loc),
-                ctx.int_lit(step, ctx.int(), loc),
-                ctx.int(),
-                loc,
-            )
+    const LOC: SourceLocation = SourceLocation::INVALID;
+
+    /// `for (int i = lb; cond(i); i += step) body`, `i -= -step` for a
+    /// negative step.
+    fn for_loop(
+        ctx: &ASTContext,
+        lb: i128,
+        cond: impl Fn(&P<VarDecl>) -> Option<P<Expr>>,
+        step: i128,
+        body: P<Stmt>,
+    ) -> P<Stmt> {
+        let int = |v| ctx.int_lit(v, ctx.int(), LOC);
+        let i = ctx.make_var("i", ctx.int(), Some(int(lb)), LOC);
+        let (op, step) = if step >= 0 {
+            (BinOp::AddAssign, step)
         } else {
-            ctx.binary(
-                BinOp::SubAssign,
-                ctx.decl_ref(&i, loc),
-                ctx.int_lit(-step, ctx.int(), loc),
-                ctx.int(),
-                loc,
-            )
+            (BinOp::SubAssign, -step)
         };
-        Stmt::new(
-            StmtKind::For {
-                init: Some(Stmt::new(StmtKind::Decl(vec![Decl::Var(i)]), loc)),
-                cond: Some(cond),
-                inc: Some(inc),
-                body: Stmt::new(StmtKind::Null, loc),
-            },
-            loc,
-        )
+        let inc = ctx.binary(op, ctx.decl_ref(&i, LOC), int(step), ctx.int(), LOC);
+        let kind = StmtKind::For {
+            cond: cond(&i),
+            init: Some(Stmt::new(StmtKind::Decl(vec![Decl::Var(i)]), LOC)),
+            inc: Some(inc),
+            body,
+        };
+        Stmt::new(kind, LOC)
+    }
+
+    /// `for (int i = lb; i <relop> ub; i += step);`.
+    fn ctx_loop(ctx: &ASTContext, lb: i128, ub: i128, step: i128, relop: BinOp) -> P<Stmt> {
+        let ub = ctx.int_lit(ub, ctx.int(), LOC);
+        let cond = |i: &P<VarDecl>| {
+            Some(ctx.binary(
+                relop,
+                ctx.read_var(i, LOC),
+                P::clone(&ub),
+                ctx.bool_ty(),
+                LOC,
+            ))
+        };
+        for_loop(ctx, lb, cond, step, Stmt::new(StmtKind::Null, LOC))
     }
 
     fn analyze(ctx: &ASTContext, s: &P<Stmt>) -> Result<CanonicalLoopAnalysis, LoopRefusal> {
@@ -628,49 +608,24 @@ mod tests {
     #[test]
     fn missing_condition_is_diagnosed() {
         let ctx = ASTContext::new();
-        let loc = SourceLocation::INVALID;
-        let i = ctx.make_var("i", ctx.int(), Some(ctx.int_lit(0, ctx.int(), loc)), loc);
-        let s = Stmt::new(
-            StmtKind::For {
-                init: Some(Stmt::new(StmtKind::Decl(vec![Decl::Var(i)]), loc)),
-                cond: None,
-                inc: None,
-                body: Stmt::new(StmtKind::Null, loc),
-            },
-            loc,
-        );
+        let s = for_loop(&ctx, 0, |_| None, 1, Stmt::new(StmtKind::Null, LOC));
         let refusal = analyze(&ctx, &s).unwrap_err();
         assert!(refusal.message.contains("requires a condition"));
+    }
+
+    /// `for (int i = 0; i < 9; i += 1) body`.
+    fn nine(ctx: &ASTContext, body: P<Stmt>) -> P<Stmt> {
+        let cond = |i: &P<VarDecl>| {
+            let nine = ctx.int_lit(9, ctx.int(), LOC);
+            Some(ctx.binary(BinOp::Lt, ctx.read_var(i, LOC), nine, ctx.bool_ty(), LOC))
+        };
+        for_loop(ctx, 0, cond, 1, body)
     }
 
     #[test]
     fn break_in_body_is_rejected() {
         let ctx = ASTContext::new();
-        let loc = SourceLocation::INVALID;
-        let i = ctx.make_var("i", ctx.int(), Some(ctx.int_lit(0, ctx.int(), loc)), loc);
-        let cond = ctx.binary(
-            BinOp::Lt,
-            ctx.read_var(&i, loc),
-            ctx.int_lit(9, ctx.int(), loc),
-            ctx.bool_ty(),
-            loc,
-        );
-        let inc = ctx.binary(
-            BinOp::AddAssign,
-            ctx.decl_ref(&i, loc),
-            ctx.int_lit(1, ctx.int(), loc),
-            ctx.int(),
-            loc,
-        );
-        let s = Stmt::new(
-            StmtKind::For {
-                init: Some(Stmt::new(StmtKind::Decl(vec![Decl::Var(i)]), loc)),
-                cond: Some(cond),
-                inc: Some(inc),
-                body: Stmt::new(StmtKind::Break, loc),
-            },
-            loc,
-        );
+        let s = nine(&ctx, Stmt::new(StmtKind::Break, LOC));
         let refusal = analyze(&ctx, &s).unwrap_err();
         assert!(refusal.message.contains("break statement"));
     }
@@ -678,39 +633,11 @@ mod tests {
     #[test]
     fn break_in_nested_loop_is_fine() {
         let ctx = ASTContext::new();
-        let loc = SourceLocation::INVALID;
-        let inner_break = Stmt::new(StmtKind::Break, loc);
-        let inner = Stmt::new(
-            StmtKind::While {
-                cond: ctx.int_lit(1, ctx.bool_ty(), loc),
-                body: inner_break,
-            },
-            loc,
-        );
-        let i = ctx.make_var("i", ctx.int(), Some(ctx.int_lit(0, ctx.int(), loc)), loc);
-        let cond = ctx.binary(
-            BinOp::Lt,
-            ctx.read_var(&i, loc),
-            ctx.int_lit(9, ctx.int(), loc),
-            ctx.bool_ty(),
-            loc,
-        );
-        let inc = ctx.binary(
-            BinOp::AddAssign,
-            ctx.decl_ref(&i, loc),
-            ctx.int_lit(1, ctx.int(), loc),
-            ctx.int(),
-            loc,
-        );
-        let s = Stmt::new(
-            StmtKind::For {
-                init: Some(Stmt::new(StmtKind::Decl(vec![Decl::Var(i)]), loc)),
-                cond: Some(cond),
-                inc: Some(inc),
-                body: inner,
-            },
-            loc,
-        );
+        let inner = StmtKind::While {
+            cond: ctx.int_lit(1, ctx.bool_ty(), LOC),
+            body: Stmt::new(StmtKind::Break, LOC),
+        };
+        let s = nine(&ctx, Stmt::new(inner, LOC));
         assert!(analyze(&ctx, &s).is_ok());
     }
 
@@ -794,33 +721,13 @@ mod tests {
     #[test]
     fn bound_referencing_var_rejected() {
         let ctx = ASTContext::new();
-        let loc = SourceLocation::INVALID;
-        let i = ctx.make_var("i", ctx.int(), Some(ctx.int_lit(0, ctx.int(), loc)), loc);
         // i < i + 4
-        let bound = ctx.binary(
-            BinOp::Add,
-            ctx.read_var(&i, loc),
-            ctx.int_lit(4, ctx.int(), loc),
-            ctx.int(),
-            loc,
-        );
-        let cond = ctx.binary(BinOp::Lt, ctx.read_var(&i, loc), bound, ctx.bool_ty(), loc);
-        let inc = ctx.binary(
-            BinOp::AddAssign,
-            ctx.decl_ref(&i, loc),
-            ctx.int_lit(1, ctx.int(), loc),
-            ctx.int(),
-            loc,
-        );
-        let s = Stmt::new(
-            StmtKind::For {
-                init: Some(Stmt::new(StmtKind::Decl(vec![Decl::Var(i)]), loc)),
-                cond: Some(cond),
-                inc: Some(inc),
-                body: Stmt::new(StmtKind::Null, loc),
-            },
-            loc,
-        );
+        let cond = |i: &P<VarDecl>| {
+            let four = ctx.int_lit(4, ctx.int(), LOC);
+            let bound = ctx.binary(BinOp::Add, ctx.read_var(i, LOC), four, ctx.int(), LOC);
+            Some(ctx.binary(BinOp::Lt, ctx.read_var(i, LOC), bound, ctx.bool_ty(), LOC))
+        };
+        let s = for_loop(&ctx, 0, cond, 1, Stmt::new(StmtKind::Null, LOC));
         assert!(analyze(&ctx, &s).unwrap_err().message.contains("invariant"));
     }
 }

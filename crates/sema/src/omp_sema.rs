@@ -1,11 +1,12 @@
 //! Sema for OpenMP executable directives: clause validation against the
 //! catalog rows in `omplt-ast`, loop-nest collection through the shared
-//! walker (which looks *through* transformation directives via
-//! `get_transformed_stmt()` — the shadow-AST composition mechanism),
-//! shadow-AST construction, the classic `OMPLoopDirective` helper bundle,
-//! and `OMPCanonicalLoop` wrapping for the IrBuilder mode. The collected
-//! nest stays on the node (`OMPDirective::nest`): it is the one resolution
-//! and analysis of the directive's loops, and every later layer reads it.
+//! walker (a nested transformation directive stands for the loops it
+//! generated, taken as the records it keeps — the shadow-AST composition
+//! mechanism), shadow-AST construction, the classic `OMPLoopDirective`
+//! helper bundle, and `OMPCanonicalLoop` wrapping for the IrBuilder mode.
+//! The collected nest stays on the node (`OMPDirective::nest`, the levels
+//! below it in `OMPDirective::below`): it is the one resolution and
+//! analysis of the directive's loops, and every later layer reads it.
 //!
 //! A directive whose associated nest cannot be transformed as written is
 //! refused here, while the directive is built (paper Fig. 1), so CodeGen
@@ -17,7 +18,7 @@
 
 use crate::canonical::build_canonical_loop;
 use crate::capture::build_omp_captured_stmt;
-use crate::loop_analysis::{nest_level, region_returns, LevelRefusal};
+use crate::loop_analysis::{region_returns, LevelRefusal, NestWalk, RESOLVED_DEPTH};
 use crate::sema::Sema;
 use crate::transform::{
     transform_fuse, transform_interchange, transform_reverse, transform_tile,
@@ -85,9 +86,13 @@ impl Sema<'_> {
         // wraps each of its literal loops in the OMPCanonicalLoop meta node
         // (paper §3.1) from that collection's analysis.
         if kind.is_loop_transformation() {
-            d.transformed = self.build_transformed(&mut d, &mut associated, &consumer);
+            if let Some((t, generated)) = self.build_transformed(&mut d, &mut associated, &consumer)
+            {
+                d.transformed = Some(t);
+                d.generated = generated;
+            }
         } else if kind.is_loop_directive() {
-            if let Some(levels) =
+            if let Some((levels, below)) =
                 self.collect_loop_nest(&d, &associated, d.associated_loops(), &consumer)
             {
                 if self.mode == OpenMpCodegenMode::Classic {
@@ -96,7 +101,7 @@ impl Sema<'_> {
                     d.loop_helpers = Some(helpers);
                 }
                 associated = self.wrap_canonical_nest(&associated, &levels);
-                d.nest = levels;
+                (d.nest, d.below) = (levels, below);
             }
         }
         // Parallel, worksharing and taskloop regions are outlined →
@@ -243,31 +248,36 @@ impl Sema<'_> {
 
     // ---------------- loop-nest collection ----------------
 
-    /// Collects `depth` nested canonical loops, one `nest_level` at a
-    /// time, and renders the first refusal as the directive's error.
+    /// Collects `depth` nested canonical loops, one level at a time, and
+    /// renders the first refusal as the directive's error; then the walk
+    /// goes on silently below them, up to [`RESOLVED_DEPTH`] levels in all.
+    /// Returns the nest and the levels below it.
     pub fn collect_loop_nest(
         &mut self,
         d: &OMPDirective,
         stmt: &P<Stmt>,
         depth: usize,
         consumer: &str,
-    ) -> Option<Vec<LoopNestLevel>> {
-        let mut levels: Vec<LoopNestLevel> = Vec::with_capacity(depth);
-        let mut cur = P::clone(stmt);
+    ) -> Option<(Vec<LoopNestLevel>, Vec<LoopNestLevel>)> {
+        let mut walk = NestWalk::new(stmt);
+        let mut levels: Vec<LoopNestLevel> = Vec::with_capacity(depth.max(RESOLVED_DEPTH));
         for lvl in 0..depth {
-            match nest_level(&self.ctx, &cur, &levels, consumer) {
-                Ok(level) => {
-                    // The next level must be the sole loop of the body.
-                    cur = P::clone(&level.analysis.body);
-                    levels.push(level);
-                }
+            match walk.level(&self.ctx, &levels, consumer) {
+                Ok(level) => levels.push(level),
                 Err(refusal) => {
                     self.report_level_refusal(d, refusal, lvl + 1, depth, consumer);
                     return None;
                 }
             }
         }
-        Some(levels)
+        while levels.len() < RESOLVED_DEPTH {
+            match walk.level(&self.ctx, &levels, consumer) {
+                Ok(level) => levels.push(level),
+                Err(_) => break,
+            }
+        }
+        let below = levels.split_off(depth);
+        Some((levels, below))
     }
 
     /// Renders why the loop at depth `depth_at` (from 1) of a nest of
@@ -311,7 +321,7 @@ impl Sema<'_> {
                     );
                 }
             }
-            LevelRefusal::Canonical(r) => self.diags.error(r.loc, r.render(&self.ctx)),
+            LevelRefusal::Canonical(r) => self.diags.error(r.loc, r.message),
             LevelRefusal::NonRectangular(var, ref_loc) => {
                 let name = self.ctx.spelling(var.name);
                 self.diags.report_with_notes(
@@ -331,8 +341,8 @@ impl Sema<'_> {
     }
 
     /// Collects a *loop sequence*: the statements of a block, each
-    /// resolving to one canonical loop (possibly through a nested
-    /// transformation directive standing in for its result).
+    /// resolving to one canonical loop (possibly the outermost loop a nested
+    /// transformation directive generated).
     fn collect_loop_sequence(
         &mut self,
         d: &OMPDirective,
@@ -345,7 +355,7 @@ impl Sema<'_> {
         };
         let mut loops = Vec::with_capacity(stmts.len());
         for s in stmts {
-            loops.extend(self.collect_loop_nest(d, s, 1, consumer)?);
+            loops.extend(self.collect_loop_nest(d, s, 1, consumer)?.0);
         }
         if loops.len() < 2 {
             self.diags.error(
@@ -359,11 +369,11 @@ impl Sema<'_> {
 
     // ---------------- transformation directives ----------------
 
-    /// Builds the shadow AST of a loop transformation — the driver all
-    /// five share: validate the directive's own clauses, collect the nest
-    /// its catalog row associates it with (kept as `d.nest`, with or
-    /// without a shadow AST), run its `transform_*`, then make the result
-    /// consumable (prologue re-wrap) and count it.
+    /// Builds the shadow AST of a loop transformation and the records of
+    /// the loops it generates — the driver all five share: validate the
+    /// directive's own clauses, collect the nest its catalog row associates
+    /// it with (kept as `d.nest`, with or without a shadow AST), run its
+    /// `transform_*`, then count the result.
     /// `None` means no generated loop stands in for the
     /// directive: `unroll` without `partial` (paper §2.2 — the shadow AST
     /// exists exactly when the directive is potentially consumable; it is
@@ -376,7 +386,7 @@ impl Sema<'_> {
         d: &mut OMPDirective,
         associated: &mut P<Stmt>,
         consumer: &str,
-    ) -> Option<P<Stmt>> {
+    ) -> Option<(P<Stmt>, Vec<LoopNestLevel>)> {
         use OMPDirectiveKind::{Fuse, Interchange, Reverse, Tile, Unroll};
         let (kind, loc) = (d.kind, d.loc);
         let full = d.clause(OMPClauseKind::Full).is_some();
@@ -409,8 +419,10 @@ impl Sema<'_> {
             }
             levels
         } else {
-            let levels = self.collect_loop_nest(d, associated, d.associated_loops(), consumer)?;
+            let (levels, below) =
+                self.collect_loop_nest(d, associated, d.associated_loops(), consumer)?;
             *associated = self.wrap_canonical_nest(associated, &levels);
+            d.below = below;
             levels
         };
         let levels = &d.nest;
@@ -423,7 +435,7 @@ impl Sema<'_> {
         }
 
         let pragma = d.pragma_text();
-        let mut t = {
+        let (t, generated) = {
             let (ctx, sm) = (&self.ctx, &mut *self.sm.borrow_mut());
             match kind {
                 Unroll => transform_unroll_partial(ctx, sm, first, d.partial_factor()?, &pragma),
@@ -437,14 +449,8 @@ impl Sema<'_> {
         if !matches!(kind, Unroll | Tile) && omplt_trace::active() {
             omplt_trace::count(&format!("sema.transform.{}", kind.name()), 1);
         }
-        // The single-loop transforms leave the level's prologue (a consumed
-        // inner transformation's declarations, a range's setup) to us: it
-        // must stay in front.
-        if kind.loop_association() == LoopAssociation::One {
-            t = wrap_with_prologue(&levels[0].prologue, t, loc);
-        }
         count_transformed_nodes(&t);
-        Some(t)
+        Some((t, generated))
     }
 
     /// The decoded `permutation` of an `interchange`, diagnosing a list that
@@ -716,7 +722,6 @@ impl Sema<'_> {
     }
 }
 
-/// Re-wraps a transformed statement with a leading prologue.
 /// Records the size of a freshly built transformed (shadow) subtree — the
 /// other half of the paper's §2 representation cost next to the helper
 /// bundle counted in `act_on_loop_directive`.
@@ -730,15 +735,6 @@ fn count_transformed_nodes(t: &P<Stmt>) {
     }
 }
 
-fn wrap_with_prologue(prologue: &[P<Stmt>], t: P<Stmt>, loc: SourceLocation) -> P<Stmt> {
-    if prologue.is_empty() {
-        return t;
-    }
-    let mut stmts: Vec<P<Stmt>> = prologue.to_vec();
-    stmts.push(t);
-    Stmt::new(StmtKind::Compound(stmts), loc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,34 +742,80 @@ mod tests {
     use omplt_ast::Decl;
     use omplt_source::{DiagnosticsEngine, SourceManager};
     use std::cell::RefCell;
+    use OMPClauseKind as C;
+    use OMPDirectiveKind as D;
 
-    fn mk_loop(s: &Sema, lb: i128, ub: i128, step: i128, body: Option<P<Stmt>>) -> P<Stmt> {
+    const LOC: SourceLocation = SourceLocation::INVALID;
+
+    fn lit(s: &Sema, v: i128) -> P<Expr> {
+        s.ctx.int_lit(v, s.ctx.int(), LOC)
+    }
+
+    fn null() -> P<Stmt> {
+        Stmt::new(StmtKind::Null, LOC)
+    }
+
+    fn int_var(s: &Sema, name: &str) -> P<VarDecl> {
+        s.ctx.make_var(name, s.ctx.int(), Some(lit(s, 0)), LOC)
+    }
+
+    /// `for (int iv = …; iv < ub; iv += step) body`, without the test when
+    /// `cond` is false.
+    fn for_stmt(
+        s: &Sema,
+        iv: &P<VarDecl>,
+        ub: P<Expr>,
+        step: i128,
+        cond: bool,
+        body: P<Stmt>,
+    ) -> P<Stmt> {
         let ctx = &s.ctx;
-        let loc = SourceLocation::INVALID;
-        let i = ctx.make_var("i", ctx.int(), Some(ctx.int_lit(lb, ctx.int(), loc)), loc);
-        let cond = ctx.binary(
-            BinOp::Lt,
-            ctx.read_var(&i, loc),
-            ctx.int_lit(ub, ctx.int(), loc),
-            ctx.bool_ty(),
-            loc,
-        );
+        let test = ctx.binary(BinOp::Lt, ctx.read_var(iv, LOC), ub, ctx.bool_ty(), LOC);
         let inc = ctx.binary(
             BinOp::AddAssign,
-            ctx.decl_ref(&i, loc),
-            ctx.int_lit(step, ctx.int(), loc),
+            ctx.decl_ref(iv, LOC),
+            lit(s, step),
             ctx.int(),
-            loc,
+            LOC,
         );
-        Stmt::new(
-            StmtKind::For {
-                init: Some(Stmt::new(StmtKind::Decl(vec![Decl::Var(i)]), loc)),
-                cond: Some(cond),
-                inc: Some(inc),
-                body: body.unwrap_or_else(|| Stmt::new(StmtKind::Null, loc)),
-            },
-            loc,
-        )
+        let init = Stmt::new(StmtKind::Decl(vec![Decl::Var(P::clone(iv))]), LOC);
+        let kind = StmtKind::For {
+            init: Some(init),
+            cond: cond.then_some(test),
+            inc: Some(inc),
+            body,
+        };
+        Stmt::new(kind, LOC)
+    }
+
+    /// `for (int i = lb; i < ub; i += step) body`, `;` without one.
+    fn mk_loop(s: &Sema, lb: i128, ub: i128, step: i128, body: Option<P<Stmt>>) -> P<Stmt> {
+        let i = s.ctx.make_var("i", s.ctx.int(), Some(lit(s, lb)), LOC);
+        for_stmt(s, &i, lit(s, ub), step, true, body.unwrap_or_else(null))
+    }
+
+    /// `for (int j = 0; j < ub; j += 1);` where `ub` reads `outer`, or is 8.
+    fn j_loop(s: &Sema, outer: Option<&P<VarDecl>>, canonical: bool) -> P<Stmt> {
+        let ub = outer.map_or_else(|| lit(s, 8), |v| s.ctx.read_var(v, LOC));
+        for_stmt(s, &int_var(s, "j"), ub, 1, canonical, null())
+    }
+
+    /// A clause with integer arguments.
+    fn clause(s: &Sema, kind: OMPClauseKind, args: &[i128]) -> P<OMPClause> {
+        OMPClause::new(kind, args.iter().map(|&v| lit(s, v)).collect(), LOC)
+    }
+
+    /// `#pragma omp <kind> <clauses>` over `assoc`.
+    fn directive(s: &mut Sema, kind: D, clauses: Vec<P<OMPClause>>, assoc: P<Stmt>) -> P<Stmt> {
+        s.act_on_omp_directive(kind, clauses, Some(assoc), LOC)
+    }
+
+    /// The directive node `stmt` is.
+    fn omp(stmt: &P<Stmt>) -> &P<OMPDirective> {
+        let StmtKind::OMP(d) = &stmt.kind else {
+            panic!("not a directive")
+        };
+        d
     }
 
     fn with_sema<R>(mode: OpenMpCodegenMode, f: impl FnOnce(&mut Sema) -> R) -> (R, Vec<String>) {
@@ -786,54 +828,46 @@ mod tests {
         (r, msgs)
     }
 
-    fn unroll_clause(s: &Sema, partial: Option<i128>) -> P<OMPClause> {
-        let loc = SourceLocation::INVALID;
-        let args = partial.map(|v| s.ctx.int_lit(v, s.ctx.int(), loc));
-        OMPClause::new(OMPClauseKind::Partial, args.into_iter().collect(), loc)
+    /// What one directive over `mk_loop(0, 10, 1)` makes, classic mode.
+    fn over_one_loop(kind: D, clauses: fn(&Sema) -> Vec<P<OMPClause>>) -> (P<Stmt>, Vec<String>) {
+        with_sema(OpenMpCodegenMode::Classic, |s| {
+            let (lp, clauses) = (mk_loop(s, 0, 10, 1, None), clauses(s));
+            directive(s, kind, clauses, lp)
+        })
+    }
+
+    /// What one directive over `mk_loop(0, 16, 1, mk_loop(0, 8, 1))` makes,
+    /// classic mode.
+    fn over_two_loops(kind: D, clauses: fn(&Sema) -> Vec<P<OMPClause>>) -> (P<Stmt>, Vec<String>) {
+        with_sema(OpenMpCodegenMode::Classic, |s| {
+            let inner = mk_loop(s, 0, 8, 1, None);
+            let (outer, clauses) = (mk_loop(s, 0, 16, 1, Some(inner)), clauses(s));
+            directive(s, kind, clauses, outer)
+        })
     }
 
     #[test]
     fn unroll_partial_builds_shadow_ast() {
-        let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            let c = unroll_clause(s, Some(2));
-            s.act_on_omp_directive(
-                OMPDirectiveKind::Unroll,
-                vec![c],
-                Some(lp),
-                SourceLocation::INVALID,
-            )
-        });
+        let (stmt, msgs) = over_one_loop(D::Unroll, |s| vec![clause(s, C::Partial, &[2])]);
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
+        let d = omp(&stmt);
         assert!(
             d.get_transformed_stmt().is_some(),
             "partial unroll must build shadow AST"
         );
+        assert_eq!(d.generated.len(), 1, "and generate a loop");
     }
 
     #[test]
     fn unroll_full_has_no_shadow_ast() {
-        let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            let c = OMPClause::new(OMPClauseKind::Full, vec![], SourceLocation::INVALID);
-            s.act_on_omp_directive(
-                OMPDirectiveKind::Unroll,
-                vec![c],
-                Some(lp),
-                SourceLocation::INVALID,
-            )
-        });
+        let (stmt, msgs) = over_one_loop(D::Unroll, |s| vec![clause(s, C::Full, &[])]);
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
+        let d = omp(&stmt);
         assert!(
             d.get_transformed_stmt().is_none(),
             "full unroll leaves no generated loop"
         );
+        assert!(d.generated.is_empty());
         // The nest is kept with or without a shadow AST: CodeGen reads the
         // constant Sema required off it.
         assert_eq!(d.nest.len(), 1);
@@ -849,15 +883,13 @@ mod tests {
         for (mode, full) in modes.into_iter().flat_map(|m| [(m, true), (m, false)]) {
             let (_, msgs) = with_sema(mode, |s| {
                 let lp = mk_loop(s, 0, 10, 1, None);
-                let loc = SourceLocation::INVALID;
                 let clauses = if full {
-                    vec![OMPClause::new(OMPClauseKind::Full, vec![], loc)]
+                    vec![clause(s, C::Full, &[])]
                 } else {
                     vec![]
                 };
-                let inner =
-                    s.act_on_omp_directive(OMPDirectiveKind::Unroll, clauses, Some(lp), loc);
-                s.act_on_omp_directive(OMPDirectiveKind::For, vec![], Some(inner), loc)
+                let inner = directive(s, D::Unroll, clauses, lp);
+                directive(s, D::For, vec![], inner)
             });
             assert!(
                 msgs.iter().any(|m| m.contains("does not generate a loop")),
@@ -870,51 +902,35 @@ mod tests {
     fn consuming_partial_unroll_reanalyzes_generated_loop() {
         let ((stmt, generated_iv), msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
             let lp = mk_loop(s, 0, 10, 1, None);
-            let c = unroll_clause(s, Some(2));
-            let inner = s.act_on_omp_directive(
-                OMPDirectiveKind::Unroll,
-                vec![c],
-                Some(lp),
-                SourceLocation::INVALID,
-            );
-            let stmt = s.act_on_omp_directive(
-                OMPDirectiveKind::ParallelFor,
-                vec![],
-                Some(inner),
-                SourceLocation::INVALID,
-            );
+            let inner = directive(s, D::Unroll, vec![clause(s, C::Partial, &[2])], lp);
+            let stmt = directive(s, D::ParallelFor, vec![], inner);
             (stmt, s.ctx.intern(".unrolled.iv.i"))
         });
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
+        let d = omp(&stmt);
         assert!(
             d.loop_helpers.is_some(),
             "classic mode builds the helper bundle"
         );
         // associated is CapturedStmt wrapping the inner unroll directive
-        let StmtKind::Captured(_) = &d.associated.as_ref().unwrap().kind else {
+        let StmtKind::Captured(c) = &d.associated.as_ref().unwrap().kind else {
             panic!("worksharing must capture its region");
         };
         // The level the directive carries is the generated loop, behind the
-        // shadow AST's `.capture_expr.` declaration.
+        // shadow AST's `.capture_expr.` declaration: the unroll's record.
         assert_eq!(d.nest.len(), 1);
         assert_eq!(d.nest[0].prologue.len(), 1);
         assert_eq!(d.nest[0].analysis.iter_var.name, generated_iv);
+        let unroll = omp(&c.decl.body);
+        assert!(P::ptr_eq(
+            &d.nest[0].loop_stmt,
+            &unroll.generated[0].loop_stmt
+        ));
     }
 
     #[test]
     fn tile_requires_sizes() {
-        let (_, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            s.act_on_omp_directive(
-                OMPDirectiveKind::Tile,
-                vec![],
-                Some(lp),
-                SourceLocation::INVALID,
-            )
-        });
+        let (_, msgs) = over_one_loop(D::Tile, |_| vec![]);
         assert!(
             msgs.iter().any(|m| m.contains("requires a 'sizes'")),
             "{msgs:?}"
@@ -923,24 +939,9 @@ mod tests {
 
     #[test]
     fn tile_depth_2_collects_nested_loops() {
-        let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let inner = mk_loop(s, 0, 8, 1, None);
-            let outer = mk_loop(s, 0, 16, 1, Some(inner));
-            let loc = SourceLocation::INVALID;
-            let sizes = OMPClause::new(
-                OMPClauseKind::Sizes,
-                vec![
-                    s.ctx.int_lit(4, s.ctx.int(), loc),
-                    s.ctx.int_lit(2, s.ctx.int(), loc),
-                ],
-                loc,
-            );
-            s.act_on_omp_directive(OMPDirectiveKind::Tile, vec![sizes], Some(outer), loc)
-        });
+        let (stmt, msgs) = over_two_loops(D::Tile, |s| vec![clause(s, C::Sizes, &[4, 2])]);
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
+        let d = omp(&stmt);
         let t = d.get_transformed_stmt().unwrap();
         assert_eq!(crate::transform::count_generated_loops(t), 4);
         // Outermost first.
@@ -954,27 +955,17 @@ mod tests {
 
     #[test]
     fn insufficient_nest_depth_is_diagnosed() {
-        let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 8, 1, None); // body is NullStmt, not a loop
-            let loc = SourceLocation::INVALID;
-            let sizes = OMPClause::new(
-                OMPClauseKind::Sizes,
-                vec![
-                    s.ctx.int_lit(4, s.ctx.int(), loc),
-                    s.ctx.int_lit(2, s.ctx.int(), loc),
-                ],
-                loc,
-            );
-            s.act_on_omp_directive(OMPDirectiveKind::Tile, vec![sizes], Some(lp), loc)
-        });
+        // The body is a NullStmt, not a loop.
+        let (stmt, msgs) = over_one_loop(D::Tile, |s| vec![clause(s, C::Sizes, &[4, 2])]);
         assert!(
             msgs.iter().any(|m| m.contains("must be a for loop")),
             "{msgs:?}"
         );
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
-        assert!(d.nest.is_empty(), "a refused nest leaves no level behind");
+        let d = omp(&stmt);
+        assert!(
+            d.nest.is_empty() && d.below.is_empty(),
+            "a refused nest leaves no level behind"
+        );
     }
 
     /// `tile sizes(4, 2)` over `{ int t; for { int u; for } }`: the
@@ -985,20 +976,17 @@ mod tests {
         for mode in [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder] {
             for imperfect in [false, true] {
                 let (_, msgs) = with_sema(mode, |s| {
-                    let loc = SourceLocation::INVALID;
                     let decl = |s: &Sema, name: &str| {
-                        let v = s.ctx.make_var(name, s.ctx.int(), None, loc);
-                        Stmt::new(StmtKind::Decl(vec![Decl::Var(v)]), loc)
+                        let v = s.ctx.make_var(name, s.ctx.int(), None, LOC);
+                        Stmt::new(StmtKind::Decl(vec![Decl::Var(v)]), LOC)
                     };
                     let mut inner = mk_loop(s, 0, 8, 1, None);
                     if imperfect {
-                        inner = Stmt::new(StmtKind::Compound(vec![decl(s, "u"), inner]), loc);
+                        inner = Stmt::new(StmtKind::Compound(vec![decl(s, "u"), inner]), LOC);
                     }
                     let outer = mk_loop(s, 0, 16, 1, Some(inner));
-                    let block = Stmt::new(StmtKind::Compound(vec![decl(s, "t"), outer]), loc);
-                    let lit = |v| s.ctx.int_lit(v, s.ctx.int(), loc);
-                    let sizes = OMPClause::new(OMPClauseKind::Sizes, vec![lit(4), lit(2)], loc);
-                    s.act_on_omp_directive(OMPDirectiveKind::Tile, vec![sizes], Some(block), loc)
+                    let block = Stmt::new(StmtKind::Compound(vec![decl(s, "t"), outer]), LOC);
+                    directive(s, D::Tile, vec![clause(s, C::Sizes, &[4, 2])], block)
                 });
                 let refused = msgs.iter().any(|m| {
                     m == "loop nest after '#pragma omp tile sizes(4, 2)' must be perfectly \
@@ -1010,44 +998,10 @@ mod tests {
         }
     }
 
-    const LOC: SourceLocation = SourceLocation::INVALID;
-
-    fn int_var(s: &Sema, name: &str) -> P<VarDecl> {
-        let zero = s.ctx.int_lit(0, s.ctx.int(), LOC);
-        s.ctx.make_var(name, s.ctx.int(), Some(zero), LOC)
-    }
-
-    /// `for (int iv = 0; iv < ub; iv += 1) body`, without the test when
-    /// `cond` is false.
-    fn for_stmt(s: &Sema, iv: &P<VarDecl>, ub: P<Expr>, cond: bool, body: P<Stmt>) -> P<Stmt> {
-        let ctx = &s.ctx;
-        let test = ctx.binary(BinOp::Lt, ctx.read_var(iv, LOC), ub, ctx.bool_ty(), LOC);
-        let one = ctx.int_lit(1, ctx.int(), LOC);
-        let inc = ctx.binary(BinOp::AddAssign, ctx.decl_ref(iv, LOC), one, ctx.int(), LOC);
-        let init = Stmt::new(StmtKind::Decl(vec![Decl::Var(P::clone(iv))]), LOC);
-        let kind = StmtKind::For {
-            init: Some(init),
-            cond: cond.then_some(test),
-            inc: Some(inc),
-            body,
-        };
-        Stmt::new(kind, LOC)
-    }
-
-    /// `for (int j = 0; j < ub; j += 1);` where `ub` reads `outer`, or is 8.
-    fn j_loop(s: &Sema, outer: Option<&P<VarDecl>>, canonical: bool) -> P<Stmt> {
-        let ub = match outer {
-            Some(v) => s.ctx.read_var(v, LOC),
-            None => s.ctx.int_lit(8, s.ctx.int(), LOC),
-        };
-        let null = Stmt::new(StmtKind::Null, LOC);
-        for_stmt(s, &int_var(s, "j"), ub, canonical, null)
-    }
-
     #[test]
-    fn the_gate_extends_a_nest_by_the_level_rule() {
+    fn the_walk_resolves_the_levels_below_a_directive() {
         // `#pragma omp for` over `for (i < 16) <below>`: the iteration
-        // variables of what `extend_loop_nest` makes of its nest.
+        // variables of its nest and of the levels the walk resolves below.
         type Below = fn(&mut Sema, &P<VarDecl>) -> P<Stmt>;
         let cases: [(&str, Below, &[&str]); 6] = [
             ("perfect", |s, _| j_loop(s, None, true), &["i", "j"]),
@@ -1064,20 +1018,18 @@ mod tests {
             (
                 "unroll full",
                 |s, _| {
-                    let full = OMPClause::new(OMPClauseKind::Full, vec![], LOC);
-                    let lp = Some(j_loop(s, None, true));
-                    s.act_on_omp_directive(OMPDirectiveKind::Unroll, vec![full], lp, LOC)
+                    let lp = j_loop(s, None, true);
+                    directive(s, D::Unroll, vec![clause(s, C::Full, &[])], lp)
                 },
                 &["i"],
             ),
-            // Through to the generated loop; the loop of its copies below
-            // is bounded by the generated variable, so it stops there.
+            // The generated loop; the loop of its copies below is bounded
+            // by the generated variable, so the walk stops there.
             (
                 "consumed unroll partial",
                 |s, _| {
-                    let c = unroll_clause(s, Some(2));
-                    let lp = Some(j_loop(s, None, true));
-                    s.act_on_omp_directive(OMPDirectiveKind::Unroll, vec![c], lp, LOC)
+                    let lp = j_loop(s, None, true);
+                    directive(s, D::Unroll, vec![clause(s, C::Partial, &[2])], lp)
                 },
                 &["i", ".unrolled.iv.j"],
             ),
@@ -1085,17 +1037,14 @@ mod tests {
         for (what, below, expected) in cases {
             let (ivs, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
                 let i = int_var(s, "i");
-                let bound = s.ctx.int_lit(16, s.ctx.int(), LOC);
                 let body = below(s, &i);
-                let outer = for_stmt(s, &i, bound, true, body);
-                let stmt = s.act_on_omp_directive(OMPDirectiveKind::For, vec![], Some(outer), LOC);
-                let StmtKind::OMP(d) = &stmt.kind else {
-                    panic!("{what}: not a directive")
-                };
-                let nest = crate::extend_loop_nest(&d.nest, 4);
+                let outer = for_stmt(s, &i, lit(s, 16), 1, true, body);
+                let stmt = directive(s, D::For, vec![], outer);
+                let d = omp(&stmt);
+                assert_eq!(d.nest.len(), 1, "{what}");
                 let spell =
                     |l: &LoopNestLevel| s.ctx.spelling(l.analysis.iter_var.name).to_string();
-                nest.iter().map(spell).collect::<Vec<_>>()
+                d.nest.iter().chain(&d.below).map(spell).collect::<Vec<_>>()
             });
             assert!(msgs.is_empty(), "{what}: {msgs:?}");
             assert_eq!(ivs, expected, "{what}");
@@ -1103,23 +1052,55 @@ mod tests {
     }
 
     #[test]
+    fn a_consumer_takes_the_generated_loops_in_order() {
+        // `for collapse(k)` over `tile sizes(2, 2)`: the floor loops are
+        // the tile's own records, the ones below the consumer's depth too.
+        // The tile loop below the last one is bounded by its floor loop, so
+        // the walk stops there.
+        for k in 1..=2 {
+            let ((taken, names), msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
+                let nest = for_stmt(
+                    s,
+                    &int_var(s, "i"),
+                    lit(s, 16),
+                    1,
+                    true,
+                    j_loop(s, None, true),
+                );
+                let tile = directive(s, D::Tile, vec![clause(s, C::Sizes, &[2, 2])], nest);
+                let stmt = directive(
+                    s,
+                    D::For,
+                    vec![clause(s, C::Collapse, &[k])],
+                    P::clone(&tile),
+                );
+                let (d, t) = (omp(&stmt), omp(&tile));
+                assert_eq!(d.nest.len(), k as usize);
+                let levels = d.nest.iter().chain(&d.below);
+                let taken = levels
+                    .clone()
+                    .zip(&t.generated)
+                    .all(|(l, g)| P::ptr_eq(&l.loop_stmt, &g.loop_stmt));
+                let spell =
+                    |l: &LoopNestLevel| s.ctx.spelling(l.analysis.iter_var.name).to_string();
+                (taken, levels.map(spell).collect::<Vec<_>>())
+            });
+            assert!(msgs.is_empty(), "{msgs:?}");
+            assert!(taken, "collapse({k})");
+            assert_eq!(names, [".floor.iv.i", ".floor.iv.j"], "collapse({k})");
+        }
+    }
+
+    #[test]
     fn irbuilder_mode_wraps_canonical_loop() {
         let (stmt, msgs) = with_sema(OpenMpCodegenMode::IrBuilder, |s| {
             let lp = mk_loop(s, 0, 10, 1, None);
-            s.act_on_omp_directive(
-                OMPDirectiveKind::Unroll,
-                vec![unroll_clause(s, Some(2))],
-                Some(lp),
-                SourceLocation::INVALID,
-            )
+            directive(s, D::Unroll, vec![clause(s, C::Partial, &[2])], lp)
         });
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
         assert!(
             matches!(
-                d.associated.as_ref().unwrap().kind,
+                omp(&stmt).associated.as_ref().unwrap().kind,
                 StmtKind::OMPCanonicalLoop(_)
             ),
             "IrBuilder mode must wrap the literal loop"
@@ -1130,76 +1111,39 @@ mod tests {
     fn classic_mode_helper_bundle_size_vs_canonical() {
         // The 36-vs-3 comparison (paper §3: "reduced from the 36 shadow AST
         // nodes required by OMPLoopDirective" to 3 meta items).
-        let (count, _) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            let stmt = s.act_on_omp_directive(
-                OMPDirectiveKind::For,
-                vec![],
-                Some(lp),
-                SourceLocation::INVALID,
-            );
-            let StmtKind::OMP(d) = &stmt.kind else {
-                panic!()
-            };
-            d.loop_helpers.as_ref().unwrap().node_count()
-        });
+        let (stmt, _) = over_one_loop(D::For, |_| vec![]);
+        let count = omp(&stmt).loop_helpers.as_ref().unwrap().node_count();
         assert_eq!(count, 17 + 6, "one loop: nest-wide 17 + 6 per-loop helpers");
         assert!(count > 7 * omplt_ast::OMPCanonicalLoop::META_NODE_COUNT);
     }
 
     #[test]
     fn wrong_clause_on_directive_is_diagnosed() {
-        let (_, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            let loc = SourceLocation::INVALID;
-            let sizes = OMPClause::new(
-                OMPClauseKind::Sizes,
-                vec![s.ctx.int_lit(4, s.ctx.int(), loc)],
-                loc,
-            );
-            s.act_on_omp_directive(OMPDirectiveKind::For, vec![sizes], Some(lp), loc)
-        });
+        let (_, msgs) = over_one_loop(D::For, |s| vec![clause(s, C::Sizes, &[4])]);
         assert!(msgs.iter().any(|m| m.contains("not valid on")), "{msgs:?}");
     }
 
     #[test]
     fn interchange_default_swaps_two_loops() {
-        let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let inner = mk_loop(s, 0, 8, 1, None);
-            let outer = mk_loop(s, 0, 16, 1, Some(inner));
-            s.act_on_omp_directive(
-                OMPDirectiveKind::Interchange,
-                vec![],
-                Some(outer),
-                SourceLocation::INVALID,
-            )
-        });
+        let (stmt, msgs) = over_two_loops(D::Interchange, |_| vec![]);
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
+        let d = omp(&stmt);
         let t = d
             .get_transformed_stmt()
             .expect("interchange builds shadow AST");
         assert_eq!(crate::transform::count_generated_loops(t), 2);
+        let trips: Vec<_> = d
+            .generated
+            .iter()
+            .map(|l| l.analysis.const_trip_count())
+            .collect();
+        assert_eq!(trips, [Some(8), Some(16)], "the inner loop runs outermost");
     }
 
     #[test]
     fn interchange_permutation_must_be_valid() {
-        let (_, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let inner = mk_loop(s, 0, 8, 1, None);
-            let outer = mk_loop(s, 0, 16, 1, Some(inner));
-            let loc = SourceLocation::INVALID;
-            let perm = OMPClause::new(
-                OMPClauseKind::Permutation,
-                vec![
-                    s.ctx.int_lit(1, s.ctx.int(), loc),
-                    s.ctx.int_lit(3, s.ctx.int(), loc),
-                ],
-                loc,
-            );
-            s.act_on_omp_directive(OMPDirectiveKind::Interchange, vec![perm], Some(outer), loc)
-        });
+        let (_, msgs) =
+            over_two_loops(D::Interchange, |s| vec![clause(s, C::Permutation, &[1, 3])]);
         assert!(
             msgs.iter().any(|m| m.contains("permutation of 1..2")),
             "{msgs:?}"
@@ -1208,48 +1152,25 @@ mod tests {
 
     #[test]
     fn interchange_permutation_on_wrong_directive_is_diagnosed() {
-        let (_, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            let loc = SourceLocation::INVALID;
-            let perm = OMPClause::new(
-                OMPClauseKind::Permutation,
-                vec![
-                    s.ctx.int_lit(2, s.ctx.int(), loc),
-                    s.ctx.int_lit(1, s.ctx.int(), loc),
-                ],
-                loc,
-            );
-            s.act_on_omp_directive(OMPDirectiveKind::Tile, vec![perm], Some(lp), loc)
-        });
+        let (_, msgs) = over_one_loop(D::Tile, |s| vec![clause(s, C::Permutation, &[2, 1])]);
         assert!(msgs.iter().any(|m| m.contains("not valid on")), "{msgs:?}");
     }
 
     #[test]
     fn reverse_builds_shadow_ast() {
-        let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            s.act_on_omp_directive(
-                OMPDirectiveKind::Reverse,
-                vec![],
-                Some(lp),
-                SourceLocation::INVALID,
-            )
-        });
+        let (stmt, msgs) = over_one_loop(D::Reverse, |_| vec![]);
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
-        let t = d.get_transformed_stmt().expect("reverse builds shadow AST");
+        let t = omp(&stmt)
+            .get_transformed_stmt()
+            .expect("reverse builds shadow AST");
         assert_eq!(crate::transform::count_generated_loops(t), 1);
     }
 
     #[test]
     fn fuse_requires_two_loops() {
         let (_, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let lp = mk_loop(s, 0, 10, 1, None);
-            let loc = SourceLocation::INVALID;
-            let compound = Stmt::new(StmtKind::Compound(vec![lp]), loc);
-            s.act_on_omp_directive(OMPDirectiveKind::Fuse, vec![], Some(compound), loc)
+            let compound = Stmt::new(StmtKind::Compound(vec![mk_loop(s, 0, 10, 1, None)]), LOC);
+            directive(s, D::Fuse, vec![], compound)
         });
         assert!(
             msgs.iter().any(|m| m.contains("at least two loops")),
@@ -1260,16 +1181,16 @@ mod tests {
     #[test]
     fn fuse_builds_single_guarded_loop() {
         let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
-            let a = mk_loop(s, 0, 10, 1, None);
-            let b = mk_loop(s, 0, 6, 1, None);
-            let loc = SourceLocation::INVALID;
-            let compound = Stmt::new(StmtKind::Compound(vec![a, b]), loc);
-            s.act_on_omp_directive(OMPDirectiveKind::Fuse, vec![], Some(compound), loc)
+            let (a, b) = (mk_loop(s, 0, 10, 1, None), mk_loop(s, 0, 6, 1, None));
+            directive(
+                s,
+                D::Fuse,
+                vec![],
+                Stmt::new(StmtKind::Compound(vec![a, b]), LOC),
+            )
         });
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
+        let d = omp(&stmt);
         let t = d.get_transformed_stmt().expect("fuse builds shadow AST");
         assert_eq!(crate::transform::count_generated_loops(t), 1);
         // The members of the sequence, in source order.
@@ -1287,25 +1208,11 @@ mod tests {
         // directive associates with the *generated* (permuted) outer loop.
         let (stmt, msgs) = with_sema(OpenMpCodegenMode::Classic, |s| {
             let inner = mk_loop(s, 0, 8, 1, None);
-            let outer = mk_loop(s, 0, 16, 1, Some(inner));
-            let ic = s.act_on_omp_directive(
-                OMPDirectiveKind::Interchange,
-                vec![],
-                Some(outer),
-                SourceLocation::INVALID,
-            );
-            s.act_on_omp_directive(
-                OMPDirectiveKind::For,
-                vec![],
-                Some(ic),
-                SourceLocation::INVALID,
-            )
+            let ic = directive(s, D::Interchange, vec![], mk_loop(s, 0, 16, 1, Some(inner)));
+            directive(s, D::For, vec![], ic)
         });
         assert!(msgs.is_empty(), "{msgs:?}");
-        let StmtKind::OMP(d) = &stmt.kind else {
-            panic!()
-        };
-        assert!(d.loop_helpers.is_some());
+        assert!(omp(&stmt).loop_helpers.is_some());
     }
 
     #[test]
@@ -1315,12 +1222,7 @@ mod tests {
         let mut sema = Sema::new(&diags, &sm, OpenMpCodegenMode::Classic, false);
         sema.scopes.push();
         let lp = mk_loop(&sema, 0, 4, 1, None);
-        let r = sema.act_on_omp_directive(
-            OMPDirectiveKind::ParallelFor,
-            vec![],
-            Some(P::clone(&lp)),
-            SourceLocation::INVALID,
-        );
+        let r = directive(&mut sema, D::ParallelFor, vec![], P::clone(&lp));
         assert!(
             P::ptr_eq(&r, &lp),
             "disabled OpenMP must return the bare statement"

@@ -12,9 +12,9 @@ use std::path::Path;
 
 /// The crate DAG DESIGN.md §2 prints: each crate's `omplt-*`
 /// `[dependencies]`, without the `omplt-` prefix. Dev-dependencies are the
-/// tests' business. `codegen` has no edge to `sema`.
+/// tests' business. Neither `codegen` nor `analysis` has an edge to `sema`.
 const DAG: [(&str, &[&str]); 15] = [
-    ("analysis", &["ast", "sema", "source", "trace"]),
+    ("analysis", &["ast", "source", "trace"]),
     ("ast", &["source", "trace"]),
     (
         "codegen",
@@ -87,12 +87,6 @@ fn only_sema_analyses_a_loop_and_only_the_driver_owns_an_engine() {
             "ASTContext::new()",
             &[
                 ("crates/sema/src/sema.rs", "the translation unit's context"),
-                // `extend_loop_nest`: loops below a directive's own depth,
-                // which no directive is associated with.
-                (
-                    "crates/sema/src/loop_analysis.rs",
-                    "the extension below a directive",
-                ),
                 // Expression nodes only, over the original declarations:
                 (
                     "crates/codegen/src/cg_stmt.rs",
@@ -143,4 +137,17 @@ fn no_directive_lowering_has_a_range_for_case() {
         let text = std::fs::read_to_string(file).unwrap();
         assert!(!text.contains("CxxForRange"), "{file} names CxxForRange");
     }
+}
+
+/// The walker resolves a level without looking into a directive: it may
+/// stop at a transformation, which stands for the loops Sema recorded on
+/// it (`OMPDirective::generated`), but it never re-walks its shadow AST.
+#[test]
+fn the_walker_never_looks_inside_a_directive() {
+    let file = "crates/ast/src/nest.rs";
+    let text = scan::shipped_text(Path::new(file));
+    assert!(
+        !text.contains("get_transformed_stmt"),
+        "{file} spells get_transformed_stmt"
+    );
 }

@@ -1,7 +1,7 @@
 //! The legality rules are on every entrance. A nest the compiler cannot
 //! transform as written is refused by the ordinary compile — Sema's rules
 //! (perfect nesting, no `return` out of the region) while the directive is
-//! built, the dependence gate over `interchange`/`reverse`/`fuse` as the
+//! built, the dependence gate over `interchange`/`tile`/`reverse`/`fuse` as the
 //! last step of `parse_source` — so no mode, backend, lowering path or
 //! transport can be handed the miscompile instead. The same gate decides
 //! how many lanes each `simd` loop may run, once, for every consumer, and
@@ -42,6 +42,28 @@ int main(void) {
   return 0;
 }
 ";
+
+/// Every column of `b` gains 10 per row: 320 in any loop order.
+const COLUMNS: &str = "\
+void print_i64(long v);
+long b[8];
+int main(void) {
+  #pragma omp interchange
+  for (int i = 0; i < 4; i += 1)
+    for (int j = 0; j < 8; j += 1)
+      b[j] += 10;
+  long s = 0;
+  for (int j = 0; j < 8; j += 1)
+    s += b[j];
+  print_i64(s);
+  return 0;
+}
+";
+
+/// `WAVEFRONT` with `pragma` in place of its `interchange`.
+fn wavefront_under(pragma: &str) -> String {
+    WAVEFRONT.replace("#pragma omp interchange", pragma)
+}
 
 /// `k` depends on `i`; hoisted out of the nest it is evaluated once:
 /// 24 tiled, 264 as written.
@@ -201,6 +223,13 @@ fn an_illegal_nest_is_refused_on_every_entrance() {
     let programs = [
         (write_temp("wavefront.c", WAVEFRONT), "is illegal here"),
         (
+            write_temp(
+                "wavefront_tile.c",
+                &wavefront_under("#pragma omp tile sizes(2, 2)"),
+            ),
+            "is illegal here",
+        ),
+        (
             write_temp("imperfect_tile.c", IMPERFECT_TILE),
             "must be perfectly nested",
         ),
@@ -297,6 +326,37 @@ fn every_legal_program_prints_what_it_prints_without_openmp() {
                 let got = ompltc(&args, file);
                 assert_eq!(got.code, oracle.code, "{name} {args:?}: {}", got.stderr);
                 assert_eq!(got.stdout, oracle.stdout, "{name} {args:?}");
+            }
+        }
+    }
+}
+
+/// What the tile and interchange rules accept runs as written. The same
+/// stencil one column back, whose dependence has direction `(<, <)`, is a
+/// fully permutable band: tiled it prints its serial 29034. `interchange`
+/// over `COLUMNS` reorders no two accesses to one element: the `*` of its
+/// dependence vector `(*, =)` splits into `(<, =)` and its reverse, and it
+/// prints 320.
+#[test]
+fn a_permutable_tile_and_a_split_star_run_as_written() {
+    let diagonal = wavefront_under("#pragma omp tile sizes(2, 2)")
+        .replace("a[i - 1][j + 1]", "a[i - 1][j - 1]");
+    let programs = [
+        (write_temp("diagonal_tile.c", &diagonal), "29034\n"),
+        (write_temp("columns_interchange.c", COLUMNS), "320\n"),
+    ];
+    for (file, printed) in &programs {
+        let name = file.display();
+        let oracle = ompltc(&["--no-openmp", "--run"], file);
+        assert_eq!(oracle.stdout, *printed, "{name}");
+        for path in [&[][..], &["--enable-irbuilder"]] {
+            for engine in [&["--run"][..], &["--run", "--backend=vm:strict"]] {
+                for opt in [&[][..], &["--opt"]] {
+                    let args = [path, engine, opt].concat();
+                    let got = ompltc(&args, file);
+                    let seen = (got.code, got.stdout.as_str(), got.stderr.as_str());
+                    assert_eq!(seen, (Some(0), *printed, ""), "{name} {args:?}");
+                }
             }
         }
     }

@@ -373,8 +373,8 @@ fn the_pipeline_prints_what_the_five_pass_order_printed() {
             }
         }
     }
-    // Everything but the three fixtures the legality gate refuses.
-    assert_eq!(compared, 4 * (sources.len() - 3));
+    // Everything but the four fixtures the legality gate refuses.
+    assert_eq!(compared, 4 * (sources.len() - 4));
 }
 
 /// The benchmark's stacks that carry an unroll hint, and the two region
@@ -465,7 +465,7 @@ fn the_corpus_verifies_after_every_pass() {
             }
         }
     }
-    assert_eq!(verified, 4 * (corpus().len() - 3 + stacks.len()));
+    assert_eq!(verified, 4 * (corpus().len() - 4 + stacks.len()));
 }
 
 /// ROADMAP's probe: `s += i` over `trips` iterations under `pragma`.

@@ -181,10 +181,10 @@ fn every_directive_over_every_loop_form_matches_the_serial_run() {
 /// Two-level nests that mix a range-`for` with a counted or pointer loop
 /// run what the serial program runs under every stack that associates two
 /// levels. A range below the outermost level that reads an outer counter
-/// is refused: the nest is not rectangular. So is `interchange` over the
-/// nest that writes `b` through `v`, as it is over `b[j] += 10` in the
-/// counted nest: the gate finds the dependence with vector `(*, =)` and
-/// does not split its `*`.
+/// is refused: the nest is not rectangular. `interchange` over the nest
+/// that writes `b` through `v` is not: each element is still written in
+/// the order of `i`, and the gate splits the `*` of its dependence vector
+/// `(*, =)` into `(<, =)` and its reverse, which interchange keeps.
 #[test]
 fn two_level_nests_with_a_range_for_match_the_serial_run() {
     let nests = [
@@ -204,13 +204,7 @@ fn two_level_nests_with_a_range_for_match_the_serial_run() {
     let mut departures = Vec::new();
     for nest in nests {
         for (stack, ordered) in stacks {
-            let refusal = if nest.contains("m[i]") {
-                Some("must be rectangular")
-            } else if nest.contains("v += 10") && stack == "interchange" {
-                Some("would reverse the anti dependence on 'b'")
-            } else {
-                None
-            };
+            let refusal = nest.contains("m[i]").then_some("must be rectangular");
             departures.extend(departures_from_serial(
                 &matrix_program(stack, nest),
                 ordered,
@@ -538,6 +532,97 @@ fn tile_over_interchange_tiles_the_permuted_nest() {
             .flat_map(move |(i0, i1)| (j0..j1).flat_map(move |j| (i0..i1).map(move |i| i * 10 + j)))
     });
     assert_stack_output(&src, &seq(order));
+}
+
+/// Stacks in which a directive consumes the loops a transformation
+/// generated, one row per way a generated loop reaches its consumer: a
+/// directive over each of the five transformations, two-level consumers
+/// over the loops of `interchange` and the floor loops of `tile`,
+/// transformations over range, pointer and down-counting loops, a nest
+/// whose inner loop a transformation generated, and `fuse` of transformed
+/// members. Each runs what the serial program runs, or, for `unroll full`
+/// over a loop without a constant trip count, is refused.
+#[test]
+fn stacked_transformations_match_the_serial_run() {
+    const ONE: &str = "for (int i = 0; i < 10; i++) print_i64(i);";
+    const TWO: &str =
+        "for (int i = 0; i < 4; i++) for (int j = 0; j < 5; j++) print_i64(i * 10 + j);";
+    const INNER_REVERSE: &str = "for (int i = 0; i < 4; i++)\n  #pragma omp reverse\n  \
+                                 for (int j = 0; j < 5; j++) print_i64(i * 10 + j);";
+    const SEQUENCE: &str = "{ for (int i = 0; i < 6; i++) print_i64(i); \
+                            for (int j = 0; j < 9; j++) print_i64(100 + j); }";
+    const TRANSFORMED_MEMBERS: &str = "{\n  #pragma omp reverse\n  \
+                                       for (int i = 0; i < 6; i++) print_i64(i);\n  \
+                                       #pragma omp tile sizes(2)\n  \
+                                       for (int j = 0; j < 9; j++) print_i64(100 + j); }";
+    const INTERCHANGED_MEMBER: &str = "{\n  #pragma omp interchange\n  \
+                                       for (int i = 0; i < 3; i++) for (int j = 0; j < 4; j++) \
+                                       print_i64(i * 10 + j);\n  \
+                                       #pragma omp unroll partial(2)\n  \
+                                       for (int k = 0; k < 5; k++) print_i64(100 + k); }";
+    const RANGE: &str = "for (long &v : a) print_i64(v += 1000);";
+    const POINTER: &str = "for (long *p = a + 9; p >= a; p--) print_i64(*p);";
+    const DOWN: &str = "for (int i = 28; i > 0; i -= 3) print_i64(i);";
+    let rows: [(&[&str], &str); 40] = [
+        (&["for", "unroll partial(2)"], ONE),
+        (&["for", "tile sizes(3)"], ONE),
+        (&["for", "interchange"], TWO),
+        (&["for", "reverse"], ONE),
+        (&["for", "fuse"], SEQUENCE),
+        (&["simd", "unroll partial(2)"], ONE),
+        (&["simd", "tile sizes(3)"], ONE),
+        (&["simd", "interchange"], TWO),
+        (&["simd", "reverse"], ONE),
+        (&["simd", "fuse"], SEQUENCE),
+        (&["parallel for", "unroll partial(3)"], ONE),
+        (&["taskloop", "reverse"], ONE),
+        (&["unroll partial(2)", "unroll partial(3)"], ONE),
+        (&["unroll partial(2)", "tile sizes(3)"], ONE),
+        (&["reverse", "interchange"], TWO),
+        (&["reverse", "reverse"], ONE),
+        (&["unroll partial(2)", "fuse"], SEQUENCE),
+        (&["unroll full", "tile sizes(4)"], ONE),
+        (&["for collapse(2)", "interchange"], TWO),
+        (&["tile sizes(2, 2)", "interchange"], TWO),
+        (&["simd collapse(2)", "interchange"], TWO),
+        (&["interchange", "interchange"], TWO),
+        (&["for collapse(2)", "tile sizes(2, 3)"], TWO),
+        (&["tile sizes(2, 2)", "tile sizes(2, 3)"], TWO),
+        (&["simd collapse(2)", "tile sizes(2, 3)"], TWO),
+        (&["interchange", "tile sizes(2, 2)"], TWO),
+        (&["for collapse(2)"], INNER_REVERSE),
+        (&["tile sizes(2, 2)"], INNER_REVERSE),
+        (&["unroll partial(2)"], RANGE),
+        (&["for", "reverse"], RANGE),
+        (&["tile sizes(3)", "reverse"], RANGE),
+        (&["unroll full", "reverse"], RANGE),
+        (&["unroll partial(2)", "reverse"], POINTER),
+        (&["for", "tile sizes(3)"], POINTER),
+        (&["unroll full", "reverse"], DOWN),
+        (&["simd", "unroll partial(2)"], DOWN),
+        (&["reverse", "tile sizes(4)"], DOWN),
+        (&["fuse"], TRANSFORMED_MEMBERS),
+        (&["for", "fuse"], TRANSFORMED_MEMBERS),
+        (&["fuse"], INTERCHANGED_MEMBER),
+    ];
+    let mut departures = Vec::new();
+    for (stack, nest) in rows {
+        let reorders = ["interchange", "reverse", "fuse", "tile sizes(2"];
+        let ordered = !stack
+            .iter()
+            .any(|d| reorders.iter().any(|r| d.starts_with(r)))
+            && nest != INNER_REVERSE
+            && nest != TRANSFORMED_MEMBERS
+            && nest != INTERCHANGED_MEMBER;
+        let constant = !nest.contains('*') && !nest.contains(':');
+        let refusal = (stack[0] == "unroll full" && !constant).then_some("constant trip count");
+        departures.extend(departures_from_serial(
+            &matrix_program(&stack.join("\n  #pragma omp "), nest),
+            ordered,
+            refusal,
+        ));
+    }
+    assert_no_departures(&departures, rows.len() * 4);
 }
 
 /// `reverse` consumes the outer loop `interchange` generated, the `j` loop.
