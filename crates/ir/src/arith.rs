@@ -195,6 +195,21 @@ pub fn cast(op: CastOp, from: IrType, to: IrType, v: u64) -> u64 {
     }
 }
 
+/// Whether [`cast`] hands back its input for every payload of `from` and
+/// `from` and `to` share a register class — a cast that is a copy. By the
+/// payload table: `sext` between integer types (a narrow integer is already
+/// held sign-extended), `zext` of an `i1` (0 or 1 either way) and `fpext`
+/// (a `float` is already held as its `f64`). `inttoptr` returns its input
+/// too, but a pointer is not an integer register.
+pub fn keeps_payload(op: CastOp, from: IrType, to: IrType) -> bool {
+    match op {
+        CastOp::SExt => from.is_int() && to.is_int(),
+        CastOp::ZExt => from == IrType::I1 && to.is_int(),
+        CastOp::FpExt => from.is_float() && to == IrType::F64,
+        _ => false,
+    }
+}
+
 /// `base + index * elem_size`, on payloads (the byte-scaled GEP).
 #[inline(always)]
 pub fn gep(base: u64, index: u64, elem_size: u64) -> u64 {
@@ -425,6 +440,69 @@ mod tests {
             // Both extensions keep the 0/1.
             assert_eq!(cast(CastOp::ZExt, I1, IrType::I32, a), a);
             assert_eq!(cast(CastOp::SExt, I1, IrType::I32, a), a);
+        }
+    }
+
+    /// [`keeps_payload`] against its definition, both ways, over every valid
+    /// conversion: it holds exactly where [`cast`] returns each edge payload
+    /// of the source type unchanged and both types share a register class.
+    #[test]
+    fn keeps_payload_is_exactly_the_casts_that_return_their_input() {
+        use IrType::*;
+        let payloads = |ty: IrType| -> Vec<u64> {
+            match ty {
+                I1 => vec![0, 1],
+                F32 | F64 => [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.1]
+                    .map(|x| round_to(ty, x).to_bits())
+                    .to_vec(),
+                Ptr => vec![0, 8, 1 << 63, u64::MAX],
+                _ => {
+                    let min = ty.wrap(1 << (ty.bits() - 1));
+                    [0, 1, -1, min, !min, 0xA5A5_A5A5_A5A5_A5A5u64 as i64]
+                        .map(|x| ty.wrap(x) as u64)
+                        .to_vec()
+                }
+            }
+        };
+        let valid = |op: CastOp, from: IrType, to: IrType| {
+            let ints = from.is_int() && to.is_int();
+            match op {
+                CastOp::Trunc => ints && to.bits() < from.bits(),
+                CastOp::SExt | CastOp::ZExt => ints && to.bits() > from.bits(),
+                CastOp::SiToFp | CastOp::UiToFp => from.is_int() && to.is_float(),
+                CastOp::FpToSi | CastOp::FpToUi => from.is_float() && to.is_int(),
+                CastOp::FpTrunc => from == F64 && to == F32,
+                CastOp::FpExt => from == F32 && to == F64,
+                CastOp::PtrToInt => from == Ptr && to.is_int(),
+                CastOp::IntToPtr => from.is_int() && to == Ptr,
+            }
+        };
+        let class = |ty: IrType| (ty.is_int(), ty.is_float());
+        let mut free = 0;
+        for &op in CastOp::ALL {
+            for &from in IrType::ALL {
+                for &to in IrType::ALL.iter().filter(|&&to| valid(op, from, to)) {
+                    let identity = payloads(from)
+                        .into_iter()
+                        .all(|v| cast(op, from, to, v) == v);
+                    let want = identity && class(from) == class(to);
+                    let label = format!("{} {from} to {to}", op.mnemonic());
+                    assert_eq!(keeps_payload(op, from, to), want, "{label}");
+                    free += want as usize;
+                }
+            }
+        }
+        // `sext` from i1/i8/i16/i32 to each wider integer, `zext i1` to
+        // each wider integer, and `fpext`.
+        assert_eq!(free, 10 + 4 + 1);
+        for (op, from, to) in [
+            (CastOp::Trunc, I64, I32),
+            (CastOp::ZExt, I8, I32),
+            (CastOp::FpTrunc, F64, F32),
+            (CastOp::IntToPtr, I64, Ptr),
+            (CastOp::PtrToInt, Ptr, I64),
+        ] {
+            assert!(!keeps_payload(op, from, to), "{} is no copy", op.mnemonic());
         }
     }
 }

@@ -43,7 +43,10 @@ use crate::peephole;
 use crate::regalloc::{self, Analysis};
 use crate::vectorize;
 use omplt_interp::RtVal;
-use omplt_ir::{BlockId, Function, Inst, InstId, IrType, Module, Rpo, SymbolId, Terminator, Value};
+use omplt_ir::{
+    arith, BlockId, CastOp, Function, Inst, InstId, IrType, Module, Rpo, SymbolId, Terminator,
+    Value,
+};
 use omplt_midend::{Dce, Promote};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -175,6 +178,23 @@ pub(crate) enum ConstKey {
     PtrZero,
     Global(u32),
     Fn(u32),
+}
+
+/// The op for `dst = <op> src` from `from` to `to`: a `Mov` when the cast
+/// keeps its payload ([`arith::keeps_payload`]), which coalescing deletes
+/// where the two registers do not interfere.
+pub(crate) fn cast_op(op: CastOp, from: IrType, to: IrType, dst: Reg, src: Reg) -> Op {
+    if arith::keeps_payload(op, from, to) {
+        Op::Mov { dst, src }
+    } else {
+        Op::Cast {
+            op,
+            from,
+            to,
+            dst,
+            src,
+        }
+    }
 }
 
 /// Maps a constant-like [`Value`] to its dedup key and pool entry. `Undef`
@@ -554,13 +574,7 @@ impl<'a> FuncCompiler<'a> {
                 let from = self.type_of(*val);
                 let dst = self.dst_of(iid);
                 let src = self.reg_of(*val)?;
-                self.out.ops.push(Op::Cast {
-                    op: *op,
-                    from,
-                    to: *to,
-                    dst,
-                    src,
-                });
+                self.out.ops.push(cast_op(*op, from, *to, dst, src));
             }
             Inst::Select { cond, t, f: fv } => {
                 let dst = self.dst_of(iid);

@@ -30,12 +30,12 @@
 //! scalar interpreter oracle by the backend-differential harness. Integer
 //! (wrapping) add/mul are associative, so those widen.
 
-use crate::compile::{const_of, CompileError, ConstKey, FuncCompiler};
+use crate::compile::{cast_op, const_of, CompileError, ConstKey, FuncCompiler};
 use crate::ops::{Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
 use omplt_interp::RtVal;
 use omplt_ir::{
-    BinOpKind, BlockId, BlockLists, CastOp, CmpPred, Function, Inst, InstId, IrType, Terminator,
-    Value,
+    arith, BinOpKind, BlockId, BlockLists, CastOp, CmpPred, Function, Inst, InstId, IrType,
+    Terminator, Value,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -526,6 +526,9 @@ struct Widener<'a, 'b> {
     bcast: HashMap<Reg, VReg>,
     /// Constants materialized for this loop (preamble-dominated).
     consts: HashMap<ConstKey, Reg>,
+    /// One accumulator per carried phi, reductions first: the only vector
+    /// registers a chunk updates in place, after its lanes are computed.
+    acc: Vec<VReg>,
 }
 
 impl<'a, 'b> Widener<'a, 'b> {
@@ -582,13 +585,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                         let from = self.c.f.value_type(val);
                         let src = self.scalar_of(val)?;
                         let dst = self.c.new_vreg(RegClass::of(to))?;
-                        self.c.out.ops.push(Op::Cast {
-                            op,
-                            from,
-                            to,
-                            dst,
-                            src,
-                        });
+                        self.c.out.ops.push(cast_op(op, from, to, dst, src));
                         dst
                     }
                     Inst::Gep {
@@ -681,16 +678,31 @@ impl<'a, 'b> Widener<'a, 'b> {
                     Inst::Cast { op, val, to } => {
                         let from = self.c.f.value_type(val);
                         let src = self.vec_of(val)?;
-                        let dst = self.c.new_vvreg(RegClass::of(to), self.w())?;
-                        self.c.out.ops.push(Op::VCast {
-                            op,
-                            from,
-                            to,
-                            dst,
-                            src,
-                            w: self.w(),
-                        });
-                        dst
+                        let w = self.w();
+                        let keeps = arith::keeps_payload(op, from, to);
+                        // A copy reads its source's lanes where they are,
+                        // sound for a lane vector each chunk defines once
+                        // before this use. An accumulator is updated in
+                        // place after it (the planner lets no lane read one
+                        // today), so its lanes would be copied out.
+                        if keeps && !self.acc.contains(&src) {
+                            src
+                        } else {
+                            let dst = self.c.new_vvreg(RegClass::of(to), w)?;
+                            self.c.out.ops.push(if keeps {
+                                Op::VMov { dst, src, w }
+                            } else {
+                                Op::VCast {
+                                    op,
+                                    from,
+                                    to,
+                                    dst,
+                                    src,
+                                    w,
+                                }
+                            });
+                            dst
+                        }
                     }
                     other => {
                         return Err(self.malformed(format!("widener cannot vectorize {other:?}")))
@@ -829,6 +841,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         vec_map: HashMap::new(),
         bcast: HashMap::new(),
         consts: HashMap::new(),
+        acc: Vec::with_capacity(plan.reductions.len() + plan.last_values.len()),
     };
 
     // --- preamble (same bytecode block as the header offset) ---------------
@@ -852,7 +865,6 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     // One accumulator per carried phi: a reduction starts at its identity,
     // a last value at the phi's entry value (what the exit keeps when no
     // chunk runs).
-    let mut acc = Vec::with_capacity(plan.reductions.len() + plan.last_values.len());
     for &(_, op, _) in &plan.reductions {
         let identity = match op {
             BinOpKind::Mul => 1,
@@ -861,14 +873,14 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         let src = wd.int_const(identity)?;
         let dst = wd.c.new_vvreg(RegClass::Int, w)?;
         wd.c.out.ops.push(Op::VBroadcast { dst, src, w });
-        acc.push(dst);
+        wd.acc.push(dst);
     }
     for &(phi, _) in &plan.last_values {
         let src = wd.c.dst_of(phi);
         let class = wd.c.out.reg_class[src as usize];
         let dst = wd.c.new_vvreg(class, w)?;
         wd.c.out.ops.push(Op::VBroadcast { dst, src, w });
-        acc.push(dst);
+        wd.acc.push(dst);
     }
     // Broadcasts of what the loop does not change, once: the values its
     // lanes read as the body below demands them.
@@ -954,7 +966,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     for (k, &(phi, op, e)) in plan.reductions.iter().enumerate() {
         let rhs = wd.vec_of(e)?;
         let ty = f.value_type(Value::Inst(phi));
-        let dst = acc[k];
+        let dst = wd.acc[k];
         wd.c.out.ops.push(Op::VBin {
             op,
             ty,
@@ -966,7 +978,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     }
     for (k, &(_, next)) in plan.last_values.iter().enumerate() {
         let src = wd.vec_of(next)?;
-        let dst = acc[plan.reductions.len() + k];
+        let dst = wd.acc[plan.reductions.len() + k];
         wd.c.out.ops.push(Op::VMov { dst, src, w });
     }
     wd.c.out.ops.push(Op::Bin {
@@ -989,7 +1001,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             op,
             ty,
             dst: red,
-            src: acc[k],
+            src: wd.acc[k],
             w,
         });
         wd.c.out.ops.push(Op::Bin {
@@ -1003,7 +1015,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     for (k, &(phi, _)) in plan.last_values.iter().enumerate() {
         wd.c.out.ops.push(Op::VExtract {
             dst: wd.c.dst_of(phi),
-            src: acc[plan.reductions.len() + k],
+            src: wd.acc[plan.reductions.len() + k],
             lane: w - 1,
         });
     }

@@ -565,7 +565,10 @@ macro_rules! resolved_ops {
 // the vector arms pick the same literals once per op for all lanes. Every
 // pair without a row — f32, unsigned division and shifts, the narrow integer
 // types, most casts — runs the same kernel with its operator and type read
-// from the op. A row is added when a measured workload retires its pair.
+// from the op. A row is added when a measured workload retires its pair and
+// deleted when none does any more: no `sext` has a row, since the lowerer
+// makes every cast that keeps its payload a `mov`
+// (`omplt_ir::arith::keeps_payload`).
 resolved_ops! {
     bin {
         AddI32 AddI32Jmp = Add I32; AddI64 AddI64Jmp = Add I64;
@@ -578,7 +581,7 @@ resolved_ops! {
         UltI64 UltI64Br = Ult I64; UleI64 UleI64Br = Ule I64;
     }
     cast {
-        TruncI64I32 = Trunc I64 I32; SExtI32I64 = SExt I32 I64; SiToFpI32F64 = SiToFp I32 F64;
+        TruncI64I32 = Trunc I64 I32; SiToFpI32F64 = SiToFp I32 F64;
     }
     mem {
         LoadI32 StoreI32 = I32; LoadI64 StoreI64 = I64; LoadF64 StoreF64 = F64;

@@ -12,13 +12,41 @@
 //! every `examples/c/*.c`, on both lowering paths, optimized and not, scalar
 //! and widened, through those assertions. On top it checks what only a
 //! whole compile can show, in any build: that compiling twice gives the
-//! same image (no table whose iteration order varies), and that liveness is
-//! solved exactly once per function (`vm.compile.liveness.solves`).
+//! same image (no table whose iteration order varies), that liveness is
+//! solved exactly once per function (`vm.compile.liveness.solves`), and
+//! that no image holds a cast the payload table makes a copy of
+//! (`omplt_ir::arith::keeps_payload`).
 
+use omplt::ir::arith::keeps_payload;
 use omplt::trace::Session;
+use omplt::vm::{Op, VmModule};
 use omplt::{CompilerInstance, OpenMpCodegenMode, Options};
 
+/// The scalar and vector casts in `code` that keep their payload, as
+/// `function: op` lines.
+fn payload_keeping_casts(code: &VmModule) -> Vec<String> {
+    let mut found = Vec::new();
+    for f in &code.funcs {
+        for op in &f.ops {
+            if let Op::Cast {
+                op: c, from, to, ..
+            }
+            | Op::VCast {
+                op: c, from, to, ..
+            } = *op
+            {
+                if keeps_payload(c, from, to) {
+                    found.push(format!("{}: {op:?}", f.name));
+                }
+            }
+        }
+    }
+    found
+}
+
 /// Source → OMPLTBC image and the `vm.compile.*` counters of that compile.
+/// Panics if the image holds a cast that keeps its payload: the lowerer
+/// and the widener make each such cast a copy.
 fn compile(path: &str, source: &str, opts: Options, optimize: bool) -> (Vec<u8>, u64, u64) {
     let mut ci = CompilerInstance::new(opts);
     let tu = ci.parse_source(path, source).expect("example parses");
@@ -29,6 +57,11 @@ fn compile(path: &str, source: &str, opts: Options, optimize: bool) -> (Vec<u8>,
     let session = Session::begin();
     let code = ci.compile_bytecode(&module).expect("example compiles");
     let counters = session.finish().counters;
+    let casts = payload_keeping_casts(&code);
+    assert!(
+        casts.is_empty(),
+        "{path}: casts that are copies: {casts:#?}"
+    );
     (
         omplt::vm::encode(&code),
         counters["vm.compile.functions"],
