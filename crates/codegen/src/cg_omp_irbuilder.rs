@@ -28,26 +28,32 @@ use omplt_ompirb::{
 };
 
 impl FnCodegen<'_, '_> {
-    /// `--verify-each`: re-checks the canonical-skeleton invariants of the
-    /// handle(s) a transformation returned. A transformation that hands back
-    /// a malformed `CanonicalLoopInfo` would otherwise miscompile silently
-    /// when the next consumer trusts the handle.
-    fn verify_transformed(
-        &mut self,
+    /// `--verify-each`: re-checks the skeleton invariants of what a lowering
+    /// step produced — the `CanonicalLoopInfo` handles `clis` a
+    /// transformation returned, and the `DispatchLoopInfo` of a dispatch
+    /// worksharing loop — and reports every violation at `loc`. A step that
+    /// hands back a malformed skeleton would otherwise miscompile silently
+    /// when the next consumer trusts it.
+    fn verify_skeletons(
+        &self,
         what: &str,
         loc: omplt_source::SourceLocation,
         clis: &[CanonicalLoopInfo],
+        dli: Option<&DispatchLoopInfo>,
     ) {
         if !self.opts.verify_each {
             return;
         }
-        for cli in clis {
-            for msg in cli.check(&self.func) {
-                self.diags.error(
-                    loc,
-                    format!("loop produced by '{what}' violates the canonical skeleton: {msg}"),
-                );
-            }
+        let f = &self.func;
+        let canonical =
+            (clis.iter().flat_map(|cli| cli.check(f))).map(|m| ("loop", "canonical", m));
+        let dispatch = (dli.into_iter().flat_map(|dli| dli.check(f)))
+            .map(|m| ("dispatch loop", "dispatch", m));
+        for (kind, skeleton, msg) in canonical.chain(dispatch) {
+            self.diags.error(
+                loc,
+                format!("{kind} produced by '{what}' violates the {skeleton} skeleton: {msg}"),
+            );
         }
     }
 
@@ -103,7 +109,7 @@ impl FnCodegen<'_, '_> {
                 } else {
                     unroll_loop_heuristic(&mut b, &cli);
                 }
-                self.verify_transformed("omp unroll", d.loc, &[cli]);
+                self.verify_skeletons("omp unroll", d.loc, &[cli], None);
             }
             OMPDirectiveKind::Tile
             | OMPDirectiveKind::Interchange
@@ -111,25 +117,6 @@ impl FnCodegen<'_, '_> {
             | OMPDirectiveKind::Fuse => {
                 self.emit_transformation(d);
             }
-        }
-    }
-
-    /// `--verify-each` hook for dispatch worksharing loops, mirroring
-    /// [`FnCodegen::verify_transformed`] for [`DispatchLoopInfo`].
-    fn verify_dispatch(
-        &mut self,
-        what: &str,
-        loc: omplt_source::SourceLocation,
-        dli: &DispatchLoopInfo,
-    ) {
-        if !self.opts.verify_each {
-            return;
-        }
-        for msg in dli.check(&self.func) {
-            self.diags.error(
-                loc,
-                format!("dispatch loop produced by '{what}' violates the dispatch skeleton: {msg}"),
-            );
         }
     }
 
@@ -188,10 +175,7 @@ impl FnCodegen<'_, '_> {
             let md = simd_metadata(d, cli.metadata(&self.func).unwrap_or_default());
             cli.set_metadata(&mut self.func, md);
         }
-        self.verify_transformed("omp for", d.loc, &[cli]);
-        if let Some(dli) = &dli {
-            self.verify_dispatch("omp for", d.loc, dli);
-        }
+        self.verify_skeletons("omp for", d.loc, &[cli], dli.as_ref());
 
         // Implicit end-of-construct barrier, elided by `nowait`.
         if d.clause(OMPClauseKind::Nowait).is_none() {
@@ -217,7 +201,7 @@ impl FnCodegen<'_, '_> {
         let loops = self.emit_loop_construct(body, n);
         let nest = loops.get(..n).filter(|l| !l.is_empty())?;
         let collapsed = collapse_loops(&mut omplt_ir::IrBuilder::new(&mut self.func), nest);
-        self.verify_transformed("collapse", d.loc, &[collapsed]);
+        self.verify_skeletons("collapse", d.loc, &[collapsed], None);
         Some(collapsed)
     }
 
@@ -301,7 +285,7 @@ impl FnCodegen<'_, '_> {
         if let Some(first) = generated.first() {
             self.cur = first.after;
         }
-        self.verify_transformed(&format!("omp {}", d.kind.name()), d.loc, &generated);
+        self.verify_skeletons(&format!("omp {}", d.kind.name()), d.loc, &generated, None);
         generated
     }
 

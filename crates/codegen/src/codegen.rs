@@ -3,8 +3,8 @@
 use omplt_ast::{
     Decl, DeclId, FunctionDecl, OpenMpCodegenMode, TranslationUnit, Type, TypeKind, VarDecl, P,
 };
-use omplt_ir::{Function, IrType, Module, SymbolId, Value};
-use omplt_source::{DiagnosticsEngine, IdentifierTable};
+use omplt_ir::{Function, IrType, Module, RtFn, SymbolId, Value};
+use omplt_source::{Diagnostic, DiagnosticsEngine, IdentifierTable, Level, SourceLocation};
 use std::collections::HashMap;
 
 /// Codegen configuration.
@@ -59,8 +59,13 @@ pub fn codegen_translation_unit(
     // definitions.
     for d in &tu.decls {
         if let Decl::Function(f) = d {
+            let name = tu.idents.get(f.name);
             let params: Vec<IrType> = f.params.iter().map(|p| ir_type(&p.ty)).collect();
-            module.declare_extern(tu.idents.get(f.name), params, ir_type(&f.return_type()));
+            let ret = ir_type(&f.return_type());
+            if !f.is_definition() {
+                check_runtime_prototype(name, &params, ret, f.loc, diags);
+            }
+            module.declare_extern(name, params, ret);
         }
     }
     for d in &tu.decls {
@@ -71,6 +76,39 @@ pub fn codegen_translation_unit(
         }
     }
     CodegenResult { module }
+}
+
+/// Refuses a prototype of a runtime entry whose IR signature is not the
+/// entry's [`RtFn`] row. The runtime reads every argument at its row's type
+/// and returns the row's type, so a call through a prototype that disagrees
+/// would hand it bits of another type.
+fn check_runtime_prototype(
+    name: &str,
+    params: &[IrType],
+    ret: IrType,
+    loc: SourceLocation,
+    diags: &DiagnosticsEngine,
+) {
+    let Some(row) = RtFn::from_name(name).map(RtFn::row) else {
+        return;
+    };
+    if row.params == params && row.ret == ret {
+        return;
+    }
+    let mut row_params: Vec<String> = row.params.iter().map(IrType::to_string).collect();
+    if row.variadic {
+        row_params.push("...".into());
+    }
+    let signature = format!("{} {name}({})", row.ret, row_params.join(", "));
+    diags.report_with_notes(
+        Level::Error,
+        loc,
+        format!("conflicting types for '{name}'"),
+        vec![Diagnostic::note(
+            loc,
+            format!("the runtime declares it as '{signature}'"),
+        )],
+    );
 }
 
 /// Maps an AST type to its IR type.

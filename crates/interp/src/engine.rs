@@ -10,7 +10,7 @@
 //! owns besides its code — memory, stdout, budgets, logs — is one `RunState`
 //! both engines embed by value; an engine adds only how it executes a frame.
 
-use crate::exec::{ExecError, RtVal, RunResult};
+use crate::exec::{ExecError, RunResult};
 use crate::memory::Memory;
 use crate::runtime::{RuntimeConfig, ThreadCtx};
 use omplt_ir::{Module, RtFn, SymbolId};
@@ -27,13 +27,14 @@ pub trait Engine: Sync {
 
     /// Calls a function by name: module definitions first, then the runtime
     /// shims (`main`, and the outlined bodies of `__kmpc_fork_call`, enter
-    /// here).
+    /// here). Arguments and result are payloads (`omplt_ir::arith`), each
+    /// read at the type the callee declares for it.
     fn call_by_name(
         &self,
         name: &str,
-        args: Vec<RtVal>,
+        args: Vec<u64>,
         ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError>;
+    ) -> Result<Option<u64>, ExecError>;
 }
 
 /// Ops granted per touch of the shared fuel counter (see
@@ -99,12 +100,12 @@ impl<'m> RunState<'m> {
         }
     }
 
-    /// Collects the run's observable results; `ret` is the entry function's
-    /// return value.
-    pub fn finish(&self, ret: Option<RtVal>) -> RunResult {
+    /// Collects the run's observable results; `ret` is the payload the entry
+    /// function returned (an integer's, when it is `main`).
+    pub fn finish(&self, ret: Option<u64>) -> RunResult {
         RunResult {
             stdout: std::mem::take(&mut *self.out.lock().expect("out lock")),
-            exit_code: ret.map_or(0, |v| v.as_i()),
+            exit_code: ret.map_or(0, |v| v as i64),
             tasks_created: self.tasks.load(Ordering::Relaxed),
             chunk_log: self.chunk_log.take_sorted(),
             final_globals: snapshot_globals(self.module, &self.mem, &self.global_addrs),

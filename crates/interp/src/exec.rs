@@ -3,62 +3,17 @@
 //!
 //! The guest's arithmetic is not defined here: it is the payload kernels of
 //! [`omplt_ir::arith`], the same functions the compiler folds constants
-//! with. The interpreter's frames hold tagged [`RtVal`]s and reach the
-//! kernels through the coercing wrappers [`exec_bin`], [`exec_cmp`],
-//! [`exec_cast`], [`decode_scalar`] and [`encode_scalar`]; the bytecode VM
-//! keeps payloads in its registers — its verifier has proven each register's
-//! class — and calls the kernels directly.
+//! with and the bytecode VM runs. A frame slot holds a value's payload — the
+//! `u64` the kernels take — and the IR type of the instruction that reads it
+//! says what the bits mean, so every operator calls its kernel directly.
 
 use crate::engine::{Callee, ChunkRecord, Engine, RunState};
 use crate::memory::Memory;
 use crate::runtime::{self, RuntimeConfig, ThreadCtx};
 use omplt_ir::arith::{bin, cast, cmp, decode, encode, gep, Trap};
-use omplt_ir::{
-    BinOpKind, BlockId, CastOp, CmpPred, Function, Inst, IrType, Module, SymbolId, Terminator,
-    Value,
-};
+use omplt_ir::{BlockId, Function, Inst, IrType, Module, SymbolId, Terminator, Value};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-
-/// A runtime value.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RtVal {
-    /// Integer (sign-extended to 64-bit storage).
-    I(i64),
-    /// Floating point (f32 values round-trip through f64 storage).
-    F(f64),
-    /// Guest pointer.
-    P(u64),
-}
-
-impl RtVal {
-    /// Integer payload (pointers coerce — C-style).
-    pub fn as_i(self) -> i64 {
-        match self {
-            RtVal::I(v) => v,
-            RtVal::P(p) => p as i64,
-            RtVal::F(f) => f as i64,
-        }
-    }
-
-    /// Float payload.
-    pub fn as_f(self) -> f64 {
-        match self {
-            RtVal::F(v) => v,
-            RtVal::I(v) => v as f64,
-            RtVal::P(p) => p as f64,
-        }
-    }
-
-    /// Pointer payload.
-    pub fn as_p(self) -> u64 {
-        match self {
-            RtVal::P(p) => p,
-            RtVal::I(v) => v as u64,
-            RtVal::F(_) => 0,
-        }
-    }
-}
 
 /// Execution failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,9 +140,9 @@ impl<'m> Interpreter<'m> {
     fn call(
         &self,
         sym: SymbolId,
-        args: Vec<RtVal>,
+        args: Vec<u64>,
         ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError> {
+    ) -> Result<Option<u64>, ExecError> {
         match self.targets[sym.0 as usize] {
             Callee::Defined(f) => self.exec_function(f, args, ctx),
             Callee::Runtime(rt) => runtime::dispatch(self, rt, args, ctx),
@@ -202,29 +157,25 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Runs an arbitrary void/intret function (for kernels without `main`).
-    pub fn run_function(&self, name: &str, args: Vec<RtVal>) -> Result<RunResult, ExecError> {
+    pub fn run_function(&self, name: &str, args: Vec<u64>) -> Result<RunResult, ExecError> {
         let ret = self.call_by_name(name, args, &ThreadCtx::initial())?;
         Ok(self.state.finish(ret))
     }
 
-    fn eval(&self, frame: &[Option<RtVal>], args: &[RtVal], v: Value) -> Result<RtVal, ExecError> {
+    /// The payload of `v`. An `undef` is the zero payload of every type.
+    fn eval(&self, frame: &[Option<u64>], args: &[u64], v: Value) -> Result<u64, ExecError> {
         Ok(match v {
             Value::Inst(id) => frame[id.0 as usize]
                 .ok_or_else(|| ExecError::Malformed(format!("use of undefined %{}", id.0)))?,
             Value::Arg(i) => *args
                 .get(i as usize)
                 .ok_or_else(|| ExecError::Malformed(format!("missing argument {i}")))?,
-            Value::ConstInt { val, .. } => RtVal::I(val),
-            Value::ConstFloat { bits, .. } => RtVal::F(f64::from_bits(bits)),
-            Value::Global(s) => RtVal::P(self.state.global_addr(s)?),
-            Value::FuncRef(s) => RtVal::P(Memory::encode_fn_ptr(s.0)),
-            Value::Undef(ty) => {
-                if ty.is_float() {
-                    RtVal::F(0.0)
-                } else {
-                    RtVal::I(0)
-                }
+            Value::ConstInt { .. } | Value::ConstFloat { .. } => {
+                v.payload().expect("a constant has a payload")
             }
+            Value::Global(s) => self.state.global_addr(s)?,
+            Value::FuncRef(s) => Memory::encode_fn_ptr(s.0),
+            Value::Undef(_) => 0,
         })
     }
 
@@ -232,9 +183,9 @@ impl<'m> Interpreter<'m> {
     pub fn exec_function(
         &self,
         f: &Function,
-        args: Vec<RtVal>,
+        args: Vec<u64>,
         ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError> {
+    ) -> Result<Option<u64>, ExecError> {
         let mut retired = 0u64;
         let r = self.exec_function_inner(f, args, ctx, &mut retired);
         self.state.ops.fetch_add(retired, Ordering::Relaxed);
@@ -247,17 +198,17 @@ impl<'m> Interpreter<'m> {
     fn exec_function_inner(
         &self,
         f: &Function,
-        args: Vec<RtVal>,
+        args: Vec<u64>,
         ctx: &ThreadCtx,
         retired: &mut u64,
-    ) -> Result<Option<RtVal>, ExecError> {
-        let mut frame: Vec<Option<RtVal>> = vec![None; f.insts.len()];
+    ) -> Result<Option<u64>, ExecError> {
+        let mut frame: Vec<Option<u64>> = vec![None; f.insts.len()];
         let mut cur = f.entry();
         let mut prev: Option<BlockId> = None;
         // A per-frame local counter, refilled in batches from the shared one.
         let mut local_fuel: u64 = 0;
         // Phase 1's values, reused by every block the frame enters.
-        let mut phi_updates: Vec<(usize, RtVal)> = Vec::new();
+        let mut phi_updates: Vec<(usize, u64)> = Vec::new();
 
         loop {
             let block = f.block(cur);
@@ -315,7 +266,7 @@ impl<'m> Interpreter<'m> {
                     else_bb,
                     ..
                 } => {
-                    let c = self.eval(&frame, &args, *cond)?.as_i();
+                    let c = self.eval(&frame, &args, *cond)?;
                     prev = Some(cur);
                     cur = if c != 0 { *then_bb } else { *else_bb };
                 }
@@ -333,27 +284,25 @@ impl<'m> Interpreter<'m> {
     fn exec_inst(
         &self,
         f: &Function,
-        frame: &[Option<RtVal>],
-        args: &[RtVal],
+        frame: &[Option<u64>],
+        args: &[u64],
         inst: &Inst,
         ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError> {
+    ) -> Result<Option<u64>, ExecError> {
         let mem: &Memory = &self.state.mem;
         Ok(match inst {
             Inst::Phi { .. } => unreachable!("phis handled in phase 1"),
-            Inst::Alloca { ty, count, .. } => {
-                Some(RtVal::P(mem.alloc(ty.size().max(1) * (*count).max(1))))
-            }
+            Inst::Alloca { ty, count, .. } => Some(mem.alloc(ty.size().max(1) * (*count).max(1))),
             Inst::Load { ty, ptr } => {
-                let p = self.eval(frame, args, *ptr)?.as_p();
+                let p = self.eval(frame, args, *ptr)?;
                 let raw = mem.load(p, ty.size()).map_err(|e| ExecError::Mem(e.what))?;
-                Some(decode_scalar(*ty, raw))
+                Some(decode(*ty, raw))
             }
             Inst::Store { val, ptr } => {
                 let ty = f.value_type(*val);
                 let v = self.eval(frame, args, *val)?;
-                let p = self.eval(frame, args, *ptr)?.as_p();
-                mem.store(p, ty.size(), encode_scalar(ty, v))
+                let p = self.eval(frame, args, *ptr)?;
+                mem.store(p, ty.size(), encode(ty, v))
                     .map_err(|e| ExecError::Mem(e.what))?;
                 None
             }
@@ -362,29 +311,29 @@ impl<'m> Interpreter<'m> {
                 index,
                 elem_size,
             } => {
-                let p = self.eval(frame, args, *ptr)?.as_p();
-                let i = self.eval(frame, args, *index)?.as_i();
-                Some(RtVal::P(gep(p, i as u64, *elem_size)))
+                let p = self.eval(frame, args, *ptr)?;
+                let i = self.eval(frame, args, *index)?;
+                Some(gep(p, i, *elem_size))
             }
             Inst::Bin { op, lhs, rhs } => {
                 let ty = f.value_type(*lhs);
                 let a = self.eval(frame, args, *lhs)?;
                 let b = self.eval(frame, args, *rhs)?;
-                Some(exec_bin(*op, ty, a, b)?)
+                Some(bin(*op, ty, a, b)?)
             }
             Inst::Cmp { pred, lhs, rhs } => {
                 let ty = f.value_type(*lhs);
                 let a = self.eval(frame, args, *lhs)?;
                 let b = self.eval(frame, args, *rhs)?;
-                Some(RtVal::I(exec_cmp(*pred, ty, a, b) as i64))
+                Some(cmp(*pred, ty, a, b) as u64)
             }
             Inst::Cast { op, val, to } => {
                 let from = f.value_type(*val);
                 let v = self.eval(frame, args, *val)?;
-                Some(exec_cast(*op, from, *to, v))
+                Some(cast(*op, from, *to, v))
             }
             Inst::Select { cond, t, f: fv } => {
-                let c = self.eval(frame, args, *cond)?.as_i();
+                let c = self.eval(frame, args, *cond)?;
                 Some(self.eval(frame, args, if c != 0 { *t } else { *fv })?)
             }
             Inst::Call {
@@ -400,7 +349,7 @@ impl<'m> Interpreter<'m> {
                 if *ty == IrType::Void {
                     None
                 } else {
-                    Some(r.unwrap_or(RtVal::I(0)))
+                    Some(r.unwrap_or(0))
                 }
             }
         })
@@ -415,9 +364,9 @@ impl Engine for Interpreter<'_> {
     fn call_by_name(
         &self,
         name: &str,
-        args: Vec<RtVal>,
+        args: Vec<u64>,
         ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError> {
+    ) -> Result<Option<u64>, ExecError> {
         match self.state.module.lookup_symbol(name) {
             Some(sym) => self.call(sym, args, ctx),
             None => Err(ExecError::UnknownFunction(name.to_string())),
@@ -425,90 +374,10 @@ impl Engine for Interpreter<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The coercing wrappers over `omplt_ir::arith`
-// ---------------------------------------------------------------------------
-//
-// The same five entry points the interpreter and `runtime::atomic_rmw` have
-// always called, for frames that hold tagged [`RtVal`]s. Each picks its
-// operands' coercion from the operator and type alone — never from the tag —
-// so an operand that crossed a call boundary at the wrong class is converted
-// the way C would, exactly as before the kernels existed.
-
-/// Converts raw loaded bits into a typed value.
-#[inline]
-pub fn decode_scalar(ty: IrType, raw: u64) -> RtVal {
-    let v = decode(ty, raw);
-    match ty {
-        IrType::F32 | IrType::F64 => RtVal::F(f64::from_bits(v)),
-        IrType::Ptr => RtVal::P(v),
-        _ => RtVal::I(v as i64),
-    }
-}
-
-/// Converts a typed value into raw storable bits.
-#[inline]
-pub fn encode_scalar(ty: IrType, v: RtVal) -> u64 {
-    match ty {
-        IrType::F32 | IrType::F64 => encode(ty, v.as_f().to_bits()),
-        IrType::Ptr => encode(ty, v.as_p()),
-        _ => encode(ty, v.as_i() as u64),
-    }
-}
-
-/// Executes one binary operation on tagged values: [`bin`] behind the
-/// operands' coercions.
-#[inline]
-pub fn exec_bin(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, ExecError> {
-    if op.is_float() {
-        let r = bin(op, ty, a.as_f().to_bits(), b.as_f().to_bits())?;
-        Ok(RtVal::F(f64::from_bits(r)))
-    } else if ty == IrType::Ptr {
-        Ok(RtVal::P(bin(op, ty, a.as_p(), b.as_p())?))
-    } else {
-        Ok(RtVal::I(
-            bin(op, ty, a.as_i() as u64, b.as_i() as u64)? as i64
-        ))
-    }
-}
-
-/// Executes one comparison on tagged values: [`cmp`] behind the operands'
-/// coercions. A pointer comparison reads its operands as pointers for the
-/// equality and unsigned predicates and as integers for the signed ones.
-#[inline]
-pub fn exec_cmp(pred: CmpPred, ty: IrType, a: RtVal, b: RtVal) -> bool {
-    use CmpPred::*;
-    if pred.is_float() {
-        cmp(pred, ty, a.as_f().to_bits(), b.as_f().to_bits())
-    } else if ty == IrType::Ptr && !matches!(pred, Slt | Sle | Sgt | Sge) {
-        cmp(pred, ty, a.as_p(), b.as_p())
-    } else {
-        cmp(pred, ty, a.as_i() as u64, b.as_i() as u64)
-    }
-}
-
-/// Executes one conversion on a tagged value: [`cast`] behind the operand's
-/// coercion.
-#[inline]
-pub fn exec_cast(op: CastOp, from: IrType, to: IrType, v: RtVal) -> RtVal {
-    use CastOp::*;
-    let src = match op {
-        Trunc | SExt | ZExt | SiToFp | UiToFp | IntToPtr => v.as_i() as u64,
-        FpToSi | FpToUi | FpTrunc | FpExt => v.as_f().to_bits(),
-        PtrToInt => v.as_p(),
-    };
-    let r = cast(op, from, to, src);
-    match op {
-        Trunc | SExt | ZExt | FpToSi | FpToUi | PtrToInt => RtVal::I(r as i64),
-        SiToFp | UiToFp | FpTrunc | FpExt => RtVal::F(f64::from_bits(r)),
-        IntToPtr => RtVal::P(r),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omplt_ir::IrBuilder;
+    use omplt_ir::{CastOp, CmpPred, IrBuilder};
 
     fn run(m: &Module) -> RunResult {
         Interpreter::new(m, RuntimeConfig::default())
@@ -642,120 +511,6 @@ mod tests {
             out.starts_with("0.100000001"),
             "f32 rounding must be visible: {out}"
         );
-    }
-
-    /// What only a call boundary can produce — an operand whose tag is not
-    /// the class the operator reads — and the kernels therefore never see:
-    /// the wrappers coerce it the way `as_i`/`as_f`/`as_p` always have. Each
-    /// expectation is the answer the pre-kernel `exec_*` gave.
-    #[test]
-    fn wrappers_coerce_operands_of_the_wrong_class() {
-        use RtVal::{F, I, P};
-        let p = (3u64 << 32) + 16;
-        // Float operators read floats: an integer converts, a pointer too.
-        assert_eq!(
-            exec_bin(BinOpKind::FAdd, IrType::F64, I(3), F(0.5)),
-            Ok(F(3.5))
-        );
-        assert_eq!(
-            exec_bin(BinOpKind::FMul, IrType::F32, P(3), F(0.1)),
-            Ok(F((3.0f64 * 0.1) as f32 as f64))
-        );
-        // Pointer arithmetic reads pointers: an integer offset is its bits,
-        // a float is the null pointer.
-        assert_eq!(
-            exec_bin(BinOpKind::Add, IrType::Ptr, P(p), I(8)),
-            Ok(P(p + 8))
-        );
-        assert_eq!(
-            exec_bin(BinOpKind::Sub, IrType::Ptr, P(p), I(-8)),
-            Ok(P(p + 8))
-        );
-        assert_eq!(
-            exec_bin(BinOpKind::Add, IrType::Ptr, P(p), F(9.75)),
-            Ok(P(p))
-        );
-        assert_eq!(
-            exec_bin(BinOpKind::Mul, IrType::Ptr, P(p), I(2)),
-            Err(ExecError::Malformed(
-                "non-additive pointer arithmetic".into()
-            ))
-        );
-        // Integer operators read integers: a float truncates, a pointer is
-        // its bits.
-        assert_eq!(
-            exec_bin(BinOpKind::Add, IrType::I64, F(2.9), P(40)),
-            Ok(I(42))
-        );
-        assert_eq!(
-            exec_bin(BinOpKind::SDiv, IrType::I32, I(7), F(0.5)),
-            Err(ExecError::DivByZero)
-        );
-
-        // A pointer compare reads pointers for equality and the unsigned
-        // predicates — a float is null there — and integers for the signed.
-        assert!(exec_cmp(CmpPred::Ult, IrType::Ptr, I(5), P(p)));
-        assert!(exec_cmp(CmpPred::Ult, IrType::Ptr, F(7.0), P(1)));
-        assert!(exec_cmp(CmpPred::Eq, IrType::Ptr, F(7.0), P(0)));
-        assert!(exec_cmp(CmpPred::Uge, IrType::Ptr, I(-1), P(p)));
-        assert!(exec_cmp(CmpPred::Sgt, IrType::Ptr, F(7.0), P(1)));
-        assert!(exec_cmp(CmpPred::Slt, IrType::Ptr, I(-1), P(p)));
-        // Integer and float compares on mixed tags.
-        assert!(exec_cmp(CmpPred::Slt, IrType::I32, F(-2.5), I(-1)));
-        assert!(exec_cmp(CmpPred::Ult, IrType::I32, P(3), I(-1)));
-        assert!(exec_cmp(CmpPred::FLt, IrType::F64, I(1), F(1.5)));
-        assert!(!exec_cmp(CmpPred::FEq, IrType::F64, P(2), F(f64::NAN)));
-
-        // Conversions read the class their operator converts from.
-        assert_eq!(
-            exec_cast(CastOp::SiToFp, IrType::I64, IrType::F64, P(p)),
-            F(p as f64)
-        );
-        assert_eq!(
-            exec_cast(CastOp::SiToFp, IrType::I32, IrType::F32, F(16_777_217.9)),
-            F(16_777_216.0)
-        );
-        assert_eq!(
-            exec_cast(CastOp::UiToFp, IrType::I8, IrType::F64, P(0x1FF)),
-            F(255.0)
-        );
-        assert_eq!(
-            exec_cast(CastOp::FpToSi, IrType::F64, IrType::I32, I(-7)),
-            I(-7)
-        );
-        assert_eq!(
-            exec_cast(CastOp::FpExt, IrType::F32, IrType::F64, I(3)),
-            F(3.0)
-        );
-        assert_eq!(
-            exec_cast(CastOp::PtrToInt, IrType::Ptr, IrType::I64, F(1.0)),
-            I(0)
-        );
-        assert_eq!(
-            exec_cast(CastOp::PtrToInt, IrType::Ptr, IrType::I32, I(p as i64)),
-            I(16)
-        );
-        assert_eq!(
-            exec_cast(CastOp::IntToPtr, IrType::I64, IrType::Ptr, F(9.9)),
-            P(9)
-        );
-        assert_eq!(
-            exec_cast(CastOp::ZExt, IrType::I8, IrType::I64, P(0x180)),
-            I(0x80)
-        );
-        assert_eq!(
-            exec_cast(CastOp::Trunc, IrType::I64, IrType::I8, F(200.7)),
-            I(-56)
-        );
-
-        // Stores and loads: the stored bits of a value of the wrong class.
-        assert_eq!(encode_scalar(IrType::F32, I(3)), 3.0f32.to_bits() as u64);
-        assert_eq!(encode_scalar(IrType::F64, P(2)), 2.0f64.to_bits());
-        assert_eq!(encode_scalar(IrType::Ptr, F(1.0)), 0);
-        assert_eq!(encode_scalar(IrType::I32, F(-1.5)), -1i64 as u64);
-        assert_eq!(decode_scalar(IrType::I8, 0xFF), I(-1));
-        assert_eq!(decode_scalar(IrType::F32, 1.5f32.to_bits() as u64), F(1.5));
-        assert_eq!(decode_scalar(IrType::Ptr, p), P(p));
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub mod memory;
 pub mod runtime;
 
 pub use engine::{ChunkKind, ChunkLog, ChunkRecord, Engine, RunState};
-pub use exec::{ExecError, Interpreter, RtVal, RunResult};
+pub use exec::{ExecError, Interpreter, RunResult};
 pub use memory::Memory;
 pub use runtime::{Deadline, DispatchKind, RuntimeConfig, RuntimeSchedule, TeamState, ThreadCtx};

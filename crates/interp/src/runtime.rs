@@ -14,8 +14,9 @@
 //! `omp_get_thread_num`/`omp_get_num_threads` expose the team context.
 
 use crate::engine::{ChunkKind, Engine, RunState};
-use crate::exec::{decode_scalar, encode_scalar, exec_bin, ExecError, RtVal};
+use crate::exec::ExecError;
 use crate::memory::{MemError, Memory};
+use omplt_ir::arith::{bin, decode, encode};
 use omplt_ir::{BinOpKind, IrType, RtFn, SchedType};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -450,13 +451,18 @@ impl ThreadCtx {
 /// cannot drift between backends. The `match` is exhaustive over the
 /// [`RtFn`] table, and the one arity rule — a call with fewer arguments than
 /// the row's fixed parameters is malformed — is applied here from the row, so
-/// every arm may index `args` up to its row's parameter count.
+/// every arm may index `args` up to its row's parameter count. Arguments and
+/// result are payloads (`omplt_ir::arith`): an arm reads each argument at its
+/// row's parameter type (an integer as `i64`, a `double` through its bits, a
+/// pointer as the handle), which is exact because a caller's IR passes every
+/// runtime entry the row's types — a user prototype that disagrees with its
+/// row is refused at compile time.
 pub fn dispatch<E: Engine>(
     e: &E,
     f: RtFn,
-    args: Vec<RtVal>,
+    args: Vec<u64>,
     ctx: &ThreadCtx,
-) -> Result<Option<RtVal>, ExecError> {
+) -> Result<Option<u64>, ExecError> {
     let (row, st) = (f.row(), e.state());
     if args.len() < row.params.len() {
         return Err(ExecError::Malformed(format!(
@@ -469,12 +475,12 @@ pub fn dispatch<E: Engine>(
     }
     let print = |text: &str| st.out.lock().expect("out lock").push_str(text);
     match f {
-        RtFn::GlobalThreadNum | RtFn::OmpGetThreadNum => Ok(Some(RtVal::I(ctx.gtid as i64))),
-        RtFn::OmpGetNumThreads => Ok(Some(RtVal::I(ctx.team_size as i64))),
-        RtFn::OmpGetMaxThreads => Ok(Some(RtVal::I(st.cfg.num_threads as i64))),
+        RtFn::GlobalThreadNum | RtFn::OmpGetThreadNum => Ok(Some(ctx.gtid as u64)),
+        RtFn::OmpGetNumThreads => Ok(Some(ctx.team_size as u64)),
+        RtFn::OmpGetMaxThreads => Ok(Some(st.cfg.num_threads as u64)),
         RtFn::PushNumThreads => {
             ctx.pending_num_threads
-                .set(Some(args[0].as_i().max(1) as u32));
+                .set(Some((args[0] as i64).max(1) as u32));
             Ok(None)
         }
         RtFn::ForkCall => fork_call(e, args, ctx),
@@ -512,11 +518,11 @@ pub fn dispatch<E: Engine>(
         RtFn::AtomicMulF32 => atomic_rmw(st, &args, BinOpKind::FMul, IrType::F32),
         RtFn::AtomicMulF64 => atomic_rmw(st, &args, BinOpKind::FMul, IrType::F64),
         RtFn::PrintI64 => {
-            print(&format!("{}\n", args[0].as_i()));
+            print(&format!("{}\n", args[0] as i64));
             Ok(None)
         }
         RtFn::PrintF64 => {
-            let v = args[0].as_f();
+            let v = f64::from_bits(args[0]);
             if v == v.trunc() && v.is_finite() && v.abs() < 1e15 {
                 print(&format!("{v:.6}\n"));
             } else {
@@ -525,7 +531,7 @@ pub fn dispatch<E: Engine>(
             Ok(None)
         }
         RtFn::PrintChar => {
-            let c = char::from_u32((args[0].as_i() as u32) & 0x7F).unwrap_or('?');
+            let c = char::from_u32((args[0] as u32) & 0x7F).unwrap_or('?');
             print(c.encode_utf8(&mut [0; 4]));
             Ok(None)
         }
@@ -538,35 +544,33 @@ fn mem_err(err: MemError) -> ExecError {
 
 /// `__omplt_atomic_<op>_<ty>(ptr, v)`: `*ptr = *ptr <op> v` as one atomic
 /// read-modify-write of the reduced variable's own `ty` — combined through
-/// [`exec_bin`], so a team's result has exactly the serial semantics
-/// (wrapping, `f32` rounding) in whatever order the members arrive.
+/// [`bin`], so a team's result has exactly the serial semantics (wrapping,
+/// `f32` rounding) in whatever order the members arrive. The value operand
+/// is the row's `i64` or `double`, whose payload is already what `bin` reads
+/// at `ty`.
 fn atomic_rmw(
     st: &RunState<'_>,
-    args: &[RtVal],
+    args: &[u64],
     op: BinOpKind,
     ty: IrType,
-) -> Result<Option<RtVal>, ExecError> {
+) -> Result<Option<u64>, ExecError> {
     let combine = |old| {
-        let new = exec_bin(op, ty, decode_scalar(ty, old), args[1]);
-        encode_scalar(ty, new.expect("add and mul of non-pointers do not fail"))
+        let new = bin(op, ty, decode(ty, old), args[1]);
+        encode(ty, new.expect("add and mul of non-pointers do not fail"))
     };
     st.mem
-        .fetch_update(args[0].as_p(), ty.size(), combine)
+        .fetch_update(args[0], ty.size(), combine)
         .map_err(mem_err)?;
     Ok(None)
 }
 
 /// `__kmpc_fork_call(fnptr, nargs, cap0, cap1, …)` — spawns the team.
-fn fork_call<E: Engine>(
-    e: &E,
-    args: Vec<RtVal>,
-    ctx: &ThreadCtx,
-) -> Result<Option<RtVal>, ExecError> {
+fn fork_call<E: Engine>(e: &E, args: Vec<u64>, ctx: &ThreadCtx) -> Result<Option<u64>, ExecError> {
     let cfg = &e.state().cfg;
-    let name = Memory::decode_fn_ptr(args[0].as_p())
+    let name = Memory::decode_fn_ptr(args[0])
         .and_then(|sym| e.state().module.symbols().get(sym as usize))
         .ok_or_else(|| ExecError::Malformed("fork_call target is not a function".to_string()))?;
-    let caps: Vec<RtVal> = args[2..].to_vec();
+    let caps: Vec<u64> = args[2..].to_vec();
     let team = ctx
         .pending_num_threads
         .take()
@@ -577,7 +581,7 @@ fn fork_call<E: Engine>(
         let state = TeamState::new(team, false);
         for tid in 0..team {
             let child = ThreadCtx::team_member(tid, team, Arc::clone(&state));
-            let mut a = vec![RtVal::I(tid as i64), RtVal::I(tid as i64)];
+            let mut a = vec![tid as u64, tid as u64];
             a.extend(caps.iter().copied());
             match e.call_by_name(name, a, &child) {
                 Ok(_) => {}
@@ -621,7 +625,7 @@ fn fork_call<E: Engine>(
                         gtid: tid,
                     };
                     let child = ThreadCtx::team_member(tid, team, Arc::clone(&state));
-                    let mut a = vec![RtVal::I(tid as i64), RtVal::I(tid as i64)];
+                    let mut a = vec![tid as u64, tid as u64];
                     a.extend(caps);
                     e.call_by_name(name, a, &child).map(|_| ())
                 })
@@ -662,15 +666,12 @@ fn lost_without_waiters(gtid: u32, team: u32) -> ExecError {
 /// chunk)` with i64 bounds — the static worksharing schedule.
 fn for_static_init(
     st: &RunState<'_>,
-    args: Vec<RtVal>,
+    args: Vec<u64>,
     ctx: &ThreadCtx,
-) -> Result<Option<RtVal>, ExecError> {
-    let sched = SchedType::from_raw(args[1].as_i());
-    let plast = args[2].as_p();
-    let plb = args[3].as_p();
-    let pub_ = args[4].as_p();
-    let pstride = args[5].as_p();
-    let chunk = args[7].as_i().max(1);
+) -> Result<Option<u64>, ExecError> {
+    let sched = SchedType::from_raw(args[1] as i64);
+    let (plast, plb, pub_, pstride) = (args[2], args[3], args[4], args[5]);
+    let chunk = (args[7] as i64).max(1);
 
     let lb = st.mem.load(plb, 8).map_err(mem_err)? as i64;
     let ub = st.mem.load(pub_, 8).map_err(mem_err)? as i64;
@@ -757,13 +758,11 @@ fn for_static_init(
 /// first team member to arrive creates the shared queue; the rest join it.
 fn dispatch_init(
     st: &RunState<'_>,
-    args: Vec<RtVal>,
+    args: Vec<u64>,
     ctx: &ThreadCtx,
-) -> Result<Option<RtVal>, ExecError> {
-    let sched = args[1].as_i();
-    let lb = args[2].as_i();
-    let ub = args[3].as_i();
-    let chunk = args[5].as_i();
+) -> Result<Option<u64>, ExecError> {
+    let sched = args[1] as i64;
+    let (lb, ub, chunk) = (args[2] as i64, args[3] as i64, args[5] as i64);
 
     let (kind, chunk) = match SchedType::from_raw(sched) {
         Some(SchedType::Static) => (DispatchKind::Static, 0),
@@ -809,13 +808,10 @@ fn dispatch_init(
 /// in, or 0 when the iteration space is exhausted.
 fn dispatch_next(
     st: &RunState<'_>,
-    args: Vec<RtVal>,
+    args: Vec<u64>,
     ctx: &ThreadCtx,
-) -> Result<Option<RtVal>, ExecError> {
-    let plast = args[1].as_p();
-    let plb = args[2].as_p();
-    let pub_ = args[3].as_p();
-    let pstride = args[4].as_p();
+) -> Result<Option<u64>, ExecError> {
+    let (plast, plb, pub_, pstride) = (args[1], args[2], args[3], args[4]);
 
     let cur = ctx.cur_dispatch.borrow();
     let (seq, dl) = cur
@@ -846,7 +842,7 @@ fn dispatch_next(
             st.mem.store(pub_, 8, hi as u64).map_err(mem_err)?;
             st.mem.store(pstride, 8, 1).map_err(mem_err)?;
             st.mem.store(plast, 4, last as u64).map_err(mem_err)?;
-            Ok(Some(RtVal::I(1)))
+            Ok(Some(1))
         }
         None => {
             // Retire the queue once every member has observed exhaustion
@@ -854,7 +850,7 @@ fn dispatch_next(
             if dl.drained.fetch_add(1, Ordering::AcqRel) + 1 == ctx.team.size {
                 ctx.team.queues.lock().expect("team queues").remove(seq);
             }
-            Ok(Some(RtVal::I(0)))
+            Ok(Some(0))
         }
     }
 }
@@ -1020,14 +1016,14 @@ mod tests {
                 &it,
                 RtFn::ForStaticInit,
                 vec![
-                    RtVal::I(tid as i64),
-                    RtVal::I(sched),
-                    RtVal::P(plast),
-                    RtVal::P(plb),
-                    RtVal::P(pub_),
-                    RtVal::P(pstride),
-                    RtVal::I(1),
-                    RtVal::I(chunk),
+                    tid as u64,
+                    sched as u64,
+                    plast,
+                    plb,
+                    pub_,
+                    pstride,
+                    1,
+                    chunk as u64,
                 ],
                 &ctx,
             )
@@ -1114,14 +1110,14 @@ mod tests {
                 &it,
                 RtFn::ForStaticInit,
                 vec![
-                    RtVal::I(tid as i64),
-                    RtVal::I(sched),
-                    RtVal::P(plast),
-                    RtVal::P(plb),
-                    RtVal::P(pub_),
-                    RtVal::P(pstride),
-                    RtVal::I(1),
-                    RtVal::I(chunk),
+                    tid as u64,
+                    sched as u64,
+                    plast,
+                    plb,
+                    pub_,
+                    pstride,
+                    1,
+                    chunk as u64,
                 ],
                 &ctx,
             )
@@ -1252,12 +1248,12 @@ mod tests {
                             it,
                             RtFn::DispatchInit8,
                             vec![
-                                RtVal::I(tid as i64),
-                                RtVal::I(sched),
-                                RtVal::I(0),
-                                RtVal::I(trip - 1),
-                                RtVal::I(1),
-                                RtVal::I(chunk),
+                                tid as u64,
+                                sched as u64,
+                                0,
+                                (trip - 1) as u64,
+                                1,
+                                chunk as u64,
                             ],
                             &ctx,
                         )
@@ -1267,18 +1263,11 @@ mod tests {
                             let got = dispatch(
                                 it,
                                 RtFn::DispatchNext8,
-                                vec![
-                                    RtVal::I(tid as i64),
-                                    RtVal::P(plast),
-                                    RtVal::P(plb),
-                                    RtVal::P(pub_),
-                                    RtVal::P(pstride),
-                                ],
+                                vec![tid as u64, plast, plb, pub_, pstride],
                                 &ctx,
                             )
                             .unwrap()
-                            .unwrap()
-                            .as_i();
+                            .unwrap();
                             if got == 0 {
                                 break;
                             }
@@ -1287,8 +1276,7 @@ mod tests {
                             assert_eq!(it.state.mem.load(pstride, 8).unwrap() as i64, 1);
                             chunks.push((lo, hi));
                         }
-                        dispatch(it, RtFn::DispatchFini8, vec![RtVal::I(tid as i64)], &ctx)
-                            .unwrap();
+                        dispatch(it, RtFn::DispatchFini8, vec![tid as u64], &ctx).unwrap();
                         chunks
                     })
                 })
@@ -1531,14 +1519,7 @@ mod tests {
             dispatch(
                 &it,
                 RtFn::DispatchInit8,
-                vec![
-                    RtVal::I(0),
-                    RtVal::I(SchedType::DynamicChunked as i64),
-                    RtVal::I(0),
-                    RtVal::I(3),
-                    RtVal::I(1),
-                    RtVal::I(2),
-                ],
+                vec![0, SchedType::DynamicChunked as u64, 0, 3, 1, 2],
                 &ctx,
             )
             .unwrap();
@@ -1547,18 +1528,11 @@ mod tests {
                 let got = dispatch(
                     &it,
                     RtFn::DispatchNext8,
-                    vec![
-                        RtVal::I(0),
-                        RtVal::P(bufs[0]),
-                        RtVal::P(bufs[1]),
-                        RtVal::P(bufs[2]),
-                        RtVal::P(bufs[3]),
-                    ],
+                    vec![0, bufs[0], bufs[1], bufs[2], bufs[3]],
                     &ctx,
                 )
                 .unwrap()
-                .unwrap()
-                .as_i();
+                .unwrap();
                 if got == 0 {
                     break;
                 }
@@ -1566,7 +1540,7 @@ mod tests {
                     - it.state.mem.load(bufs[1], 8).unwrap() as i64
                     + 1;
             }
-            dispatch(&it, RtFn::DispatchFini8, vec![RtVal::I(0)], &ctx).unwrap();
+            dispatch(&it, RtFn::DispatchFini8, vec![0], &ctx).unwrap();
             assert_eq!(served, 4, "round {round} served the full span");
             assert!(
                 state.queues.lock().unwrap().is_empty(),
@@ -1595,7 +1569,7 @@ mod tests {
                         .mem
                         .store(flags + 8 * tid as u64, 8, (tid + 1) as u64)
                         .unwrap();
-                    dispatch(it, RtFn::Barrier, vec![RtVal::I(tid as i64)], &ctx).unwrap();
+                    dispatch(it, RtFn::Barrier, vec![tid as u64], &ctx).unwrap();
                     for other in 0..team {
                         let v = it.state.mem.load(flags + 8 * other as u64, 8).unwrap();
                         assert_eq!(
@@ -1615,13 +1589,13 @@ mod tests {
         let it = Interpreter::new(&m, RuntimeConfig::default());
         // Solo team (initial context): must not block.
         let ctx = ThreadCtx::initial();
-        dispatch(&it, RtFn::Barrier, vec![RtVal::I(0)], &ctx).unwrap();
+        dispatch(&it, RtFn::Barrier, vec![0], &ctx).unwrap();
         // Serial team of 4: each member runs to completion alone, so the
         // barrier must not wait for peers that haven't started yet.
         let state = TeamState::new(4, false);
         for tid in 0..4 {
             let ctx = ThreadCtx::team_member(tid, 4, Arc::clone(&state));
-            dispatch(&it, RtFn::Barrier, vec![RtVal::I(tid as i64)], &ctx).unwrap();
+            dispatch(&it, RtFn::Barrier, vec![tid as u64], &ctx).unwrap();
         }
     }
 }

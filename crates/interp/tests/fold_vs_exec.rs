@@ -6,7 +6,7 @@
 //! fixed-seed sweeps hold the plumbing around the kernels (`payload`,
 //! `of_payload`, the trap rule) and the fold-specific identities to it.
 
-use omplt_interp::{Engine, ExecError, Interpreter, RtVal, RuntimeConfig, ThreadCtx};
+use omplt_interp::{Engine, ExecError, Interpreter, RuntimeConfig, ThreadCtx};
 use omplt_ir::arith::{may_trap, simplify};
 use omplt_ir::{BinOpKind, CastOp, CmpPred, Function, Inst, IrType, Module, Terminator, Value};
 
@@ -29,8 +29,9 @@ impl Rng {
 enum Operand {
     /// A constant: folded as itself, run as the argument that holds it.
     Const(Value),
-    /// A variable of this type holding this value: an argument on both sides.
-    Var(IrType, RtVal),
+    /// A variable of this type holding this payload: an argument on both
+    /// sides.
+    Var(IrType, u64),
 }
 
 fn int(ty: IrType, v: i64) -> Operand {
@@ -41,21 +42,17 @@ fn float(ty: IrType, v: f64) -> Operand {
     Operand::Const(Value::float(ty, v))
 }
 
-/// Bit-exact equality, every NaN equal to every other.
-fn same(a: Option<RtVal>, b: Option<RtVal>) -> bool {
-    match (a, b) {
-        (Some(RtVal::F(x)), Some(RtVal::F(y))) => {
-            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
-        }
-        _ => a == b,
-    }
+/// Bit-exact equality of two payloads of type `ty`, every NaN equal to
+/// every other.
+fn same(ty: IrType, a: Option<u64>, b: Option<u64>) -> bool {
+    let nan = |p: u64| ty.is_float() && f64::from_bits(p).is_nan();
+    a == b || matches!((a, b), (Some(x), Some(y)) if nan(x) && nan(y))
 }
 
-/// A constant's type and the run-time value it stands for.
-fn constant(v: Value) -> Option<(IrType, RtVal)> {
+/// A constant's type and the payload it stands for at run time.
+fn constant(v: Value) -> Option<(IrType, u64)> {
     match v {
-        Value::ConstInt { ty, val } => Some((ty, RtVal::I(val))),
-        Value::ConstFloat { ty, bits } => Some((ty, RtVal::F(f64::from_bits(bits)))),
+        Value::ConstInt { ty, .. } | Value::ConstFloat { ty, .. } => Some((ty, v.payload()?)),
         _ => None,
     }
 }
@@ -68,7 +65,7 @@ fn constant(v: Value) -> Option<(IrType, RtVal)> {
 fn fold_and_run(
     make: impl Fn(&[Value]) -> Inst,
     operands: &[Operand],
-) -> (Option<RtVal>, Result<RtVal, ExecError>) {
+) -> (Option<u64>, Result<u64, ExecError>) {
     let arg = |i: usize| Value::Arg(i as u32);
     let mut params = Vec::new();
     let mut args = Vec::new();
@@ -87,6 +84,7 @@ fn fold_and_run(
         Value::Arg(i) => Some(args[i as usize]),
         _ => constant(v).map(|(_, rt)| rt),
     };
+    let ty = make(&mixed).result_type(|v| f.value_type(v));
     let folded = simplify(&make(&mixed), |v| f.value_type(v)).map(|v| known(v).expect("a value"));
     // `cleanup` reaches the same folder: of the instruction over
     // constants alone it leaves exactly that constant — or the instruction.
@@ -100,7 +98,7 @@ fn fold_and_run(
             _ => unreachable!(),
         };
         assert!(
-            same(left, folded),
+            same(ty, left, folded),
             "cleanup left {left:?}, simplify says {folded:?}"
         );
     }
@@ -118,7 +116,7 @@ fn fold_and_run(
     if folded.is_some() {
         let ran = executed.clone().expect("what folds must run");
         assert!(
-            same(folded, Some(ran)),
+            same(ty, folded, Some(ran)),
             "{raw:?} over {args:?}: folded {folded:?}, executed {ran:?}"
         );
     }
@@ -195,7 +193,7 @@ fn folded_result_matches_interpreted_result() {
             }
             assert_eq!(trapped, may_trap(op, ty), "{op:?} {ty:?}");
         }
-        let p = Operand::Var(IrType::Ptr, RtVal::P(1 << 32));
+        let p = Operand::Var(IrType::Ptr, 1 << 32);
         let (folded, executed) = fold_and_run(bin_of(op), &[p, p]);
         let additive = matches!(op, BinOpKind::Add | BinOpKind::Sub);
         assert_eq!(executed.is_ok(), additive, "{op:?} on pointers");
@@ -229,7 +227,7 @@ fn algebraic_identities_preserve_runtime_value() {
     values.extend((0..40).map(|_| rng.next() as i64));
     for ty in [IrType::I64, IrType::I32, IrType::I8] {
         for &x in &values {
-            let x = Operand::Var(ty, RtVal::I(ty.wrap(x)));
+            let x = Operand::Var(ty, ty.wrap(x) as u64);
             let with_rhs = [
                 (Add, 0),
                 (Sub, 0),
@@ -257,7 +255,7 @@ fn algebraic_identities_preserve_runtime_value() {
                 lhs: v[0],
                 rhs: v[0],
             };
-            assert_eq!(fold_and_run(x_minus_x, &[x]).0, Some(RtVal::I(0)));
+            assert_eq!(fold_and_run(x_minus_x, &[x]).0, Some(0));
             for cond in [false, true] {
                 let select = |v: &[Value]| Inst::Select {
                     cond: v[0],
@@ -274,7 +272,7 @@ fn algebraic_identities_preserve_runtime_value() {
         index: v[1],
         elem_size: 8,
     };
-    let p = Operand::Var(IrType::Ptr, RtVal::P((3 << 32) + 16));
+    let p = Operand::Var(IrType::Ptr, (3 << 32) + 16);
     assert!(fold_and_run(zero_gep, &[p, int(IrType::I64, 0)])
         .0
         .is_some());

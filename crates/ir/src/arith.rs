@@ -21,12 +21,14 @@
 //! `true` a register holds; `sext` and `zext` of an `i1` both give 0/1 and
 //! the signed predicates order `false < true`.
 //!
-//! Running a program is calling these kernels: the bytecode VM keeps
-//! payloads in its registers and calls them with the operator and type as
-//! literals, so each call folds to the one instruction it means — hence
-//! `#[inline(always)]`; the interpreter reaches them through its
-//! tag-coercing `exec_*` wrappers. *Folding* a program is calling them too:
-//! [`simplify`], the one function behind the [`crate::IrBuilder`]'s
+//! Running a program is calling these kernels, and the payload is the one
+//! value representation of both engines: the interpreter's frame slots and
+//! the VM's registers hold payloads, and so do the arguments and results of
+//! every call and of the shared runtime. The VM calls the kernels with the
+//! operator and type as literals, so each call folds to the one instruction
+//! it means — hence `#[inline(always)]`; the interpreter calls them with the
+//! operator and type its instruction holds. *Folding* a program is calling
+//! them too: [`simplify`], the one function behind the [`crate::IrBuilder`]'s
 //! on-the-fly folding and the mid end's `cleanup`, runs the kernel on
 //! [`Value::payload`]s when every operand is a constant, so a folded
 //! constant is by construction the value the program would have computed.

@@ -93,8 +93,9 @@ impl RtFn {
 }
 
 impl Module {
-    /// Declares runtime entry `f` with its row's signature (idempotent; a
-    /// user prototype of the same name declared earlier wins).
+    /// Declares runtime entry `f` with its row's signature (idempotent). A
+    /// user prototype of the same name, declared earlier, is the same
+    /// declaration: CodeGen refuses one whose signature is not the row's.
     pub fn declare_rt(&mut self, f: RtFn) -> SymbolId {
         let row = f.row();
         self.declare_extern(row.name, row.params, row.ret)

@@ -4,7 +4,7 @@ use crate::function::InstId;
 use crate::types::IrType;
 
 /// Interned symbol (function or global name) inside a [`crate::Module`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub struct SymbolId(pub u32);
 
 /// An SSA value. Two values are equal when they are the same instruction,

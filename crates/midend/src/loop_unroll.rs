@@ -630,7 +630,7 @@ mod tests {
         add_sum_fn(&mut m, "kernel", params, tc, UnrollHint::Count(4), squares);
         let run = |m: &Module, n| {
             let it = omplt_interp::Interpreter::new(m, omplt_interp::RuntimeConfig::default());
-            let run = it.run_function("kernel", vec![omplt_interp::RtVal::I(n)]);
+            let run = it.run_function("kernel", vec![n as u64]);
             run.expect("execution failed").stdout
         };
         let ns = [0i64, 1, 3, 4, 7, 11];
@@ -730,7 +730,7 @@ mod tests {
         assert_verified(m.function("kernel").unwrap());
         for n in [0i64, 1, 3, 7, 11] {
             let it = omplt_interp::Interpreter::new(&m, omplt_interp::RuntimeConfig::default());
-            let run = it.run_function("kernel", vec![omplt_interp::RtVal::I(n)]);
+            let run = it.run_function("kernel", vec![n as u64]);
             assert_eq!(run.unwrap().stdout, expected(n as u64), "n={n}");
         }
     }

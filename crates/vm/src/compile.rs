@@ -1,6 +1,6 @@
 //! IR → bytecode lowering.
 //!
-//! The interpreter's per-instruction overheads — `Option<RtVal>` frame slots,
+//! The interpreter's per-instruction overheads — `Option<u64>` frame slots,
 //! operand re-`match`ing, recursive `value_type` queries, per-block phi
 //! scans — are all paid at *compile* time here instead:
 //!
@@ -42,7 +42,6 @@ use crate::ops::{CallTarget, Op, PoolConst, Reg, RegClass, VmFunction, VmModule}
 use crate::peephole;
 use crate::regalloc::{self, Analysis};
 use crate::vectorize;
-use omplt_interp::RtVal;
 use omplt_ir::{
     arith, BlockId, CastOp, Function, Inst, InstId, IrType, Module, Rpo, SymbolId, Terminator,
     Value,
@@ -169,17 +168,6 @@ fn input_copies(m: &Module) -> (Vec<Option<Function>>, u64) {
     (copies.collect(), promoted)
 }
 
-/// Dedup key for constant-pool entries (`RtVal` holds an `f64`, so the pool
-/// itself cannot be a hash key; floats key by bit pattern).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) enum ConstKey {
-    Int(i64),
-    Float(u64),
-    PtrZero,
-    Global(u32),
-    Fn(u32),
-}
-
 /// The op for `dst = <op> src` from `from` to `to`: a `Mov` when the cast
 /// keeps its payload ([`arith::keeps_payload`]), which coalescing deletes
 /// where the two registers do not interfere.
@@ -197,29 +185,18 @@ pub(crate) fn cast_op(op: CastOp, from: IrType, to: IrType, dst: Reg, src: Reg) 
     }
 }
 
-/// Maps a constant-like [`Value`] to its dedup key and pool entry. `Undef`
-/// lowers to the zero of its class — same observable behaviour as the
-/// interpreter (`F(0.0)` for floats, zero bits otherwise).
-pub(crate) fn const_of(v: Value) -> Option<(ConstKey, PoolConst)> {
+/// The pool entry of a constant-like [`Value`], which is also its dedup key
+/// (a float's by its bits, so `-0.0` and `0.0` stay two). `Undef` lowers to
+/// the zero payload of its class, the payload the interpreter evaluates it
+/// to.
+pub(crate) fn const_of(v: Value) -> Option<PoolConst> {
     match v {
         Value::Inst(_) | Value::Arg(_) => None,
-        Value::ConstInt { val, .. } => Some((ConstKey::Int(val), PoolConst::Val(RtVal::I(val)))),
-        Value::ConstFloat { bits, .. } => Some((
-            ConstKey::Float(bits),
-            PoolConst::Val(RtVal::F(f64::from_bits(bits))),
-        )),
-        Value::Global(s) => Some((ConstKey::Global(s.0), PoolConst::Global(s))),
-        Value::FuncRef(s) => Some((ConstKey::Fn(s.0), PoolConst::FnPtr(s))),
-        Value::Undef(ty) => Some(if ty.is_float() {
-            (
-                ConstKey::Float(0f64.to_bits()),
-                PoolConst::Val(RtVal::F(0.0)),
-            )
-        } else if ty == IrType::Ptr {
-            (ConstKey::PtrZero, PoolConst::Val(RtVal::P(0)))
-        } else {
-            (ConstKey::Int(0), PoolConst::Val(RtVal::I(0)))
-        }),
+        Value::ConstInt { val, .. } => Some(PoolConst::Val(RegClass::Int, val as u64)),
+        Value::ConstFloat { bits, .. } => Some(PoolConst::Val(RegClass::Float, bits)),
+        Value::Global(s) => Some(PoolConst::Global(s)),
+        Value::FuncRef(s) => Some(PoolConst::FnPtr(s)),
+        Value::Undef(ty) => Some(PoolConst::Val(RegClass::of(ty), 0)),
     }
 }
 
@@ -292,7 +269,7 @@ pub(crate) struct FuncCompiler<'a> {
     /// Register of every non-void instruction, by `InstId`.
     inst_reg: Vec<Option<Reg>>,
     /// Pool index and prologue-loaded register of every interned constant.
-    consts: SortedMap<ConstKey, (u16, Reg)>,
+    consts: SortedMap<PoolConst, (u16, Reg)>,
     /// Index into `out.call_targets` by callee symbol (symbols are interned,
     /// so one symbol is one target).
     target_idx: SortedMap<u32, u16>,
@@ -364,8 +341,8 @@ impl<'a> FuncCompiler<'a> {
     }
 
     /// Interns a constant: pool entry plus the prologue-loaded register.
-    fn const_vreg(&mut self, key: ConstKey, entry: PoolConst) -> Result<Reg, CompileError> {
-        if let Some((_, r)) = self.consts.get(key) {
+    fn const_vreg(&mut self, entry: PoolConst) -> Result<Reg, CompileError> {
+        if let Some((_, r)) = self.consts.get(entry) {
             return Ok(r);
         }
         if self.out.consts.len() >= u16::MAX as usize {
@@ -374,7 +351,7 @@ impl<'a> FuncCompiler<'a> {
         let idx = self.out.consts.len() as u16;
         self.out.consts.push(entry);
         let r = self.new_vreg(entry.class())?;
-        self.consts.insert(key, (idx, r));
+        self.consts.insert(entry, (idx, r));
         Ok(r)
     }
 
@@ -397,12 +374,8 @@ impl<'a> FuncCompiler<'a> {
     /// `Op::Const` at the current emission point. Callers must ensure that
     /// point dominates every use (the widener only calls this from a loop
     /// preamble).
-    pub(crate) fn inline_const(
-        &mut self,
-        key: ConstKey,
-        entry: PoolConst,
-    ) -> Result<Reg, CompileError> {
-        if let Some((_, r)) = self.consts.get(key) {
+    pub(crate) fn inline_const(&mut self, entry: PoolConst) -> Result<Reg, CompileError> {
+        if let Some((_, r)) = self.consts.get(entry) {
             return Ok(r);
         }
         if self.out.consts.len() >= u16::MAX as usize {
@@ -436,8 +409,8 @@ impl<'a> FuncCompiler<'a> {
                 }
             }
             other => {
-                let (key, entry) = const_of(other).expect("non-ssa value is a constant");
-                self.const_vreg(key, entry)
+                let entry = const_of(other).expect("non-ssa value is a constant");
+                self.const_vreg(entry)
             }
         }
     }
@@ -819,8 +792,8 @@ impl<'a> FuncCompiler<'a> {
             for &iid in &f.block(bb).insts {
                 let mut failed = None;
                 f.inst(iid).for_each_operand(|v| {
-                    if let Some((key, entry)) = const_of(v) {
-                        failed = failed.take().or(self.const_vreg(key, entry).err());
+                    if let Some(entry) = const_of(v) {
+                        failed = failed.take().or(self.const_vreg(entry).err());
                     }
                 });
                 if let Some(e) = failed {
@@ -832,8 +805,8 @@ impl<'a> FuncCompiler<'a> {
                 Some(Terminator::Ret(Some(v))) => Some(*v),
                 _ => None,
             };
-            if let Some((key, entry)) = term_val.and_then(const_of) {
-                self.const_vreg(key, entry)?;
+            if let Some(entry) = term_val.and_then(const_of) {
+                self.const_vreg(entry)?;
             }
         }
 

@@ -36,11 +36,13 @@
 //!   identically on both backends. The resolved stream is not a format: it
 //!   is never serialised, verified or printed (`--emit-bytecode` shows `Op`).
 //!
-//! The engines share one definition of arithmetic: the payload kernels of
-//! `omplt_ir::arith` (`bin`, `cmp`, `cast`, `decode`, `encode`), which the
-//! VM's arms call — with the operator and type as literals where the pair
-//! has a variant — and the interpreter reaches through its tag-coercing
-//! `exec_bin`/`exec_cmp`/`exec_cast` wrappers — so results are bit-identical
+//! The engines share one definition of arithmetic and one value
+//! representation: the payload kernels of `omplt_ir::arith` (`bin`, `cmp`,
+//! `cast`, `gep`, `decode`, `encode`) over untagged 64-bit payloads, which
+//! the VM's arms call — with the operator and type as literals where the
+//! pair has a variant — and the interpreter calls with the operator and type
+//! of the instruction; a payload also crosses every call and the
+//! [`omplt_interp::Engine`] boundary as itself. So results are bit-identical
 //! by construction and differential tests can compare observable memory
 //! state across backends exactly.
 

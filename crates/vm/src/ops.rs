@@ -23,7 +23,6 @@
 //! [`disasm`] line are the three things written by hand per op.
 
 use crate::serde::{Dec, DecodeError, Enc, Wire};
-use omplt_interp::RtVal;
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// A virtual register index within one frame.
@@ -41,7 +40,7 @@ pub const MAX_LANES: usize = 8;
 
 /// Coarse register type class — enough to verify operand compatibility
 /// (the fine-grained `IrType` rides on the ops that need width information).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub enum RegClass {
     /// Integers of any width (sign-extended into `i64` storage).
     Int,
@@ -63,28 +62,6 @@ impl RegClass {
             RegClass::Ptr
         } else {
             RegClass::Int
-        }
-    }
-
-    /// The register payload of `v` read at this class — the 64 bits a frame
-    /// keeps: `as_i`/`as_f`/`as_p`, so a value that crossed a call boundary
-    /// at another class is coerced exactly as a tagged read would have.
-    #[inline]
-    pub fn payload(self, v: RtVal) -> u64 {
-        match self {
-            RegClass::Int => v.as_i() as u64,
-            RegClass::Float => v.as_f().to_bits(),
-            RegClass::Ptr => v.as_p(),
-        }
-    }
-
-    /// Re-tags a register payload of this class as a value.
-    #[inline]
-    pub fn tag(self, bits: u64) -> RtVal {
-        match self {
-            RegClass::Int => RtVal::I(bits as i64),
-            RegClass::Float => RtVal::F(f64::from_bits(bits)),
-            RegClass::Ptr => RtVal::P(bits),
         }
     }
 
@@ -111,10 +88,10 @@ impl std::fmt::Display for RegClass {
 /// A constant-pool entry. `Global` and `FnPtr` are *symbolic*: their guest
 /// addresses exist only once an engine has materialized the module, so the
 /// engine resolves the pool to flat register payloads at construction time.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub enum PoolConst {
-    /// An immediate value.
-    Val(RtVal),
+    /// An immediate: a payload (`omplt_ir::arith`) of the given class.
+    Val(RegClass, u64),
     /// Address of a module global (resolved at engine startup).
     Global(SymbolId),
     /// Tagged function pointer (for `__kmpc_fork_call` targets).
@@ -125,11 +102,8 @@ impl PoolConst {
     /// The register class a load of this constant produces.
     pub fn class(self) -> RegClass {
         match self {
-            PoolConst::Val(RtVal::I(_)) => RegClass::Int,
-            PoolConst::Val(RtVal::F(_)) => RegClass::Float,
-            PoolConst::Val(RtVal::P(_)) | PoolConst::Global(_) | PoolConst::FnPtr(_) => {
-                RegClass::Ptr
-            }
+            PoolConst::Val(class, _) => class,
+            PoolConst::Global(_) | PoolConst::FnPtr(_) => RegClass::Ptr,
         }
     }
 }
@@ -769,6 +743,18 @@ impl VmModule {
     }
 }
 
+/// A pool entry as [`disasm`] prints it: an immediate as its class's
+/// letter over the value it stands for (`Val(I(-7))`, `Val(F(1.5))`,
+/// `Val(P(0))`), a symbolic entry as itself.
+fn const_text(c: PoolConst) -> String {
+    match c {
+        PoolConst::Val(RegClass::Int, v) => format!("Val(I({}))", v as i64),
+        PoolConst::Val(RegClass::Float, v) => format!("Val(F({:?}))", f64::from_bits(v)),
+        PoolConst::Val(RegClass::Ptr, v) => format!("Val(P({v}))"),
+        other => format!("{other:?}"),
+    }
+}
+
 /// Renders one function as readable assembly (debug dumps and goldens).
 pub fn disasm(f: &VmFunction) -> String {
     use std::fmt::Write;
@@ -794,7 +780,9 @@ pub fn disasm(f: &VmFunction) -> String {
             let _ = writeln!(out, "L{pc}:");
         }
         let text = match *op {
-            Op::Const { dst, idx } => format!("r{dst} = const {:?}", f.consts[idx as usize]),
+            Op::Const { dst, idx } => {
+                format!("r{dst} = const {}", const_text(f.consts[idx as usize]))
+            }
             Op::Mov { dst, src } => format!("r{dst} = mov r{src}"),
             Op::Alloca { dst, bytes } => format!("r{dst} = alloca {bytes}"),
             Op::Load { dst, addr, ty } => format!("r{dst} = load.{ty} [r{addr}]"),
@@ -1158,8 +1146,12 @@ pub(crate) mod tests {
 
     #[test]
     fn pool_const_classes() {
-        assert_eq!(PoolConst::Val(RtVal::I(3)).class(), RegClass::Int);
-        assert_eq!(PoolConst::Val(RtVal::F(1.5)).class(), RegClass::Float);
+        assert_eq!(PoolConst::Val(RegClass::Int, 3).class(), RegClass::Int);
+        let half = 1.5f64.to_bits();
+        assert_eq!(
+            PoolConst::Val(RegClass::Float, half).class(),
+            RegClass::Float
+        );
         assert_eq!(PoolConst::Global(SymbolId(0)).class(), RegClass::Ptr);
         assert_eq!(PoolConst::FnPtr(SymbolId(1)).class(), RegClass::Ptr);
     }

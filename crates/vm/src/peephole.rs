@@ -418,7 +418,6 @@ pub(crate) fn compact(f: &mut VmFunction, dead: &[bool], new_off: &mut Vec<u32>)
 pub(crate) mod tests {
     use super::*;
     use crate::ops::{PoolConst, RegClass};
-    use omplt_interp::RtVal;
     use omplt_ir::{BinOpKind, CmpPred, IrType};
 
     /// `dst = lhs + rhs` over `i64`.
@@ -463,7 +462,7 @@ pub(crate) mod tests {
             vreg_class: vec![],
             vreg_width: vec![],
             ops,
-            consts: vec![PoolConst::Val(RtVal::I(1))],
+            consts: vec![PoolConst::Val(RegClass::Int, 1)],
             call_args: vec![],
             call_targets: vec![],
             block_starts,
@@ -506,7 +505,7 @@ pub(crate) mod tests {
             crate::ops::disasm(&f)
         );
         assert!(!f.ops.iter().any(|o| matches!(o, Op::Mov { .. })));
-        assert!(crate::verify::verify_function(&f, 1).is_empty());
+        assert!(crate::verify::verify_function(&f, &[]).is_empty());
     }
 
     #[test]
@@ -543,7 +542,7 @@ pub(crate) mod tests {
             .iter()
             .any(|o| matches!(o, Op::Cmp { .. } | Op::Br { .. })));
         // Block structure stays verifier-clean after the remap.
-        assert!(crate::verify::verify_function(&f, 1).is_empty());
+        assert!(crate::verify::verify_function(&f, &[]).is_empty());
     }
 
     #[test]
@@ -587,7 +586,7 @@ pub(crate) mod tests {
             crate::ops::disasm(&f)
         );
         assert!(!f.ops.iter().any(|o| matches!(o, Op::Bin { .. })));
-        assert!(crate::verify::verify_function(&f, 1).is_empty());
+        assert!(crate::verify::verify_function(&f, &[]).is_empty());
     }
 
     #[test]

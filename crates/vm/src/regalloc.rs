@@ -556,7 +556,6 @@ mod reference {
 mod tests {
     use super::*;
     use crate::ops::{Op, PoolConst, VmFunction};
-    use omplt_interp::RtVal;
     use omplt_ir::{BinOpKind, IrType};
 
     fn linear_fn(ops: Vec<Op>, num_regs: u16, classes: Vec<RegClass>) -> VmFunction {
@@ -569,7 +568,7 @@ mod tests {
             vreg_class: vec![],
             vreg_width: vec![],
             ops,
-            consts: vec![PoolConst::Val(RtVal::I(1))],
+            consts: vec![PoolConst::Val(RegClass::Int, 1)],
             call_args: vec![],
             call_targets: vec![],
             block_starts: vec![0],

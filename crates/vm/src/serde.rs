@@ -23,7 +23,6 @@
 //! a server reads back, are treated as untrusted input.
 
 use crate::ops::{CallTarget, PoolConst, Reg, RegClass, VmFunction, VmModule};
-use omplt_interp::RtVal;
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// Magic prefix: 7 identifying bytes plus a 1-byte format version.
@@ -169,16 +168,9 @@ impl Wire for Option<Reg> {
 impl Wire for PoolConst {
     fn put(self, e: &mut Enc) {
         match self {
-            PoolConst::Val(RtVal::I(v)) => {
-                e.put(0u8);
-                e.put(v as u64);
-            }
-            PoolConst::Val(RtVal::F(v)) => {
-                e.put(1u8);
-                e.put(v.to_bits());
-            }
-            PoolConst::Val(RtVal::P(v)) => {
-                e.put(2u8);
+            // The class is the tag: 0 int, 1 float, 2 pointer.
+            PoolConst::Val(class, v) => {
+                e.put(class);
                 e.put(v);
             }
             PoolConst::Global(s) => {
@@ -192,13 +184,12 @@ impl Wire for PoolConst {
         }
     }
     fn get(d: &mut Dec) -> Result<PoolConst, DecodeError> {
-        Ok(match d.get::<u8>()? {
-            0 => PoolConst::Val(RtVal::I(d.get::<u64>()? as i64)),
-            1 => PoolConst::Val(RtVal::F(f64::from_bits(d.get()?))),
-            2 => PoolConst::Val(RtVal::P(d.get()?)),
-            3 => PoolConst::Global(SymbolId(d.get()?)),
-            4 => PoolConst::FnPtr(SymbolId(d.get()?)),
-            other => return err(format!("bad PoolConst tag {other}")),
+        let tag = d.get::<u8>()?;
+        Ok(match (tag, RegClass::ALL.get(tag as usize)) {
+            (_, Some(&class)) => PoolConst::Val(class, d.get()?),
+            (3, _) => PoolConst::Global(SymbolId(d.get()?)),
+            (4, _) => PoolConst::FnPtr(SymbolId(d.get()?)),
+            _ => return err(format!("bad PoolConst tag {tag}")),
         })
     }
 }
@@ -427,8 +418,8 @@ mod tests {
                 Op::Ret { src: Some(4) },
             ],
             consts: vec![
-                PoolConst::Val(RtVal::I(-7)),
-                PoolConst::Val(RtVal::F(1.5)),
+                PoolConst::Val(RegClass::Int, -7i64 as u64),
+                PoolConst::Val(RegClass::Float, 1.5f64.to_bits()),
                 PoolConst::Global(SymbolId(3)),
                 PoolConst::FnPtr(SymbolId(4)),
             ],

@@ -30,9 +30,8 @@
 //! scalar interpreter oracle by the backend-differential harness. Integer
 //! (wrapping) add/mul are associative, so those widen.
 
-use crate::compile::{cast_op, const_of, CompileError, ConstKey, FuncCompiler};
+use crate::compile::{cast_op, const_of, CompileError, FuncCompiler};
 use crate::ops::{Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
-use omplt_interp::RtVal;
 use omplt_ir::{
     arith, BinOpKind, BlockId, BlockLists, CastOp, CmpPred, Function, Inst, InstId, IrType,
     Terminator, Value,
@@ -525,7 +524,7 @@ struct Widener<'a, 'b> {
     /// made once in the preamble; of chunk-base clones, per chunk.
     bcast: HashMap<Reg, VReg>,
     /// Constants materialized for this loop (preamble-dominated).
-    consts: HashMap<ConstKey, Reg>,
+    consts: HashMap<PoolConst, Reg>,
     /// One accumulator per carried phi, reductions first: the only vector
     /// registers a chunk updates in place, after its lanes are computed.
     acc: Vec<VReg>,
@@ -548,12 +547,17 @@ impl<'a, 'b> Widener<'a, 'b> {
     }
 
     fn int_const(&mut self, v: i64) -> Result<Reg, CompileError> {
-        let key = ConstKey::Int(v);
-        if let Some(&r) = self.consts.get(&key) {
+        self.pooled(PoolConst::Val(RegClass::Int, v as u64))
+    }
+
+    /// The register holding constant `entry` in the preamble: the one it
+    /// was loaded into first, or a fresh load.
+    fn pooled(&mut self, entry: PoolConst) -> Result<Reg, CompileError> {
+        if let Some(&r) = self.consts.get(&entry) {
             return Ok(r);
         }
-        let r = self.c.inline_const(key, PoolConst::Val(RtVal::I(v)))?;
-        self.consts.insert(key, r);
+        let r = self.c.inline_const(entry)?;
+        self.consts.insert(entry, r);
         Ok(r)
     }
 
@@ -614,14 +618,7 @@ impl<'a, 'b> Widener<'a, 'b> {
                 Ok(r)
             }
             other => match const_of(other) {
-                Some((key, entry)) => {
-                    if let Some(&r) = self.consts.get(&key) {
-                        return Ok(r);
-                    }
-                    let r = self.c.inline_const(key, entry)?;
-                    self.consts.insert(key, r);
-                    Ok(r)
-                }
+                Some(entry) => self.pooled(entry),
                 None => self.c.reg_of(other),
             },
         }

@@ -13,12 +13,17 @@
 //!    every block ends in exactly one terminator. Later phases assume this,
 //!    so structural errors short-circuit.
 //! 2. **Types** — coarse [`RegClass`] consistency per op (a float add reads
-//!    float registers, a load's address register is a pointer, …).
+//!    float registers, a load's address register is a pointer, …), and at
+//!    every direct call the callee's boundary: exactly its parameter count,
+//!    each argument register in its parameter register's class, the result
+//!    in its return class. Registers and the engine boundary carry untagged
+//!    payloads, so this is what keeps a payload from being read at another
+//!    class on the far side of a call.
 //! 3. **Definite initialization** — forward must-be-defined dataflow over
 //!    the block graph: a register read before any write on some path is an
 //!    error, not a zero.
 
-use crate::ops::{CallTarget, Op, RegClass, VmFunction, VmModule, MAX_LANES};
+use crate::ops::{CallTarget, Op, Reg, RegClass, VmFunction, VmModule, MAX_LANES};
 use omplt_ir::{BlockLists, CastOp, CmpPred, IrType};
 
 /// One verification failure.
@@ -55,21 +60,23 @@ pub fn verify_module(m: &VmModule) -> Vec<VerifyError> {
         });
     }
     for f in &m.funcs {
-        errs.extend(verify_function(f, m.funcs.len()));
+        errs.extend(verify_function(f, &m.funcs));
     }
     errs
 }
 
-/// Verifies one function. `num_funcs` bounds [`CallTarget::Bytecode`]
-/// indices (module-level information the function cannot carry itself).
-pub fn verify_function(f: &VmFunction, num_funcs: usize) -> Vec<VerifyError> {
+/// Verifies one function. `funcs` is its module's function table, which
+/// [`CallTarget::Bytecode`] indices name (module-level information the
+/// function cannot carry itself): it bounds them and gives each direct call
+/// its callee's parameters and return type.
+pub fn verify_function(f: &VmFunction, funcs: &[VmFunction]) -> Vec<VerifyError> {
     let mut errs = Vec::new();
-    structural(f, num_funcs, &mut errs);
+    structural(f, funcs.len(), &mut errs);
     if !errs.is_empty() {
         // Type and dataflow phases index tables this phase just rejected.
         return errs;
     }
-    types(f, &mut errs);
+    types(f, funcs, &mut errs);
     definite_init(f, &mut errs);
     errs
 }
@@ -231,6 +238,47 @@ fn structural(f: &VmFunction, num_funcs: usize, errs: &mut Vec<VerifyError>) {
     }
 }
 
+/// A direct call to `callee` passing `args` and expecting `ret`: the arity,
+/// each argument's class against its parameter register's, and the return
+/// class against the callee's. (A parameter register the callee's own table
+/// does not cover is reported when the callee is verified.)
+fn call_boundary(
+    errs: &mut Vec<VerifyError>,
+    f: &VmFunction,
+    pc: usize,
+    args: &[Reg],
+    ret: IrType,
+    callee: &VmFunction,
+) {
+    let name = &callee.name;
+    if args.len() != callee.params.len() {
+        let want = callee.params.len();
+        let what = format!(
+            "call to @{name} passes {} arguments, it takes {want}",
+            args.len()
+        );
+        err(errs, f, pc, what);
+        return;
+    }
+    for (k, (&a, &p)) in args.iter().zip(&callee.params).enumerate() {
+        let have = f.reg_class[a as usize];
+        if let Some(&want) = callee.reg_class.get(p as usize).filter(|&&w| w != have) {
+            let what = format!(
+                "type mismatch: argument {k} of call to @{name} is {have} r{a}, its parameter is {want}"
+            );
+            err(errs, f, pc, what);
+        }
+    }
+    let void = ret == IrType::Void || callee.ret == IrType::Void;
+    if !void && RegClass::of(ret) != RegClass::of(callee.ret) {
+        let what = format!(
+            "type mismatch: call expects {ret} from @{name}, which returns {}",
+            callee.ret
+        );
+        err(errs, f, pc, what);
+    }
+}
+
 fn check_jump(f: &VmFunction, pc: usize, target: u32, errs: &mut Vec<VerifyError>) {
     if target as usize >= f.ops.len() {
         err(errs, f, pc, format!("jump target {target} out of bounds"));
@@ -244,7 +292,7 @@ fn check_jump(f: &VmFunction, pc: usize, target: u32, errs: &mut Vec<VerifyError
     }
 }
 
-fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
+fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
     let cls = |r: u16| f.reg_class[r as usize];
     let vcls = |v: u16| f.vreg_class[v as usize];
     let mismatch = |errs: &mut Vec<VerifyError>, pc: usize, what: String| {
@@ -510,19 +558,31 @@ fn types(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                     );
                 }
             }
-            Op::Call { ret, dst, .. } => match (ret, dst) {
-                (IrType::Void, Some(d)) => {
-                    mismatch(errs, pc, format!("void call writes r{d}"));
+            Op::Call {
+                target,
+                args_at,
+                nargs,
+                ret,
+                dst,
+            } => {
+                match (ret, dst) {
+                    (IrType::Void, Some(d)) => {
+                        mismatch(errs, pc, format!("void call writes r{d}"));
+                    }
+                    (ret, Some(d)) if cls(d) != RegClass::of(ret) => {
+                        mismatch(
+                            errs,
+                            pc,
+                            format!("call returning {ret} into {} r{d}", cls(d)),
+                        );
+                    }
+                    _ => {}
                 }
-                (ret, Some(d)) if cls(d) != RegClass::of(ret) => {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("call returning {ret} into {} r{d}", cls(d)),
-                    );
+                if let CallTarget::Bytecode(i) = f.call_targets[target as usize] {
+                    let args = &f.call_args[args_at as usize..][..nargs as usize];
+                    call_boundary(errs, f, pc, args, ret, &funcs[i as usize]);
                 }
-                _ => {}
-            },
+            }
             Op::Br { cond, .. } => {
                 if cls(cond) != RegClass::Int {
                     mismatch(errs, pc, format!("branch condition r{cond} is not int"));
@@ -930,7 +990,6 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
 mod tests {
     use super::*;
     use crate::ops::PoolConst;
-    use omplt_interp::RtVal;
 
     fn tiny() -> VmFunction {
         VmFunction {
@@ -946,7 +1005,7 @@ mod tests {
                 Op::Mov { dst: 1, src: 0 },
                 Op::Ret { src: Some(1) },
             ],
-            consts: vec![PoolConst::Val(RtVal::I(7))],
+            consts: vec![PoolConst::Val(RegClass::Int, 7)],
             call_args: vec![],
             call_targets: vec![],
             block_starts: vec![0],
@@ -956,14 +1015,14 @@ mod tests {
 
     #[test]
     fn clean_function_verifies() {
-        assert!(verify_function(&tiny(), 1).is_empty());
+        assert!(verify_function(&tiny(), &[]).is_empty());
     }
 
     #[test]
     fn undefined_register_is_reported() {
         let mut f = tiny();
         f.ops[1] = Op::Mov { dst: 1, src: 1 }; // r1 read before any write
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert_eq!(errs.len(), 1);
         assert!(errs[0]
             .what
@@ -974,7 +1033,7 @@ mod tests {
     fn out_of_bounds_jump_is_reported() {
         let mut f = tiny();
         f.ops[2] = Op::Jmp { target: 99 };
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert!(errs
             .iter()
             .any(|e| e.what.contains("jump target 99 out of bounds")));
@@ -984,7 +1043,7 @@ mod tests {
     fn class_mismatch_is_reported() {
         let mut f = tiny();
         f.reg_class[1] = RegClass::Float;
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert!(errs.iter().any(|e| e.what.contains("type mismatch")));
     }
 
@@ -1016,7 +1075,7 @@ mod tests {
                 },
                 Op::Ret { src: Some(1) },
             ],
-            consts: vec![PoolConst::Val(RtVal::I(7))],
+            consts: vec![PoolConst::Val(RegClass::Int, 7)],
             call_args: vec![],
             call_targets: vec![],
             block_starts: vec![0],
@@ -1026,7 +1085,7 @@ mod tests {
 
     #[test]
     fn clean_vector_function_verifies() {
-        assert!(verify_function(&vtiny(), 1).is_empty());
+        assert!(verify_function(&vtiny(), &[]).is_empty());
     }
 
     #[test]
@@ -1037,7 +1096,7 @@ mod tests {
             src: 0,
             w: 16,
         };
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert!(
             errs.iter().any(|e| e.what.contains("bad lane count 16")),
             "{errs:?}"
@@ -1052,7 +1111,7 @@ mod tests {
             src: 0,
             w: 2,
         };
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert!(
             errs.iter()
                 .any(|e| e.what.contains("has width 4 but op uses 2 lanes")),
@@ -1064,7 +1123,7 @@ mod tests {
     fn scalar_vector_class_mix_is_reported() {
         let mut f = vtiny();
         f.vreg_class[0] = RegClass::Float; // int broadcast into float vreg
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert!(
             errs.iter()
                 .any(|e| e.what.contains("broadcast of int r0 into float v0")),
@@ -1080,7 +1139,7 @@ mod tests {
             src: 0,
             w: 4,
         }; // v0 read before any write
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert!(
             errs.iter().any(|e| e
                 .what
@@ -1097,12 +1156,93 @@ mod tests {
             src: 0,
             w: 4,
         };
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert!(
             errs.iter()
                 .any(|e| e.what.contains("vector register v9 out of range")),
             "{errs:?}"
         );
+    }
+
+    /// `caller` returns `g(7)`; `g(x)` returns `x`, an `i64` either way.
+    fn call_pair() -> VmModule {
+        let g = VmFunction {
+            name: "g".into(),
+            params: vec![0],
+            num_regs: 1,
+            reg_class: vec![RegClass::Int],
+            ops: vec![Op::Ret { src: Some(0) }],
+            consts: vec![],
+            ..tiny()
+        };
+        let caller = VmFunction {
+            name: "caller".into(),
+            ops: vec![
+                Op::Const { dst: 0, idx: 0 },
+                Op::Call {
+                    target: 0,
+                    args_at: 0,
+                    nargs: 1,
+                    ret: IrType::I64,
+                    dst: Some(1),
+                },
+                Op::Ret { src: Some(1) },
+            ],
+            call_args: vec![0],
+            call_targets: vec![CallTarget::Bytecode(1)],
+            ..tiny()
+        };
+        VmModule {
+            funcs: vec![caller, g],
+        }
+    }
+
+    #[test]
+    fn a_direct_call_that_matches_its_callee_verifies() {
+        assert_eq!(verify_module(&call_pair()), vec![]);
+    }
+
+    #[test]
+    fn a_direct_call_must_pass_the_callees_parameter_count() {
+        let mut m = call_pair();
+        let Op::Call { nargs, .. } = &mut m.funcs[0].ops[1] else {
+            unreachable!()
+        };
+        *nargs = 0;
+        let errs = verify_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].at, 1);
+        assert!(errs[0]
+            .what
+            .contains("call to @g passes 0 arguments, it takes 1"));
+    }
+
+    #[test]
+    fn a_direct_call_cannot_pass_a_float_register_to_an_int_parameter() {
+        let mut m = call_pair();
+        m.funcs[0].reg_class[0] = RegClass::Float;
+        m.funcs[0].consts[0] = PoolConst::Val(RegClass::Float, 7f64.to_bits());
+        let errs = verify_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0]
+            .what
+            .contains("argument 0 of call to @g is float r0, its parameter is int"));
+    }
+
+    #[test]
+    fn a_direct_call_cannot_read_its_result_at_another_class() {
+        let mut m = call_pair();
+        m.funcs[0].reg_class[1] = RegClass::Float;
+        m.funcs[0].ret = IrType::F64;
+        let Op::Call { ret, .. } = &mut m.funcs[0].ops[1] else {
+            unreachable!()
+        };
+        *ret = IrType::F64;
+        let errs = verify_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0]
+            .what
+            .contains("call expects double from @g, which returns i64"));
     }
 
     #[test]
@@ -1127,13 +1267,13 @@ mod tests {
                 Op::Jmp { target: 3 },
                 Op::Ret { src: Some(1) },
             ],
-            consts: vec![PoolConst::Val(RtVal::I(7))],
+            consts: vec![PoolConst::Val(RegClass::Int, 7)],
             call_args: vec![],
             call_targets: vec![],
             block_starts: vec![0, 1, 3],
             ret: IrType::I64,
         };
-        let errs = verify_function(&f, 1);
+        let errs = verify_function(&f, &[]);
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0]
             .what

@@ -11,10 +11,13 @@
 //! proven that every op reads a register at the class of
 //! [`VmFunction::reg_class`] and that every write to it — including a call's
 //! result and a parameter's arrival — is at that same class, and that no
-//! register is read before it is written. Values are re-tagged into
-//! [`RtVal`], from `reg_class`, only where the [`Engine`] trait's currency
-//! requires it: a `Call`'s arguments and result, `Ret`, and the arguments of
-//! [`VmEngine::run_frame`].
+//! register is read before it is written. The payload is also the currency
+//! of the [`Engine`] trait, so a value crosses a `Call`, a `Ret` and the
+//! arguments of [`VmEngine::run_frame`] as the same 64 bits: the verifier
+//! holds a direct call's argument registers to the classes of the callee's
+//! parameter registers, and the compiler refuses a runtime prototype that
+//! disagrees with the runtime's row, so both sides of every boundary read
+//! the bits at one class.
 //!
 //! **What the loop runs is resolved once per run.** [`VmEngine::new`] maps
 //! each function's [`Op`]s 1:1 — same `pc`, same jump targets, same unit of
@@ -39,9 +42,8 @@
 //!   walk but keeps the bounds test;
 //! * no arithmetic, comparison or conversion is written out here — every
 //!   arm that computes calls a kernel of `omplt_ir::arith`, the same
-//!   kernels the interpreter reaches through its `exec_*` wrappers and the
-//!   compiler folds constants with, so results are bit-identical by
-//!   construction;
+//!   kernels the interpreter calls and the compiler folds constants with,
+//!   so results are bit-identical by construction;
 //! * the whole OpenMP runtime (`__kmpc_fork_call` thread teams, static/
 //!   dynamic/guided/runtime schedules, barriers, `nowait`) is the generic
 //!   `omplt_interp::runtime::dispatch`, reached through the [`Engine`]
@@ -52,7 +54,7 @@ use crate::ops::{CallTarget, Op, PoolConst, Reg, VmFunction, VmModule, MAX_LANES
 use omplt_interp::engine::{Callee, Engine, RunState};
 use omplt_interp::memory::MemError;
 use omplt_interp::runtime::{self, RuntimeConfig, ThreadCtx};
-use omplt_interp::{ExecError, Memory, RtVal, RunResult};
+use omplt_interp::{ExecError, Memory, RunResult};
 use omplt_ir::arith::{bin, cast, cmp, decode, encode, gep};
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, Module, RtFn};
 use std::sync::atomic::Ordering;
@@ -93,8 +95,8 @@ impl<'m> VmEngine<'m> {
     /// product path hands over verified code only (`compile_bytecode`
     /// verifies; a cached image was verified before it was inserted and is
     /// checksummed on lookup). Registers carry no tag, so on code that never
-    /// saw the verifier the engine stays memory-safe but reinterprets a
-    /// payload where a class mismatch would once have been coerced.
+    /// saw the verifier the engine stays memory-safe but reads a payload at
+    /// whatever class the op that reads it names.
     pub fn new(
         module: &'m Module,
         code: &'m VmModule,
@@ -106,7 +108,7 @@ impl<'m> VmEngine<'m> {
             let mut consts = Vec::with_capacity(f.consts.len());
             for &c in &f.consts {
                 consts.push(match c {
-                    PoolConst::Val(v) => c.class().payload(v),
+                    PoolConst::Val(_, v) => v,
                     PoolConst::Global(s) => state.global_addr(s)?,
                     PoolConst::FnPtr(s) => Memory::encode_fn_ptr(s.0),
                 });
@@ -135,7 +137,7 @@ impl<'m> VmEngine<'m> {
     }
 
     /// Runs an arbitrary function (for kernels without `main`).
-    pub fn run_function(&self, name: &str, args: Vec<RtVal>) -> Result<RunResult, ExecError> {
+    pub fn run_function(&self, name: &str, args: Vec<u64>) -> Result<RunResult, ExecError> {
         let ret = self.call_by_name(name, args, &ThreadCtx::initial())?;
         Ok(self.state.finish(ret))
     }
@@ -144,9 +146,9 @@ impl<'m> VmEngine<'m> {
     pub fn run_frame(
         &self,
         fi: u32,
-        args: Vec<RtVal>,
+        args: Vec<u64>,
         ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError> {
+    ) -> Result<Option<u64>, ExecError> {
         let mut retired = 0u64;
         let r = self.run_frame_inner(fi, args, ctx, &mut retired);
         self.state.ops.fetch_add(retired, Ordering::Relaxed);
@@ -159,19 +161,16 @@ impl<'m> VmEngine<'m> {
     fn run_frame_inner(
         &self,
         fi: u32,
-        args: Vec<RtVal>,
+        args: Vec<u64>,
         ctx: &ThreadCtx,
         retired: &mut u64,
-    ) -> Result<Option<RtVal>, ExecError> {
+    ) -> Result<Option<u64>, ExecError> {
         let f = &self.code.funcs[fi as usize];
-        // Arguments arrive tagged; each lands as the payload of its
-        // parameter register's class.
         let mut regs: Vec<u64> = vec![0; f.num_regs as usize];
         for (i, &p) in f.params.iter().enumerate() {
-            let arg = *args
+            regs[p as usize] = *args
                 .get(i)
                 .ok_or_else(|| ExecError::Malformed(format!("missing argument {i}")))?;
-            regs[p as usize] = f.reg_class[p as usize].payload(arg);
         }
 
         // The vector file is only materialized for widened functions, so
@@ -209,9 +208,9 @@ impl Engine for VmEngine<'_> {
     fn call_by_name(
         &self,
         name: &str,
-        args: Vec<RtVal>,
+        args: Vec<u64>,
         ctx: &ThreadCtx,
-    ) -> Result<Option<RtVal>, ExecError> {
+    ) -> Result<Option<u64>, ExecError> {
         if let Some(i) = self.code.function_index(name) {
             return self.run_frame(i, args, ctx);
         }
@@ -324,7 +323,7 @@ macro_rules! resolved_ops {
                 ctx: &ThreadCtx,
                 granted: &mut u64,
                 local_fuel: &mut u64,
-            ) -> Result<Option<RtVal>, ExecError> {
+            ) -> Result<Option<u64>, ExecError> {
                 use {BinOpKind as B, CastOp as C, CmpPred as P, IrType as T};
                 // `fuel` stays in a machine register; it is written back to
                 // `*local_fuel` only on the explicit exits below. `?`-propagated
@@ -408,12 +407,8 @@ macro_rules! resolved_ops {
                             regs[dst as usize] = regs[if regs[cond as usize] != 0 { t } else { fv } as usize];
                         }
                         Op::Call { target, args_at, nargs, ret, dst } => {
-                            // Across the `Engine` boundary values are tagged:
-                            // each argument from its register's class, the
-                            // result into its register's class.
                             let run = &f.call_args[args_at as usize..args_at as usize + nargs as usize];
-                            let tag = |&r: &Reg| f.reg_class[r as usize].tag(regs[r as usize]);
-                            let vs: Vec<RtVal> = run.iter().map(tag).collect();
+                            let vs: Vec<u64> = run.iter().map(|&r| regs[r as usize]).collect();
                             let r = match code.callees[target as usize] {
                                 Callee::Defined(i) => self.run_frame(i, vs, ctx)?,
                                 Callee::Runtime(rt) => runtime::dispatch(self, rt, vs, ctx)?,
@@ -421,7 +416,7 @@ macro_rules! resolved_ops {
                             };
                             if ret != IrType::Void {
                                 if let Some(d) = dst {
-                                    regs[d as usize] = f.reg_class[d as usize].payload(r.unwrap_or(RtVal::I(0)));
+                                    regs[d as usize] = r.unwrap_or(0);
                                 }
                             }
                         }
@@ -439,7 +434,7 @@ macro_rules! resolved_ops {
                         }
                         Op::Ret { src } => {
                             *local_fuel = fuel;
-                            return Ok(src.map(|r| f.reg_class[r as usize].tag(regs[r as usize])));
+                            return Ok(src.map(|r| regs[r as usize]));
                         }
                         Op::Unreachable => {
                             *local_fuel = fuel;

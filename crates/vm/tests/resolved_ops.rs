@@ -18,8 +18,8 @@
 //! independent evaluator, the IR builder's folder; this file holds the VM's
 //! instantiations of them to the interpreter's.)
 
-use omplt_interp::exec::{decode_scalar, encode_scalar};
-use omplt_interp::{Engine, ExecError, Interpreter, RtVal, RuntimeConfig, ThreadCtx};
+use omplt_interp::{Engine, ExecError, Interpreter, RuntimeConfig, ThreadCtx};
+use omplt_ir::arith::{decode, encode};
 use omplt_ir::{
     BinOpKind, CastOp, CmpPred, Function, Inst, IrType, Module, SymbolId, Terminator, Value,
 };
@@ -102,10 +102,10 @@ const FLOAT_EDGES: [f64; 19] = [
     255.9,
 ];
 
-/// The operands a register of type `ty` is tried with: the edges, each also
+/// The payloads a register of type `ty` is tried with: the edges, each also
 /// wrapped to the type's own width (what verified code keeps there), and a
 /// fixed-seed handful of full-width values.
-fn operands(ty: IrType) -> Vec<RtVal> {
+fn operands(ty: IrType) -> Vec<u64> {
     let mut rng = Rng(0x5EED_0000 + ty as u64);
     if ty.is_float() {
         let mut v: Vec<f64> = FLOAT_EDGES.to_vec();
@@ -114,37 +114,19 @@ fn operands(ty: IrType) -> Vec<RtVal> {
         if ty == IrType::F32 {
             v.extend(FLOAT_EDGES.iter().map(|&x| x as f32 as f64));
         }
-        v.into_iter().map(RtVal::F).collect()
+        v.into_iter().map(f64::to_bits).collect()
     } else if ty == IrType::Ptr {
         let mut v: Vec<u64> = vec![0, 1, 8, 1 << 32, (1 << 32) + 24, u64::MAX, 1 << 63];
         v.extend((0..4).map(|_| rng.next()));
-        v.into_iter().map(RtVal::P).collect()
+        v
     } else {
         let mut v: Vec<i64> = INT_EDGES.to_vec();
         v.extend(INT_EDGES.iter().map(|&x| ty.wrap(x)));
         v.extend((0..6).map(|_| rng.next() as i64));
         v.sort_unstable();
         v.dedup();
-        v.into_iter().map(RtVal::I).collect()
+        v.into_iter().map(|x| x as u64).collect()
     }
-}
-
-/// A value as comparable bits (every `NaN` keeps its own): tag, payload.
-fn val_bits(v: RtVal) -> (char, u64) {
-    match v {
-        RtVal::I(x) => ('i', x as u64),
-        RtVal::F(x) => ('f', x.to_bits()),
-        RtVal::P(x) => ('p', x),
-    }
-}
-
-/// A result as comparable bits, or the error.
-fn bits(r: Result<RtVal, ExecError>) -> Result<(char, u64), ExecError> {
-    r.map(val_bits)
-}
-
-fn lane_bits(r: Result<Vec<RtVal>, ExecError>) -> Result<Vec<(char, u64)>, ExecError> {
-    r.map(|v| v.into_iter().map(val_bits).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +156,9 @@ fn oracle_module(params: Vec<IrType>, ret: IrType, inst: Inst) -> Module {
     m
 }
 
-fn oracle(it: &Interpreter, args: Vec<RtVal>) -> Result<RtVal, ExecError> {
+/// What the interpreter's `t` returns: a payload, compared bit for bit (every
+/// `NaN` keeps its own bits), or the error.
+fn oracle(it: &Interpreter, args: Vec<u64>) -> Result<u64, ExecError> {
     it.call_by_name("t", args, &ThreadCtx::initial())
         .map(|v| v.expect("`t` returns a value"))
 }
@@ -216,13 +200,13 @@ fn verified(funcs: Vec<VmFunction>) -> VmModule {
     code
 }
 
-fn run_frame(vm: &VmEngine, fi: u32, args: Vec<RtVal>) -> Result<RtVal, ExecError> {
+fn run_frame(vm: &VmEngine, fi: u32, args: Vec<u64>) -> Result<u64, ExecError> {
     vm.run_frame(fi, args, &ThreadCtx::initial())
         .map(|v| v.expect("frame returns a value"))
 }
 
 fn int_const(v: i64) -> PoolConst {
-    PoolConst::Val(RtVal::I(v))
+    PoolConst::Val(RegClass::Int, v as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -321,9 +305,9 @@ fn bin_and_fused_binjmp_match_the_interpreter() {
             let vals = operands(ty);
             for &a in &vals {
                 for &b in &vals {
-                    let want = bits(oracle(&it, vec![a, b]));
+                    let want = oracle(&it, vec![a, b]);
                     for (fi, form) in [(0, "bin"), (1, "binjmp")] {
-                        let got = bits(run_frame(&vm, fi, vec![a, b]));
+                        let got = run_frame(&vm, fi, vec![a, b]);
                         assert_eq!(got, want, "{form} {op:?} {ty:?} on {a:?}, {b:?}");
                         checked += 1;
                     }
@@ -395,9 +379,9 @@ fn cmp_and_fused_cmpbr_match_the_interpreter() {
             let vals = operands(ty);
             for &a in &vals {
                 for &b in &vals {
-                    let want = bits(oracle(&it, vec![a, b]));
+                    let want = oracle(&it, vec![a, b]);
                     for (fi, form) in [(0, "cmp"), (1, "cmpbr")] {
-                        let got = bits(run_frame(&vm, fi, vec![a, b]));
+                        let got = run_frame(&vm, fi, vec![a, b]);
                         assert_eq!(got, want, "{form} {pred:?} {ty:?} on {a:?}, {b:?}");
                         checked += 1;
                     }
@@ -444,8 +428,8 @@ fn cast_matches_the_interpreter() {
                 )]);
                 let vm = VmEngine::new(&m, &code, RuntimeConfig::default()).expect("engine");
                 for a in operands(from) {
-                    let want = bits(oracle(&it, vec![a]));
-                    let got = bits(run_frame(&vm, 0, vec![a]));
+                    let want = oracle(&it, vec![a]);
+                    let got = run_frame(&vm, 0, vec![a]);
                     assert_eq!(got, want, "cast {op:?} {from:?}→{to:?} on {a:?}");
                     checked += 1;
                 }
@@ -508,8 +492,8 @@ fn load_and_store_match_the_interpreter() {
         )]);
         let vm = VmEngine::new(&m, &code, RuntimeConfig::default()).expect("engine");
         for a in operands(ty) {
-            let want = bits(oracle(&it, vec![a]));
-            let got = bits(run_frame(&vm, 0, vec![a]));
+            let want = oracle(&it, vec![a]);
+            let got = run_frame(&vm, 0, vec![a]);
             assert_eq!(got, want, "store/load {ty:?} of {a:?}");
         }
     }
@@ -552,26 +536,26 @@ impl LaneBench {
     }
 
     /// Writes `vals` into global `which` as consecutive `ty`s.
-    fn fill(&self, vm: &VmEngine, which: usize, ty: IrType, vals: &[RtVal]) {
+    fn fill(&self, vm: &VmEngine, which: usize, ty: IrType, vals: &[u64]) {
         let state = vm.state();
         let base = state.global_addr(self.syms[which]).expect("global");
         for (l, &v) in vals.iter().enumerate() {
             let at = base + l as u64 * ty.size();
             state
                 .mem
-                .store(at, ty.size(), encode_scalar(ty, v))
+                .store(at, ty.size(), encode(ty, v))
                 .expect("store");
         }
     }
 
     /// Reads `w` consecutive `ty`s back from `out`.
-    fn read_out(&self, vm: &VmEngine, ty: IrType, w: u8) -> Vec<RtVal> {
+    fn read_out(&self, vm: &VmEngine, ty: IrType, w: u8) -> Vec<u64> {
         let state = vm.state();
         let base = state.global_addr(self.syms[2]).expect("global");
         (0..w as u64)
             .map(|l| {
                 let raw = state.mem.load(base + l * ty.size(), ty.size());
-                decode_scalar(ty, raw.expect("load"))
+                decode(ty, raw.expect("load"))
             })
             .collect()
     }
@@ -579,11 +563,8 @@ impl LaneBench {
 
 /// What a register of type `ty` holds after `v` went through memory — the
 /// value a lane really starts from.
-fn stored(ty: IrType, v: RtVal) -> RtVal {
-    decode_scalar(
-        ty,
-        encode_scalar(ty, v) & (u64::MAX >> (64 - 8 * ty.size())),
-    )
+fn stored(ty: IrType, v: u64) -> u64 {
+    decode(ty, encode(ty, v) & (u64::MAX >> (64 - 8 * ty.size())))
 }
 
 /// The type that stores all 64 bits of a register holding a `ty`. Lane
@@ -599,7 +580,7 @@ fn whole(ty: IrType) -> IrType {
 
 /// `w` operands per input, different in every lane: a window sliding over
 /// the operand list, so across the windows every operand meets every lane.
-fn windows(vals: &[RtVal], w: u8, stride: usize) -> impl Iterator<Item = Vec<RtVal>> + '_ {
+fn windows(vals: &[u64], w: u8, stride: usize) -> impl Iterator<Item = Vec<u64>> + '_ {
     (0..vals.len()).map(move |at| {
         (0..w as usize)
             .map(|l| vals[(at + l * stride) % vals.len()])
@@ -661,13 +642,12 @@ fn vbin_lanes_match_the_interpreter() {
                     bench.fill(&vm, 1, ty, &b);
                     // Lane by lane on the interpreter — the first lane that
                     // fails is the vector op's failure.
-                    let want: Result<Vec<RtVal>, ExecError> = (0..w as usize)
+                    let want: Result<Vec<u64>, ExecError> = (0..w as usize)
                         .map(|l| oracle(&it, vec![stored(ty, a[l]), stored(ty, b[l])]))
                         .collect();
                     let got = vm
                         .run_frame(0, vec![], &ThreadCtx::initial())
                         .map(|_| bench.read_out(&vm, whole(ty), w));
-                    let (got, want) = (lane_bits(got), lane_bits(want));
                     assert_eq!(got, want, "vbin {op:?} {ty:?} x{w} on {a:?}, {b:?}");
                     checked += 1;
                 }
@@ -725,13 +705,12 @@ fn vcast_lanes_match_the_interpreter() {
                     let vals = operands(from);
                     for a in windows(&vals, w, 1) {
                         bench.fill(&vm, 0, from, &a);
-                        let want: Result<Vec<RtVal>, ExecError> = (0..w as usize)
+                        let want: Result<Vec<u64>, ExecError> = (0..w as usize)
                             .map(|l| oracle(&it, vec![stored(from, a[l])]))
                             .collect();
                         let got = vm
                             .run_frame(0, vec![], &ThreadCtx::initial())
                             .map(|_| bench.read_out(&vm, whole(to), w));
-                        let (got, want) = (lane_bits(got), lane_bits(want));
                         assert_eq!(got, want, "vcast {op:?} {from:?}→{to:?} x{w} on {a:?}");
                         checked += 1;
                     }
@@ -788,7 +767,7 @@ fn vreduce_folds_lanes_in_order_like_the_interpreter() {
                         oracle(&it, vec![acc, stored(ty, lane)])
                     });
                     let got = run_frame(&vm, 0, vec![]);
-                    assert_eq!(bits(got), bits(want), "vreduce {op:?} {ty:?} x{w} on {a:?}");
+                    assert_eq!(got, want, "vreduce {op:?} {ty:?} x{w} on {a:?}");
                     checked += 1;
                 }
             }

@@ -37,7 +37,7 @@ fn sample() -> (Module, VmModule) {
 
 /// Renders every error for one corrupted function.
 fn rendered(code: &VmModule) -> Vec<String> {
-    verify_function(&code.funcs[0], code.funcs.len())
+    verify_function(&code.funcs[0], &code.funcs)
         .iter()
         .map(|e| e.to_string())
         .collect()

@@ -242,7 +242,7 @@ fn jump_chain(blocks: u32, reversed: bool) -> VmFunction {
         vreg_class: vec![],
         vreg_width: vec![],
         ops,
-        consts: vec![PoolConst::Val(omplt::interp::RtVal::I(7))],
+        consts: vec![PoolConst::Val(RegClass::Int, 7)],
         call_args: vec![],
         call_targets: vec![],
         block_starts: (0..blocks).map(start).collect(),
@@ -254,7 +254,7 @@ fn jump_chain(blocks: u32, reversed: bool) -> VmFunction {
 fn the_bytecode_verifier_does_not_allocate_per_dataflow_round() {
     let verify = |reversed: bool| {
         let f = jump_chain(100, reversed);
-        let (count, errs) = allocs(|| omplt::vm::verify_function(&f, 1));
+        let (count, errs) = allocs(|| omplt::vm::verify_function(&f, &[]));
         assert_eq!(errs, vec![], "reversed: {reversed}");
         count
     };
@@ -266,7 +266,7 @@ fn the_bytecode_verifier_does_not_allocate_per_dataflow_round() {
 fn the_bytecode_verifier_does_not_allocate_per_block() {
     let verify = |blocks: u32| {
         let f = jump_chain(blocks, false);
-        let (count, errs) = allocs(|| omplt::vm::verify_function(&f, 1));
+        let (count, errs) = allocs(|| omplt::vm::verify_function(&f, &[]));
         assert_eq!(errs, vec![], "{blocks} blocks");
         count
     };

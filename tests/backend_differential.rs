@@ -707,6 +707,128 @@ fn a_bool_is_zero_or_one_wherever_it_has_been() {
     }
 }
 
+/// Every kind of value crosses every kind of call as itself. `_Bool`,
+/// `char`, `short`, `int`, `long`, `float`, `double` and pointer values at
+/// their extremes (type minima and maxima, `-0.0`, values no `float` holds)
+/// go through user-function parameters and returns, into `print_i64`,
+/// `print_f64` and `print_char`, and — as `firstprivate` captures — through
+/// `__kmpc_fork_call` into a `parallel` region that reads
+/// `omp_get_thread_num`. Both engines hand a value across a call as its
+/// untagged payload, so a boundary that read one at another class shows
+/// here: both paths, the interpreter and `vm:strict`, `--opt` on and off.
+#[test]
+fn values_cross_calls_as_themselves_on_both_backends() {
+    let src = "\
+void print_i64(long v);\n\
+void print_f64(double v);\n\
+void print_char(int c);\n\
+int omp_get_thread_num(void);\n\
+long seen[4];\n\
+_Bool flip(_Bool b) { return !b; }\n\
+char bump(char c) { return c + 1; }\n\
+short negate(short s) { return -s; }\n\
+int halve(int i) { return i / 2; }\n\
+long same(long l) { return l; }\n\
+float third(float f) { return f / 3.0f; }\n\
+double twice(double d) { return d * 2.0; }\n\
+long *next(long *p) { return p + 1; }\n\
+double mix(_Bool b, char c, short s, int i, long l, float f, double d, long *p) {\n\
+  return b + c + s + i + l + f + d + *p;\n\
+}\n\
+int main(void) {\n\
+  long cells[3];\n\
+  cells[0] = -9223372036854775807 - 1;\n\
+  cells[1] = 9223372036854775807;\n\
+  cells[2] = 7;\n\
+  _Bool t = 1;\n\
+  char cmin = -128;\n\
+  char cmax = 127;\n\
+  short smin = -32768;\n\
+  short smax = 32767;\n\
+  int imin = -2147483647 - 1;\n\
+  int imax = 2147483647;\n\
+  float tenth = 0.1f;\n\
+  float odd = 16777217;\n\
+  float fmax = 3.4028235e38;\n\
+  double nz = 0.0 * -1.0;\n\
+  double huge = 1.0e308;\n\
+  print_i64(flip(t));\n\
+  print_i64(flip(flip(t)));\n\
+  print_i64(bump(cmin));\n\
+  print_i64(bump(cmax));\n\
+  print_i64(negate(smin));\n\
+  print_i64(negate(smax));\n\
+  print_i64(halve(imin));\n\
+  print_i64(halve(imax));\n\
+  print_i64(same(cells[0]));\n\
+  print_i64(same(cells[1]));\n\
+  print_f64(third(tenth));\n\
+  print_f64(third(odd));\n\
+  print_f64(third(fmax) / 1.0e30);\n\
+  print_f64(twice(nz));\n\
+  print_f64(twice(huge / 4.0) / -1.0e300);\n\
+  print_i64(*next(cells));\n\
+  print_i64(*next(next(cells)));\n\
+  print_f64(mix(t, cmin, smax, imax, cells[2], tenth, nz, next(cells)));\n\
+  print_char(bump(64));\n\
+  print_char(cmax - 54);\n\
+  print_char(10);\n\
+  #pragma omp parallel num_threads(4) firstprivate(tenth, cmin)\n\
+  {\n\
+    int id = omp_get_thread_num();\n\
+    seen[id] = same(id) + halve(imax) + bump(cmin) + (long)third(tenth * 30.0f);\n\
+  }\n\
+  long total = 0;\n\
+  for (int k = 0; k < 4; k += 1)\n\
+    total += seen[k];\n\
+  print_i64(total);\n\
+  return 0;\n\
+}\n\
+";
+    let expected = "\
+0\n\
+1\n\
+-127\n\
+-128\n\
+-32768\n\
+-32767\n\
+-1073741824\n\
+1073741823\n\
+-9223372036854775808\n\
+9223372036854775807\n\
+0.03333333507180214\n\
+5592405.5\n\
+113427448.87950961\n\
+-0.000000\n\
+-50000000.000000\n\
+9223372036854775807\n\
+7\n\
+9223372034707325000\n\
+AI\n\
+4294966794\n\
+";
+    for mode in MODES {
+        for optimize in [false, true] {
+            let runs = [Backend::Interp, Backend::VmStrict].map(|backend| {
+                let opts = Options {
+                    codegen_mode: mode,
+                    backend,
+                    num_threads: 4,
+                    ..Options::default()
+                };
+                let label = format!("calls {mode:?} {backend:?} opt={optimize}");
+                let r = run_with(src, opts, optimize, &label);
+                assert_eq!((r.exit_code, r.stdout.as_str()), (0, expected), "[{label}]");
+                r
+            });
+            assert_eq!(
+                runs[0].final_globals, runs[1].final_globals,
+                "calls {mode:?} opt={optimize}: final global memory"
+            );
+        }
+    }
+}
+
 /// A widened loop that runs off the end of its array. The vector tier checks
 /// a unit-stride span once and, when that fails, goes lane by lane — so the
 /// fault is the first bad lane's own: the same error text as the scalar VM's

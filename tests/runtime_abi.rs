@@ -251,6 +251,78 @@ fn every_reduction_row_computes_the_serial_result() {
     }
 }
 
+/// A user prototype of a runtime entry declares the entry itself, so it must
+/// be the row: the runtime reads each argument at the row's type. One that
+/// disagrees — a parameter type, the arity or the return type — is refused
+/// at the prototype on both paths and both engines, with the row's signature
+/// in a note; the same program with the row's prototype runs.
+#[test]
+fn a_runtime_prototype_that_disagrees_with_its_row_is_refused() {
+    // (prototype, statement) refused, (prototype, statement) run, the row.
+    let cases = [
+        (
+            ("void print_i64(double v);", "print_i64(2.5);"),
+            ("void print_i64(long v);", "print_i64(2.5);"),
+            "void print_i64(i64)",
+        ),
+        (
+            ("void print_f64(long v);", "print_f64(7);"),
+            ("void print_f64(double v);", "print_f64(7);"),
+            "void print_f64(double)",
+        ),
+        (
+            ("void print_char(int c, int d);", "print_char(65, 66);"),
+            ("void print_char(int c);", "print_char(65);"),
+            "void print_char(i32)",
+        ),
+        (
+            (
+                "long omp_get_thread_num(void);",
+                "return omp_get_thread_num();",
+            ),
+            (
+                "int omp_get_thread_num(void);",
+                "return omp_get_thread_num();",
+            ),
+            "i32 omp_get_thread_num()",
+        ),
+    ];
+    let program = |(proto, stmt): (&str, &str)| {
+        format!("{proto}\nint main(void) {{\n  {stmt}\n  return 0;\n}}\n")
+    };
+    for (bad, good, row) in cases {
+        let name = row.split(['(', ' ']).nth(1).unwrap();
+        for codegen_mode in MODES {
+            for backend in [Backend::Interp, Backend::VmStrict] {
+                let opts = Options {
+                    codegen_mode,
+                    backend,
+                    ..Options::default()
+                };
+                let what = format!("{} on {codegen_mode:?}/{backend:?}", bad.0);
+                let mut ci = CompilerInstance::new(opts);
+                let err = (ci.compile_and_run("p.c", &program(bad), true))
+                    .map(|r| r.stdout)
+                    .expect_err(&what);
+                let wanted = [
+                    "p.c:1:".to_string(),
+                    format!("error: conflicting types for '{name}'"),
+                    format!("note: the runtime declares it as '{row}'"),
+                ];
+                for w in wanted {
+                    assert!(err.contains(&w), "{what}: no {w:?} in {err}");
+                }
+                let ran = CompilerInstance::new(opts).compile_and_run("p.c", &program(good), true);
+                assert!(
+                    ran.is_ok(),
+                    "{} on {codegen_mode:?}/{backend:?}: {ran:?}",
+                    good.0
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn only_the_table_spells_runtime_names_and_schedule_numbers() {
     let table = Path::new("crates/ir/src/runtime_abi.rs");
