@@ -317,9 +317,6 @@ impl Dumper<'_> {
             ExprKind::IntegerLiteral(v) => DumpNode::leaf(format!("IntegerLiteral '{ty}' {v}")),
             ExprKind::FloatingLiteral(v) => DumpNode::leaf(format!("FloatingLiteral '{ty}' {v:e}")),
             ExprKind::BoolLiteral(b) => DumpNode::leaf(format!("CXXBoolLiteralExpr '{ty}' {b}")),
-            ExprKind::StringLiteral(s) => {
-                DumpNode::leaf(format!("StringLiteral '{ty}' \"{}\"", self.idents.get(*s)))
-            }
             ExprKind::DeclRef(v) => DumpNode::leaf(format!(
                 "DeclRefExpr '{ty}' lvalue Var '{}' '{}'",
                 self.idents.get(v.name),

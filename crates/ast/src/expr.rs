@@ -6,7 +6,7 @@
 use crate::decl::{FunctionDecl, VarDecl};
 use crate::ty::Type;
 use crate::P;
-use omplt_source::{SourceLocation, Symbol};
+use omplt_source::SourceLocation;
 
 /// Unary operator kinds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -208,8 +208,6 @@ pub enum ExprKind {
     FloatingLiteral(f64),
     /// `true`/`false`.
     BoolLiteral(bool),
-    /// String literal (only valid as a call argument to runtime helpers).
-    StringLiteral(Symbol),
     /// Reference to a variable declaration.
     DeclRef(P<VarDecl>),
     /// Unary operation.

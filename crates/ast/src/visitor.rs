@@ -133,7 +133,6 @@ pub fn walk_expr<V: StmtVisitor + ?Sized>(v: &mut V, e: &P<Expr>) {
         ExprKind::IntegerLiteral(_)
         | ExprKind::FloatingLiteral(_)
         | ExprKind::BoolLiteral(_)
-        | ExprKind::StringLiteral(_)
         | ExprKind::DeclRef(_)
         | ExprKind::SizeOf(_) => {}
         ExprKind::Unary(_, s) => v.visit_expr(s),

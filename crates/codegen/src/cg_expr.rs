@@ -54,13 +54,6 @@ impl FnCodegen<'_, '_> {
             ExprKind::IntegerLiteral(v) => Value::int(ir_type(&e.ty), *v as i64),
             ExprKind::BoolLiteral(b) => Value::bool(*b),
             ExprKind::FloatingLiteral(v) => Value::float(ir_type(&e.ty), *v),
-            ExprKind::StringLiteral(_) => {
-                self.diags.error(
-                    e.loc,
-                    "string literals are only supported as unused arguments",
-                );
-                Value::Undef(IrType::Ptr)
-            }
             ExprKind::DeclRef(_) => {
                 // Bare lvalue used as rvalue (no LValueToRValue wrapper —
                 // happens in transformed ASTs): load.
@@ -83,6 +76,9 @@ impl FnCodegen<'_, '_> {
             }
             ExprKind::Conditional(c, t, f) => {
                 let cv = self.emit_rvalue(c);
+                if let Some(k) = cv.as_const_int().filter(|_| self.initializer) {
+                    return self.emit_rvalue(if k != 0 { t } else { f });
+                }
                 let ty = ir_type(&e.ty);
                 let (then_bb, else_bb, join) = self.with_builder(|b| {
                     let then_bb = b.create_block("cond.true");
@@ -213,8 +209,9 @@ impl FnCodegen<'_, '_> {
                 let v = self.emit_rvalue(sub);
                 let t = ir_type(ty);
                 self.with_builder(|b| {
+                    // `-0.0 - x` is `x` with its sign flipped, a zero's too.
                     if t.is_float() {
-                        b.bin(BinOpKind::FSub, Value::float(t, 0.0), v)
+                        b.bin(BinOpKind::FSub, Value::float(t, -0.0), v)
                     } else {
                         b.sub(Value::int(t, 0), v)
                     }
@@ -297,6 +294,13 @@ impl FnCodegen<'_, '_> {
             BinOp::LAnd | BinOp::LOr => {
                 // Short-circuit evaluation.
                 let lv = self.emit_rvalue(l);
+                if let Some(k) = lv.as_const_int().filter(|_| self.initializer) {
+                    return if (k != 0) == (op == BinOp::LAnd) {
+                        self.emit_rvalue(r)
+                    } else {
+                        lv
+                    };
+                }
                 let l_end = self.cur;
                 let (rhs_bb, join) = self.with_builder(|b| {
                     let rhs_bb = b.create_block("sc.rhs");

@@ -36,19 +36,17 @@ impl FnCodegen<'_, '_> {
                 let v = e.as_ref().map(|e| self.emit_rvalue(e));
                 self.with_builder(|b| b.ret(v));
             }
-            StmtKind::Break => {
-                if let Some(&(brk, _)) = self.loop_stack.last() {
-                    self.with_builder(|b| b.br(brk));
+            StmtKind::Break | StmtKind::Continue => {
+                let (brk, cont) = *self
+                    .loop_stack
+                    .last()
+                    .expect("Sema refuses a jump with no loop to leave");
+                let to = if matches!(s.kind, StmtKind::Break) {
+                    brk
                 } else {
-                    self.diags.error(s.loc, "'break' outside of a loop");
-                }
-            }
-            StmtKind::Continue => {
-                if let Some(&(_, cont)) = self.loop_stack.last() {
-                    self.with_builder(|b| b.br(cont));
-                } else {
-                    self.diags.error(s.loc, "'continue' outside of a loop");
-                }
+                    cont
+                };
+                self.with_builder(|b| b.br(to));
             }
             StmtKind::If { cond, then, els } => {
                 let c = self.emit_rvalue(cond);

@@ -3,8 +3,8 @@
 use omplt_ast::{
     Decl, DeclId, FunctionDecl, OpenMpCodegenMode, TranslationUnit, Type, TypeKind, VarDecl, P,
 };
-use omplt_ir::{Function, IrType, Module, RtFn, SymbolId, Value};
-use omplt_source::{Diagnostic, DiagnosticsEngine, IdentifierTable, Level, SourceLocation};
+use omplt_ir::{arith, Function, IrType, Module, SymbolId, Value};
+use omplt_source::{DiagnosticsEngine, IdentifierTable};
 use std::collections::HashMap;
 
 /// Codegen configuration.
@@ -40,17 +40,24 @@ pub fn codegen_translation_unit(
     omplt_fault::panic_if_armed("codegen.panic");
     let mut module = Module::new();
     let mut globals: HashMap<DeclId, SymbolId> = HashMap::new();
-    // Globals first (zero-initialized; constant initializers applied).
+    // Globals first: zero-initialized, or holding the constant their
+    // initializer folds to. Sema accepts only an initializer whose lowering
+    // the IrBuilder folds, so lowering it is evaluating it by the IR's
+    // arithmetic, at the global's type.
     for d in &tu.decls {
         if let Decl::Var(v) = d {
-            let name = tu.idents.get(v.name);
-            let sym = module.add_global(name, ir_type(&v.ty), v.ty.size_of().max(1));
-            if let Some(init) = &v.init {
-                if let Some(c) = init.eval_const_int() {
-                    if let Some(g) = module.globals.last_mut() {
-                        g.init = vec![c as i64];
-                    }
-                }
+            let ty = ir_type(&v.ty);
+            let init = v.init.as_ref().map(|init| {
+                let scratch = Function::new("", vec![], IrType::Void);
+                let mut cg =
+                    FnCodegen::new(&mut module, diags, opts, &globals, &tu.idents, scratch);
+                cg.initializer = true;
+                let value = cg.emit_rvalue(init).payload();
+                arith::encode(ty, value.expect("Sema accepts only a constant initializer")) as i64
+            });
+            let sym = module.add_global(tu.idents.get(v.name), ty, v.ty.size_of().max(1));
+            if let Some(g) = module.globals.last_mut() {
+                g.init.extend(init);
             }
             globals.insert(v.id, sym);
         }
@@ -59,13 +66,8 @@ pub fn codegen_translation_unit(
     // definitions.
     for d in &tu.decls {
         if let Decl::Function(f) = d {
-            let name = tu.idents.get(f.name);
             let params: Vec<IrType> = f.params.iter().map(|p| ir_type(&p.ty)).collect();
-            let ret = ir_type(&f.return_type());
-            if !f.is_definition() {
-                check_runtime_prototype(name, &params, ret, f.loc, diags);
-            }
-            module.declare_extern(name, params, ret);
+            module.declare_extern(tu.idents.get(f.name), params, ir_type(&f.return_type()));
         }
     }
     for d in &tu.decls {
@@ -76,39 +78,6 @@ pub fn codegen_translation_unit(
         }
     }
     CodegenResult { module }
-}
-
-/// Refuses a prototype of a runtime entry whose IR signature is not the
-/// entry's [`RtFn`] row. The runtime reads every argument at its row's type
-/// and returns the row's type, so a call through a prototype that disagrees
-/// would hand it bits of another type.
-fn check_runtime_prototype(
-    name: &str,
-    params: &[IrType],
-    ret: IrType,
-    loc: SourceLocation,
-    diags: &DiagnosticsEngine,
-) {
-    let Some(row) = RtFn::from_name(name).map(RtFn::row) else {
-        return;
-    };
-    if row.params == params && row.ret == ret {
-        return;
-    }
-    let mut row_params: Vec<String> = row.params.iter().map(IrType::to_string).collect();
-    if row.variadic {
-        row_params.push("...".into());
-    }
-    let signature = format!("{} {name}({})", row.ret, row_params.join(", "));
-    diags.report_with_notes(
-        Level::Error,
-        loc,
-        format!("conflicting types for '{name}'"),
-        vec![Diagnostic::note(
-            loc,
-            format!("the runtime declares it as '{signature}'"),
-        )],
-    );
 }
 
 /// Maps an AST type to its IR type.
@@ -155,6 +124,11 @@ pub(crate) struct FnCodegen<'m, 'd> {
     pub pending_outlined: Vec<Function>,
     /// Counter for outlined-function names.
     pub outlined_counter: usize,
+    /// Lowering a file-scope initializer, every operand of which Sema made
+    /// a constant: a constant condition selects its arm (`0 && r` is `0`,
+    /// `1 && r` is `r`) instead of branching, so the whole initializer
+    /// folds to one constant.
+    pub initializer: bool,
 }
 
 impl<'m, 'd> FnCodegen<'m, 'd> {
@@ -180,6 +154,7 @@ impl<'m, 'd> FnCodegen<'m, 'd> {
             loop_stack: Vec::new(),
             pending_outlined: Vec::new(),
             outlined_counter: 0,
+            initializer: false,
         }
     }
 

@@ -6,6 +6,9 @@
 //! [`RtFn::from_name`] once at load time, and `omplt_interp::runtime::dispatch`
 //! is an exhaustive `match` over the variants: adding an entry is one row here
 //! plus one arm there, and a lowering cannot name an entry the runtime lacks.
+//! Sema reads the rows too: a user prototype of an entry must be the C image
+//! of its row (`Sema::runtime_prototype`), on every entrance, so the
+//! signature a call is lowered at is always the row's.
 
 use crate::module::Module;
 use crate::types::IrType::{self, Ptr, Void, F64, I32, I64};
@@ -80,6 +83,18 @@ rt_fns! {
     PrintChar        = "print_char" (I32) -> Void,
 }
 
+/// The row as the runtime declares it, `void print_i64(i64)`: the IR types
+/// a call is lowered at, and `...` after a variadic row's fixed parameters.
+impl std::fmt::Display for RtRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut params: Vec<String> = self.params.iter().map(IrType::to_string).collect();
+        if self.variadic {
+            params.push("...".into());
+        }
+        write!(f, "{} {}({})", self.ret, self.name, params.join(", "))
+    }
+}
+
 impl RtFn {
     /// This entry's row.
     pub fn row(self) -> &'static RtRow {
@@ -95,7 +110,7 @@ impl RtFn {
 impl Module {
     /// Declares runtime entry `f` with its row's signature (idempotent). A
     /// user prototype of the same name, declared earlier, is the same
-    /// declaration: CodeGen refuses one whose signature is not the row's.
+    /// declaration: Sema has refused one whose signature is not the row's.
     pub fn declare_rt(&mut self, f: RtFn) -> SymbolId {
         let row = f.row();
         self.declare_extern(row.name, row.params, row.ret)

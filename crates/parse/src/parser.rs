@@ -354,12 +354,12 @@ impl<'s, 'a> Parser<'s, 'a> {
                 let cond = self.parse_expr();
                 let cond = self.sema.to_bool(cond);
                 self.expect_punct(Punct::RParen);
-                let body = self.parse_stmt();
+                let body = self.parse_loop_body();
                 Stmt::new(StmtKind::While { cond, body }, loc)
             }
             TokenKind::Kw(Keyword::Do) => {
                 self.next();
-                let body = self.parse_stmt();
+                let body = self.parse_loop_body();
                 if !self.eat_kw(Keyword::While) {
                     self.error_here("expected 'while' after do-body");
                 }
@@ -384,12 +384,12 @@ impl<'s, 'a> Parser<'s, 'a> {
             TokenKind::Kw(Keyword::Break) => {
                 self.next();
                 self.expect_punct(Punct::Semi);
-                Stmt::new(StmtKind::Break, loc)
+                self.sema.act_on_loop_jump(StmtKind::Break, loc)
             }
             TokenKind::Kw(Keyword::Continue) => {
                 self.next();
                 self.expect_punct(Punct::Semi);
-                Stmt::new(StmtKind::Continue, loc)
+                self.sema.act_on_loop_jump(StmtKind::Continue, loc)
             }
             _ if self.at_type_start() => self.parse_decl_stmt(),
             _ => {
@@ -398,6 +398,15 @@ impl<'s, 'a> Parser<'s, 'a> {
                 Stmt::new(StmtKind::Expr(e), loc)
             }
         }
+    }
+
+    /// The body of a loop: a `break` or `continue` in it has a loop to
+    /// leave.
+    fn parse_loop_body(&mut self) -> P<Stmt> {
+        self.sema.loop_depth += 1;
+        let body = self.parse_stmt();
+        self.sema.loop_depth -= 1;
+        body
     }
 
     /// `{ stmt* }` with its own scope.
@@ -474,11 +483,11 @@ impl<'s, 'a> Parser<'s, 'a> {
                         .act_on_range_for_begin(name, elem_ty, by_ref, range, loc)
                     {
                         Some(parts) => {
-                            let body = self.parse_stmt();
+                            let body = self.parse_loop_body();
                             return self.sema.act_on_range_for_end(parts, body);
                         }
                         None => {
-                            let _ = self.parse_stmt();
+                            let _ = self.parse_loop_body();
                             return Stmt::new(StmtKind::Null, loc);
                         }
                     }
@@ -510,7 +519,7 @@ impl<'s, 'a> Parser<'s, 'a> {
             Some(self.parse_expr())
         };
         self.expect_punct(Punct::RParen);
-        let body = self.parse_stmt();
+        let body = self.parse_loop_body();
         self.sema.scopes.pop();
         Stmt::new(
             StmtKind::For {
@@ -697,11 +706,7 @@ impl<'s, 'a> Parser<'s, 'a> {
                 .sema
                 .ctx
                 .int_lit(c as i128, self.sema.ctx.char_ty(), loc),
-            TokenKind::StrLit(s) => Expr::rvalue(
-                ExprKind::StringLiteral(s),
-                self.sema.ctx.pointer_to(self.sema.ctx.char_ty()),
-                loc,
-            ),
+            TokenKind::StrLit(_) => self.sema.act_on_string_literal(loc),
             TokenKind::Kw(Keyword::True) => {
                 Expr::rvalue(ExprKind::BoolLiteral(true), self.sema.ctx.bool_ty(), loc)
             }

@@ -50,7 +50,14 @@ pub fn parse_omp_directive(p: &mut Parser<'_, '_>) -> P<Stmt> {
     }
 
     // ---- associated statement ----
+    // An outlined region is a function of its own: no loop around the
+    // directive is one a `break` or `continue` inside it may leave.
+    let loops = p.sema.loop_depth;
+    if p.sema.openmp && kind.captures_associated() {
+        p.sema.loop_depth = 0;
+    }
     let associated = p.parse_stmt();
+    p.sema.loop_depth = loops;
     p.sema
         .act_on_omp_directive(kind, clauses, Some(associated), loc)
 }

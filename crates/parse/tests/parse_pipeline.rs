@@ -233,6 +233,61 @@ fn break_in_omp_loop_diagnosed() {
     assert!(errs.contains("break statement cannot be used"), "{errs}");
 }
 
+/// A `break` or `continue` leaves a loop of its own function and of its own
+/// side of an outlined region; one with no such loop is refused where it is
+/// parsed.
+#[test]
+fn loop_jumps_need_a_loop_on_their_side_of_an_outlined_region() {
+    let accepted = [
+        "void f(int n) {\n  while (n > 0) { n = n - 1; if (n == 2) break; }\n}\n",
+        "void f(int n) {\n  do { n = n - 1; continue; } while (n > 0);\n}\n",
+        "void f(int n) {\n  int a[4];\n  for (int &x : a) { if (x) continue; x = n; }\n}\n",
+        "void f(int n) {\n  #pragma omp parallel\n  {\n    for (int i = 0; i < n; i += 1) break;\n  }\n}\n",
+        "void f(int n) {\n  while (n) {\n    #pragma omp unroll partial(2)\n    for (int i = 0; i < 4; i += 1) n = n - 1;\n    break;\n  }\n}\n",
+    ];
+    for src in accepted {
+        parse_ok(src);
+    }
+    let refused = [
+        ("void f(void) {\n  break;\n}\n", "test.c:2:3: error: 'break' outside of a loop"),
+        (
+            "void f(int n) {\n  if (n) continue;\n}\n",
+            "test.c:2:10: error: 'continue' outside of a loop",
+        ),
+        (
+            "void f(int n) {\n  while (n) {\n    #pragma omp parallel\n    {\n      break;\n    }\n  }\n}\n",
+            "test.c:5:7: error: 'break' outside of a loop",
+        ),
+    ];
+    for (src, want) in refused {
+        let (_, _, errs) = parse(src);
+        assert!(errs.starts_with(want), "{src}:\n{errs}");
+    }
+}
+
+/// A file-scope initializer is a constant expression: literals, `sizeof`,
+/// casts and operators over them. A read of an object, a call, a pointer
+/// and an integer division by zero are refused at the first such node.
+#[test]
+fn file_scope_initializers_must_be_constant() {
+    let accepted = "long k;\ndouble d = -1.25;\nfloat f = 16777217;\nint n = ~0 + sizeof(long);\n\
+                    _Bool b = 0.5 > 0.25 && 3 % 2;\nint c = 1 ? 2 : 1 / 0.0;\nlong s = sizeof(k) / 2;\n";
+    parse_ok(accepted);
+    let refused = [
+        ("long k;\nlong g = k + 1;\n", "test.c:2:10:"),
+        ("int g = 7 / 0;\n", "test.c:1:13:"),
+        ("int g = 7 % (2 - 2);\n", "test.c:1:13:"),
+        ("long k;\nlong *p = &k;\n", "test.c:2:11:"),
+        ("long *p = (long *)0;\n", "test.c:1:11:"),
+        ("int h(void);\nint g = h();\n", "test.c:2:9:"),
+    ];
+    for (src, at) in refused {
+        let (_, _, errs) = parse(src);
+        let want = format!("{at} error: initializer element is not a compile-time constant");
+        assert!(errs.starts_with(&want), "{src}:\n{errs}");
+    }
+}
+
 #[test]
 fn full_unroll_consumed_by_worksharing_is_error() {
     // C4: "fully unrolled, there is no generated loop that can be

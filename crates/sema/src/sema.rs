@@ -3,13 +3,23 @@
 //! flow, paper Fig. 1); Sema type-checks, inserts implicit nodes
 //! (conversions, decay), and owns the OpenMP directive handling in
 //! `omp_sema`.
+//!
+//! Sema is the one judge of the source: every rule a program must keep is
+//! decided here, while the AST is built, so every entrance — `--syntax-only`
+//! and `--analyze` as much as a compile — refuses the same programs, and
+//! CodeGen lowers only what Sema accepted. That includes the rules that
+//! read the runtime's rows (a prototype of a runtime entry is its row's C
+//! image) and the ones about what CodeGen can lower at all (a `break` has a
+//! loop to leave on its side of an outlined region, a file-scope
+//! initializer folds to one constant).
 
 use crate::scope::ScopeStack;
 use omplt_ast::{
     ASTContext, BinOp, CastKind, Decl, Expr, ExprKind, FunctionDecl, OpenMpCodegenMode, Stmt,
     StmtKind, Type, TypeKind, UnOp, VarDecl, VarKind, P,
 };
-use omplt_source::{DiagnosticsEngine, SourceLocation, SourceManager, Symbol};
+use omplt_ir::{IrType, RtFn, RtRow};
+use omplt_source::{Diagnostic, DiagnosticsEngine, Level, SourceLocation, SourceManager, Symbol};
 use std::cell::RefCell;
 
 /// The Sema layer state.
@@ -29,6 +39,10 @@ pub struct Sema<'a> {
     pub openmp: bool,
     /// The function currently being analyzed (for `return` checking).
     pub current_fn: Option<P<FunctionDecl>>,
+    /// The loops around the statement being parsed, counted from the start
+    /// of its function or outlined region: what a `break` or `continue`
+    /// may leave. The parser counts them (`Parser::parse_loop_body`).
+    pub loop_depth: usize,
 }
 
 impl<'a> Sema<'a> {
@@ -47,6 +61,7 @@ impl<'a> Sema<'a> {
             mode,
             openmp,
             current_fn: None,
+            loop_depth: 0,
         }
     }
 
@@ -66,6 +81,11 @@ impl<'a> Sema<'a> {
         by_ref: bool,
         loc: SourceLocation,
     ) -> P<VarDecl> {
+        let global = self.scopes.depth() == 1;
+        if let Some(at) = init.as_ref().filter(|_| global).and_then(not_constant) {
+            self.diags
+                .error(at, "initializer element is not a compile-time constant");
+        }
         let init = init.map(|e| {
             if by_ref {
                 // Reference binding: keep the lvalue (no decay/conversion).
@@ -80,7 +100,7 @@ impl<'a> Sema<'a> {
             ty,
             init,
             loc,
-            kind: if self.scopes.depth() == 1 {
+            kind: if global {
                 VarKind::Global
             } else {
                 VarKind::Local
@@ -125,14 +145,27 @@ impl<'a> Sema<'a> {
             params: params.iter().map(|(_, t, _)| P::clone(t)).collect(),
         });
         // Re-declaration with a body is a definition of a prior prototype.
+        // The runtime's entries are declared before the program: the first
+        // declaration of one redeclares its row's C image.
+        let spelled = self.ctx.spelling(name);
+        let conflict = |notes| {
+            let message = format!("conflicting types for '{spelled}'");
+            self.diags
+                .report_with_notes(Level::Error, loc, message, notes);
+        };
         let func = if let Some(prev) = self.scopes.lookup_fn(name).cloned() {
             if *prev.ty != *fn_ty {
-                let name = self.ctx.spelling(name);
-                self.diags
-                    .error(loc, format!("conflicting types for '{name}'"));
+                conflict(vec![]);
             }
             prev
         } else {
+            let row = RtFn::from_name(&spelled).map(RtFn::row);
+            if let Some(row) = row.filter(|row| *self.runtime_prototype(row) != *fn_ty) {
+                conflict(vec![Diagnostic::note(
+                    loc,
+                    format!("the runtime declares it as '{row}'"),
+                )]);
+            }
             let f = P::new(FunctionDecl {
                 id: self.ctx.fresh_decl_id(),
                 name,
@@ -152,6 +185,28 @@ impl<'a> Sema<'a> {
         func
     }
 
+    /// The C prototype of a runtime entry: its row's IR signature spelled
+    /// in C (`i32` is `int`, `i64` is `long`, `ptr` is `void *`), which
+    /// `codegen::ir_type` maps back to the row. A variadic row's image has
+    /// its fixed parameters.
+    pub fn runtime_prototype(&self, row: &RtRow) -> P<Type> {
+        let c = |t: &IrType| match t {
+            IrType::Void => self.ctx.void(),
+            IrType::I1 => self.ctx.bool_ty(),
+            IrType::I8 => self.ctx.char_ty(),
+            IrType::I16 => self.ctx.short_ty(),
+            IrType::I32 => self.ctx.int(),
+            IrType::I64 => self.ctx.long_ty(),
+            IrType::F32 => self.ctx.float_ty(),
+            IrType::F64 => self.ctx.double_ty(),
+            IrType::Ptr => self.ctx.pointer_to(self.ctx.void()),
+        };
+        Type::new(TypeKind::Function {
+            ret: c(&row.ret),
+            params: row.params.iter().map(c).collect(),
+        })
+    }
+
     /// Finishes a function definition (or prototype when `body` is `None`).
     pub fn act_on_function_end(&mut self, func: &P<FunctionDecl>, body: Option<P<Stmt>>) {
         if let Some(b) = body {
@@ -166,7 +221,33 @@ impl<'a> Sema<'a> {
         self.current_fn = None;
     }
 
-    // ---------------- expressions ----------------
+    // ---------------- statements and expressions ----------------
+
+    /// Builds a `break` or `continue`. It leaves a loop of its own function
+    /// and of its own side of an outlined region: the body of a `parallel`
+    /// is a function of its own, whatever loop the directive sits in.
+    pub fn act_on_loop_jump(&mut self, kind: StmtKind, loc: SourceLocation) -> P<Stmt> {
+        if self.loop_depth == 0 {
+            let word = match kind {
+                StmtKind::Break => "break",
+                _ => "continue",
+            };
+            self.diags.error(loc, format!("'{word}' outside of a loop"));
+        }
+        Stmt::new(kind, loc)
+    }
+
+    /// Refuses a string literal: no lowering gives one storage. The
+    /// recovery expression keeps the literal's type, `char *`, so a use of
+    /// it reports nothing more.
+    pub fn act_on_string_literal(&mut self, loc: SourceLocation) -> P<Expr> {
+        self.diags.error(
+            loc,
+            "string literals are only supported as unused arguments",
+        );
+        let ty = self.ctx.pointer_to(self.ctx.char_ty());
+        Expr::rvalue(ExprKind::IntegerLiteral(0), ty, loc)
+    }
 
     /// Resolves a name to a variable reference (with array decay deferred to
     /// the use site).
@@ -344,8 +425,21 @@ impl<'a> Sema<'a> {
     ) -> (P<Expr>, P<Expr>) {
         let l = self.rvalue(lhs);
         let r = self.rvalue(rhs);
-        if l.ty.is_pointer() || r.ty.is_pointer() {
+        if l.ty.is_pointer() && r.ty.is_pointer() {
             return (l, r); // pointer comparisons compare addresses
+        }
+        if (l.ty.is_pointer() && r.ty.is_integral_or_bool())
+            || (l.ty.is_integral_or_bool() && r.ty.is_pointer())
+        {
+            self.diags.error(
+                loc,
+                format!(
+                    "comparison between pointer and integer ('{}' and '{}')",
+                    l.ty.spelling(),
+                    r.ty.spelling()
+                ),
+            );
+            return (self.error_expr(loc), self.error_expr(loc));
         }
         let (l, r, _) = self.converted_arith(l, r, loc);
         (l, r)
@@ -535,6 +629,44 @@ impl<'a> Sema<'a> {
             (None, _) => None,
         };
         Stmt::new(StmtKind::Return(e), loc)
+    }
+}
+
+/// Where a file-scope initializer stops being a constant expression: the
+/// first node that is not an arithmetic value computed from literals,
+/// `sizeof` and operators that neither read nor write an object, or an
+/// integer division or remainder by a divisor not known to be non-zero.
+/// CodeGen folds what passes into the global's memory image.
+fn not_constant(e: &P<Expr>) -> Option<SourceLocation> {
+    if !e.ty.is_arithmetic() {
+        return Some(e.loc);
+    }
+    match &e.kind {
+        ExprKind::IntegerLiteral(_)
+        | ExprKind::FloatingLiteral(_)
+        | ExprKind::BoolLiteral(_)
+        | ExprKind::SizeOf(_)
+        | ExprKind::ConstantExpr { .. } => None,
+        ExprKind::Paren(sub) => not_constant(sub),
+        ExprKind::ImplicitCast(kind, sub) | ExprKind::ExplicitCast(kind, sub)
+            if *kind != CastKind::LValueToRValue =>
+        {
+            not_constant(sub)
+        }
+        ExprKind::Unary(UnOp::Plus | UnOp::Minus | UnOp::BitNot | UnOp::LNot, sub) => {
+            not_constant(sub)
+        }
+        ExprKind::Binary(op, l, r) if !op.is_assignment() && *op != BinOp::Comma => {
+            let divides = matches!(op, BinOp::Div | BinOp::Rem) && e.ty.is_integral_or_bool();
+            let by_zero = divides && r.eval_const_int().is_none_or(|v| v == 0);
+            not_constant(l)
+                .or_else(|| not_constant(r))
+                .or(by_zero.then_some(r.loc))
+        }
+        ExprKind::Conditional(c, t, f) => not_constant(c)
+            .or_else(|| not_constant(t))
+            .or_else(|| not_constant(f)),
+        _ => Some(e.loc),
     }
 }
 

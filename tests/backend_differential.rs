@@ -829,6 +829,116 @@ AI\n\
     }
 }
 
+/// A file-scope initializer holds its value at the global's type: a
+/// `double` literal and its negation, a quotient, an integer converted to
+/// `float` (rounded to `f32`), a `float` widened back, `-0.0`, and the
+/// integer conversions C applies to `~0`, `300` into a `char`, `0.5` into a
+/// `_Bool` and `-1` into an `unsigned`. Each is folded by the IR's
+/// arithmetic into the global's memory image. A lowering that keeps only
+/// what an integer folder folds, stored as an integer, prints `0.000000`
+/// for the doubles, a denormal for the `float` and `0` for `~0` and the
+/// `_Bool`.
+#[test]
+fn file_scope_initializers_hold_their_values_on_both_backends() {
+    let src = "\
+void print_i64(long v);\n\
+void print_f64(double v);\n\
+double d = -1.25;\n\
+double third = 1.0 / 3;\n\
+float f = 16777217;\n\
+float tenth = 0.1;\n\
+double nz = -0.0;\n\
+float low = -3.4028235e38;\n\
+double widened = (float)0.1;\n\
+int n = ~0;\n\
+char c = 300;\n\
+_Bool b = 0.5;\n\
+int pick = 1 ? 2 : 3;\n\
+long neither = 0 && 1;\n\
+unsigned int u = -1;\n\
+int main(void) {\n\
+  print_f64(d);\n\
+  print_f64(third);\n\
+  print_f64(f);\n\
+  print_f64(tenth);\n\
+  print_f64(nz);\n\
+  print_f64(low / 1.0e30);\n\
+  print_f64(widened);\n\
+  print_i64(n);\n\
+  print_i64(c);\n\
+  print_i64(b);\n\
+  print_i64(pick);\n\
+  print_i64(neither);\n\
+  print_i64(u);\n\
+  return 0;\n\
+}\n\
+";
+    let expected = "\
+-1.25\n\
+0.3333333333333333\n\
+16777216.000000\n\
+0.10000000149011612\n\
+-0.000000\n\
+-340282346.6385288\n\
+0.10000000149011612\n\
+-1\n\
+44\n\
+1\n\
+2\n\
+0\n\
+4294967295\n\
+";
+    assert_prints_on_both_paths_and_engines(src, expected, "globals");
+}
+
+/// Unary minus on a floating value flips its sign, a zero's too: `-z` of
+/// `z = +0.0` is `-0.0`, so `1.0 / -z` is `-inf`, and the literal `-0.0` is
+/// negative. Lowered as `fsub 0.0, x`, all three came out positive.
+#[test]
+fn float_negation_keeps_the_sign_of_zero_on_both_backends() {
+    let src = "\
+void print_f64(double v);\n\
+int main(void) {\n\
+  double z = 0.0;\n\
+  float h = 0.0;\n\
+  print_f64(-z);\n\
+  print_f64(1.0 / -z);\n\
+  print_f64(-0.0);\n\
+  print_f64(-h);\n\
+  print_f64(-(-z));\n\
+  return 0;\n\
+}\n\
+";
+    let expected = "-0.000000\n-inf\n-0.000000\n-0.000000\n0.000000\n";
+    assert_prints_on_both_paths_and_engines(src, expected, "negation");
+}
+
+/// Runs `src` single-threaded on both lowering paths × the interpreter and
+/// `vm:strict` × `--opt` off and on: each prints `expected`, and the two
+/// engines leave the same global memory.
+fn assert_prints_on_both_paths_and_engines(src: &str, expected: &str, what: &str) {
+    for mode in MODES {
+        for optimize in [false, true] {
+            let runs = [Backend::Interp, Backend::VmStrict].map(|backend| {
+                let opts = Options {
+                    codegen_mode: mode,
+                    backend,
+                    num_threads: 1,
+                    ..Options::default()
+                };
+                let label = format!("{what} {mode:?} {backend:?} opt={optimize}");
+                let r = run_with(src, opts, optimize, &label);
+                assert_eq!((r.exit_code, r.stdout.as_str()), (0, expected), "[{label}]");
+                r
+            });
+            assert_eq!(
+                runs[0].final_globals, runs[1].final_globals,
+                "{what} {mode:?} opt={optimize}: final global memory"
+            );
+        }
+    }
+}
+
 /// A widened loop that runs off the end of its array. The vector tier checks
 /// a unit-stride span once and, when that fails, goes lane by lane — so the
 /// fault is the first bad lane's own: the same error text as the scalar VM's

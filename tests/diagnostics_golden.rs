@@ -819,6 +819,121 @@ void f(void) {
     );
 }
 
+/// The sources of `ci/refused/`, one per rule CodeGen used to decide on its
+/// own, each refused by Sema with the text CodeGen printed: `parse_source`
+/// returns it, so `--syntax-only` and `--analyze` refuse what a compile
+/// refuses.
+macro_rules! refused {
+    ($name:literal) => {
+        refusal_on_both_paths($name, include_str!(concat!("../ci/refused/", $name)))
+    };
+}
+
+/// The row's C image is what a prototype of a runtime entry must declare.
+#[test]
+fn runtime_prototype_against_its_row_renders_exactly() {
+    let text = "\
+runtime_prototype.c:6:6: error: conflicting types for 'print_i64'
+void print_i64(double v);
+     ^
+runtime_prototype.c:6:6: note: the runtime declares it as 'void print_i64(i64)'
+void print_i64(double v);
+     ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"conflicting types for 'print_i64'\",\
+                \"file\":\"runtime_prototype.c\",\"line\":6,\"column\":6,\"notes\":[{\"level\":\
+                \"note\",\"message\":\"the runtime declares it as 'void print_i64(i64)'\",\
+                \"file\":\"runtime_prototype.c\",\"line\":6,\"column\":6,\"notes\":[]}]}]\n";
+    assert_eq!(
+        refused!("runtime_prototype.c"),
+        (text.to_string(), json.to_string())
+    );
+}
+
+#[test]
+fn break_outside_of_a_loop_renders_exactly() {
+    let text = "\
+break_outside_loop.c:7:5: error: 'break' outside of a loop
+    break;
+    ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"'break' outside of a loop\",\"file\":\
+                \"break_outside_loop.c\",\"line\":7,\"column\":5,\"notes\":[]}]\n";
+    assert_eq!(
+        refused!("break_outside_loop.c"),
+        (text.to_string(), json.to_string())
+    );
+}
+
+/// The loop around a `parallel` is on the other side of the outlined
+/// region from a `continue` inside it.
+#[test]
+fn continue_out_of_a_parallel_block_renders_exactly() {
+    let text = "\
+continue_in_parallel.c:11:9: error: 'continue' outside of a loop
+        continue;
+        ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"'continue' outside of a loop\",\"file\":\
+                \"continue_in_parallel.c\",\"line\":11,\"column\":9,\"notes\":[]}]\n";
+    assert_eq!(
+        refused!("continue_in_parallel.c"),
+        (text.to_string(), json.to_string())
+    );
+}
+
+#[test]
+fn string_literal_renders_exactly() {
+    let text = "\
+string_literal.c:5:13: error: string literals are only supported as unused arguments
+  char *s = \"hi\";
+            ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"string literals are only supported as \
+                unused arguments\",\"file\":\"string_literal.c\",\"line\":5,\"column\":13,\
+                \"notes\":[]}]\n";
+    assert_eq!(
+        refused!("string_literal.c"),
+        (text.to_string(), json.to_string())
+    );
+}
+
+/// The caret is on the first part of the initializer that is not a
+/// constant: the read of `k`.
+#[test]
+fn global_initializer_that_is_not_constant_renders_exactly() {
+    let text = "\
+global_initializer.c:6:11: error: initializer element is not a compile-time constant
+long k2 = k + 1;
+          ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"initializer element is not a compile-time \
+                constant\",\"file\":\"global_initializer.c\",\"line\":6,\"column\":11,\
+                \"notes\":[]}]\n";
+    assert_eq!(
+        refused!("global_initializer.c"),
+        (text.to_string(), json.to_string())
+    );
+}
+
+/// Without the rule the engines disagree on `p == 0`: the interpreter runs
+/// it, and the bytecode verifier refuses the compare under `vm:strict`.
+#[test]
+fn pointer_compared_with_an_integer_renders_exactly() {
+    let text = "\
+pointer_int_compare.c:7:9: error: comparison between pointer and integer ('long *' and 'int')
+  if (p == 0)
+        ^
+";
+    let json = "[{\"level\":\"error\",\"message\":\"comparison between pointer and integer \
+                ('long *' and 'int')\",\"file\":\"pointer_int_compare.c\",\"line\":7,\
+                \"column\":9,\"notes\":[]}]\n";
+    assert_eq!(
+        refused!("pointer_int_compare.c"),
+        (text.to_string(), json.to_string())
+    );
+}
+
 /// Every `ci/analysis-fixtures/*.c` through the `ompltc` binary: `--analyze
 /// --diag-format=json` prints its `.json` twin byte for byte on stderr and
 /// nothing on stdout, and exits 1 exactly when that golden has a finding in

@@ -5,6 +5,9 @@
 //! would quietly undo that — a crate edge back to `omplt-sema`, and a
 //! private `ASTContext` / `DiagnosticsEngine` to re-run the analysis with —
 //! so both are pinned here against the manifests and the shipped sources.
+//! Sema is also the one judge of the source: a rule CodeGen enforced on its
+//! own would let `--syntax-only` accept what a compile refuses, so the
+//! texts of the rules that once lived there are pinned to Sema.
 
 mod scan;
 
@@ -12,7 +15,8 @@ use std::path::Path;
 
 /// The crate DAG DESIGN.md §2 prints: each crate's `omplt-*`
 /// `[dependencies]`, without the `omplt-` prefix. Dev-dependencies are the
-/// tests' business. Neither `codegen` nor `analysis` has an edge to `sema`.
+/// tests' business. Neither `codegen` nor `analysis` has an edge to `sema`;
+/// `sema` reads the runtime's rows through its edge to `ir`.
 const DAG: [(&str, &[&str]); 15] = [
     ("analysis", &["ast", "source", "trace"]),
     ("ast", &["source", "trace"]),
@@ -27,7 +31,7 @@ const DAG: [(&str, &[&str]); 15] = [
     ("midend", &["fault", "ir", "trace"]),
     ("ompirb", &["ir", "trace"]),
     ("parse", &["ast", "fault", "lex", "sema", "source", "trace"]),
-    ("sema", &["ast", "fault", "source", "trace"]),
+    ("sema", &["ast", "fault", "ir", "source", "trace"]),
     ("source", &["trace"]),
     ("trace", &[]),
     ("tune", &["ast", "trace"]),
@@ -150,4 +154,34 @@ fn the_walker_never_looks_inside_a_directive() {
         !text.contains("get_transformed_stmt"),
         "{file} spells get_transformed_stmt"
     );
+}
+
+/// A program is refused by Sema or not at all: the rules CodeGen once
+/// decided on its own — a runtime prototype against its row, a `break` or
+/// `continue` with no loop, a string literal, a file-scope initializer that
+/// is not a constant — are spelled in `crates/sema/src` and nowhere else
+/// that ships.
+#[test]
+fn only_sema_refuses_a_program() {
+    let needles = [
+        "conflicting types for",
+        "outside of a loop",
+        "string literals are",
+        "not a compile-time constant",
+    ];
+    let files = scan::shipped_sources();
+    for needle in needles {
+        let spelled: Vec<&Path> = (files.iter())
+            .filter(|f| scan::shipped_text(f).contains(needle))
+            .map(|f| f.as_path())
+            .collect();
+        assert!(!spelled.is_empty(), "nothing spells {needle:?}");
+        for file in spelled {
+            assert!(
+                file.starts_with("crates/sema/src"),
+                "{} spells {needle:?}: the rule is Sema's",
+                file.display()
+            );
+        }
+    }
 }

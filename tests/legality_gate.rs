@@ -296,6 +296,48 @@ fn an_illegal_nest_is_refused_on_every_entrance() {
     }
 }
 
+/// Sema is the one judge of the source. Each program of `ci/refused/`, one
+/// per rule CodeGen once decided on its own, is refused by the front end
+/// alone (`--syntax-only`) and by every other entrance with the same located
+/// text. While CodeGen decided them, `--syntax-only` and `--analyze`
+/// accepted all six.
+#[test]
+fn a_refused_source_is_refused_on_every_entrance() {
+    let daemon = Daemon::start();
+    let remote = format!("--remote={}", daemon.socket.display());
+    let mut files: Vec<PathBuf> = std::fs::read_dir(Path::new(ROOT).join("ci/refused"))
+        .expect("ci/refused exists")
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 6, "{files:?}");
+    let entrances: [&[&str]; 8] = [
+        &["--analyze"],
+        &[],
+        &["--run"],
+        &["--run", "--enable-irbuilder"],
+        &["--run", "--backend=vm:strict"],
+        &["--emit-ir"],
+        &["--ast-dump"],
+        &[&remote, "--run"],
+    ];
+    for file in &files {
+        let name = file.display();
+        for format in ["--diag-format=text", "--diag-format=json"] {
+            let judged = ompltc(&["--syntax-only", format], file);
+            assert_eq!(judged.code, Some(1), "{name}: {}", judged.stderr);
+            assert!(judged.stderr.contains("error"), "{name}");
+            for entrance in entrances {
+                let args: Vec<&str> = entrance.iter().copied().chain([format]).collect();
+                let got = ompltc(&args, file);
+                assert_eq!(got.code, Some(1), "{name} {args:?}: {}", got.stderr);
+                assert_eq!(got.stdout, "", "{name} {args:?}");
+                assert_eq!(got.stderr, judged.stderr, "{name} {args:?}");
+            }
+        }
+    }
+}
+
 #[test]
 fn every_legal_program_prints_what_it_prints_without_openmp() {
     let mut programs: Vec<PathBuf> = std::fs::read_dir(Path::new(ROOT).join("examples/c"))

@@ -12,6 +12,7 @@
 //! The same scan holds the other "one definition" of `omplt-ir`: what an
 //! operator means is written in `omplt_ir::arith` and nowhere else.
 
+use omplt::codegen::ir_type;
 use omplt::interp::{ExecError, Interpreter, RuntimeConfig};
 use omplt::ir::{Function, Inst, IrBuilder, IrType, Module, RtFn, Value};
 use omplt::vm::{compile_module, VmEngine};
@@ -321,6 +322,26 @@ fn a_runtime_prototype_that_disagrees_with_its_row_is_refused() {
             }
         }
     }
+}
+
+/// Sema's C image of each row is the row: `codegen::ir_type` maps its return
+/// and parameter types back to the row's IR signature, so the prototype
+/// Sema holds a declaration to is the one calls are lowered at.
+#[test]
+fn every_rows_c_image_lowers_to_its_ir_signature() {
+    let diags = omplt::source::DiagnosticsEngine::new();
+    let sm = std::cell::RefCell::new(omplt::source::SourceManager::new());
+    let sema = omplt::sema::Sema::new(&diags, &sm, OpenMpCodegenMode::Classic, true);
+    for row in RtFn::ROWS {
+        let image = sema.runtime_prototype(row);
+        let omplt::ast::TypeKind::Function { ret, params } = &image.kind else {
+            panic!("{row}: the image of a row is a function type");
+        };
+        let lowered: Vec<IrType> = params.iter().map(|p| ir_type(p)).collect();
+        assert_eq!(ir_type(ret), row.ret, "{row}");
+        assert_eq!(lowered, row.params, "{row}");
+    }
+    assert!(diags.is_empty());
 }
 
 #[test]
