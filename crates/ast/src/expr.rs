@@ -303,7 +303,7 @@ impl Expr {
     }
 
     /// Evaluates the expression as an integer constant if it is one
-    /// (literals, `ConstantExpr`, unary +/-, binary arithmetic of constants,
+    /// (literals, `ConstantExpr`, unary +/-/!/~, binary arithmetic of constants,
     /// casts of constants, `sizeof`).
     pub fn eval_const_int(self: &P<Expr>) -> Option<i128> {
         match &self.kind {
@@ -325,6 +325,7 @@ impl Expr {
             }
             ExprKind::Unary(UnOp::Minus, e) => Some(truncate_to(-e.eval_const_int()?, &self.ty)),
             ExprKind::Unary(UnOp::Plus, e) => e.eval_const_int(),
+            ExprKind::Unary(UnOp::BitNot, e) => Some(truncate_to(!e.eval_const_int()?, &self.ty)),
             ExprKind::Unary(UnOp::LNot, e) => Some((e.eval_const_int()? == 0) as i128),
             ExprKind::Binary(op, l, r) => {
                 let (l, r) = (l.eval_const_int()?, r.eval_const_int()?);

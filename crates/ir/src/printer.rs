@@ -1,6 +1,7 @@
 //! Textual IR printer (`.ll`-flavored), used by `ompltc --emit-ir`, golden
 //! tests and debugging.
 
+use crate::arith;
 use crate::function::{BlockId, Function, InstId};
 use crate::inst::{Inst, Terminator};
 use crate::module::Module;
@@ -11,12 +12,23 @@ use std::fmt::Write as _;
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
     for g in &m.globals {
-        let _ = writeln!(
-            out,
-            "@{} = global [{} x i8] zeroinitializer",
-            m.symbol_name(g.sym),
-            g.size
-        );
+        let _ = write!(out, "@{} = global [{} x i8] ", m.symbol_name(g.sym), g.size);
+        if g.init.is_empty() {
+            out.push_str("zeroinitializer\n");
+        } else {
+            // The leading elements of type `ty` the initial words hold.
+            let words: Vec<String> = (g.init.iter())
+                .map(|&w| {
+                    let v = arith::decode(g.ty, w as u64);
+                    if g.ty.is_float() {
+                        format!("{:e}", f64::from_bits(v))
+                    } else {
+                        (v as i64).to_string()
+                    }
+                })
+                .collect();
+            let _ = writeln!(out, "{} {}", g.ty, words.join(", "));
+        }
     }
     if !m.globals.is_empty() {
         out.push('\n');

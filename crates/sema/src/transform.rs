@@ -23,8 +23,8 @@
 //! the literal loop, so diagnostics attribute to the right source (§2).
 
 use omplt_ast::{
-    ASTContext, Attr, BinOp, CanonicalLoopAnalysis, Decl, Expr, LoopDirection, LoopNestLevel, Stmt,
-    StmtKind, Type, UnOp, VarDecl, P,
+    ASTContext, Attr, BinOp, CanonicalLoopAnalysis, Decl, Expr, ExprKind, LoopDirection,
+    LoopNestLevel, Stmt, StmtKind, Type, UnOp, VarDecl, P,
 };
 use omplt_source::{SourceLocation, SourceManager};
 
@@ -476,9 +476,16 @@ pub fn transform_fuse(
     let zero = ctx.int_lit(0, P::clone(&uty), loc);
     let iv = ctx.make_implicit_var(".fused.iv", P::clone(&uty), Some(zero), loc);
 
-    // One guarded body per fused loop, in source order.
+    // One guarded body per fused loop, in source order. A `continue` of a
+    // fused loop ends that loop's iteration only, so a body that has one
+    // runs as `do { body } while (false)`, which the `continue` leaves.
     let guarded = |(l, tc)| {
-        let then = materialized_body(ctx, std::slice::from_ref(l), [ctx.read_var(&iv, loc)], loc);
+        let mut then =
+            materialized_body(ctx, std::slice::from_ref(l), [ctx.read_var(&iv, loc)], loc);
+        if continues_its_loop(&then) {
+            let cond = Expr::rvalue(ExprKind::BoolLiteral(false), ctx.bool_ty(), loc);
+            then = Stmt::new(StmtKind::DoWhile { body: then, cond }, loc);
+        }
         let cond = ctx.binary(
             BinOp::Lt,
             ctx.read_var(&iv, loc),
@@ -499,6 +506,28 @@ pub fn transform_fuse(
     let body = Stmt::new(StmtKind::Compound(body), loc);
     let fused = generated_loop(ctx, &iv, ctx.read_var(&max_var, loc), None, body, loc);
     shadow(&[], top, vec![fused], loc)
+}
+
+/// Whether `body` holds a `continue` of the loop it is the body of: one
+/// outside every loop nested in it.
+fn continues_its_loop(body: &P<Stmt>) -> bool {
+    struct Finder(bool);
+    impl omplt_ast::visitor::StmtVisitor for Finder {
+        fn visit_stmt(&mut self, s: &P<Stmt>) {
+            match s.kind {
+                StmtKind::Continue => self.0 = true,
+                StmtKind::While { .. } | StmtKind::DoWhile { .. } => {}
+                StmtKind::OMPCanonicalLoop(_) => {}
+                _ if s.is_loop() => {}
+                _ => omplt_ast::visitor::walk_stmt(self, s),
+            }
+        }
+
+        fn visit_expr(&mut self, _: &P<Expr>) {}
+    }
+    let mut f = Finder(false);
+    omplt_ast::visitor::StmtVisitor::visit_stmt(&mut f, body);
+    f.0
 }
 
 /// Counts the generated `for` loops of a transformed AST (test/statistics

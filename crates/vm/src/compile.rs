@@ -16,6 +16,10 @@
 //!   rewrote (`input_copies`), so the lowerer meets SSA, every `alloca`
 //!   it meets is memory, and every value it lowers is needed.
 //! * Distinct constants are loaded once in an entry prologue, not per use.
+//! * An access computes its own address: a `gep` that only loads and stores
+//!   use, the constant offset of its index and an addressing `trunc` fold
+//!   into the access's [`Address`] (`base + wrap(index + c) * scale`) and
+//!   are not emitted (`FuncCompiler::plan_folds`).
 //! * A peephole pass ([`crate::peephole`]) then leaves SSA by coalescing
 //!   and fuses compare/branch pairs, and a linear-scan pass
 //!   ([`crate::regalloc`]) compacts the register file. Both work on one
@@ -38,13 +42,13 @@
 //! `vm.compile.regalloc` — and the module reports
 //! `vm.compile.liveness.solves` next to its op counts.
 
-use crate::ops::{CallTarget, Op, PoolConst, Reg, RegClass, VmFunction, VmModule};
+use crate::ops::{Address, CallTarget, Op, PoolConst, Reg, RegClass, VmFunction, VmModule};
 use crate::peephole;
 use crate::regalloc::{self, Analysis};
 use crate::vectorize;
 use omplt_ir::{
-    arith, BlockId, CastOp, Function, Inst, InstId, IrType, Module, Rpo, SymbolId, Terminator,
-    Value,
+    arith, BinOpKind, BlockId, CastOp, Function, Inst, InstId, IrType, Module, Rpo, SymbolId,
+    Terminator, Value,
 };
 use omplt_midend::{Dce, Promote};
 use std::collections::HashMap;
@@ -243,6 +247,131 @@ fn value_type(types: &[Option<IrType>], f: &Function, v: Value) -> IrType {
     }
 }
 
+/// What one instruction of an index chain does to the index — the three
+/// kinds of op a walk down a folded `gep`'s index may cross.
+#[derive(Clone, Copy)]
+enum Link {
+    /// A cast that keeps its payload ([`arith::keeps_payload`]): a copy.
+    Copy(Value),
+    /// `trunc i64 → i32`: the arithmetic above it wraps at `i32`.
+    Trunc(Value),
+    /// `add` of the constant `k` at `i32` or `i64` (a `sub` adds `-k`).
+    Offset(IrType, Value, i64),
+}
+
+impl Link {
+    /// The operand the walk goes on to.
+    fn operand(self) -> Value {
+        match self {
+            Link::Copy(v) | Link::Trunc(v) | Link::Offset(_, v, _) => v,
+        }
+    }
+}
+
+/// A walk down the index of a folded `gep`: the width its folded arithmetic
+/// wraps at (`None` while it has crossed only copies) and the constant
+/// element offset it has gathered, as a range — one value while an address
+/// is emitted, the hull of every walk that reaches an instruction while
+/// [`FuncCompiler::plan_folds`] decides it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct Walk {
+    wrap: Option<IrType>,
+    lo: i64,
+    hi: i64,
+}
+
+impl Walk {
+    /// The walk at a `gep`'s index.
+    const START: Walk = Walk {
+        wrap: None,
+        lo: 0,
+        hi: 0,
+    };
+
+    /// The walk past `link` and the value it goes on to, or `None` when it
+    /// may not cross it. The address must be the one the crossed ops
+    /// computed, bit for bit: since `wrap(wrap(x + c1) + c2)` is
+    /// `wrap(x + c1 + c2)`, a walk gathers offsets at one width, with no
+    /// no-wrap fact, and an `i64` offset must fit the row's `i32` field.
+    fn cross(self, link: Link) -> Option<(Value, Walk)> {
+        match link {
+            Link::Copy(v) => Some((v, self)),
+            Link::Trunc(v) => (self.wrap != Some(IrType::I64)).then_some((
+                v,
+                Walk {
+                    wrap: Some(IrType::I32),
+                    ..self
+                },
+            )),
+            Link::Offset(ty, v, k) => {
+                if self.wrap.is_some_and(|w| w != ty) {
+                    return None;
+                }
+                let (lo, hi) = if ty == IrType::I32 {
+                    let add = |c: i64| arith::bin(BinOpKind::Add, ty, c as u64, k as u64);
+                    (add(self.lo).ok()? as i64, add(self.hi).ok()? as i64)
+                } else {
+                    let (lo, hi) = (self.lo.checked_add(k)?, self.hi.checked_add(k)?);
+                    if lo < i32::MIN.into() || hi > i32::MAX.into() {
+                        return None;
+                    }
+                    (lo, hi)
+                };
+                let wrap = Some(ty);
+                Some((v, Walk { wrap, lo, hi }))
+            }
+        }
+    }
+
+    /// The indexed address of a walk that ended at the register `index`.
+    pub(crate) fn address(self, base: Reg, index: Reg, scale: u8) -> Address {
+        Address::Indexed {
+            base,
+            index,
+            c: self.lo as i32,
+            wrap: self.wrap.unwrap_or(IrType::I64),
+            scale,
+        }
+    }
+}
+
+/// The walks that reach an instruction while [`FuncCompiler::plan_folds`]
+/// decides the function: per wrap width (none, `i32`, `i64`), the hull of
+/// those that wrap at it.
+#[derive(Clone, Copy, Default)]
+struct Reach([Option<Walk>; 3]);
+
+impl Reach {
+    /// The one walk that starts at a `gep`'s index.
+    const START: Reach = Reach([Some(Walk::START), None, None]);
+
+    /// Adds `walk` to the walks that reach.
+    fn add(&mut self, walk: Walk) {
+        let slot = &mut self.0[match walk.wrap {
+            None => 0,
+            Some(IrType::I32) => 1,
+            Some(_) => 2,
+        }];
+        *slot = Some(match *slot {
+            Some(w) => Walk {
+                lo: w.lo.min(walk.lo),
+                hi: w.hi.max(walk.hi),
+                ..w
+            },
+            None => walk,
+        });
+    }
+
+    /// The walks past `link`, when every one may cross it.
+    fn cross(self, link: Link) -> Option<Reach> {
+        let mut past = Reach::default();
+        for walk in self.0.into_iter().flatten() {
+            past.add(walk.cross(link)?.1);
+        }
+        Some(past)
+    }
+}
+
 /// Jump-target placeholder, patched once every block offset is known.
 #[derive(Clone, Copy)]
 enum Fixup {
@@ -284,6 +413,19 @@ pub(crate) struct FuncCompiler<'a> {
     /// the backedge must re-enter the scalar epilogue loop, not the vector
     /// preamble the header's block offset points at.
     pub(crate) latch_redirect: HashMap<u32, u32>,
+    /// Per instruction, by `InstId`: how many uses its value has, and how
+    /// many of them a fold accounts for ([`Self::plan_folds`]).
+    uses: Vec<(u32, u32)>,
+    /// Per instruction, by `InstId`: where in `reaches` the walks that
+    /// reach it are (0 while none has).
+    reach_at: Vec<u32>,
+    /// The walks that reach each instruction some walk reaches, after an
+    /// empty entry at 0 (few instructions are reached, so the table by
+    /// `InstId` stays four bytes wide).
+    reaches: Vec<Reach>,
+    /// Per instruction, by `InstId`: folded into the accesses that use it,
+    /// so never emitted.
+    folded: Vec<bool>,
 }
 
 impl<'a> FuncCompiler<'a> {
@@ -319,6 +461,10 @@ impl<'a> FuncCompiler<'a> {
             edge_copies: Vec::new(),
             loads: Vec::new(),
             latch_redirect: HashMap::new(),
+            uses: Vec::new(),
+            reach_at: Vec::new(),
+            reaches: Vec::new(),
+            folded: Vec::new(),
         }
     }
 
@@ -393,6 +539,11 @@ impl<'a> FuncCompiler<'a> {
     pub(crate) fn reg_of(&mut self, v: Value) -> Result<Reg, CompileError> {
         match v {
             Value::Inst(id) => {
+                debug_assert!(
+                    !self.folded[id.0 as usize],
+                    "@{}: %{} is folded into its accesses, yet its register is read",
+                    self.f.name, id.0
+                );
                 self.inst_reg[id.0 as usize].ok_or_else(|| CompileError::Malformed {
                     func: self.f.name.clone(),
                     what: format!("use of void value %{}", id.0),
@@ -423,6 +574,165 @@ impl<'a> FuncCompiler<'a> {
     /// [`Function::value_type`], read from the per-instruction type table.
     fn type_of(&self, v: Value) -> IrType {
         value_type(&self.inst_ty, self.f, v)
+    }
+
+    /// The link `x` is in an index chain, if it is one: a payload-keeping
+    /// integer cast, a `trunc i64 → i32`, or an `add`/`sub` of a constant
+    /// at `i32` or `i64`.
+    fn link(&self, x: InstId) -> Option<Link> {
+        match *self.f.inst(x) {
+            Inst::Cast { op, val, to } => {
+                let from = self.type_of(val);
+                if arith::keeps_payload(op, from, to) && to.is_int() {
+                    Some(Link::Copy(val))
+                } else if op == CastOp::Trunc && (from, to) == (IrType::I64, IrType::I32) {
+                    Some(Link::Trunc(val))
+                } else {
+                    None
+                }
+            }
+            Inst::Bin { op, lhs, rhs } => {
+                let ty = self.type_of(lhs);
+                if !matches!(ty, IrType::I32 | IrType::I64) {
+                    return None;
+                }
+                match (op, lhs, rhs) {
+                    (BinOpKind::Add, v, Value::ConstInt { val, .. })
+                    | (BinOpKind::Add, Value::ConstInt { val, .. }, v) => {
+                        Some(Link::Offset(ty, v, val))
+                    }
+                    (BinOpKind::Sub, v, Value::ConstInt { val, .. }) => {
+                        Some(Link::Offset(ty, v, val.checked_neg()?))
+                    }
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// Walks down from `v`, the index of a folded `gep`, through every link
+    /// `through` admits and the walk may cross; returns the value whose
+    /// register the access reads as its index, and the walk.
+    pub(crate) fn index_chain(
+        &self,
+        mut v: Value,
+        through: impl Fn(InstId) -> bool,
+    ) -> (Value, Walk) {
+        let mut walk = Walk::START;
+        while let Value::Inst(x) = v {
+            let link = self.link(x).filter(|_| through(x));
+            let Some((next, past)) = link.and_then(|l| walk.cross(l)) else {
+                break;
+            };
+            (v, walk) = (next, past);
+        }
+        (v, walk)
+    }
+
+    /// The address an access through `ptr` names: the indexed form of a
+    /// folded `gep`, its index walked down the folded links, or `ptr`'s
+    /// register.
+    fn address(&mut self, ptr: Value) -> Result<Address, CompileError> {
+        match ptr {
+            Value::Inst(g) if self.folded[g.0 as usize] => {
+                let Inst::Gep {
+                    ptr: base,
+                    index,
+                    elem_size,
+                } = *self.f.inst(g)
+                else {
+                    unreachable!("only a gep folds into an access")
+                };
+                let (index, walk) = self.index_chain(index, |x| self.folded[x.0 as usize]);
+                let (base, index) = (self.reg_of(base)?, self.reg_of(index)?);
+                Ok(walk.address(base, index, elem_size as u8))
+            }
+            _ => Ok(Address::Reg(self.reg_of(ptr)?)),
+        }
+    }
+
+    /// Decides which instructions of `f` fold into the accesses that use
+    /// them, and so are not emitted: a `gep` whose every use is the address
+    /// of a load or store and whose element size fits the indexed rows'
+    /// `scale`, then, down its index, each [`Link`] whose every use is a
+    /// walk that crosses it. Users come before their operands in reverse
+    /// RPO (a phi, the one use from below, is no walk), so an instruction
+    /// is decided once every walk that reaches it is known. A widened
+    /// loop's vector code reads the registers of the values it takes from
+    /// outside the loop, so those count as one more use and never fold.
+    fn plan_folds(&mut self, rpo: &[BlockId], plans: &HashMap<u32, vectorize::LoopPlan>) {
+        let f = self.f;
+        let n = f.insts.len();
+        self.uses.clear();
+        self.uses.resize(n, (0, 0));
+        self.reach_at.clear();
+        self.reach_at.resize(n, 0);
+        self.reaches.clear();
+        self.reaches.push(Reach::default());
+        self.folded.clear();
+        self.folded.resize(n, false);
+        let uses = &mut self.uses;
+        let count = |uses: &mut Vec<(u32, u32)>, v: Value| {
+            if let Value::Inst(id) = v {
+                uses[id.0 as usize].0 += 1;
+            }
+        };
+        for &bb in rpo {
+            for &iid in &f.block(bb).insts {
+                let inst = f.inst(iid);
+                inst.for_each_operand(|v| count(uses, v));
+                if let Inst::Load {
+                    ptr: Value::Inst(g),
+                    ..
+                }
+                | Inst::Store {
+                    ptr: Value::Inst(g),
+                    ..
+                } = inst
+                {
+                    uses[g.0 as usize].1 += 1;
+                }
+            }
+            if let Some(t) = &f.block(bb).term {
+                t.for_each_operand(|v| count(uses, v));
+            }
+        }
+        for plan in plans.values() {
+            plan.for_each_input(f, &mut |id| count(uses, Value::Inst(id)));
+        }
+        for &bb in rpo.iter().rev() {
+            for &iid in f.block(bb).insts.iter().rev() {
+                let i = iid.0 as usize;
+                let (all, accounted) = self.uses[i];
+                if all == 0 || all != accounted {
+                    continue;
+                }
+                let next = match *f.inst(iid) {
+                    Inst::Gep {
+                        index, elem_size, ..
+                    } if elem_size <= u8::MAX.into() => Some((index, Reach::START)),
+                    // Every use is a walk that reached it: fold if all cross.
+                    _ if self.reach_at[i] != 0 => self.link(iid).and_then(|l| {
+                        let reach = self.reaches[self.reach_at[i] as usize];
+                        Some((l.operand(), reach.cross(l)?))
+                    }),
+                    _ => None,
+                };
+                let Some((v, past)) = next else { continue };
+                self.folded[i] = true;
+                if let Value::Inst(id) = v {
+                    let j = id.0 as usize;
+                    self.uses[j].1 += 1;
+                    if self.reach_at[j] == 0 {
+                        self.reach_at[j] = self.reaches.len() as u32;
+                        self.reaches.push(Reach::default());
+                    }
+                    let reach = &mut self.reaches[self.reach_at[j] as usize];
+                    past.0.into_iter().flatten().for_each(|w| reach.add(w));
+                }
+            }
+        }
     }
 
     pub(crate) fn mark_block_start(&mut self) {
@@ -481,6 +791,9 @@ impl<'a> FuncCompiler<'a> {
     }
 
     fn emit_inst(&mut self, iid: InstId, inst: &Inst) -> Result<(), CompileError> {
+        if self.folded[iid.0 as usize] {
+            return Ok(()); // computed by the accesses it folded into
+        }
         match inst {
             Inst::Phi { .. } => {} // eliminated into edge copies
             Inst::Alloca { ty, count, .. } => {
@@ -491,14 +804,14 @@ impl<'a> FuncCompiler<'a> {
             }
             Inst::Load { ty, ptr } => {
                 let dst = self.dst_of(iid);
-                let addr = self.reg_of(*ptr)?;
-                self.out.ops.push(Op::Load { dst, addr, ty: *ty });
+                let addr = self.address(*ptr)?;
+                self.out.ops.push(addr.load(dst, *ty));
             }
             Inst::Store { val, ptr } => {
                 let src = self.reg_of(*val)?;
                 let ty = self.type_of(*val);
-                let addr = self.reg_of(*ptr)?;
-                self.out.ops.push(Op::Store { src, addr, ty });
+                let addr = self.address(*ptr)?;
+                self.out.ops.push(addr.store(src, ty));
             }
             Inst::Gep {
                 ptr,
@@ -747,6 +1060,7 @@ impl<'a> FuncCompiler<'a> {
         } else {
             HashMap::new()
         };
+        self.plan_folds(rpo, &plans);
         self.inst_reg.clear();
         self.inst_reg.resize(f.insts.len(), None);
         self.consts.0.clear();
@@ -787,12 +1101,17 @@ impl<'a> FuncCompiler<'a> {
 
         // Pre-intern every constant any reachable instruction, phi edge, or
         // terminator mentions, so the prologue can be emitted *first* (as the
-        // head of the entry block) and no offsets ever need shifting.
+        // head of the entry block) and no offsets ever need shifting. A
+        // folded link's constant is the access's `c`, not a register.
         for &bb in rpo {
             for &iid in &f.block(bb).insts {
+                let link = self.folded[iid.0 as usize]
+                    .then(|| self.link(iid))
+                    .flatten();
                 let mut failed = None;
                 f.inst(iid).for_each_operand(|v| {
-                    if let Some(entry) = const_of(v) {
+                    let read = link.is_none_or(|l| l.operand() == v);
+                    if let Some(entry) = const_of(v).filter(|_| read) {
                         failed = failed.take().or(self.const_vreg(entry).err());
                     }
                 });

@@ -23,7 +23,7 @@
 //! [`disasm`] line are the three things written by hand per op.
 
 use crate::serde::{Dec, DecodeError, Enc, Wire};
-use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
+use omplt_ir::{arith, BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// A virtual register index within one frame.
 pub type Reg = u16;
@@ -575,9 +575,290 @@ ops! {
         /// Scalar register holding the remaining-iteration count.
         src: ruse,
     },
+    // The indexed accesses: the four accesses above with the address
+    // `base + wrap(index + c) * scale` (`indexed_address`) in place of an
+    // address register — a `gep`, the constant offset of its index and an
+    // addressing `trunc`, folded by the lowerer. The narrow immediates lead
+    // so that `c` sits on its own alignment and the row stays in 16 bytes.
+    /// `dst = *(ty*)(base + wrap(index + c) * scale)`.
+    29 => LoadIdx {
+        /// Loaded type (width + decode).
+        ty: IrType,
+        /// Width the index arithmetic wraps at (`i32` or `i64`).
+        wrap: IrType,
+        /// Index scale in bytes.
+        scale: u8,
+        /// Constant element offset added to the index.
+        c: i32,
+        /// Destination register.
+        dst: rdef,
+        /// Base pointer register.
+        base: ruse,
+        /// Index register.
+        index: ruse,
+    },
+    /// `*(ty*)(base + wrap(index + c) * scale) = src`.
+    30 => StoreIdx {
+        /// Stored type (width + encode).
+        ty: IrType,
+        /// Width the index arithmetic wraps at (`i32` or `i64`).
+        wrap: IrType,
+        /// Index scale in bytes.
+        scale: u8,
+        /// Constant element offset added to the index.
+        c: i32,
+        /// Value register.
+        src: ruse,
+        /// Base pointer register.
+        base: ruse,
+        /// Index register.
+        index: ruse,
+    },
+    /// Unit-stride vector load from the lane-0 address
+    /// `base + wrap(index + c) * scale`.
+    31 => VLoadIdx {
+        /// Element type (width + decode).
+        ty: IrType,
+        /// Width the index arithmetic wraps at (`i32` or `i64`).
+        wrap: IrType,
+        /// Index scale in bytes.
+        scale: u8,
+        /// Constant element offset added to the index.
+        c: i32,
+        /// Destination vector register.
+        dst: vdef,
+        /// Base pointer register.
+        base: ruse,
+        /// Index register.
+        index: ruse,
+        /// Lane count.
+        w: u8,
+    },
+    /// Unit-stride vector store to the lane-0 address
+    /// `base + wrap(index + c) * scale`.
+    32 => VStoreIdx {
+        /// Element type (width + encode).
+        ty: IrType,
+        /// Width the index arithmetic wraps at (`i32` or `i64`).
+        wrap: IrType,
+        /// Index scale in bytes.
+        scale: u8,
+        /// Constant element offset added to the index.
+        c: i32,
+        /// Source vector register.
+        src: vuse,
+        /// Base pointer register.
+        base: ruse,
+        /// Index register.
+        index: ruse,
+        /// Lane count.
+        w: u8,
+    },
+}
+
+/// Where an access reads or writes: the one address form of `Load`,
+/// `Store`, `VLoad` and `VStore` and their indexed rows.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Address {
+    /// The address is a pointer register's payload.
+    Reg(Reg),
+    /// `base + wrap(index + c) * scale` ([`indexed_address`]).
+    Indexed {
+        /// Base pointer register.
+        base: Reg,
+        /// Index register.
+        index: Reg,
+        /// Constant element offset added to the index.
+        c: i32,
+        /// Width the index arithmetic wraps at (`i32` or `i64`).
+        wrap: IrType,
+        /// Index scale in bytes.
+        scale: u8,
+    },
+}
+
+impl Address {
+    /// `dst = *(ty*)self`.
+    pub fn load(self, dst: Reg, ty: IrType) -> Op {
+        match self {
+            Address::Reg(addr) => Op::Load { dst, addr, ty },
+            Address::Indexed {
+                base,
+                index,
+                c,
+                wrap,
+                scale,
+            } => Op::LoadIdx {
+                ty,
+                wrap,
+                scale,
+                c,
+                dst,
+                base,
+                index,
+            },
+        }
+    }
+
+    /// `*(ty*)self = src`.
+    pub fn store(self, src: Reg, ty: IrType) -> Op {
+        match self {
+            Address::Reg(addr) => Op::Store { src, addr, ty },
+            Address::Indexed {
+                base,
+                index,
+                c,
+                wrap,
+                scale,
+            } => Op::StoreIdx {
+                ty,
+                wrap,
+                scale,
+                c,
+                src,
+                base,
+                index,
+            },
+        }
+    }
+
+    /// A unit-stride `w`-lane load into `dst` from lane-0 address `self`.
+    pub fn vload(self, dst: VReg, ty: IrType, w: u8) -> Op {
+        match self {
+            Address::Reg(addr) => Op::VLoad { dst, addr, ty, w },
+            Address::Indexed {
+                base,
+                index,
+                c,
+                wrap,
+                scale,
+            } => Op::VLoadIdx {
+                ty,
+                wrap,
+                scale,
+                c,
+                dst,
+                base,
+                index,
+                w,
+            },
+        }
+    }
+
+    /// A unit-stride `w`-lane store of `src` to lane-0 address `self`.
+    pub fn vstore(self, src: VReg, ty: IrType, w: u8) -> Op {
+        match self {
+            Address::Reg(addr) => Op::VStore { src, addr, ty, w },
+            Address::Indexed {
+                base,
+                index,
+                c,
+                wrap,
+                scale,
+            } => Op::VStoreIdx {
+                ty,
+                wrap,
+                scale,
+                c,
+                src,
+                base,
+                index,
+                w,
+            },
+        }
+    }
+}
+
+/// As [`disasm`] prints it: `r23`, or `r23 + i32(r14 - 1)*8`.
+impl std::fmt::Display for Address {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Address::Reg(r) => write!(f, "r{r}"),
+            Address::Indexed {
+                base,
+                index,
+                c,
+                wrap,
+                scale,
+            } => {
+                write!(f, "r{base} + {wrap}(r{index}")?;
+                match c {
+                    0 => {}
+                    c if c < 0 => write!(f, " - {}", c.unsigned_abs())?,
+                    c => write!(f, " + {c}")?,
+                }
+                write!(f, ")*{scale}")
+            }
+        }
+    }
+}
+
+/// The address of an indexed access: `base + wrap(index + c) * scale`, as
+/// the `add` at the wrap width and the `gep` the lowerer folded into it
+/// computed it — their own kernels, so the address is theirs bit for bit.
+/// `wrap` is `i32` or `i64` (the verifier admits no other), and an integer
+/// `add` never traps.
+#[inline(always)]
+pub fn indexed_address(base: u64, index: u64, c: i32, wrap: IrType, scale: u8) -> u64 {
+    let c = c as i64 as u64;
+    let index = match wrap {
+        IrType::I32 => arith::bin(BinOpKind::Add, IrType::I32, index, c),
+        _ => arith::bin(BinOpKind::Add, IrType::I64, index, c),
+    };
+    arith::gep(base, index.unwrap_or_default(), scale as u64)
 }
 
 impl Op {
+    /// The address of an access (`Load`, `Store`, `VLoad`, `VStore` and
+    /// their indexed rows); `None` for every other op.
+    pub fn address(self) -> Option<Address> {
+        match self {
+            Op::Load { addr, .. }
+            | Op::Store { addr, .. }
+            | Op::VLoad { addr, .. }
+            | Op::VStore { addr, .. } => Some(Address::Reg(addr)),
+            Op::LoadIdx {
+                wrap,
+                scale,
+                c,
+                base,
+                index,
+                ..
+            }
+            | Op::StoreIdx {
+                wrap,
+                scale,
+                c,
+                base,
+                index,
+                ..
+            }
+            | Op::VLoadIdx {
+                wrap,
+                scale,
+                c,
+                base,
+                index,
+                ..
+            }
+            | Op::VStoreIdx {
+                wrap,
+                scale,
+                c,
+                base,
+                index,
+                ..
+            } => Some(Address::Indexed {
+                base,
+                index,
+                c,
+                wrap,
+                scale,
+            }),
+            _ => None,
+        }
+    }
+
     /// The run of argument registers a call reads in the function's shared
     /// `call_args` pool (empty for every other op). The pool is the one
     /// operand a row cannot describe, so the use accessors add it by hand.
@@ -775,6 +1056,7 @@ pub fn disasm(f: &VmFunction) -> String {
         vregs,
         f.ret
     );
+    let address = |op: Op| op.address().expect("an access has an address");
     for (pc, op) in f.ops.iter().enumerate() {
         if f.block_starts.binary_search(&(pc as u32)).is_ok() {
             let _ = writeln!(out, "L{pc}:");
@@ -785,8 +1067,12 @@ pub fn disasm(f: &VmFunction) -> String {
             }
             Op::Mov { dst, src } => format!("r{dst} = mov r{src}"),
             Op::Alloca { dst, bytes } => format!("r{dst} = alloca {bytes}"),
-            Op::Load { dst, addr, ty } => format!("r{dst} = load.{ty} [r{addr}]"),
-            Op::Store { src, addr, ty } => format!("store.{ty} [r{addr}], r{src}"),
+            Op::Load { dst, ty, .. } | Op::LoadIdx { dst, ty, .. } => {
+                format!("r{dst} = load.{ty} [{}]", address(*op))
+            }
+            Op::Store { src, ty, .. } | Op::StoreIdx { src, ty, .. } => {
+                format!("store.{ty} [{}], r{src}", address(*op))
+            }
             Op::Gep {
                 dst,
                 base,
@@ -884,11 +1170,11 @@ pub fn disasm(f: &VmFunction) -> String {
             Op::VExtract { dst, src, lane } => {
                 format!("r{dst} = vextract v{src}[{lane}]")
             }
-            Op::VLoad { dst, addr, ty, w } => {
-                format!("v{dst} = vload.{ty}.x{w} [r{addr}]")
+            Op::VLoad { dst, ty, w, .. } | Op::VLoadIdx { dst, ty, w, .. } => {
+                format!("v{dst} = vload.{ty}.x{w} [{}]", address(*op))
             }
-            Op::VStore { src, addr, ty, w } => {
-                format!("vstore.{ty}.x{w} [r{addr}], v{src}")
+            Op::VStore { src, ty, w, .. } | Op::VStoreIdx { src, ty, w, .. } => {
+                format!("vstore.{ty}.x{w} [{}], v{src}", address(*op))
             }
             Op::VGather {
                 dst,
@@ -992,6 +1278,10 @@ pub(crate) mod tests {
             row(Op::VCast { op: C::SiToFp, from: T::I32, to: T::F64, dst: 11, src: 12, w: 4 }, None, &[], Some(11), &[12], &[], false),
             row(Op::VReduce { op: B::Add, ty: T::I64, dst: 1, src: 11, w: 4 }, Some(1), &[], None, &[11], &[], false),
             row(Op::VEpi { src: 1 }, None, &[1], None, &[], &[], false),
+            row(Op::LoadIdx { ty: T::F64, wrap: T::I32, scale: 8, c: -1, dst: 1, base: 2, index: 3 }, Some(1), &[2, 3], None, &[], &[], false),
+            row(Op::StoreIdx { ty: T::I32, wrap: T::I64, scale: 4, c: 7, src: 1, base: 2, index: 3 }, None, &[1, 2, 3], None, &[], &[], false),
+            row(Op::VLoadIdx { ty: T::I32, wrap: T::I32, scale: 4, c: 2, dst: 11, base: 1, index: 2, w: 4 }, None, &[1, 2], Some(11), &[], &[], false),
+            row(Op::VStoreIdx { ty: T::F64, wrap: T::I64, scale: 8, c: -3, src: 11, base: 1, index: 2, w: 4 }, None, &[1, 2], None, &[11], &[], false),
         ]
     }
 

@@ -6,7 +6,7 @@
 //! The format is a private, versioned, little-endian encoding:
 //!
 //! ```text
-//! "OMPLTBC\x03"  magic + format version (bump on any layout change)
+//! "OMPLTBC\x04"  magic + format version (bump on any layout change)
 //! u32            function count
 //! per function:  name, ret, params, reg classes, vreg classes/widths,
 //!                const pool, call args, call targets, block starts, ops
@@ -26,7 +26,7 @@ use crate::ops::{CallTarget, PoolConst, Reg, RegClass, VmFunction, VmModule};
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// Magic prefix: 7 identifying bytes plus a 1-byte format version.
-const MAGIC: &[u8; 8] = b"OMPLTBC\x03";
+const MAGIC: &[u8; 8] = b"OMPLTBC\x04";
 
 /// A malformed or version-incompatible bytecode image.
 #[derive(Debug, PartialEq, Eq)]
@@ -124,7 +124,7 @@ macro_rules! wire_int {
         }
     )*};
 }
-wire_int!(u8, u16, u32, u64);
+wire_int!(u8, u16, u32, u64, i32);
 
 /// Fieldless enums with an `ALL` table in declaration order: the tag is the
 /// variant's `as u8`, which is its index in `ALL`.
@@ -483,7 +483,7 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_err());
         // The previous format version and a future one.
-        for version in [2, 4] {
+        for version in [3, 5] {
             let mut vers = bytes.clone();
             vers[7] = version;
             assert!(decode(&vers).is_err(), "version {version} accepted");

@@ -31,7 +31,7 @@
 //! (wrapping) add/mul are associative, so those widen.
 
 use crate::compile::{cast_op, const_of, CompileError, FuncCompiler};
-use crate::ops::{Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
+use crate::ops::{Address, Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
 use omplt_ir::{
     arith, BinOpKind, BlockId, BlockLists, CastOp, CmpPred, Function, Inst, InstId, IrType,
     Terminator, Value,
@@ -78,6 +78,19 @@ pub(crate) struct LoopPlan {
     /// Last values: the header phi and its latch value, which lanes compute
     /// independently; the exit extracts lane `w-1`.
     last_values: Vec<(InstId, Value)>,
+}
+
+impl LoopPlan {
+    /// Visits each value defined outside the loop that a loop instruction
+    /// reads, once per such read: the registers the vector loop reads.
+    pub(crate) fn for_each_input(&self, f: &Function, read: &mut impl FnMut(InstId)) {
+        for &id in &self.loop_insts {
+            f.inst(id).for_each_operand(|v| match v {
+                Value::Inst(o) if !self.loop_insts.contains(&o) => read(o),
+                _ => {}
+            });
+        }
+    }
 }
 
 /// Finds every widenable loop of `f`. Keys are header block ids. `width`
@@ -235,10 +248,6 @@ impl<'a> Planner<'a> {
                     self.scalar_cloneable(*lhs, depth - 1) && self.scalar_cloneable(*rhs, depth - 1)
                 }
                 Inst::Cast { val, .. } => self.scalar_cloneable(*val, depth - 1),
-                Inst::Gep { ptr, index, .. } => {
-                    self.scalar_cloneable(*ptr, depth - 1)
-                        && self.scalar_cloneable(*index, depth - 1)
-                }
                 _ => false,
             },
             Value::Inst(_) | Value::Arg(_) => true,
@@ -268,7 +277,7 @@ impl<'a> Planner<'a> {
 
     /// A memory access widens through an in-loop `Gep` whose base is the
     /// same pointer in every lane: as a unit-stride `VLoad`/`VStore`
-    /// (scalar-cloneable address) or a `VGather`/`VScatter` (cloneable base,
+    /// (cloneable base and index) or a `VGather`/`VScatter` (cloneable base,
     /// wideable index vector).
     fn mem_access_emittable(&self, ty: IrType, ptr: Value, depth: u8) -> bool {
         let Value::Inst(gid) = ptr else { return false };
@@ -286,13 +295,15 @@ impl<'a> Planner<'a> {
         if u32::try_from(*elem_size).is_err() || !self.lane_invariant(*base) {
             return false;
         }
-        if self.unit_stride(ty, gid) {
-            // Unit stride: lane-0 address is the scalar Gep clone.
-            self.scalar_cloneable(ptr, depth - 1)
-        } else {
-            // Gather: affine-non-unit or opaque per-lane indices.
-            self.scalar_cloneable(*base, depth - 1) && self.wideable(*index, depth - 1)
-        }
+        self.scalar_cloneable(*base, depth - 1)
+            && if self.unit_stride(ty, gid) {
+                // Unit stride: the lane-0 address is indexed by the scalar
+                // clone of the index.
+                self.scalar_cloneable(*index, depth - 1)
+            } else {
+                // Gather: affine-non-unit or opaque per-lane indices.
+                self.wideable(*index, depth - 1)
+            }
     }
 
     /// Whether `gid` is a `Gep` that steps one `ty` element per iteration.
@@ -592,24 +603,6 @@ impl<'a, 'b> Widener<'a, 'b> {
                         self.c.out.ops.push(cast_op(op, from, to, dst, src));
                         dst
                     }
-                    Inst::Gep {
-                        ptr,
-                        index,
-                        elem_size,
-                    } => {
-                        let elem_size = u32::try_from(elem_size)
-                            .map_err(|_| self.c.err_large("gep element size"))?;
-                        let base = self.scalar_of(ptr)?;
-                        let idx = self.scalar_of(index)?;
-                        let dst = self.c.new_vreg(RegClass::Ptr)?;
-                        self.c.out.ops.push(Op::Gep {
-                            dst,
-                            base,
-                            index: idx,
-                            elem_size,
-                        });
-                        dst
-                    }
                     other => {
                         return Err(self.malformed(format!("widener cannot scalarize {other:?}")))
                     }
@@ -764,14 +757,27 @@ impl<'a, 'b> Widener<'a, 'b> {
         Ok((base, index, es32))
     }
 
+    /// The lane-0 address of a unit-stride access through the `gep` `ptr`:
+    /// the indexed form, its index walked down the loop's own links (those
+    /// outside the loop are registers already). A unit stride steps one
+    /// element of at most eight bytes, so the element size fits `scale`.
+    fn unit_address(&mut self, ptr: Value) -> Result<Address, CompileError> {
+        let (base, index, elem_size) = self.gep_of(ptr)?;
+        let scale = u8::try_from(elem_size).map_err(|_| self.c.err_large("gep element size"))?;
+        let plan = self.plan;
+        let (index, walk) = self.c.index_chain(index, |x| plan.loop_insts.contains(&x));
+        let (base, index) = (self.scalar_of(base)?, self.scalar_of(index)?);
+        Ok(walk.address(base, index, scale))
+    }
+
     /// A widened memory load: unit-stride `VLoad` or per-lane `VGather`.
     fn widen_mem_load(&mut self, ty: IrType, ptr: Value) -> Result<VReg, CompileError> {
         let (base, index, elem_size) = self.gep_of(ptr)?;
         let w = self.w();
         if self.unit_stride(ptr) {
-            let addr = self.scalar_of(ptr)?;
+            let addr = self.unit_address(ptr)?;
             let dst = self.c.new_vvreg(RegClass::of(ty), w)?;
-            self.c.out.ops.push(Op::VLoad { dst, addr, ty, w });
+            self.c.out.ops.push(addr.vload(dst, ty, w));
             Ok(dst)
         } else {
             let base = self.scalar_of(base)?;
@@ -795,8 +801,8 @@ impl<'a, 'b> Widener<'a, 'b> {
         let src = self.vec_of(val)?;
         let w = self.w();
         if self.unit_stride(ptr) {
-            let addr = self.scalar_of(ptr)?;
-            self.c.out.ops.push(Op::VStore { src, addr, ty, w });
+            let addr = self.unit_address(ptr)?;
+            self.c.out.ops.push(addr.vstore(src, ty, w));
         } else {
             let (base, index, elem_size) = self.gep_of(ptr)?;
             let base = self.scalar_of(base)?;

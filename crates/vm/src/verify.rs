@@ -23,7 +23,7 @@
 //!    the block graph: a register read before any write on some path is an
 //!    error, not a zero.
 
-use crate::ops::{CallTarget, Op, Reg, RegClass, VmFunction, VmModule, MAX_LANES};
+use crate::ops::{Address, CallTarget, Op, Reg, RegClass, VmFunction, VmModule, MAX_LANES};
 use omplt_ir::{BlockLists, CastOp, CmpPred, IrType};
 
 /// One verification failure.
@@ -370,6 +370,28 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
             );
         }
     };
+    // The address rule every access shares: a pointer register, or a
+    // pointer base and an integer index whose arithmetic wraps at `i32` or
+    // `i64`.
+    let address = |errs: &mut Vec<VerifyError>, pc: usize, what: &str, op: Op| match op.address() {
+        Some(Address::Reg(addr)) if cls(addr) != RegClass::Ptr => {
+            mismatch(errs, pc, format!("{what} address r{addr} is not ptr"));
+        }
+        Some(Address::Indexed {
+            base, index, wrap, ..
+        }) => {
+            if cls(base) != RegClass::Ptr {
+                mismatch(errs, pc, format!("{what} base r{base} is not ptr"));
+            }
+            if cls(index) != RegClass::Int {
+                mismatch(errs, pc, format!("{what} index r{index} is not int"));
+            }
+            if !matches!(wrap, IrType::I32 | IrType::I64) {
+                mismatch(errs, pc, format!("{what} index wraps at {wrap}"));
+            }
+        }
+        Some(Address::Reg(_)) | None => {}
+    };
     for (pc, op) in f.ops.iter().enumerate() {
         match *op {
             Op::Const { dst, idx } => {
@@ -400,25 +422,21 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
                     mismatch(errs, pc, format!("alloca destination r{dst} is not ptr"));
                 }
             }
-            Op::Load { dst, addr, ty } => {
+            Op::Load { dst, ty, .. } | Op::LoadIdx { dst, ty, .. } => {
                 if ty == IrType::Void {
                     mismatch(errs, pc, "load of void".to_string());
                 } else if cls(dst) != RegClass::of(ty) {
                     mismatch(errs, pc, format!("load of {ty} into {} r{dst}", cls(dst)));
                 }
-                if cls(addr) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("load address r{addr} is not ptr"));
-                }
+                address(errs, pc, "load", *op);
             }
-            Op::Store { src, addr, ty } => {
+            Op::Store { src, ty, .. } | Op::StoreIdx { src, ty, .. } => {
                 if ty == IrType::Void {
                     mismatch(errs, pc, "store of void".to_string());
                 } else if cls(src) != RegClass::of(ty) {
                     mismatch(errs, pc, format!("store of {ty} from {} r{src}", cls(src)));
                 }
-                if cls(addr) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("store address r{addr} is not ptr"));
-                }
+                address(errs, pc, "store", *op);
             }
             Op::Gep {
                 dst, base, index, ..
@@ -658,7 +676,7 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
                     );
                 }
             }
-            Op::VLoad { dst, addr, ty, w } => {
+            Op::VLoad { dst, ty, w, .. } | Op::VLoadIdx { dst, ty, w, .. } => {
                 lanes(errs, pc, w);
                 vwidth(errs, pc, "vload destination", dst, w);
                 if ty == IrType::Void {
@@ -670,11 +688,9 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
                         format!("vector load of {ty} into {} v{dst}", vcls(dst)),
                     );
                 }
-                if cls(addr) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("vector load address r{addr} is not ptr"));
-                }
+                address(errs, pc, "vector load", *op);
             }
-            Op::VStore { src, addr, ty, w } => {
+            Op::VStore { src, ty, w, .. } | Op::VStoreIdx { src, ty, w, .. } => {
                 lanes(errs, pc, w);
                 vwidth(errs, pc, "vstore source", src, w);
                 if ty == IrType::Void {
@@ -686,9 +702,7 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
                         format!("vector store of {ty} from {} v{src}", vcls(src)),
                     );
                 }
-                if cls(addr) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("vector store address r{addr} is not ptr"));
-                }
+                address(errs, pc, "vector store", *op);
             }
             Op::VGather {
                 dst,
@@ -1161,6 +1175,118 @@ mod tests {
             errs.iter()
                 .any(|e| e.what.contains("vector register v9 out of range")),
             "{errs:?}"
+        );
+    }
+
+    /// `r0 = alloca 64; r1 = const 7; r2 = <access through r0 + r1>; ret`,
+    /// the access built by `access` from the base, index and value registers.
+    fn indexed(reg_class: Vec<RegClass>, access: Op) -> VmFunction {
+        VmFunction {
+            name: "x".into(),
+            num_regs: reg_class.len() as u16,
+            reg_class,
+            num_vregs: 1,
+            vreg_class: vec![RegClass::Int],
+            vreg_width: vec![4],
+            ops: vec![
+                Op::Alloca { dst: 0, bytes: 64 },
+                Op::Const { dst: 1, idx: 0 },
+                Op::VBroadcast {
+                    dst: 0,
+                    src: 1,
+                    w: 4,
+                },
+                access,
+                Op::Ret { src: None },
+            ],
+            ret: IrType::Void,
+            ..tiny()
+        }
+    }
+
+    #[test]
+    fn a_well_typed_indexed_access_verifies() {
+        let classes = vec![RegClass::Ptr, RegClass::Int, RegClass::Float];
+        let load = Op::LoadIdx {
+            ty: IrType::F64,
+            wrap: IrType::I32,
+            scale: 8,
+            c: -1,
+            dst: 2,
+            base: 0,
+            index: 1,
+        };
+        assert_eq!(verify_function(&indexed(classes, load), &[]), vec![]);
+        let vstore = Op::VStoreIdx {
+            ty: IrType::I64,
+            wrap: IrType::I64,
+            scale: 8,
+            c: 2,
+            src: 0,
+            base: 0,
+            index: 1,
+            w: 4,
+        };
+        let classes = vec![RegClass::Ptr, RegClass::Int, RegClass::Int];
+        assert_eq!(verify_function(&indexed(classes, vstore), &[]), vec![]);
+    }
+
+    #[test]
+    fn an_indexed_access_needs_an_int_index() {
+        // The index register is a float: the engine would add `c` to a
+        // double's bits.
+        let classes = vec![RegClass::Ptr, RegClass::Float, RegClass::Float];
+        let mut f = indexed(
+            classes,
+            Op::LoadIdx {
+                ty: IrType::F64,
+                wrap: IrType::I32,
+                scale: 8,
+                c: 0,
+                dst: 2,
+                base: 0,
+                index: 1,
+            },
+        );
+        f.consts[0] = PoolConst::Val(RegClass::Float, 7f64.to_bits());
+        f.ops[2] = Op::Const { dst: 2, idx: 0 };
+        let errs = verify_function(&f, &[]);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].at, 3);
+        assert!(errs[0]
+            .what
+            .contains("type mismatch: load index r1 is not int"));
+    }
+
+    #[test]
+    fn an_indexed_vector_access_is_typed_like_a_scalar_one() {
+        // A vector store through an indexed address whose base is an
+        // integer and whose index arithmetic names a width no fold runs at.
+        let classes = vec![RegClass::Int, RegClass::Int, RegClass::Int];
+        let mut f = indexed(
+            classes,
+            Op::VStoreIdx {
+                ty: IrType::I64,
+                wrap: IrType::I16,
+                scale: 8,
+                c: 0,
+                src: 0,
+                base: 1,
+                index: 1,
+                w: 4,
+            },
+        );
+        f.ops[0] = Op::Const { dst: 0, idx: 0 };
+        let errs: Vec<String> = verify_function(&f, &[])
+            .into_iter()
+            .map(|e| e.what)
+            .collect();
+        assert_eq!(
+            errs,
+            [
+                "type mismatch: vector store base r1 is not ptr",
+                "type mismatch: vector store index wraps at i16",
+            ]
         );
     }
 

@@ -50,9 +50,11 @@
 //!   trait. Team threads run their own VM frames over the same shared
 //!   [`RunState`].
 
-use crate::ops::{CallTarget, Op, PoolConst, Reg, VmFunction, VmModule, MAX_LANES};
+use crate::ops::{
+    indexed_address, Address, CallTarget, Op, PoolConst, Reg, VmFunction, VmModule, MAX_LANES,
+};
 use omplt_interp::engine::{Callee, Engine, RunState};
-use omplt_interp::memory::MemError;
+use omplt_interp::memory::{MemError, RegionCache};
 use omplt_interp::runtime::{self, RuntimeConfig, ThreadCtx};
 use omplt_interp::{ExecError, Memory, RunResult};
 use omplt_ir::arith::{bin, cast, cmp, decode, encode, gep};
@@ -225,6 +227,22 @@ fn mem_err(e: MemError) -> ExecError {
     ExecError::Mem(e.what)
 }
 
+/// The guest address an access `op` reads or writes.
+#[inline(always)]
+fn address(regs: &[u64], op: Op) -> u64 {
+    match op.address() {
+        Some(Address::Indexed {
+            base,
+            index,
+            c,
+            wrap,
+            scale,
+        }) => indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale),
+        Some(Address::Reg(addr)) => regs[addr as usize],
+        None => unreachable!("{op:?} is not an access"),
+    }
+}
+
 // Lane loops over the kernels. `#[inline(always)]`, like the kernels: a
 // vector arm picks its (operator, type) once and calls these with literals,
 // so the loop body is the folded instruction.
@@ -271,7 +289,7 @@ macro_rules! resolved_ops {
         bin { $($bin:ident $bin_jmp:ident = $bop:ident $bty:ident;)* }
         cmp { $($cmp:ident $cmp_br:ident = $pred:ident $cty:ident;)* }
         cast { $($cast:ident = $cop:ident $from:ident $to:ident;)* }
-        mem { $($load:ident $store:ident = $mty:ident;)* }
+        mem { $($load:ident $store:ident $load_idx:ident $store_idx:ident = $mty:ident;)* }
     ) => {
         /// One op as the dispatch loop executes it: a table row — an op
         /// whose operator and type are the variant — or the [`Op`] itself.
@@ -291,6 +309,8 @@ macro_rules! resolved_ops {
             $(
                 $load { dst: Reg, addr: Reg },
                 $store { src: Reg, addr: Reg },
+                $load_idx { dst: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
+                $store_idx { src: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
             )*
         }
 
@@ -301,6 +321,8 @@ macro_rules! resolved_ops {
             match op {
                 $(Op::Load { dst, addr, ty: T::$mty } => XOp::$load { dst, addr },)*
                 $(Op::Store { src, addr, ty: T::$mty } => XOp::$store { src, addr },)*
+                $(Op::LoadIdx { ty: T::$mty, wrap, scale, c, dst, base, index } => XOp::$load_idx { dst, base, index, c, scale, wrap },)*
+                $(Op::StoreIdx { ty: T::$mty, wrap, scale, c, src, base, index } => XOp::$store_idx { src, base, index, c, scale, wrap },)*
                 $(Op::Bin { op: B::$bop, ty: T::$bty, dst, lhs, rhs } => XOp::$bin { dst, lhs, rhs },)*
                 $(Op::BinJmp { op: B::$bop, ty: T::$bty, dst, lhs, rhs, target } => XOp::$bin_jmp { dst, lhs, rhs, target },)*
                 $(Op::Cmp { pred: P::$pred, ty: T::$cty, dst, lhs, rhs } => XOp::$cmp { dst, lhs, rhs },)*
@@ -355,6 +377,18 @@ macro_rules! resolved_ops {
                             mem.store_via(&mut cache, regs[addr as usize], T::$mty.size(), raw).map_err(mem_err)?;
                             continue;
                         })*
+                        $(XOp::$load_idx { dst, base, index, c, scale, wrap } => {
+                            let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
+                            let raw = mem.load_via(&mut cache, a, T::$mty.size()).map_err(mem_err)?;
+                            regs[dst as usize] = decode(T::$mty, raw);
+                            continue;
+                        })*
+                        $(XOp::$store_idx { src, base, index, c, scale, wrap } => {
+                            let raw = encode(T::$mty, regs[src as usize]);
+                            let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
+                            mem.store_via(&mut cache, a, T::$mty.size(), raw).map_err(mem_err)?;
+                            continue;
+                        })*
                         $(XOp::$bin { dst, lhs, rhs } => {
                             regs[dst as usize] = bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize])?;
                             continue;
@@ -383,13 +417,13 @@ macro_rules! resolved_ops {
                         Op::Const { dst, idx } => regs[dst as usize] = consts[idx as usize],
                         Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
                         Op::Alloca { dst, bytes } => regs[dst as usize] = mem.alloc(bytes as u64),
-                        Op::Load { dst, addr, ty } => {
-                            let raw = mem.load_via(&mut cache, regs[addr as usize], ty.size()).map_err(mem_err)?;
+                        Op::Load { dst, ty, .. } | Op::LoadIdx { dst, ty, .. } => {
+                            let raw = mem.load_via(&mut cache, address(regs, op), ty.size()).map_err(mem_err)?;
                             regs[dst as usize] = decode(ty, raw);
                         }
-                        Op::Store { src, addr, ty } => {
+                        Op::Store { src, ty, .. } | Op::StoreIdx { src, ty, .. } => {
                             let raw = encode(ty, regs[src as usize]);
-                            mem.store_via(&mut cache, regs[addr as usize], ty.size(), raw).map_err(mem_err)?;
+                            mem.store_via(&mut cache, address(regs, op), ty.size(), raw).map_err(mem_err)?;
                         }
                         Op::Gep { dst, base, index, elem_size } => {
                             regs[dst as usize] = gep(regs[base as usize], regs[index as usize], elem_size as u64);
@@ -453,22 +487,13 @@ macro_rules! resolved_ops {
                         Op::VExtract { dst, src, lane } => {
                             regs[dst as usize] = vregs[src as usize][lane as usize];
                         }
-                        Op::VLoad { dst, addr, ty, w } => {
-                            let out = &mut vregs[dst as usize][..w as usize];
-                            mem.load_span(&mut cache, regs[addr as usize], ty.size(), out).map_err(mem_err)?;
-                            match ty {
-                                $(T::$mty => out.iter_mut().for_each(|o| *o = decode(T::$mty, *o)),)*
-                                _ => out.iter_mut().for_each(|o| *o = decode(ty, *o)),
-                            }
+                        Op::VLoad { dst, ty, w, .. } | Op::VLoadIdx { dst, ty, w, .. } => {
+                            let a = address(regs, op);
+                            vload(mem, &mut cache, a, ty, &mut vregs[dst as usize][..w as usize])?;
                         }
-                        Op::VStore { src, addr, ty, w } => {
-                            let mut raw = vregs[src as usize];
-                            let raw = &mut raw[..w as usize];
-                            match ty {
-                                $(T::$mty => raw.iter_mut().for_each(|o| *o = encode(T::$mty, *o)),)*
-                                _ => raw.iter_mut().for_each(|o| *o = encode(ty, *o)),
-                            }
-                            mem.store_span(&mut cache, regs[addr as usize], ty.size(), raw).map_err(mem_err)?;
+                        Op::VStore { src, ty, w, .. } | Op::VStoreIdx { src, ty, w, .. } => {
+                            let a = address(regs, op);
+                            vstore(mem, &mut cache, a, ty, &vregs[src as usize][..w as usize])?;
                         }
                         Op::VGather { elem_size, dst, base, idx, ty, w } => {
                             let (p, iv) = (regs[base as usize], vregs[idx as usize]);
@@ -518,6 +543,45 @@ macro_rules! resolved_ops {
             }
         }
 
+        /// `out.lane[l] = *(ty*)(a + l*size(ty))`: a unit-stride vector load
+        /// from the lane-0 address `a`, decoded at the row's literal type.
+        #[inline(always)]
+        fn vload<'m>(
+            mem: &'m Memory,
+            cache: &mut RegionCache<'m>,
+            a: u64,
+            ty: IrType,
+            out: &mut [u64],
+        ) -> Result<(), ExecError> {
+            use IrType as T;
+            mem.load_span(cache, a, ty.size(), out).map_err(mem_err)?;
+            match ty {
+                $(T::$mty => out.iter_mut().for_each(|o| *o = decode(T::$mty, *o)),)*
+                _ => out.iter_mut().for_each(|o| *o = decode(ty, *o)),
+            }
+            Ok(())
+        }
+
+        /// `*(ty*)(a + l*size(ty)) = lanes[l]`: a unit-stride vector store to
+        /// the lane-0 address `a`, encoded at the row's literal type.
+        #[inline(always)]
+        fn vstore<'m>(
+            mem: &'m Memory,
+            cache: &mut RegionCache<'m>,
+            a: u64,
+            ty: IrType,
+            lanes: &[u64],
+        ) -> Result<(), ExecError> {
+            use IrType as T;
+            let mut raw: Lanes = [0; MAX_LANES];
+            let raw = &mut raw[..lanes.len()];
+            match ty {
+                $(T::$mty => raw.iter_mut().zip(lanes).for_each(|(o, &v)| *o = encode(T::$mty, v)),)*
+                _ => raw.iter_mut().zip(lanes).for_each(|(o, &v)| *o = encode(ty, v)),
+            }
+            mem.store_span(cache, a, ty.size(), raw).map_err(mem_err)
+        }
+
         /// One row of the kernel table: an (operator, type) pair with
         /// variants of its own. For the tests, which walk [`KERNEL_ROWS`].
         #[doc(hidden)]
@@ -529,7 +593,7 @@ macro_rules! resolved_ops {
             Cmp(CmpPred, IrType),
             /// `Cast`, source and destination type.
             Cast(CastOp, IrType, IrType),
-            /// `Load` and `Store`.
+            /// `Load`, `Store`, `LoadIdx` and `StoreIdx`.
             Mem(IrType),
         }
 
@@ -556,7 +620,8 @@ macro_rules! resolved_ops {
 // five `exec_vm` kernels, the `compile_*` translation units and the
 // `daemon_mix` jobs; CHANGES.md, PR 19, has the counts). A row names the
 // pair's variant (and the variant of its fused form — `BinJmp`, `CmpBr` — or,
-// for a type, of its store), then the literals its arms call the kernel with;
+// for a type, of its store and of the indexed load and store, whose address
+// the lowerer folded), then the literals its arms call the kernel with;
 // the vector arms pick the same literals once per op for all lanes. Every
 // pair without a row — f32, unsigned division and shifts, the narrow integer
 // types, most casts — runs the same kernel with its operator and type read
@@ -579,7 +644,9 @@ resolved_ops! {
         TruncI64I32 = Trunc I64 I32; SiToFpI32F64 = SiToFp I32 F64;
     }
     mem {
-        LoadI32 StoreI32 = I32; LoadI64 StoreI64 = I64; LoadF64 StoreF64 = F64;
+        LoadI32 StoreI32 LoadIdxI32 StoreIdxI32 = I32;
+        LoadI64 StoreI64 LoadIdxI64 StoreIdxI64 = I64;
+        LoadF64 StoreF64 LoadIdxF64 StoreIdxF64 = F64;
     }
 }
 

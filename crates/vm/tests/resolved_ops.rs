@@ -499,6 +499,75 @@ fn load_and_store_match_the_interpreter() {
     }
 }
 
+/// The address of an indexed access is the one its folded ops compute: on
+/// the interpreter, `t(p, x)` returns `gep p, (add (trunc x to i32), c)` at
+/// `i32` and `gep p, (add x, c)` at `i64`, and `indexed_address` must
+/// return its bits for every edge index, offset and scale — a wrapping
+/// `int` subscript included.
+#[test]
+fn an_indexed_address_is_the_one_its_folded_ops_compute() {
+    let offsets = [i32::MIN, -8, -1, 0, 1, 2, i32::MAX];
+    let mut checked = 0;
+    for wrap in [IrType::I32, IrType::I64] {
+        for c in offsets {
+            for scale in [1u8, 4, 8, 255] {
+                let mut m = Module::new();
+                let mut f = Function::new("t", vec![IrType::Ptr, IrType::I64], IrType::Ptr);
+                let entry = f.entry();
+                let index = if wrap == IrType::I32 {
+                    let to = IrType::I32;
+                    let val = Value::Arg(1);
+                    f.push_inst(
+                        entry,
+                        Inst::Cast {
+                            op: CastOp::Trunc,
+                            val,
+                            to,
+                        },
+                    )
+                } else {
+                    Value::Arg(1)
+                };
+                let rhs = Value::ConstInt {
+                    ty: wrap,
+                    val: c.into(),
+                };
+                let op = BinOpKind::Add;
+                let sum = f.push_inst(
+                    entry,
+                    Inst::Bin {
+                        op,
+                        lhs: index,
+                        rhs,
+                    },
+                );
+                let ptr = Value::Arg(0);
+                let elem_size = scale.into();
+                let gep = f.push_inst(
+                    entry,
+                    Inst::Gep {
+                        ptr,
+                        index: sum,
+                        elem_size,
+                    },
+                );
+                f.blocks[0].term = Some(Terminator::Ret(Some(gep)));
+                m.add_function(f);
+                let it = Interpreter::new(&m, RuntimeConfig::default());
+                for base in [0x0000_0003_0000_0040u64, u64::MAX - 7] {
+                    for x in operands(IrType::I64) {
+                        let want = oracle(&it, vec![base, x]).expect("no access, no error");
+                        let got = omplt_vm::ops::indexed_address(base, x, c, wrap, scale);
+                        assert_eq!(got, want, "base {base:#x} + {wrap}({x:#x} + {c})*{scale}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 1_000, "only {checked} comparisons ran");
+}
+
 // ---------------------------------------------------------------------------
 // Lane forms
 // ---------------------------------------------------------------------------
@@ -834,6 +903,24 @@ fn forms(row: KernelRow) -> Vec<Op> {
                 src: 1,
                 addr: 0,
                 ty,
+            },
+            Op::LoadIdx {
+                ty,
+                wrap: IrType::I32,
+                scale: 8,
+                c: -1,
+                dst: 1,
+                base: 0,
+                index: 2,
+            },
+            Op::StoreIdx {
+                ty,
+                wrap: IrType::I64,
+                scale: 4,
+                c: 1,
+                src: 1,
+                base: 0,
+                index: 2,
             },
         ],
     }

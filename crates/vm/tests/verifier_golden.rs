@@ -205,7 +205,7 @@ fn vector_sample() -> VmModule {
         code.funcs[0]
             .ops
             .iter()
-            .any(|op| matches!(op, Op::VLoad { .. })),
+            .any(|op| matches!(op, Op::VLoad { .. } | Op::VLoadIdx { .. })),
         "sample must actually widen"
     );
     assert!(
@@ -224,10 +224,10 @@ fn vector_lane_count_golden() {
     let at = f
         .ops
         .iter()
-        .position(|op| matches!(op, Op::VLoad { .. }))
+        .position(|op| matches!(op, Op::VLoad { .. } | Op::VLoadIdx { .. }))
         .expect("sample has a vload");
     let dst = match &mut f.ops[at] {
-        Op::VLoad { dst, w, .. } => {
+        Op::VLoad { dst, w, .. } | Op::VLoadIdx { dst, w, .. } => {
             *w = 9;
             *dst
         }
@@ -252,10 +252,10 @@ fn vector_width_mismatch_golden() {
     let at = f
         .ops
         .iter()
-        .position(|op| matches!(op, Op::VLoad { .. }))
+        .position(|op| matches!(op, Op::VLoad { .. } | Op::VLoadIdx { .. }))
         .expect("sample has a vload");
     let dst = match &mut f.ops[at] {
-        Op::VLoad { dst, w, .. } => {
+        Op::VLoad { dst, w, .. } | Op::VLoadIdx { dst, w, .. } => {
             *w = 2;
             *dst
         }
@@ -334,10 +334,10 @@ fn vector_class_mismatch_golden() {
     let at = f
         .ops
         .iter()
-        .position(|op| matches!(op, Op::VLoad { .. }))
+        .position(|op| matches!(op, Op::VLoad { .. } | Op::VLoadIdx { .. }))
         .expect("sample has a vload");
     let dst = match &mut f.ops[at] {
-        Op::VLoad { dst, ty, .. } => {
+        Op::VLoad { dst, ty, .. } | Op::VLoadIdx { dst, ty, .. } => {
             *ty = IrType::F64;
             *dst
         }

@@ -1023,3 +1023,84 @@ fn widened_loop_running_off_its_array_faults_like_the_scalar_loop() {
         }
     }
 }
+
+/// Accesses whose address the VM folds (a `gep`, its index's constant
+/// offset and an addressing `trunc`) at the edges: `p[j - 1]` through a
+/// pointer into the middle of an array, `a[(int)l]` with `l` above 2^31,
+/// and an `int` subscript `j + 1` at `j = INT_MAX`. The last two run off
+/// the array; each program prints, fails and exits as the interpreter
+/// does, on `vm:strict` at widths 0 and 4, with and without `--opt`.
+#[test]
+fn folded_addresses_agree_with_the_interpreter_at_the_edges() {
+    let middle = "void print_i64(long v);\nlong a[16];\n\
+         int main(void) {\n\
+         \x20 long *p = a + 8;\n\
+         \x20 for (int j = -7; j < 9; j++)\n\
+         \x20   p[j - 1] = j * 3;\n\
+         \x20 long s = 0;\n\
+         \x20 #pragma omp simd reduction(+: s)\n\
+         \x20 for (int j = -7; j < 9; j++)\n\
+         \x20   s += p[j - 1] * j;\n\
+         \x20 for (int j = 0; j < 15; j++)\n\
+         \x20   a[j + 1] = a[j] + a[j + 1];\n\
+         \x20 print_i64(s);\n\
+         \x20 print_i64(a[15]);\n\
+         \x20 return 0;\n\
+         }\n";
+    let truncated = "void print_i64(long v);\nlong a[8];\nlong l = 2147483653;\n\
+         int main(void) {\n\
+         \x20 print_i64(a[(int)(l - 2147483648)]);\n\
+         \x20 print_i64(a[(int)l]);\n\
+         \x20 return 0;\n\
+         }\n";
+    let int_max = "void print_i64(long v);\nlong a[8];\nint big = 2147483647;\n\
+         int main(void) {\n\
+         \x20 for (int j = 0; j < 3; j++)\n\
+         \x20   print_i64(a[j + 1] + j);\n\
+         \x20 int j = big;\n\
+         \x20 print_i64(a[j + 1]);\n\
+         \x20 return 0;\n\
+         }\n";
+    let dir = std::env::temp_dir().join("omplt-folded-addresses");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        ("middle", middle, "- 1)*8]", true),
+        ("truncated", truncated, "i32(r", false),
+        ("int_max", int_max, " + 1)*8]", false),
+    ];
+    for (name, src, folded, succeeds) in cases {
+        let path = dir.join(format!("{name}.c"));
+        std::fs::write(&path, src).unwrap();
+        let ompltc = |args: &[&str]| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_ompltc"))
+                .args(args)
+                .arg(&path)
+                .output()
+                .unwrap();
+            let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+            (text(out.stdout), text(out.stderr), out.status.code())
+        };
+        let bytecode = ompltc(&["--opt", "--backend=vm:strict", "--emit-bytecode"]).0;
+        assert!(
+            bytecode.contains(folded),
+            "[{name}] no access folds `{folded}`:\n{bytecode}"
+        );
+        for opt in [&[][..], &["--opt"]] {
+            let run = |backend: &str, width: &str| {
+                let args = [&["--run", "--threads", "1", backend, width][..], opt].concat();
+                ompltc(&args)
+            };
+            let oracle = run("--backend=interp", "--vector-width=0");
+            if succeeds {
+                assert_eq!(oracle.2, Some(0), "[{name}] {oracle:?}");
+            } else {
+                assert_eq!(oracle.2, Some(1), "[{name}] {oracle:?}");
+                assert!(oracle.1.contains("memory error"), "[{name}] {oracle:?}");
+            }
+            for width in ["--vector-width=0", "--vector-width=4"] {
+                let vm = run("--backend=vm:strict", width);
+                assert_eq!(vm, oracle, "[{name}] vm:strict {width} {opt:?}");
+            }
+        }
+    }
+}

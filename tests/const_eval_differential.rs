@@ -64,7 +64,8 @@ fn expr(rng: &mut Rng, depth: u32) -> String {
         };
     }
     let sub = |rng: &mut Rng| expr(rng, depth - 1);
-    match rng.below(12) {
+    match rng.below(13) {
+        12 => format!("(~{})", sub(rng)),
         0 => format!("(-{})", sub(rng)),
         1 => format!("(+{})", sub(rng)),
         2 => format!("(!{})", sub(rng)),

@@ -110,6 +110,52 @@ fn opt_flag_unrolls() {
     assert_eq!(String::from_utf8_lossy(&run.stdout), "0\n1\n2\n3\n4\n");
 }
 
+/// `--emit-ir` shows what an initialized global holds, as `--run` reads
+/// it; a global with no initializer stays `zeroinitializer`.
+#[test]
+fn emit_ir_prints_a_globals_initial_value() {
+    let p = write_temp(
+        "globals.c",
+        "void print_f64(double v);\nvoid print_i64(long v);\ndouble d = -1.25;\nlong k = 7;\nint z;\n\
+         int main(void) {\n  print_f64(d);\n  print_i64(k);\n  return z;\n}\n",
+    );
+    let out = ompltc().arg("--emit-ir").arg(&p).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let globals: Vec<&str> = text.lines().take_while(|l| !l.is_empty()).collect();
+    assert_eq!(
+        globals,
+        [
+            "@d = global [8 x i8] double -1.25e0",
+            "@k = global [8 x i8] i64 7",
+            "@z = global [4 x i8] zeroinitializer",
+        ],
+        "{text}"
+    );
+    let run = ompltc().arg("--run").arg(&p).output().unwrap();
+    assert_eq!(String::from_utf8_lossy(&run.stdout), "-1.25\n7\n");
+}
+
+/// `~` folds wherever a constant is required: an array bound and a clause
+/// argument.
+#[test]
+fn bitwise_not_is_a_constant_expression() {
+    let p = write_temp(
+        "bitnot.c",
+        "void print_i64(long v);\nlong a[~-5];\nint main(void) {\n  long s = 0;\n  \
+         #pragma omp parallel for collapse(~-3) reduction(+: s)\n  \
+         for (int i = 0; i < 3; i++)\n    for (int j = 0; j < 4; j++)\n      s += i * 4 + j;\n  \
+         print_i64(s);\n  print_i64(sizeof(a));\n  return 0;\n}\n",
+    );
+    let out = ompltc().arg("--run").arg(&p).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "66\n32\n");
+}
+
 #[test]
 fn exit_code_is_propagated() {
     let p = write_temp("exit.c", "int main(void) { return 3; }\n");

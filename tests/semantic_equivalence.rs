@@ -353,6 +353,19 @@ fn composed_full_over_partial() {
     assert_matrix_output(&src, &seq([7, 10, 13, 16]));
 }
 
+/// A `continue` in a fused loop ends that loop's iteration, not the fused
+/// one: the second loop still writes every `b[j]`.
+#[test]
+fn fuse_keeps_a_continue_in_its_own_loop() {
+    let src = format!(
+        "{PRINT_PROTO}int a[6];\nint b[6];\nint main(void) {{\n  #pragma omp fuse\n  {{\n    \
+         for (int i = 0; i < 6; i++) {{\n      if (i % 2) continue;\n      a[i] = 1;\n    }}\n    \
+         for (int j = 0; j < 6; j++)\n      b[j] = 2;\n  }}\n  long s = 0;\n  \
+         for (int k = 0; k < 6; k++)\n    s += a[k] * 10 + b[k];\n  print_i64(s);\n  return 0;\n}}\n"
+    );
+    assert_output_on_both_engines(&src, &seq([42]));
+}
+
 #[test]
 fn while_loops_and_conditionals_unaffected() {
     let src = format!(

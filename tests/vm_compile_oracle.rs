@@ -138,3 +138,74 @@ int main() {
         }
     }
 }
+
+/// The ops of each innermost loop of `f`: a backedge — a jump from `pc` to
+/// a `target` at or before it — closes the loop `target..=pc`, and an
+/// innermost one holds no other.
+fn innermost_loop_bodies(f: &omplt::vm::VmFunction) -> Vec<&[Op]> {
+    let mut loops = Vec::new();
+    for (pc, op) in f.ops.iter().enumerate() {
+        op.for_each_target(|t| {
+            if t as usize <= pc {
+                loops.push(t as usize..pc + 1);
+            }
+        });
+    }
+    let holds = |a: &std::ops::Range<usize>, b: &std::ops::Range<usize>| {
+        a != b && a.start <= b.start && b.end <= a.end
+    };
+    (loops.iter())
+        .filter(|l| !loops.iter().any(|m| holds(l, m)))
+        .map(|l| &f.ops[l.clone()])
+        .collect()
+}
+
+/// An access computes its own address: in the optimized, scalar and
+/// widened bytecode of the stencil and saxpy examples, no innermost loop
+/// keeps a `gep` or a `trunc` (their one `trunc` per iteration is the
+/// subscript's, folded with the `gep` into the loads and stores).
+#[test]
+fn innermost_loops_of_the_stencil_and_saxpy_compute_no_address() {
+    for example in ["stencil_tiling.c", "saxpy_simd.c"] {
+        let path = format!("{}/examples/c/{example}", env!("CARGO_MANIFEST_DIR"));
+        let source = std::fs::read_to_string(&path).unwrap();
+        for codegen_mode in [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder] {
+            for vector_width in [0, 4] {
+                let opts = Options {
+                    codegen_mode,
+                    vector_width,
+                    ..Options::default()
+                };
+                let mut ci = CompilerInstance::new(opts);
+                let tu = ci.parse_source(&path, &source).expect("example parses");
+                let mut module = ci.codegen(&tu).expect("example lowers");
+                ci.optimize(&mut module);
+                let code = ci.compile_bytecode(&module).expect("example compiles");
+                let mut loops = 0;
+                for f in &code.funcs {
+                    for body in innermost_loop_bodies(f) {
+                        loops += 1;
+                        let address = (body.iter()).find(|op| {
+                            matches!(
+                                op,
+                                Op::Gep { .. }
+                                    | Op::Cast {
+                                        op: omplt::ir::CastOp::Trunc,
+                                        ..
+                                    }
+                            )
+                        });
+                        assert!(
+                            address.is_none(),
+                            "{example} {codegen_mode:?} vw={vector_width}: @{} computes an \
+                             address in an innermost loop:\n{}",
+                            f.name,
+                            omplt::vm::disasm(f)
+                        );
+                    }
+                }
+                assert!(loops >= 2, "{example}: only {loops} innermost loops");
+            }
+        }
+    }
+}
