@@ -11,7 +11,8 @@ use omplt_ast::{
     OpenMpCodegenMode, ReductionOp, ScheduleKind, Stmt, StmtKind, P,
 };
 use omplt_ir::{
-    BlockId, Function, IrType, LoopMetadata, RtFn, SchedType, SymbolId, UnrollHint, Value,
+    BinOpKind, BlockId, Function, IrType, LoopMetadata, RtFn, SchedType, SymbolId, UnrollHint,
+    Value,
 };
 
 /// What an outlined function's body contains.
@@ -118,6 +119,7 @@ impl FnCodegen<'_, '_> {
                 sub_fn,
             );
             sub.outlined_counter = self.outlined_counter * 64 + 1;
+            sub.in_team = true;
             // Captured variables arrive by reference: the argument IS the
             // variable's address.
             for (i, cap) in cs.captures.iter().enumerate() {
@@ -637,7 +639,9 @@ impl FnCodegen<'_, '_> {
         saved
     }
 
-    /// Restores bindings and combines reductions atomically.
+    /// Restores bindings and combines reductions: atomically where a team
+    /// may share the variable, as a plain load-op-store for a `simd` outside
+    /// any `parallel` region, whose one thread owns it.
     pub(crate) fn restore_data_sharing(
         &mut self,
         d: &P<OMPDirective>,
@@ -654,36 +658,52 @@ impl FnCodegen<'_, '_> {
                 }
             }
         }
+        let alone = d.kind == OMPDirectiveKind::Simd && !self.in_team;
         for (id, old, shared) in saved {
             if let (Some(shared_addr), Some((op, ty))) = (shared, red_op.get(&id)) {
                 let ity = ir_type(ty);
                 let local_addr = self.bindings[&id].addr;
-                // The row names the combine *and* the variable's width, so
-                // the runtime's read-modify-write touches exactly its bytes.
-                let f = self.module.declare_rt(match (op, ity) {
-                    (ReductionOp::Add, IrType::I32) => RtFn::AtomicAddI32,
-                    (ReductionOp::Add, IrType::I64) => RtFn::AtomicAddI64,
-                    (ReductionOp::Add, IrType::F32) => RtFn::AtomicAddF32,
-                    (ReductionOp::Add, IrType::F64) => RtFn::AtomicAddF64,
-                    (ReductionOp::Mul, IrType::I32) => RtFn::AtomicMulI32,
-                    (ReductionOp::Mul, IrType::I64) => RtFn::AtomicMulI64,
-                    (ReductionOp::Mul, IrType::F32) => RtFn::AtomicMulF32,
-                    (ReductionOp::Mul, IrType::F64) => RtFn::AtomicMulF64,
-                    _ => unreachable!("Sema rejects '{}' over {ity:?}", op.name()),
-                });
-                self.with_builder(|b| {
-                    let v = b.load(ity, local_addr);
-                    let v = if ity.is_float() {
-                        if ity == IrType::F32 {
-                            b.cast(omplt_ir::CastOp::FpExt, v, IrType::F64)
-                        } else {
-                            v
-                        }
-                    } else {
-                        b.int_resize(v, IrType::I64, true)
+                if alone {
+                    let op = match (op, ity.is_float()) {
+                        (ReductionOp::Add, false) => BinOpKind::Add,
+                        (ReductionOp::Add, true) => BinOpKind::FAdd,
+                        (ReductionOp::Mul, false) => BinOpKind::Mul,
+                        (ReductionOp::Mul, true) => BinOpKind::FMul,
+                        _ => unreachable!("Sema rejects '{}' over {ity:?}", op.name()),
                     };
-                    b.call(f, vec![shared_addr, v], IrType::Void);
-                });
+                    self.with_builder(|b| {
+                        let (s, v) = (b.load(ity, shared_addr), b.load(ity, local_addr));
+                        let combined = b.bin(op, s, v);
+                        b.store(combined, shared_addr);
+                    });
+                } else {
+                    // The row names the combine *and* the variable's width, so
+                    // the runtime's read-modify-write touches exactly its bytes.
+                    let f = self.module.declare_rt(match (op, ity) {
+                        (ReductionOp::Add, IrType::I32) => RtFn::AtomicAddI32,
+                        (ReductionOp::Add, IrType::I64) => RtFn::AtomicAddI64,
+                        (ReductionOp::Add, IrType::F32) => RtFn::AtomicAddF32,
+                        (ReductionOp::Add, IrType::F64) => RtFn::AtomicAddF64,
+                        (ReductionOp::Mul, IrType::I32) => RtFn::AtomicMulI32,
+                        (ReductionOp::Mul, IrType::I64) => RtFn::AtomicMulI64,
+                        (ReductionOp::Mul, IrType::F32) => RtFn::AtomicMulF32,
+                        (ReductionOp::Mul, IrType::F64) => RtFn::AtomicMulF64,
+                        _ => unreachable!("Sema rejects '{}' over {ity:?}", op.name()),
+                    });
+                    self.with_builder(|b| {
+                        let v = b.load(ity, local_addr);
+                        let v = if ity.is_float() {
+                            if ity == IrType::F32 {
+                                b.cast(omplt_ir::CastOp::FpExt, v, IrType::F64)
+                            } else {
+                                v
+                            }
+                        } else {
+                            b.int_resize(v, IrType::I64, true)
+                        };
+                        b.call(f, vec![shared_addr, v], IrType::Void);
+                    });
+                }
             }
             match old {
                 Some(b) => {

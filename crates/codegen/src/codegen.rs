@@ -124,6 +124,9 @@ pub(crate) struct FnCodegen<'m, 'd> {
     pub pending_outlined: Vec<Function>,
     /// Counter for outlined-function names.
     pub outlined_counter: usize,
+    /// Emitting the body of a `parallel` region, whose team shares the
+    /// variables it captures.
+    pub in_team: bool,
     /// Lowering a file-scope initializer, every operand of which Sema made
     /// a constant: a constant condition selects its arm (`0 && r` is `0`,
     /// `1 && r` is `r`) instead of branching, so the whole initializer
@@ -154,6 +157,7 @@ impl<'m, 'd> FnCodegen<'m, 'd> {
             loop_stack: Vec::new(),
             pending_outlined: Vec::new(),
             outlined_counter: 0,
+            in_team: false,
             initializer: false,
         }
     }

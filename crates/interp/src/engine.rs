@@ -10,7 +10,7 @@
 //! owns besides its code — memory, stdout, budgets, logs — is one `RunState`
 //! both engines embed by value; an engine adds only how it executes a frame.
 
-use crate::exec::{ExecError, RunResult};
+use crate::exec::{ExecError, RunFailure, RunResult};
 use crate::memory::Memory;
 use crate::runtime::{RuntimeConfig, ThreadCtx};
 use omplt_ir::{Module, RtFn, SymbolId};
@@ -104,13 +104,26 @@ impl<'m> RunState<'m> {
     /// function returned (an integer's, when it is `main`).
     pub fn finish(&self, ret: Option<u64>) -> RunResult {
         RunResult {
-            stdout: std::mem::take(&mut *self.out.lock().expect("out lock")),
+            stdout: self.take_stdout(),
             exit_code: ret.map_or(0, |v| v as i64),
             tasks_created: self.tasks.load(Ordering::Relaxed),
             chunk_log: self.chunk_log.take_sorted(),
             final_globals: snapshot_globals(self.module, &self.mem, &self.global_addrs),
             ops_retired: self.ops.load(Ordering::Relaxed),
         }
+    }
+
+    /// The failure `error` ended the run with, carrying what the guest
+    /// printed before it.
+    pub fn failure(&self, error: ExecError) -> RunFailure {
+        RunFailure {
+            error,
+            stdout: self.take_stdout(),
+        }
+    }
+
+    fn take_stdout(&self) -> String {
+        std::mem::take(&mut *self.out.lock().expect("out lock"))
     }
 
     /// Grants a frame its next [`FUEL_BATCH`] ops. Fuel is accounted in

@@ -110,6 +110,31 @@ pub struct RunResult {
     pub ops_retired: u64,
 }
 
+/// A run that failed: why, and what the guest printed before it did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunFailure {
+    /// What stopped the run.
+    pub error: ExecError,
+    /// Everything printed through the `print_*` shims before it stopped.
+    pub stdout: String,
+}
+
+impl From<ExecError> for RunFailure {
+    /// A failure before the guest ran: nothing was printed.
+    fn from(error: ExecError) -> RunFailure {
+        RunFailure {
+            error,
+            stdout: String::new(),
+        }
+    }
+}
+
+impl std::fmt::Display for RunFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
 /// Shared interpreter state (one per run; `Sync`, shared across team
 /// threads).
 pub struct Interpreter<'m> {

@@ -56,6 +56,16 @@ pub fn may_trap(op: BinOpKind, ty: IrType) -> bool {
             || (ty == IrType::Ptr && !matches!(op, Add | Sub)))
 }
 
+/// Whether `lhs <op> rhs` at type `ty` can [`Trap`] for some `lhs`, its
+/// right operand being `rhs`: [`may_trap`], except that a division or
+/// remainder by a non-zero constant never traps, since only its divisor
+/// decides. What the VM's widener counts when it proves a loop may run in
+/// lanes.
+pub fn may_trap_with(op: BinOpKind, ty: IrType, rhs: Value) -> bool {
+    let nonzero = matches!(rhs, Value::ConstInt { val, .. } if ty.wrap_unsigned(val) != 0);
+    may_trap(op, ty) && (ty == IrType::Ptr || !nonzero)
+}
+
 /// Whether `inst` may be deleted when nothing uses its result: the one
 /// dead-code rule, which the mid end's DCE (and through it the VM's input
 /// step) reads. A store or a call acts, an alloca claims a region of guest
@@ -401,6 +411,32 @@ mod tests {
 
     /// The header's `i1` row: every producer of an `i1` payload yields 0 or
     /// 1, and the two constructors of an `i1` constant agree.
+    /// A constant divisor other than zero leaves no operand to trap on; a
+    /// zero one, a variable one and pointer arithmetic still may.
+    #[test]
+    fn may_trap_with_reads_a_constant_divisor() {
+        let lhs = [0, 1, u64::MAX, 1 << 31, i64::MIN as u64, 7];
+        for op in [
+            BinOpKind::SDiv,
+            BinOpKind::UDiv,
+            BinOpKind::SRem,
+            BinOpKind::URem,
+        ] {
+            for ty in [IrType::I8, IrType::I32, IrType::I64] {
+                for c in [1, -1, 7, -13, 0] {
+                    let rhs = Value::int(ty, c);
+                    let traps = lhs
+                        .iter()
+                        .any(|&x| bin(op, ty, x, rhs.payload().unwrap()).is_err());
+                    assert_eq!(may_trap_with(op, ty, rhs), traps, "{op:?} {ty:?} {c}");
+                }
+                assert!(may_trap_with(op, ty, Value::Arg(0)), "{op:?} {ty:?}");
+            }
+        }
+        assert!(may_trap_with(BinOpKind::Mul, IrType::Ptr, Value::i64(2)));
+        assert!(!may_trap_with(BinOpKind::Add, IrType::I32, Value::Arg(0)));
+    }
+
     #[test]
     fn every_producer_of_an_i1_yields_zero_or_one() {
         use IrType::I1;

@@ -107,7 +107,8 @@ pub fn compile_module(m: &Module) -> Result<VmModule, CompileError> {
 /// [`compile_module`] with the widening pass enabled: `vector_width >= 2`
 /// converts eligible `simd`-annotated innermost loops to lane-parallel
 /// vector ops at that width (clamped by the loop metadata's `safelen` and
-/// `simdlen`); `0` or `1` disables the pass entirely.
+/// `simdlen`), and any other innermost loop the pass proves lanes cannot
+/// tell apart; `0` or `1` disables the pass entirely.
 pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, CompileError> {
     let _span = omplt_trace::span("vm.compile");
     omplt_fault::panic_if_armed("vm.panic");
@@ -142,6 +143,7 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
         if vector_width >= 2 {
             omplt_trace::count("vm.simd.widened_loops", stats.widened);
             omplt_trace::count("vm.simd.refused", stats.refused);
+            omplt_trace::count("vm.simd.proven_loops", stats.proven);
         }
     }
     Ok(vm)

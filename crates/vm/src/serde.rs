@@ -3,10 +3,14 @@
 //! The daemon's artifact cache stores compiled modules as flat byte strings
 //! so cache sizing is exact (the LRU budget counts real bytes) and so cached
 //! artifacts survive any future move to an on-disk or remote cache tier.
-//! The format is a private, versioned, little-endian encoding:
+//! The format is a private, versioned encoding. Unsigned integers wider than
+//! a byte (lengths, registers, targets, block starts) are LEB128 varints,
+//! seven bits a byte, low group first; an `i32` and an integer constant are
+//! zig-zag varints, so a small negative number is one byte too. A tag byte
+//! and a float constant's bits keep their fixed width:
 //!
 //! ```text
-//! "OMPLTBC\x04"  magic + format version (bump on any layout change)
+//! "OMPLTBC\x05"  magic + format version (bump on any layout change)
 //! u32            function count
 //! per function:  name, ret, params, reg classes, vreg classes/widths,
 //!                const pool, call args, call targets, block starts, ops
@@ -26,7 +30,7 @@ use crate::ops::{CallTarget, PoolConst, Reg, RegClass, VmFunction, VmModule};
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// Magic prefix: 7 identifying bytes plus a 1-byte format version.
-const MAGIC: &[u8; 8] = b"OMPLTBC\x04";
+const MAGIC: &[u8; 8] = b"OMPLTBC\x05";
 
 /// A malformed or version-incompatible bytecode image.
 #[derive(Debug, PartialEq, Eq)]
@@ -60,6 +64,16 @@ impl Enc {
         v.put(self);
     }
 
+    /// LEB128: seven bits a byte, low group first, the high bit set on
+    /// every byte but the last.
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// A sequence: `u32` length, then the items.
     fn seq<T: Wire + Copy>(&mut self, items: &[T]) {
         self.put(items.len() as u32);
@@ -89,6 +103,24 @@ impl<'a> Dec<'a> {
         T::get(self)
     }
 
+    /// A varint as [`Enc::varint`] wrote it: at most ten bytes, the tenth
+    /// holding only the top bit of a `u64`.
+    fn varint(&mut self) -> Result<u64, DecodeError> {
+        let rest = &self.buf[self.at..];
+        let mut v = 0u64;
+        for (group, &byte) in rest.iter().take(10).enumerate() {
+            if group == 9 && byte > 1 {
+                return err("varint longer than 64 bits");
+            }
+            v |= u64::from(byte & 0x7f) << (7 * group);
+            if byte & 0x80 == 0 {
+                self.at += group + 1;
+                return Ok(v);
+            }
+        }
+        err("truncated")
+    }
+
     /// A length prefix used to size a preallocation; bounded so a corrupt
     /// image cannot request an absurd reservation before truncation is hit.
     fn len(&mut self) -> Result<usize, DecodeError> {
@@ -110,21 +142,45 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Little-endian integers.
+/// Zig-zag: a signed value as an unsigned one whose magnitude grows with
+/// the value's, `0, -1, 1, -2, …` as `0, 1, 2, 3, …`.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
+impl Wire for u8 {
+    fn put(self, e: &mut Enc) {
+        e.buf.push(self);
+    }
+    fn get(d: &mut Dec) -> Result<u8, DecodeError> {
+        Ok(d.take(1)?[0])
+    }
+}
+
+/// Integers as varints (`signed` through [`zigzag`]), refused when the
+/// value read does not fit the type.
 macro_rules! wire_int {
-    ($($t:ident),*) => {$(
+    ($($t:ident: $signed:expr),*) => {$(
         impl Wire for $t {
             fn put(self, e: &mut Enc) {
-                e.buf.extend_from_slice(&self.to_le_bytes());
+                e.varint(if $signed { zigzag(self as i64) } else { self as u64 });
             }
             fn get(d: &mut Dec) -> Result<$t, DecodeError> {
-                let bytes = d.take(std::mem::size_of::<$t>())?;
-                Ok($t::from_le_bytes(bytes.try_into().unwrap()))
+                let u = d.varint()?;
+                let fits = if $signed { $t::try_from(unzigzag(u)).ok() } else { $t::try_from(u).ok() };
+                match fits {
+                    Some(v) => Ok(v),
+                    None => err(format!(concat!("varint out of range for ", stringify!($t)))),
+                }
             }
         }
     )*};
 }
-wire_int!(u8, u16, u32, u64, i32);
+wire_int!(u16: false, u32: false, u64: false, i32: true);
 
 /// Fieldless enums with an `ALL` table in declaration order: the tag is the
 /// variant's `as u8`, which is its index in `ALL`.
@@ -168,10 +224,16 @@ impl Wire for Option<Reg> {
 impl Wire for PoolConst {
     fn put(self, e: &mut Enc) {
         match self {
-            // The class is the tag: 0 int, 1 float, 2 pointer.
+            // The class is the tag: 0 int, 1 float, 2 pointer. An integer
+            // is its sign-extended payload, zig-zagged; a float keeps its
+            // eight bytes.
             PoolConst::Val(class, v) => {
                 e.put(class);
-                e.put(v);
+                match class {
+                    RegClass::Int => e.varint(zigzag(v as i64)),
+                    RegClass::Float => e.buf.extend_from_slice(&v.to_le_bytes()),
+                    RegClass::Ptr => e.put(v),
+                }
             }
             PoolConst::Global(s) => {
                 e.put(3u8);
@@ -186,7 +248,14 @@ impl Wire for PoolConst {
     fn get(d: &mut Dec) -> Result<PoolConst, DecodeError> {
         let tag = d.get::<u8>()?;
         Ok(match (tag, RegClass::ALL.get(tag as usize)) {
-            (_, Some(&class)) => PoolConst::Val(class, d.get()?),
+            (_, Some(&class)) => PoolConst::Val(
+                class,
+                match class {
+                    RegClass::Int => unzigzag(d.varint()?) as u64,
+                    RegClass::Float => u64::from_le_bytes(d.take(8)?.try_into().unwrap()),
+                    RegClass::Ptr => d.get()?,
+                },
+            ),
             (3, _) => PoolConst::Global(SymbolId(d.get()?)),
             (4, _) => PoolConst::FnPtr(SymbolId(d.get()?)),
             _ => return err(format!("bad PoolConst tag {tag}")),
@@ -483,7 +552,7 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_err());
         // The previous format version and a future one.
-        for version in [3, 5] {
+        for version in [4, 6] {
             let mut vers = bytes.clone();
             vers[7] = version;
             assert!(decode(&vers).is_err(), "version {version} accepted");
@@ -492,5 +561,86 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(decode(&long).is_err());
+    }
+
+    #[test]
+    fn any_byte_rewritten_decodes_or_fails_without_panicking() {
+        let bytes = encode(&sample());
+        for at in MAGIC.len()..bytes.len() {
+            for v in [0x00, 0x01, 0x7f, 0x80, 0xff] {
+                let mut bad = bytes.clone();
+                bad[at] = v;
+                let _ = decode(&bad);
+            }
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_and_sign() {
+        let mut e = Enc { buf: Vec::new() };
+        let (wide, narrow) = (
+            [0, 1, 127, 128, 16_383, 16_384, u64::MAX],
+            [0, -1, 1, -64, 64, i32::MIN, i32::MAX],
+        );
+        wide.iter().for_each(|&v| e.put(v));
+        narrow.iter().for_each(|&v| e.put(v));
+        e.put(u16::MAX);
+        let mut d = Dec { buf: &e.buf, at: 0 };
+        for v in wide {
+            assert_eq!(d.get::<u64>(), Ok(v));
+        }
+        for v in narrow {
+            assert_eq!(d.get::<i32>(), Ok(v));
+        }
+        assert_eq!(d.get::<u16>(), Ok(u16::MAX));
+        assert_eq!(d.at, e.buf.len());
+        // One byte for a small value of either sign, ten for the widest.
+        let size = |put: &dyn Fn(&mut Enc)| {
+            let mut e = Enc { buf: Vec::new() };
+            put(&mut e);
+            e.buf.len()
+        };
+        assert_eq!(size(&|e| e.put(-1i32)), 1);
+        assert_eq!(
+            size(&|e| e.put(PoolConst::Val(RegClass::Int, -7i64 as u64))),
+            2
+        );
+        assert_eq!(size(&|e| e.put(u64::MAX)), 10);
+    }
+
+    #[test]
+    fn refuses_a_truncated_overlong_or_out_of_range_varint() {
+        let refused = |bytes: &[u8], get: fn(&mut Dec) -> Result<(), DecodeError>| {
+            let mut d = Dec { buf: bytes, at: 0 };
+            get(&mut d).unwrap_err().0
+        };
+        let as_u32 = |d: &mut Dec| d.get::<u32>().map(drop);
+        assert_eq!(refused(&[0x80, 0x80], as_u32), "truncated");
+        let eleven = [0xff; 11];
+        assert_eq!(
+            refused(&eleven, |d| d.get::<u64>().map(drop)),
+            "varint longer than 64 bits"
+        );
+        assert_eq!(
+            refused(&[0x80, 0x80, 0x04], |d| d.get::<u16>().map(drop)),
+            "varint out of range for u16"
+        );
+        assert_eq!(
+            refused(&[0xff, 0xff, 0xff, 0xff, 0x10], as_u32),
+            "varint out of range for u32"
+        );
+        assert_eq!(
+            refused(&[0x80, 0x80, 0x80, 0x80, 0x10], |d| d
+                .get::<i32>()
+                .map(drop)),
+            "varint out of range for i32"
+        );
+        // In an image: the function count's varint never ends.
+        let mut image = MAGIC.to_vec();
+        image.push(0x80);
+        assert_eq!(
+            decode(&image).unwrap_err().to_string(),
+            "bytecode image: truncated"
+        );
     }
 }

@@ -1,23 +1,30 @@
-//! The widening pass: converts innermost `#pragma omp simd` loop bodies to
-//! lane-parallel vector bytecode at a configurable width.
+//! The widening pass: converts innermost counted loops to lane-parallel
+//! vector bytecode at a configurable width — each `#pragma omp simd` loop on
+//! the front end's verdict, and any other loop on the VM's own proof.
 //!
 //! Layering mirrors a classic inner-loop vectorizer split into *planning*
 //! (pure analysis over the SSA form, before any bytecode exists) and
 //! *emission* (interleaved with [`crate::compile`]'s normal block walk):
 //!
 //! * [`plan_loops`] takes the counted loop [`Function::induction`]
-//!   recognises behind each latch carrying `llvm.loop.vectorize.enable`
-//!   metadata — its IV `{start, +, 1}`, exit test and bound — and keeps the
-//!   widener's own conditions: a straight-line body and an `i32`/`i64` IV.
-//!   It classifies the other header phis as integer `+`/`*` reductions
-//!   (latch value `phi ⊕ e`, the phi's one use) and last values (a latch
-//!   value that does not read the phi, whose exit value is lane `w-1`). It picks each memory access's form (unit-stride
-//!   from the linear form `coeff·iv + sym + k` of its index, gather/scatter
-//!   otherwise). Whether lanes may run together at all is not decided here:
-//!   the front end's legality gate proved it, and the metadata carries its
-//!   answer — the width is min(`--vector-width`, `simdlen`, `safelen`). A
-//!   loop whose shape the emitter cannot handle is *refused* — it stays
-//!   scalar and `vm.simd.refused` ticks.
+//!   recognises behind each latch — its IV `{start, +, 1}`, exit test and
+//!   bound — and keeps the widener's own conditions: a straight-line body
+//!   and an `i32`/`i64` IV. It classifies the other header phis as integer
+//!   reductions (a chain of `+`/`-` links `((phi ⊕ e₁) ± e₂) …`, or one `*`
+//!   link, each link read once) and last values (a latch value that does not
+//!   read the phi, whose exit value is lane `w-1`). It picks each memory
+//!   access's form (unit-stride from the linear form `coeff·iv + sym + k`
+//!   of its index, gather/scatter otherwise).
+//! * Whether lanes may run together is decided one of two ways. A latch
+//!   carrying `llvm.loop.vectorize.enable` was judged by the front end's
+//!   legality gate, and the metadata carries its answer: the width is
+//!   min(`--vector-width`, `simdlen`, `safelen`), and a shape the emitter
+//!   cannot handle is *refused* (`vm.simd.refused`). Any other loop widens
+//!   at `--vector-width` only on the VM's own proof ([`acts_or_reads`], then
+//!   the trap count in [`try_plan`]): it stores, calls and reads nothing, so
+//!   no lane can see another, and at most one instruction can trap, so the
+//!   first faulting lane is the scalar loop's first faulting iteration and
+//!   nothing was observed before it (`vm.simd.proven_loops`).
 //! * [`emit_vector_loop`] emits, at the loop-header offset: a preamble
 //!   (accumulator init, trip-count guard) reading the phi registers the
 //!   preheader's edge copies set, the vector main loop, and an exit block
@@ -28,7 +35,7 @@
 //! Floating-point reductions are refused on purpose: lane-partial sums
 //! reassociate the reduction, and the VM is held byte-identical to the
 //! scalar interpreter oracle by the backend-differential harness. Integer
-//! (wrapping) add/mul are associative, so those widen.
+//! (wrapping) add, sub and mul are exact in any grouping, so those widen.
 
 use crate::compile::{cast_op, const_of, CompileError, FuncCompiler};
 use crate::ops::{Address, Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
@@ -46,6 +53,8 @@ pub(crate) struct PlanStats {
     /// `simd`-annotated loops left scalar: a width below two, or a shape
     /// the emitter cannot handle.
     pub refused: u64,
+    /// Loops without `simd` metadata widened on the VM's own proof.
+    pub proven: u64,
 }
 
 /// A loop the planner approved for widening.
@@ -71,13 +80,24 @@ pub(crate) struct LoopPlan {
     /// The `Gep`s whose accesses widen to `VLoad`/`VStore` (the others
     /// gather and scatter).
     unit_stride: HashSet<InstId>,
-    /// Integer reductions: the header phi, its operator, and the `e` of its
-    /// latch value `phi ⊕ e`. Lanes accumulate into a vector started at the
+    /// Integer reductions. Lanes accumulate into a vector started at the
     /// identity and combined by `VReduce` on exit.
-    reductions: Vec<(InstId, BinOpKind, Value)>,
+    reductions: Vec<Reduction>,
     /// Last values: the header phi and its latch value, which lanes compute
     /// independently; the exit extracts lane `w-1`.
     last_values: Vec<(InstId, Value)>,
+}
+
+/// A header phi whose latch value is `phi` carried through a chain of
+/// links `((phi ⊕₁ e₁) ⊕₂ e₂) …`: the running value is the left operand of
+/// a `-` link and either operand of a `+` or `*` one.
+struct Reduction {
+    phi: InstId,
+    /// How the lanes' partial results and the entry value combine: `Add`
+    /// for a chain of `+`/`-` links, `Mul` for one `*` link.
+    combine: BinOpKind,
+    /// Each link's operator and the value it folds in, in chain order.
+    links: Vec<(BinOpKind, Value)>,
 }
 
 impl LoopPlan {
@@ -94,36 +114,85 @@ impl LoopPlan {
 }
 
 /// Finds every widenable loop of `f`. Keys are header block ids. `width`
-/// is the CLI request; `simdlen`/`safelen` metadata clamp it per loop.
+/// is the CLI request; `simdlen`/`safelen` metadata clamp it per `simd`
+/// loop.
 pub(crate) fn plan_loops(f: &Function, width: u8, stats: &mut PlanStats) -> HashMap<u32, LoopPlan> {
     let preds = f.predecessors();
     let mut plans: HashMap<u32, LoopPlan> = HashMap::new();
+    let width = width.min(MAX_LANES as u8);
     for (b, block) in f.blocks.iter().enumerate() {
         let Some(Terminator::Br {
             target: header,
-            loop_md: Some(md),
+            loop_md,
         }) = &block.term
         else {
             continue;
         };
-        if !md.vectorize_enable {
-            continue;
-        }
         let latch = BlockId(b as u32);
-        // `simdlen` and `safelen` cap the request; 0 leaves a cap unset.
-        let cap = |c: u8| if c == 0 { u8::MAX } else { c };
-        let requested = width.min(cap(md.simdlen)).min(cap(md.safelen));
-        let requested = requested.min(MAX_LANES as u8);
-        match try_plan(f, &preds, *header, latch, requested) {
-            Some(plan) if !plans.contains_key(&plan.header.0) => {
-                stats.widened += 1;
-                plans.insert(plan.header.0, plan);
+        match loop_md {
+            Some(md) if md.vectorize_enable => {
+                // `simdlen` and `safelen` cap the request; 0 leaves a cap
+                // unset.
+                let cap = |c: u8| if c == 0 { u8::MAX } else { c };
+                let requested = width.min(cap(md.simdlen)).min(cap(md.safelen));
+                match try_plan(f, &preds, *header, latch, requested, false) {
+                    Some(plan) if !plans.contains_key(&plan.header.0) => {
+                        stats.widened += 1;
+                        plans.insert(plan.header.0, plan);
+                    }
+                    _ => stats.refused += 1,
+                }
             }
-            _ => stats.refused += 1,
+            // Nobody asked: the VM widens the loop only on its own proof,
+            // and a loop that is not one costs no more than this scan.
+            _ if acts_or_reads(f, &preds, *header, latch) => {}
+            // A planned header has two predecessors, so one latch.
+            _ => {
+                if let Some(plan) = try_plan(f, &preds, *header, latch, width, true) {
+                    stats.proven += 1;
+                    plans.insert(plan.header.0, plan);
+                }
+            }
         }
     }
     plans
 }
+
+/// Whether the would-be loop `latch → header` stores, calls or reads
+/// memory, or is not a straight line of blocks: a walk from the latch up
+/// through single predecessors to the header, before anything recognises
+/// the loop. Those blocks are the header, the exit test and the body chain
+/// [`try_plan`] takes, when it takes any.
+fn acts_or_reads(
+    f: &Function,
+    preds: &BlockLists<BlockId>,
+    header: BlockId,
+    latch: BlockId,
+) -> bool {
+    let mut cur = latch;
+    for _ in 0..MAX_CHAIN + 2 {
+        let effect = f.block(cur).insts.iter().any(|&i| {
+            matches!(
+                f.inst(i),
+                Inst::Load { .. } | Inst::Store { .. } | Inst::Call { .. } | Inst::Alloca { .. }
+            )
+        });
+        if effect {
+            return true;
+        }
+        if cur == header {
+            return false;
+        }
+        match preds[cur.0 as usize][..] {
+            [p] => cur = p,
+            _ => return true,
+        }
+    }
+    true
+}
+
+/// The longest body chain the widener takes, in blocks.
+const MAX_CHAIN: usize = 128;
 
 /// `index = coeff·iv + sym + k`, where `sym` is at most one loop-invariant
 /// value of unknown magnitude.
@@ -324,32 +393,42 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Number of times each instruction's value is used inside the loop.
-fn use_counts(f: &Function, blocks: &[BlockId]) -> HashMap<InstId, u32> {
-    let mut uses: HashMap<InstId, u32> = HashMap::new();
-    let mut tally = |v: Value| {
-        if let Value::Inst(id) = v {
-            *uses.entry(id).or_insert(0) += 1;
-        }
-    };
+/// Number of times each instruction's value is used inside the loop, and
+/// the instruction that used it last (`None` for a terminator).
+fn use_counts(f: &Function, blocks: &[BlockId]) -> HashMap<InstId, (u32, Option<InstId>)> {
+    let mut uses: HashMap<InstId, (u32, Option<InstId>)> = HashMap::new();
     for &bb in blocks {
         for &iid in &f.block(bb).insts {
-            f.inst(iid).for_each_operand(&mut tally);
+            f.inst(iid).for_each_operand(|v| {
+                if let Value::Inst(id) = v {
+                    let e = uses.entry(id).or_insert((0, None));
+                    *e = (e.0 + 1, Some(iid));
+                }
+            });
         }
         if let Some(t) = &f.block(bb).term {
-            t.for_each_operand(&mut tally);
+            t.for_each_operand(|v| {
+                if let Value::Inst(id) = v {
+                    let e = uses.entry(id).or_insert((0, None));
+                    *e = (e.0 + 1, None);
+                }
+            });
         }
     }
     uses
 }
 
 /// Attempts to build a plan for the loop `header`/`latch`. `None` = refuse.
+/// `proven` is set for a loop without `simd` metadata, which
+/// [`acts_or_reads`] found free of memory accesses and calls: it must also
+/// hold at most one instruction that can trap.
 fn try_plan(
     f: &Function,
     preds: &BlockLists<BlockId>,
     header: BlockId,
     latch: BlockId,
     requested: u8,
+    proven: bool,
 ) -> Option<LoopPlan> {
     if requested < 2 {
         return None;
@@ -371,7 +450,7 @@ fn try_plan(
     let mut chain = Vec::new();
     let mut cur = ind.body;
     loop {
-        if cur == header || cur == test || chain.contains(&cur) || chain.len() > 128 {
+        if cur == header || cur == test || chain.contains(&cur) || chain.len() > MAX_CHAIN {
             return None;
         }
         let expected_pred = *chain.last().unwrap_or(&test);
@@ -420,6 +499,20 @@ fn try_plan(
         loop_insts: &loop_insts,
         iv,
     };
+    // A `Bin` that can trap runs in every lane at its textual position.
+    let traps = |id: InstId| match *f.inst(id) {
+        Inst::Bin { op, lhs, rhs } => arith::may_trap_with(op, f.value_type(lhs), rhs),
+        _ => false,
+    };
+    if proven {
+        // One, and in the body: the header and the exit test run once more
+        // than the body does.
+        let body_traps = (chain.iter().flat_map(|&bb| &f.block(bb).insts)).filter(|&&id| traps(id));
+        let all = loop_insts.iter().filter(|&&id| traps(id)).count();
+        if all > 1 || body_traps.count() != all {
+            return None;
+        }
+    }
 
     // --- bound must be defined before the loop -----------------------------
     let bound = ind.bound;
@@ -433,7 +526,7 @@ fn try_plan(
 
     // --- classify the header phis -------------------------------------------
     let uses = use_counts(f, &loop_blocks);
-    let uses_of = |id: InstId| uses.get(&id).copied().unwrap_or(0);
+    let uses_of = |id: InstId| uses.get(&id).map_or(0, |u| u.0);
     let mut reductions = Vec::new();
     let mut last_values = Vec::new();
     for &phi in &f.block(header).insts {
@@ -441,40 +534,57 @@ fn try_plan(
             break;
         };
         let (_, next) = *incoming.iter().find(|(b, _)| *b == latch)?;
-        let is_phi = |v: Value| v == Value::Inst(phi);
-        // `phi ⊕ e` computed in the loop.
-        let carried = match next {
-            Value::Inst(b) if p.in_loop(b) => match f.inst(b) {
-                Inst::Bin { op, lhs, rhs } if is_phi(*lhs) => Some((b, *op, *rhs)),
-                Inst::Bin { op, lhs, rhs } if is_phi(*rhs) => Some((b, *op, *lhs)),
-                _ => None,
-            },
-            _ => None,
-        };
-        match carried {
+        if phi == iv {
             // The induction variable: `{start, +, 1}`, recognised above.
-            _ if phi == iv => {}
-            // An integer reduction: the phi has that one use, and nothing
-            // else in the loop reads the running value.
-            Some((b, op, e)) => {
-                let ok = matches!(op, BinOpKind::Add | BinOpKind::Mul)
-                    && ty.is_int()
-                    && uses_of(phi) == 1
-                    && uses_of(b) == 1
-                    && p.wideable(e, 16);
-                if !ok {
-                    return None; // float reductions reassociate: refuse
-                }
-                reductions.push((phi, op, e));
-            }
-            // A last value: no iteration reads the one before it.
-            None => {
-                if uses_of(phi) != 0 || !p.wideable(next, 16) {
-                    return None;
-                }
-                last_values.push((phi, next));
-            }
+            continue;
         }
+        if uses_of(phi) == 0 {
+            // A last value: no iteration reads the one before it.
+            if !p.wideable(next, 16) {
+                return None;
+            }
+            last_values.push((phi, next));
+            continue;
+        }
+        // A reduction: from the phi, each running value's one use is the
+        // next link, up to the latch value, whose one use is the phi.
+        if !ty.is_int() {
+            return None; // float reductions reassociate: refuse
+        }
+        let mut links = Vec::new();
+        let mut run = phi;
+        while Value::Inst(run) != next {
+            let (1, Some(link)) = uses.get(&run).copied()? else {
+                return None;
+            };
+            let Inst::Bin { op, lhs, rhs } = *f.inst(link) else {
+                return None;
+            };
+            let e = match op {
+                BinOpKind::Add | BinOpKind::Mul if rhs == Value::Inst(run) => lhs,
+                BinOpKind::Add | BinOpKind::Sub | BinOpKind::Mul if lhs == Value::Inst(run) => rhs,
+                _ => return None,
+            };
+            if links.len() == 16 || !p.wideable(e, 16) {
+                return None;
+            }
+            links.push((op, e));
+            run = link;
+        }
+        let combine = match links[..] {
+            [] => return None,
+            [(BinOpKind::Mul, _)] => BinOpKind::Mul,
+            _ if links.iter().all(|l| l.0 != BinOpKind::Mul) => BinOpKind::Add,
+            _ => return None,
+        };
+        if uses_of(run) != 1 {
+            return None;
+        }
+        reductions.push(Reduction {
+            phi,
+            combine,
+            links,
+        });
     }
 
     // --- every memory access and every store must be emittable -------------
@@ -493,6 +603,7 @@ fn try_plan(
         let emittable = match f.inst(*iid) {
             Inst::Load { ty, ptr } => memory(*ty, *ptr),
             Inst::Store { val, ptr } => p.wideable(*val, 16) && memory(f.value_type(*val), *ptr),
+            _ if traps(*iid) => p.wideable(Value::Inst(*iid), 16),
             _ => true,
         };
         if !emittable {
@@ -868,8 +979,8 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     // One accumulator per carried phi: a reduction starts at its identity,
     // a last value at the phi's entry value (what the exit keeps when no
     // chunk runs).
-    for &(_, op, _) in &plan.reductions {
-        let identity = match op {
+    for r in &plan.reductions {
+        let identity = match r.combine {
             BinOpKind::Mul => 1,
             _ => 0,
         };
@@ -902,7 +1013,10 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             _ => {}
         }
     }
-    let carried = plan.reductions.iter().map(|r| r.2);
+    let carried = plan
+        .reductions
+        .iter()
+        .flat_map(|r| r.links.iter().map(|l| l.1));
     for v in carried.chain(plan.last_values.iter().map(|l| l.1)) {
         wd.invariant_lanes(v, &mut seen, &mut invariant);
     }
@@ -953,31 +1067,38 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     // Memory accesses widen *eagerly* at their textual position:
     // demand-driven emission could float a load past an aliasing
     // same-iteration store (the front end's legality gate treats
-    // same-iteration pairs as ordered by position). Arithmetic stays
-    // demand-driven.
+    // same-iteration pairs as ordered by position). So does a `Bin` that
+    // can trap, which must run in every lane even when nothing reads it.
+    // Other arithmetic stays demand-driven.
     for iid in plan.chain.iter().flat_map(|&bb| &f.block(bb).insts) {
         match *f.inst(*iid) {
             Inst::Load { .. } => {
                 wd.vec_of(Value::Inst(*iid))?;
             }
             Inst::Store { val, ptr } => wd.widen_store(val, ptr)?,
+            Inst::Bin { op, lhs, rhs } if arith::may_trap_with(op, f.value_type(lhs), rhs) => {
+                wd.vec_of(Value::Inst(*iid))?;
+            }
             _ => {}
         }
     }
-    // Then the carried values: lanes fold their `e` into a reduction's
-    // accumulator, and a last value's accumulator takes the chunk's lanes.
-    for (k, &(phi, op, e)) in plan.reductions.iter().enumerate() {
-        let rhs = wd.vec_of(e)?;
-        let ty = f.value_type(Value::Inst(phi));
+    // Then the carried values: lanes fold each link's `e` into a
+    // reduction's accumulator, and a last value's accumulator takes the
+    // chunk's lanes.
+    for (k, r) in plan.reductions.iter().enumerate() {
+        let ty = f.value_type(Value::Inst(r.phi));
         let dst = wd.acc[k];
-        wd.c.out.ops.push(Op::VBin {
-            op,
-            ty,
-            dst,
-            lhs: dst,
-            rhs,
-            w,
-        });
+        for &(op, e) in &r.links {
+            let rhs = wd.vec_of(e)?;
+            wd.c.out.ops.push(Op::VBin {
+                op,
+                ty,
+                dst,
+                lhs: dst,
+                rhs,
+                w,
+            });
+        }
     }
     for (k, &(_, next)) in plan.last_values.iter().enumerate() {
         let src = wd.vec_of(next)?;
@@ -996,7 +1117,8 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     // --- vexit: the phi registers take the vector loop's values ----------
     let vexit_off = wd.c.out.ops.len() as u32;
     wd.c.mark_block_start();
-    for (k, &(phi, op, _)) in plan.reductions.iter().enumerate() {
+    for (k, r) in plan.reductions.iter().enumerate() {
+        let (phi, op) = (r.phi, r.combine);
         let phi_reg = wd.c.dst_of(phi);
         let ty = f.value_type(Value::Inst(phi));
         let red = wd.c.new_vreg(RegClass::Int)?;

@@ -3,7 +3,7 @@
 
 use omplt_ast::{DumpOptions, OpenMpCodegenMode, TranslationUnit};
 use omplt_codegen::{codegen_translation_unit, CodegenOptions};
-use omplt_interp::{Interpreter, RunResult, RuntimeConfig};
+use omplt_interp::{Engine, Interpreter, RunFailure, RunResult, RuntimeConfig};
 use omplt_ir::Module;
 use omplt_lex::Preprocessor;
 use omplt_parse::parse_translation_unit;
@@ -83,9 +83,10 @@ pub struct Options {
     /// process-exit watchdog instead; the daemon sets this so a runaway job
     /// aborts alone while the server keeps serving.
     pub deadline_ms: Option<u64>,
-    /// `--vector-width=N` — widen `simd`-annotated loops to N lanes in the
-    /// bytecode backend (`2..=8`; `0` disables the widening pass). The
-    /// interpreter always stays scalar and serves as the oracle.
+    /// `--vector-width=N` — widen `simd`-annotated loops, and the loops the
+    /// VM proves it may, to N lanes in the bytecode backend (`2..=8`; `0`
+    /// disables the widening pass). The interpreter always stays scalar and
+    /// serves as the oracle.
     pub vector_width: u8,
 }
 
@@ -267,7 +268,7 @@ impl CompilerInstance {
 
     /// Executes `main` on the selected backend (`--backend=interp|vm|vm:strict`),
     /// compiling bytecode first if the backend needs it.
-    pub fn run(&self, module: &Module) -> Result<RunResult, omplt_interp::ExecError> {
+    pub fn run(&self, module: &Module) -> Result<RunResult, RunFailure> {
         self.run_compiled(module, None)
     }
 
@@ -279,7 +280,7 @@ impl CompilerInstance {
         &self,
         module: &Module,
         code: &omplt_vm::VmModule,
-    ) -> Result<RunResult, omplt_interp::ExecError> {
+    ) -> Result<RunResult, RunFailure> {
         self.run_compiled(module, Some(Ok(code)))
     }
 
@@ -293,7 +294,7 @@ impl CompilerInstance {
         &self,
         module: &Module,
         code: Option<Result<&omplt_vm::VmModule, &omplt_interp::ExecError>>,
-    ) -> Result<RunResult, omplt_interp::ExecError> {
+    ) -> Result<RunResult, RunFailure> {
         let fresh;
         let code = match (self.opts.backend, code) {
             (Backend::Interp, _) => None,
@@ -306,14 +307,15 @@ impl CompilerInstance {
         omplt_fault::set_stage("runtime");
         let cfg = self.runtime_config();
         let Some(code) = code else {
-            return Interpreter::new(module, cfg).run_main();
+            let interp = Interpreter::new(module, cfg);
+            return interp.run_main().map_err(|e| interp.state().failure(e));
         };
         let engine = (code.map_err(Clone::clone))
             .and_then(|code| omplt_vm::VmEngine::new(module, code, cfg));
         match engine {
-            Ok(engine) => engine.run_main(),
+            Ok(engine) => engine.run_main().map_err(|e| engine.state().failure(e)),
             Err(e) if self.opts.backend == Backend::Vm => self.run_interp_fallback(module, cfg, &e),
-            Err(e) => Err(e),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -326,7 +328,7 @@ impl CompilerInstance {
         module: &Module,
         cfg: RuntimeConfig,
         err: &omplt_interp::ExecError,
-    ) -> Result<RunResult, omplt_interp::ExecError> {
+    ) -> Result<RunResult, RunFailure> {
         let reason: String = err
             .to_string()
             .lines()
@@ -345,7 +347,8 @@ impl CompilerInstance {
             omplt_trace::count("backend.fallback", 1);
         }
         let _span = omplt_trace::span("fallback");
-        Interpreter::new(module, cfg).run_main()
+        let interp = Interpreter::new(module, cfg);
+        interp.run_main().map_err(|e| interp.state().failure(e))
     }
 
     /// Lowers `module` to bytecode and runs the bytecode verifier over the

@@ -400,9 +400,11 @@ pub static JOB_OPTIONS: [OptionRow; 19] = [
         "N",
         "invalid value '{v}' for '--vector-width': expected 0 (scalar) or a lane count \
          between 2 and 8",
-        "widen `simd`-annotated loops to N lanes (2-8) in the VM\n\
-         backend; 0 (default) stays scalar. No loop runs more lanes\n\
-         than the legality gate proved (its `safelen`)",
+        "widen loops to N lanes (2-8) in the VM backend; 0 (default)\n\
+         stays scalar. A `simd` loop runs no more lanes than the\n\
+         legality gate proved (its `safelen`); any other loop widens\n\
+         only when the VM proves it stores, calls and reads nothing\n\
+         and holds at most one instruction that can trap",
     ),
     OptionRow::new("log_chunks", Bool, None, field!(opts.log_chunks)),
     OptionRow::new(

@@ -386,6 +386,8 @@ fn run_job(
             (r.exit_code as u8, cache_outcome, chunk)
         }
         Err(e) => {
+            // What the guest printed before the fault is part of the run.
+            buf.out(&e.stdout);
             buf.err(&driver_diag(&format!("runtime error: {e}"), &[], json));
             (1, cache_outcome, None)
         }

@@ -65,8 +65,9 @@ const ROWS: [(&str, &[&str], Pin); 12] = [
         &["--counters-json", "--run", "--opt"],
         Pin::CountersPerBackend(|n| n.ends_with("ops.retired")),
     ),
-    // Examples without a `simd` loop pin all-zero widening counters: the
-    // widener must not touch them.
+    // Examples without a `simd` loop pin zero `simd` widening counters;
+    // `vm.simd.proven_loops` counts the loops the widener proved it may
+    // widen without one (`triangular_reduction`'s inner loop).
     (
         "vm.simd.txt",
         &[

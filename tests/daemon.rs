@@ -598,6 +598,37 @@ fn fuel_exhaustion_is_a_structured_reply_and_the_server_keeps_serving() {
     assert_eq!(ok.code, 0, "{}", String::from_utf8_lossy(&ok.stderr));
 }
 
+/// A run that faults keeps what the guest printed before the fault: the
+/// `1` reaches stdout ahead of the diagnostic on each engine, in process and
+/// through the daemon alike.
+#[test]
+fn a_failing_run_prints_what_it_printed_before_the_fault() {
+    let daemon = Daemon::start("fault_stdout");
+    let src = write_temp(
+        "fault_stdout.c",
+        "void print_i64(long v);
+long a[4];
+         int main(void) {
+  print_i64(1);
+  print_i64(a[9]);
+  return 0;
+}
+",
+    );
+    for backend in ["--backend=interp", "--backend=vm", "--backend=vm:strict"] {
+        let label = format!("fault_stdout/{backend}");
+        let run = assert_remote_matches_local(&daemon, &[], &["--run", backend], &src, &label);
+        assert_eq!(run.code, 1, "{backend}");
+        assert_eq!(String::from_utf8_lossy(&run.stdout), "1\n", "{backend}");
+        assert_eq!(
+            String::from_utf8_lossy(&run.stderr),
+            "ompltc: runtime error: memory error: out-of-bounds access: \
+             offset 72+8 in region of 32 bytes\n",
+            "{backend}"
+        );
+    }
+}
+
 /// `unroll partial(2147483647)` once asked the mid end for two billion
 /// copies of the body: the allocation aborted the process, and a remote job
 /// took `ompltd` down with it. The factor is capped now, so the job is

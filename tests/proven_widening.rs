@@ -1,0 +1,272 @@
+//! Loops nobody marked `simd`, widened on the VM's own proof
+//! (`vectorize.rs`): a loop that stores, calls and reads nothing, with at
+//! most one instruction that can trap, runs in lanes at `--vector-width`.
+//!
+//! Every program here runs on the interpreter and on `vm:strict` at widths
+//! 0, 2, 4 and 8, with and without `--opt`; each VM run must print the same
+//! stdout and stderr and exit with the same code as the interpreter. On top
+//! of that, `vm.simd.proven_loops` says which loops widened: every loop of
+//! the matrix and the division fault rows, none of the negative rows.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// What one `ompltc` run showed, plus its `vm.simd.proven_loops`.
+#[derive(Debug, PartialEq)]
+struct Run {
+    stdout: String,
+    stderr: String,
+    code: Option<i32>,
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("omplt-proven-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
+
+/// Runs `ompltc flags… src`; returns the run and the counter `counter`
+/// (`None` when the run did not count it).
+fn ompltc(flags: &[&str], src: &Path, counter: &str) -> (Run, Option<u64>) {
+    let json = src.with_extension("counters.json");
+    let _ = std::fs::remove_file(&json);
+    let out = Command::new(env!("CARGO_BIN_EXE_ompltc"))
+        .args(flags)
+        .arg(format!("--counters-json={}", json.display()))
+        .arg(src)
+        .output()
+        .expect("ompltc runs");
+    let counters = std::fs::read_to_string(&json).unwrap_or_default();
+    let key = format!("\"{counter}\":");
+    let value = counters.find(&key).and_then(|at| {
+        let rest = &counters[at + key.len()..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit())?]
+            .parse()
+            .ok()
+    });
+    let run = Run {
+        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
+        stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+        code: out.status.code(),
+    };
+    (run, value)
+}
+
+/// `opt`, then `extra`, then a serial run.
+fn serial_run<'a>(opt: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
+    [opt, extra, &["--serial", "--run"]].concat()
+}
+
+/// Runs `source` everywhere and holds every VM run to the interpreter's;
+/// returns the interpreter's run and `vm.simd.proven_loops` at width 4,
+/// which must be the same with and without `--opt` and at widths 2 and 8.
+fn agrees(name: &str, source: &str) -> (Run, u64) {
+    let src = scratch(&format!("{name}.c"));
+    std::fs::write(&src, source).unwrap();
+    let mut proven = Vec::new();
+    let mut oracle_run = None;
+    for opt in [&[][..], &["--opt"][..]] {
+        let (oracle, _) = ompltc(&serial_run(opt, &["--backend=interp"]), &src, "");
+        for width in ["0", "2", "4", "8"] {
+            let w = format!("--vector-width={width}");
+            let (vm, loops) = ompltc(
+                &serial_run(opt, &["--backend=vm:strict", &w]),
+                &src,
+                "vm.simd.proven_loops",
+            );
+            assert_eq!(vm, oracle, "{name} {opt:?} width {width}");
+            if width != "0" {
+                proven.push(loops.expect("the widener ran"));
+            }
+        }
+        oracle_run.get_or_insert(oracle);
+    }
+    assert!(
+        proven.windows(2).all(|p| p[0] == p[1]),
+        "{name}: {proven:?}"
+    );
+    (oracle_run.unwrap(), proven[0])
+}
+
+/// A C literal for `v`, parenthesised when negative.
+fn lit(v: i128) -> String {
+    match v {
+        v if v == i128::from(i64::MIN) => "(-9223372036854775807 - 1)".to_string(),
+        v if v < 0 => format!("({v})"),
+        v => v.to_string(),
+    }
+}
+
+/// IV types × `<`/`<=` (`slt`, `sle`, `ult`, `ule` at `i32` and `i64`) ×
+/// bounds at the type's edges × trip counts 0 to 17 (2w + 1 at width 8),
+/// through four reduction shapes: an `add`, a `mul`, a chain of `+`/`-`
+/// links whose first link reads the running value on its right, and a last
+/// value.
+#[test]
+fn every_counted_shape_at_every_edge_agrees_and_widens() {
+    let types: [(&str, i128, i128); 4] = [
+        ("int", i128::from(i32::MIN), i128::from(i32::MAX)),
+        ("long", i128::from(i64::MIN), i128::from(i64::MAX)),
+        ("unsigned", 0, i128::from(u32::MAX)),
+        ("unsigned long", 0, i128::from(u64::MAX)),
+    ];
+    for (ty, min, max) in types {
+        for op in ["<", "<="] {
+            let inclusive = op == "<=";
+            // `(lo, hi)` of `t` trips: from the bottom of the type (just
+            // above it for `<=`, whose `hi` would wrap below `lo` at t = 0),
+            // across zero or across the sign bit, and up to the top (one
+            // below it for `<=`, which would never exit).
+            let middle = if min == 0 { max / 2 - 3 } else { -3 };
+            let edges = |t: i128| {
+                let span = |lo: i128| (lo, if inclusive { lo + t - 1 } else { lo + t });
+                let top = if inclusive { max - 1 } else { max };
+                [
+                    span(min + i128::from(inclusive)),
+                    span(middle),
+                    (top - t + i128::from(inclusive), top),
+                ]
+            };
+            let mut source = format!(
+                "void print_i64(long v);\n\
+                 long add({ty} lo, {ty} hi) {{\n  long s = 5;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    s += (long)(i % 7);\n  return s;\n}}\n\
+                 long mul({ty} lo, {ty} hi) {{\n  long p = 1;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    p = p * (long)((i & 3) + 1);\n  return p;\n}}\n\
+                 long chain({ty} lo, {ty} hi) {{\n  long c = 0;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    c = (long)(i % 5) + c - (long)(i & 6) + 3;\n  \
+                 return c;\n}}\n\
+                 long last({ty} lo, {ty} hi) {{\n  long v = -1;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    v = (long)i * 3 + 1;\n  return v;\n}}\n\
+                 void row({ty} lo, {ty} hi) {{\n  print_i64(add(lo, hi));\n  \
+                 print_i64(mul(lo, hi));\n  print_i64(chain(lo, hi));\n  \
+                 print_i64(last(lo, hi));\n}}\n\
+                 int main(void) {{\n"
+            );
+            for t in 0..18 {
+                for (lo, hi) in edges(t) {
+                    source += &format!("  row({}, {});\n", lit(lo), lit(hi));
+                }
+            }
+            source += "  return 0;\n}\n";
+            let name = format!(
+                "{}_{}",
+                ty.replace(' ', "_"),
+                if inclusive { "le" } else { "lt" }
+            );
+            let (oracle, proven) = agrees(&name, &source);
+            assert_eq!(oracle.code, Some(0), "{name}: {}", oracle.stderr);
+            assert_eq!(oracle.stdout.lines().count(), 18 * 3 * 4, "{name}");
+            assert_eq!(proven, 4, "{name}: every kernel widens");
+        }
+    }
+}
+
+/// One trapping instruction, `100 / (i - k)`, whose divisor is zero at
+/// iteration `k`: at each lane position of the first and second chunk the
+/// widened loop fails where the scalar one does, after the same output.
+#[test]
+fn a_division_by_zero_at_any_lane_faults_like_the_scalar_loop() {
+    for k in 0..10 {
+        let source = format!(
+            "void print_i64(long v);\n\
+             long q(int n, int k) {{\n  long s = 0;\n  \
+             for (int i = 0; i < n; i++)\n    s += 100 / (i - k);\n  return s;\n}}\n\
+             int main(void) {{\n  print_i64(q(10, 20));\n  print_i64(q(19, {k}));\n  \
+             return 0;\n}}\n"
+        );
+        let (oracle, proven) = agrees(&format!("div_{k}"), &source);
+        assert_eq!(oracle.code, Some(1), "k={k}");
+        assert_eq!(
+            oracle.stdout, "-63\n",
+            "k={k}: what printed before the fault"
+        );
+        assert!(
+            oracle.stderr.contains("runtime error: division by zero"),
+            "k={k}: {}",
+            oracle.stderr
+        );
+        assert_eq!(proven, 1, "k={k}");
+    }
+}
+
+/// A loop that reads memory is not widened on proof (a `simd` loop that
+/// runs off its array is `backend_differential`'s case): one that leaves
+/// its array at each lane position stays scalar and fails as the
+/// interpreter does.
+#[test]
+fn a_load_leaving_its_array_stays_scalar_and_faults_alike() {
+    for start in 0..8 {
+        let source = format!(
+            "void print_i64(long v);\nlong a[8];\n\
+             long r(int lo, int hi) {{\n  long s = 0;\n  \
+             for (int i = lo; i < hi; i++)\n    s += a[i];\n  return s;\n}}\n\
+             int main(void) {{\n  print_i64(r(0, 8));\n  print_i64(r({start}, 13));\n  \
+             return 0;\n}}\n"
+        );
+        let (oracle, proven) = agrees(&format!("load_{start}"), &source);
+        assert_eq!((oracle.code, oracle.stdout.as_str()), (Some(1), "0\n"));
+        assert!(
+            oracle
+                .stderr
+                .contains("out-of-bounds access: offset 64+8 in region of 64 bytes"),
+            "{}",
+            oracle.stderr
+        );
+        assert_eq!(proven, 0, "start={start}");
+    }
+}
+
+/// What the proof refuses: a store, a call, a load, two loads, two
+/// instructions that can trap, a float reduction and `e - phi`. Each loop
+/// stays scalar and every run agrees.
+#[test]
+fn loops_outside_the_proof_stay_scalar() {
+    let source = "void print_i64(long v);\nlong a[32];\nlong b[32];\n\
+         long stores(int n) {\n  for (int i = 0; i < n; i++)\n    a[i] = i * 3;\n  return a[n - 1];\n}\n\
+         long calls(int n) {\n  for (int i = 0; i < n; i++)\n    print_i64(i);\n  return 0;\n}\n\
+         long one_load(int n) {\n  long s = 0;\n  for (int i = 0; i < n; i++)\n    s += a[i];\n  return s;\n}\n\
+         long two_loads(int n) {\n  long s = 0;\n  for (int i = 0; i < n; i++)\n    s += a[i] * b[i];\n  return s;\n}\n\
+         long two_traps(int n, int d) {\n  long s = 0;\n  for (int i = 0; i < n; i++)\n    s += i / d + i % (d + 1);\n  return s;\n}\n\
+         long floats(int n) {\n  double f = 0.5;\n  for (int i = 0; i < n; i++)\n    f = f + i * 0.25;\n  return (long)(f * 4.0);\n}\n\
+         long flips(int n) {\n  long s = 1;\n  for (int i = 0; i < n; i++)\n    s = i - s;\n  return s;\n}\n\
+         int main(void) {\n  print_i64(stores(32));\n  print_i64(calls(3));\n  \
+         print_i64(one_load(32));\n  print_i64(two_loads(32));\n  print_i64(two_traps(21, 3));\n  \
+         print_i64(floats(21));\n  print_i64(flips(21));\n  return 0;\n}\n";
+    let (oracle, proven) = agrees("refused", source);
+    assert_eq!(oracle.code, Some(0), "{}", oracle.stderr);
+    assert_eq!(oracle.stdout, "93\n0\n1\n2\n0\n1488\n0\n93\n212\n9\n");
+    assert_eq!(proven, 0);
+}
+
+/// The benchmark's `dense_serial` and `tri_dynamic` shapes, small: their
+/// loops widen on proof, and the retired ops are pinned. Scalar,
+/// `dense`'s loop retires 8 ops an iteration and `tri`'s inner loop 5; at
+/// width 4 a chunk of four iterations retires 9 and 6.
+#[test]
+fn the_benchmark_s_serial_kernels_widen_to_their_pinned_op_counts() {
+    let dense = "void print_i64(long v);\nint main(void) {\n  long sum = 0;\n  \
+         for (int i = 0; i < 3301; i += 1)\n    \
+         sum = sum + (i % 7) * (i % 13) - (i % 3);\n  print_i64(sum);\n  return 0;\n}\n";
+    let tri = "void print_i64(long v);\nint main(void) {\n  long sum = 0;\n  \
+         #pragma omp parallel for reduction(+: sum) schedule(dynamic, 16)\n  \
+         for (int i = 0; i < 84; i += 1)\n    for (int j = 0; j < i; j += 1)\n      \
+         sum = sum + (j % 7) + 3;\n  print_i64(sum);\n  return 0;\n}\n";
+    let cases = [
+        ("dense_serial", dense, "56093\n", [26_420, 7_457]),
+        ("tri_dynamic", tri, "20580\n", [18_088, 7_249]),
+    ];
+    for (name, source, printed, ops) in cases {
+        let src = scratch(&format!("{name}.c"));
+        std::fs::write(&src, source).unwrap();
+        for (width, want) in ["0", "4"].into_iter().zip(ops) {
+            let w = format!("--vector-width={width}");
+            let flags = ["--opt", "--backend=vm:strict", &w, "--threads=1", "--run"];
+            let (run, retired) = ompltc(&flags, &src, "vm.ops.retired");
+            assert_eq!(run.stdout, printed, "{name} width {width}: {}", run.stderr);
+            assert_eq!(retired, Some(want), "{name} width {width}");
+        }
+        let (_, proven) = agrees(name, source);
+        assert_eq!(proven, 1, "{name}");
+    }
+}
