@@ -47,8 +47,7 @@ pub enum Trap {
     PtrArith,
 }
 
-/// Whether `lhs <op> rhs` at type `ty` can [`Trap`] for some operands — what
-/// [`removable`] asks of a dead `Bin`.
+/// Whether `lhs <op> rhs` at type `ty` can [`Trap`] for some operands.
 pub fn may_trap(op: BinOpKind, ty: IrType) -> bool {
     use BinOpKind::*;
     !op.is_float()
@@ -59,8 +58,8 @@ pub fn may_trap(op: BinOpKind, ty: IrType) -> bool {
 /// Whether `lhs <op> rhs` at type `ty` can [`Trap`] for some `lhs`, its
 /// right operand being `rhs`: [`may_trap`], except that a division or
 /// remainder by a non-zero constant never traps, since only its divisor
-/// decides. What the VM's widener counts when it proves a loop may run in
-/// lanes.
+/// decides. What [`removable`] asks of a dead `Bin`, and what the VM's
+/// widener runs eagerly in every lane.
 pub fn may_trap_with(op: BinOpKind, ty: IrType, rhs: Value) -> bool {
     let nonzero = matches!(rhs, Value::ConstInt { val, .. } if ty.wrap_unsigned(val) != 0);
     may_trap(op, ty) && (ty == IrType::Ptr || !nonzero)
@@ -70,14 +69,14 @@ pub fn may_trap_with(op: BinOpKind, ty: IrType, rhs: Value) -> bool {
 /// dead-code rule, which the mid end's DCE (and through it the VM's input
 /// step) reads. A store or a call acts, an alloca claims a region of guest
 /// memory, a load can fault on its address and a `Bin` for which
-/// [`may_trap`] holds can [`Trap`]: the interpreter runs the IR as written,
+/// [`may_trap_with`] holds can [`Trap`]: the interpreter runs the IR as written,
 /// so deleting one of them would let an optimized program succeed where the
 /// same program unoptimized reports the error. `type_of` types the `Bin`'s
 /// operand.
 pub fn removable(inst: &Inst, type_of: impl Fn(Value) -> IrType) -> bool {
     match *inst {
         Inst::Store { .. } | Inst::Call { .. } | Inst::Alloca { .. } | Inst::Load { .. } => false,
-        Inst::Bin { op, lhs, .. } => !may_trap(op, type_of(lhs)),
+        Inst::Bin { op, lhs, rhs } => !may_trap_with(op, type_of(lhs), rhs),
         Inst::Gep { .. }
         | Inst::Cmp { .. }
         | Inst::Cast { .. }
@@ -316,20 +315,26 @@ mod tests {
     use crate::{BlockId, SymbolId};
 
     /// The dead-code rule, one row per instruction kind (a `Bin` at an
-    /// integer, a float and a pointer type): `true` where an unused instance
+    /// integer, a float and a pointer type, and a division by a non-zero
+    /// constant, by zero and by a variable): `true` where an unused instance
     /// may go.
     #[test]
     fn removable_keeps_what_acts_or_may_trap() {
         let (int, float) = (Value::i64(7), Value::float(IrType::F64, 7.0));
         let ptr = Value::Undef(IrType::Ptr);
         let bin = |op, v| Inst::Bin { op, lhs: v, rhs: v };
+        let by = |op, rhs| Inst::Bin { op, lhs: int, rhs };
         let rows = [
             (bin(BinOpKind::Add, int), true),
             (bin(BinOpKind::Mul, int), true),
-            (bin(BinOpKind::SDiv, int), false),
-            (bin(BinOpKind::UDiv, int), false),
-            (bin(BinOpKind::SRem, int), false),
-            (bin(BinOpKind::URem, int), false),
+            (bin(BinOpKind::SDiv, int), true),
+            (bin(BinOpKind::UDiv, int), true),
+            (bin(BinOpKind::SRem, int), true),
+            (bin(BinOpKind::URem, int), true),
+            (by(BinOpKind::SDiv, Value::i64(0)), false),
+            (by(BinOpKind::URem, Value::i64(0)), false),
+            (by(BinOpKind::SRem, Value::Arg(0)), false),
+            (by(BinOpKind::UDiv, Value::Arg(0)), false),
             (bin(BinOpKind::FDiv, float), true),
             (bin(BinOpKind::FRem, float), true),
             (bin(BinOpKind::Add, ptr), true),

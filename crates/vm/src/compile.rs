@@ -47,7 +47,7 @@ use crate::peephole;
 use crate::regalloc::{self, Analysis};
 use crate::vectorize;
 use omplt_ir::{
-    arith, BinOpKind, BlockId, CastOp, Function, Inst, InstId, IrType, Module, Rpo, SymbolId,
+    arith, BinOpKind, BlockId, CastOp, Function, Inst, InstId, IrType, Module, Rpo, RtFn, SymbolId,
     Terminator, Value,
 };
 use omplt_midend::{Dce, Promote};
@@ -131,6 +131,7 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
             funcs.push(vf);
         }
     }
+    merge_duplicates(m, &fn_index, &mut funcs);
     let vm = VmModule { funcs };
     if omplt_trace::active() {
         omplt_trace::count("vm.compile.functions", vm.funcs.len() as u64);
@@ -147,6 +148,125 @@ pub fn compile_module_with(m: &Module, vector_width: u8) -> Result<VmModule, Com
         }
     }
     Ok(vm)
+}
+
+/// Drops each function whose bytecode equals an earlier function's in every
+/// field but its name (`VmFunction`'s derived `Eq`, with the name taken
+/// out), and points the calls to it and its address at the
+/// earlier one — `stencil`'s two sweeps outline to two such bodies.
+///
+/// No address the guest can observe changes: the only function pointers a
+/// program holds are outlined bodies handed to `__kmpc_fork_call`
+/// (`omplt_ompirb::parallel`), which the runtime only calls. A function is
+/// dropped only while that holds of it — its address is that call's first
+/// argument and appears nowhere else in the module — and `main`, which the
+/// engine calls by name, never is.
+fn merge_duplicates(m: &Module, fn_index: &HashMap<&str, u32>, funcs: &mut Vec<VmFunction>) {
+    // Per function: forked, and whether its address is seen anywhere else.
+    // Only a function whose pool holds a function pointer names one.
+    let (mut forked, mut escapes) = (vec![false; funcs.len()], vec![false; funcs.len()]);
+    let mut mark = |v: Value, fork_arg: bool| {
+        if let Value::FuncRef(s) = v {
+            if let Some(&i) = fn_index.get(m.symbol_name(s)) {
+                let seen = if fork_arg { &mut forked } else { &mut escapes };
+                seen[i as usize] = true;
+            }
+        }
+    };
+    let fork_call = m.lookup_symbol(RtFn::ForkCall.row().name);
+    let names_pointers =
+        |vf: &VmFunction| vf.consts.iter().any(|c| matches!(c, PoolConst::FnPtr(_)));
+    for (f, _) in m
+        .functions
+        .iter()
+        .zip(funcs.iter())
+        .filter(|(_, vf)| names_pointers(vf))
+    {
+        for b in &f.blocks {
+            for inst in b.insts.iter().map(|&i| f.inst(i)) {
+                match inst {
+                    Inst::Call { callee, args, .. } => {
+                        let fork = Some(callee.0) == fork_call;
+                        for (k, &a) in args.iter().enumerate() {
+                            mark(a, fork && k == 0);
+                        }
+                    }
+                    other => other.for_each_operand(|v| mark(v, false)),
+                }
+            }
+            if let Some(t) = &b.term {
+                t.for_each_operand(|v| mark(v, false));
+            }
+        }
+    }
+    if !forked.contains(&true) {
+        return;
+    }
+    // Group by everything but the name: functions are sorted by a key that
+    // equal ones share — their sizes and constant pools, which is what
+    // most outlined bodies differ in — and a droppable one is compared in
+    // full only with the earlier ones of its key.
+    let names: Vec<String> = funcs
+        .iter_mut()
+        .map(|f| std::mem::take(&mut f.name))
+        .collect();
+    let droppable = |i: usize| forked[i] && !escapes[i] && names[i] != "main";
+    fn key(f: &VmFunction) -> (usize, u16, u16, &[PoolConst]) {
+        (f.ops.len(), f.num_regs, f.num_vregs, &f.consts)
+    }
+    let mut order: Vec<usize> = (0..funcs.len()).collect();
+    order.sort_by_key(|&i| (key(&funcs[i]), i));
+    let mut keep: Vec<usize> = (0..funcs.len()).collect();
+    for run in order.chunk_by(|&a, &b| key(&funcs[a]) == key(&funcs[b])) {
+        for (x, &i) in run.iter().enumerate().filter(|&(_, &i)| droppable(i)) {
+            let equal = run[..x]
+                .iter()
+                .find(|&&k| keep[k] == k && funcs[k] == funcs[i]);
+            if let Some(&k) = equal {
+                keep[i] = k;
+            }
+        }
+    }
+    for (f, name) in funcs.iter_mut().zip(names) {
+        f.name = name;
+    }
+    if keep.iter().enumerate().all(|(i, &k)| k == i) {
+        return;
+    }
+    // The index each function's keeper has once the others are gone, and
+    // `(dropped, keeper)` by symbol, for the function pointers.
+    let (mut at, mut kept, mut renamed) = (Vec::with_capacity(funcs.len()), 0, Vec::new());
+    for (i, &k) in keep.iter().enumerate() {
+        if k == i {
+            at.push(kept);
+            kept += 1;
+        } else {
+            at.push(at[k]);
+            let symbol = |j: usize| m.lookup_symbol(&funcs[j].name);
+            if let (Some(from), Some(to)) = (symbol(i), symbol(k)) {
+                renamed.push((from, to));
+            }
+        }
+    }
+    let mut i = 0;
+    funcs.retain(|_| {
+        i += 1;
+        keep[i - 1] == i - 1
+    });
+    for f in funcs.iter_mut() {
+        for t in &mut f.call_targets {
+            if let CallTarget::Bytecode(j) = t {
+                *j = at[*j as usize];
+            }
+        }
+        for c in &mut f.consts {
+            if let PoolConst::FnPtr(s) = c {
+                if let Some(&(_, to)) = renamed.iter().find(|(from, _)| from == s) {
+                    *s = to;
+                }
+            }
+        }
+    }
 }
 
 /// The VM's one input step: each function of `m` that still has a slot
@@ -446,6 +566,7 @@ impl<'a> FuncCompiler<'a> {
             call_args: Vec::new(),
             call_targets: Vec::new(),
             block_starts: Vec::new(),
+            pads: Vec::new(),
             ret: f.ret,
         };
         FuncCompiler {
@@ -1085,6 +1206,7 @@ impl<'a> FuncCompiler<'a> {
         out.call_args.clear();
         out.call_targets.clear();
         out.block_starts.clear();
+        out.pads.clear();
 
         // Virtual registers: arguments first (frame entry copies them in).
         for &p in &f.params {
@@ -1104,8 +1226,12 @@ impl<'a> FuncCompiler<'a> {
         // Pre-intern every constant any reachable instruction, phi edge, or
         // terminator mentions, so the prologue can be emitted *first* (as the
         // head of the entry block) and no offsets ever need shifting. A
-        // folded link's constant is the access's `c`, not a register.
+        // folded link's constant is the access's `c`, not a register. A
+        // widened loop's own constants are met at its header.
         for &bb in rpo {
+            for entry in plans.get(&bb.0).into_iter().flat_map(|p| p.consts()) {
+                self.const_vreg(entry)?;
+            }
             for &iid in &f.block(bb).insts {
                 let link = self.folded[iid.0 as usize]
                     .then(|| self.link(iid))

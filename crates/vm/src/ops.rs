@@ -203,7 +203,7 @@ macro_rules! ops {
         /// `#[repr(u8)]` makes the discriminant the row's tag — one dense
         /// byte, the same one the OMPLTBC codec writes.
         #[repr(u8)]
-        #[derive(Clone, Copy, PartialEq, Debug)]
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
         pub enum Op {
             $(
                 $(#[$meta])*
@@ -569,11 +569,14 @@ ops! {
         /// Lane count.
         w: u8,
     },
-    /// Epilogue bookkeeping: tallies `max(src, 0)` scalar remainder
-    /// iterations into the `vm.simd.epilogue_iters` counter. No data effect.
-    28 => VEpi {
+    /// A widened loop's exit into its scalar remainder loop: tallies
+    /// `max(src, 0)` remainder iterations into the `vm.simd.epilogue_iters`
+    /// counter (no data effect), then jumps to `target`.
+    28 => VEpi terminator {
         /// Scalar register holding the remaining-iteration count.
         src: ruse,
+        /// The scalar loop's header (must be a block start).
+        target: label,
     },
     // The indexed accesses: the four accesses above with the address
     // `base + wrap(index + c) * scale` (`indexed_address`) in place of an
@@ -956,8 +959,26 @@ impl Op {
     }
 }
 
+/// A fault pad: when an op at `start..end` traps — a memory fault or a
+/// division by zero, nothing else — the engine resumes at `target` instead
+/// of failing. The widener covers a read-only vector chunk's loads and
+/// divisions with one, targeting the loop's exit: the exit folds the chunks
+/// that completed and the scalar loop replays the faulting one, so the
+/// fault surfaces at the iteration, and with the message, of the program
+/// without widening. The verifier holds the conditions that make the replay
+/// exact (`verify.rs`, `pads`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Pad {
+    /// First op the pad covers.
+    pub start: u32,
+    /// One past the last op it covers.
+    pub end: u32,
+    /// Where a covered trap resumes (a block start outside the range).
+    pub target: u32,
+}
+
 /// One compiled function.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VmFunction {
     /// Symbol name (module interner string).
     pub name: String,
@@ -986,11 +1007,23 @@ pub struct VmFunction {
     /// Sorted instruction offsets that begin a basic block (branch targets
     /// must land here; also drives liveness and the disassembler).
     pub block_starts: Vec<u32>,
+    /// Fault pads (empty unless a read-only loop was widened).
+    pub pads: Vec<Pad>,
     /// Return type.
     pub ret: IrType,
 }
 
 impl VmFunction {
+    /// Where a trap at `pc` resumes: the target of the first pad covering
+    /// it.
+    pub(crate) fn pad_at(&self, pc: usize) -> Option<u32> {
+        let pc = pc as u32;
+        self.pads
+            .iter()
+            .find(|p| (p.start..p.end).contains(&pc))
+            .map(|p| p.target)
+    }
+
     /// The ops of the block starting at offset `start` (up to the next block
     /// start or the end of the stream).
     pub fn block_range(&self, start: u32) -> std::ops::Range<usize> {
@@ -1056,6 +1089,9 @@ pub fn disasm(f: &VmFunction) -> String {
         vregs,
         f.ret
     );
+    for p in &f.pads {
+        let _ = writeln!(out, "  pad {}..{} -> L{}", p.start, p.end, p.target);
+    }
     let address = |op: Op| op.address().expect("an access has an address");
     for (pc, op) in f.ops.iter().enumerate() {
         if f.block_starts.binary_search(&(pc as u32)).is_ok() {
@@ -1215,7 +1251,7 @@ pub fn disasm(f: &VmFunction) -> String {
                 src,
                 w,
             } => format!("r{dst} = vreduce.{}.{ty}.x{w} v{src}", op.mnemonic()),
-            Op::VEpi { src } => format!("vepi r{src}"),
+            Op::VEpi { src, target } => format!("vepi r{src}, L{target}"),
         };
         let _ = writeln!(out, "  {pc:4}  {text}");
     }
@@ -1277,7 +1313,7 @@ pub(crate) mod tests {
             row(Op::VBin { op: B::FAdd, ty: T::F64, dst: 11, lhs: 12, rhs: 13, w: 4 }, None, &[], Some(11), &[12, 13], &[], false),
             row(Op::VCast { op: C::SiToFp, from: T::I32, to: T::F64, dst: 11, src: 12, w: 4 }, None, &[], Some(11), &[12], &[], false),
             row(Op::VReduce { op: B::Add, ty: T::I64, dst: 1, src: 11, w: 4 }, Some(1), &[], None, &[11], &[], false),
-            row(Op::VEpi { src: 1 }, None, &[1], None, &[], &[], false),
+            row(Op::VEpi { src: 1, target: 40 }, None, &[1], None, &[], &[40], true),
             row(Op::LoadIdx { ty: T::F64, wrap: T::I32, scale: 8, c: -1, dst: 1, base: 2, index: 3 }, Some(1), &[2, 3], None, &[], &[], false),
             row(Op::StoreIdx { ty: T::I32, wrap: T::I64, scale: 4, c: 7, src: 1, base: 2, index: 3 }, None, &[1, 2, 3], None, &[], &[], false),
             row(Op::VLoadIdx { ty: T::I32, wrap: T::I32, scale: 4, c: 2, dst: 11, base: 1, index: 2, w: 4 }, None, &[1, 2], Some(11), &[], &[], false),

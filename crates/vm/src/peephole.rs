@@ -385,7 +385,8 @@ fn elide_fallthrough_jumps(f: &mut VmFunction, a: &mut Analysis) {
     }
 }
 
-/// Drops marked ops and remaps every jump target and block start. Targets
+/// Drops marked ops and remaps every jump target, block start and fault
+/// pad. Targets
 /// are always block starts and terminators are never marked, so each block
 /// retains at least one op and the remapped starts stay strictly sorted.
 pub(crate) fn compact(f: &mut VmFunction, dead: &[bool], new_off: &mut Vec<u32>) -> usize {
@@ -410,6 +411,12 @@ pub(crate) fn compact(f: &mut VmFunction, dead: &[bool], new_off: &mut Vec<u32>)
     });
     for s in &mut f.block_starts {
         *s = new_off[*s as usize];
+    }
+    // A pad's end is one past its last op, which may be the stream's end.
+    new_off.push(kept);
+    for p in &mut f.pads {
+        (p.start, p.end) = (new_off[p.start as usize], new_off[p.end as usize]);
+        p.target = new_off[p.target as usize];
     }
     removed
 }
@@ -466,6 +473,7 @@ pub(crate) mod tests {
             call_args: vec![],
             call_targets: vec![],
             block_starts,
+            pads: vec![],
             ret: IrType::I64,
         }
     }

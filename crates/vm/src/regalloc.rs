@@ -572,6 +572,7 @@ mod tests {
             call_args: vec![],
             call_targets: vec![],
             block_starts: vec![0],
+            pads: vec![],
             ret: IrType::I64,
         }
     }

@@ -10,10 +10,11 @@
 //! and a float constant's bits keep their fixed width:
 //!
 //! ```text
-//! "OMPLTBC\x05"  magic + format version (bump on any layout change)
+//! "OMPLTBC\x06"  magic + format version (bump on any layout change)
 //! u32            function count
 //! per function:  name, ret, params, reg classes, vreg classes/widths,
-//!                const pool, call args, call targets, block starts, ops
+//!                const pool, call args, call targets, block starts,
+//!                fault pads (start, end, target), ops
 //! ```
 //!
 //! Every value crosses the boundary through its type's `Wire` impl. An op
@@ -26,11 +27,11 @@
 //! fails with a message — never panics — because cached bytes, like anything
 //! a server reads back, are treated as untrusted input.
 
-use crate::ops::{CallTarget, PoolConst, Reg, RegClass, VmFunction, VmModule};
+use crate::ops::{CallTarget, Pad, PoolConst, Reg, RegClass, VmFunction, VmModule};
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// Magic prefix: 7 identifying bytes plus a 1-byte format version.
-const MAGIC: &[u8; 8] = b"OMPLTBC\x05";
+const MAGIC: &[u8; 8] = b"OMPLTBC\x06";
 
 /// A malformed or version-incompatible bytecode image.
 #[derive(Debug, PartialEq, Eq)]
@@ -285,6 +286,22 @@ impl Wire for CallTarget {
     }
 }
 
+impl Wire for Pad {
+    fn put(self, e: &mut Enc) {
+        e.put(self.start);
+        e.put(self.end);
+        e.put(self.target);
+    }
+
+    fn get(d: &mut Dec) -> Result<Pad, DecodeError> {
+        Ok(Pad {
+            start: d.get()?,
+            end: d.get()?,
+            target: d.get()?,
+        })
+    }
+}
+
 /// Serializes a compiled module to its canonical byte image.
 pub fn encode(m: &VmModule) -> Vec<u8> {
     let mut e = Enc {
@@ -305,6 +322,7 @@ pub fn encode(m: &VmModule) -> Vec<u8> {
         e.seq(&f.call_args);
         e.seq(&f.call_targets);
         e.seq(&f.block_starts);
+        e.seq(&f.pads);
         e.seq(&f.ops);
     }
     e.buf
@@ -337,6 +355,7 @@ pub fn decode(bytes: &[u8]) -> Result<VmModule, DecodeError> {
             call_args: d.seq()?,
             call_targets: d.seq()?,
             block_starts: d.seq()?,
+            pads: d.seq()?,
             ops: d.seq()?,
         });
     }
@@ -483,7 +502,7 @@ mod tests {
                     src: 1,
                     lane: 3,
                 },
-                Op::VEpi { src: 5 },
+                Op::VEpi { src: 5, target: 7 },
                 Op::Ret { src: Some(4) },
             ],
             consts: vec![
@@ -498,6 +517,11 @@ mod tests {
             vreg_class: vec![RegClass::Int, RegClass::Int, RegClass::Int, RegClass::Float],
             vreg_width: vec![4, 4, 2, 2],
             block_starts: vec![0, 1, 7],
+            pads: vec![Pad {
+                start: 1,
+                end: 5,
+                target: 7,
+            }],
             ret: IrType::I32,
         };
         f.ops.extend(one_of_each().iter().map(|row| row.op));
@@ -523,6 +547,7 @@ mod tests {
         assert_eq!(a.call_args, b.call_args);
         assert_eq!(a.call_targets, b.call_targets);
         assert_eq!(a.block_starts, b.block_starts);
+        assert_eq!(a.pads, b.pads);
         assert_eq!(a.ret, b.ret);
         // And the image itself is canonical: re-encoding reproduces it.
         assert_eq!(bytes, encode(&back));
@@ -552,7 +577,7 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_err());
         // The previous format version and a future one.
-        for version in [4, 6] {
+        for version in [5, 7] {
             let mut vers = bytes.clone();
             vers[7] = version;
             assert!(decode(&vers).is_err(), "version {version} accepted");
@@ -635,6 +660,26 @@ mod tests {
                 .map(drop)),
             "varint out of range for i32"
         );
+        // In an image: the pad table ends inside its one pad.
+        let m = sample();
+        let f = &m.funcs[0];
+        let mut image = encode(&VmModule {
+            funcs: vec![VmFunction {
+                ops: vec![],
+                ..f.clone()
+            }],
+        });
+        assert_eq!(image.pop(), Some(0), "the empty op sequence ends the image");
+        let pad_at = image.len() - 3;
+        assert_eq!(image[pad_at - 1], 1, "one pad");
+        let refused = |cut: usize| decode(&image[..cut]).unwrap_err().to_string();
+        assert_eq!(
+            refused(pad_at),
+            "bytecode image: length 1 exceeds remaining image"
+        );
+        for cut in pad_at + 1..image.len() {
+            assert_eq!(refused(cut), "bytecode image: truncated");
+        }
         // In an image: the function count's varint never ends.
         let mut image = MAGIC.to_vec();
         image.push(0x80);

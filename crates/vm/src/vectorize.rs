@@ -20,17 +20,25 @@
 //!   legality gate, and the metadata carries its answer: the width is
 //!   min(`--vector-width`, `simdlen`, `safelen`), and a shape the emitter
 //!   cannot handle is *refused* (`vm.simd.refused`). Any other loop widens
-//!   at `--vector-width` only on the VM's own proof ([`acts_or_reads`], then
-//!   the trap count in [`try_plan`]): it stores, calls and reads nothing, so
-//!   no lane can see another, and at most one instruction can trap, so the
-//!   first faulting lane is the scalar loop's first faulting iteration and
-//!   nothing was observed before it (`vm.simd.proven_loops`).
+//!   at `--vector-width` only on the VM's own proof ([`acts`], then
+//!   [`try_plan`]): it stores, calls and allocates nothing, so no lane can
+//!   see another whatever it reads, and it traps nowhere but in its body
+//!   (`vm.simd.proven_loops`).
 //! * [`emit_vector_loop`] emits, at the loop-header offset: a preamble
 //!   (accumulator init, trip-count guard) reading the phi registers the
 //!   preheader's edge copies set, the vector main loop, and an exit block
-//!   (horizontal reduces, last-lane extracts, `VEpi` epilogue accounting)
-//!   that writes them back and falls through to the untouched scalar loop,
-//!   which runs the remaining `trip mod width` iterations.
+//!   (horizontal reduces, last-lane extracts, a `VEpi` that counts the
+//!   epilogue and jumps) that writes them back and enters the untouched
+//!   scalar loop, which runs the remaining `trip mod width` iterations.
+//! * Faults stay exact without a bounds proof. A chunk computes its loads,
+//!   gathers and trapping `Bin`s first, before it writes an accumulator,
+//!   the IV or a last value; in a loop that stores nothing, a fault pad
+//!   ([`crate::ops::Pad`]) covers that section and targets the exit. A lane
+//!   that faults resumes there: the exit folds the chunks that completed,
+//!   and the scalar loop replays the faulting chunk in order, so the
+//!   program fails at the iteration, and with the message, it fails with
+//!   unwidened. A `simd` loop that stores keeps lane-ordered eager faults:
+//!   its stores of the faulting chunk have happened.
 //!
 //! Floating-point reductions are refused on purpose: lane-partial sums
 //! reassociate the reduction, and the VM is held byte-identical to the
@@ -38,7 +46,7 @@
 //! (wrapping) add, sub and mul are exact in any grouping, so those widen.
 
 use crate::compile::{cast_op, const_of, CompileError, FuncCompiler};
-use crate::ops::{Address, Op, PoolConst, Reg, RegClass, VReg, MAX_LANES};
+use crate::ops::{Address, Op, Pad, PoolConst, Reg, RegClass, VReg, MAX_LANES};
 use omplt_ir::{
     arith, BinOpKind, BlockId, BlockLists, CastOp, CmpPred, Function, Inst, InstId, IrType,
     Terminator, Value,
@@ -101,6 +109,21 @@ struct Reduction {
 }
 
 impl LoopPlan {
+    /// The constants the vector loop reads besides its instructions'
+    /// operands, which the lowerer loads in the function's prologue rather
+    /// than on every entry: the width, `width - 1`, the `1` of an inclusive
+    /// bound and each reduction's identity.
+    pub(crate) fn consts(&self) -> impl Iterator<Item = PoolConst> + '_ {
+        let w = i64::from(self.width);
+        let inclusive = matches!(self.pred, CmpPred::Sle | CmpPred::Ule).then_some(1);
+        let identities = self.reductions.iter().map(|r| identity(r.combine));
+        [w, w - 1]
+            .into_iter()
+            .chain(inclusive)
+            .chain(identities)
+            .map(|v| PoolConst::Val(RegClass::Int, v as u64))
+    }
+
     /// Visits each value defined outside the loop that a loop instruction
     /// reads, once per such read: the registers the vector loop reads.
     pub(crate) fn for_each_input(&self, f: &Function, read: &mut impl FnMut(InstId)) {
@@ -145,7 +168,7 @@ pub(crate) fn plan_loops(f: &Function, width: u8, stats: &mut PlanStats) -> Hash
             }
             // Nobody asked: the VM widens the loop only on its own proof,
             // and a loop that is not one costs no more than this scan.
-            _ if acts_or_reads(f, &preds, *header, latch) => {}
+            _ if acts(f, &preds, *header, latch) => {}
             // A planned header has two predecessors, so one latch.
             _ => {
                 if let Some(plan) = try_plan(f, &preds, *header, latch, width, true) {
@@ -158,23 +181,18 @@ pub(crate) fn plan_loops(f: &Function, width: u8, stats: &mut PlanStats) -> Hash
     plans
 }
 
-/// Whether the would-be loop `latch → header` stores, calls or reads
-/// memory, or is not a straight line of blocks: a walk from the latch up
-/// through single predecessors to the header, before anything recognises
-/// the loop. Those blocks are the header, the exit test and the body chain
+/// Whether the would-be loop `latch → header` stores, calls or allocates,
+/// or is not a straight line of blocks: a walk from the latch up through
+/// single predecessors to the header, before anything recognises the loop.
+/// Those blocks are the header, the exit test and the body chain
 /// [`try_plan`] takes, when it takes any.
-fn acts_or_reads(
-    f: &Function,
-    preds: &BlockLists<BlockId>,
-    header: BlockId,
-    latch: BlockId,
-) -> bool {
+fn acts(f: &Function, preds: &BlockLists<BlockId>, header: BlockId, latch: BlockId) -> bool {
     let mut cur = latch;
     for _ in 0..MAX_CHAIN + 2 {
         let effect = f.block(cur).insts.iter().any(|&i| {
             matches!(
                 f.inst(i),
-                Inst::Load { .. } | Inst::Store { .. } | Inst::Call { .. } | Inst::Alloca { .. }
+                Inst::Store { .. } | Inst::Call { .. } | Inst::Alloca { .. }
             )
         });
         if effect {
@@ -393,6 +411,14 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// The value a reduction's accumulator lanes start at.
+fn identity(combine: BinOpKind) -> i64 {
+    match combine {
+        BinOpKind::Mul => 1,
+        _ => 0,
+    }
+}
+
 /// Number of times each instruction's value is used inside the loop, and
 /// the instruction that used it last (`None` for a terminator).
 fn use_counts(f: &Function, blocks: &[BlockId]) -> HashMap<InstId, (u32, Option<InstId>)> {
@@ -419,9 +445,8 @@ fn use_counts(f: &Function, blocks: &[BlockId]) -> HashMap<InstId, (u32, Option<
 }
 
 /// Attempts to build a plan for the loop `header`/`latch`. `None` = refuse.
-/// `proven` is set for a loop without `simd` metadata, which
-/// [`acts_or_reads`] found free of memory accesses and calls: it must also
-/// hold at most one instruction that can trap.
+/// `proven` is set for a loop without `simd` metadata, which [`acts`] found
+/// free of stores and calls: it must also trap nowhere but in its body.
 fn try_plan(
     f: &Function,
     preds: &BlockLists<BlockId>,
@@ -504,14 +529,15 @@ fn try_plan(
         Inst::Bin { op, lhs, rhs } => arith::may_trap_with(op, f.value_type(lhs), rhs),
         _ => false,
     };
-    if proven {
-        // One, and in the body: the header and the exit test run once more
-        // than the body does.
-        let body_traps = (chain.iter().flat_map(|&bb| &f.block(bb).insts)).filter(|&&id| traps(id));
-        let all = loop_insts.iter().filter(|&&id| traps(id)).count();
-        if all > 1 || body_traps.count() != all {
-            return None;
-        }
+    // A proven loop traps only in its body, where the vector chunk's fault
+    // pad covers it: the header and the exit test run once more than the
+    // body does.
+    if proven
+        && [header, test]
+            .iter()
+            .any(|&bb| f.block(bb).insts.iter().any(|&id| traps(id)))
+    {
+        return None;
     }
 
     // --- bound must be defined before the loop -----------------------------
@@ -980,11 +1006,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     // a last value at the phi's entry value (what the exit keeps when no
     // chunk runs).
     for r in &plan.reductions {
-        let identity = match r.combine {
-            BinOpKind::Mul => 1,
-            _ => 0,
-        };
-        let src = wd.int_const(identity)?;
+        let src = wd.int_const(identity(r.combine))?;
         let dst = wd.c.new_vvreg(RegClass::Int, w)?;
         wd.c.out.ops.push(Op::VBroadcast { dst, src, w });
         wd.acc.push(dst);
@@ -1069,19 +1091,28 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     // same-iteration store (the front end's legality gate treats
     // same-iteration pairs as ordered by position). So does a `Bin` that
     // can trap, which must run in every lane even when nothing reads it.
-    // Other arithmetic stays demand-driven.
+    // Other arithmetic stays demand-driven. This eager section comes before
+    // any write to an accumulator or the IV, so in a loop that stores
+    // nothing a fault pad covers it: a lane that faults resumes at the exit
+    // with the chunk's state untouched, and the scalar loop replays it.
+    let eager_at = wd.c.out.ops.len() as u32;
+    let mut stores = false;
     for iid in plan.chain.iter().flat_map(|&bb| &f.block(bb).insts) {
         match *f.inst(*iid) {
             Inst::Load { .. } => {
                 wd.vec_of(Value::Inst(*iid))?;
             }
-            Inst::Store { val, ptr } => wd.widen_store(val, ptr)?,
+            Inst::Store { val, ptr } => {
+                stores = true;
+                wd.widen_store(val, ptr)?;
+            }
             Inst::Bin { op, lhs, rhs } if arith::may_trap_with(op, f.value_type(lhs), rhs) => {
                 wd.vec_of(Value::Inst(*iid))?;
             }
             _ => {}
         }
     }
+    let eager_end = wd.c.out.ops.len() as u32;
     // Then the carried values: lanes fold each link's `e` into a
     // reduction's accumulator, and a last value's accumulator takes the
     // chunk's lanes.
@@ -1165,12 +1196,19 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     } else {
         epi
     };
-    wd.c.out.ops.push(Op::VEpi { src: epi });
-    let jmp_at = wd.c.out.ops.len();
-    wd.c.out.ops.push(Op::Jmp {
-        target: (jmp_at + 1) as u32, // falls through to the scalar header
+    // The exit jumps to the scalar header, which starts the next block.
+    let scalar_header_off = wd.c.out.ops.len() as u32 + 1;
+    wd.c.out.ops.push(Op::VEpi {
+        src: epi,
+        target: scalar_header_off,
     });
-    let scalar_header_off = wd.c.out.ops.len() as u32;
+    if !stores && eager_end > eager_at {
+        wd.c.out.pads.push(Pad {
+            start: eager_at,
+            end: eager_end,
+            target: vexit_off,
+        });
+    }
 
     // Patch the two forward branches into vexit.
     if let Op::CmpBr { else_t, .. } = &mut wd.c.out.ops[guard_at] {

@@ -19,9 +19,15 @@
 //!    in its return class. Registers and the engine boundary carry untagged
 //!    payloads, so this is what keeps a payload from being read at another
 //!    class on the far side of a call.
-//! 3. **Definite initialization** — forward must-be-defined dataflow over
-//!    the block graph: a register read before any write on some path is an
-//!    error, not a zero.
+//! 3. **Fault pads** — a trap under a pad resumes at its target
+//!    ([`crate::ops::Pad`]), and the replay from there is exact only if the
+//!    trap left nothing behind: the range lies in one block, holds no store,
+//!    scatter, call or alloca, and writes no register live at the target,
+//!    a block start outside the range.
+//! 4. **Definite initialization** — forward must-be-defined dataflow over
+//!    the block graph, where a pad is one more edge from the start of its
+//!    range to its target: a register read before any write on some path is
+//!    an error, not a zero.
 
 use crate::ops::{Address, CallTarget, Op, Reg, RegClass, VmFunction, VmModule, MAX_LANES};
 use omplt_ir::{BlockLists, CastOp, CmpPred, IrType};
@@ -77,8 +83,20 @@ pub fn verify_function(f: &VmFunction, funcs: &[VmFunction]) -> Vec<VerifyError>
         return errs;
     }
     types(f, funcs, &mut errs);
+    if !f.pads.is_empty() {
+        pads(f, &mut errs);
+    }
     definite_init(f, &mut errs);
     errs
+}
+
+/// The block holding op `pc` (`pc` within the stream, block starts sorted
+/// from 0).
+fn block_of(f: &VmFunction, pc: u32) -> usize {
+    match f.block_starts.binary_search(&pc) {
+        Ok(i) => i,
+        Err(i) => i - 1,
+    }
 }
 
 fn err(errs: &mut Vec<VerifyError>, f: &VmFunction, at: usize, what: String) {
@@ -211,6 +229,21 @@ fn structural(f: &VmFunction, num_funcs: usize, errs: &mut Vec<VerifyError>) {
     }
     if !errs.is_empty() {
         return;
+    }
+    // A pad covers a range of one block and resumes at a block start
+    // outside it.
+    for (k, p) in f.pads.iter().enumerate() {
+        let (start, end, target) = (p.start, p.end, p.target);
+        let what = if start >= end || end as usize > f.ops.len() {
+            format!("fault pad {k}: range {start}..{end} is empty or out of bounds")
+        } else if block_of(f, start) != block_of(f, end - 1) {
+            format!("fault pad {k}: range {start}..{end} spans more than one block")
+        } else if (start..end).contains(&target) || f.block_starts.binary_search(&target).is_err() {
+            format!("fault pad {k}: target {target} is not a block start outside its range")
+        } else {
+            continue;
+        };
+        err(errs, f, start as usize, what);
     }
     // Every block must end in a terminator, and terminators may appear
     // nowhere else (the dataflow phase walks blocks on that assumption).
@@ -878,13 +911,111 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
                     mismatch(errs, pc, format!("reduce of {ty} into {} r{dst}", cls(dst)));
                 }
             }
-            Op::VEpi { src } => {
+            Op::VEpi { src, .. } => {
                 if cls(src) != RegClass::Int {
                     mismatch(errs, pc, format!("epilogue count r{src} is not int"));
                 }
             }
         }
     }
+}
+
+/// The fault pads' effect rules: no op a pad covers acts on anything but
+/// registers, and none writes a register live at the pad's target, so a
+/// trap under it resumes with what the range found.
+fn pads(f: &VmFunction, errs: &mut Vec<VerifyError>) {
+    let live = live_in(f);
+    let n = f.num_regs as usize;
+    for (k, p) in f.pads.iter().enumerate() {
+        let at_target = &live[block_of(f, p.target)];
+        for pc in p.start as usize..p.end as usize {
+            let op = f.ops[pc];
+            let acts = match op {
+                Op::Store { .. }
+                | Op::StoreIdx { .. }
+                | Op::VStore { .. }
+                | Op::VStoreIdx { .. } => Some("store"),
+                Op::VScatter { .. } => Some("scatter"),
+                Op::Call { .. } => Some("call"),
+                Op::Alloca { .. } => Some("alloca"),
+                _ => None,
+            };
+            if let Some(what) = acts {
+                err(errs, f, pc, format!("fault pad {k} covers a {what}"));
+            }
+            let target = p.target;
+            if let Some(d) = op.def().filter(|&d| bit(at_target, d as usize)) {
+                let what = format!("fault pad {k} writes r{d}, live at its target {target}");
+                err(errs, f, pc, what);
+            }
+            if let Some(v) = op.vdef().filter(|&v| bit(at_target, n + v as usize)) {
+                let what = format!("fault pad {k} writes v{v}, live at its target {target}");
+                err(errs, f, pc, what);
+            }
+        }
+    }
+}
+
+fn bit(row: &[u64], i: usize) -> bool {
+    row[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// Backward liveness over both register files (scalar register `r` is bit
+/// `r`, vector register `v` bit `num_regs + v`): each block's live-in row.
+/// A pad's target counts as one more successor of the block its range is
+/// in.
+fn live_in(f: &VmFunction) -> Vec<Vec<u64>> {
+    let n = f.num_regs as usize;
+    let words = (n + f.num_vregs as usize).div_ceil(64).max(1);
+    let nb = f.block_starts.len();
+    // Per block: what it reads before writing (`gen`) and what it writes.
+    let mut gen = vec![vec![0u64; words]; nb];
+    let mut kill = vec![vec![0u64; words]; nb];
+    let mut succs = vec![Vec::new(); nb];
+    for (b, &s) in f.block_starts.iter().enumerate() {
+        let range = f.block_range(s);
+        f.ops[range.end - 1].for_each_target(|t| succs[b].push(block_of(f, t)));
+        for op in f.ops[range].iter().rev() {
+            let set = |row: &mut Vec<u64>, i: usize, on: bool| {
+                if on {
+                    row[i / 64] |= 1 << (i % 64);
+                } else {
+                    row[i / 64] &= !(1 << (i % 64));
+                }
+            };
+            for d in op
+                .def()
+                .map(usize::from)
+                .into_iter()
+                .chain(op.vdef().map(|v| n + v as usize))
+            {
+                set(&mut kill[b], d, true);
+                set(&mut gen[b], d, false);
+            }
+            op.for_each_use(&f.call_args, |r| set(&mut gen[b], r as usize, true));
+            op.for_each_vuse(|v| set(&mut gen[b], n + v as usize, true));
+        }
+    }
+    for p in &f.pads {
+        succs[block_of(f, p.start)].push(block_of(f, p.target));
+    }
+    let mut live = gen.clone();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in (0..nb).rev() {
+            for &s in &succs[b] {
+                for w in 0..words {
+                    let add = live[s][w] & !kill[b][w] & !live[b][w];
+                    if add != 0 {
+                        live[b][w] |= add;
+                        changed = true;
+                    }
+                }
+            }
+        }
+    }
+    live
 }
 
 /// Forward "definitely assigned" dataflow: a register may only be read if
@@ -895,18 +1026,15 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
     let n = f.num_regs as usize;
     let words = (n + f.num_vregs as usize).div_ceil(64).max(1);
     let nb = f.block_starts.len();
-    let block_of = |off: u32| -> usize {
-        match f.block_starts.binary_search(&off) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
-    };
     let preds = BlockLists::group(nb, 0, |preds| {
         for (b, &s) in f.block_starts.iter().enumerate() {
             let range = f.block_range(s);
-            f.ops[range.end - 1].for_each_target(|t| preds.push(block_of(t), b));
+            f.ops[range.end - 1].for_each_target(|t| preds.push(block_of(f, t), b));
         }
     });
+    // A pad is an edge from the start of its range: row `k` of `at_pad` is
+    // what is defined when pad `k`'s first op runs.
+    let mut at_pad = vec![u64::MAX; f.pads.len() * words];
 
     // in[b] = (params if entry) ∩ over preds out[p]; out[b] = in[b] ∪ defs.
     // Both sets are flat tables (row b = `[b * words..(b + 1) * words]`)
@@ -936,13 +1064,31 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                         *w &= o;
                     }
                 }
+                for (k, p) in f.pads.iter().enumerate() {
+                    if block_of(f, p.target) == b {
+                        for (w, &o) in cur.iter_mut().zip(&at_pad[row(k)]) {
+                            *w &= o;
+                        }
+                    }
+                }
             }
             if in_set[row(b)] != cur[..] {
                 in_set[row(b)].copy_from_slice(&cur);
                 changed = true;
             }
             let range = f.block_range(f.block_starts[b]);
-            for op in &f.ops[range.clone()] {
+            for (pc, op) in range.clone().zip(&f.ops[range]) {
+                for (k, _) in f
+                    .pads
+                    .iter()
+                    .enumerate()
+                    .filter(|p| p.1.start as usize == pc)
+                {
+                    if at_pad[row(k)] != cur[..] {
+                        at_pad[row(k)].copy_from_slice(&cur);
+                        changed = true;
+                    }
+                }
                 if let Some(d) = op.def() {
                     cur[d as usize / 64] |= 1 << (d as usize % 64);
                 }
@@ -960,7 +1106,8 @@ fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
 
     // Report: re-walk each reachable block with its settled in-set.
     for (b, &s) in f.block_starts.iter().enumerate() {
-        if b != 0 && preds[b].is_empty() {
+        let padded = f.pads.iter().any(|p| block_of(f, p.target) == b);
+        if b != 0 && preds[b].is_empty() && !padded {
             continue; // unreachable code is not checked
         }
         let defined = &mut cur;
@@ -1023,6 +1170,7 @@ mod tests {
             call_args: vec![],
             call_targets: vec![],
             block_starts: vec![0],
+            pads: vec![],
             ret: IrType::I64,
         }
     }
@@ -1093,6 +1241,7 @@ mod tests {
             call_args: vec![],
             call_targets: vec![],
             block_starts: vec![0],
+            pads: vec![],
             ret: IrType::I64,
         }
     }
@@ -1397,6 +1546,7 @@ mod tests {
             call_args: vec![],
             call_targets: vec![],
             block_starts: vec![0, 1, 3],
+            pads: vec![],
             ret: IrType::I64,
         };
         let errs = verify_function(&f, &[]);
@@ -1404,5 +1554,132 @@ mod tests {
         assert!(errs[0]
             .what
             .contains("read of register r1 before any write"));
+    }
+
+    /// A read-only range under a pad: `r1 = load [r2]; r3 = r1 / r0`,
+    /// resuming at the block that returns `r0`.
+    fn padded() -> VmFunction {
+        use omplt_ir::BinOpKind;
+        VmFunction {
+            name: "p".into(),
+            params: vec![],
+            num_regs: 4,
+            reg_class: vec![RegClass::Int, RegClass::Int, RegClass::Ptr, RegClass::Int],
+            num_vregs: 0,
+            vreg_class: vec![],
+            vreg_width: vec![],
+            ops: vec![
+                Op::Const { dst: 0, idx: 0 },
+                Op::Alloca { dst: 2, bytes: 8 },
+                Op::Jmp { target: 3 },
+                Op::Load {
+                    dst: 1,
+                    addr: 2,
+                    ty: IrType::I64,
+                },
+                Op::Bin {
+                    op: BinOpKind::SDiv,
+                    ty: IrType::I64,
+                    dst: 3,
+                    lhs: 1,
+                    rhs: 0,
+                },
+                Op::Jmp { target: 6 },
+                Op::Ret { src: Some(0) },
+            ],
+            consts: vec![PoolConst::Val(RegClass::Int, 7)],
+            call_args: vec![],
+            call_targets: vec![],
+            block_starts: vec![0, 3, 6],
+            pads: vec![crate::ops::Pad {
+                start: 3,
+                end: 5,
+                target: 6,
+            }],
+            ret: IrType::I64,
+        }
+    }
+
+    /// The one error verifying `f` reports.
+    fn only_error(f: &VmFunction) -> String {
+        let errs = verify_function(f, &[]);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        errs[0].to_string()
+    }
+
+    #[test]
+    fn a_padded_read_only_range_verifies() {
+        assert_eq!(verify_function(&padded(), &[]), vec![]);
+    }
+
+    #[test]
+    fn a_pad_range_out_of_bounds_is_reported() {
+        let mut f = padded();
+        f.pads[0].end = 99;
+        assert_eq!(
+            only_error(&f),
+            "@p: op 3: fault pad 0: range 3..99 is empty or out of bounds"
+        );
+    }
+
+    #[test]
+    fn a_pad_range_across_two_blocks_is_reported() {
+        let mut f = padded();
+        f.pads[0].start = 2;
+        assert_eq!(
+            only_error(&f),
+            "@p: op 2: fault pad 0: range 2..5 spans more than one block"
+        );
+    }
+
+    #[test]
+    fn a_store_under_a_pad_is_reported() {
+        let mut f = padded();
+        f.ops[4] = Op::Store {
+            src: 1,
+            addr: 2,
+            ty: IrType::I64,
+        };
+        assert_eq!(only_error(&f), "@p: op 4: fault pad 0 covers a store");
+    }
+
+    #[test]
+    fn a_pad_writing_a_register_live_at_its_target_is_reported() {
+        let mut f = padded();
+        if let Op::Bin { dst, .. } = &mut f.ops[4] {
+            *dst = 0; // read by the target's `ret`
+        }
+        assert_eq!(
+            only_error(&f),
+            "@p: op 4: fault pad 0 writes r0, live at its target 6"
+        );
+    }
+
+    #[test]
+    fn a_pad_target_that_is_no_block_start_is_reported() {
+        let mut f = padded();
+        f.pads[0].target = 5;
+        assert_eq!(
+            only_error(&f),
+            "@p: op 3: fault pad 0: target 5 is not a block start outside its range"
+        );
+        f.pads[0].target = 3;
+        assert_eq!(
+            only_error(&f),
+            "@p: op 3: fault pad 0: target 3 is not a block start outside its range"
+        );
+    }
+
+    #[test]
+    fn a_pad_is_an_edge_from_the_start_of_its_range() {
+        // The target returns `r3`, which the fall-through path defines but
+        // a trap at op 3 does not.
+        let mut f = padded();
+        f.pads[0].end = 4;
+        f.ops[6] = Op::Ret { src: Some(3) };
+        assert_eq!(
+            only_error(&f),
+            "@p: op 6: read of register r3 before any write"
+        );
     }
 }

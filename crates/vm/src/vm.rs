@@ -33,6 +33,13 @@
 //! serialised, never verified and never printed (`--emit-bytecode` shows
 //! `Op`, OMPLTBC carries `Op`), and it dies with the engine.
 //!
+//! **A fault pad resumes a fault.** Only after an op has failed does the
+//! frame look for a [`crate::ops::Pad`] covering it ([`resume`]): a memory
+//! or division fault under one goes on at the pad's target — a widened
+//! read-only loop's exit, from where the scalar loop replays the chunk —
+//! and every other failure ends the frame, so the dispatch of an op that
+//! succeeds does not change.
+//!
 //! Everything *around* the dispatch loop is shared with the interpreter:
 //!
 //! * guest memory is the interpreter's atomic-word [`Memory`], so racy guest
@@ -223,6 +230,36 @@ impl Engine for VmEngine<'_> {
     }
 }
 
+/// `$e`'s value; when it is an error, the op at `$pc - 1` failed, and the
+/// dispatch loop `$run` goes on where [`resume`] says, or the frame returns
+/// the error.
+macro_rules! or_fault {
+    ($run:lifetime, $f:ident, $pc:ident, $e:expr) => {
+        match $e {
+            Ok(v) => v,
+            Err(e) => {
+                $pc = resume($f, $pc, ExecError::from(e))?;
+                continue $run;
+            }
+        }
+    };
+}
+
+/// Where frame `f` goes on after the op at `pc - 1` failed with `e`: a
+/// memory or division fault under a fault pad resumes at the pad's target;
+/// anything else — fuel, the deadline, `unreachable`, a malformed op — and
+/// a fault no pad covers ends the frame with `e`.
+#[cold]
+#[inline(never)]
+fn resume(f: &VmFunction, pc: usize, e: ExecError) -> Result<usize, ExecError> {
+    match f.pad_at(pc - 1) {
+        Some(target) if matches!(e, ExecError::Mem(_) | ExecError::DivByZero) => {
+            Ok(target as usize)
+        }
+        _ => Err(e),
+    }
+}
+
 fn mem_err(e: MemError) -> ExecError {
     ExecError::Mem(e.what)
 }
@@ -348,15 +385,15 @@ macro_rules! resolved_ops {
             ) -> Result<Option<u64>, ExecError> {
                 use {BinOpKind as B, CastOp as C, CmpPred as P, IrType as T};
                 // `fuel` stays in a machine register; it is written back to
-                // `*local_fuel` only on the explicit exits below. `?`-propagated
-                // errors skip the write-back, so failed frames report the
+                // `*local_fuel` only on the explicit exits below. A failing
+                // frame skips the write-back, so it reports the
                 // batch-granted count — still deterministic, just coarser.
                 let mem: &Memory = &self.state.mem;
                 let mut cache = mem.region_cache();
                 let (ops, consts) = (&code.ops[..], &code.consts[..]);
                 let mut fuel = *local_fuel;
                 let mut pc: usize = 0;
-                loop {
+                'run: loop {
                     if fuel == 0 {
                         fuel = self.state.refill()?;
                         *granted += fuel;
@@ -368,33 +405,33 @@ macro_rules! resolved_ops {
                     // on to the arm of its own name below.
                     let op = match op {
                         $(XOp::$load { dst, addr } => {
-                            let raw = mem.load_via(&mut cache, regs[addr as usize], T::$mty.size()).map_err(mem_err)?;
+                            let raw = or_fault!('run, f, pc, mem.load_via(&mut cache, regs[addr as usize], T::$mty.size()).map_err(mem_err));
                             regs[dst as usize] = decode(T::$mty, raw);
                             continue;
                         })*
                         $(XOp::$store { src, addr } => {
                             let raw = encode(T::$mty, regs[src as usize]);
-                            mem.store_via(&mut cache, regs[addr as usize], T::$mty.size(), raw).map_err(mem_err)?;
+                            or_fault!('run, f, pc, mem.store_via(&mut cache, regs[addr as usize], T::$mty.size(), raw).map_err(mem_err));
                             continue;
                         })*
                         $(XOp::$load_idx { dst, base, index, c, scale, wrap } => {
                             let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
-                            let raw = mem.load_via(&mut cache, a, T::$mty.size()).map_err(mem_err)?;
+                            let raw = or_fault!('run, f, pc, mem.load_via(&mut cache, a, T::$mty.size()).map_err(mem_err));
                             regs[dst as usize] = decode(T::$mty, raw);
                             continue;
                         })*
                         $(XOp::$store_idx { src, base, index, c, scale, wrap } => {
                             let raw = encode(T::$mty, regs[src as usize]);
                             let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
-                            mem.store_via(&mut cache, a, T::$mty.size(), raw).map_err(mem_err)?;
+                            or_fault!('run, f, pc, mem.store_via(&mut cache, a, T::$mty.size(), raw).map_err(mem_err));
                             continue;
                         })*
                         $(XOp::$bin { dst, lhs, rhs } => {
-                            regs[dst as usize] = bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize])?;
+                            regs[dst as usize] = or_fault!('run, f, pc, bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize]));
                             continue;
                         })*
                         $(XOp::$bin_jmp { dst, lhs, rhs, target } => {
-                            regs[dst as usize] = bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize])?;
+                            regs[dst as usize] = or_fault!('run, f, pc, bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize]));
                             pc = target as usize;
                             continue;
                         })*
@@ -418,18 +455,18 @@ macro_rules! resolved_ops {
                         Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
                         Op::Alloca { dst, bytes } => regs[dst as usize] = mem.alloc(bytes as u64),
                         Op::Load { dst, ty, .. } | Op::LoadIdx { dst, ty, .. } => {
-                            let raw = mem.load_via(&mut cache, address(regs, op), ty.size()).map_err(mem_err)?;
+                            let raw = or_fault!('run, f, pc, mem.load_via(&mut cache, address(regs, op), ty.size()).map_err(mem_err));
                             regs[dst as usize] = decode(ty, raw);
                         }
                         Op::Store { src, ty, .. } | Op::StoreIdx { src, ty, .. } => {
                             let raw = encode(ty, regs[src as usize]);
-                            mem.store_via(&mut cache, address(regs, op), ty.size(), raw).map_err(mem_err)?;
+                            or_fault!('run, f, pc, mem.store_via(&mut cache, address(regs, op), ty.size(), raw).map_err(mem_err));
                         }
                         Op::Gep { dst, base, index, elem_size } => {
                             regs[dst as usize] = gep(regs[base as usize], regs[index as usize], elem_size as u64);
                         }
                         Op::Bin { op, ty, dst, lhs, rhs } => {
-                            regs[dst as usize] = bin(op, ty, regs[lhs as usize], regs[rhs as usize])?;
+                            regs[dst as usize] = or_fault!('run, f, pc, bin(op, ty, regs[lhs as usize], regs[rhs as usize]));
                         }
                         Op::Cmp { pred, ty, dst, lhs, rhs } => {
                             regs[dst as usize] = cmp(pred, ty, regs[lhs as usize], regs[rhs as usize]) as u64;
@@ -456,7 +493,7 @@ macro_rules! resolved_ops {
                         }
                         Op::Jmp { target } => pc = target as usize,
                         Op::BinJmp { op, ty, dst, lhs, rhs, target } => {
-                            regs[dst as usize] = bin(op, ty, regs[lhs as usize], regs[rhs as usize])?;
+                            regs[dst as usize] = or_fault!('run, f, pc, bin(op, ty, regs[lhs as usize], regs[rhs as usize]));
                             pc = target as usize;
                         }
                         Op::Br { cond, then_t, else_t } => {
@@ -478,7 +515,7 @@ macro_rules! resolved_ops {
                         Op::VIota { dst, base, w } => {
                             let b = regs[base as usize];
                             for (l, o) in vregs[dst as usize][..w as usize].iter_mut().enumerate() {
-                                *o = bin(B::Add, T::I64, b, l as u64)?;
+                                *o = or_fault!('run, f, pc, bin(B::Add, T::I64, b, l as u64));
                             }
                         }
                         Op::VBroadcast { dst, src, w } => {
@@ -489,32 +526,32 @@ macro_rules! resolved_ops {
                         }
                         Op::VLoad { dst, ty, w, .. } | Op::VLoadIdx { dst, ty, w, .. } => {
                             let a = address(regs, op);
-                            vload(mem, &mut cache, a, ty, &mut vregs[dst as usize][..w as usize])?;
+                            or_fault!('run, f, pc, vload(mem, &mut cache, a, ty, &mut vregs[dst as usize][..w as usize]));
                         }
                         Op::VStore { src, ty, w, .. } | Op::VStoreIdx { src, ty, w, .. } => {
                             let a = address(regs, op);
-                            vstore(mem, &mut cache, a, ty, &vregs[src as usize][..w as usize])?;
+                            or_fault!('run, f, pc, vstore(mem, &mut cache, a, ty, &vregs[src as usize][..w as usize]));
                         }
                         Op::VGather { elem_size, dst, base, idx, ty, w } => {
                             let (p, iv) = (regs[base as usize], vregs[idx as usize]);
                             for (l, o) in vregs[dst as usize][..w as usize].iter_mut().enumerate() {
                                 let a = gep(p, iv[l], elem_size as u64);
-                                *o = decode(ty, mem.load_via(&mut cache, a, ty.size()).map_err(mem_err)?);
+                                *o = decode(ty, or_fault!('run, f, pc, mem.load_via(&mut cache, a, ty.size()).map_err(mem_err)));
                             }
                         }
                         Op::VScatter { elem_size, src, base, idx, ty, w } => {
                             let (p, iv) = (regs[base as usize], vregs[idx as usize]);
                             for (l, &v) in vregs[src as usize][..w as usize].iter().enumerate() {
                                 let a = gep(p, iv[l], elem_size as u64);
-                                mem.store_via(&mut cache, a, ty.size(), encode(ty, v)).map_err(mem_err)?;
+                                or_fault!('run, f, pc, mem.store_via(&mut cache, a, ty.size(), encode(ty, v)).map_err(mem_err));
                             }
                         }
                         Op::VBin { op, ty, dst, lhs, rhs, w } => {
                             let (a, b) = (vregs[lhs as usize], vregs[rhs as usize]);
                             let out = &mut vregs[dst as usize][..w as usize];
                             match (op, ty) {
-                                $((B::$bop, T::$bty) => lanes_bin(B::$bop, T::$bty, &a, &b, out)?,)*
-                                _ => lanes_bin(op, ty, &a, &b, out)?,
+                                $((B::$bop, T::$bty) => or_fault!('run, f, pc, lanes_bin(B::$bop, T::$bty, &a, &b, out)),)*
+                                _ => or_fault!('run, f, pc, lanes_bin(op, ty, &a, &b, out)),
                             }
                         }
                         Op::VCast { op, from, to, dst, src, w } => {
@@ -528,15 +565,16 @@ macro_rules! resolved_ops {
                         Op::VReduce { op, ty, dst, src, w } => {
                             let v = &vregs[src as usize][..w as usize];
                             regs[dst as usize] = match (op, ty) {
-                                $((B::$bop, T::$bty) => lanes_reduce(B::$bop, T::$bty, v)?,)*
-                                _ => lanes_reduce(op, ty, v)?,
+                                $((B::$bop, T::$bty) => or_fault!('run, f, pc, lanes_reduce(B::$bop, T::$bty, v)),)*
+                                _ => or_fault!('run, f, pc, lanes_reduce(op, ty, v)),
                             };
                         }
-                        Op::VEpi { src } => {
+                        Op::VEpi { src, target } => {
                             if omplt_trace::active() {
                                 let left = (regs[src as usize] as i64).max(0) as u64;
                                 omplt_trace::count("vm.simd.epilogue_iters", left);
                             }
+                            pc = target as usize;
                         }
                     }
                 }

@@ -187,6 +187,7 @@ fn vm_function(
         call_args: vec![],
         call_targets: vec![],
         block_starts,
+        pads: vec![],
         ret,
     }
 }

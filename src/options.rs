@@ -403,8 +403,9 @@ pub static JOB_OPTIONS: [OptionRow; 19] = [
         "widen loops to N lanes (2-8) in the VM backend; 0 (default)\n\
          stays scalar. A `simd` loop runs no more lanes than the\n\
          legality gate proved (its `safelen`); any other loop widens\n\
-         only when the VM proves it stores, calls and reads nothing\n\
-         and holds at most one instruction that can trap",
+         only when the VM proves it stores, calls and allocates\n\
+         nothing; a fault in a loop that only reads replays in the\n\
+         scalar loop, so it fails where the scalar program does",
     ),
     OptionRow::new("log_chunks", Bool, None, field!(opts.log_chunks)),
     OptionRow::new(

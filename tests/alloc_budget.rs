@@ -246,6 +246,7 @@ fn jump_chain(blocks: u32, reversed: bool) -> VmFunction {
         call_args: vec![],
         call_targets: vec![],
         block_starts: (0..blocks).map(start).collect(),
+        pads: vec![],
         ret: IrType::I64,
     }
 }

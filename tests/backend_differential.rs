@@ -1104,3 +1104,40 @@ fn folded_addresses_agree_with_the_interpreter_at_the_edges() {
         }
     }
 }
+
+/// Two `parallel for` regions whose outlined bodies compile to the same
+/// bytecode — a sweep each way between two arrays, like the stencil's — are
+/// one function in the image, which both regions fork, on both lowering
+/// paths with and without `--opt`; every engine prints the interpreter's
+/// checksum.
+#[test]
+fn outlined_bodies_with_the_same_bytecode_are_one_function() {
+    let src = "void print_i64(long v);\nlong a[64];\nlong b[64];\nint main(void) {\n\
+               \x20 for (int i = 0; i < 64; i++)\n    a[i] = i * 3 % 17;\n\
+               \x20 for (int t = 0; t < 3; t++) {\n\
+               \x20   #pragma omp parallel for\n    for (int i = 1; i < 63; i++)\n\
+               \x20     b[i] = a[i - 1] + a[i + 1];\n\
+               \x20   #pragma omp parallel for\n    for (int i = 1; i < 63; i++)\n\
+               \x20     a[i] = b[i - 1] + b[i + 1];\n  }\n\
+               \x20 long s = 0;\n  for (int i = 0; i < 64; i++)\n    s += a[i] * (i + 1);\n\
+               \x20 print_i64(s);\n  return 0;\n}\n";
+    assert_prints_on_both_paths_and_engines(src, "988413\n", "merged sweeps");
+    for codegen_mode in MODES {
+        for optimize in [false, true] {
+            let mut ci = CompilerInstance::new(Options {
+                codegen_mode,
+                backend: Backend::VmStrict,
+                ..Options::default()
+            });
+            let tu = ci.parse_source("sweeps.c", src).expect("parses");
+            let mut module = ci.codegen(&tu).expect("lowers");
+            if optimize {
+                ci.optimize(&mut module);
+            }
+            assert_eq!(module.functions.len(), 3, "{codegen_mode:?}");
+            let code = ci.compile_bytecode(&module).expect("compiles");
+            let names: Vec<&str> = code.funcs.iter().map(|f| f.name.as_str()).collect();
+            assert_eq!(names.len(), 2, "{codegen_mode:?} opt={optimize}: {names:?}");
+        }
+    }
+}

@@ -2,7 +2,8 @@
 //! program: an unused division the interpreter would trap on is not
 //! deleted, by the mid end (`--opt`) or by the VM's input step, so the same
 //! run error comes out of both engines at both optimisation levels and on
-//! both lowering paths.
+//! both lowering paths; an unused division by a non-zero constant, which
+//! cannot trap, is.
 
 use omplt::{Backend, CompilerInstance, OpenMpCodegenMode, Options};
 
@@ -40,5 +41,25 @@ fn a_dead_division_by_zero_traps_on_every_engine_with_and_without_opt() {
                 }
             }
         }
+    }
+}
+
+/// `t` is never read and its divisor is the constant 7: the mid end deletes
+/// the `srem` on both lowering paths.
+#[test]
+fn a_dead_division_by_a_nonzero_constant_goes() {
+    let source = "void print_i64(long v);\nint main(void) {\n  long s = 0;\n  \
+                  for (int i = 0; i < 10; i++) {\n    int t = i % 7;\n    s += i;\n  }\n  \
+                  print_i64(s);\n  return 0;\n}\n";
+    for codegen_mode in [OpenMpCodegenMode::Classic, OpenMpCodegenMode::IrBuilder] {
+        let mut ci = CompilerInstance::new(Options {
+            codegen_mode,
+            ..Options::default()
+        });
+        let tu = ci.parse_source("dead.c", source).expect("parses");
+        let mut module = ci.codegen(&tu).expect("lowers");
+        ci.optimize(&mut module);
+        let ir = omplt::ir::print_module(&module);
+        assert!(!ir.contains("srem"), "[{codegen_mode:?}]\n{ir}");
     }
 }

@@ -638,14 +638,28 @@ fn simd_lanes_are_decided_once_on_every_entrance() {
             let json = std::fs::read_to_string(&counters).unwrap();
             let loops = u64::from(lanes_at_4.is_some());
             assert_eq!(counter(&json, "vm.simd.widened_loops"), Some(loops), "{md}");
+            // The checksum loop after a widened `simd` loop only reads: it
+            // widens on the VM's own proof at the requested width, and still
+            // prints the interpreter's checksum.
+            let interp = run(&with(&["--backend=interp", "--serial", "--run"]));
+            assert_eq!(widened.stdout, interp.stdout, "{md}");
             if let Some(lanes) = lanes_at_4 {
+                assert_eq!(counter(&json, "vm.simd.proven_loops"), Some(1), "{md}");
                 let bytecode = run(&with(&[
                     "--backend=vm",
                     "--vector-width=4",
                     "--emit-bytecode",
                 ]));
-                assert!(bytecode.stdout.contains(&format!(".x{lanes}")), "{md}");
-                assert_eq!(bytecode.stdout.contains(".x4"), lanes == 4, "{md}");
+                // The `simd` loop's own ops: the blocks of the listing that
+                // write lanes to memory (the checksum loop only reads).
+                let simd_blocks: Vec<&str> = (bytecode.stdout.split("\nL"))
+                    .filter(|b| b.contains("vstore") || b.contains("vscatter"))
+                    .collect();
+                assert!(!simd_blocks.is_empty(), "{md}");
+                for block in simd_blocks {
+                    assert!(block.contains(&format!(".x{lanes}")), "{md}: {block}");
+                    assert_eq!(block.contains(".x4"), lanes == 4, "{md}: {block}");
+                }
             }
 
             let mut entrances = vec![with(&["--backend=interp", "--serial", "--run"])];

@@ -1,12 +1,15 @@
 //! Loops nobody marked `simd`, widened on the VM's own proof
-//! (`vectorize.rs`): a loop that stores, calls and reads nothing, with at
-//! most one instruction that can trap, runs in lanes at `--vector-width`.
+//! (`vectorize.rs`): a loop that stores, calls and allocates nothing, and
+//! traps nowhere but in its body, runs in lanes at `--vector-width`, however
+//! much it reads and however many of its instructions can trap. A fault in
+//! a vector chunk resumes at the loop's exit (its fault pad), and the
+//! scalar loop replays the chunk.
 //!
 //! Every program here runs on the interpreter and on `vm:strict` at widths
 //! 0, 2, 4 and 8, with and without `--opt`; each VM run must print the same
 //! stdout and stderr and exit with the same code as the interpreter. On top
 //! of that, `vm.simd.proven_loops` says which loops widened: every loop of
-//! the matrix and the division fault rows, none of the negative rows.
+//! the matrix and of the fault rows, none of the refused rows.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -61,12 +64,21 @@ fn serial_run<'a>(opt: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
 /// returns the interpreter's run and `vm.simd.proven_loops` at width 4,
 /// which must be the same with and without `--opt` and at widths 2 and 8.
 fn agrees(name: &str, source: &str) -> (Run, u64) {
+    let (run, [plain, opt]) = agrees_per_opt(name, source);
+    assert_eq!(plain, opt, "{name}: with and without --opt");
+    (run, plain)
+}
+
+/// [`agrees`], with `vm.simd.proven_loops` without and with `--opt`, each
+/// the same at widths 2, 4 and 8.
+fn agrees_per_opt(name: &str, source: &str) -> (Run, [u64; 2]) {
     let src = scratch(&format!("{name}.c"));
     std::fs::write(&src, source).unwrap();
-    let mut proven = Vec::new();
+    let mut proven = [0; 2];
     let mut oracle_run = None;
-    for opt in [&[][..], &["--opt"][..]] {
+    for (k, opt) in [&[][..], &["--opt"][..]].into_iter().enumerate() {
         let (oracle, _) = ompltc(&serial_run(opt, &["--backend=interp"]), &src, "");
+        let mut loops_at = Vec::new();
         for width in ["0", "2", "4", "8"] {
             let w = format!("--vector-width={width}");
             let (vm, loops) = ompltc(
@@ -76,16 +88,17 @@ fn agrees(name: &str, source: &str) -> (Run, u64) {
             );
             assert_eq!(vm, oracle, "{name} {opt:?} width {width}");
             if width != "0" {
-                proven.push(loops.expect("the widener ran"));
+                loops_at.push(loops.expect("the widener ran"));
             }
         }
+        assert!(
+            loops_at.windows(2).all(|p| p[0] == p[1]),
+            "{name} {opt:?}: {loops_at:?}"
+        );
+        proven[k] = loops_at[0];
         oracle_run.get_or_insert(oracle);
     }
-    assert!(
-        proven.windows(2).all(|p| p[0] == p[1]),
-        "{name}: {proven:?}"
-    );
-    (oracle_run.unwrap(), proven[0])
+    (oracle_run.unwrap(), proven)
 }
 
 /// A C literal for `v`, parenthesised when negative.
@@ -190,12 +203,11 @@ fn a_division_by_zero_at_any_lane_faults_like_the_scalar_loop() {
     }
 }
 
-/// A loop that reads memory is not widened on proof (a `simd` loop that
-/// runs off its array is `backend_differential`'s case): one that leaves
-/// its array at each lane position stays scalar and fails as the
-/// interpreter does.
+/// A loop that only reads memory widens on proof (a `simd` loop that runs
+/// off its array is `backend_differential`'s case): one that leaves its
+/// array at each lane position fails as the interpreter does.
 #[test]
-fn a_load_leaving_its_array_stays_scalar_and_faults_alike() {
+fn a_load_leaving_its_array_widens_and_faults_alike() {
     for start in 0..8 {
         let source = format!(
             "void print_i64(long v);\nlong a[8];\n\
@@ -213,36 +225,107 @@ fn a_load_leaving_its_array_stays_scalar_and_faults_alike() {
             "{}",
             oracle.stderr
         );
-        assert_eq!(proven, 0, "start={start}");
+        assert_eq!(proven, 1, "start={start}");
     }
 }
 
-/// What the proof refuses: a store, a call, a load, two loads, two
-/// instructions that can trap, a float reduction and `e - phi`. Each loop
-/// stays scalar and every run agrees.
+/// Loops that only read widen whatever they read and however many of their
+/// instructions can trap: one load, two loads, and two divisions.
 #[test]
-fn loops_outside_the_proof_stay_scalar() {
+fn read_only_loops_widen_on_proof() {
     let source = "void print_i64(long v);\nlong a[32];\nlong b[32];\n\
-         long stores(int n) {\n  for (int i = 0; i < n; i++)\n    a[i] = i * 3;\n  return a[n - 1];\n}\n\
-         long calls(int n) {\n  for (int i = 0; i < n; i++)\n    print_i64(i);\n  return 0;\n}\n\
          long one_load(int n) {\n  long s = 0;\n  for (int i = 0; i < n; i++)\n    s += a[i];\n  return s;\n}\n\
          long two_loads(int n) {\n  long s = 0;\n  for (int i = 0; i < n; i++)\n    s += a[i] * b[i];\n  return s;\n}\n\
          long two_traps(int n, int d) {\n  long s = 0;\n  for (int i = 0; i < n; i++)\n    s += i / d + i % (d + 1);\n  return s;\n}\n\
+         int main(void) {\n  for (int i = 0; i < 32; i++) {\n    a[i] = i * 3 - 7;\n    b[i] = 5 - i;\n  }\n  \
+         print_i64(one_load(32));\n  print_i64(one_load(5));\n  print_i64(two_loads(32));\n  \
+         print_i64(two_loads(9));\n  print_i64(two_traps(21, 3));\n  return 0;\n}\n";
+    let (oracle, proven) = agrees("read_only", source);
+    assert_eq!(oracle.code, Some(0), "{}", oracle.stderr);
+    assert_eq!(oracle.stdout, "1264\n-5\n-21456\n-135\n93\n");
+    assert_eq!(proven, 3);
+}
+
+/// What the proof refuses: a store, a call, a float reduction and
+/// `e - phi`. Each loop stays scalar and every run agrees.
+#[test]
+fn loops_outside_the_proof_stay_scalar() {
+    let source = "void print_i64(long v);\nlong a[32];\n\
+         long stores(int n) {\n  for (int i = 0; i < n; i++)\n    a[i] = i * 3;\n  return a[n - 1];\n}\n\
+         long calls(int n) {\n  for (int i = 0; i < n; i++)\n    print_i64(i);\n  return 0;\n}\n\
          long floats(int n) {\n  double f = 0.5;\n  for (int i = 0; i < n; i++)\n    f = f + i * 0.25;\n  return (long)(f * 4.0);\n}\n\
          long flips(int n) {\n  long s = 1;\n  for (int i = 0; i < n; i++)\n    s = i - s;\n  return s;\n}\n\
          int main(void) {\n  print_i64(stores(32));\n  print_i64(calls(3));\n  \
-         print_i64(one_load(32));\n  print_i64(two_loads(32));\n  print_i64(two_traps(21, 3));\n  \
          print_i64(floats(21));\n  print_i64(flips(21));\n  return 0;\n}\n";
     let (oracle, proven) = agrees("refused", source);
     assert_eq!(oracle.code, Some(0), "{}", oracle.stderr);
-    assert_eq!(oracle.stdout, "93\n0\n1\n2\n0\n1488\n0\n93\n212\n9\n");
+    assert_eq!(oracle.stdout, "93\n0\n1\n2\n0\n212\n9\n");
     assert_eq!(proven, 0);
 }
 
-/// The benchmark's `dense_serial` and `tri_dynamic` shapes, small: their
-/// loops widen on proof, and the retired ops are pinned. Scalar,
-/// `dense`'s loop retires 8 ops an iteration and `tri`'s inner loop 5; at
-/// width 4 a chunk of four iterations retires 9 and 6.
+/// Two instructions of one read-only loop fault at different iterations —
+/// the one that comes first in the body at iteration `k + 1`, the other at
+/// `k` — so within a vector chunk the earlier op faults at a later lane.
+/// The widened loop must fail where the scalar one does, with its message:
+/// the exit folds the chunks before the fault, and the scalar loop replays
+/// the faulting one. Each pair runs with `k` from 0 to 9.
+#[test]
+fn different_instructions_faulting_at_different_lanes_fault_like_the_scalar_loop() {
+    // (name, the loop's term, what the scalar loop reports at iteration k)
+    let pairs = [
+        (
+            "two_gathers",
+            "b[2 * i + 22 - 2 * k] + a[2 * i + 40 - 2 * k]",
+            "offset 320+8 in region of 320 bytes",
+        ),
+        (
+            "gather_then_load",
+            "b[2 * i + 22 - 2 * k] + a[i + 40 - k]",
+            "offset 320+8 in region of 320 bytes",
+        ),
+        (
+            "load_then_gather",
+            "a[i + 39 - k] + b[2 * i + 24 - 2 * k]",
+            "offset 192+8 in region of 192 bytes",
+        ),
+        (
+            "load_then_division",
+            "a[i + 39 - k] + 100 / (i - k)",
+            "division by zero",
+        ),
+        (
+            "division_then_remainder",
+            "100 / (i - k - 1) + 7 % (k - i)",
+            "division by zero",
+        ),
+    ];
+    for (name, term, fault) in pairs {
+        for k in 0..10 {
+            let source = format!(
+                "void print_i64(long v);\nlong a[40];\nlong b[24];\n\
+                 long f(int n, int k) {{\n  long s = 0;\n  \
+                 for (int i = 0; i < n; i++)\n    s += {term};\n  return s;\n}}\n\
+                 int main(void) {{\n  for (int i = 0; i < 24; i++)\n    b[i] = i;\n  \
+                 print_i64(f({k}, {k}));\n  print_i64(f(19, {k}));\n  return 0;\n}}\n"
+            );
+            let (oracle, proven) = agrees(&format!("{name}_{k}"), &source);
+            assert_eq!(oracle.code, Some(1), "{name} k={k}");
+            assert_eq!(oracle.stdout.lines().count(), 1, "{name} k={k}");
+            assert!(
+                oracle.stderr.contains(fault),
+                "{name} k={k}: {}",
+                oracle.stderr
+            );
+            assert_eq!(proven, 1, "{name} k={k}");
+        }
+    }
+}
+
+/// The benchmark's `dense_serial`, `tri_dynamic` and `unroll_partial`
+/// shapes, small: their loops widen on proof, and the retired ops are
+/// pinned. Scalar, `dense`'s loop retires 8 ops an iteration, `tri`'s inner
+/// loop 5 and `unroll`'s four-copy body 26; at width 4 a chunk of four
+/// iterations (four unrolled bodies for `unroll`) retires 9, 6 and 27.
 #[test]
 fn the_benchmark_s_serial_kernels_widen_to_their_pinned_op_counts() {
     let dense = "void print_i64(long v);\nint main(void) {\n  long sum = 0;\n  \
@@ -252,9 +335,14 @@ fn the_benchmark_s_serial_kernels_widen_to_their_pinned_op_counts() {
          #pragma omp parallel for reduction(+: sum) schedule(dynamic, 16)\n  \
          for (int i = 0; i < 84; i += 1)\n    for (int j = 0; j < i; j += 1)\n      \
          sum = sum + (j % 7) + 3;\n  print_i64(sum);\n  return 0;\n}\n";
+    let unroll = "void print_i64(long v);\nint t[64];\nint main(void) {\n  \
+         for (int i = 0; i < 64; i += 1)\n    t[i] = (i * 23) % 41;\n  long s = 0;\n  \
+         #pragma omp unroll partial(4)\n  for (int i = 0; i < 2803; i += 1)\n    \
+         s = s + t[i % 64] * (i % 5);\n  print_i64(s);\n  return 0;\n}\n";
     let cases = [
-        ("dense_serial", dense, "56093\n", [26_420, 7_457]),
-        ("tri_dynamic", tri, "20580\n", [18_088, 7_249]),
+        ("dense_serial", dense, "56093\n", [26_420, 7_456]),
+        ("tri_dynamic", tri, "20580\n", [18_088, 7_082]),
+        ("unroll_partial", unroll, "110778\n", [18_568, 5_116]),
     ];
     for (name, source, printed, ops) in cases {
         let src = scratch(&format!("{name}.c"));
@@ -266,7 +354,13 @@ fn the_benchmark_s_serial_kernels_widen_to_their_pinned_op_counts() {
             assert_eq!(run.stdout, printed, "{name} width {width}: {}", run.stderr);
             assert_eq!(retired, Some(want), "{name} width {width}");
         }
-        let (_, proven) = agrees(name, source);
-        assert_eq!(proven, 1, "{name}");
+        // Under `--opt` the unroller leaves a remainder loop, which widens
+        // too.
+        let want = if name == "unroll_partial" {
+            [1, 2]
+        } else {
+            [1, 1]
+        };
+        assert_eq!(agrees_per_opt(name, source).1, want, "{name}");
     }
 }
