@@ -42,7 +42,9 @@
 //! `vm.compile.regalloc` — and the module reports
 //! `vm.compile.liveness.solves` next to its op counts.
 
-use crate::ops::{Address, CallTarget, Op, PoolConst, Reg, RegClass, VmFunction, VmModule};
+use crate::ops::{
+    Address, CallTarget, Indexed, Op, PoolConst, Reg, RegClass, VmFunction, VmModule,
+};
 use crate::peephole;
 use crate::regalloc::{self, Analysis};
 use crate::vectorize;
@@ -446,8 +448,8 @@ impl Walk {
     }
 
     /// The indexed address of a walk that ended at the register `index`.
-    pub(crate) fn address(self, base: Reg, index: Reg, scale: u8) -> Address {
-        Address::Indexed {
+    pub(crate) fn indexed(self, base: Reg, index: Reg, scale: u8) -> Indexed {
+        Indexed {
             base,
             index,
             c: self.lo as i32,
@@ -769,7 +771,7 @@ impl<'a> FuncCompiler<'a> {
                 };
                 let (index, walk) = self.index_chain(index, |x| self.folded[x.0 as usize]);
                 let (base, index) = (self.reg_of(base)?, self.reg_of(index)?);
-                Ok(walk.address(base, index, elem_size as u8))
+                Ok(Address::Indexed(walk.indexed(base, index, elem_size as u8)))
             }
             _ => Ok(Address::Reg(self.reg_of(ptr)?)),
         }

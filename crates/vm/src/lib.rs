@@ -5,9 +5,10 @@
 //! stays the default and serves as the semantic oracle).
 //!
 //! Three layers over one instruction table ([`ops`]: each op is declared
-//! once, as a row giving its tag, fields and field roles; the `Op` enum, its
-//! def/use/jump-target accessors and its [`serde`] codec are generated from
-//! the rows):
+//! once, as a row giving its tag, fields, field roles and each register's
+//! class; the `Op` enum, its def/use/jump-target accessors, its [`serde`]
+//! codec and the operand walk that gives the verifier its class and width
+//! rules are generated from the rows):
 //!
 //! * [`compile`] — lowers a verified IR [`omplt_ir::Module`] to flat
 //!   bytecode: a function that still has promotable `alloca` slots or dead
@@ -21,8 +22,9 @@
 //!   one flat-row liveness workspace serve every peephole stage and the
 //!   allocator, and the lowerer's per-instruction tables are dense vectors.
 //! * [`verify`] — a load-time bytecode verifier (register def-before-use,
-//!   in-bounds jump targets, type-class-consistent operands) that runs on
-//!   every compiled module.
+//!   in-bounds jump targets, every operand in the class its row gives it,
+//!   plus the few type rules a class cannot state) that runs on every
+//!   compiled module.
 //! * [`vm`] — the execution engine: `VmEngine::new` resolves each verified
 //!   [`Op`] once per run to a private execution form — a variant of its own
 //!   for each (operator, type) pair the benchmark's workloads retire, the

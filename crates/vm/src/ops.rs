@@ -15,11 +15,13 @@
 //! not per use).
 //!
 //! The instruction set is declared once, as the rows of the `ops!` table
-//! below: each row gives an op's tag, name and fields, and each field's
-//! *role* (register def/use, vector def/use, jump label, or an immediate's
-//! type). The enum, the def/use/jump-target accessors, `is_terminator` and
-//! the OMPLTBC codec of an op are all derived from its row; what an op
-//! *does* (the dispatch arm in `vm.rs`), its type rule (`verify.rs`) and its
+//! below: each row gives an op's tag, name and fields, each field's *role*
+//! (register def/use, vector def/use, jump label, lane count, or an
+//! immediate's type) and each register's class. The enum, the
+//! def/use/jump-target accessors, `is_terminator`, the operand walk the
+//! verifier holds classes and widths with, and the OMPLTBC codec of an op
+//! are all derived from its row; what an op *does* (the dispatch arm in
+//! `vm.rs`), the few type rules a class cannot state (`verify.rs`) and its
 //! [`disasm`] line are the three things written by hand per op.
 
 use crate::serde::{Dec, DecodeError, Enc, Wire};
@@ -134,16 +136,61 @@ enum Slot<'a> {
     Label(&'a mut u32),
 }
 
-/// The Rust type of a field, given its role. Anything that is not one of the
-/// seven register/label roles is an immediate and names its own type.
+/// A register operand, as [`Op::operands`] hands it out: a scalar or a
+/// vector register.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Operand {
+    /// Scalar register.
+    R(Reg),
+    /// Vector register.
+    V(VReg),
+}
+
+impl std::fmt::Display for Operand {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Operand::R(r) => write!(f, "r{r}"),
+            Operand::V(v) => write!(f, "v{v}"),
+        }
+    }
+}
+
+/// What [`Op::operands`] hands out, in this order: the row's lane count if
+/// it has one, then every register operand in row order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Field {
+    /// A vector row's lane count: every vector register the op names has
+    /// this width.
+    Lanes(u8),
+    /// A register operand, with its field's name and the class its row
+    /// gives it.
+    Reg(&'static str, Operand, Want),
+}
+
+/// The class a row gives a register operand.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Want {
+    /// No class from the row (a rule in `verify.rs` may still hold one).
+    Any,
+    /// This class: a fixed one, or that of a type immediate.
+    Is(RegClass),
+    /// The class of another register of the same op.
+    As(Operand),
+}
+
+/// The Rust type of a field, given its role and, for a register, its
+/// class. Anything that is not one of the register/label/lane roles is an
+/// immediate and names its own type; a register role without a class
+/// falls through to that arm and names no type.
 macro_rules! field_ty {
-    (rdef) => { Reg };
-    (ruse) => { Reg };
-    (opt_rdef) => { Option<Reg> };
-    (opt_ruse) => { Option<Reg> };
-    (vdef) => { VReg };
-    (vuse) => { VReg };
+    (rdef $class:tt) => { Reg };
+    (ruse $class:tt) => { Reg };
+    (opt_rdef $class:tt) => { Option<Reg> };
+    (opt_ruse $class:tt) => { Option<Reg> };
+    (vdef $class:tt) => { VReg };
+    (vuse $class:tt) => { VReg };
     (label) => { u32 };
+    (lanes) => { u8 };
     ($imm:ident) => { $imm };
 }
 
@@ -179,6 +226,83 @@ macro_rules! field_slot {
     };
 }
 
+/// The field `$x` as the operand walk sees it: a register as an
+/// [`Operand`], anything else as itself.
+macro_rules! field_operand {
+    (rdef, $x:ident) => {
+        Operand::R($x)
+    };
+    (ruse, $x:ident) => {
+        Operand::R($x)
+    };
+    (opt_rdef, $x:ident) => {
+        $x.map(Operand::R)
+    };
+    (opt_ruse, $x:ident) => {
+        $x.map(Operand::R)
+    };
+    (vdef, $x:ident) => {
+        Operand::V($x)
+    };
+    (vuse, $x:ident) => {
+        Operand::V($x)
+    };
+    ($imm:ident, $x:ident) => {
+        $x
+    };
+}
+
+/// A register field's class, as [`Want`]. The fields are in scope as
+/// [`field_operand!`] made them, so `as` names another register's operand.
+macro_rules! want {
+    ((any)) => {
+        Want::Any
+    };
+    ((int)) => {
+        Want::Is(RegClass::Int)
+    };
+    ((float)) => {
+        Want::Is(RegClass::Float)
+    };
+    ((ptr)) => {
+        Want::Is(RegClass::Ptr)
+    };
+    ((of $ty:ident)) => {
+        Want::Is(RegClass::of($ty))
+    };
+    ((as $reg:ident)) => {
+        Want::As($reg)
+    };
+}
+
+/// Hands register field `$x` (an [`Operand`], or an `Option` of one) and
+/// its class to the operand visitor `$visit`.
+macro_rules! visit_operand {
+    ($visit:ident, $x:ident, opt_rdef $class:tt) => {
+        if let Some(r) = $x {
+            $visit(Field::Reg(stringify!($x), r, want!($class)))
+        }
+    };
+    ($visit:ident, $x:ident, opt_ruse $class:tt) => {
+        if let Some(r) = $x {
+            $visit(Field::Reg(stringify!($x), r, want!($class)))
+        }
+    };
+    ($visit:ident, $x:ident, $reg:ident $class:tt) => {
+        $visit(Field::Reg(stringify!($x), $x, want!($class)))
+    };
+    ($visit:ident, $x:ident, $imm:ident) => {};
+}
+
+/// Hands field `$x` to the operand visitor `$visit` if it is the row's lane
+/// count.
+macro_rules! visit_lanes {
+    ($visit:ident, lanes, $x:ident) => {
+        $visit(Field::Lanes($x))
+    };
+    ($visit:ident, $role:ident, $x:ident) => {};
+}
+
 /// The only word allowed between a row's name and its fields.
 macro_rules! row_mark {
     (terminator) => {
@@ -189,13 +313,14 @@ macro_rules! row_mark {
 /// Turns the instruction table below into everything that depends only on
 /// what a row says: the `Op` enum (variant = row, discriminant = tag, fields
 /// in row order), the slot walker behind the def/use/jump-target accessors,
-/// `is_terminator`, and the OMPLTBC codec (tag byte, then every field in row
-/// order through its type's [`Wire`] impl).
+/// `is_terminator`, the operand walk the verifier checks classes and widths
+/// with, and the OMPLTBC codec (tag byte, then every field in row order
+/// through its type's [`Wire`] impl).
 macro_rules! ops {
     ($(
         $(#[$meta:meta])*
         $tag:literal => $name:ident $($mark:ident)? $({
-            $($(#[$fmeta:meta])* $field:ident: $role:ident,)*
+            $($(#[$fmeta:meta])* $field:ident: $role:ident $(($($class:tt)+))?,)*
         })?,
     )*) => {
         /// One bytecode instruction.
@@ -208,7 +333,7 @@ macro_rules! ops {
             $(
                 $(#[$meta])*
                 $name $({
-                    $($(#[$fmeta])* $field: field_ty!($role),)*
+                    $($(#[$fmeta])* $field: field_ty!($role $(($($class)+))?),)*
                 })? = $tag,
             )*
         }
@@ -218,12 +343,36 @@ macro_rules! ops {
             #[cfg(test)]
             pub(crate) const TAGS: &'static [u8] = &[$($tag),*];
 
+            /// The row's name, as the verifier's messages give it.
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $(Op::$name { .. } => stringify!($name),)*
+                }
+            }
+
             /// Visits every register and jump-label field in row order.
             #[inline(always)]
             fn slots(&mut self, mut visit: impl FnMut(Slot<'_>)) {
                 match self {
                     $(Op::$name { $($($field),*)? } => {
                         $($(field_slot!(visit, $role, $field);)*)?
+                    })*
+                }
+            }
+
+            /// Visits the row's lane count, if it has one, then every
+            /// register operand in row order — a call's argument pool
+            /// aside — with its field's name and the class its row gives
+            /// it. One dispatch on the op: the verifier's type phase runs
+            /// this for every op it loads.
+            #[allow(unused_variables)]
+            #[inline(always)]
+            pub(crate) fn operands(self, mut visit: impl FnMut(Field)) {
+                match self {
+                    $(Op::$name { $($($field),*)? } => {
+                        $($(visit_lanes!(visit, $role, $field);)*)?
+                        $($(let $field = field_operand!($role, $field);)*)?
+                        $($(visit_operand!(visit, $field, $role $(($($class)+))?);)*)?
                     })*
                 }
             }
@@ -260,58 +409,66 @@ macro_rules! ops {
 // The instruction set. One row per op: `tag => Name [terminator] { fields }`,
 // and per field its name and *role* — `rdef`/`ruse` (scalar register written/
 // read), `opt_rdef`/`opt_ruse` (the same, as `Option<Reg>`), `vdef`/`vuse`
-// (vector register), `label` (jump target) — or, for an immediate, its type
-// (`u8`/`u16`/`u32`, `IrType`, `BinOpKind`, `CmpPred`, `CastOp`). Row order
-// is the in-memory field order *and* the wire order; any change to a row is
-// a layout change and moves the OMPLTBC version byte in `serde.rs`.
+// (vector register), `label` (jump target), `lanes` (the lane count, a `u8`)
+// — or, for an immediate, its type (`u8`/`u16`/`u32`/`i32`, `IrType`,
+// `BinOpKind`, `CmpPred`, `CastOp`). A register role carries the register's
+// class in parentheses, which the verifier holds it to: a fixed class
+// (`int`, `float`, `ptr`), the class of one of the row's type immediates
+// (`of ty`), the class of another register of the row (`as dst`), or `any`
+// when the row fixes none (a rule in `verify.rs` may: a `const`'s pool
+// entry, pointer arithmetic's offset, `ret` against the function). A row
+// with a `lanes` field also holds every vector register it names to that
+// width. Row order is the in-memory field order *and* the wire order; any
+// change to a row's fields is a layout change and moves the OMPLTBC version
+// byte in `serde.rs`.
 ops! {
     /// `dst = consts[idx]`.
     0 => Const {
         /// Destination register.
-        dst: rdef,
+        dst: rdef(any),
         /// Constant-pool index.
         idx: u16,
     },
     /// `dst = src` (phi-edge copies).
     1 => Mov {
         /// Destination register.
-        dst: rdef,
+        dst: rdef(any),
         /// Source register.
-        src: ruse,
+        src: ruse(as dst),
     },
     /// `dst = alloc(bytes)` — fresh zeroed guest allocation.
     2 => Alloca {
         /// Destination (pointer) register.
-        dst: rdef,
+        dst: rdef(ptr),
         /// Allocation size in bytes (≥ 1).
         bytes: u32,
     },
     /// `dst = *(ty*)addr`.
     3 => Load {
         /// Destination register.
-        dst: rdef,
+        dst: rdef(of ty),
         /// Address register.
-        addr: ruse,
+        addr: ruse(ptr),
         /// Loaded type (width + decode).
         ty: IrType,
     },
     /// `*(ty*)addr = src`.
     4 => Store {
         /// Value register.
-        src: ruse,
+        src: ruse(of ty),
         /// Address register.
-        addr: ruse,
+        addr: ruse(ptr),
         /// Stored type (width + encode).
         ty: IrType,
     },
     /// `dst = base + index * elem_size` (byte-scaled GEP).
     5 => Gep {
         /// Destination (pointer) register.
-        dst: rdef,
+        dst: rdef(ptr),
         /// Base pointer register.
-        base: ruse,
+        base: ruse(ptr),
         /// Index register (sign-extended).
-        index: ruse,
+        index: ruse(int),
         /// Element size in bytes.
         elem_size: u32,
     },
@@ -322,11 +479,11 @@ ops! {
         /// Operand type (wrapping width / pointer flavor).
         ty: IrType,
         /// Destination register.
-        dst: rdef,
+        dst: rdef(of ty),
         /// Left operand.
-        lhs: ruse,
+        lhs: ruse(of ty),
         /// Right operand.
-        rhs: ruse,
+        rhs: ruse(any),
     },
     /// `dst = lhs <pred> rhs` (yields 0/1).
     7 => Cmp {
@@ -335,11 +492,11 @@ ops! {
         /// Operand type.
         ty: IrType,
         /// Destination register.
-        dst: rdef,
+        dst: rdef(int),
         /// Left operand.
-        lhs: ruse,
+        lhs: ruse(of ty),
         /// Right operand.
-        rhs: ruse,
+        rhs: ruse(of ty),
     },
     /// `dst = cast<op>(src)`.
     8 => Cast {
@@ -350,20 +507,20 @@ ops! {
         /// Destination type.
         to: IrType,
         /// Destination register.
-        dst: rdef,
+        dst: rdef(of to),
         /// Source register.
-        src: ruse,
+        src: ruse(of from),
     },
     /// `dst = cond ? t : f`.
     9 => Select {
         /// Destination register.
-        dst: rdef,
+        dst: rdef(any),
         /// Condition register (0 = false).
-        cond: ruse,
+        cond: ruse(int),
         /// Value if true.
-        t: ruse,
+        t: ruse(as dst),
         /// Value if false.
-        f: ruse,
+        f: ruse(as dst),
     },
     /// Calls `call_targets[target]` with `call_args[args_at .. args_at+nargs]`.
     10 => Call {
@@ -376,7 +533,7 @@ ops! {
         /// Callee return type (`Void` ⇒ `dst` is `None`).
         ret: IrType,
         /// Where the return value lands.
-        dst: opt_rdef,
+        dst: opt_rdef(of ret),
     },
     /// Unconditional jump to an instruction offset.
     11 => Jmp terminator {
@@ -386,7 +543,7 @@ ops! {
     /// Conditional jump: `cond != 0` ⇒ `then_t`, else `else_t`.
     12 => Br terminator {
         /// Condition register.
-        cond: ruse,
+        cond: ruse(int),
         /// Offset when true.
         then_t: label,
         /// Offset when false.
@@ -400,11 +557,11 @@ ops! {
         /// Operand type.
         ty: IrType,
         /// Destination register.
-        dst: rdef,
+        dst: rdef(of ty),
         /// Left operand.
-        lhs: ruse,
+        lhs: ruse(of ty),
         /// Right operand.
-        rhs: ruse,
+        rhs: ruse(any),
         /// Jump target (must be a block start).
         target: label,
     },
@@ -417,9 +574,9 @@ ops! {
         /// Operand type.
         ty: IrType,
         /// Left operand.
-        lhs: ruse,
+        lhs: ruse(of ty),
         /// Right operand.
-        rhs: ruse,
+        rhs: ruse(of ty),
         /// Offset when the comparison holds.
         then_t: label,
         /// Offset when it does not.
@@ -428,120 +585,98 @@ ops! {
     /// Return from the frame.
     15 => Ret terminator {
         /// Returned register (`None` for void).
-        src: opt_ruse,
+        src: opt_ruse(any),
     },
     /// `unreachable` executed — aborts the run.
     16 => Unreachable terminator,
     /// `vdst = vsrc` (vector copy; loop-carried accumulator plumbing).
     17 => VMov {
         /// Destination vector register.
-        dst: vdef,
+        dst: vdef(any),
         /// Source vector register.
-        src: vuse,
+        src: vuse(as dst),
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// `vdst.lane[l] = base + l` for `l < w` — the per-block lane indices of
     /// a widened induction variable.
     18 => VIota {
         /// Destination vector register (Int class).
-        dst: vdef,
+        dst: vdef(int),
         /// Scalar base register.
-        base: ruse,
+        base: ruse(int),
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// `vdst.lane[l] = src` for `l < w`.
     19 => VBroadcast {
         /// Destination vector register.
-        dst: vdef,
+        dst: vdef(as src),
         /// Scalar source register.
-        src: ruse,
+        src: ruse(any),
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// `dst = vsrc.lane[lane]`.
     20 => VExtract {
         /// Scalar destination register.
-        dst: rdef,
+        dst: rdef(as src),
         /// Source vector register.
-        src: vuse,
+        src: vuse(any),
         /// Lane index (must be < the register's width).
         lane: u8,
     },
-    /// Unit-stride vector load: `vdst.lane[l] = *(ty*)(addr + l*size(ty))`.
-    21 => VLoad {
-        /// Destination vector register.
-        dst: vdef,
-        /// Scalar lane-0 address register.
-        addr: ruse,
-        /// Element type (width + decode).
-        ty: IrType,
-        /// Lane count.
-        w: u8,
-    },
-    /// Unit-stride vector store: `*(ty*)(addr + l*size(ty)) = vsrc.lane[l]`.
-    22 => VStore {
-        /// Source vector register.
-        src: vuse,
-        /// Scalar lane-0 address register.
-        addr: ruse,
-        /// Element type (width + encode).
-        ty: IrType,
-        /// Lane count.
-        w: u8,
-    },
     /// Indexed vector load:
     /// `vdst.lane[l] = *(ty*)(base + vidx.lane[l]*elem_size)`.
-    23 => VGather {
+    21 => VGather {
         /// Index scale in bytes (leads the payload: `#[repr(u8)]` lays
         /// fields out C-style, and a trailing u32 would pad past 16 bytes).
         elem_size: u32,
         /// Destination vector register.
-        dst: vdef,
+        dst: vdef(of ty),
         /// Scalar base pointer register.
-        base: ruse,
+        base: ruse(ptr),
         /// Per-lane index vector register (Int class).
-        idx: vuse,
+        idx: vuse(int),
         /// Element type.
         ty: IrType,
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// Indexed vector store:
     /// `*(ty*)(base + vidx.lane[l]*elem_size) = vsrc.lane[l]`.
-    24 => VScatter {
+    22 => VScatter {
         /// Index scale in bytes (leads the payload: `#[repr(u8)]` lays
         /// fields out C-style, and a trailing u32 would pad past 16 bytes).
         elem_size: u32,
         /// Source vector register.
-        src: vuse,
+        src: vuse(of ty),
         /// Scalar base pointer register.
-        base: ruse,
+        base: ruse(ptr),
         /// Per-lane index vector register (Int class).
-        idx: vuse,
+        idx: vuse(int),
         /// Element type.
         ty: IrType,
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// Lane-parallel arithmetic: `vdst.lane[l] = vlhs.lane[l] <op> vrhs.lane[l]`.
-    25 => VBin {
+    23 => VBin {
         /// Operation.
         op: BinOpKind,
         /// Operand type (wrapping width).
         ty: IrType,
         /// Destination vector register.
-        dst: vdef,
+        dst: vdef(of ty),
         /// Left operand vector register.
-        lhs: vuse,
+        lhs: vuse(of ty),
         /// Right operand vector register.
-        rhs: vuse,
+        rhs: vuse(of ty),
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// Lane-parallel conversion: `vdst.lane[l] = cast<op>(vsrc.lane[l])`.
-    26 => VCast {
+    24 => VCast {
         /// Conversion.
         op: CastOp,
         /// Source type.
@@ -549,32 +684,32 @@ ops! {
         /// Destination type.
         to: IrType,
         /// Destination vector register.
-        dst: vdef,
+        dst: vdef(of to),
         /// Source vector register.
-        src: vuse,
+        src: vuse(of from),
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// Horizontal reduction, left fold in lane order:
     /// `dst = (…(lane[0] <op> lane[1]) <op> …) <op> lane[w-1]`.
-    27 => VReduce {
+    25 => VReduce {
         /// Operation (associative integer op for exact results).
         op: BinOpKind,
         /// Operand type.
         ty: IrType,
         /// Scalar destination register.
-        dst: rdef,
+        dst: rdef(of ty),
         /// Source vector register.
-        src: vuse,
+        src: vuse(of ty),
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// A widened loop's exit into its scalar remainder loop: tallies
     /// `max(src, 0)` remainder iterations into the `vm.simd.epilogue_iters`
     /// counter (no data effect), then jumps to `target`.
-    28 => VEpi terminator {
+    26 => VEpi terminator {
         /// Scalar register holding the remaining-iteration count.
-        src: ruse,
+        src: ruse(int),
         /// The scalar loop's header (must be a block start).
         target: label,
     },
@@ -584,7 +719,7 @@ ops! {
     // addressing `trunc`, folded by the lowerer. The narrow immediates lead
     // so that `c` sits on its own alignment and the row stays in 16 bytes.
     /// `dst = *(ty*)(base + wrap(index + c) * scale)`.
-    29 => LoadIdx {
+    27 => LoadIdx {
         /// Loaded type (width + decode).
         ty: IrType,
         /// Width the index arithmetic wraps at (`i32` or `i64`).
@@ -594,14 +729,14 @@ ops! {
         /// Constant element offset added to the index.
         c: i32,
         /// Destination register.
-        dst: rdef,
+        dst: rdef(of ty),
         /// Base pointer register.
-        base: ruse,
+        base: ruse(ptr),
         /// Index register.
-        index: ruse,
+        index: ruse(int),
     },
     /// `*(ty*)(base + wrap(index + c) * scale) = src`.
-    30 => StoreIdx {
+    28 => StoreIdx {
         /// Stored type (width + encode).
         ty: IrType,
         /// Width the index arithmetic wraps at (`i32` or `i64`).
@@ -611,15 +746,15 @@ ops! {
         /// Constant element offset added to the index.
         c: i32,
         /// Value register.
-        src: ruse,
+        src: ruse(of ty),
         /// Base pointer register.
-        base: ruse,
+        base: ruse(ptr),
         /// Index register.
-        index: ruse,
+        index: ruse(int),
     },
     /// Unit-stride vector load from the lane-0 address
     /// `base + wrap(index + c) * scale`.
-    31 => VLoadIdx {
+    29 => VLoadIdx {
         /// Element type (width + decode).
         ty: IrType,
         /// Width the index arithmetic wraps at (`i32` or `i64`).
@@ -629,17 +764,17 @@ ops! {
         /// Constant element offset added to the index.
         c: i32,
         /// Destination vector register.
-        dst: vdef,
+        dst: vdef(of ty),
         /// Base pointer register.
-        base: ruse,
+        base: ruse(ptr),
         /// Index register.
-        index: ruse,
+        index: ruse(int),
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
     /// Unit-stride vector store to the lane-0 address
     /// `base + wrap(index + c) * scale`.
-    32 => VStoreIdx {
+    30 => VStoreIdx {
         /// Element type (width + encode).
         ty: IrType,
         /// Width the index arithmetic wraps at (`i32` or `i64`).
@@ -649,35 +784,41 @@ ops! {
         /// Constant element offset added to the index.
         c: i32,
         /// Source vector register.
-        src: vuse,
+        src: vuse(of ty),
         /// Base pointer register.
-        base: ruse,
+        base: ruse(ptr),
         /// Index register.
-        index: ruse,
+        index: ruse(int),
         /// Lane count.
-        w: u8,
+        w: lanes,
     },
 }
 
-/// Where an access reads or writes: the one address form of `Load`,
-/// `Store`, `VLoad` and `VStore` and their indexed rows.
+/// Where an access reads or writes: a pointer register (`Load`, `Store`)
+/// or an indexed address (their `…Idx` rows, and every vector access).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Address {
     /// The address is a pointer register's payload.
     Reg(Reg),
-    /// `base + wrap(index + c) * scale` ([`indexed_address`]).
-    Indexed {
-        /// Base pointer register.
-        base: Reg,
-        /// Index register.
-        index: Reg,
-        /// Constant element offset added to the index.
-        c: i32,
-        /// Width the index arithmetic wraps at (`i32` or `i64`).
-        wrap: IrType,
-        /// Index scale in bytes.
-        scale: u8,
-    },
+    /// `base + wrap(index + c) * scale`.
+    Indexed(Indexed),
+}
+
+/// The address `base + wrap(index + c) * scale` ([`indexed_address`]) of
+/// the indexed rows: a `gep`, the constant offset of its index and an
+/// addressing `trunc`, folded by the lowerer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Indexed {
+    /// Base pointer register.
+    pub base: Reg,
+    /// Index register.
+    pub index: Reg,
+    /// Constant element offset added to the index.
+    pub c: i32,
+    /// Width the index arithmetic wraps at (`i32` or `i64`).
+    pub wrap: IrType,
+    /// Index scale in bytes.
+    pub scale: u8,
 }
 
 impl Address {
@@ -685,13 +826,13 @@ impl Address {
     pub fn load(self, dst: Reg, ty: IrType) -> Op {
         match self {
             Address::Reg(addr) => Op::Load { dst, addr, ty },
-            Address::Indexed {
+            Address::Indexed(Indexed {
                 base,
                 index,
                 c,
                 wrap,
                 scale,
-            } => Op::LoadIdx {
+            }) => Op::LoadIdx {
                 ty,
                 wrap,
                 scale,
@@ -707,13 +848,13 @@ impl Address {
     pub fn store(self, src: Reg, ty: IrType) -> Op {
         match self {
             Address::Reg(addr) => Op::Store { src, addr, ty },
-            Address::Indexed {
+            Address::Indexed(Indexed {
                 base,
                 index,
                 c,
                 wrap,
                 scale,
-            } => Op::StoreIdx {
+            }) => Op::StoreIdx {
                 ty,
                 wrap,
                 scale,
@@ -724,50 +865,48 @@ impl Address {
             },
         }
     }
+}
 
+impl Indexed {
     /// A unit-stride `w`-lane load into `dst` from lane-0 address `self`.
     pub fn vload(self, dst: VReg, ty: IrType, w: u8) -> Op {
-        match self {
-            Address::Reg(addr) => Op::VLoad { dst, addr, ty, w },
-            Address::Indexed {
-                base,
-                index,
-                c,
-                wrap,
-                scale,
-            } => Op::VLoadIdx {
-                ty,
-                wrap,
-                scale,
-                c,
-                dst,
-                base,
-                index,
-                w,
-            },
+        let Indexed {
+            base,
+            index,
+            c,
+            wrap,
+            scale,
+        } = self;
+        Op::VLoadIdx {
+            ty,
+            wrap,
+            scale,
+            c,
+            dst,
+            base,
+            index,
+            w,
         }
     }
 
     /// A unit-stride `w`-lane store of `src` to lane-0 address `self`.
     pub fn vstore(self, src: VReg, ty: IrType, w: u8) -> Op {
-        match self {
-            Address::Reg(addr) => Op::VStore { src, addr, ty, w },
-            Address::Indexed {
-                base,
-                index,
-                c,
-                wrap,
-                scale,
-            } => Op::VStoreIdx {
-                ty,
-                wrap,
-                scale,
-                c,
-                src,
-                base,
-                index,
-                w,
-            },
+        let Indexed {
+            base,
+            index,
+            c,
+            wrap,
+            scale,
+        } = self;
+        Op::VStoreIdx {
+            ty,
+            wrap,
+            scale,
+            c,
+            src,
+            base,
+            index,
+            w,
         }
     }
 }
@@ -777,13 +916,13 @@ impl std::fmt::Display for Address {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             Address::Reg(r) => write!(f, "r{r}"),
-            Address::Indexed {
+            Address::Indexed(Indexed {
                 base,
                 index,
                 c,
                 wrap,
                 scale,
-            } => {
+            }) => {
                 write!(f, "r{base} + {wrap}(r{index}")?;
                 match c {
                     0 => {}
@@ -812,14 +951,11 @@ pub fn indexed_address(base: u64, index: u64, c: i32, wrap: IrType, scale: u8) -
 }
 
 impl Op {
-    /// The address of an access (`Load`, `Store`, `VLoad`, `VStore` and
-    /// their indexed rows); `None` for every other op.
+    /// The address of an access (`Load`, `Store` and the indexed rows);
+    /// `None` for every other op.
     pub fn address(self) -> Option<Address> {
         match self {
-            Op::Load { addr, .. }
-            | Op::Store { addr, .. }
-            | Op::VLoad { addr, .. }
-            | Op::VStore { addr, .. } => Some(Address::Reg(addr)),
+            Op::Load { addr, .. } | Op::Store { addr, .. } => Some(Address::Reg(addr)),
             Op::LoadIdx {
                 wrap,
                 scale,
@@ -851,13 +987,13 @@ impl Op {
                 base,
                 index,
                 ..
-            } => Some(Address::Indexed {
+            } => Some(Address::Indexed(Indexed {
                 base,
                 index,
                 c,
                 wrap,
                 scale,
-            }),
+            })),
             _ => None,
         }
     }
@@ -1206,10 +1342,10 @@ pub fn disasm(f: &VmFunction) -> String {
             Op::VExtract { dst, src, lane } => {
                 format!("r{dst} = vextract v{src}[{lane}]")
             }
-            Op::VLoad { dst, ty, w, .. } | Op::VLoadIdx { dst, ty, w, .. } => {
+            Op::VLoadIdx { dst, ty, w, .. } => {
                 format!("v{dst} = vload.{ty}.x{w} [{}]", address(*op))
             }
-            Op::VStore { src, ty, w, .. } | Op::VStoreIdx { src, ty, w, .. } => {
+            Op::VStoreIdx { src, ty, w, .. } => {
                 format!("vstore.{ty}.x{w} [{}], v{src}", address(*op))
             }
             Op::VGather {
@@ -1306,8 +1442,6 @@ pub(crate) mod tests {
             row(Op::VIota { dst: 11, base: 1, w: 4 }, None, &[1], Some(11), &[], &[], false),
             row(Op::VBroadcast { dst: 11, src: 1, w: 4 }, None, &[1], Some(11), &[], &[], false),
             row(Op::VExtract { dst: 1, src: 11, lane: 3 }, Some(1), &[], None, &[11], &[], false),
-            row(Op::VLoad { dst: 11, addr: 1, ty: T::F32, w: 4 }, None, &[1], Some(11), &[], &[], false),
-            row(Op::VStore { src: 11, addr: 1, ty: T::F32, w: 4 }, None, &[1], None, &[11], &[], false),
             row(Op::VGather { elem_size: 8, dst: 11, base: 1, idx: 12, ty: T::I64, w: 4 }, None, &[1], Some(11), &[12], &[], false),
             row(Op::VScatter { elem_size: 8, src: 11, base: 1, idx: 12, ty: T::I64, w: 4 }, None, &[1], None, &[11, 12], &[], false),
             row(Op::VBin { op: B::FAdd, ty: T::F64, dst: 11, lhs: 12, rhs: 13, w: 4 }, None, &[], Some(11), &[12, 13], &[], false),
@@ -1399,6 +1533,81 @@ pub(crate) mod tests {
                 "map_targets changed more than the targets of {op:?}"
             );
         }
+    }
+
+    #[test]
+    fn the_operand_walk_names_every_register_and_the_lane_count() {
+        let key = |o: &Operand| match *o {
+            Operand::R(r) => (0, r),
+            Operand::V(v) => (1, v),
+        };
+        for row in one_of_each() {
+            let op = row.op;
+            let (mut walked, mut lanes) = (Vec::new(), None);
+            op.operands(|item| match item {
+                Field::Lanes(w) => lanes = Some(w),
+                Field::Reg(_, o, _) => walked.push(o),
+            });
+            walked.sort_by_key(key);
+            // A call's arguments are in its pool, which no row describes.
+            let uses = if matches!(op, Op::Call { .. }) {
+                &[]
+            } else {
+                row.uses
+            };
+            let mut want: Vec<Operand> = (row.def.iter().chain(uses).map(|&r| Operand::R(r)))
+                .chain(row.vdef.iter().chain(row.vuses).map(|&v| Operand::V(v)))
+                .collect();
+            want.sort_by_key(key);
+            assert_eq!(walked, want, "operands of {op:?}");
+            // Every row that names a vector register carries its width but
+            // `vextract`, which names a lane of one.
+            let vector = want.iter().any(|o| matches!(o, Operand::V(_)));
+            let want = (vector && !matches!(op, Op::VExtract { .. })).then_some(4);
+            assert_eq!(lanes, want, "lanes of {op:?}");
+        }
+    }
+
+    #[test]
+    fn the_walk_gives_each_register_its_row_s_class() {
+        use {Field::*, Operand::*, RegClass::*, Want::*};
+        let walk = |op: Op| {
+            let mut out = Vec::new();
+            op.operands(|item| out.push(item));
+            out
+        };
+        let (f64, ptr) = (IrType::F64, IrType::Ptr);
+        assert_eq!(
+            walk(Op::Mov { dst: 1, src: 2 }),
+            [Reg("dst", R(1), Any), Reg("src", R(2), As(R(1)))]
+        );
+        let bcast = Op::VBroadcast {
+            dst: 11,
+            src: 1,
+            w: 4,
+        };
+        assert_eq!(
+            walk(bcast),
+            [Lanes(4), Reg("dst", V(11), As(R(1))), Reg("src", R(1), Any)]
+        );
+        let load = Op::Load {
+            dst: 1,
+            addr: 2,
+            ty: f64,
+        };
+        assert_eq!(
+            walk(load),
+            [Reg("dst", R(1), Is(Float)), Reg("addr", R(2), Is(Ptr))]
+        );
+        let call = |ret, dst| Op::Call {
+            target: 0,
+            args_at: 0,
+            nargs: 0,
+            ret,
+            dst,
+        };
+        assert_eq!(walk(call(ptr, Some(3))), [Reg("dst", R(3), Is(Ptr))]);
+        assert_eq!(walk(call(IrType::Void, None)), []);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and a float constant's bits keep their fixed width:
 //!
 //! ```text
-//! "OMPLTBC\x06"  magic + format version (bump on any layout change)
+//! "OMPLTBC\x07"  magic + format version (bump on any layout change)
 //! u32            function count
 //! per function:  name, ret, params, reg classes, vreg classes/widths,
 //!                const pool, call args, call targets, block starts,
@@ -31,7 +31,7 @@ use crate::ops::{CallTarget, Pad, PoolConst, Reg, RegClass, VmFunction, VmModule
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// Magic prefix: 7 identifying bytes plus a 1-byte format version.
-const MAGIC: &[u8; 8] = b"OMPLTBC\x06";
+const MAGIC: &[u8; 8] = b"OMPLTBC\x07";
 
 /// A malformed or version-incompatible bytecode image.
 #[derive(Debug, PartialEq, Eq)]
@@ -441,12 +441,6 @@ mod tests {
                     base: 0,
                     w: 4,
                 },
-                Op::VLoad {
-                    dst: 2,
-                    addr: 3,
-                    ty: IrType::I64,
-                    w: 2,
-                },
                 Op::VBin {
                     op: BinOpKind::Add,
                     ty: IrType::I64,
@@ -469,12 +463,6 @@ mod tests {
                     idx: 1,
                     ty: IrType::I64,
                     elem_size: 8,
-                    w: 2,
-                },
-                Op::VStore {
-                    src: 2,
-                    addr: 3,
-                    ty: IrType::I64,
                     w: 2,
                 },
                 Op::VCast {
@@ -577,7 +565,7 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_err());
         // The previous format version and a future one.
-        for version in [5, 7] {
+        for version in [6, 8] {
             let mut vers = bytes.clone();
             vers[7] = version;
             assert!(decode(&vers).is_err(), "version {version} accepted");

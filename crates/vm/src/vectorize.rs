@@ -46,7 +46,7 @@
 //! (wrapping) add, sub and mul are exact in any grouping, so those widen.
 
 use crate::compile::{cast_op, const_of, CompileError, FuncCompiler};
-use crate::ops::{Address, Op, Pad, PoolConst, Reg, RegClass, VReg, MAX_LANES};
+use crate::ops::{Indexed, Op, Pad, PoolConst, Reg, RegClass, VReg, MAX_LANES};
 use omplt_ir::{
     arith, BinOpKind, BlockId, BlockLists, CastOp, CmpPred, Function, Inst, InstId, IrType,
     Terminator, Value,
@@ -85,8 +85,8 @@ pub(crate) struct LoopPlan {
     bound: Value,
     /// Chosen width after all clamps (2..=[`MAX_LANES`]).
     width: u8,
-    /// The `Gep`s whose accesses widen to `VLoad`/`VStore` (the others
-    /// gather and scatter).
+    /// The `Gep`s whose accesses widen to unit-stride `VLoadIdx`/`VStoreIdx`
+    /// (the others gather and scatter).
     unit_stride: HashSet<InstId>,
     /// Integer reductions. Lanes accumulate into a vector started at the
     /// identity and combined by `VReduce` on exit.
@@ -323,18 +323,25 @@ impl<'a> Planner<'a> {
     }
 
     /// Can `v` be re-emitted as a scalar (lane-0) value with the induction
-    /// variable mapped to the chunk base?
-    fn scalar_cloneable(&self, v: Value, depth: u8) -> bool {
+    /// variable mapped to the chunk base? With `iv` false, only if it does not
+    /// read the induction variable: then it holds the same value in every
+    /// lane, a `gep`, `bin` or cast of values defined before the loop
+    /// included (the row of `a[i][j]` in the `j` loop that no LICM hoisted).
+    fn scalar_cloneable(&self, v: Value, depth: u8, iv: bool) -> bool {
         if depth == 0 {
             return false;
         }
         match v {
-            Value::Inst(id) if id == self.iv => true,
+            Value::Inst(id) if id == self.iv => iv,
             Value::Inst(id) if self.in_loop(id) => match self.f.inst(id) {
-                Inst::Bin { lhs, rhs, .. } => {
-                    self.scalar_cloneable(*lhs, depth - 1) && self.scalar_cloneable(*rhs, depth - 1)
+                Inst::Bin { lhs: a, rhs: b, .. }
+                | Inst::Gep {
+                    ptr: a, index: b, ..
+                } => {
+                    self.scalar_cloneable(*a, depth - 1, iv)
+                        && self.scalar_cloneable(*b, depth - 1, iv)
                 }
-                Inst::Cast { val, .. } => self.scalar_cloneable(*val, depth - 1),
+                Inst::Cast { val, .. } => self.scalar_cloneable(*val, depth - 1, iv),
                 _ => false,
             },
             Value::Inst(_) | Value::Arg(_) => true,
@@ -363,7 +370,7 @@ impl<'a> Planner<'a> {
     }
 
     /// A memory access widens through an in-loop `Gep` whose base is the
-    /// same pointer in every lane: as a unit-stride `VLoad`/`VStore`
+    /// same pointer in every lane: as a unit-stride `VLoadIdx`/`VStoreIdx`
     /// (cloneable base and index) or a `VGather`/`VScatter` (cloneable base,
     /// wideable index vector).
     fn mem_access_emittable(&self, ty: IrType, ptr: Value, depth: u8) -> bool {
@@ -379,18 +386,17 @@ impl<'a> Planner<'a> {
         else {
             return false;
         };
-        if u32::try_from(*elem_size).is_err() || !self.lane_invariant(*base) {
+        if u32::try_from(*elem_size).is_err() || !self.scalar_cloneable(*base, depth - 1, false) {
             return false;
         }
-        self.scalar_cloneable(*base, depth - 1)
-            && if self.unit_stride(ty, gid) {
-                // Unit stride: the lane-0 address is indexed by the scalar
-                // clone of the index.
-                self.scalar_cloneable(*index, depth - 1)
-            } else {
-                // Gather: affine-non-unit or opaque per-lane indices.
-                self.wideable(*index, depth - 1)
-            }
+        if self.unit_stride(ty, gid) {
+            // Unit stride: the lane-0 address is indexed by the scalar clone
+            // of the index.
+            self.scalar_cloneable(*index, depth - 1, true)
+        } else {
+            // Gather: affine-non-unit or opaque per-lane indices.
+            self.wideable(*index, depth - 1)
+        }
     }
 
     /// Whether `gid` is a `Gep` that steps one `ty` element per iteration.
@@ -398,16 +404,6 @@ impl<'a> Planner<'a> {
         matches!(self.f.inst(gid), Inst::Gep { index, elem_size, .. }
             if matches!(self.lin(*index, 16), Some(l)
                 if l.coeff != 0 && l.coeff as i128 * *elem_size as i128 == ty.size() as i128))
-    }
-
-    /// Whether a `Gep` base holds the same pointer in every lane: it is
-    /// defined before the loop.
-    fn lane_invariant(&self, v: Value) -> bool {
-        match v {
-            Value::Global(_) | Value::Arg(_) => true,
-            Value::Inst(id) => !self.in_loop(id),
-            _ => false,
-        }
     }
 }
 
@@ -740,6 +736,23 @@ impl<'a, 'b> Widener<'a, 'b> {
                         self.c.out.ops.push(cast_op(op, from, to, dst, src));
                         dst
                     }
+                    Inst::Gep {
+                        ptr,
+                        index,
+                        elem_size,
+                    } => {
+                        let elem_size = u32::try_from(elem_size)
+                            .map_err(|_| self.c.err_large("gep element size"))?;
+                        let (base, index) = (self.scalar_of(ptr)?, self.scalar_of(index)?);
+                        let dst = self.c.new_vreg(RegClass::Ptr)?;
+                        self.c.out.ops.push(Op::Gep {
+                            dst,
+                            base,
+                            index,
+                            elem_size,
+                        });
+                        dst
+                    }
                     other => {
                         return Err(self.malformed(format!("widener cannot scalarize {other:?}")))
                     }
@@ -898,16 +911,16 @@ impl<'a, 'b> Widener<'a, 'b> {
     /// the indexed form, its index walked down the loop's own links (those
     /// outside the loop are registers already). A unit stride steps one
     /// element of at most eight bytes, so the element size fits `scale`.
-    fn unit_address(&mut self, ptr: Value) -> Result<Address, CompileError> {
+    fn unit_address(&mut self, ptr: Value) -> Result<Indexed, CompileError> {
         let (base, index, elem_size) = self.gep_of(ptr)?;
         let scale = u8::try_from(elem_size).map_err(|_| self.c.err_large("gep element size"))?;
         let plan = self.plan;
         let (index, walk) = self.c.index_chain(index, |x| plan.loop_insts.contains(&x));
         let (base, index) = (self.scalar_of(base)?, self.scalar_of(index)?);
-        Ok(walk.address(base, index, scale))
+        Ok(walk.indexed(base, index, scale))
     }
 
-    /// A widened memory load: unit-stride `VLoad` or per-lane `VGather`.
+    /// A widened memory load: unit-stride `VLoadIdx` or per-lane `VGather`.
     fn widen_mem_load(&mut self, ty: IrType, ptr: Value) -> Result<VReg, CompileError> {
         let (base, index, elem_size) = self.gep_of(ptr)?;
         let w = self.w();
@@ -932,7 +945,7 @@ impl<'a, 'b> Widener<'a, 'b> {
         }
     }
 
-    /// A widened memory store: unit-stride `VStore` or per-lane `VScatter`.
+    /// A widened memory store: unit-stride `VStoreIdx` or per-lane `VScatter`.
     fn widen_store(&mut self, val: Value, ptr: Value) -> Result<(), CompileError> {
         let ty = self.c.f.value_type(val);
         let src = self.vec_of(val)?;

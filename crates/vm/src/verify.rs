@@ -4,21 +4,28 @@
 //! under `--verify-each`, after the driver's IR-level passes): the dispatch
 //! loop indexes registers, pools, and jump targets without bounds anxiety
 //! *because* this pass already proved them in-bounds, every register is
-//! written before it is read on every path, and operand register classes
-//! match each opcode's contract.
+//! written before it is read on every path, and every operand register has
+//! the class its op's row gives it.
 //!
-//! Three phases, mirroring how a JVM-style verifier is layered:
+//! Four phases, mirroring how a JVM-style verifier is layered:
 //!
 //! 1. **Structure** — indices in range, jump targets land on block starts,
 //!    every block ends in exactly one terminator. Later phases assume this,
 //!    so structural errors short-circuit.
-//! 2. **Types** — coarse [`RegClass`] consistency per op (a float add reads
-//!    float registers, a load's address register is a pointer, …), and at
-//!    every direct call the callee's boundary: exactly its parameter count,
-//!    each argument register in its parameter register's class, the result
-//!    in its return class. Registers and the engine boundary carry untagged
-//!    payloads, so this is what keeps a payload from being read at another
-//!    class on the far side of a call.
+//! 2. **Types** — the op table's operand walk (`Op::operands`): each
+//!    register in the class its row gives it (a fixed class, a type
+//!    immediate's, or another operand's), each vector register at the row's
+//!    lane count. Then only the rules a class cannot state: a `const`'s pool
+//!    class; operator against type for `bin`, `binjmp`, `vbin` and `vreduce`
+//!    (pointer arithmetic takes any offset but a float); predicate against
+//!    type for `cmp` and `cmpbr`; a conversion's (reads, writes) pair; a
+//!    call's void result and, at every direct call, the callee's boundary
+//!    (exactly its parameter count, each argument register in its parameter
+//!    register's class, the result in its return class); `ret` against the
+//!    function's return class; `vextract`'s lane; void element types; an
+//!    indexed address's wrap; the lane-count range. Registers and the engine
+//!    boundary carry untagged payloads, so this is what keeps a payload from
+//!    being read at another class, on either side of a call.
 //! 3. **Fault pads** — a trap under a pad resumes at its target
 //!    ([`crate::ops::Pad`]), and the replay from there is exact only if the
 //!    trap left nothing behind: the range lies in one block, holds no store,
@@ -29,8 +36,10 @@
 //!    range to its target: a register read before any write on some path is
 //!    an error, not a zero.
 
-use crate::ops::{Address, CallTarget, Op, Reg, RegClass, VmFunction, VmModule, MAX_LANES};
-use omplt_ir::{BlockLists, CastOp, CmpPred, IrType};
+use crate::ops::{
+    CallTarget, Field, Op, Operand, Reg, RegClass, VmFunction, VmModule, Want, MAX_LANES,
+};
+use omplt_ir::{BlockLists, CastOp, IrType};
 
 /// One verification failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -325,288 +334,122 @@ fn check_jump(f: &VmFunction, pc: usize, target: u32, errs: &mut Vec<VerifyError
     }
 }
 
+/// The class register `o` has.
+fn class_of(f: &VmFunction, o: Operand) -> RegClass {
+    match o {
+        Operand::R(r) => f.reg_class[r as usize],
+        Operand::V(v) => f.vreg_class[v as usize],
+    }
+}
+
+/// Phase 2: the op table's operand walk — each register in the class its
+/// row gives it, each vector register at the row's lane count — and the
+/// rules a class cannot state.
 fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
-    let cls = |r: u16| f.reg_class[r as usize];
-    let vcls = |v: u16| f.vreg_class[v as usize];
-    let mismatch = |errs: &mut Vec<VerifyError>, pc: usize, what: String| {
-        err(errs, f, pc, format!("type mismatch: {what}"));
-    };
-    // The operand rule `cmp` and the fused `cmp.br` share.
-    let compare_operands =
-        |errs: &mut Vec<VerifyError>, pc: usize, pred: CmpPred, ty: IrType, lhs: u16, rhs: u16| {
-            let want = if pred.is_float() {
-                if !ty.is_float() {
-                    mismatch(errs, pc, format!("float compare at type {ty}"));
-                }
-                RegClass::Float
-            } else if ty == IrType::Ptr {
-                RegClass::Ptr
-            } else {
-                if ty.is_float() {
-                    mismatch(errs, pc, format!("integer compare at type {ty}"));
-                }
-                RegClass::Int
-            };
-            for (role, r) in [("lhs", lhs), ("rhs", rhs)] {
-                if cls(r) != want {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("compare {role} r{r} is {} (expected {want})", cls(r)),
-                    );
-                }
+    for (pc, &op) in f.ops.iter().enumerate() {
+        let name = || op.name().to_ascii_lowercase();
+        let mismatch = |errs: &mut Vec<VerifyError>, what: String| {
+            err(errs, f, pc, format!("type mismatch: {what}"));
+        };
+        let class = |errs: &mut Vec<VerifyError>, field: &str, o: Operand, want: RegClass| {
+            let have = class_of(f, o);
+            if have != want {
+                let what = format!("{} {field} {o} is {have}, expected {want}", name());
+                mismatch(errs, what);
             }
         };
-    // The operator rule `cast` and `vcast` share: a conversion's operator
-    // fixes the class it reads and the class it writes, and the engine reads
-    // the source payload at exactly that class.
-    let cast_types =
-        |errs: &mut Vec<VerifyError>, pc: usize, op: CastOp, from: IrType, to: IrType| {
-            use {CastOp::*, RegClass::*};
-            let (reads, writes) = match op {
-                Trunc | ZExt | SExt => (Int, Int),
-                SiToFp | UiToFp => (Int, Float),
-                FpToSi | FpToUi => (Float, Int),
-                FpTrunc | FpExt => (Float, Float),
-                PtrToInt => (Ptr, Int),
-                IntToPtr => (Int, Ptr),
-            };
-            if RegClass::of(from) != reads {
-                mismatch(errs, pc, format!("{} from {from}", op.mnemonic()));
-            }
-            if RegClass::of(to) != writes {
-                mismatch(errs, pc, format!("{} to {to}", op.mnemonic()));
+        let void = |errs: &mut Vec<VerifyError>, ty: IrType| {
+            if ty == IrType::Void {
+                mismatch(errs, format!("{} of void", name()));
             }
         };
-    // Lane-count discipline: every vector op carries the width it operates
-    // at, and that width must match the static width of every vector
-    // register it touches — lane counts are part of the type, not a runtime
-    // property.
-    let lanes = |errs: &mut Vec<VerifyError>, pc: usize, w: u8| {
-        if !(2..=MAX_LANES as u8).contains(&w) {
-            err(
-                errs,
-                f,
-                pc,
-                format!("bad lane count {w} (must be 2..={MAX_LANES})"),
-            );
-        }
-    };
-    let vwidth = |errs: &mut Vec<VerifyError>, pc: usize, role: &str, v: u16, w: u8| {
-        let have = f.vreg_width[v as usize];
-        if have != w {
-            err(
-                errs,
-                f,
-                pc,
-                format!("{role} v{v} has width {have} but op uses {w} lanes"),
-            );
-        }
-    };
-    // The address rule every access shares: a pointer register, or a
-    // pointer base and an integer index whose arithmetic wraps at `i32` or
-    // `i64`.
-    let address = |errs: &mut Vec<VerifyError>, pc: usize, what: &str, op: Op| match op.address() {
-        Some(Address::Reg(addr)) if cls(addr) != RegClass::Ptr => {
-            mismatch(errs, pc, format!("{what} address r{addr} is not ptr"));
-        }
-        Some(Address::Indexed {
-            base, index, wrap, ..
-        }) => {
-            if cls(base) != RegClass::Ptr {
-                mismatch(errs, pc, format!("{what} base r{base} is not ptr"));
+        let mut lanes = None;
+        op.operands(|item| match item {
+            // Lane counts are part of the type, not a runtime property.
+            Field::Lanes(w) => {
+                if !(2..=MAX_LANES as u8).contains(&w) {
+                    let what = format!("bad lane count {w} (must be 2..={MAX_LANES})");
+                    err(errs, f, pc, what);
+                }
+                lanes = Some(w);
             }
-            if cls(index) != RegClass::Int {
-                mismatch(errs, pc, format!("{what} index r{index} is not int"));
+            Field::Reg(field, o, want) => {
+                match want {
+                    Want::Any => {}
+                    Want::Is(want) => class(errs, field, o, want),
+                    Want::As(other) => class(errs, field, o, class_of(f, other)),
+                }
+                if let (Operand::V(v), Some(w)) = (o, lanes) {
+                    let have = f.vreg_width[v as usize];
+                    if have != w {
+                        let what = format!(
+                            "{} {field} v{v} has width {have} but op uses {w} lanes",
+                            name()
+                        );
+                        err(errs, f, pc, what);
+                    }
+                }
             }
-            if !matches!(wrap, IrType::I32 | IrType::I64) {
-                mismatch(errs, pc, format!("{what} index wraps at {wrap}"));
-            }
-        }
-        Some(Address::Reg(_)) | None => {}
-    };
-    for (pc, op) in f.ops.iter().enumerate() {
-        match *op {
+        });
+        // The rules a class cannot state.
+        match op {
             Op::Const { dst, idx } => {
-                let want = f.consts[idx as usize].class();
-                if cls(dst) != want {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!(
-                            "constant is {} but destination r{dst} is {}",
-                            want,
-                            cls(dst)
-                        ),
-                    );
-                }
-            }
-            Op::Mov { dst, src } => {
-                if cls(dst) != cls(src) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("mov from {} r{src} to {} r{dst}", cls(src), cls(dst)),
-                    );
-                }
-            }
-            Op::Alloca { dst, .. } => {
-                if cls(dst) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("alloca destination r{dst} is not ptr"));
-                }
-            }
-            Op::Load { dst, ty, .. } | Op::LoadIdx { dst, ty, .. } => {
-                if ty == IrType::Void {
-                    mismatch(errs, pc, "load of void".to_string());
-                } else if cls(dst) != RegClass::of(ty) {
-                    mismatch(errs, pc, format!("load of {ty} into {} r{dst}", cls(dst)));
-                }
-                address(errs, pc, "load", *op);
-            }
-            Op::Store { src, ty, .. } | Op::StoreIdx { src, ty, .. } => {
-                if ty == IrType::Void {
-                    mismatch(errs, pc, "store of void".to_string());
-                } else if cls(src) != RegClass::of(ty) {
-                    mismatch(errs, pc, format!("store of {ty} from {} r{src}", cls(src)));
-                }
-                address(errs, pc, "store", *op);
-            }
-            Op::Gep {
-                dst, base, index, ..
-            } => {
-                if cls(dst) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("gep destination r{dst} is not ptr"));
-                }
-                if cls(base) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("gep base r{base} is not ptr"));
-                }
-                if cls(index) != RegClass::Int {
-                    mismatch(errs, pc, format!("gep index r{index} is not int"));
-                }
+                class(errs, "dst", Operand::R(dst), f.consts[idx as usize].class());
             }
             Op::Bin {
-                op: bop,
-                ty,
-                dst,
-                lhs,
-                rhs,
+                op: bop, ty, rhs, ..
             }
             | Op::BinJmp {
-                op: bop,
-                ty,
-                dst,
-                lhs,
-                rhs,
-                ..
+                op: bop, ty, rhs, ..
             } => {
-                if bop.is_float() {
-                    if !ty.is_float() {
-                        mismatch(
-                            errs,
-                            pc,
-                            format!("float op {} at type {ty}", bop.mnemonic()),
-                        );
-                    }
-                    for (role, r) in [("destination", dst), ("lhs", lhs), ("rhs", rhs)] {
-                        if cls(r) != RegClass::Float {
-                            mismatch(
-                                errs,
-                                pc,
-                                format!("float op {} with {} {role} r{r}", bop.mnemonic(), cls(r)),
-                            );
-                        }
-                    }
-                } else if ty == IrType::Ptr {
-                    // Pointer arithmetic: ptr ± offset.
-                    if cls(dst) != RegClass::Ptr || cls(lhs) != RegClass::Ptr {
-                        mismatch(
-                            errs,
-                            pc,
-                            "pointer arithmetic on non-ptr registers".to_string(),
-                        );
-                    }
-                    if cls(rhs) == RegClass::Float {
-                        mismatch(errs, pc, "pointer arithmetic with float offset".to_string());
-                    }
-                } else {
-                    if ty.is_float() {
-                        mismatch(
-                            errs,
-                            pc,
-                            format!("integer op {} at type {ty}", bop.mnemonic()),
-                        );
-                    }
-                    for (role, r) in [("destination", dst), ("lhs", lhs), ("rhs", rhs)] {
-                        if cls(r) != RegClass::Int {
-                            mismatch(
-                                errs,
-                                pc,
-                                format!(
-                                    "integer op {} with {} {role} r{r}",
-                                    bop.mnemonic(),
-                                    cls(r)
-                                ),
-                            );
-                        }
-                    }
+                if bop.is_float() != ty.is_float() {
+                    let kind = if bop.is_float() { "float" } else { "integer" };
+                    mismatch(errs, format!("{kind} op {} at type {ty}", bop.mnemonic()));
+                }
+                // Pointer arithmetic takes any offset but a float.
+                if ty != IrType::Ptr {
+                    class(errs, "rhs", Operand::R(rhs), RegClass::of(ty));
+                } else if f.reg_class[rhs as usize] == RegClass::Float {
+                    mismatch(errs, format!("{} rhs r{rhs} is a float offset", name()));
                 }
             }
-            Op::Cmp {
-                pred,
-                ty,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                if cls(dst) != RegClass::Int {
-                    mismatch(errs, pc, format!("compare result r{dst} is not int"));
-                }
-                compare_operands(errs, pc, pred, ty, lhs, rhs);
+            Op::VBin { op: bop, ty, .. } | Op::VReduce { op: bop, ty, .. }
+                if ty == IrType::Ptr || bop.is_float() != ty.is_float() =>
+            {
+                mismatch(
+                    errs,
+                    format!("{} op {} at type {ty}", name(), bop.mnemonic()),
+                );
             }
+            Op::Cmp { pred, ty, .. } | Op::CmpBr { pred, ty, .. }
+                if pred.is_float() != ty.is_float() =>
+            {
+                let kind = if pred.is_float() { "float" } else { "integer" };
+                mismatch(errs, format!("{kind} compare at type {ty}"));
+            }
+            // A conversion's operator fixes the class it reads and the class
+            // it writes, and the engine reads the source payload at exactly
+            // that class.
             Op::Cast {
-                op: cop,
-                from,
-                to,
-                dst,
-                src,
-            } => {
-                cast_types(errs, pc, cop, from, to);
-                if cls(src) != RegClass::of(from) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!(
-                            "cast source r{src} is {} but operand type is {from}",
-                            cls(src)
-                        ),
-                    );
-                }
-                if cls(dst) != RegClass::of(to) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!(
-                            "cast destination r{dst} is {} but result type is {to}",
-                            cls(dst)
-                        ),
-                    );
-                }
+                op: cop, from, to, ..
             }
-            Op::Select {
-                dst,
-                cond,
-                t,
-                f: fv,
+            | Op::VCast {
+                op: cop, from, to, ..
             } => {
-                if cls(cond) != RegClass::Int {
-                    mismatch(errs, pc, format!("select condition r{cond} is not int"));
+                use {CastOp::*, RegClass::*};
+                let (reads, writes) = match cop {
+                    Trunc | ZExt | SExt => (Int, Int),
+                    SiToFp | UiToFp => (Int, Float),
+                    FpToSi | FpToUi => (Float, Int),
+                    FpTrunc | FpExt => (Float, Float),
+                    PtrToInt => (Ptr, Int),
+                    IntToPtr => (Int, Ptr),
+                };
+                if RegClass::of(from) != reads {
+                    mismatch(errs, format!("{} from {from}", cop.mnemonic()));
                 }
-                if cls(t) != cls(dst) || cls(fv) != cls(dst) {
-                    mismatch(
-                        errs,
-                        pc,
-                        "select arms disagree with destination".to_string(),
-                    );
+                if RegClass::of(to) != writes {
+                    mismatch(errs, format!("{} to {to}", cop.mnemonic()));
                 }
             }
             Op::Call {
@@ -616,306 +459,39 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
                 ret,
                 dst,
             } => {
-                match (ret, dst) {
-                    (IrType::Void, Some(d)) => {
-                        mismatch(errs, pc, format!("void call writes r{d}"));
-                    }
-                    (ret, Some(d)) if cls(d) != RegClass::of(ret) => {
-                        mismatch(
-                            errs,
-                            pc,
-                            format!("call returning {ret} into {} r{d}", cls(d)),
-                        );
-                    }
-                    _ => {}
+                if let (IrType::Void, Some(d)) = (ret, dst) {
+                    mismatch(errs, format!("void call writes r{d}"));
                 }
                 if let CallTarget::Bytecode(i) = f.call_targets[target as usize] {
                     let args = &f.call_args[args_at as usize..][..nargs as usize];
                     call_boundary(errs, f, pc, args, ret, &funcs[i as usize]);
                 }
             }
-            Op::Br { cond, .. } => {
-                if cls(cond) != RegClass::Int {
-                    mismatch(errs, pc, format!("branch condition r{cond} is not int"));
-                }
+            Op::Ret { src: Some(r) } if f.ret != IrType::Void => {
+                class(errs, "src", Operand::R(r), RegClass::of(f.ret));
             }
-            Op::CmpBr {
-                pred, ty, lhs, rhs, ..
-            } => {
-                compare_operands(errs, pc, pred, ty, lhs, rhs);
-            }
-            Op::Ret { src: Some(r) } => {
-                if f.ret != IrType::Void && cls(r) != RegClass::of(f.ret) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!(
-                            "return of {} r{r} from function returning {}",
-                            cls(r),
-                            f.ret
-                        ),
-                    );
-                }
-            }
-            Op::Ret { src: None } | Op::Jmp { .. } | Op::Unreachable => {}
-            Op::VMov { dst, src, w } => {
-                lanes(errs, pc, w);
-                vwidth(errs, pc, "vmov destination", dst, w);
-                vwidth(errs, pc, "vmov source", src, w);
-                if vcls(dst) != vcls(src) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("vmov from {} v{src} to {} v{dst}", vcls(src), vcls(dst)),
-                    );
-                }
-            }
-            Op::VIota { dst, base, w } => {
-                lanes(errs, pc, w);
-                vwidth(errs, pc, "viota destination", dst, w);
-                if vcls(dst) != RegClass::Int {
-                    mismatch(errs, pc, format!("viota destination v{dst} is not int"));
-                }
-                if cls(base) != RegClass::Int {
-                    mismatch(errs, pc, format!("viota base r{base} is not int"));
-                }
-            }
-            Op::VBroadcast { dst, src, w } => {
-                lanes(errs, pc, w);
-                vwidth(errs, pc, "broadcast destination", dst, w);
-                if vcls(dst) != cls(src) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("broadcast of {} r{src} into {} v{dst}", cls(src), vcls(dst)),
-                    );
-                }
-            }
-            Op::VExtract { dst, src, lane } => {
+            Op::VExtract { src, lane, .. } => {
                 let have = f.vreg_width[src as usize];
                 if lane >= have {
-                    err(
-                        errs,
-                        f,
-                        pc,
-                        format!("lane {lane} out of range for v{src} of width {have}"),
-                    );
-                }
-                if cls(dst) != vcls(src) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("extract of {} v{src} into {} r{dst}", vcls(src), cls(dst)),
-                    );
+                    let what = format!("lane {lane} out of range for v{src} of width {have}");
+                    err(errs, f, pc, what);
                 }
             }
-            Op::VLoad { dst, ty, w, .. } | Op::VLoadIdx { dst, ty, w, .. } => {
-                lanes(errs, pc, w);
-                vwidth(errs, pc, "vload destination", dst, w);
-                if ty == IrType::Void {
-                    mismatch(errs, pc, "vector load of void".to_string());
-                } else if vcls(dst) != RegClass::of(ty) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("vector load of {ty} into {} v{dst}", vcls(dst)),
-                    );
-                }
-                address(errs, pc, "vector load", *op);
-            }
-            Op::VStore { src, ty, w, .. } | Op::VStoreIdx { src, ty, w, .. } => {
-                lanes(errs, pc, w);
-                vwidth(errs, pc, "vstore source", src, w);
-                if ty == IrType::Void {
-                    mismatch(errs, pc, "vector store of void".to_string());
-                } else if vcls(src) != RegClass::of(ty) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("vector store of {ty} from {} v{src}", vcls(src)),
-                    );
-                }
-                address(errs, pc, "vector store", *op);
-            }
-            Op::VGather {
-                dst,
-                base,
-                idx,
-                ty,
-                w,
-                ..
-            } => {
-                lanes(errs, pc, w);
-                vwidth(errs, pc, "gather destination", dst, w);
-                vwidth(errs, pc, "gather index", idx, w);
-                if ty == IrType::Void {
-                    mismatch(errs, pc, "vector gather of void".to_string());
-                } else if vcls(dst) != RegClass::of(ty) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("vector gather of {ty} into {} v{dst}", vcls(dst)),
-                    );
-                }
-                if cls(base) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("gather base r{base} is not ptr"));
-                }
-                if vcls(idx) != RegClass::Int {
-                    mismatch(errs, pc, format!("gather index v{idx} is not int"));
+            Op::LoadIdx { ty, wrap, .. }
+            | Op::StoreIdx { ty, wrap, .. }
+            | Op::VLoadIdx { ty, wrap, .. }
+            | Op::VStoreIdx { ty, wrap, .. } => {
+                void(errs, ty);
+                // An indexed address's arithmetic wraps where a fold runs it.
+                if !matches!(wrap, IrType::I32 | IrType::I64) {
+                    mismatch(errs, format!("{} index wraps at {wrap}", name()));
                 }
             }
-            Op::VScatter {
-                src,
-                base,
-                idx,
-                ty,
-                w,
-                ..
-            } => {
-                lanes(errs, pc, w);
-                vwidth(errs, pc, "scatter source", src, w);
-                vwidth(errs, pc, "scatter index", idx, w);
-                if ty == IrType::Void {
-                    mismatch(errs, pc, "vector scatter of void".to_string());
-                } else if vcls(src) != RegClass::of(ty) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("vector scatter of {ty} from {} v{src}", vcls(src)),
-                    );
-                }
-                if cls(base) != RegClass::Ptr {
-                    mismatch(errs, pc, format!("scatter base r{base} is not ptr"));
-                }
-                if vcls(idx) != RegClass::Int {
-                    mismatch(errs, pc, format!("scatter index v{idx} is not int"));
-                }
-            }
-            Op::VBin {
-                op: bop,
-                ty,
-                dst,
-                lhs,
-                rhs,
-                w,
-            } => {
-                lanes(errs, pc, w);
-                for (role, v) in [("destination", dst), ("lhs", lhs), ("rhs", rhs)] {
-                    vwidth(errs, pc, &format!("vector op {role}"), v, w);
-                }
-                if ty == IrType::Ptr {
-                    mismatch(errs, pc, "vector pointer arithmetic".to_string());
-                } else if bop.is_float() {
-                    if !ty.is_float() {
-                        mismatch(
-                            errs,
-                            pc,
-                            format!("float vector op {} at type {ty}", bop.mnemonic()),
-                        );
-                    }
-                    for (role, v) in [("destination", dst), ("lhs", lhs), ("rhs", rhs)] {
-                        if vcls(v) != RegClass::Float {
-                            mismatch(
-                                errs,
-                                pc,
-                                format!(
-                                    "float vector op {} with {} {role} v{v}",
-                                    bop.mnemonic(),
-                                    vcls(v)
-                                ),
-                            );
-                        }
-                    }
-                } else {
-                    if ty.is_float() {
-                        mismatch(
-                            errs,
-                            pc,
-                            format!("integer vector op {} at type {ty}", bop.mnemonic()),
-                        );
-                    }
-                    for (role, v) in [("destination", dst), ("lhs", lhs), ("rhs", rhs)] {
-                        if vcls(v) != RegClass::Int {
-                            mismatch(
-                                errs,
-                                pc,
-                                format!(
-                                    "integer vector op {} with {} {role} v{v}",
-                                    bop.mnemonic(),
-                                    vcls(v)
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-            Op::VCast {
-                op: cop,
-                from,
-                to,
-                dst,
-                src,
-                w,
-            } => {
-                lanes(errs, pc, w);
-                cast_types(errs, pc, cop, from, to);
-                vwidth(errs, pc, "vector cast destination", dst, w);
-                vwidth(errs, pc, "vector cast source", src, w);
-                if vcls(src) != RegClass::of(from) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!(
-                            "vector cast source v{src} is {} but operand type is {from}",
-                            vcls(src)
-                        ),
-                    );
-                }
-                if vcls(dst) != RegClass::of(to) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!(
-                            "vector cast destination v{dst} is {} but result type is {to}",
-                            vcls(dst)
-                        ),
-                    );
-                }
-            }
-            Op::VReduce {
-                op: bop,
-                ty,
-                dst,
-                src,
-                w,
-            } => {
-                lanes(errs, pc, w);
-                vwidth(errs, pc, "reduce source", src, w);
-                if ty == IrType::Ptr {
-                    mismatch(errs, pc, "vector reduction of ptr".to_string());
-                } else if bop.is_float() != ty.is_float() {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("reduce op {} at type {ty}", bop.mnemonic()),
-                    );
-                }
-                if vcls(src) != RegClass::of(ty) {
-                    mismatch(
-                        errs,
-                        pc,
-                        format!("reduce of {ty} from {} v{src}", vcls(src)),
-                    );
-                }
-                if cls(dst) != RegClass::of(ty) {
-                    mismatch(errs, pc, format!("reduce of {ty} into {} r{dst}", cls(dst)));
-                }
-            }
-            Op::VEpi { src, .. } => {
-                if cls(src) != RegClass::Int {
-                    mismatch(errs, pc, format!("epilogue count r{src} is not int"));
-                }
-            }
+            Op::Load { ty, .. }
+            | Op::Store { ty, .. }
+            | Op::VGather { ty, .. }
+            | Op::VScatter { ty, .. } => void(errs, ty),
+            _ => {}
         }
     }
 }
@@ -931,10 +507,7 @@ fn pads(f: &VmFunction, errs: &mut Vec<VerifyError>) {
         for pc in p.start as usize..p.end as usize {
             let op = f.ops[pc];
             let acts = match op {
-                Op::Store { .. }
-                | Op::StoreIdx { .. }
-                | Op::VStore { .. }
-                | Op::VStoreIdx { .. } => Some("store"),
+                Op::Store { .. } | Op::StoreIdx { .. } | Op::VStoreIdx { .. } => Some("store"),
                 Op::VScatter { .. } => Some("scatter"),
                 Op::Call { .. } => Some("call"),
                 Op::Alloca { .. } => Some("alloca"),
@@ -1289,7 +862,7 @@ mod tests {
         let errs = verify_function(&f, &[]);
         assert!(
             errs.iter()
-                .any(|e| e.what.contains("broadcast of int r0 into float v0")),
+                .any(|e| e.what.contains("vbroadcast dst v0 is float, expected int")),
             "{errs:?}"
         );
     }
@@ -1404,7 +977,7 @@ mod tests {
         assert_eq!(errs[0].at, 3);
         assert!(errs[0]
             .what
-            .contains("type mismatch: load index r1 is not int"));
+            .contains("type mismatch: loadidx index r1 is float, expected int"));
     }
 
     #[test]
@@ -1433,8 +1006,8 @@ mod tests {
         assert_eq!(
             errs,
             [
-                "type mismatch: vector store base r1 is not ptr",
-                "type mismatch: vector store index wraps at i16",
+                "type mismatch: vstoreidx base r1 is int, expected ptr",
+                "type mismatch: vstoreidx index wraps at i16",
             ]
         );
     }

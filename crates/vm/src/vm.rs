@@ -58,7 +58,8 @@
 //!   [`RunState`].
 
 use crate::ops::{
-    indexed_address, Address, CallTarget, Op, PoolConst, Reg, VmFunction, VmModule, MAX_LANES,
+    indexed_address, Address, CallTarget, Indexed, Op, PoolConst, Reg, VmFunction, VmModule,
+    MAX_LANES,
 };
 use omplt_interp::engine::{Callee, Engine, RunState};
 use omplt_interp::memory::{MemError, RegionCache};
@@ -268,13 +269,13 @@ fn mem_err(e: MemError) -> ExecError {
 #[inline(always)]
 fn address(regs: &[u64], op: Op) -> u64 {
     match op.address() {
-        Some(Address::Indexed {
+        Some(Address::Indexed(Indexed {
             base,
             index,
             c,
             wrap,
             scale,
-        }) => indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale),
+        })) => indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale),
         Some(Address::Reg(addr)) => regs[addr as usize],
         None => unreachable!("{op:?} is not an access"),
     }
@@ -524,11 +525,11 @@ macro_rules! resolved_ops {
                         Op::VExtract { dst, src, lane } => {
                             regs[dst as usize] = vregs[src as usize][lane as usize];
                         }
-                        Op::VLoad { dst, ty, w, .. } | Op::VLoadIdx { dst, ty, w, .. } => {
+                        Op::VLoadIdx { dst, ty, w, .. } => {
                             let a = address(regs, op);
                             or_fault!('run, f, pc, vload(mem, &mut cache, a, ty, &mut vregs[dst as usize][..w as usize]));
                         }
-                        Op::VStore { src, ty, w, .. } | Op::VStoreIdx { src, ty, w, .. } => {
+                        Op::VStoreIdx { src, ty, w, .. } => {
                             let a = address(regs, op);
                             or_fault!('run, f, pc, vstore(mem, &mut cache, a, ty, &vregs[src as usize][..w as usize]));
                         }

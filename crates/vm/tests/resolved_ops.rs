@@ -23,6 +23,7 @@ use omplt_ir::arith::{decode, encode};
 use omplt_ir::{
     BinOpKind, CastOp, CmpPred, Function, Inst, IrType, Module, SymbolId, Terminator, Value,
 };
+use omplt_vm::ops::Indexed;
 use omplt_vm::vm::{has_kernel_row, KernelRow, KERNEL_ROWS};
 use omplt_vm::{verify_module, Op, PoolConst, Reg, RegClass, VmEngine, VmFunction, VmModule};
 
@@ -573,6 +574,10 @@ fn an_indexed_address_is_the_one_its_folded_ops_compute() {
 // Lane forms
 // ---------------------------------------------------------------------------
 
+/// The registers every lane form starts with: the three globals'
+/// addresses and a zero index.
+const LANE_REGS: [RegClass; 4] = [RegClass::Ptr, RegClass::Ptr, RegClass::Ptr, RegClass::Int];
+
 /// Lane inputs and outputs live in three module globals of 8 × 8 bytes.
 struct LaneBench {
     module: Module,
@@ -587,22 +592,30 @@ impl LaneBench {
     }
 
     /// `prefix`: load `in_a` (and `in_b`) into `v0` (`v1`) as `w` lanes of
-    /// `ty`; registers `r0..r2` hold the three globals' addresses.
+    /// `ty`; registers `r0..r2` hold the three globals' addresses, and the
+    /// int register `r3` zero.
     fn load_inputs(&self, ty: IrType, w: u8, two: bool) -> Vec<Op> {
-        let mut ops: Vec<Op> = (0..3).map(|i| Op::Const { dst: i, idx: i }).collect();
+        let mut ops: Vec<Op> = (0..4).map(|i| Op::Const { dst: i, idx: i }).collect();
         for v in 0..1 + two as u16 {
-            ops.push(Op::VLoad {
-                dst: v,
-                addr: v,
-                ty,
-                w,
-            });
+            ops.push(LaneBench::at(v).vload(v, ty, w));
         }
         ops
     }
 
+    /// The lane-0 address of global `which`: `r{which} + i64(r3)*8`.
+    fn at(which: Reg) -> Indexed {
+        Indexed {
+            base: which,
+            index: 3,
+            c: 0,
+            wrap: IrType::I64,
+            scale: 8,
+        }
+    }
+
     fn consts(&self) -> Vec<PoolConst> {
-        self.syms.iter().map(|&s| PoolConst::Global(s)).collect()
+        let globals = self.syms.iter().map(|&s| PoolConst::Global(s));
+        globals.chain([PoolConst::Val(RegClass::Int, 0)]).collect()
     }
 
     /// Writes `vals` into global `which` as consecutive `ty`s.
@@ -688,16 +701,11 @@ fn vbin_lanes_match_the_interpreter() {
                     rhs: 1,
                     w,
                 });
-                ops.push(Op::VStore {
-                    src: 2,
-                    addr: 2,
-                    ty: whole(ty),
-                    w,
-                });
+                ops.push(LaneBench::at(2).vstore(2, whole(ty), w));
                 ops.push(Op::Ret { src: None });
                 let code = verified(vec![vm_function(
                     0,
-                    &[RegClass::Ptr; 3],
+                    &LANE_REGS,
                     &[(c, w); 3],
                     bench.consts(),
                     ops,
@@ -754,16 +762,11 @@ fn vcast_lanes_match_the_interpreter() {
                         src: 0,
                         w,
                     });
-                    ops.push(Op::VStore {
-                        src: 1,
-                        addr: 2,
-                        ty: whole(to),
-                        w,
-                    });
+                    ops.push(LaneBench::at(2).vstore(1, whole(to), w));
                     ops.push(Op::Ret { src: None });
                     let code = verified(vec![vm_function(
                         0,
-                        &[RegClass::Ptr; 3],
+                        &LANE_REGS,
                         &[(RegClass::of(from), w), (RegClass::of(to), w)],
                         bench.consts(),
                         ops,
@@ -813,14 +816,14 @@ fn vreduce_folds_lanes_in_order_like_the_interpreter() {
                 ops.push(Op::VReduce {
                     op,
                     ty,
-                    dst: 3,
+                    dst: 4,
                     src: 0,
                     w,
                 });
-                ops.push(Op::Ret { src: Some(3) });
+                ops.push(Op::Ret { src: Some(4) });
                 let code = verified(vec![vm_function(
                     0,
-                    &[RegClass::Ptr, RegClass::Ptr, RegClass::Ptr, c],
+                    &[&LANE_REGS[..], &[c]].concat(),
                     &[(c, w)],
                     bench.consts(),
                     ops,

@@ -111,9 +111,9 @@ fn type_mismatch_golden() {
     assert_eq!(
         errs,
         vec![
-            format!("@main: op {at}: type mismatch: float op fadd with int destination r{dst}"),
-            format!("@main: op {at}: type mismatch: float op fadd with int lhs r{lhs}"),
-            format!("@main: op {at}: type mismatch: float op fadd with int rhs r{rhs}"),
+            format!("@main: op {at}: type mismatch: bin dst r{dst} is int, expected float"),
+            format!("@main: op {at}: type mismatch: bin lhs r{lhs} is int, expected float"),
+            format!("@main: op {at}: type mismatch: bin rhs r{rhs} is int, expected float"),
         ]
     );
 }
@@ -205,7 +205,7 @@ fn vector_sample() -> VmModule {
         code.funcs[0]
             .ops
             .iter()
-            .any(|op| matches!(op, Op::VLoad { .. } | Op::VLoadIdx { .. })),
+            .any(|op| matches!(op, Op::VLoadIdx { .. })),
         "sample must actually widen"
     );
     assert!(
@@ -224,10 +224,10 @@ fn vector_lane_count_golden() {
     let at = f
         .ops
         .iter()
-        .position(|op| matches!(op, Op::VLoad { .. } | Op::VLoadIdx { .. }))
+        .position(|op| matches!(op, Op::VLoadIdx { .. }))
         .expect("sample has a vload");
     let dst = match &mut f.ops[at] {
-        Op::VLoad { dst, w, .. } | Op::VLoadIdx { dst, w, .. } => {
+        Op::VLoadIdx { dst, w, .. } => {
             *w = 9;
             *dst
         }
@@ -238,7 +238,7 @@ fn vector_lane_count_golden() {
         errs,
         vec![
             format!("@main: op {at}: bad lane count 9 (must be 2..=8)"),
-            format!("@main: op {at}: vload destination v{dst} has width 4 but op uses 9 lanes"),
+            format!("@main: op {at}: vloadidx dst v{dst} has width 4 but op uses 9 lanes"),
         ]
     );
 }
@@ -252,10 +252,10 @@ fn vector_width_mismatch_golden() {
     let at = f
         .ops
         .iter()
-        .position(|op| matches!(op, Op::VLoad { .. } | Op::VLoadIdx { .. }))
+        .position(|op| matches!(op, Op::VLoadIdx { .. }))
         .expect("sample has a vload");
     let dst = match &mut f.ops[at] {
-        Op::VLoad { dst, w, .. } | Op::VLoadIdx { dst, w, .. } => {
+        Op::VLoadIdx { dst, w, .. } => {
             *w = 2;
             *dst
         }
@@ -265,7 +265,7 @@ fn vector_width_mismatch_golden() {
     assert_eq!(
         errs,
         vec![format!(
-            "@main: op {at}: vload destination v{dst} has width 4 but op uses 2 lanes"
+            "@main: op {at}: vloadidx dst v{dst} has width 4 but op uses 2 lanes"
         )]
     );
 }
@@ -334,10 +334,10 @@ fn vector_class_mismatch_golden() {
     let at = f
         .ops
         .iter()
-        .position(|op| matches!(op, Op::VLoad { .. } | Op::VLoadIdx { .. }))
+        .position(|op| matches!(op, Op::VLoadIdx { .. }))
         .expect("sample has a vload");
     let dst = match &mut f.ops[at] {
-        Op::VLoad { dst, ty, .. } | Op::VLoadIdx { dst, ty, .. } => {
+        Op::VLoadIdx { dst, ty, .. } => {
             *ty = IrType::F64;
             *dst
         }
@@ -347,7 +347,7 @@ fn vector_class_mismatch_golden() {
     assert_eq!(
         errs,
         vec![format!(
-            "@main: op {at}: type mismatch: vector load of double into int v{dst}"
+            "@main: op {at}: type mismatch: vloadidx dst v{dst} is int, expected float"
         )]
     );
 }

@@ -246,6 +246,27 @@ fn read_only_loops_widen_on_proof() {
     assert_eq!(proven, 3);
 }
 
+/// A 2-D read whose row is computed in the inner loop from values outside
+/// it — without `--opt` no LICM hoists the row's `gep`, its index's cast or
+/// its offset — widens all the same: the collapse probe's checksum nest,
+/// and a row `k` ahead, whose last chunk leaves the array at `k = 1` and
+/// faults where the scalar loop does.
+#[test]
+fn rows_computed_in_the_loop_from_outside_values_widen() {
+    let source = "void print_i64(long v);\nlong a[8][9];\n\
+         long checksum(void) {\n  long s = 0;\n  for (int i = 0; i < 8; i += 1)\n    \
+         for (int j = 0; j < 9; j += 1)\n      s += a[i][j] * (i * 9 + j + 1);\n  return s;\n}\n\
+         long ahead(int k) {\n  long s = 0;\n  for (int i = 0; i < 8; i += 1)\n    \
+         for (int j = 0; j < 9; j += 1)\n      s += a[i + k][j] - j;\n  return s;\n}\n\
+         int main(void) {\n  for (int i = 0; i < 8; i += 1)\n    for (int j = 0; j < 9; j += 1)\n      \
+         a[i][j] = i * 5 - j;\n  print_i64(checksum());\n  print_i64(ahead(0));\n  \
+         print_i64(ahead(1));\n  return 0;\n}\n";
+    let (oracle, proven) = agrees_per_opt("rows", source);
+    assert_eq!(oracle.code, Some(1), "{}", oracle.stderr);
+    assert_eq!(oracle.stdout, "52008\n684\n");
+    assert_eq!(proven, [2, 2]);
+}
+
 /// What the proof refuses: a store, a call, a float reduction and
 /// `e - phi`. Each loop stays scalar and every run agrees.
 #[test]
