@@ -334,6 +334,12 @@ fn check_jump(f: &VmFunction, pc: usize, target: u32, errs: &mut Vec<VerifyError
     }
 }
 
+/// [`err`] with the message `what` makes, kept out of the caller's line.
+#[cold]
+fn report(errs: &mut Vec<VerifyError>, f: &VmFunction, at: usize, what: impl FnOnce() -> String) {
+    err(errs, f, at, what());
+}
+
 /// The class register `o` has.
 fn class_of(f: &VmFunction, o: Operand) -> RegClass {
     match o {
@@ -354,8 +360,12 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
         let class = |errs: &mut Vec<VerifyError>, field: &str, o: Operand, want: RegClass| {
             let have = class_of(f, o);
             if have != want {
-                let what = format!("{} {field} {o} is {have}, expected {want}", name());
-                mismatch(errs, what);
+                report(errs, f, pc, || {
+                    format!(
+                        "type mismatch: {} {field} {o} is {have}, expected {want}",
+                        name()
+                    )
+                });
             }
         };
         let void = |errs: &mut Vec<VerifyError>, ty: IrType| {
@@ -363,34 +373,42 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
                 mismatch(errs, format!("{} of void", name()));
             }
         };
+        // The walk runs for every operand the verifier loads: its closure is
+        // inlined at every register of every row, and what it reports is
+        // formatted out of line.
         let mut lanes = None;
-        op.operands(|item| match item {
-            // Lane counts are part of the type, not a runtime property.
-            Field::Lanes(w) => {
-                if !(2..=MAX_LANES as u8).contains(&w) {
-                    let what = format!("bad lane count {w} (must be 2..={MAX_LANES})");
-                    err(errs, f, pc, what);
+        op.operands(
+            #[inline(always)]
+            |item| match item {
+                // Lane counts are part of the type, not a runtime property.
+                Field::Lanes(w) => {
+                    if !(2..=MAX_LANES as u8).contains(&w) {
+                        report(errs, f, pc, || {
+                            format!("bad lane count {w} (must be 2..={MAX_LANES})")
+                        });
+                    }
+                    lanes = Some(w);
                 }
-                lanes = Some(w);
-            }
-            Field::Reg(field, o, want) => {
-                match want {
-                    Want::Any => {}
-                    Want::Is(want) => class(errs, field, o, want),
-                    Want::As(other) => class(errs, field, o, class_of(f, other)),
-                }
-                if let (Operand::V(v), Some(w)) = (o, lanes) {
-                    let have = f.vreg_width[v as usize];
-                    if have != w {
-                        let what = format!(
-                            "{} {field} v{v} has width {have} but op uses {w} lanes",
-                            name()
-                        );
-                        err(errs, f, pc, what);
+                Field::Reg(field, o, want) => {
+                    match want {
+                        Want::Any => {}
+                        Want::Is(want) => class(errs, field, o, want),
+                        Want::As(other) => class(errs, field, o, class_of(f, other)),
+                    }
+                    if let (Operand::V(v), Some(w)) = (o, lanes) {
+                        let have = f.vreg_width[v as usize];
+                        if have != w {
+                            report(errs, f, pc, || {
+                                let name = name();
+                                format!(
+                                    "{name} {field} v{v} has width {have} but op uses {w} lanes"
+                                )
+                            });
+                        }
                     }
                 }
-            }
-        });
+            },
+        );
         // The rules a class cannot state.
         match op {
             Op::Const { dst, idx } => {
