@@ -1247,6 +1247,72 @@ mod tests {
     }
 
     #[test]
+    fn a_pad_writing_a_vector_register_live_at_its_target_is_reported() {
+        // v0 is written before the range and again in it; the target
+        // returns its lane 0.
+        let f = VmFunction {
+            num_vregs: 1,
+            vreg_class: vec![RegClass::Int],
+            vreg_width: vec![4],
+            ops: vec![
+                Op::Const { dst: 0, idx: 0 },
+                Op::Alloca { dst: 2, bytes: 8 },
+                Op::VBroadcast {
+                    dst: 0,
+                    src: 0,
+                    w: 4,
+                },
+                Op::Jmp { target: 4 },
+                Op::Load {
+                    dst: 1,
+                    addr: 2,
+                    ty: IrType::I64,
+                },
+                Op::VBroadcast {
+                    dst: 0,
+                    src: 1,
+                    w: 4,
+                },
+                Op::Jmp { target: 7 },
+                Op::VExtract {
+                    dst: 3,
+                    src: 0,
+                    lane: 0,
+                },
+                Op::Ret { src: Some(3) },
+            ],
+            block_starts: vec![0, 4, 7],
+            pads: vec![crate::ops::Pad {
+                start: 4,
+                end: 6,
+                target: 7,
+            }],
+            ..padded()
+        };
+        assert_eq!(
+            only_error(&f),
+            "@p: op 5: fault pad 0 writes v0, live at its target 7"
+        );
+    }
+
+    #[test]
+    fn a_register_read_past_a_pad_target_is_live_at_it() {
+        // The target only jumps on; the block after it returns r0, which
+        // the range writes.
+        let mut f = padded();
+        if let Op::Bin { dst, .. } = &mut f.ops[4] {
+            *dst = 0;
+        }
+        f.ops[6] = Op::Jmp { target: 7 };
+        f.ops.push(Op::Ret { src: Some(0) });
+        f.block_starts.push(7);
+        assert_eq!(
+            only_error(&f),
+            "@p: op 4: fault pad 0 writes r0, live at its target 6"
+        );
+    }
+
+    #[test]
     fn a_pad_target_that_is_no_block_start_is_reported() {
         let mut f = padded();
         f.pads[0].target = 5;
