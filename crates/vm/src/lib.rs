@@ -19,12 +19,15 @@
 //!   by coalescing those copies and fuses compare/branch and latch
 //!   arithmetic/jump pairs, and a linear-scan pass ([`regalloc`]) compacts
 //!   the register file. The per-function analysis is done once: one CFG and
-//!   one flat-row liveness workspace serve every peephole stage and the
-//!   allocator, and the lowerer's per-instruction tables are dense vectors.
+//!   one flat-row liveness workspace serve every peephole stage, the
+//!   allocator and the verifier, and the lowerer's per-instruction tables
+//!   are dense vectors.
 //! * [`verify`] — a load-time bytecode verifier (register def-before-use,
 //!   in-bounds jump targets, every operand in the class its row gives it,
-//!   plus the few type rules a class cannot state) that runs on every
-//!   compiled module.
+//!   plus the few type rules a class cannot state, and the fault pads'
+//!   rules) that runs on every compiled module. Its dataflow phases read the
+//!   compiler's CFG and liveness ([`regalloc`]), built and solved afresh for
+//!   every function of the image being checked.
 //! * [`vm`] — the execution engine: `VmEngine::new` resolves each verified
 //!   [`Op`] once per run to a private execution form — a variant of its own
 //!   for each (operator, type) pair the benchmark's workloads retire, the

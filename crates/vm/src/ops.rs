@@ -1160,14 +1160,20 @@ impl VmFunction {
             .map(|p| p.target)
     }
 
-    /// The ops of the block starting at offset `start` (up to the next block
-    /// start or the end of the stream).
-    pub fn block_range(&self, start: u32) -> std::ops::Range<usize> {
-        let end = match self.block_starts.binary_search(&start) {
-            Ok(i) if i + 1 < self.block_starts.len() => self.block_starts[i + 1] as usize,
-            _ => self.ops.len(),
-        };
-        start as usize..end
+    /// The ops of block `b` (up to the next block start or the end of the
+    /// stream).
+    pub fn block_range(&self, b: usize) -> std::ops::Range<usize> {
+        let start = self.block_starts[b] as usize;
+        let end = self
+            .block_starts
+            .get(b + 1)
+            .map_or(self.ops.len(), |&s| s as usize);
+        start..end
+    }
+
+    /// The block holding op `pc` (block starts sorted, the first at 0).
+    pub(crate) fn block_of(&self, pc: u32) -> usize {
+        self.block_starts.partition_point(|&s| s <= pc) - 1
     }
 }
 

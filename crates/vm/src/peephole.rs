@@ -28,15 +28,15 @@
 //! deleted, and therefore each block keeps at least one op.
 //!
 //! The stages share one [`Analysis`]: the CFG is read off the terminators
-//! once and kept current by the two stages that move an edge (the
-//! trampoline drop retargets one, stage 3 remaps them), and liveness is
+//! and fault pads once and kept current by the two stages that move an edge
+//! (the trampoline drop retargets one, stage 3 remaps them), and liveness is
 //! solved once per function — [`optimize_in`] says why that solve still
-//! holds for every stage and, remapped, for the register allocator. The `dead` mask, the edge counts,
-//! the merge mask and the compaction offsets are `Analysis` buffers too,
-//! reused from function to function.
+//! holds for every stage and, remapped, for the register allocator. The
+//! `dead` mask, the edge counts, the merge mask and the compaction offsets
+//! are `Analysis` buffers too, reused from function to function.
 
 use crate::ops::{Op, Reg, VmFunction};
-use crate::regalloc::{bit_test, block_range, Analysis, Liveness};
+use crate::regalloc::{bit_test, Analysis, Liveness};
 
 /// Runs the full pipeline in place; returns the number of ops removed.
 #[cfg(test)]
@@ -141,8 +141,8 @@ impl Coalesce {
         while next != NONE {
             let at = next as usize;
             next = self.def_next[at];
-            let b = f.block_starts.partition_point(|&s| s as usize <= at) - 1;
-            let (start, end) = block_range(f, b);
+            let b = f.block_of(at as u32);
+            let std::ops::Range { start, end } = f.block_range(b);
             // Live after `at` only if live into the block or written before
             // `at` in it: otherwise a read after `at` would be upward-exposed.
             let mut def = self.def_head[y as usize];
@@ -246,13 +246,13 @@ fn drop_empty_trampolines(f: &mut VmFunction, a: &mut Analysis) {
     a.merged.clear();
     a.merged.resize(nb, false);
     for b in 0..nb {
-        let (_, br) = block_range(f, b);
+        let br = f.block_range(b).end;
         if !matches!(f.ops[br - 1], Op::Br { .. }) {
             continue;
         }
         for arm in 0..2 {
             let t = a.cfg.succs(b)[arm] as usize;
-            let (start, end) = block_range(f, t);
+            let std::ops::Range { start, end } = f.block_range(t);
             let Op::Jmp { target } = f.ops[end - 1] else {
                 continue;
             };
@@ -276,8 +276,7 @@ fn drop_empty_trampolines(f: &mut VmFunction, a: &mut Analysis) {
 
 /// The last two live ops of block `b`, terminator first.
 fn last_two_live(f: &VmFunction, b: usize, dead: &[bool]) -> Option<(usize, usize)> {
-    let (start, end) = block_range(f, b);
-    let mut live = (start..end).rev().filter(|&pc| !dead[pc]);
+    let mut live = f.block_range(b).rev().filter(|&pc| !dead[pc]);
     Some((live.next()?, live.next()?))
 }
 

@@ -1,7 +1,8 @@
-//! The per-function analyses the peephole stages and the allocator share —
-//! one [`Cfg`], one [`Liveness`] workspace, bundled as [`Analysis`] — and
-//! linear-scan register allocation over the virtual registers the lowerer
-//! emits (one per SSA value, argument, constant, and phi-copy temporary).
+//! The per-function analyses of bytecode — one [`Cfg`], one [`Liveness`]
+//! workspace, bundled as [`Analysis`] — which the peephole stages, the
+//! allocator and the verifier ([`crate::verify`]) share, and linear-scan
+//! register allocation over the virtual registers the lowerer emits (one per
+//! SSA value, argument, constant, and phi-copy temporary).
 //!
 //! There is no spilling — the frame's register file is heap-allocated and
 //! `u16`-indexed, so "allocation" here means *compaction*: block-level
@@ -17,32 +18,32 @@
 //!
 //! An [`Analysis`] is filled once per function by [`crate::peephole`] and
 //! handed on to [`allocate_in`]: the successor lists are read off the
-//! terminators once, the liveness rows live in four flat `blocks × words`
-//! vectors that every solve reuses, and the allocator takes the rows of the
-//! peephole pipeline's one solve instead of solving again
+//! terminators and fault pads once, the liveness rows live in four flat
+//! `blocks × words` vectors that every solve reuses, and the allocator takes
+//! the rows of the peephole pipeline's one solve instead of solving again
 //! (`peephole::optimize_in` says why they are still current). The same
 //! `Analysis` also holds the peephole stages' masks and the allocator's
 //! intervals, order, assignment and pools. `compile_module_with`
 //! keeps one per module, so what is allocated per function is only the
 //! compiled `VmFunction` itself; the buffers here grow to the module's
-//! largest function and are then reused.
+//! largest function and are then reused. The verifier keeps one per module
+//! too and builds and solves it afresh for each function of the image it
+//! checks.
+//!
+//! The analyses have one form for every reader: a fault pad is one more
+//! edge, from the block of its range to its target, and a liveness row
+//! covers both register files (scalar register `r` is bit `r`, vector
+//! register `v` bit `num_regs + v`, [`vbit`]). The allocator reads only the
+//! scalar bits.
 
-use crate::ops::{Reg, RegClass, VmFunction};
-
-/// `(start, end)` op index range of block `b`.
-pub(crate) fn block_range(f: &VmFunction, b: usize) -> (usize, usize) {
-    let start = f.block_starts[b] as usize;
-    let end = f
-        .block_starts
-        .get(b + 1)
-        .map_or(f.ops.len(), |&s| s as usize);
-    (start, end)
-}
+use crate::ops::{Reg, RegClass, VReg, VmFunction};
 
 /// Successor block indices of every block, read off each block's terminator
-/// op, as one flat list. Block *ranges* are not copied here: they are
-/// `f.block_starts`, which deleting ops remaps without moving an edge, so
-/// only merging blocks or retargeting a branch has to touch a `Cfg`.
+/// op and fault pads, as one flat list: block `b`'s terminator targets, then
+/// the target of each pad whose range starts in `b`. Block *ranges* are not
+/// copied here: they are `f.block_starts`, which deleting ops remaps without
+/// moving an edge, so only merging blocks or retargeting a branch has to
+/// touch a `Cfg`.
 #[derive(Default, PartialEq, Debug)]
 pub(crate) struct Cfg {
     /// Block `b`'s successors are `succ[succ_at[b]..succ_at[b + 1]]`.
@@ -52,23 +53,30 @@ pub(crate) struct Cfg {
 
 impl Cfg {
     /// Reads the block structure of `f` (every block ends in a terminator
-    /// `dead` does not mask), reusing this value's buffers.
+    /// `dead` does not mask, every pad's range lies in one block), reusing
+    /// this value's buffers: each is sized once, for at most two targets
+    /// per terminator.
     pub(crate) fn build(&mut self, f: &VmFunction, dead: &[bool]) {
+        let nb = f.block_starts.len();
         self.succ_at.clear();
+        self.succ_at.reserve(nb + 1);
         self.succ.clear();
-        for b in 0..f.block_starts.len() {
+        self.succ.reserve(2 * nb + f.pads.len());
+        for b in 0..nb {
             self.succ_at.push(self.succ.len() as u32);
-            let (start, end) = block_range(f, b);
-            let term = (start..end)
+            let range = f.block_range(b);
+            let term = range
+                .clone()
                 .rfind(|&pc| !dead[pc])
                 .expect("a live terminator");
-            f.ops[term].for_each_target(|t| {
-                let s = match f.block_starts.binary_search(&t) {
-                    Ok(i) => i,
-                    Err(i) => i - 1,
-                };
-                self.succ.push(s as u32);
-            });
+            f.ops[term].for_each_target(|t| self.succ.push(f.block_of(t) as u32));
+            for p in f
+                .pads
+                .iter()
+                .filter(|p| range.contains(&(p.start as usize)))
+            {
+                self.succ.push(f.block_of(p.target) as u32);
+            }
         }
         self.succ_at.push(self.succ.len() as u32);
     }
@@ -93,37 +101,55 @@ impl Cfg {
     }
 }
 
-/// Bit `r` of a register-set row (`words` × `u64`).
-pub(crate) fn bit_test(row: &[u64], r: Reg) -> bool {
-    row[r as usize / 64] & (1 << (r % 64)) != 0
+/// `u64`s per row of a register set over both of `f`'s register files.
+pub(crate) fn row_words(f: &VmFunction) -> usize {
+    (f.num_regs as usize + f.num_vregs as usize).div_ceil(64)
 }
 
-pub(crate) fn bit_set(row: &mut [u64], r: Reg) {
-    row[r as usize / 64] |= 1 << (r % 64);
+/// The row bit of vector register `v`: the vector file follows the scalar
+/// one.
+pub(crate) fn vbit(f: &VmFunction, v: VReg) -> usize {
+    f.num_regs as usize + v as usize
 }
 
-pub(crate) fn bit_clear(row: &mut [u64], r: Reg) {
-    row[r as usize / 64] &= !(1 << (r % 64));
+/// Bit `i` of a register-set row (`words` × `u64`).
+pub(crate) fn bit_test(row: &[u64], i: impl Into<usize>) -> bool {
+    let i = i.into();
+    row[i / 64] & (1 << (i % 64)) != 0
 }
 
-/// Visits the set bits of `row` in ascending order.
-fn for_each_one(row: &[u64], mut f: impl FnMut(usize)) {
+pub(crate) fn bit_set(row: &mut [u64], i: impl Into<usize>) {
+    let i = i.into();
+    row[i / 64] |= 1 << (i % 64);
+}
+
+pub(crate) fn bit_clear(row: &mut [u64], i: impl Into<usize>) {
+    let i = i.into();
+    row[i / 64] &= !(1 << (i % 64));
+}
+
+/// Visits the set bits of `row` below `n` in ascending order.
+fn for_each_one(row: &[u64], n: usize, mut f: impl FnMut(usize)) {
     for (wi, &word) in row.iter().enumerate() {
         let mut w = word;
         while w != 0 {
-            f(wi * 64 + w.trailing_zeros() as usize);
+            let i = wi * 64 + w.trailing_zeros() as usize;
+            if i >= n {
+                return;
+            }
+            f(i);
             w &= w - 1;
         }
     }
 }
 
-/// Block-level backward liveness over the scalar registers, solved to the
+/// Block-level backward liveness over both register files, solved to the
 /// least fixpoint. The four row sets are flat (`row b` =
 /// `[b * words..(b + 1) * words]`) and keep their capacity from solve to
 /// solve and from function to function.
 #[derive(Default)]
 pub(crate) struct Liveness {
-    /// `u64`s per row: `num_regs` rounded up to a multiple of 64 bits.
+    /// `u64`s per row ([`row_words`]).
     words: usize,
     /// Upward-exposed uses and defs per block; scratch of [`Liveness::solve`]
     /// (stale once ops or blocks change, unlike the two result sets).
@@ -142,7 +168,7 @@ impl Liveness {
     pub(crate) fn solve(&mut self, f: &VmFunction, cfg: &Cfg, dead: &[bool]) {
         self.solves += 1;
         let nb = cfg.num_blocks();
-        let w = (f.num_regs as usize).div_ceil(64);
+        let w = row_words(f);
         self.words = w;
         for rows in [
             &mut self.gen_set,
@@ -154,18 +180,22 @@ impl Liveness {
             rows.resize(nb * w, 0);
         }
         for b in 0..nb {
-            let (start, end) = block_range(f, b);
             let gen_set = &mut self.gen_set[b * w..(b + 1) * w];
             let kill = &mut self.kill[b * w..(b + 1) * w];
-            for pc in (start..end).filter(|&pc| !dead[pc]) {
+            for pc in f.block_range(b).filter(|&pc| !dead[pc]) {
                 let op = f.ops[pc];
-                op.for_each_use(&f.call_args, |r| {
-                    if !bit_test(kill, r) {
-                        bit_set(gen_set, r);
+                let mut read = |i: usize| {
+                    if !bit_test(kill, i) {
+                        bit_set(gen_set, i);
                     }
-                });
+                };
+                op.for_each_use(&f.call_args, |r| read(r.into()));
+                op.for_each_vuse(|v| read(vbit(f, v)));
                 if let Some(d) = op.def() {
                     bit_set(kill, d);
+                }
+                if let Some(v) = op.vdef() {
+                    bit_set(kill, vbit(f, v));
                 }
             }
         }
@@ -387,10 +417,13 @@ pub(crate) fn allocate_in(f: &mut VmFunction, a: &mut Analysis) {
         }
         op.for_each_use(&f.call_args, |r| touch(start, end, r as usize, pc));
     }
+    // Only the rows' scalar bits: the vector file's follow them.
     for b in 0..a.cfg.num_blocks() {
-        let (bs, be) = block_range(f, b);
-        for_each_one(a.live.live_in(b), |v| touch(start, end, v, bs));
-        for_each_one(a.live.live_out(b), |v| touch(start, end, v, be - 1));
+        let range = f.block_range(b);
+        for_each_one(a.live.live_in(b), n, |v| touch(start, end, v, range.start));
+        for_each_one(a.live.live_out(b), n, |v| {
+            touch(start, end, v, range.end - 1)
+        });
     }
 
     // Linear scan with per-class free pools. Registers never share even when
@@ -451,7 +484,7 @@ pub(crate) fn allocate_in(f: &mut VmFunction, a: &mut Analysis) {
 /// builds on every solve of every function they compile.
 #[cfg(any(test, debug_assertions))]
 mod reference {
-    use super::{block_range, Cfg, Liveness};
+    use super::{row_words, vbit, Cfg, Liveness};
     use crate::ops::VmFunction;
 
     #[derive(Clone, PartialEq)]
@@ -487,31 +520,33 @@ mod reference {
         }
     }
 
-    /// Block-level backward liveness to fixpoint over `n` registers; returns
-    /// `(live_in, live_out)` per block.
-    pub(super) fn liveness(
-        f: &VmFunction,
-        n: usize,
-        cfg: &Cfg,
-        dead: &[bool],
-    ) -> (Vec<BitSet>, Vec<BitSet>) {
+    /// Block-level backward liveness to fixpoint over both register files
+    /// (vector register `v` is bit `num_regs + v`); returns `(live_in,
+    /// live_out)` per block.
+    pub(super) fn liveness(f: &VmFunction, cfg: &Cfg, dead: &[bool]) -> (Vec<BitSet>, Vec<BitSet>) {
         let nb = cfg.num_blocks();
+        let n = row_words(f) * 64;
         // Per-block gen_set (upward-exposed uses) and kill (defs).
         let mut gen_set: Vec<BitSet> = Vec::with_capacity(nb);
         let mut kill: Vec<BitSet> = Vec::with_capacity(nb);
         for b in 0..nb {
-            let (start, end) = block_range(f, b);
             let mut g = BitSet::new(n);
             let mut k = BitSet::new(n);
-            for pc in (start..end).filter(|&pc| !dead[pc]) {
+            for pc in f.block_range(b).filter(|&pc| !dead[pc]) {
                 let op = f.ops[pc];
-                op.for_each_use(&f.call_args, |r| {
-                    if !k.contains(r as usize) {
-                        g.insert(r as usize);
+                let mut uses = Vec::new();
+                op.for_each_use(&f.call_args, |r| uses.push(r as usize));
+                op.for_each_vuse(|v| uses.push(vbit(f, v)));
+                for i in uses {
+                    if !k.contains(i) {
+                        g.insert(i);
                     }
-                });
+                }
                 if let Some(d) = op.def() {
                     k.insert(d as usize);
+                }
+                if let Some(v) = op.vdef() {
+                    k.insert(vbit(f, v));
                 }
             }
             gen_set.push(g);
@@ -539,7 +574,7 @@ mod reference {
 
     /// Panics unless `new`'s rows are exactly what [`liveness`] computes.
     pub(super) fn assert_same(new: &Liveness, f: &VmFunction, cfg: &Cfg, dead: &[bool]) {
-        let (live_in, live_out) = liveness(f, f.num_regs as usize, cfg, dead);
+        let (live_in, live_out) = liveness(f, cfg, dead);
         for b in 0..cfg.num_blocks() {
             assert_eq!(new.live_in(b), live_in[b].words, "@{} live-in {b}", f.name);
             assert_eq!(
@@ -667,8 +702,11 @@ mod tests {
     /// — biased towards what the peephole stages look for (`d = <op>; s =
     /// mov d`, `cmp` feeding `br`, jumps to the next block) and what stresses
     /// a liveness solver: self-loops, backedges into the entry block, and a
-    /// last block that spins forever (no path to a `ret`).
-    fn random_fn(rng: &mut Rng, n: u16, nb: usize) -> VmFunction {
+    /// last block that spins forever (no path to a `ret`). With `wide` =
+    /// `Some(nv)`, the function also has `nv` vector registers, which a
+    /// third of the body ops write or read, and a third of its blocks hold a
+    /// fault pad over a run of their ops, resuming at any block.
+    fn random_fn(rng: &mut Rng, n: u16, nb: usize, wide: Option<u16>) -> VmFunction {
         let bodies: Vec<usize> = (0..nb).map(|_| 1 + rng.below(6)).collect();
         // Block b starts after the prologue (block 0 only) and the bodies
         // and terminators before it.
@@ -685,6 +723,7 @@ mod tests {
         };
         let mut ops = Vec::new();
         let mut call_args = Vec::new();
+        let mut pads = Vec::new();
         for (b, &body) in bodies.iter().enumerate() {
             if b == 0 {
                 for _ in 0..prologue {
@@ -698,6 +737,30 @@ mod tests {
             for _ in 0..body {
                 let (dst, lhs, rhs) = (reg(rng), reg(rng), reg(rng));
                 let (op, ty) = (BinOpKind::Add, IrType::I64);
+                if let Some(nv) = wide.filter(|_| rng.below(3) == 0) {
+                    let (vd, vs) = (
+                        rng.below(nv as usize) as VReg,
+                        rng.below(nv as usize) as VReg,
+                    );
+                    ops.push(match rng.below(3) {
+                        0 => Op::VBroadcast {
+                            dst: vd,
+                            src: lhs,
+                            w: 4,
+                        },
+                        1 => Op::VMov {
+                            dst: vd,
+                            src: vs,
+                            w: 4,
+                        },
+                        _ => Op::VExtract {
+                            dst,
+                            src: vs,
+                            lane: 0,
+                        },
+                    });
+                    continue;
+                }
                 ops.push(match rng.below(8) {
                     0 | 1 => Op::Mov { dst, src: last_def },
                     2 => Op::Mov { dst, src: lhs },
@@ -757,8 +820,23 @@ mod tests {
                 }
             };
             ops.push(term);
+            if wide.is_some() && rng.below(3) == 0 {
+                let (lo, hi) = (block_starts[b] as usize, ops.len());
+                let start = lo + rng.below(hi - lo);
+                pads.push(crate::ops::Pad {
+                    start: start as u32,
+                    end: (start + 1 + rng.below(hi - start)) as u32,
+                    target: target(rng),
+                });
+            }
         }
         let mut f = linear_fn(ops, n, vec![RegClass::Int; n as usize]);
+        if let Some(nv) = wide {
+            f.num_vregs = nv;
+            f.vreg_class = vec![RegClass::Int; nv as usize];
+            f.vreg_width = vec![4; nv as usize];
+        }
+        f.pads = pads;
         for c in f.reg_class.iter_mut().step_by(5) {
             *c = RegClass::Ptr;
         }
@@ -771,14 +849,18 @@ mod tests {
     /// Register counts on both sides of the row-width boundaries.
     const WIDTHS: [u16; 5] = [7, 63, 64, 65, 129];
 
+    /// Vector register counts of [`random_fn`]'s wide functions: with
+    /// [`WIDTHS`], rows end on both sides of a word boundary.
+    const VECTORS: [Option<u16>; 3] = [None, Some(1), Some(63)];
+
     #[test]
     fn flat_row_solver_agrees_with_the_reference() {
         let mut solved = 0;
         for seed in 1..=60u64 {
-            for n in WIDTHS {
+            for (n, wide) in WIDTHS.into_iter().flat_map(|n| VECTORS.map(|v| (n, v))) {
                 let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) + n as u64);
                 let nb = 2 + rng.below(12);
-                let f = random_fn(&mut rng, n, nb);
+                let f = random_fn(&mut rng, n, nb, wide);
                 // Mask a third of the non-terminator ops, as the peephole
                 // stages do before compaction.
                 let dead: Vec<bool> = f
@@ -788,6 +870,10 @@ mod tests {
                     .collect();
                 let mut a = Analysis::default();
                 a.cfg.build(&f, &vec![false; f.ops.len()]);
+                for p in &f.pads {
+                    let (from, to) = (f.block_of(p.start), f.block_of(p.target) as u32);
+                    assert!(a.cfg.succs(from).contains(&to), "seed {seed}: {p:?}");
+                }
                 for mask in [vec![false; f.ops.len()], dead] {
                     // One workspace, solved twice: stale rows of the first
                     // solve must not leak into the second.
@@ -797,7 +883,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(solved, 60 * WIDTHS.len() * 2);
+        assert_eq!(solved, 60 * WIDTHS.len() * VECTORS.len() * 2);
     }
 
     /// Deletes from `f` what a real function never brings to the peephole:
@@ -837,8 +923,7 @@ mod tests {
                         *l |= i;
                     }
                 }
-                let (start, end) = block_range(f, b);
-                for pc in (start..end).rev() {
+                for pc in f.block_range(b).rev() {
                     let op = f.ops[pc];
                     dead[pc] = !needed(op, &live);
                     if dead[pc] {
@@ -865,7 +950,7 @@ mod tests {
             for n in WIDTHS {
                 let mut rng = Rng(seed.wrapping_mul(0xD134_2543_DE82_EF95) + n as u64);
                 let nb = 2 + rng.below(12);
-                let mut f = random_fn(&mut rng, n, nb);
+                let mut f = random_fn(&mut rng, n, nb, None);
                 sweep_dead(&mut f);
                 let mut fresh = f.clone();
 

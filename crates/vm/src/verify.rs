@@ -35,11 +35,21 @@
 //!    the block graph, where a pad is one more edge from the start of its
 //!    range to its target: a register read before any write on some path is
 //!    an error, not a zero.
+//!
+//! Phases 3 and 4 run on the compiler's own analyses
+//! ([`crate::regalloc::Analysis`]): the CFG the peephole stages and the
+//! allocator read, where a pad is an edge from its range's block, and, for a
+//! function with pads, the same liveness over both register files. Both are
+//! built and solved afresh from the stream being checked, so a decoded
+//! image or a cache hit is held to what it says, not to what its compiler
+//! knew. [`verify_module`] keeps one workspace for all of a module's
+//! functions.
 
 use crate::ops::{
     CallTarget, Field, Op, Operand, Reg, RegClass, VmFunction, VmModule, Want, MAX_LANES,
 };
-use omplt_ir::{BlockLists, CastOp, IrType};
+use crate::regalloc::{bit_set, bit_test, row_words, vbit, Analysis};
+use omplt_ir::{CastOp, IrType};
 
 /// One verification failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,8 +84,9 @@ pub fn verify_module(m: &VmModule) -> Vec<VerifyError> {
             what: "injected verification failure (fault site 'vm.verify.reject')".to_string(),
         });
     }
+    let mut ws = Workspace::default();
     for f in &m.funcs {
-        errs.extend(verify_function(f, &m.funcs));
+        errs.extend(verify_in(f, &m.funcs, &mut ws));
     }
     errs
 }
@@ -85,6 +96,22 @@ pub fn verify_module(m: &VmModule) -> Vec<VerifyError> {
 /// function cannot carry itself): it bounds them and gives each direct call
 /// its callee's parameters and return type.
 pub fn verify_function(f: &VmFunction, funcs: &[VmFunction]) -> Vec<VerifyError> {
+    verify_in(f, funcs, &mut Workspace::default())
+}
+
+/// What the dataflow phases work in, reused from function to function: the
+/// shared CFG and liveness, and the definite-init rows.
+#[derive(Default)]
+struct Workspace {
+    a: Analysis,
+    /// What is defined entering each block (row `b` = `[b * words..(b + 1)
+    /// * words]`), and the row of the op being walked.
+    defined: Vec<u64>,
+    cur: Vec<u64>,
+}
+
+/// [`verify_function`] in the caller's workspace.
+fn verify_in(f: &VmFunction, funcs: &[VmFunction], ws: &mut Workspace) -> Vec<VerifyError> {
     let mut errs = Vec::new();
     structural(f, funcs.len(), &mut errs);
     if !errs.is_empty() {
@@ -92,20 +119,17 @@ pub fn verify_function(f: &VmFunction, funcs: &[VmFunction]) -> Vec<VerifyError>
         return errs;
     }
     types(f, funcs, &mut errs);
+    let a = &mut ws.a;
+    a.dead.clear();
+    a.dead.resize(f.ops.len(), false);
+    a.cfg.build(f, &a.dead);
+    // Only the pad rule reads liveness.
     if !f.pads.is_empty() {
-        pads(f, &mut errs);
+        a.live.solve(f, &a.cfg, &a.dead);
+        pads(f, a, &mut errs);
     }
-    definite_init(f, &mut errs);
+    definite_init(f, ws, &mut errs);
     errs
-}
-
-/// The block holding op `pc` (`pc` within the stream, block starts sorted
-/// from 0).
-fn block_of(f: &VmFunction, pc: u32) -> usize {
-    match f.block_starts.binary_search(&pc) {
-        Ok(i) => i,
-        Err(i) => i - 1,
-    }
 }
 
 fn err(errs: &mut Vec<VerifyError>, f: &VmFunction, at: usize, what: String) {
@@ -245,7 +269,7 @@ fn structural(f: &VmFunction, num_funcs: usize, errs: &mut Vec<VerifyError>) {
         let (start, end, target) = (p.start, p.end, p.target);
         let what = if start >= end || end as usize > f.ops.len() {
             format!("fault pad {k}: range {start}..{end} is empty or out of bounds")
-        } else if block_of(f, start) != block_of(f, end - 1) {
+        } else if f.block_of(start) != f.block_of(end - 1) {
             format!("fault pad {k}: range {start}..{end} spans more than one block")
         } else if (start..end).contains(&target) || f.block_starts.binary_search(&target).is_err() {
             format!("fault pad {k}: target {target} is not a block start outside its range")
@@ -256,8 +280,8 @@ fn structural(f: &VmFunction, num_funcs: usize, errs: &mut Vec<VerifyError>) {
     }
     // Every block must end in a terminator, and terminators may appear
     // nowhere else (the dataflow phase walks blocks on that assumption).
-    for (b, &s) in f.block_starts.iter().enumerate() {
-        let range = f.block_range(s);
+    for b in 0..f.block_starts.len() {
+        let range = f.block_range(b);
         let last = range.end - 1;
         if !f.ops[last].is_terminator() {
             err(
@@ -516,12 +540,11 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
 
 /// The fault pads' effect rules: no op a pad covers acts on anything but
 /// registers, and none writes a register live at the pad's target, so a
-/// trap under it resumes with what the range found.
-fn pads(f: &VmFunction, errs: &mut Vec<VerifyError>) {
-    let live = live_in(f);
-    let n = f.num_regs as usize;
+/// trap under it resumes with what the range found. `a` holds `f`'s CFG and
+/// liveness.
+fn pads(f: &VmFunction, a: &Analysis, errs: &mut Vec<VerifyError>) {
     for (k, p) in f.pads.iter().enumerate() {
-        let at_target = &live[block_of(f, p.target)];
+        let at_target = a.live.live_in(f.block_of(p.target));
         for pc in p.start as usize..p.end as usize {
             let op = f.ops[pc];
             let acts = match op {
@@ -535,11 +558,11 @@ fn pads(f: &VmFunction, errs: &mut Vec<VerifyError>) {
                 err(errs, f, pc, format!("fault pad {k} covers a {what}"));
             }
             let target = p.target;
-            if let Some(d) = op.def().filter(|&d| bit(at_target, d as usize)) {
+            if let Some(d) = op.def().filter(|&d| bit_test(at_target, d)) {
                 let what = format!("fault pad {k} writes r{d}, live at its target {target}");
                 err(errs, f, pc, what);
             }
-            if let Some(v) = op.vdef().filter(|&v| bit(at_target, n + v as usize)) {
+            if let Some(v) = op.vdef().filter(|&v| bit_test(at_target, vbit(f, v))) {
                 let what = format!("fault pad {k} writes v{v}, live at its target {target}");
                 err(errs, f, pc, what);
             }
@@ -547,193 +570,81 @@ fn pads(f: &VmFunction, errs: &mut Vec<VerifyError>) {
     }
 }
 
-fn bit(row: &[u64], i: usize) -> bool {
-    row[i / 64] & (1 << (i % 64)) != 0
-}
-
-/// Backward liveness over both register files (scalar register `r` is bit
-/// `r`, vector register `v` bit `num_regs + v`): each block's live-in row.
-/// A pad's target counts as one more successor of the block its range is
-/// in.
-fn live_in(f: &VmFunction) -> Vec<Vec<u64>> {
-    let n = f.num_regs as usize;
-    let words = (n + f.num_vregs as usize).div_ceil(64).max(1);
-    let nb = f.block_starts.len();
-    // Per block: what it reads before writing (`gen`) and what it writes.
-    let mut gen = vec![vec![0u64; words]; nb];
-    let mut kill = vec![vec![0u64; words]; nb];
-    let mut succs = vec![Vec::new(); nb];
-    for (b, &s) in f.block_starts.iter().enumerate() {
-        let range = f.block_range(s);
-        f.ops[range.end - 1].for_each_target(|t| succs[b].push(block_of(f, t)));
-        for op in f.ops[range].iter().rev() {
-            let set = |row: &mut Vec<u64>, i: usize, on: bool| {
-                if on {
-                    row[i / 64] |= 1 << (i % 64);
-                } else {
-                    row[i / 64] &= !(1 << (i % 64));
-                }
-            };
-            for d in op
-                .def()
-                .map(usize::from)
-                .into_iter()
-                .chain(op.vdef().map(|v| n + v as usize))
-            {
-                set(&mut kill[b], d, true);
-                set(&mut gen[b], d, false);
-            }
-            op.for_each_use(&f.call_args, |r| set(&mut gen[b], r as usize, true));
-            op.for_each_vuse(|v| set(&mut gen[b], n + v as usize, true));
-        }
-    }
-    for p in &f.pads {
-        succs[block_of(f, p.start)].push(block_of(f, p.target));
-    }
-    let mut live = gen.clone();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            for &s in &succs[b] {
-                for w in 0..words {
-                    let add = live[s][w] & !kill[b][w] & !live[b][w];
-                    if add != 0 {
-                        live[b][w] |= add;
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-    live
-}
-
-/// Forward "definitely assigned" dataflow: a register may only be read if
-/// every path from entry wrote it first.
-fn definite_init(f: &VmFunction, errs: &mut Vec<VerifyError>) {
-    // One dataflow domain covers both files: scalar register r maps to bit
-    // r, vector register v to bit num_regs + v.
-    let n = f.num_regs as usize;
-    let words = (n + f.num_vregs as usize).div_ceil(64).max(1);
-    let nb = f.block_starts.len();
-    let preds = BlockLists::group(nb, 0, |preds| {
-        for (b, &s) in f.block_starts.iter().enumerate() {
-            let range = f.block_range(s);
-            f.ops[range.end - 1].for_each_target(|t| preds.push(block_of(f, t), b));
-        }
-    });
-    // A pad is an edge from the start of its range: row `k` of `at_pad` is
-    // what is defined when pad `k`'s first op runs.
-    let mut at_pad = vec![u64::MAX; f.pads.len() * words];
-
-    // in[b] = (params if entry) ∩ over preds out[p]; out[b] = in[b] ∪ defs.
-    // Both sets are flat tables (row b = `[b * words..(b + 1) * words]`)
-    // and each round works in one scratch row, so the fixpoint allocates
-    // nothing however many rounds it takes.
+/// Forward "definitely assigned" dataflow over the CFG in `ws`, in the
+/// liveness rows' layout: a register may only be read if every path from
+/// entry wrote it first. A pad is one more edge, from the start of its
+/// range: the walk meets its target with what is defined there (the CFG's
+/// edge from the end of the range's block carries a superset).
+fn definite_init(f: &VmFunction, ws: &mut Workspace, errs: &mut Vec<VerifyError>) {
+    let Workspace { a, defined, cur } = ws;
+    let (nb, words) = (a.cfg.num_blocks(), row_words(f));
     let row = |b: usize| b * words..(b + 1) * words;
-    let mut in_set = vec![u64::MAX; nb * words];
-    let mut out_set = vec![u64::MAX; nb * words];
-    let mut cur = vec![0u64; words];
+    let def = |cur: &mut [u64], op: Op| {
+        if let Some(d) = op.def() {
+            bit_set(cur, d);
+        }
+        if let Some(v) = op.vdef() {
+            bit_set(cur, vbit(f, v));
+        }
+    };
+    // `row &= cur`; whether that changed the row.
+    let meet = |row: &mut [u64], cur: &[u64]| {
+        let mut changed = false;
+        for (w, &c) in row.iter_mut().zip(cur) {
+            changed |= *w & !c != 0;
+            *w &= c;
+        }
+        changed
+    };
+    // Entry starts with exactly the parameters, every other block with ⊤,
+    // which a block no edge reaches keeps (and reports nothing under). Each
+    // walk meets a block's successors with what it defined, so the rows only
+    // shrink, and they settle in as many rounds as the longest chain of
+    // backward edges needs. A backedge into the entry meets it with a
+    // superset of the parameters: a no-op.
+    defined.clear();
+    defined.resize(nb * words, u64::MAX);
+    defined[row(0)].fill(0);
+    for &p in &f.params {
+        bit_set(&mut defined[row(0)], p);
+    }
+    cur.clear();
+    cur.resize(words, 0);
     let mut changed = true;
     while changed {
         changed = false;
         for b in 0..nb {
-            // Entry starts with exactly the parameters (a backedge into the
-            // entry can only add registers already defined on every path, so
-            // joining it would be a no-op). Unreachable blocks keep ⊤ and
-            // are skipped by the report pass.
-            if b == 0 {
-                cur.fill(0);
-                for &p in &f.params {
-                    cur[p as usize / 64] |= 1 << (p as usize % 64);
+            cur.copy_from_slice(&defined[row(b)]);
+            for pc in f.block_range(b) {
+                for p in f.pads.iter().filter(|p| p.start as usize == pc) {
+                    changed |= meet(&mut defined[row(f.block_of(p.target))], cur);
                 }
-            } else {
-                cur.fill(u64::MAX);
-                for &p in &preds[b] {
-                    for (w, &o) in cur.iter_mut().zip(&out_set[row(p)]) {
-                        *w &= o;
-                    }
-                }
-                for (k, p) in f.pads.iter().enumerate() {
-                    if block_of(f, p.target) == b {
-                        for (w, &o) in cur.iter_mut().zip(&at_pad[row(k)]) {
-                            *w &= o;
-                        }
-                    }
-                }
+                def(cur, f.ops[pc]);
             }
-            if in_set[row(b)] != cur[..] {
-                in_set[row(b)].copy_from_slice(&cur);
-                changed = true;
-            }
-            let range = f.block_range(f.block_starts[b]);
-            for (pc, op) in range.clone().zip(&f.ops[range]) {
-                for (k, _) in f
-                    .pads
-                    .iter()
-                    .enumerate()
-                    .filter(|p| p.1.start as usize == pc)
-                {
-                    if at_pad[row(k)] != cur[..] {
-                        at_pad[row(k)].copy_from_slice(&cur);
-                        changed = true;
-                    }
-                }
-                if let Some(d) = op.def() {
-                    cur[d as usize / 64] |= 1 << (d as usize % 64);
-                }
-                if let Some(v) = op.vdef() {
-                    let bit = n + v as usize;
-                    cur[bit / 64] |= 1 << (bit % 64);
-                }
-            }
-            if out_set[row(b)] != cur[..] {
-                out_set[row(b)].copy_from_slice(&cur);
-                changed = true;
+            for &s in a.cfg.succs(b) {
+                changed |= meet(&mut defined[row(s as usize)], cur);
             }
         }
     }
 
-    // Report: re-walk each reachable block with its settled in-set.
-    for (b, &s) in f.block_starts.iter().enumerate() {
-        let padded = f.pads.iter().any(|p| block_of(f, p.target) == b);
-        if b != 0 && preds[b].is_empty() && !padded {
-            continue; // unreachable code is not checked
-        }
-        let defined = &mut cur;
-        defined.copy_from_slice(&in_set[row(b)]);
-        let range = f.block_range(s);
-        for pc in range {
+    // Report: re-walk each block with its settled row.
+    for b in 0..nb {
+        cur.copy_from_slice(&defined[row(b)]);
+        for pc in f.block_range(b) {
             let op = f.ops[pc];
             op.for_each_use(&f.call_args, |r| {
-                if defined[r as usize / 64] & (1 << (r as usize % 64)) == 0 {
-                    err(
-                        errs,
-                        f,
-                        pc,
-                        format!("read of register r{r} before any write"),
-                    );
+                if !bit_test(cur, r) {
+                    let what = format!("read of register r{r} before any write");
+                    err(errs, f, pc, what);
                 }
             });
             op.for_each_vuse(|v| {
-                let bit = n + v as usize;
-                if defined[bit / 64] & (1 << (bit % 64)) == 0 {
-                    err(
-                        errs,
-                        f,
-                        pc,
-                        format!("read of vector register v{v} before any write"),
-                    );
+                if !bit_test(cur, vbit(f, v)) {
+                    let what = format!("read of vector register v{v} before any write");
+                    err(errs, f, pc, what);
                 }
             });
-            if let Some(d) = op.def() {
-                defined[d as usize / 64] |= 1 << (d as usize % 64);
-            }
-            if let Some(v) = op.vdef() {
-                let bit = n + v as usize;
-                defined[bit / 64] |= 1 << (bit % 64);
-            }
+            def(cur, op);
         }
     }
 }

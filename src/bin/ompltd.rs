@@ -496,16 +496,19 @@ fn worker_loop(shared: Arc<PoolShared>) {
             .execute(&flight.job.as_ref().expect("job in flight").job)
             .render();
         let qj = flight.job.take().expect("job in flight");
-        // Recorded before the reply is written, so a `health` request sent
-        // after a reply arrived always counts its job.
+        // Recorded, and the running count released, before the reply is
+        // written, so a `health` request sent after a reply arrived counts
+        // its job as done and not as running. Drain still waits for the
+        // reply: the connection waits on `done`, and the pool joins this
+        // worker.
         shared.queue_wait_us.record(picked - qj.admitted);
         shared.execute_us.record(picked.elapsed());
+        drop(flight);
         {
             let mut w = qj.writer.lock().unwrap_or_else(|p| p.into_inner());
             let _ = write_frame(&mut *w, reply.as_bytes());
         }
         let _ = qj.done.send(());
-        drop(flight);
     }
 }
 

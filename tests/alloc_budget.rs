@@ -274,6 +274,28 @@ fn the_bytecode_verifier_does_not_allocate_per_block() {
     assert_eq!(verify(100), verify(10));
 }
 
+/// A fault pad makes the verifier solve liveness for the pad's rules.
+/// Release only: debug builds compare every liveness solve with
+/// `regalloc::reference`, which keeps one heap row per block by design.
+#[cfg(not(debug_assertions))]
+#[test]
+fn the_bytecode_verifier_does_not_allocate_per_block_under_a_pad() {
+    let verify = |blocks: u32| {
+        let mut f = jump_chain(blocks, false);
+        // Block 1's jump, resuming at the last block (which starts at op
+        // `blocks`).
+        f.pads.push(omplt::vm::ops::Pad {
+            start: 2,
+            end: 3,
+            target: blocks,
+        });
+        let (count, errs) = allocs(|| omplt::vm::verify_function(&f, &[]));
+        assert_eq!(errs, vec![], "{blocks} blocks");
+        count
+    };
+    assert_eq!(verify(100), verify(10));
+}
+
 /// `n` copies of `long fK(long n) { long s = 0; for (i < n) { s += i;
 /// print_i64(i); } return s; }`, as the canonical-loop builder emits them.
 #[cfg(not(debug_assertions))]

@@ -809,6 +809,30 @@ fn health_reports_transport_and_supervisor_state() {
 }
 
 #[test]
+fn a_health_request_after_a_reply_never_counts_its_job_running() {
+    // A worker releases its running count before it writes the reply, so a
+    // `health` sent on the same connection once the reply arrived reads the
+    // job as done.
+    let daemon = Daemon::start_with("healthrace", &["--workers=2"], &[]);
+    let mut s = UnixStream::connect(&daemon.socket).expect("connect");
+    let mut ask = |body: &str| {
+        write_frame(&mut s, body.as_bytes()).unwrap();
+        let reply = read_frame(&mut s)
+            .expect("read reply")
+            .expect("reply frame");
+        String::from_utf8(reply).unwrap()
+    };
+    for id in 0..50 {
+        let mut job = JobRequest::new(id, "healthrace.c", DEMO);
+        job.run = true;
+        let resp = JobResponse::parse(&ask(&job.render())).expect("job reply");
+        assert_eq!(resp.exit_code, 0, "{}", resp.stderr);
+        let health = HealthReport::parse(&ask(&Request::Health.render())).expect("health report");
+        assert_eq!(health.running, 0, "after the reply to job {id}");
+    }
+}
+
+#[test]
 fn killed_worker_is_respawned_and_the_job_requeued_once() {
     let daemon = Daemon::start_with("workerkill", &["--workers=2"], &[]);
     let src = write_temp("kill.c", DEMO);
