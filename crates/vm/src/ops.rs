@@ -128,6 +128,8 @@ enum Slot<'a> {
     RDef(&'a mut Reg),
     /// Scalar register the op reads (`ruse`, or an `opt_ruse` that is `Some`).
     RUse(&'a mut Reg),
+    /// Scalar register the op reads and then writes (`rdefuse`).
+    RDefUse(&'a mut Reg),
     /// Vector register the op writes.
     VDef(&'a mut VReg),
     /// Vector register the op reads.
@@ -187,6 +189,7 @@ macro_rules! field_ty {
     (ruse $class:tt) => { Reg };
     (opt_rdef $class:tt) => { Option<Reg> };
     (opt_ruse $class:tt) => { Option<Reg> };
+    (rdefuse $class:tt) => { Reg };
     (vdef $class:tt) => { VReg };
     (vuse $class:tt) => { VReg };
     (label) => { u32 };
@@ -201,6 +204,9 @@ macro_rules! field_slot {
     };
     ($visit:ident, ruse, $x:ident) => {
         $visit(Slot::RUse($x))
+    };
+    ($visit:ident, rdefuse, $x:ident) => {
+        $visit(Slot::RDefUse($x))
     };
     ($visit:ident, opt_rdef, $x:ident) => {
         if let Some(r) = $x {
@@ -233,6 +239,9 @@ macro_rules! field_operand {
         Operand::R($x)
     };
     (ruse, $x:ident) => {
+        Operand::R($x)
+    };
+    (rdefuse, $x:ident) => {
         Operand::R($x)
     };
     (opt_rdef, $x:ident) => {
@@ -408,7 +417,8 @@ macro_rules! ops {
 
 // The instruction set. One row per op: `tag => Name [terminator] { fields }`,
 // and per field its name and *role* — `rdef`/`ruse` (scalar register written/
-// read), `opt_rdef`/`opt_ruse` (the same, as `Option<Reg>`), `vdef`/`vuse`
+// read), `rdefuse` (one scalar register read, then written), `opt_rdef`/
+// `opt_ruse` (the same as `rdef`/`ruse`, as `Option<Reg>`), `vdef`/`vuse`
 // (vector register), `label` (jump target), `lanes` (the lane count, a `u8`)
 // — or, for an immediate, its type (`u8`/`u16`/`u32`/`i32`, `IrType`,
 // `BinOpKind`, `CmpPred`, `CastOp`). A register role carries the register's
@@ -792,6 +802,26 @@ ops! {
         /// Lane count.
         w: lanes,
     },
+    /// A widened loop's fused latch: `iv += w; iv <pred> bound ? body :
+    /// exit`. The vector loop is rotated — its entry test runs once, before
+    /// the first chunk — so each chunk ends in this one op. Both arms are
+    /// labels: no edge falls through.
+    31 => VLatch terminator {
+        /// Exit-test predicate of the scalar loop (`slt`, `ult`, `sle`, `ule`).
+        pred: CmpPred,
+        /// Induction variable type: the add wraps and the compare reads at it.
+        ty: IrType,
+        /// Lane count: the step of `iv`.
+        w: lanes,
+        /// Chunk-base induction register, advanced in place.
+        iv: rdefuse(of ty),
+        /// Last chunk base that runs a full chunk: `bound - (w - 1)`.
+        bound: ruse(of ty),
+        /// The chunk's first op, when the compare holds.
+        body: label,
+        /// The vector loop's exit, when it does not.
+        exit: label,
+    },
 }
 
 /// Where an access reads or writes: a pointer register (`Load`, `Store`)
@@ -1018,7 +1048,7 @@ impl Op {
     pub fn def(mut self) -> Option<Reg> {
         let mut def = None;
         self.slots(|s| {
-            if let Slot::RDef(r) = s {
+            if let Slot::RDef(r) | Slot::RDefUse(r) = s {
                 def = Some(*r);
             }
         });
@@ -1055,7 +1085,7 @@ impl Op {
     pub fn for_each_use(mut self, call_args: &[Reg], mut f: impl FnMut(Reg)) {
         call_args[self.call_arg_run()].iter().for_each(|&r| f(r));
         self.slots(|s| {
-            if let Slot::RUse(r) = s {
+            if let Slot::RUse(r) | Slot::RDefUse(r) = s {
                 f(*r);
             }
         });
@@ -1066,7 +1096,7 @@ impl Op {
     #[inline]
     pub fn map_regs(&mut self, mut f: impl FnMut(Reg) -> Reg) {
         self.slots(|s| {
-            if let Slot::RDef(r) | Slot::RUse(r) = s {
+            if let Slot::RDef(r) | Slot::RUse(r) | Slot::RDefUse(r) = s {
                 *r = f(*r);
             }
         });
@@ -1394,6 +1424,18 @@ pub fn disasm(f: &VmFunction) -> String {
                 w,
             } => format!("r{dst} = vreduce.{}.{ty}.x{w} v{src}", op.mnemonic()),
             Op::VEpi { src, target } => format!("vepi r{src}, L{target}"),
+            Op::VLatch {
+                pred,
+                ty,
+                w,
+                iv,
+                bound,
+                body,
+                exit,
+            } => format!(
+                "vlatch.{}.{ty}.x{w} r{iv}, r{bound}, L{body}, L{exit}",
+                pred.mnemonic()
+            ),
         };
         let _ = writeln!(out, "  {pc:4}  {text}");
     }
@@ -1458,6 +1500,7 @@ pub(crate) mod tests {
             row(Op::StoreIdx { ty: T::I32, wrap: T::I64, scale: 4, c: 7, src: 1, base: 2, index: 3 }, None, &[1, 2, 3], None, &[], &[], false),
             row(Op::VLoadIdx { ty: T::I32, wrap: T::I32, scale: 4, c: 2, dst: 11, base: 1, index: 2, w: 4 }, None, &[1, 2], Some(11), &[], &[], false),
             row(Op::VStoreIdx { ty: T::F64, wrap: T::I64, scale: 8, c: -3, src: 11, base: 1, index: 2, w: 4 }, None, &[1, 2], None, &[11], &[], false),
+            row(Op::VLatch { pred: P::Slt, ty: T::I32, w: 4, iv: 1, bound: 2, body: 40, exit: 50 }, Some(1), &[1, 2], None, &[], &[40, 50], true),
         ]
     }
 
@@ -1561,15 +1604,19 @@ pub(crate) mod tests {
             } else {
                 row.uses
             };
-            let mut want: Vec<Operand> = (row.def.iter().chain(uses).map(|&r| Operand::R(r)))
+            // A register both read and written is one operand.
+            let defs = row.def.iter().filter(|d| !uses.contains(d));
+            let mut want: Vec<Operand> = (defs.chain(uses).map(|&r| Operand::R(r)))
                 .chain(row.vdef.iter().chain(row.vuses).map(|&v| Operand::V(v)))
                 .collect();
             want.sort_by_key(key);
             assert_eq!(walked, want, "operands of {op:?}");
             // Every row that names a vector register carries its width but
-            // `vextract`, which names a lane of one.
+            // `vextract`, which names a lane of one; so does `vlatch`, whose
+            // width is its step.
             let vector = want.iter().any(|o| matches!(o, Operand::V(_)));
-            let want = (vector && !matches!(op, Op::VExtract { .. })).then_some(4);
+            let lanes_row = vector && !matches!(op, Op::VExtract { .. });
+            let want = (lanes_row || matches!(op, Op::VLatch { .. })).then_some(4);
             assert_eq!(lanes, want, "lanes of {op:?}");
         }
     }

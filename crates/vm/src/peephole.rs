@@ -30,10 +30,11 @@
 //! The stages share one [`Analysis`]: the CFG is read off the terminators
 //! and fault pads once and kept current by the two stages that move an edge
 //! (the trampoline drop retargets one, stage 3 remaps them), and liveness is
-//! solved once per function — [`optimize_in`] says why that solve still
-//! holds for every stage and, remapped, for the register allocator. The
-//! `dead` mask, the edge counts, the merge mask and the compaction offsets
-//! are `Analysis` buffers too, reused from function to function.
+//! solved once per function, or twice when stage 3 moves a fault pad's edge
+//! — [`optimize_in`] says why that solve still holds for every stage and,
+//! remapped, for the register allocator. The `dead` mask, the edge counts,
+//! the merge mask and the compaction offsets are `Analysis` buffers too,
+//! reused from function to function.
 
 use crate::ops::{Op, Reg, VmFunction};
 use crate::regalloc::{bit_test, Analysis, Liveness};
@@ -61,8 +62,10 @@ pub fn optimize(f: &mut VmFunction) -> usize {
 ///   operands where the `Cmp` did, and the one register that leaves the
 ///   kill set was not live-out to begin with;
 /// * a merged block is live-in what its first block was and live-out what
-///   its last block was ([`Analysis::merge_blocks`]); arithmetic/jump fusion
-///   keeps def and uses inside one block; compaction moves offsets only.
+///   its last block was ([`Analysis::merge_blocks`]; a chain that takes a
+///   fault pad's edge from a block before its last is the one case that
+///   builds and solves again); arithmetic/jump fusion keeps def and uses
+///   inside one block; compaction moves offsets only.
 ///
 /// In each case the old solution still satisfies the new equations and —
 /// the only change being a register that leaves a kill set it was never
@@ -87,6 +90,11 @@ pub(crate) fn optimize_in(f: &mut VmFunction, a: &mut Analysis) -> usize {
     fuse_cmp_br(f, &a.live, &mut a.dead);
     debug_assert!(a.is_current(f, &a.dead), "@{}: fuse_cmp_br", f.name);
     elide_fallthrough_jumps(f, a);
+    debug_assert!(
+        a.is_current(f, &a.dead),
+        "@{}: elide_fallthrough_jumps",
+        f.name
+    );
     fuse_bin_jmp(f, &mut a.dead);
     compact(f, &a.dead, &mut a.new_off)
 }
@@ -423,7 +431,7 @@ pub(crate) fn compact(f: &mut VmFunction, dead: &[bool], new_off: &mut Vec<u32>)
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::ops::{PoolConst, RegClass};
+    use crate::ops::{Pad, PoolConst, RegClass};
     use omplt_ir::{BinOpKind, CmpPred, IrType};
 
     /// `dst = lhs + rhs` over `i64`.
@@ -594,6 +602,53 @@ pub(crate) mod tests {
         );
         assert!(!f.ops.iter().any(|o| matches!(o, Op::Bin { .. })));
         assert!(crate::verify::verify_function(&f, &[]).is_empty());
+    }
+
+    /// A pad in the first block of a two-block fallthrough chain: the
+    /// merged block keeps its edge, and what the merge leaves is what a
+    /// fresh build and solve give.
+    #[test]
+    fn a_pad_in_the_first_block_of_a_merged_chain_keeps_its_edge() {
+        // block 0: r0 = 1; r1 = r0 / r0 under a pad to block 2; jmp block 1
+        // block 1 (entered only by that jmp): r0 = r1 + r0; ret r0
+        // block 2: ret r0
+        let div = Op::Bin {
+            op: BinOpKind::SDiv,
+            ty: IrType::I64,
+            dst: 1,
+            lhs: 0,
+            rhs: 0,
+        };
+        let mut f = func(
+            vec![
+                Op::Const { dst: 0, idx: 0 },
+                div,
+                Op::Jmp { target: 3 },
+                add(0, 1, 0),
+                Op::Ret { src: Some(0) },
+                Op::Ret { src: Some(0) },
+            ],
+            vec![RegClass::Int; 2],
+            vec![0, 3, 5],
+        );
+        f.pads.push(Pad {
+            start: 1,
+            end: 2,
+            target: 5,
+        });
+        let mut whole = f.clone();
+        let mut a = Analysis::default();
+        a.dead.resize(f.ops.len(), false);
+        a.cfg.build(&f, &a.dead);
+        a.live.solve(&f, &a.cfg, &a.dead);
+        elide_fallthrough_jumps(&mut f, &mut a);
+        assert_eq!(f.block_starts, [0, 5], "blocks 0 and 1 merged");
+        assert_eq!(a.cfg.succs(0), [1], "the pad's edge to block 2");
+        assert!(a.is_current(&f, &a.dead));
+        // The whole pipeline, which asserts the same at each stage in debug
+        // builds.
+        assert_eq!(optimize(&mut whole), 1, "{}", crate::ops::disasm(&whole));
+        assert!(crate::verify::verify_function(&whole, &[]).is_empty());
     }
 
     #[test]

@@ -294,10 +294,17 @@ impl Analysis {
     /// live-in what its first block was and live-out, with the successors,
     /// what its last was. Otherwise no edge enters `b` any more and its jump
     /// is deleted: the block before keeps its own successors and rows.
+    ///
+    /// A fault pad is an edge of the block its range starts in, so a chain
+    /// keeps the pad edges of all its blocks. When a block before the
+    /// chain's last holds one, that edge now leaves the end of the merged
+    /// block, where the last block's kills stand between it and the range:
+    /// the CFG is read again and liveness solved again.
     pub(crate) fn merge_blocks(&mut self, f: &mut VmFunction, fallthrough: bool) {
         let Analysis {
             cfg,
             live,
+            dead,
             merged,
             remap,
             ..
@@ -318,6 +325,7 @@ impl Analysis {
         // on `remap[b] <= b`, after that slot's old contents were consumed.
         let Cfg { succ_at, succ } = cfg;
         let mut edges = 0;
+        let mut pads_moved = false;
         for b in 0..nb {
             let k = remap[b] as usize;
             if !merged[b] {
@@ -332,6 +340,10 @@ impl Analysis {
                     succ[edges] = remap[succ[e] as usize];
                     edges += 1;
                 }
+            } else {
+                // Past its deleted jump's one edge, a block's edges are its
+                // pads'.
+                pads_moved |= fallthrough && hi - lo > 1;
             }
         }
         let kept = kept as usize;
@@ -341,6 +353,10 @@ impl Analysis {
         f.block_starts.truncate(kept);
         live.live_in.truncate(kept * w);
         live.live_out.truncate(kept * w);
+        if pads_moved {
+            cfg.build(f, dead);
+            live.solve(f, cfg, dead);
+        }
     }
 
     /// Whether the CFG and the live-in/live-out rows are what building and

@@ -10,12 +10,18 @@
 //! and a float constant's bits keep their fixed width:
 //!
 //! ```text
-//! "OMPLTBC\x07"  magic + format version (bump on any layout change)
+//! "OMPLTBC\x08"  magic + format version (bump on any layout change)
 //! u32            function count
 //! per function:  name, ret, params, reg classes, vreg classes/widths,
-//!                const pool, call args, call targets, block starts,
+//!                const pool, call args, call targets,
 //!                fault pads (start, end, target), ops
 //! ```
+//!
+//! A function's block starts are not stored: they are op 0 and each op
+//! after a terminator, because a function the verifier accepts ends every
+//! block in a terminator and has none anywhere else. [`decode`] derives
+//! them; an image whose ops break that rule decodes into blocks the
+//! verifier then refuses.
 //!
 //! Every value crosses the boundary through its type's `Wire` impl. An op
 //! is its tag byte followed by its fields in the order its row in `ops.rs`
@@ -27,11 +33,11 @@
 //! fails with a message — never panics — because cached bytes, like anything
 //! a server reads back, are treated as untrusted input.
 
-use crate::ops::{CallTarget, Pad, PoolConst, Reg, RegClass, VmFunction, VmModule};
+use crate::ops::{CallTarget, Op, Pad, PoolConst, Reg, RegClass, VmFunction, VmModule};
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// Magic prefix: 7 identifying bytes plus a 1-byte format version.
-const MAGIC: &[u8; 8] = b"OMPLTBC\x07";
+const MAGIC: &[u8; 8] = b"OMPLTBC\x08";
 
 /// A malformed or version-incompatible bytecode image.
 #[derive(Debug, PartialEq, Eq)]
@@ -302,6 +308,16 @@ impl Wire for Pad {
     }
 }
 
+/// The block starts of a function whose blocks each end in its only
+/// terminator: op 0, then every op after a terminator.
+fn block_starts(ops: &[Op]) -> Vec<u32> {
+    let after = ops.iter().enumerate().filter(|(_, op)| op.is_terminator());
+    std::iter::once(0)
+        .chain(after.map(|(pc, _)| pc as u32 + 1))
+        .filter(|&pc| (pc as usize) < ops.len())
+        .collect()
+}
+
 /// Serializes a compiled module to its canonical byte image.
 pub fn encode(m: &VmModule) -> Vec<u8> {
     let mut e = Enc {
@@ -321,7 +337,12 @@ pub fn encode(m: &VmModule) -> Vec<u8> {
         e.seq(&f.consts);
         e.seq(&f.call_args);
         e.seq(&f.call_targets);
-        e.seq(&f.block_starts);
+        debug_assert_eq!(
+            f.block_starts,
+            block_starts(&f.ops),
+            "@{}: block starts are not the ones its terminators give",
+            f.name
+        );
         e.seq(&f.pads);
         e.seq(&f.ops);
     }
@@ -342,7 +363,7 @@ pub fn decode(bytes: &[u8]) -> Result<VmModule, DecodeError> {
     let mut funcs = Vec::new();
     for _ in 0..nfuncs {
         // Field initializers run in the order written: the wire order.
-        funcs.push(VmFunction {
+        let mut f = VmFunction {
             name: String::from_utf8(d.seq()?).or_else(|_| err("invalid UTF-8 in name"))?,
             ret: d.get()?,
             num_regs: d.get()?,
@@ -354,10 +375,12 @@ pub fn decode(bytes: &[u8]) -> Result<VmModule, DecodeError> {
             consts: d.seq()?,
             call_args: d.seq()?,
             call_targets: d.seq()?,
-            block_starts: d.seq()?,
+            block_starts: Vec::new(),
             pads: d.seq()?,
             ops: d.seq()?,
-        });
+        };
+        f.block_starts = block_starts(&f.ops);
+        funcs.push(f);
     }
     if d.at != bytes.len() {
         return err(format!(
@@ -372,7 +395,6 @@ pub fn decode(bytes: &[u8]) -> Result<VmModule, DecodeError> {
 mod tests {
     use super::*;
     use crate::ops::tests::one_of_each;
-    use crate::ops::Op;
 
     /// A module that holds every op of the table at least once: the ops
     /// below (real-looking code) followed by `one_of_each()`.
@@ -504,7 +526,7 @@ mod tests {
             num_vregs: 4,
             vreg_class: vec![RegClass::Int, RegClass::Int, RegClass::Int, RegClass::Float],
             vreg_width: vec![4, 4, 2, 2],
-            block_starts: vec![0, 1, 7],
+            block_starts: vec![],
             pads: vec![Pad {
                 start: 1,
                 end: 5,
@@ -513,6 +535,7 @@ mod tests {
             ret: IrType::I32,
         };
         f.ops.extend(one_of_each().iter().map(|row| row.op));
+        f.block_starts = block_starts(&f.ops);
         VmModule { funcs: vec![f] }
     }
 
@@ -542,6 +565,33 @@ mod tests {
     }
 
     #[test]
+    fn block_starts_are_derived_not_stored() {
+        let m = sample();
+        let f = &m.funcs[0];
+        assert_eq!(&f.block_starts[..3], [0, 7, 18], "after `cmpbr` and `vepi`");
+        assert_eq!(
+            decode(&encode(&m)).unwrap().funcs[0].block_starts,
+            f.block_starts
+        );
+        // An image whose last op is no terminator still decodes: its last
+        // block is the verifier's to refuse.
+        let open = VmFunction {
+            ops: f.ops[..5].to_vec(),
+            block_starts: vec![0],
+            pads: vec![],
+            ..f.clone()
+        };
+        let back = decode(&encode(&VmModule { funcs: vec![open] })).unwrap();
+        assert_eq!(back.funcs[0].block_starts, [0]);
+        let errs = crate::verify::verify_function(&back.funcs[0], &back.funcs);
+        assert!(
+            errs.iter()
+                .any(|e| e.what == "block 0 does not end in a terminator"),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
     fn every_row_of_the_op_table_round_trips_in_table_order() {
         for (tag, row) in one_of_each().iter().enumerate() {
             let mut e = Enc { buf: Vec::new() };
@@ -565,7 +615,7 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_err());
         // The previous format version and a future one.
-        for version in [6, 8] {
+        for version in [7, 9] {
             let mut vers = bytes.clone();
             vers[7] = version;
             assert!(decode(&vers).is_err(), "version {version} accepted");
@@ -654,6 +704,7 @@ mod tests {
         let mut image = encode(&VmModule {
             funcs: vec![VmFunction {
                 ops: vec![],
+                block_starts: vec![],
                 ..f.clone()
             }],
         });

@@ -24,21 +24,34 @@
 //!   [`try_plan`]): it stores, calls and allocates nothing, so no lane can
 //!   see another whatever it reads, and it traps nowhere but in its body
 //!   (`vm.simd.proven_loops`).
-//! * [`emit_vector_loop`] emits, at the loop-header offset: a preamble
-//!   (accumulator init, trip-count guard) reading the phi registers the
-//!   preheader's edge copies set, the vector main loop, and an exit block
-//!   (horizontal reduces, last-lane extracts, a `VEpi` that counts the
-//!   epilogue and jumps) that writes them back and enters the untouched
-//!   scalar loop, which runs the remaining `trip mod width` iterations.
+//! * [`emit_vector_loop`] emits, at the loop-header offset, a rotated
+//!   vector loop whose phi registers the preheader's edge copies set:
+//!   - a preamble: accumulator inits, the broadcasts of what the lanes read
+//!     from outside the loop, and the guard `bound >= w - 1`, which keeps
+//!     `n_main = bound - (w - 1)` from wrapping;
+//!   - the entry test `iv <pred> n_main`, run once;
+//!   - the body, one chunk of `w` iterations, ending in one fused latch
+//!     ([`Op::VLatch`]: `iv += w; iv <pred> n_main ? body : exit`);
+//!   - the exit: horizontal reduces, last-lane extracts, then each
+//!     reduction's loop-invariant links, `phi ±= e × (iv − start)`, and a
+//!     `VEpi` that counts the epilogue and enters the untouched scalar
+//!     loop, which runs the remaining `trip mod width` iterations.
+//!
+//!   A link of an `Add` chain whose value is defined outside the loop
+//!   (`sum = sum + (j % m) + c`) is the same in every iteration, so it
+//!   costs no lane op per chunk: the exit multiplies it by the iterations
+//!   the chunks completed, in the reduction's type, which is exact under
+//!   wrapping.
 //! * Faults stay exact without a bounds proof. A chunk computes its loads,
 //!   gathers and trapping `Bin`s first, before it writes an accumulator,
 //!   the IV or a last value; in a loop that stores nothing, a fault pad
 //!   ([`crate::ops::Pad`]) covers that section and targets the exit. A lane
-//!   that faults resumes there: the exit folds the chunks that completed,
-//!   and the scalar loop replays the faulting chunk in order, so the
-//!   program fails at the iteration, and with the message, it fails with
-//!   unwidened. A `simd` loop that stores keeps lane-ordered eager faults:
-//!   its stores of the faulting chunk have happened.
+//!   that faults resumes there before the latch steps `iv`: the exit folds
+//!   the chunks that completed (their invariant links too), and the scalar
+//!   loop replays the faulting chunk in order, so the program fails at the
+//!   iteration, and with the message, it fails with unwidened. A `simd`
+//!   loop that stores keeps lane-ordered eager faults: its stores of the
+//!   faulting chunk have happened.
 //!
 //! Floating-point reductions are refused on purpose: lane-partial sums
 //! reassociate the reduction, and the VM is held byte-identical to the
@@ -81,6 +94,9 @@ pub(crate) struct LoopPlan {
     iv_ty: IrType,
     /// Exit-test predicate (`Slt`/`Ult`/`Sle`/`Ule`).
     pred: CmpPred,
+    /// The value the induction variable enters with (defined outside the
+    /// loop).
+    start: Value,
     /// Loop bound value (defined outside the loop).
     bound: Value,
     /// Chosen width after all clamps (2..=[`MAX_LANES`]).
@@ -104,21 +120,37 @@ struct Reduction {
     /// How the lanes' partial results and the entry value combine: `Add`
     /// for a chain of `+`/`-` links, `Mul` for one `*` link.
     combine: BinOpKind,
-    /// Each link's operator and the value it folds in, in chain order.
+    /// The links whose value differs from iteration to iteration, each
+    /// link's operator and the value it folds in, in chain order: what the
+    /// lanes fold into the reduction's accumulator.
     links: Vec<(BinOpKind, Value)>,
+    /// The links of an `Add` chain whose value is defined outside the loop:
+    /// the same `e` every iteration, so the exit adds `± e × (iv − start)`
+    /// once instead of a lane op per chunk (exact in wrapping arithmetic).
+    invariant: Vec<(BinOpKind, Value)>,
+}
+
+impl Reduction {
+    /// Whether lanes accumulate into a vector: some link varies.
+    fn lanes(&self) -> bool {
+        !self.links.is_empty()
+    }
 }
 
 impl LoopPlan {
     /// The constants the vector loop reads besides its instructions'
     /// operands, which the lowerer loads in the function's prologue rather
-    /// than on every entry: the width, `width - 1`, the `1` of an inclusive
-    /// bound and each reduction's identity.
+    /// than on every entry: `width - 1`, the `1` of an inclusive bound and
+    /// the identity of each reduction whose lanes accumulate. (The width
+    /// itself is the fused latch's immediate.)
     pub(crate) fn consts(&self) -> impl Iterator<Item = PoolConst> + '_ {
-        let w = i64::from(self.width);
         let inclusive = matches!(self.pred, CmpPred::Sle | CmpPred::Ule).then_some(1);
-        let identities = self.reductions.iter().map(|r| identity(r.combine));
-        [w, w - 1]
-            .into_iter()
+        let identities = self
+            .reductions
+            .iter()
+            .filter(|r| r.lanes())
+            .map(|r| identity(r.combine));
+        std::iter::once(i64::from(self.width) - 1)
             .chain(inclusive)
             .chain(identities)
             .map(|v| PoolConst::Val(RegClass::Int, v as u64))
@@ -602,10 +634,21 @@ fn try_plan(
         if uses_of(run) != 1 {
             return None;
         }
+        // An `Add` chain's links that read a value defined outside the loop
+        // move to the exit.
+        let (invariant, links) = links.into_iter().partition(|&(_, e)| {
+            combine == BinOpKind::Add
+                && match e {
+                    Value::Inst(id) => !p.in_loop(id),
+                    Value::Arg(_) => true,
+                    other => const_of(other).is_some(),
+                }
+        });
         reductions.push(Reduction {
             phi,
             combine,
             links,
+            invariant,
         });
     }
 
@@ -641,6 +684,7 @@ fn try_plan(
         iv,
         iv_ty,
         pred: ind.pred,
+        start: ind.start,
         bound,
         width: requested,
         unit_stride,
@@ -669,8 +713,9 @@ struct Widener<'a, 'b> {
     bcast: HashMap<Reg, VReg>,
     /// Constants materialized for this loop (preamble-dominated).
     consts: HashMap<PoolConst, Reg>,
-    /// One accumulator per carried phi, reductions first: the only vector
-    /// registers a chunk updates in place, after its lanes are computed.
+    /// One accumulator per reduction whose lanes accumulate, then one per
+    /// last value: the only vector registers a chunk updates in place,
+    /// after its lanes are computed.
     acc: Vec<VReg>,
 }
 
@@ -973,6 +1018,72 @@ impl<'a, 'b> Widener<'a, 'b> {
     fn unit_stride(&self, ptr: Value) -> bool {
         matches!(ptr, Value::Inst(gid) if self.plan.unit_stride.contains(&gid))
     }
+
+    /// At the exit, folds each reduction's loop-invariant links into its
+    /// phi register: `phi ±= e × (iv − start)`, `iv − start` being the
+    /// iterations the chunks completed (a fault pad resumes here before
+    /// the faulting chunk steps `iv`). Computed in the reduction's type, so
+    /// exact under wrapping: the count is widened without its sign where it
+    /// could read as negative.
+    fn fold_invariant_links(&mut self) -> Result<(), CompileError> {
+        let plan = self.plan;
+        let iv_ty = plan.iv_ty;
+        // A signed loop from a constant `start >= 0` runs `iv` up to its
+        // type's maximum at most: the count's payload is not negative.
+        let signed = matches!(plan.pred, CmpPred::Slt | CmpPred::Sle);
+        let nonnegative = signed && plan.start.as_const_int().is_some_and(|k| k >= 0);
+        let mut run = None;
+        for r in plan.reductions.iter().filter(|r| !r.invariant.is_empty()) {
+            let ty = self.c.f.value_type(Value::Inst(r.phi));
+            let count = match run {
+                Some(count) => count,
+                None if plan.start.as_const_int() == Some(0) => self.riv,
+                None => {
+                    let start = self.scalar_of(plan.start)?;
+                    let dst = self.c.new_vreg(RegClass::Int)?;
+                    self.c.out.ops.push(Op::Bin {
+                        op: BinOpKind::Sub,
+                        ty: iv_ty,
+                        dst,
+                        lhs: self.riv,
+                        rhs: start,
+                    });
+                    dst
+                }
+            };
+            run = Some(count);
+            let count = if ty.bits() > iv_ty.bits() && !nonnegative {
+                let dst = self.c.new_vreg(RegClass::Int)?;
+                self.c
+                    .out
+                    .ops
+                    .push(cast_op(CastOp::ZExt, iv_ty, ty, dst, count));
+                dst
+            } else {
+                count
+            };
+            let phi = self.c.dst_of(r.phi);
+            for &(op, e) in &r.invariant {
+                let e = self.scalar_of(e)?;
+                let times = self.c.new_vreg(RegClass::Int)?;
+                self.c.out.ops.push(Op::Bin {
+                    op: BinOpKind::Mul,
+                    ty,
+                    dst: times,
+                    lhs: count,
+                    rhs: e,
+                });
+                self.c.out.ops.push(Op::Bin {
+                    op,
+                    ty,
+                    dst: phi,
+                    lhs: phi,
+                    rhs: times,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Emits the full vector form of one planned loop at the current emission
@@ -998,7 +1109,6 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     };
 
     // --- preamble (same bytecode block as the header offset) ---------------
-    let w_const = wd.int_const(w as i64)?;
     let wm1_const = wd.int_const(w as i64 - 1)?;
     let le_pred = matches!(plan.pred, CmpPred::Sle | CmpPred::Ule);
     let one_const = if le_pred {
@@ -1015,10 +1125,10 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         lhs: bound_reg,
         rhs: wm1_const,
     });
-    // One accumulator per carried phi: a reduction starts at its identity,
-    // a last value at the phi's entry value (what the exit keeps when no
-    // chunk runs).
-    for r in &plan.reductions {
+    // One accumulator per reduction whose lanes accumulate, started at its
+    // identity, then one per last value, started at the phi's entry value
+    // (what the exit keeps when no chunk runs).
+    for r in plan.reductions.iter().filter(|r| r.lanes()) {
         let src = wd.int_const(identity(r.combine))?;
         let dst = wd.c.new_vvreg(RegClass::Int, w)?;
         wd.c.out.ops.push(Op::VBroadcast { dst, src, w });
@@ -1079,21 +1189,16 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         else_t: 0, // patched to vexit
     });
 
-    // --- vcond --------------------------------------------------------------
-    let vcond_off = wd.c.out.ops.len() as u32;
+    // --- entry test: the loop is rotated, so this runs once ----------------
     wd.c.mark_block_start();
-    let cnd = wd.c.new_vreg(RegClass::Int)?;
-    wd.c.out.ops.push(Op::Cmp {
+    let entry_at = wd.c.out.ops.len();
+    let vbody_off = (entry_at + 1) as u32;
+    wd.c.out.ops.push(Op::CmpBr {
         pred: plan.pred,
         ty: plan.iv_ty,
-        dst: cnd,
         lhs: riv,
         rhs: n_main,
-    });
-    let br_at = wd.c.out.ops.len();
-    wd.c.out.ops.push(Op::Br {
-        cond: cnd,
-        then_t: (br_at + 1) as u32,
+        then_t: vbody_off,
         else_t: 0, // patched to vexit
     });
 
@@ -1126,12 +1231,13 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         }
     }
     let eager_end = wd.c.out.ops.len() as u32;
-    // Then the carried values: lanes fold each link's `e` into a
+    // Then the carried values: lanes fold each varying link's `e` into a
     // reduction's accumulator, and a last value's accumulator takes the
     // chunk's lanes.
-    for (k, r) in plan.reductions.iter().enumerate() {
+    let mut acc = wd.acc.clone().into_iter();
+    for r in plan.reductions.iter().filter(|r| r.lanes()) {
         let ty = f.value_type(Value::Inst(r.phi));
-        let dst = wd.acc[k];
+        let dst = acc.next().expect("an accumulator per reduction");
         for &(op, e) in &r.links {
             let rhs = wd.vec_of(e)?;
             wd.c.out.ops.push(Op::VBin {
@@ -1144,24 +1250,28 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             });
         }
     }
-    for (k, &(_, next)) in plan.last_values.iter().enumerate() {
+    for (&(_, next), dst) in plan.last_values.iter().zip(acc) {
         let src = wd.vec_of(next)?;
-        let dst = wd.acc[plan.reductions.len() + k];
         wd.c.out.ops.push(Op::VMov { dst, src, w });
     }
-    wd.c.out.ops.push(Op::Bin {
-        op: BinOpKind::Add,
+    // The fused latch: the IV steps past the chunk, and the next chunk runs
+    // while it still fits under the bound.
+    let latch_at = wd.c.out.ops.len();
+    wd.c.out.ops.push(Op::VLatch {
+        pred: plan.pred,
         ty: plan.iv_ty,
-        dst: riv,
-        lhs: riv,
-        rhs: w_const,
+        w,
+        iv: riv,
+        bound: n_main,
+        body: vbody_off,
+        exit: 0, // patched to vexit
     });
-    wd.c.out.ops.push(Op::Jmp { target: vcond_off });
 
     // --- vexit: the phi registers take the vector loop's values ----------
     let vexit_off = wd.c.out.ops.len() as u32;
     wd.c.mark_block_start();
-    for (k, r) in plan.reductions.iter().enumerate() {
+    let mut acc = wd.acc.clone().into_iter();
+    for r in plan.reductions.iter().filter(|r| r.lanes()) {
         let (phi, op) = (r.phi, r.combine);
         let phi_reg = wd.c.dst_of(phi);
         let ty = f.value_type(Value::Inst(phi));
@@ -1170,7 +1280,7 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             op,
             ty,
             dst: red,
-            src: wd.acc[k],
+            src: acc.next().expect("an accumulator per reduction"),
             w,
         });
         wd.c.out.ops.push(Op::Bin {
@@ -1181,13 +1291,14 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
             rhs: red,
         });
     }
-    for (k, &(phi, _)) in plan.last_values.iter().enumerate() {
+    for (&(phi, _), src) in plan.last_values.iter().zip(acc) {
         wd.c.out.ops.push(Op::VExtract {
             dst: wd.c.dst_of(phi),
-            src: wd.acc[plan.reductions.len() + k],
+            src,
             lane: w - 1,
         });
     }
+    wd.fold_invariant_links()?;
     let epi = wd.c.new_vreg(RegClass::Int)?;
     wd.c.out.ops.push(Op::Bin {
         op: BinOpKind::Sub,
@@ -1223,12 +1334,12 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         });
     }
 
-    // Patch the two forward branches into vexit.
-    if let Op::CmpBr { else_t, .. } = &mut wd.c.out.ops[guard_at] {
-        *else_t = vexit_off;
-    }
-    if let Op::Br { else_t, .. } = &mut wd.c.out.ops[br_at] {
-        *else_t = vexit_off;
+    // Patch the three forward branches into vexit.
+    for at in [guard_at, entry_at, latch_at] {
+        match &mut wd.c.out.ops[at] {
+            Op::CmpBr { else_t: exit, .. } | Op::VLatch { exit, .. } => *exit = vexit_off,
+            _ => unreachable!("a branch into vexit"),
+        }
     }
     wd.c.latch_redirect.insert(plan.latch.0, scalar_header_off);
     Ok(())

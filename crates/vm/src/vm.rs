@@ -320,12 +320,12 @@ fn lanes_cast(op: CastOp, from: IrType, to: IrType, src: &Lanes, out: &mut [u64]
 /// the resolved op [`XOp`], the resolver from [`Op`], the dispatch loop —
 /// a row's arm instantiates its kernel with the row's literals, an op without
 /// one runs the arm of its own name — and the row list the tests walk. A row
-/// is `Variant [FusedVariant] = operator type(s);`; the compiler flags a pair
+/// is `Variant [FusedVariant…] = operator type(s);`; the compiler flags a pair
 /// listed twice as an unreachable pattern in `resolve`.
 macro_rules! resolved_ops {
     (
         bin { $($bin:ident $bin_jmp:ident = $bop:ident $bty:ident;)* }
-        cmp { $($cmp:ident $cmp_br:ident = $pred:ident $cty:ident;)* }
+        cmp { $($cmp:ident $cmp_br:ident $latch:ident = $pred:ident $cty:ident;)* }
         cast { $($cast:ident = $cop:ident $from:ident $to:ident;)* }
         mem { $($load:ident $store:ident $load_idx:ident $store_idx:ident = $mty:ident;)* }
     ) => {
@@ -342,6 +342,7 @@ macro_rules! resolved_ops {
             $(
                 $cmp { dst: Reg, lhs: Reg, rhs: Reg },
                 $cmp_br { lhs: Reg, rhs: Reg, then_t: u32, else_t: u32 },
+                $latch { iv: Reg, bound: Reg, body: u32, exit: u32 },
             )*
             $($cast { dst: Reg, src: Reg },)*
             $(
@@ -365,6 +366,7 @@ macro_rules! resolved_ops {
                 $(Op::BinJmp { op: B::$bop, ty: T::$bty, dst, lhs, rhs, target } => XOp::$bin_jmp { dst, lhs, rhs, target },)*
                 $(Op::Cmp { pred: P::$pred, ty: T::$cty, dst, lhs, rhs } => XOp::$cmp { dst, lhs, rhs },)*
                 $(Op::CmpBr { pred: P::$pred, ty: T::$cty, lhs, rhs, then_t, else_t } => XOp::$cmp_br { lhs, rhs, then_t, else_t },)*
+                $(Op::VLatch { pred: P::$pred, ty: T::$cty, w: LATCH_LANES, iv, bound, body, exit } => XOp::$latch { iv, bound, body, exit },)*
                 $(Op::Cast { op: C::$cop, from: T::$from, to: T::$to, dst, src } => XOp::$cast { dst, src },)*
                 other => XOp::Carried(other),
             }
@@ -443,6 +445,13 @@ macro_rules! resolved_ops {
                         $(XOp::$cmp_br { lhs, rhs, then_t, else_t } => {
                             let taken = cmp(P::$pred, T::$cty, regs[lhs as usize], regs[rhs as usize]);
                             pc = if taken { then_t } else { else_t } as usize;
+                            continue;
+                        })*
+                        $(XOp::$latch { iv, bound, body, exit } => {
+                            // An integer add never traps.
+                            let next = bin(B::Add, T::$cty, regs[iv as usize], LATCH_LANES.into()).unwrap_or_default();
+                            regs[iv as usize] = next;
+                            pc = if cmp(P::$pred, T::$cty, next, regs[bound as usize]) { body } else { exit } as usize;
                             continue;
                         })*
                         $(XOp::$cast { dst, src } => {
@@ -570,6 +579,12 @@ macro_rules! resolved_ops {
                                 _ => or_fault!('run, f, pc, lanes_reduce(op, ty, v)),
                             };
                         }
+                        Op::VLatch { pred, ty, w, iv, bound, body, exit } => {
+                            // An integer add never traps.
+                            let next = bin(B::Add, ty, regs[iv as usize], w.into()).unwrap_or_default();
+                            regs[iv as usize] = next;
+                            pc = if cmp(pred, ty, next, regs[bound as usize]) { body } else { exit } as usize;
+                        }
                         Op::VEpi { src, target } => {
                             if omplt_trace::active() {
                                 let left = (regs[src as usize] as i64).max(0) as u64;
@@ -628,7 +643,7 @@ macro_rules! resolved_ops {
         pub enum KernelRow {
             /// `Bin` and `BinJmp`.
             Bin(BinOpKind, IrType),
-            /// `Cmp` and `CmpBr`.
+            /// `Cmp`, `CmpBr` and `VLatch` at [`LATCH_LANES`].
             Cmp(CmpPred, IrType),
             /// `Cast`, source and destination type.
             Cast(CastOp, IrType, IrType),
@@ -658,7 +673,9 @@ macro_rules! resolved_ops {
 // ops some `BENCHMARK.json` workload retires (counted once per pair over the
 // five `exec_vm` kernels, the `compile_*` translation units and the
 // `daemon_mix` jobs; CHANGES.md, PR 19, has the counts). A row names the
-// pair's variant (and the variant of its fused form — `BinJmp`, `CmpBr` — or,
+// pair's variant (and the variants of its fused forms — `BinJmp`; `CmpBr` and
+// the vector latch `VLatch` at `LATCH_LANES`, which steps by that width before
+// it compares — or,
 // for a type, of its store and of the indexed load and store, whose address
 // the lowerer folded), then the literals its arms call the kernel with;
 // the vector arms pick the same literals once per op for all lanes. Every
@@ -668,6 +685,12 @@ macro_rules! resolved_ops {
 // deleted when none does any more: no `sext` has a row, since the lowerer
 // makes every cast that keeps its payload a `mov`
 // (`omplt_ir::arith::keeps_payload`).
+/// The width whose vector latches have variants of their own: the one the
+/// `exec_vm` workload widens at. (A latch variant has no room for its width
+/// in the 16 bytes a resolved op may take.)
+#[doc(hidden)]
+pub const LATCH_LANES: u8 = 4;
+
 resolved_ops! {
     bin {
         AddI32 AddI32Jmp = Add I32; AddI64 AddI64Jmp = Add I64;
@@ -676,8 +699,8 @@ resolved_ops! {
         FAddF64 FAddF64Jmp = FAdd F64; FMulF64 FMulF64Jmp = FMul F64;
     }
     cmp {
-        SltI32 SltI32Br = Slt I32; UltI32 UltI32Br = Ult I32;
-        UltI64 UltI64Br = Ult I64; UleI64 UleI64Br = Ule I64;
+        SltI32 SltI32Br SltI32Latch = Slt I32; UltI32 UltI32Br UltI32Latch = Ult I32;
+        UltI64 UltI64Br UltI64Latch = Ult I64; UleI64 UleI64Br UleI64Latch = Ule I64;
     }
     cast {
         TruncI64I32 = Trunc I64 I32; SiToFpI32F64 = SiToFp I32 F64;

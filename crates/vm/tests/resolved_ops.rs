@@ -8,7 +8,8 @@
 //! interpreter: for every valid
 //! `BinOpKind × IrType`, `CmpPred × IrType` and `CastOp × from × to`, as
 //! `Bin`, fused `BinJmp`, `Cmp`, fused `CmpBr`, `Cast`, and as `VBin` /
-//! `VCast` / `VReduce` lanes at widths 2, 4 and 8, a hand-built one-op
+//! `VCast` / `VReduce` lanes at widths 2, 4 and 8 (and every integer
+//! `VLatch`, an add then a compare), a hand-built one-op
 //! bytecode function must give the value or the `ExecError` the interpreter
 //! gives for the same instruction on the same operands. It also walks the
 //! table itself: every row resolves to a variant of its own, and nothing
@@ -24,7 +25,7 @@ use omplt_ir::{
     BinOpKind, CastOp, CmpPred, Function, Inst, IrType, Module, SymbolId, Terminator, Value,
 };
 use omplt_vm::ops::Indexed;
-use omplt_vm::vm::{has_kernel_row, KernelRow, KERNEL_ROWS};
+use omplt_vm::vm::{has_kernel_row, KernelRow, KERNEL_ROWS, LATCH_LANES};
 use omplt_vm::{verify_module, Op, PoolConst, Reg, RegClass, VmEngine, VmFunction, VmModule};
 
 // ---------------------------------------------------------------------------
@@ -392,6 +393,93 @@ fn cmp_and_fused_cmpbr_match_the_interpreter() {
         }
     }
     assert!(checked > 50_000, "only {checked} comparisons ran");
+}
+
+/// The vector latch `iv += w; iv <pred> bound ? body : exit` at every
+/// integer type and the four loop predicates: the interpreter's `add` of
+/// `iv` and `w`, then its compare of the sum with `bound`, for the value
+/// the latch leaves in `iv` and for the arm it takes.
+#[test]
+fn vlatch_steps_and_compares_as_the_interpreter() {
+    let mut checked = 0;
+    let ints = [
+        IrType::I1,
+        IrType::I8,
+        IrType::I16,
+        IrType::I32,
+        IrType::I64,
+    ];
+    for pred in [CmpPred::Slt, CmpPred::Sle, CmpPred::Ult, CmpPred::Ule] {
+        for ty in ints {
+            let (lhs, rhs) = (Value::Arg(0), Value::Arg(1));
+            let add = oracle_module(
+                vec![ty, ty],
+                ty,
+                Inst::Bin {
+                    op: BinOpKind::Add,
+                    lhs,
+                    rhs,
+                },
+            );
+            let add = Interpreter::new(&add, RuntimeConfig::default());
+            let cmp = oracle_module(vec![ty, ty], IrType::I1, Inst::Cmp { pred, lhs, rhs });
+            let cmp = Interpreter::new(&cmp, RuntimeConfig::default());
+            for w in [2u8, 4, 8] {
+                let latch = |exit| Op::VLatch {
+                    pred,
+                    ty,
+                    w,
+                    iv: 0,
+                    bound: 1,
+                    body: 1,
+                    exit,
+                };
+                let c = [RegClass::Int; 3];
+                let code = verified(vec![
+                    // `iv` as either arm finds it.
+                    vm_function(
+                        2,
+                        &c,
+                        &[],
+                        vec![],
+                        vec![latch(2), Op::Ret { src: Some(0) }, Op::Ret { src: Some(0) }],
+                        vec![0, 1, 2],
+                        ty,
+                    ),
+                    // 1 from the body's arm, 0 from the exit's.
+                    vm_function(
+                        2,
+                        &c,
+                        &[],
+                        vec![int_const(1), int_const(0)],
+                        vec![
+                            latch(3),
+                            Op::Const { dst: 2, idx: 0 },
+                            Op::Ret { src: Some(2) },
+                            Op::Const { dst: 2, idx: 1 },
+                            Op::Ret { src: Some(2) },
+                        ],
+                        vec![0, 1, 3],
+                        IrType::I1,
+                    ),
+                ]);
+                let m = Module::new();
+                let vm = VmEngine::new(&m, &code, RuntimeConfig::default()).expect("engine");
+                let vals = operands(ty);
+                for &iv in &vals {
+                    let next = oracle(&add, vec![iv, u64::from(w)]);
+                    for &bound in &vals {
+                        let what = format!("vlatch {pred:?} {ty:?} x{w} on {iv:?}, {bound:?}");
+                        assert_eq!(run_frame(&vm, 0, vec![iv, bound]), next, "{what}");
+                        let taken = oracle(&cmp, vec![next.clone().unwrap(), bound]);
+                        assert_eq!(run_frame(&vm, 1, vec![iv, bound]), taken, "{what}");
+                        checked += 2;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 20_000, "only {checked} comparisons ran");
 }
 
 #[test]
@@ -889,6 +977,15 @@ fn forms(row: KernelRow) -> Vec<Op> {
                 then_t: 0,
                 else_t: 0,
             },
+            Op::VLatch {
+                pred,
+                ty,
+                w: LATCH_LANES,
+                iv: 0,
+                bound: 1,
+                body: 0,
+                exit: 0,
+            },
         ],
         KernelRow::Cast(op, from, to) => vec![Op::Cast {
             op,
@@ -983,6 +1080,18 @@ fn every_row_is_reached_and_every_other_pair_is_carried() {
     // The table names what the benchmark's workloads retire, so most valid
     // pairs are carried; three that no C program of theirs can produce:
     assert!(carried > 0, "nothing reaches the carrying arms");
+    // A latch of a named pair at another width is carried.
+    for w in [2, 8] {
+        assert!(!has_kernel_row(Op::VLatch {
+            pred: CmpPred::Slt,
+            ty: IrType::I32,
+            w,
+            iv: 0,
+            bound: 1,
+            body: 0,
+            exit: 0
+        }));
+    }
     assert!(!has_kernel_row(Op::Bin {
         op: BinOpKind::FRem,
         ty: IrType::F64,

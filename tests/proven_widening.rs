@@ -346,7 +346,8 @@ fn different_instructions_faulting_at_different_lanes_fault_like_the_scalar_loop
 /// shapes, small: their loops widen on proof, and the retired ops are
 /// pinned. Scalar, `dense`'s loop retires 8 ops an iteration, `tri`'s inner
 /// loop 5 and `unroll`'s four-copy body 26; at width 4 a chunk of four
-/// iterations (four unrolled bodies for `unroll`) retires 9, 6 and 27.
+/// iterations (four unrolled bodies for `unroll`) retires 8, 4 and 26: its
+/// latch is one op, and `tri`'s `+ 3` is added once at the loop's exit.
 #[test]
 fn the_benchmark_s_serial_kernels_widen_to_their_pinned_op_counts() {
     let dense = "void print_i64(long v);\nint main(void) {\n  long sum = 0;\n  \
@@ -361,9 +362,9 @@ fn the_benchmark_s_serial_kernels_widen_to_their_pinned_op_counts() {
          #pragma omp unroll partial(4)\n  for (int i = 0; i < 2803; i += 1)\n    \
          s = s + t[i % 64] * (i % 5);\n  print_i64(s);\n  return 0;\n}\n";
     let cases = [
-        ("dense_serial", dense, "56093\n", [26_420, 7_456]),
-        ("tri_dynamic", tri, "20580\n", [18_088, 7_082]),
-        ("unroll_partial", unroll, "110778\n", [18_568, 5_116]),
+        ("dense_serial", dense, "56093\n", [26_420, 6_630]),
+        ("tri_dynamic", tri, "20580\n", [18_088, 5_485]),
+        ("unroll_partial", unroll, "110778\n", [18_568, 4_941]),
     ];
     for (name, source, printed, ops) in cases {
         let src = scratch(&format!("{name}.c"));
@@ -383,5 +384,127 @@ fn the_benchmark_s_serial_kernels_widen_to_their_pinned_op_counts() {
             [1, 1]
         };
         assert_eq!(agrees_per_opt(name, source).1, want, "{name}");
+    }
+}
+
+/// The rotated vector loop — its entry test runs once, each chunk ends in
+/// one fused latch — and the reduction links it folds at its exit instead
+/// of in every chunk: a link whose value is defined outside the loop adds
+/// `± e × (iv − start)` there. IV types × `<`/`<=` × trip counts 0 to 17
+/// (2w + 1 at width 8) from 0, from a non-zero start and up to the type's
+/// top (where a `<` loop's last step must not wrap), through `+ c` with `c`
+/// of 3, −5 and `LONG_MAX`, a `- c` link alone, a constant link next to a
+/// varying one, an `int` reduction whose invariant link reads the running
+/// value on its right, and a `*` reduction, which keeps its lanes.
+#[test]
+fn the_rotated_loop_folds_invariant_links_at_every_trip_count() {
+    let types: [(&str, i128, i128); 4] = [
+        ("int", i128::from(i32::MIN), i128::from(i32::MAX)),
+        ("long", i128::from(i64::MIN), i128::from(i64::MAX)),
+        ("unsigned", 0, i128::from(u32::MAX)),
+        ("unsigned long", 0, i128::from(u64::MAX)),
+    ];
+    for (ty, min, max) in types {
+        for op in ["<", "<="] {
+            let inclusive = op == "<=";
+            let nonzero = if min == 0 { 7 } else { -3 };
+            let top = if inclusive { max - 1 } else { max };
+            let mut source = format!(
+                "void print_i64(long v);\n\
+                 long plus({ty} lo, {ty} hi, long c) {{\n  long s = 5;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    s = s + (long)(i % 7) + c;\n  return s;\n}}\n\
+                 long minus({ty} lo, {ty} hi, long c) {{\n  long s = 1;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    s = s - c;\n  return s;\n}}\n\
+                 long three({ty} lo, {ty} hi) {{\n  long s = 0;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    s = s + 3 - (long)(i & 5);\n  return s;\n}}\n\
+                 long narrow({ty} lo, {ty} hi, int c) {{\n  int s = 0;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    s = c + s + (int)(i % 3);\n  return s;\n}}\n\
+                 long prod({ty} lo, {ty} hi, long c) {{\n  long p = 1;\n  \
+                 for ({ty} i = lo; i {op} hi; i++)\n    p = p * c;\n  return p;\n}}\n\
+                 void row({ty} lo, {ty} hi) {{\n  print_i64(plus(lo, hi, 3));\n  \
+                 print_i64(plus(lo, hi, -5));\n  print_i64(plus(lo, hi, 9223372036854775807));\n  \
+                 print_i64(minus(lo, hi, -5));\n  print_i64(three(lo, hi));\n  \
+                 print_i64(narrow(lo, hi, 2147483647));\n  print_i64(prod(lo, hi, -5));\n}}\n\
+                 int main(void) {{\n"
+            );
+            let mut rows = 0;
+            for t in 0..18 {
+                let span = |lo: i128| (lo, if inclusive { lo + t - 1 } else { lo + t });
+                // From 0, `<=` needs a bound below it for no trips, which an
+                // unsigned type does not have.
+                let from_zero = (min < 0 || !inclusive || t > 0).then(|| span(0));
+                let spans = from_zero
+                    .into_iter()
+                    .chain([span(nonzero), (top - t + i128::from(inclusive), top)]);
+                for (lo, hi) in spans {
+                    source += &format!("  row({}, {});\n", lit(lo), lit(hi));
+                    rows += 1;
+                }
+            }
+            source += "  return 0;\n}\n";
+            let name = format!(
+                "rotated_{}_{}",
+                ty.replace(' ', "_"),
+                if inclusive { "le" } else { "lt" }
+            );
+            let (oracle, proven) = agrees(&name, &source);
+            assert_eq!(oracle.code, Some(0), "{name}: {}", oracle.stderr);
+            assert_eq!(oracle.stdout.lines().count(), rows * 7, "{name}");
+            assert_eq!(proven, 5, "{name}: every kernel widens");
+        }
+    }
+}
+
+/// Invariant links from a constant start: `i = 5` in a signed loop, and
+/// `i = 3000000000u`, whose count the exit widens to the `long` reduction
+/// without its sign.
+#[test]
+fn invariant_links_fold_from_a_constant_start() {
+    let mut source = "void print_i64(long v);\n\
+         long from5(int n, long c) {\n  long s = 0;\n  \
+         for (int i = 5; i < n; i++)\n    s = s + c - (long)(i % 4);\n  return s;\n}\n\
+         long high(unsigned n) {\n  long s = 0;\n  \
+         for (unsigned i = 3000000000u; i < n; i++)\n    s = s + 11 + (long)(i & 1);\n  return s;\n}\n\
+         int main(void) {\n"
+        .to_string();
+    for t in 0..24 {
+        source += &format!(
+            "  print_i64(from5({t}, -7));\n  print_i64(high({}u));\n",
+            3_000_000_000u32 - 3 + t
+        );
+    }
+    source += "  return 0;\n}\n";
+    let (oracle, proven) = agrees("constant_start", &source);
+    assert_eq!(oracle.code, Some(0), "{}", oracle.stderr);
+    assert_eq!(oracle.stdout.lines().count(), 48);
+    assert_eq!(proven, 2);
+}
+
+/// A gather that leaves its array in a later chunk of a loop with
+/// invariant links (`+ 7` and `- c`): the chunk's pad resumes at the exit,
+/// which folds the links for the chunks that completed, and the scalar
+/// loop replays the faulting one, so the program fails where the scalar
+/// one does, with its message, after the same output.
+#[test]
+fn a_gather_faulting_in_a_later_chunk_of_a_loop_with_invariant_links_faults_alike() {
+    for k in 0..10 {
+        let source = format!(
+            "void print_i64(long v);\nlong a[40];\n\
+             long g(int n, int k, long c) {{\n  long s = 0;\n  \
+             for (int i = 0; i < n; i++)\n    s = s + a[2 * i + 40 - 2 * k] + 7 - c;\n  return s;\n}}\n\
+             int main(void) {{\n  for (int i = 0; i < 40; i++)\n    a[i] = i * 3 - 11;\n  \
+             print_i64(g({k}, {k}, 2));\n  print_i64(g(19, {k}, 2));\n  return 0;\n}}\n"
+        );
+        let (oracle, proven) = agrees(&format!("gather_links_{k}"), &source);
+        assert_eq!(oracle.code, Some(1), "k={k}");
+        assert_eq!(oracle.stdout.lines().count(), 1, "k={k}");
+        assert!(
+            oracle
+                .stderr
+                .contains("out-of-bounds access: offset 320+8 in region of 320 bytes"),
+            "k={k}: {}",
+            oracle.stderr
+        );
+        assert_eq!(proven, 1, "k={k}");
     }
 }
