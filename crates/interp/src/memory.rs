@@ -77,6 +77,51 @@ impl Region {
             }
         }
     }
+
+    /// Replaces the `len`-byte (1/2/4/8) fields at `offset + l * len` with
+    /// the low bytes of `vals[l]`, as [`Region::write`] does lane by lane.
+    /// The caller has checked that the whole span is in bounds. When the
+    /// lanes are aligned to their size, a word the span covers whole takes
+    /// one relaxed store of its lanes put together; the lanes of a word it
+    /// covers in part, and every lane of a span that is not aligned, go
+    /// through `write`.
+    ///
+    /// That store is one legal interleaving of the lanes' own stores. They
+    /// are relaxed read-modify-writes of the same word, each replacing only
+    /// its own bytes, and nothing orders them against another thread's
+    /// accesses. Run back to back, with no other write to the word between
+    /// them, they take it from its old value to the one this store writes,
+    /// in one step. Every byte of the word is one of the span's, so no
+    /// neighbour's byte is overwritten. A concurrent reader sees all of
+    /// the word's lanes or none, which is one of the outcomes the lane
+    /// stores allow.
+    #[inline(always)]
+    fn write_span(&self, offset: u64, len: u64, vals: &[u64]) {
+        if len == 8 || !offset.is_multiple_of(len) {
+            for (l, &v) in vals.iter().enumerate() {
+                self.write(offset + l as u64 * len, len, v);
+            }
+            return;
+        }
+        // The lanes before the first word boundary, the whole words, then
+        // the lanes of a last word the span covers in part.
+        let head = ((8 - offset % 8) % 8 / len) as usize;
+        let (head, rest) = vals.split_at(head.min(vals.len()));
+        for (l, &v) in head.iter().enumerate() {
+            self.write(offset + l as u64 * len, len, v);
+        }
+        let mut at = offset + head.len() as u64 * len;
+        let (bits, mask) = (len * 8, (1u64 << (len * 8)) - 1);
+        let mut words = rest.chunks_exact((8 / len) as usize);
+        for lanes in &mut words {
+            let word = lanes.iter().rev().fold(0, |w, &v| w << bits | v & mask);
+            self.words[(at / 8) as usize].store(word, Ordering::Relaxed);
+            at += 8;
+        }
+        for (l, &v) in words.remainder().iter().enumerate() {
+            self.write(at + l as u64 * len, len, v);
+        }
+    }
 }
 
 /// Lock-free append-only region table: segment `k` holds `2^k` slots, so
@@ -376,7 +421,9 @@ impl Memory {
     }
 
     /// Unit-stride lane store: `store(base + l * len, len, vals[l])`, with
-    /// [`Memory::load_span`]'s one check and lane-by-lane fallback.
+    /// [`Memory::load_span`]'s one check and lane-by-lane fallback. A span
+    /// that hits writes the words it covers whole with one store each
+    /// ([`Region::write_span`]).
     #[inline(always)]
     pub fn store_span<'m>(
         &'m self,
@@ -386,9 +433,7 @@ impl Memory {
         vals: &[u64],
     ) -> Result<(), MemError> {
         if let Some((reg, offset)) = cache.hit(base, len * vals.len() as u64) {
-            for (l, &v) in vals.iter().enumerate() {
-                reg.write(offset + l as u64 * len, len, v);
-            }
+            reg.write_span(offset, len, vals);
             return Ok(());
         }
         for (l, &v) in vals.iter().enumerate() {
@@ -601,6 +646,56 @@ mod tests {
         let mut lanes = [0u64; 2];
         assert!(m.load_span(&mut cache, p + 36, 4, &mut lanes).is_err());
         assert_eq!(lanes, [2, 0]);
+    }
+
+    /// A span store leaves the bytes, and fails with the error, of its lanes
+    /// stored one by one through `store_via`: for every lane size, lanes
+    /// aligned to their size or not, a first and a last word covered in
+    /// part, and spans that run off the region's end — through a cold cache
+    /// (the lane-by-lane fallback) and a warm one (whole words).
+    #[test]
+    fn span_stores_leave_the_bytes_of_lane_by_lane_stores() {
+        const SIZE: u64 = 44;
+        let mut spans = 0;
+        for len in [1u64, 2, 4, 8] {
+            for start in 0..17 {
+                for lanes in [1, 2, 3, 4, 5, 7, 8] {
+                    for warm in [false, true] {
+                        // Every lane sets bits above its field, which must
+                        // not reach the neighbouring lanes.
+                        let vals: Vec<u64> = (0..lanes)
+                            .map(|l| 0xF1E2_D3C4_B5A6_9788 ^ (l * 0x0101_0101_0101_0101))
+                            .collect();
+                        let (span, lane) = (Memory::new(), Memory::new());
+                        let (p, q) = (span.alloc(SIZE), lane.alloc(SIZE));
+                        assert_eq!(p, q, "both regions have one index");
+                        for at in (0..SIZE).step_by(4) {
+                            span.store(p + at, 4, 0xA5A5_A5A5 ^ at).unwrap();
+                            lane.store(q + at, 4, 0xA5A5_A5A5 ^ at).unwrap();
+                        }
+                        let (mut sc, mut lc) = (span.region_cache(), lane.region_cache());
+                        if warm {
+                            span.load_via(&mut sc, p, 1).unwrap();
+                        }
+                        let got = span.store_span(&mut sc, p + start, len, &vals);
+                        let want = vals.iter().enumerate().try_for_each(|(l, &v)| {
+                            lane.store_via(&mut lc, q + start + l as u64 * len, len, v)
+                        });
+                        let what = format!("{lanes} lanes of {len} bytes at {start}, warm {warm}");
+                        assert_eq!(got, want, "{what}");
+                        for b in 0..SIZE {
+                            assert_eq!(
+                                span.load(p + b, 1),
+                                lane.load(q + b, 1),
+                                "byte {b}: {what}"
+                            );
+                        }
+                        spans += got.is_ok() as usize;
+                    }
+                }
+            }
+        }
+        assert!(spans > 600, "only {spans} spans stayed in bounds");
     }
 
     /// The cache belongs to one frame; the table it fronts is shared. A

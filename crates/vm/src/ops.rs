@@ -714,12 +714,20 @@ ops! {
         /// Lane count.
         w: lanes,
     },
-    /// A widened loop's exit into its scalar remainder loop: tallies
-    /// `max(src, 0)` remainder iterations into the `vm.simd.epilogue_iters`
-    /// counter (no data effect), then jumps to `target`.
+    /// A widened loop's exit into its scalar remainder loop: jumps to
+    /// `target`. Only while a trace is recording does it compute the
+    /// iterations left, `bound - iv` at `ty` (one more for an inclusive
+    /// `pred`), and tally their `max(…, 0)` into the
+    /// `vm.simd.epilogue_iters` counter; it has no data effect.
     26 => VEpi terminator {
-        /// Scalar register holding the remaining-iteration count.
-        src: ruse(int),
+        /// Exit-test predicate of the scalar loop (`slt`, `ult`, `sle`, `ule`).
+        pred: CmpPred,
+        /// Induction variable type: the subtraction wraps at it.
+        ty: IrType,
+        /// The induction register, where the vector loop left it.
+        iv: ruse(of ty),
+        /// The scalar loop's bound.
+        bound: ruse(of ty),
         /// The scalar loop's header (must be a block start).
         target: label,
     },
@@ -1423,7 +1431,13 @@ pub fn disasm(f: &VmFunction) -> String {
                 src,
                 w,
             } => format!("r{dst} = vreduce.{}.{ty}.x{w} v{src}", op.mnemonic()),
-            Op::VEpi { src, target } => format!("vepi r{src}, L{target}"),
+            Op::VEpi {
+                pred,
+                ty,
+                iv,
+                bound,
+                target,
+            } => format!("vepi.{}.{ty} r{iv}, r{bound}, L{target}", pred.mnemonic()),
             Op::VLatch {
                 pred,
                 ty,
@@ -1495,7 +1509,7 @@ pub(crate) mod tests {
             row(Op::VBin { op: B::FAdd, ty: T::F64, dst: 11, lhs: 12, rhs: 13, w: 4 }, None, &[], Some(11), &[12, 13], &[], false),
             row(Op::VCast { op: C::SiToFp, from: T::I32, to: T::F64, dst: 11, src: 12, w: 4 }, None, &[], Some(11), &[12], &[], false),
             row(Op::VReduce { op: B::Add, ty: T::I64, dst: 1, src: 11, w: 4 }, Some(1), &[], None, &[11], &[], false),
-            row(Op::VEpi { src: 1, target: 40 }, None, &[1], None, &[], &[40], true),
+            row(Op::VEpi { pred: P::Sle, ty: T::I64, iv: 1, bound: 2, target: 40 }, None, &[1, 2], None, &[], &[40], true),
             row(Op::LoadIdx { ty: T::F64, wrap: T::I32, scale: 8, c: -1, dst: 1, base: 2, index: 3 }, Some(1), &[2, 3], None, &[], &[], false),
             row(Op::StoreIdx { ty: T::I32, wrap: T::I64, scale: 4, c: 7, src: 1, base: 2, index: 3 }, None, &[1, 2, 3], None, &[], &[], false),
             row(Op::VLoadIdx { ty: T::I32, wrap: T::I32, scale: 4, c: 2, dst: 11, base: 1, index: 2, w: 4 }, None, &[1, 2], Some(11), &[], &[], false),

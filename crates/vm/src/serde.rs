@@ -10,7 +10,7 @@
 //! and a float constant's bits keep their fixed width:
 //!
 //! ```text
-//! "OMPLTBC\x08"  magic + format version (bump on any layout change)
+//! "OMPLTBC\x09"  magic + format version (bump on any layout change)
 //! u32            function count
 //! per function:  name, ret, params, reg classes, vreg classes/widths,
 //!                const pool, call args, call targets,
@@ -37,7 +37,7 @@ use crate::ops::{CallTarget, Op, Pad, PoolConst, Reg, RegClass, VmFunction, VmMo
 use omplt_ir::{BinOpKind, CastOp, CmpPred, IrType, SymbolId};
 
 /// Magic prefix: 7 identifying bytes plus a 1-byte format version.
-const MAGIC: &[u8; 8] = b"OMPLTBC\x08";
+const MAGIC: &[u8; 8] = b"OMPLTBC\x09";
 
 /// A malformed or version-incompatible bytecode image.
 #[derive(Debug, PartialEq, Eq)]
@@ -512,7 +512,13 @@ mod tests {
                     src: 1,
                     lane: 3,
                 },
-                Op::VEpi { src: 5, target: 7 },
+                Op::VEpi {
+                    pred: CmpPred::Ult,
+                    ty: IrType::I64,
+                    iv: 5,
+                    bound: 4,
+                    target: 7,
+                },
                 Op::Ret { src: Some(4) },
             ],
             consts: vec![
@@ -615,7 +621,7 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_err());
         // The previous format version and a future one.
-        for version in [7, 9] {
+        for version in [8, 10] {
             let mut vers = bytes.clone();
             vers[7] = version;
             assert!(decode(&vers).is_err(), "version {version} accepted");

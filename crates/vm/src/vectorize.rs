@@ -140,20 +140,29 @@ impl Reduction {
 impl LoopPlan {
     /// The constants the vector loop reads besides its instructions'
     /// operands, which the lowerer loads in the function's prologue rather
-    /// than on every entry: `width - 1`, the `1` of an inclusive bound and
-    /// the identity of each reduction whose lanes accumulate. (The width
-    /// itself is the fused latch's immediate.)
+    /// than on every entry: `n_main` when the bound is a constant, `width -
+    /// 1` otherwise, and the identity of each reduction whose lanes
+    /// accumulate. (The width itself is the fused latch's immediate.)
     pub(crate) fn consts(&self) -> impl Iterator<Item = PoolConst> + '_ {
-        let inclusive = matches!(self.pred, CmpPred::Sle | CmpPred::Ule).then_some(1);
         let identities = self
             .reductions
             .iter()
             .filter(|r| r.lanes())
-            .map(|r| identity(r.combine));
-        std::iter::once(i64::from(self.width) - 1)
-            .chain(inclusive)
+            .map(|r| identity(r.combine) as u64);
+        std::iter::once(self.const_n_main().unwrap_or(u64::from(self.width) - 1))
             .chain(identities)
-            .map(|v| PoolConst::Val(RegClass::Int, v as u64))
+            .map(|v| PoolConst::Val(RegClass::Int, v))
+    }
+
+    /// `n_main = bound - (width - 1)` at the IV's type, when the bound is a
+    /// constant: the last chunk base the entry test and the latch let in.
+    /// [`try_plan`] has held the constant to the guard, so it cannot wrap.
+    fn const_n_main(&self) -> Option<u64> {
+        let Value::ConstInt { val, .. } = self.bound else {
+            return None;
+        };
+        let wm1 = u64::from(self.width) - 1;
+        Some(arith::bin(BinOpKind::Sub, self.iv_ty, val as u64, wm1).unwrap_or_default())
     }
 
     /// Visits each value defined outside the loop that a loop instruction
@@ -676,6 +685,15 @@ fn try_plan(
         }
     }
 
+    // A constant bound answers the guard now: below `w - 1` no chunk can
+    // run, and the loop stays scalar.
+    if let Value::ConstInt { val, .. } = bound {
+        let wm1 = u64::from(requested) - 1;
+        if !arith::cmp(guard_pred(ind.pred), iv_ty, val as u64, wm1) {
+            return None;
+        }
+    }
+
     Some(LoopPlan {
         header,
         latch,
@@ -691,6 +709,17 @@ fn try_plan(
         reductions,
         last_values,
     })
+}
+
+/// The guard's compare, `bound >= w - 1`: unsigned for an unsigned loop.
+/// It keeps `n_main = bound - (w - 1)` from wrapping (and from overflowing
+/// near the signed minimum).
+fn guard_pred(pred: CmpPred) -> CmpPred {
+    if matches!(pred, CmpPred::Ult | CmpPred::Ule) {
+        CmpPred::Uge
+    } else {
+        CmpPred::Sge
+    }
 }
 
 // ---------------------------------------------------------------- emission
@@ -1109,22 +1138,25 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
     };
 
     // --- preamble (same bytecode block as the header offset) ---------------
-    let wm1_const = wd.int_const(w as i64 - 1)?;
-    let le_pred = matches!(plan.pred, CmpPred::Sle | CmpPred::Ule);
-    let one_const = if le_pred {
-        Some(wd.int_const(1)?)
-    } else {
-        None
-    };
+    // A constant bound's `n_main` is a constant too, and its guard held at
+    // planning; any other bound computes `n_main` on entry, under the guard
+    // emitted below.
     let bound_reg = wd.scalar_of(plan.bound)?;
-    let n_main = wd.c.new_vreg(RegClass::Int)?;
-    wd.c.out.ops.push(Op::Bin {
-        op: BinOpKind::Sub,
-        ty: plan.iv_ty,
-        dst: n_main,
-        lhs: bound_reg,
-        rhs: wm1_const,
-    });
+    let (n_main, guarded) = match plan.const_n_main() {
+        Some(n) => (wd.int_const(n as i64)?, None),
+        None => {
+            let wm1_const = wd.int_const(w as i64 - 1)?;
+            let n_main = wd.c.new_vreg(RegClass::Int)?;
+            wd.c.out.ops.push(Op::Bin {
+                op: BinOpKind::Sub,
+                ty: plan.iv_ty,
+                dst: n_main,
+                lhs: bound_reg,
+                rhs: wm1_const,
+            });
+            (n_main, Some(wm1_const))
+        }
+    };
     // One accumulator per reduction whose lanes accumulate, started at its
     // identity, then one per last value, started at the phi's entry value
     // (what the exit keeps when no chunk runs).
@@ -1170,27 +1202,23 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         let r = wd.scalar_of(v)?;
         wd.broadcast(r, RegClass::of(ty))?;
     }
-    // Guard: `bound >= w-1` keeps `bound - (w-1)` from wrapping for
-    // unsigned loops (and from overflowing near the signed minimum); a
-    // failed guard skips straight to the exit combine, which is the
-    // identity when zero vector chunks ran.
-    let guard_pred = if matches!(plan.pred, CmpPred::Ult | CmpPred::Ule) {
-        CmpPred::Uge
-    } else {
-        CmpPred::Sge
-    };
-    let guard_at = wd.c.out.ops.len();
-    wd.c.out.ops.push(Op::CmpBr {
-        pred: guard_pred,
-        ty: plan.iv_ty,
-        lhs: bound_reg,
-        rhs: wm1_const,
-        then_t: (guard_at + 1) as u32,
-        else_t: 0, // patched to vexit
+    // Guard ([`guard_pred`]): a failed guard skips straight to the exit
+    // combine, which is the identity when zero vector chunks ran.
+    let guard_at = guarded.map(|wm1_const| {
+        let at = wd.c.out.ops.len();
+        wd.c.out.ops.push(Op::CmpBr {
+            pred: guard_pred(plan.pred),
+            ty: plan.iv_ty,
+            lhs: bound_reg,
+            rhs: wm1_const,
+            then_t: (at + 1) as u32,
+            else_t: 0, // patched to vexit
+        });
+        wd.c.mark_block_start();
+        at
     });
 
     // --- entry test: the loop is rotated, so this runs once ----------------
-    wd.c.mark_block_start();
     let entry_at = wd.c.out.ops.len();
     let vbody_off = (entry_at + 1) as u32;
     wd.c.out.ops.push(Op::CmpBr {
@@ -1299,31 +1327,13 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         });
     }
     wd.fold_invariant_links()?;
-    let epi = wd.c.new_vreg(RegClass::Int)?;
-    wd.c.out.ops.push(Op::Bin {
-        op: BinOpKind::Sub,
-        ty: plan.iv_ty,
-        dst: epi,
-        lhs: bound_reg,
-        rhs: riv,
-    });
-    let epi = if let Some(one) = one_const {
-        let epi2 = wd.c.new_vreg(RegClass::Int)?;
-        wd.c.out.ops.push(Op::Bin {
-            op: BinOpKind::Add,
-            ty: plan.iv_ty,
-            dst: epi2,
-            lhs: epi,
-            rhs: one,
-        });
-        epi2
-    } else {
-        epi
-    };
     // The exit jumps to the scalar header, which starts the next block.
     let scalar_header_off = wd.c.out.ops.len() as u32 + 1;
     wd.c.out.ops.push(Op::VEpi {
-        src: epi,
+        pred: plan.pred,
+        ty: plan.iv_ty,
+        iv: riv,
+        bound: bound_reg,
         target: scalar_header_off,
     });
     if !stores && eager_end > eager_at {
@@ -1334,8 +1344,8 @@ pub(crate) fn emit_vector_loop(c: &mut FuncCompiler, plan: &LoopPlan) -> Result<
         });
     }
 
-    // Patch the three forward branches into vexit.
-    for at in [guard_at, entry_at, latch_at] {
+    // Patch the forward branches into vexit.
+    for at in guard_at.into_iter().chain([entry_at, latch_at]) {
         match &mut wd.c.out.ops[at] {
             Op::CmpBr { else_t: exit, .. } | Op::VLatch { exit, .. } => *exit = vexit_off,
             _ => unreachable!("a branch into vexit"),

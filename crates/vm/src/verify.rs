@@ -19,7 +19,7 @@
 //!    class; operator against type for `bin`, `binjmp`, `vbin` and `vreduce`
 //!    (pointer arithmetic takes any offset but a float); predicate against
 //!    type for `cmp` and `cmpbr`, an integer predicate and type for
-//!    `vlatch`; a conversion's (reads, writes) pair; a
+//!    `vlatch` and `vepi`; a conversion's (reads, writes) pair; a
 //!    call's void result and, at every direct call, the callee's boundary
 //!    (exactly its parameter count, each argument register in its parameter
 //!    register's class, the result in its return class); `ret` against the
@@ -470,9 +470,12 @@ fn types(f: &VmFunction, funcs: &[VmFunction], errs: &mut Vec<VerifyError>) {
                 let kind = if pred.is_float() { "float" } else { "integer" };
                 mismatch(errs, format!("{kind} compare at type {ty}"));
             }
-            // A vector latch steps and compares an integer induction variable.
-            Op::VLatch { pred, ty, .. } if pred.is_float() || !ty.is_int() => {
-                mismatch(errs, format!("vlatch {} at type {ty}", pred.mnemonic()));
+            // A vector latch steps and compares an integer induction
+            // variable, and the exit counts what is left of its range.
+            Op::VLatch { pred, ty, .. } | Op::VEpi { pred, ty, .. }
+                if pred.is_float() || !ty.is_int() =>
+            {
+                mismatch(errs, format!("{} {} at type {ty}", name(), pred.mnemonic()));
             }
             // A conversion's operator fixes the class it reads and the class
             // it writes, and the engine reads the source payload at exactly

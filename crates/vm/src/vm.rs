@@ -29,7 +29,13 @@
 //! is and runs the same kernel with the operator and type it holds. The row
 //! variants, the resolver and their arms all come from that one table, and a
 //! row is there because a measured workload retires its pair — it buys
-//! speed, never meaning. The resolved stream is not a format: it is never
+//! speed, never meaning. The vector ops of those pairs have rows at one
+//! width, [`ROW_LANES`]: their arms read the lanes in place and unroll the
+//! lane loop, where a carried vector op pays a second dispatch on its
+//! operator and a loop to a width read at run time. On the seed-11
+//! `exec_vm` kernels that took `run_ms` from 4.25 to 2.69 ms (medians of ten
+//! alternating pairs on two shared vCPUs, with `Memory::store_span`'s
+//! whole-word stores). The resolved stream is not a format: it is never
 //! serialised, never verified and never printed (`--emit-bytecode` shows
 //! `Op`, OMPLTBC carries `Op`), and it dies with the engine.
 //!
@@ -58,7 +64,7 @@
 //!   [`RunState`].
 
 use crate::ops::{
-    indexed_address, Address, CallTarget, Indexed, Op, PoolConst, Reg, VmFunction, VmModule,
+    indexed_address, Address, CallTarget, Indexed, Op, PoolConst, Reg, VReg, VmFunction, VmModule,
     MAX_LANES,
 };
 use omplt_interp::engine::{Callee, Engine, RunState};
@@ -261,6 +267,19 @@ fn resume(f: &VmFunction, pc: usize, e: ExecError) -> Result<usize, ExecError> {
     }
 }
 
+/// Tallies the iterations a widened loop leaves its scalar loop, `bound - iv`
+/// at `ty` (one more for an inclusive `pred`), into
+/// `vm.simd.epilogue_iters`. Integer adds never trap.
+#[cold]
+#[inline(never)]
+fn count_epilogue(pred: CmpPred, ty: IrType, iv: u64, bound: u64) {
+    let mut left = bin(BinOpKind::Sub, ty, bound, iv).unwrap_or_default();
+    if matches!(pred, CmpPred::Sle | CmpPred::Ule) {
+        left = bin(BinOpKind::Add, ty, left, 1).unwrap_or_default();
+    }
+    omplt_trace::count("vm.simd.epilogue_iters", (left as i64).max(0) as u64);
+}
+
 fn mem_err(e: MemError) -> ExecError {
     ExecError::Mem(e.what)
 }
@@ -281,37 +300,89 @@ fn address(regs: &[u64], op: Op) -> u64 {
     }
 }
 
-// Lane loops over the kernels. `#[inline(always)]`, like the kernels: a
-// vector arm picks its (operator, type) once and calls these with literals,
-// so the loop body is the folded instruction.
+// The lane forms. `#[inline(always)]`, like the kernels: a row's arm calls
+// them with its (operator, type) and [`ROW_LANES`] as literals, so the loop
+// body is the folded instruction and the loop is unrolled; a carried arm
+// calls them with what its op holds. Each reads its operands lane by lane,
+// in place, and writes lane `l` of `dst` after reading lane `l` of its
+// sources: `dst` may be a source, and a lane that fails leaves the lanes
+// before it written.
 
+/// `dst.lane[l] = lhs.lane[l] <op> rhs.lane[l]` for `l < w`.
+// Lane `l` of three registers, one of them written: no iterator holds them.
+#[allow(clippy::needless_range_loop)]
 #[inline(always)]
-fn lanes_bin(
+fn vbin(
     op: BinOpKind,
     ty: IrType,
-    a: &Lanes,
-    b: &Lanes,
-    out: &mut [u64],
+    vregs: &mut [Lanes],
+    (dst, lhs, rhs): (VReg, VReg, VReg),
+    w: usize,
 ) -> Result<(), ExecError> {
-    for (l, o) in out.iter_mut().enumerate() {
-        *o = bin(op, ty, a[l], b[l])?;
+    for l in 0..w {
+        vregs[dst as usize][l] = bin(op, ty, vregs[lhs as usize][l], vregs[rhs as usize][l])?;
     }
     Ok(())
 }
 
+/// `dst.lane[l] = *(ty*)(p + idx.lane[l] * elem_size)` for `l < w`.
+#[allow(clippy::needless_range_loop)]
 #[inline(always)]
-fn lanes_reduce(op: BinOpKind, ty: IrType, v: &[u64]) -> Result<u64, ExecError> {
-    let mut acc = v[0];
-    for &lane in &v[1..] {
-        acc = bin(op, ty, acc, lane)?;
+fn vgather<'m>(
+    mem: &'m Memory,
+    cache: &mut RegionCache<'m>,
+    vregs: &mut [Lanes],
+    (dst, idx): (VReg, VReg),
+    (p, elem_size): (u64, u32),
+    ty: IrType,
+    w: usize,
+) -> Result<(), ExecError> {
+    for l in 0..w {
+        let a = gep(p, vregs[idx as usize][l], elem_size as u64);
+        vregs[dst as usize][l] = decode(ty, mem.load_via(cache, a, ty.size()).map_err(mem_err)?);
     }
-    Ok(acc)
+    Ok(())
 }
 
+/// `out.lane[l] = *(ty*)(a + l*size(ty))`: a unit-stride vector load from
+/// the lane-0 address `a`.
 #[inline(always)]
-fn lanes_cast(op: CastOp, from: IrType, to: IrType, src: &Lanes, out: &mut [u64]) {
+fn vload<'m>(
+    mem: &'m Memory,
+    cache: &mut RegionCache<'m>,
+    a: u64,
+    ty: IrType,
+    out: &mut [u64],
+) -> Result<(), ExecError> {
+    mem.load_span(cache, a, ty.size(), out).map_err(mem_err)?;
+    out.iter_mut().for_each(|o| *o = decode(ty, *o));
+    Ok(())
+}
+
+/// `*(ty*)(a + l*size(ty)) = lanes[l]`: a unit-stride vector store to the
+/// lane-0 address `a`.
+#[inline(always)]
+fn vstore<'m>(
+    mem: &'m Memory,
+    cache: &mut RegionCache<'m>,
+    a: u64,
+    ty: IrType,
+    lanes: &[u64],
+) -> Result<(), ExecError> {
+    let mut raw: Lanes = [0; MAX_LANES];
+    let raw = &mut raw[..lanes.len()];
+    raw.iter_mut()
+        .zip(lanes)
+        .for_each(|(o, &v)| *o = encode(ty, v));
+    mem.store_span(cache, a, ty.size(), raw).map_err(mem_err)
+}
+
+/// `out.lane[l] = base + l`, at `i64`. An integer add never traps, so no
+/// lane can fail.
+#[inline(always)]
+fn viota(base: u64, out: &mut [u64]) {
     for (l, o) in out.iter_mut().enumerate() {
-        *o = cast(op, from, to, src[l]);
+        *o = bin(BinOpKind::Add, IrType::I64, base, l as u64).unwrap_or_default();
     }
 }
 
@@ -324,10 +395,10 @@ fn lanes_cast(op: CastOp, from: IrType, to: IrType, src: &Lanes, out: &mut [u64]
 /// listed twice as an unreachable pattern in `resolve`.
 macro_rules! resolved_ops {
     (
-        bin { $($bin:ident $bin_jmp:ident = $bop:ident $bty:ident;)* }
+        bin { $($bin:ident $bin_jmp:ident $vbin:ident = $bop:ident $bty:ident;)* }
         cmp { $($cmp:ident $cmp_br:ident $latch:ident = $pred:ident $cty:ident;)* }
         cast { $($cast:ident = $cop:ident $from:ident $to:ident;)* }
-        mem { $($load:ident $store:ident $load_idx:ident $store_idx:ident = $mty:ident;)* }
+        mem { $($load:ident $store:ident $load_idx:ident $store_idx:ident $vload_idx:ident $vstore_idx:ident $vgather:ident = $mty:ident;)* }
     ) => {
         /// One op as the dispatch loop executes it: a table row — an op
         /// whose operator and type are the variant — or the [`Op`] itself.
@@ -338,6 +409,7 @@ macro_rules! resolved_ops {
             $(
                 $bin { dst: Reg, lhs: Reg, rhs: Reg },
                 $bin_jmp { dst: Reg, lhs: Reg, rhs: Reg, target: u32 },
+                $vbin { dst: VReg, lhs: VReg, rhs: VReg },
             )*
             $(
                 $cmp { dst: Reg, lhs: Reg, rhs: Reg },
@@ -350,7 +422,12 @@ macro_rules! resolved_ops {
                 $store { src: Reg, addr: Reg },
                 $load_idx { dst: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
                 $store_idx { src: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
+                $vload_idx { dst: VReg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
+                $vstore_idx { src: VReg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
+                $vgather { elem_size: u32, dst: VReg, base: Reg, idx: VReg },
             )*
+            /// `VIota` at [`ROW_LANES`].
+            VIota { dst: VReg, base: Reg },
         }
 
         /// Resolves one op: to its table row's variant if its operator and
@@ -362,11 +439,16 @@ macro_rules! resolved_ops {
                 $(Op::Store { src, addr, ty: T::$mty } => XOp::$store { src, addr },)*
                 $(Op::LoadIdx { ty: T::$mty, wrap, scale, c, dst, base, index } => XOp::$load_idx { dst, base, index, c, scale, wrap },)*
                 $(Op::StoreIdx { ty: T::$mty, wrap, scale, c, src, base, index } => XOp::$store_idx { src, base, index, c, scale, wrap },)*
+                $(Op::VLoadIdx { ty: T::$mty, wrap, scale, c, dst, base, index, w: ROW_LANES } => XOp::$vload_idx { dst, base, index, c, scale, wrap },)*
+                $(Op::VStoreIdx { ty: T::$mty, wrap, scale, c, src, base, index, w: ROW_LANES } => XOp::$vstore_idx { src, base, index, c, scale, wrap },)*
+                $(Op::VGather { ty: T::$mty, elem_size, dst, base, idx, w: ROW_LANES } => XOp::$vgather { elem_size, dst, base, idx },)*
                 $(Op::Bin { op: B::$bop, ty: T::$bty, dst, lhs, rhs } => XOp::$bin { dst, lhs, rhs },)*
                 $(Op::BinJmp { op: B::$bop, ty: T::$bty, dst, lhs, rhs, target } => XOp::$bin_jmp { dst, lhs, rhs, target },)*
+                $(Op::VBin { op: B::$bop, ty: T::$bty, dst, lhs, rhs, w: ROW_LANES } => XOp::$vbin { dst, lhs, rhs },)*
+                Op::VIota { dst, base, w: ROW_LANES } => XOp::VIota { dst, base },
                 $(Op::Cmp { pred: P::$pred, ty: T::$cty, dst, lhs, rhs } => XOp::$cmp { dst, lhs, rhs },)*
                 $(Op::CmpBr { pred: P::$pred, ty: T::$cty, lhs, rhs, then_t, else_t } => XOp::$cmp_br { lhs, rhs, then_t, else_t },)*
-                $(Op::VLatch { pred: P::$pred, ty: T::$cty, w: LATCH_LANES, iv, bound, body, exit } => XOp::$latch { iv, bound, body, exit },)*
+                $(Op::VLatch { pred: P::$pred, ty: T::$cty, w: ROW_LANES, iv, bound, body, exit } => XOp::$latch { iv, bound, body, exit },)*
                 $(Op::Cast { op: C::$cop, from: T::$from, to: T::$to, dst, src } => XOp::$cast { dst, src },)*
                 other => XOp::Carried(other),
             }
@@ -429,6 +511,29 @@ macro_rules! resolved_ops {
                             or_fault!('run, f, pc, mem.store_via(&mut cache, a, T::$mty.size(), raw).map_err(mem_err));
                             continue;
                         })*
+                        $(XOp::$vload_idx { dst, base, index, c, scale, wrap } => {
+                            let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
+                            or_fault!('run, f, pc, vload(mem, &mut cache, a, T::$mty, &mut vregs[dst as usize][..ROW_LANES as usize]));
+                            continue;
+                        })*
+                        $(XOp::$vstore_idx { src, base, index, c, scale, wrap } => {
+                            let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
+                            or_fault!('run, f, pc, vstore(mem, &mut cache, a, T::$mty, &vregs[src as usize][..ROW_LANES as usize]));
+                            continue;
+                        })*
+                        $(XOp::$vgather { elem_size, dst, base, idx } => {
+                            let p = regs[base as usize];
+                            or_fault!('run, f, pc, vgather(mem, &mut cache, vregs, (dst, idx), (p, elem_size), T::$mty, ROW_LANES as usize));
+                            continue;
+                        })*
+                        $(XOp::$vbin { dst, lhs, rhs } => {
+                            or_fault!('run, f, pc, vbin(B::$bop, T::$bty, vregs, (dst, lhs, rhs), ROW_LANES as usize));
+                            continue;
+                        })*
+                        XOp::VIota { dst, base } => {
+                            viota(regs[base as usize], &mut vregs[dst as usize][..ROW_LANES as usize]);
+                            continue;
+                        }
                         $(XOp::$bin { dst, lhs, rhs } => {
                             regs[dst as usize] = or_fault!('run, f, pc, bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize]));
                             continue;
@@ -449,7 +554,7 @@ macro_rules! resolved_ops {
                         })*
                         $(XOp::$latch { iv, bound, body, exit } => {
                             // An integer add never traps.
-                            let next = bin(B::Add, T::$cty, regs[iv as usize], LATCH_LANES.into()).unwrap_or_default();
+                            let next = bin(B::Add, T::$cty, regs[iv as usize], ROW_LANES.into()).unwrap_or_default();
                             regs[iv as usize] = next;
                             pc = if cmp(P::$pred, T::$cty, next, regs[bound as usize]) { body } else { exit } as usize;
                             continue;
@@ -522,12 +627,7 @@ macro_rules! resolved_ops {
                             return Err(ExecError::Unreachable);
                         }
                         Op::VMov { dst, src, .. } => vregs[dst as usize] = vregs[src as usize],
-                        Op::VIota { dst, base, w } => {
-                            let b = regs[base as usize];
-                            for (l, o) in vregs[dst as usize][..w as usize].iter_mut().enumerate() {
-                                *o = or_fault!('run, f, pc, bin(B::Add, T::I64, b, l as u64));
-                            }
-                        }
+                        Op::VIota { dst, base, w } => viota(regs[base as usize], &mut vregs[dst as usize][..w as usize]),
                         Op::VBroadcast { dst, src, w } => {
                             vregs[dst as usize][..w as usize].fill(regs[src as usize]);
                         }
@@ -543,11 +643,8 @@ macro_rules! resolved_ops {
                             or_fault!('run, f, pc, vstore(mem, &mut cache, a, ty, &vregs[src as usize][..w as usize]));
                         }
                         Op::VGather { elem_size, dst, base, idx, ty, w } => {
-                            let (p, iv) = (regs[base as usize], vregs[idx as usize]);
-                            for (l, o) in vregs[dst as usize][..w as usize].iter_mut().enumerate() {
-                                let a = gep(p, iv[l], elem_size as u64);
-                                *o = decode(ty, or_fault!('run, f, pc, mem.load_via(&mut cache, a, ty.size()).map_err(mem_err)));
-                            }
+                            let p = regs[base as usize];
+                            or_fault!('run, f, pc, vgather(mem, &mut cache, vregs, (dst, idx), (p, elem_size), ty, w as usize));
                         }
                         Op::VScatter { elem_size, src, base, idx, ty, w } => {
                             let (p, iv) = (regs[base as usize], vregs[idx as usize]);
@@ -557,27 +654,17 @@ macro_rules! resolved_ops {
                             }
                         }
                         Op::VBin { op, ty, dst, lhs, rhs, w } => {
-                            let (a, b) = (vregs[lhs as usize], vregs[rhs as usize]);
-                            let out = &mut vregs[dst as usize][..w as usize];
-                            match (op, ty) {
-                                $((B::$bop, T::$bty) => or_fault!('run, f, pc, lanes_bin(B::$bop, T::$bty, &a, &b, out)),)*
-                                _ => or_fault!('run, f, pc, lanes_bin(op, ty, &a, &b, out)),
-                            }
+                            or_fault!('run, f, pc, vbin(op, ty, vregs, (dst, lhs, rhs), w as usize));
                         }
                         Op::VCast { op, from, to, dst, src, w } => {
-                            let s = vregs[src as usize];
-                            let out = &mut vregs[dst as usize][..w as usize];
-                            match (op, from, to) {
-                                $((C::$cop, T::$from, T::$to) => lanes_cast(C::$cop, T::$from, T::$to, &s, out),)*
-                                _ => lanes_cast(op, from, to, &s, out),
+                            for l in 0..w as usize {
+                                vregs[dst as usize][l] = cast(op, from, to, vregs[src as usize][l]);
                             }
                         }
                         Op::VReduce { op, ty, dst, src, w } => {
                             let v = &vregs[src as usize][..w as usize];
-                            regs[dst as usize] = match (op, ty) {
-                                $((B::$bop, T::$bty) => or_fault!('run, f, pc, lanes_reduce(B::$bop, T::$bty, v)),)*
-                                _ => or_fault!('run, f, pc, lanes_reduce(op, ty, v)),
-                            };
+                            let folded = v[1..].iter().try_fold(v[0], |acc, &lane| bin(op, ty, acc, lane));
+                            regs[dst as usize] = or_fault!('run, f, pc, folded);
                         }
                         Op::VLatch { pred, ty, w, iv, bound, body, exit } => {
                             // An integer add never traps.
@@ -585,10 +672,9 @@ macro_rules! resolved_ops {
                             regs[iv as usize] = next;
                             pc = if cmp(pred, ty, next, regs[bound as usize]) { body } else { exit } as usize;
                         }
-                        Op::VEpi { src, target } => {
+                        Op::VEpi { pred, ty, iv, bound, target } => {
                             if omplt_trace::active() {
-                                let left = (regs[src as usize] as i64).max(0) as u64;
-                                omplt_trace::count("vm.simd.epilogue_iters", left);
+                                count_epilogue(pred, ty, regs[iv as usize], regs[bound as usize]);
                             }
                             pc = target as usize;
                         }
@@ -597,58 +683,22 @@ macro_rules! resolved_ops {
             }
         }
 
-        /// `out.lane[l] = *(ty*)(a + l*size(ty))`: a unit-stride vector load
-        /// from the lane-0 address `a`, decoded at the row's literal type.
-        #[inline(always)]
-        fn vload<'m>(
-            mem: &'m Memory,
-            cache: &mut RegionCache<'m>,
-            a: u64,
-            ty: IrType,
-            out: &mut [u64],
-        ) -> Result<(), ExecError> {
-            use IrType as T;
-            mem.load_span(cache, a, ty.size(), out).map_err(mem_err)?;
-            match ty {
-                $(T::$mty => out.iter_mut().for_each(|o| *o = decode(T::$mty, *o)),)*
-                _ => out.iter_mut().for_each(|o| *o = decode(ty, *o)),
-            }
-            Ok(())
-        }
-
-        /// `*(ty*)(a + l*size(ty)) = lanes[l]`: a unit-stride vector store to
-        /// the lane-0 address `a`, encoded at the row's literal type.
-        #[inline(always)]
-        fn vstore<'m>(
-            mem: &'m Memory,
-            cache: &mut RegionCache<'m>,
-            a: u64,
-            ty: IrType,
-            lanes: &[u64],
-        ) -> Result<(), ExecError> {
-            use IrType as T;
-            let mut raw: Lanes = [0; MAX_LANES];
-            let raw = &mut raw[..lanes.len()];
-            match ty {
-                $(T::$mty => raw.iter_mut().zip(lanes).for_each(|(o, &v)| *o = encode(T::$mty, v)),)*
-                _ => raw.iter_mut().zip(lanes).for_each(|(o, &v)| *o = encode(ty, v)),
-            }
-            mem.store_span(cache, a, ty.size(), raw).map_err(mem_err)
-        }
-
         /// One row of the kernel table: an (operator, type) pair with
         /// variants of its own. For the tests, which walk [`KERNEL_ROWS`].
         #[doc(hidden)]
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub enum KernelRow {
-            /// `Bin` and `BinJmp`.
+            /// `Bin`, `BinJmp`, and `VBin` at [`ROW_LANES`].
             Bin(BinOpKind, IrType),
-            /// `Cmp`, `CmpBr` and `VLatch` at [`LATCH_LANES`].
+            /// `Cmp`, `CmpBr`, and `VLatch` at [`ROW_LANES`].
             Cmp(CmpPred, IrType),
             /// `Cast`, source and destination type.
             Cast(CastOp, IrType, IrType),
-            /// `Load`, `Store`, `LoadIdx` and `StoreIdx`.
+            /// `Load`, `Store`, `LoadIdx` and `StoreIdx`, and `VLoadIdx`,
+            /// `VStoreIdx` and `VGather` at [`ROW_LANES`].
             Mem(IrType),
+            /// `VIota` at [`ROW_LANES`].
+            Iota,
         }
 
         /// Every row of the table, in table order.
@@ -658,6 +708,7 @@ macro_rules! resolved_ops {
             $(KernelRow::Cmp(CmpPred::$pred, IrType::$cty),)*
             $(KernelRow::Cast(CastOp::$cop, IrType::$from, IrType::$to),)*
             $(KernelRow::Mem(IrType::$mty),)*
+            KernelRow::Iota,
         ];
 
         /// True when `op` resolves to a table row's variant, false when it
@@ -673,30 +724,36 @@ macro_rules! resolved_ops {
 // ops some `BENCHMARK.json` workload retires (counted once per pair over the
 // five `exec_vm` kernels, the `compile_*` translation units and the
 // `daemon_mix` jobs; CHANGES.md, PR 19, has the counts). A row names the
-// pair's variant (and the variants of its fused forms — `BinJmp`; `CmpBr` and
-// the vector latch `VLatch` at `LATCH_LANES`, which steps by that width before
-// it compares — or,
-// for a type, of its store and of the indexed load and store, whose address
-// the lowerer folded), then the literals its arms call the kernel with;
-// the vector arms pick the same literals once per op for all lanes. Every
-// pair without a row — f32, unsigned division and shifts, the narrow integer
-// types, most casts — runs the same kernel with its operator and type read
-// from the op. A row is added when a measured workload retires its pair and
-// deleted when none does any more: no `sext` has a row, since the lowerer
-// makes every cast that keeps its payload a `mov`
+// pair's variants, then the literals their arms call the kernel with. A `bin`
+// row's are `Bin`, the fused `BinJmp` and the lane op `VBin`; a `cmp` row's
+// are `Cmp`, the fused `CmpBr` and the vector latch `VLatch`, which steps by
+// its width before it compares; a `mem` row's, for a type, are the load and
+// store, the indexed load and store whose address the lowerer folded, and
+// the unit-stride `VLoadIdx`/`VStoreIdx` and the `VGather` lanes. `VIota` has
+// one row of its own. Every vector variant is at `ROW_LANES`, and its arm
+// reads its lanes in place, with no second dispatch on the op. Against the
+// same ops carried, the one-thread `vm.run` of the widened seed-11 `exec_vm`
+// kernels fell from 2.62 to 1.92 ms (`tri_dynamic`), 5.28 to 3.50
+// (`dense_serial`), 6.05 to 2.46 (`saxpy_simd`) and 5.50 to 3.14
+// (`unroll_partial`); EXPERIMENTS V1 has the method. Every pair without a
+// row — f32, unsigned division and shifts, the narrow integer types, most
+// casts, a vector op at another width — runs the same kernel with its
+// operator, type and width read from the op. A row is added when a measured workload retires its pair
+// and deleted when none does any more: no `sext` has a row, since the
+// lowerer makes every cast that keeps its payload a `mov`
 // (`omplt_ir::arith::keeps_payload`).
-/// The width whose vector latches have variants of their own: the one the
-/// `exec_vm` workload widens at. (A latch variant has no room for its width
-/// in the 16 bytes a resolved op may take.)
+/// The width of every vector variant of the table: the one the `exec_vm`
+/// workload widens at. (A variant has no room for its width in the 16 bytes
+/// a resolved op may take.)
 #[doc(hidden)]
-pub const LATCH_LANES: u8 = 4;
+pub const ROW_LANES: u8 = 4;
 
 resolved_ops! {
     bin {
-        AddI32 AddI32Jmp = Add I32; AddI64 AddI64Jmp = Add I64;
-        SubI32 SubI32Jmp = Sub I32; SubI64 SubI64Jmp = Sub I64;
-        MulI32 MulI32Jmp = Mul I32; SRemI32 SRemI32Jmp = SRem I32;
-        FAddF64 FAddF64Jmp = FAdd F64; FMulF64 FMulF64Jmp = FMul F64;
+        AddI32 AddI32Jmp VAddI32 = Add I32; AddI64 AddI64Jmp VAddI64 = Add I64;
+        SubI32 SubI32Jmp VSubI32 = Sub I32; SubI64 SubI64Jmp VSubI64 = Sub I64;
+        MulI32 MulI32Jmp VMulI32 = Mul I32; SRemI32 SRemI32Jmp VSRemI32 = SRem I32;
+        FAddF64 FAddF64Jmp VFAddF64 = FAdd F64; FMulF64 FMulF64Jmp VFMulF64 = FMul F64;
     }
     cmp {
         SltI32 SltI32Br SltI32Latch = Slt I32; UltI32 UltI32Br UltI32Latch = Ult I32;
@@ -706,9 +763,9 @@ resolved_ops! {
         TruncI64I32 = Trunc I64 I32; SiToFpI32F64 = SiToFp I32 F64;
     }
     mem {
-        LoadI32 StoreI32 LoadIdxI32 StoreIdxI32 = I32;
-        LoadI64 StoreI64 LoadIdxI64 StoreIdxI64 = I64;
-        LoadF64 StoreF64 LoadIdxF64 StoreIdxF64 = F64;
+        LoadI32 StoreI32 LoadIdxI32 StoreIdxI32 VLoadIdxI32 VStoreIdxI32 VGatherI32 = I32;
+        LoadI64 StoreI64 LoadIdxI64 StoreIdxI64 VLoadIdxI64 VStoreIdxI64 VGatherI64 = I64;
+        LoadF64 StoreF64 LoadIdxF64 StoreIdxF64 VLoadIdxF64 VStoreIdxF64 VGatherF64 = F64;
     }
 }
 

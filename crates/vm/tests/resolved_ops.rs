@@ -9,7 +9,7 @@
 //! `BinOpKind × IrType`, `CmpPred × IrType` and `CastOp × from × to`, as
 //! `Bin`, fused `BinJmp`, `Cmp`, fused `CmpBr`, `Cast`, and as `VBin` /
 //! `VCast` / `VReduce` lanes at widths 2, 4 and 8 (and every integer
-//! `VLatch`, an add then a compare), a hand-built one-op
+//! `VLatch`, an add then a compare, and `VIota`), a hand-built one-op
 //! bytecode function must give the value or the `ExecError` the interpreter
 //! gives for the same instruction on the same operands. It also walks the
 //! table itself: every row resolves to a variant of its own, and nothing
@@ -25,7 +25,7 @@ use omplt_ir::{
     BinOpKind, CastOp, CmpPred, Function, Inst, IrType, Module, SymbolId, Terminator, Value,
 };
 use omplt_vm::ops::Indexed;
-use omplt_vm::vm::{has_kernel_row, KernelRow, KERNEL_ROWS, LATCH_LANES};
+use omplt_vm::vm::{has_kernel_row, KernelRow, KERNEL_ROWS, ROW_LANES};
 use omplt_vm::{verify_module, Op, PoolConst, Reg, RegClass, VmEngine, VmFunction, VmModule};
 
 // ---------------------------------------------------------------------------
@@ -937,6 +937,320 @@ fn vreduce_folds_lanes_in_order_like_the_interpreter() {
     assert!(checked > 5_000, "only {checked} comparisons ran");
 }
 
+/// `viota`'s lanes are the interpreter's `add i64 base, l`, at every width
+/// and at the top of the range, where the lanes wrap.
+#[test]
+fn viota_lanes_match_the_interpreter() {
+    let bench = LaneBench::new();
+    let add = oracle_module(
+        vec![IrType::I64, IrType::I64],
+        IrType::I64,
+        Inst::Bin {
+            op: BinOpKind::Add,
+            lhs: Value::Arg(0),
+            rhs: Value::Arg(1),
+        },
+    );
+    let it = Interpreter::new(&add, RuntimeConfig::default());
+    let mut checked = 0;
+    for w in WIDTHS {
+        // `r0` is the base; the lanes go to `out`.
+        let out = Indexed {
+            base: 1,
+            index: 2,
+            c: 0,
+            wrap: IrType::I64,
+            scale: 8,
+        };
+        let code = verified(vec![vm_function(
+            1,
+            &[RegClass::Int, RegClass::Ptr, RegClass::Int],
+            &[(RegClass::Int, w)],
+            vec![PoolConst::Global(bench.syms[2]), int_const(0)],
+            vec![
+                Op::Const { dst: 1, idx: 0 },
+                Op::Const { dst: 2, idx: 1 },
+                Op::VIota { dst: 0, base: 0, w },
+                out.vstore(0, IrType::I64, w),
+                Op::Ret { src: None },
+            ],
+            vec![0],
+            IrType::Void,
+        )]);
+        let vm = VmEngine::new(&bench.module, &code, RuntimeConfig::default()).expect("engine");
+        for base in operands(IrType::I64) {
+            let want: Result<Vec<u64>, ExecError> = (0..u64::from(w))
+                .map(|l| oracle(&it, vec![base, l]))
+                .collect();
+            let got = vm
+                .run_frame(0, vec![base], &ThreadCtx::initial())
+                .map(|_| bench.read_out(&vm, IrType::I64, w));
+            assert_eq!(got, want, "viota x{w} from {base:#x}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 90, "only {checked} comparisons ran");
+}
+
+/// A lane op whose destination is one of its operands: lane `l` is written
+/// after lane `l` of each operand is read, so every lane is the
+/// interpreter's, at the width of the rows and at widths that are carried.
+#[test]
+fn vbin_into_its_own_operand_matches_the_interpreter() {
+    let bench = LaneBench::new();
+    let mut checked = 0;
+    let rows = KERNEL_ROWS.iter().filter_map(|r| match *r {
+        KernelRow::Bin(op, ty) => Some((op, ty)),
+        _ => None,
+    });
+    for (op, ty) in rows {
+        let inst = Inst::Bin {
+            op,
+            lhs: Value::Arg(0),
+            rhs: Value::Arg(1),
+        };
+        let m = oracle_module(vec![ty, ty], ty, inst);
+        let it = Interpreter::new(&m, RuntimeConfig::default());
+        for w in WIDTHS {
+            for dst in [0, 1] {
+                let mut ops = bench.load_inputs(ty, w, true);
+                ops.push(Op::VBin {
+                    op,
+                    ty,
+                    dst,
+                    lhs: 0,
+                    rhs: 1,
+                    w,
+                });
+                ops.push(LaneBench::at(2).vstore(dst, whole(ty), w));
+                ops.push(Op::Ret { src: None });
+                let code = verified(vec![vm_function(
+                    0,
+                    &LANE_REGS,
+                    &[(RegClass::of(ty), w); 2],
+                    bench.consts(),
+                    ops,
+                    vec![0],
+                    IrType::Void,
+                )]);
+                let vm =
+                    VmEngine::new(&bench.module, &code, RuntimeConfig::default()).expect("engine");
+                let vals = operands(ty);
+                for (a, b) in windows(&vals, w, 1).zip(windows(&vals, w, 5)) {
+                    bench.fill(&vm, 0, ty, &a);
+                    bench.fill(&vm, 1, ty, &b);
+                    let want: Result<Vec<u64>, ExecError> = (0..w as usize)
+                        .map(|l| oracle(&it, vec![stored(ty, a[l]), stored(ty, b[l])]))
+                        .collect();
+                    let got = vm
+                        .run_frame(0, vec![], &ThreadCtx::initial())
+                        .map(|_| bench.read_out(&vm, whole(ty), w));
+                    assert_eq!(got, want, "v{dst} = vbin {op:?} {ty:?} x{w} v0, v1");
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 1_000, "only {checked} comparisons ran");
+}
+
+/// A `vsrem` whose divisor is zero in lane `k` alone fails with the
+/// interpreter's error for that lane, whichever lane it is.
+#[test]
+fn vsrem_by_zero_in_one_lane_faults_as_the_interpreter() {
+    let bench = LaneBench::new();
+    let ty = IrType::I32;
+    let inst = Inst::Bin {
+        op: BinOpKind::SRem,
+        lhs: Value::Arg(0),
+        rhs: Value::Arg(1),
+    };
+    let m = oracle_module(vec![ty, ty], ty, inst);
+    let it = Interpreter::new(&m, RuntimeConfig::default());
+    for w in WIDTHS {
+        let mut ops = bench.load_inputs(ty, w, true);
+        ops.push(Op::VBin {
+            op: BinOpKind::SRem,
+            ty,
+            dst: 2,
+            lhs: 0,
+            rhs: 1,
+            w,
+        });
+        ops.push(LaneBench::at(2).vstore(2, whole(ty), w));
+        ops.push(Op::Ret { src: None });
+        let code = verified(vec![vm_function(
+            0,
+            &LANE_REGS,
+            &[(RegClass::Int, w); 3],
+            bench.consts(),
+            ops,
+            vec![0],
+            IrType::Void,
+        )]);
+        let vm = VmEngine::new(&bench.module, &code, RuntimeConfig::default()).expect("engine");
+        let a: Vec<u64> = (0..u64::from(w)).map(|l| 100 + l).collect();
+        for k in 0..=w as usize {
+            let b: Vec<u64> = (0..w as usize).map(|l| (l != k) as u64 * 7).collect();
+            bench.fill(&vm, 0, ty, &a);
+            bench.fill(&vm, 1, ty, &b);
+            let want: Result<Vec<u64>, ExecError> = (0..w as usize)
+                .map(|l| oracle(&it, vec![a[l], b[l]]))
+                .collect();
+            assert_eq!(want.is_err(), k < w as usize);
+            let got = vm
+                .run_frame(0, vec![], &ThreadCtx::initial())
+                .map(|_| bench.read_out(&vm, whole(ty), w));
+            assert_eq!(got, want, "vsrem x{w}, zero divisor in lane {k}");
+        }
+    }
+}
+
+/// Ten `ty`s in a global `g`, and the interpreter's `t(p, i, v)`, which
+/// stores `v` to `p[i]` (`store`) or returns `p[i]`: the oracle of a lane
+/// access at index `i`.
+fn access_module(ty: IrType, store: bool) -> (Module, SymbolId) {
+    let mut m = Module::new();
+    let g = m.add_global("g", ty, 10 * ty.size());
+    let mut f = Function::new("t", vec![IrType::Ptr, IrType::I64, ty], ty);
+    let entry = f.entry();
+    let ptr = f.push_inst(
+        entry,
+        Inst::Gep {
+            ptr: Value::Arg(0),
+            index: Value::Arg(1),
+            elem_size: ty.size(),
+        },
+    );
+    let ret = if store {
+        f.push_inst(
+            entry,
+            Inst::Store {
+                val: Value::Arg(2),
+                ptr,
+            },
+        );
+        Value::Arg(2)
+    } else {
+        f.push_inst(entry, Inst::Load { ty, ptr })
+    };
+    f.blocks[0].term = Some(Terminator::Ret(Some(ret)));
+    m.add_function(f);
+    (m, g)
+}
+
+/// The VM side of a lane access: `r0` is `g`, `r1` the lane-0 index, `r2` a
+/// scalar of `ty` whose broadcast a store writes; `v1` holds the lane
+/// indices for a gather, and `v0` the lanes.
+fn lane_access(g: SymbolId, ty: IrType, w: u8, access: Op) -> VmModule {
+    let c = RegClass::of(ty);
+    verified(vec![vm_function(
+        3,
+        &[RegClass::Ptr, RegClass::Int, c],
+        &[(c, w), (RegClass::Int, w)],
+        vec![PoolConst::Global(g)],
+        vec![
+            Op::Const { dst: 0, idx: 0 },
+            Op::VBroadcast { dst: 0, src: 2, w },
+            Op::VIota { dst: 1, base: 1, w },
+            access,
+            Op::Ret { src: None },
+        ],
+        vec![0],
+        IrType::Void,
+    )])
+}
+
+const MEM_TYPES: [IrType; 3] = [IrType::I32, IrType::I64, IrType::F64];
+
+/// A unit-stride load and a gather whose lane `k` is the first to leave
+/// their region fail with the interpreter's error for that lane's load.
+#[test]
+fn a_lane_load_leaving_its_region_faults_as_the_interpreter() {
+    for ty in MEM_TYPES {
+        let (m, g) = access_module(ty, false);
+        let it = Interpreter::new(&m, RuntimeConfig::default());
+        let p = it.state().global_addr(g).expect("global");
+        for w in WIDTHS {
+            let at = Indexed {
+                base: 0,
+                index: 1,
+                c: 0,
+                wrap: IrType::I64,
+                scale: ty.size() as u8,
+            };
+            let gather = Op::VGather {
+                elem_size: ty.size() as u32,
+                dst: 0,
+                base: 0,
+                idx: 1,
+                ty,
+                w,
+            };
+            for access in [at.vload(0, ty, w), gather] {
+                let code = lane_access(g, ty, w, access);
+                let vm = VmEngine::new(&m, &code, RuntimeConfig::default()).expect("engine");
+                assert_eq!(vm.state().global_addr(g), Ok(p));
+                for k in 0..=w as i64 {
+                    let i = 10 - k;
+                    let want = (0..i64::from(w))
+                        .map(|l| oracle(&it, vec![p, (i + l) as u64, 0]))
+                        .find_map(Result::err);
+                    assert_eq!(want.is_some(), k < i64::from(w));
+                    let got = vm.run_frame(0, vec![0, i as u64, 0], &ThreadCtx::initial());
+                    assert_eq!(got.err(), want, "{access:?} from index {i}");
+                }
+            }
+        }
+    }
+}
+
+/// A unit-stride store whose lane `k` is the first to leave its region has
+/// stored lanes `0..k` when it fails, with the interpreter's error for lane
+/// `k`'s store, and the bytes of its region are the interpreter's after the
+/// same stores.
+#[test]
+fn a_lane_store_leaving_its_region_stores_the_lanes_before_it() {
+    for ty in MEM_TYPES {
+        let (m, g) = access_module(ty, true);
+        let v = if ty.is_float() {
+            2.5f64.to_bits()
+        } else {
+            0x1234_5678
+        };
+        for w in WIDTHS {
+            let at = Indexed {
+                base: 0,
+                index: 1,
+                c: 0,
+                wrap: IrType::I64,
+                scale: ty.size() as u8,
+            };
+            let code = lane_access(g, ty, w, at.vstore(0, ty, w));
+            for k in 0..=w as i64 {
+                let i = 10 - k;
+                // Fresh memories: each run starts from a zeroed `g`.
+                let it = Interpreter::new(&m, RuntimeConfig::default());
+                let p = it.state().global_addr(g).expect("global");
+                let want = (0..i64::from(w))
+                    .map(|l| oracle(&it, vec![p, (i + l) as u64, v]))
+                    .find_map(Result::err);
+                assert_eq!(want.is_some(), k < i64::from(w));
+                let vm = VmEngine::new(&m, &code, RuntimeConfig::default()).expect("engine");
+                let got = vm.run_frame(0, vec![0, i as u64, v], &ThreadCtx::initial());
+                assert_eq!(got.err(), want, "vstoreidx x{w} from index {i}");
+                for b in 0..10 * ty.size() {
+                    assert_eq!(
+                        vm.state().mem.load(p + b, 1),
+                        it.state().mem.load(p + b, 1),
+                        "byte {b} of `g` after vstoreidx x{w} from index {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The table itself
 // ---------------------------------------------------------------------------
@@ -960,6 +1274,14 @@ fn forms(row: KernelRow) -> Vec<Op> {
                 rhs: 1,
                 target: 0,
             },
+            Op::VBin {
+                op,
+                ty,
+                dst: 2,
+                lhs: 0,
+                rhs: 1,
+                w: ROW_LANES,
+            },
         ],
         KernelRow::Cmp(pred, ty) => vec![
             Op::Cmp {
@@ -980,7 +1302,7 @@ fn forms(row: KernelRow) -> Vec<Op> {
             Op::VLatch {
                 pred,
                 ty,
-                w: LATCH_LANES,
+                w: ROW_LANES,
                 iv: 0,
                 bound: 1,
                 body: 0,
@@ -1023,7 +1345,22 @@ fn forms(row: KernelRow) -> Vec<Op> {
                 base: 0,
                 index: 2,
             },
+            LaneBench::at(0).vload(1, ty, ROW_LANES),
+            LaneBench::at(0).vstore(1, ty, ROW_LANES),
+            Op::VGather {
+                elem_size: 8,
+                dst: 1,
+                base: 0,
+                idx: 2,
+                ty,
+                w: ROW_LANES,
+            },
         ],
+        KernelRow::Iota => vec![Op::VIota {
+            dst: 1,
+            base: 0,
+            w: ROW_LANES,
+        }],
     }
 }
 
@@ -1040,7 +1377,7 @@ fn every_row_is_reached_and_every_other_pair_is_carried() {
         assert!(!rows[..i].contains(a), "{a:?} is listed twice");
     }
 
-    let mut every = Vec::new();
+    let mut every = vec![KernelRow::Iota];
     for ty in SCALAR_TYPES {
         every.push(KernelRow::Mem(ty));
         for &op in BinOpKind::ALL {
@@ -1080,18 +1417,23 @@ fn every_row_is_reached_and_every_other_pair_is_carried() {
     // The table names what the benchmark's workloads retire, so most valid
     // pairs are carried; three that no C program of theirs can produce:
     assert!(carried > 0, "nothing reaches the carrying arms");
-    // A latch of a named pair at another width is carried.
-    for w in [2, 8] {
-        assert!(!has_kernel_row(Op::VLatch {
-            pred: CmpPred::Slt,
-            ty: IrType::I32,
-            w,
-            iv: 0,
-            bound: 1,
-            body: 0,
-            exit: 0
-        }));
+    // A vector op of a named row at another width is carried.
+    let rows = [
+        KernelRow::Cmp(CmpPred::Slt, IrType::I32),
+        KernelRow::Bin(BinOpKind::Add, IrType::I32),
+        KernelRow::Mem(IrType::F64),
+        KernelRow::Iota,
+    ];
+    let mut vector = 0;
+    for op in rows.into_iter().flat_map(forms) {
+        for w in [2, 8] {
+            if let Some(at_w) = with_width(op, w) {
+                assert!(!has_kernel_row(at_w), "{at_w:?} has a row");
+                vector += 1;
+            }
+        }
     }
+    assert_eq!(vector, 2 * 6, "every vector form was tried");
     assert!(!has_kernel_row(Op::Bin {
         op: BinOpKind::FRem,
         ty: IrType::F64,
@@ -1113,4 +1455,19 @@ fn every_row_is_reached_and_every_other_pair_is_carried() {
         lhs: 0,
         rhs: 1
     }));
+}
+
+/// `op` at `w` lanes, if it is a vector op.
+fn with_width(op: Op, w: u8) -> Option<Op> {
+    let mut op = op;
+    match &mut op {
+        Op::VBin { w: lanes, .. }
+        | Op::VLoadIdx { w: lanes, .. }
+        | Op::VStoreIdx { w: lanes, .. }
+        | Op::VGather { w: lanes, .. }
+        | Op::VIota { w: lanes, .. }
+        | Op::VLatch { w: lanes, .. } => *lanes = w,
+        _ => return None,
+    }
+    Some(op)
 }

@@ -505,11 +505,21 @@ fn a_last_value_leaves_the_loop_with_its_last_lane() {
         let want = run(&scalar, &m);
         for w in [2u8, 4, 8] {
             let (vec, counters) = counters_of(|| compile_module_with(&m, w).expect("compiles"));
+            // A constant bound below `w - 1` leaves no room for a chunk: the
+            // loop stays scalar, and no vector loop is emitted.
+            let widened = u64::from(n >= i64::from(w) - 1);
             assert_eq!(
                 counters.get("vm.simd.widened_loops"),
-                Some(&1),
+                Some(&widened),
                 "n={n} w={w}"
             );
+            assert_eq!(
+                counters.get("vm.simd.refused"),
+                Some(&(1 - widened)),
+                "n={n} w={w}"
+            );
+            let lanes = vec.funcs.iter().any(|f| f.num_vregs > 0);
+            assert_eq!(lanes, widened == 1, "n={n} w={w}: vector registers");
             assert!(verify_module(&vec).is_empty(), "n={n} w={w}");
             assert_eq!(run(&vec, &m), want, "n={n} width={w} diverged");
         }

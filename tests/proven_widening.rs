@@ -362,9 +362,9 @@ fn the_benchmark_s_serial_kernels_widen_to_their_pinned_op_counts() {
          #pragma omp unroll partial(4)\n  for (int i = 0; i < 2803; i += 1)\n    \
          s = s + t[i % 64] * (i % 5);\n  print_i64(s);\n  return 0;\n}\n";
     let cases = [
-        ("dense_serial", dense, "56093\n", [26_420, 6_630]),
-        ("tri_dynamic", tri, "20580\n", [18_088, 5_485]),
-        ("unroll_partial", unroll, "110778\n", [18_568, 4_941]),
+        ("dense_serial", dense, "56093\n", [26_420, 6_628]),
+        ("tri_dynamic", tri, "20580\n", [18_088, 5_401]),
+        ("unroll_partial", unroll, "110778\n", [18_568, 4_937]),
     ];
     for (name, source, printed, ops) in cases {
         let src = scratch(&format!("{name}.c"));
@@ -506,5 +506,55 @@ fn a_gather_faulting_in_a_later_chunk_of_a_loop_with_invariant_links_faults_alik
             oracle.stderr
         );
         assert_eq!(proven, 1, "k={k}");
+    }
+}
+
+/// A widened loop's exit counts the iterations it leaves its scalar loop
+/// (`vm.simd.epilogue_iters`, which the exit computes from the IV and the
+/// bound only while counters are on): the trip count modulo the width, for
+/// a signed `<` and an unsigned `<=`, whether the bound is a constant or a
+/// parameter. A constant bound below `w - 1` leaves no room for a chunk:
+/// that loop stays scalar, and nothing is counted.
+#[test]
+fn the_exit_counts_the_iterations_it_leaves_the_scalar_loop() {
+    for (ty, op) in [("int", "<"), ("unsigned long", "<=")] {
+        let inclusive = op == "<=";
+        for n in [0u64, 1, 2, 3, 4, 5, 6, 9] {
+            let trip = n + u64::from(inclusive);
+            let body = |bound: &str| {
+                format!(
+                    "  long s = 0;\n  for ({ty} i = 0; i {op} {bound}; i += 1)\n    \
+                     s = s + (long)(i % 5);\n"
+                )
+            };
+            let parameter = format!(
+                "void print_i64(long v);\nlong f({ty} n) {{\n{}  return s;\n}}\n\
+                 int main(void) {{\n  print_i64(f({n}));\n  return 0;\n}}\n",
+                body("n")
+            );
+            let constant = format!(
+                "void print_i64(long v);\nint main(void) {{\n{}  print_i64(s);\n  \
+                 return 0;\n}}\n",
+                body(&n.to_string())
+            );
+            for (kind, source) in [("parameter", parameter), ("constant", constant)] {
+                let name = format!("epilogue_{kind}_{}_{n}", u8::from(inclusive));
+                let src = scratch(&format!("{name}.c"));
+                std::fs::write(&src, source).unwrap();
+                let run = |w: &str, counter| {
+                    let w = format!("--vector-width={w}");
+                    let flags = ["--opt", "--backend=vm:strict", &w, "--serial", "--run"];
+                    ompltc(&flags, &src, counter)
+                };
+                let (scalar, _) = run("0", "");
+                let (widened, loops) = run("4", "vm.simd.proven_loops");
+                assert_eq!(widened, scalar, "{name}");
+                let chunked = kind == "parameter" || n >= 3;
+                assert_eq!(loops, Some(u64::from(chunked)), "{name}: widened");
+                let (_, left) = run("4", "vm.simd.epilogue_iters");
+                let want = if chunked { trip % 4 } else { 0 };
+                assert_eq!(left.unwrap_or(0), want, "{name}: iterations left");
+            }
+        }
     }
 }
