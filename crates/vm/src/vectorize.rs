@@ -19,7 +19,9 @@
 //!   carrying `llvm.loop.vectorize.enable` was judged by the front end's
 //!   legality gate, and the metadata carries its answer: the width is
 //!   min(`--vector-width`, `simdlen`, `safelen`), and a shape the emitter
-//!   cannot handle is *refused* (`vm.simd.refused`). Any other loop widens
+//!   cannot handle is *refused* (`vm.simd.refused`); one whose constant
+//!   bound is too small for a single chunk is left scalar and counted in
+//!   neither, since there is nothing to widen. Any other loop widens
 //!   at `--vector-width` only on the VM's own proof ([`acts`], then
 //!   [`try_plan`]): it stores, calls and allocates nothing, so no lane can
 //!   see another whatever it reads, and it traps nowhere but in its body
@@ -154,9 +156,20 @@ impl LoopPlan {
             .map(|v| PoolConst::Val(RegClass::Int, v))
     }
 
+    /// Whether the bound is a constant that fails the guard (`bound >= w -
+    /// 1`, [`guard_pred`]): no chunk can run, so there is nothing to widen.
+    fn runs_no_chunk(&self) -> bool {
+        let Value::ConstInt { val, .. } = self.bound else {
+            return false;
+        };
+        let wm1 = u64::from(self.width) - 1;
+        !arith::cmp(guard_pred(self.pred), self.iv_ty, val as u64, wm1)
+    }
+
     /// `n_main = bound - (width - 1)` at the IV's type, when the bound is a
     /// constant: the last chunk base the entry test and the latch let in.
-    /// [`try_plan`] has held the constant to the guard, so it cannot wrap.
+    /// [`plan_loops`] keeps no plan whose constant fails the guard, so it
+    /// cannot wrap.
     fn const_n_main(&self) -> Option<u64> {
         let Value::ConstInt { val, .. } = self.bound else {
             return None;
@@ -200,6 +213,9 @@ pub(crate) fn plan_loops(f: &Function, width: u8, stats: &mut PlanStats) -> Hash
                 let cap = |c: u8| if c == 0 { u8::MAX } else { c };
                 let requested = width.min(cap(md.simdlen)).min(cap(md.safelen));
                 match try_plan(f, &preds, *header, latch, requested, false) {
+                    // Too few iterations for one chunk: neither widened nor
+                    // refused.
+                    Some(plan) if plan.runs_no_chunk() => {}
                     Some(plan) if !plans.contains_key(&plan.header.0) => {
                         stats.widened += 1;
                         plans.insert(plan.header.0, plan);
@@ -212,7 +228,8 @@ pub(crate) fn plan_loops(f: &Function, width: u8, stats: &mut PlanStats) -> Hash
             _ if acts(f, &preds, *header, latch) => {}
             // A planned header has two predecessors, so one latch.
             _ => {
-                if let Some(plan) = try_plan(f, &preds, *header, latch, width, true) {
+                let plan = try_plan(f, &preds, *header, latch, width, true);
+                if let Some(plan) = plan.filter(|p| !p.runs_no_chunk()) {
                     stats.proven += 1;
                     plans.insert(plan.header.0, plan);
                 }
@@ -681,15 +698,6 @@ fn try_plan(
             _ => true,
         };
         if !emittable {
-            return None;
-        }
-    }
-
-    // A constant bound answers the guard now: below `w - 1` no chunk can
-    // run, and the loop stays scalar.
-    if let Value::ConstInt { val, .. } = bound {
-        let wm1 = u64::from(requested) - 1;
-        if !arith::cmp(guard_pred(ind.pred), iv_ty, val as u64, wm1) {
             return None;
         }
     }

@@ -29,8 +29,8 @@
 //! is and runs the same kernel with the operator and type it holds. The row
 //! variants, the resolver and their arms all come from that one table, and a
 //! row is there because a measured workload retires its pair — it buys
-//! speed, never meaning. The vector ops of those pairs have rows at one
-//! width, [`ROW_LANES`]: their arms read the lanes in place and unroll the
+//! speed, never meaning. The vector pairs a workload retires have rows at
+//! one width, [`ROW_LANES`]: their arms read the lanes in place and unroll the
 //! lane loop, where a carried vector op pays a second dispatch on its
 //! operator and a loop to a width read at run time. On the seed-11
 //! `exec_vm` kernels that took `run_ms` from 4.25 to 2.69 ms (medians of ten
@@ -392,13 +392,18 @@ fn viota(base: u64, out: &mut [u64]) {
 /// a row's arm instantiates its kernel with the row's literals, an op without
 /// one runs the arm of its own name — and the row list the tests walk. A row
 /// is `Variant [FusedVariant…] = operator type(s);`; the compiler flags a pair
-/// listed twice as an unreachable pattern in `resolve`.
+/// listed twice as an unreachable pattern in `resolve`. The vector sections
+/// are apart from the scalar ones because a scalar pair that has a row need
+/// not have a vector form a workload retires.
 macro_rules! resolved_ops {
     (
-        bin { $($bin:ident $bin_jmp:ident $vbin:ident = $bop:ident $bty:ident;)* }
-        cmp { $($cmp:ident $cmp_br:ident $latch:ident = $pred:ident $cty:ident;)* }
+        bin { $($bin:ident $bin_jmp:ident = $bop:ident $bty:ident;)* }
+        cmp { $($cmp:ident $cmp_br:ident = $pred:ident $cty:ident;)* }
         cast { $($cast:ident = $cop:ident $from:ident $to:ident;)* }
-        mem { $($load:ident $store:ident $load_idx:ident $store_idx:ident $vload_idx:ident $vstore_idx:ident $vgather:ident = $mty:ident;)* }
+        mem { $($load:ident $store:ident $load_idx:ident $store_idx:ident = $mty:ident;)* }
+        vbin { $($vbin:ident = $vbop:ident $vbty:ident;)* }
+        vlatch { $($latch:ident = $lpred:ident $lty:ident;)* }
+        vmem { $($vload_idx:ident $vstore_idx:ident $vgather:ident = $vmty:ident;)* }
     ) => {
         /// One op as the dispatch loop executes it: a table row — an op
         /// whose operator and type are the variant — or the [`Op`] itself.
@@ -409,12 +414,10 @@ macro_rules! resolved_ops {
             $(
                 $bin { dst: Reg, lhs: Reg, rhs: Reg },
                 $bin_jmp { dst: Reg, lhs: Reg, rhs: Reg, target: u32 },
-                $vbin { dst: VReg, lhs: VReg, rhs: VReg },
             )*
             $(
                 $cmp { dst: Reg, lhs: Reg, rhs: Reg },
                 $cmp_br { lhs: Reg, rhs: Reg, then_t: u32, else_t: u32 },
-                $latch { iv: Reg, bound: Reg, body: u32, exit: u32 },
             )*
             $($cast { dst: Reg, src: Reg },)*
             $(
@@ -422,6 +425,10 @@ macro_rules! resolved_ops {
                 $store { src: Reg, addr: Reg },
                 $load_idx { dst: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
                 $store_idx { src: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
+            )*
+            $($vbin { dst: VReg, lhs: VReg, rhs: VReg },)*
+            $($latch { iv: Reg, bound: Reg, body: u32, exit: u32 },)*
+            $(
                 $vload_idx { dst: VReg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
                 $vstore_idx { src: VReg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
                 $vgather { elem_size: u32, dst: VReg, base: Reg, idx: VReg },
@@ -439,16 +446,16 @@ macro_rules! resolved_ops {
                 $(Op::Store { src, addr, ty: T::$mty } => XOp::$store { src, addr },)*
                 $(Op::LoadIdx { ty: T::$mty, wrap, scale, c, dst, base, index } => XOp::$load_idx { dst, base, index, c, scale, wrap },)*
                 $(Op::StoreIdx { ty: T::$mty, wrap, scale, c, src, base, index } => XOp::$store_idx { src, base, index, c, scale, wrap },)*
-                $(Op::VLoadIdx { ty: T::$mty, wrap, scale, c, dst, base, index, w: ROW_LANES } => XOp::$vload_idx { dst, base, index, c, scale, wrap },)*
-                $(Op::VStoreIdx { ty: T::$mty, wrap, scale, c, src, base, index, w: ROW_LANES } => XOp::$vstore_idx { src, base, index, c, scale, wrap },)*
-                $(Op::VGather { ty: T::$mty, elem_size, dst, base, idx, w: ROW_LANES } => XOp::$vgather { elem_size, dst, base, idx },)*
+                $(Op::VLoadIdx { ty: T::$vmty, wrap, scale, c, dst, base, index, w: ROW_LANES } => XOp::$vload_idx { dst, base, index, c, scale, wrap },)*
+                $(Op::VStoreIdx { ty: T::$vmty, wrap, scale, c, src, base, index, w: ROW_LANES } => XOp::$vstore_idx { src, base, index, c, scale, wrap },)*
+                $(Op::VGather { ty: T::$vmty, elem_size, dst, base, idx, w: ROW_LANES } => XOp::$vgather { elem_size, dst, base, idx },)*
                 $(Op::Bin { op: B::$bop, ty: T::$bty, dst, lhs, rhs } => XOp::$bin { dst, lhs, rhs },)*
                 $(Op::BinJmp { op: B::$bop, ty: T::$bty, dst, lhs, rhs, target } => XOp::$bin_jmp { dst, lhs, rhs, target },)*
-                $(Op::VBin { op: B::$bop, ty: T::$bty, dst, lhs, rhs, w: ROW_LANES } => XOp::$vbin { dst, lhs, rhs },)*
+                $(Op::VBin { op: B::$vbop, ty: T::$vbty, dst, lhs, rhs, w: ROW_LANES } => XOp::$vbin { dst, lhs, rhs },)*
                 Op::VIota { dst, base, w: ROW_LANES } => XOp::VIota { dst, base },
                 $(Op::Cmp { pred: P::$pred, ty: T::$cty, dst, lhs, rhs } => XOp::$cmp { dst, lhs, rhs },)*
                 $(Op::CmpBr { pred: P::$pred, ty: T::$cty, lhs, rhs, then_t, else_t } => XOp::$cmp_br { lhs, rhs, then_t, else_t },)*
-                $(Op::VLatch { pred: P::$pred, ty: T::$cty, w: ROW_LANES, iv, bound, body, exit } => XOp::$latch { iv, bound, body, exit },)*
+                $(Op::VLatch { pred: P::$lpred, ty: T::$lty, w: ROW_LANES, iv, bound, body, exit } => XOp::$latch { iv, bound, body, exit },)*
                 $(Op::Cast { op: C::$cop, from: T::$from, to: T::$to, dst, src } => XOp::$cast { dst, src },)*
                 other => XOp::Carried(other),
             }
@@ -513,21 +520,21 @@ macro_rules! resolved_ops {
                         })*
                         $(XOp::$vload_idx { dst, base, index, c, scale, wrap } => {
                             let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
-                            or_fault!('run, f, pc, vload(mem, &mut cache, a, T::$mty, &mut vregs[dst as usize][..ROW_LANES as usize]));
+                            or_fault!('run, f, pc, vload(mem, &mut cache, a, T::$vmty, &mut vregs[dst as usize][..ROW_LANES as usize]));
                             continue;
                         })*
                         $(XOp::$vstore_idx { src, base, index, c, scale, wrap } => {
                             let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
-                            or_fault!('run, f, pc, vstore(mem, &mut cache, a, T::$mty, &vregs[src as usize][..ROW_LANES as usize]));
+                            or_fault!('run, f, pc, vstore(mem, &mut cache, a, T::$vmty, &vregs[src as usize][..ROW_LANES as usize]));
                             continue;
                         })*
                         $(XOp::$vgather { elem_size, dst, base, idx } => {
                             let p = regs[base as usize];
-                            or_fault!('run, f, pc, vgather(mem, &mut cache, vregs, (dst, idx), (p, elem_size), T::$mty, ROW_LANES as usize));
+                            or_fault!('run, f, pc, vgather(mem, &mut cache, vregs, (dst, idx), (p, elem_size), T::$vmty, ROW_LANES as usize));
                             continue;
                         })*
                         $(XOp::$vbin { dst, lhs, rhs } => {
-                            or_fault!('run, f, pc, vbin(B::$bop, T::$bty, vregs, (dst, lhs, rhs), ROW_LANES as usize));
+                            or_fault!('run, f, pc, vbin(B::$vbop, T::$vbty, vregs, (dst, lhs, rhs), ROW_LANES as usize));
                             continue;
                         })*
                         XOp::VIota { dst, base } => {
@@ -554,9 +561,9 @@ macro_rules! resolved_ops {
                         })*
                         $(XOp::$latch { iv, bound, body, exit } => {
                             // An integer add never traps.
-                            let next = bin(B::Add, T::$cty, regs[iv as usize], ROW_LANES.into()).unwrap_or_default();
+                            let next = bin(B::Add, T::$lty, regs[iv as usize], ROW_LANES.into()).unwrap_or_default();
                             regs[iv as usize] = next;
-                            pc = if cmp(P::$pred, T::$cty, next, regs[bound as usize]) { body } else { exit } as usize;
+                            pc = if cmp(P::$lpred, T::$lty, next, regs[bound as usize]) { body } else { exit } as usize;
                             continue;
                         })*
                         $(XOp::$cast { dst, src } => {
@@ -688,15 +695,20 @@ macro_rules! resolved_ops {
         #[doc(hidden)]
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub enum KernelRow {
-            /// `Bin`, `BinJmp`, and `VBin` at [`ROW_LANES`].
+            /// `Bin` and `BinJmp`.
             Bin(BinOpKind, IrType),
-            /// `Cmp`, `CmpBr`, and `VLatch` at [`ROW_LANES`].
+            /// `Cmp` and `CmpBr`.
             Cmp(CmpPred, IrType),
             /// `Cast`, source and destination type.
             Cast(CastOp, IrType, IrType),
-            /// `Load`, `Store`, `LoadIdx` and `StoreIdx`, and `VLoadIdx`,
-            /// `VStoreIdx` and `VGather` at [`ROW_LANES`].
+            /// `Load`, `Store`, `LoadIdx` and `StoreIdx`.
             Mem(IrType),
+            /// `VBin` at [`ROW_LANES`].
+            VBin(BinOpKind, IrType),
+            /// `VLatch` at [`ROW_LANES`].
+            VLatch(CmpPred, IrType),
+            /// `VLoadIdx`, `VStoreIdx` and `VGather` at [`ROW_LANES`].
+            VMem(IrType),
             /// `VIota` at [`ROW_LANES`].
             Iota,
         }
@@ -708,6 +720,9 @@ macro_rules! resolved_ops {
             $(KernelRow::Cmp(CmpPred::$pred, IrType::$cty),)*
             $(KernelRow::Cast(CastOp::$cop, IrType::$from, IrType::$to),)*
             $(KernelRow::Mem(IrType::$mty),)*
+            $(KernelRow::VBin(BinOpKind::$vbop, IrType::$vbty),)*
+            $(KernelRow::VLatch(CmpPred::$lpred, IrType::$lty),)*
+            $(KernelRow::VMem(IrType::$vmty),)*
             KernelRow::Iota,
         ];
 
@@ -725,23 +740,25 @@ macro_rules! resolved_ops {
 // five `exec_vm` kernels, the `compile_*` translation units and the
 // `daemon_mix` jobs; CHANGES.md, PR 19, has the counts). A row names the
 // pair's variants, then the literals their arms call the kernel with. A `bin`
-// row's are `Bin`, the fused `BinJmp` and the lane op `VBin`; a `cmp` row's
-// are `Cmp`, the fused `CmpBr` and the vector latch `VLatch`, which steps by
-// its width before it compares; a `mem` row's, for a type, are the load and
-// store, the indexed load and store whose address the lowerer folded, and
-// the unit-stride `VLoadIdx`/`VStoreIdx` and the `VGather` lanes. `VIota` has
-// one row of its own. Every vector variant is at `ROW_LANES`, and its arm
-// reads its lanes in place, with no second dispatch on the op. Against the
-// same ops carried, the one-thread `vm.run` of the widened seed-11 `exec_vm`
-// kernels fell from 2.62 to 1.92 ms (`tri_dynamic`), 5.28 to 3.50
-// (`dense_serial`), 6.05 to 2.46 (`saxpy_simd`) and 5.50 to 3.14
-// (`unroll_partial`); EXPERIMENTS V1 has the method. Every pair without a
-// row — f32, unsigned division and shifts, the narrow integer types, most
-// casts, a vector op at another width — runs the same kernel with its
-// operator, type and width read from the op. A row is added when a measured workload retires its pair
-// and deleted when none does any more: no `sext` has a row, since the
-// lowerer makes every cast that keeps its payload a `mov`
-// (`omplt_ir::arith::keeps_payload`).
+// row's are `Bin` and the fused `BinJmp`; a `cmp` row's are `Cmp` and the
+// fused `CmpBr`; a `mem` row's, for a type, are the load and store and the
+// indexed load and store whose address the lowerer folded. The vector rows
+// follow the same rule at `ROW_LANES`, the only width a workload widens at:
+// of the 2 984 175 ops the seed-11 `exec_vm` kernels retire at width 4, `vbin
+// srem i32` is 475 280, `vbin add i64` 296 600, `vbin mul i32` 226 320,
+// `viota` 187 780, `vlatch slt i32` 170 280, `vloadidx i32` 112 640, `vbin add
+// i32` 108 820, `vbin sub i64` 82 500, `vgather i32` 70 000, `vlatch ult i64`
+// and `vstoreidx i32` 56 320 each, and `vlatch ult i32` 17 500. A `vbin` row's
+// variant is `VBin`; a `vlatch` row's is `VLatch`, which steps by its width
+// before it compares; a `vmem` row's are the unit-stride `VLoadIdx` and
+// `VStoreIdx` and the `VGather` lanes. A vector arm reads its lanes in place,
+// with no second dispatch on the op. Every pair without a row — f32, unsigned
+// division and shifts, the narrow integer types, most casts, the f64 and i64
+// lanes, `vreduce` and `vbcast` (1 062 and 2 131 ops), a vector op at another
+// width — runs the same kernel with its operator, type and width read from the
+// op. A row is added when a measured workload retires its pair and deleted
+// when none does any more: no `sext` has a row, since the lowerer makes every
+// cast that keeps its payload a `mov` (`omplt_ir::arith::keeps_payload`).
 /// The width of every vector variant of the table: the one the `exec_vm`
 /// workload widens at. (A variant has no room for its width in the 16 bytes
 /// a resolved op may take.)
@@ -750,22 +767,32 @@ pub const ROW_LANES: u8 = 4;
 
 resolved_ops! {
     bin {
-        AddI32 AddI32Jmp VAddI32 = Add I32; AddI64 AddI64Jmp VAddI64 = Add I64;
-        SubI32 SubI32Jmp VSubI32 = Sub I32; SubI64 SubI64Jmp VSubI64 = Sub I64;
-        MulI32 MulI32Jmp VMulI32 = Mul I32; SRemI32 SRemI32Jmp VSRemI32 = SRem I32;
-        FAddF64 FAddF64Jmp VFAddF64 = FAdd F64; FMulF64 FMulF64Jmp VFMulF64 = FMul F64;
+        AddI32 AddI32Jmp = Add I32; AddI64 AddI64Jmp = Add I64;
+        SubI32 SubI32Jmp = Sub I32; SubI64 SubI64Jmp = Sub I64;
+        MulI32 MulI32Jmp = Mul I32; SRemI32 SRemI32Jmp = SRem I32;
+        FAddF64 FAddF64Jmp = FAdd F64; FMulF64 FMulF64Jmp = FMul F64;
     }
     cmp {
-        SltI32 SltI32Br SltI32Latch = Slt I32; UltI32 UltI32Br UltI32Latch = Ult I32;
-        UltI64 UltI64Br UltI64Latch = Ult I64; UleI64 UleI64Br UleI64Latch = Ule I64;
+        SltI32 SltI32Br = Slt I32; UltI32 UltI32Br = Ult I32;
+        UltI64 UltI64Br = Ult I64; UleI64 UleI64Br = Ule I64;
     }
     cast {
         TruncI64I32 = Trunc I64 I32; SiToFpI32F64 = SiToFp I32 F64;
     }
     mem {
-        LoadI32 StoreI32 LoadIdxI32 StoreIdxI32 VLoadIdxI32 VStoreIdxI32 VGatherI32 = I32;
-        LoadI64 StoreI64 LoadIdxI64 StoreIdxI64 VLoadIdxI64 VStoreIdxI64 VGatherI64 = I64;
-        LoadF64 StoreF64 LoadIdxF64 StoreIdxF64 VLoadIdxF64 VStoreIdxF64 VGatherF64 = F64;
+        LoadI32 StoreI32 LoadIdxI32 StoreIdxI32 = I32;
+        LoadI64 StoreI64 LoadIdxI64 StoreIdxI64 = I64;
+        LoadF64 StoreF64 LoadIdxF64 StoreIdxF64 = F64;
+    }
+    vbin {
+        VAddI32 = Add I32; VAddI64 = Add I64; VSubI64 = Sub I64;
+        VMulI32 = Mul I32; VSRemI32 = SRem I32;
+    }
+    vlatch {
+        SltI32Latch = Slt I32; UltI32Latch = Ult I32; UltI64Latch = Ult I64;
+    }
+    vmem {
+        VLoadIdxI32 VStoreIdxI32 VGatherI32 = I32;
     }
 }
 

@@ -1274,15 +1274,15 @@ fn forms(row: KernelRow) -> Vec<Op> {
                 rhs: 1,
                 target: 0,
             },
-            Op::VBin {
-                op,
-                ty,
-                dst: 2,
-                lhs: 0,
-                rhs: 1,
-                w: ROW_LANES,
-            },
         ],
+        KernelRow::VBin(op, ty) => vec![Op::VBin {
+            op,
+            ty,
+            dst: 2,
+            lhs: 0,
+            rhs: 1,
+            w: ROW_LANES,
+        }],
         KernelRow::Cmp(pred, ty) => vec![
             Op::Cmp {
                 pred,
@@ -1299,16 +1299,16 @@ fn forms(row: KernelRow) -> Vec<Op> {
                 then_t: 0,
                 else_t: 0,
             },
-            Op::VLatch {
-                pred,
-                ty,
-                w: ROW_LANES,
-                iv: 0,
-                bound: 1,
-                body: 0,
-                exit: 0,
-            },
         ],
+        KernelRow::VLatch(pred, ty) => vec![Op::VLatch {
+            pred,
+            ty,
+            w: ROW_LANES,
+            iv: 0,
+            bound: 1,
+            body: 0,
+            exit: 0,
+        }],
         KernelRow::Cast(op, from, to) => vec![Op::Cast {
             op,
             from,
@@ -1345,6 +1345,8 @@ fn forms(row: KernelRow) -> Vec<Op> {
                 base: 0,
                 index: 2,
             },
+        ],
+        KernelRow::VMem(ty) => vec![
             LaneBench::at(0).vload(1, ty, ROW_LANES),
             LaneBench::at(0).vstore(1, ty, ROW_LANES),
             Op::VGather {
@@ -1379,15 +1381,15 @@ fn every_row_is_reached_and_every_other_pair_is_carried() {
 
     let mut every = vec![KernelRow::Iota];
     for ty in SCALAR_TYPES {
-        every.push(KernelRow::Mem(ty));
+        every.extend([KernelRow::Mem(ty), KernelRow::VMem(ty)]);
         for &op in BinOpKind::ALL {
             if bin_valid(op, ty) {
-                every.push(KernelRow::Bin(op, ty));
+                every.extend([KernelRow::Bin(op, ty), KernelRow::VBin(op, ty)]);
             }
         }
         for &pred in CmpPred::ALL {
             if cmp_valid(pred, ty) {
-                every.push(KernelRow::Cmp(pred, ty));
+                every.extend([KernelRow::Cmp(pred, ty), KernelRow::VLatch(pred, ty)]);
             }
         }
         for to in SCALAR_TYPES {
@@ -1419,9 +1421,9 @@ fn every_row_is_reached_and_every_other_pair_is_carried() {
     assert!(carried > 0, "nothing reaches the carrying arms");
     // A vector op of a named row at another width is carried.
     let rows = [
-        KernelRow::Cmp(CmpPred::Slt, IrType::I32),
-        KernelRow::Bin(BinOpKind::Add, IrType::I32),
-        KernelRow::Mem(IrType::F64),
+        KernelRow::VLatch(CmpPred::Slt, IrType::I32),
+        KernelRow::VBin(BinOpKind::Add, IrType::I32),
+        KernelRow::VMem(IrType::I32),
         KernelRow::Iota,
     ];
     let mut vector = 0;

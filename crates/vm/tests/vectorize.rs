@@ -449,10 +449,17 @@ fn width_four_halves_retired_ops() {
 /// last = a[i + 1] * 3; }`, returning `last * 1000 + b[n - 1]` (`last`
 /// starts at 7). The header carries the IV and `last`, a last value; the
 /// body reads `i + 1`, the IV's own latch value. The exit test sits in its
-/// own block, as in the canonical skeleton.
-fn last_value_loop(n: i64) -> Module {
+/// own block, as in the canonical skeleton. With `bound_arg` the loop is in
+/// `lv(long bound)`, which `main` calls with `n`: the bound is no constant,
+/// so the vector loop is emitted and its guard decides at run time.
+fn last_value_loop(n: i64, bound_arg: bool) -> Module {
     let mut m = Module::new();
-    let mut f = Function::new("main", vec![], IrType::I64);
+    let (name, params, bound) = if bound_arg {
+        ("lv", vec![IrType::I64], Value::Arg(0))
+    } else {
+        ("main", vec![], Value::i64(n))
+    };
+    let mut f = Function::new(name, params, IrType::I64);
     {
         let mut b = IrBuilder::new(&mut f);
         let a_arr = b.alloca(IrType::I64, (n + 1) as u64, "a");
@@ -472,7 +479,7 @@ fn last_value_loop(n: i64) -> Module {
         let (last, last_phi) = b.phi(IrType::I64);
         b.br(cond);
         b.set_insert_point(cond);
-        let more = b.cmp(CmpPred::Slt, iv, Value::i64(n));
+        let more = b.cmp(CmpPred::Slt, iv, bound);
         b.cond_br(more, body, exit);
         b.set_insert_point(body);
         let next = b.add(iv, Value::i64(1));
@@ -493,35 +500,44 @@ fn last_value_loop(n: i64) -> Module {
         let r = b.add(scaled, pv);
         b.ret(Some(r));
     }
-    m.add_function(f);
+    let lv = m.add_function(f);
+    if bound_arg {
+        let mut main = Function::new("main", vec![], IrType::I64);
+        let mut b = IrBuilder::new(&mut main);
+        let r = b.call(lv, vec![Value::i64(n)], IrType::I64);
+        b.ret(Some(r));
+        m.add_function(main);
+    }
     m
 }
 
 #[test]
 fn a_last_value_leaves_the_loop_with_its_last_lane() {
     for n in [0i64, 1, 3, 4, 5, 8, 17] {
-        let m = last_value_loop(n);
-        let scalar = compile_module(&m).expect("scalar compiles");
-        let want = run(&scalar, &m);
-        for w in [2u8, 4, 8] {
-            let (vec, counters) = counters_of(|| compile_module_with(&m, w).expect("compiles"));
-            // A constant bound below `w - 1` leaves no room for a chunk: the
-            // loop stays scalar, and no vector loop is emitted.
-            let widened = u64::from(n >= i64::from(w) - 1);
-            assert_eq!(
-                counters.get("vm.simd.widened_loops"),
-                Some(&widened),
-                "n={n} w={w}"
-            );
-            assert_eq!(
-                counters.get("vm.simd.refused"),
-                Some(&(1 - widened)),
-                "n={n} w={w}"
-            );
-            let lanes = vec.funcs.iter().any(|f| f.num_vregs > 0);
-            assert_eq!(lanes, widened == 1, "n={n} w={w}: vector registers");
-            assert!(verify_module(&vec).is_empty(), "n={n} w={w}");
-            assert_eq!(run(&vec, &m), want, "n={n} width={w} diverged");
+        for bound_arg in [false, true] {
+            let m = last_value_loop(n, bound_arg);
+            let scalar = compile_module(&m).expect("scalar compiles");
+            let want = run(&scalar, &m);
+            for w in [2u8, 4, 8] {
+                let (vec, counters) = counters_of(|| compile_module_with(&m, w).expect("compiles"));
+                // A constant bound below `w - 1` leaves no room for a chunk:
+                // the loop stays scalar, no vector loop is emitted, and it is
+                // not refused either. A bound passed in widens at every `n`,
+                // and below `w - 1` its guard fails at run time: the exit
+                // keeps the entry value of `last`.
+                let widened = u64::from(bound_arg || n >= i64::from(w) - 1);
+                let at = format!("n={n} w={w} bound_arg={bound_arg}");
+                assert_eq!(
+                    counters.get("vm.simd.widened_loops"),
+                    Some(&widened),
+                    "{at}"
+                );
+                assert_eq!(counters.get("vm.simd.refused"), Some(&0), "{at}");
+                let lanes = vec.funcs.iter().any(|f| f.num_vregs > 0);
+                assert_eq!(lanes, widened == 1, "{at}: vector registers");
+                assert!(verify_module(&vec).is_empty(), "{at}");
+                assert_eq!(run(&vec, &m), want, "{at}: diverged");
+            }
         }
     }
 }
