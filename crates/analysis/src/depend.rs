@@ -467,6 +467,17 @@ struct VarAccesses {
 /// A limit entry: variable, why the tests cannot judge it, where.
 type Limit = (String, String, SourceLocation);
 
+/// Whether converting an integer or `bool` of type `from` to the integer or
+/// `bool` type `to` can lose bits: `to` is the narrower.
+fn narrows(from: &Type, to: &Type) -> bool {
+    let bits = |t: &Type| match t.kind {
+        TypeKind::Bool => Some(1),
+        TypeKind::Int { width, .. } => Some(width.bits()),
+        _ => None,
+    };
+    matches!((bits(from), bits(to)), (Some(f), Some(t)) if t < f)
+}
+
 /// Collects the per-variable accesses of a loop body.
 struct DepCollector<'a> {
     levels: &'a [LevelInfo],
@@ -532,7 +543,15 @@ impl<'a> DepCollector<'a> {
     /// variables. Returns `None` for anything non-affine.
     fn linearize(&self, e: &P<Expr>) -> Option<(Vec<i128>, i128)> {
         let depth = self.levels.len();
-        let e = e.ignore_wrappers();
+        // `ignore_wrappers`, up to a conversion that narrows.
+        let mut e = e;
+        loop {
+            match &e.kind {
+                ExprKind::Paren(s) | ExprKind::ConstantExpr { sub: s, .. } => e = s,
+                ExprKind::ImplicitCast(_, s) if !narrows(&s.ty, &e.ty) => e = s,
+                _ => break,
+            }
+        }
         let varies = |id| {
             self.ivs.contains_key(&id) || self.assigned.contains(&id) || self.locals.contains(&id)
         };
@@ -557,6 +576,13 @@ impl<'a> DepCollector<'a> {
                     Some(init) => self.linearize(init),
                     None => e.eval_const_int().map(|c| (vec![0; depth], c)),
                 }
+            }
+            // A conversion to a narrower integer type wraps (`(signed
+            // char)i` goes 127 → -128): affine only when it is a constant.
+            ExprKind::ImplicitCast(_, s) | ExprKind::ExplicitCast(_, s)
+                if narrows(&s.ty, &e.ty) =>
+            {
+                e.eval_const_int().map(|c| (vec![0; depth], c))
             }
             ExprKind::ExplicitCast(_, s) if s.ty.is_integer() => self.linearize(s),
             ExprKind::Unary(UnOp::Plus, s) => self.linearize(s),

@@ -32,6 +32,7 @@ impl FnCodegen<'_, '_> {
             ExprKind::ArraySubscript(base, idx) => {
                 let b = self.emit_rvalue(base);
                 let i = self.emit_rvalue(idx);
+                let i = self.gep_index(i, &idx.ty);
                 let elem = base.ty.pointee().map_or(1, |t| t.size_of()).max(1);
                 self.with_builder(|bl| bl.gep(b, i, elem))
             }
@@ -45,6 +46,19 @@ impl FnCodegen<'_, '_> {
                 );
                 Value::Undef(IrType::Ptr)
             }
+        }
+    }
+
+    /// `i`, an index of C type `ty`, as `gep` reads it. `gep` sign-extends
+    /// its index, so an unsigned index narrower than `int` is zero-extended
+    /// to `int` first — its promotion in C, and what Clang's
+    /// `EmitArraySubscriptExpr` does by widening an index by its own
+    /// signedness.
+    fn gep_index(&mut self, i: Value, ty: &Type) -> Value {
+        if ty.is_unsigned_int() && ir_type(ty).bits() < 32 {
+            self.with_builder(|b| b.int_resize(i, IrType::I32, false))
+        } else {
+            i
         }
     }
 
@@ -374,6 +388,7 @@ impl FnCodegen<'_, '_> {
         // Pointer arithmetic (C semantics: element-scaled).
         if lty.is_pointer() {
             let elem = lty.pointee().map_or(1, |t| t.size_of()).max(1);
+            let rv = self.gep_index(rv, rty);
             match op {
                 BinOp::Add => return self.with_builder(|b| b.gep(lv, rv, elem)),
                 BinOp::Sub if rty.is_pointer() => {

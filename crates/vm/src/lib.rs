@@ -30,10 +30,12 @@
 //!   every function of the image being checked.
 //! * [`vm`] — the execution engine: `VmEngine::new` resolves each verified
 //!   [`Op`] once per run to a private execution form — a variant of its own
-//!   for each (operator, type) pair the benchmark's workloads retire, the
-//!   `Op` itself for everything else — and a `pc` loop runs that stream as a
-//!   `match` over untagged 64-bit registers — exact because the verifier has
-//!   proven every register's class — unsafe-free, sharing the interpreter's
+//!   for each kind of op and (operator, type) pair that is at least 0.1 % of
+//!   the ops some benchmark workload retires (at width 4 or the default
+//!   width 0), the `Op` itself for everything else — and a `pc` loop runs
+//!   that stream as a `match` over untagged 64-bit registers — exact
+//!   because the verifier has proven every register's class — unsafe-free,
+//!   sharing the interpreter's
 //!   [`omplt_interp::Memory`] (through a per-frame region cache that keeps
 //!   the bounds test) and — via the [`omplt_interp::Engine`] trait — its
 //!   entire OpenMP runtime (`__kmpc_fork_call` thread teams, every

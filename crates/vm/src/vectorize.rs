@@ -319,13 +319,21 @@ impl<'a> Planner<'a> {
             Value::Inst(id) if !self.in_loop(id) => Some(SYM),
             Value::Inst(id) => match self.f.inst(id) {
                 // Width changes preserve the linear form for in-range
-                // indices; an index that actually wraps would fault both
-                // backends identically long before a chunk spans the wrap.
+                // indices. A `trunc` to `i32` or wider wraps only past 2^31
+                // elements, where both backends fault long before a chunk
+                // spans the wrap; a narrower one wraps inside an array (a
+                // `(signed char)i` goes 127 → -128), so its index is not
+                // affine and the access becomes a gather.
                 Inst::Cast {
-                    op: CastOp::SExt | CastOp::ZExt | CastOp::Trunc,
+                    op: CastOp::SExt | CastOp::ZExt,
                     val,
                     ..
                 } => self.lin(*val, depth - 1),
+                Inst::Cast {
+                    op: CastOp::Trunc,
+                    val,
+                    to,
+                } if to.bits() >= 32 => self.lin(*val, depth - 1),
                 Inst::Bin { op, lhs, rhs } => {
                     let combine = |a: Lin, b: Lin, neg: bool| -> Option<Lin> {
                         let s: i64 = if neg { -1 } else { 1 };

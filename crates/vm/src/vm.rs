@@ -21,15 +21,18 @@
 //!
 //! **What the loop runs is resolved once per run.** [`VmEngine::new`] maps
 //! each function's [`Op`]s 1:1 — same `pc`, same jump targets, same unit of
-//! fuel — to a private execution form, [`XOp`]: an op whose (operator, type)
-//! pair has a row in the table at the bottom of this file becomes that row's
-//! variant, whose dispatch arm is the IR's own arithmetic kernel
-//! (`omplt_ir::arith::{bin, cmp, cast, decode, encode}`) called with the
-//! operator and type as literals; every other op is carried as the `Op` it
-//! is and runs the same kernel with the operator and type it holds. The row
+//! fuel — to a private execution form, [`XOp`]: an op whose kind and
+//! (operator, type) pair have a row in the table at the bottom of this file
+//! becomes that row's variant, whose dispatch arm is the IR's own arithmetic
+//! kernel (`omplt_ir::arith::{bin, cmp, cast, decode, encode}`) called with
+//! the operator and type as literals; every other op is carried as the `Op`
+//! it is and runs the same kernel with the operator and type it holds. The row
 //! variants, the resolver and their arms all come from that one table, and a
-//! row is there because a measured workload retires its pair — it buys
-//! speed, never meaning. The vector pairs a workload retires have rows at
+//! row is there because a measured workload retires its form of the pair —
+//! it buys speed, never meaning: each of the 36 variants is at least 0.1 % of
+//! the ops some seed-11 workload retires (the `exec_vm` kernels also at the
+//! default width 0), and a kind of op that retires a pair gives no other
+//! kind a variant for it. The vector pairs have rows at
 //! one width, [`ROW_LANES`]: their arms read the lanes in place and unroll the
 //! lane loop, where a carried vector op pays a second dispatch on its
 //! operator and a loop to a width read at run time. On the seed-11
@@ -390,20 +393,28 @@ fn viota(base: u64, out: &mut [u64]) {
 /// that depends on which (operator, type) pairs have a variant of their own:
 /// the resolved op [`XOp`], the resolver from [`Op`], the dispatch loop —
 /// a row's arm instantiates its kernel with the row's literals, an op without
-/// one runs the arm of its own name — and the row list the tests walk. A row
-/// is `Variant [FusedVariant…] = operator type(s);`; the compiler flags a pair
-/// listed twice as an unreachable pattern in `resolve`. The vector sections
-/// are apart from the scalar ones because a scalar pair that has a row need
-/// not have a vector form a workload retires.
+/// one runs the arm of its own name — and the row list the tests walk. The
+/// table has one section per variant kind, and a row is `Variant = operator
+/// type(s);`: each row makes exactly one variant, so a pair one kind of op
+/// retires does not give the other kinds a variant nothing runs. The compiler
+/// flags a pair listed twice in a section as an unreachable pattern in
+/// `resolve`.
 macro_rules! resolved_ops {
     (
-        bin { $($bin:ident $bin_jmp:ident = $bop:ident $bty:ident;)* }
-        cmp { $($cmp:ident $cmp_br:ident = $pred:ident $cty:ident;)* }
+        bin { $($bin:ident = $bop:ident $bty:ident;)* }
+        binjmp { $($bin_jmp:ident = $jop:ident $jty:ident;)* }
+        cmp { $($cmp:ident = $pred:ident $cty:ident;)* }
+        cmpbr { $($cmp_br:ident = $bpred:ident $brty:ident;)* }
         cast { $($cast:ident = $cop:ident $from:ident $to:ident;)* }
-        mem { $($load:ident $store:ident $load_idx:ident $store_idx:ident = $mty:ident;)* }
+        load { $($load:ident = $lty:ident;)* }
+        store { $($store:ident = $sty:ident;)* }
+        loadidx { $($load_idx:ident = $lity:ident;)* }
+        storeidx { $($store_idx:ident = $sity:ident;)* }
         vbin { $($vbin:ident = $vbop:ident $vbty:ident;)* }
-        vlatch { $($latch:ident = $lpred:ident $lty:ident;)* }
-        vmem { $($vload_idx:ident $vstore_idx:ident $vgather:ident = $vmty:ident;)* }
+        vlatch { $($latch:ident = $lpred:ident $vlty:ident;)* }
+        vloadidx { $($vload_idx:ident = $vlity:ident;)* }
+        vstoreidx { $($vstore_idx:ident = $vsity:ident;)* }
+        vgather { $($vgather:ident = $vgty:ident;)* }
     ) => {
         /// One op as the dispatch loop executes it: a table row — an op
         /// whose operator and type are the variant — or the [`Op`] itself.
@@ -411,28 +422,20 @@ macro_rules! resolved_ops {
         enum XOp {
             /// An op with no row, executed as it is.
             Carried(Op),
-            $(
-                $bin { dst: Reg, lhs: Reg, rhs: Reg },
-                $bin_jmp { dst: Reg, lhs: Reg, rhs: Reg, target: u32 },
-            )*
-            $(
-                $cmp { dst: Reg, lhs: Reg, rhs: Reg },
-                $cmp_br { lhs: Reg, rhs: Reg, then_t: u32, else_t: u32 },
-            )*
+            $($bin { dst: Reg, lhs: Reg, rhs: Reg },)*
+            $($bin_jmp { dst: Reg, lhs: Reg, rhs: Reg, target: u32 },)*
+            $($cmp { dst: Reg, lhs: Reg, rhs: Reg },)*
+            $($cmp_br { lhs: Reg, rhs: Reg, then_t: u32, else_t: u32 },)*
             $($cast { dst: Reg, src: Reg },)*
-            $(
-                $load { dst: Reg, addr: Reg },
-                $store { src: Reg, addr: Reg },
-                $load_idx { dst: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
-                $store_idx { src: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
-            )*
+            $($load { dst: Reg, addr: Reg },)*
+            $($store { src: Reg, addr: Reg },)*
+            $($load_idx { dst: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },)*
+            $($store_idx { src: Reg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },)*
             $($vbin { dst: VReg, lhs: VReg, rhs: VReg },)*
             $($latch { iv: Reg, bound: Reg, body: u32, exit: u32 },)*
-            $(
-                $vload_idx { dst: VReg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
-                $vstore_idx { src: VReg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },
-                $vgather { elem_size: u32, dst: VReg, base: Reg, idx: VReg },
-            )*
+            $($vload_idx { dst: VReg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },)*
+            $($vstore_idx { src: VReg, base: Reg, index: Reg, c: i32, scale: u8, wrap: IrType },)*
+            $($vgather { elem_size: u32, dst: VReg, base: Reg, idx: VReg },)*
             /// `VIota` at [`ROW_LANES`].
             VIota { dst: VReg, base: Reg },
         }
@@ -442,20 +445,20 @@ macro_rules! resolved_ops {
         fn resolve(op: Op) -> XOp {
             use {BinOpKind as B, CastOp as C, CmpPred as P, IrType as T};
             match op {
-                $(Op::Load { dst, addr, ty: T::$mty } => XOp::$load { dst, addr },)*
-                $(Op::Store { src, addr, ty: T::$mty } => XOp::$store { src, addr },)*
-                $(Op::LoadIdx { ty: T::$mty, wrap, scale, c, dst, base, index } => XOp::$load_idx { dst, base, index, c, scale, wrap },)*
-                $(Op::StoreIdx { ty: T::$mty, wrap, scale, c, src, base, index } => XOp::$store_idx { src, base, index, c, scale, wrap },)*
-                $(Op::VLoadIdx { ty: T::$vmty, wrap, scale, c, dst, base, index, w: ROW_LANES } => XOp::$vload_idx { dst, base, index, c, scale, wrap },)*
-                $(Op::VStoreIdx { ty: T::$vmty, wrap, scale, c, src, base, index, w: ROW_LANES } => XOp::$vstore_idx { src, base, index, c, scale, wrap },)*
-                $(Op::VGather { ty: T::$vmty, elem_size, dst, base, idx, w: ROW_LANES } => XOp::$vgather { elem_size, dst, base, idx },)*
+                $(Op::Load { dst, addr, ty: T::$lty } => XOp::$load { dst, addr },)*
+                $(Op::Store { src, addr, ty: T::$sty } => XOp::$store { src, addr },)*
+                $(Op::LoadIdx { ty: T::$lity, wrap, scale, c, dst, base, index } => XOp::$load_idx { dst, base, index, c, scale, wrap },)*
+                $(Op::StoreIdx { ty: T::$sity, wrap, scale, c, src, base, index } => XOp::$store_idx { src, base, index, c, scale, wrap },)*
+                $(Op::VLoadIdx { ty: T::$vlity, wrap, scale, c, dst, base, index, w: ROW_LANES } => XOp::$vload_idx { dst, base, index, c, scale, wrap },)*
+                $(Op::VStoreIdx { ty: T::$vsity, wrap, scale, c, src, base, index, w: ROW_LANES } => XOp::$vstore_idx { src, base, index, c, scale, wrap },)*
+                $(Op::VGather { ty: T::$vgty, elem_size, dst, base, idx, w: ROW_LANES } => XOp::$vgather { elem_size, dst, base, idx },)*
                 $(Op::Bin { op: B::$bop, ty: T::$bty, dst, lhs, rhs } => XOp::$bin { dst, lhs, rhs },)*
-                $(Op::BinJmp { op: B::$bop, ty: T::$bty, dst, lhs, rhs, target } => XOp::$bin_jmp { dst, lhs, rhs, target },)*
+                $(Op::BinJmp { op: B::$jop, ty: T::$jty, dst, lhs, rhs, target } => XOp::$bin_jmp { dst, lhs, rhs, target },)*
                 $(Op::VBin { op: B::$vbop, ty: T::$vbty, dst, lhs, rhs, w: ROW_LANES } => XOp::$vbin { dst, lhs, rhs },)*
                 Op::VIota { dst, base, w: ROW_LANES } => XOp::VIota { dst, base },
                 $(Op::Cmp { pred: P::$pred, ty: T::$cty, dst, lhs, rhs } => XOp::$cmp { dst, lhs, rhs },)*
-                $(Op::CmpBr { pred: P::$pred, ty: T::$cty, lhs, rhs, then_t, else_t } => XOp::$cmp_br { lhs, rhs, then_t, else_t },)*
-                $(Op::VLatch { pred: P::$lpred, ty: T::$lty, w: ROW_LANES, iv, bound, body, exit } => XOp::$latch { iv, bound, body, exit },)*
+                $(Op::CmpBr { pred: P::$bpred, ty: T::$brty, lhs, rhs, then_t, else_t } => XOp::$cmp_br { lhs, rhs, then_t, else_t },)*
+                $(Op::VLatch { pred: P::$lpred, ty: T::$vlty, w: ROW_LANES, iv, bound, body, exit } => XOp::$latch { iv, bound, body, exit },)*
                 $(Op::Cast { op: C::$cop, from: T::$from, to: T::$to, dst, src } => XOp::$cast { dst, src },)*
                 other => XOp::Carried(other),
             }
@@ -497,40 +500,40 @@ macro_rules! resolved_ops {
                     // on to the arm of its own name below.
                     let op = match op {
                         $(XOp::$load { dst, addr } => {
-                            let raw = or_fault!('run, f, pc, mem.load_via(&mut cache, regs[addr as usize], T::$mty.size()).map_err(mem_err));
-                            regs[dst as usize] = decode(T::$mty, raw);
+                            let raw = or_fault!('run, f, pc, mem.load_via(&mut cache, regs[addr as usize], T::$lty.size()).map_err(mem_err));
+                            regs[dst as usize] = decode(T::$lty, raw);
                             continue;
                         })*
                         $(XOp::$store { src, addr } => {
-                            let raw = encode(T::$mty, regs[src as usize]);
-                            or_fault!('run, f, pc, mem.store_via(&mut cache, regs[addr as usize], T::$mty.size(), raw).map_err(mem_err));
+                            let raw = encode(T::$sty, regs[src as usize]);
+                            or_fault!('run, f, pc, mem.store_via(&mut cache, regs[addr as usize], T::$sty.size(), raw).map_err(mem_err));
                             continue;
                         })*
                         $(XOp::$load_idx { dst, base, index, c, scale, wrap } => {
                             let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
-                            let raw = or_fault!('run, f, pc, mem.load_via(&mut cache, a, T::$mty.size()).map_err(mem_err));
-                            regs[dst as usize] = decode(T::$mty, raw);
+                            let raw = or_fault!('run, f, pc, mem.load_via(&mut cache, a, T::$lity.size()).map_err(mem_err));
+                            regs[dst as usize] = decode(T::$lity, raw);
                             continue;
                         })*
                         $(XOp::$store_idx { src, base, index, c, scale, wrap } => {
-                            let raw = encode(T::$mty, regs[src as usize]);
+                            let raw = encode(T::$sity, regs[src as usize]);
                             let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
-                            or_fault!('run, f, pc, mem.store_via(&mut cache, a, T::$mty.size(), raw).map_err(mem_err));
+                            or_fault!('run, f, pc, mem.store_via(&mut cache, a, T::$sity.size(), raw).map_err(mem_err));
                             continue;
                         })*
                         $(XOp::$vload_idx { dst, base, index, c, scale, wrap } => {
                             let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
-                            or_fault!('run, f, pc, vload(mem, &mut cache, a, T::$vmty, &mut vregs[dst as usize][..ROW_LANES as usize]));
+                            or_fault!('run, f, pc, vload(mem, &mut cache, a, T::$vlity, &mut vregs[dst as usize][..ROW_LANES as usize]));
                             continue;
                         })*
                         $(XOp::$vstore_idx { src, base, index, c, scale, wrap } => {
                             let a = indexed_address(regs[base as usize], regs[index as usize], c, wrap, scale);
-                            or_fault!('run, f, pc, vstore(mem, &mut cache, a, T::$vmty, &vregs[src as usize][..ROW_LANES as usize]));
+                            or_fault!('run, f, pc, vstore(mem, &mut cache, a, T::$vsity, &vregs[src as usize][..ROW_LANES as usize]));
                             continue;
                         })*
                         $(XOp::$vgather { elem_size, dst, base, idx } => {
                             let p = regs[base as usize];
-                            or_fault!('run, f, pc, vgather(mem, &mut cache, vregs, (dst, idx), (p, elem_size), T::$vmty, ROW_LANES as usize));
+                            or_fault!('run, f, pc, vgather(mem, &mut cache, vregs, (dst, idx), (p, elem_size), T::$vgty, ROW_LANES as usize));
                             continue;
                         })*
                         $(XOp::$vbin { dst, lhs, rhs } => {
@@ -546,7 +549,7 @@ macro_rules! resolved_ops {
                             continue;
                         })*
                         $(XOp::$bin_jmp { dst, lhs, rhs, target } => {
-                            regs[dst as usize] = or_fault!('run, f, pc, bin(B::$bop, T::$bty, regs[lhs as usize], regs[rhs as usize]));
+                            regs[dst as usize] = or_fault!('run, f, pc, bin(B::$jop, T::$jty, regs[lhs as usize], regs[rhs as usize]));
                             pc = target as usize;
                             continue;
                         })*
@@ -555,15 +558,15 @@ macro_rules! resolved_ops {
                             continue;
                         })*
                         $(XOp::$cmp_br { lhs, rhs, then_t, else_t } => {
-                            let taken = cmp(P::$pred, T::$cty, regs[lhs as usize], regs[rhs as usize]);
+                            let taken = cmp(P::$bpred, T::$brty, regs[lhs as usize], regs[rhs as usize]);
                             pc = if taken { then_t } else { else_t } as usize;
                             continue;
                         })*
                         $(XOp::$latch { iv, bound, body, exit } => {
                             // An integer add never traps.
-                            let next = bin(B::Add, T::$lty, regs[iv as usize], ROW_LANES.into()).unwrap_or_default();
+                            let next = bin(B::Add, T::$vlty, regs[iv as usize], ROW_LANES.into()).unwrap_or_default();
                             regs[iv as usize] = next;
-                            pc = if cmp(P::$lpred, T::$lty, next, regs[bound as usize]) { body } else { exit } as usize;
+                            pc = if cmp(P::$lpred, T::$vlty, next, regs[bound as usize]) { body } else { exit } as usize;
                             continue;
                         })*
                         $(XOp::$cast { dst, src } => {
@@ -690,26 +693,29 @@ macro_rules! resolved_ops {
             }
         }
 
-        /// One row of the kernel table: an (operator, type) pair with
-        /// variants of its own. For the tests, which walk [`KERNEL_ROWS`].
+        /// One row of the kernel table: a variant of its own for an
+        /// (operator, type) pair. For the tests, which walk [`KERNEL_ROWS`].
         #[doc(hidden)]
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub enum KernelRow {
-            /// `Bin` and `BinJmp`.
             Bin(BinOpKind, IrType),
-            /// `Cmp` and `CmpBr`.
+            BinJmp(BinOpKind, IrType),
             Cmp(CmpPred, IrType),
-            /// `Cast`, source and destination type.
+            CmpBr(CmpPred, IrType),
+            /// Source and destination type.
             Cast(CastOp, IrType, IrType),
-            /// `Load`, `Store`, `LoadIdx` and `StoreIdx`.
-            Mem(IrType),
-            /// `VBin` at [`ROW_LANES`].
+            /// A load from an address register.
+            Load(IrType),
+            /// A store to an address register.
+            Store(IrType),
+            LoadIdx(IrType),
+            StoreIdx(IrType),
+            /// The vector rows, each at [`ROW_LANES`].
             VBin(BinOpKind, IrType),
-            /// `VLatch` at [`ROW_LANES`].
             VLatch(CmpPred, IrType),
-            /// `VLoadIdx`, `VStoreIdx` and `VGather` at [`ROW_LANES`].
-            VMem(IrType),
-            /// `VIota` at [`ROW_LANES`].
+            VLoadIdx(IrType),
+            VStoreIdx(IrType),
+            VGather(IrType),
             Iota,
         }
 
@@ -717,12 +723,19 @@ macro_rules! resolved_ops {
         #[doc(hidden)]
         pub const KERNEL_ROWS: &[KernelRow] = &[
             $(KernelRow::Bin(BinOpKind::$bop, IrType::$bty),)*
+            $(KernelRow::BinJmp(BinOpKind::$jop, IrType::$jty),)*
             $(KernelRow::Cmp(CmpPred::$pred, IrType::$cty),)*
+            $(KernelRow::CmpBr(CmpPred::$bpred, IrType::$brty),)*
             $(KernelRow::Cast(CastOp::$cop, IrType::$from, IrType::$to),)*
-            $(KernelRow::Mem(IrType::$mty),)*
+            $(KernelRow::Load(IrType::$lty),)*
+            $(KernelRow::Store(IrType::$sty),)*
+            $(KernelRow::LoadIdx(IrType::$lity),)*
+            $(KernelRow::StoreIdx(IrType::$sity),)*
             $(KernelRow::VBin(BinOpKind::$vbop, IrType::$vbty),)*
-            $(KernelRow::VLatch(CmpPred::$lpred, IrType::$lty),)*
-            $(KernelRow::VMem(IrType::$vmty),)*
+            $(KernelRow::VLatch(CmpPred::$lpred, IrType::$vlty),)*
+            $(KernelRow::VLoadIdx(IrType::$vlity),)*
+            $(KernelRow::VStoreIdx(IrType::$vsity),)*
+            $(KernelRow::VGather(IrType::$vgty),)*
             KernelRow::Iota,
         ];
 
@@ -735,30 +748,33 @@ macro_rules! resolved_ops {
     };
 }
 
-// The kernel table: the (operator, type) pairs that are at least 0.1 % of the
-// ops some `BENCHMARK.json` workload retires (counted once per pair over the
-// five `exec_vm` kernels, the `compile_*` translation units and the
-// `daemon_mix` jobs; CHANGES.md, PR 19, has the counts). A row names the
-// pair's variants, then the literals their arms call the kernel with. A `bin`
-// row's are `Bin` and the fused `BinJmp`; a `cmp` row's are `Cmp` and the
-// fused `CmpBr`; a `mem` row's, for a type, are the load and store and the
-// indexed load and store whose address the lowerer folded. The vector rows
-// follow the same rule at `ROW_LANES`, the only width a workload widens at:
-// of the 2 984 175 ops the seed-11 `exec_vm` kernels retire at width 4, `vbin
-// srem i32` is 475 280, `vbin add i64` 296 600, `vbin mul i32` 226 320,
-// `viota` 187 780, `vlatch slt i32` 170 280, `vloadidx i32` 112 640, `vbin add
-// i32` 108 820, `vbin sub i64` 82 500, `vgather i32` 70 000, `vlatch ult i64`
-// and `vstoreidx i32` 56 320 each, and `vlatch ult i32` 17 500. A `vbin` row's
-// variant is `VBin`; a `vlatch` row's is `VLatch`, which steps by its width
-// before it compares; a `vmem` row's are the unit-stride `VLoadIdx` and
-// `VStoreIdx` and the `VGather` lanes. A vector arm reads its lanes in place,
-// with no second dispatch on the op. Every pair without a row — f32, unsigned
-// division and shifts, the narrow integer types, most casts, the f64 and i64
-// lanes, `vreduce` and `vbcast` (1 062 and 2 131 ops), a vector op at another
-// width — runs the same kernel with its operator, type and width read from the
-// op. A row is added when a measured workload retires its pair and deleted
-// when none does any more: no `sext` has a row, since the lowerer makes every
-// cast that keeps its payload a `mov` (`omplt_ir::arith::keeps_payload`).
+// The kernel table: a variant for each (kind of op, operator, type) that is
+// at least 0.1 % of the ops some `BENCHMARK.json` workload retires, and for
+// nothing else. The `exec_vm` kernels count twice: at width 4, as the workload
+// runs them, and at width 0, the default every VM run without
+// `--vector-width` gets. Each row's comment is its largest share: the
+// retired ops per variant, counted at the top of the dispatch loop of an
+// instrumented build over each workload's seed-11 programs once
+// (`compile_classic` 482 873 ops, `compile_irbuilder` 503 027, `exec_vm`
+// 2 984 175 at width 4 and 9 132 978 at width 0, `daemon_mix`'s hot set
+// 25 408), with the same keep/delete decisions at seed 12. A row is `Variant
+// = operator type(s);` in the section of its kind: `bin`/`binjmp` (the add
+// fused with its jump), `cmp`/`cmpbr` (the compare fused with its branch),
+// `load`/`store` (at an address register), `loadidx`/`storeidx` (whose
+// address the lowerer folded), and the vector kinds at `ROW_LANES`, the only
+// width a workload widens at: `vlatch` steps by its width before it
+// compares, `vloadidx`/`vstoreidx` are unit-stride, `vgather` reads its lanes
+// one by one. A vector arm reads its lanes in place, with no second dispatch
+// on the op. Every other op runs the same kernel with its operator, type and
+// width read from the op; that includes f32, the narrow integer types,
+// unsigned division and shifts, most casts, the fused ops after a sub, a mul,
+// a rem or a float op, the unfused `slt i32`, `ult i64` and `ule i64`, the
+// `i32`/`f64` address-register loads, the `f64` address-register store and
+// the indexed `i64` accesses (none of which any workload retires), `vreduce`
+// and `vbcast` (1 062 and 2 131 ops), and a vector op at another width. A row
+// is added when a measured workload retires its pair and deleted when none
+// does any more: no `sext` has a row, since the lowerer makes every cast that
+// keeps its payload a `mov` (`omplt_ir::arith::keeps_payload`).
 /// The width of every vector variant of the table: the one the `exec_vm`
 /// workload widens at. (A variant has no room for its width in the 16 bytes
 /// a resolved op may take.)
@@ -767,33 +783,69 @@ pub const ROW_LANES: u8 = 4;
 
 resolved_ops! {
     bin {
-        AddI32 AddI32Jmp = Add I32; AddI64 AddI64Jmp = Add I64;
-        SubI32 SubI32Jmp = Sub I32; SubI64 SubI64Jmp = Sub I64;
-        MulI32 MulI32Jmp = Mul I32; SRemI32 SRemI32Jmp = SRem I32;
-        FAddF64 FAddF64Jmp = FAdd F64; FMulF64 FMulF64Jmp = FMul F64;
+        AddI32 = Add I32;       //   130 427, 25.93 % of compile_irbuilder
+        AddI64 = Add I64;       // 1 540 936, 16.87 % of exec_vm at width 0
+        SubI32 = Sub I32;       //    11 083,  0.37 % of exec_vm
+        SubI64 = Sub I64;       //   330 000,  3.61 % of exec_vm at width 0
+        MulI32 = Mul I32;       //   926 434, 10.14 % of exec_vm at width 0
+        SRemI32 = SRem I32;     // 1 913 075, 20.95 % of exec_vm at width 0
+        FAddF64 = FAdd F64;     //   230 788,  7.73 % of exec_vm
+        FMulF64 = FMul F64;     //    83 332,  2.79 % of exec_vm
+    }
+    binjmp {
+        AddI32Jmp = Add I32;    //    64 652, 13.39 % of compile_classic
+        AddI64Jmp = Add I64;    //     2 048,  8.06 % of daemon_mix
     }
     cmp {
-        SltI32 SltI32Br = Slt I32; UltI32 UltI32Br = Ult I32;
-        UltI64 UltI64Br = Ult I64; UleI64 UleI64Br = Ule I64;
+        UltI32 = Ult I32;       //     1 944,  0.40 % of compile_classic
+    }
+    cmpbr {
+        SltI32Br = Slt I32;     //    45 067,  9.33 % of compile_classic
+        UltI32Br = Ult I32;     //    29 090,  5.78 % of compile_irbuilder
+        UltI64Br = Ult I64;     //   226 168,  2.48 % of exec_vm at width 0
+        UleI64Br = Ule I64;     //     2 240,  8.82 % of daemon_mix
     }
     cast {
-        TruncI64I32 = Trunc I64 I32; SiToFpI32F64 = SiToFp I32 F64;
+        TruncI64I32 = Trunc I64 I32;    //     2 048,  8.06 % of daemon_mix
+        SiToFpI32F64 = SiToFp I32 F64;  //    19 208,  0.64 % of exec_vm
     }
-    mem {
-        LoadI32 StoreI32 LoadIdxI32 StoreIdxI32 = I32;
-        LoadI64 StoreI64 LoadIdxI64 StoreIdxI64 = I64;
-        LoadF64 StoreF64 LoadIdxF64 StoreIdxF64 = F64;
+    load {
+        LoadI64 = I64;          //     2 672, 10.52 % of daemon_mix
+    }
+    store {
+        StoreI32 = I32;         //        64,  0.25 % of daemon_mix
+        StoreI64 = I64;         //       384,  1.51 % of daemon_mix
+    }
+    loadidx {
+        LoadIdxI32 = I32;       //    59 488, 12.32 % of compile_classic
+        LoadIdxF64 = F64;       //   304 516, 10.20 % of exec_vm
+    }
+    storeidx {
+        StoreIdxI32 = I32;      //    54 728, 11.33 % of compile_classic
+        StoreIdxF64 = F64;      //    83 332,  2.79 % of exec_vm
     }
     vbin {
-        VAddI32 = Add I32; VAddI64 = Add I64; VSubI64 = Sub I64;
-        VMulI32 = Mul I32; VSRemI32 = SRem I32;
+        VAddI32 = Add I32;      //   108 820,  3.65 % of exec_vm
+        VAddI64 = Add I64;      //   296 600,  9.94 % of exec_vm
+        VSubI64 = Sub I64;      //    82 500,  2.76 % of exec_vm
+        VMulI32 = Mul I32;      //   226 320,  7.58 % of exec_vm
+        VSRemI32 = SRem I32;    //   475 280, 15.93 % of exec_vm
     }
     vlatch {
-        SltI32Latch = Slt I32; UltI32Latch = Ult I32; UltI64Latch = Ult I64;
+        SltI32Latch = Slt I32;  //   170 280,  5.71 % of exec_vm
+        UltI32Latch = Ult I32;  //    17 500,  0.59 % of exec_vm
+        UltI64Latch = Ult I64;  //    56 320,  1.89 % of exec_vm
     }
-    vmem {
-        VLoadIdxI32 VStoreIdxI32 VGatherI32 = I32;
+    vloadidx {
+        VLoadIdxI32 = I32;      //   112 640,  3.77 % of exec_vm
     }
+    vstoreidx {
+        VStoreIdxI32 = I32;     //    56 320,  1.89 % of exec_vm
+    }
+    vgather {
+        VGatherI32 = I32;       //    70 000,  2.35 % of exec_vm
+    }
+    // and `VIota`:             //   187 780,  6.29 % of exec_vm
 }
 
 #[cfg(test)]

@@ -913,6 +913,30 @@ int main(void) {\n\
     assert_prints_on_both_paths_and_engines(src, expected, "negation");
 }
 
+/// An unsigned `char`/`short` index is zero-extended before it scales an
+/// address, as C promotes it to `int`; a `signed char` one is sign-extended.
+/// Handed to `gep` as they were, `arr[c]` and `arr + h` read below `arr` and
+/// `&arr[300] - c` read `arr[356]`.
+#[test]
+fn narrow_unsigned_indices_are_zero_extended_on_both_backends() {
+    let src = "\
+void print_i64(long v);\n\
+int arr[70000];\n\
+int main(void) {\n\
+  for (int k = 0; k < 70000; k++) arr[k] = k;\n\
+  unsigned char c = 200;\n\
+  unsigned short h = 40000;\n\
+  int *q = &arr[300];\n\
+  print_i64(arr[c]);\n\
+  print_i64(*(arr + h));\n\
+  print_i64(q[(signed char)-3]);\n\
+  print_i64(*(&arr[300] - c));\n\
+  return 0;\n\
+}\n\
+";
+    assert_prints_on_both_paths_and_engines(src, "200\n40000\n297\n100\n", "narrow index");
+}
+
 /// Runs `src` single-threaded on both lowering paths × the interpreter and
 /// `vm:strict` × `--opt` off and on: each prints `expected`, and the two
 /// engines leave the same global memory.

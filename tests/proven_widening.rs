@@ -267,6 +267,54 @@ fn rows_computed_in_the_loop_from_outside_values_widen() {
     assert_eq!(proven, [2, 2]);
 }
 
+/// An index narrowed to `signed char`, `unsigned char` or `short` wraps
+/// inside the array, and each loop here spans a wrap (127 → -128, 255 → 0,
+/// 32767 → -32768): such an index is not unit-stride, so the read-only
+/// reductions and the reads of two `simd` copies widen as gathers, and
+/// every lane reads the element the scalar loop does. A `simd` loop that
+/// stores through a narrowed index is one the legality gate cannot verify
+/// (`-Wanalysis-limit`): it stays scalar.
+#[test]
+fn narrowed_indices_spanning_their_wrap_widen_as_gathers() {
+    let source = "void print_i64(long v);\nint arr[70000];\nint out[70000];\n\
+         long sc(int lo, int hi) {\n  int *p = &arr[300];\n  long s = 0;\n  \
+         for (int i = lo; i < hi; i++)\n    s += p[(signed char)i];\n  return s;\n}\n\
+         long uc(int lo, int hi) {\n  long s = 0;\n  for (int i = lo; i < hi; i++)\n    \
+         s += arr[(unsigned char)i] * i;\n  return s;\n}\n\
+         long sh(int lo, int hi) {\n  int *p = &arr[32768];\n  long s = 0;\n  \
+         for (int i = lo; i < hi; i++)\n    s += p[(short)i] - i;\n  return s;\n}\n\
+         void copies(int lo, int hi) {\n  #pragma omp simd\n  \
+         for (int i = lo; i < hi; i++)\n    out[i] = arr[(signed char)i + 300];\n  \
+         #pragma omp simd\n  for (int i = lo; i < hi; i++)\n    \
+         out[i + 1000] = arr[(short)(i + 32600) + 32768];\n  #pragma omp simd\n  \
+         for (int i = lo; i < hi; i++)\n    out[(unsigned char)i + 2000] += i;\n}\n\
+         int main(void) {\n  for (int k = 0; k < 70000; k++)\n    arr[k] = k;\n  \
+         print_i64(sc(2, 290));\n  print_i64(uc(250, 262));\n  print_i64(uc(2, 290));\n  \
+         print_i64(sh(32760, 32781));\n  copies(2, 290);\n  long c = 0;\n  \
+         for (int k = 0; k < 70000; k++)\n    c += (long)out[k] * (k % 1000 + 1);\n  \
+         print_i64(c);\n  return 0;\n}\n";
+    let (oracle, proven) = agrees("narrowed", source);
+    assert_eq!(oracle.code, Some(0), "{}", oracle.stderr);
+    assert_eq!(
+        oracle.stdout,
+        "86832\n386450\n5715824\n-163840\n949050272\n"
+    );
+    assert!(
+        oracle.stderr.contains("[-Wanalysis-limit]"),
+        "{}",
+        oracle.stderr
+    );
+    // The three reductions and the checksum loop.
+    assert_eq!(proven, 4);
+    let flags = ["--opt", "--backend=vm:strict", "--vector-width=4"];
+    let (_, simd) = ompltc(
+        &serial_run(&flags, &[]),
+        &scratch("narrowed.c"),
+        "vm.simd.widened_loops",
+    );
+    assert_eq!(simd, Some(2), "the two simd copies widen");
+}
+
 /// What the proof refuses: a store, a call, a float reduction and
 /// `e - phi`. Each loop stays scalar and every run agrees.
 #[test]
